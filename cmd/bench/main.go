@@ -19,7 +19,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
 	"testing"
@@ -89,7 +88,7 @@ func run(name string, fn func(b *testing.B)) result {
 // algorithm on a TianheLike world, with the Held–Suarez hook keeping the
 // forcing path hot. It reports both the real wall clock per step (ns_per_op)
 // and the simulated step time with its overlap accounting.
-func stepParallel(name string, alg dycore.Algorithm, g *grid.Grid, procs, steps int, noOverlap, spectral bool) result {
+func stepParallel(name string, alg dycore.Algorithm, g *grid.Grid, procs, steps int, noOverlap bool) result {
 	py, pz, ok := harness.YZFactors(procs, g.Ny, g.Nz)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "no Y-Z layout for p=%d on %dx%dx%d; skipping %s\n",
@@ -99,7 +98,6 @@ func stepParallel(name string, alg dycore.Algorithm, g *grid.Grid, procs, steps 
 	cfg := dycore.DefaultConfig()
 	cfg.Dt1, cfg.Dt2 = 40, 240
 	cfg.NoOverlap = noOverlap
-	cfg.SpectralSmooth = spectral
 	set := dycore.Setup{Alg: alg, PA: py, PB: pz, Cfg: cfg}
 	hs := heldsuarez.Standard()
 	hook := func(g *grid.Grid, st *state.State, step int) { hs.Apply(g, st, cfg.Dt2) }
@@ -133,13 +131,9 @@ func stepParallel(name string, alg dycore.Algorithm, g *grid.Grid, procs, steps 
 func compareOverlap(g *grid.Grid, procs, steps int) {
 	fmt.Printf("overlap comparison on %dx%dx%d, p=%d (%d steps, TianheLike):\n",
 		g.Nx, g.Ny, g.Nz, procs, steps)
-	var caOv result
 	for _, alg := range []dycore.Algorithm{dycore.AlgBaselineYZ, dycore.AlgCommAvoid} {
-		ov := stepParallel("step_"+alg.String()+"_overlap", alg, g, procs, steps, false, false)
-		qu := stepParallel("step_"+alg.String()+"_quiesced", alg, g, procs, steps, true, false)
-		if alg == dycore.AlgCommAvoid {
-			caOv = ov
-		}
+		ov := stepParallel("step_"+alg.String()+"_overlap", alg, g, procs, steps, false)
+		qu := stepParallel("step_"+alg.String()+"_quiesced", alg, g, procs, steps, true)
 		if ov.SimNsPerStep <= 0 || qu.SimNsPerStep <= 0 {
 			continue
 		}
@@ -147,46 +141,6 @@ func compareOverlap(g *grid.Grid, procs, steps int) {
 			alg.String(), ov.SimNsPerStep/1e6, qu.SimNsPerStep/1e6,
 			100*(1-ov.SimNsPerStep/qu.SimNsPerStep), 100*ov.OverlapFraction)
 	}
-	sp := stepParallel("step_ca_spectral", dycore.AlgCommAvoid, g, procs, steps, false, true)
-	if sp.SimNsPerStep > 0 && caOv.SimNsPerStep > 0 {
-		fmt.Printf("  %-12s sim step %.3f ms spectral vs %.3f ms stencil (%.1f%% faster)\n",
-			"ca-spectral", sp.SimNsPerStep/1e6, caOv.SimNsPerStep/1e6,
-			100*(1-sp.SimNsPerStep/caOv.SimNsPerStep))
-	}
-}
-
-// compareSpectral runs the comm-avoiding figure-mesh cell with stencil and
-// spectral smoothing back to back and prints one machine-parseable line:
-// the LogP sim step time of each path and the normalized final-state
-// deviation between them. The CI spectral smoke asserts spectral < stencil
-// and reldiff within tolerance from this output.
-func compareSpectral(g *grid.Grid, procs, steps int) {
-	py, pz, ok := harness.YZFactors(procs, g.Ny, g.Nz)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "no Y-Z layout for p=%d on %dx%dx%d\n", procs, g.Nx, g.Ny, g.Nz)
-		os.Exit(1)
-	}
-	cfg := dycore.DefaultConfig()
-	cfg.Dt1, cfg.Dt2 = 40, 240
-	hs := heldsuarez.Standard()
-	hook := func(g *grid.Grid, st *state.State, step int) { hs.Apply(g, st, cfg.Dt2) }
-	runOne := func(spectral bool) dycore.RunResult {
-		c := cfg
-		c.SpectralSmooth = spectral
-		set := dycore.Setup{Alg: dycore.AlgCommAvoid, PA: py, PB: pz, Cfg: c}
-		return dycore.RunWithHook(set, g, comm.TianheLike(), heldsuarez.InitialState, steps, hook)
-	}
-	sten := runOne(false)
-	spec := runOne(true)
-	scale := 0.0
-	for _, v := range dycore.FlattenState(g, sten.Finals) {
-		if a := math.Abs(v); a > scale {
-			scale = a
-		}
-	}
-	rel := dycore.MaxDiffGlobal(g, sten.Finals, spec.Finals) / (1 + scale)
-	fmt.Printf("spectral_sim_ms=%.6f stencil_sim_ms=%.6f reldiff=%.3e\n",
-		spec.Agg.SimTime*1e3/float64(steps), sten.Agg.SimTime*1e3/float64(steps), rel)
 }
 
 // rebalRow is one row of the -rebalance report: a full 24-step simulation of
@@ -298,17 +252,11 @@ func main() {
 		"compare overlapped vs quiesced LogP step time on the figure-6/7/8 mesh and exit")
 	rebal := flag.Bool("rebalance", false,
 		"compare static vs live-rebalanced layout under a seeded straggler, write BENCH_rebalance.json and exit")
-	spectral := flag.Bool("spectral", false,
-		"compare spectral vs stencil smoothing on the CA figure-mesh cell (one parseable line) and exit")
 	flag.Parse()
 
 	g := grid.New(*nx, *ny, *nz)
 	if *compare {
 		compareOverlap(g, *procs, *steps)
-		return
-	}
-	if *spectral {
-		compareSpectral(g, *procs, *steps)
 		return
 	}
 	if *rebal {
@@ -412,16 +360,6 @@ func main() {
 			smo.SmoothFull(st, dst, blk.Owned())
 		}
 	}))
-	results = append(results, run("smoothing_kernel_spectral", func(b *testing.B) {
-		st, blk := benchState(g)
-		spe := operators.NewSpectralSmoother(g, operators.NewSmoother(g, 1.0))
-		dst := state.New(blk)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			spe.SmoothFull(st, dst, blk.Owned())
-		}
-	}))
 
 	// Steady-state single-rank integrator steps (the 0 allocs/op claim).
 	for _, alg := range []dycore.Algorithm{dycore.AlgBaselineYZ, dycore.AlgCommAvoid} {
@@ -450,14 +388,9 @@ func main() {
 	// per-exchanger hidden/exposed split (the overlap-fraction observable).
 	for _, alg := range []dycore.Algorithm{dycore.AlgBaselineYZ, dycore.AlgCommAvoid} {
 		results = append(results,
-			stepParallel("step_"+alg.String()+"_overlap", alg, g, *procs, *steps, false, false),
-			stepParallel("step_"+alg.String()+"_quiesced", alg, g, *procs, *steps, true, false))
+			stepParallel("step_"+alg.String()+"_overlap", alg, g, *procs, *steps, false),
+			stepParallel("step_"+alg.String()+"_quiesced", alg, g, *procs, *steps, true))
 	}
-	// The spectral-smoothing CA row: same cell as step_ca_overlap with the
-	// composed-symbol fast path on — the BENCH_kernels.json evidence for the
-	// spectral step-time improvement.
-	results = append(results,
-		stepParallel("step_ca_spectral", dycore.AlgCommAvoid, g, *procs, *steps, false, true))
 
 	report := map[string]interface{}{
 		"mesh":    map[string]int{"nx": g.Nx, "ny": g.Ny, "nz": g.Nz},

@@ -82,10 +82,10 @@ func cmdCalibrate(args []string) {
 
 // planFlags are the flags shared by plan, run and bench.
 type planFlags struct {
-	procs, nx, ny, nz, m          int
-	topk, pilotSteps, maxWorkers  int
-	profilePath, cacheDir         string
-	varyM, noUnbalanced, noStaged bool
+	procs, nx, ny, nz, m         int
+	topk, pilotSteps, maxWorkers int
+	profilePath, cacheDir        string
+	varyM, noStaged              bool
 }
 
 func addPlanFlags(fs *flag.FlagSet) *planFlags {
@@ -101,7 +101,6 @@ func addPlanFlags(fs *flag.FlagSet) *planFlags {
 	fs.StringVar(&pf.profilePath, "profile", "", "machine profile (default: analytic Tianhe-like profile)")
 	fs.StringVar(&pf.cacheDir, "cache", "", "plan memo directory (empty: no memoization)")
 	fs.BoolVar(&pf.varyM, "vary-m", false, "also search M-1 and M+1 (changes physics accuracy)")
-	fs.BoolVar(&pf.noUnbalanced, "no-unbalanced", false, "disable weighted y-row partition candidates")
 	fs.BoolVar(&pf.noStaged, "no-staged", false, "disable staged-exchange (shallow halo) CA candidates")
 	return &pf
 }
@@ -119,10 +118,9 @@ func (pf *planFlags) planner() *tune.Planner {
 		TopK:       pf.topk,
 		PilotSteps: pf.pilotSteps,
 		Search: tune.SearchOptions{
-			MaxWorkers:   pf.maxWorkers,
-			VaryM:        pf.varyM,
-			NoUnbalanced: pf.noUnbalanced,
-			NoStaged:     pf.noStaged,
+			MaxWorkers: pf.maxWorkers,
+			VaryM:      pf.varyM,
+			NoStaged:   pf.noStaged,
 		},
 	}
 	if pf.cacheDir != "" {

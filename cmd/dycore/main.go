@@ -12,7 +12,7 @@
 //
 // For -alg yz/ca the process grid is p_y × p_z = pa × pb; for -alg xy it is
 // p_x × p_y. With -auto the autotuner (internal/tune) chooses the algorithm,
-// process grid, worker count and y-row partition for -procs ranks instead;
+// process grid, worker count and stage depth for -procs ranks instead;
 // -profile supplies a calibrated machine profile (cadytune calibrate),
 // otherwise the analytic Tianhe-like profile is used.
 //
@@ -58,7 +58,6 @@ func main() {
 	exactC := flag.Bool("exactc", false, "ablation: disable the approximate nonlinear iteration")
 	noOverlap := flag.Bool("nooverlap", false, "ablation: disable computation/communication overlap")
 	noFuse := flag.Bool("nofuse", false, "ablation: disable the fused former/later smoothing")
-	spectral := flag.Bool("spectral", false, "spectral smoothing fast path: composed-symbol FFT per zonal row (needs p_x = 1)")
 	timeline := flag.Bool("timeline", false, "print a per-rank ASCII timeline of the simulated run")
 	shiftPoles := flag.Bool("shiftpoles", false, "exact (antipodal-meridian) pole mirror; requires p_x = 1")
 	saveFile := flag.String("save", "", "write a restart checkpoint to this file at the end")
@@ -89,7 +88,6 @@ func main() {
 	cfg.M = *m
 	cfg.Dt1, cfg.Dt2 = *dt1, *dt2
 	cfg.ExactC, cfg.NoOverlap, cfg.NoFusedSmoothing = *exactC, *noOverlap, *noFuse
-	cfg.SpectralSmooth = *spectral
 	cfg.ShiftedPoleMirror = *shiftPoles
 
 	g := grid.New(*nx, *ny, *nz)

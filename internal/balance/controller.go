@@ -129,12 +129,6 @@ func CandidateOf(set dycore.Setup) (tune.Candidate, error) {
 	if sch == tune.SchemeCA {
 		c.Stage = set.Cfg.StageM
 	}
-	if sch != tune.SchemeXY {
-		// The spectral-smoothing switch survives re-planning on the
-		// full-zonal-circle schemes; under XY it is inert and dropped so the
-		// re-planner never prices a dead axis.
-		c.Spectral = set.Cfg.SpectralSmooth
-	}
 	return c, nil
 }
 
@@ -299,11 +293,9 @@ func (c *Controller) decide(step int) bool {
 		}
 	}
 	for _, cd := range tune.Candidates(c.g, c.procs, c.cfg, c.prof, c.search) {
-		// The scheme, M and the smoothing implementation are pinned:
-		// switching integrators (or the spectral path, whose results differ
-		// from the stencil's at rounding level) mid-run would change the
-		// trajectory, not just its cost.
-		if cd.Scheme != c.cand.Scheme || cd.M != c.cand.M || cd.Spectral != c.cand.Spectral {
+		// The scheme and M are pinned: switching integrators mid-run would
+		// change the trajectory, not just its cost.
+		if cd.Scheme != c.cand.Scheme || cd.M != c.cand.M {
 			continue
 		}
 		consider(cd)

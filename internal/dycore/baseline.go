@@ -215,24 +215,16 @@ func (b *Baseline) Step() {
 		b.localFill(b.psi) // see adaptUpdate: entry ghosts may be hook-stale
 		inner = b.shrinkByDepths(owned, b.exSmooth.ExchangeDepths())
 		if !inner.Empty() {
-			if b.spe != nil {
-				b.chargeSmooth(b.spe.SmoothFull(b.psi, b.xi, inner))
-			} else {
-				w := b.smo.SmoothFull(b.psi, b.xi, inner)
-				b.w.Compute(float64(w) * costSmooth)
-			}
+			w := b.smo.SmoothFull(b.psi, b.xi, inner)
+			b.w.Compute(float64(w) * costSmooth)
 		}
 	}
 	//cadyvet:quiesce under NoOverlap the inner rect is empty and this Finish is the quiesced reference path
 	pend.Finish()
 	b.localFill(b.psi)
 	for _, s := range b.slabs(owned, inner) {
-		if b.spe != nil {
-			b.chargeSmooth(b.spe.SmoothFull(b.psi, b.xi, s))
-		} else {
-			w := b.smo.SmoothFull(b.psi, b.xi, s)
-			b.w.Compute(float64(w) * costSmooth)
-		}
+		w := b.smo.SmoothFull(b.psi, b.xi, s)
+		b.w.Compute(float64(w) * costSmooth)
 	}
 	b.n.SmoothingCalls++
 	b.localFill(b.xi)

@@ -161,12 +161,7 @@ func (ca *CommAvoid) SetState(init *state.State) {
 // would silently drop it, shifting the whole resumed trajectory by one
 // smoothing application (~1e-3 relative — far above the ~1e-6 the lagged-Ĉ
 // bootstrap alone costs). The flag makes the first resumed step smooth ξ
-// exactly like the uninterrupted run's step k+1 would have. The contract is
-// path-independent: under Config.SpectralSmooth the deferred smoothing is
-// applied through the same spectral branch the uninterrupted step uses, so
-// a checkpoint written by a stencil run can resume spectrally (and vice
-// versa) within the spectral-vs-stencil pin on top of the ~1e-6 bootstrap
-// tolerance.
+// exactly like the uninterrupted run's step k+1 would have.
 func (ca *CommAvoid) SetResumedState(init *state.State) {
 	ca.SetState(init)
 	ca.resumed = true
@@ -238,32 +233,21 @@ func (ca *CommAvoid) Step() {
 		ca.xi.FillLocalBounds() // x halos and pole mirrors for the δ⁴ reads
 		field.Copy(ca.origPhi, ca.xi.Phi)
 		field.Copy2(ca.origPsa, ca.xi.Psa)
-		if ca.spe != nil {
-			// Spectral fast path: the x convolution of every field runs as
-			// one RealPlan round trip per row (serial — the plan scratch is
-			// per-integrator, like the polar filter's).
-			wk := ca.spe.P1Power(ca.xi.U, ca.eta1.U, owned, 1)
-			wk.Add(ca.spe.P1Power(ca.xi.V, ca.eta1.V, owned, 1))
-			wk.Add(ca.spe.P2Former(ca.xi.Phi, ca.eta1.Phi, owned, ca.availYFn))
-			wk.Add(ca.spe.P2Former2(ca.xi.Psa, ca.eta1.Psa, owned, ca.availYFn))
-			ca.chargeSmooth(wk)
+		var w int
+		if ca.cfg.Workers > 1 {
+			//cadyvet:allow Workers>1 tiling path; excluded from the single-worker zero-alloc invariant (serial branch below is closure-free)
+			w = ca.parKSum(owned, func(sub field.Rect, _ int) int { return ca.smo.P1Field(ca.xi.U, ca.eta1.U, sub) })
+			//cadyvet:allow Workers>1 tiling path; excluded from the single-worker zero-alloc invariant (serial branch below is closure-free)
+			w += ca.parKSum(owned, func(sub field.Rect, _ int) int { return ca.smo.P1Field(ca.xi.V, ca.eta1.V, sub) })
+			//cadyvet:allow Workers>1 tiling path; excluded from the single-worker zero-alloc invariant (serial branch below is closure-free)
+			w += ca.parKSum(owned, func(sub field.Rect, _ int) int { return ca.smo.P2Former(ca.xi.Phi, ca.eta1.Phi, sub, ca.availYFn) })
 		} else {
-			var w int
-			if ca.cfg.Workers > 1 {
-				//cadyvet:allow Workers>1 tiling path; excluded from the single-worker zero-alloc invariant (serial branch below is closure-free)
-				w = ca.parKSum(owned, func(sub field.Rect, _ int) int { return ca.smo.P1Field(ca.xi.U, ca.eta1.U, sub) })
-				//cadyvet:allow Workers>1 tiling path; excluded from the single-worker zero-alloc invariant (serial branch below is closure-free)
-				w += ca.parKSum(owned, func(sub field.Rect, _ int) int { return ca.smo.P1Field(ca.xi.V, ca.eta1.V, sub) })
-				//cadyvet:allow Workers>1 tiling path; excluded from the single-worker zero-alloc invariant (serial branch below is closure-free)
-				w += ca.parKSum(owned, func(sub field.Rect, _ int) int { return ca.smo.P2Former(ca.xi.Phi, ca.eta1.Phi, sub, ca.availYFn) })
-			} else {
-				w = ca.smo.P1Field(ca.xi.U, ca.eta1.U, owned)
-				w += ca.smo.P1Field(ca.xi.V, ca.eta1.V, owned)
-				w += ca.smo.P2Former(ca.xi.Phi, ca.eta1.Phi, owned, ca.availYFn)
-			}
-			w += ca.smo.P2Former2(ca.xi.Psa, ca.eta1.Psa, owned, ca.availYFn)
-			ca.w.Compute(float64(w) * costSmooth)
+			w = ca.smo.P1Field(ca.xi.U, ca.eta1.U, owned)
+			w += ca.smo.P1Field(ca.xi.V, ca.eta1.V, owned)
+			w += ca.smo.P2Former(ca.xi.Phi, ca.eta1.Phi, owned, ca.availYFn)
 		}
+		w += ca.smo.P2Former2(ca.xi.Psa, ca.eta1.Psa, owned, ca.availYFn)
+		ca.w.Compute(float64(w) * costSmooth)
 		ca.xi.U.CopyRect(owned, ca.eta1.U)
 		ca.xi.V.CopyRect(owned, ca.eta1.V)
 		ca.xi.Phi.CopyRect(owned, ca.eta1.Phi)
@@ -338,15 +322,9 @@ func (ca *CommAvoid) Step() {
 			field.FillPolesY2(ca.origPsa, field.Even)
 		}
 		s2r := ca.expandAsym(ca.depthY, ca.depthY, 0, ca.depthZ)
-		if ca.spe != nil {
-			wk := ca.spe.P2Latter(ca.origPhi, ca.xi.Phi, s2r, ca.availYFn)
-			wk.Add(ca.spe.P2Latter2(ca.origPsa, ca.xi.Psa, s2r, ca.availYFn))
-			ca.chargeSmooth(wk)
-		} else {
-			w := ca.smo.P2Latter(ca.origPhi, ca.xi.Phi, s2r, ca.availYFn)
-			w += ca.smo.P2Latter2(ca.origPsa, ca.xi.Psa, s2r, ca.availYFn)
-			ca.w.Compute(float64(w) * costSmooth)
-		}
+		w := ca.smo.P2Latter(ca.origPhi, ca.xi.Phi, s2r, ca.availYFn)
+		w += ca.smo.P2Latter2(ca.origPsa, ca.xi.Psa, s2r, ca.availYFn)
+		ca.w.Compute(float64(w) * costSmooth)
 		ca.xi.FillLocalBounds()
 	}
 
@@ -529,24 +507,16 @@ func (ca *CommAvoid) plainSmooth() {
 		ca.localFill(ca.psi)
 		inner = ca.shrinkByDepths(owned, ca.smEx.ExchangeDepths())
 		if !inner.Empty() {
-			if ca.spe != nil {
-				ca.chargeSmooth(ca.spe.SmoothFull(ca.psi, ca.xi, inner))
-			} else {
-				w := ca.smo.SmoothFull(ca.psi, ca.xi, inner)
-				ca.w.Compute(float64(w) * costSmooth)
-			}
+			w := ca.smo.SmoothFull(ca.psi, ca.xi, inner)
+			ca.w.Compute(float64(w) * costSmooth)
 		}
 	}
 	//cadyvet:quiesce under NoOverlap the inner rect is empty and this Finish is the quiesced reference path
 	pend.Finish()
 	ca.localFill(ca.psi)
 	for _, s := range ca.slabs(owned, inner) {
-		if ca.spe != nil {
-			ca.chargeSmooth(ca.spe.SmoothFull(ca.psi, ca.xi, s))
-		} else {
-			w := ca.smo.SmoothFull(ca.psi, ca.xi, s)
-			ca.w.Compute(float64(w) * costSmooth)
-		}
+		w := ca.smo.SmoothFull(ca.psi, ca.xi, s)
+		ca.w.Compute(float64(w) * costSmooth)
 	}
 	ca.n.SmoothingCalls++
 	ca.localFill(ca.xi)

@@ -64,20 +64,6 @@ type Config struct {
 	// baseline.
 	NoFusedSmoothing bool
 
-	// SpectralSmooth selects the spectral fast path for the x direction of
-	// the smoothing S̃ (operators.SpectralSmoother): the x-circulant P1
-	// convolution is applied as one fft.RealPlan round trip per row instead
-	// of the stencil sweep, with the y coupling staying in the stencil path.
-	// Default off: the stencil reference runs and results are bitwise
-	// identical to previous releases. On, results match the stencil path to
-	// ≤1e-11 per pass (the symbol is the exact DFT of the stencil; the
-	// difference is rounding). Only effective when the rank owns the full
-	// zonal circle (p_x = 1, i.e. the YZ and CA schemes); x-decomposed
-	// blocks fall back to the stencil. Like the polar filter, the spectral
-	// scratch is per-integrator, so the smoothing pass runs serially even
-	// with Workers > 1 (work counts and simulated metrics are unaffected).
-	SpectralSmooth bool
-
 	// StageM selects the staged-exchange mode of the communication-avoiding
 	// algorithm: the halo is sized for StageM nonlinear iterations (depth
 	// 3·StageM instead of 3·M) and a shallower refresh exchange runs every
@@ -146,21 +132,7 @@ const (
 	costSurface   = 0.1
 	costLincomb   = 0.1
 	costFilterRow = 0.05 // per retained row, times Nx·log2(Nx)
-	// costSmoothY prices the y-coupling stencil of the spectral smoothing
-	// path (the 5-point P1y sum — one third of the full S̃ arithmetic, which
-	// runs the x convolution on all four fields plus the y sum on two).
-	costSmoothY = 0.2
 )
-
-// SimSpectralSmooth reports the simulated-clock weights of the spectral
-// smoothing path: point-update equivalents per y-coupled point, and per
-// nx·log2(nx) of one transformed row. The row weight deliberately equals
-// the polar filter's (both are one RealPlan round trip plus an O(nx)
-// spectrum pass), so calibrated KernelRates price the spectral path through
-// the existing FilterRow rate without a profile schema change.
-func SimSpectralSmooth() (yPoint, row float64) {
-	return costSmoothY, costFilterRow
-}
 
 // SimCosts reports the simulated-clock work weights the integrators charge
 // through Comm.Compute: point-update equivalents per mesh point for the

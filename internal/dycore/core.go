@@ -46,12 +46,6 @@ type core struct {
 
 	flt *filter.Filter
 	smo *operators.Smoother
-	// spe is the spectral smoothing fast path; nil unless
-	// Config.SpectralSmooth is on and this rank owns full zonal circles
-	// (x-decomposed blocks keep the stencil reference). Call sites branch
-	// `if c.spe != nil` so the default path's code — and bits — are
-	// untouched.
-	spe *operators.SpectralSmoother
 	sur *operators.Surface
 
 	xi *state.State // current ξ
@@ -103,9 +97,6 @@ func newCore(cfg Config, g *grid.Grid, tp *topo.Topology) *core {
 	}
 	for _, st := range []*state.State{c.xi, c.psi, c.eta1, c.eta2, c.mid} {
 		st.ShiftedPoles = cfg.ShiftedPoleMirror
-	}
-	if cfg.SpectralSmooth && b.OwnsFullX() {
-		c.spe = operators.NewSpectralSmoother(g, c.smo)
 	}
 	if nw := cfg.Workers; nw > 1 {
 		c.advScW = make([]*operators.AdvScratch, nw)
@@ -299,18 +290,6 @@ func (c *core) filterTendency(r field.Rect) {
 	// of the tendency (like a production X-Y implementation).
 	rows := c.flt.ApplyDistBatch(c.tp, c.tnd.F3s(), c.tnd.F2s())
 	c.w.Compute(float64(rows) * float64(c.g.Nx) * logn * costFilterRow)
-}
-
-// chargeSmooth advances the simulated clock for one spectral-path smoothing
-// call: stencil-fallback points at the full S̃ rate, y-coupling points at
-// the P1y rate, and transformed rows at the filter-row rate (one RealPlan
-// round trip each, nx·log2(nx) equivalents — the same currency
-// filterTendency charges in).
-func (c *core) chargeSmooth(wk operators.SmoothWork) {
-	logn := math.Log2(float64(c.g.Nx))
-	c.w.Compute(float64(wk.Sten)*costSmooth +
-		float64(wk.YPts)*costSmoothY +
-		float64(wk.Rows)*float64(c.g.Nx)*logn*costFilterRow)
 }
 
 // applyUpdate sets dst ← base + dt·tendency over rect r (the tendency's

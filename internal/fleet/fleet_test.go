@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -655,6 +656,34 @@ func TestSharedKeyRejected(t *testing.T) {
 		t.Fatalf("forged shared_key accepted: %d", resp.StatusCode)
 	}
 	resp.Body.Close()
+}
+
+// TestSubmitRejectsUnknownFields: both submission endpoints refuse a body
+// carrying a retired or misspelled field with a 400 that names it. The
+// bodies live in testdata/unknown_fields.json.
+func TestSubmitRejectsUnknownFields(t *testing.T) {
+	h := newFleetHarness(t, 1, 1, 4, nil)
+	raw, err := os.ReadFile(filepath.Join("testdata", "unknown_fields.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cases []struct {
+		Path  string          `json:"path"`
+		Field string          `json:"field"`
+		Body  json.RawMessage `json:"body"`
+	}
+	if err := json.Unmarshal(raw, &cases); err != nil || len(cases) == 0 {
+		t.Fatalf("bad fixture (%d cases): %v", len(cases), err)
+	}
+	for _, tc := range cases {
+		resp := h.postJSON(t, tc.Path, tc.Body, "acme")
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), tc.Field) {
+			t.Errorf("POST %s with %q: status %d body %s, want 400 naming the field",
+				tc.Path, tc.Field, resp.StatusCode, msg)
+		}
+	}
 }
 
 // TestRendezvousStability: routing is consistent by job ID and covers all

@@ -110,7 +110,7 @@ func submitError(w http.ResponseWriter, err error) {
 
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec server.JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	if err := server.DecodeStrict(r.Body, &spec); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "invalid JSON: " + err.Error()})
 		return
 	}
@@ -225,7 +225,7 @@ func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleSubmitEnsemble(w http.ResponseWriter, r *http.Request) {
 	var es EnsembleSpec
-	if err := json.NewDecoder(r.Body).Decode(&es); err != nil {
+	if err := server.DecodeStrict(r.Body, &es); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "invalid JSON: " + err.Error()})
 		return
 	}

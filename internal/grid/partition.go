@@ -1,14 +1,12 @@
 package grid
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
-// This file holds the contiguous 1-D row-partition helpers the decomposition
-// planner uses. The polar Fourier filter only does work on rows poleward of
-// its cutoff latitude, so the per-row cost of the dynamical core is skewed
-// toward the poles; a weighted partition hands polar ranks fewer rows.
+// This file holds the row-partition helpers the decomposition planner uses:
+// the canonical uniform split and the polar-filter row mask. The polar
+// Fourier filter only does work on rows poleward of its cutoff latitude, so
+// the per-row cost of the dynamical core is skewed toward the poles; the
+// cost-minimizing partition over those row costs is tune.RatedRowStarts.
 
 // UniformRowStarts returns the canonical uniform partition of ny rows into
 // parts chunks: starts[i] = i·ny/parts, length parts+1. It is exactly the
@@ -17,80 +15,6 @@ func UniformRowStarts(ny, parts int) []int {
 	starts := make([]int, parts+1)
 	for i := 0; i <= parts; i++ {
 		starts[i] = i * ny / parts
-	}
-	return starts
-}
-
-// WeightedRowStarts partitions rows 0..len(weights)-1 into parts contiguous
-// chunks, each at least minRows rows, minimizing the maximum chunk weight.
-// Weights must be non-negative. The result is deterministic: among optimal
-// partitions it returns the one whose boundary vector is lexicographically
-// smallest. It panics if parts·minRows exceeds the row count.
-func WeightedRowStarts(weights []float64, parts, minRows int) []int {
-	ny := len(weights)
-	if parts < 1 || minRows < 1 {
-		panic(fmt.Sprintf("grid: WeightedRowStarts parts=%d minRows=%d must be positive", parts, minRows))
-	}
-	if parts*minRows > ny {
-		panic(fmt.Sprintf("grid: cannot cut %d rows into %d chunks of ≥ %d rows", ny, parts, minRows))
-	}
-	prefix := make([]float64, ny+1)
-	for j, w := range weights {
-		if w < 0 {
-			panic(fmt.Sprintf("grid: negative row weight %v at row %d", w, j))
-		}
-		prefix[j+1] = prefix[j] + w
-	}
-	// sdp[p][i]: minimal achievable max-chunk weight splitting the suffix
-	// rows [i, ny) into p chunks of ≥ minRows rows each. O(parts·ny²), fine
-	// at planner scale (ny ≤ a few hundred, parts ≤ 64). The reconstruction
-	// below compares the very same float values the recurrence minimized, so
-	// no epsilon slop is needed anywhere.
-	const inf = math.MaxFloat64
-	sdp := make([][]float64, parts+1)
-	for p := range sdp {
-		sdp[p] = make([]float64, ny+1)
-		for i := range sdp[p] {
-			sdp[p][i] = inf
-		}
-	}
-	for i := 0; i+minRows <= ny; i++ {
-		sdp[1][i] = prefix[ny] - prefix[i]
-	}
-	for p := 2; p <= parts; p++ {
-		for i := 0; i+p*minRows <= ny; i++ {
-			best := inf
-			for j := i + minRows; j+(p-1)*minRows <= ny; j++ {
-				cost := math.Max(prefix[j]-prefix[i], sdp[p-1][j])
-				if cost < best {
-					best = cost
-				}
-			}
-			sdp[p][i] = best
-		}
-	}
-	opt := sdp[parts][0]
-	// Reconstruct front-to-back, at each boundary picking the smallest next
-	// start whose chunk fits in opt and whose suffix still completes within
-	// opt — the lexicographically smallest optimal boundary vector, hence
-	// deterministic. Both comparisons reuse floats the DP computed exactly.
-	starts := make([]int, parts+1)
-	starts[parts] = ny
-	at := 0
-	for p := 1; p < parts; p++ {
-		rem := parts - p
-		found := false
-		for j := at + minRows; j+rem*minRows <= ny; j++ {
-			if prefix[j]-prefix[at] <= opt && sdp[rem][j] <= opt {
-				starts[p] = j
-				at = j
-				found = true
-				break
-			}
-		}
-		if !found {
-			panic(fmt.Sprintf("grid: WeightedRowStarts reconstruction stuck at chunk %d (opt %v)", p, opt))
-		}
 	}
 	return starts
 }

@@ -15,166 +15,6 @@ func TestUniformRowStarts(t *testing.T) {
 	}
 }
 
-func maxChunk(weights []float64, starts []int) float64 {
-	m := 0.0
-	for p := 0; p+1 < len(starts); p++ {
-		s := 0.0
-		for j := starts[p]; j < starts[p+1]; j++ {
-			s += weights[j]
-		}
-		if s > m {
-			m = s
-		}
-	}
-	return m
-}
-
-func TestWeightedRowStartsBalances(t *testing.T) {
-	// Polar-skewed weights: heavy at both ends, light in the middle.
-	weights := []float64{5, 5, 1, 1, 1, 1, 1, 1, 5, 5}
-	starts := WeightedRowStarts(weights, 3, 2)
-	if starts[0] != 0 || starts[3] != 10 {
-		t.Fatalf("bad span: %v", starts)
-	}
-	// Optimal max-chunk weight here is 11 ([0,2) [2,8) [8,10) → 10, 6, 10
-	// is 10; check we are at least as good as the uniform partition and
-	// that polar chunks hold fewer rows than the middle one.
-	uni := maxChunk(weights, UniformRowStarts(10, 3))
-	got := maxChunk(weights, starts)
-	if got > uni {
-		t.Errorf("weighted max chunk %v worse than uniform %v (starts %v)", got, uni, starts)
-	}
-	if r0, r1, r2 := starts[1]-starts[0], starts[2]-starts[1], starts[3]-starts[2]; r1 <= r0 || r1 <= r2 {
-		t.Errorf("middle chunk should hold the most rows: %d,%d,%d (starts %v)", r0, r1, r2, starts)
-	}
-}
-
-func TestWeightedRowStartsUniformWeights(t *testing.T) {
-	weights := make([]float64, 12)
-	for i := range weights {
-		weights[i] = 1
-	}
-	starts := WeightedRowStarts(weights, 4, 2)
-	for p := 0; p < 4; p++ {
-		if starts[p+1]-starts[p] != 3 {
-			t.Fatalf("uniform weights should split evenly, got %v", starts)
-		}
-	}
-}
-
-func TestWeightedRowStartsDeterministic(t *testing.T) {
-	weights := []float64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8}
-	a := WeightedRowStarts(weights, 4, 2)
-	b := WeightedRowStarts(weights, 4, 2)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("non-deterministic: %v vs %v", a, b)
-		}
-	}
-	if maxChunk(weights, a) <= 0 {
-		t.Fatal("degenerate partition")
-	}
-}
-
-func TestWeightedRowStartsMinRows(t *testing.T) {
-	// One huge row: the optimizer must still honor minRows everywhere.
-	weights := []float64{100, 1, 1, 1, 1, 1, 1, 1}
-	starts := WeightedRowStarts(weights, 3, 2)
-	for p := 0; p < 3; p++ {
-		if starts[p+1]-starts[p] < 2 {
-			t.Fatalf("chunk %d below minRows: %v", p, starts)
-		}
-	}
-}
-
-// checkValid asserts the structural contract of a partition: full span,
-// strictly increasing, every chunk at least minRows rows.
-func checkValid(t *testing.T, starts []int, ny, parts, minRows int) {
-	t.Helper()
-	if len(starts) != parts+1 || starts[0] != 0 || starts[parts] != ny {
-		t.Fatalf("bad span: %v (ny=%d parts=%d)", starts, ny, parts)
-	}
-	for p := 0; p < parts; p++ {
-		if starts[p+1]-starts[p] < minRows {
-			t.Fatalf("chunk %d below minRows=%d: %v", p, minRows, starts)
-		}
-	}
-}
-
-// bruteOpt finds the optimal max-chunk weight by exhaustive recursion.
-func bruteOpt(weights []float64, from, parts, minRows int) float64 {
-	ny := len(weights)
-	if parts == 1 {
-		if ny-from < minRows {
-			return math.MaxFloat64
-		}
-		s := 0.0
-		for j := from; j < ny; j++ {
-			s += weights[j]
-		}
-		return s
-	}
-	best := math.MaxFloat64
-	chunk := 0.0
-	for j := from + 1; j+(parts-1)*minRows <= ny; j++ {
-		chunk += weights[j-1]
-		if j-from < minRows {
-			continue
-		}
-		rest := bruteOpt(weights, j, parts-1, minRows)
-		if c := math.Max(chunk, rest); c < best {
-			best = c
-		}
-	}
-	return best
-}
-
-func TestWeightedRowStartsMatchesBruteForce(t *testing.T) {
-	patterns := [][]float64{
-		{5, 5, 1, 1, 1, 1, 1, 1, 5, 5},
-		{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8},
-		{0, 0, 0, 7, 0, 0, 0, 7, 0, 0, 0, 7, 0, 0},
-		{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12},
-	}
-	for _, weights := range patterns {
-		ny := len(weights)
-		for parts := 2; parts <= 4; parts++ {
-			for minRows := 1; minRows <= 2; minRows++ {
-				if parts*minRows > ny {
-					continue
-				}
-				starts := WeightedRowStarts(weights, parts, minRows)
-				checkValid(t, starts, ny, parts, minRows)
-				got := maxChunk(weights, starts)
-				want := bruteOpt(weights, 0, parts, minRows)
-				if got != want {
-					t.Errorf("weights %v parts=%d minRows=%d: max chunk %v, optimum %v (starts %v)",
-						weights, parts, minRows, got, want, starts)
-				}
-			}
-		}
-	}
-}
-
-func TestWeightedRowStartsPolarPattern96x8(t *testing.T) {
-	// Regression: the planner's real row-weight shape — a flat stencil cost
-	// with a large filter surcharge on the polar thirds — made the previous
-	// reconstruction (exact outer check + epsilon-slopped greedy completion)
-	// emit a non-increasing boundary vector for 96 rows into 8 chunks.
-	weights := make([]float64, 96)
-	for j := range weights {
-		weights[j] = 1
-		if j < 32 || j >= 64 {
-			weights[j] += 17.3
-		}
-	}
-	starts := WeightedRowStarts(weights, 8, 2)
-	checkValid(t, starts, 96, 8, 2)
-	if got, uni := maxChunk(weights, starts), maxChunk(weights, UniformRowStarts(96, 8)); got > uni {
-		t.Errorf("weighted max chunk %v worse than uniform %v: %v", got, uni, starts)
-	}
-}
-
 func TestPolarRows(t *testing.T) {
 	g := New(16, 10, 4)
 	active := g.PolarRows(60)

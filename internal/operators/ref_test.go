@@ -202,38 +202,6 @@ func TestSmoothingMatchesReferenceBitwise(t *testing.T) {
 	}
 }
 
-func TestSpectralMatchesReferencePerPassCount(t *testing.T) {
-	// The spectral composed symbol σ^m against m applications of the
-	// point-accessor reference refP1 (ghosts refreshed between passes),
-	// normalized ≤1e-11 per pass count. The spectral path reorders the
-	// arithmetic through the DFT, so the pin is tight-tolerance, not
-	// bitwise like the stencil row-slice kernels above.
-	g := probeGrid()
-	b := serialBlock(g)
-	st := smoothState(g, b)
-	smo := NewSmoother(g, 1.0)
-	spe := NewSpectralSmoother(g, smo)
-	for _, m := range []int{1, 2, 3, 9} {
-		cur := field.NewF3(b)
-		field.Copy(cur, st.U)
-		next := field.NewF3(b)
-		for p := 0; p < m; p++ {
-			cur.FillXPeriodic()
-			refP1(smo, cur, next, b.Owned())
-			cur, next = next, cur
-		}
-		out := field.NewF3(b)
-		spe.P1Power(st.U, out, b.Owned(), m)
-		scale := field.MaxAbsOwned(cur)
-		if scale == 0 {
-			scale = 1
-		}
-		if d := field.MaxAbsDiffOwned(out, cur) / scale; d > 1e-11 {
-			t.Errorf("m=%d: spectral differs from %d reference passes by %g (pin 1e-11)", m, m, d)
-		}
-	}
-}
-
 func TestAdvectionScratchReuseBitwise(t *testing.T) {
 	// Reusing scratch (with stale contents from an unrelated call) must not
 	// change results.

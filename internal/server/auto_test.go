@@ -6,9 +6,16 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"cadycore/internal/checkpoint"
+	"cadycore/internal/comm"
+	"cadycore/internal/dycore"
+	"cadycore/internal/grid"
+	"cadycore/internal/heldsuarez"
+	"cadycore/internal/state"
 	"cadycore/internal/tune"
 )
 
@@ -108,5 +115,58 @@ func TestAutoLayoutInfeasibleBudgetFailsAfterPlanning(t *testing.T) {
 	}
 	if final.Resumable {
 		t.Error("an unplannable job must not be resumable")
+	}
+}
+
+// TestRecoverHonoursVersion3PlanMeta: job metadata persisted by the release
+// that still planned a smoothing-path axis and latitude-weighted rows (plan
+// version 3) must keep loading. testdata/v3-job holds that release's files
+// for an auto job on the benchmark's `auto` class, as left by a process that
+// died right after planning. The layout is honoured — rows included — and
+// the smoothing runs on the stencil, the one remaining implementation (the
+// deferred-smoothing resume contract is path-independent).
+func TestRecoverHonoursVersion3PlanMeta(t *testing.T) {
+	dir := t.TempDir()
+	jdir := filepath.Join(dir, "j-000001")
+	if err := os.MkdirAll(jdir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"spec.json", "meta.json"} {
+		body, err := os.ReadFile(filepath.Join("testdata", "v3-job", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		//cadyvet:volatile plants an older release's on-disk state for recovery to load; it must not be durably committed
+		if err := os.WriteFile(filepath.Join(jdir, name), body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s := newTestServer(t, Config{Workers: 1, QueueCap: 4, Dir: dir})
+	j, ok := s.Get("j-000001")
+	if !ok {
+		t.Fatal("job with a version-3 plan was not recovered")
+	}
+	st := j.Status()
+	wantRows := []int{0, 5, 12, 19, 24}
+	if st.State != JInterrupted || !st.Resumable || st.Plan == nil || !reflect.DeepEqual(st.Plan.RowStarts, wantRows) {
+		t.Fatalf("recovered %s resumable=%v plan %v, want interrupted/resumable on rows %v", st.State, st.Resumable, st.Plan, wantRows)
+	}
+	if _, err := s.Resume(j.ID); err != nil {
+		t.Fatalf("Resume: %v", err)
+	}
+	fin := waitState(t, s, j.ID, JCompleted)
+	if fin.StepsDone != 4 || !reflect.DeepEqual(fin.Plan.RowStarts, wantRows) {
+		t.Fatalf("resumed job finished at %d steps on rows %v, want 4 on %v", fin.StepsDone, fin.Plan.RowStarts, wantRows)
+	}
+
+	// Bitwise the explicit stencil run of the same layout.
+	spec := j.Spec
+	g := grid.New(spec.Nx, spec.Ny, spec.Nz)
+	hs := heldsuarez.Standard()
+	hook := func(g *grid.Grid, st *state.State, step int) { hs.Apply(g, st, spec.Dt2) }
+	res := dycore.RunWithHook(fin.Plan.Setup(spec.config()), g, comm.TianheLike(), heldsuarez.InitialState, spec.Steps, hook)
+	if snap, _ := j.latestSnapshot(); !snap.Equal(checkpoint.Gather(g, res.Finals)) {
+		t.Error("recovered run differs from the explicit stencil run on the planned rows")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -57,9 +58,19 @@ func submitError(w http.ResponseWriter, err error) {
 	}
 }
 
+// DecodeStrict decodes a submission body into v, rejecting unknown fields: a
+// retired or misspelled field is an error naming it, never a silent default.
+// (Persisted specs and metas are read leniently, so files written by older
+// releases keep loading.)
+func DecodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	if err := DecodeStrict(r.Body, &spec); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "invalid JSON: " + err.Error()})
 		return
 	}

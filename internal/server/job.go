@@ -40,8 +40,8 @@ type JobSpec struct {
 	// Layout selects how the process grid is chosen: "" or "explicit" uses
 	// Alg/PA/PB/PC as given; "auto" defers to the autotuner (internal/tune)
 	// at execution time — the planner picks the scheme, factorization,
-	// worker count and y-row partition for Procs ranks, and the chosen plan
-	// is surfaced in the job status.
+	// worker count and stage depth for Procs ranks, and the chosen plan is
+	// surfaced in the job status.
 	Layout string `json:"layout,omitempty"`
 	// Procs is the rank budget of an auto-layout job (default 4).
 	Procs int `json:"procs,omitempty"`
@@ -60,15 +60,10 @@ type JobSpec struct {
 	// StageM is the staged-exchange halo depth for ca runs: 0 (default)
 	// sizes the deep halo for all M iterations; 0 < stage_m < M sizes it
 	// for stage_m iterations and refreshes it with overlapped exchanges.
-	StageM int `json:"stage_m,omitempty"`
-	// SpectralSmooth turns on the composed-symbol spectral smoothing fast
-	// path (Config.SpectralSmooth) for run jobs. It needs full zonal circles
-	// per rank, so alg "xy" rejects it; with layout "auto" the planner owns
-	// the switch and the field must be left unset.
-	SpectralSmooth bool    `json:"spectral_smooth,omitempty"`
-	Steps          int     `json:"steps,omitempty"`
-	Dt1            float64 `json:"dt1,omitempty"`
-	Dt2            float64 `json:"dt2,omitempty"`
+	StageM int     `json:"stage_m,omitempty"`
+	Steps  int     `json:"steps,omitempty"`
+	Dt1    float64 `json:"dt1,omitempty"`
+	Dt2    float64 `json:"dt2,omitempty"`
 
 	// HeldSuarez applies the Held–Suarez forcing between steps (default
 	// true, like cmd/dycore).
@@ -176,9 +171,6 @@ func (sp *JobSpec) Normalize() error {
 	if sp.StageM != 0 && sp.Kind == "run" && sp.Alg != "" && sp.Alg != "ca" {
 		return fmt.Errorf("stage_m is only meaningful for alg \"ca\" (got %q)", sp.Alg)
 	}
-	if sp.SpectralSmooth && sp.Alg == "xy" {
-		return fmt.Errorf("spectral_smooth needs full zonal circles per rank; alg \"xy\" distributes x")
-	}
 	if sp.Steps < 1 || sp.Steps > maxSteps {
 		return fmt.Errorf("steps = %d outside [1, %d]", sp.Steps, maxSteps)
 	}
@@ -200,8 +192,8 @@ func (sp *JobSpec) Normalize() error {
 	if sp.PerturbAmp < 0 || sp.PerturbAmp > 0.1 {
 		return fmt.Errorf("perturb_amp = %g outside [0, 0.1]", sp.PerturbAmp)
 	}
-	if sp.Kind != "run" && (sp.SharedKey != "" || sp.PerturbAmp != 0 || sp.PerturbSeed != 0 || sp.SpectralSmooth) {
-		return fmt.Errorf("shared_key/perturb_*/spectral_smooth are only meaningful for run jobs")
+	if sp.Kind != "run" && (sp.SharedKey != "" || sp.PerturbAmp != 0 || sp.PerturbSeed != 0) {
+		return fmt.Errorf("shared_key/perturb_* are only meaningful for run jobs")
 	}
 	if sp.Rebalance != nil {
 		if err := sp.Rebalance.Validate(); err != nil {
@@ -247,9 +239,6 @@ func (sp *JobSpec) Normalize() error {
 		}
 		if sp.StageM != 0 {
 			return fmt.Errorf("layout \"auto\" plans the stage depth; leave stage_m empty")
-		}
-		if sp.SpectralSmooth {
-			return fmt.Errorf("layout \"auto\" plans the smoothing path; leave spectral_smooth unset")
 		}
 		if sp.Procs == 0 {
 			sp.Procs = 4
@@ -341,7 +330,6 @@ func (sp JobSpec) config() dycore.Config {
 	cfg := dycore.DefaultConfig()
 	cfg.M = sp.M
 	cfg.StageM = sp.StageM
-	cfg.SpectralSmooth = sp.SpectralSmooth
 	cfg.Dt1, cfg.Dt2 = sp.Dt1, sp.Dt2
 	return cfg
 }

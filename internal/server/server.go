@@ -840,7 +840,6 @@ func validatePlanned(sp JobSpec, p tune.Plan) error {
 	if p.Scheme == tune.SchemeCA {
 		v.StageM = p.Stage
 	}
-	v.SpectralSmooth = p.Spectral
 	// The explicit-layout gate rejects rebalance (a pinned layout must not
 	// migrate); the planned spec is only borrowing that gate for feasibility.
 	v.Rebalance = nil

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -220,6 +223,38 @@ func TestSubmitValidation(t *testing.T) {
 	resp.Body.Close() // an unclosed body pins the transport's conn goroutines
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("GET missing job: %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestSubmitRejectsUnknownFields: a retired or misspelled field in a
+// submission is a 400 naming it, not a silently applied default. The bodies
+// live in testdata/unknown_fields.json.
+func TestSubmitRejectsUnknownFields(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, QueueCap: 2})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	raw, err := os.ReadFile(filepath.Join("testdata", "unknown_fields.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cases []struct {
+		Field string          `json:"field"`
+		Body  json.RawMessage `json:"body"`
+	}
+	if err := json.Unmarshal(raw, &cases); err != nil || len(cases) == 0 {
+		t.Fatalf("bad fixture (%d cases): %v", len(cases), err)
+	}
+	for _, tc := range cases {
+		resp := postJSON(t, ts, "/jobs", tc.Body)
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), tc.Field) {
+			t.Errorf("%s: status %d body %s, want 400 naming the field", tc.Field, resp.StatusCode, msg)
+		}
+	}
+	if n := len(s.List()); n != 0 {
+		t.Errorf("%d rejected submissions were admitted", n)
 	}
 }
 

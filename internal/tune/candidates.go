@@ -47,12 +47,9 @@ type Candidate struct {
 	// iterations and refreshes it ⌈M/s⌉ times per step with overlapped
 	// exchanges. Ignored by the baseline schemes.
 	Stage int
-	// Spectral turns on the composed-symbol spectral smoothing fast path
-	// (Config.SpectralSmooth). Only enumerated for the full-zonal-circle
-	// schemes (CA, YZ) — under SchemeXY no rank owns a whole x row and the
-	// switch would be inert.
-	Spectral bool
-	// RowStarts is the y-row partition (nil = uniform).
+	// RowStarts is the y-row partition (nil = uniform). The planner only
+	// enumerates uniform partitions; explicit ones come from the rebalancer's
+	// measured-rate RatedRows.
 	RowStarts []int
 }
 
@@ -63,9 +60,6 @@ func (c Candidate) Key() string {
 	fmt.Fprintf(&sb, "%s-%dx%d-m%d-w%d", c.Scheme, c.PA, c.PB, c.M, c.Workers)
 	if c.Stage > 0 {
 		fmt.Fprintf(&sb, "-s%d", c.Stage)
-	}
-	if c.Spectral {
-		sb.WriteString("-sp")
 	}
 	if c.RowStarts != nil {
 		sb.WriteString("-rows")
@@ -84,7 +78,6 @@ func (c Candidate) Setup(cfg dycore.Config) dycore.Setup {
 	if c.Scheme == SchemeCA {
 		cfg.StageM = c.Stage
 	}
-	cfg.SpectralSmooth = c.Spectral
 	return dycore.Setup{Alg: c.Scheme.Alg(), PA: c.PA, PB: c.PB, Cfg: cfg, RowStarts: c.RowStarts}
 }
 
@@ -105,14 +98,9 @@ type SearchOptions struct {
 	// iteration count. Off by default: changing M changes the physics
 	// accuracy, so it is opt-in.
 	VaryM bool
-	// NoUnbalanced disables the weighted y-row partition candidates.
-	NoUnbalanced bool
 	// NoStaged disables the staged-exchange (Candidate.Stage) variants of
 	// the communication-avoiding scheme.
 	NoStaged bool
-	// NoSpectral disables the spectral-smoothing (Candidate.Spectral)
-	// variants of the full-zonal-circle schemes.
-	NoSpectral bool
 }
 
 // minRowsCA is the minimum rows/layers per rank the communication-avoiding
@@ -121,10 +109,11 @@ const minRowsCA = 2
 
 // Candidates enumerates the search space for running cfg on an nx×ny×nz
 // mesh with exactly procs ranks. The order is deterministic: schemes in
-// {ca, yz, xy} order, factorizations by ascending PA, then M, workers,
-// full-depth before staged halos (ascending stage depth), stencil before
-// spectral smoothing, and uniform before weighted partitions.
-func Candidates(g *grid.Grid, procs int, cfg dycore.Config, prof Profile, opt SearchOptions) []Candidate {
+// {ca, yz, xy} order, factorizations by ascending PA, then M, workers, and
+// full-depth before staged halos (ascending stage depth). Every candidate
+// has the uniform y partition. The enumeration does not read the machine
+// profile; the parameter is part of the signature benchmark/ calls.
+func Candidates(g *grid.Grid, procs int, cfg dycore.Config, _ Profile, opt SearchOptions) []Candidate {
 	ms := []int{cfg.M}
 	if opt.VaryM {
 		if cfg.M > 1 {
@@ -144,7 +133,6 @@ func Candidates(g *grid.Grid, procs int, cfg dycore.Config, prof Profile, opt Se
 	}
 
 	var out []Candidate
-	add := func(c Candidate) { out = append(out, c) }
 	for _, scheme := range []Scheme{SchemeCA, SchemeYZ, SchemeXY} {
 		for pa := 1; pa <= procs; pa++ {
 			if procs%pa != 0 {
@@ -159,34 +147,14 @@ func Candidates(g *grid.Grid, procs int, cfg dycore.Config, prof Profile, opt Se
 					continue // M sweeps only matter where halo depth follows M
 				}
 				for _, w := range workers {
-					base := Candidate{Scheme: scheme, PA: pa, PB: pb, M: m, Workers: w}
-					stages := []int{0}
+					c := Candidate{Scheme: scheme, PA: pa, PB: pb, M: m, Workers: w}
+					out = append(out, c)
 					if scheme == SchemeCA && !opt.NoStaged {
 						// Staged-exchange variants: halo depth s < m with
 						// ⌈m/s⌉ overlapped refreshes per step.
 						for s := 1; s < m; s++ {
-							stages = append(stages, s)
-						}
-					}
-					for _, s := range stages {
-						variants := []bool{false}
-						if scheme != SchemeXY && !opt.NoSpectral {
-							// Spectral smoothing variants: only where every
-							// rank owns full zonal circles (p_x = 1).
-							variants = append(variants, true)
-						}
-						for _, sp := range variants {
-							c := base
 							c.Stage = s
-							c.Spectral = sp
-							add(c)
-							if !opt.NoUnbalanced {
-								if rows := weightedRows(g, cfg, prof, c); rows != nil {
-									cw := c
-									cw.RowStarts = rows
-									add(cw)
-								}
-							}
+							out = append(out, c)
 						}
 					}
 				}
@@ -209,39 +177,6 @@ func feasible(scheme Scheme, g *grid.Grid, pa, pb int) bool {
 	}
 }
 
-// weightedRows builds the latitude-weighted y partition for a candidate:
-// each row's weight is its stencil work plus — on filter-active rows — the
-// FFT work, in seconds per (x, z)-pencil, so polar ranks end up with fewer
-// rows. Returns nil when py < 2 or the weighted partition degenerates to
-// the uniform one.
-func weightedRows(g *grid.Grid, cfg dycore.Config, prof Profile, c Candidate) []int {
-	py := c.py()
-	if py < 2 {
-		return nil
-	}
-	minRows := 2
-	if c.Scheme == SchemeCA {
-		minRows = minRowsCA
-	}
-	if py*minRows > g.Ny {
-		return nil
-	}
-	weights := rowWeights(g, cfg, prof, c)
-	rows := grid.WeightedRowStarts(weights, py, minRows)
-	uniform := grid.UniformRowStarts(g.Ny, py)
-	same := true
-	for i := range rows {
-		if rows[i] != uniform[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		return nil
-	}
-	return rows
-}
-
 // rowWeights returns the per-row cost (seconds per step, per y row) of the
 // candidate's kernels: the stencil work of a row of nx·(nz/pz) points plus
 // the Fourier-filter work on rows poleward of the cutoff.
@@ -256,14 +191,7 @@ func rowWeights(g *grid.Grid, cfg dycore.Config, prof Profile, c Candidate) []fl
 	layers := float64(g.Nz) / float64(pz)
 	rowPoints := float64(nxLocal) * layers
 	k := prof.Kernels
-	smooth := rowPoints / k.Smooth
-	if c.Spectral {
-		// Composed-symbol path: the zonal convolution becomes one real-FFT
-		// round trip per (x, z)-pencil, priced at the calibrated FilterRow
-		// rate; only the meridional coupling stays on the Smooth rate.
-		smooth = rowPoints*spectralYRatio/k.Smooth + layers*rowCost(nxLocal)/k.FilterRow
-	}
-	stencil := rowPoints*(3*float64(c.M)/k.Adapt+3/k.Advect+float64(2*c.M)/k.CSum) + smooth
+	stencil := rowPoints*(3*float64(c.M)/k.Adapt+3/k.Advect+float64(2*c.M)/k.CSum) + rowPoints/k.Smooth
 	// Filtered tendencies per step: every adaptation and advection update
 	// filters ~3 field components.
 	apps := float64(3*c.M+3) * 3 * layers

@@ -31,18 +31,6 @@ func rowCost(nx int) float64 {
 // pilot stage measures the real value, this only ranks candidates.
 const workerEff = 0.85
 
-// spectralYRatio converts the spectral smoothing path's residual stencil
-// work into Smooth-rate point equivalents: half the smoothed fields keep
-// their meridional 5-point coupling, each charged the simulated y-coupling
-// weight relative to a full stencil-smooth point. Derived from the dycore
-// sim weights so the analytic model and the pilot runs price the switch
-// identically.
-var spectralYRatio = func() float64 {
-	yPoint, _ := dycore.SimSpectralSmooth()
-	_, _, smooth, _, _ := dycore.SimCosts()
-	return 0.5 * yPoint / smooth
-}()
-
 // fieldsPerExchange approximates the state components a halo exchange
 // carries (U, V, Φ as 3-D fields plus the surface pressure).
 const fieldsPerExchange = 4
@@ -122,16 +110,7 @@ func colCosts(g *grid.Grid, cfg dycore.Config, prof Profile, c Candidate) (compC
 				filtRows++
 			}
 		}
-		smoothComp := points / k.Smooth
-		if c.Spectral && px == 1 {
-			// Composed-symbol smoothing (§5.3 extension): one real-FFT
-			// round trip per zonal pencil on the FilterRow rate plus the
-			// residual meridional coupling on the Smooth rate. Inert when
-			// p_x > 1 — no rank owns a full circle.
-			smoothComp = points*spectralYRatio/k.Smooth +
-				points/float64(nxl)*rowCost(nxl)/k.FilterRow
-		}
-		comp := points*(3*m/k.Adapt+3/k.Advect+(2*m+1)/k.CSum) + smoothComp
+		comp := points*(3*m/k.Adapt+3/k.Advect+(2*m+1)/k.CSum) + points/k.Smooth
 		apps := (3*m + 3) * 3 * float64(layers)
 		comp += apps * float64(filtRows) * rowCost(nxl) / k.FilterRow
 		if c.Workers > 1 {

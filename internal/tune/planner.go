@@ -11,8 +11,9 @@ import (
 )
 
 // PlanVersion is bumped when the Plan schema changes; cached plans with
-// another version are ignored. Version 3 added the spectral-smoothing axis.
-const PlanVersion = 3
+// another version are ignored. Version 4 retired version 3's smoothing-path
+// and weighted-row axes, so cached "…-sp-rows…" plans are re-planned.
+const PlanVersion = 4
 
 // Plan is the planner's decision for one (mesh, procs, config, profile)
 // request — everything needed to launch the run, plus the evidence.
@@ -29,8 +30,6 @@ type Plan struct {
 	// Stage is the staged-exchange halo depth for the CA scheme (0 = full
 	// depth M).
 	Stage int `json:"stage,omitempty"`
-	// Spectral turns on the composed-symbol spectral smoothing fast path.
-	Spectral bool `json:"spectral,omitempty"`
 	// RowStarts is the y-row partition (omitted = uniform).
 	RowStarts []int `json:"row_starts,omitempty"`
 	// HaloY, HaloZ record the halo depths the scheme implies (informational).
@@ -50,7 +49,7 @@ type Plan struct {
 
 // Candidate reconstructs the plan's search-space point.
 func (p Plan) Candidate() Candidate {
-	return Candidate{Scheme: p.Scheme, PA: p.PA, PB: p.PB, M: p.M, Workers: p.Workers, Stage: p.Stage, Spectral: p.Spectral, RowStarts: p.RowStarts}
+	return Candidate{Scheme: p.Scheme, PA: p.PA, PB: p.PB, M: p.M, Workers: p.Workers, Stage: p.Stage, RowStarts: p.RowStarts}
 }
 
 // Setup builds the dycore setup that executes the plan. The caller's config
@@ -65,9 +64,6 @@ func (p Plan) String() string {
 		p.Scheme, p.PA, p.PB, p.M, p.Workers, p.HaloY, p.HaloZ)
 	if p.Stage > 0 {
 		s += fmt.Sprintf(" stage=%d", p.Stage)
-	}
-	if p.Spectral {
-		s += " spectral"
 	}
 	if p.RowStarts != nil {
 		s += fmt.Sprintf(" rows=%v", p.RowStarts)
@@ -120,23 +116,11 @@ func (pl *Planner) Plan(g *grid.Grid, procs int, cfg dycore.Config) (Plan, error
 		return p, nil
 	}
 
-	cands := Candidates(g, procs, cfg, pl.Profile, pl.Search)
-	if len(cands) == 0 {
+	ests := pl.rank(g, procs, cfg)
+	if len(ests) == 0 {
 		return Plan{}, fmt.Errorf("tune: no feasible layout for %d ranks on mesh %dx%dx%d",
 			procs, g.Nx, g.Ny, g.Nz)
 	}
-	ests := make([]Estimate, len(cands))
-	for i, c := range cands {
-		ests[i] = Evaluate(g, cfg, pl.Profile, c)
-	}
-	// Deterministic analytic ranking: by predicted time, candidate key as
-	// the tiebreaker.
-	sort.Slice(ests, func(a, b int) bool {
-		if ests[a].Total != ests[b].Total {
-			return ests[a].Total < ests[b].Total
-		}
-		return ests[a].Candidate.Key() < ests[b].Candidate.Key()
-	})
 
 	best := ests[0]
 	plan := planFrom(g, procs, best, pl.Profile)
@@ -170,6 +154,24 @@ func (pl *Planner) Plan(g *grid.Grid, procs int, cfg dycore.Config) (Plan, error
 	return plan, nil
 }
 
+// rank enumerates the candidate space and returns its analytic estimates in
+// deterministic order: by predicted time, candidate key as the tiebreaker.
+// The first topK() entries are what the pilot stage re-measures.
+func (pl *Planner) rank(g *grid.Grid, procs int, cfg dycore.Config) []Estimate {
+	cands := Candidates(g, procs, cfg, pl.Profile, pl.Search)
+	ests := make([]Estimate, len(cands))
+	for i, c := range cands {
+		ests[i] = Evaluate(g, cfg, pl.Profile, c)
+	}
+	sort.Slice(ests, func(a, b int) bool {
+		if ests[a].Total != ests[b].Total {
+			return ests[a].Total < ests[b].Total
+		}
+		return ests[a].Candidate.Key() < ests[b].Candidate.Key()
+	})
+	return ests
+}
+
 // PlanOf builds a Plan directly from a chosen candidate and its predicted
 // step time, bypassing the enumeration — the rebalancing controller's entry
 // point for publishing a mid-run re-plan in the same schema the planner and
@@ -197,7 +199,6 @@ func planFrom(g *grid.Grid, procs int, e Estimate, prof Profile) Plan {
 		Procs:   procs,
 		Scheme:  c.Scheme, PA: c.PA, PB: c.PB, M: c.M, Workers: c.Workers,
 		Stage:         c.Stage,
-		Spectral:      c.Spectral,
 		RowStarts:     c.RowStarts,
 		HaloY:         hy,
 		HaloZ:         hz,

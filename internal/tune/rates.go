@@ -61,11 +61,12 @@ func EvaluateWithRates(g *grid.Grid, cfg dycore.Config, prof Profile, c Candidat
 }
 
 // RatedRows builds the slowdown-aware y-row partition for a candidate: row
-// weights come from the candidate's kernel costs (like the planner's
-// weighted partitions), but each column's weight is additionally multiplied
-// by the largest slowdown among its ranks, so slow columns receive fewer
-// rows. Returns nil when py < 2, the partition is infeasible, or the rated
-// partition equals the candidate's existing one.
+// weights come from the candidate's kernel costs (stencil work plus the
+// polar-filter surcharge), and each column's weight is additionally
+// multiplied by the largest slowdown among its ranks, so slow columns
+// receive fewer rows. With unit slowdowns it is the purely latitude-weighted
+// partition. Returns nil when py < 2, the partition is infeasible, or the
+// rated partition equals the candidate's existing one.
 func RatedRows(g *grid.Grid, cfg dycore.Config, prof Profile, c Candidate, slow []float64) []int {
 	py := c.py()
 	if py < 2 || len(slow) != c.PA*c.PB {
@@ -112,11 +113,10 @@ func RatedRows(g *grid.Grid, cfg dycore.Config, prof Profile, c Candidate, slow 
 
 // RatedRowStarts partitions len(weights) rows into len(colSlow) contiguous
 // chunks of at least minRows rows each, minimizing the maximum of
-// colSlow[cy] · (chunk cy's weight) — grid.WeightedRowStarts generalized to
-// position-dependent chunk multipliers, which a uniform relabeling cannot
-// express. Deterministic: among optimal partitions it returns the
-// lexicographically smallest boundary vector. Panics on infeasible inputs,
-// mirroring grid.WeightedRowStarts.
+// colSlow[cy] · (chunk cy's weight); with unit multipliers it is the plain
+// min-max weighted partition. Weights must be non-negative. Deterministic:
+// among optimal partitions it returns the lexicographically smallest
+// boundary vector. Panics on infeasible inputs.
 func RatedRowStarts(weights, colSlow []float64, minRows int) []int {
 	ny, parts := len(weights), len(colSlow)
 	if parts < 1 || minRows < 1 || parts*minRows > ny {
@@ -128,9 +128,10 @@ func RatedRowStarts(weights, colSlow []float64, minRows int) []int {
 	}
 	// sdp[p][i]: minimal achievable max rated chunk cost splitting the
 	// suffix rows [i, ny) over the LAST p columns (columns parts−p … parts−1,
-	// so the multiplier of the first chunk is colSlow[parts−p]). O(parts·ny²)
-	// like the unrated DP; the reconstruction reuses the exact floats the
-	// recurrence minimized, so no epsilon slop is needed.
+	// so the multiplier of the first chunk is colSlow[parts−p]). O(parts·ny²),
+	// fine at planner scale (ny ≤ a few hundred, parts ≤ 64). The
+	// reconstruction reuses the exact floats the recurrence minimized, so no
+	// epsilon slop is needed.
 	const inf = math.MaxFloat64
 	sdp := make([][]float64, parts+1)
 	for p := range sdp {
@@ -156,6 +157,9 @@ func RatedRowStarts(weights, colSlow []float64, minRows int) []int {
 		}
 	}
 	opt := sdp[parts][0]
+	// Reconstruct front-to-back, at each boundary picking the smallest next
+	// start whose chunk fits in opt and whose suffix still completes within
+	// opt — the lexicographically smallest optimal boundary vector.
 	starts := make([]int, parts+1)
 	starts[parts] = ny
 	at := 0

@@ -4,10 +4,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"cadycore/internal/comm"
 	"cadycore/internal/dycore"
 	"cadycore/internal/grid"
 )
@@ -247,14 +249,14 @@ func TestPlanCacheConcurrent(t *testing.T) {
 }
 
 func TestEvaluateUnbalancedBeatsUniformWhenFilterHeavy(t *testing.T) {
-	// With an expensive filter, the weighted partition's busiest rank must
-	// be predicted no slower than the uniform one's.
+	// With an expensive filter, the latitude-weighted partition (RatedRows
+	// at unit rates) must be predicted no slower than the uniform one.
 	g := grid.New(32, 24, 6)
 	prof := quickProfile()
 	prof.Kernels.FilterRow /= 50 // make filtering dominate
 	cfg := planCfg()
 	base := Candidate{Scheme: SchemeCA, PA: 4, PB: 1, M: cfg.M, Workers: 1}
-	rows := weightedRows(g, cfg, prof, base)
+	rows := RatedRows(g, cfg, prof, base, ones(base.PA*base.PB))
 	if rows == nil {
 		t.Fatal("expected a non-uniform weighted partition")
 	}
@@ -269,5 +271,80 @@ func TestEvaluateUnbalancedBeatsUniformWhenFilterHeavy(t *testing.T) {
 	// Polar chunks must be thinner than mid-latitude chunks.
 	if rows[1]-rows[0] >= rows[2]-rows[1] {
 		t.Errorf("polar chunk not thinner: %v", rows)
+	}
+}
+
+// servicePlanner mirrors the job service's default planner (server.New).
+func servicePlanner() *Planner {
+	return &Planner{Profile: ProfileFromModel(comm.TianheLike()), TopK: 2, PilotSteps: 1}
+}
+
+// TestServiceDefaultPlanIsUniformStencilCA pins the planner's space to
+// scheme × factorisation × workers × stage on the service's `auto` benchmark
+// class. With the FFT-smoothing (`-sp`) and static weighted-row (`-rows`)
+// twins enumerated, both pilot slots went to `-rows` twins of ca-4x1 and the
+// uniform stencil layout — the fastest on the pilot's own clock — was never
+// piloted.
+func TestServiceDefaultPlanIsUniformStencilCA(t *testing.T) {
+	g := grid.New(48, 24, 8)
+	cfg := planCfg()
+	pl := servicePlanner()
+
+	if n := len(Candidates(g, 4, cfg, pl.Profile, pl.Search)); n != 12 {
+		t.Errorf("enumerated %d candidates, want 12 (3 factorisations × {ca, ca-s1, yz, xy})", n)
+	}
+	ranked := pl.rank(g, 4, cfg)
+	piloted := false
+	for i, e := range ranked {
+		key := e.Candidate.Key()
+		if strings.Contains(key, "-sp") || strings.Contains(key, "-rows") {
+			t.Errorf("retired axis enumerated: %s", key)
+		}
+		if i < pl.topK() && key == "ca-4x1-m2-w1" {
+			piloted = true
+		}
+	}
+	if !piloted {
+		t.Errorf("uniform ca-4x1-m2-w1 is not among the %d piloted leaders", pl.topK())
+	}
+	p, err := pl.Plan(g, 4, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if key := p.Candidate().Key(); key != "ca-4x1-m2-w1" || p.RowStarts != nil {
+		t.Errorf("planned %s (rows %v), want ca-4x1-m2-w1 on the uniform partition", key, p.RowStarts)
+	}
+}
+
+// TestPlanCacheIgnoresRetiredVersion: a memo written by the version-3
+// planner (testdata/plan-v3.json: a `-sp-rows` twin, verbatim from that
+// release's service cache) must be re-planned, not half-decoded into a
+// layout the current planner would never choose.
+func TestPlanCacheIgnoresRetiredVersion(t *testing.T) {
+	g := grid.New(48, 24, 8)
+	cfg := planCfg()
+	pl := servicePlanner()
+	pl.Cache = NewCache(t.TempDir())
+	key := PlanKey(g.Nx, g.Ny, g.Nz, 4, cfg.M, 1, pl.Profile.Hash())
+	v3, err := os.ReadFile(filepath.Join("testdata", "plan-v3.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	//cadyvet:volatile plants a stale memo for the cache to reject; it never needs to survive a crash
+	if err := os.WriteFile(filepath.Join(pl.Cache.Dir(), key+".json"), v3, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if p, ok := pl.Cache.Get(key); ok {
+		t.Fatalf("cache served a version-%d plan: %s", p.Version, p)
+	}
+	p, err := pl.Plan(g, 4, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Version != PlanVersion || p.RowStarts != nil {
+		t.Errorf("re-plan returned %+v, want a version-%d uniform plan", p, PlanVersion)
+	}
+	if got, ok := pl.Cache.Get(key); !ok || !reflect.DeepEqual(got, p) {
+		t.Errorf("re-plan did not replace the stale memo: %+v (ok=%v)", got, ok)
 	}
 }
