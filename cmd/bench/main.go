@@ -185,9 +185,12 @@ func compareRebalance(out string) {
 		var ctl *balance.Controller
 		if ctl, err = balance.NewController(pol, g, cfg, tune.DefaultProfile(), steps, cand); err == nil {
 			var o balance.Outcome
-			if o, err = balance.Run(ctl, g, comm.TianheLike(), heldsuarez.InitialState, steps, hook, fault.New(plan), 3); err == nil {
+			if o, err = balance.Run(balance.RunSpec{
+				Grid: g, Model: comm.TianheLike(), Init: heldsuarez.InitialState, Steps: steps, Hook: hook,
+				Controller: ctl, Faults: fault.New(plan), MaxRestarts: 3,
+			}); err == nil {
 				rows = append(rows, rebalRow{
-					Name: "rebalanced_straggler", SimTimeS: o.SimTime,
+					Name: "rebalanced_straggler", SimTimeS: o.Agg.SimTime,
 					CompImbalance: o.Agg.CompImbalance(), Migrations: len(o.Migrations),
 				})
 			}

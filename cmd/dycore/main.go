@@ -79,10 +79,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "-save-every requires -save")
 		os.Exit(2)
 	}
-	if *rebalance && (*timeline || *saveEvery > 0) {
-		fmt.Fprintln(os.Stderr, "-rebalance is incompatible with -timeline and -save-every")
-		os.Exit(2)
-	}
 
 	cfg := dycore.DefaultConfig()
 	cfg.M = *m
@@ -138,13 +134,16 @@ func main() {
 
 	init := dycore.InitFunc(heldsuarez.InitialState)
 	if *loadFile != "" {
+		var snap *checkpoint.Global
 		fh, err := os.Open(*loadFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "load:", err)
-			os.Exit(1)
+		if err == nil {
+			snap, err = checkpoint.Read(fh)
+			fh.Close()
 		}
-		snap, err := checkpoint.Read(fh)
-		fh.Close()
+		if err == nil && (snap.Nx != *nx || snap.Ny != *ny || snap.Nz != *nz) {
+			err = fmt.Errorf("%s holds a %dx%dx%d mesh, but -nx/-ny/-nz ask for %dx%dx%d",
+				*loadFile, snap.Nx, snap.Ny, snap.Nz, *nx, *ny, *nz)
+		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "load:", err)
 			os.Exit(1)
@@ -169,108 +168,63 @@ func main() {
 		inj = fault.New(plan)
 	}
 
-	var res dycore.RunResult
-	var rec *comm.Recorder
+	// Every mode is one supervised run: balance.Run restarts crashed segments
+	// from the latest snapshot and migrates when -rebalance supplies a
+	// controller; -save-every is its snapshot cadence and sink.
+	spec := balance.RunSpec{
+		Grid: g, Model: comm.TianheLike(), Init: init, Steps: *steps, Hook: hook,
+		Setup: set, Faults: inj, MaxRestarts: *maxRestarts,
+		SnapshotEvery: *saveEvery, Traced: *timeline,
+	}
+	if *saveEvery > 0 {
+		spec.Snapshot = func(step int, snap *checkpoint.Global) {
+			if err := checkpoint.WriteAtomic(*saveFile, snap); err != nil {
+				fmt.Fprintln(os.Stderr, "save-every:", err)
+				os.Exit(1)
+			}
+			fmt.Printf("checkpoint written to %s at step %d\n", *saveFile, step)
+		}
+	}
 	if *rebalance {
 		cand, err := balance.CandidateOf(set)
+		if err == nil {
+			spec.Controller, err = balance.NewController(balance.Policy{}, g, cfg, prof, *steps, cand)
+		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "rebalance:", err)
 			os.Exit(1)
 		}
-		ctl, err := balance.NewController(balance.Policy{}, g, cfg, prof, *steps, cand)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rebalance:", err)
-			os.Exit(1)
-		}
-		out, err := balance.Run(ctl, g, comm.TianheLike(), init, *steps, hook, inj, *maxRestarts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rebalance:", err)
-			os.Exit(1)
-		}
-		if len(out.Migrations) == 0 {
-			fmt.Println("rebalance: no migration needed")
-		}
-		for _, mg := range out.Migrations {
-			fmt.Printf("rebalance: step %d migrated %s -> %s (predicted gain %.4g s, cost %.4g s)\n",
-				mg.Step, mg.From, mg.To, mg.PredictedGain, mg.Cost)
-		}
-		set = out.Setup
-		res.Agg = out.Agg
-		res.Agg.SimTime = out.SimTime // include the modeled migration cost
-		res.Count = out.Count
-		res.Finals = out.Finals
-		res.StepsDone = out.StepsDone
-		finishRun(g, *saveFile, res, rec)
-		return
+	}
+	out, err := balance.Run(spec)
+	for i, r := range out.Restarts {
+		fmt.Printf("chaos: rank %d died after step %d; restarted from step %d (restart %d/%d)\n",
+			r.Failure.Rank, r.Failure.Step, r.From, i+1, *maxRestarts)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "run:", err)
+		os.Exit(1)
+	}
+	if *rebalance && len(out.Migrations) == 0 {
+		fmt.Println("rebalance: no migration needed")
+	}
+	for _, mg := range out.Migrations {
+		fmt.Printf("rebalance: step %d migrated %s -> %s (predicted gain %.4g s, cost %.4g s)\n",
+			mg.Step, mg.From, mg.To, mg.PredictedGain, mg.Cost)
 	}
 
-	// lastSnap/lastStep track the newest checkpoint in memory so an injected
-	// crash can restart from it (the file written by -save-every is its
-	// durable twin).
-	var lastSnap *checkpoint.Global
-	lastStep := 0
-	segBase := 0
-	segInit := init
-	segResume := *loadFile != "" // checkpoint states owe deferred smoothing
-	for attempt := 0; ; attempt++ {
-		base := segBase
-		opts := dycore.RunOpts{Hook: hook, Traced: *timeline, Resume: segResume}
-		if *saveEvery > 0 {
-			// The same snapshot cadence the job service uses: the runner
-			// quiesces all ranks at the boundary, the callback gathers and
-			// writes atomically (temp + fsync + rename) so a crash mid-write
-			// never corrupts the previous checkpoint.
-			opts.SnapshotEvery = *saveEvery
-			opts.Snapshot = func(done int, sts []*state.State) {
-				snap := checkpoint.Gather(g, sts)
-				lastSnap, lastStep = snap, base+done
-				if err := writeCheckpoint(*saveFile, snap); err != nil {
-					fmt.Fprintln(os.Stderr, "save-every:", err)
-					os.Exit(1)
-				}
-				fmt.Printf("checkpoint written to %s at step %d\n", *saveFile, base+done)
-			}
-		}
-		if inj != nil {
-			opts.Faults = inj.CommFaults(set.Procs())
-			opts.CrashAt = inj.CrashFunc(base)
-		}
-		res, rec = dycore.RunWithOpts(set, g, comm.TianheLike(), segInit, *steps-base, opts)
-		if res.Abort == nil {
-			break
-		}
-		fmt.Printf("chaos: rank %d died after step %d\n", res.Abort.Rank, segBase+res.Abort.Step)
-		if attempt >= *maxRestarts {
-			fmt.Fprintf(os.Stderr, "chaos: restart budget %d exhausted\n", *maxRestarts)
-			os.Exit(1)
-		}
-		if lastSnap != nil {
-			segBase = lastStep
-			segInit = lastSnap.InitFunc()
-			segResume = true
-		} else {
-			segBase = 0
-			segInit = init
-			segResume = *loadFile != ""
-		}
-		fmt.Printf("chaos: restarting from step %d (restart %d/%d)\n", segBase, attempt+1, *maxRestarts)
-	}
-
-	finishRun(g, *saveFile, res, rec)
-}
-
-// finishRun writes the final checkpoint and prints the counter,
-// communication, timeline and diagnostic reports shared by the plain and
-// -rebalance run paths.
-func finishRun(g *grid.Grid, saveFile string, res dycore.RunResult, rec *comm.Recorder) {
-	if saveFile != "" {
-		if err := writeCheckpoint(saveFile, checkpoint.Gather(g, res.Finals)); err != nil {
+	if *saveFile != "" {
+		if err := checkpoint.WriteAtomic(*saveFile, checkpoint.Gather(g, out.Finals)); err != nil {
 			fmt.Fprintln(os.Stderr, "save:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("checkpoint written to %s\n", saveFile)
+		fmt.Printf("checkpoint written to %s\n", *saveFile)
 	}
+	report(g, out)
+}
 
+// report prints the counter, communication, timeline and diagnostic
+// summaries of a finished run.
+func report(g *grid.Grid, res balance.Outcome) {
 	fmt.Printf("\n-- algorithm counters (rank 0) --\n")
 	fmt.Printf("halo exchange rounds: %d\n", res.Count.HaloExchanges)
 	fmt.Printf("C-evaluations (z-collectives): %d\n", res.Count.CEvaluations)
@@ -285,7 +239,7 @@ func finishRun(g *grid.Grid, saveFile string, res dycore.RunResult, rec *comm.Re
 	}
 	fmt.Printf("simulated total runtime: %.4g s (compute %.4g s)\n", res.Agg.SimTime, res.Agg.CompTimeMax)
 
-	if rec != nil {
+	if rec := res.Trace; rec != nil {
 		fmt.Printf("\n-- simulated timeline --\n")
 		fmt.Print(trace.Render(rec, 110).Format())
 		u := trace.Utilization(rec)
@@ -300,12 +254,4 @@ func finishRun(g *grid.Grid, saveFile string, res dycore.RunResult, rec *comm.Re
 	fmt.Printf("max wind: %.2f m/s\n", diag.MaxWind(g, res.Finals))
 	fmt.Printf("kinetic energy: %.6g, available energy: %.6g\n",
 		diag.KineticEnergy(g, res.Finals), diag.AvailableEnergy(g, res.Finals))
-}
-
-// writeCheckpoint writes the snapshot durably through the blessed commit
-// helper. The previous hand-rolled copy of the protocol stopped after the
-// rename: without the parent-directory fsync a power loss could drop the
-// just-renamed entry, losing the checkpoint the rename claimed to commit.
-func writeCheckpoint(path string, snap *checkpoint.Global) error {
-	return checkpoint.WriteAtomic(path, snap)
 }

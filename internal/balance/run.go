@@ -16,115 +16,123 @@ import (
 // segment, the final states under the final layout, and the migration log.
 type Outcome struct {
 	// Agg is the merged communication aggregate over all segments (costs
-	// summed, per-rank series summed when the rank count was stable).
+	// summed, per-rank series summed when the rank count was stable); its
+	// SimTime also includes the modeled cost of every migration.
 	Agg comm.Aggregate
 	// Count sums the operation counters over all segments.
 	Count dycore.Counters
-	// Finals are the per-rank final states under Setup's layout.
+	// Finals are the per-rank final states under the final layout.
 	Finals []*state.State
 	// StepsDone is the total completed steps over all segments.
 	StepsDone int
-	// SimTime is the end-to-end simulated seconds: per-segment critical-path
-	// time plus the modeled cost of every migration.
-	SimTime float64
 	// Migrations is the controller's executed-migration log.
 	Migrations []Migration
-	// Setup is the layout the run finished in.
-	Setup dycore.Setup
+	// Restarts logs every crash the run recovered from, in order.
+	Restarts []Restart
+	// Trace is the last segment's event recorder (RunSpec.Traced).
+	Trace *comm.Recorder
 }
 
-// Run drives a run of `steps` steps under the controller's supervision: it
-// executes segments in the controller's current layout, and whenever the
-// controller quiesces the run mid-flight it restores the stop snapshot into
-// the re-planned decomposition and continues. An optional fault injector
-// supplies stragglers and crashes; crashed segments restart from the latest
-// snapshot, up to maxRestarts times.
-func Run(ctl *Controller, g *grid.Grid, model comm.NetModel, init dycore.InitFunc,
-	steps int, hook dycore.StepHook, inj *fault.Injector, maxRestarts int) (Outcome, error) {
+// Restart is one recovered crash: the injected failure (its Step counted
+// from the start of the run) and the step boundary the run resumed from.
+type Restart struct {
+	Failure dycore.RankFailure
+	From    int
+}
+
+// RunSpec is one supervised run. Zero values of the optional fields (Hook
+// onwards) mean "none".
+type RunSpec struct {
+	Grid  *grid.Grid
+	Model comm.NetModel
+	Init  dycore.InitFunc
+	Steps int
+	Hook  dycore.StepHook
+	// Setup is the layout when Controller is nil (no rebalancing); a
+	// Controller watches the run and migrates it between its own layouts.
+	Setup      dycore.Setup
+	Controller *Controller
+	// A segment crashed by Faults restarts from the latest snapshot (the
+	// initial state when there is none), at most MaxRestarts times.
+	Faults      *fault.Injector
+	MaxRestarts int
+	// Snapshot receives every snapshot the run takes — each SnapshotEvery
+	// steps and at a migration quiesce — with its absolute step.
+	SnapshotEvery int
+	Snapshot      func(step int, gl *checkpoint.Global)
+	Traced        bool // record per-rank events into Outcome.Trace
+}
+
+// Run drives the run segment by segment: a segment ends when the run
+// completes, when an injected crash aborts it (restart from the latest
+// snapshot) or when the controller quiesces it for a migration (continue
+// from the stop snapshot in the re-planned layout). A snapshot is the whole
+// carried state, so the loop carries only (base step, latest snapshot).
+func Run(spec RunSpec) (Outcome, error) {
 	var out Outcome
-	var (
-		segBase   int
-		segInit   = init
-		segResume bool
-		restarts  int
-		lastSnap  *checkpoint.Global
-		lastStep  int
-	)
+	g, ctl := spec.Grid, spec.Controller
+	base, init := 0, spec.Init // where the next segment starts
+	var lastSnap *checkpoint.Global
+	var lastStep int
 	for {
-		set := ctl.Setup()
-		remaining := steps - segBase
-		var snap *checkpoint.Global
-		snapStep := -1
-		opts := dycore.RunOpts{
-			Hook:      hook,
-			Resume:    segResume,
-			Rebalance: ctl.Hook(segBase),
-			Snapshot: func(done int, sts []*state.State) {
-				snap = checkpoint.Gather(g, sts)
-				snapStep = segBase + done
-			},
+		set := spec.Setup
+		opts := dycore.RunOpts{Hook: spec.Hook, Traced: spec.Traced}
+		if ctl != nil {
+			set = ctl.Setup()
+			opts.Rebalance = ctl.Hook(base)
 		}
-		if inj != nil {
-			opts.Faults = inj.CommFaults(set.Procs())
-			opts.CrashAt = inj.CrashFunc(segBase)
+		if ctl != nil || spec.SnapshotEvery > 0 {
+			opts.SnapshotEvery = spec.SnapshotEvery
+			opts.Snapshot = func(done int, sts []*state.State) {
+				lastSnap, lastStep = checkpoint.Gather(g, sts), base+done
+				if spec.Snapshot != nil {
+					spec.Snapshot(lastStep, lastSnap)
+				}
+			}
 		}
-		res, _ := dycore.RunWithOpts(set, g, model, segInit, remaining, opts)
+		if spec.Faults != nil {
+			opts.Faults = spec.Faults.CommFaults(set.Procs())
+			opts.CrashAt = spec.Faults.CrashFunc(base)
+		}
+		res, rec := dycore.RunWithOpts(set, g, spec.Model, init, spec.Steps-base, opts)
 
 		out.Agg = comm.MergeAggregate(out.Agg, res.Agg)
-		out.SimTime += res.Agg.SimTime
-		addCounters(&out.Count, res.Count)
+		out.Count.Add(res.Count)
+		out.Trace = rec
 
 		if res.Abort != nil {
-			// Injected crash: restart the segment from the latest snapshot
-			// (or from scratch when none was taken yet).
-			if restarts >= maxRestarts {
-				return out, fmt.Errorf("balance: restart budget (%d) exhausted after %v", maxRestarts, res.Abort)
+			if len(out.Restarts) >= spec.MaxRestarts {
+				return out, fmt.Errorf("balance: restart budget (%d) exhausted after %v", spec.MaxRestarts, res.Abort)
 			}
-			restarts++
-			if snap == nil {
-				snap, snapStep = lastSnap, lastStep
+			fail := *res.Abort
+			fail.Step += base
+			if lastSnap != nil {
+				base, init = lastStep, lastSnap.InitFunc()
 			}
-			if snap != nil {
-				segBase = snapStep
-				segInit = snap.InitFunc()
-				segResume = true
-				lastSnap, lastStep = snap, snapStep
-			}
+			out.Restarts = append(out.Restarts, Restart{Failure: fail, From: base})
 			continue
 		}
 
-		done := segBase + res.StepsDone
-		if done >= steps {
-			out.Finals = res.Finals
-			out.StepsDone = done
-			out.Migrations = ctl.Migrations()
-			out.Setup = set
+		done := base + res.StepsDone
+		if done >= spec.Steps {
+			out.Finals, out.StepsDone = res.Finals, done
+			if ctl != nil {
+				out.Migrations = ctl.Migrations()
+			}
 			return out, nil
 		}
 
-		// Early stop: the only stopper we installed is the rebalance hook,
-		// so a staged re-plan must be waiting and the stop snapshot must
-		// cover exactly this boundary.
+		// Early stop: the only stopper installed is the rebalance hook, so a
+		// staged re-plan must be waiting and the stop snapshot must cover
+		// exactly this boundary.
 		plan, _ := ctl.TakePending()
 		if plan == nil {
 			return out, fmt.Errorf("balance: run stopped at step %d with no pending re-plan", done)
 		}
-		if snap == nil || snapStep != done {
+		if lastSnap == nil || lastStep != done {
 			return out, fmt.Errorf("balance: no quiesce snapshot at migration boundary %d", done)
 		}
-		out.SimTime += tune.MigrationCost(g, set.Procs(), ctl.Profile())
-		lastSnap, lastStep = snap, snapStep
-		segBase = done
-		segInit = snap.InitFunc()
-		segResume = true
+		out.Agg.SimTime += tune.MigrationCost(g, set.Procs(), ctl.Profile())
+		base, init = done, lastSnap.InitFunc()
 	}
-}
-
-// addCounters accumulates b into a.
-func addCounters(a *dycore.Counters, b dycore.Counters) {
-	a.Steps += b.Steps
-	a.HaloExchanges += b.HaloExchanges
-	a.CEvaluations += b.CEvaluations
-	a.FilterCalls += b.FilterCalls
-	a.SmoothingCalls += b.SmoothingCalls
 }

@@ -67,6 +67,10 @@ func FuzzDirStoreLatest(f *testing.F) {
 	f.Add(good)                       // a byte-exact valid snapshot
 	f.Add(good[:len(good)-1])         // truncated tail: CRC must catch it
 	f.Add(append([]byte{0}, good...)) // shifted header
+	v1 := append([]byte(nil), good[:20]...)
+	v1[4] = 1 // the retired version-1 header: magic, version, dims
+	f.Add(v1)
+	f.Add(fuzzCarriedSnapBytes()) // version 2 with the carried Ĉ and the pending bit
 	f.Fuzz(func(t *testing.T, planted []byte) {
 		dir := t.TempDir()
 		s, err := NewDirStore(dir)
@@ -112,9 +116,21 @@ func fuzzSeedSnap() *Global {
 	return Gather(g, []*state.State{st})
 }
 
-func fuzzSeedSnapBytes() []byte {
+func fuzzSeedSnapBytes() []byte { return snapBytes(fuzzSeedSnap()) }
+
+// fuzzCarriedSnapBytes is the seed snapshot as a comm-avoiding writer at a
+// step boundary would serialize it.
+func fuzzCarriedSnapBytes() []byte {
+	gl := fuzzSeedSnap()
+	gl.PWI = make([]float64, gl.Nx*gl.Ny*(gl.Nz+1))
+	gl.DBar = make([]float64, gl.Nx*gl.Ny)
+	gl.PendingSmooth = true
+	return snapBytes(gl)
+}
+
+func snapBytes(gl *Global) []byte {
 	var buf bytes.Buffer
-	if err := fuzzSeedSnap().Write(&buf); err != nil {
+	if err := gl.Write(&buf); err != nil {
 		panic(err)
 	}
 	return buf.Bytes()

@@ -86,11 +86,17 @@ func TestDirStoreSkipsCorruptSnapshots(t *testing.T) {
 	if err := s.Put("k", 2, good); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	// Plant a corrupt "newer" snapshot beside it (as a torn write would).
-	bad := filepath.Join(dir, "k@00000009.ck")
-	//cadyvet:volatile deliberately plants a torn, non-durable file to prove Latest falls back past it
-	if err := os.WriteFile(bad, []byte("torn"), 0o644); err != nil {
-		t.Fatalf("writing corrupt file: %v", err)
+	// Plant unreadable "newer" snapshots beside it: a torn write, and a
+	// well-formed file in the retired version-1 format.
+	v1, err := os.ReadFile(filepath.Join("testdata", "snap-v1.ck"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{"k@00000009.ck": []byte("torn"), "k@00000007.ck": v1} {
+		//cadyvet:volatile deliberately plants non-durable unreadable files to prove Latest falls back past them
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatalf("planting %s: %v", name, err)
+		}
 	}
 	gl, step, err := s.Latest("k")
 	if err != nil {

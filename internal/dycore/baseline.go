@@ -70,9 +70,14 @@ func (b *Baseline) ExchStats() []topo.ExchStats {
 
 // SetState overwrites the owned region of ξ (and refreshes boundaries and
 // the initial Ĉ cache — one startup exchange and one startup collective,
-// mirroring the model's initialization phase).
+// mirroring the model's initialization phase). The smoothing a comm-avoiding
+// step-boundary snapshot still owes cannot be deferred here: apply it now.
 func (b *Baseline) SetState(init *state.State) {
 	b.xi.CopyFrom(init)
+	if init.Carry != nil && init.Carry.PendingSmooth {
+		b.psi.CopyFrom(b.xi)
+		b.smooth()
+	}
 	b.bootstrap()
 }
 
@@ -203,10 +208,19 @@ func (b *Baseline) Step() {
 	b.mid.FillLocalBounds()
 	b.advectUpdate(b.psi, b.psi, b.mid) // ζ3
 
-	// Smoothing with its own exchange, overlapped with the interior sweep:
-	// S̃ reads ψ and writes ξ, so the interior rect (clear of ψ's in-flight
-	// halo rows) smooths while the messages fly and the boundary slabs
-	// follow after Finish. Per-point pure → bitwise the monolithic sweep.
+	b.smooth()
+
+	b.n.Steps++
+}
+
+// smooth sets ξ ← S̃(ψ) with its own exchange, overlapped with the interior
+// sweep: S̃ reads ψ and writes ξ, so the interior rect (clear of ψ's in-flight
+// halo rows) smooths while the messages fly and the boundary slabs follow
+// after Finish. Per-point pure → bitwise the monolithic sweep.
+//
+//cadyvet:allocfree
+func (b *Baseline) smooth() {
+	owned := b.tp.Block.Owned()
 	f3, f2 := b.exchangeFields(b.psi)
 	pend := b.exSmooth.Begin(f3, f2)
 	b.n.HaloExchanges++
@@ -228,8 +242,6 @@ func (b *Baseline) Step() {
 	}
 	b.n.SmoothingCalls++
 	b.localFill(b.xi)
-
-	b.n.Steps++
 }
 
 // Finalize is a no-op: the baseline smooths within Step.

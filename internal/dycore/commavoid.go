@@ -44,10 +44,6 @@ type CommAvoid struct {
 
 	depthY, depthZ int // valid halo depth after the adaptation exchange (= 3·S)
 	stage          int // iterations per exchange round (0 = unstaged: all M)
-	finalized      bool
-	// resumed marks ξ as a mid-trajectory restart state whose deferred
-	// smoothing is still pending (see SetResumedState).
-	resumed bool
 
 	// availYFn is availY bound once at construction: passing a pre-bound
 	// func value into the smoothers keeps the per-step path free of
@@ -128,7 +124,16 @@ func NewCommAvoid(cfg Config, g *grid.Grid, tp *topo.Topology) *CommAvoid {
 	ca.availYFn = ca.availY
 	ca.bandF3[0] = ca.origPhi
 	ca.bandF2[0] = ca.origPsa
+	ca.xi.Carry = &state.Carry{} // what a snapshot needs besides ξ
+	ca.publishCarry(false)
 	return ca
+}
+
+// publishCarry re-aims ξ's Carry at the current cLast (the cLast/cNew swaps
+// move it between two buffers) and records whether ξ owes the former
+// smoothing the last Step deferred.
+func (ca *CommAvoid) publishCarry(pendingSmooth bool) {
+	*ca.xi.Carry = state.Carry{PWI: ca.cLast.PWI, DBar: ca.cLast.DBar, PendingSmooth: pendingSmooth}
 }
 
 // ExchStats reports per-exchanger overlap accounting.
@@ -140,31 +145,27 @@ func (ca *CommAvoid) ExchStats() []topo.ExchStats {
 	return out
 }
 
-// SetState overwrites ξ and bootstraps halos and the initial Ĉ cache
-// (ξ^(−1) = ξ^(0), Algorithm 2 line 1).
+// SetState overwrites ξ and bootstraps halos. An initial condition (no
+// Carry) also bootstraps the Ĉ cache (ξ^(−1) = ξ^(0), Algorithm 2 line 1)
+// and owes no smoothing; a comm-avoiding snapshot brings both along (the
+// deep exchange ships Ĉ too, refilling the restored cache's halos), so the
+// next Step is bitwise the uninterrupted run's.
 func (ca *CommAvoid) SetState(init *state.State) {
 	ca.xi.CopyFrom(init)
+	if c := init.Carry; c != nil {
+		field.Copy(ca.cLast.PWI, c.PWI)
+		field.Copy2(ca.cLast.DBar, c.DBar)
+	}
 	ca.localFill(ca.xi)
 	f3, f2 := ca.exchangeFields(ca.xi)
 	ca.deepEx.Exchange(f3, f2)
 	ca.n.HaloExchanges++
 	ca.localFill(ca.xi)
-	ca.updateSurface(ca.xi)
-	ca.evalC(ca.xi, ca.cLast, ca.region(1))
-	ca.finalized = false
-	ca.resumed = false
-}
-
-// SetResumedState is SetState for a mid-trajectory checkpoint. Unlike an
-// initial condition, a checkpointed ξ(k) still owes the former smoothing
-// that Algorithm 2 defers into step k+1 (or Finalize); a plain SetState
-// would silently drop it, shifting the whole resumed trajectory by one
-// smoothing application (~1e-3 relative — far above the ~1e-6 the lagged-Ĉ
-// bootstrap alone costs). The flag makes the first resumed step smooth ξ
-// exactly like the uninterrupted run's step k+1 would have.
-func (ca *CommAvoid) SetResumedState(init *state.State) {
-	ca.SetState(init)
-	ca.resumed = true
+	if init.Carry == nil {
+		ca.updateSurface(ca.xi)
+		ca.evalC(ca.xi, ca.cLast, ca.region(1))
+	}
+	ca.publishCarry(init.Carry != nil && init.Carry.PendingSmooth)
 }
 
 // availY reports the former-smoothing row window of the rank owning global
@@ -212,21 +213,14 @@ func (ca *CommAvoid) expandAsym(yLo, yHi, zLo, zHi int) field.Rect {
 	return r
 }
 
-// fusedSmoothing reports whether the former/later smoothing split is in
-// effect this step: every step but the very first, because the initial
-// condition owes no smoothing — unlike a resumed checkpoint state, which
-// does (SetResumedState).
-func (ca *CommAvoid) fusedSmoothing() bool {
-	return !ca.cfg.NoFusedSmoothing && (ca.n.Steps >= 1 || ca.resumed)
-}
-
 // Step advances one time step of Algorithm 2.
 //
 //cadyvet:allocfree
 func (ca *CommAvoid) Step() {
-	g := ca.g
 	owned := ca.tp.Block.Owned()
-	fused := ca.fusedSmoothing()
+	// The former/later split runs whenever ξ owes a smoothing: every step
+	// but the first after an initial condition or a finalized snapshot.
+	fused := ca.xi.Carry.PendingSmooth
 
 	// ---- Former smoothing S̃1 of ψ⁰ = ξ^(k−1) on the owned block ----
 	if fused {
@@ -479,8 +473,7 @@ func (ca *CommAvoid) Step() {
 	}
 
 	ca.n.Steps++
-	_ = g
-	ca.finalized = false
+	ca.publishCarry(!ca.cfg.NoFusedSmoothing)
 }
 
 // advRegion is region() for the advection phase's shallower halo.
@@ -525,12 +518,10 @@ func (ca *CommAvoid) plainSmooth() {
 // Finalize applies the trailing smoothing of Algorithm 2 line 30 (deferred
 // from the last step), making Xi() comparable with the baseline's output.
 func (ca *CommAvoid) Finalize() {
-	if ca.finalized || ca.cfg.NoFusedSmoothing || (ca.n.Steps == 0 && !ca.resumed) {
-		ca.finalized = true
-		return
+	if ca.xi.Carry.PendingSmooth {
+		ca.plainSmooth()
+		ca.xi.Carry.PendingSmooth = false
 	}
-	ca.plainSmooth()
-	ca.finalized = true
 }
 
 // copyRect2 copies rect r of src into dst for 2-D fields.

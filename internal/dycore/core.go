@@ -37,6 +37,15 @@ type Counters struct {
 	SmoothingCalls int64
 }
 
+// Add accumulates o into c (segments of one restarted or migrated run).
+func (c *Counters) Add(o Counters) {
+	c.Steps += o.Steps
+	c.HaloExchanges += o.HaloExchanges
+	c.CEvaluations += o.CEvaluations
+	c.FilterCalls += o.FilterCalls
+	c.SmoothingCalls += o.SmoothingCalls
+}
+
 // core holds the per-rank machinery shared by all integrators.
 type core struct {
 	cfg Config

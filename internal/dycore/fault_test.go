@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"cadycore/internal/checkpoint"
 	"cadycore/internal/comm"
 	"cadycore/internal/dycore"
 	"cadycore/internal/heldsuarez"
@@ -123,52 +122,5 @@ func TestStragglerPerturbsClockNotNumerics(t *testing.T) {
 	}
 	if d := dycore.MaxDiffGlobal(g, base.Finals, slow.Finals); d != 0 {
 		t.Errorf("straggler changed numerics: maxdiff %g", d)
-	}
-}
-
-// TestCAResumeAppliesPendingSmoothing pins the crash-recovery accuracy
-// contract: a comm-avoiding run resumed from a mid-trajectory checkpoint
-// (RunOpts.Resume) applies the deferred former smoothing the checkpointed
-// state still owes, landing within the lagged-Ĉ bootstrap tolerance (~1e-6)
-// of the uninterrupted run. Without the flag the smoothing is silently
-// dropped and the trajectory shifts ~1e-3 relative.
-func TestCAResumeAppliesPendingSmoothing(t *testing.T) {
-	set, g, hook := ctlSetup(dycore.AlgCommAvoid)
-	snaps := map[int]*checkpoint.Global{}
-	full, _ := dycore.RunWithOpts(set, g, comm.TianheLike(), heldsuarez.InitialState, 5, dycore.RunOpts{
-		Hook:          hook,
-		SnapshotEvery: 2,
-		Snapshot: func(done int, sts []*state.State) {
-			snaps[done] = checkpoint.Gather(g, sts)
-		},
-	})
-	if snaps[2] == nil {
-		t.Fatal("no snapshot at boundary 2")
-	}
-	resumed, _ := dycore.RunWithOpts(set, g, comm.TianheLike(), snaps[2].InitFunc(), 3, dycore.RunOpts{
-		Hook:   hook,
-		Resume: true,
-	})
-	if d := dycore.MaxDiffGlobal(g, full.Finals, resumed.Finals); d > 1e-6 {
-		t.Errorf("resumed CA run deviates by %g, want <= 1e-6 (pending smoothing must be applied)", d)
-	}
-
-	// The baselines have no deferred work; Resume falls back to SetState
-	// and stays bitwise-exact.
-	bset, bg, bhook := ctlSetup(dycore.AlgBaselineYZ)
-	bsnaps := map[int]*checkpoint.Global{}
-	bfull, _ := dycore.RunWithOpts(bset, bg, comm.TianheLike(), heldsuarez.InitialState, 4, dycore.RunOpts{
-		Hook:          bhook,
-		SnapshotEvery: 2,
-		Snapshot: func(done int, sts []*state.State) {
-			bsnaps[done] = checkpoint.Gather(bg, sts)
-		},
-	})
-	bres, _ := dycore.RunWithOpts(bset, bg, comm.TianheLike(), bsnaps[2].InitFunc(), 2, dycore.RunOpts{
-		Hook:   bhook,
-		Resume: true,
-	})
-	if d := dycore.MaxDiffGlobal(bg, bfull.Finals, bres.Finals); d != 0 {
-		t.Errorf("baseline resume with Resume flag deviates by %g, want bitwise", d)
 	}
 }

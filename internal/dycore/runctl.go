@@ -37,11 +37,6 @@ type RunOpts struct {
 	// SnapshotEvery is the cadence of Snapshot in steps; <= 0 means only
 	// stop-triggered snapshots.
 	SnapshotEvery int
-	// Resume marks the initial state as a mid-trajectory checkpoint rather
-	// than a fresh initial condition: integrators implementing ResumeSetter
-	// (the comm-avoiding scheme) then apply the deferred smoothing the
-	// checkpointed state still owes, instead of silently dropping it.
-	Resume bool
 	// Traced enables per-rank event tracing (see RunTraced).
 	Traced bool
 	// Faults, if non-nil, installs a fault-injection profile (stragglers,

@@ -104,20 +104,10 @@ func (s Setup) Build(c *comm.Comm, g *grid.Grid) (*topo.Topology, Integrator) {
 	}
 }
 
-// StateSetter is implemented by every integrator in this package.
+// StateSetter is implemented by every integrator in this package; SetState
+// takes initial conditions and restored snapshots (state.Carry) alike.
 type StateSetter interface {
 	SetState(*state.State)
-}
-
-// ResumeSetter is implemented by integrators whose mid-trajectory state
-// carries pending work beyond ξ itself — the comm-avoiding scheme's
-// deferred smoothing. Restoring a checkpoint through it reproduces the
-// uninterrupted trajectory; plain SetState treats the state as a fresh
-// initial condition and drops the pending smoothing. Integrators without
-// that distinction (the baselines smooth within Step) only implement
-// StateSetter, and SetState is used for both cases.
-type ResumeSetter interface {
-	SetResumedState(*state.State)
 }
 
 // InitFunc fills a rank's initial state from pointwise profiles.
@@ -251,11 +241,7 @@ func runOnWorld(s Setup, g *grid.Grid, model comm.NetModel, init InitFunc, steps
 			tp, ig := s.Build(c, g)
 			st := state.New(tp.Block)
 			init(g, st)
-			if rs, ok := ig.(ResumeSetter); ok && opts.Resume {
-				rs.SetResumedState(st)
-			} else {
-				ig.(StateSetter).SetState(st)
-			}
+			ig.(StateSetter).SetState(st)
 			// Setup and bootstrap (communicator splits, the initial exchange
 			// and Ĉ) are one-time initialization: exclude them from the
 			// measured statistics, like the paper's timings do.

@@ -6,9 +6,9 @@
 // job→backend routing plus checkpoints in a shared artifact store
 // (checkpoint.DirStore) so that when a backend dies mid-job — detected by
 // health probes with exponential backoff — the job migrates to a live
-// backend and resumes from the latest shared checkpoint via the proven
-// ResumeSetter path. On top of sharding it fans one JobSpec into K perturbed
-// ensemble members and aggregates their diagnostics.
+// backend and resumes bitwise from the latest shared checkpoint (a snapshot
+// is the whole carried state). On top of sharding it fans one JobSpec into K
+// perturbed ensemble members and aggregates their diagnostics.
 //
 //cadyvet:persistence fleet.json routing state survives coordinator restarts; durable writes route through checkpoint.WriteFileAtomic
 package fleet

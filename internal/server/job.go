@@ -593,16 +593,6 @@ func (j *Job) latestSnapshot() (*checkpoint.Global, int) {
 	return j.snap, j.ckptStep
 }
 
-func mergeCounters(a, b dycore.Counters) dycore.Counters {
-	return dycore.Counters{
-		Steps:          a.Steps + b.Steps,
-		HaloExchanges:  a.HaloExchanges + b.HaloExchanges,
-		CEvaluations:   a.CEvaluations + b.CEvaluations,
-		FilterCalls:    a.FilterCalls + b.FilterCalls,
-		SmoothingCalls: a.SmoothingCalls + b.SmoothingCalls,
-	}
-}
-
 // diagnostics computes the physical health summary of a finished run.
 func diagnostics(g *grid.Grid, finals []*state.State) map[string]float64 {
 	finite := 0.0

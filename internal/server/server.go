@@ -560,16 +560,12 @@ func (s *Server) runJob(j *Job) {
 	// Segment loop: one iteration per layout. Without rebalancing it runs
 	// once; an in-flight migration quiesces the run at a step boundary,
 	// restores the stop checkpoint into the re-planned layout and loops.
-	resume := snap != nil
 	var lastDec, lastSkip int64
 	for {
 		segStart := segBase
 		remaining := j.Spec.Steps - segStart
 		opts := dycore.RunOpts{
 			Hook: hook,
-			// A checkpointed state is mid-trajectory: it still owes the
-			// comm-avoiding scheme's deferred smoothing (see dycore.ResumeSetter).
-			Resume: resume,
 			Progress: func(done int) {
 				j.mu.Lock()
 				j.stepsDone = segStart + done
@@ -617,7 +613,7 @@ func (s *Server) runJob(j *Job) {
 		j.cancel = nil
 		j.stepsDone = segStart + res.StepsDone
 		j.agg = comm.MergeAggregate(j.agg, res.Agg)
-		j.count = mergeCounters(j.count, res.Count)
+		j.count.Add(res.Count)
 		j.finished = time.Now()
 		if res.StepsDone < remaining {
 			// Stopped at a boundary; the stop-triggered Snapshot already
@@ -641,7 +637,6 @@ func (s *Server) runJob(j *Job) {
 						s.met.rebalanceMigrations.Add(1)
 						segBase = step
 						init = gl.InitFunc()
-						resume = true
 						continue
 					}
 					// No coherent quiesce checkpoint (snapshot persistence is

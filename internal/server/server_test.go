@@ -22,8 +22,7 @@ import (
 	"cadycore/internal/testutil"
 )
 
-// smallSpec is a fast baseline-YZ run job (baseline restarts are
-// bitwise-exact, which the resume tests rely on).
+// smallSpec is a fast baseline-YZ run job.
 func smallSpec(steps int) JobSpec {
 	return JobSpec{
 		Alg: "yz", Nx: 48, Ny: 24, Nz: 8,
@@ -304,10 +303,17 @@ func waitQueueDrained(t *testing.T, s *Server) {
 
 // TestCancelResumeEquivalence is the acceptance test: a job killed mid-run
 // is checkpointed at its stop boundary, and resuming it reaches a final
-// state bitwise identical to an uninterrupted run.
+// state bitwise identical to an uninterrupted run — for every scheme.
 func TestCancelResumeEquivalence(t *testing.T) {
+	for _, alg := range []string{"yz", "ca"} {
+		t.Run(alg, func(t *testing.T) { testCancelResumeEquivalence(t, alg) })
+	}
+}
+
+func testCancelResumeEquivalence(t *testing.T, alg string) {
 	s := newTestServer(t, Config{Workers: 1, QueueCap: 4})
 	spec := smallSpec(4)
+	spec.Alg = alg
 	spec.CheckpointEvery = 1
 	// Cancel exactly at boundary 2 of the first segment, from inside the
 	// quiesced step barrier (deterministic: the stop decision is sampled
@@ -346,7 +352,7 @@ func TestCancelResumeEquivalence(t *testing.T) {
 	}
 	spec.Steps = 4
 	if !snap.Equal(refFinal(spec)) {
-		t.Fatalf("resumed final state differs from uninterrupted run (baseline restarts must be bitwise-exact)")
+		t.Fatalf("resumed final state differs from uninterrupted run (restarts must be bitwise-exact)")
 	}
 	// Cumulative counters cover both segments.
 	if st.Counters.Steps != 4 {

@@ -30,6 +30,23 @@ type State struct {
 	// rank). The default unshifted mirror is kept for comparability with
 	// decompositions that split x. See DESIGN.md §2.
 	ShiftedPoles bool
+
+	// Carry, when non-nil, is what the owning integrator carries across a
+	// step boundary besides ξ. The copy and arithmetic helpers ignore it.
+	Carry *Carry
+}
+
+// Carry is the comm-avoiding integrator's carried state beyond ξ: step k+1
+// reads the Ĉ cached by step k's last iteration (paper §4.2.2) and owes ξ(k)
+// the smoothing Algorithm 2 defers (§4.3.2). A checkpoint of ξ plus Carry
+// restarts the operator flow bitwise; the baselines carry nothing (nil).
+type Carry struct {
+	// PWI and DBar are the lagged Ĉ (operators.CRes) on the state's block:
+	// valid on the owned region plus PWI's bottom interface k = Nz.
+	PWI  *field.F3
+	DBar *field.F2
+	// PendingSmooth: ξ is a step-boundary state not yet finalized.
+	PendingSmooth bool
 }
 
 // New allocates a zero state on the block.
