@@ -173,8 +173,8 @@ type benchEntry struct {
 	MeasuredS  float64 `json:"measured_step_s"`
 }
 
-// benchReport is the BENCH_tune.json schema: the planner's pick versus the
-// exhaustively measured candidate space at one rank budget.
+// benchReport is the bench subcommand's output schema: the planner's pick
+// versus the exhaustively measured candidate space at one rank budget.
 type benchReport struct {
 	Mesh        [3]int `json:"mesh"`
 	Procs       int    `json:"procs"`

@@ -12,6 +12,8 @@
 package dycore
 
 import (
+	"fmt"
+
 	"cadycore/internal/operators"
 )
 
@@ -101,23 +103,27 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate panics on unusable configurations.
-func (c Config) Validate() {
+// Validate reports an unusable configuration as an error naming the field.
+func (c Config) Validate() error {
 	if c.M < 1 {
-		panic("dycore: M must be ≥ 1")
+		return fmt.Errorf("dycore: M = %d must be ≥ 1", c.M)
 	}
-	if c.Dt1 <= 0 || c.Dt2 <= 0 {
-		panic("dycore: time steps must be positive")
+	if c.Dt1 <= 0 {
+		return fmt.Errorf("dycore: time step dt1 = %g must be positive", c.Dt1)
+	}
+	if c.Dt2 <= 0 {
+		return fmt.Errorf("dycore: time step dt2 = %g must be positive", c.Dt2)
 	}
 	if c.Beta <= 0 || c.Beta >= 2 {
-		panic("dycore: smoothing β must lie in (0, 2)")
+		return fmt.Errorf("dycore: smoothing β = %g must lie in (0, 2)", c.Beta)
 	}
 	if c.Workers < 0 {
-		panic("dycore: Workers must be ≥ 0")
+		return fmt.Errorf("dycore: Workers = %d must be ≥ 0", c.Workers)
 	}
 	if c.StageM < 0 {
-		panic("dycore: StageM must be ≥ 0")
+		return fmt.Errorf("dycore: StageM = %d must be ≥ 0", c.StageM)
 	}
+	return nil
 }
 
 // Compute-cost weights (simulated point-update units per mesh point) used

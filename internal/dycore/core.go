@@ -83,7 +83,9 @@ type core struct {
 }
 
 func newCore(cfg Config, g *grid.Grid, tp *topo.Topology) *core {
-	cfg.Validate()
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	if cfg.ShiftedPoleMirror && tp.Px != 1 {
 		panic("dycore: ShiftedPoleMirror requires p_x = 1 (full longitude circles per rank)")
 	}

@@ -154,4 +154,27 @@ func TestOverlapStatsExposed(t *testing.T) {
 	if f := ov.Agg.OverlapFraction(); f <= qu.Agg.OverlapFraction() {
 		t.Errorf("overlap fraction %g not above quiesced %g", f, qu.Agg.OverlapFraction())
 	}
+
+	// The pinned figure cell: the comm-avoiding scheme at P=16 on 96×48×12,
+	// M=3, Held–Suarez, one step — 8×2 is the y×z factorisation the figure
+	// sweeps pick there (harness.YZFactors). Measured 18.7% of simulated
+	// communication time exposed and 3.827 vs 3.887 ms per step; a larger
+	// exposed share, or a quiesced step that is no slower, means the
+	// Begin/interior/Finish split stopped hiding anything.
+	fg := grid.New(96, 48, 12)
+	fcfg := DefaultConfig()
+	fcfg.Dt1, fcfg.Dt2 = 30, 180
+	fquiet := fcfg
+	fquiet.NoOverlap = true
+	hs := heldsuarez.Standard()
+	hook := func(g *grid.Grid, st *state.State, step int) { hs.Apply(g, st, fcfg.Dt2) }
+	fov := RunWithHook(Setup{Alg: AlgCommAvoid, PA: 8, PB: 2, Cfg: fcfg}, fg, comm.TianheLike(), heldsuarez.InitialState, 1, hook)
+	fqu := RunWithHook(Setup{Alg: AlgCommAvoid, PA: 8, PB: 2, Cfg: fquiet}, fg, comm.TianheLike(), heldsuarez.InitialState, 1, hook)
+	if exposed := 1 - fov.Agg.OverlapFraction(); exposed > 0.25 {
+		t.Errorf("figure cell: exposed share %.3f of simulated communication time above the pinned 0.25", exposed)
+	}
+	if fov.Agg.SimTime >= fqu.Agg.SimTime {
+		t.Errorf("figure cell: overlapped step %.3f ms not faster than quiesced %.3f ms",
+			fov.Agg.SimTime*1e3, fqu.Agg.SimTime*1e3)
+	}
 }

@@ -12,8 +12,8 @@ import (
 
 // JobInfo is the JSON view of a fleet job: the backend status vocabulary
 // (id, state, steps_done, diagnostics, spec) plus the fleet routing fields,
-// so clients written against cadyserved (loadgen) work against the
-// coordinator unchanged.
+// so clients written against cadyserved (any cadyserved client) work
+// against the coordinator unchanged.
 type JobInfo struct {
 	ID        string `json:"id"`
 	Tenant    string `json:"tenant"`

@@ -362,9 +362,9 @@ func TestRecoverVersion1Snapshot(t *testing.T) {
 		t.Fatal("job with a version-1 snapshot was not recovered")
 	}
 	st := j.Status()
-	if snap, _ := j.latestSnapshot(); st.State != JInterrupted || !st.Resumable || snap != nil {
-		t.Fatalf("recovered %s resumable=%v snapshot loaded=%v, want interrupted/resumable without a snapshot",
-			st.State, st.Resumable, snap != nil)
+	if snap, _ := j.latestSnapshot(); st.State != JInterrupted || !st.Resumable || snap != nil || st.CkptStep != 0 {
+		t.Fatalf("recovered %s resumable=%v snapshot loaded=%v checkpoint_step=%d, want interrupted/resumable without a snapshot or a checkpoint step",
+			st.State, st.Resumable, snap != nil, st.CkptStep)
 	}
 	if _, err := s.Resume(j.ID); err != nil {
 		t.Fatalf("Resume: %v", err)

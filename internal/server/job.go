@@ -171,6 +171,9 @@ func (sp *JobSpec) Normalize() error {
 	if sp.StageM != 0 && sp.Kind == "run" && sp.Alg != "" && sp.Alg != "ca" {
 		return fmt.Errorf("stage_m is only meaningful for alg \"ca\" (got %q)", sp.Alg)
 	}
+	if err := sp.config().Validate(); err != nil {
+		return err
+	}
 	if sp.Steps < 1 || sp.Steps > maxSteps {
 		return fmt.Errorf("steps = %d outside [1, %d]", sp.Steps, maxSteps)
 	}

@@ -1045,6 +1045,11 @@ func (s *Server) recover() error {
 			}
 			f.Close()
 		}
+		// meta.json's checkpoint step describes snap.ck; with no snapshot
+		// loaded (missing, or a format Read refuses) there is none to report.
+		if j.snap == nil {
+			j.ckptStep = 0
+		}
 		// A job that was mid-flight (or parked in a restart backoff) when
 		// the process died cannot still be running; surface it as
 		// interrupted and resumable.

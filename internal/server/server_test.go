@@ -207,6 +207,8 @@ func TestSubmitValidation(t *testing.T) {
 		"bad kind":        {Kind: "train"},
 		"infeasible grid": {Alg: "yz", Nx: 48, Ny: 24, Nz: 8, PA: 20, PB: 20},
 		"negative mesh":   {Nx: -4},
+		"negative dt1":    {Dt1: -5},
+		"negative dt2":    {Dt2: -5},
 		"too many ranks":  {Alg: "yz", Nx: 4096, Ny: 2048, Nz: 2, PA: 2048, PB: 1},
 	} {
 		resp := postJSON(t, ts, "/jobs", spec)

@@ -106,7 +106,9 @@ func (pl *Planner) Plan(g *grid.Grid, procs int, cfg dycore.Config) (Plan, error
 	if procs < 1 {
 		return Plan{}, fmt.Errorf("tune: procs must be ≥ 1, got %d", procs)
 	}
-	cfg.Validate()
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	maxW := pl.Search.MaxWorkers
 	if maxW < 1 {
 		maxW = 1
