@@ -1,7 +1,9 @@
 package balance
 
 import (
+	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"cadycore/internal/checkpoint"
@@ -176,11 +178,12 @@ func TestNoImbalanceNoMigration(t *testing.T) {
 	}
 }
 
-// TestRunWithoutControllerRestartsBitwise pins the loop every CLI mode runs
-// through: no controller, a periodic snapshot cadence with a sink, and an
-// injected crash that restarts from the latest snapshot — bitwise the
-// uninterrupted run for both schemes, with the restart and every snapshot
-// reported at absolute steps.
+// TestRunWithoutControllerRestartsBitwise pins the loop every CLI mode and
+// every service job runs through: no controller, a periodic snapshot cadence
+// with a sink, and an injected crash that restarts from the latest snapshot —
+// bitwise the uninterrupted run for both schemes, with the restart and every
+// snapshot reported at absolute steps; then the service's half, a ShouldStop
+// stop and a second Run that starts from its snapshot.
 func TestRunWithoutControllerRestartsBitwise(t *testing.T) {
 	g := grid.New(48, 24, 8)
 	cfg := dycore.DefaultConfig()
@@ -210,13 +213,42 @@ func TestRunWithoutControllerRestartsBitwise(t *testing.T) {
 			t.Errorf("%v: restarted run (%d steps) not bitwise the uninterrupted one: max diff %g",
 				alg, out.StepsDone, dycore.MaxDiffGlobal(g, ref.Finals, out.Finals))
 		}
+
+		// Stop at step k: a nil error, the outcome so far and a snapshot at
+		// exactly k; a second Run that starts there finishes bitwise, and
+		// Progress reports every absolute step once across the two.
+		const k = 3
+		var seen []int
+		var snap *checkpoint.Global
+		snapStep := -1
+		stopped := RunSpec{
+			Grid: g, Model: model, Init: heldsuarez.InitialState, Steps: steps, Setup: set,
+			Progress:   func(step int) { seen = append(seen, step) },
+			ShouldStop: func() bool { return len(seen) == k },
+			Snapshot:   func(step int, gl *checkpoint.Global) { snapStep, snap = step, gl },
+		}
+		out, err = Run(stopped)
+		if err != nil || out.StepsDone != k || snapStep != k {
+			t.Fatalf("%v: stopped run: err %v, StepsDone %d, snapshot at %d; want nil, %d, %d", alg, err, out.StepsDone, snapStep, k, k)
+		}
+		resumed := stopped
+		resumed.Init, resumed.Start, resumed.ShouldStop = snap.InitFunc(), k, nil
+		out, err = Run(resumed)
+		if err != nil || out.StepsDone != steps || !checkpoint.Gather(g, ref.Finals).Equal(checkpoint.Gather(g, out.Finals)) {
+			t.Errorf("%v: run resumed at step %d: err %v, %d steps, max diff %g from the uninterrupted one",
+				alg, k, err, out.StepsDone, dycore.MaxDiffGlobal(g, ref.Finals, out.Finals))
+		}
+		if want := []int{1, 2, 3, 4, 5}; !reflect.DeepEqual(seen, want) {
+			t.Errorf("%v: Progress saw steps %v across both runs, want %v", alg, seen, want)
+		}
 	}
-	// A second crash with the budget spent is an error, not a loop.
+	// A second crash with the budget spent is the typed failure, not a loop.
 	set := dycore.Setup{Alg: dycore.AlgBaselineYZ, PA: 2, PB: 2, Cfg: cfg}
 	_, err := Run(RunSpec{Grid: g, Model: model, Init: heldsuarez.InitialState, Steps: steps, Setup: set,
 		Faults: fault.New(fault.Plan{Seed: 1, Crashes: []fault.Crash{{Rank: 0, Step: 1, Count: 2}}}), MaxRestarts: 1})
-	if err == nil {
-		t.Error("restart budget 1 survived two crashes")
+	var fail *dycore.RankFailure
+	if !errors.As(err, &fail) || fail.Rank != 0 || fail.Step != 1 {
+		t.Errorf("restart budget 1 and two crashes: error %v, want one wrapping the second RankFailure", err)
 	}
 }
 

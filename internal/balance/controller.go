@@ -146,18 +146,6 @@ func (c *Controller) Candidate() tune.Candidate {
 	return c.cand
 }
 
-// Profile returns the machine profile the controller prices with.
-func (c *Controller) Profile() tune.Profile { return c.prof }
-
-// Migrations returns a copy of the executed migrations.
-func (c *Controller) Migrations() []Migration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]Migration, len(c.migrations))
-	copy(out, c.migrations)
-	return out
-}
-
 // Snapshot returns the decision counters.
 func (c *Controller) Snapshot() Stats {
 	c.mu.Lock()

@@ -136,8 +136,9 @@ type RunResult struct {
 	// rank completed.
 	StepsDone int
 	// Abort, when non-nil, reports that fault injection killed a rank (see
-	// RunOpts.CrashAt): the run ended early, Finals is nil, and the caller
-	// should restart from its latest checkpoint to make progress.
+	// RunOpts.CrashAt): the run ended early, Finals is nil, Agg and Count
+	// cover the work done up to the death, and the caller should restart from
+	// its latest checkpoint to make progress.
 	Abort *RankFailure
 }
 
@@ -185,8 +186,9 @@ func RunTraced(s Setup, g *grid.Grid, model comm.NetModel, init InitFunc, steps 
 }
 
 // RunWithOpts is the fully controlled entry point: per-step progress,
-// cooperative cancellation and quiesced snapshots (see RunOpts). It is what
-// the job service (internal/server) and periodic checkpointing build on.
+// cooperative cancellation and quiesced snapshots (see RunOpts). One segment
+// of a supervised run (balance.Run, which cmd/dycore and the job service
+// drive) is one call.
 func RunWithOpts(s Setup, g *grid.Grid, model comm.NetModel, init InitFunc, steps int, opts RunOpts) (RunResult, *comm.Recorder) {
 	return runOnWorld(s, g, model, init, steps, opts)
 }
@@ -239,6 +241,8 @@ func runOnWorld(s Setup, g *grid.Grid, model comm.NetModel, init InitFunc, steps
 				}()
 			}
 			tp, ig := s.Build(c, g)
+			// Deferred so that a rank killed mid-run still reports its work.
+			defer func() { counts[c.Rank()] = ig.Counters() }()
 			st := state.New(tp.Block)
 			init(g, st)
 			ig.(StateSetter).SetState(st)
@@ -261,7 +265,6 @@ func runOnWorld(s Setup, g *grid.Grid, model comm.NetModel, init InitFunc, steps
 			}
 			ig.Finalize()
 			finals[c.Rank()] = ig.Xi()
-			counts[c.Rank()] = ig.Counters()
 			if er, ok := ig.(ExchReporter); ok {
 				exch[c.Rank()] = er.ExchStats()
 			}
@@ -274,7 +277,7 @@ func runOnWorld(s Setup, g *grid.Grid, model comm.NetModel, init InitFunc, steps
 				minDone = d
 			}
 		}
-		return RunResult{Setup: s, Agg: w.Stats(), StepsDone: minDone, Abort: abort}, rec
+		return RunResult{Setup: s, Agg: w.Stats(), Count: counts[0], StepsDone: minDone, Abort: abort}, rec
 	}
 	return RunResult{Setup: s, Agg: w.Stats(), Count: counts[0], Exch: mergeExch(exch),
 		Finals: finals, StepsDone: done[0]}, rec

@@ -439,8 +439,11 @@ func (c *Coordinator) watchOnce() {
 			}
 			// A copy of a fleet job on a backend that does not own it: a
 			// zombie from a migration. Cancel live copies; ignore dead ones.
+			// While the dispatcher holds the job, the copy may be the one it
+			// just placed (POST answered, Backend/BackendID not yet committed);
+			// a real zombie is still here on the next pass, once the job runs.
 			owns := j.State == fRunning && j.Backend == url
-			if !owns && !st.State.Terminal() {
+			if !owns && j.State != fDispatching && !st.State.Terminal() {
 				zombies = append(zombies, zombie{url, st.ID})
 			}
 		}

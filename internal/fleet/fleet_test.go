@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -728,6 +729,56 @@ func TestDispatcherRetryTimer(t *testing.T) {
 		h.coord.paused = false
 		h.coord.mu.Unlock()
 		h.waitJob(t, id, "completed", 30*time.Second)
+	}
+}
+
+// parkingTransport is the backend client of TestWatcherSparesDispatchingJob:
+// it parks the answer to POST /jobs — the backend has admitted the job, the
+// dispatcher has not learned its ID yet — until release is closed, and counts
+// the cancel requests the coordinator sends.
+type parkingTransport struct {
+	posted  chan struct{} // one send per parked POST /jobs; the test submits one job
+	release chan struct{}
+	cancels atomic.Int32
+}
+
+func (p *parkingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if req.Method == http.MethodPost {
+		switch {
+		case strings.HasSuffix(req.URL.Path, "/cancel"):
+			p.cancels.Add(1)
+		case req.URL.Path == "/jobs":
+			p.posted <- struct{}{}
+			<-p.release
+		}
+	}
+	return resp, err
+}
+
+// TestWatcherSparesDispatchingJob: a watcher pass that lands between a
+// backend's answer to POST /jobs and the dispatcher committing Backend and
+// BackendID must not take the fresh copy for a zombie — cancelling it costs
+// the job a migration it never needed.
+func TestWatcherSparesDispatchingJob(t *testing.T) {
+	park := &parkingTransport{posted: make(chan struct{}, 1), release: make(chan struct{})}
+	h := newFleetHarness(t, 1, 1, 4, func(c *Config) { c.Client = &http.Client{Transport: park} })
+	spec := server.JobSpec{Alg: "yz", Nx: 48, Ny: 24, Nz: 8, PA: 2, PB: 2, M: 2, Steps: 100}
+	id := decodeInfo(t, h.postJSON(t, "/jobs", spec, "acme")).ID
+
+	<-park.posted
+	h.coord.watchOnce()
+	cancels := park.cancels.Load()
+	close(park.release)
+	if cancels != 0 {
+		t.Errorf("watcher sent %d cancel(s) for the copy of a job still in dispatch", cancels)
+	}
+	h.waitJob(t, id, "completed", 60*time.Second)
+	h.coord.mu.Lock()
+	migrations := h.coord.met.migrations
+	h.coord.mu.Unlock()
+	if migrations != 0 {
+		t.Errorf("job dispatched once to a healthy backend was migrated %d time(s)", migrations)
 	}
 }
 

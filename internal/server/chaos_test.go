@@ -78,7 +78,8 @@ func TestChaosSoakYZ(t *testing.T) {
 		jobs = append(jobs, j)
 	}
 
-	ref := refFinal(spec)
+	g, clean := refRun(spec)
+	ref := checkpoint.Gather(g, clean.Finals)
 	for _, j := range jobs {
 		st := waitState(t, s, j.ID, JCompleted)
 		if st.StepsDone != 5 {
@@ -97,6 +98,22 @@ func TestChaosSoakYZ(t *testing.T) {
 		}
 		if !snap.Equal(ref) {
 			t.Errorf("job %s final state differs from fault-free run (YZ restarts must be bitwise-exact)", j.ID)
+		}
+		// A restarted job re-executes steps, so its counters cover at least
+		// the fault-free run's work, and they describe the same segments as
+		// its comm statistics: measured against the fault-free run, the two
+		// agree to within the step each of the two aborted segments can leave
+		// rank 0 and its peers apart.
+		c := st.Counters
+		if c.HaloExchanges < clean.Count.HaloExchanges || c.CEvaluations < clean.Count.CEvaluations ||
+			c.FilterCalls < clean.Count.FilterCalls {
+			t.Errorf("job %s counters %+v omit its aborted segments: below the fault-free run's %+v", j.ID, *c, clean.Count)
+		}
+		commWork := float64(st.Comm.Collectives) / float64(clean.Agg.Collectives)
+		countWork := float64(c.CEvaluations) / float64(clean.Count.CEvaluations)
+		if math.Abs(commWork-countWork) > 2/float64(spec.Steps) {
+			t.Errorf("job %s comm statistics cover %.2fx the fault-free run's collectives, its counters %.2fx the Ĉ evaluations",
+				j.ID, commWork, countWork)
 		}
 	}
 

@@ -282,10 +282,7 @@ func (s *Server) Cancel(id string) error {
 	defer j.mu.Unlock()
 	switch j.state {
 	case JQueued:
-		j.state = JCancelled
-		j.resumable = true
-		j.finished = time.Now()
-		s.met.cancelled.Add(1)
+		s.finishLocked(j, JCancelled, j.errMsg, true)
 		s.persistMetaLocked(j)
 		return nil
 	case JRunning:
@@ -300,10 +297,7 @@ func (s *Server) Cancel(id string) error {
 			j.retryTimer.Stop()
 			j.retryTimer = nil
 		}
-		j.state = JCancelled
-		j.resumable = true
-		j.finished = time.Now()
-		s.met.cancelled.Add(1)
+		s.finishLocked(j, JCancelled, j.errMsg, true)
 		s.persistMetaLocked(j)
 		return nil
 	default:
@@ -402,10 +396,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 				j.retryTimer.Stop()
 				j.retryTimer = nil
 			}
-			j.state = JInterrupted
-			j.resumable = true
-			j.finished = time.Now()
-			s.met.interrupted.Add(1)
+			s.finishLocked(j, JInterrupted, j.errMsg, true)
 		}
 		j.mu.Unlock()
 		s.persistMeta(j)
@@ -445,7 +436,11 @@ func (s *Server) worker() {
 	}
 }
 
-// runJob executes one job segment, translating run outcomes to job states.
+// runJob executes one attempt of a job: it describes the run to balance.Run
+// (the one supervised-run driver, shared with cmd/dycore) and translates the
+// outcome into a job state. The service hangs on the driver's callbacks:
+// Snapshot persists and shares each checkpoint, Commit persists a migrated
+// plan, Observe feeds /metrics, ShouldStop is the attempt's context.
 func (s *Server) runJob(j *Job) {
 	var ctx context.Context
 	var cancel context.CancelFunc
@@ -462,13 +457,8 @@ func (s *Server) runJob(j *Job) {
 	defer func() {
 		if r := recover(); r != nil {
 			j.mu.Lock()
-			j.state = JFailed
-			j.errMsg = fmt.Sprintf("panic: %v", r)
-			j.resumable = j.snap != nil
-			j.finished = time.Now()
-			j.cancel = nil
+			s.finishLocked(j, JFailed, fmt.Sprintf("panic: %v", r), j.snap != nil)
 			j.mu.Unlock()
-			s.met.failed.Add(1)
 		}
 	}()
 
@@ -478,203 +468,155 @@ func (s *Server) runJob(j *Job) {
 	}
 
 	g := grid.New(j.Spec.Nx, j.Spec.Ny, j.Spec.Nz)
-	var set dycore.Setup
-	var ctl *balance.Controller
+	spec := balance.RunSpec{
+		Grid: g, Model: s.model, Steps: j.Spec.Steps,
+		Progress: func(step int) {
+			j.mu.Lock()
+			j.stepsDone = step
+			j.mu.Unlock()
+			s.met.steps.Add(1)
+			if s.testStep != nil {
+				s.testStep(j, step)
+			}
+		},
+		ShouldStop:    func() bool { return ctx.Err() != nil },
+		SnapshotEvery: j.Spec.CheckpointEvery,
+		Snapshot: func(step int, gl *checkpoint.Global) {
+			j.setSnapshot(step, gl)
+			s.met.snapshots.Add(1)
+			s.persistSnap(j, gl)
+			s.shareSnap(j, step, gl)
+		},
+		Observe: s.met.observeRun,
+		Commit: func(plan tune.Plan, mig balance.Migration) {
+			j.mu.Lock()
+			j.plan = &plan
+			j.migrations = append(j.migrations, mig)
+			s.persistMetaLocked(j)
+			j.mu.Unlock()
+			s.met.rebalanceMigrations.Add(1)
+		},
+	}
 	if j.Spec.autoLayout() {
 		plan, err := s.planJob(j, g)
-		if err != nil {
-			j.mu.Lock()
-			j.state = JFailed
-			j.errMsg = err.Error()
-			j.resumable = false
-			j.finished = time.Now()
-			j.cancel = nil
-			j.mu.Unlock()
-			s.met.failed.Add(1)
-			return
-		}
-		set = plan.Setup(j.Spec.config())
-		if j.Spec.Rebalance != nil {
+		if err == nil && j.Spec.Rebalance != nil {
 			// The controller starts from the job's current plan — the
 			// autotuner's choice, or the migrated layout of a resumed job
-			// (setPlan records migrations, so checkpoints stay coherent).
-			ctl, err = balance.NewController(*j.Spec.Rebalance, g, j.Spec.config(),
+			// (Commit records migrations, so checkpoints stay coherent).
+			spec.Controller, err = balance.NewController(*j.Spec.Rebalance, g, j.Spec.config(),
 				s.planner.Profile, j.Spec.Steps, plan.Candidate())
 			if err != nil {
-				j.mu.Lock()
-				j.state = JFailed
-				j.errMsg = fmt.Sprintf("rebalance: %v", err)
-				j.resumable = false
-				j.finished = time.Now()
-				j.cancel = nil
-				j.mu.Unlock()
-				s.met.failed.Add(1)
-				return
+				err = fmt.Errorf("rebalance: %w", err)
 			}
 		}
+		if err != nil {
+			j.mu.Lock()
+			s.finishLocked(j, JFailed, err.Error(), false)
+			j.mu.Unlock()
+			return
+		}
+		spec.Setup = plan.Setup(j.Spec.config())
 	} else {
-		set = j.Spec.setup()
+		spec.Setup = j.Spec.setup()
 	}
-
-	var hook dycore.StepHook
 	if j.Spec.heldSuarez() {
 		hs := heldsuarez.Standard()
 		dt2 := j.Spec.Dt2
-		hook = func(g *grid.Grid, st *state.State, step int) { hs.Apply(g, st, dt2) }
+		spec.Hook = func(g *grid.Grid, st *state.State, step int) { hs.Apply(g, st, dt2) }
+	}
+	if s.chaos != nil {
+		spec.Faults = j.ensureChaos(s.chaos)
 	}
 
-	init := dycore.InitFunc(heldsuarez.InitialState)
-	snap, segBase := j.latestSnapshot()
+	snap, start := j.latestSnapshot()
 	if snap == nil {
 		// No local checkpoint: a shared-store snapshot means another backend
 		// ran (part of) this job before it was migrated here — adopt it.
-		if gl, step := s.sharedSnapshot(j); gl != nil {
-			snap, segBase = gl, step
+		if snap, start = s.sharedSnapshot(j); snap != nil {
 			j.mu.Lock()
-			j.ckptStep = step
-			j.snap = gl
-			j.stepsDone = step
+			j.ckptStep = start
+			j.snap = snap
+			j.stepsDone = start
 			j.mu.Unlock()
 			s.met.sharedResumes.Add(1)
 		}
 	}
-	if snap != nil {
-		init = snap.InitFunc()
-	} else {
-		segBase = 0
-		if j.Spec.PerturbAmp > 0 {
-			// Fresh start of an ensemble member: perturb the initial state.
-			init = perturbInit(init, j.Spec.PerturbSeed, j.Spec.PerturbAmp)
-		}
+	switch {
+	case snap != nil:
+		spec.Init, spec.Start = snap.InitFunc(), start
+	case j.Spec.PerturbAmp > 0:
+		// Fresh start of an ensemble member: perturb the initial state.
+		spec.Init = perturbInit(heldsuarez.InitialState, j.Spec.PerturbSeed, j.Spec.PerturbAmp)
+	default:
+		spec.Init = heldsuarez.InitialState
 	}
-	if j.Spec.Steps-segBase <= 0 {
+	if spec.Start >= spec.Steps {
 		j.mu.Lock()
-		j.state = JCompleted
-		j.finished = time.Now()
-		j.cancel = nil
+		s.finishLocked(j, JCompleted, "", false)
 		j.mu.Unlock()
-		s.met.completed.Add(1)
 		return
 	}
 
-	// Segment loop: one iteration per layout. Without rebalancing it runs
-	// once; an in-flight migration quiesces the run at a step boundary,
-	// restores the stop checkpoint into the re-planned layout and loops.
-	var lastDec, lastSkip int64
-	for {
-		segStart := segBase
-		remaining := j.Spec.Steps - segStart
-		opts := dycore.RunOpts{
-			Hook: hook,
-			Progress: func(done int) {
-				j.mu.Lock()
-				j.stepsDone = segStart + done
-				j.mu.Unlock()
-				s.met.steps.Add(1)
-				if s.testStep != nil {
-					s.testStep(j, segStart+done)
-				}
-			},
-			ShouldStop:    func() bool { return ctx.Err() != nil },
-			SnapshotEvery: j.Spec.CheckpointEvery,
-			Snapshot: func(done int, sts []*state.State) {
-				gl := checkpoint.Gather(g, sts)
-				j.setSnapshot(segStart+done, gl)
-				s.met.snapshots.Add(1)
-				s.persistSnap(j, gl)
-				s.shareSnap(j, segStart+done, gl)
-			},
-		}
-		if ctl != nil {
-			set = ctl.Setup()
-			opts.Rebalance = ctl.Hook(segStart)
-		}
-		if s.chaos != nil {
-			inj := j.ensureChaos(s.chaos)
-			opts.Faults = inj.CommFaults(set.Procs())
-			opts.CrashAt = inj.CrashFunc(segStart)
-		}
-		res, _ := dycore.RunWithOpts(set, g, s.model, init, remaining, opts)
-		s.met.observeRun(res)
-		if ctl != nil {
-			// The controller's counters are cumulative; export the deltas.
-			st := ctl.Snapshot()
-			s.met.rebalanceDecisions.Add(st.Decisions - lastDec)
-			s.met.rebalanceSkipped.Add(st.Skipped - lastSkip)
-			lastDec, lastSkip = st.Decisions, st.Skipped
-		}
+	// The restart policy is the queue's (retrying state, backoff, requeue), so
+	// the driver gets no restart budget: a crash comes back as the error.
+	out, err := balance.Run(spec)
+	ended := time.Now()
+	if ctl := spec.Controller; ctl != nil {
+		st := ctl.Snapshot()
+		s.met.rebalanceDecisions.Add(st.Decisions)
+		s.met.rebalanceSkipped.Add(st.Skipped)
+	}
 
-		if res.Abort != nil {
-			s.handleAbort(j, res)
-			return
-		}
+	completed := err == nil && out.StepsDone >= spec.Steps
+	if completed {
+		// The final state is the job's last checkpoint, durable and shared
+		// before the job reads as completed.
+		final := checkpoint.Gather(g, out.Finals)
+		j.setSnapshot(out.StepsDone, final)
+		s.persistSnap(j, final)
+		s.shareSnap(j, out.StepsDone, final)
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.agg = comm.MergeAggregate(j.agg, out.Agg)
+	j.count.Add(out.Count)
+	var crash *dycore.RankFailure
+	switch {
+	case errors.As(err, &crash):
+		s.handleAbort(j, crash)
+	case err != nil:
+		s.finishLocked(j, JFailed, err.Error(), j.snap != nil)
+	case completed:
+		s.finishLocked(j, JCompleted, "", false)
+		j.finished = ended // wall_sec is the run, not the final checkpoint's fsyncs
+		j.diags = diagnostics(g, out.Finals)
+	// Otherwise it stopped at a boundary, and the stop-triggered Snapshot
+	// already recorded the checkpoint at exactly j.stepsDone.
+	case j.cancelRequested:
+		s.finishLocked(j, JCancelled, "", true)
+	case errors.Is(ctx.Err(), context.DeadlineExceeded):
+		s.finishLocked(j, JFailed, "deadline exceeded", true)
+	default:
+		s.finishLocked(j, JInterrupted, "", true)
+	}
+}
 
-		j.mu.Lock()
-		j.cancel = nil
-		j.stepsDone = segStart + res.StepsDone
-		j.agg = comm.MergeAggregate(j.agg, res.Agg)
-		j.count.Add(res.Count)
-		j.finished = time.Now()
-		if res.StepsDone < remaining {
-			// Stopped at a boundary; the stop-triggered Snapshot already
-			// recorded the checkpoint at exactly j.stepsDone.
-			if ctl != nil && ctx.Err() == nil {
-				// Not a cancel, drain or deadline: the rebalance hook stopped
-				// the run, so a re-planned layout is staged. Commit it and
-				// continue from the quiesce checkpoint in the new layout.
-				if plan, mig := ctl.TakePending(); plan != nil {
-					gl, step := j.snap, j.ckptStep
-					if gl != nil && step == j.stepsDone {
-						p := *plan
-						j.plan = &p
-						j.agg.SimTime += tune.MigrationCost(g, set.Procs(), ctl.Profile())
-						j.migrations = append(j.migrations, mig)
-						j.state = JRunning
-						j.finished = time.Time{}
-						j.cancel = cancel
-						s.persistMetaLocked(j)
-						j.mu.Unlock()
-						s.met.rebalanceMigrations.Add(1)
-						segBase = step
-						init = gl.InitFunc()
-						continue
-					}
-					// No coherent quiesce checkpoint (snapshot persistence is
-					// the only writer, so this is a bug guard, not a race):
-					// fall through to the interrupted classification below —
-					// the job stays resumable in its previous layout.
-				}
-			}
-			j.resumable = true
-			switch {
-			case j.cancelRequested:
-				j.state = JCancelled
-				s.met.cancelled.Add(1)
-			case errors.Is(ctx.Err(), context.DeadlineExceeded):
-				j.state = JFailed
-				j.errMsg = "deadline exceeded"
-				s.met.failed.Add(1)
-			default:
-				j.state = JInterrupted
-				s.met.interrupted.Add(1)
-			}
-			j.mu.Unlock()
-			return
-		}
-		// Ran to completion: record diagnostics and the final state as the
-		// job's last checkpoint.
-		j.state = JCompleted
-		j.errMsg = "" // clear the abort message of a recovered crash
-		j.resumable = false
-		j.diags = diagnostics(g, res.Finals)
-		final := checkpoint.Gather(g, res.Finals)
-		j.snap = final
-		j.ckptStep = j.stepsDone
+// finishLocked ends a job's current attempt in state st.
+//
+//cadyvet:locked j.mu
+func (s *Server) finishLocked(j *Job, st JState, errMsg string, resumable bool) {
+	j.state, j.errMsg, j.resumable = st, errMsg, resumable
+	j.finished = time.Now()
+	j.cancel = nil
+	switch st {
+	case JCompleted:
 		s.met.completed.Add(1)
-		s.persistSnapLocked(j, final)
-		s.shareSnapLocked(j, j.stepsDone, final)
-		j.mu.Unlock()
-		return
+	case JFailed:
+		s.met.failed.Add(1)
+	case JCancelled:
+		s.met.cancelled.Add(1)
+	case JInterrupted:
+		s.met.interrupted.Add(1)
 	}
 }
 
@@ -701,37 +643,27 @@ func (s *Server) sharedSnapshot(j *Job) (*checkpoint.Global, int) {
 // unless a cancel or drain intervened or the restart budget is exhausted,
 // the job enters "retrying" and an exponential-backoff timer re-enqueues it
 // to resume from its latest checkpoint.
-func (s *Server) handleAbort(j *Job, res dycore.RunResult) {
+//
+//cadyvet:locked j.mu
+func (s *Server) handleAbort(j *Job, crash *dycore.RankFailure) {
 	s.met.rankFailures.Add(1)
 	limit := s.restart.MaxRestarts
 	if j.Spec.MaxRestarts != nil {
 		limit = *j.Spec.MaxRestarts
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.cancel = nil
-	j.agg = comm.MergeAggregate(j.agg, res.Agg)
-	j.errMsg = res.Abort.Error()
-	j.resumable = true
 	switch {
 	case j.cancelRequested:
-		j.state = JCancelled
-		j.finished = time.Now()
-		s.met.cancelled.Add(1)
+		s.finishLocked(j, JCancelled, crash.Error(), true)
 	case s.baseCtx.Err() != nil:
 		// Draining: no restart timer can run to completion; leave the job
 		// resumable for the next service instance.
-		j.state = JInterrupted
-		j.finished = time.Now()
-		s.met.interrupted.Add(1)
+		s.finishLocked(j, JInterrupted, crash.Error(), true)
 	case j.restarts >= limit:
-		j.state = JFailed
-		j.errMsg = fmt.Sprintf("%s (restart budget %d exhausted)", res.Abort.Error(), limit)
-		j.finished = time.Now()
-		s.met.failed.Add(1)
+		s.finishLocked(j, JFailed, fmt.Sprintf("%s (restart budget %d exhausted)", crash.Error(), limit), true)
 	default:
 		j.restarts++
-		j.state = JRetrying
+		j.state, j.errMsg, j.resumable = JRetrying, crash.Error(), true
+		j.cancel = nil
 		j.retryTimer = time.AfterFunc(s.restart.delay(j.restarts), func() { s.requeueRetry(j) })
 		s.met.restarts.Add(1)
 	}
@@ -749,10 +681,7 @@ func (s *Server) requeueRetry(j *Job) {
 		j.mu.Lock()
 		if j.state == JRetrying {
 			j.retryTimer = nil
-			j.state = JInterrupted
-			j.resumable = true
-			j.finished = time.Now()
-			s.met.interrupted.Add(1)
+			s.finishLocked(j, JInterrupted, j.errMsg, true)
 			s.persistMetaLocked(j)
 		}
 		j.mu.Unlock()
@@ -791,15 +720,12 @@ func (s *Server) runFigures(j *Job) {
 	figs := harness.AllFigures(o)
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.cancel = nil
 	j.figures = make([]string, 0, len(figs))
 	for _, f := range figs {
 		j.figures = append(j.figures, f.Format())
 	}
 	j.stepsDone = j.Spec.Steps
-	j.state = JCompleted
-	j.finished = time.Now()
-	s.met.completed.Add(1)
+	s.finishLocked(j, JCompleted, "", false)
 }
 
 // planJob resolves the layout of an auto job: reuse the plan recorded by an
@@ -933,15 +859,6 @@ func (s *Server) persistSnap(j *Job, gl *checkpoint.Global) {
 	s.persistMetaLocked(j)
 }
 
-//cadyvet:locked j.mu
-func (s *Server) persistSnapLocked(j *Job, gl *checkpoint.Global) {
-	if s.cfg.Dir == "" {
-		return
-	}
-	s.notePersist(j, writeSnapFile(filepath.Join(s.jobDir(j), "snap.ck"), gl))
-	s.persistMetaLocked(j)
-}
-
 // shareSnap dual-writes a checkpoint into the shared artifact store under
 // the job's shared_key, stamped with its global step boundary.
 func (s *Server) shareSnap(j *Job, step int, gl *checkpoint.Global) {
@@ -952,20 +869,6 @@ func (s *Server) shareSnap(j *Job, step int, gl *checkpoint.Global) {
 	j.mu.Lock()
 	s.notePersist(j, err)
 	j.mu.Unlock()
-	if err == nil {
-		s.met.sharedPuts.Add(1)
-	}
-}
-
-// shareSnapLocked is shareSnap for callers already holding the job lock.
-//
-//cadyvet:locked j.mu
-func (s *Server) shareSnapLocked(j *Job, step int, gl *checkpoint.Global) {
-	if s.shared == nil || j.Spec.SharedKey == "" {
-		return
-	}
-	err := s.shared.Put(j.Spec.SharedKey, step, gl)
-	s.notePersist(j, err)
 	if err == nil {
 		s.met.sharedPuts.Add(1)
 	}

@@ -88,9 +88,8 @@ func waitState(t *testing.T, s *Server, id string, want JState) JobStatus {
 	return JobStatus{}
 }
 
-// refFinal runs the same configuration uninterrupted through dycore and
-// returns the gathered final snapshot.
-func refFinal(spec JobSpec) *checkpoint.Global {
+// refRun runs the same configuration uninterrupted through dycore.
+func refRun(spec JobSpec) (*grid.Grid, dycore.RunResult) {
 	if err := spec.Normalize(); err != nil {
 		panic(err)
 	}
@@ -98,7 +97,12 @@ func refFinal(spec JobSpec) *checkpoint.Global {
 	set := spec.setup()
 	hs := heldsuarez.Standard()
 	hook := func(g *grid.Grid, st *state.State, step int) { hs.Apply(g, st, spec.Dt2) }
-	res := dycore.RunWithHook(set, g, comm.TianheLike(), heldsuarez.InitialState, spec.Steps, hook)
+	return g, dycore.RunWithHook(set, g, comm.TianheLike(), heldsuarez.InitialState, spec.Steps, hook)
+}
+
+// refFinal is the gathered final snapshot of refRun.
+func refFinal(spec JobSpec) *checkpoint.Global {
+	g, res := refRun(spec)
 	return checkpoint.Gather(g, res.Finals)
 }
 
