@@ -8,7 +8,12 @@
 //
 // The default mesh is a scaled version of the paper's 720×360×30 that runs
 // in minutes on one machine; pass -nx 720 -ny 360 -nz 30 for the full 50 km
-// mesh (needs tens of GB of memory at high -ps).
+// mesh. Memory: a rank keeps ≈ 30 fields of its stored block at 8 B a
+// value, whichever the scheme — measured 10.9 MB/rank for CA and 3.3 MB/rank
+// for YZ on 96×48×12 with 4×2 ranks and M = 3. Halo storage is cut at the
+// poles and the model top/bottom, but an interior CA rank still stores
+// (n_x+6)×(n_y/p_y+22)×(n_z/p_z+18) values per field, so the full mesh at
+// -ps 128 and above is still a tens-of-GB run.
 package main
 
 import (

@@ -52,7 +52,7 @@ func (c *Comm) Barrier() {
 		dst := (c.rank + dist) % c.size
 		src := (c.rank - dist%c.size + c.size) % c.size
 		c.Send(dst, tag, token)
-		c.Recv(src, tag)
+		c.RecvInto(src, tag, token)
 	}
 }
 
@@ -131,6 +131,7 @@ func (c *Comm) AllreduceRD(data []float64, op Op) {
 	case c.rank < rem:
 		in := c.Recv(c.rank+pof2, tag)
 		op(data, in)
+		c.release(in)
 		newRank = c.rank
 	default:
 		newRank = c.rank
@@ -141,6 +142,7 @@ func (c *Comm) AllreduceRD(data []float64, op Op) {
 			c.Send(partner, tag, data)
 			in := c.Recv(partner, tag)
 			op(data, in)
+			c.release(in)
 		}
 	}
 	// Unfold: the folded ranks receive the result.
@@ -174,12 +176,12 @@ func (c *Comm) AllreduceRing(data []float64, op Op) {
 		c.Send(right, tag, chunk(c.rank-s))
 		in := c.Recv(left, tag)
 		op(chunk(c.rank-s-1), in)
+		c.release(in)
 	}
 	// Allgather of the fully reduced chunks: rank r now owns chunk r+1.
 	for s := 0; s < p-1; s++ {
 		c.Send(right, tag, chunk(c.rank+1-s+p))
-		in := c.Recv(left, tag)
-		copy(chunk(c.rank-s+p), in)
+		c.RecvInto(left, tag, chunk(c.rank-s+p))
 	}
 }
 
@@ -223,9 +225,7 @@ func (c *Comm) Exscan(data []float64, op Op) {
 	}
 	switch c.rank {
 	case 0:
-		mine := make([]float64, len(data))
-		copy(mine, data)
-		c.Send(1, tag, mine)
+		c.Send(1, tag, data) // Send copies, so data may be cleared at once
 		zero(data)
 	default:
 		prefix := c.Recv(c.rank-1, tag)
@@ -236,6 +236,7 @@ func (c *Comm) Exscan(data []float64, op Op) {
 			c.Send(c.rank+1, tag, next)
 		}
 		copy(data, prefix)
+		c.release(prefix)
 	}
 }
 
@@ -278,6 +279,7 @@ func (c *Comm) Reduce(root int, data []float64, op Op) {
 		if child < c.size {
 			in := c.Recv((child+root)%c.size, tag)
 			op(data, in)
+			c.release(in)
 		}
 		dist *= 2
 	}

@@ -2,6 +2,7 @@ package comm
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 )
 
@@ -18,12 +19,62 @@ type message struct {
 	availAt float64 // simulated time at which the payload is available
 }
 
-// endpoint is the receive queue of one world rank.
+// endpoint is the receive queue of one world rank, plus the free list the
+// payloads of its messages are drawn from and returned to. Both belong to the
+// World, so a finished or crashed world takes its buffers with it.
 type endpoint struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	queue    []message
 	poisoned bool
+
+	// free[k] holds recycled payload buffers of capacity 1<<k; freeBytes is
+	// what they pin, kept at or below poolBudget. Guarded by mu.
+	free      [bits.UintSize][][]float64
+	freeBytes int
+}
+
+// poolBudget bounds the bytes one endpoint's free list may pin. A class of
+// buffers only grows to the number of its messages that were ever in flight
+// to the endpoint at once, so the budget is a backstop, not a tuning knob:
+// past it a consumed payload is simply left to the garbage collector.
+const poolBudget = 32 << 20
+
+// payload returns a buffer of length n for a message bound for this
+// endpoint: a recycled one of n's capacity class when the free list has it,
+// a fresh one (capacity rounded up to the class) otherwise.
+func (ep *endpoint) payload(n int) []float64 {
+	if n == 0 {
+		return nil
+	}
+	k := bits.Len(uint(n - 1))
+	ep.mu.Lock()
+	if l := ep.free[k]; len(l) > 0 {
+		buf := l[len(l)-1]
+		l[len(l)-1] = nil
+		ep.free[k] = l[:len(l)-1]
+		ep.freeBytes -= 8 << k
+		ep.mu.Unlock()
+		return buf[:n]
+	}
+	ep.mu.Unlock()
+	return make([]float64, n, 1<<k)
+}
+
+// recycle returns the payload of a consumed message to the free list. Only
+// the transport calls it, and only once nothing else references the buffer.
+func (ep *endpoint) recycle(buf []float64) {
+	c := cap(buf)
+	if c == 0 || c&(c-1) != 0 {
+		return // not a payload() buffer
+	}
+	ep.mu.Lock()
+	if ep.freeBytes+8*c <= poolBudget {
+		k := bits.TrailingZeros(uint(c))
+		ep.free[k] = append(ep.free[k], buf)
+		ep.freeBytes += 8 * c
+	}
+	ep.mu.Unlock()
 }
 
 func newEndpoint() *endpoint {
@@ -51,7 +102,10 @@ func (ep *endpoint) take(commID uint64, src, tag int) message {
 		}
 		for i, m := range ep.queue {
 			if m.commID == commID && m.src == src && m.tag == tag {
-				ep.queue = append(ep.queue[:i], ep.queue[i+1:]...)
+				last := len(ep.queue) - 1
+				copy(ep.queue[i:], ep.queue[i+1:])
+				ep.queue[last] = message{} // do not keep the payload reachable
+				ep.queue = ep.queue[:last]
 				return m
 			}
 		}
@@ -75,18 +129,24 @@ func (c *Comm) Send(dst, tag int, data []float64) {
 }
 
 // Isend is Send with an explicit request handle; with buffered semantics the
-// request is already complete, so Wait on it is a no-op. It exists so the
-// overlapped halo-exchange code reads like its MPI original.
-//
-//cadyvet:assumeclean simulated MPI transport: the request handle models MPI's internal bookkeeping, outside the per-rank zero-alloc kernel budget
+// request is already complete, so Wait on it is a no-op and every Isend
+// returns the same handle. It exists so the overlapped halo-exchange code
+// reads like its MPI original.
 func (c *Comm) Isend(dst, tag int, data []float64) *Request {
 	c.sendInternal(dst, tag, data)
-	return &Request{done: true}
+	return completed
 }
 
-// sendInternal implements the buffered send.
+// completed is the request every buffered send returns; nothing writes it.
+var completed = &Request{done: true}
+
+// sendInternal implements the buffered send. The copy lands in a buffer from
+// the destination endpoint's free list; the transport call that consumes the
+// message (RecvInto, the collectives' internal receives) puts it back, so a
+// steady exchange pattern stops allocating once every size has been in
+// flight. Recv instead hands the buffer to its caller for good.
 //
-//cadyvet:assumeclean simulated MPI transport: the payload copy models MPI's internal buffering, outside the per-rank zero-alloc kernel budget
+//cadyvet:assumeclean simulated MPI transport: the payload copy models MPI's internal buffering; the free list and the receive queue grow only until every message size has been in flight (TestStepSteadyStateBytesMultiRank pins the steady state)
 func (c *Comm) sendInternal(dst, tag int, data []float64) {
 	if dst == c.rank {
 		panic(fmt.Sprintf("comm: rank %d sending to itself (use local copies)", c.rank))
@@ -106,9 +166,10 @@ func (c *Comm) sendInternal(dst, tag int, data []float64) {
 		}
 		extraDelay = delay
 	}
-	payload := make([]float64, len(data))
+	ep := c.world.eps[c.worldRank(dst)]
+	payload := ep.payload(len(data))
 	copy(payload, data)
-	c.world.eps[c.worldRank(dst)].deliver(message{
+	ep.deliver(message{
 		commID:  c.id,
 		src:     c.rank,
 		tag:     tag,
@@ -119,9 +180,9 @@ func (c *Comm) sendInternal(dst, tag int, data []float64) {
 }
 
 // Recv blocks until a message from communicator rank src with the given tag
-// arrives, and returns its payload. The simulated clock stalls to the
-// message's availability time if the rank got here early (that stall is the
-// modeled communication wait).
+// arrives, and returns its payload, which the caller then owns (it is never
+// recycled). The simulated clock stalls to the message's availability time if
+// the rank got here early (that stall is the modeled communication wait).
 //
 //cadyvet:assumeclean simulated MPI transport: message drain touches the endpoint queues, which model MPI-internal buffering
 func (c *Comm) Recv(src, tag int) []float64 {
@@ -135,12 +196,23 @@ func (c *Comm) Recv(src, tag int) []float64 {
 //
 //cadyvet:assumeclean simulated MPI transport: message drain touches the endpoint queues, which model MPI-internal buffering
 func (c *Comm) RecvInto(src, tag int, buf []float64) int {
-	m := c.world.eps[c.myWorldRank()].take(c.id, src, tag)
+	ep := c.world.eps[c.myWorldRank()]
+	m := ep.take(c.id, src, tag)
 	c.absorb(m)
 	if len(buf) < len(m.data) {
 		panic(fmt.Sprintf("comm: RecvInto buffer too small: %d < %d", len(buf), len(m.data)))
 	}
-	return copy(buf, m.data)
+	n := copy(buf, m.data)
+	ep.recycle(m.data)
+	return n
+}
+
+// release hands back a payload obtained from Recv once the caller is done
+// reading it. It is for the collectives in this package, which consume their
+// internal receives on the spot; a payload that escaped to user code is never
+// released.
+func (c *Comm) release(payload []float64) {
+	c.world.eps[c.myWorldRank()].recycle(payload)
 }
 
 // absorb advances the clock for a drained message: stall until availability,

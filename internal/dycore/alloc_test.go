@@ -2,9 +2,11 @@ package dycore
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"cadycore/internal/comm"
+	"cadycore/internal/grid"
 	"cadycore/internal/state"
 )
 
@@ -87,5 +89,57 @@ func TestWorkersBaselineBitwiseEquivalent(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Agg, ref.Agg) {
 		t.Errorf("Workers=3 baseline: aggregate metrics differ\n got %+v\nwant %+v", got.Agg, ref.Agg)
+	}
+}
+
+// TestStepSteadyStateBytesMultiRank measures steady-state allocation where
+// messages actually flow — the 1×1 tests above send nothing, so they cannot
+// see what the transport allocates. Every rank runs two warm-up steps, all
+// ranks meet at a barrier, and the process-wide runtime.MemStats.TotalAlloc
+// delta over the next ten steps of the whole world must stay within 64 KiB
+// per step: message payloads (halo exchanges and the collectives' internal
+// receives alike) come from the world's free list instead of a fresh make
+// per message.
+func TestStepSteadyStateBytesMultiRank(t *testing.T) {
+	const steps, budget = 10, 64 << 10
+	g := grid.New(32, 16, 8)
+	for _, tc := range []struct {
+		name string
+		s    Setup
+	}{
+		{"ca-2x2", Setup{Alg: AlgCommAvoid, PA: 2, PB: 2, Cfg: testCfg(2)}},
+		{"yz-2x2", Setup{Alg: AlgBaselineYZ, PA: 2, PB: 2, Cfg: testCfg(2)}},
+		{"xy-2x2", Setup{Alg: AlgBaselineXY, PA: 2, PB: 2, Cfg: testCfg(2)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			w := comm.NewWorld(tc.s.Procs(), comm.Zero())
+			w.Run(func(c *comm.Comm) {
+				tp, ig := tc.s.Build(c, g)
+				st := state.New(tp.Block)
+				testInit(g, st)
+				ig.(StateSetter).SetState(st)
+				ig.Step()
+				ig.Step()
+				c.Barrier()
+				if c.Rank() == 0 {
+					runtime.ReadMemStats(&before)
+				}
+				c.Barrier()
+				for i := 0; i < steps; i++ {
+					ig.Step()
+				}
+				c.Barrier()
+				if c.Rank() == 0 {
+					runtime.ReadMemStats(&after)
+				}
+				c.Barrier()
+			})
+			perStep := (after.TotalAlloc - before.TotalAlloc) / steps
+			t.Logf("%s: %d B/step over the whole world", tc.name, perStep)
+			if perStep > budget {
+				t.Errorf("%s steady state allocates %d B per step, want ≤ %d", tc.name, perStep, budget)
+			}
+		})
 	}
 }

@@ -233,9 +233,15 @@ func (c *core) sumC(dst *operators.CRes, r field.Rect) {
 }
 
 // updateSurface recomputes the 2-D surface diagnostics from src's p'_sa.
+// The clock is charged for the owned footprint grown by the *requested* halo
+// on every side, which is what Update swept while storage was symmetric; the
+// sweep itself now stops where storage is cut at a pole (field.Block.WithHalo).
+// Pricing ghost work at what is actually computed moves the simulated clock
+// and belongs to the re-baseline of ROADMAP item 2b, not to a storage change.
 func (c *core) updateSurface(src *state.State) {
-	w := c.sur.Update(src.Psa)
-	c.w.Compute(float64(w) * costSurface)
+	c.sur.Update(src.Psa)
+	b := c.tp.Block
+	c.w.Compute(float64((b.I1-b.I0+2*b.Hx)*(b.J1-b.J0+2*b.Hy)) * costSurface)
 }
 
 // refreshSurface is updateSurface without the clock charge. The overlap path

@@ -1,7 +1,10 @@
 package dycore
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
+	"runtime"
 	"testing"
 
 	"cadycore/internal/comm"
@@ -286,6 +289,74 @@ func TestShiftedPoleMirror(t *testing.T) {
 	}()
 	xy := cfg
 	Run(Setup{Alg: AlgBaselineXY, PA: 2, PB: 2, Cfg: xy}, g, comm.Zero(), testInit, 1)
+}
+
+// TestDeepHaloAcrossBoundariesInvisible is the differential row for the
+// clamped halo storage (field.Block.WithHalo): on 16×24×6 with M = 3 the deep
+// halo (11 rows, 9 levels) of the *non-pole* process rows of a 4-row grid
+// crosses the pole by 5 rows, and under p_z = 2 both z blocks reach past the
+// model top and bottom — exactly the ghost cells that are no longer stored.
+// Nothing read them, so (a) every layout still agrees with the 1×1 run at the
+// tolerance TestShiftedPoleMirror uses, for the plain and the shifted pole
+// mirror, (b) the final states are bit for bit the ones the symmetric,
+// unclamped storage produced (FNV-1a over the float bits of the global state,
+// recorded at the commit before the clamp), and (c) so is the simulated clock.
+func TestDeepHaloAcrossBoundariesInvisible(t *testing.T) {
+	g := grid.New(16, 24, 6)
+	recorded := map[bool]map[[2]int]uint64{
+		false: {{1, 1}: 0xff919583ec0ad523, {4, 1}: 0xfad73fe5eaa721de, {4, 2}: 0x6c8a756f2dac14b9},
+		true:  {{1, 1}: 0xdc672ad7b9fdd8d2, {4, 1}: 0x784d712718bad4fc, {4, 2}: 0x7afdc827489003fb},
+	}
+	// (c) Nothing the simulated clock charges depends on what is stored: the
+	// critical-path time, the compute seconds summed over ranks (every
+	// rank's charges, not just the slowest's), bytes and messages are the
+	// recorded ones too, the same for both mirrors.
+	type clock struct {
+		sim, comp   float64
+		bytes, msgs int64
+	}
+	clocks := map[[2]int]clock{
+		{1, 1}: {0.0012069779999999998, 0.0012069779999999998, 0, 0},
+		{4, 1}: {0.002680328000000004, 0.0020118240000000002, 843264, 364},
+		{4, 2}: {0.0064833973333333654, 0.002901584, 1913856, 1308},
+	}
+	for _, shifted := range []bool{false, true} {
+		cfg := testCfg(3)
+		cfg.ShiftedPoleMirror = shifted
+		var serial []float64
+		for _, lay := range [][2]int{{1, 1}, {4, 1}, {4, 2}} {
+			res := Run(Setup{Alg: AlgCommAvoid, PA: lay[0], PB: lay[1], Cfg: cfg}, g, comm.TianheLike(), testInit, 3)
+			flat := FlattenState(g, res.Finals)
+			if serial == nil {
+				serial = flat
+			}
+			got := clock{sim: res.Agg.SimTime, bytes: res.Agg.BytesSent, msgs: res.Agg.MsgsSent}
+			for _, c := range res.Agg.RankComp {
+				got.comp += c
+			}
+			if want := clocks[lay]; runtime.GOARCH == "amd64" && got != want {
+				t.Errorf("shifted=%v CA %dx%d: simulated clock %+v, recorded %+v", shifted, lay[0], lay[1], got, want)
+			}
+			scale := maxAbsVec(serial)
+			for i, v := range flat {
+				if d := math.Abs(v - serial[i]); !(d <= 1e-12*(1+scale)) {
+					t.Errorf("shifted=%v CA %dx%d deviates from 1x1 by %g at %d", shifted, lay[0], lay[1], d, i)
+					break
+				}
+			}
+			h := fnv.New64a()
+			for _, v := range flat {
+				var b [8]byte
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+				h.Write(b[:])
+			}
+			// Bit patterns are recorded on amd64; an architecture that
+			// contracts a·b+c into FMA legitimately rounds differently.
+			if want := recorded[shifted][lay]; runtime.GOARCH == "amd64" && h.Sum64() != want {
+				t.Errorf("shifted=%v CA %dx%d: state hash %#x, recorded %#x — results moved", shifted, lay[0], lay[1], h.Sum64(), want)
+			}
+		}
+	}
 }
 
 func TestCommAvoidTinyBlocksDeepHalo(t *testing.T) {

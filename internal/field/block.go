@@ -11,27 +11,48 @@
 // rank owns a full latitude circle, or by communication).
 package field
 
-import "fmt"
+import (
+	"fmt"
+
+	"cadycore/internal/stencil"
+)
 
 // Block describes the sub-box of the global Nx×Ny×Nz mesh owned by one rank,
-// with halo widths (Hx, Hy, Hz) on each side. The owned ranges are
-// half-open: i ∈ [I0, I1), j ∈ [J0, J1), k ∈ [K0, K1).
+// with the halo widths (Hx, Hy, Hz) requested on each side. The owned ranges
+// are half-open: i ∈ [I0, I1), j ∈ [J0, J1), k ∈ [K0, K1).
+//
+// The requested widths are symmetric; what is *stored* is cut at the physical
+// boundaries (see WithHalo): a deep halo reaches at most boundaryReach cells
+// past a pole or the model top/bottom, because nothing reads further.
 type Block struct {
 	Nx, Ny, Nz int // global extents
 	I0, I1     int // owned x range
 	J0, J1     int // owned y range
 	K0, K1     int // owned z range
-	Hx, Hy, Hz int // halo widths
+	Hx, Hy, Hz int // requested halo widths
 }
+
+// boundaryReach is how far one application of any stencil reads past a
+// physical boundary: the per-update radius of the widest tables (2 rows from
+// the smoothing, 1 level from the adaptation/advection). Compute regions are
+// clamped to the domain, so however deep the requested halo — the
+// communication-avoiding scheme asks for 3M+2 rows and 3M levels — cells
+// beyond this reach past a pole or σ = 0/1 are never read and are not stored.
+var boundaryReach = stencil.Union(
+	stencil.RadiusOf(stencil.Adaptation),
+	stencil.RadiusOf(stencil.Advection),
+	stencil.RadiusOf(stencil.Smoothing),
+)
 
 // Dims returns the owned extents (I1−I0, J1−J0, K1−K0).
 func (b Block) Dims() (nx, ny, nz int) {
 	return b.I1 - b.I0, b.J1 - b.J0, b.K1 - b.K0
 }
 
-// StorageDims returns the allocated extents including halos.
+// StorageDims returns the allocated extents including the stored halos.
 func (b Block) StorageDims() (sx, sy, sz int) {
-	return b.I1 - b.I0 + 2*b.Hx, b.J1 - b.J0 + 2*b.Hy, b.K1 - b.K0 + 2*b.Hz
+	w := b.WithHalo()
+	return w.I1 - w.I0, w.J1 - w.J0, w.K1 - w.K0
 }
 
 // OwnsFullX reports whether the block owns every longitude (the Y-Z
@@ -43,12 +64,18 @@ func (b Block) Owned() Rect {
 	return Rect{I0: b.I0, I1: b.I1, J0: b.J0, J1: b.J1, K0: b.K0, K1: b.K1}
 }
 
-// WithHalo returns the full addressable region including halos.
+// WithHalo returns the full addressable (stored) region: the owned box grown
+// by the requested halo widths, cut boundaryReach cells past the poles in y
+// and past the model top/bottom in z. x is periodic and stays symmetric. It
+// is the one storage rule: field layouts, the boundary fills and the halo
+// exchange's addressability check all read it.
 func (b Block) WithHalo() Rect {
 	return Rect{
 		I0: b.I0 - b.Hx, I1: b.I1 + b.Hx,
-		J0: b.J0 - b.Hy, J1: b.J1 + b.Hy,
-		K0: b.K0 - b.Hz, K1: b.K1 + b.Hz,
+		J0: maxInt(b.J0-b.Hy, -boundaryReach.Y),
+		J1: minInt(b.J1+b.Hy, b.Ny+boundaryReach.Y),
+		K0: maxInt(b.K0-b.Hz, -boundaryReach.Z),
+		K1: minInt(b.K1+b.Hz, b.Nz+boundaryReach.Z),
 	}
 }
 

@@ -49,12 +49,12 @@ func FillPolesY(f *F3, p Parity, st Stagger) {
 	b := f.B
 	s := float64(p)
 	ny := b.Ny
-	// A block needs pole ghost rows whenever its *storage* (owned + halo)
+	// A block needs pole ghost rows whenever its *storage* (Block.WithHalo)
 	// extends past a pole, which with deep halos can happen even for blocks
 	// that do not own pole rows. Mirror sources are rows inside the domain,
 	// already valid after the halo exchange.
-	loGhost := b.J0 - b.Hy // lowest stored row
-	hiGhost := b.J1 + b.Hy // one past highest stored row
+	loGhost := f.oy        // lowest stored row
+	hiGhost := f.oy + f.sy // one past highest stored row
 	switch st {
 	case CenterY:
 		// f(−1−m) = s·f(m) for every stored row −1−m < 0.
@@ -88,10 +88,10 @@ func FillPolesY2(f *F2, p Parity) {
 	b := f.B
 	s := float64(p)
 	ny := b.Ny
-	for j := b.J0 - b.Hy; j < 0; j++ {
+	for j := f.oy; j < 0; j++ {
 		copyRowScaled2(f, j, -1-j, s)
 	}
-	for j := ny; j < b.J1+b.Hy; j++ {
+	for j := ny; j < f.oy+f.sy; j++ {
 		copyRowScaled2(f, j, 2*ny-1-j, s)
 	}
 }
@@ -102,12 +102,11 @@ func FillPolesY2(f *F2, p Parity) {
 // are enforced inside the vertical operators; the mirror only keeps stencil
 // sweeps branch-free.
 func FillVerticalZ(f *F3) {
-	b := f.B
-	nz := b.Nz
-	for k := b.K0 - b.Hz; k < 0; k++ {
+	nz := f.B.Nz
+	for k := f.oz; k < 0; k++ {
 		copyPlaneZ(f, k, -1-k)
 	}
-	for k := nz; k < b.K1+b.Hz; k++ {
+	for k := nz; k < f.oz+f.sz; k++ {
 		copyPlaneZ(f, k, 2*nz-1-k)
 	}
 }
@@ -125,8 +124,8 @@ func FillPolesYShifted(f *F3, p Parity, st Stagger) {
 	}
 	s := float64(p)
 	ny := b.Ny
-	loGhost := b.J0 - b.Hy
-	hiGhost := b.J1 + b.Hy
+	loGhost := f.oy
+	hiGhost := f.oy + f.sy
 	switch st {
 	case CenterY:
 		for j := loGhost; j < 0; j++ {
@@ -159,10 +158,10 @@ func FillPolesY2Shifted(f *F2, p Parity) {
 	}
 	s := float64(p)
 	ny := b.Ny
-	for j := b.J0 - b.Hy; j < 0; j++ {
+	for j := f.oy; j < 0; j++ {
 		copyRowScaledShifted2(f, j, -1-j, s)
 	}
-	for j := ny; j < b.J1+b.Hy; j++ {
+	for j := ny; j < f.oy+f.sy; j++ {
 		copyRowScaledShifted2(f, j, 2*ny-1-j, s)
 	}
 }

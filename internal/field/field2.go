@@ -19,12 +19,13 @@ type F2 struct {
 // of the given block (the K range of the block is ignored).
 func NewF2(b Block) *F2 {
 	b.Validate()
-	sx, sy, _ := b.StorageDims()
+	w := b.WithHalo()
+	sx, sy := w.I1-w.I0, w.J1-w.J0
 	return &F2{
 		B:    b,
 		Data: make([]float64, sx*sy),
 		sx:   sx, sy: sy,
-		ox: b.I0 - b.Hx, oy: b.J0 - b.Hy,
+		ox: w.I0, oy: w.J0,
 	}
 }
 

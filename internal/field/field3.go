@@ -22,12 +22,13 @@ type F3 struct {
 // NewF3 allocates a zero-initialized field on the given block.
 func NewF3(b Block) *F3 {
 	b.Validate()
-	sx, sy, sz := b.StorageDims()
+	w := b.WithHalo()
+	sx, sy, sz := w.I1-w.I0, w.J1-w.J0, w.K1-w.K0
 	return &F3{
 		B:    b,
 		Data: make([]float64, sx*sy*sz),
 		sx:   sx, sy: sy, sz: sz,
-		ox: b.I0 - b.Hx, oy: b.J0 - b.Hy, oz: b.K0 - b.Hz,
+		ox: w.I0, oy: w.J0, oz: w.K0,
 	}
 }
 
@@ -105,8 +106,8 @@ func (f *F3) FillXPeriodic() {
 			row := (lk*f.sy + lj) * f.sx
 			// storage x layout: [0,h) left halo | [h, h+nx) owned | [h+nx, h+nx+h) right halo
 			for m := 0; m < h; m++ {
-				f.Data[row+m] = f.Data[row+nx+m]            // left halo ← rightmost owned
-				f.Data[row+h+nx+m] = f.Data[row+h+m]        // right halo ← leftmost owned
+				f.Data[row+m] = f.Data[row+nx+m]     // left halo ← rightmost owned
+				f.Data[row+h+nx+m] = f.Data[row+h+m] // right halo ← leftmost owned
 			}
 		}
 	}

@@ -362,11 +362,21 @@ func TestFillVerticalZ(t *testing.T) {
 		}
 	}
 	FillVerticalZ(f)
-	if f.At(0, 0, -1) != 1 || f.At(0, 0, -2) != 2 {
-		t.Errorf("top mirror: %v %v", f.At(0, 0, -1), f.At(0, 0, -2))
+	// Storage stops boundaryReach.Z = 1 level past the model top/bottom
+	// (Block.WithHalo), so the mirror fills exactly the stored ghost level
+	// on each side, whatever Hz asks for.
+	if w := b.WithHalo(); w.K0 != -1 || w.K1 != 5 {
+		t.Fatalf("stored z range [%d,%d), want [-1,5)", w.K0, w.K1)
 	}
-	if f.At(0, 0, 4) != 4 || f.At(0, 0, 5) != 3 {
-		t.Errorf("bottom mirror: %v %v", f.At(0, 0, 4), f.At(0, 0, 5))
+	for j := 0; j < 4; j++ {
+		for i := 0; i < 8; i++ {
+			if f.At(i, j, -1) != 1 {
+				t.Errorf("top mirror at (%d,%d): %v", i, j, f.At(i, j, -1))
+			}
+			if f.At(i, j, 4) != 4 {
+				t.Errorf("bottom mirror at (%d,%d): %v", i, j, f.At(i, j, 4))
+			}
+		}
 	}
 }
 
@@ -471,4 +481,117 @@ func TestShiftedPoleMirrorField(t *testing.T) {
 		}
 	}()
 	FillPolesYShifted(g2, Even, CenterY)
+}
+
+// TestStoredHaloClampedAtBoundaries pins the storage rule of Block.WithHalo:
+// the stored depth on a y/z side is min(requested, distance from the owned
+// edge to the pole or model top/bottom + boundaryReach), x stays symmetric,
+// and Index refuses the first cell outside storage on every side.
+func TestStoredHaloClampedAtBoundaries(t *testing.T) {
+	if boundaryReach.Y != 2 || boundaryReach.Z != 1 {
+		t.Fatalf("boundaryReach = %+v, want the single-application radii Y=2 Z=1 of the stencil tables", boundaryReach)
+	}
+	// Global mesh 16×48×12, the CA halo request (3, 11, 9) unless noted.
+	mk := func(j0, j1, k0, k1, hy, hz int) Block {
+		return Block{Nx: 16, Ny: 48, Nz: 12, I0: 0, I1: 16, J0: j0, J1: j1, K0: k0, K1: k1, Hx: 3, Hy: hy, Hz: hz}
+	}
+	for _, tc := range []struct {
+		name       string
+		b          Block
+		want       Rect // stored region
+		sx, sy, sz int
+	}{
+		{"north pole owner, top", mk(0, 12, 0, 6, 11, 9),
+			Rect{I0: -3, I1: 19, J0: -2, J1: 23, K0: -1, K1: 13}, 22, 25, 14},
+		{"pole-reaching (J0 < Hy, row 0 not owned), bottom", mk(6, 18, 6, 12, 11, 4),
+			Rect{I0: -3, I1: 19, J0: -2, J1: 29, K0: 2, K1: 13}, 22, 31, 11},
+		{"interior in y and z", mk(18, 30, 3, 5, 11, 2),
+			Rect{I0: -3, I1: 19, J0: 7, J1: 41, K0: 1, K1: 7}, 22, 34, 6},
+		{"south pole owner, whole column", mk(36, 48, 0, 12, 11, 9),
+			Rect{I0: -3, I1: 19, J0: 25, J1: 50, K0: -1, K1: 13}, 22, 25, 14},
+		{"baseline request equals the reach: nothing to cut", mk(0, 48, 0, 12, 2, 1),
+			Rect{I0: -3, I1: 19, J0: -2, J1: 50, K0: -1, K1: 13}, 22, 52, 14},
+		{"request below the reach is honoured as asked", mk(0, 48, 0, 12, 1, 0),
+			Rect{I0: -3, I1: 19, J0: -1, J1: 49, K0: 0, K1: 12}, 22, 50, 12},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := tc.b.WithHalo(); got != tc.want {
+				t.Fatalf("WithHalo = %v, want %v", got, tc.want)
+			}
+			sx, sy, sz := tc.b.StorageDims()
+			if sx != tc.sx || sy != tc.sy || sz != tc.sz {
+				t.Errorf("StorageDims = %d×%d×%d, want %d×%d×%d", sx, sy, sz, tc.sx, tc.sy, tc.sz)
+			}
+			f3, f2 := NewF3(tc.b), NewF2(tc.b)
+			if len(f3.Data) != tc.sx*tc.sy*tc.sz || len(f2.Data) != tc.sx*tc.sy {
+				t.Errorf("allocated %d / %d values, want %d / %d", len(f3.Data), len(f2.Data), tc.sx*tc.sy*tc.sz, tc.sx*tc.sy)
+			}
+			if i, j, k := f3.Origin(); i != tc.want.I0 || j != tc.want.J0 || k != tc.want.K0 {
+				t.Errorf("F3 origin (%d,%d,%d), want the low corner of %v", i, j, k, tc.want)
+			}
+			if i, j := f2.Origin(); i != tc.want.I0 || j != tc.want.J0 {
+				t.Errorf("F2 origin (%d,%d), want the low corner of %v", i, j, tc.want)
+			}
+			// The corners of storage are addressable; one cell further out
+			// on each of the six sides is not.
+			w := tc.want
+			f3.Index(w.I0, w.J0, w.K0)
+			f3.Index(w.I1-1, w.J1-1, w.K1-1)
+			f2.Index(w.I0, w.J0)
+			f2.Index(w.I1-1, w.J1-1)
+			for _, p := range [][3]int{
+				{w.I0 - 1, w.J0, w.K0}, {w.I1, w.J0, w.K0},
+				{w.I0, w.J0 - 1, w.K0}, {w.I0, w.J1, w.K0},
+				{w.I0, w.J0, w.K0 - 1}, {w.I0, w.J0, w.K1},
+			} {
+				if !panics(func() { f3.Index(p[0], p[1], p[2]) }) {
+					t.Errorf("F3.Index%v inside storage %v?", p, w)
+				}
+			}
+			for _, p := range [][2]int{{w.I0 - 1, w.J0}, {w.I1, w.J0}, {w.I0, w.J0 - 1}, {w.I0, w.J1}} {
+				if !panics(func() { f2.Index(p[0], p[1]) }) {
+					t.Errorf("F2.Index%v inside storage %v?", p, w)
+				}
+			}
+		})
+	}
+}
+
+func panics(fn func()) (p bool) {
+	defer func() { p = recover() != nil }()
+	fn()
+	return false
+}
+
+// TestPoleFillCoversClampedStorage: a block that does not own row 0 but whose
+// deep halo crosses the pole gets exactly its stored ghost rows mirrored, from
+// rows it received into its halo.
+func TestPoleFillCoversClampedStorage(t *testing.T) {
+	b := Block{Nx: 8, Ny: 24, Nz: 2, I0: 0, I1: 8, J0: 6, J1: 12, K0: 0, K1: 2, Hx: 1, Hy: 11, Hz: 0}
+	for _, st := range []Stagger{CenterY, FaceY} {
+		f := NewF3(b)
+		w := b.WithHalo()
+		for k := w.K0; k < w.K1; k++ {
+			for j := 0; j < w.J1; j++ {
+				for i := w.I0; i < w.I1; i++ {
+					f.Set(i, j, k, float64(100*(j+1)+i))
+				}
+			}
+		}
+		FillPolesY(f, Odd, st)
+		for j := w.J0; j < 0; j++ {
+			src := -1 - j
+			if st == FaceY {
+				src = -j
+			}
+			for i := w.I0; i < w.I1; i++ {
+				if got, want := f.At(i, j, 1), -float64(100*(src+1)+i); got != want {
+					t.Fatalf("stagger %v ghost (%d,%d): got %v want %v", st, i, j, got, want)
+				}
+			}
+		}
+		if st == FaceY && f.At(0, 0, 0) != 0 {
+			t.Errorf("FaceY pole row not zeroed: %v", f.At(0, 0, 0))
+		}
+	}
 }

@@ -230,8 +230,7 @@ func CSumWith(g *grid.Grid, cz *comm.Comm, world *comm.Comm, divP *field.F3, res
 
 // storePWI writes PWI at interface k: σ_I[k]·DBar − prefix.
 func storePWI(g *grid.Grid, res *CRes, divP *field.F3, hr field.Rect, k int, dbar, prefix []float64, _ int) {
-	b := res.B
-	if k < b.K0-b.Hz || k >= b.K1+b.Hz {
+	if w := res.B.WithHalo(); k < w.K0 || k >= w.K1 {
 		return // interface outside storage (cannot happen for Hz ≥ 1)
 	}
 	sig := g.SigmaI[k]

@@ -117,8 +117,8 @@ func TestDivPVanishesForRigidZonalFlow(t *testing.T) {
 	b := serialBlock(g)
 	st := state.New(b)
 	for k := 0; k < g.Nz; k++ {
-		for j := -b.Hy; j < g.Ny+b.Hy; j++ {
-			for i := -b.Hx; i < g.Nx+b.Hx; i++ {
+		for j := b.WithHalo().J0; j < b.WithHalo().J1; j++ {
+			for i := b.WithHalo().I0; i < b.WithHalo().I1; i++ {
 				st.U.Set(i, j, k, 7.5)
 			}
 		}
@@ -167,9 +167,9 @@ func TestSmootherKillsNyquistWave(t *testing.T) {
 	g := probeGrid()
 	b := serialBlock(g)
 	u := field.NewF3(b)
-	for k := -b.Hz; k < g.Nz+b.Hz; k++ {
-		for j := -b.Hy; j < g.Ny+b.Hy; j++ {
-			for i := -b.Hx; i < g.Nx+b.Hx; i++ {
+	for k := b.WithHalo().K0; k < b.WithHalo().K1; k++ {
+		for j := b.WithHalo().J0; j < b.WithHalo().J1; j++ {
+			for i := b.WithHalo().I0; i < b.WithHalo().I1; i++ {
 				v := 1.0
 				if ((i%2)+2)%2 == 1 {
 					v = -1
@@ -193,9 +193,9 @@ func TestSmootherDampsMonotonically(t *testing.T) {
 	smo := NewSmoother(g, 1.0)
 	for m := 1; m <= g.Nx/2; m++ {
 		u := field.NewF3(b)
-		for k := -b.Hz; k < g.Nz+b.Hz; k++ {
-			for j := -b.Hy; j < g.Ny+b.Hy; j++ {
-				for i := -b.Hx; i < g.Nx+b.Hx; i++ {
+		for k := b.WithHalo().K0; k < b.WithHalo().K1; k++ {
+			for j := b.WithHalo().J0; j < b.WithHalo().J1; j++ {
+				for i := b.WithHalo().I0; i < b.WithHalo().I1; i++ {
 					u.Set(i, j, k, math.Sin(2*math.Pi*float64(m*((i+g.Nx)%g.Nx))/float64(g.Nx)))
 				}
 			}
@@ -270,9 +270,9 @@ func TestAdaptationGravityWaveCoupling(t *testing.T) {
 	b := serialBlock(g)
 	st := state.New(b)
 	// Φ hump at longitude index 8 on row 5, all levels.
-	for k := -b.Hz; k < g.Nz+b.Hz; k++ {
-		for j := -b.Hy; j < g.Ny+b.Hy; j++ {
-			for i := -b.Hx; i < g.Nx+b.Hx; i++ {
+	for k := b.WithHalo().K0; k < b.WithHalo().K1; k++ {
+		for j := b.WithHalo().J0; j < b.WithHalo().J1; j++ {
+			for i := b.WithHalo().I0; i < b.WithHalo().I1; i++ {
 				st.Phi.Set(i, j, k, 10*math.Exp(-0.5*math.Pow(float64(((i+g.Nx)%g.Nx)-8), 2)))
 			}
 		}
@@ -314,9 +314,9 @@ func TestAdvectionOfUniformFieldIsConservative(t *testing.T) {
 
 	st2 := smoothState(g, b)
 	// Strongly varying Φ.
-	for k := -b.Hz; k < g.Nz+b.Hz; k++ {
-		for j := -b.Hy; j < g.Ny+b.Hy; j++ {
-			for i := -b.Hx; i < g.Nx+b.Hx; i++ {
+	for k := b.WithHalo().K0; k < b.WithHalo().K1; k++ {
+		for j := b.WithHalo().J0; j < b.WithHalo().J1; j++ {
+			for i := b.WithHalo().I0; i < b.WithHalo().I1; i++ {
 				st2.Phi.Set(i, j, k, 5*math.Sin(4*2*math.Pi*float64((i+g.Nx)%g.Nx)/float64(g.Nx)))
 			}
 		}

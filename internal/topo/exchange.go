@@ -80,7 +80,9 @@ func Sym(dx, dy, dz int) Depths {
 }
 
 // NewExchanger precomputes an exchange of the given symmetric depths.
-// Depths must not exceed the allocated halo widths. A zero depth in a
+// Every rectangle the exchange would unpack must lie inside the block's
+// stored region (field.Block.WithHalo); construction panics otherwise, so a
+// too-deep exchange is refused when the integrator is built. A zero depth in a
 // direction disables communication in that direction (e.g. dx = 0 under the
 // Y-Z decomposition, where x halos are filled by local periodic copy).
 func (t *Topology) NewExchanger(dx, dy, dz int) *Exchanger {
@@ -103,10 +105,6 @@ func (t *Topology) NewBandExchangerY(d Depths, band int) *Exchanger {
 
 func (t *Topology) newExchanger(d Depths, bandY int) *Exchanger {
 	b := t.Block
-	if d.X > b.Hx || d.YLo > b.Hy || d.YHi > b.Hy || d.ZLo > b.Hz || d.ZHi > b.Hz {
-		panic(fmt.Sprintf("topo: exchange depths %+v exceed halo widths (%d,%d,%d)",
-			d, b.Hx, b.Hy, b.Hz))
-	}
 	e := &Exchanger{t: t, d: d, bandY: bandY}
 
 	myHalo := haloRect(b, d)
@@ -178,7 +176,27 @@ func (t *Topology) newExchanger(d Depths, bandY int) *Exchanger {
 
 	// 2-D fields: horizontal traffic among ranks of the same Cz plane.
 	e.peers2 = e.buildPeers2(d, bandY)
+	e.mustFitStorage(e.peers, b.WithHalo())
+	e.mustFitStorage(e.peers2, b.WithHalo().Flat2D())
 	return e
+}
+
+// mustFitStorage panics unless every rectangle the exchange packs from or
+// unpacks into lies inside the block's stored region. Storage is cut at the
+// poles and the model top/bottom (field.Block.WithHalo), so this — not a
+// comparison of depths with the requested halo widths — is what says whether
+// Finish can address what it receives.
+func (e *Exchanger) mustFitStorage(peers []peer, stored field.Rect) {
+	for _, pr := range peers {
+		for _, rects := range [2][]field.Rect{pr.sendRects, pr.recvRects} {
+			for _, rc := range rects {
+				if rc.Intersect(stored) != rc {
+					panic(fmt.Sprintf("topo: exchange depths %+v reach %v (peer rank %d), outside the stored region %v of block %+v",
+						e.d, rc, pr.rank, stored, e.t.Block))
+				}
+			}
+		}
+	}
 }
 
 // buildPeers2 computes the 2-D (surface field) exchange partners: the same

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"cadycore/internal/comm"
@@ -325,4 +326,63 @@ func TestExchangeRandomizedProperty(t *testing.T) {
 			checkHalo(t, g, f, 0, dy, dz)
 		})
 	}
+}
+
+// TestExchangerGeometryValidatedAgainstStorage: construction refuses an
+// exchange whose unpack rectangles are not addressable in the block's stored
+// region (field.Block.WithHalo, which is cut at the poles and the model
+// top/bottom), per side, and accepts everything that is — including the
+// symmetric deep exchange the benchmark builds on the CA 4×2 topology.
+func TestExchangerGeometryValidatedAgainstStorage(t *testing.T) {
+	g := grid.New(96, 48, 12)
+	const py, pz = 4, 2
+	const hx, hy, hz = 3, 11, 9 // dycore.CommAvoidHalo(3)
+	refused := func(build func()) (msg string) {
+		defer func() {
+			if p := recover(); p != nil {
+				msg = p.(string)
+			}
+		}()
+		build()
+		return ""
+	}
+	w := comm.NewWorld(py*pz, comm.Zero())
+	w.Run(func(c *comm.Comm) {
+		tp := New(c, g, 1, py, pz, hx, hy, hz)
+
+		// The benchmark's traced pass: symmetric, as deep as requested.
+		var ex *Exchanger
+		built := 1.0
+		if msg := refused(func() { ex = tp.NewExchanger(0, hy, hz) }); msg != "" {
+			t.Errorf("rank %d: NewExchanger(0,%d,%d) refused: %s", c.Rank(), hy, hz, msg)
+			built = 0
+		}
+		if c.AllreduceScalar(built, comm.Min) == 1 { // exchange only if no rank would be left waiting
+			f := field.NewF3(tp.Block)
+			fillOwned(g, f)
+			ex.Exchange([]*field.F3{f}, nil)
+			checkHalo(t, g, f, 0, hy, hz)
+		}
+		// z is clamped to the domain before it is compared with storage, so a
+		// z depth beyond the request that still lands on stored levels is fine.
+		if msg := refused(func() { tp.NewExchangerD(Depths{ZLo: hz + 1, ZHi: hz + 1}) }); msg != "" {
+			t.Errorf("rank %d: z depth %d reaches only stored levels but was refused: %s", c.Rank(), hz+1, msg)
+		}
+
+		// One row past the stored extent: every rank of a 4-row process grid
+		// has a y side that is not a pole, so every rank refuses.
+		msg := refused(func() { tp.NewExchanger(0, hy+1, 0) })
+		if msg == "" {
+			t.Errorf("rank %d: y depth %d accepted on block %+v", c.Rank(), hy+1, tp.Block)
+		} else if !strings.Contains(msg, "YLo:12") || !strings.Contains(msg, "outside the stored region") {
+			t.Errorf("rank %d: refusal does not name the depths and the rect: %s", c.Rank(), msg)
+		}
+		// Per side: too deep toward the north only. The northernmost row of
+		// ranks has nothing there to receive (the pole clamps it); every other
+		// rank would unpack a row it does not store.
+		msg = refused(func() { tp.NewExchangerD(Depths{YLo: hy + 1, YHi: hy}) })
+		if north := tp.Cy == 0; north != (msg == "") {
+			t.Errorf("rank %d (cy=%d): YLo=%d refused=%v: %s", c.Rank(), tp.Cy, hy+1, msg != "", msg)
+		}
+	})
 }
