@@ -25,20 +25,17 @@ func ZonalSpectrum(g *grid.Grid, sts []*state.State, j, k int) []float64 {
 		for i := b.I0; i < b.I1; i++ {
 			row[i] = st.U.At(i, j, k)
 		}
-		if b.I0 == 0 && b.I1 == g.Nx {
-			found = true
-		} else {
-			found = true // partial rows accumulate across ranks
-		}
+		found = true // partial rows accumulate across ranks
 	}
 	if !found {
 		return nil
 	}
-	plan := fft.NewPlan(g.Nx)
-	coef := plan.ForwardReal(row, nil)
+	plan := fft.NewRealPlan(g.Nx)
+	coef := make([]complex128, plan.SpecLen())
+	plan.Forward(row, coef, nil)
 	half := g.Nx / 2
-	out := make([]float64, half+1)
-	for m := 0; m <= half; m++ {
+	out := make([]float64, len(coef))
+	for m := range out {
 		a := cmplx.Abs(coef[m]) / float64(g.Nx)
 		e := a * a
 		if m != 0 && m != half {

@@ -40,6 +40,75 @@ func TestForwardMatchesNaive(t *testing.T) {
 	}
 }
 
+func maxAbs(x []complex128) float64 {
+	m := 0.0
+	for _, v := range x {
+		m = math.Max(m, cmplx.Abs(v))
+	}
+	return m
+}
+
+// tableLengths is every n in 1…256 — all small radix mixes, and the
+// Bluestein fallback on each length with a prime factor above 5 — plus the
+// half and full zonal extents of the paper's mesh, a long power of two, and
+// two longer Bluestein lengths.
+func tableLengths() []int {
+	var ns []int
+	for n := 1; n <= 256; n++ {
+		ns = append(ns, n)
+	}
+	return append(ns, 360, 720, 1024, 2*3*5*7*2, 1001)
+}
+
+// TestForwardMatchesReferences pins the kernel NewPlan picks against two
+// independent references: the O(n²) definition on every table length, and
+// the Bluestein plan on every length the staged kernel serves.
+func TestForwardMatchesReferences(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, n := range tableLengths() {
+		x := randomSignal(rng, n)
+		tol := 1e-12 * float64(n) * maxAbs(x)
+		got := append([]complex128(nil), x...)
+		p := NewPlan(n)
+		p.Forward(got)
+		if d := maxDiff(got, NaiveDFT(x)); d > tol {
+			t.Errorf("n=%d: differs from the naive DFT by %g > %g", n, d, tol)
+		}
+		if p.inner != nil {
+			continue
+		}
+		ref := append([]complex128(nil), x...)
+		newBluestein(n).Forward(ref)
+		if d := maxDiff(got, ref); d > tol {
+			t.Errorf("n=%d: staged differs from Bluestein by %g > %g", n, d, tol)
+		}
+	}
+}
+
+// TestPlanPaths pins which of the two paths a length gets: staged exactly
+// when n is 5-smooth, with pass radices that multiply to n.
+func TestPlanPaths(t *testing.T) {
+	for _, n := range tableLengths() {
+		rest := n
+		for _, f := range []int{2, 3, 5} {
+			for rest%f == 0 {
+				rest /= f
+			}
+		}
+		p := NewPlan(n)
+		if staged := p.inner == nil; staged != (rest == 1) {
+			t.Errorf("n=%d: staged = %v, 5-smooth = %v", n, staged, rest == 1)
+		}
+		prod := 1
+		for _, st := range p.stages {
+			prod *= st.radix
+		}
+		if p.inner == nil && prod != n {
+			t.Errorf("n=%d: pass radices multiply to %d", n, prod)
+		}
+	}
+}
+
 func TestRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, n := range []int{1, 2, 3, 8, 15, 27, 32, 60, 128, 720} {
@@ -172,21 +241,21 @@ func TestPlanLengthValidation(t *testing.T) {
 	NewPlan(0)
 }
 
-func BenchmarkFFTPow2(b *testing.B) {
-	p := NewPlan(1024)
-	x := randomSignal(rand.New(rand.NewSource(7)), 1024)
+func benchForward(b *testing.B, n int) {
+	p := NewPlan(n)
+	x := randomSignal(rand.New(rand.NewSource(int64(n))), n)
+	scratch := make([]complex128, p.ScratchLen())
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Forward(x)
+		p.ForwardScratch(x, scratch)
 	}
 }
 
-func BenchmarkFFTBluestein720(b *testing.B) {
-	// 720 is the paper's zonal extent (50 km mesh): not a power of two.
-	p := NewPlan(720)
-	x := randomSignal(rand.New(rand.NewSource(8)), 720)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Forward(x)
-	}
-}
+func BenchmarkFFTPow2(b *testing.B) { benchForward(b, 1024) }
+
+// 720 is the paper's zonal extent (50 km mesh): 2⁴·3²·5, staged.
+func BenchmarkFFT720(b *testing.B) { benchForward(b, 720) }
+
+// 194 = 2·97 has a prime factor above 5: the Bluestein fallback.
+func BenchmarkFFTBluestein194(b *testing.B) { benchForward(b, 194) }

@@ -19,7 +19,7 @@ type RealPlan struct {
 	n    int
 	half *Plan        // even n: complex plan of length n/2
 	full *Plan        // odd n fallback: complex plan of length n
-	tw   []complex128 // exp(−2πik/n), k = 0 … n/2 (even n only)
+	tw   []complex128 // exp(−2πik/n), k < n/4: the split's pairs (even n only)
 }
 
 // NewRealPlan prepares a real transform of length n ≥ 1.
@@ -31,8 +31,8 @@ func NewRealPlan(n int) *RealPlan {
 	if n%2 == 0 {
 		m := n / 2
 		p.half = NewPlan(m)
-		p.tw = make([]complex128, m+1)
-		for k := 0; k <= m; k++ {
+		p.tw = make([]complex128, (m+1)/2)
+		for k := range p.tw {
 			p.tw[k] = cmplx.Exp(complex(0, -2*math.Pi*float64(k)/float64(n)))
 		}
 		return p
@@ -98,23 +98,27 @@ func (p *RealPlan) Forward(src []float64, spec, scratch []complex128) {
 	}
 	m := p.n / 2
 	z := scratch[:m]
-	for j := 0; j < m; j++ {
+	for j := range z {
 		z[j] = complex(src[2*j], src[2*j+1])
 	}
-	p.half.ForwardScratch(z, scratch[m:])
+	z = p.half.transform(z, scratch[m:])
 	// Split the packed transform: with E/O the spectra of the even/odd
 	// subsequences, Z[k] = E[k] + i·O[k], so
 	//   E[k] = (Z[k] + conj(Z[m−k]))/2,  O[k] = (Z[k] − conj(Z[m−k]))/(2i),
-	// and X[k] = E[k] + w_k·O[k] with w_k = exp(−2πik/n).
+	// and X[k] = E[k] + w_k·O[k] with w_k = exp(−2πik/n). E and O are spectra
+	// of real signals and w_{m−k} = −conj(w_k), so the mirror bin comes from
+	// the same two products: X[m−k] = conj(E[k] − w_k·O[k]).
 	z0 := z[0]
 	spec[0] = complex(real(z0)+imag(z0), 0)
 	spec[m] = complex(real(z0)-imag(z0), 0)
-	for k := 1; k < m; k++ {
-		zk := z[k]
-		zmk := cmplx.Conj(z[m-k])
-		even := complex(0.5, 0) * (zk + zmk)
-		odd := complex(0, -0.5) * (zk - zmk)
-		spec[k] = even + p.tw[k]*odd
+	for k, mk := 1, m-1; k < mk; k, mk = k+1, mk-1 {
+		zk, zmk := z[k], cmplx.Conj(z[mk])
+		even := scale(zk+zmk, 0.5)
+		odd := p.tw[k] * scale(mulNegI(zk-zmk), 0.5)
+		spec[k], spec[mk] = even+odd, cmplx.Conj(even-odd)
+	}
+	if m%2 == 0 {
+		spec[m/2] = cmplx.Conj(z[m/2]) // w_{m/2} = −i exactly
 	}
 }
 
@@ -140,19 +144,28 @@ func (p *RealPlan) Inverse(spec []complex128, dst []float64, scratch []complex12
 	m := p.n / 2
 	z := scratch[:m]
 	// Invert the split: E[k] = (X[k] + conj(X[m−k]))/2,
-	// O[k] = conj(w_k)·(X[k] − conj(X[m−k]))/2, Z[k] = E[k] + i·O[k].
+	// O[k] = conj(w_k)·(X[k] − conj(X[m−k]))/2, Z[k] = E[k] + i·O[k], and
+	// Z[m−k] = conj(E[k] − i·O[k]) by the same symmetry Forward uses. The
+	// halves are left out here and folded, with the half transform's 1/m,
+	// into the single 1/n of the unpack loop.
 	x0, xm := real(spec[0]), real(spec[m])
-	z[0] = complex(0.5*(x0+xm), 0.5*(x0-xm))
-	for k := 1; k < m; k++ {
-		xk := spec[k]
-		xmk := cmplx.Conj(spec[m-k])
-		even := complex(0.5, 0) * (xk + xmk)
-		odd := complex(0.5, 0) * cmplx.Conj(p.tw[k]) * (xk - xmk)
-		z[k] = even + odd*complex(0, 1)
+	z[0] = complex(x0+xm, x0-xm)
+	for k, mk := 1, m-1; k < mk; k, mk = k+1, mk-1 {
+		xk, xmk := spec[k], cmplx.Conj(spec[mk])
+		even := xk + xmk
+		iodd := cmplx.Conj(mulNegI(p.tw[k])) * (xk - xmk) // i·conj(w_k)·(…)
+		z[k], z[mk] = even+iodd, cmplx.Conj(even-iodd)
 	}
-	p.half.InverseScratch(z, scratch[m:])
-	for j := 0; j < m; j++ {
-		dst[2*j] = real(z[j])
-		dst[2*j+1] = imag(z[j])
+	if m%2 == 0 {
+		z[m/2] = scale(cmplx.Conj(spec[m/2]), 2)
+	}
+	// The inverse half transform is the forward one read backwards (see
+	// Plan.InverseScratch), which the unpack does for free.
+	z = p.half.transform(z, scratch[m:])
+	inv := 1 / float64(p.n)
+	dst[0], dst[1] = inv*real(z[0]), inv*imag(z[0])
+	for j := 1; j < m; j++ {
+		zj := z[m-j]
+		dst[2*j], dst[2*j+1] = inv*real(zj), inv*imag(zj)
 	}
 }

@@ -16,10 +16,11 @@ func randomReal(rng *rand.Rand, n int) []float64 {
 
 // TestRealForwardMatchesComplex pins the half-spectrum forward transform
 // against the full complex path to 1e-12 over even, odd, power-of-two and
-// Bluestein lengths (96 and 720 are the meshes the filter actually runs).
+// Bluestein lengths (96 and 720 are the meshes the filter actually runs;
+// 14 and 194 have Bluestein halves).
 func TestRealForwardMatchesComplex(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, n := range []int{1, 2, 3, 4, 6, 8, 12, 15, 27, 48, 64, 96, 100, 360, 720} {
+	for _, n := range []int{1, 2, 3, 4, 6, 8, 12, 14, 15, 27, 48, 64, 96, 100, 194, 360, 720} {
 		rp := NewRealPlan(n)
 		cp := NewPlan(n)
 		x := randomReal(rng, n)
@@ -43,7 +44,7 @@ func cmplxAbs(z complex128) float64 {
 // TestRealRoundTrip asserts Inverse∘Forward is the identity to 1e-12.
 func TestRealRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	for _, n := range []int{1, 2, 3, 4, 6, 8, 12, 15, 27, 48, 64, 96, 100, 360, 720} {
+	for _, n := range []int{1, 2, 3, 4, 6, 8, 12, 14, 15, 27, 48, 64, 96, 100, 194, 360, 720} {
 		rp := NewRealPlan(n)
 		x := randomReal(rng, n)
 		spec := make([]complex128, rp.SpecLen())
@@ -62,7 +63,8 @@ func TestRealRoundTrip(t *testing.T) {
 // TestRealPlanZeroAlloc asserts the scratch-based real transform performs no
 // heap allocation — the property the allocation-free time step depends on.
 func TestRealPlanZeroAlloc(t *testing.T) {
-	for _, n := range []int{64, 96} { // pow2 and Bluestein halves
+	// Halves: a power of two, radix-3 and radix-5 mixes, and Bluestein (97).
+	for _, n := range []int{64, 96, 720, 1000, 194} {
 		rp := NewRealPlan(n)
 		x := randomReal(rand.New(rand.NewSource(13)), n)
 		spec := make([]complex128, rp.SpecLen())
@@ -77,18 +79,21 @@ func TestRealPlanZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestComplexScratchZeroAlloc asserts the Bluestein path is allocation-free
-// with caller scratch.
+// TestComplexScratchZeroAlloc asserts the staged kernel (radix-3 and radix-5
+// lengths included) and the Bluestein fallback are allocation-free with
+// caller scratch.
 func TestComplexScratchZeroAlloc(t *testing.T) {
-	p := NewPlan(96)
-	x := randomSignal(rand.New(rand.NewSource(14)), 96)
-	scratch := make([]complex128, p.ScratchLen())
-	allocs := testing.AllocsPerRun(100, func() {
-		p.ForwardScratch(x, scratch)
-		p.InverseScratch(x, scratch)
-	})
-	if allocs != 0 {
-		t.Errorf("%v allocs per forward+inverse, want 0", allocs)
+	for _, n := range []int{64, 96, 720, 1000, 97} {
+		p := NewPlan(n)
+		x := randomSignal(rand.New(rand.NewSource(14)), n)
+		scratch := make([]complex128, p.ScratchLen())
+		allocs := testing.AllocsPerRun(100, func() {
+			p.ForwardScratch(x, scratch)
+			p.InverseScratch(x, scratch)
+		})
+		if allocs != 0 {
+			t.Errorf("n=%d: %v allocs per forward+inverse, want 0", n, allocs)
+		}
 	}
 }
 

@@ -27,6 +27,30 @@ func TestTeqProfile(t *testing.T) {
 	}
 }
 
+// TestTeqRowMatchesTeq pins the hoisted form Apply evaluates to the exported
+// reference over every (φ, p) a 96×48×12 state can present: each latitude
+// row and level, at surface pressures from a deep low to a strong high.
+func TestTeqRowMatchesTeq(t *testing.T) {
+	g := grid.New(96, 48, 12)
+	hs := Standard()
+	worst := 0.0
+	for j := 0; j < g.Ny; j++ {
+		phi := math.Pi/2 - g.ThetaC[j]
+		sin2 := math.Sin(phi) * math.Sin(phi)
+		for k := 0; k < g.Nz; k++ {
+			for ps := 0.85 * physics.P0; ps <= 1.1*physics.P0; ps += 0.01 * physics.P0 {
+				p := g.Sigma[k]*physics.PesFromPs(ps) + physics.Pt
+				want := hs.Teq(phi, p)
+				got := hs.teqRow(sin2, 1-sin2, p)
+				worst = math.Max(worst, math.Abs(got-want)/want)
+			}
+		}
+	}
+	if worst > 1e-13 {
+		t.Errorf("teqRow deviates from Teq by %g relative, want ≤ 1e-13", worst)
+	}
+}
+
 func TestRelaxationRates(t *testing.T) {
 	hs := Standard()
 	// Above the boundary layer kT = ka everywhere.
