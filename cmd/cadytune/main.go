@@ -7,7 +7,7 @@
 //
 //	cadytune calibrate [-o machine.json] [-rounds N] [-kernel-ms D]
 //	cadytune plan -p P [-nx N -ny N -nz N] [-m M] [-profile machine.json]
-//	              [-cache DIR] [-topk K] [-max-workers W]
+//	              [-cache DIR] [-topk K] [-pilot-steps N] [-vary-m] [-no-staged]
 //	cadytune run  (plan flags) [-steps K]
 //	cadytune bench (plan flags) [-steps K] [-o BENCH_tune.json] [-check]
 //
@@ -82,10 +82,10 @@ func cmdCalibrate(args []string) {
 
 // planFlags are the flags shared by plan, run and bench.
 type planFlags struct {
-	procs, nx, ny, nz, m         int
-	topk, pilotSteps, maxWorkers int
-	profilePath, cacheDir        string
-	varyM, noStaged              bool
+	procs, nx, ny, nz, m  int
+	topk, pilotSteps      int
+	profilePath, cacheDir string
+	varyM, noStaged       bool
 }
 
 func addPlanFlags(fs *flag.FlagSet) *planFlags {
@@ -97,7 +97,6 @@ func addPlanFlags(fs *flag.FlagSet) *planFlags {
 	fs.IntVar(&pf.m, "m", 3, "nonlinear iterations per step")
 	fs.IntVar(&pf.topk, "topk", 4, "pilot-run this many analytic leaders (negative: analytic only)")
 	fs.IntVar(&pf.pilotSteps, "pilot-steps", 2, "steps per pilot run")
-	fs.IntVar(&pf.maxWorkers, "max-workers", 1, "largest Config.Workers candidate")
 	fs.StringVar(&pf.profilePath, "profile", "", "machine profile (default: analytic Tianhe-like profile)")
 	fs.StringVar(&pf.cacheDir, "cache", "", "plan memo directory (empty: no memoization)")
 	fs.BoolVar(&pf.varyM, "vary-m", false, "also search M-1 and M+1 (changes physics accuracy)")
@@ -118,9 +117,8 @@ func (pf *planFlags) planner() *tune.Planner {
 		TopK:       pf.topk,
 		PilotSteps: pf.pilotSteps,
 		Search: tune.SearchOptions{
-			MaxWorkers: pf.maxWorkers,
-			VaryM:      pf.varyM,
-			NoStaged:   pf.noStaged,
+			VaryM:    pf.varyM,
+			NoStaged: pf.noStaged,
 		},
 	}
 	if pf.cacheDir != "" {

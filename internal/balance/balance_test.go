@@ -290,7 +290,7 @@ func TestHysteresis(t *testing.T) {
 	g := grid.New(48, 24, 8)
 	cfg := dycore.DefaultConfig()
 	cfg.M = 2
-	cand := tune.Candidate{Scheme: tune.SchemeYZ, PA: 4, PB: 1, M: 2, Workers: 1}
+	cand := tune.Candidate{Scheme: tune.SchemeYZ, PA: 4, PB: 1, M: 2}
 	pol := Policy{Window: 2, Patience: 2, Cooldown: 1}
 	ctl, err := NewController(pol, g, cfg, tune.DefaultProfile(), 100, cand)
 	if err != nil {
@@ -375,7 +375,7 @@ func TestEvaluateWithRatesFallback(t *testing.T) {
 	cfg := dycore.DefaultConfig()
 	cfg.M = 2
 	prof := tune.DefaultProfile()
-	c := tune.Candidate{Scheme: tune.SchemeYZ, PA: 4, PB: 1, M: 2, Workers: 1}
+	c := tune.Candidate{Scheme: tune.SchemeYZ, PA: 4, PB: 1, M: 2}
 	plain := tune.Evaluate(g, cfg, prof, c)
 	if got := tune.EvaluateWithRates(g, cfg, prof, c, nil); got.Total != plain.Total {
 		t.Errorf("nil rates: %g != %g", got.Total, plain.Total)

@@ -39,13 +39,12 @@ type Stats struct {
 // allocations there), consulted by the run driver through TakePending after
 // a rebalance stop, and safe for concurrent use.
 type Controller struct {
-	pol    Policy // defaults applied
-	g      *grid.Grid
-	cfg    dycore.Config
-	prof   tune.Profile
-	search tune.SearchOptions
-	procs  int
-	steps  int // total steps of the job
+	pol   Policy // defaults applied
+	g     *grid.Grid
+	cfg   dycore.Config
+	prof  tune.Profile
+	procs int
+	steps int // total steps of the job
 
 	mu   sync.Mutex
 	cand tune.Candidate //cadyvet:guardedby mu
@@ -73,7 +72,7 @@ type Controller struct {
 // NewController builds a controller for a job of `steps` total steps that
 // starts in the given layout. The candidate's scheme and M are held fixed
 // across re-plans (changing them mid-run would change the numerics); only
-// the factorization, row partition, stage depth and worker count may move.
+// the factorization, row partition and stage depth may move.
 func NewController(pol Policy, g *grid.Grid, cfg dycore.Config, prof tune.Profile, steps int, start tune.Candidate) (*Controller, error) {
 	if err := pol.Validate(); err != nil {
 		return nil, err
@@ -85,19 +84,15 @@ func NewController(pol Policy, g *grid.Grid, cfg dycore.Config, prof tune.Profil
 	if start.PA < 1 || start.PB < 1 {
 		return nil, fmt.Errorf("balance: starting candidate has empty process grid %dx%d", start.PA, start.PB)
 	}
-	if start.Workers < 1 {
-		start.Workers = 1
-	}
 	procs := start.PA * start.PB
 	c := &Controller{
-		pol:    pol,
-		g:      g,
-		cfg:    cfg,
-		prof:   prof,
-		search: tune.SearchOptions{MaxWorkers: start.Workers},
-		procs:  procs,
-		steps:  steps,
-		cand:   start,
+		pol:   pol,
+		g:     g,
+		cfg:   cfg,
+		prof:  prof,
+		procs: procs,
+		steps: steps,
+		cand:  start,
 
 		modelComp: tune.PerRankCompute(g, cfg, prof, start),
 		prevComp:  make([]float64, procs),
@@ -121,11 +116,7 @@ func CandidateOf(set dycore.Setup) (tune.Candidate, error) {
 	default:
 		return tune.Candidate{}, fmt.Errorf("balance: algorithm %s is not rebalanceable", set.Alg)
 	}
-	c := tune.Candidate{Scheme: sch, PA: set.PA, PB: set.PB, M: set.Cfg.M,
-		Workers: set.Cfg.Workers, RowStarts: set.RowStarts}
-	if c.Workers < 1 {
-		c.Workers = 1
-	}
+	c := tune.Candidate{Scheme: sch, PA: set.PA, PB: set.PB, M: set.Cfg.M, RowStarts: set.RowStarts}
 	if sch == tune.SchemeCA {
 		c.Stage = set.Cfg.StageM
 	}
@@ -280,7 +271,7 @@ func (c *Controller) decide(step int) bool {
 			best, bestKey = e, e.Candidate.Key()
 		}
 	}
-	for _, cd := range tune.Candidates(c.g, c.procs, c.cfg, c.prof, c.search) {
+	for _, cd := range tune.Candidates(c.g, c.procs, c.cfg, c.prof, tune.SearchOptions{}) {
 		// The scheme and M are pinned: switching integrators mid-run would
 		// change the trajectory, not just its cost.
 		if cd.Scheme != c.cand.Scheme || cd.M != c.cand.M {

@@ -61,36 +61,6 @@ func SOriginalYZ(p Problem) float64 { return float64((6*p.M + 4) * p.K) }
 // transposes per distributed filtering.
 func SOriginalXY(p Problem) float64 { return float64((9*p.M + 10) * p.K) }
 
-// ceilDiv is ⌈a/b⌉ for positive operands.
-func ceilDiv(a, b int) int { return (a + b - 1) / b }
-
-// SCommAvoidStaged is the staged-exchange refinement of S_CA: a halo of
-// depth 3s rows serves s adaptation iterations, so one step performs
-// ⌈M/s⌉ adaptation exchange rounds plus the advection round next to the
-// unchanged 2M z-collectives, S = Θ((2M + ⌈M/s⌉ + 1)·K). s = M recovers
-// the full-depth S_CA = Θ((2M+2)K).
-func SCommAvoidStaged(p Problem, s int) float64 {
-	if s <= 0 || s > p.M {
-		s = p.M
-	}
-	return float64((2*p.M + ceilDiv(p.M, s) + 1) * p.K)
-}
-
-// WHaloCommAvoidStaged is the per-step halo volume of the staged exchange
-// in point-equivalents: ⌈M/s⌉+1 rounds each moving a y halo of depth Θ(3s)
-// over the block's x×z face. Staging trades synchronization (more rounds)
-// against per-round volume and redundant-zone width; the total stays
-// Θ(3M·n_x·n_z/p_z) up to the ⌈⌉ rounding, which is why the overlapped
-// residual (OverlapExposed), not W, decides the optimum stage depth.
-func WHaloCommAvoidStaged(p Problem, s int) float64 {
-	if s <= 0 || s > p.M {
-		s = p.M
-	}
-	rounds := float64(ceilDiv(p.M, s) + 1)
-	return rounds * 3 * float64(s) * float64(p.K) *
-		float64(p.Nx) * float64(p.Nz) / float64(p.Pz)
-}
-
 // OverlapExposed is the overlapped-exchange refinement of the §5.3
 // synchronization charge: a Begin/Finish split hides up to `window` seconds
 // of a round's `cost` behind interior compute, so only the residual wait
@@ -103,11 +73,6 @@ func OverlapExposed(cost, window float64) float64 {
 		return cost
 	}
 	return cost - window
-}
-
-// OverlapHidden is the complementary hidden share: min(cost, window).
-func OverlapHidden(cost, window float64) float64 {
-	return cost - OverlapExposed(cost, window)
 }
 
 // FilterLowerBound is Theorem 4.1: the communication cost of the n_x-input

@@ -1,7 +1,6 @@
 package dycore
 
 import (
-	"reflect"
 	"runtime"
 	"testing"
 
@@ -12,8 +11,7 @@ import (
 
 // stepAllocs builds a single-rank integrator, warms it up, and measures the
 // heap allocations of a steady-state Step. testing.AllocsPerRun counts
-// process-global mallocs, so the measurement only makes sense on one rank
-// with serial tiling (Workers ≤ 1).
+// process-global mallocs, so the measurement only makes sense on one rank.
 func stepAllocs(t *testing.T, alg Algorithm, cfg Config) float64 {
 	t.Helper()
 	g := testGrid()
@@ -47,48 +45,6 @@ func TestStepZeroAllocBaselineYZ(t *testing.T) {
 func TestStepZeroAllocCommAvoid(t *testing.T) {
 	if a := stepAllocs(t, AlgCommAvoid, testCfg(2)); a != 0 {
 		t.Fatalf("comm-avoiding steady-state Step allocates %v times per run, want 0", a)
-	}
-}
-
-// TestWorkersBitwiseEquivalent asserts the intra-rank tiling knob changes
-// neither the results (bitwise) nor the simulated metrics: work counts are
-// preserved across the k-chunk split and the Psa parts run exactly once.
-func TestWorkersBitwiseEquivalent(t *testing.T) {
-	g := testGrid()
-	cfg := testCfg(2)
-	ref := Run(Setup{Alg: AlgCommAvoid, PA: 2, PB: 2, Cfg: cfg}, g, comm.Zero(), testInit, 2)
-
-	for _, nw := range []int{2, 3, 4} {
-		cfgW := cfg
-		cfgW.Workers = nw
-		got := Run(Setup{Alg: AlgCommAvoid, PA: 2, PB: 2, Cfg: cfgW}, g, comm.Zero(), testInit, 2)
-		if d := MaxDiffGlobal(g, ref.Finals, got.Finals); d != 0 {
-			t.Errorf("Workers=%d: state deviates from serial by %g (want bitwise match)", nw, d)
-		}
-		if !reflect.DeepEqual(got.Agg, ref.Agg) {
-			t.Errorf("Workers=%d: aggregate metrics differ\n got %+v\nwant %+v", nw, got.Agg, ref.Agg)
-		}
-		if got.Count != ref.Count {
-			t.Errorf("Workers=%d: counters differ\n got %+v\nwant %+v", nw, got.Count, ref.Count)
-		}
-	}
-}
-
-// TestWorkersBaselineBitwiseEquivalent covers the baseline integrator's
-// tiled kernels (adaptation, advection, D(P)) the same way.
-func TestWorkersBaselineBitwiseEquivalent(t *testing.T) {
-	g := testGrid()
-	cfg := testCfg(2)
-	ref := Run(Setup{Alg: AlgBaselineYZ, PA: 2, PB: 1, Cfg: cfg}, g, comm.Zero(), testInit, 2)
-
-	cfgW := cfg
-	cfgW.Workers = 3
-	got := Run(Setup{Alg: AlgBaselineYZ, PA: 2, PB: 1, Cfg: cfgW}, g, comm.Zero(), testInit, 2)
-	if d := MaxDiffGlobal(g, ref.Finals, got.Finals); d != 0 {
-		t.Errorf("Workers=3 baseline: state deviates by %g (want bitwise match)", d)
-	}
-	if !reflect.DeepEqual(got.Agg, ref.Agg) {
-		t.Errorf("Workers=3 baseline: aggregate metrics differ\n got %+v\nwant %+v", got.Agg, ref.Agg)
 	}
 }
 

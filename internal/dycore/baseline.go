@@ -1,7 +1,6 @@
 package dycore
 
 import (
-	"cadycore/internal/field"
 	"cadycore/internal/grid"
 	"cadycore/internal/state"
 	"cadycore/internal/stencil"
@@ -94,57 +93,12 @@ func (b *Baseline) bootstrap() {
 	b.fillCBounds(b.cLast)
 }
 
-// exchange performs one stencil-radius halo exchange of st (plus the cached
-// Ĉ fields).
-func (b *Baseline) exchange(st *state.State) {
-	f3, f2 := b.exchangeFields(st)
-	b.exStencil.Exchange(f3, f2)
-	b.n.HaloExchanges++
-	b.localFill(st)
-}
-
 // adaptUpdate computes dst = base + Δt1·F̃(Ĉ(src) + Â(src)) on the owned
-// region. The halo exchange of src overlaps the interior D(P) evaluation:
-// Begin → D(P) on the interior rect (whose stencil reads stay clear of
-// in-flight halo cells) → Finish → D(P) on the boundary slabs → one
-// z-collective over the owned block. D(P) is per-point pure, so the split
-// cover produces bitwise the monolithic sweep; under Config.NoOverlap the
-// exchange quiesces first and the slab cover degenerates to one owned-rect
-// call, reproducing the original operation sequence exactly.
+// region. The halo exchange of src overlaps the interior D(P) evaluation
+// (core.overlapped); one z-collective over the owned block then completes Ĉ.
 func (b *Baseline) adaptUpdate(dst, base, src *state.State) {
 	owned := b.tp.Block.Owned()
-	f3, f2 := b.exchangeFields(src)
-	pend := b.exStencil.Begin(f3, f2)
-	b.n.HaloExchanges++
-	var inner field.Rect
-	if b.cfg.NoOverlap {
-		//cadyvet:quiesce NoOverlap ablation: the quiesced reference path blocks by design
-		pend.Finish()
-		b.localFill(src)
-		b.updateSurface(src)
-	} else {
-		// The interior compute reads src's local ghosts (periodic x wrap,
-		// pole and vertical mirrors), which a step hook or resume may have
-		// left stale relative to the owned cells — the quiesced path hides
-		// this by refilling after the blocking exchange. Refill them before
-		// touching the interior; the post-Finish refill below then only
-		// refreshes the ghosts derived from the received halo rows.
-		b.localFill(src)
-		// Surface diagnostics from the pre-exchange p'_sa: interior reads
-		// stay within the owned region, where the values are current; the
-		// halo cells are recomputed (uncharged) after Finish.
-		b.updateSurface(src)
-		inner = b.shrinkByDepths(owned, b.exStencil.ExchangeDepths())
-		if !inner.Empty() {
-			b.evalDivP(src, inner)
-		}
-		pend.Finish()
-		b.localFill(src)
-		b.refreshSurface(src)
-	}
-	for _, s := range b.slabs(owned, inner) {
-		b.evalDivP(src, s)
-	}
+	b.overlapped(b.exStencil, src, kernDivP)
 	b.sumC(b.cNew, owned)
 	b.adaptTendency(src, b.cNew, owned)
 	b.filterTendency(owned)
@@ -154,33 +108,10 @@ func (b *Baseline) adaptUpdate(dst, base, src *state.State) {
 }
 
 // advectUpdate computes dst = base + Δt2·F̃(L̃(src)) on the owned region,
-// overlapping the halo exchange with the interior advection tendency the
-// same way adaptUpdate overlaps D(P).
+// overlapping the halo exchange with the interior advection tendency.
 func (b *Baseline) advectUpdate(dst, base, src *state.State) {
 	owned := b.tp.Block.Owned()
-	f3, f2 := b.exchangeFields(src)
-	pend := b.exStencil.Begin(f3, f2)
-	b.n.HaloExchanges++
-	var inner field.Rect
-	if b.cfg.NoOverlap {
-		//cadyvet:quiesce NoOverlap ablation: the quiesced reference path blocks by design
-		pend.Finish()
-		b.localFill(src)
-		b.updateSurface(src)
-	} else {
-		b.localFill(src) // see adaptUpdate: entry ghosts may be hook-stale
-		b.updateSurface(src)
-		inner = b.shrinkByDepths(owned, b.exStencil.ExchangeDepths())
-		if !inner.Empty() {
-			b.advectTendency(src, b.cLast, inner)
-		}
-		pend.Finish()
-		b.localFill(src)
-		b.refreshSurface(src)
-	}
-	for _, s := range b.slabs(owned, inner) {
-		b.advectTendency(src, b.cLast, s)
-	}
+	b.overlapped(b.exStencil, src, kernAdvect)
 	b.filterTendency(owned)
 	b.applyUpdate(dst, base, b.cfg.Dt2, owned)
 }
@@ -213,33 +144,12 @@ func (b *Baseline) Step() {
 	b.n.Steps++
 }
 
-// smooth sets ξ ← S̃(ψ) with its own exchange, overlapped with the interior
-// sweep: S̃ reads ψ and writes ξ, so the interior rect (clear of ψ's in-flight
-// halo rows) smooths while the messages fly and the boundary slabs follow
-// after Finish. Per-point pure → bitwise the monolithic sweep.
+// smooth sets ξ ← S̃(ψ) with its own exchange of ψ, overlapped with the
+// interior sweep (S̃ reads ψ and writes ξ).
 //
 //cadyvet:allocfree
 func (b *Baseline) smooth() {
-	owned := b.tp.Block.Owned()
-	f3, f2 := b.exchangeFields(b.psi)
-	pend := b.exSmooth.Begin(f3, f2)
-	b.n.HaloExchanges++
-	var inner field.Rect
-	if !b.cfg.NoOverlap {
-		b.localFill(b.psi) // see adaptUpdate: entry ghosts may be hook-stale
-		inner = b.shrinkByDepths(owned, b.exSmooth.ExchangeDepths())
-		if !inner.Empty() {
-			w := b.smo.SmoothFull(b.psi, b.xi, inner)
-			b.w.Compute(float64(w) * costSmooth)
-		}
-	}
-	//cadyvet:quiesce under NoOverlap the inner rect is empty and this Finish is the quiesced reference path
-	pend.Finish()
-	b.localFill(b.psi)
-	for _, s := range b.slabs(owned, inner) {
-		w := b.smo.SmoothFull(b.psi, b.xi, s)
-		b.w.Compute(float64(w) * costSmooth)
-	}
+	b.overlapped(b.exSmooth, b.psi, kernSmooth)
 	b.n.SmoothingCalls++
 	b.localFill(b.xi)
 }

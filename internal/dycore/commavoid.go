@@ -227,19 +227,9 @@ func (ca *CommAvoid) Step() {
 		ca.xi.FillLocalBounds() // x halos and pole mirrors for the δ⁴ reads
 		field.Copy(ca.origPhi, ca.xi.Phi)
 		field.Copy2(ca.origPsa, ca.xi.Psa)
-		var w int
-		if ca.cfg.Workers > 1 {
-			//cadyvet:allow Workers>1 tiling path; excluded from the single-worker zero-alloc invariant (serial branch below is closure-free)
-			w = ca.parKSum(owned, func(sub field.Rect, _ int) int { return ca.smo.P1Field(ca.xi.U, ca.eta1.U, sub) })
-			//cadyvet:allow Workers>1 tiling path; excluded from the single-worker zero-alloc invariant (serial branch below is closure-free)
-			w += ca.parKSum(owned, func(sub field.Rect, _ int) int { return ca.smo.P1Field(ca.xi.V, ca.eta1.V, sub) })
-			//cadyvet:allow Workers>1 tiling path; excluded from the single-worker zero-alloc invariant (serial branch below is closure-free)
-			w += ca.parKSum(owned, func(sub field.Rect, _ int) int { return ca.smo.P2Former(ca.xi.Phi, ca.eta1.Phi, sub, ca.availYFn) })
-		} else {
-			w = ca.smo.P1Field(ca.xi.U, ca.eta1.U, owned)
-			w += ca.smo.P1Field(ca.xi.V, ca.eta1.V, owned)
-			w += ca.smo.P2Former(ca.xi.Phi, ca.eta1.Phi, owned, ca.availYFn)
-		}
+		w := ca.smo.P1Field(ca.xi.U, ca.eta1.U, owned)
+		w += ca.smo.P1Field(ca.xi.V, ca.eta1.V, owned)
+		w += ca.smo.P2Former(ca.xi.Phi, ca.eta1.Phi, owned, ca.availYFn)
 		w += ca.smo.P2Former2(ca.xi.Psa, ca.eta1.Psa, owned, ca.availYFn)
 		ca.w.Compute(float64(w) * costSmooth)
 		ca.xi.U.CopyRect(owned, ca.eta1.U)
@@ -267,7 +257,7 @@ func (ca *CommAvoid) Step() {
 	var inner field.Rect
 	if !ca.cfg.NoOverlap && !ca.cfg.ExactC {
 		// Interior reads must not see hook- or resume-stale local ghosts
-		// (see Baseline.adaptUpdate); the quiesced path refills after the
+		// (see core.overlapped); the quiesced path refills after the
 		// blocking Finish instead.
 		ca.localFill(ca.xi)
 	}
@@ -354,7 +344,7 @@ func (ca *CommAvoid) Step() {
 				spend := ca.stageEx.Begin(f3s, f2s)
 				ca.n.HaloExchanges++
 				if !ca.cfg.NoOverlap && !ca.cfg.ExactC {
-					ca.localFill(ca.psi) // see Baseline.adaptUpdate
+					ca.localFill(ca.psi) // see core.overlapped
 				}
 				ca.updateSurface(ca.psi)
 				sInner := field.Rect{}
@@ -429,7 +419,7 @@ func (ca *CommAvoid) Step() {
 	pend = ca.advEx.Begin(f3, f2)
 	ca.n.HaloExchanges++
 	if !ca.cfg.NoOverlap {
-		ca.localFill(ca.psi) // see Baseline.adaptUpdate
+		ca.localFill(ca.psi) // see core.overlapped
 	}
 	ca.updateSurface(ca.psi)
 	rz1 := ca.advRegion(2)
@@ -478,7 +468,7 @@ func (ca *CommAvoid) Step() {
 
 // advRegion is region() for the advection phase's shallower halo.
 func (ca *CommAvoid) advRegion(depth int) field.Rect {
-	return ca.expandInternal(depth, depth)
+	return ca.expandAsym(depth, depth, depth, depth)
 }
 
 // plainSmooth applies full smoothing with its own exchange (ablation path
@@ -487,30 +477,8 @@ func (ca *CommAvoid) advRegion(depth int) field.Rect {
 // the smoothing reads, and the interior sweep (which only reads rows the
 // exchange does not touch) overlaps the messages in flight.
 func (ca *CommAvoid) plainSmooth() {
-	owned := ca.tp.Block.Owned()
 	ca.psi.CopyFrom(ca.xi)
-	f3, f2 := ca.exchangeFields(ca.psi)
-	pend := ca.smEx.Begin(f3, f2)
-	ca.n.HaloExchanges++
-	var inner field.Rect
-	if !ca.cfg.NoOverlap {
-		// ψ was copied from ξ after the step hook may have mutated the
-		// owned cells, so its local ghosts can be stale (see
-		// Baseline.adaptUpdate); the interior sweep must not read them.
-		ca.localFill(ca.psi)
-		inner = ca.shrinkByDepths(owned, ca.smEx.ExchangeDepths())
-		if !inner.Empty() {
-			w := ca.smo.SmoothFull(ca.psi, ca.xi, inner)
-			ca.w.Compute(float64(w) * costSmooth)
-		}
-	}
-	//cadyvet:quiesce under NoOverlap the inner rect is empty and this Finish is the quiesced reference path
-	pend.Finish()
-	ca.localFill(ca.psi)
-	for _, s := range ca.slabs(owned, inner) {
-		w := ca.smo.SmoothFull(ca.psi, ca.xi, s)
-		ca.w.Compute(float64(w) * costSmooth)
-	}
+	ca.overlapped(ca.smEx, ca.psi, kernSmooth)
 	ca.n.SmoothingCalls++
 	ca.localFill(ca.xi)
 }

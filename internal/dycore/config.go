@@ -40,16 +40,6 @@ type Config struct {
 	// decompositions with p_x = 1.
 	ShiftedPoleMirror bool
 
-	// Workers is the intra-rank parallel tiling width: the 3-D stencil
-	// kernels (adaptation, advection, D(P), smoothing) split their k-plane
-	// range across this many goroutines. 0 and 1 both mean serial. The knob
-	// changes wall-clock time only — work counts, communication events and
-	// therefore the simulated LogP metrics (simC_ms/simS_ms/simT_ms) are
-	// identical for every value. Parallel tiling spawns goroutines per
-	// kernel call, so the steady-state zero-allocation guarantee holds for
-	// Workers ≤ 1 (the default).
-	Workers int
-
 	// Ablation switches for the communication-avoiding algorithm (all false
 	// in the paper's configuration — they exist to measure each
 	// optimization's contribution separately):
@@ -116,9 +106,6 @@ func (c Config) Validate() error {
 	}
 	if c.Beta <= 0 || c.Beta >= 2 {
 		return fmt.Errorf("dycore: smoothing β = %g must lie in (0, 2)", c.Beta)
-	}
-	if c.Workers < 0 {
-		return fmt.Errorf("dycore: Workers = %d must be ≥ 0", c.Workers)
 	}
 	if c.StageM < 0 {
 		return fmt.Errorf("dycore: StageM = %d must be ≥ 0", c.StageM)

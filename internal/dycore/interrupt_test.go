@@ -27,7 +27,6 @@ var oracleSchemes = []oracleScheme{
 	{"yz", dycore.AlgBaselineYZ, nil},
 	{"ca", dycore.AlgCommAvoid, nil},
 	{"ca-stage1", dycore.AlgCommAvoid, func(c *dycore.Config) { c.StageM = 1 }},
-	{"ca-workers2", dycore.AlgCommAvoid, func(c *dycore.Config) { c.Workers = 2 }},
 	{"ca-nofuse", dycore.AlgCommAvoid, func(c *dycore.Config) { c.NoFusedSmoothing = true }},
 	{"ca-exactc", dycore.AlgCommAvoid, func(c *dycore.Config) { c.ExactC = true }},
 }

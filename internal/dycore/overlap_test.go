@@ -1,6 +1,7 @@
 package dycore
 
 import (
+	"runtime"
 	"testing"
 
 	"cadycore/internal/comm"
@@ -14,27 +15,55 @@ import (
 // overlapped Begin/interior/Finish/shell split must be bitwise identical to
 // the quiesced (NoOverlap) reference on every algorithm, decomposition and
 // row partition — the split only reorders bookkeeping, never the per-point
-// operation sequence.
+// operation sequence. Both runs' simulated clocks are pinned too: the
+// critical-path time, the compute seconds summed over ranks and the hidden
+// flight time, recorded before the four overlapped updates became one helper
+// (core.overlapped). A charge moved across a Finish moves the first or the
+// last of them.
 func TestOverlapBitwiseAcrossLayouts(t *testing.T) {
 	g := testGrid() // 16×10×4
+	type clock struct{ sim, comp, hidden float64 }
 	cases := []struct {
 		name       string
 		alg        Algorithm
 		pa, pb, pc int
 		rows       []int
+		nofuse     bool
+		ov, qu     clock
 	}{
-		{"serial", AlgBaselineYZ, 1, 1, 0, nil},
-		{"yz-uniform", AlgBaselineYZ, 2, 2, 0, nil},
-		{"yz-weighted", AlgBaselineYZ, 2, 2, 0, []int{0, 4, 10}},
-		{"xy-uniform", AlgBaselineXY, 2, 2, 0, nil},
-		{"xy-weighted", AlgBaselineXY, 2, 2, 0, []int{0, 4, 10}},
-		{"3d-uniform", AlgBaseline3D, 2, 2, 2, nil},
-		{"ca-uniform", AlgCommAvoid, 2, 2, 0, nil},
-		{"ca-weighted", AlgCommAvoid, 2, 2, 0, []int{0, 4, 10}},
+		{"serial", AlgBaselineYZ, 1, 1, 0, nil, false,
+			clock{0.0002869109999999996, 0.0002869109999999996, 0},
+			clock{0.0002869109999999996, 0.0002869109999999996, 0}},
+		{"yz-uniform", AlgBaselineYZ, 2, 2, 0, nil, false,
+			clock{0.011759775999999934, 0.000309762, 0.05942034183333308},
+			clock{0.011775584499999941, 0.00030976199999999983, 0.059404533333333086}},
+		{"yz-weighted", AlgBaselineYZ, 2, 2, 0, []int{0, 4, 10}, false,
+			clock{0.011768205333333266, 0.0003097620000000004, 0.05945340233333302},
+			clock{0.011784630333333277, 0.0003097620000000002, 0.05943525233333303}},
+		{"xy-uniform", AlgBaselineXY, 2, 2, 0, nil, false,
+			clock{0.018621075333333324, 0.00028823399999999973, 0.08056968183333349},
+			clock{0.018629107833333335, 0.0002882339999999996, 0.08056164933333348}},
+		{"xy-weighted", AlgBaselineXY, 2, 2, 0, []int{0, 4, 10}, false,
+			clock{0.018624819999999986, 0.0002882340000000002, 0.08054326133333362},
+			clock{0.018633501999999986, 0.00028823399999999995, 0.08053349033333357}},
+		{"3d-uniform", AlgBaseline3D, 2, 2, 2, nil, false,
+			clock{0.02775694533333395, 0.0003112200000000001, 0.14687645816666786},
+			clock{0.027757447833333965, 0.00031122, 0.14687680133333464}},
+		{"ca-uniform", AlgCommAvoid, 2, 2, 0, nil, false,
+			clock{0.004182862500000015, 0.0005585100000000003, 0.014189565000000015},
+			clock{0.004187526500000015, 0.0005557260000000003, 0.014178757000000016}},
+		{"ca-weighted", AlgCommAvoid, 2, 2, 0, []int{0, 4, 10}, false,
+			clock{0.00418112633333335, 0.0005556779999999999, 0.01423393366666667},
+			clock{0.004186182333333349, 0.0005530379999999998, 0.014224773666666668}},
+		// Plain smoothing every step: CommAvoid.plainSmooth on the same helper.
+		{"ca-nofuse", AlgCommAvoid, 2, 2, 0, nil, true,
+			clock{0.004496467833333348, 0.0005554380000000003, 0.014483234333333345},
+			clock{0.004502779833333348, 0.0005526540000000003, 0.014469818333333342}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := testCfg(2)
+			cfg.NoFusedSmoothing = tc.nofuse
 			quiet := cfg
 			quiet.NoOverlap = true
 			set := Setup{Alg: tc.alg, PA: tc.pa, PB: tc.pb, PC: tc.pc, Cfg: cfg, RowStarts: tc.rows}
@@ -54,6 +83,24 @@ func TestOverlapBitwiseAcrossLayouts(t *testing.T) {
 				if ov.Agg.SimTime > qu.Agg.SimTime {
 					t.Errorf("overlapped clock %g exceeds quiesced clock %g",
 						ov.Agg.SimTime, qu.Agg.SimTime)
+				}
+			}
+			// Charges are summed in program order, so the recorded bits hold
+			// on amd64 (an FMA-contracting architecture rounds differently).
+			if runtime.GOARCH != "amd64" {
+				return
+			}
+			for _, run := range []struct {
+				name string
+				res  RunResult
+				want clock
+			}{{"overlapped", ov, tc.ov}, {"quiesced", qu, tc.qu}} {
+				got := clock{sim: run.res.Agg.SimTime, hidden: run.res.Agg.TotalHiddenTime()}
+				for _, c := range run.res.Agg.RankComp {
+					got.comp += c
+				}
+				if got != run.want {
+					t.Errorf("%s simulated clock %+v, recorded %+v", run.name, got, run.want)
 				}
 			}
 		})

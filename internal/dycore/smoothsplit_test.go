@@ -102,7 +102,7 @@ func TestSmoothingSplitMatchesFull(t *testing.T) {
 			field.FillPolesY(ca.origPhi, field.Even, field.CenterY)
 			field.FillPolesY2(ca.origPsa, field.Even)
 
-			s2r := ca.expandInternal(ca.depthY, ca.depthZ)
+			s2r := ca.expandAsym(ca.depthY, ca.depthY, ca.depthZ, ca.depthZ)
 			ca.smo.P2Latter(ca.origPhi, ca.xi.Phi, s2r, ca.availY)
 
 			got[c.Rank()] = ca.xi.Phi

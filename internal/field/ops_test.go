@@ -5,63 +5,12 @@ import (
 	"testing"
 )
 
-func arenaBlock() Block {
+func opsBlock() Block {
 	return Block{Nx: 8, Ny: 6, Nz: 4, I0: 0, I1: 8, J0: 0, J1: 6, K0: 0, K1: 4, Hx: 2, Hy: 2, Hz: 1}
 }
 
-func TestArenaReusesFields(t *testing.T) {
-	a := NewArena(arenaBlock())
-	f := a.Get3()
-	f.Set(3, 3, 2, 42)
-	a.Put3(f)
-	g := a.Get3()
-	if g != f {
-		t.Error("Get3 after Put3 should reuse the pooled field")
-	}
-	if g.At(3, 3, 2) != 0 {
-		t.Error("reused field not zeroed")
-	}
-	if n3, _ := a.Allocated(); n3 != 1 {
-		t.Errorf("allocated %d 3-D fields, want 1", n3)
-	}
-
-	p := a.Get2()
-	p.Set(1, 1, 7)
-	a.Put2(p)
-	if q := a.Get2(); q != p || q.At(1, 1) != 0 {
-		t.Error("2-D pool must reuse and zero")
-	}
-}
-
-func TestArenaSteadyStateZeroAlloc(t *testing.T) {
-	a := NewArena(arenaBlock())
-	a.Put3(a.Get3()) // warm
-	a.Put2(a.Get2())
-	allocs := testing.AllocsPerRun(100, func() {
-		f := a.Get3()
-		p := a.Get2()
-		a.Put2(p)
-		a.Put3(f)
-	})
-	if allocs != 0 {
-		t.Errorf("warm arena allocated %v per borrow cycle, want 0", allocs)
-	}
-}
-
-func TestArenaRejectsForeignField(t *testing.T) {
-	a := NewArena(arenaBlock())
-	other := arenaBlock()
-	other.Hx = 1
-	defer func() {
-		if recover() == nil {
-			t.Error("Put3 of a foreign-block field must panic")
-		}
-	}()
-	a.Put3(NewF3(other))
-}
-
 func TestLin3RectMatchesComposition(t *testing.T) {
-	b := arenaBlock()
+	b := opsBlock()
 	rng := rand.New(rand.NewSource(7))
 	x, y, z := NewF3(b), NewF3(b), NewF3(b)
 	for i := range x.Data {
@@ -92,7 +41,7 @@ func TestLin3RectMatchesComposition(t *testing.T) {
 }
 
 func TestAxpyRect2(t *testing.T) {
-	b := arenaBlock()
+	b := opsBlock()
 	d, s := NewF2(b), NewF2(b)
 	for i := range s.Data {
 		s.Data[i] = float64(i)

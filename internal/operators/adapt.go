@@ -36,9 +36,9 @@ func Adaptation(g *grid.Grid, cfg AdaptConfig, st *state.State, sur *Surface, cr
 
 // Adaptation3D evaluates the three 3-D components (dU, dV, dΦ) of the
 // adaptation tendency over r. Writes are confined to r and all inputs are
-// read-only, so disjoint k sub-rects may run concurrently (the intra-rank
-// k-plane tiling of dycore.Config.Workers relies on this). Returns points
-// updated (3·|r|).
+// read-only, so any disjoint cover of r (the overlapped interior/boundary
+// split) produces bitwise the monolithic result. Returns points updated
+// (3·|r|).
 //
 //cadyvet:allocfree
 func Adaptation3D(g *grid.Grid, st *state.State, sur *Surface, cres *CRes, out *Tendency, r field.Rect) int {

@@ -2,10 +2,16 @@
 package tune
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"cadycore/internal/dycore"
+	"cadycore/internal/grid"
+	"cadycore/internal/operators"
 )
 
 // Cache is the on-disk plan memo: one JSON file per (mesh, procs, config,
@@ -22,8 +28,8 @@ func NewCache(dir string) *Cache { return &Cache{dir: dir} }
 // Dir returns the cache directory.
 func (c *Cache) Dir() string { return c.dir }
 
-// path maps a key to its file. Keys are produced by PlanKey and are already
-// filesystem-safe.
+// path maps a key to its file. Keys are produced by Planner.cacheKey and are
+// already filesystem-safe.
 func (c *Cache) path(key string) string {
 	return filepath.Join(c.dir, key+".json")
 }
@@ -57,9 +63,25 @@ func (c *Cache) Put(key string, p Plan) error {
 	return writeFileAtomic(c.path(key), data)
 }
 
-// PlanKey builds the cache key of a planning request. Everything the plan
-// depends on is in the key: mesh extents, rank budget, the nonlinear
-// iteration count and worker cap of the request, and the profile hash.
-func PlanKey(nx, ny, nz, procs, m, maxWorkers int, profileHash string) string {
-	return fmt.Sprintf("plan-%dx%dx%d-p%d-m%d-w%d-%s", nx, ny, nz, procs, m, maxWorkers, profileHash)
+// cacheKey builds the cache key of a planning request from every Planner
+// input that can change the answer: the mesh, the rank budget, the search
+// space, the pilot width and length, the profile, and the config. The time
+// steps and the smoothing and adaptation coefficients are left out: they
+// scale values, never work counts or messages, so neither the analytic
+// estimate nor the pilot's simulated clock can see them. The readable prefix
+// names the request; the first hash covers the rest, the second is the
+// profile's.
+func (pl *Planner) cacheKey(g *grid.Grid, procs int, cfg dycore.Config) string {
+	cfg.Dt1, cfg.Dt2, cfg.Beta, cfg.Adapt = 0, 0, 0, operators.AdaptConfig{}
+	data, err := json.Marshal(struct {
+		Cfg              dycore.Config
+		Search           SearchOptions
+		TopK, PilotSteps int
+	}{cfg, pl.Search, pl.topK(), pl.pilotSteps()})
+	if err != nil {
+		panic(fmt.Sprintf("tune: plan key: %v", err))
+	}
+	sum := sha256.Sum256(data)
+	return fmt.Sprintf("plan-%dx%dx%d-p%d-m%d-%s-%s", g.Nx, g.Ny, g.Nz, procs, cfg.M,
+		hex.EncodeToString(sum[:4]), pl.Profile.Hash())
 }

@@ -40,8 +40,6 @@ type Candidate struct {
 	PA, PB int
 	// M is the nonlinear iteration count (halo depth follows it for CA).
 	M int
-	// Workers is the intra-rank tiling width.
-	Workers int
 	// Stage is the staged-exchange halo depth s for SchemeCA: 0 (or M)
 	// sizes the halo for all M iterations at once; 0 < s < M sizes it for s
 	// iterations and refreshes it ⌈M/s⌉ times per step with overlapped
@@ -57,7 +55,7 @@ type Candidate struct {
 // for tie-breaking and logging.
 func (c Candidate) Key() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s-%dx%d-m%d-w%d", c.Scheme, c.PA, c.PB, c.M, c.Workers)
+	fmt.Fprintf(&sb, "%s-%dx%d-m%d", c.Scheme, c.PA, c.PB, c.M)
 	if c.Stage > 0 {
 		fmt.Fprintf(&sb, "-s%d", c.Stage)
 	}
@@ -74,7 +72,6 @@ func (c Candidate) Key() string {
 // Setup builds the dycore setup of the candidate.
 func (c Candidate) Setup(cfg dycore.Config) dycore.Setup {
 	cfg.M = c.M
-	cfg.Workers = c.Workers
 	if c.Scheme == SchemeCA {
 		cfg.StageM = c.Stage
 	}
@@ -91,9 +88,6 @@ func (c Candidate) py() int {
 
 // SearchOptions bounds the candidate enumeration.
 type SearchOptions struct {
-	// MaxWorkers caps the Config.Workers candidates (powers of two up to
-	// this value; ≤ 1 pins Workers to 1).
-	MaxWorkers int
 	// VaryM additionally tries M−1 and M+1 around the configured nonlinear
 	// iteration count. Off by default: changing M changes the physics
 	// accuracy, so it is opt-in.
@@ -109,8 +103,7 @@ const minRowsCA = 2
 
 // Candidates enumerates the search space for running cfg on an nx×ny×nz
 // mesh with exactly procs ranks. The order is deterministic: schemes in
-// {ca, yz, xy} order, factorizations by ascending PA, then M, workers, and
-// full-depth before staged halos (ascending stage depth). Every candidate
+// {ca, yz, xy} order, factorizations by ascending PA, then M, and full-depth before staged halos (ascending stage depth). Every candidate
 // has the uniform y partition. The enumeration does not read the machine
 // profile; the parameter is part of the signature benchmark/ calls.
 func Candidates(g *grid.Grid, procs int, cfg dycore.Config, _ Profile, opt SearchOptions) []Candidate {
@@ -121,17 +114,6 @@ func Candidates(g *grid.Grid, procs int, cfg dycore.Config, _ Profile, opt Searc
 		}
 		ms = append(ms, cfg.M+1)
 	}
-	var workers []int
-	for w := 1; w <= opt.MaxWorkers || w == 1; w *= 2 {
-		workers = append(workers, w)
-		if w >= opt.MaxWorkers {
-			break
-		}
-	}
-	if last := workers[len(workers)-1]; opt.MaxWorkers > last {
-		workers = append(workers, opt.MaxWorkers)
-	}
-
 	var out []Candidate
 	for _, scheme := range []Scheme{SchemeCA, SchemeYZ, SchemeXY} {
 		for pa := 1; pa <= procs; pa++ {
@@ -146,16 +128,14 @@ func Candidates(g *grid.Grid, procs int, cfg dycore.Config, _ Profile, opt Searc
 				if scheme != SchemeCA && m != cfg.M {
 					continue // M sweeps only matter where halo depth follows M
 				}
-				for _, w := range workers {
-					c := Candidate{Scheme: scheme, PA: pa, PB: pb, M: m, Workers: w}
-					out = append(out, c)
-					if scheme == SchemeCA && !opt.NoStaged {
-						// Staged-exchange variants: halo depth s < m with
-						// ⌈m/s⌉ overlapped refreshes per step.
-						for s := 1; s < m; s++ {
-							c.Stage = s
-							out = append(out, c)
-						}
+				c := Candidate{Scheme: scheme, PA: pa, PB: pb, M: m}
+				out = append(out, c)
+				if scheme == SchemeCA && !opt.NoStaged {
+					// Staged-exchange variants: halo depth s < m with
+					// ⌈m/s⌉ overlapped refreshes per step.
+					for s := 1; s < m; s++ {
+						c.Stage = s
+						out = append(out, c)
 					}
 				}
 			}

@@ -27,10 +27,6 @@ func rowCost(nx int) float64 {
 	return float64(nx) * math.Log2(float64(nx))
 }
 
-// workerEff is the parallel efficiency assumed for intra-rank tiling; the
-// pilot stage measures the real value, this only ranks candidates.
-const workerEff = 0.85
-
 // fieldsPerExchange approximates the state components a halo exchange
 // carries (U, V, Φ as 3-D fields plus the surface pressure).
 const fieldsPerExchange = 4
@@ -103,7 +99,7 @@ func colCosts(g *grid.Grid, cfg dycore.Config, prof Profile, c Candidate) (compC
 		points := float64(nxl * rows * layers)
 
 		// Compute: stencil kernels plus filter work on this rank's active
-		// rows, divided by the effective intra-rank parallelism.
+		// rows.
 		filtRows := 0
 		for j := starts[cy]; j < starts[cy+1]; j++ {
 			if active[j] {
@@ -113,13 +109,6 @@ func colCosts(g *grid.Grid, cfg dycore.Config, prof Profile, c Candidate) (compC
 		comp := points*(3*m/k.Adapt+3/k.Advect+(2*m+1)/k.CSum) + points/k.Smooth
 		apps := (3*m + 3) * 3 * float64(layers)
 		comp += apps * float64(filtRows) * rowCost(nxl) / k.FilterRow
-		if c.Workers > 1 {
-			eff := math.Min(float64(c.Workers), float64(layers))
-			if eff < 1 {
-				eff = 1
-			}
-			comp /= 1 + (eff-1)*workerEff
-		}
 
 		// Halo exchange: nEx rounds; each moves the y faces (2·hy·nxl·layers)
 		// and z faces (hz·nxl·rows; the deep z halo is one-sided) of

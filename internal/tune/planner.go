@@ -12,8 +12,9 @@ import (
 
 // PlanVersion is bumped when the Plan schema changes; cached plans with
 // another version are ignored. Version 4 retired version 3's smoothing-path
-// and weighted-row axes, so cached "…-sp-rows…" plans are re-planned.
-const PlanVersion = 4
+// and weighted-row axes, so cached "…-sp-rows…" plans are re-planned;
+// version 5 retired the intra-rank worker axis ("workers", "…-w1" keys).
+const PlanVersion = 5
 
 // Plan is the planner's decision for one (mesh, procs, config, profile)
 // request — everything needed to launch the run, plus the evidence.
@@ -22,11 +23,10 @@ type Plan struct {
 	Mesh    [3]int `json:"mesh"`
 	Procs   int    `json:"procs"`
 
-	Scheme  Scheme `json:"scheme"`
-	PA      int    `json:"pa"`
-	PB      int    `json:"pb"`
-	M       int    `json:"m"`
-	Workers int    `json:"workers"`
+	Scheme Scheme `json:"scheme"`
+	PA     int    `json:"pa"`
+	PB     int    `json:"pb"`
+	M      int    `json:"m"`
 	// Stage is the staged-exchange halo depth for the CA scheme (0 = full
 	// depth M).
 	Stage int `json:"stage,omitempty"`
@@ -49,19 +49,19 @@ type Plan struct {
 
 // Candidate reconstructs the plan's search-space point.
 func (p Plan) Candidate() Candidate {
-	return Candidate{Scheme: p.Scheme, PA: p.PA, PB: p.PB, M: p.M, Workers: p.Workers, Stage: p.Stage, RowStarts: p.RowStarts}
+	return Candidate{Scheme: p.Scheme, PA: p.PA, PB: p.PB, M: p.M, Stage: p.Stage, RowStarts: p.RowStarts}
 }
 
 // Setup builds the dycore setup that executes the plan. The caller's config
-// supplies the numerics; the plan overrides M and Workers.
+// supplies the numerics; the plan overrides M (and StageM for CA).
 func (p Plan) Setup(cfg dycore.Config) dycore.Setup {
 	return p.Candidate().Setup(cfg)
 }
 
 // String implements fmt.Stringer.
 func (p Plan) String() string {
-	s := fmt.Sprintf("%s %dx%d m=%d workers=%d halo(y=%d,z=%d)",
-		p.Scheme, p.PA, p.PB, p.M, p.Workers, p.HaloY, p.HaloZ)
+	s := fmt.Sprintf("%s %dx%d m=%d halo(y=%d,z=%d)",
+		p.Scheme, p.PA, p.PB, p.M, p.HaloY, p.HaloZ)
 	if p.Stage > 0 {
 		s += fmt.Sprintf(" stage=%d", p.Stage)
 	}
@@ -99,6 +99,14 @@ func (pl *Planner) topK() int {
 	}
 }
 
+// pilotSteps resolves the pilot length.
+func (pl *Planner) pilotSteps() int {
+	if pl.PilotSteps < 1 {
+		return 2
+	}
+	return pl.PilotSteps
+}
+
 // Plan chooses a layout for running cfg on g with exactly procs ranks.
 // It is deterministic: the same inputs and profile always return the same
 // plan (pilot runs measure the simulated LogP clock, which is reproducible).
@@ -109,11 +117,7 @@ func (pl *Planner) Plan(g *grid.Grid, procs int, cfg dycore.Config) (Plan, error
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	maxW := pl.Search.MaxWorkers
-	if maxW < 1 {
-		maxW = 1
-	}
-	key := PlanKey(g.Nx, g.Ny, g.Nz, procs, cfg.M, maxW, pl.Profile.Hash())
+	key := pl.cacheKey(g, procs, cfg)
 	if p, ok := pl.Cache.Get(key); ok {
 		return p, nil
 	}
@@ -133,10 +137,7 @@ func (pl *Planner) Plan(g *grid.Grid, procs int, cfg dycore.Config) (Plan, error
 		if k > len(ests) {
 			k = len(ests)
 		}
-		steps := pl.PilotSteps
-		if steps < 1 {
-			steps = 2
-		}
+		steps := pl.pilotSteps()
 		model := pl.Profile.NetModel()
 		bestSim, bestIdx := 0.0, -1
 		for i := 0; i < k; i++ {
@@ -199,7 +200,7 @@ func planFrom(g *grid.Grid, procs int, e Estimate, prof Profile) Plan {
 		Version: PlanVersion,
 		Mesh:    [3]int{g.Nx, g.Ny, g.Nz},
 		Procs:   procs,
-		Scheme:  c.Scheme, PA: c.PA, PB: c.PB, M: c.M, Workers: c.Workers,
+		Scheme:  c.Scheme, PA: c.PA, PB: c.PB, M: c.M,
 		Stage:         c.Stage,
 		RowStarts:     c.RowStarts,
 		HaloY:         hy,

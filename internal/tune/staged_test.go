@@ -19,7 +19,7 @@ func TestStagedCandidatesEnumeratedAndRanked(t *testing.T) {
 	cfg := planCfg()
 	cfg.M = 3 // the paper's experiments: stages s ∈ {1, 2} beside full depth
 
-	cands := Candidates(g, 8, cfg, prof, SearchOptions{MaxWorkers: 1})
+	cands := Candidates(g, 8, cfg, prof, SearchOptions{})
 	staged := map[int]int{}
 	for _, c := range cands {
 		if c.Scheme == SchemeCA && c.Stage > 0 {
@@ -89,7 +89,7 @@ func TestStagedCandidatesEnumeratedAndRanked(t *testing.T) {
 	}
 
 	// NoStaged prunes the axis completely.
-	for _, c := range Candidates(g, 8, cfg, prof, SearchOptions{MaxWorkers: 1, NoStaged: true}) {
+	for _, c := range Candidates(g, 8, cfg, prof, SearchOptions{NoStaged: true}) {
 		if c.Stage != 0 {
 			t.Fatalf("NoStaged enumeration produced staged candidate %s", c.Key())
 		}

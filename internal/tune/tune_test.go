@@ -105,7 +105,7 @@ func TestCandidatesDeterministicAndFeasible(t *testing.T) {
 	g := grid.New(16, 12, 4)
 	prof := quickProfile()
 	cfg := planCfg()
-	opt := SearchOptions{MaxWorkers: 4}
+	opt := SearchOptions{VaryM: true}
 	a := Candidates(g, 4, cfg, prof, opt)
 	b := Candidates(g, 4, cfg, prof, opt)
 	if len(a) == 0 {
@@ -184,7 +184,7 @@ func TestPlanCacheHitAndMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := PlanKey(g.Nx, g.Ny, g.Nz, 4, cfg.M, 1, prof.Hash())
+	key := pl.cacheKey(g, 4, cfg)
 	if _, ok := pl.Cache.Get(key); !ok {
 		t.Fatal("plan not memoized")
 	}
@@ -196,11 +196,71 @@ func TestPlanCacheHitAndMiss(t *testing.T) {
 		t.Fatalf("cache returned a different plan")
 	}
 	// A re-calibrated machine must miss.
-	prof2 := prof
-	prof2.Kernels.FilterRow *= 3
-	key2 := PlanKey(g.Nx, g.Ny, g.Nz, 4, cfg.M, 1, prof2.Hash())
-	if _, ok := pl.Cache.Get(key2); ok {
+	pl2 := *pl
+	pl2.Profile.Kernels.FilterRow *= 3
+	if _, ok := pl.Cache.Get(pl2.cacheKey(g, 4, cfg)); ok {
 		t.Fatal("cache hit for a different profile hash")
+	}
+
+	// Every other input that changes the answer must miss too: each row
+	// changes one input of a planner that shares the cache with the base
+	// request, and the cache must serve exactly what the same planner plans
+	// uncached. On 48×24×8 with 8 ranks and M = 3 the base pick is staged
+	// (ca-8x1-m3-s1, piloted over 2 steps), so every miss row moves the
+	// answer. Time steps only scale values, so that row must hit.
+	g8 := grid.New(48, 24, 8)
+	cfg3 := planCfg()
+	cfg3.M = 3
+	base := Planner{Profile: prof, TopK: 4, PilotSteps: 2}
+	shared := NewCache(t.TempDir())
+	cached := base
+	cached.Cache = shared
+	p0, err := cached.Plan(g8, 8, cfg3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		pl   func(*Planner)
+		cfg  func(*dycore.Config)
+		hit  bool
+	}{
+		{"no-staged", func(p *Planner) { p.Search.NoStaged = true }, nil, false},
+		{"vary-m", func(p *Planner) { p.Search.VaryM = true }, nil, false},
+		{"analytic-only", func(p *Planner) { p.TopK = -1 }, nil, false},
+		{"pilot-width", func(p *Planner) { p.TopK = 1 }, nil, false},
+		{"pilot-steps", func(p *Planner) { p.PilotSteps = 1 }, nil, false},
+		{"no-overlap", nil, func(c *dycore.Config) { c.NoOverlap = true }, false},
+		{"time-steps", nil, func(c *dycore.Config) { c.Dt1, c.Dt2 = 30, 180 }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pl, cfg := base, cfg3
+			if tc.pl != nil {
+				tc.pl(&pl)
+			}
+			if tc.cfg != nil {
+				tc.cfg(&cfg)
+			}
+			want, err := pl.Plan(g8, 8, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if moved := !reflect.DeepEqual(want, p0); moved == tc.hit {
+				t.Fatalf("uncached plan %s (moved=%v) — the row cannot test the key", want, moved)
+			}
+			pl.Cache = shared
+			got, err := pl.Plan(g8, 8, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("cache served %s (refined %v, pilot %g), the same request uncached plans %s (refined %v, pilot %g)",
+					got, got.Refined, got.PilotStep, want, want.Refined, want.PilotStep)
+			}
+			if same := pl.cacheKey(g8, 8, cfg) == base.cacheKey(g8, 8, cfg3); same != tc.hit {
+				t.Errorf("key shared with the base request = %v, want %v", same, tc.hit)
+			}
+		})
 	}
 }
 
@@ -211,17 +271,17 @@ func TestPlanCacheConcurrent(t *testing.T) {
 	dir := t.TempDir()
 	c := NewCache(dir)
 	plan := Plan{Version: PlanVersion, Mesh: [3]int{16, 12, 4}, Procs: 4,
-		Scheme: SchemeCA, PA: 2, PB: 2, M: 2, Workers: 1, ProfileHash: "abc"}
+		Scheme: SchemeCA, PA: 2, PB: 2, M: 2, ProfileHash: "abc"}
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			key := PlanKey(16, 12, 4, 4, 2, 1, "h")
+			key := "plan-16x12x4-p4-m2-h"
 			for n := 0; n < 50; n++ {
 				p := plan
-				p.Workers = 1 + (i+n)%4
+				p.Stage = (i + n) % 2
 				if err := c.Put(key, p); err != nil {
 					t.Errorf("put: %v", err)
 					return
@@ -255,7 +315,7 @@ func TestEvaluateUnbalancedBeatsUniformWhenFilterHeavy(t *testing.T) {
 	prof := quickProfile()
 	prof.Kernels.FilterRow /= 50 // make filtering dominate
 	cfg := planCfg()
-	base := Candidate{Scheme: SchemeCA, PA: 4, PB: 1, M: cfg.M, Workers: 1}
+	base := Candidate{Scheme: SchemeCA, PA: 4, PB: 1, M: cfg.M}
 	rows := RatedRows(g, cfg, prof, base, ones(base.PA*base.PB))
 	if rows == nil {
 		t.Fatal("expected a non-uniform weighted partition")
@@ -280,7 +340,7 @@ func servicePlanner() *Planner {
 }
 
 // TestServiceDefaultPlanIsUniformStencilCA pins the planner's space to
-// scheme × factorisation × workers × stage on the service's `auto` benchmark
+// scheme × factorisation × stage on the service's `auto` benchmark
 // class. With the FFT-smoothing (`-sp`) and static weighted-row (`-rows`)
 // twins enumerated, both pilot slots went to `-rows` twins of ca-4x1 and the
 // uniform stencil layout — the fastest on the pilot's own clock — was never
@@ -300,51 +360,56 @@ func TestServiceDefaultPlanIsUniformStencilCA(t *testing.T) {
 		if strings.Contains(key, "-sp") || strings.Contains(key, "-rows") {
 			t.Errorf("retired axis enumerated: %s", key)
 		}
-		if i < pl.topK() && key == "ca-4x1-m2-w1" {
+		if i < pl.topK() && key == "ca-4x1-m2" {
 			piloted = true
 		}
 	}
 	if !piloted {
-		t.Errorf("uniform ca-4x1-m2-w1 is not among the %d piloted leaders", pl.topK())
+		t.Errorf("uniform ca-4x1-m2 is not among the %d piloted leaders", pl.topK())
 	}
 	p, err := pl.Plan(g, 4, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if key := p.Candidate().Key(); key != "ca-4x1-m2-w1" || p.RowStarts != nil {
-		t.Errorf("planned %s (rows %v), want ca-4x1-m2-w1 on the uniform partition", key, p.RowStarts)
+	if key := p.Candidate().Key(); key != "ca-4x1-m2" || p.RowStarts != nil {
+		t.Errorf("planned %s (rows %v), want ca-4x1-m2 on the uniform partition", key, p.RowStarts)
 	}
 }
 
-// TestPlanCacheIgnoresRetiredVersion: a memo written by the version-3
-// planner (testdata/plan-v3.json: a `-sp-rows` twin, verbatim from that
-// release's service cache) must be re-planned, not half-decoded into a
-// layout the current planner would never choose.
+// TestPlanCacheIgnoresRetiredVersion: memos written by earlier planners must
+// be re-planned, not half-decoded into a layout the current planner would
+// never choose — testdata/plan-v3.json (a `-sp-rows` twin, verbatim from that
+// release's service cache) and testdata/plan-v4.json (ca-4x1-m2 with its
+// retired "workers": 1, verbatim from `cadytune plan -cache` at version 4).
 func TestPlanCacheIgnoresRetiredVersion(t *testing.T) {
 	g := grid.New(48, 24, 8)
 	cfg := planCfg()
-	pl := servicePlanner()
-	pl.Cache = NewCache(t.TempDir())
-	key := PlanKey(g.Nx, g.Ny, g.Nz, 4, cfg.M, 1, pl.Profile.Hash())
-	v3, err := os.ReadFile(filepath.Join("testdata", "plan-v3.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	//cadyvet:volatile plants a stale memo for the cache to reject; it never needs to survive a crash
-	if err := os.WriteFile(filepath.Join(pl.Cache.Dir(), key+".json"), v3, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if p, ok := pl.Cache.Get(key); ok {
-		t.Fatalf("cache served a version-%d plan: %s", p.Version, p)
-	}
-	p, err := pl.Plan(g, 4, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Version != PlanVersion || p.RowStarts != nil {
-		t.Errorf("re-plan returned %+v, want a version-%d uniform plan", p, PlanVersion)
-	}
-	if got, ok := pl.Cache.Get(key); !ok || !reflect.DeepEqual(got, p) {
-		t.Errorf("re-plan did not replace the stale memo: %+v (ok=%v)", got, ok)
+	for _, file := range []string{"plan-v3.json", "plan-v4.json"} {
+		t.Run(file, func(t *testing.T) {
+			pl := servicePlanner()
+			pl.Cache = NewCache(t.TempDir())
+			key := pl.cacheKey(g, 4, cfg)
+			old, err := os.ReadFile(filepath.Join("testdata", file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			//cadyvet:volatile plants a stale memo for the cache to reject; it never needs to survive a crash
+			if err := os.WriteFile(filepath.Join(pl.Cache.Dir(), key+".json"), old, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if p, ok := pl.Cache.Get(key); ok {
+				t.Fatalf("cache served a version-%d plan: %s", p.Version, p)
+			}
+			p, err := pl.Plan(g, 4, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.Version != PlanVersion || p.RowStarts != nil {
+				t.Errorf("re-plan returned %+v, want a version-%d uniform plan", p, PlanVersion)
+			}
+			if got, ok := pl.Cache.Get(key); !ok || !reflect.DeepEqual(got, p) {
+				t.Errorf("re-plan did not replace the stale memo: %+v (ok=%v)", got, ok)
+			}
+		})
 	}
 }
