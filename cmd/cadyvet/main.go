@@ -6,8 +6,8 @@
 //
 // and checks the whole module (with per-package caching and cross-package
 // facts provided by the go command). `cadyvet -list` prints the enabled
-// analyzers. See internal/analysis for the suite — allocfree, commsym,
-// detorder, overlap, guardedby, crashsafe, goleak — and the //cadyvet:*
+// analyzers. See internal/analysis for the suite — commsym, detorder,
+// guardedby, crashsafe and goleak's timer rules — and the //cadyvet:*
 // annotation vocabulary.
 package main
 

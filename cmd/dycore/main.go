@@ -12,7 +12,7 @@
 //
 // For -alg yz/ca the process grid is p_y × p_z = pa × pb; for -alg xy it is
 // p_x × p_y. With -auto the autotuner (internal/tune) chooses the algorithm,
-// process grid, worker count and stage depth for -procs ranks instead;
+// process grid and stage depth for -procs ranks instead;
 // -profile supplies a calibrated machine profile (cadytune calibrate),
 // otherwise the analytic Tianhe-like profile is used.
 //
@@ -63,7 +63,7 @@ func main() {
 	saveFile := flag.String("save", "", "write a restart checkpoint to this file at the end")
 	saveEvery := flag.Int("save-every", 0, "also write the -save checkpoint every K steps (crash durability; 0 = only at the end)")
 	loadFile := flag.String("load", "", "initialize from a restart checkpoint instead of the H-S initial state")
-	auto := flag.Bool("auto", false, "let the autotuner choose algorithm, process grid and row partition")
+	auto := flag.Bool("auto", false, "let the autotuner choose algorithm, process grid and stage depth")
 	procs := flag.Int("procs", 0, "rank budget for -auto (default pa*pb)")
 	profilePath := flag.String("profile", "", "machine profile for -auto/-rebalance (default: analytic Tianhe-like profile)")
 	rebalance := flag.Bool("rebalance", false, "live load rebalancing: watch per-rank compute, re-plan and migrate mid-run")
@@ -85,11 +85,18 @@ func main() {
 	cfg.Dt1, cfg.Dt2 = *dt1, *dt2
 	cfg.ExactC, cfg.NoOverlap, cfg.NoFusedSmoothing = *exactC, *noOverlap, *noFuse
 	cfg.ShiftedPoleMirror = *shiftPoles
+	err := grid.Check(*nx, *ny, *nz)
+	if err == nil {
+		err = cfg.Validate()
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	g := grid.New(*nx, *ny, *nz)
 	prof := tune.DefaultProfile()
 	if *profilePath != "" {
-		var err error
 		if prof, err = tune.LoadProfile(*profilePath); err != nil {
 			fmt.Fprintln(os.Stderr, "profile:", err)
 			os.Exit(1)

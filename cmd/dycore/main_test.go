@@ -60,6 +60,24 @@ func TestLoadWrongMesh(t *testing.T) {
 	}
 }
 
+// TestInvalidInputIsUsageError: a mesh or configuration the model cannot run
+// is a one-line error and exit 2, never a rank panic with a goroutine dump.
+func TestInvalidInputIsUsageError(t *testing.T) {
+	for _, tc := range []struct{ flag, val, want string }{
+		{"-nx", "0", "Nx = 0"},
+		{"-nx", "4", "Nx = 4"},
+		{"-ny", "4", "Ny = 4"},
+		{"-nz", "0", "Nz = 0"},
+		{"-m", "0", "M = 0"},
+		{"-dt2", "0", "dt2 = 0"},
+	} {
+		_, se, code := runCLI(t, tc.flag, tc.val, "-steps", "1")
+		if code != 2 || strings.Count(se, "\n") != 1 || !strings.Contains(se, tc.want) {
+			t.Errorf("%s %s: exit %d, stderr %q; want exit 2 and one line containing %q", tc.flag, tc.val, code, se, tc.want)
+		}
+	}
+}
+
 // TestLoadVersion1: the retired format is refused at the CLI with the
 // versioned error.
 func TestLoadVersion1(t *testing.T) {

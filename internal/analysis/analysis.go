@@ -1,13 +1,10 @@
 // Package analysis is a self-contained (standard-library-only) static
 // analysis suite for this module, in the style of golang.org/x/tools
-// go/analysis. It provides seven domain-specific analyzers that turn the
-// module's runtime invariants into build-time guarantees:
+// go/analysis. It keeps only the checks no test already pins at run time
+// (zero-allocation steps, overlap and goroutine shutdown are pinned by
+// AllocsPerRun, the simulated-clock tests and VerifyNoLeaks); its five
+// analyzers are:
 //
-//   - allocfree: functions annotated //cadyvet:allocfree (and, transitively,
-//     everything they call) must not allocate on the heap. This promotes the
-//     PR-1 zero-allocation kernel invariant — which makes the Θ cost model of
-//     §5.3 predictive — from an AllocsPerRun benchmark assertion to a vet-time
-//     guarantee.
 //   - commsym: collective operations (comm.Comm's Barrier/Bcast/Allreduce/…
 //     and topo.Exchanger's Begin/Exchange) must not be control-dependent on
 //     rank-valued expressions. Every rank must execute the same sequence of Ĉ
@@ -17,10 +14,6 @@
 //   - detorder: iteration over Go maps is randomized; a map-ordered loop that
 //     feeds floating-point accumulation, communication, or serialization
 //     breaks bitwise reproducibility across runs and ranks.
-//   - overlap: a topo.Exchanger.Begin whose Pending is Finished immediately
-//     (chained, or by the very next statement) pays the split exchange's
-//     bookkeeping while hiding zero compute; independent interior work
-//     belongs between the two calls, or the round must justify quiescing.
 //   - guardedby: struct fields annotated //cadyvet:guardedby <mu> may only
 //     be touched while the named sibling mutex is held (tracked
 //     flow-sensitively per function; //cadyvet:locked declares a
@@ -32,31 +25,22 @@
 //     //cadyvet:blessed commit helpers (fsync + rename + dir fsync); temp
 //     files must be created in the destination directory; Sync/Close/Rename
 //     errors on write paths must be checked.
-//   - goleak: goroutines launched inside //cadyvet:component long-lived
-//     functions must (transitively) block on a shutdown signal — a channel
-//     receive, select, channel range, or WaitGroup.Wait. Module-wide:
-//     time.After inside a loop and time.Tick anywhere.
+//   - goleak: time.After inside a loop and time.Tick anywhere (timers that
+//     leak), module-wide.
 //
 // The suite is wired into `go vet -vettool` by cmd/cadyvet (see unit.go for
 // the protocol) and is runnable on isolated fixture packages in tests (see
-// atest.go).
+// atest_test.go).
 //
 // # Annotations
 //
-// cadyvet understands fourteen comment directives. Every waiver form requires
+// cadyvet understands nine comment directives. Every waiver form requires
 // a written justification after the directive word; an empty justification is
-// itself a diagnostic.
+// itself a diagnostic, as is an unknown directive word.
 //
-//	//cadyvet:allocfree
-//	    On a function's doc comment: enforce that the function, and
-//	    transitively every function it calls, performs no heap allocation.
-//	//cadyvet:assumeclean <why>
-//	    On a function's doc comment: treat the function as alloc-free
-//	    without inspecting its body (an axiom for code with a cold or
-//	    configuration-gated allocating path).
 //	//cadyvet:allow <why>
-//	    On (or on the line above) an allocating statement inside checked
-//	    code: waive that one finding.
+//	    On (or on the line above) a flagged statement: waive that one
+//	    commsym, guardedby or goleak finding.
 //	//cadyvet:rankuniform <why>
 //	    On (or above) a collective call, or on the controlling if/for/switch
 //	    statement, or on the enclosing function's doc comment: assert the
@@ -64,11 +48,6 @@
 //	//cadyvet:unordered <why>
 //	    On (or above) a `for … range` statement over a map: assert the loop
 //	    is insensitive to iteration order.
-//	//cadyvet:quiesce <why>
-//	    On (or above) a Pending.Finish call that immediately follows its
-//	    Begin: assert the round deliberately exposes the full exchange
-//	    latency (ablation reference path, bootstrap fill with no
-//	    independent compute, …).
 //	//cadyvet:guardedby <mu>
 //	    On a struct field: the field may only be read while <mu> (a sibling
 //	    mutex field of the same struct) is held (RLock suffices), and only
@@ -92,12 +71,6 @@
 //	//cadyvet:volatile <why>
 //	    On (or above) a raw filesystem mutation in a persistence package:
 //	    assert the target is not durable state (scratch, best-effort).
-//	//cadyvet:component
-//	    On a function's doc comment: the function belongs to a long-lived
-//	    component; every goroutine it launches must have a shutdown path.
-//	//cadyvet:shortlived <why>
-//	    On (or above) a go statement in a component function: assert the
-//	    goroutine provably terminates on its own (bounded work).
 package analysis
 
 import (
@@ -117,10 +90,10 @@ type Analyzer struct {
 }
 
 // All returns the full cadyvet suite in execution order. The order matters:
-// allocfree and commsym publish function facts that detorder consumes, and
-// the later analyzers merge their fact fields into the same records.
+// commsym publishes the Collective facts that detorder consumes, and the
+// later analyzers merge their fact fields into the same records.
 func All() []*Analyzer {
-	return []*Analyzer{AllocFree, CommSym, DetOrder, Overlap, GuardedBy, CrashSafe, GoLeak}
+	return []*Analyzer{CommSym, DetOrder, GuardedBy, CrashSafe, GoLeak}
 }
 
 // A Diagnostic is one finding.
@@ -198,20 +171,15 @@ const directivePrefix = "//cadyvet:"
 
 // Directive kinds.
 const (
-	dirAllocFree   = "allocfree"
-	dirAssumeClean = "assumeclean"
 	dirAllow       = "allow"
 	dirRankUniform = "rankuniform"
 	dirUnordered   = "unordered"
-	dirQuiesce     = "quiesce"
 	dirGuardedBy   = "guardedby"
 	dirLocked      = "locked"
 	dirUnshared    = "unshared"
 	dirPersistence = "persistence"
 	dirBlessed     = "blessed"
 	dirVolatile    = "volatile"
-	dirComponent   = "component"
-	dirShortLived  = "shortlived"
 )
 
 type directive struct {
@@ -298,8 +266,6 @@ func (p *Pass) reportBadDirectives() {
 		}
 		seen[d] = true
 		switch d.kind {
-		case dirAllocFree, dirComponent:
-			// Markers, no reason needed.
 		case dirGuardedBy, dirLocked:
 			if d.reason == "" {
 				p.diags = append(p.diags, &Diagnostic{
@@ -308,8 +274,7 @@ func (p *Pass) reportBadDirectives() {
 					Message:  fmt.Sprintf("cadyvet:%s directive requires the guard (mutex) name", d.kind),
 				})
 			}
-		case dirAssumeClean, dirAllow, dirRankUniform, dirUnordered, dirQuiesce,
-			dirUnshared, dirPersistence, dirBlessed, dirVolatile, dirShortLived:
+		case dirAllow, dirRankUniform, dirUnordered, dirUnshared, dirPersistence, dirBlessed, dirVolatile:
 			if d.reason == "" {
 				p.diags = append(p.diags, &Diagnostic{
 					Pos:      d.pos,
@@ -337,9 +302,8 @@ func funcKey(fn *types.Func) string {
 }
 
 // staticCallee resolves the statically known callee of a call, if any.
-// Interface method calls, calls through function values and builtins return
-// nil (the bool result reports whether the call is a builtin or conversion,
-// which the caller may treat as non-allocating or handle specially).
+// Interface method calls, calls through function values, builtins and
+// conversions return nil.
 func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
@@ -393,25 +357,6 @@ func methodOn(fn *types.Func, pkgName, typeName string) bool {
 		return false
 	}
 	return n.Obj().Pkg().Name() == pkgName && n.Obj().Name() == typeName
-}
-
-// terminatesInPanic reports whether a statement list provably ends in a call
-// to panic. Such lists are failure paths: allocations on them (typically
-// building a panic message) do not run in steady state.
-func terminatesInPanic(stmts []ast.Stmt) bool {
-	if len(stmts) == 0 {
-		return false
-	}
-	last, ok := stmts[len(stmts)-1].(*ast.ExprStmt)
-	if !ok {
-		return false
-	}
-	call, ok := last.X.(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	return ok && id.Name == "panic"
 }
 
 // enclosingFuncs returns, for every function declaration in the files, the

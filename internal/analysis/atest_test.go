@@ -17,7 +17,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strings"
 	"testing"
 )
@@ -172,24 +171,20 @@ func runFixture(t *testing.T, path string) {
 	}
 }
 
-func TestAllocFreeFixture(t *testing.T)        { runFixture(t, "allocfree") }
-func TestAllocFreeCrossPkg(t *testing.T)       { runFixture(t, "allocfree_x") }
 func TestCommSymFixture(t *testing.T)          { runFixture(t, "commsym") }
 func TestCommSymTransitive(t *testing.T)       { runFixture(t, "commsym_x") }
 func TestDetOrderFixture(t *testing.T)         { runFixture(t, "detorder") }
 func TestDirectiveHygieneFixture(t *testing.T) { runFixture(t, "directives") }
-func TestOverlapFixture(t *testing.T)          { runFixture(t, "overlap") }
 func TestGuardedByFixture(t *testing.T)        { runFixture(t, "guardedby") }
 func TestGuardedByCrossPkg(t *testing.T)       { runFixture(t, "guardedby_x") }
 func TestCrashSafeFixture(t *testing.T)        { runFixture(t, "crashsafe") }
 func TestCrashSafeCrossPkg(t *testing.T)       { runFixture(t, "crashsafe_x") }
 func TestGoLeakFixture(t *testing.T)           { runFixture(t, "goleak") }
-func TestGoLeakCrossPkg(t *testing.T)          { runFixture(t, "goleak_x") }
 
 // TestFixtureDepsClean ensures the shared fixture stand-ins for comm/topo are
 // themselves quiet (they model the library, not findings).
 func TestFixtureDepsClean(t *testing.T) {
-	for _, path := range []string{"comm", "topo", "kernels", "sync", "os", "time", "atomic", "gstore", "diskio", "pump"} {
+	for _, path := range []string{"comm", "topo", "sync", "os", "time", "atomic", "gstore", "diskio"} {
 		l := newFixtureLoader(t)
 		if _, err := l.Import(path); err != nil {
 			t.Fatalf("loading fixture %q: %v", path, err)
@@ -197,37 +192,5 @@ func TestFixtureDepsClean(t *testing.T) {
 		for _, d := range l.diags[path] {
 			t.Errorf("%s: unexpected diagnostic in dep fixture %s: %s", d.Pos, path, d.Message)
 		}
-	}
-}
-
-// TestFactsExported checks the shape of the published facts for a fixture.
-func TestFactsExported(t *testing.T) {
-	l := newFixtureLoader(t)
-	if _, err := l.Import("kernels"); err != nil {
-		t.Fatal(err)
-	}
-	facts := l.facts.imported["kernels"]
-	var keys []string
-	for k := range facts.Funcs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	get := func(name string) FuncFact {
-		for k, f := range facts.Funcs {
-			if strings.HasSuffix(k, "."+name) {
-				return f
-			}
-		}
-		t.Fatalf("no fact for %s (have %v)", name, keys)
-		return FuncFact{}
-	}
-	if f := get("Clean"); f.Alloc != AllocClean {
-		t.Errorf("kernels.Clean fact = %+v, want clean", f)
-	}
-	if f := get("Alloc"); f.Alloc != AllocHeap {
-		t.Errorf("kernels.Alloc fact = %+v, want allocates", f)
-	}
-	if f := get("CallsAlloc"); f.Alloc != AllocHeap {
-		t.Errorf("kernels.CallsAlloc fact = %+v, want allocates (transitive)", f)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
 )
 
 // CrashSafe enforces the crash-safe persistence protocol in packages marked
@@ -41,12 +42,24 @@ var rawWriteFuncs = map[string]bool{
 	"Create": true, "OpenFile": true, "WriteFile": true, "Rename": true, "CreateTemp": true,
 }
 
+// csEvent is one raw durable-path mutation, described for diagnostics.
+type csEvent struct {
+	pos  token.Pos
+	desc string
+}
+
+// csCall is one outgoing static call.
+type csCall struct {
+	pos token.Pos
+	fn  *types.Func
+}
+
 type csfFunc struct {
 	fd      funcDecl
 	blessed *directive
-	events  []afEvent // raw mutations in the body (waived ones excluded)
+	events  []csEvent // raw mutations in the body (waived ones excluded)
 	temps   []token.Pos
-	calls   []afCall
+	calls   []csCall
 }
 
 type csfState struct {
@@ -149,7 +162,10 @@ func (s *csfState) resolve(fn *types.Func) string {
 	} else {
 		for _, call := range cf.calls {
 			if r := s.resolve(call.fn); r != "" {
-				reason = chain(call.fn, "writes raw", r)
+				if len(r) > 160 {
+					r = r[:157] + "…" // deep call chains stay readable
+				}
+				reason = fmt.Sprintf("%s writes raw (%s)", call.fn.Name(), r)
 				break
 			}
 		}
@@ -158,8 +174,11 @@ func (s *csfState) resolve(fn *types.Func) string {
 	return reason
 }
 
+// pos renders a short source position (pkgdir/file:line).
 func (s *csfState) pos(p token.Pos) string {
-	return (&afState{p: s.p}).pos(p)
+	position := s.p.Fset.Position(p)
+	dir := filepath.Base(filepath.Dir(position.Filename))
+	return fmt.Sprintf("%s/%s:%d", dir, filepath.Base(position.Filename), position.Line)
 }
 
 // collect gathers one function's raw-mutation events, temp-dir violations
@@ -193,13 +212,13 @@ func (s *csfState) collect(fd funcDecl) *csfFunc {
 				if d := s.p.ann.at(s.p.Fset.Position(call.Pos()), dirVolatile); d != nil {
 					d.used = true
 				} else {
-					cf.events = append(cf.events, afEvent{call.Pos(), "os." + fn.Name()})
+					cf.events = append(cf.events, csEvent{call.Pos(), "os." + fn.Name()})
 				}
 				return true
 			}
 			return true
 		}
-		cf.calls = append(cf.calls, afCall{call.Pos(), fn})
+		cf.calls = append(cf.calls, csCall{call.Pos(), fn})
 		return true
 	})
 	return cf

@@ -5,29 +5,11 @@ import (
 	"os"
 )
 
-// Allocation statuses of a function fact, ordered by badness.
-const (
-	// AllocClean: the function and everything it statically calls perform no
-	// heap allocation.
-	AllocClean = "clean"
-	// AllocUnknown: the function contains a call that cannot be resolved
-	// statically (interface dispatch, function value) or whose target has no
-	// fact; it cannot be proven alloc-free.
-	AllocUnknown = "unknown"
-	// AllocHeap: the function (or a callee) provably allocates.
-	AllocHeap = "allocates"
-)
-
 // FuncFact is the exported per-function summary. Facts are self-contained
 // (reasons embed the full transitive explanation), so only the facts of
 // direct imports are needed when analyzing a package — which is exactly what
 // cmd/go's vet fact plumbing provides.
 type FuncFact struct {
-	// Alloc is the allocation status (AllocClean/AllocUnknown/AllocHeap).
-	Alloc string `json:"alloc"`
-	// Reason explains a non-clean status, e.g.
-	// "make at internal/comm/p2p.go:92" or "calls (*T).M, which allocates (…)".
-	Reason string `json:"reason,omitempty"`
 	// Collective reports that the function (transitively) executes a
 	// symmetric communication operation: a comm.Comm collective or a
 	// topo.Exchanger halo exchange. commsym flags rank-conditional calls to
@@ -46,11 +28,6 @@ type FuncFact struct {
 	// transitively performs, e.g. "os.Rename at checkpoint/store.go:88".
 	// Empty for functions that only write through blessed helpers.
 	RawWrite string `json:"rawwrite,omitempty"`
-	// Waits reports that the function (transitively) blocks on a shutdown
-	// signal: a channel receive, a select, ranging over a channel, or a
-	// sync.WaitGroup.Wait. goleak requires it of goroutines launched in
-	// long-lived components.
-	Waits bool `json:"waits,omitempty"`
 }
 
 // PkgFacts is the fact file content for one package.
@@ -78,7 +55,7 @@ func (s *FactStore) AddPackage(path string, f PkgFacts) { s.imported[path] = f }
 
 // LoadPackageFile reads a dependency's vetx fact file. Missing or malformed
 // files register an empty fact set (their functions then resolve to "no
-// fact", i.e. unknown) — analysis must degrade, not fail.
+// fact") — analysis must degrade, not fail.
 func (s *FactStore) LoadPackageFile(path, file string) {
 	b, err := os.ReadFile(file)
 	if err != nil {

@@ -6,190 +6,39 @@ import (
 	"go/types"
 )
 
-// GoLeak enforces goroutine-lifecycle hygiene. In functions annotated
-// //cadyvet:component (the constructors and handlers of long-lived
-// components: server worker pools, fleet probers/watchers, ensemble
-// fan-out), every goroutine launched must have a shutdown path: its body —
-// transitively, through static calls via the Waits fact — must block on a
-// channel receive (<-ch, which covers <-ctx.Done()), a select, ranging over
-// a channel, or a sync.WaitGroup.Wait. A goroutine with none of these runs
-// until process exit and accumulates across restarts of the component.
-//
-// Module-wide, independent of annotations, it flags the two classic
-// timer-leak idioms:
+// GoLeak flags, module-wide, the two classic timer-leak idioms:
 //
 //   - time.After inside a loop: each iteration allocates a timer that is
 //     not collected until it fires, unbounded on a busy loop — hoist a
 //     time.NewTimer and reuse it;
 //   - time.Tick anywhere: the returned ticker can never be stopped.
 //
-// //cadyvet:shortlived on a go statement waives the shutdown-path
-// requirement for a goroutine that provably terminates on its own;
-// //cadyvet:allow waives a timer finding.
+// //cadyvet:allow waives a finding. (Goroutine shutdown paths are pinned at
+// run time instead: the server and fleet tests end with VerifyNoLeaks.)
 var GoLeak = &Analyzer{
 	Name: "goleak",
-	Doc:  "require shutdown paths for goroutines of //cadyvet:component functions; flag time.After-in-loop and time.Tick",
+	Doc:  "flag time.After inside a loop and time.Tick (timers that leak)",
 }
 
 func init() { GoLeak.Run = runGoLeak }
 
-type glFunc struct {
-	fd        funcDecl
-	component *directive
-	waits     bool          // body directly contains a blocking shutdown construct
-	calls     []*types.Func // static calls outside go statements and literals
-}
-
-type glState struct {
-	p     *Pass
-	decls map[*types.Func]*glFunc
-	memo  map[*types.Func]bool
-	stack map[*types.Func]bool
-}
-
 func runGoLeak(p *Pass) {
-	s := &glState{
-		p:     p,
-		decls: make(map[*types.Func]*glFunc),
-		memo:  make(map[*types.Func]bool),
-		stack: make(map[*types.Func]bool),
-	}
-	fds := p.enclosingFuncs()
-	for i := range fds {
-		fd := fds[i]
-		gf := &glFunc{fd: fd, component: p.funcDirective(fd.decl, dirComponent)}
+	for _, fd := range p.enclosingFuncs() {
 		if fd.decl.Body != nil {
-			gf.waits, gf.calls = s.scanWaits(fd.decl.Body)
+			checkTimers(p, fd)
 		}
-		s.decls[fd.obj] = gf
 	}
-
-	for _, fd := range fds {
-		key := funcKey(fd.obj)
-		fact := p.Facts.Current.Funcs[key]
-		fact.Waits = s.resolve(fd.obj)
-		p.Facts.Put(key, fact)
-	}
-
-	for _, fd := range fds {
-		if fd.decl.Body == nil {
-			continue
-		}
-		gf := s.decls[fd.obj]
-		if gf.component != nil {
-			gf.component.used = true
-			s.checkComponent(fd)
-		}
-		s.checkTimers(fd)
-	}
-}
-
-// scanWaits reports whether a body directly blocks on a shutdown construct,
-// plus its synchronous static calls. Function literals and go statements are
-// skipped: spawning a waiting goroutine is not itself waiting.
-func (s *glState) scanWaits(body *ast.BlockStmt) (waits bool, calls []*types.Func) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit, *ast.GoStmt:
-			return false
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				waits = true
-			}
-		case *ast.SelectStmt:
-			waits = true
-		case *ast.RangeStmt:
-			if t := s.p.Info.TypeOf(n.X); t != nil {
-				if _, ok := t.Underlying().(*types.Chan); ok {
-					waits = true
-				}
-			}
-		case *ast.CallExpr:
-			if fn := staticCallee(s.p.Info, n); fn != nil {
-				if fn.Name() == "Wait" && methodOn(fn, "sync", "WaitGroup") {
-					waits = true
-				} else {
-					calls = append(calls, fn)
-				}
-			}
-		}
-		return true
-	})
-	return waits, calls
-}
-
-// resolve reports whether fn transitively blocks on a shutdown construct.
-func (s *glState) resolve(fn *types.Func) bool {
-	fn = fn.Origin()
-	if v, ok := s.memo[fn]; ok {
-		return v
-	}
-	gf, local := s.decls[fn]
-	if !local {
-		if pkg := fn.Pkg(); pkg != nil {
-			if f, ok := s.p.Facts.Imported(pkg.Path(), funcKey(fn)); ok {
-				return f.Waits
-			}
-		}
-		return false
-	}
-	if s.stack[fn] {
-		return false
-	}
-	s.stack[fn] = true
-	defer delete(s.stack, fn)
-	v := gf.waits
-	for _, callee := range gf.calls {
-		if v {
-			break
-		}
-		v = s.resolve(callee)
-	}
-	s.memo[fn] = v
-	return v
-}
-
-// checkComponent requires a shutdown path of every goroutine launched
-// anywhere in a component function's body (including inside its literals).
-func (s *glState) checkComponent(fd funcDecl) {
-	ast.Inspect(fd.decl.Body, func(n ast.Node) bool {
-		g, ok := n.(*ast.GoStmt)
-		if !ok {
-			return true
-		}
-		ok = false
-		switch fun := ast.Unparen(g.Call.Fun).(type) {
-		case *ast.FuncLit:
-			w, calls := s.scanWaits(fun.Body)
-			ok = w
-			for _, c := range calls {
-				if ok {
-					break
-				}
-				ok = s.resolve(c)
-			}
-		default:
-			if fn := staticCallee(s.p.Info, g.Call); fn != nil {
-				ok = s.resolve(fn)
-			}
-		}
-		if !ok {
-			s.p.report(GoLeak.Name, g.Pos(), dirShortLived,
-				"goroutine launched in long-lived component %s has no shutdown path: its body must (transitively) receive on a channel/ctx.Done, select, range a channel, or WaitGroup.Wait", fd.obj.Name())
-		}
-		return true
-	})
 }
 
 // checkTimers flags time.Tick anywhere and time.After under a loop.
-func (s *glState) checkTimers(fd funcDecl) {
+func checkTimers(p *Pass, fd funcDecl) {
 	reported := map[token.Pos]bool{}
 	timeCall := func(n ast.Node, name string) *ast.CallExpr {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return nil
 		}
-		fn := staticCallee(s.p.Info, call)
+		fn := staticCallee(p.Info, call)
 		if fn == nil || fn.Name() != name || fn.Pkg() == nil || fn.Pkg().Name() != "time" {
 			return nil
 		}
@@ -200,7 +49,7 @@ func (s *glState) checkTimers(fd funcDecl) {
 	}
 	ast.Inspect(fd.decl.Body, func(n ast.Node) bool {
 		if call := timeCall(n, "Tick"); call != nil {
-			s.p.report(GoLeak.Name, call.Pos(), dirAllow,
+			p.report(GoLeak.Name, call.Pos(), dirAllow,
 				"time.Tick leaks its ticker (it can never be stopped): use time.NewTicker with a deferred Stop")
 			return true
 		}
@@ -219,7 +68,7 @@ func (s *glState) checkTimers(fd funcDecl) {
 				return true
 			}
 			reported[call.Pos()] = true
-			s.p.report(GoLeak.Name, call.Pos(), dirAllow,
+			p.report(GoLeak.Name, call.Pos(), dirAllow,
 				"time.After inside a loop allocates a timer per iteration that is only collected when it fires: hoist a time.NewTimer and reuse it")
 			return true
 		})

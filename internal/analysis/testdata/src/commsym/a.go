@@ -89,12 +89,10 @@ func incomplete(e *topo.Exchanger, fs [][]float64) {
 
 func paired(e *topo.Exchanger, fs [][]float64) {
 	p := e.Begin(fs)
-	//cadyvet:quiesce pairing fixture; the overlap analyzer has its own fixture
 	p.Finish() // ok
 }
 
 func chained(e *topo.Exchanger, fs [][]float64) {
-	//cadyvet:quiesce pairing fixture; the overlap analyzer has its own fixture
 	e.Begin(fs).Finish() // ok
 }
 

@@ -14,16 +14,13 @@ func lazy(buf *[]float64, n int) {
 	*buf = make([]float64, n)
 }
 
-//cadyvet:assumeclean a justified axiom produces no finding
-func axiom() {}
-
 type anonGuard struct {
 	flag bool //cadyvet:guardedby
 	// want-above "cadyvet:guardedby directive requires the guard .mutex. name"
 }
 
-func bareWaiver() {
-	//cadyvet:shortlived
+func bareWaiver(path string) string {
+	//cadyvet:volatile
 	// want-above "requires a written justification"
-	go bareWaiver()
+	return path
 }

@@ -1,74 +1,7 @@
-// Fixture for goleak: goroutines of //cadyvet:component functions need a
-// shutdown path; timer-leak idioms are flagged module-wide.
+// Fixture for goleak: timer-leak idioms are flagged module-wide.
 package goleak
 
-import (
-	"sync"
-	"time"
-)
-
-// New starts the component's workers.
-//
-//cadyvet:component
-func New(done chan int, jobs chan int) {
-	go worker(jobs) // ok: ranges over the jobs channel
-	go func() {     // ok: selects on done
-		for {
-			select {
-			case <-done:
-				return
-			case j := <-jobs:
-				_ = j
-			}
-		}
-	}()
-	go spin() // want "goroutine launched in long-lived component New has no shutdown path"
-}
-
-func worker(jobs chan int) {
-	for j := range jobs {
-		_ = j
-	}
-}
-
-func spin() {
-	for {
-	}
-}
-
-// NewDeep exercises the transitive waits resolution through local calls.
-//
-//cadyvet:component
-func NewDeep(done chan int) {
-	go runLoop(done) // ok: runLoop waits via waitDone
-}
-
-func runLoop(done chan int) {
-	waitDone(done)
-}
-
-func waitDone(done chan int) {
-	<-done
-}
-
-// Fanout spawns bounded members; the waiver vouches for their termination.
-//
-//cadyvet:component
-func Fanout(n int, wg *sync.WaitGroup) {
-	for i := 0; i < n; i++ {
-		//cadyvet:shortlived each member simulates a bounded number of steps
-		go member(i, wg)
-	}
-	wg.Wait()
-}
-
-func member(i int, wg *sync.WaitGroup) {
-	wg.Done()
-}
-
-func helperSpawn() {
-	go spin() // ok: not a component function
-}
+import "time"
 
 func pollLoop(stop chan int) {
 	for {

@@ -1,6 +1,6 @@
 // Package sync is a fixture stand-in for the standard library's sync:
-// guardedby and goleak match lock and wait operations by package name and
-// type name, so this minimal replica exercises them without export data.
+// guardedby matches lock operations by package name and type name, so this
+// minimal replica exercises it without export data.
 package sync
 
 // Mutex mirrors sync.Mutex.
@@ -16,10 +16,3 @@ func (m *RWMutex) Lock()    {}
 func (m *RWMutex) Unlock()  {}
 func (m *RWMutex) RLock()   {}
 func (m *RWMutex) RUnlock() {}
-
-// WaitGroup mirrors sync.WaitGroup.
-type WaitGroup struct{ n int }
-
-func (w *WaitGroup) Add(delta int) {}
-func (w *WaitGroup) Done()         {}
-func (w *WaitGroup) Wait()         {}

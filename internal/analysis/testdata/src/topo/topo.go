@@ -22,6 +22,5 @@ type Exchanger struct{ pend Pending }
 func (e *Exchanger) Begin(fs [][]float64) *Pending { return &e.pend }
 
 func (e *Exchanger) Exchange(fs [][]float64) {
-	//cadyvet:quiesce fixture mirror of the real Exchange, the deliberately blocking convenience form
 	e.Begin(fs).Finish()
 }

@@ -9,6 +9,7 @@ import (
 	"go/token"
 	"go/types"
 	"go/version"
+	"hash/fnv"
 	"io"
 	"os"
 	"runtime"
@@ -113,34 +114,13 @@ func toolID() string {
 		return "unknown"
 	}
 	defer f.Close()
-	h := fnvHash{}
-	h.init()
-	buf := make([]byte, 64<<10)
-	for {
-		n, err := f.Read(buf)
-		h.write(buf[:n])
-		if err != nil {
-			break
-		}
+	// A 128-bit FNV-1a is enough for cache identity.
+	h := fnv.New128a()
+	if _, err := io.Copy(h, f); err != nil {
+		return "unknown"
 	}
-	return h.hex()
+	return fmt.Sprintf("%x", h.Sum(nil))
 }
-
-// fnvHash is a 128-bit FNV-1a, enough for cache identity without importing
-// crypto (two independent 64-bit lanes over alternating bytes).
-type fnvHash struct{ a, b uint64 }
-
-func (h *fnvHash) init() { h.a, h.b = 14695981039346656037, 14695981039346656037^0x9e3779b97f4a7c15 }
-func (h *fnvHash) write(p []byte) {
-	for i, c := range p {
-		if i&1 == 0 {
-			h.a = (h.a ^ uint64(c)) * 1099511628211
-		} else {
-			h.b = (h.b ^ uint64(c)) * 1099511628211
-		}
-	}
-}
-func (h *fnvHash) hex() string { return fmt.Sprintf("%016x%016x", h.a, h.b) }
 
 func nonFlagArgs(args []string) []string {
 	var out []string

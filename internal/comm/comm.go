@@ -158,7 +158,6 @@ func (c *Comm) Compute(work float64) {
 		dt *= f.computeScale(c.myWorldRank())
 	}
 	if c.stats.trace != nil {
-		//cadyvet:allow tracing is opt-in (RunOpts.Traced); the trace buffer never grows on the steady-state benchmark path
 		c.stats.trace.record(Event{Rank: c.stats.traceRank, Kind: EvCompute, T0: c.stats.Clock, T1: c.stats.Clock + dt})
 	}
 	c.stats.Clock += dt

@@ -6,8 +6,8 @@ import "fmt"
 // per-rank straggler scaling of the simulated compute rate, seeded message
 // delay jitter, and transient send errors charged to the sender's clock.
 // It is deliberately a concrete type with concrete methods — the hot paths
-// (Compute, sendInternal) stay statically analyzable by cadyvet's allocfree
-// checker, and a nil *Faults on the World leaves those paths bitwise
+// (Compute, sendInternal) carry no interface dispatch or boxing, and a nil
+// *Faults on the World leaves those paths bitwise
 // identical to a fault-free build.
 //
 // All draws come from per-rank splitmix64 streams consumed in each rank's

@@ -145,8 +145,6 @@ var completed = &Request{done: true}
 // message (RecvInto, the collectives' internal receives) puts it back, so a
 // steady exchange pattern stops allocating once every size has been in
 // flight. Recv instead hands the buffer to its caller for good.
-//
-//cadyvet:assumeclean simulated MPI transport: the payload copy models MPI's internal buffering; the free list and the receive queue grow only until every message size has been in flight (TestStepSteadyStateBytesMultiRank pins the steady state)
 func (c *Comm) sendInternal(dst, tag int, data []float64) {
 	if dst == c.rank {
 		panic(fmt.Sprintf("comm: rank %d sending to itself (use local copies)", c.rank))
@@ -183,8 +181,6 @@ func (c *Comm) sendInternal(dst, tag int, data []float64) {
 // arrives, and returns its payload, which the caller then owns (it is never
 // recycled). The simulated clock stalls to the message's availability time if
 // the rank got here early (that stall is the modeled communication wait).
-//
-//cadyvet:assumeclean simulated MPI transport: message drain touches the endpoint queues, which model MPI-internal buffering
 func (c *Comm) Recv(src, tag int) []float64 {
 	m := c.world.eps[c.myWorldRank()].take(c.id, src, tag)
 	c.absorb(m)
@@ -193,8 +189,6 @@ func (c *Comm) Recv(src, tag int) []float64 {
 
 // RecvInto is Recv that copies the payload into buf (which must be exactly
 // the message length) and returns the number of values received.
-//
-//cadyvet:assumeclean simulated MPI transport: message drain touches the endpoint queues, which model MPI-internal buffering
 func (c *Comm) RecvInto(src, tag int, buf []float64) int {
 	ep := c.world.eps[c.myWorldRank()]
 	m := ep.take(c.id, src, tag)
@@ -245,8 +239,6 @@ type Request struct {
 // Irecv posts a nonblocking receive of a message from src with the given
 // tag into buf; completion happens in Wait. (Matching is deferred to Wait,
 // which is observationally equivalent for FIFO-per-pair matching.)
-//
-//cadyvet:assumeclean simulated MPI transport: the request handle models MPI's internal bookkeeping, outside the per-rank zero-alloc kernel budget
 func (c *Comm) Irecv(src, tag int, buf []float64) *Request {
 	return &Request{c: c, src: src, tag: tag, buf: buf}
 }

@@ -88,7 +88,6 @@ func (s *Stats) TotalCommTime() float64 {
 // and advances the clock.
 func (s *Stats) addCommTime(dt float64) {
 	if s.trace != nil {
-		//cadyvet:allow tracing is opt-in (RunOpts.Traced); the trace buffer never grows on the steady-state benchmark path
 		s.trace.record(Event{Rank: s.traceRank, Kind: EvComm, Cat: s.cat, T0: s.Clock, T1: s.Clock + dt})
 	}
 	s.Clock += dt

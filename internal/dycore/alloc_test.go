@@ -32,21 +32,52 @@ func stepAllocs(t *testing.T, alg Algorithm, cfg Config) float64 {
 	return allocs
 }
 
-// TestStepZeroAllocBaselineYZ asserts the steady-state baseline step
-// performs no heap allocations (ISSUE: zero-allocation kernel engine).
-func TestStepZeroAllocBaselineYZ(t *testing.T) {
-	if a := stepAllocs(t, AlgBaselineYZ, testCfg(2)); a != 0 {
-		t.Fatalf("baseline-YZ steady-state Step allocates %v times per run, want 0", a)
+// withCfg returns testCfg(m) with set applied.
+func withCfg(m int, set func(*Config)) Config {
+	cfg := testCfg(m)
+	set(&cfg)
+	return cfg
+}
+
+// zeroAllocSteps is one table over every scheme and every configuration
+// branch of Step. The Θ model prices a step as pure arithmetic plus
+// messages, so a hidden allocation (and the GC work it drags in) would skew
+// every measured t_comp.
+var zeroAllocSteps = []struct {
+	name string
+	alg  Algorithm
+	cfg  Config
+}{
+	{"yz", AlgBaselineYZ, testCfg(2)},
+	{"yz-nooverlap", AlgBaselineYZ, withCfg(2, func(c *Config) { c.NoOverlap = true })},
+	{"yz-shiftedpoles", AlgBaselineYZ, withCfg(2, func(c *Config) { c.ShiftedPoleMirror = true })},
+	{"xy", AlgBaselineXY, testCfg(2)},
+	{"ca", AlgCommAvoid, testCfg(2)},
+	{"ca-nooverlap", AlgCommAvoid, withCfg(3, func(c *Config) { c.NoOverlap = true })},
+	{"ca-exactc", AlgCommAvoid, withCfg(3, func(c *Config) { c.ExactC = true })},
+	{"ca-nofuse", AlgCommAvoid, withCfg(3, func(c *Config) { c.NoFusedSmoothing = true })},
+	{"ca-stage1", AlgCommAvoid, withCfg(3, func(c *Config) { c.StageM = 1 })},
+	{"ca-shiftedpoles", AlgCommAvoid, withCfg(2, func(c *Config) { c.ShiftedPoleMirror = true })},
+}
+
+// checkZeroAllocSteps asserts that the steady-state Step of every
+// zeroAllocSteps row of scheme alg performs no heap allocations.
+func checkZeroAllocSteps(t *testing.T, alg Algorithm) {
+	for _, tc := range zeroAllocSteps {
+		if tc.alg != alg {
+			continue
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			if a := stepAllocs(t, tc.alg, tc.cfg); a != 0 {
+				t.Errorf("steady-state Step allocates %v times per run, want 0", a)
+			}
+		})
 	}
 }
 
-// TestStepZeroAllocCommAvoid asserts the steady-state communication-avoiding
-// step performs no heap allocations.
-func TestStepZeroAllocCommAvoid(t *testing.T) {
-	if a := stepAllocs(t, AlgCommAvoid, testCfg(2)); a != 0 {
-		t.Fatalf("comm-avoiding steady-state Step allocates %v times per run, want 0", a)
-	}
-}
+func TestStepZeroAllocBaselineYZ(t *testing.T) { checkZeroAllocSteps(t, AlgBaselineYZ) }
+func TestStepZeroAllocBaselineXY(t *testing.T) { checkZeroAllocSteps(t, AlgBaselineXY) }
+func TestStepZeroAllocCommAvoid(t *testing.T)  { checkZeroAllocSteps(t, AlgCommAvoid) }
 
 // TestStepSteadyStateBytesMultiRank measures steady-state allocation where
 // messages actually flow — the 1×1 tests above send nothing, so they cannot

@@ -117,8 +117,6 @@ func (b *Baseline) advectUpdate(dst, base, src *state.State) {
 }
 
 // Step advances one time step of Algorithm 1.
-//
-//cadyvet:allocfree
 func (b *Baseline) Step() {
 	owned := b.tp.Block.Owned()
 
@@ -146,8 +144,6 @@ func (b *Baseline) Step() {
 
 // smooth sets ξ ← S̃(ψ) with its own exchange of ψ, overlapped with the
 // interior sweep (S̃ reads ψ and writes ξ).
-//
-//cadyvet:allocfree
 func (b *Baseline) smooth() {
 	b.overlapped(b.exSmooth, b.psi, kernSmooth)
 	b.n.SmoothingCalls++

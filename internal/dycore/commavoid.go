@@ -214,8 +214,6 @@ func (ca *CommAvoid) expandAsym(yLo, yHi, zLo, zHi int) field.Rect {
 }
 
 // Step advances one time step of Algorithm 2.
-//
-//cadyvet:allocfree
 func (ca *CommAvoid) Step() {
 	owned := ca.tp.Block.Owned()
 	// The former/later split runs whenever ξ owes a smoothing: every step

@@ -323,8 +323,8 @@ func (c *core) slabs(outer, inner field.Rect) []field.Rect {
 }
 
 // kernel names the per-point-pure sweep of an overlapped update. A switch
-// rather than a func value keeps every call static, so the allocfree analyzer
-// verifies the kernels instead of taking them on trust.
+// rather than a func value keeps every call static: no closure is built on
+// the step path.
 type kernel int
 
 const (

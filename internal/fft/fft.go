@@ -160,8 +160,6 @@ func (p *Plan) ScratchLen() int {
 // ScratchLen() values (nil allocates). With caller scratch the transform
 // performs no heap allocation, and one Plan can serve many goroutines as
 // long as each brings its own scratch.
-//
-//cadyvet:allocfree
 func (p *Plan) ForwardScratch(x, scratch []complex128) {
 	scratch = p.check(x, scratch)
 	if res := p.transform(x, scratch); &res[0] != &x[0] {
@@ -179,8 +177,6 @@ func (p *Plan) Inverse(x []complex128) {
 // ForwardScratch). The inverse is the forward transform read backwards —
 // x_j = X'_{(n−j) mod n}/n with X' = DFT(X) — so it costs one forward
 // transform plus a single reverse-and-scale sweep.
-//
-//cadyvet:allocfree
 func (p *Plan) InverseScratch(x, scratch []complex128) {
 	scratch = p.check(x, scratch)
 	n := p.n
@@ -209,7 +205,6 @@ func (p *Plan) check(x, scratch []complex128) []complex128 {
 	}
 	need := p.ScratchLen()
 	if scratch == nil {
-		//cadyvet:allow nil-scratch convenience path for tests and one-off calls; hot callers pass ScratchLen scratch
 		return make([]complex128, need)
 	}
 	if len(scratch) < need {

@@ -66,7 +66,6 @@ func (p *RealPlan) check(src []float64, spec, scratch []complex128) []complex128
 		panic(fmt.Sprintf("fft: spectrum length %d < required %d", len(spec), p.SpecLen()))
 	}
 	if scratch == nil {
-		//cadyvet:allow nil-scratch convenience path for tests and one-off calls; hot callers pass ScratchLen scratch
 		scratch = make([]complex128, p.ScratchLen())
 	} else if len(scratch) < p.ScratchLen() {
 		panic(fmt.Sprintf("fft: scratch length %d < required %d", len(scratch), p.ScratchLen()))
@@ -77,8 +76,6 @@ func (p *RealPlan) check(src []float64, spec, scratch []complex128) []complex128
 // Forward computes spec[k] = Σ_j src[j]·exp(−2πi·jk/n) for k = 0 … n/2.
 // scratch must hold ScratchLen() values (nil allocates). src is not
 // modified.
-//
-//cadyvet:allocfree
 func (p *RealPlan) Forward(src []float64, spec, scratch []complex128) {
 	scratch = p.check(src, spec, scratch)
 	if p.full != nil {
@@ -124,8 +121,6 @@ func (p *RealPlan) Forward(src []float64, spec, scratch []complex128) {
 
 // Inverse reconstructs the real signal from its half spectrum (with the 1/n
 // normalization, so Inverse∘Forward is the identity). spec is not modified.
-//
-//cadyvet:allocfree
 func (p *RealPlan) Inverse(spec []complex128, dst []float64, scratch []complex128) {
 	scratch = p.check(dst, spec, scratch)
 	if p.full != nil {

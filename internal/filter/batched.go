@@ -29,7 +29,6 @@ type batchScratch struct {
 // regrown on use).
 func growSlots(s [][]float64, n int) [][]float64 {
 	if cap(s) < n {
-		//cadyvet:allow first-call lazy growth to the communicator size; later calls reuse the slots
 		return make([][]float64, n)
 	}
 	return s[:n]
@@ -40,7 +39,6 @@ func growSlots(s [][]float64, n int) [][]float64 {
 // the full length before reading it.
 func growBuf(s []float64, n int) []float64 {
 	if cap(s) < n {
-		//cadyvet:allow first-call lazy growth to the steady payload size; later calls reuse the buffer
 		return make([]float64, n)
 	}
 	return s[:n]
@@ -67,8 +65,6 @@ func batchSeg(f3s []*field.F3, f2s []*field.F2, id batchRow, i0, n int) []float6
 //
 // Numerically identical to calling ApplyDist per field (the per-row FFTs do
 // not interact). Returns the number of complete rows this rank filtered.
-//
-//cadyvet:allocfree
 func (f *Filter) ApplyDistBatch(t *topo.Topology, f3s []*field.F3, f2s []*field.F2) int {
 	rx := t.RowX
 	if rx == nil || rx.Size() == 1 {
@@ -96,7 +92,6 @@ func (f *Filter) ApplyDistBatch(t *topo.Topology, f3s []*field.F3, f2s []*field.
 		for k := b.K0; k < b.K1; k++ {
 			for j := b.J0; j < b.J1; j++ {
 				if f.Active(j) {
-					//cadyvet:allow grows to the steady per-step row count on the first call; later calls reuse the backing array
 					rows = append(rows, batchRow{fi, j, k})
 				}
 			}
@@ -106,7 +101,6 @@ func (f *Filter) ApplyDistBatch(t *topo.Topology, f3s []*field.F3, f2s []*field.
 		b := fld.B
 		for j := b.J0; j < b.J1; j++ {
 			if f.Active(j) {
-				//cadyvet:allow grows to the steady per-step row count on the first call; later calls reuse the backing array
 				rows = append(rows, batchRow{len(f3s) + fi, j, 0})
 			}
 		}

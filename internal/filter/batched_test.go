@@ -9,8 +9,8 @@ import (
 	"cadycore/internal/topo"
 )
 
-// TestApplyDistBatchScratchReuse pins the grown-once transpose scratch that
-// the //cadyvet:allow waivers in batched.go promise: the first distributed
+// TestApplyDistBatchScratchReuse pins the grown-once transpose scratch of
+// batched.go: the first distributed
 // call grows the catalog and payload buffers, every later call reuses the
 // same backing arrays and produces bitwise-identical results. (The
 // single-rank zero-alloc tests never reach this path — it only runs with

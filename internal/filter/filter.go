@@ -120,8 +120,6 @@ func (f *Filter) Active(j int) bool { return f.MMax(j) < f.g.Nx/2 }
 // FilterRow low-passes one full latitude row in place (len = Nx). It is
 // allocation-free but uses the Filter's scratch, so it must not be called
 // concurrently on the same Filter.
-//
-//cadyvet:allocfree
 func (f *Filter) FilterRow(row []float64, j int) {
 	mmax := f.MMax(j)
 	nx := f.g.Nx
@@ -142,8 +140,6 @@ func (f *Filter) FilterRow(row []float64, j int) {
 // must span the full longitude circle (p_x = 1); rows whose latitude is
 // below the cutoff are skipped at zero cost. Returns the number of
 // transformed rows (for compute accounting: each costs ~2·Nx·log2(Nx)).
-//
-//cadyvet:allocfree
 func (f *Filter) Apply(fld *field.F3, rect field.Rect) int {
 	if !fld.B.OwnsFullX() {
 		panic("filter: serial Apply requires a full longitude circle per rank")
@@ -164,8 +160,6 @@ func (f *Filter) Apply(fld *field.F3, rect field.Rect) int {
 }
 
 // Apply2 filters a 2-D field the same way.
-//
-//cadyvet:allocfree
 func (f *Filter) Apply2(fld *field.F2, rect field.Rect) int {
 	if !fld.B.OwnsFullX() {
 		panic("filter: serial Apply2 requires a full longitude circle per rank")

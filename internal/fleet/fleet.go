@@ -205,7 +205,6 @@ type Coordinator struct {
 // probes every backend once, reconciles recovered jobs against what the
 // backends report, and starts the dispatch/probe/watch loops.
 //
-//cadyvet:component
 //cadyvet:unshared construction: c is unreachable by any other goroutine until the loops start on the last lines
 func New(cfg Config) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
@@ -250,8 +249,6 @@ func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) { c.mux.
 
 // Shutdown stops the coordinator loops and persists routing state. Backends
 // and their jobs are left untouched: a restarted coordinator reconciles.
-//
-//cadyvet:component
 func (c *Coordinator) Shutdown(ctx context.Context) error {
 	c.cancel()
 	done := make(chan struct{})

@@ -57,11 +57,28 @@ type Grid struct {
 	DSigma []float64
 }
 
+// Check reports whether nx×ny×nz is a usable mesh: every extent must be wide
+// enough for the widest stencil (the fourth-difference smoothing needs
+// Nx ≥ 8 and Ny ≥ 5; the vertical operators need Nz ≥ 2). Entry points call
+// it to turn a bad mesh into an error before anything panics on it.
+func Check(nx, ny, nz int) error {
+	switch {
+	case nx < 8:
+		return fmt.Errorf("grid: Nx = %d too small (need ≥ 8 for the x stencils)", nx)
+	case ny < 5:
+		return fmt.Errorf("grid: Ny = %d too small (need ≥ 5 for the y stencils)", ny)
+	case nz < 2:
+		return fmt.Errorf("grid: Nz = %d too small (need ≥ 2 for the vertical operators)", nz)
+	}
+	return nil
+}
+
 // New constructs a grid with uniform angular spacing and uniform σ layers.
-// It panics if any extent is non-positive or too small for the widest stencil
-// (the fourth-difference smoothing needs Nx ≥ 8 and Ny ≥ 5; the vertical
-// operators need Nz ≥ 2).
+// It panics with Check's error on a mesh Check rejects.
 func New(nx, ny, nz int) *Grid {
+	if err := Check(nx, ny, nz); err != nil {
+		panic(err.Error())
+	}
 	return NewWithSigma(nx, ny, uniformSigmaInterfaces(nz))
 }
 
@@ -69,14 +86,8 @@ func New(nx, ny, nz int) *Grid {
 // σ interfaces (len Nz+1, strictly increasing from 0 to 1).
 func NewWithSigma(nx, ny int, sigmaI []float64) *Grid {
 	nz := len(sigmaI) - 1
-	if nx < 8 {
-		panic(fmt.Sprintf("grid: Nx = %d too small (need ≥ 8 for the x stencils)", nx))
-	}
-	if ny < 5 {
-		panic(fmt.Sprintf("grid: Ny = %d too small (need ≥ 5 for the y stencils)", ny))
-	}
-	if nz < 2 {
-		panic(fmt.Sprintf("grid: Nz = %d too small (need ≥ 2 for the vertical operators)", nz))
+	if err := Check(nx, ny, nz); err != nil {
+		panic(err.Error())
 	}
 	if err := validateSigma(sigmaI); err != nil {
 		panic("grid: " + err.Error())
@@ -148,10 +159,9 @@ func StretchedSigmaInterfaces(nz int, stretch float64) []float64 {
 	return s
 }
 
+// uniformSigmaInterfaces returns Nz+1 evenly spaced σ interfaces; New has
+// already checked nz.
 func uniformSigmaInterfaces(nz int) []float64 {
-	if nz < 1 {
-		panic(fmt.Sprintf("grid: Nz = %d must be positive", nz))
-	}
 	s := make([]float64, nz+1)
 	for k := 0; k <= nz; k++ {
 		s[k] = float64(k) / float64(nz)

@@ -89,12 +89,22 @@ func TestBadSigmaPanics(t *testing.T) {
 	}
 }
 
+// TestTooSmallPanics: New panics with exactly the error Check returns, so an
+// entry point that calls Check first never reaches the panic.
 func TestTooSmallPanics(t *testing.T) {
-	for _, dims := range [][3]int{{4, 10, 4}, {16, 3, 4}, {16, 10, 1}} {
+	if err := Check(8, 5, 2); err != nil {
+		t.Errorf("Check(8, 5, 2) = %v, want nil", err)
+	}
+	for _, dims := range [][3]int{{4, 10, 4}, {16, 3, 4}, {16, 10, 1}, {0, 10, 4}, {16, 10, 0}, {16, 10, -3}} {
+		err := Check(dims[0], dims[1], dims[2])
+		if err == nil {
+			t.Errorf("Check%v = nil, want an error", dims)
+			continue
+		}
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("dims %v should panic", dims)
+				if r := recover(); r != err.Error() {
+					t.Errorf("New%v panicked with %v, want %q", dims, r, err)
 				}
 			}()
 			New(dims[0], dims[1], dims[2])

@@ -39,8 +39,6 @@ func Adaptation(g *grid.Grid, cfg AdaptConfig, st *state.State, sur *Surface, cr
 // read-only, so any disjoint cover of r (the overlapped interior/boundary
 // split) produces bitwise the monolithic result. Returns points updated
 // (3·|r|).
-//
-//cadyvet:allocfree
 func Adaptation3D(g *grid.Grid, st *state.State, sur *Surface, cres *CRes, out *Tendency, r field.Rect) int {
 	m := newMetric(g)
 	xo := st.Phi.XOff(0)
@@ -143,8 +141,6 @@ func Adaptation3D(g *grid.Grid, st *state.State, sur *Surface, cres *CRes, out *
 // AdaptationPsa evaluates the 2-D surface-pressure component dp'_sa of the
 // adaptation tendency over r.Flat2D(). It must run exactly once per tendency
 // evaluation (never per k tile). Returns points updated.
-//
-//cadyvet:allocfree
 func AdaptationPsa(g *grid.Grid, cfg AdaptConfig, st *state.State, cres *CRes, out *Tendency, r field.Rect) int {
 	m := newMetric(g)
 	xo := st.Psa.XOff(0)

@@ -62,8 +62,6 @@ func Advection(g *grid.Grid, st *state.State, sur *Surface, cres *CRes, out *Ten
 }
 
 // AdvectionScratch is Advection with caller-provided scratch.
-//
-//cadyvet:allocfree
 func AdvectionScratch(g *grid.Grid, st *state.State, sur *Surface, cres *CRes, out *Tendency, r field.Rect, sc *AdvScratch) int {
 	w := Advection3D(g, st, sur, cres, out, r, sc)
 	AdvectionPsa(out, r)
@@ -77,12 +75,9 @@ func AdvectionScratch(g *grid.Grid, st *state.State, sur *Surface, cres *CRes, o
 // but the stores race). All other inputs are read-only and the tendency
 // writes are disjoint per k. Returns points updated (4·|r|, counting the σ̇
 // staging as one component).
-//
-//cadyvet:allocfree
 func Advection3D(g *grid.Grid, st *state.State, sur *Surface, cres *CRes, out *Tendency, r field.Rect, sc *AdvScratch) int {
 	m := newMetric(g)
 	if sc == nil {
-		//cadyvet:allow nil-scratch convenience path for tests and one-off calls; hot callers preallocate AdvScratch
 		sc = NewAdvScratch(st.B)
 	}
 
@@ -293,8 +288,6 @@ func Advection3D(g *grid.Grid, st *state.State, sur *Surface, cres *CRes, out *T
 // AdvectionPsa writes the trivial surface-pressure component of L̃ (zero)
 // over r.Flat2D(). Like AdaptationPsa it runs once per tendency evaluation,
 // outside any k tiling.
-//
-//cadyvet:allocfree
 func AdvectionPsa(out *Tendency, r field.Rect) {
 	r2 := r.Flat2D()
 	for j := r2.J0; j < r2.J1; j++ {

@@ -45,8 +45,6 @@ func (c *CRes) CopyFrom(o *CRes) {
 //
 // over rect r into out (paper eq. 6). Inputs must be valid on r expanded by
 // one cell in x and y. Returns points updated.
-//
-//cadyvet:allocfree
 func DivP(g *grid.Grid, u, v *field.F3, sur *Surface, out *field.F3, r field.Rect) int {
 	m := newMetric(g)
 	xo := u.XOff(0)
@@ -91,7 +89,6 @@ type CSumScratch struct {
 // exceeded; contents are unspecified (callers zero what they accumulate).
 func grown(s []float64, n int) []float64 {
 	if cap(s) < n {
-		//cadyvet:allow lazy scratch growth to the largest plane seen; steady-state steps reuse the capacity
 		return make([]float64, n)
 	}
 	return s[:n]
@@ -120,12 +117,9 @@ func CSum(g *grid.Grid, cz *comm.Comm, world *comm.Comm, divP *field.F3, res *CR
 // CSumWith is CSum with caller-held scratch (nil allocates fresh planes,
 // which is what the convenience wrapper above does — fine for tests,
 // expensive inside a time-step loop).
-//
-//cadyvet:allocfree
 func CSumWith(g *grid.Grid, cz *comm.Comm, world *comm.Comm, divP *field.F3, res *CRes, hr field.Rect, loK, hiK int, sc *CSumScratch) int {
 	b := res.B
 	if sc == nil {
-		//cadyvet:allow nil-scratch convenience path for tests and one-off calls; hot callers preallocate CSumScratch
 		sc = &CSumScratch{}
 	}
 	if loK < 0 {

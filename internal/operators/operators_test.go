@@ -371,6 +371,28 @@ func TestTendencyFiniteOnRealisticState(t *testing.T) {
 	}
 }
 
+// Sinks that make the accessor results escape, so a per-call slice literal
+// would be a heap allocation rather than a stack temporary.
+var (
+	sinkF3s []*field.F3
+	sinkF2s []*field.F2
+)
+
+// TestTendencyAccessorsZeroAlloc: F3s/F2s feed the distributed filter on
+// every X-Y p_x > 1 step, a path the single-rank step tests never reach, so
+// they (and Zero) must hand out the construction-time arrays.
+func TestTendencyAccessorsZeroAlloc(t *testing.T) {
+	out := NewTendency(serialBlock(probeGrid()))
+	allocs := testing.AllocsPerRun(100, func() {
+		sinkF3s = out.F3s()
+		sinkF2s = out.F2s()
+		out.Zero()
+	})
+	if allocs != 0 {
+		t.Errorf("Tendency F3s/F2s/Zero allocate %v times per call, want 0", allocs)
+	}
+}
+
 func TestCSumDeepHaloRegionMatchesSerial(t *testing.T) {
 	// The deep-halo execution evaluates Ĉ on a region extending beyond the
 	// owned block (asymmetrically in z). Its values on that extended region

@@ -104,7 +104,6 @@ func (s *Smoother) P2Former(in, out *field.F3, r field.Rect, avail AvailFunc) in
 			// contiguous d range — the inner loop then runs without per-row
 			// nil checks, in the same ascending-d order (bitwise-identical
 			// accumulation).
-			//cadyvet:allow AvailFunc implementations are index arithmetic over captured scalars (FullAvail, CommAvoid.availY); callers pass pre-bound func values
 			lo, hi := avail(j)
 			dLo, dHi := clampD(lo-j, hi-1-j)
 			for d := dLo; d <= dHi; d++ {
@@ -146,7 +145,6 @@ func (s *Smoother) P2Latter(orig, cur *field.F3, r field.Rect, avail AvailFunc) 
 	var rows [5][]float64
 	for k := r.K0; k < r.K1; k++ {
 		for j := r.J0; j < r.J1; j++ {
-			//cadyvet:allow AvailFunc implementations are index arithmetic over captured scalars (FullAvail, CommAvoid.availY); callers pass pre-bound func values
 			lo, hi := avail(j)
 			if j-2 >= lo && j+2 < hi {
 				continue // fully smoothed in the former stage
@@ -197,7 +195,6 @@ func (s *Smoother) P2Former2(in, out *field.F2, r field.Rect, avail AvailFunc) i
 	xo := in.XOff(0)
 	var rows [5][]float64
 	for j := r.J0; j < r.J1; j++ {
-		//cadyvet:allow AvailFunc implementations are index arithmetic over captured scalars (FullAvail, CommAvoid.availY); callers pass pre-bound func values
 		lo, hi := avail(j)
 		dLo, dHi := clampD(lo-j, hi-1-j)
 		for d := dLo; d <= dHi; d++ {
@@ -223,7 +220,6 @@ func (s *Smoother) P2Latter2(orig, cur *field.F2, r field.Rect, avail AvailFunc)
 	xo := orig.XOff(0)
 	var rows [5][]float64
 	for j := r.J0; j < r.J1; j++ {
-		//cadyvet:allow AvailFunc implementations are index arithmetic over captured scalars (FullAvail, CommAvoid.availY); callers pass pre-bound func values
 		lo, hi := avail(j)
 		if j-2 >= lo && j+2 < hi {
 			continue
@@ -264,8 +260,6 @@ func (s *Smoother) P2Latter2(orig, cur *field.F2, r field.Rect, avail AvailFunc)
 // SmoothFull applies the complete S̃ of in into out over rect r (the
 // baseline path: P1 on U and V, full P2 on Φ and p'_sa). Inputs must be
 // valid on r expanded by 2 in x and y.
-//
-//cadyvet:allocfree
 func (s *Smoother) SmoothFull(in *state.State, out *state.State, r field.Rect) int {
 	w := s.P1Field(in.U, out.U, r)
 	w += s.P1Field(in.V, out.V, r)

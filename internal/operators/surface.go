@@ -44,8 +44,6 @@ func NewSurface(b field.Block) *Surface {
 
 // Update recomputes p_es and P from p'_sa over the entire storage region
 // (owned + halos) and returns the number of points updated.
-//
-//cadyvet:allocfree
 func (s *Surface) Update(psa *field.F2) int {
 	pes, pf, src := s.Pes.Data, s.P.Data, psa.Data
 	for i, v := range src {
@@ -87,18 +85,12 @@ func NewTendency(b field.Block) *Tendency {
 }
 
 // F3s returns the 3-D components (same order as state.State.F3s).
-//
-//cadyvet:allocfree
 func (t *Tendency) F3s() []*field.F3 { return t.f3s[:] }
 
 // F2s returns the 2-D components.
-//
-//cadyvet:allocfree
 func (t *Tendency) F2s() []*field.F2 { return t.f2s[:] }
 
 // Zero clears the tendency (storage included).
-//
-//cadyvet:allocfree
 func (t *Tendency) Zero() {
 	t.DU.Zero()
 	t.DV.Zero()

@@ -199,8 +199,6 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 // drain hook for taking a backend out of rotation: running jobs stop at
 // their next checkpointed step boundary, /healthz flips to 503 immediately,
 // and migrated jobs resume elsewhere from the shared store.
-//
-//cadyvet:component
 func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 	already := s.Draining()
 	if !already {

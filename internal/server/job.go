@@ -39,8 +39,8 @@ type JobSpec struct {
 
 	// Layout selects how the process grid is chosen: "" or "explicit" uses
 	// Alg/PA/PB/PC as given; "auto" defers to the autotuner (internal/tune)
-	// at execution time — the planner picks the scheme, factorization,
-	// worker count and stage depth for Procs ranks, and the chosen plan is
+	// at execution time — the planner picks the scheme, factorization and
+	// stage depth for Procs ranks, and the chosen plan is
 	// surfaced in the job status.
 	Layout string `json:"layout,omitempty"`
 	// Procs is the rank budget of an auto-layout job (default 4).
@@ -156,8 +156,8 @@ func (sp *JobSpec) Normalize() error {
 	if sp.Dt2 == 0 {
 		sp.Dt2 = 180
 	}
-	if sp.Nx <= 0 || sp.Ny <= 0 || sp.Nz <= 0 {
-		return fmt.Errorf("mesh extents must be positive, got %dx%dx%d", sp.Nx, sp.Ny, sp.Nz)
+	if err := grid.Check(sp.Nx, sp.Ny, sp.Nz); err != nil {
+		return err
 	}
 	if sp.Nx*sp.Ny*sp.Nz > maxMeshCells {
 		return fmt.Errorf("mesh %dx%dx%d exceeds the service cap of %d cells", sp.Nx, sp.Ny, sp.Nz, maxMeshCells)

@@ -151,8 +151,6 @@ type Server struct {
 
 // New builds the service, recovers any persisted jobs from cfg.Dir and
 // starts the worker pool.
-//
-//cadyvet:component
 func New(cfg Config) (*Server, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 2
@@ -366,8 +364,6 @@ func (s *Server) Resume(id string) (*Job, error) {
 // jobs are stopped at their next step boundary and checkpointed (state
 // "interrupted", resumable), still-queued jobs stay "queued" with their
 // specs persisted. It returns when the workers have exited or ctx expires.
-//
-//cadyvet:component
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.closed {

@@ -211,6 +211,9 @@ func TestSubmitValidation(t *testing.T) {
 		"bad kind":        {Kind: "train"},
 		"infeasible grid": {Alg: "yz", Nx: 48, Ny: 24, Nz: 8, PA: 20, PB: 20},
 		"negative mesh":   {Nx: -4},
+		"mesh too narrow": {Nx: 4, Ny: 24, Nz: 8},
+		"mesh too short":  {Nx: 48, Ny: 4, Nz: 8},
+		"auto tiny mesh":  {Layout: "auto", Nx: 48, Ny: 24, Nz: 1},
 		"negative dt1":    {Dt1: -5},
 		"negative dt2":    {Dt2: -5},
 		"too many ranks":  {Alg: "yz", Nx: 4096, Ny: 2048, Nz: 2, PA: 2048, PB: 1},
@@ -228,6 +231,48 @@ func TestSubmitValidation(t *testing.T) {
 	resp.Body.Close() // an unclosed body pins the transport's conn goroutines
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("GET missing job: %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestDrainEndpoint: POST /drain starts the graceful shutdown in the
+// background and answers at once, /healthz flips to 503, a repeated drain
+// reports already_draining, and the background shutdown goroutine exits with
+// the workers (newTestServer's leak check).
+func TestDrainEndpoint(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, QueueCap: 2})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	drain := func() map[string]bool {
+		t.Helper()
+		resp := postJSON(t, ts, "/drain", nil)
+		defer resp.Body.Close()
+		var body map[string]bool
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil || resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("POST /drain: status %d, decode %v", resp.StatusCode, err)
+		}
+		return body
+	}
+	if b := drain(); !b["draining"] {
+		t.Fatalf("POST /drain = %v, want draining", b)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		resp, err := http.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatalf("GET healthz: %v", err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusServiceUnavailable {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("healthz still %d after drain, want 503", resp.StatusCode)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if b := drain(); !b["already_draining"] {
+		t.Fatalf("second POST /drain = %v, want already_draining", b)
 	}
 }
 

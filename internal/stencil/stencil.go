@@ -78,8 +78,6 @@ func RadiusOf(terms []Term) Radius {
 }
 
 // Union returns the pointwise maximum of radii.
-//
-//cadyvet:allocfree
 func Union(rs ...Radius) Radius {
 	var u Radius
 	for _, r := range rs {
@@ -98,16 +96,12 @@ func Union(rs ...Radius) Radius {
 
 // Scale multiplies every component by n: the halo depth needed for n
 // back-to-back updates without communication (Section 4.3.1's 3M layers).
-//
-//cadyvet:allocfree
 func (r Radius) Scale(n int) Radius {
 	return Radius{X: r.X * n, Y: r.Y * n, Z: r.Z * n}
 }
 
 // Add sums two radii componentwise (e.g. adaptation depth + fused smoothing
 // depth in Algorithm 2).
-//
-//cadyvet:allocfree
 func (r Radius) Add(o Radius) Radius {
 	return Radius{X: r.X + o.X, Y: r.Y + o.Y, Z: r.Z + o.Z}
 }
@@ -124,8 +118,6 @@ func maxAbs(cur, o int) int {
 
 // Contains reports whether offset (dx, dy, dz) lies inside the Cartesian
 // footprint of any term in the table.
-//
-//cadyvet:allocfree
 func Contains(terms []Term, dx, dy, dz int) bool {
 	for _, t := range terms {
 		if containsInt(t.X, dx) && containsInt(t.Y, dy) && containsInt(t.Z, dz) {
@@ -137,8 +129,6 @@ func Contains(terms []Term, dx, dy, dz int) bool {
 
 // BoxContains reports whether (dx, dy, dz) lies inside the bounding box of
 // the table's radius — the criterion halo sizing actually relies on.
-//
-//cadyvet:allocfree
 func BoxContains(terms []Term, dx, dy, dz int) bool {
 	r := RadiusOf(terms)
 	return abs(dx) <= r.X && abs(dy) <= r.Y && abs(dz) <= r.Z

@@ -349,7 +349,6 @@ func (e *Exchanger) Begin(f3s []*field.F3, f2s []*field.F2) *Pending {
 	defer c.SetCategory(prev)
 	t0 := c.Stats().CommTime[comm.CatStencil]
 	if len(e.sendBuf) < e.maxCount {
-		//cadyvet:allow first-exchange lazy buffer growth; steady-state exchanges reuse the buffer (0 allocs/op pinned by the dycore alloc benchmark)
 		e.sendBuf = make([]float64, e.maxCount)
 	}
 	buf := e.sendBuf
@@ -391,7 +390,6 @@ func (p *Pending) Finish() {
 	s0 := c.Stats()
 	t0, h0 := s0.CommTime[comm.CatStencil], s0.HiddenTime[comm.CatStencil]
 	if len(e.recvBuf) < e.maxCount {
-		//cadyvet:allow first-exchange lazy buffer growth; steady-state exchanges reuse the buffer (0 allocs/op pinned by the dycore alloc benchmark)
 		e.recvBuf = make([]float64, e.maxCount)
 	}
 	buf := e.recvBuf
@@ -427,7 +425,6 @@ func (p *Pending) Finish() {
 
 // Exchange performs a full blocking halo exchange of the given fields.
 func (e *Exchanger) Exchange(f3s []*field.F3, f2s []*field.F2) {
-	//cadyvet:quiesce Exchange is the deliberately blocking convenience form for bootstrap fills and quiesced reference paths
 	e.Begin(f3s, f2s).Finish()
 }
 
