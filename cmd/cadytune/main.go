@@ -1,13 +1,12 @@
-// Command cadytune is the autotuner front end: it calibrates a machine
-// profile, plans decompositions with the calibrated cost model, runs the
-// planned layout, and benchmarks the plan against the exhaustively measured
+// Command cadytune is the autotuner front end: it plans decompositions with
+// the §5.3 cost model of the simulated Tianhe-like machine, runs the planned
+// layout, and benchmarks the plan against the exhaustively measured
 // candidate space.
 //
 // Usage:
 //
-//	cadytune calibrate [-o machine.json] [-rounds N] [-kernel-ms D]
-//	cadytune plan -p P [-nx N -ny N -nz N] [-m M] [-profile machine.json]
-//	              [-cache DIR] [-topk K] [-pilot-steps N] [-vary-m] [-no-staged]
+//	cadytune plan -p P [-nx N -ny N -nz N] [-m M] [-cache DIR]
+//	              [-topk K] [-pilot-steps N] [-vary-m] [-no-staged]
 //	cadytune run  (plan flags) [-steps K]
 //	cadytune bench (plan flags) [-steps K] [-o BENCH_tune.json] [-check]
 //
@@ -15,7 +14,8 @@
 // candidate at the given rank budget on the simulated machine and reports
 // how the planner's pick compares with the exhaustive best and worst;
 // -check exits non-zero unless the pick is within 10% of the best and at
-// least 1.5x faster than the worst.
+// least 1.5x faster than the worst. An unusable mesh, configuration or step
+// count is a one-line error and exit status 2.
 package main
 
 import (
@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"time"
 
 	"cadycore/internal/dycore"
 	"cadycore/internal/grid"
@@ -37,8 +36,6 @@ func main() {
 		os.Exit(2)
 	}
 	switch os.Args[1] {
-	case "calibrate":
-		cmdCalibrate(os.Args[2:])
 	case "plan":
 		cmdPlan(os.Args[2:])
 	case "run":
@@ -53,39 +50,15 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: cadytune {calibrate|plan|run|bench} [flags]  (cadytune <cmd> -h for flags)")
-}
-
-func cmdCalibrate(args []string) {
-	fs := flag.NewFlagSet("calibrate", flag.ExitOnError)
-	out := fs.String("o", "machine.json", "output profile path")
-	rounds := fs.Int("rounds", 16, "ping-pong rounds per payload size")
-	kernelMs := fs.Int("kernel-ms", 50, "minimum wall time per kernel measurement (ms)")
-	nx := fs.Int("nx", 64, "kernel-benchmark mesh points in longitude")
-	ny := fs.Int("ny", 32, "kernel-benchmark mesh points in latitude")
-	nz := fs.Int("nz", 8, "kernel-benchmark mesh levels")
-	fs.Parse(args)
-
-	p := tune.Calibrate(tune.CalibrateOptions{
-		Rounds: *rounds, Nx: *nx, Ny: *ny, Nz: *nz,
-		MinKernelTime: time.Duration(*kernelMs) * time.Millisecond,
-	})
-	if err := p.Save(*out); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("calibrated profile %s -> %s\n", p.Hash(), *out)
-	fmt.Printf("  alpha %.3g s  beta %.3g s/B  (latency %.3g s, overhead %.3g s)\n",
-		p.Alpha, p.Beta, p.NetModel().Latency, p.Overhead)
-	fmt.Printf("  kernel rates (points/s): adapt %.3g  advect %.3g  smooth %.3g  csum %.3g  filter-row %.3g\n",
-		p.Kernels.Adapt, p.Kernels.Advect, p.Kernels.Smooth, p.Kernels.CSum, p.Kernels.FilterRow)
+	fmt.Fprintln(os.Stderr, "usage: cadytune {plan|run|bench} [flags]  (cadytune <cmd> -h for flags)")
 }
 
 // planFlags are the flags shared by plan, run and bench.
 type planFlags struct {
-	procs, nx, ny, nz, m  int
-	topk, pilotSteps      int
-	profilePath, cacheDir string
-	varyM, noStaged       bool
+	procs, nx, ny, nz, m int
+	topk, pilotSteps     int
+	cacheDir             string
+	varyM, noStaged      bool
 }
 
 func addPlanFlags(fs *flag.FlagSet) *planFlags {
@@ -97,7 +70,6 @@ func addPlanFlags(fs *flag.FlagSet) *planFlags {
 	fs.IntVar(&pf.m, "m", 3, "nonlinear iterations per step")
 	fs.IntVar(&pf.topk, "topk", 4, "pilot-run this many analytic leaders (negative: analytic only)")
 	fs.IntVar(&pf.pilotSteps, "pilot-steps", 2, "steps per pilot run")
-	fs.StringVar(&pf.profilePath, "profile", "", "machine profile (default: analytic Tianhe-like profile)")
 	fs.StringVar(&pf.cacheDir, "cache", "", "plan memo directory (empty: no memoization)")
 	fs.BoolVar(&pf.varyM, "vary-m", false, "also search M-1 and M+1 (changes physics accuracy)")
 	fs.BoolVar(&pf.noStaged, "no-staged", false, "disable staged-exchange (shallow halo) CA candidates")
@@ -105,15 +77,8 @@ func addPlanFlags(fs *flag.FlagSet) *planFlags {
 }
 
 func (pf *planFlags) planner() *tune.Planner {
-	prof := tune.DefaultProfile()
-	if pf.profilePath != "" {
-		var err error
-		if prof, err = tune.LoadProfile(pf.profilePath); err != nil {
-			fatal(err)
-		}
-	}
 	pl := &tune.Planner{
-		Profile:    prof,
+		Profile:    tune.DefaultProfile(),
 		TopK:       pf.topk,
 		PilotSteps: pf.pilotSteps,
 		Search: tune.SearchOptions{
@@ -134,9 +99,16 @@ func (pf *planFlags) config() dycore.Config {
 }
 
 func (pf *planFlags) plan() (*tune.Planner, *grid.Grid, dycore.Config, tune.Plan) {
+	cfg := pf.config()
+	err := grid.Check(pf.nx, pf.ny, pf.nz)
+	if err == nil {
+		err = cfg.Validate()
+	}
+	if err != nil {
+		usageError(err)
+	}
 	pl := pf.planner()
 	g := grid.New(pf.nx, pf.ny, pf.nz)
-	cfg := pf.config()
 	plan, err := pl.Plan(g, pf.procs, cfg)
 	if err != nil {
 		fatal(err)
@@ -158,6 +130,7 @@ func cmdRun(args []string) {
 	pf := addPlanFlags(fs)
 	steps := fs.Int("steps", 4, "time steps")
 	fs.Parse(args)
+	checkSteps(*steps)
 	pl, g, cfg, plan := pf.plan()
 	fmt.Printf("plan: %s (predicted %.4g s/step)\n", plan, plan.PredictedStep)
 	sim := pl.MeasureStep(plan.Candidate(), g, cfg, *steps)
@@ -201,6 +174,7 @@ func cmdBench(args []string) {
 	out := fs.String("o", "BENCH_tune.json", "output JSON path")
 	check := fs.Bool("check", false, "exit non-zero unless planned<=1.10x best and worst>=1.5x planned")
 	fs.Parse(args)
+	checkSteps(*steps)
 
 	pl, g, cfg, plan := pf.plan()
 	cands := tune.Candidates(g, pf.procs, cfg, pl.Profile, pl.Search)
@@ -277,4 +251,17 @@ func cmdBench(args []string) {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "cadytune:", err)
 	os.Exit(1)
+}
+
+// checkSteps rejects a step count the measurement cannot use.
+func checkSteps(steps int) {
+	if steps < 1 {
+		usageError(fmt.Errorf("-steps = %d must be >= 1", steps))
+	}
+}
+
+// usageError reports an unusable flag value on one line and exits 2.
+func usageError(err error) {
+	fmt.Fprintln(os.Stderr, "cadytune:", err)
+	os.Exit(2)
 }

@@ -7,14 +7,13 @@
 //
 //	dycore [-alg ca|yz|xy] [-nx N -ny N -nz N] [-pa N -pb N] [-m M]
 //	       [-steps K] [-dt1 s -dt2 s] [-hs] [-exactc] [-nooverlap] [-nofuse]
-//	dycore -auto [-procs P] [-profile machine.json] [...]
+//	dycore -auto [-procs P] [...]
 //	dycore -chaos plan.json [-max-restarts N] [-save ck -save-every K] [...]
 //
 // For -alg yz/ca the process grid is p_y × p_z = pa × pb; for -alg xy it is
 // p_x × p_y. With -auto the autotuner (internal/tune) chooses the algorithm,
-// process grid and stage depth for -procs ranks instead;
-// -profile supplies a calibrated machine profile (cadytune calibrate),
-// otherwise the analytic Tianhe-like profile is used.
+// process grid and stage depth for -procs ranks instead, pricing candidates
+// on the same Tianhe-like network model the run simulates.
 //
 // With -chaos, the JSON fault plan (internal/fault) is injected into the
 // run: stragglers, jitter and send errors perturb the simulated clock, and
@@ -65,7 +64,6 @@ func main() {
 	loadFile := flag.String("load", "", "initialize from a restart checkpoint instead of the H-S initial state")
 	auto := flag.Bool("auto", false, "let the autotuner choose algorithm, process grid and stage depth")
 	procs := flag.Int("procs", 0, "rank budget for -auto (default pa*pb)")
-	profilePath := flag.String("profile", "", "machine profile for -auto/-rebalance (default: analytic Tianhe-like profile)")
 	rebalance := flag.Bool("rebalance", false, "live load rebalancing: watch per-rank compute, re-plan and migrate mid-run")
 	chaosPath := flag.String("chaos", "", "fault-injection plan (JSON); crashed runs restart from the latest checkpoint")
 	maxRestarts := flag.Int("max-restarts", 3, "restarts after an injected rank crash (use -save -save-every to keep progress)")
@@ -96,12 +94,6 @@ func main() {
 
 	g := grid.New(*nx, *ny, *nz)
 	prof := tune.DefaultProfile()
-	if *profilePath != "" {
-		if prof, err = tune.LoadProfile(*profilePath); err != nil {
-			fmt.Fprintln(os.Stderr, "profile:", err)
-			os.Exit(1)
-		}
-	}
 	var set dycore.Setup
 	if *auto {
 		budget := *procs

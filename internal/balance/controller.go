@@ -103,7 +103,8 @@ func NewController(pol Policy, g *grid.Grid, cfg dycore.Config, prof tune.Profil
 }
 
 // CandidateOf translates a dycore Setup into the controller's candidate
-// space (3-D setups are not re-plannable: the tune search space is 2-D).
+// space. Only the planner's schemes are re-plannable: CA and YZ under the
+// Y-Z decomposition, not X-Y or 3-D.
 func CandidateOf(set dycore.Setup) (tune.Candidate, error) {
 	var sch tune.Scheme
 	switch set.Alg {
@@ -111,8 +112,6 @@ func CandidateOf(set dycore.Setup) (tune.Candidate, error) {
 		sch = tune.SchemeCA
 	case dycore.AlgBaselineYZ:
 		sch = tune.SchemeYZ
-	case dycore.AlgBaselineXY:
-		sch = tune.SchemeXY
 	default:
 		return tune.Candidate{}, fmt.Errorf("balance: algorithm %s is not rebalanceable", set.Alg)
 	}

@@ -46,7 +46,7 @@ func TestAutoLayoutJobRunsAndSurfacesPlan(t *testing.T) {
 	if got := p.PA * p.PB; got != 4 {
 		t.Errorf("planned grid %dx%d uses %d ranks, want 4", p.PA, p.PB, got)
 	}
-	if p.Scheme != tune.SchemeCA && p.Scheme != tune.SchemeYZ && p.Scheme != tune.SchemeXY {
+	if p.Scheme != tune.SchemeCA && p.Scheme != tune.SchemeYZ {
 		t.Errorf("unknown planned scheme %q", p.Scheme)
 	}
 	if p.ProfileHash == "" || p.PredictedStep <= 0 {
@@ -118,21 +118,18 @@ func TestAutoLayoutInfeasibleBudgetFailsAfterPlanning(t *testing.T) {
 	}
 }
 
-// TestRecoverHonoursVersion3PlanMeta: job metadata persisted by the release
-// that still planned a smoothing-path axis and latitude-weighted rows (plan
-// version 3) must keep loading. testdata/v3-job holds that release's files
-// for an auto job on the benchmark's `auto` class, as left by a process that
-// died right after planning. The layout is honoured — rows included — and
-// the smoothing runs on the stencil, the one remaining implementation (the
-// deferred-smoothing resume contract is path-independent).
-func TestRecoverHonoursVersion3PlanMeta(t *testing.T) {
+// recoverFixture plants testdata/<fixture> — an earlier release's spec.json
+// and meta.json for job j-000001 — in a fresh service directory and starts a
+// server over it, returning the recovered job.
+func recoverFixture(t *testing.T, fixture string) (*Server, *Job) {
+	t.Helper()
 	dir := t.TempDir()
 	jdir := filepath.Join(dir, "j-000001")
 	if err := os.MkdirAll(jdir, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"spec.json", "meta.json"} {
-		body, err := os.ReadFile(filepath.Join("testdata", "v3-job", name))
+		body, err := os.ReadFile(filepath.Join("testdata", fixture, name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,12 +138,35 @@ func TestRecoverHonoursVersion3PlanMeta(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-
 	s := newTestServer(t, Config{Workers: 1, QueueCap: 4, Dir: dir})
 	j, ok := s.Get("j-000001")
 	if !ok {
-		t.Fatal("job with a version-3 plan was not recovered")
+		t.Fatalf("job of %s was not recovered", fixture)
 	}
+	return s, j
+}
+
+// matchesExplicitRun reports whether the job's final checkpoint is bitwise
+// that of an explicit H-S run of set over the job's mesh and steps.
+func matchesExplicitRun(j *Job, set dycore.Setup) bool {
+	spec := j.Spec
+	g := grid.New(spec.Nx, spec.Ny, spec.Nz)
+	hs := heldsuarez.Standard()
+	hook := func(g *grid.Grid, st *state.State, step int) { hs.Apply(g, st, spec.Dt2) }
+	res := dycore.RunWithHook(set, g, comm.TianheLike(), heldsuarez.InitialState, spec.Steps, hook)
+	snap, _ := j.latestSnapshot()
+	return snap.Equal(checkpoint.Gather(g, res.Finals))
+}
+
+// TestRecoverHonoursVersion3PlanMeta: job metadata persisted by the release
+// that still planned a smoothing-path axis and latitude-weighted rows (plan
+// version 3) must keep loading. testdata/v3-job holds that release's files
+// for an auto job on the benchmark's `auto` class, as left by a process that
+// died right after planning. The layout is honoured — rows included — and
+// the smoothing runs on the stencil, the one remaining implementation (the
+// deferred-smoothing resume contract is path-independent).
+func TestRecoverHonoursVersion3PlanMeta(t *testing.T) {
+	s, j := recoverFixture(t, "v3-job")
 	st := j.Status()
 	wantRows := []int{0, 5, 12, 19, 24}
 	if st.State != JInterrupted || !st.Resumable || st.Plan == nil || !reflect.DeepEqual(st.Plan.RowStarts, wantRows) {
@@ -159,14 +179,30 @@ func TestRecoverHonoursVersion3PlanMeta(t *testing.T) {
 	if fin.StepsDone != 4 || !reflect.DeepEqual(fin.Plan.RowStarts, wantRows) {
 		t.Fatalf("resumed job finished at %d steps on rows %v, want 4 on %v", fin.StepsDone, fin.Plan.RowStarts, wantRows)
 	}
-
 	// Bitwise the explicit stencil run of the same layout.
-	spec := j.Spec
-	g := grid.New(spec.Nx, spec.Ny, spec.Nz)
-	hs := heldsuarez.Standard()
-	hook := func(g *grid.Grid, st *state.State, step int) { hs.Apply(g, st, spec.Dt2) }
-	res := dycore.RunWithHook(fin.Plan.Setup(spec.config()), g, comm.TianheLike(), heldsuarez.InitialState, spec.Steps, hook)
-	if snap, _ := j.latestSnapshot(); !snap.Equal(checkpoint.Gather(g, res.Finals)) {
+	if !matchesExplicitRun(j, fin.Plan.Setup(j.Spec.config())) {
 		t.Error("recovered run differs from the explicit stencil run on the planned rows")
+	}
+}
+
+// TestRecoverResumesXYPlanMeta: the planner no longer searches the X-Y
+// scheme, but an X-Y plan an earlier release persisted still runs as
+// planned. testdata/xy-job holds that release's files for an auto job
+// planned `xy 1x4` on 48×24×8, as left by a process that died right after
+// planning.
+func TestRecoverResumesXYPlanMeta(t *testing.T) {
+	s, j := recoverFixture(t, "xy-job")
+	st := j.Status()
+	if st.State != JInterrupted || !st.Resumable || st.Plan == nil || st.Plan.Candidate().Key() != "xy-1x4-m2" {
+		t.Fatalf("recovered %s resumable=%v plan %v, want interrupted/resumable on xy 1x4", st.State, st.Resumable, st.Plan)
+	}
+	if _, err := s.Resume(j.ID); err != nil {
+		t.Fatalf("Resume: %v", err)
+	}
+	if fin := waitState(t, s, j.ID, JCompleted); fin.StepsDone != 4 || fin.Plan.Scheme != tune.SchemeXY {
+		t.Fatalf("resumed job finished at %d steps on %v, want 4 on xy 1x4", fin.StepsDone, fin.Plan)
+	}
+	if !matchesExplicitRun(j, dycore.Setup{Alg: dycore.AlgBaselineXY, PA: 1, PB: 4, Cfg: j.Spec.config()}) {
+		t.Error("recovered run differs from the explicit xy 1x4 run")
 	}
 }

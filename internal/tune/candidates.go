@@ -17,7 +17,9 @@ const (
 	SchemeCA Scheme = "ca"
 	// SchemeYZ is the original algorithm under the Y-Z decomposition.
 	SchemeYZ Scheme = "yz"
-	// SchemeXY is the original algorithm under the X-Y decomposition.
+	// SchemeXY is the original algorithm under the X-Y decomposition. The
+	// planner does not search it: its 1×P layout is the YZ P×1 run, and every
+	// p_x > 1 layout is slower. A persisted X-Y plan still decodes and runs.
 	SchemeXY Scheme = "xy"
 )
 
@@ -36,7 +38,8 @@ func (s Scheme) Alg() dycore.Algorithm {
 // Candidate is one point of the planner's search space.
 type Candidate struct {
 	Scheme Scheme
-	// PA, PB follow dycore.Setup: (py, pz) for CA/YZ, (px, py) for XY.
+	// PA, PB follow dycore.Setup: (py, pz) for the searched schemes, (px,
+	// py) for a persisted X-Y plan.
 	PA, PB int
 	// M is the nonlinear iteration count (halo depth follows it for CA).
 	M int
@@ -78,12 +81,23 @@ func (c Candidate) Setup(cfg dycore.Config) dycore.Setup {
 	return dycore.Setup{Alg: c.Scheme.Alg(), PA: c.PA, PB: c.PB, Cfg: cfg, RowStarts: c.RowStarts}
 }
 
-// py returns the y extent of the process grid.
-func (c Candidate) py() int {
-	if c.Scheme == SchemeXY {
-		return c.PB
+// stageDepth is the number of nonlinear iterations one CA halo exchange
+// serves: Stage when staging is active (0 < Stage < M), M otherwise.
+func (c Candidate) stageDepth() int {
+	if c.Stage > 0 && c.Stage < c.M {
+		return c.Stage
 	}
-	return c.PA
+	return c.M
+}
+
+// halo returns the y and z halo depths the candidate's integrator uses.
+func (c Candidate) halo() (hy, hz int) {
+	if c.Scheme == SchemeCA {
+		_, hy, hz = dycore.CommAvoidHalo(c.stageDepth())
+	} else {
+		_, hy, hz = dycore.BaselineHalo()
+	}
+	return hy, hz
 }
 
 // SearchOptions bounds the candidate enumeration.
@@ -97,15 +111,17 @@ type SearchOptions struct {
 	NoStaged bool
 }
 
-// minRowsCA is the minimum rows/layers per rank the communication-avoiding
-// overlap machinery is comfortable with.
-const minRowsCA = 2
+// minRows is the minimum rows (and layers) per rank: the service's layout
+// validation (py ≤ ny/2, pz ≤ nz/2), which the communication-avoiding
+// overlap machinery also needs.
+const minRows = 2
 
 // Candidates enumerates the search space for running cfg on an nx×ny×nz
 // mesh with exactly procs ranks. The order is deterministic: schemes in
-// {ca, yz, xy} order, factorizations by ascending PA, then M, and full-depth before staged halos (ascending stage depth). Every candidate
-// has the uniform y partition. The enumeration does not read the machine
-// profile; the parameter is part of the signature benchmark/ calls.
+// {ca, yz} order, factorizations by ascending PA, then M, and full-depth
+// before staged halos (ascending stage depth). Every candidate has the
+// uniform y partition. The enumeration does not read the machine profile;
+// the parameter is part of the signature benchmark/ calls.
 func Candidates(g *grid.Grid, procs int, cfg dycore.Config, _ Profile, opt SearchOptions) []Candidate {
 	ms := []int{cfg.M}
 	if opt.VaryM {
@@ -115,13 +131,13 @@ func Candidates(g *grid.Grid, procs int, cfg dycore.Config, _ Profile, opt Searc
 		ms = append(ms, cfg.M+1)
 	}
 	var out []Candidate
-	for _, scheme := range []Scheme{SchemeCA, SchemeYZ, SchemeXY} {
+	for _, scheme := range []Scheme{SchemeCA, SchemeYZ} {
 		for pa := 1; pa <= procs; pa++ {
 			if procs%pa != 0 {
 				continue
 			}
 			pb := procs / pa
-			if !feasible(scheme, g, pa, pb) {
+			if pa > g.Ny/minRows || pb > g.Nz/minRows {
 				continue
 			}
 			for _, m := range ms {
@@ -142,47 +158,4 @@ func Candidates(g *grid.Grid, procs int, cfg dycore.Config, _ Profile, opt Searc
 		}
 	}
 	return out
-}
-
-// feasible mirrors the service's layout validation (py ≤ ny/2, pz ≤ nz/2;
-// px ≤ nx/2 for X-Y), plus the CA minimum block thickness.
-func feasible(scheme Scheme, g *grid.Grid, pa, pb int) bool {
-	switch scheme {
-	case SchemeXY:
-		return pa <= g.Nx/2 && pb <= g.Ny/2
-	case SchemeCA:
-		return pa <= g.Ny/minRowsCA && pb <= g.Nz/2
-	default:
-		return pa <= g.Ny/2 && pb <= g.Nz/2
-	}
-}
-
-// rowWeights returns the per-row cost (seconds per step, per y row) of the
-// candidate's kernels: the stencil work of a row of nx·(nz/pz) points plus
-// the Fourier-filter work on rows poleward of the cutoff.
-func rowWeights(g *grid.Grid, cfg dycore.Config, prof Profile, c Candidate) []float64 {
-	nxLocal, pz := g.Nx, 1
-	switch c.Scheme {
-	case SchemeXY:
-		nxLocal = g.Nx / c.PA
-	default:
-		pz = c.PB
-	}
-	layers := float64(g.Nz) / float64(pz)
-	rowPoints := float64(nxLocal) * layers
-	k := prof.Kernels
-	stencil := rowPoints*(3*float64(c.M)/k.Adapt+3/k.Advect+float64(2*c.M)/k.CSum) + rowPoints/k.Smooth
-	// Filtered tendencies per step: every adaptation and advection update
-	// filters ~3 field components.
-	apps := float64(3*c.M+3) * 3 * layers
-	filterRow := apps * rowCost(nxLocal) / k.FilterRow
-	active := g.PolarRows(cfg.FilterCutoffDeg)
-	weights := make([]float64, g.Ny)
-	for j := range weights {
-		weights[j] = stencil
-		if active[j] {
-			weights[j] += filterRow
-		}
-	}
-	return weights
 }

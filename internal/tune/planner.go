@@ -115,7 +115,7 @@ func (pl *Planner) Plan(g *grid.Grid, procs int, cfg dycore.Config) (Plan, error
 		return Plan{}, fmt.Errorf("tune: procs must be ≥ 1, got %d", procs)
 	}
 	if err := cfg.Validate(); err != nil {
-		panic(err)
+		return Plan{}, err
 	}
 	key := pl.cacheKey(g, procs, cfg)
 	if p, ok := pl.Cache.Get(key); ok {
@@ -186,16 +186,7 @@ func PlanOf(g *grid.Grid, procs int, c Candidate, prof Profile, predicted float6
 // planFrom fills a Plan from an estimate.
 func planFrom(g *grid.Grid, procs int, e Estimate, prof Profile) Plan {
 	c := e.Candidate
-	var hy, hz int
-	if c.Scheme == SchemeCA {
-		sd := c.M
-		if c.Stage > 0 && c.Stage < c.M {
-			sd = c.Stage
-		}
-		_, hy, hz = dycore.CommAvoidHalo(sd)
-	} else {
-		_, hy, hz = dycore.BaselineHalo()
-	}
+	hy, hz := c.halo()
 	return Plan{
 		Version: PlanVersion,
 		Mesh:    [3]int{g.Nx, g.Ny, g.Nz},

@@ -1,10 +1,11 @@
-// Package tune is the cost-model-driven autotuner: it calibrates a machine
-// profile (LogP network constants plus per-kernel compute rates), evaluates
-// the paper's §5.3 W/S expressions with those constants over the full
-// candidate space — scheme ∈ {CA, YZ, XY}, every py×pz factorization, worker
-// count, and non-uniform y-row partitions that give the filter-heavy polar
-// ranks fewer rows — and refines the top analytic candidates with short
-// pilot runs, memoizing the chosen plan in an on-disk cache.
+// Package tune is the cost-model-driven autotuner. Its machine profile is the
+// simulated network model that pilot runs charge (LogP α, β, o and the
+// compute rate). With it the planner evaluates the paper's §5.3 W/S
+// expressions — per-row compute at the dycore.SimCosts weights plus the
+// latitude-weighted filter term — over the uniform-partition candidate space
+// scheme ∈ {CA, YZ} × every py×pz factorization × CA stage depth, refines
+// the top analytic candidates with short pilot runs, and memoizes the chosen
+// plan in an on-disk cache.
 //
 // The planner is deterministic: a given (mesh, procs, config, profile)
 // always yields the same plan. Pilot runs measure the simulated LogP clock,
@@ -16,32 +17,14 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"cadycore/internal/comm"
 	"cadycore/internal/costmodel"
-	"cadycore/internal/dycore"
 )
 
-// ProfileVersion is bumped whenever the profile schema or the meaning of a
-// rate changes; loading a profile with a different version fails.
-const ProfileVersion = 1
-
-// KernelRates holds calibrated compute throughput per kernel, in mesh-point
-// updates per second (FilterRow is in nx·log2(nx) point-equivalents per
-// second, the natural unit of one filtered row transform).
-type KernelRates struct {
-	Adapt     float64 `json:"adapt"`
-	Advect    float64 `json:"advect"`
-	Smooth    float64 `json:"smooth"`
-	CSum      float64 `json:"csum"`
-	FilterRow float64 `json:"filter_row"`
-}
-
-// Profile is the versioned machine profile the planner consumes.
+// Profile is the machine the planner prices and pilots: the LogP constants
+// and compute rate of one network model.
 type Profile struct {
-	Version int `json:"version"`
 	// Alpha is the effective latency of one synchronization round
 	// (network latency plus both software overheads), seconds.
 	Alpha float64 `json:"alpha"`
@@ -49,11 +32,9 @@ type Profile struct {
 	Beta float64 `json:"beta"`
 	// Overhead is the software send overhead (the LogP "o"), seconds.
 	Overhead float64 `json:"overhead"`
-	// ComputeRate is the simulated-clock compute rate of the network model
-	// (point-updates per second); pilot runs advance the LogP clock with it.
+	// ComputeRate is the simulated-clock compute rate (point-updates per
+	// second); the analytic compute term and the pilot runs both use it.
 	ComputeRate float64 `json:"compute_rate"`
-	// Kernels are the measured wall-clock kernel rates.
-	Kernels KernelRates `json:"kernels"`
 }
 
 // NetModel reconstructs the communication model pilot runs simulate under.
@@ -72,7 +53,7 @@ func (p Profile) Calib() costmodel.Calib {
 }
 
 // Hash returns a short stable digest of the profile; it keys the plan cache
-// so stale plans are never served for a re-calibrated machine.
+// so plans made for another machine are never served.
 func (p Profile) Hash() string {
 	data, err := json.Marshal(p)
 	if err != nil {
@@ -82,117 +63,17 @@ func (p Profile) Hash() string {
 	return hex.EncodeToString(sum[:6])
 }
 
-// Save writes the profile atomically (temp file + rename, like checkpoints).
-func (p Profile) Save(path string) error {
-	data, err := json.MarshalIndent(p, "", "  ")
-	if err != nil {
-		return fmt.Errorf("tune: marshal profile: %w", err)
-	}
-	data = append(data, '\n')
-	return writeFileAtomic(path, data)
-}
-
-// LoadProfile reads a profile and rejects version mismatches.
-func LoadProfile(path string) (Profile, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Profile{}, err
-	}
-	var p Profile
-	if err := json.Unmarshal(data, &p); err != nil {
-		return Profile{}, fmt.Errorf("tune: parse profile %s: %w", path, err)
-	}
-	if p.Version != ProfileVersion {
-		return Profile{}, fmt.Errorf("tune: profile %s has version %d, want %d (re-run calibration)",
-			path, p.Version, ProfileVersion)
-	}
-	if err := p.validate(); err != nil {
-		return Profile{}, fmt.Errorf("tune: profile %s: %w", path, err)
-	}
-	return p, nil
-}
-
-func (p Profile) validate() error {
-	if p.Alpha <= 0 || p.Beta < 0 || p.Overhead < 0 || p.ComputeRate <= 0 {
-		return fmt.Errorf("non-positive network constants (alpha %g, beta %g, overhead %g, rate %g)",
-			p.Alpha, p.Beta, p.Overhead, p.ComputeRate)
-	}
-	k := p.Kernels
-	if k.Adapt <= 0 || k.Advect <= 0 || k.Smooth <= 0 || k.CSum <= 0 || k.FilterRow <= 0 {
-		return fmt.Errorf("non-positive kernel rates %+v", k)
-	}
-	return nil
-}
-
-// ProfileFromModel derives a profile analytically from a network model:
-// the kernel rates come from the simulated clock's own cost weights
-// (dycore.SimCosts), so analytic estimates and pilot runs under this model
-// price compute identically — usable whenever no wall-clock calibration
-// has been run.
+// ProfileFromModel is the profile of a network model.
 func ProfileFromModel(m comm.NetModel) Profile {
-	aw, dw, sw, cw, fw := dycore.SimCosts()
 	return Profile{
-		Version:     ProfileVersion,
 		Alpha:       m.Latency + 2*m.SendOverhead,
 		Beta:        m.ByteTime,
 		Overhead:    m.SendOverhead,
 		ComputeRate: m.ComputeRate,
-		Kernels: KernelRates{
-			Adapt:     m.ComputeRate / aw,
-			Advect:    m.ComputeRate / dw,
-			Smooth:    m.ComputeRate / sw,
-			CSum:      m.ComputeRate / cw,
-			FilterRow: m.ComputeRate / fw,
-		},
 	}
 }
 
 // DefaultProfile is ProfileFromModel of the TianheLike machine.
 func DefaultProfile() Profile {
 	return ProfileFromModel(comm.TianheLike())
-}
-
-// writeFileAtomic writes data to path via a temp file in the same directory
-// plus fsync + rename + parent-dir fsync, so concurrent readers never
-// observe a partial file and a crash at any point leaves either the old or
-// the new content — never a torn or lost file.
-//
-//cadyvet:blessed the package's one commit helper: CreateTemp in the destination dir, fsync, rename, parent-dir fsync
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

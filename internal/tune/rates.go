@@ -2,6 +2,7 @@ package tune
 
 import (
 	"math"
+	"slices"
 
 	"cadycore/internal/dycore"
 	"cadycore/internal/grid"
@@ -15,19 +16,15 @@ import (
 // toward giving that rank less work.
 
 // rankColumn returns the y-column index of a world rank under the
-// candidate's process grid. Ranks are laid out rank = (cz·py + cy)·px + cx,
+// candidate's process grid. Ranks are laid out rank = cz·py + cy (p_x = 1),
 // matching internal/topo.
 func rankColumn(c Candidate, rank int) int {
-	px, py := 1, c.PA
-	if c.Scheme == SchemeXY {
-		px, py = c.PA, c.PB
-	}
-	return (rank / px) % py
+	return rank % c.PA
 }
 
 // PerRankCompute returns the modeled per-step compute seconds of every rank
 // of the candidate, in rank order. Each rank inherits its y column's compute
-// cost (the x and z splits are uniform). The rebalancing controller divides
+// cost (the z split is uniform). The rebalancing controller divides
 // measured per-rank compute by this baseline to isolate slowdowns the model
 // does not already explain — the polar-filter skew is modeled, a straggler
 // is not.
@@ -61,22 +58,14 @@ func EvaluateWithRates(g *grid.Grid, cfg dycore.Config, prof Profile, c Candidat
 }
 
 // RatedRows builds the slowdown-aware y-row partition for a candidate: row
-// weights come from the candidate's kernel costs (stencil work plus the
-// polar-filter surcharge), and each column's weight is additionally
-// multiplied by the largest slowdown among its ranks, so slow columns
-// receive fewer rows. With unit slowdowns it is the purely latitude-weighted
+// weights are the model's rowCosts (stencil work plus the polar-filter
+// surcharge), and each column's weight is additionally multiplied by the
+// largest slowdown among its ranks, so slow columns receive fewer rows. With unit slowdowns it is the purely latitude-weighted
 // partition. Returns nil when py < 2, the partition is infeasible, or the
 // rated partition equals the candidate's existing one.
 func RatedRows(g *grid.Grid, cfg dycore.Config, prof Profile, c Candidate, slow []float64) []int {
-	py := c.py()
-	if py < 2 || len(slow) != c.PA*c.PB {
-		return nil
-	}
-	minRows := 2
-	if c.Scheme == SchemeCA {
-		minRows = minRowsCA
-	}
-	if py*minRows > g.Ny {
+	py := c.PA
+	if py < 2 || len(slow) != c.PA*c.PB || py*minRows > g.Ny {
 		return nil
 	}
 	colSlow := make([]float64, py)
@@ -90,22 +79,12 @@ func RatedRows(g *grid.Grid, cfg dycore.Config, prof Profile, c Candidate, slow 
 			return nil
 		}
 	}
-	weights := rowWeights(g, cfg, prof, c)
-	rows := RatedRowStarts(weights, colSlow, minRows)
+	rows := RatedRowStarts(rowCosts(g, cfg, prof, c), colSlow, minRows)
 	existing := c.RowStarts
 	if existing == nil {
 		existing = grid.UniformRowStarts(g.Ny, py)
 	}
-	same := len(rows) == len(existing)
-	if same {
-		for i := range rows {
-			if rows[i] != existing[i] {
-				same = false
-				break
-			}
-		}
-	}
-	if same {
+	if slices.Equal(rows, existing) {
 		return nil
 	}
 	return rows

@@ -15,7 +15,7 @@ import (
 // must order them deterministically alongside the full-depth variants.
 func TestStagedCandidatesEnumeratedAndRanked(t *testing.T) {
 	g := grid.New(192, 96, 24)
-	prof := quickProfile()
+	prof := DefaultProfile()
 	cfg := planCfg()
 	cfg.M = 3 // the paper's experiments: stages s ∈ {1, 2} beside full depth
 

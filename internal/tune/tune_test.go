@@ -7,19 +7,12 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"cadycore/internal/comm"
 	"cadycore/internal/dycore"
 	"cadycore/internal/grid"
+	"cadycore/internal/heldsuarez"
 )
-
-// quickProfile is a fixed profile for deterministic planner tests (no
-// wall-clock measurement involved).
-func quickProfile() Profile {
-	p := DefaultProfile()
-	return p
-}
 
 func planCfg() dycore.Config {
 	cfg := dycore.DefaultConfig()
@@ -28,111 +21,110 @@ func planCfg() dycore.Config {
 	return cfg
 }
 
-func TestProfileRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "sub", "machine.json")
-	p := Calibrate(CalibrateOptions{
-		Rounds: 4, Nx: 16, Ny: 10, Nz: 4, MinKernelTime: time.Millisecond,
-	})
-	if err := p.Save(path); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	q, err := LoadProfile(path)
-	if err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	if !reflect.DeepEqual(p, q) {
-		t.Fatalf("round trip mismatch:\nsaved  %+v\nloaded %+v", p, q)
-	}
-	if p.Hash() != q.Hash() {
-		t.Fatalf("hash changed across round trip")
-	}
-	// A different profile must hash differently.
-	q.Kernels.Adapt *= 2
-	if p.Hash() == q.Hash() {
-		t.Fatal("distinct profiles share a hash")
-	}
+// sameRun identifies what a candidate executes: the algorithm family (the
+// original algorithm is one family under either decomposition), the
+// effective px×py×pz grid, M, and the CA halo's stage depth.
+type sameRun struct {
+	ca                    bool
+	px, py, pz, m, stages int
 }
 
-func TestLoadProfileRejectsVersionMismatch(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "machine.json")
-	p := DefaultProfile()
-	p.Version = ProfileVersion + 1
-	data := []byte(`{"version": 999, "alpha": 1e-5, "beta": 1e-10, "overhead": 1e-6, "compute_rate": 1e8,
-		"kernels": {"adapt": 1, "advect": 1, "smooth": 1, "csum": 1, "filter_row": 1}}`)
-	//cadyvet:volatile hand-writes an invalid profile for LoadProfile to reject; it never needs to survive a crash
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
+func runOf(c Candidate) sameRun {
+	r := sameRun{ca: c.Scheme == SchemeCA, px: 1, py: c.PA, pz: c.PB, m: c.M}
+	if c.Scheme == SchemeXY {
+		r.px, r.py, r.pz = c.PA, c.PB, 1
 	}
-	if _, err := LoadProfile(path); err == nil {
-		t.Fatal("expected version-mismatch error")
+	if r.ca {
+		r.stages = c.stageDepth()
 	}
-}
-
-func TestCalibrateFitsNetworkModel(t *testing.T) {
-	p := Calibrate(CalibrateOptions{
-		Rounds: 8, Nx: 16, Ny: 10, Nz: 4, MinKernelTime: time.Millisecond,
-	})
-	m := p.NetModel()
-	// The two-point fit must recover the simulated machine's constants.
-	ref := DefaultProfile()
-	relErr := func(got, want float64) float64 {
-		if want == 0 {
-			return got
-		}
-		d := (got - want) / want
-		if d < 0 {
-			d = -d
-		}
-		return d
-	}
-	if relErr(p.Alpha, ref.Alpha) > 0.05 {
-		t.Errorf("alpha = %g, want ≈ %g", p.Alpha, ref.Alpha)
-	}
-	if relErr(p.Beta, ref.Beta) > 0.05 {
-		t.Errorf("beta = %g, want ≈ %g", p.Beta, ref.Beta)
-	}
-	if m.ComputeRate != ref.ComputeRate {
-		t.Errorf("compute rate = %g, want %g", m.ComputeRate, ref.ComputeRate)
-	}
-	if err := p.validate(); err != nil {
-		t.Errorf("calibrated profile invalid: %v", err)
-	}
+	return r
 }
 
 func TestCandidatesDeterministicAndFeasible(t *testing.T) {
-	g := grid.New(16, 12, 4)
-	prof := quickProfile()
+	prof := DefaultProfile()
 	cfg := planCfg()
 	opt := SearchOptions{VaryM: true}
-	a := Candidates(g, 4, cfg, prof, opt)
-	b := Candidates(g, 4, cfg, prof, opt)
-	if len(a) == 0 {
-		t.Fatal("no candidates")
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("candidate enumeration is not deterministic")
-	}
-	seen := map[string]bool{}
-	for _, c := range a {
-		if seen[c.Key()] {
-			t.Fatalf("duplicate candidate %s", c.Key())
+	for _, tc := range []struct {
+		g     *grid.Grid
+		procs int
+	}{
+		{grid.New(16, 12, 4), 4},
+		{grid.New(48, 24, 8), 8},
+		{grid.New(192, 96, 24), 8},
+	} {
+		g := tc.g
+		a := Candidates(g, tc.procs, cfg, prof, opt)
+		b := Candidates(g, tc.procs, cfg, prof, opt)
+		if len(a) == 0 {
+			t.Fatalf("%s: no candidates", g)
 		}
-		seen[c.Key()] = true
-		if c.Scheme == SchemeXY {
-			if c.PA > g.Nx/2 || c.PB > g.Ny/2 {
-				t.Fatalf("infeasible XY candidate %s", c.Key())
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s: candidate enumeration is not deterministic", g)
+		}
+		seen := map[sameRun]string{}
+		for _, c := range a {
+			if twin, ok := seen[runOf(c)]; ok {
+				t.Errorf("%s: %s is the same run as %s", g, c.Key(), twin)
 			}
-		} else if c.PA > g.Ny/2 || c.PB > g.Nz/2 {
-			t.Fatalf("infeasible %s candidate %s", c.Scheme, c.Key())
+			seen[runOf(c)] = c.Key()
+			if c.Scheme != SchemeCA && c.Scheme != SchemeYZ {
+				t.Errorf("%s: scheme %s enumerated", g, c.Scheme)
+			}
+			if c.PA > g.Ny/2 || c.PB > g.Nz/2 {
+				t.Errorf("%s: infeasible candidate %s", g, c.Key())
+			}
 		}
+	}
+}
+
+// TestStepCountsMatchIntegrators pins the model's per-step counts to the
+// integrators' own: one step of each scheme and ablation on a 2×2 grid (the
+// second of two, so the bootstrap and the deferred final smoothing cancel),
+// checked against dycore.Counters and the z-collectives each rank entered.
+func TestStepCountsMatchIntegrators(t *testing.T) {
+	g := grid.New(16, 12, 4)
+	cfg := planCfg()
+	cfg.M = 3
+	exactC, noFuse := cfg, cfg
+	exactC.ExactC = true
+	noFuse.NoFusedSmoothing = true
+	ca := Candidate{Scheme: SchemeCA, PA: 2, PB: 2, M: 3}
+	s1, s2 := ca, ca
+	s1.Stage, s2.Stage = 1, 2
+	for _, tc := range []struct {
+		name string
+		c    Candidate
+		cfg  dycore.Config
+	}{
+		{"yz", Candidate{Scheme: SchemeYZ, PA: 2, PB: 2, M: 3}, cfg},
+		{"ca", ca, cfg},
+		{"ca-s1", s1, cfg},
+		{"ca-s2", s2, cfg},
+		{"ca-exactc", ca, exactC},
+		{"ca-nofuse", ca, noFuse},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			one := dycore.Run(tc.c.Setup(tc.cfg), g, comm.Zero(), heldsuarez.InitialState, 1)
+			two := dycore.Run(tc.c.Setup(tc.cfg), g, comm.Zero(), heldsuarez.InitialState, 2)
+			ranks := int64(tc.c.PA * tc.c.PB)
+			exchanges := two.Count.HaloExchanges - one.Count.HaloExchanges
+			cEvals := two.Count.CEvaluations - one.Count.CEvaluations
+			coll := (two.Agg.CollByCat[comm.CatCollectiveZ] - one.Agg.CollByCat[comm.CatCollectiveZ]) / ranks
+			n := countsOf(tc.cfg, tc.c)
+			if float64(exchanges) != n.exchanges {
+				t.Errorf("model prices %g exchanges per step, the integrator does %d", n.exchanges, exchanges)
+			}
+			if float64(cEvals) != n.cEvals || float64(coll) != n.cEvals {
+				t.Errorf("model prices %g Ĉ evaluations per step, the integrator does %d (%d z-collectives per rank)",
+					n.cEvals, cEvals, coll)
+			}
+		})
 	}
 }
 
 func TestPlanDeterminism(t *testing.T) {
 	g := grid.New(16, 12, 4)
-	prof := quickProfile()
+	prof := DefaultProfile()
 	cfg := planCfg()
 	pl := &Planner{Profile: prof, TopK: 3, PilotSteps: 2}
 	p1, err := pl.Plan(g, 4, cfg)
@@ -159,7 +151,7 @@ func TestPlanPrefersCommAvoidingYZ(t *testing.T) {
 	// planner must land on the paper's answer: the communication-avoiding
 	// algorithm under Y-Z.
 	g := grid.New(32, 24, 6)
-	pl := &Planner{Profile: quickProfile(), TopK: 4, PilotSteps: 2}
+	pl := &Planner{Profile: DefaultProfile(), TopK: 4, PilotSteps: 2}
 	p, err := pl.Plan(g, 4, planCfg())
 	if err != nil {
 		t.Fatal(err)
@@ -174,9 +166,18 @@ func TestPlanPrefersCommAvoidingYZ(t *testing.T) {
 	}
 }
 
+func TestPlanRejectsInvalidConfig(t *testing.T) {
+	cfg := planCfg()
+	cfg.M = 0
+	pl := &Planner{Profile: DefaultProfile(), TopK: -1}
+	if p, err := pl.Plan(grid.New(16, 12, 4), 4, cfg); err == nil {
+		t.Fatalf("M = 0 planned %s, want an error", p)
+	}
+}
+
 func TestPlanCacheHitAndMiss(t *testing.T) {
 	g := grid.New(16, 12, 4)
-	prof := quickProfile()
+	prof := DefaultProfile()
 	cfg := planCfg()
 	dir := t.TempDir()
 	pl := &Planner{Profile: prof, Cache: NewCache(dir), TopK: -1}
@@ -195,9 +196,9 @@ func TestPlanCacheHitAndMiss(t *testing.T) {
 	if !reflect.DeepEqual(p1, p2) {
 		t.Fatalf("cache returned a different plan")
 	}
-	// A re-calibrated machine must miss.
+	// Another machine must miss.
 	pl2 := *pl
-	pl2.Profile.Kernels.FilterRow *= 3
+	pl2.Profile.Alpha *= 3
 	if _, ok := pl.Cache.Get(pl2.cacheKey(g, 4, cfg)); ok {
 		t.Fatal("cache hit for a different profile hash")
 	}
@@ -309,11 +310,11 @@ func TestPlanCacheConcurrent(t *testing.T) {
 }
 
 func TestEvaluateUnbalancedBeatsUniformWhenFilterHeavy(t *testing.T) {
-	// With an expensive filter, the latitude-weighted partition (RatedRows
-	// at unit rates) must be predicted no slower than the uniform one.
+	// With the polar-filter surcharge at its simulated-clock weight, the
+	// latitude-weighted partition (RatedRows at unit rates) must be predicted
+	// no slower than the uniform one.
 	g := grid.New(32, 24, 6)
-	prof := quickProfile()
-	prof.Kernels.FilterRow /= 50 // make filtering dominate
+	prof := DefaultProfile()
 	cfg := planCfg()
 	base := Candidate{Scheme: SchemeCA, PA: 4, PB: 1, M: cfg.M}
 	rows := RatedRows(g, cfg, prof, base, ones(base.PA*base.PB))
@@ -350,8 +351,8 @@ func TestServiceDefaultPlanIsUniformStencilCA(t *testing.T) {
 	cfg := planCfg()
 	pl := servicePlanner()
 
-	if n := len(Candidates(g, 4, cfg, pl.Profile, pl.Search)); n != 12 {
-		t.Errorf("enumerated %d candidates, want 12 (3 factorisations × {ca, ca-s1, yz, xy})", n)
+	if n := len(Candidates(g, 4, cfg, pl.Profile, pl.Search)); n != 9 {
+		t.Errorf("enumerated %d candidates, want 9 (3 factorisations × {ca, ca-s1, yz})", n)
 	}
 	ranked := pl.rank(g, 4, cfg)
 	piloted := false
