@@ -6,12 +6,18 @@
 //
 // Usage:
 //
-//	hsclimate [-nx N -ny N -nz N] [-days D] [-dt2 s] [-pa N -pb N]
+//	hsclimate [-nx N -ny N -nz N] [-days D] [-dt2 s] [-pa N -pb N] [-stretch s]
+//
+// A mesh, time step, run length or process grid the model cannot run is a
+// one-line error and exit status 2; a run that goes non-finite prints
+// RUN UNSTABLE and exits 1.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"math"
+	"os"
 
 	"cadycore/internal/comm"
 	"cadycore/internal/diag"
@@ -32,11 +38,33 @@ func main() {
 	stretch := flag.Float64("stretch", 1, "σ-level stretching toward the surface (1 = uniform)")
 	flag.Parse()
 
-	g := grid.NewWithSigma(*nx, *ny, grid.StretchedSigmaInterfaces(*nz, *stretch))
 	cfg := dycore.DefaultConfig()
 	cfg.Dt2 = *dt2
 	cfg.Dt1 = *dt2 / 6
 	steps := int(*days * 86400 / *dt2)
+	var sigma []float64
+	err := grid.Check(*nx, *ny, *nz)
+	switch {
+	case err != nil:
+	case !(*stretch > 0) || math.IsInf(*stretch, 1):
+		err = fmt.Errorf("stretch = %g must be positive and finite", *stretch)
+	case !(*dt2 > 0) || math.IsInf(*dt2, 1):
+		err = fmt.Errorf("dt2 = %g must be positive and finite", *dt2)
+	case !(*days > 0) || steps < 1:
+		err = fmt.Errorf("days = %g must cover at least one %g s step", *days, *dt2)
+	case *pa < 1 || *pa > *ny || *pb < 1 || *pb > *nz:
+		err = fmt.Errorf("process grid %dx%d must lie within 1x1 … %dx%d (p_y ≤ ny, p_z ≤ nz)", *pa, *pb, *ny, *nz)
+	default:
+		sigma = grid.StretchedSigmaInterfaces(*nz, *stretch)
+		if err = cfg.Validate(); err == nil {
+			err = grid.CheckSigma(sigma)
+		}
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "hsclimate:", err)
+		os.Exit(2)
+	}
+	g := grid.NewWithSigma(*nx, *ny, sigma)
 
 	fmt.Printf("Held-Suarez on %s, %.3g model days (%d steps of %.0f s), communication-avoiding algorithm %dx%d\n",
 		g, *days, steps, *dt2, *pa, *pb)
@@ -48,7 +76,7 @@ func main() {
 
 	if !diag.AllFinite(res.Finals) {
 		fmt.Println("RUN UNSTABLE: non-finite values appeared")
-		return
+		os.Exit(1)
 	}
 
 	ubar := diag.ZonalMeanU(g, res.Finals)

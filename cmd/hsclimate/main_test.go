@@ -1,0 +1,82 @@
+package main_test
+
+import (
+	"bytes"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// bin is the hsclimate binary under test, built once by TestMain.
+var bin string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "hsclimate-test")
+	if err != nil {
+		panic(err)
+	}
+	bin = filepath.Join(dir, "hsclimate")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		os.RemoveAll(dir)
+		panic("building hsclimate: " + err.Error() + "\n" + string(out))
+	}
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// runCLI runs the binary on a 16×12×4 mesh and returns its streams and exit
+// code.
+func runCLI(t *testing.T, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
+	cmd := exec.Command(bin, append([]string{"-nx", "16", "-ny", "12", "-nz", "4"}, args...)...)
+	var so, se bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &so, &se
+	if err := cmd.Run(); err != nil {
+		ee, ok := err.(*exec.ExitError)
+		if !ok {
+			t.Fatalf("running hsclimate %v: %v", args, err)
+		}
+		code = ee.ExitCode()
+	}
+	return so.String(), se.String(), code
+}
+
+// TestInvalidInputIsUsageError: a mesh, σ stretching, time step, run length
+// or process grid the model cannot run is a one-line error and exit 2, never
+// a rank panic with a goroutine dump or a run of a negative number of steps.
+func TestInvalidInputIsUsageError(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-nx", "4"}, "Nx = 4"},
+		{[]string{"-stretch", "0"}, "stretch = 0"},
+		{[]string{"-stretch", "80"}, "strictly increasing"},
+		{[]string{"-dt2", "0"}, "dt2 = 0"},
+		{[]string{"-days", "-1"}, "days = -1"},
+		{[]string{"-days", "0.001"}, "days = 0.001"},
+		{[]string{"-pa", "16"}, "process grid 16x1"},
+		{[]string{"-pb", "0"}, "process grid 1x0"},
+	} {
+		_, se, code := runCLI(t, tc.args...)
+		if code != 2 || strings.Count(se, "\n") != 1 || !strings.Contains(se, tc.want) {
+			t.Errorf("%v: exit %d, stderr %q; want exit 2 and one line containing %q", tc.args, code, se, tc.want)
+		}
+	}
+}
+
+// TestRunOutcomeIsExitStatus: a finite run exits 0 with the climatology; a
+// run that goes non-finite says so and exits 1.
+func TestRunOutcomeIsExitStatus(t *testing.T) {
+	so, se, code := runCLI(t, "-days", "0.01")
+	if code != 0 || !strings.Contains(so, "zonal-mean zonal wind") {
+		t.Errorf("finite run: exit %d, stderr %q, stdout %q; want exit 0 and the climatology", code, se, so)
+	}
+	so, _, code = runCLI(t, "-dt2", "200000", "-days", "30")
+	if code != 1 || !strings.Contains(so, "RUN UNSTABLE") || strings.Contains(so, "zonal-mean") {
+		t.Errorf("unstable run: exit %d, stdout %q; want exit 1 and RUN UNSTABLE without a climatology", code, so)
+	}
+}

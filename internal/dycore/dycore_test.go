@@ -301,13 +301,14 @@ func TestShiftedPoleMirror(t *testing.T) {
 // mirror, (b) the final states are bit for bit the ones the symmetric,
 // unclamped storage produced (FNV-1a over the float bits of the global state,
 // recorded at the commit before the clamp — re-recorded there, with the
-// staged FFT kernel dropped into that commit, when the kernel moved every
-// filtered row by roundoff), and (c) so is the simulated clock.
+// new kernels dropped into that commit, each time a kernel moved results by
+// roundoff: the staged FFT, then the division-free Â, L̃ and D(P)), and (c)
+// so is the simulated clock.
 func TestDeepHaloAcrossBoundariesInvisible(t *testing.T) {
 	g := grid.New(16, 24, 6)
 	recorded := map[bool]map[[2]int]uint64{
-		false: {{1, 1}: 0xa821f99afa36091b, {4, 1}: 0x8d671632daae7459, {4, 2}: 0xa7bf2f20f00da6cf},
-		true:  {{1, 1}: 0x4e27d1fe007f1fcc, {4, 1}: 0xf93879196390180e, {4, 2}: 0xe8c240ddf475d61b},
+		false: {{1, 1}: 0xa2899204421e4675, {4, 1}: 0xb58ab27d304430de, {4, 2}: 0xd67454ef9c9ab2f8},
+		true:  {{1, 1}: 0xc16fcf2b0a387751, {4, 1}: 0x9208d41b19d0bd86, {4, 2}: 0xbbf41d272471bb0b},
 	}
 	// (c) Nothing the simulated clock charges depends on what is stored: the
 	// critical-path time, the compute seconds summed over ranks (every

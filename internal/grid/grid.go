@@ -89,8 +89,8 @@ func NewWithSigma(nx, ny int, sigmaI []float64) *Grid {
 	if err := Check(nx, ny, nz); err != nil {
 		panic(err.Error())
 	}
-	if err := validateSigma(sigmaI); err != nil {
-		panic("grid: " + err.Error())
+	if err := CheckSigma(sigmaI); err != nil {
+		panic(err.Error())
 	}
 
 	g := &Grid{
@@ -169,17 +169,20 @@ func uniformSigmaInterfaces(nz int) []float64 {
 	return s
 }
 
-func validateSigma(sigmaI []float64) error {
+// CheckSigma reports whether sigmaI is a usable set of σ interfaces: at
+// least 3, running from 0 to 1, strictly increasing. NewWithSigma panics with
+// its error; entry points call it first to report a bad set as an error.
+func CheckSigma(sigmaI []float64) error {
 	n := len(sigmaI)
 	if n < 3 {
-		return fmt.Errorf("need at least 3 σ interfaces, got %d", n)
+		return fmt.Errorf("grid: need at least 3 σ interfaces, got %d", n)
 	}
 	if sigmaI[0] != 0 || sigmaI[n-1] != 1 {
-		return fmt.Errorf("σ interfaces must run from 0 to 1, got [%g, %g]", sigmaI[0], sigmaI[n-1])
+		return fmt.Errorf("grid: σ interfaces must run from 0 to 1, got [%g, %g]", sigmaI[0], sigmaI[n-1])
 	}
 	for k := 1; k < n; k++ {
-		if sigmaI[k] <= sigmaI[k-1] {
-			return fmt.Errorf("σ interfaces must be strictly increasing: σ[%d]=%g ≤ σ[%d]=%g",
+		if !(sigmaI[k] > sigmaI[k-1]) {
+			return fmt.Errorf("grid: σ interfaces must be strictly increasing: σ[%d]=%g ≤ σ[%d]=%g",
 				k, sigmaI[k], k-1, sigmaI[k-1])
 		}
 	}

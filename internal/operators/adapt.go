@@ -40,98 +40,108 @@ func Adaptation(g *grid.Grid, cfg AdaptConfig, st *state.State, sur *Surface, cr
 // split) produces bitwise the monolithic result. Returns points updated
 // (3·|r|).
 func Adaptation3D(g *grid.Grid, st *state.State, sur *Surface, cres *CRes, out *Tendency, r field.Rect) int {
+	if r.Empty() {
+		return 0
+	}
 	m := newMetric(g)
-	xo := st.Phi.XOff(0)
+	// Row windows span the rect's x extent plus Table 1's x reach of one
+	// point each side; the loop variable e indexes the east neighbour, c the
+	// point and w its west neighbour.
+	lo, n := st.Phi.XOff(r.I0)-1, r.I1-r.I0+2
+	bInvADthe := m.b / m.haDthe
+	halfInvADthe := 0.5 / m.haDthe
 
 	for k := r.K0; k < r.K1; k++ {
-		sigMid := g.Sigma[k]
+		invSig := 1 / g.Sigma[k]
 		for j := r.J0; j < r.J1; j++ {
 			sC := m.sinC(j)
 			cC := m.cosC(j)
 			invASinDlam := 1 / (m.a * sC * m.dlam)
+			bInvASinDlam := m.b * invASinDlam
+			halfInvASinDlam := 0.5 * invASinDlam
+			f0 := 2 * physics.Omega * cC
+			cotA := cC / (m.a * sC)
 
-			phi0 := st.Phi.Row(j, k)
-			phiDn := st.Phi.Row(j, k+1)
-			phiN := st.Phi.Row(j-1, k)
-			phiNDn := st.Phi.Row(j-1, k+1)
-			u0 := st.U.Row(j, k)
-			uN := st.U.Row(j-1, k)
-			v0 := st.V.Row(j, k)
-			vS := st.V.Row(j+1, k)
-			pes0 := sur.Pes.Row(j)
-			pesN := sur.Pes.Row(j - 1)
-			pesS := sur.Pes.Row(j + 1)
-			pRow := sur.P.Row(j)
-			pRowN := sur.P.Row(j - 1)
-			pw0 := cres.PWI.Row(j, k)
-			pw1 := cres.PWI.Row(j, k+1)
-			dbar := cres.DBar.Row(j)
-			dU := out.DU.Row(j, k)
-			dPhi := out.DPhi.Row(j, k)
+			phi0 := window(st.Phi.Row(j, k), lo, n)
+			phiDn := window(st.Phi.Row(j, k+1), lo, n)
+			phiN := window(st.Phi.Row(j-1, k), lo, n)
+			phiNDn := window(st.Phi.Row(j-1, k+1), lo, n)
+			u0 := window(st.U.Row(j, k), lo, n)
+			uN := window(st.U.Row(j-1, k), lo, n)
+			v0 := window(st.V.Row(j, k), lo, n)
+			vS := window(st.V.Row(j+1, k), lo, n)
+			pes0 := window(sur.Pes.Row(j), lo, n)
+			pesN := window(sur.Pes.Row(j-1), lo, n)
+			pesS := window(sur.Pes.Row(j+1), lo, n)
+			rP := window(sur.rP.Row(j), lo, n)
+			rPes := window(sur.rPes.Row(j), lo, n)
+			rPU := window(sur.rPU.Row(j), lo, n)
+			rPesU := window(sur.rPesU.Row(j), lo, n)
+			pw0 := window(cres.PWI.Row(j, k), lo, n)
+			pw1 := window(cres.PWI.Row(j, k+1), lo, n)
+			dbar := window(cres.DBar.Row(j), lo, n)
+			dU := window(out.DU.Row(j, k), lo, n)
+			dPhi := window(out.DPhi.Row(j, k), lo, n)
+			dV := window(out.DV.Row(j, k), lo, n)
 
-			for i := r.I0; i < r.I1; i++ {
-				o := i + xo
-				// ---- dU at U point (west face i) ----
-				// Φ̃ = vertical k,k+1 average (hydrostatic coupling; the
-				// z mirror makes k+1 safe at the bottom).
-				phiT0 := 0.5 * (phi0[o-1] + phiDn[o-1])
-				phiT1 := 0.5 * (phi0[o] + phiDn[o])
-				pl1 := m.b * (phiT1 - phiT0) * invASinDlam
-
-				pesW := 0.5 * (pes0[o-1] + pes0[o])
-				phiW := 0.5 * (phi0[o-1] + phi0[o])
-				pl2 := m.b * phiW / pesW * (pes0[o] - pes0[o-1]) * invASinDlam
-
-				pW := 0.5 * (pRow[o-1] + pRow[o])
-				uPhys := u0[o] / pW
-				fstar := 2*physics.Omega*cC + uPhys*cC/(m.a*sC)
-				v4 := 0.25 * (v0[o-1] + vS[o-1] + v0[o] + vS[o])
-
-				dU[o] = -pl1 - pl2 + fstar*v4
-
-				// ---- dΦ at center ----
-				pC := pRow[o]
-				pesC := pes0[o]
-				wMid := 0.5 * (pw0[o] + pw1[o]) / pC
-				omega1 := wMid/sigMid - dbar[o]/pC
-
-				vC := 0.5 * (v0[o] + vS[o])
-				dpesDy := (pesS[o] - pesN[o]) / (2 * m.haDthe)
-				omegaT2 := vC / pesC * dpesDy
-
-				uC := 0.5 * (u0[o] + u0[o+1])
-				dpesDx := (pes0[o+1] - pes0[o-1]) / (2 * m.a * sC * m.dlam)
-				omegaL2 := uC / pesC * dpesDx
-
-				dPhi[o] = m.b * (omega1 + omegaT2 + omegaL2)
+			// dV lives at interface j, the north face of row j. The loop
+			// computes it on every row; a pole interface (V ≡ 0) has no
+			// metric, and its row is cleared afterwards.
+			pole := j < 1 || j > g.Ny-1
+			rPV := window(sur.rPV.Row(j), lo, n)
+			rPesV := window(sur.rPesV.Row(j), lo, n)
+			var f0I, cotAI float64
+			if !pole {
+				cI := g.CosI[j]
+				f0I = 2 * physics.Omega * cI
+				cotAI = cI / (m.a * m.sinI(j))
 			}
 
-			// ---- dV at V point (interface j): interior interfaces only ----
-			dV := out.DV.Row(j, k)
-			if j >= 1 && j <= g.Ny-1 {
-				sI := m.sinI(j)
-				cI := g.CosI[j]
-				for i := r.I0; i < r.I1; i++ {
-					o := i + xo
-					phiT0 := 0.5 * (phiN[o] + phiNDn[o])
-					phiT1 := 0.5 * (phi0[o] + phiDn[o])
-					pt1 := m.b * (phiT1 - phiT0) / m.haDthe
+			for e := 2; e < n; e++ {
+				w, c := e-2, e-1
+				// ---- dU at U point (west face of c) ----
+				// Φ̃ = vertical k,k+1 average (hydrostatic coupling; the
+				// z mirror makes k+1 safe at the bottom).
+				phiT0 := 0.5 * (phi0[w] + phiDn[w])
+				phiT1 := 0.5 * (phi0[c] + phiDn[c])
+				pl1 := bInvASinDlam * (phiT1 - phiT0)
 
-					pesV := 0.5 * (pesN[o] + pes0[o])
-					phiV := 0.5 * (phiN[o] + phi0[o])
-					pt2 := m.b * phiV / pesV * (pes0[o] - pesN[o]) / m.haDthe
+				phiW := 0.5 * (phi0[w] + phi0[c])
+				pl2 := bInvASinDlam * phiW * rPesU[c] * (pes0[c] - pes0[w])
 
-					u4 := 0.25 * (uN[o] + uN[o+1] + u0[o] + u0[o+1])
-					pV := 0.5 * (pRowN[o] + pRow[o])
-					uPhys := u4 / pV
-					fstar := 2*physics.Omega*cI + uPhys*cI/(m.a*sI)
+				uPhys := u0[c] * rPU[c]
+				fstar := f0 + uPhys*cotA
+				v4 := 0.25 * (v0[w] + vS[w] + v0[c] + vS[c])
 
-					dV[o] = -pt1 - pt2 - fstar*u4
-				}
-			} else {
-				for i := r.I0; i < r.I1; i++ {
-					dV[i+xo] = 0
-				}
+				dU[c] = -pl1 - pl2 + fstar*v4
+
+				// ---- dΦ at center ----
+				omega1 := (0.5*(pw0[c]+pw1[c])*invSig - dbar[c]) * rP[c]
+
+				vC := 0.5 * (v0[c] + vS[c])
+				dpesDy := (pesS[c] - pesN[c]) * halfInvADthe
+				omegaT2 := vC * rPes[c] * dpesDy
+
+				uC := 0.5 * (u0[c] + u0[e])
+				dpesDx := (pes0[e] - pes0[w]) * halfInvASinDlam
+				omegaL2 := uC * rPes[c] * dpesDx
+
+				dPhi[c] = m.b * (omega1 + omegaT2 + omegaL2)
+
+				// ---- dV at V point (interface j) ----
+				phiTN := 0.5 * (phiN[c] + phiNDn[c])
+				pt1 := bInvADthe * (phiT1 - phiTN)
+
+				phiV := 0.5 * (phiN[c] + phi0[c])
+				pt2 := bInvADthe * phiV * rPesV[c] * (pes0[c] - pesN[c])
+
+				u4 := 0.25 * (uN[c] + uN[e] + u0[c] + u0[e])
+				fstarI := f0I + u4*rPV[c]*cotAI
+
+				dV[c] = -pt1 - pt2 - fstarI*u4
+			}
+			if pole {
+				clear(dV[1 : n-1])
 			}
 		}
 	}

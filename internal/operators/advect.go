@@ -49,10 +49,11 @@ func NewAdvScratch(b field.Block) *AdvScratch {
 // one row. Inputs must be valid on r expanded by the Table-2 radii.
 // Returns points updated.
 //
-// The kernel walks raw x-row slices (field.Row) instead of point accessors;
-// the arithmetic per point is identical, expression by expression, to the
-// straightforward formulation — the reference implementations in
-// ref_test.go pin this bitwise.
+// The kernel walks bounds-check-free windows of the x rows (field.Row cut
+// by window) and never divides per point: every 1/P comes from sur's
+// reciprocal planes, and 1/Δλ, 1/Δθ, 1/Δσ_k and 1/(2a·sinθ) are hoisted
+// out of the i loop. refAdvection in ref_test.go is the dividing textbook
+// formulation; the two agree to roundoff.
 //
 // Advection (nil scratch) allocates five F3 temporaries per call and exists
 // for tests and one-shot evaluations only; every integrator path must go
@@ -76,208 +77,206 @@ func AdvectionScratch(g *grid.Grid, st *state.State, sur *Surface, cres *CRes, o
 // writes are disjoint per k. Returns points updated (4·|r|, counting the σ̇
 // staging as one component).
 func Advection3D(g *grid.Grid, st *state.State, sur *Surface, cres *CRes, out *Tendency, r field.Rect, sc *AdvScratch) int {
+	if r.Empty() {
+		return 0
+	}
 	m := newMetric(g)
 	if sc == nil {
 		sc = NewAdvScratch(st.B)
 	}
+	o0, nx := st.U.XOff(r.I0), r.I1-r.I0 // all fields share the block, hence the offset
 
 	// Physical velocities at their staggered points, over r grown by one
 	// cell in x and y (the widest offset at which the flux loops read
-	// them).
-	ex := field.Rect{
-		I0: r.I0 - 1, I1: r.I1 + 1,
-		J0: r.J0 - 1, J1: r.J1 + 1, // u rows J0−1 … J1−1; v rows J0 … J1
-		K0: r.K0, K1: r.K1,
-	}
-
-	xo := st.U.XOff(0) // all fields share the block, hence the offset
-	for k := ex.K0; k < ex.K1; k++ {
-		for j := ex.J0; j < ex.J1; j++ {
-			pRow := sur.P.Row(j)
-			pRowN := sur.P.Row(j - 1)
-			uRow := st.U.Row(j, k)
-			vRow := st.V.Row(j, k)
-			uOut := sc.uPhys.Row(j, k)
-			vOut := sc.vPhys.Row(j, k)
-			computeV := j > ex.J0
-			for i := ex.I0; i < ex.I1; i++ {
-				o := i + xo
-				pW := 0.5 * (pRow[o-1] + pRow[o])
-				uOut[o] = uRow[o] / pW
-				if computeV { // v at interface j needs P at row j−1
-					pN := 0.5 * (pRowN[o] + pRow[o])
-					vOut[o] = vRow[o] / pN
-				}
+	// them): u rows J0−1 … J1, v rows J0 … J1 (v at interface j needs P on
+	// row j−1, which row J0−1 may not have).
+	lo, n := o0-1, nx+2
+	for k := r.K0; k < r.K1; k++ {
+		for j := r.J0 - 1; j < r.J1+1; j++ {
+			uRow := window(st.U.Row(j, k), lo, n)
+			rPU := window(sur.rPU.Row(j), lo, n)
+			uOut := window(sc.uPhys.Row(j, k), lo, n)
+			for i := range uOut {
+				uOut[i] = uRow[i] * rPU[i]
+			}
+			if j == r.J0-1 {
+				continue
+			}
+			vRow := window(st.V.Row(j, k), lo, n)
+			rPV := window(sur.rPV.Row(j), lo, n)
+			vOut := window(sc.vPhys.Row(j, k), lo, n)
+			for i := range vOut {
+				vOut[i] = vRow[i] * rPV[i]
 			}
 		}
 	}
 	// σ̇ at the interfaces [K0, K1] of the update rect; read only at (i,j,k)
-	// with (i, j) inside r, so PWI is needed on r expanded by one cell.
+	// with (i, j) inside r, so PWI is needed on r expanded by one cell. The
+	// windows reach one point west; c is the point, w its west neighbour.
+	lo, n = o0-1, nx+1
 	for k := r.K0; k <= r.K1; k++ {
 		for j := r.J0; j < r.J1; j++ {
-			pRow := sur.P.Row(j)
-			pRowN := sur.P.Row(j - 1)
-			pwRow := cres.PWI.Row(j, k)
-			pwRowN := cres.PWI.Row(j-1, k)
-			sC := sc.sdotC.Row(j, k)
-			sU := sc.sdotU.Row(j, k)
-			sV := sc.sdotV.Row(j, k)
-			for i := r.I0; i < r.I1; i++ {
-				o := i + xo
-				pW := 0.5 * (pRow[o-1] + pRow[o])
-				pN := 0.5 * (pRowN[o] + pRow[o])
-				pC := pRow[o]
-				pw := pwRow[o]
-				sC[o] = pw / pC
-				sU[o] = 0.5 * (pwRow[o-1] + pw) / pW
-				sV[o] = 0.5 * (pwRowN[o] + pw) / pN
+			rP := window(sur.rP.Row(j), lo, n)
+			rPU := window(sur.rPU.Row(j), lo, n)
+			rPV := window(sur.rPV.Row(j), lo, n)
+			pw := window(cres.PWI.Row(j, k), lo, n)
+			pwN := window(cres.PWI.Row(j-1, k), lo, n)
+			sC := window(sc.sdotC.Row(j, k), lo, n)
+			sU := window(sc.sdotU.Row(j, k), lo, n)
+			sV := window(sc.sdotV.Row(j, k), lo, n)
+			for c := 1; c < n; c++ {
+				w := c - 1
+				sC[c] = pw[c] * rP[c]
+				sU[c] = 0.5 * (pw[w] + pw[c]) * rPU[c]
+				sV[c] = 0.5 * (pwN[c] + pw[c]) * rPV[c]
 			}
 		}
 	}
 
-	dthe := m.dthe
-	dlam := m.dlam
+	// The flux loops' windows reach two points each side (the fourth-order
+	// zonal interpolation); ee indexes the second east neighbour.
+	lo, n = o0-2, nx+4
+	invDthe := 1 / m.dthe
+	invDlam := 1 / m.dlam
 	for k := r.K0; k < r.K1; k++ {
-		ds := g.DSigma[k]
+		invDs := 1 / g.DSigma[k]
 		for j := r.J0; j < r.J1; j++ {
 			sCen := m.sinC(j)
 			inv2aS := 1 / (2 * m.a * sCen)
 			sI0, sI1 := m.sinI(j), m.sinI(j+1)
 
-			u0 := st.U.Row(j, k)
-			uN := st.U.Row(j-1, k)
-			uS := st.U.Row(j+1, k)
-			uUp := st.U.Row(j, k-1)
-			uDn := st.U.Row(j, k+1)
-			p0 := st.Phi.Row(j, k)
-			pN := st.Phi.Row(j-1, k)
-			pS := st.Phi.Row(j+1, k)
-			pUp := st.Phi.Row(j, k-1)
-			pDn := st.Phi.Row(j, k+1)
-			up0 := sc.uPhys.Row(j, k)
-			vp0 := sc.vPhys.Row(j, k)
-			vpS := sc.vPhys.Row(j+1, k)
-			su0 := sc.sdotU.Row(j, k)
-			su1 := sc.sdotU.Row(j, k+1)
-			sc0 := sc.sdotC.Row(j, k)
-			sc1 := sc.sdotC.Row(j, k+1)
-			dU := out.DU.Row(j, k)
-			dPhi := out.DPhi.Row(j, k)
+			u0 := window(st.U.Row(j, k), lo, n)
+			uN := window(st.U.Row(j-1, k), lo, n)
+			uS := window(st.U.Row(j+1, k), lo, n)
+			uUp := window(st.U.Row(j, k-1), lo, n)
+			uDn := window(st.U.Row(j, k+1), lo, n)
+			p0 := window(st.Phi.Row(j, k), lo, n)
+			pN := window(st.Phi.Row(j-1, k), lo, n)
+			pS := window(st.Phi.Row(j+1, k), lo, n)
+			pUp := window(st.Phi.Row(j, k-1), lo, n)
+			pDn := window(st.Phi.Row(j, k+1), lo, n)
+			up0 := window(sc.uPhys.Row(j, k), lo, n)
+			vp0 := window(sc.vPhys.Row(j, k), lo, n)
+			vpS := window(sc.vPhys.Row(j+1, k), lo, n)
+			su0 := window(sc.sdotU.Row(j, k), lo, n)
+			su1 := window(sc.sdotU.Row(j, k+1), lo, n)
+			sc0 := window(sc.sdotC.Row(j, k), lo, n)
+			sc1 := window(sc.sdotC.Row(j, k+1), lo, n)
+			dU := window(out.DU.Row(j, k), lo, n)
+			dPhi := window(out.DPhi.Row(j, k), lo, n)
 
-			for i := r.I0; i < r.I1; i++ {
-				o := i + xo
-				// ================= F = U (at west face i) =================
+			for ee := 4; ee < n; ee++ {
+				ww, w, c, e := ee-4, ee-3, ee-2, ee-1
+				// ================= F = U (at west face c) =================
 				// L1(U): fluxes at cell centers with 4th-order interp of U.
-				uc0 := 0.5 * (up0[o-1] + up0[o])
-				uc1 := 0.5 * (up0[o] + up0[o+1])
-				Uc0 := interp4(u0[o-2], u0[o-1], u0[o], u0[o+1])
-				Uc1 := interp4(u0[o-1], u0[o], u0[o+1], u0[o+2])
-				dFu := (Uc1*uc1 - Uc0*uc0) / dlam
-				dUl := (uc1 - uc0) / dlam
-				l1u := inv2aS * (2*dFu - u0[o]*dUl)
+				uc0 := 0.5 * (up0[w] + up0[c])
+				uc1 := 0.5 * (up0[c] + up0[e])
+				Uc0 := interp4(u0[ww], u0[w], u0[c], u0[e])
+				Uc1 := interp4(u0[w], u0[c], u0[e], u0[ee])
+				dFu := (Uc1*uc1 - Uc0*uc0) * invDlam
+				dUl := (uc1 - uc0) * invDlam
+				l1u := inv2aS * (2*dFu - u0[c]*dUl)
 
-				// L2(U): meridional fluxes at interfaces; v at (face i, interface j).
-				vf0 := 0.5 * (vp0[o-1] + vp0[o])
-				vf1 := 0.5 * (vpS[o-1] + vpS[o])
-				Ui0 := 0.5 * (uN[o] + u0[o])
-				Ui1 := 0.5 * (u0[o] + uS[o])
-				dFv := (Ui1*vf1*sI1 - Ui0*vf0*sI0) / dthe
-				dVs := (vf1*sI1 - vf0*sI0) / dthe
-				l2u := inv2aS * (2*dFv - u0[o]*dVs)
+				// L2(U): meridional fluxes at interfaces; v at (face c, interface j).
+				vf0 := 0.5 * (vp0[w] + vp0[c])
+				vf1 := 0.5 * (vpS[w] + vpS[c])
+				Ui0 := 0.5 * (uN[c] + u0[c])
+				Ui1 := 0.5 * (u0[c] + uS[c])
+				dFv := (Ui1*vf1*sI1 - Ui0*vf0*sI0) * invDthe
+				dVs := (vf1*sI1 - vf0*sI0) * invDthe
+				l2u := inv2aS * (2*dFv - u0[c]*dVs)
 
 				// L3(U): vertical flux with σ̇ at U points.
-				sd0 := su0[o]
-				sd1 := su1[o]
-				UI0 := 0.5 * (uUp[o] + u0[o])
-				UI1 := 0.5 * (u0[o] + uDn[o])
-				dFs := (UI1*sd1 - UI0*sd0) / ds
-				dS := (sd1 - sd0) / ds
-				l3u := 0.5 * (2*dFs - u0[o]*dS)
+				sd0 := su0[c]
+				sd1 := su1[c]
+				UI0 := 0.5 * (uUp[c] + u0[c])
+				UI1 := 0.5 * (u0[c] + uDn[c])
+				dFs := (UI1*sd1 - UI0*sd0) * invDs
+				dS := (sd1 - sd0) * invDs
+				l3u := 0.5 * (2*dFs - u0[c]*dS)
 
-				dU[o] = -(l1u + l2u + l3u)
+				dU[c] = -(l1u + l2u + l3u)
 
 				// ================= F = Φ (at center) =================
-				uf0 := up0[o]
-				uf1 := up0[o+1]
-				Pf0 := interp4(p0[o-2], p0[o-1], p0[o], p0[o+1])
-				Pf1 := interp4(p0[o-1], p0[o], p0[o+1], p0[o+2])
-				dFuP := (Pf1*uf1 - Pf0*uf0) / dlam
-				dUP := (uf1 - uf0) / dlam
-				l1p := inv2aS * (2*dFuP - p0[o]*dUP)
+				uf0 := up0[c]
+				uf1 := up0[e]
+				Pf0 := interp4(p0[ww], p0[w], p0[c], p0[e])
+				Pf1 := interp4(p0[w], p0[c], p0[e], p0[ee])
+				dFuP := (Pf1*uf1 - Pf0*uf0) * invDlam
+				dUP := (uf1 - uf0) * invDlam
+				l1p := inv2aS * (2*dFuP - p0[c]*dUP)
 
-				vI0 := vp0[o]
-				vI1 := vpS[o]
-				Pi0 := 0.5 * (pN[o] + p0[o])
-				Pi1 := 0.5 * (p0[o] + pS[o])
-				dFvP := (Pi1*vI1*sI1 - Pi0*vI0*sI0) / dthe
-				dVsP := (vI1*sI1 - vI0*sI0) / dthe
-				l2p := inv2aS * (2*dFvP - p0[o]*dVsP)
+				vI0 := vp0[c]
+				vI1 := vpS[c]
+				Pi0 := 0.5 * (pN[c] + p0[c])
+				Pi1 := 0.5 * (p0[c] + pS[c])
+				dFvP := (Pi1*vI1*sI1 - Pi0*vI0*sI0) * invDthe
+				dVsP := (vI1*sI1 - vI0*sI0) * invDthe
+				l2p := inv2aS * (2*dFvP - p0[c]*dVsP)
 
-				sc0v := sc0[o]
-				sc1v := sc1[o]
-				PI0 := 0.5 * (pUp[o] + p0[o])
-				PI1 := 0.5 * (p0[o] + pDn[o])
-				dFsP := (PI1*sc1v - PI0*sc0v) / ds
-				dSP := (sc1v - sc0v) / ds
-				l3p := 0.5 * (2*dFsP - p0[o]*dSP)
+				sc0v := sc0[c]
+				sc1v := sc1[c]
+				PI0 := 0.5 * (pUp[c] + p0[c])
+				PI1 := 0.5 * (p0[c] + pDn[c])
+				dFsP := (PI1*sc1v - PI0*sc0v) * invDs
+				dSP := (sc1v - sc0v) * invDs
+				l3p := 0.5 * (2*dFsP - p0[c]*dSP)
 
-				dPhi[o] = -(l1p + l2p + l3p)
+				dPhi[c] = -(l1p + l2p + l3p)
 			}
 
 			// ================= F = V (at interface j) =================
-			dV := out.DV.Row(j, k)
-			if j >= 1 && j <= g.Ny-1 {
-				sIj := m.sinI(j)
-				inv2aSI := 1 / (2 * m.a * sIj)
-				sCn := m.sinC(j - 1) // center north of the interface
-				sCs := m.sinC(j)     // center south of the interface
-				v0 := st.V.Row(j, k)
-				vN := st.V.Row(j-1, k)
-				vS := st.V.Row(j+1, k)
-				vUp := st.V.Row(j, k-1)
-				vDn := st.V.Row(j, k+1)
-				upN := sc.uPhys.Row(j-1, k)
-				sv0 := sc.sdotV.Row(j, k)
-				sv1 := sc.sdotV.Row(j, k+1)
-				surPN := sur.P.Row(j - 1)
-				surP0 := sur.P.Row(j)
-				for i := r.I0; i < r.I1; i++ {
-					o := i + xo
-					// L1(V): u at (face i, interface j).
-					ufI0 := 0.5 * (upN[o] + up0[o])
-					ufI1 := 0.5 * (upN[o+1] + up0[o+1])
-					Vf0 := interp4(v0[o-2], v0[o-1], v0[o], v0[o+1])
-					Vf1 := interp4(v0[o-1], v0[o], v0[o+1], v0[o+2])
-					dFuV := (Vf1*ufI1 - Vf0*ufI0) / dlam
-					dUV := (ufI1 - ufI0) / dlam
-					l1v := inv2aSI * (2*dFuV - v0[o]*dUV)
+			dV := window(out.DV.Row(j, k), lo, n)
+			if j < 1 || j > g.Ny-1 {
+				clear(dV[2 : n-2])
+				continue
+			}
+			sIj := m.sinI(j)
+			inv2aSI := 1 / (2 * m.a * sIj)
+			sCn := m.sinC(j - 1) // center north of the interface
+			sCs := m.sinC(j)     // center south of the interface
+			v0 := window(st.V.Row(j, k), lo, n)
+			vN := window(st.V.Row(j-1, k), lo, n)
+			vS := window(st.V.Row(j+1, k), lo, n)
+			vUp := window(st.V.Row(j, k-1), lo, n)
+			vDn := window(st.V.Row(j, k+1), lo, n)
+			upN := window(sc.uPhys.Row(j-1, k), lo, n)
+			sv0 := window(sc.sdotV.Row(j, k), lo, n)
+			sv1 := window(sc.sdotV.Row(j, k+1), lo, n)
+			rPN := window(sur.rP.Row(j-1), lo, n)
+			rP0 := window(sur.rP.Row(j), lo, n)
+			for ee := 4; ee < n; ee++ {
+				ww, w, c, e := ee-4, ee-3, ee-2, ee-1
+				// L1(V): u at (face c, interface j).
+				ufI0 := 0.5 * (upN[c] + up0[c])
+				ufI1 := 0.5 * (upN[e] + up0[e])
+				Vf0 := interp4(v0[ww], v0[w], v0[c], v0[e])
+				Vf1 := interp4(v0[w], v0[c], v0[e], v0[ee])
+				dFuV := (Vf1*ufI1 - Vf0*ufI0) * invDlam
+				dUV := (ufI1 - ufI0) * invDlam
+				l1v := inv2aSI * (2*dFuV - v0[c]*dUV)
 
-					// L2(V): fluxes at centers; v at centers j−1 and j is the
-					// center-unstaggered V divided by the center P (keeps
-					// the composed footprint at one row).
-					VcN := 0.5 * (vN[o] + v0[o])
-					VcS := 0.5 * (v0[o] + vS[o])
-					vcN := VcN / surPN[o]
-					vcS := VcS / surP0[o]
-					dFvV := (VcS*vcS*sCs - VcN*vcN*sCn) / dthe
-					dVsV := (vcS*sCs - vcN*sCn) / dthe
-					l2v := inv2aSI * (2*dFvV - v0[o]*dVsV)
+				// L2(V): fluxes at centers; v at centers j−1 and j is the
+				// center-unstaggered V times the center 1/P (keeps the
+				// composed footprint at one row).
+				VcN := 0.5 * (vN[c] + v0[c])
+				VcS := 0.5 * (v0[c] + vS[c])
+				vcN := VcN * rPN[c]
+				vcS := VcS * rP0[c]
+				dFvV := (VcS*vcS*sCs - VcN*vcN*sCn) * invDthe
+				dVsV := (vcS*sCs - vcN*sCn) * invDthe
+				l2v := inv2aSI * (2*dFvV - v0[c]*dVsV)
 
-					// L3(V): σ̇ at V points.
-					sv0v := sv0[o]
-					sv1v := sv1[o]
-					VI0 := 0.5 * (vUp[o] + v0[o])
-					VI1 := 0.5 * (v0[o] + vDn[o])
-					dFsV := (VI1*sv1v - VI0*sv0v) / ds
-					dSV := (sv1v - sv0v) / ds
-					l3v := 0.5 * (2*dFsV - v0[o]*dSV)
+				// L3(V): σ̇ at V points.
+				sv0v := sv0[c]
+				sv1v := sv1[c]
+				VI0 := 0.5 * (vUp[c] + v0[c])
+				VI1 := 0.5 * (v0[c] + vDn[c])
+				dFsV := (VI1*sv1v - VI0*sv0v) * invDs
+				dSV := (sv1v - sv0v) * invDs
+				l3v := 0.5 * (2*dFsV - v0[c]*dSV)
 
-					dV[o] = -(l1v + l2v + l3v)
-				}
-			} else {
-				for i := r.I0; i < r.I1; i++ {
-					dV[i+xo] = 0
-				}
+				dV[c] = -(l1v + l2v + l3v)
 			}
 		}
 	}
@@ -301,5 +300,6 @@ func AdvectionPsa(out *Tendency, r field.Rect) {
 // interp4 is the fourth-order midpoint interpolation
 // (−f0 + 7f1 + 7f2 − f3)/12 between f1 and f2.
 func interp4(f0, f1, f2, f3 float64) float64 {
-	return (-f0 + 7*(f1+f2) - f3) / 12
+	const inv12 = 1.0 / 12
+	return (-f0 + 7*(f1+f2) - f3) * inv12
 }

@@ -46,32 +46,38 @@ func (c *CRes) CopyFrom(o *CRes) {
 // over rect r into out (paper eq. 6). Inputs must be valid on r expanded by
 // one cell in x and y. Returns points updated.
 func DivP(g *grid.Grid, u, v *field.F3, sur *Surface, out *field.F3, r field.Rect) int {
+	if r.Empty() {
+		return 0
+	}
 	m := newMetric(g)
-	xo := u.XOff(0)
+	// Row windows reach one point each side; e indexes the east neighbour.
+	lo, n := u.XOff(r.I0)-1, r.I1-r.I0+2
+	invDlam := 1 / m.dlam
+	invDthe := 1 / m.dthe
 	for k := r.K0; k < r.K1; k++ {
 		for j := r.J0; j < r.J1; j++ {
 			invASin := 1 / (m.a * m.sinC(j))
 			sI0, sI1 := m.sinI(j), m.sinI(j+1)
-			p0 := sur.P.Row(j)
-			pN := sur.P.Row(j - 1)
-			pS := sur.P.Row(j + 1)
-			u0 := u.Row(j, k)
-			v0 := v.Row(j, k)
-			vS := v.Row(j+1, k)
-			dst := out.Row(j, k)
-			for i := r.I0; i < r.I1; i++ {
-				o := i + xo
-				// P at the west faces i and i+1 (average of neighboring centers).
-				pW := 0.5 * (p0[o-1] + p0[o])
-				pE := 0.5 * (p0[o] + p0[o+1])
-				dPUdl := (pE*u0[o+1] - pW*u0[o]) / m.dlam
+			p0 := window(sur.P.Row(j), lo, n)
+			pN := window(sur.P.Row(j-1), lo, n)
+			pS := window(sur.P.Row(j+1), lo, n)
+			u0 := window(u.Row(j, k), lo, n)
+			v0 := window(v.Row(j, k), lo, n)
+			vS := window(v.Row(j+1, k), lo, n)
+			dst := window(out.Row(j, k), lo, n)
+			for e := 2; e < n; e++ {
+				w, c := e-2, e-1
+				// P at the west faces of c and e (average of neighboring centers).
+				pW := 0.5 * (p0[w] + p0[c])
+				pE := 0.5 * (p0[c] + p0[e])
+				dPUdl := (pE*u0[e] - pW*u0[c]) * invDlam
 
 				// P·V·sinθ at the interfaces j (north face) and j+1 (south).
-				pFaceN := 0.5 * (pN[o] + p0[o])
-				pFaceS := 0.5 * (p0[o] + pS[o])
-				dPVdt := (pFaceS*vS[o]*sI1 - pFaceN*v0[o]*sI0) / m.dthe
+				pFaceN := 0.5 * (pN[c] + p0[c])
+				pFaceS := 0.5 * (p0[c] + pS[c])
+				dPVdt := (pFaceS*vS[c]*sI1 - pFaceN*v0[c]*sI0) * invDthe
 
-				dst[o] = invASin * (dPUdl + dPVdt)
+				dst[c] = invASin * (dPUdl + dPVdt)
 			}
 		}
 	}
@@ -205,7 +211,7 @@ func CSumWith(g *grid.Grid, cz *comm.Comm, world *comm.Comm, divP *field.F3, res
 	copy(prefix, base)
 	// Downward sweep: interfaces K0 … hiK.
 	for k := b.K0; k <= hiK; k++ {
-		storePWI(g, res, divP, hr, k, dbar, prefix, +1)
+		storePWI(g, res, hr, k, dbar, prefix)
 		if k < hiK {
 			accumulate(divP, hr, k, g.DSigma[k], prefix)
 		}
@@ -214,7 +220,7 @@ func CSumWith(g *grid.Grid, cz *comm.Comm, world *comm.Comm, divP *field.F3, res
 	copy(prefix, base)
 	for k := b.K0 - 1; k >= loK; k-- {
 		accumulate(divP, hr, k, -g.DSigma[k], prefix)
-		storePWI(g, res, divP, hr, k, dbar, prefix, +1)
+		storePWI(g, res, hr, k, dbar, prefix)
 	}
 	work += (hiK - loK + 2) * plane
 
@@ -223,7 +229,7 @@ func CSumWith(g *grid.Grid, cz *comm.Comm, world *comm.Comm, divP *field.F3, res
 }
 
 // storePWI writes PWI at interface k: σ_I[k]·DBar − prefix.
-func storePWI(g *grid.Grid, res *CRes, divP *field.F3, hr field.Rect, k int, dbar, prefix []float64, _ int) {
+func storePWI(g *grid.Grid, res *CRes, hr field.Rect, k int, dbar, prefix []float64) {
 	if w := res.B.WithHalo(); k < w.K0 || k >= w.K1 {
 		return // interface outside storage (cannot happen for Hz ≥ 1)
 	}

@@ -10,10 +10,36 @@ import (
 	"cadycore/internal/state"
 )
 
-// This file pins the row-slice production kernels against straightforward
-// point-accessor reference implementations of the same formulas: the results
-// must match BITWISE (the optimization reorders memory access, never
-// arithmetic). Only the reference implementations live here, in test code.
+// This file pins the production kernels against straightforward
+// point-accessor reference implementations of the textbook formulas. The
+// smoothing kernels reorder memory access, never arithmetic, so they must
+// match BITWISE. Â, L̃ and D(P) do not divide per point: they multiply by
+// the reciprocal planes of Surface and by hoisted 1/Δλ, 1/Δθ, 1/Δσ_k, 1/σ_k
+// and 1/12, and a·(1/b) differs from a/b in the last bit. Their references
+// keep every division, and the comparison is per component to
+// refTol·max|ref|. Roundoff passes: Â and D(P) measure ≤ 4e-16, L̃ ≤ 7e-15
+// (its flux-form differences cancel). A reciprocal or neighbour read one
+// point off fails by 1e-5 or more on this smooth state. Only the reference
+// implementations live here, in test code.
+
+// refTol bounds the roundoff between a division-free kernel and its
+// dividing reference, relative to the reference's largest magnitude.
+const refTol = 1e-14
+
+// matchesRef fails t unless got is finite on the owned region and within
+// refTol·max|ref| of ref there.
+func matchesRef(t *testing.T, name string, got, ref *field.F3) {
+	t.Helper()
+	if !field.AllFiniteOwned(got) {
+		t.Errorf("%s: non-finite values", name)
+		return
+	}
+	d, scale := field.MaxAbsDiffOwned(got, ref), field.MaxAbsOwned(ref)
+	if d > refTol*scale {
+		t.Errorf("%s differs from reference by %g (%.2g of max|ref| = %g, bound %g)", name, d, d/scale, scale, refTol)
+	}
+	t.Logf("%s: max|Δ| = %.2g of max|ref|", name, d/scale)
+}
 
 // refAdaptation is Adaptation written with field.At accessors.
 func refAdaptation(g *grid.Grid, cfg AdaptConfig, st *state.State, sur *Surface, cres *CRes, out *Tendency, r field.Rect) {
@@ -112,6 +138,87 @@ func refDivP(g *grid.Grid, u, v *field.F3, sur *Surface, out *field.F3, r field.
 	}
 }
 
+// refAdvection is Advection3D written with accessors: the physical
+// velocities and σ̇ are formed where they are read, each dividing by its own
+// P average.
+func refAdvection(g *grid.Grid, st *state.State, sur *Surface, cres *CRes, out *Tendency, r field.Rect) {
+	m := newMetric(g)
+	P := sur.P.At
+	U, V, Phi, PW := st.U.At, st.V.At, st.Phi.At, cres.PWI.At
+	uP := func(i, j, k int) float64 { return U(i, j, k) / (0.5 * (P(i-1, j) + P(i, j))) }
+	vP := func(i, j, k int) float64 { return V(i, j, k) / (0.5 * (P(i, j-1) + P(i, j))) }
+	sdC := func(i, j, k int) float64 { return PW(i, j, k) / P(i, j) }
+	sdU := func(i, j, k int) float64 {
+		return 0.5 * (PW(i-1, j, k) + PW(i, j, k)) / (0.5 * (P(i-1, j) + P(i, j)))
+	}
+	sdV := func(i, j, k int) float64 {
+		return 0.5 * (PW(i, j-1, k) + PW(i, j, k)) / (0.5 * (P(i, j-1) + P(i, j)))
+	}
+	for k := r.K0; k < r.K1; k++ {
+		ds := g.DSigma[k]
+		for j := r.J0; j < r.J1; j++ {
+			inv2aS := 1 / (2 * m.a * m.sinC(j))
+			sI0, sI1 := m.sinI(j), m.sinI(j+1)
+			for i := r.I0; i < r.I1; i++ {
+				uc0 := 0.5 * (uP(i-1, j, k) + uP(i, j, k))
+				uc1 := 0.5 * (uP(i, j, k) + uP(i+1, j, k))
+				Uc0 := (-U(i-2, j, k) + 7*(U(i-1, j, k)+U(i, j, k)) - U(i+1, j, k)) / 12
+				Uc1 := (-U(i-1, j, k) + 7*(U(i, j, k)+U(i+1, j, k)) - U(i+2, j, k)) / 12
+				l1u := inv2aS * (2*(Uc1*uc1-Uc0*uc0)/m.dlam - U(i, j, k)*(uc1-uc0)/m.dlam)
+				vf0 := 0.5 * (vP(i-1, j, k) + vP(i, j, k))
+				vf1 := 0.5 * (vP(i-1, j+1, k) + vP(i, j+1, k))
+				Ui0 := 0.5 * (U(i, j-1, k) + U(i, j, k))
+				Ui1 := 0.5 * (U(i, j, k) + U(i, j+1, k))
+				l2u := inv2aS * (2*(Ui1*vf1*sI1-Ui0*vf0*sI0)/m.dthe - U(i, j, k)*(vf1*sI1-vf0*sI0)/m.dthe)
+				sd0, sd1 := sdU(i, j, k), sdU(i, j, k+1)
+				UI0 := 0.5 * (U(i, j, k-1) + U(i, j, k))
+				UI1 := 0.5 * (U(i, j, k) + U(i, j, k+1))
+				l3u := 0.5 * (2*(UI1*sd1-UI0*sd0)/ds - U(i, j, k)*(sd1-sd0)/ds)
+				out.DU.Set(i, j, k, -(l1u + l2u + l3u))
+
+				uf0, uf1 := uP(i, j, k), uP(i+1, j, k)
+				Pf0 := (-Phi(i-2, j, k) + 7*(Phi(i-1, j, k)+Phi(i, j, k)) - Phi(i+1, j, k)) / 12
+				Pf1 := (-Phi(i-1, j, k) + 7*(Phi(i, j, k)+Phi(i+1, j, k)) - Phi(i+2, j, k)) / 12
+				l1p := inv2aS * (2*(Pf1*uf1-Pf0*uf0)/m.dlam - Phi(i, j, k)*(uf1-uf0)/m.dlam)
+				vI0, vI1 := vP(i, j, k), vP(i, j+1, k)
+				Pi0 := 0.5 * (Phi(i, j-1, k) + Phi(i, j, k))
+				Pi1 := 0.5 * (Phi(i, j, k) + Phi(i, j+1, k))
+				l2p := inv2aS * (2*(Pi1*vI1*sI1-Pi0*vI0*sI0)/m.dthe - Phi(i, j, k)*(vI1*sI1-vI0*sI0)/m.dthe)
+				s0, s1 := sdC(i, j, k), sdC(i, j, k+1)
+				PI0 := 0.5 * (Phi(i, j, k-1) + Phi(i, j, k))
+				PI1 := 0.5 * (Phi(i, j, k) + Phi(i, j, k+1))
+				l3p := 0.5 * (2*(PI1*s1-PI0*s0)/ds - Phi(i, j, k)*(s1-s0)/ds)
+				out.DPhi.Set(i, j, k, -(l1p + l2p + l3p))
+			}
+			if j < 1 || j > g.Ny-1 {
+				for i := r.I0; i < r.I1; i++ {
+					out.DV.Set(i, j, k, 0)
+				}
+				continue
+			}
+			inv2aSI := 1 / (2 * m.a * m.sinI(j))
+			sCn, sCs := m.sinC(j-1), m.sinC(j)
+			for i := r.I0; i < r.I1; i++ {
+				ufI0 := 0.5 * (uP(i, j-1, k) + uP(i, j, k))
+				ufI1 := 0.5 * (uP(i+1, j-1, k) + uP(i+1, j, k))
+				Vf0 := (-V(i-2, j, k) + 7*(V(i-1, j, k)+V(i, j, k)) - V(i+1, j, k)) / 12
+				Vf1 := (-V(i-1, j, k) + 7*(V(i, j, k)+V(i+1, j, k)) - V(i+2, j, k)) / 12
+				l1v := inv2aSI * (2*(Vf1*ufI1-Vf0*ufI0)/m.dlam - V(i, j, k)*(ufI1-ufI0)/m.dlam)
+				VcN := 0.5 * (V(i, j-1, k) + V(i, j, k))
+				VcS := 0.5 * (V(i, j, k) + V(i, j+1, k))
+				vcN := VcN / P(i, j-1)
+				vcS := VcS / P(i, j)
+				l2v := inv2aSI * (2*(VcS*vcS*sCs-VcN*vcN*sCn)/m.dthe - V(i, j, k)*(vcS*sCs-vcN*sCn)/m.dthe)
+				s0, s1 := sdV(i, j, k), sdV(i, j, k+1)
+				VI0 := 0.5 * (V(i, j, k-1) + V(i, j, k))
+				VI1 := 0.5 * (V(i, j, k) + V(i, j, k+1))
+				l3v := 0.5 * (2*(VI1*s1-VI0*s0)/ds - V(i, j, k)*(s1-s0)/ds)
+				out.DV.Set(i, j, k, -(l1v + l2v + l3v))
+			}
+		}
+	}
+}
+
 // refP1 and refP2Former are the smoothing kernels with accessors.
 func refP1(s *Smoother, in, out *field.F3, r field.Rect) {
 	c := s.beta / 16
@@ -143,40 +250,121 @@ func refP2Former(s *Smoother, in, out *field.F3, r field.Rect, avail AvailFunc) 
 	}
 }
 
-func TestAdaptationMatchesReferenceBitwise(t *testing.T) {
-	g := probeGrid()
-	b := serialBlock(g)
+// refState is smoothState with its winds sheared in σ. smoothState's winds
+// are the same on every level, so D(P) is too and Ĉ's interface flux
+// PW = σ·D̄ − ∫₀^σ D(P) dσ' vanishes, which would leave σ̇ (L3) and the PW
+// term of Ω⁽¹⁾ untested.
+func refState(g *grid.Grid, b field.Block) *state.State {
 	st := smoothState(g, b)
-	sur, cres, _ := prepare(g, st)
-	cfg := DefaultAdaptConfig()
-	fast := NewTendency(b)
-	ref := NewTendency(b)
-	Adaptation(g, cfg, st, sur, cres, fast, b.Owned())
-	refAdaptation(g, cfg, st, sur, cres, ref, b.Owned())
-	for name, pair := range map[string][2]*field.F3{
-		"DU": {fast.DU, ref.DU}, "DV": {fast.DV, ref.DV}, "DPhi": {fast.DPhi, ref.DPhi},
-	} {
-		if d := field.MaxAbsDiffOwned(pair[0], pair[1]); d != 0 {
-			t.Errorf("%s differs from reference by %g (must be bitwise)", name, d)
+	o := b.Owned()
+	for k := o.K0; k < o.K1; k++ {
+		s := 0.5 + g.Sigma[k]
+		for j := o.J0; j < o.J1; j++ {
+			for i := o.I0; i < o.I1; i++ {
+				st.U.Set(i, j, k, s*st.U.At(i, j, k))
+				st.V.Set(i, j, k, s*st.V.At(i, j, k))
+			}
 		}
 	}
-	if d := field.MaxAbsDiffOwned2(fast.DPsa, ref.DPsa); d != 0 {
-		t.Errorf("DPsa differs from reference by %g", d)
+	st.FillLocalBounds()
+	return st
+}
+
+// refRects are the update rects the kernel/reference tests cover: the owned
+// block, and an interior rect whose row windows start inside the rows.
+func refRects(b field.Block) []field.Rect {
+	return []field.Rect{b.Owned(), {I0: 3, I1: 11, J0: 2, J1: 8, K0: 1, K1: 5}}
+}
+
+func TestAdaptationMatchesReference(t *testing.T) {
+	g := probeGrid()
+	b := serialBlock(g)
+	st := refState(g, b)
+	sur, cres, _ := prepare(g, st)
+	cfg := DefaultAdaptConfig()
+	for _, r := range refRects(b) {
+		fast := NewTendency(b)
+		ref := NewTendency(b)
+		Adaptation(g, cfg, st, sur, cres, fast, r)
+		refAdaptation(g, cfg, st, sur, cres, ref, r)
+		matchesRef(t, "DU on "+r.String(), fast.DU, ref.DU)
+		matchesRef(t, "DV on "+r.String(), fast.DV, ref.DV)
+		matchesRef(t, "DPhi on "+r.String(), fast.DPhi, ref.DPhi)
+		if d := field.MaxAbsDiffOwned2(fast.DPsa, ref.DPsa); d != 0 {
+			t.Errorf("DPsa on %v differs from reference by %g (must be bitwise)", r, d)
+		}
 	}
 }
 
-func TestDivPMatchesReferenceBitwise(t *testing.T) {
+func TestAdvectionMatchesReference(t *testing.T) {
 	g := probeGrid()
 	b := serialBlock(g)
-	st := smoothState(g, b)
+	st := refState(g, b)
+	sur, cres, _ := prepare(g, st)
+	for _, r := range refRects(b) {
+		fast := NewTendency(b)
+		ref := NewTendency(b)
+		Advection(g, st, sur, cres, fast, r)
+		refAdvection(g, st, sur, cres, ref, r)
+		matchesRef(t, "DU on "+r.String(), fast.DU, ref.DU)
+		matchesRef(t, "DV on "+r.String(), fast.DV, ref.DV)
+		matchesRef(t, "DPhi on "+r.String(), fast.DPhi, ref.DPhi)
+	}
+}
+
+func TestDivPMatchesReference(t *testing.T) {
+	g := probeGrid()
+	b := serialBlock(g)
+	st := refState(g, b)
 	sur := NewSurface(b)
 	sur.Update(st.Psa)
-	fast := field.NewF3(b)
-	ref := field.NewF3(b)
-	DivP(g, st.U, st.V, sur, fast, b.Owned())
-	refDivP(g, st.U, st.V, sur, ref, b.Owned())
-	if d := field.MaxAbsDiffOwned(fast, ref); d != 0 {
-		t.Errorf("DivP differs from reference by %g", d)
+	for _, r := range refRects(b) {
+		fast := field.NewF3(b)
+		ref := field.NewF3(b)
+		DivP(g, st.U, st.V, sur, fast, r)
+		refDivP(g, st.U, st.V, sur, ref, r)
+		matchesRef(t, "DivP on "+r.String(), fast, ref)
+	}
+}
+
+// TestSurfaceReciprocals: every reciprocal plane is 1/(the average the
+// kernels used to divide by) to 1 ulp over the whole stored footprint, and
+// the face entries with no west or north neighbour in storage are NaN.
+func TestSurfaceReciprocals(t *testing.T) {
+	g := probeGrid()
+	b := serialBlock(g)
+	sur := NewSurface(b)
+	sur.Update(smoothState(g, b).Psa)
+	// want NaN means the entry must be NaN.
+	check := func(name string, i, j int, got, want float64) {
+		t.Helper()
+		ok := math.IsNaN(got) && math.IsNaN(want) ||
+			got >= math.Nextafter(want, math.Inf(-1)) && got <= math.Nextafter(want, math.Inf(1))
+		if !ok {
+			t.Fatalf("%s at (%d,%d) = %v, want %v to 1 ulp", name, i, j, got, want)
+		}
+	}
+	w := b.WithHalo()
+	for j := w.J0; j < w.J1; j++ {
+		for i := w.I0; i < w.I1; i++ {
+			P, Pes := sur.P.At(i, j), sur.Pes.At(i, j)
+			check("1/P", i, j, sur.rP.At(i, j), 1/P)
+			check("1/p_es", i, j, sur.rPes.At(i, j), 1/Pes)
+			atU, atUes := math.NaN(), math.NaN()
+			if i > w.I0 {
+				atU = 1 / (0.5 * (sur.P.At(i-1, j) + P))
+				atUes = 1 / (0.5 * (sur.Pes.At(i-1, j) + Pes))
+			}
+			check("1/P at U", i, j, sur.rPU.At(i, j), atU)
+			check("1/p_es at U", i, j, sur.rPesU.At(i, j), atUes)
+			atV, atVes := math.NaN(), math.NaN()
+			if j > w.J0 {
+				atV = 1 / (0.5 * (sur.P.At(i, j-1) + P))
+				atVes = 1 / (0.5 * (sur.Pes.At(i, j-1) + Pes))
+			}
+			check("1/P at V", i, j, sur.rPV.At(i, j), atV)
+			check("1/p_es at V", i, j, sur.rPesV.At(i, j), atVes)
+		}
 	}
 }
 

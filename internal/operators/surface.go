@@ -22,6 +22,8 @@
 package operators
 
 import (
+	"math"
+
 	"cadycore/internal/field"
 	"cadycore/internal/grid"
 	"cadycore/internal/physics"
@@ -31,28 +33,78 @@ import (
 // p_es = p_s − p_t and P = sqrt(p_es/p0). They are recomputed after every
 // update of p'_sa over the full storage footprint (halo values follow the
 // halo validity of p'_sa).
+//
+// Alongside them Update stores the reciprocals the stencil kernels multiply
+// by instead of dividing at every level of every evaluation: 1/P and 1/p_es
+// at centers, at west faces (U points, the mean of centers i−1 and i) and at
+// north interfaces (V points, the mean of rows j−1 and j). A face entry whose
+// west or north neighbour lies outside storage is NaN, so reading one shows
+// up as a non-finite tendency.
 type Surface struct {
 	B   field.Block
 	Pes *field.F2
 	P   *field.F2
+
+	rP, rPes   *field.F2 // at centers
+	rPU, rPesU *field.F2 // at west faces
+	rPV, rPesV *field.F2 // at north interfaces
 }
 
 // NewSurface allocates surface diagnostics for a block.
 func NewSurface(b field.Block) *Surface {
-	return &Surface{B: b, Pes: field.NewF2(b), P: field.NewF2(b)}
+	return &Surface{B: b, Pes: field.NewF2(b), P: field.NewF2(b),
+		rP: field.NewF2(b), rPes: field.NewF2(b),
+		rPU: field.NewF2(b), rPesU: field.NewF2(b),
+		rPV: field.NewF2(b), rPesV: field.NewF2(b)}
 }
 
-// Update recomputes p_es and P from p'_sa over the entire storage region
-// (owned + halos) and returns the number of points updated.
+// Update recomputes p_es, P and their reciprocal planes from p'_sa over the
+// entire storage region (owned + halos) and returns the number of points
+// updated.
 func (s *Surface) Update(psa *field.F2) int {
-	pes, pf, src := s.Pes.Data, s.P.Data, psa.Data
-	for i, v := range src {
-		ps := physics.StandardSurfacePressure + v
-		pes[i] = physics.PesFromPs(ps)
-		pf[i] = physics.PFromPs(ps)
+	w := s.B.WithHalo()
+	nan := math.NaN()
+	for j := w.J0; j < w.J1; j++ {
+		src := psa.Row(j)
+		n := len(src)
+		pes, p := window(s.Pes.Row(j), 0, n), window(s.P.Row(j), 0, n)
+		rP, rPes := window(s.rP.Row(j), 0, n), window(s.rPes.Row(j), 0, n)
+		rPU, rPesU := window(s.rPU.Row(j), 0, n), window(s.rPesU.Row(j), 0, n)
+		for i, v := range src {
+			ps := physics.StandardSurfacePressure + v
+			pes[i] = physics.PesFromPs(ps)
+			p[i] = physics.PFromPs(ps)
+			rP[i] = 1 / p[i]
+			rPes[i] = 1 / pes[i]
+		}
+		rPU[0], rPesU[0] = nan, nan
+		for e := 1; e < n; e++ {
+			c := e - 1
+			rPU[e] = 1 / (0.5 * (p[c] + p[e]))
+			rPesU[e] = 1 / (0.5 * (pes[c] + pes[e]))
+		}
+
+		rPV, rPesV := window(s.rPV.Row(j), 0, n), window(s.rPesV.Row(j), 0, n)
+		if j == w.J0 {
+			for i := range rPV {
+				rPV[i], rPesV[i] = nan, nan
+			}
+			continue
+		}
+		pN, pesN := window(s.P.Row(j-1), 0, n), window(s.Pes.Row(j-1), 0, n)
+		for i := range rPV {
+			rPV[i] = 1 / (0.5 * (pN[i] + p[i]))
+			rPesV[i] = 1 / (0.5 * (pesN[i] + pes[i]))
+		}
 	}
-	return len(src)
+	return len(psa.Data)
 }
+
+// window returns row[lo : lo+n] with its length pinned to n. The kernels cut
+// every row they read to the rect's x extent plus the stencil's reach; a loop
+// bounded by n that indexes the windows at its variable minus constants no
+// larger than its start then runs without a bounds check.
+func window(row []float64, lo, n int) []float64 { return row[lo:][:n] }
 
 // Tendency is ∂ξ/∂t on a block: the output of Â+Ĉ (adaptation) or L̃
 // (advection).
@@ -106,7 +158,6 @@ type metric struct {
 	dlam   float64
 	dthe   float64
 	b      float64 // gravity-wave speed b
-	haDlam float64 // a·Δλ
 	haDthe float64 // a·Δθ
 }
 
@@ -117,7 +168,6 @@ func newMetric(g *grid.Grid) metric {
 		dlam:   g.DLambda,
 		dthe:   g.DTheta,
 		b:      physics.B,
-		haDlam: physics.EarthRadius * g.DLambda,
 		haDthe: physics.EarthRadius * g.DTheta,
 	}
 }
