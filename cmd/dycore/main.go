@@ -87,6 +87,9 @@ func main() {
 	if err == nil {
 		err = cfg.Validate()
 	}
+	if err == nil && *steps < 1 {
+		err = fmt.Errorf("steps = %d must be ≥ 1", *steps)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)

@@ -70,8 +70,11 @@ func TestInvalidInputIsUsageError(t *testing.T) {
 		{"-nz", "0", "Nz = 0"},
 		{"-m", "0", "M = 0"},
 		{"-dt2", "0", "dt2 = 0"},
+		{"-steps", "0", "steps = 0"},
+		{"-steps", "-1", "steps = -1"},
 	} {
-		_, se, code := runCLI(t, tc.flag, tc.val, "-steps", "1")
+		// The flag under test comes last, so it overrides the -steps 1 default.
+		_, se, code := runCLI(t, "-steps", "1", tc.flag, tc.val)
 		if code != 2 || strings.Count(se, "\n") != 1 || !strings.Contains(se, tc.want) {
 			t.Errorf("%s %s: exit %d, stderr %q; want exit 2 and one line containing %q", tc.flag, tc.val, code, se, tc.want)
 		}

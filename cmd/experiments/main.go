@@ -14,6 +14,9 @@
 // poles and the model top/bottom, but an interior CA rank still stores
 // (n_x+6)×(n_y/p_y+22)×(n_z/p_z+18) values per field, so the full mesh at
 // -ps 128 and above is still a tens-of-GB run.
+//
+// A mesh, iteration count or step count the model cannot run is a one-line
+// error and exit status 2.
 package main
 
 import (
@@ -40,6 +43,10 @@ func main() {
 	flag.Parse()
 
 	o.Nx, o.Ny, o.Nz, o.M, o.Steps = *nx, *ny, *nz, *m, *steps
+	if err := o.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(2)
+	}
 	ps, err := csvToInts(*psFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bad -ps:", err)

@@ -19,6 +19,7 @@ import (
 // the counts of Section 5.2.
 type Baseline struct {
 	*core
+	psi       *state.State    // ψ: S̃ reads it and writes ξ, so it is not ξ
 	exStencil *topo.Exchanger // per-update exchange at the stencil radii
 	exSmooth  *topo.Exchanger // depth-2 exchange before smoothing
 }
@@ -37,7 +38,8 @@ func baselineHalo() (hx, hy, hz int) {
 // NewBaseline builds the baseline integrator for the calling rank. The
 // topology must be built with BaselineTopology (or identical halo widths).
 func NewBaseline(cfg Config, g *grid.Grid, tp *topo.Topology) *Baseline {
-	b := &Baseline{core: newCore(cfg, g, tp)}
+	b := &Baseline{core: newCore(cfg, g, tp), psi: state.New(tp.Block)}
+	b.psi.ShiftedPoles = cfg.ShiftedPoleMirror
 	rAd := stencil.Union(stencil.RadiusOf(stencil.Adaptation), stencil.RadiusOf(stencil.Advection))
 	rSm := stencil.RadiusOf(stencil.Smoothing)
 	dx := 0
@@ -88,8 +90,9 @@ func (b *Baseline) bootstrap() {
 	b.exStencil.Exchange(f3, f2)
 	b.n.HaloExchanges++
 	b.localFill(b.xi)
-	b.updateSurface(b.xi)
-	b.evalC(b.xi, b.cLast, b.tp.Block.Owned())
+	owned := b.tp.Block.Owned()
+	b.updateSurface(b.xi, owned)
+	b.evalC(b.xi, b.cLast, owned)
 	b.fillCBounds(b.cLast)
 }
 
@@ -126,7 +129,7 @@ func (b *Baseline) Step() {
 		b.adaptUpdate(b.eta1, b.psi, b.psi)
 		b.adaptUpdate(b.eta2, b.psi, b.eta1)
 		b.mid.Mean2Rect(b.psi, b.eta2, owned)
-		b.mid.FillLocalBounds()
+		b.mid.FillLocalBounds(owned)
 		b.adaptUpdate(b.psi, b.psi, b.mid) // ψ ← η3
 	}
 
@@ -134,7 +137,7 @@ func (b *Baseline) Step() {
 	b.advectUpdate(b.eta1, b.psi, b.psi)  // ζ1
 	b.advectUpdate(b.eta2, b.psi, b.eta1) // ζ2
 	b.mid.Mean2Rect(b.psi, b.eta2, owned)
-	b.mid.FillLocalBounds()
+	b.mid.FillLocalBounds(owned)
 	b.advectUpdate(b.psi, b.psi, b.mid) // ζ3
 
 	b.smooth()

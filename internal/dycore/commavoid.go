@@ -162,8 +162,9 @@ func (ca *CommAvoid) SetState(init *state.State) {
 	ca.n.HaloExchanges++
 	ca.localFill(ca.xi)
 	if init.Carry == nil {
-		ca.updateSurface(ca.xi)
-		ca.evalC(ca.xi, ca.cLast, ca.region(1))
+		r1 := ca.region(1)
+		ca.updateSurface(ca.xi, r1)
+		ca.evalC(ca.xi, ca.cLast, r1)
 	}
 	ca.publishCarry(init.Carry != nil && init.Carry.PendingSmooth)
 }
@@ -216,13 +217,14 @@ func (ca *CommAvoid) expandAsym(yLo, yHi, zLo, zHi int) field.Rect {
 // Step advances one time step of Algorithm 2.
 func (ca *CommAvoid) Step() {
 	owned := ca.tp.Block.Owned()
+	storage := ca.tp.Block.WithHalo()
 	// The former/later split runs whenever ξ owes a smoothing: every step
 	// but the first after an initial condition or a finalized snapshot.
 	fused := ca.xi.Carry.PendingSmooth
 
 	// ---- Former smoothing S̃1 of ψ⁰ = ξ^(k−1) on the owned block ----
 	if fused {
-		ca.xi.FillLocalBounds() // x halos and pole mirrors for the δ⁴ reads
+		ca.xi.FillLocalBounds(storage) // x halos and pole mirrors for the δ⁴ reads
 		field.Copy(ca.origPhi, ca.xi.Phi)
 		field.Copy2(ca.origPsa, ca.xi.Psa)
 		w := ca.smo.P1Field(ca.xi.U, ca.eta1.U, owned)
@@ -234,7 +236,7 @@ func (ca *CommAvoid) Step() {
 		ca.xi.V.CopyRect(owned, ca.eta1.V)
 		ca.xi.Phi.CopyRect(owned, ca.eta1.Phi)
 		copyRect2(ca.xi.Psa, owned, ca.eta1.Psa)
-		ca.xi.FillLocalBounds()
+		ca.xi.FillLocalBounds(storage)
 		ca.n.SmoothingCalls++
 	}
 
@@ -258,9 +260,6 @@ func (ca *CommAvoid) Step() {
 		// (see core.overlapped); the quiesced path refills after the
 		// blocking Finish instead.
 		ca.localFill(ca.xi)
-	}
-	ca.updateSurface(ca.xi)
-	if !ca.cfg.NoOverlap && !ca.cfg.ExactC {
 		dIn := 1 // one stencil radius inside the owned block
 		if fused {
 			dIn = 3 // plus the two edge rows awaiting latter smoothing
@@ -277,10 +276,11 @@ func (ca *CommAvoid) Step() {
 		if inner.K1 != ca.g.Nz {
 			inner.K1--
 		}
-		if !inner.Empty() {
-			ca.adaptTendency(ca.xi, ca.cLast, inner)
-			ca.filterTendency(inner)
-		}
+	}
+	ca.updateSurface(ca.xi, inner)
+	if !inner.Empty() {
+		ca.adaptTendency(ca.xi, ca.cLast, inner)
+		ca.filterTendency(inner)
 	}
 
 	pend.Finish()
@@ -307,11 +307,13 @@ func (ca *CommAvoid) Step() {
 		w := ca.smo.P2Latter(ca.origPhi, ca.xi.Phi, s2r, ca.availYFn)
 		w += ca.smo.P2Latter2(ca.origPsa, ca.xi.Psa, s2r, ca.availYFn)
 		ca.w.Compute(float64(w) * costSmooth)
-		ca.xi.FillLocalBounds()
+		ca.xi.FillLocalBounds(storage)
 	}
 
 	// ---- η1 completion on the outer region, then the update ----
-	ca.updateSurface(ca.xi)
+	// ψ is ξ from here to the end of the step: nothing reads the step's
+	// initial ξ once η1 is formed, so the iteration updates it in place.
+	ca.updateSurface(ca.xi, r1)
 	if ca.cfg.ExactC {
 		ca.evalC(ca.xi, ca.cNew, r1)
 		ca.cLast, ca.cNew = ca.cNew, ca.cLast
@@ -320,8 +322,7 @@ func (ca *CommAvoid) Step() {
 		ca.adaptTendency(ca.xi, ca.cLast, s)
 		ca.filterTendency(s)
 	}
-	ca.psi.CopyFrom(ca.xi)
-	ca.applyUpdate(ca.eta1, ca.psi, ca.cfg.Dt1, r1)
+	ca.applyUpdate(ca.eta1, ca.xi, ca.cfg.Dt1, r1)
 
 	// ---- Remaining adaptation updates (Algorithm 2 lines 13–22) ----
 	u := 1
@@ -338,15 +339,12 @@ func (ca *CommAvoid) Step() {
 				// same way the step's first exchange overlaps.
 				u = 1
 				r := ca.region(u)
-				f3s, f2s := ca.exchangeFields(ca.psi)
+				f3s, f2s := ca.exchangeFields(ca.xi)
 				spend := ca.stageEx.Begin(f3s, f2s)
 				ca.n.HaloExchanges++
-				if !ca.cfg.NoOverlap && !ca.cfg.ExactC {
-					ca.localFill(ca.psi) // see core.overlapped
-				}
-				ca.updateSurface(ca.psi)
 				sInner := field.Rect{}
 				if !ca.cfg.NoOverlap && !ca.cfg.ExactC {
+					ca.localFill(ca.xi) // see core.overlapped
 					sInner = owned
 					if sInner.J0 != 0 {
 						sInner.J0++
@@ -357,103 +355,100 @@ func (ca *CommAvoid) Step() {
 					if sInner.K1 != ca.g.Nz {
 						sInner.K1--
 					}
-					if !sInner.Empty() {
-						ca.adaptTendency(ca.psi, ca.cLast, sInner)
-						ca.filterTendency(sInner)
-					}
+				}
+				ca.updateSurface(ca.xi, sInner)
+				if !sInner.Empty() {
+					ca.adaptTendency(ca.xi, ca.cLast, sInner)
+					ca.filterTendency(sInner)
 				}
 				spend.Finish()
-				ca.localFill(ca.psi)
-				ca.refreshSurface(ca.psi)
+				ca.localFill(ca.xi)
+				ca.refreshSurface(ca.xi, r)
 				cr := ca.cLast
 				if ca.cfg.ExactC {
-					ca.evalC(ca.psi, ca.cNew, r)
+					ca.evalC(ca.xi, ca.cNew, r)
 					cr = ca.cNew
 				}
 				for _, s := range ca.slabs(r, sInner) {
-					ca.adaptTendency(ca.psi, cr, s)
+					ca.adaptTendency(ca.xi, cr, s)
 					ca.filterTendency(s)
 				}
-				ca.applyUpdate(ca.eta1, ca.psi, ca.cfg.Dt1, r)
+				ca.applyUpdate(ca.eta1, ca.xi, ca.cfg.Dt1, r)
 			} else {
 				r := ca.region(u)
-				ca.updateSurface(ca.psi)
+				ca.updateSurface(ca.xi, r)
 				cr := ca.cLast
 				if ca.cfg.ExactC {
-					ca.evalC(ca.psi, ca.cNew, r)
+					ca.evalC(ca.xi, ca.cNew, r)
 					cr = ca.cNew
 				}
-				ca.adaptTendency(ca.psi, cr, r)
+				ca.adaptTendency(ca.xi, cr, r)
 				ca.filterTendency(r)
-				ca.applyUpdate(ca.eta1, ca.psi, ca.cfg.Dt1, r)
+				ca.applyUpdate(ca.eta1, ca.xi, ca.cfg.Dt1, r)
 			}
 		}
 
 		// η2 = ψ + Δt1·F̃(Ĉ(η1) + Â(η1))
 		u++
 		r := ca.region(u)
-		ca.updateSurface(ca.eta1)
+		ca.updateSurface(ca.eta1, r)
 		ca.evalC(ca.eta1, ca.cNew, r)
 		ca.adaptTendency(ca.eta1, ca.cNew, r)
 		ca.filterTendency(r)
-		ca.applyUpdate(ca.eta2, ca.psi, ca.cfg.Dt1, r)
+		ca.applyUpdate(ca.eta2, ca.xi, ca.cfg.Dt1, r)
 		r2 := r
 
 		// η3 = ψ + Δt1·F̃(Ĉ(mid) + Â(mid)), mid = (ψ + η2)/2
 		u++
 		r = ca.region(u)
-		ca.mid.Mean2Rect(ca.psi, ca.eta2, r2)
-		ca.mid.FillLocalBounds()
-		ca.updateSurface(ca.mid)
+		ca.mid.Mean2Rect(ca.xi, ca.eta2, r2)
+		ca.mid.FillLocalBounds(r2)
+		ca.updateSurface(ca.mid, r)
 		ca.evalC(ca.mid, ca.cNew, r)
 		ca.adaptTendency(ca.mid, ca.cNew, r)
 		ca.filterTendency(r)
-		ca.applyUpdate(ca.psi, ca.psi, ca.cfg.Dt1, r) // ψ ← η3
-		ca.cLast, ca.cNew = ca.cNew, ca.cLast         // cache Ĉ(mid) for the next η1
+		ca.applyUpdate(ca.xi, ca.xi, ca.cfg.Dt1, r) // ψ ← η3
+		ca.cLast, ca.cNew = ca.cNew, ca.cLast       // cache Ĉ(mid) for the next η1
 	}
 
 	// ---- Advection phase: one exchange, overlap on ζ1 ----
-	f3, f2 = ca.exchangeFields(ca.psi)
+	f3, f2 = ca.exchangeFields(ca.xi)
 	pend = ca.advEx.Begin(f3, f2)
 	ca.n.HaloExchanges++
-	if !ca.cfg.NoOverlap {
-		ca.localFill(ca.psi) // see core.overlapped
-	}
-	ca.updateSurface(ca.psi)
 	rz1 := ca.advRegion(2)
 	inner = field.Rect{}
 	if !ca.cfg.NoOverlap {
+		ca.localFill(ca.xi) // see core.overlapped
 		inner = ca.shrinkInternal(owned, 1, 1)
-		if !inner.Empty() {
-			ca.advectTendency(ca.psi, ca.cLast, inner)
-			ca.filterTendency(inner)
-		}
+	}
+	ca.updateSurface(ca.xi, inner)
+	if !inner.Empty() {
+		ca.advectTendency(ca.xi, ca.cLast, inner)
+		ca.filterTendency(inner)
 	}
 	pend.Finish()
-	ca.localFill(ca.psi)
-	ca.updateSurface(ca.psi)
+	ca.localFill(ca.xi)
+	ca.updateSurface(ca.xi, rz1)
 	for _, s := range ca.slabs(rz1, inner) {
-		ca.advectTendency(ca.psi, ca.cLast, s)
+		ca.advectTendency(ca.xi, ca.cLast, s)
 		ca.filterTendency(s)
 	}
-	ca.applyUpdate(ca.eta1, ca.psi, ca.cfg.Dt2, rz1) // ζ1
+	ca.applyUpdate(ca.eta1, ca.xi, ca.cfg.Dt2, rz1) // ζ1
 
 	// ζ2
 	r := ca.advRegion(1)
-	ca.updateSurface(ca.eta1)
+	ca.updateSurface(ca.eta1, r)
 	ca.advectTendency(ca.eta1, ca.cLast, r)
 	ca.filterTendency(r)
-	ca.applyUpdate(ca.eta2, ca.psi, ca.cfg.Dt2, r)
+	ca.applyUpdate(ca.eta2, ca.xi, ca.cfg.Dt2, r)
 
 	// ζ3
-	ca.mid.Mean2Rect(ca.psi, ca.eta2, r)
-	ca.mid.FillLocalBounds()
-	ca.updateSurface(ca.mid)
+	ca.mid.Mean2Rect(ca.xi, ca.eta2, r)
+	ca.mid.FillLocalBounds(r)
+	ca.updateSurface(ca.mid, owned)
 	ca.advectTendency(ca.mid, ca.cLast, owned)
 	ca.filterTendency(owned)
-	ca.applyUpdate(ca.psi, ca.psi, ca.cfg.Dt2, owned)
-
-	ca.xi.CopyFrom(ca.psi)
+	ca.applyUpdate(ca.xi, ca.xi, ca.cfg.Dt2, owned)
 
 	// Ablation: plain smoothing at the end of the step (baseline style).
 	if ca.cfg.NoFusedSmoothing {
@@ -470,13 +465,14 @@ func (ca *CommAvoid) advRegion(depth int) field.Rect {
 }
 
 // plainSmooth applies full smoothing with its own exchange (ablation path
-// and Finalize). The pre-smoothing state is snapshotted into ψ first so the
-// exchange can target ψ directly: received halo rows then land in the field
-// the smoothing reads, and the interior sweep (which only reads rows the
-// exchange does not touch) overlaps the messages in flight.
+// and Finalize). The pre-smoothing state is snapshotted into mid first (free
+// between steps) so the exchange can target the snapshot directly: received
+// halo rows then land in the field the smoothing reads, and the interior
+// sweep (which only reads rows the exchange does not touch) overlaps the
+// messages in flight.
 func (ca *CommAvoid) plainSmooth() {
-	ca.psi.CopyFrom(ca.xi)
-	ca.overlapped(ca.smEx, ca.psi, kernSmooth)
+	ca.mid.CopyFrom(ca.xi)
+	ca.overlapped(ca.smEx, ca.mid, kernSmooth)
 	ca.n.SmoothingCalls++
 	ca.localFill(ca.xi)
 }

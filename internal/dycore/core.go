@@ -58,9 +58,10 @@ type core struct {
 
 	xi *state.State // current ξ
 
-	// work states of the nonlinear iteration
-	psi, eta1, eta2, mid *state.State
-	tnd                  *operators.Tendency
+	// work states of the nonlinear iteration (ψ is the integrator's own: the
+	// baseline keeps one, the comm-avoiding step iterates on ξ itself)
+	eta1, eta2, mid *state.State
+	tnd             *operators.Tendency
 
 	divp  *field.F3
 	cNew  *operators.CRes
@@ -92,7 +93,6 @@ func newCore(cfg Config, g *grid.Grid, tp *topo.Topology) *core {
 		smo:   operators.NewSmoother(g, cfg.Beta),
 		sur:   operators.NewSurface(b),
 		xi:    state.New(b),
-		psi:   state.New(b),
 		eta1:  state.New(b),
 		eta2:  state.New(b),
 		mid:   state.New(b),
@@ -102,7 +102,7 @@ func newCore(cfg Config, g *grid.Grid, tp *topo.Topology) *core {
 		cLast: operators.NewCRes(b),
 		advSc: operators.NewAdvScratch(b),
 	}
-	for _, st := range []*state.State{c.xi, c.psi, c.eta1, c.eta2, c.mid} {
+	for _, st := range []*state.State{c.xi, c.eta1, c.eta2, c.mid} {
 		st.ShiftedPoles = cfg.ShiftedPoleMirror
 	}
 	return c
@@ -126,15 +126,18 @@ func (c *core) exchangeFields(st *state.State) (f3s []*field.F3, f2s []*field.F2
 }
 
 // localFill refreshes all locally computable boundary values of st and of
-// the cached Ĉ fields.
+// the cached Ĉ fields, over the whole storage: it follows writes of unknown
+// extent (a halo exchange, a step hook, a resume).
 func (c *core) localFill(st *state.State) {
-	st.FillLocalBounds()
+	st.FillLocalBounds(st.B.WithHalo())
 	c.fillCBounds(c.cLast)
 }
 
-// fillCBounds refreshes the periodic-x halos of a Ĉ result (pole/vertical
-// ghosts of PWI are never read: σ̇ interfaces stay within [0, Nz], and the y
-// mirror of PWI follows the even mirror of its inputs).
+// fillCBounds refreshes the periodic-x halos and pole mirrors of a Ĉ result
+// over the whole storage (vertical ghosts of PWI are never mirrored: σ̇
+// interfaces stay within [0, Nz], and PWI's level Nz is the bottom interface
+// itself). localFill needs the whole cover after an exchange; sumC uses the
+// same fill although it writes only its rect.
 func (c *core) fillCBounds(cr *operators.CRes) {
 	if c.tp.Block.OwnsFullX() && c.tp.Block.Hx > 0 {
 		cr.PWI.FillXPeriodic()
@@ -151,7 +154,7 @@ func (c *core) fillCBounds(cr *operators.CRes) {
 
 // evalC evaluates Ĉ at src over the tendency rect r: D(P) on r, then the
 // z-collective summation into dst. The caller must have called
-// c.sur.Update(src.Psa) since the last change of src.Psa.
+// c.updateSurface(src, r′) with r′ ⊇ r since the last change of src.Psa.
 func (c *core) evalC(src *state.State, dst *operators.CRes, r field.Rect) {
 	c.evalDivP(src, r)
 	c.sumC(dst, r)
@@ -178,26 +181,26 @@ func (c *core) sumC(dst *operators.CRes, r field.Rect) {
 	c.n.CEvaluations++
 }
 
-// updateSurface recomputes the 2-D surface diagnostics from src's p'_sa.
-// The clock is charged for the owned footprint grown by the *requested* halo
-// on every side, which is what Update swept while storage was symmetric; the
-// sweep itself now stops where storage is cut at a pole (field.Block.WithHalo).
-// Pricing ghost work at what is actually computed moves the simulated clock
-// and belongs to the re-baseline of ROADMAP item 2b, not to a storage change.
-func (c *core) updateSurface(src *state.State) {
-	c.sur.Update(src.Psa)
+// updateSurface recomputes the 2-D surface diagnostics from src's p'_sa on
+// the rows a kernel over r reads (operators.Surface.UpdateFor); r is the
+// rect of the kernel that follows. The clock is charged for the owned
+// footprint grown by the *requested* halo on every side, whatever r is:
+// pricing the sweep at what it computes would move the simulated clock, and
+// that belongs to a declared re-baseline, not to a wall-clock change.
+func (c *core) updateSurface(src *state.State, r field.Rect) {
+	c.sur.UpdateFor(src.Psa, r)
 	b := c.tp.Block
 	c.w.Compute(float64((b.I1-b.I0+2*b.Hx)*(b.J1-b.J0+2*b.Hy)) * costSurface)
 }
 
 // refreshSurface is updateSurface without the clock charge. The overlap path
 // uses it after Finish: the charged pre-exchange update already priced the
-// pointwise work, but the halo cells it computed from stale p'_sa must be
+// pointwise work, but rows it computed from stale halo p'_sa must be
 // recomputed from the received values before any boundary-slab kernel reads
-// them. The owned cells recompute to bitwise the same values, so the final
-// surface equals the monolithic path's.
-func (c *core) refreshSurface(src *state.State) {
-	c.sur.Update(src.Psa)
+// them; r is the rect those kernels cover. Owned cells recompute to bitwise
+// the same values, so the surface equals the monolithic path's.
+func (c *core) refreshSurface(src *state.State, r field.Rect) {
+	c.sur.UpdateFor(src.Psa, r)
 }
 
 // adaptTendency evaluates Â(src) + the Ĉ contributions from cres over r
@@ -237,15 +240,16 @@ func (c *core) filterTendency(r field.Rect) {
 }
 
 // applyUpdate sets dst ← base + dt·tendency over rect r (the tendency's
-// computed region — values outside it are stale-but-finite and are never
-// consumed), then refreshes dst's local boundary cells.
+// computed region), then refreshes the boundary cells of dst sourced in r.
+// Everything else in dst is stale and never consumed: the next kernel reads
+// r shrunk by its stencil radius, plus ghosts whose sources lie in r.
 func (c *core) applyUpdate(dst, base *state.State, dt float64, r field.Rect) {
 	field.Lin2Rect(dst.U, 1, base.U, dt, c.tnd.DU, r)
 	field.Lin2Rect(dst.V, 1, base.V, dt, c.tnd.DV, r)
 	field.Lin2Rect(dst.Phi, 1, base.Phi, dt, c.tnd.DPhi, r)
 	field.Lin2Rect2(dst.Psa, 1, base.Psa, dt, c.tnd.DPsa, r)
 	c.w.Compute(float64(4*r.Count()) * costLincomb)
-	dst.FillLocalBounds()
+	dst.FillLocalBounds(r)
 }
 
 // shrinkInternal shrinks r by (dy, dz) on every side that is not a global
@@ -370,12 +374,12 @@ func (c *core) overlapped(ex *topo.Exchanger, src *state.State, k kernel) {
 		// touching the interior; the post-Finish refill below then only
 		// refreshes the ghosts derived from the received halo rows.
 		c.localFill(src)
+		inner = c.shrinkByDepths(owned, ex.ExchangeDepths())
 		if surface {
 			// Interior reads stay within the owned region, where the
 			// pre-exchange p'_sa is current.
-			c.updateSurface(src)
+			c.updateSurface(src, inner)
 		}
-		inner = c.shrinkByDepths(owned, ex.ExchangeDepths())
 		if !inner.Empty() {
 			c.sweep(k, src, inner)
 		}
@@ -384,9 +388,9 @@ func (c *core) overlapped(ex *topo.Exchanger, src *state.State, k kernel) {
 	c.localFill(src)
 	if surface {
 		if c.cfg.NoOverlap {
-			c.updateSurface(src)
+			c.updateSurface(src, owned)
 		} else {
-			c.refreshSurface(src)
+			c.refreshSurface(src, owned)
 		}
 	}
 	for _, s := range c.slabs(owned, inner) {

@@ -63,7 +63,7 @@ func TestSmoothingSplitMatchesFull(t *testing.T) {
 			tp := topo.New(c, g, 1, 1, 1, hx, hy, hz)
 			st := state.New(tp.Block)
 			fill(st)
-			st.FillLocalBounds()
+			st.FillLocalBounds(st.B.WithHalo())
 			smo := operators.NewSmoother(g, cfg.Beta)
 			res := state.New(tp.Block)
 			smo.SmoothFull(st, res, tp.Block.Owned())
@@ -84,12 +84,12 @@ func TestSmoothingSplitMatchesFull(t *testing.T) {
 			ca.xi.CopyFrom(st)
 
 			owned := tp.Block.Owned()
-			ca.xi.FillLocalBounds()
+			ca.xi.FillLocalBounds(ca.xi.B.WithHalo())
 			field.Copy(ca.origPhi, ca.xi.Phi)
 			field.Copy2(ca.origPsa, ca.xi.Psa)
 			ca.smo.P2Former(ca.xi.Phi, ca.eta1.Phi, owned, ca.availY)
 			ca.xi.Phi.CopyRect(owned, ca.eta1.Phi)
-			ca.xi.FillLocalBounds()
+			ca.xi.FillLocalBounds(ca.xi.B.WithHalo())
 
 			f3, f2 := ca.exchangeFields(ca.xi)
 			pend := ca.deepEx.Begin(f3, f2)

@@ -78,9 +78,13 @@ func (f *F2) XOff(i int) int { return i - f.ox }
 // Origin returns the global index of Data[0].
 func (f *F2) Origin() (i, j int) { return f.ox, f.oy }
 
-// FillXPeriodic fills the x halo cells by local periodic copy (Y-Z
-// decomposition only; panics otherwise), covering halo rows in y as well.
-func (f *F2) FillXPeriodic() {
+// FillXPeriodic fills the x halo cells of every stored row by local periodic
+// copy (Y-Z decomposition only; panics otherwise).
+func (f *F2) FillXPeriodic() { f.wrapX(f.B.WithHalo()) }
+
+// wrapX fills the x halo cells of r's stored rows (r's x and k extents are
+// ignored).
+func (f *F2) wrapX(r Rect) {
 	if !f.B.OwnsFullX() {
 		panic("field: FillXPeriodic called on a block that does not own the full x circle")
 	}
@@ -88,13 +92,8 @@ func (f *F2) FillXPeriodic() {
 	if h == 0 {
 		return
 	}
-	nx := f.B.Nx
-	for lj := 0; lj < f.sy; lj++ {
-		row := lj * f.sx
-		for m := 0; m < h; m++ {
-			f.Data[row+m] = f.Data[row+nx+m]
-			f.Data[row+h+nx+m] = f.Data[row+h+m]
-		}
+	for j := maxInt(r.J0, f.oy); j < minInt(r.J1, f.oy+f.sy); j++ {
+		wrapRow(f.Row(j), h, f.B.Nx)
 	}
 }
 

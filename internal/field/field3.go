@@ -87,12 +87,14 @@ func (f *F3) Origin() (i, j, k int) { return f.ox, f.oy, f.oz }
 // SameShape reports whether g has an identical block (and therefore layout).
 func (f *F3) SameShape(g *F3) bool { return f.B == g.B }
 
-// FillXPeriodic fills the x halo cells by local periodic copy. It is valid
-// only when the block owns the full longitude circle (Y-Z decomposition);
-// otherwise it panics — x halos must then be filled by communication.
-// The copy covers the full y/z storage range (halo rows included) so that
-// subsequent y/z exchanges and corner fills remain consistent.
-func (f *F3) FillXPeriodic() {
+// FillXPeriodic fills the x halo cells of every stored row by local periodic
+// copy. It is valid only when the block owns the full longitude circle (Y-Z
+// decomposition); otherwise it panics — x halos must then be filled by
+// communication. FillBounds wraps only the rows of a rect.
+func (f *F3) FillXPeriodic() { f.wrapX(f.B.WithHalo()) }
+
+// wrapX fills the x halo cells of r's stored rows (r's x extent is ignored).
+func (f *F3) wrapX(r Rect) {
 	if !f.B.OwnsFullX() {
 		panic("field: FillXPeriodic called on a block that does not own the full x circle")
 	}
@@ -101,15 +103,21 @@ func (f *F3) FillXPeriodic() {
 		return
 	}
 	nx := f.B.Nx
-	for lk := 0; lk < f.sz; lk++ {
-		for lj := 0; lj < f.sy; lj++ {
-			row := (lk*f.sy + lj) * f.sx
-			// storage x layout: [0,h) left halo | [h, h+nx) owned | [h+nx, h+nx+h) right halo
-			for m := 0; m < h; m++ {
-				f.Data[row+m] = f.Data[row+nx+m]     // left halo ← rightmost owned
-				f.Data[row+h+nx+m] = f.Data[row+h+m] // right halo ← leftmost owned
-			}
+	j0, j1 := maxInt(r.J0, f.oy), minInt(r.J1, f.oy+f.sy)
+	for k := maxInt(r.K0, f.oz); k < minInt(r.K1, f.oz+f.sz); k++ {
+		for j := j0; j < j1; j++ {
+			wrapRow(f.Row(j, k), h, nx)
 		}
+	}
+}
+
+// wrapRow fills the h-wide halos of one storage row, laid out as
+// [0,h) left halo | [h, h+nx) owned | [h+nx, h+nx+h) right halo.
+func wrapRow(row []float64, h, nx int) {
+	row = row[:h+nx+h]
+	for m := 0; m < h; m++ {
+		row[m] = row[nx+m]     // left halo ← rightmost owned
+		row[h+nx+m] = row[h+m] // right halo ← leftmost owned
 	}
 }
 

@@ -31,9 +31,9 @@ func TestBlockDims(t *testing.T) {
 
 func TestBlockValidate(t *testing.T) {
 	bads := []Block{
-		{Nx: 12, Ny: 8, Nz: 4, I0: 0, I1: 0, J0: 0, J1: 8, K0: 0, K1: 4},    // empty x
-		{Nx: 12, Ny: 8, Nz: 4, I0: 0, I1: 12, J0: 0, J1: 9, K0: 0, K1: 4},   // y overflow
-		{Nx: 12, Ny: 8, Nz: 4, I0: 0, I1: 12, J0: 0, J1: 8, K0: -1, K1: 4},  // z underflow
+		{Nx: 12, Ny: 8, Nz: 4, I0: 0, I1: 0, J0: 0, J1: 8, K0: 0, K1: 4},          // empty x
+		{Nx: 12, Ny: 8, Nz: 4, I0: 0, I1: 12, J0: 0, J1: 9, K0: 0, K1: 4},         // y overflow
+		{Nx: 12, Ny: 8, Nz: 4, I0: 0, I1: 12, J0: 0, J1: 8, K0: -1, K1: 4},        // z underflow
 		{Nx: 12, Ny: 8, Nz: 4, I0: 0, I1: 12, J0: 0, J1: 8, K0: 0, K1: 4, Hx: -1}, // bad halo
 	}
 	for i, b := range bads {
@@ -73,9 +73,9 @@ func TestRectOps(t *testing.T) {
 
 func TestF3IndexingAndHalo(t *testing.T) {
 	f := NewF3(testBlock())
-	f.Set(0, 2, 1, 42)    // owned corner
-	f.Set(-2, 0, 0, 7)    // halo corner (lowest storage point)
-	f.Set(13, 7, 3, 9)    // halo high corner
+	f.Set(0, 2, 1, 42) // owned corner
+	f.Set(-2, 0, 0, 7) // halo corner (lowest storage point)
+	f.Set(13, 7, 3, 9) // halo high corner
 	if f.At(0, 2, 1) != 42 || f.At(-2, 0, 0) != 7 || f.At(13, 7, 3) != 9 {
 		t.Error("roundtrip failed")
 	}
@@ -156,26 +156,38 @@ func TestPackUnpackProperty(t *testing.T) {
 	}
 }
 
+// storageFills runs a test of one of the unbounded fills twice: through the
+// entry point itself and through FillBounds over the storage rect, which is
+// the same fill (the test blocks store no ghosts the other pieces would touch).
+func storageFills(t *testing.T, fill func(*F3), p Parity, st Stagger, test func(t *testing.T, fill func(*F3))) {
+	t.Run("entry point", func(t *testing.T) { test(t, fill) })
+	t.Run("storage rect", func(t *testing.T) {
+		test(t, func(f *F3) { FillBounds(f, p, st, false, f.B.WithHalo()) })
+	})
+}
+
 func TestFillXPeriodic(t *testing.T) {
-	f := NewF3(testBlock())
-	for j := 0; j < 8; j++ {
-		for k := 0; k < 4; k++ {
-			for i := 0; i < 12; i++ {
-				f.Set(i, j, k, float64(100*i+10*j+k))
+	storageFills(t, (*F3).FillXPeriodic, Even, CenterY, func(t *testing.T, fill func(*F3)) {
+		f := NewF3(testBlock())
+		for j := 0; j < 8; j++ {
+			for k := 0; k < 4; k++ {
+				for i := 0; i < 12; i++ {
+					f.Set(i, j, k, float64(100*i+10*j+k))
+				}
 			}
 		}
-	}
-	f.FillXPeriodic()
-	for j := 0; j < 8; j++ {
-		for k := 0; k < 4; k++ {
-			if f.At(-1, j, k) != f.At(11, j, k) || f.At(-2, j, k) != f.At(10, j, k) {
-				t.Fatalf("left halo wrong at j=%d k=%d", j, k)
-			}
-			if f.At(12, j, k) != f.At(0, j, k) || f.At(13, j, k) != f.At(1, j, k) {
-				t.Fatalf("right halo wrong at j=%d k=%d", j, k)
+		fill(f)
+		for j := 0; j < 8; j++ {
+			for k := 0; k < 4; k++ {
+				if f.At(-1, j, k) != f.At(11, j, k) || f.At(-2, j, k) != f.At(10, j, k) {
+					t.Fatalf("left halo wrong at j=%d k=%d", j, k)
+				}
+				if f.At(12, j, k) != f.At(0, j, k) || f.At(13, j, k) != f.At(1, j, k) {
+					t.Fatalf("right halo wrong at j=%d k=%d", j, k)
+				}
 			}
 		}
-	}
+	})
 }
 
 func TestFillXPeriodicPanicsOnPartialX(t *testing.T) {
@@ -268,116 +280,130 @@ func TestAllFiniteOwned(t *testing.T) {
 func nan() float64 { z := 0.0; return z / z }
 
 func TestPoleMirrorCenterEven(t *testing.T) {
-	b := Block{Nx: 8, Ny: 6, Nz: 2, I0: 0, I1: 8, J0: 0, J1: 6, K0: 0, K1: 2, Hx: 0, Hy: 2, Hz: 0}
-	f := NewF3(b)
-	for j := 0; j < 6; j++ {
-		for i := 0; i < 8; i++ {
-			f.Set(i, j, 0, float64(10+j))
+	fill := func(f *F3) { FillPolesY(f, Even, CenterY) }
+	storageFills(t, fill, Even, CenterY, func(t *testing.T, fill func(*F3)) {
+		b := Block{Nx: 8, Ny: 6, Nz: 2, I0: 0, I1: 8, J0: 0, J1: 6, K0: 0, K1: 2, Hx: 0, Hy: 2, Hz: 0}
+		f := NewF3(b)
+		for j := 0; j < 6; j++ {
+			for i := 0; i < 8; i++ {
+				f.Set(i, j, 0, float64(10+j))
+			}
 		}
-	}
-	FillPolesY(f, Even, CenterY)
-	if f.At(0, -1, 0) != 10 || f.At(0, -2, 0) != 11 {
-		t.Errorf("north mirror: %v %v", f.At(0, -1, 0), f.At(0, -2, 0))
-	}
-	if f.At(0, 6, 0) != 15 || f.At(0, 7, 0) != 14 {
-		t.Errorf("south mirror: %v %v", f.At(0, 6, 0), f.At(0, 7, 0))
-	}
+		fill(f)
+		if f.At(0, -1, 0) != 10 || f.At(0, -2, 0) != 11 {
+			t.Errorf("north mirror: %v %v", f.At(0, -1, 0), f.At(0, -2, 0))
+		}
+		if f.At(0, 6, 0) != 15 || f.At(0, 7, 0) != 14 {
+			t.Errorf("south mirror: %v %v", f.At(0, 6, 0), f.At(0, 7, 0))
+		}
+	})
 }
 
 func TestPoleMirrorCenterOdd(t *testing.T) {
-	b := Block{Nx: 8, Ny: 6, Nz: 2, I0: 0, I1: 8, J0: 0, J1: 6, K0: 0, K1: 2, Hx: 0, Hy: 1, Hz: 0}
-	f := NewF3(b)
-	for j := 0; j < 6; j++ {
-		f.Set(3, j, 1, float64(1+j))
-	}
-	FillPolesY(f, Odd, CenterY)
-	if f.At(3, -1, 1) != -1 {
-		t.Errorf("odd north mirror: %v", f.At(3, -1, 1))
-	}
-	if f.At(3, 6, 1) != -6 {
-		t.Errorf("odd south mirror: %v", f.At(3, 6, 1))
-	}
+	fill := func(f *F3) { FillPolesY(f, Odd, CenterY) }
+	storageFills(t, fill, Odd, CenterY, func(t *testing.T, fill func(*F3)) {
+		b := Block{Nx: 8, Ny: 6, Nz: 2, I0: 0, I1: 8, J0: 0, J1: 6, K0: 0, K1: 2, Hx: 0, Hy: 1, Hz: 0}
+		f := NewF3(b)
+		for j := 0; j < 6; j++ {
+			f.Set(3, j, 1, float64(1+j))
+		}
+		fill(f)
+		if f.At(3, -1, 1) != -1 {
+			t.Errorf("odd north mirror: %v", f.At(3, -1, 1))
+		}
+		if f.At(3, 6, 1) != -6 {
+			t.Errorf("odd south mirror: %v", f.At(3, 6, 1))
+		}
+	})
 }
 
 func TestPoleMirrorFaceY(t *testing.T) {
-	b := Block{Nx: 8, Ny: 6, Nz: 2, I0: 0, I1: 8, J0: 0, J1: 6, K0: 0, K1: 2, Hx: 0, Hy: 2, Hz: 0}
-	f := NewF3(b)
-	for j := 0; j < 6; j++ {
-		for i := 0; i < 8; i++ {
-			f.Set(i, j, 0, float64(1+j))
+	fill := func(f *F3) { FillPolesY(f, Odd, FaceY) }
+	storageFills(t, fill, Odd, FaceY, func(t *testing.T, fill func(*F3)) {
+		b := Block{Nx: 8, Ny: 6, Nz: 2, I0: 0, I1: 8, J0: 0, J1: 6, K0: 0, K1: 2, Hx: 0, Hy: 2, Hz: 0}
+		f := NewF3(b)
+		for j := 0; j < 6; j++ {
+			for i := 0; i < 8; i++ {
+				f.Set(i, j, 0, float64(1+j))
+			}
 		}
-	}
-	FillPolesY(f, Odd, FaceY)
-	// Row 0 is the pole itself: forced to zero.
-	if f.At(2, 0, 0) != 0 {
-		t.Errorf("pole row not zeroed: %v", f.At(2, 0, 0))
-	}
-	// Ghost rows mirror with the sign flip about the pole point.
-	if f.At(2, -1, 0) != -f.At(2, 1, 0) || f.At(2, -2, 0) != -f.At(2, 2, 0) {
-		t.Errorf("north face mirror wrong: %v %v", f.At(2, -1, 0), f.At(2, -2, 0))
-	}
-	// Virtual south pole row Ny is zeroed; beyond mirrors row Ny−1.
-	if f.At(2, 6, 0) != 0 {
-		t.Errorf("south pole row not zeroed: %v", f.At(2, 6, 0))
-	}
-	if f.At(2, 7, 0) != -f.At(2, 5, 0) {
-		t.Errorf("south face mirror wrong: %v", f.At(2, 7, 0))
-	}
+		fill(f)
+		// Row 0 is the pole itself: forced to zero.
+		if f.At(2, 0, 0) != 0 {
+			t.Errorf("pole row not zeroed: %v", f.At(2, 0, 0))
+		}
+		// Ghost rows mirror with the sign flip about the pole point.
+		if f.At(2, -1, 0) != -f.At(2, 1, 0) || f.At(2, -2, 0) != -f.At(2, 2, 0) {
+			t.Errorf("north face mirror wrong: %v %v", f.At(2, -1, 0), f.At(2, -2, 0))
+		}
+		// Virtual south pole row Ny is zeroed; beyond mirrors row Ny−1.
+		if f.At(2, 6, 0) != 0 {
+			t.Errorf("south pole row not zeroed: %v", f.At(2, 6, 0))
+		}
+		if f.At(2, 7, 0) != -f.At(2, 5, 0) {
+			t.Errorf("south face mirror wrong: %v", f.At(2, 7, 0))
+		}
+	})
 }
 
 func TestPoleMirrorDeepHaloFromInteriorBlock(t *testing.T) {
 	// A block that does not own pole rows but whose deep halo extends past
 	// the pole: the mirror must still fill the beyond-pole ghosts.
-	b := Block{Nx: 8, Ny: 12, Nz: 2, I0: 0, I1: 8, J0: 3, J1: 6, K0: 0, K1: 2, Hx: 0, Hy: 5, Hz: 0}
-	f := NewF3(b)
-	for j := -2; j < 11; j++ { // storage rows; domain rows carry j+1
-		for i := 0; i < 8; i++ {
-			v := float64(j + 100)
-			if j >= 0 {
-				v = float64(j + 1)
+	fill := func(f *F3) { FillPolesY(f, Even, CenterY) }
+	storageFills(t, fill, Even, CenterY, func(t *testing.T, fill func(*F3)) {
+		b := Block{Nx: 8, Ny: 12, Nz: 2, I0: 0, I1: 8, J0: 3, J1: 6, K0: 0, K1: 2, Hx: 0, Hy: 5, Hz: 0}
+		f := NewF3(b)
+		for j := -2; j < 11; j++ { // storage rows; domain rows carry j+1
+			for i := 0; i < 8; i++ {
+				v := float64(j + 100)
+				if j >= 0 {
+					v = float64(j + 1)
+				}
+				f.Set(i, j, 0, v)
 			}
-			f.Set(i, j, 0, v)
 		}
-	}
-	// Overwrite domain rows with known values: row j holds j+1.
-	for j := 0; j < 8; j++ {
-		for i := 0; i < 8; i++ {
-			f.Set(i, j, 0, float64(j+1))
+		// Overwrite domain rows with known values: row j holds j+1.
+		for j := 0; j < 8; j++ {
+			for i := 0; i < 8; i++ {
+				f.Set(i, j, 0, float64(j+1))
+			}
 		}
-	}
-	FillPolesY(f, Even, CenterY)
-	if f.At(0, -1, 0) != 1 || f.At(0, -2, 0) != 2 {
-		t.Errorf("deep-halo pole mirror: %v %v", f.At(0, -1, 0), f.At(0, -2, 0))
-	}
+		fill(f)
+		if f.At(0, -1, 0) != 1 || f.At(0, -2, 0) != 2 {
+			t.Errorf("deep-halo pole mirror: %v %v", f.At(0, -1, 0), f.At(0, -2, 0))
+		}
+	})
 }
 
 func TestFillVerticalZ(t *testing.T) {
-	b := Block{Nx: 8, Ny: 4, Nz: 4, I0: 0, I1: 8, J0: 0, J1: 4, K0: 0, K1: 4, Hx: 0, Hy: 0, Hz: 2}
-	f := NewF3(b)
-	for k := 0; k < 4; k++ {
+	storageFills(t, FillVerticalZ, Even, CenterY, func(t *testing.T, fill func(*F3)) {
+		b := Block{Nx: 8, Ny: 4, Nz: 4, I0: 0, I1: 8, J0: 0, J1: 4, K0: 0, K1: 4, Hx: 0, Hy: 0, Hz: 2}
+		f := NewF3(b)
+		for k := 0; k < 4; k++ {
+			for j := 0; j < 4; j++ {
+				for i := 0; i < 8; i++ {
+					f.Set(i, j, k, float64(k+1))
+				}
+			}
+		}
+		fill(f)
+		// Storage stops boundaryReach.Z = 1 level past the model top/bottom
+		// (Block.WithHalo), so the mirror fills exactly the stored ghost level
+		// on each side, whatever Hz asks for.
+		if w := b.WithHalo(); w.K0 != -1 || w.K1 != 5 {
+			t.Fatalf("stored z range [%d,%d), want [-1,5)", w.K0, w.K1)
+		}
 		for j := 0; j < 4; j++ {
 			for i := 0; i < 8; i++ {
-				f.Set(i, j, k, float64(k + 1))
+				if f.At(i, j, -1) != 1 {
+					t.Errorf("top mirror at (%d,%d): %v", i, j, f.At(i, j, -1))
+				}
+				if f.At(i, j, 4) != 4 {
+					t.Errorf("bottom mirror at (%d,%d): %v", i, j, f.At(i, j, 4))
+				}
 			}
 		}
-	}
-	FillVerticalZ(f)
-	// Storage stops boundaryReach.Z = 1 level past the model top/bottom
-	// (Block.WithHalo), so the mirror fills exactly the stored ghost level
-	// on each side, whatever Hz asks for.
-	if w := b.WithHalo(); w.K0 != -1 || w.K1 != 5 {
-		t.Fatalf("stored z range [%d,%d), want [-1,5)", w.K0, w.K1)
-	}
-	for j := 0; j < 4; j++ {
-		for i := 0; i < 8; i++ {
-			if f.At(i, j, -1) != 1 {
-				t.Errorf("top mirror at (%d,%d): %v", i, j, f.At(i, j, -1))
-			}
-			if f.At(i, j, 4) != 4 {
-				t.Errorf("bottom mirror at (%d,%d): %v", i, j, f.At(i, j, 4))
-			}
-		}
-	}
+	})
 }
 
 func TestF2Basics(t *testing.T) {

@@ -2,11 +2,13 @@ package field
 
 import "math"
 
-// The linear-combination helpers below operate on the full storage slice
-// (owned + halo). Operating on halos too is deliberate: the deep-halo scheme
-// of the communication-avoiding algorithm performs redundant updates in halo
-// areas, so intermediate states must carry valid halo values through the
-// same arithmetic as owned values.
+// The linear-combination helpers below come in two forms. The plain ones
+// (Copy, Axpy, Lin2, …) operate on the full storage slice, halos included.
+// The Rect ones update exactly one rect: the deep-halo scheme of the
+// communication-avoiding algorithm performs redundant updates in halo areas,
+// and each update writes exactly the still-valid region, which shrinks by a
+// stencil radius per update. FillBounds then refreshes only the ghosts
+// sourced in that region; cells outside it are stale and never read.
 
 // Copy sets dst ← src. Shapes must match.
 func Copy(dst, src *F3) {

@@ -97,6 +97,22 @@ func Quick() Options {
 
 func (o Options) grid() *grid.Grid { return grid.New(o.Nx, o.Ny, o.Nz) }
 
+// Validate reports why the sweep cannot run, if it cannot: a mesh
+// grid.Check refuses, a configuration dycore.Config.Validate refuses, or
+// fewer than one step per measurement.
+func (o Options) Validate() error {
+	if err := grid.Check(o.Nx, o.Ny, o.Nz); err != nil {
+		return err
+	}
+	if err := o.config().Validate(); err != nil {
+		return err
+	}
+	if o.Steps < 1 {
+		return fmt.Errorf("harness: steps = %d must be ≥ 1", o.Steps)
+	}
+	return nil
+}
+
 func (o Options) config() dycore.Config {
 	cfg := dycore.DefaultConfig()
 	cfg.M = o.M

@@ -77,10 +77,10 @@ func TestCSumParallelMatchesSerial(t *testing.T) {
 		w.Run(func(c *comm.Comm) {
 			tp := topo.New(c, g, 1, 1, pz, 3, 2, 2)
 			st := smoothState(g, tp.Block) // InitFromPhysical fills owned only
-			st.FillLocalBounds()
+			st.FillLocalBounds(st.B.WithHalo())
 			ex := tp.NewExchanger(0, 0, 2)
 			ex.Exchange(st.F3s(), st.F2s())
-			st.FillLocalBounds()
+			st.FillLocalBounds(st.B.WithHalo())
 			sur := NewSurface(tp.Block)
 			sur.Update(st.Psa)
 			divp := field.NewF3(tp.Block)
@@ -408,10 +408,10 @@ func TestCSumDeepHaloRegionMatchesSerial(t *testing.T) {
 	w.Run(func(c *comm.Comm) {
 		tp := topo.New(c, g, 1, 1, pz, 3, 2, 2)
 		st := smoothState(g, tp.Block)
-		st.FillLocalBounds()
+		st.FillLocalBounds(st.B.WithHalo())
 		ex := tp.NewExchanger(0, 0, 2)
 		ex.Exchange(st.F3s(), st.F2s())
-		st.FillLocalBounds()
+		st.FillLocalBounds(st.B.WithHalo())
 		sur := NewSurface(tp.Block)
 		sur.Update(st.Psa)
 

@@ -36,7 +36,7 @@ func smoothState(g *grid.Grid, b field.Block) *state.State {
 		func(lam, th, sig float64) float64 { return 270 - 30*(1-sig) + 3*math.Cos(th) + math.Cos(lam) },
 		func(lam, th float64) float64 { return 100000 + 200*math.Sin(lam)*math.Sin(th) },
 	)
-	st.FillLocalBounds()
+	st.FillLocalBounds(st.B.WithHalo())
 	return st
 }
 
@@ -92,7 +92,7 @@ func probeOp(t *testing.T, comp string, i0, j0, k0 int,
 			case "Psa":
 				st.Psa.Add(i0, j0, 5.0)
 			}
-			st.FillLocalBounds()
+			st.FillLocalBounds(st.B.WithHalo())
 		}
 		out := NewTendency(b)
 		apply(st, out)
@@ -206,7 +206,7 @@ func TestDivPFootprintRadiusOne(t *testing.T) {
 		if pert {
 			st.U.Add(8, 5, 3, 1e-3)
 			st.V.Add(8, 5, 3, 1e-3)
-			st.FillLocalBounds()
+			st.FillLocalBounds(st.B.WithHalo())
 		}
 		sur := NewSurface(b)
 		sur.Update(st.Psa)
@@ -238,7 +238,7 @@ func TestSmoothingFootprintWithinTable3(t *testing.T) {
 		if pert {
 			st.Phi.Add(8, 5, 3, 1e-3)
 			st.U.Add(8, 5, 3, 1e-3)
-			st.FillLocalBounds()
+			st.FillLocalBounds(st.B.WithHalo())
 		}
 		out := state.New(b)
 		smo.SmoothFull(st, out, b.Owned())

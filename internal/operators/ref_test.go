@@ -266,7 +266,7 @@ func refState(g *grid.Grid, b field.Block) *state.State {
 			}
 		}
 	}
-	st.FillLocalBounds()
+	st.FillLocalBounds(st.B.WithHalo())
 	return st
 }
 
@@ -329,12 +329,16 @@ func TestDivPMatchesReference(t *testing.T) {
 
 // TestSurfaceReciprocals: every reciprocal plane is 1/(the average the
 // kernels used to divide by) to 1 ulp over the whole stored footprint, and
-// the face entries with no west or north neighbour in storage are NaN.
+// the face entries with no west or north neighbour in storage are NaN. A
+// sweep for a kernel rect equals Update bitwise on the rows a kernel over
+// that rect reads and leaves every other row untouched.
 func TestSurfaceReciprocals(t *testing.T) {
 	g := probeGrid()
 	b := serialBlock(g)
+	psa := smoothState(g, b).Psa
 	sur := NewSurface(b)
-	sur.Update(smoothState(g, b).Psa)
+	sur.Update(psa)
+	t.Run("kernel rect", func(t *testing.T) { checkSurfaceRows(t, sur, psa) })
 	// want NaN means the entry must be NaN.
 	check := func(name string, i, j int, got, want float64) {
 		t.Helper()
@@ -364,6 +368,48 @@ func TestSurfaceReciprocals(t *testing.T) {
 			}
 			check("1/P at V", i, j, sur.rPV.At(i, j), atV)
 			check("1/p_es at V", i, j, sur.rPesV.At(i, j), atVes)
+		}
+	}
+}
+
+// checkSurfaceRows sweeps fresh surfaces for kernel rects at the north pole,
+// inside, at the south pole, over the whole domain and empty, and compares
+// them with full, the result of Update: every plane must equal it bitwise on
+// the rows the kernels read — J0 − 1 … J1 (Â's p_es and D(P)'s P on j ± 1,
+// L̃'s west faces of row J0 − 1 and north interfaces of row J1) — P and p_es
+// also on row J0 − 2, and every other stored value must keep its poison.
+func checkSurfaceRows(t *testing.T, full *Surface, psa *field.F2) {
+	planes := func(s *Surface) []*field.F2 {
+		return []*field.F2{s.P, s.Pes, s.rP, s.rPes, s.rPU, s.rPesU, s.rPV, s.rPesV}
+	}
+	b := full.B
+	w := b.WithHalo()
+	const poison = -7.0
+	for _, rows := range [][2]int{{0, 2}, {3, 6}, {8, b.Ny}, {0, b.Ny}, {4, 4}} {
+		r := b.Owned()
+		r.J0, r.J1 = rows[0], rows[1]
+		got := NewSurface(b)
+		for _, pl := range planes(got) {
+			for n := range pl.Data {
+				pl.Data[n] = poison
+			}
+		}
+		got.UpdateFor(psa, r)
+		for p, pl := range planes(got) {
+			ref := planes(full)[p]
+			for j := w.J0; j < w.J1; j++ {
+				read := !r.Empty() && j >= r.J0-1 && j <= r.J1
+				lookBack := !r.Empty() && j == r.J0-2 && p < 2 // P, p_es
+				for i := w.I0; i < w.I1; i++ {
+					want := poison
+					if read || lookBack {
+						want = ref.At(i, j)
+					}
+					if g := pl.At(i, j); math.Float64bits(g) != math.Float64bits(want) {
+						t.Fatalf("rect rows [%d,%d): plane %d at (%d,%d) = %v, want %v", r.J0, r.J1, p, i, j, g, want)
+					}
+				}
+			}
 		}
 	}
 }

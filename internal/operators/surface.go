@@ -30,16 +30,17 @@ import (
 )
 
 // Surface holds the 2-D diagnostics derived pointwise from p'_sa:
-// p_es = p_s − p_t and P = sqrt(p_es/p0). They are recomputed after every
-// update of p'_sa over the full storage footprint (halo values follow the
-// halo validity of p'_sa).
+// p_es = p_s − p_t and P = sqrt(p_es/p0). Before each kernel they are
+// recomputed on the rows that kernel reads (UpdateFor); halo values follow
+// the halo validity of p'_sa, and rows no kernel reads keep whatever an
+// earlier state left there.
 //
-// Alongside them Update stores the reciprocals the stencil kernels multiply
-// by instead of dividing at every level of every evaluation: 1/P and 1/p_es
-// at centers, at west faces (U points, the mean of centers i−1 and i) and at
-// north interfaces (V points, the mean of rows j−1 and j). A face entry whose
-// west or north neighbour lies outside storage is NaN, so reading one shows
-// up as a non-finite tendency.
+// Alongside them the update stores the reciprocals the stencil kernels
+// multiply by instead of dividing at every level of every evaluation: 1/P
+// and 1/p_es at centers, at west faces (U points, the mean of centers i−1
+// and i) and at north interfaces (V points, the mean of rows j−1 and j). A
+// face entry whose west or north neighbour lies outside storage is NaN, so
+// reading one shows up as a non-finite tendency.
 type Surface struct {
 	B   field.Block
 	Pes *field.F2
@@ -58,46 +59,84 @@ func NewSurface(b field.Block) *Surface {
 		rPV: field.NewF2(b), rPesV: field.NewF2(b)}
 }
 
+// surfaceReach is how many rows past a kernel's rect the kernels read the
+// surface planes: Â reads p_es and D(P) reads P on rows j ± 1, and L̃ reads
+// 1/P at the west faces of row J0 − 1 and at the north interfaces of row J1.
+const surfaceReach = 1
+
 // Update recomputes p_es, P and their reciprocal planes from p'_sa over the
 // entire storage region (owned + halos) and returns the number of points
 // updated.
-func (s *Surface) Update(psa *field.F2) int {
-	w := s.B.WithHalo()
-	nan := math.NaN()
-	for j := w.J0; j < w.J1; j++ {
-		src := psa.Row(j)
-		n := len(src)
-		pes, p := window(s.Pes.Row(j), 0, n), window(s.P.Row(j), 0, n)
-		rP, rPes := window(s.rP.Row(j), 0, n), window(s.rPes.Row(j), 0, n)
-		rPU, rPesU := window(s.rPU.Row(j), 0, n), window(s.rPesU.Row(j), 0, n)
-		for i, v := range src {
-			ps := physics.StandardSurfacePressure + v
-			pes[i] = physics.PesFromPs(ps)
-			p[i] = physics.PFromPs(ps)
-			rP[i] = 1 / p[i]
-			rPes[i] = 1 / pes[i]
-		}
-		rPU[0], rPesU[0] = nan, nan
-		for e := 1; e < n; e++ {
-			c := e - 1
-			rPU[e] = 1 / (0.5 * (p[c] + p[e]))
-			rPesU[e] = 1 / (0.5 * (pes[c] + pes[e]))
-		}
+func (s *Surface) Update(psa *field.F2) int { return s.UpdateFor(psa, s.B.WithHalo()) }
 
-		rPV, rPesV := window(s.rPV.Row(j), 0, n), window(s.rPesV.Row(j), 0, n)
-		if j == w.J0 {
-			for i := range rPV {
-				rPV[i], rPesV[i] = nan, nan
-			}
-			continue
-		}
-		pN, pesN := window(s.P.Row(j-1), 0, n), window(s.Pes.Row(j-1), 0, n)
-		for i := range rPV {
-			rPV[i] = 1 / (0.5 * (pN[i] + p[i]))
-			rPesV[i] = 1 / (0.5 * (pesN[i] + pes[i]))
-		}
+// UpdateFor recomputes the planes a kernel over r reads: every plane on r's
+// rows grown by surfaceReach on each side and cut to storage, plus p_es and
+// P on the row above them, which the first swept row's north-interface
+// reciprocals average with. Every other stored value is left as it is. It
+// returns the number of points swept.
+func (s *Surface) UpdateFor(psa *field.F2, r field.Rect) int {
+	w := s.B.WithHalo()
+	j0, j1 := max(r.J0-surfaceReach, w.J0), min(r.J1+surfaceReach, w.J1)
+	if r.Empty() || j0 >= j1 {
+		return 0
 	}
-	return len(psa.Data)
+	rows := j1 - j0
+	if j0 > w.J0 {
+		s.centers(psa, j0-1)
+		rows++
+	}
+	for j := j0; j < j1; j++ {
+		s.centers(psa, j)
+		s.reciprocals(j, j == w.J0)
+	}
+	return rows * (w.I1 - w.I0)
+}
+
+// centers computes p_es and P on row j from p'_sa.
+func (s *Surface) centers(psa *field.F2, j int) {
+	src := psa.Row(j)
+	n := len(src)
+	pes, p := window(s.Pes.Row(j), 0, n), window(s.P.Row(j), 0, n)
+	for i, v := range src {
+		ps := physics.StandardSurfacePressure + v
+		pes[i] = physics.PesFromPs(ps)
+		p[i] = physics.PFromPs(ps)
+	}
+}
+
+// reciprocals fills row j of the reciprocal planes from P and p_es on rows j
+// and, for the north interfaces, j − 1; first marks row j as the lowest
+// stored row, whose interfaces have no northern neighbour.
+func (s *Surface) reciprocals(j int, first bool) {
+	p, pes := s.P.Row(j), s.Pes.Row(j)
+	n := len(p)
+	pes = window(pes, 0, n)
+	rP, rPes := window(s.rP.Row(j), 0, n), window(s.rPes.Row(j), 0, n)
+	rPU, rPesU := window(s.rPU.Row(j), 0, n), window(s.rPesU.Row(j), 0, n)
+	for i := range p {
+		rP[i] = 1 / p[i]
+		rPes[i] = 1 / pes[i]
+	}
+	nan := math.NaN()
+	rPU[0], rPesU[0] = nan, nan
+	for e := 1; e < n; e++ {
+		c := e - 1
+		rPU[e] = 1 / (0.5 * (p[c] + p[e]))
+		rPesU[e] = 1 / (0.5 * (pes[c] + pes[e]))
+	}
+
+	rPV, rPesV := window(s.rPV.Row(j), 0, n), window(s.rPesV.Row(j), 0, n)
+	if first {
+		for i := range rPV {
+			rPV[i], rPesV[i] = nan, nan
+		}
+		return
+	}
+	pN, pesN := window(s.P.Row(j-1), 0, n), window(s.Pes.Row(j-1), 0, n)
+	for i := range rPV {
+		rPV[i] = 1 / (0.5 * (pN[i] + p[i]))
+		rPesV[i] = 1 / (0.5 * (pesN[i] + pes[i]))
+	}
 }
 
 // window returns row[lo : lo+n] with its length pinned to n. The kernels cut

@@ -111,31 +111,16 @@ func (s *State) F3s() []*field.F3 { return []*field.F3{s.U, s.V, s.Phi} }
 // F2s returns the 2-D components (p'_sa).
 func (s *State) F2s() []*field.F2 { return []*field.F2{s.Psa} }
 
-// FillLocalBounds refreshes every locally computable boundary cell:
-// periodic x halos (when the block owns full circles), vertical mirrors and
-// pole mirrors. Call after a halo exchange, and again after every local
-// update that touched the boundary-adjacent rows.
-func (s *State) FillLocalBounds() {
-	if s.B.OwnsFullX() && s.B.Hx > 0 {
-		s.U.FillXPeriodic()
-		s.V.FillXPeriodic()
-		s.Phi.FillXPeriodic()
-		s.Psa.FillXPeriodic()
-	}
-	field.FillVerticalZ(s.U)
-	field.FillVerticalZ(s.V)
-	field.FillVerticalZ(s.Phi)
-	if s.ShiftedPoles {
-		field.FillPolesYShifted(s.U, field.Odd, field.CenterY)
-		field.FillPolesYShifted(s.V, field.Odd, field.FaceY)
-		field.FillPolesYShifted(s.Phi, field.Even, field.CenterY)
-		field.FillPolesY2Shifted(s.Psa, field.Even)
-		return
-	}
-	field.FillPolesY(s.U, field.Odd, field.CenterY)
-	field.FillPolesY(s.V, field.Odd, field.FaceY)
-	field.FillPolesY(s.Phi, field.Even, field.CenterY)
-	field.FillPolesY2(s.Psa, field.Even)
+// FillLocalBounds refreshes the locally computable boundary cells whose
+// sources lie in r (field.FillBounds): periodic x halos (when the block owns
+// full circles), vertical mirrors and pole mirrors. After a local update pass
+// the rect it wrote; after a halo exchange, a step hook or a copy of a whole
+// state pass the storage rect s.B.WithHalo().
+func (s *State) FillLocalBounds(r field.Rect) {
+	field.FillBounds(s.U, field.Odd, field.CenterY, s.ShiftedPoles, r)
+	field.FillBounds(s.V, field.Odd, field.FaceY, s.ShiftedPoles, r)
+	field.FillBounds(s.Phi, field.Even, field.CenterY, s.ShiftedPoles, r)
+	field.FillBounds2(s.Psa, field.Even, s.ShiftedPoles, r)
 }
 
 // MaxAbsDiff returns the largest componentwise difference over owned points

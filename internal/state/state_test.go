@@ -131,7 +131,7 @@ func TestFillLocalBounds(t *testing.T) {
 		func(lam, th, sig float64) float64 { return 270 },
 		func(lam, th float64) float64 { return 100000 + 100*math.Cos(lam) },
 	)
-	st.FillLocalBounds()
+	st.FillLocalBounds(st.B.WithHalo())
 	// Periodic x.
 	if st.U.At(-1, 3, 1) != st.U.At(g.Nx-1, 3, 1) {
 		t.Error("x periodicity broken for U")
