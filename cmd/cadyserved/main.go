@@ -58,8 +58,19 @@ func main() {
 	shared := flag.String("shared", "", "shared fleet checkpoint-store directory (empty = none)")
 	drainTimeout := flag.Duration("drain-timeout", 2*time.Minute, "max wait for jobs to checkpoint on shutdown")
 	chaos := flag.String("chaos", "", "fault-injection plan (JSON) applied to every run job")
-	maxRestarts := flag.Int("max-restarts", 0, "automatic restarts per crashed job (0 = default policy of 3)")
+	maxRestarts := flag.Int("max-restarts", 0, "automatic restarts per crashed job (0 = default policy of 3, negative = none)")
 	flag.Parse()
+	// Reject what the server would silently replace by its defaults (and a
+	// drain that would give up before any job could checkpoint), so the
+	// banner below states what actually runs.
+	switch {
+	case *workers < 1:
+		usageError(fmt.Sprintf("-workers = %d, want >= 1", *workers))
+	case *queue < 1:
+		usageError(fmt.Sprintf("-queue = %d, want >= 1", *queue))
+	case *drainTimeout <= 0:
+		usageError(fmt.Sprintf("-drain-timeout = %v, want > 0", *drainTimeout))
+	}
 
 	cfg := server.Config{
 		Workers:  *workers,
@@ -89,6 +100,10 @@ func main() {
 		os.Exit(1)
 	}
 
+	// Catch the signals before announcing the address, so a drain requested
+	// right after the banner is never the default kill.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
 	hs := &http.Server{Addr: *addr, Handler: srv}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
@@ -104,8 +119,6 @@ func main() {
 	}
 	fmt.Println(")")
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
 	select {
 	case err := <-errc:
 		fmt.Fprintln(os.Stderr, "cadyserved:", err)
@@ -123,4 +136,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "cadyserved: http shutdown:", err)
 	}
 	fmt.Println("cadyserved: stopped")
+}
+
+// usageError reports an unusable flag value on one line and exits 2.
+func usageError(msg string) {
+	fmt.Fprintln(os.Stderr, "cadyserved:", msg)
+	os.Exit(2)
 }

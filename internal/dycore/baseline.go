@@ -17,9 +17,12 @@ import (
 // with p_z = 1 it is the "original algorithm, X-Y decomposition". Per step
 // it performs 3M + 4 halo-exchange rounds and 3M z-collectives, matching
 // the counts of Section 5.2.
+//
+// ψ is ξ: the iteration updates ξ in place, and the smoothing, which cannot
+// write the state it reads, writes η2 (free once ζ3 is formed) and swaps it
+// with ξ. Xi() therefore names a different buffer after every Step.
 type Baseline struct {
 	*core
-	psi       *state.State    // ψ: S̃ reads it and writes ξ, so it is not ξ
 	exStencil *topo.Exchanger // per-update exchange at the stencil radii
 	exSmooth  *topo.Exchanger // depth-2 exchange before smoothing
 }
@@ -38,8 +41,7 @@ func baselineHalo() (hx, hy, hz int) {
 // NewBaseline builds the baseline integrator for the calling rank. The
 // topology must be built with BaselineTopology (or identical halo widths).
 func NewBaseline(cfg Config, g *grid.Grid, tp *topo.Topology) *Baseline {
-	b := &Baseline{core: newCore(cfg, g, tp), psi: state.New(tp.Block)}
-	b.psi.ShiftedPoles = cfg.ShiftedPoleMirror
+	b := &Baseline{core: newCore(cfg, g, tp)}
 	rAd := stencil.Union(stencil.RadiusOf(stencil.Adaptation), stencil.RadiusOf(stencil.Advection))
 	rSm := stencil.RadiusOf(stencil.Smoothing)
 	dx := 0
@@ -72,11 +74,12 @@ func (b *Baseline) ExchStats() []topo.ExchStats {
 // SetState overwrites the owned region of ξ (and refreshes boundaries and
 // the initial Ĉ cache — one startup exchange and one startup collective,
 // mirroring the model's initialization phase). The smoothing a comm-avoiding
-// step-boundary snapshot still owes cannot be deferred here: apply it now.
+// step-boundary snapshot still owes cannot be deferred here: apply it now,
+// after refreshing the ghosts sourced in the restored owned cells.
 func (b *Baseline) SetState(init *state.State) {
 	b.xi.CopyFrom(init)
 	if init.Carry != nil && init.Carry.PendingSmooth {
-		b.psi.CopyFrom(b.xi)
+		b.xi.FillLocalBounds(b.tp.Block.Owned())
 		b.smooth()
 	}
 	b.bootstrap()
@@ -84,6 +87,7 @@ func (b *Baseline) SetState(init *state.State) {
 
 // bootstrap fills halos and evaluates the initial Ĉ(ξ⁰) so the advection's
 // σ̇ is defined from the first step (Algorithm 2 line 1: ξ^(−1) = ξ^(0)).
+// sumC fills the new Ĉ's boundaries itself.
 func (b *Baseline) bootstrap() {
 	b.localFill(b.xi)
 	f3, f2 := b.exchangeFields(b.xi)
@@ -93,7 +97,6 @@ func (b *Baseline) bootstrap() {
 	owned := b.tp.Block.Owned()
 	b.updateSurface(b.xi, owned)
 	b.evalC(b.xi, b.cLast, owned)
-	b.fillCBounds(b.cLast)
 }
 
 // adaptUpdate computes dst = base + Δt1·F̃(Ĉ(src) + Â(src)) on the owned
@@ -101,7 +104,7 @@ func (b *Baseline) bootstrap() {
 // (core.overlapped); one z-collective over the owned block then completes Ĉ.
 func (b *Baseline) adaptUpdate(dst, base, src *state.State) {
 	owned := b.tp.Block.Owned()
-	b.overlapped(b.exStencil, src, kernDivP)
+	b.overlapped(b.exStencil, src, nil, kernDivP)
 	b.sumC(b.cNew, owned)
 	b.adaptTendency(src, b.cNew, owned)
 	b.filterTendency(owned)
@@ -114,7 +117,7 @@ func (b *Baseline) adaptUpdate(dst, base, src *state.State) {
 // overlapping the halo exchange with the interior advection tendency.
 func (b *Baseline) advectUpdate(dst, base, src *state.State) {
 	owned := b.tp.Block.Owned()
-	b.overlapped(b.exStencil, src, kernAdvect)
+	b.overlapped(b.exStencil, src, nil, kernAdvect)
 	b.filterTendency(owned)
 	b.applyUpdate(dst, base, b.cfg.Dt2, owned)
 }
@@ -122,35 +125,40 @@ func (b *Baseline) advectUpdate(dst, base, src *state.State) {
 // Step advances one time step of Algorithm 1.
 func (b *Baseline) Step() {
 	owned := b.tp.Block.Owned()
+	// A step hook or resume writes ξ's owned cells from outside the
+	// integrator: refresh the ghosts sourced there once. Every other ghost
+	// follows the write that made it (applyUpdate, fillReceived).
+	b.xi.FillLocalBounds(owned)
 
-	// Adaptation: M nonlinear iterations of 3 internal updates each.
-	b.psi.CopyFrom(b.xi)
+	// Adaptation: M nonlinear iterations of 3 internal updates each, on ψ = ξ.
 	for i := 1; i <= b.cfg.M; i++ {
-		b.adaptUpdate(b.eta1, b.psi, b.psi)
-		b.adaptUpdate(b.eta2, b.psi, b.eta1)
-		b.mid.Mean2Rect(b.psi, b.eta2, owned)
+		b.adaptUpdate(b.eta1, b.xi, b.xi)
+		b.adaptUpdate(b.eta2, b.xi, b.eta1)
+		b.mid.Mean2Rect(b.xi, b.eta2, owned)
 		b.mid.FillLocalBounds(owned)
-		b.adaptUpdate(b.psi, b.psi, b.mid) // ψ ← η3
+		b.adaptUpdate(b.xi, b.xi, b.mid) // ψ ← η3
 	}
 
 	// Advection: one nonlinear iteration.
-	b.advectUpdate(b.eta1, b.psi, b.psi)  // ζ1
-	b.advectUpdate(b.eta2, b.psi, b.eta1) // ζ2
-	b.mid.Mean2Rect(b.psi, b.eta2, owned)
+	b.advectUpdate(b.eta1, b.xi, b.xi)   // ζ1
+	b.advectUpdate(b.eta2, b.xi, b.eta1) // ζ2
+	b.mid.Mean2Rect(b.xi, b.eta2, owned)
 	b.mid.FillLocalBounds(owned)
-	b.advectUpdate(b.psi, b.psi, b.mid) // ζ3
+	b.advectUpdate(b.xi, b.xi, b.mid) // ζ3
 
 	b.smooth()
 
 	b.n.Steps++
 }
 
-// smooth sets ξ ← S̃(ψ) with its own exchange of ψ, overlapped with the
-// interior sweep (S̃ reads ψ and writes ξ).
+// smooth sets ξ ← S̃(ξ) with its own exchange of ξ, overlapped with the
+// interior sweep. S̃ writes η2, which nothing reads after ζ3, and the two
+// buffers swap.
 func (b *Baseline) smooth() {
-	b.overlapped(b.exSmooth, b.psi, kernSmooth)
+	b.overlapped(b.exSmooth, b.xi, b.eta2, kernSmooth)
+	b.xi, b.eta2 = b.eta2, b.xi
 	b.n.SmoothingCalls++
-	b.localFill(b.xi)
+	b.xi.FillLocalBounds(b.tp.Block.Owned())
 }
 
 // Finalize is a no-op: the baseline smooths within Step.

@@ -214,17 +214,21 @@ func (ca *CommAvoid) expandAsym(yLo, yHi, zLo, zHi int) field.Rect {
 	return r
 }
 
-// Step advances one time step of Algorithm 2.
+// Step advances one time step of Algorithm 2. Ghosts follow their writes:
+// each update, mid fill and smoothing stage refreshes the ghosts sourced in
+// what it wrote, and each exchange those sourced in what it received
+// (fillReceived). A step hook or resume writes ξ's owned cells from outside,
+// so the step starts by refreshing the ghosts sourced there, once.
 func (ca *CommAvoid) Step() {
 	owned := ca.tp.Block.Owned()
 	storage := ca.tp.Block.WithHalo()
 	// The former/later split runs whenever ξ owes a smoothing: every step
 	// but the first after an initial condition or a finalized snapshot.
 	fused := ca.xi.Carry.PendingSmooth
+	ca.xi.FillLocalBounds(owned)
 
 	// ---- Former smoothing S̃1 of ψ⁰ = ξ^(k−1) on the owned block ----
 	if fused {
-		ca.xi.FillLocalBounds(storage) // x halos and pole mirrors for the δ⁴ reads
 		field.Copy(ca.origPhi, ca.xi.Phi)
 		field.Copy2(ca.origPsa, ca.xi.Psa)
 		w := ca.smo.P1Field(ca.xi.U, ca.eta1.U, owned)
@@ -236,7 +240,7 @@ func (ca *CommAvoid) Step() {
 		ca.xi.V.CopyRect(owned, ca.eta1.V)
 		ca.xi.Phi.CopyRect(owned, ca.eta1.Phi)
 		copyRect2(ca.xi.Psa, owned, ca.eta1.Psa)
-		ca.xi.FillLocalBounds(storage)
+		ca.xi.FillLocalBounds(owned)
 		ca.n.SmoothingCalls++
 	}
 
@@ -256,10 +260,6 @@ func (ca *CommAvoid) Step() {
 	r1 := ca.region(1)
 	var inner field.Rect
 	if !ca.cfg.NoOverlap && !ca.cfg.ExactC {
-		// Interior reads must not see hook- or resume-stale local ghosts
-		// (see core.overlapped); the quiesced path refills after the
-		// blocking Finish instead.
-		ca.localFill(ca.xi)
 		dIn := 1 // one stencil radius inside the owned block
 		if fused {
 			dIn = 3 // plus the two edge rows awaiting latter smoothing
@@ -287,7 +287,7 @@ func (ca *CommAvoid) Step() {
 	if bandPend != nil {
 		bandPend.Finish()
 	}
-	ca.localFill(ca.xi)
+	ca.fillReceived(ca.deepEx, ca.xi)
 
 	// ---- Latter smoothing S̃2 on the edge bands of the owned block and of
 	// the received deep halo ----
@@ -344,7 +344,6 @@ func (ca *CommAvoid) Step() {
 				ca.n.HaloExchanges++
 				sInner := field.Rect{}
 				if !ca.cfg.NoOverlap && !ca.cfg.ExactC {
-					ca.localFill(ca.xi) // see core.overlapped
 					sInner = owned
 					if sInner.J0 != 0 {
 						sInner.J0++
@@ -362,7 +361,7 @@ func (ca *CommAvoid) Step() {
 					ca.filterTendency(sInner)
 				}
 				spend.Finish()
-				ca.localFill(ca.xi)
+				ca.fillReceived(ca.stageEx, ca.xi)
 				ca.refreshSurface(ca.xi, r)
 				cr := ca.cLast
 				if ca.cfg.ExactC {
@@ -418,7 +417,6 @@ func (ca *CommAvoid) Step() {
 	rz1 := ca.advRegion(2)
 	inner = field.Rect{}
 	if !ca.cfg.NoOverlap {
-		ca.localFill(ca.xi) // see core.overlapped
 		inner = ca.shrinkInternal(owned, 1, 1)
 	}
 	ca.updateSurface(ca.xi, inner)
@@ -427,7 +425,7 @@ func (ca *CommAvoid) Step() {
 		ca.filterTendency(inner)
 	}
 	pend.Finish()
-	ca.localFill(ca.xi)
+	ca.fillReceived(ca.advEx, ca.xi)
 	ca.updateSurface(ca.xi, rz1)
 	for _, s := range ca.slabs(rz1, inner) {
 		ca.advectTendency(ca.xi, ca.cLast, s)
@@ -469,12 +467,15 @@ func (ca *CommAvoid) advRegion(depth int) field.Rect {
 // between steps) so the exchange can target the snapshot directly: received
 // halo rows then land in the field the smoothing reads, and the interior
 // sweep (which only reads rows the exchange does not touch) overlaps the
-// messages in flight.
+// messages in flight. Finalize may follow a step hook, so the snapshot's
+// ghosts sourced in owned cells are refreshed first.
 func (ca *CommAvoid) plainSmooth() {
+	owned := ca.tp.Block.Owned()
 	ca.mid.CopyFrom(ca.xi)
-	ca.overlapped(ca.smEx, ca.mid, kernSmooth)
+	ca.mid.FillLocalBounds(owned)
+	ca.overlapped(ca.smEx, ca.mid, ca.xi, kernSmooth)
 	ca.n.SmoothingCalls++
-	ca.localFill(ca.xi)
+	ca.xi.FillLocalBounds(owned)
 }
 
 // Finalize applies the trailing smoothing of Algorithm 2 line 30 (deferred

@@ -56,10 +56,9 @@ type core struct {
 	smo *operators.Smoother
 	sur *operators.Surface
 
-	xi *state.State // current ξ
+	xi *state.State // current ξ; both integrators iterate on it in place (ψ is ξ)
 
-	// work states of the nonlinear iteration (ψ is the integrator's own: the
-	// baseline keeps one, the comm-avoiding step iterates on ξ itself)
+	// work states of the nonlinear iteration
 	eta1, eta2, mid *state.State
 	tnd             *operators.Tendency
 
@@ -104,6 +103,10 @@ func newCore(cfg Config, g *grid.Grid, tp *topo.Topology) *core {
 	}
 	for _, st := range []*state.State{c.xi, c.eta1, c.eta2, c.mid} {
 		st.ShiftedPoles = cfg.ShiftedPoleMirror
+		// Allocation writes the whole storage: an odd mirror of its zeros is
+		// −0, so the ghosts of halo cells no exchange has reached yet follow
+		// their sources bitwise too.
+		st.FillLocalBounds(b.WithHalo())
 	}
 	return c
 }
@@ -126,18 +129,48 @@ func (c *core) exchangeFields(st *state.State) (f3s []*field.F3, f2s []*field.F2
 }
 
 // localFill refreshes all locally computable boundary values of st and of
-// the cached Ĉ fields, over the whole storage: it follows writes of unknown
-// extent (a halo exchange, a step hook, a resume).
+// the cached Ĉ fields, over the whole storage. It follows the bootstrap
+// exchanges of SetState, whose initial state may carry ghosts of any
+// currency, and every exchange under Config.NoOverlap (fillReceived).
 func (c *core) localFill(st *state.State) {
 	st.FillLocalBounds(st.B.WithHalo())
+	c.fillCBounds(c.cLast)
+}
+
+// fillReceived refreshes, after ex's Finish, the ghosts sourced in what the
+// exchange wrote into st: the slabs of the owned block grown by ex's depths
+// (clamped to the domain in y and z) minus the owned block. Ghosts sourced in
+// owned cells are current already — the write that last changed those cells
+// refreshed them (applyUpdate, a mid fill, or a step's entry refresh after a
+// hook or resume) — and the other halo cells are not read before the next
+// exchange writes them. The cached Ĉ rides along in every exchange and keeps
+// its whole-storage fill. The quiesced path (Config.NoOverlap) refills the
+// whole storage: it is the reference TestOverlapBitwiseAcrossLayouts holds
+// the trimmed fills to.
+func (c *core) fillReceived(ex *topo.Exchanger, st *state.State) {
+	if c.cfg.NoOverlap {
+		c.localFill(st)
+		return
+	}
+	owned := c.tp.Block.Owned()
+	d := ex.ExchangeDepths()
+	grown := field.Rect{
+		I0: owned.I0 - d.X, I1: owned.I1 + d.X,
+		J0: max(owned.J0-d.YLo, 0), J1: min(owned.J1+d.YHi, c.g.Ny),
+		K0: max(owned.K0-d.ZLo, 0), K1: min(owned.K1+d.ZHi, c.g.Nz),
+	}
+	for _, s := range c.slabs(grown, owned) {
+		st.FillLocalBounds(s)
+	}
 	c.fillCBounds(c.cLast)
 }
 
 // fillCBounds refreshes the periodic-x halos and pole mirrors of a Ĉ result
 // over the whole storage (vertical ghosts of PWI are never mirrored: σ̇
 // interfaces stay within [0, Nz], and PWI's level Nz is the bottom interface
-// itself). localFill needs the whole cover after an exchange; sumC uses the
-// same fill although it writes only its rect.
+// itself). sumC uses it although it writes only its rect, and so does every
+// exchange: later kernels read PWI's ghosts beyond the sum's rect, and level
+// Nz is data, not a mirror ghost.
 func (c *core) fillCBounds(cr *operators.CRes) {
 	if c.tp.Block.OwnsFullX() && c.tp.Block.Hx > 0 {
 		cr.PWI.FillXPeriodic()
@@ -197,8 +230,9 @@ func (c *core) updateSurface(src *state.State, r field.Rect) {
 // uses it after Finish: the charged pre-exchange update already priced the
 // pointwise work, but rows it computed from stale halo p'_sa must be
 // recomputed from the received values before any boundary-slab kernel reads
-// them; r is the rect those kernels cover. Owned cells recompute to bitwise
-// the same values, so the surface equals the monolithic path's.
+// them; r is the rect whose surface rows need it. Rows from owned p'_sa
+// recompute to bitwise the same values, so the surface equals the monolithic
+// path's.
 func (c *core) refreshSurface(src *state.State, r field.Rect) {
 	c.sur.UpdateFor(src.Psa, r)
 }
@@ -334,18 +368,19 @@ type kernel int
 const (
 	kernDivP   kernel = iota // D(P) of Ĉ into c.divp
 	kernAdvect               // L̃ with σ̇ from the most recent Ĉ into c.tnd
-	kernSmooth               // ξ ← S̃(src)
+	kernSmooth               // dst ← S̃(src)
 )
 
-// sweep runs kernel k reading src over r and charges its work.
-func (c *core) sweep(k kernel, src *state.State, r field.Rect) {
+// sweep runs kernel k reading src over r and charges its work. Only the
+// smoothing writes a state, dst; D(P) and L̃ write core scratch and take nil.
+func (c *core) sweep(k kernel, src, dst *state.State, r field.Rect) {
 	switch k {
 	case kernDivP:
 		c.evalDivP(src, r)
 	case kernAdvect:
 		c.advectTendency(src, c.cLast, r)
 	case kernSmooth:
-		w := c.smo.SmoothFull(src, c.xi, r)
+		w := c.smo.SmoothFull(src, dst, r)
 		c.w.Compute(float64(w) * costSmooth)
 	}
 }
@@ -354,12 +389,15 @@ func (c *core) sweep(k kernel, src *state.State, r field.Rect) {
 // on ex in flight — the paper's inner/outer partition (§4.3): Begin → kernel
 // on the interior rect (whose stencil reads stay clear of in-flight halo
 // cells) → Finish → kernel on the boundary slabs. Every kernel is per-point
-// pure, so the split cover produces bitwise the monolithic sweep. D(P) and L̃
-// read the surface diagnostics of src: those are charged before Finish and
-// their halo cells recomputed, uncharged, after it. Under Config.NoOverlap the
-// exchange quiesces first and the slab cover degenerates to one owned-rect
+// pure, so the split cover produces bitwise the monolithic sweep. The interior
+// reads src's local ghosts sourced in owned cells, which the last write of src
+// refreshed (the integrators' Step refreshes ξ's after a hook or resume);
+// Finish is followed by fillReceived. D(P) and L̃ read the surface diagnostics
+// of src: those are charged before Finish, and the rows whose inputs include
+// received p'_sa are recomputed, uncharged, after it. Under Config.NoOverlap
+// the exchange quiesces first and the slab cover degenerates to one owned-rect
 // call, reproducing the original operation sequence exactly.
-func (c *core) overlapped(ex *topo.Exchanger, src *state.State, k kernel) {
+func (c *core) overlapped(ex *topo.Exchanger, src, dst *state.State, k kernel) {
 	owned := c.tp.Block.Owned()
 	surface := k != kernSmooth
 	f3, f2 := c.exchangeFields(src)
@@ -367,13 +405,6 @@ func (c *core) overlapped(ex *topo.Exchanger, src *state.State, k kernel) {
 	c.n.HaloExchanges++
 	var inner field.Rect
 	if !c.cfg.NoOverlap {
-		// The interior compute reads src's local ghosts (periodic x wrap,
-		// pole and vertical mirrors), which a step hook or resume may have
-		// left stale relative to the owned cells — the quiesced path hides
-		// this by refilling after the blocking exchange. Refill them before
-		// touching the interior; the post-Finish refill below then only
-		// refreshes the ghosts derived from the received halo rows.
-		c.localFill(src)
 		inner = c.shrinkByDepths(owned, ex.ExchangeDepths())
 		if surface {
 			// Interior reads stay within the owned region, where the
@@ -381,19 +412,29 @@ func (c *core) overlapped(ex *topo.Exchanger, src *state.State, k kernel) {
 			c.updateSurface(src, inner)
 		}
 		if !inner.Empty() {
-			c.sweep(k, src, inner)
+			c.sweep(k, src, dst, inner)
 		}
 	}
 	pend.Finish()
-	c.localFill(src)
+	c.fillReceived(ex, src)
 	if surface {
-		if c.cfg.NoOverlap {
+		switch {
+		case c.cfg.NoOverlap:
 			c.updateSurface(src, owned)
-		} else {
+		case inner.Empty() || c.tp.Px > 1:
+			// Nothing was swept before Finish, or received x-halo p'_sa
+			// feeds every row.
 			c.refreshSurface(src, owned)
+		default:
+			// Only the owned rows outside inner's J range read received
+			// p'_sa (an edge is empty on a side that is not comm-fed).
+			lo, hi := owned, owned
+			lo.J1, hi.J0 = inner.J0, inner.J1
+			c.refreshSurface(src, lo)
+			c.refreshSurface(src, hi)
 		}
 	}
 	for _, s := range c.slabs(owned, inner) {
-		c.sweep(k, src, s)
+		c.sweep(k, src, dst, s)
 	}
 }

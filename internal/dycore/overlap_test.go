@@ -1,7 +1,9 @@
 package dycore
 
 import (
+	"math"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"cadycore/internal/comm"
@@ -19,7 +21,10 @@ import (
 // critical-path time, the compute seconds summed over ranks and the hidden
 // flight time, recorded before the four overlapped updates became one helper
 // (core.overlapped). A charge moved across a Finish moves the first or the
-// last of them.
+// last of them. Every row also runs under seamHook: the overlapped interior
+// reads the local ghosts of the cells a hook writes before any exchange
+// refills anything, so those ghosts must be refreshed when the step starts,
+// as the quiesced run's whole-storage fills refresh them.
 func TestOverlapBitwiseAcrossLayouts(t *testing.T) {
 	g := testGrid() // 16×10×4
 	type clock struct{ sim, comp, hidden float64 }
@@ -74,6 +79,11 @@ func TestOverlapBitwiseAcrossLayouts(t *testing.T) {
 			if d := MaxDiffGlobal(g, ov.Finals, qu.Finals); d != 0 {
 				t.Errorf("overlap deviates from quiesced by %g, want bitwise identity", d)
 			}
+			hov := RunWithHook(set, g, comm.TianheLike(), testInit, 3, seamHook)
+			hqu := RunWithHook(qset, g, comm.TianheLike(), testInit, 3, seamHook)
+			if d := MaxDiffGlobal(g, hov.Finals, hqu.Finals); d != 0 {
+				t.Errorf("hooked overlap deviates from hooked quiesced by %g, want bitwise identity", d)
+			}
 			if tc.pa*tc.pb*max(tc.pc, 1) > 1 {
 				// The overlap must be visible in the simulated clock: hidden
 				// flight time appears, and the critical path never grows.
@@ -103,6 +113,85 @@ func TestOverlapBitwiseAcrossLayouts(t *testing.T) {
 					t.Errorf("%s simulated clock %+v, recorded %+v", run.name, got, run.want)
 				}
 			}
+		})
+	}
+}
+
+// seamHook scales the owned cells on the x seam (i = 0 and Nx−1), on the
+// pole rows and on the top and bottom levels: the sources of every kind of
+// local ghost (periodic wrap, pole mirror, vertical mirror).
+func seamHook(g *grid.Grid, st *state.State, step int) {
+	b := st.B
+	seam := func(i, j int) bool { return i == 0 || i == g.Nx-1 || j == 0 || j == g.Ny-1 }
+	for k := b.K0; k < b.K1; k++ {
+		for j := b.J0; j < b.J1; j++ {
+			for i := b.I0; i < b.I1; i++ {
+				if seam(i, j) || k == 0 || k == g.Nz-1 {
+					st.U.Set(i, j, k, 1.01*st.U.At(i, j, k))
+					st.V.Set(i, j, k, 1.01*st.V.At(i, j, k))
+					st.Phi.Set(i, j, k, 1.01*st.Phi.At(i, j, k))
+				}
+			}
+		}
+	}
+	for j := b.J0; j < b.J1; j++ {
+		for i := b.I0; i < b.I1; i++ {
+			if seam(i, j) {
+				st.Psa.Set(i, j, 1.01*st.Psa.At(i, j))
+			}
+		}
+	}
+}
+
+// TestGhostsFollowSources pins the rule the trimmed fills rely on: every
+// write refreshes the ghosts sourced in what it wrote — an update or smoothing
+// stage those sourced in its rect, an exchange those sourced in the cells it
+// received — and nothing else refreshes them. At every step boundary, before
+// the Held–Suarez hook writes, ξ must therefore equal, over its whole
+// storage, a clone of it refilled over the whole storage.
+func TestGhostsFollowSources(t *testing.T) {
+	g := grid.New(48, 24, 8)
+	hs := heldsuarez.Standard()
+	cases := []struct {
+		name   string
+		alg    Algorithm
+		pa, pb int
+		mod    func(*Config)
+	}{
+		{"yz-1x1", AlgBaselineYZ, 1, 1, nil},
+		{"yz-4x2", AlgBaselineYZ, 4, 2, nil},
+		{"yz-shiftedpoles", AlgBaselineYZ, 4, 2, func(c *Config) { c.ShiftedPoleMirror = true }},
+		{"xy-2x2", AlgBaselineXY, 2, 2, nil},
+		{"ca-4x2", AlgCommAvoid, 4, 2, nil},
+		{"ca-stage1", AlgCommAvoid, 4, 2, func(c *Config) { c.StageM = 1 }},
+		{"ca-nofuse", AlgCommAvoid, 4, 2, func(c *Config) { c.NoFusedSmoothing = true }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.M = 2
+			if tc.mod != nil {
+				tc.mod(&cfg)
+			}
+			var stale atomic.Bool
+			hook := func(g *grid.Grid, st *state.State, step int) {
+				ref := st.Clone()
+				ref.FillLocalBounds(ref.B.WithHalo())
+				for c, pair := range [4][2][]float64{
+					{st.U.Data, ref.U.Data}, {st.V.Data, ref.V.Data},
+					{st.Phi.Data, ref.Phi.Data}, {st.Psa.Data, ref.Psa.Data},
+				} {
+					for o, v := range pair[0] {
+						if math.Float64bits(v) != math.Float64bits(pair[1][o]) && !stale.Swap(true) {
+							t.Errorf("after step %d, component %d of block %+v has a stale ghost at storage offset %d: %g, refilled %g",
+								step+1, c, st.B, o, v, pair[1][o])
+						}
+					}
+				}
+				hs.Apply(g, st, cfg.Dt2)
+			}
+			RunWithHook(Setup{Alg: tc.alg, PA: tc.pa, PB: tc.pb, Cfg: cfg}, g, comm.TianheLike(),
+				heldsuarez.InitialState, 4, hook)
 		})
 	}
 }
