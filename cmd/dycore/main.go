@@ -83,9 +83,30 @@ func main() {
 	cfg.Dt1, cfg.Dt2 = *dt1, *dt2
 	cfg.ExactC, cfg.NoOverlap, cfg.NoFusedSmoothing = *exactC, *noOverlap, *noFuse
 	cfg.ShiftedPoleMirror = *shiftPoles
+	var set dycore.Setup
+	if !*auto {
+		var a dycore.Algorithm
+		switch *alg {
+		case "ca":
+			a = dycore.AlgCommAvoid
+		case "yz":
+			a = dycore.AlgBaselineYZ
+		case "xy":
+			a = dycore.AlgBaselineXY
+		default:
+			fmt.Fprintln(os.Stderr, "unknown -alg:", *alg)
+			os.Exit(2)
+		}
+		set = dycore.Setup{Alg: a, PA: *pa, PB: *pb, Cfg: cfg}
+	}
+	var g *grid.Grid
 	err := grid.Check(*nx, *ny, *nz)
 	if err == nil {
+		g = grid.New(*nx, *ny, *nz)
 		err = cfg.Validate()
+	}
+	if err == nil && !*auto {
+		err = set.Check(g)
 	}
 	if err == nil && *steps < 1 {
 		err = fmt.Errorf("steps = %d must be ≥ 1", *steps)
@@ -95,9 +116,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	g := grid.New(*nx, *ny, *nz)
 	prof := tune.DefaultProfile()
-	var set dycore.Setup
 	if *auto {
 		budget := *procs
 		if budget == 0 {
@@ -112,20 +131,6 @@ func main() {
 		fmt.Printf("autotuned plan: %s (predicted %.4g s/step, pilot %.4g s/step)\n",
 			plan, plan.PredictedStep, plan.PilotStep)
 		set = plan.Setup(cfg)
-	} else {
-		var a dycore.Algorithm
-		switch *alg {
-		case "ca":
-			a = dycore.AlgCommAvoid
-		case "yz":
-			a = dycore.AlgBaselineYZ
-		case "xy":
-			a = dycore.AlgBaselineXY
-		default:
-			fmt.Fprintln(os.Stderr, "unknown -alg:", *alg)
-			os.Exit(2)
-		}
-		set = dycore.Setup{Alg: a, PA: *pa, PB: *pb, Cfg: cfg}
 	}
 
 	var hook dycore.StepHook

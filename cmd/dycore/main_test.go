@@ -72,12 +72,19 @@ func TestInvalidInputIsUsageError(t *testing.T) {
 		{"-dt2", "0", "dt2 = 0"},
 		{"-steps", "0", "steps = 0"},
 		{"-steps", "-1", "steps = -1"},
+		{"-pa", "0", "process grid 0x2"},
+		{"-pb", "-1", "process grid 2x-1"},
 	} {
 		// The flag under test comes last, so it overrides the -steps 1 default.
 		_, se, code := runCLI(t, "-steps", "1", tc.flag, tc.val)
 		if code != 2 || strings.Count(se, "\n") != 1 || !strings.Contains(se, tc.want) {
 			t.Errorf("%s %s: exit %d, stderr %q; want exit 2 and one line containing %q", tc.flag, tc.val, code, se, tc.want)
 		}
+	}
+	// A process grid wider than the mesh extent it splits.
+	_, se, code := runCLI(t, "-steps", "1", "-alg", "yz", "-pa", "30")
+	if want := "process grid 30x2"; code != 2 || strings.Count(se, "\n") != 1 || !strings.Contains(se, want) {
+		t.Errorf("-alg yz -pa 30: exit %d, stderr %q; want exit 2 and one line containing %q", code, se, want)
 	}
 }
 

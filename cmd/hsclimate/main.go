@@ -42,7 +42,8 @@ func main() {
 	cfg.Dt2 = *dt2
 	cfg.Dt1 = *dt2 / 6
 	steps := int(*days * 86400 / *dt2)
-	var sigma []float64
+	set := dycore.Setup{Alg: dycore.AlgCommAvoid, PA: *pa, PB: *pb, Cfg: cfg}
+	var g *grid.Grid
 	err := grid.Check(*nx, *ny, *nz)
 	switch {
 	case err != nil:
@@ -52,26 +53,26 @@ func main() {
 		err = fmt.Errorf("dt2 = %g must be positive and finite", *dt2)
 	case !(*days > 0) || steps < 1:
 		err = fmt.Errorf("days = %g must cover at least one %g s step", *days, *dt2)
-	case *pa < 1 || *pa > *ny || *pb < 1 || *pb > *nz:
-		err = fmt.Errorf("process grid %dx%d must lie within 1x1 … %dx%d (p_y ≤ ny, p_z ≤ nz)", *pa, *pb, *ny, *nz)
 	default:
-		sigma = grid.StretchedSigmaInterfaces(*nz, *stretch)
+		sigma := grid.StretchedSigmaInterfaces(*nz, *stretch)
 		if err = cfg.Validate(); err == nil {
 			err = grid.CheckSigma(sigma)
+		}
+		if err == nil {
+			g = grid.NewWithSigma(*nx, *ny, sigma)
+			err = set.Check(g)
 		}
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hsclimate:", err)
 		os.Exit(2)
 	}
-	g := grid.NewWithSigma(*nx, *ny, sigma)
 
 	fmt.Printf("Held-Suarez on %s, %.3g model days (%d steps of %.0f s), communication-avoiding algorithm %dx%d\n",
 		g, *days, steps, *dt2, *pa, *pb)
 
 	f := heldsuarez.Standard()
 	hook := func(g *grid.Grid, st *state.State, step int) { f.Apply(g, st, cfg.Dt2) }
-	set := dycore.Setup{Alg: dycore.AlgCommAvoid, PA: *pa, PB: *pb, Cfg: cfg}
 	res := dycore.RunWithHook(set, g, comm.Zero(), heldsuarez.InitialState, steps, hook)
 
 	if !diag.AllFinite(res.Finals) {

@@ -60,6 +60,7 @@ func TestInvalidInputIsUsageError(t *testing.T) {
 		{[]string{"-days", "0.001"}, "days = 0.001"},
 		{[]string{"-pa", "16"}, "process grid 16x1"},
 		{[]string{"-pb", "0"}, "process grid 1x0"},
+		{[]string{"-pb", "5"}, "process grid 1x5"},
 	} {
 		_, se, code := runCLI(t, tc.args...)
 		if code != 2 || strings.Count(se, "\n") != 1 || !strings.Contains(se, tc.want) {

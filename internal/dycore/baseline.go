@@ -18,9 +18,11 @@ import (
 // it performs 3M + 4 halo-exchange rounds and 3M z-collectives, matching
 // the counts of Section 5.2.
 //
-// ψ is ξ: the iteration updates ξ in place, and the smoothing, which cannot
-// write the state it reads, writes η2 (free once ζ3 is formed) and swaps it
-// with ξ. Xi() therefore names a different buffer after every Step.
+// ψ is ξ, and each iteration needs one work state: η1, overwritten by the
+// midpoint (ψ + η2)/2 once η2's tendency is formed (core.applyMid). The
+// smoothing, which cannot write the state it reads, writes the work state
+// (free once ζ3 is formed) and swaps it with ξ. Xi() therefore names a
+// different buffer after every Step.
 type Baseline struct {
 	*core
 	exStencil *topo.Exchanger // per-update exchange at the stencil radii
@@ -99,27 +101,37 @@ func (b *Baseline) bootstrap() {
 	b.evalC(b.xi, b.cLast, owned)
 }
 
-// adaptUpdate computes dst = base + Δt1·F̃(Ĉ(src) + Â(src)) on the owned
-// region. The halo exchange of src overlaps the interior D(P) evaluation
-// (core.overlapped); one z-collective over the owned block then completes Ĉ.
-func (b *Baseline) adaptUpdate(dst, base, src *state.State) {
+// adaptTendencyOf evaluates F̃(Ĉ(src) + Â(src)) into the tendency on the
+// owned region. The halo exchange of src overlaps the interior D(P)
+// evaluation (core.overlapped); one z-collective over the owned block then
+// completes Ĉ, which is remembered for the advection's σ̇.
+func (b *Baseline) adaptTendencyOf(src *state.State) {
 	owned := b.tp.Block.Owned()
 	b.overlapped(b.exStencil, src, nil, kernDivP)
 	b.sumC(b.cNew, owned)
 	b.adaptTendency(src, b.cNew, owned)
 	b.filterTendency(owned)
-	b.applyUpdate(dst, base, b.cfg.Dt1, owned)
-	// Remember the most recent Ĉ for the advection's σ̇.
 	b.cLast, b.cNew = b.cNew, b.cLast
 }
 
-// advectUpdate computes dst = base + Δt2·F̃(L̃(src)) on the owned region,
-// overlapping the halo exchange with the interior advection tendency.
-func (b *Baseline) advectUpdate(dst, base, src *state.State) {
-	owned := b.tp.Block.Owned()
+// adaptUpdate computes dst = base + Δt1·F̃(Ĉ(src) + Â(src)) on the owned
+// region.
+func (b *Baseline) adaptUpdate(dst, base, src *state.State) {
+	b.adaptTendencyOf(src)
+	b.applyUpdate(dst, base, b.cfg.Dt1, b.tp.Block.Owned())
+}
+
+// advectTendencyOf evaluates F̃(L̃(src)) into the tendency on the owned
+// region, overlapping the halo exchange with the interior advection.
+func (b *Baseline) advectTendencyOf(src *state.State) {
 	b.overlapped(b.exStencil, src, nil, kernAdvect)
-	b.filterTendency(owned)
-	b.applyUpdate(dst, base, b.cfg.Dt2, owned)
+	b.filterTendency(b.tp.Block.Owned())
+}
+
+// advectUpdate computes dst = base + Δt2·F̃(L̃(src)) on the owned region.
+func (b *Baseline) advectUpdate(dst, base, src *state.State) {
+	b.advectTendencyOf(src)
+	b.applyUpdate(dst, base, b.cfg.Dt2, b.tp.Block.Owned())
 }
 
 // Step advances one time step of Algorithm 1.
@@ -127,24 +139,23 @@ func (b *Baseline) Step() {
 	owned := b.tp.Block.Owned()
 	// A step hook or resume writes ξ's owned cells from outside the
 	// integrator: refresh the ghosts sourced there once. Every other ghost
-	// follows the write that made it (applyUpdate, fillReceived).
+	// follows the write that made it (applyUpdate, applyMid, fillReceived).
 	b.xi.FillLocalBounds(owned)
 
-	// Adaptation: M nonlinear iterations of 3 internal updates each, on ψ = ξ.
+	// Adaptation: M nonlinear iterations of 3 internal updates each, on
+	// ψ = ξ; η1's storage holds the midpoint once η2's tendency is formed.
 	for i := 1; i <= b.cfg.M; i++ {
-		b.adaptUpdate(b.eta1, b.xi, b.xi)
-		b.adaptUpdate(b.eta2, b.xi, b.eta1)
-		b.mid.Mean2Rect(b.xi, b.eta2, owned)
-		b.mid.FillLocalBounds(owned)
-		b.adaptUpdate(b.xi, b.xi, b.mid) // ψ ← η3
+		b.adaptUpdate(b.eta1, b.xi, b.xi) // η1
+		b.adaptTendencyOf(b.eta1)
+		b.applyMid(b.eta1, b.xi, b.cfg.Dt1, owned) // (ψ + η2)/2
+		b.adaptUpdate(b.xi, b.xi, b.eta1)          // ψ ← η3
 	}
 
 	// Advection: one nonlinear iteration.
-	b.advectUpdate(b.eta1, b.xi, b.xi)   // ζ1
-	b.advectUpdate(b.eta2, b.xi, b.eta1) // ζ2
-	b.mid.Mean2Rect(b.xi, b.eta2, owned)
-	b.mid.FillLocalBounds(owned)
-	b.advectUpdate(b.xi, b.xi, b.mid) // ζ3
+	b.advectUpdate(b.eta1, b.xi, b.xi) // ζ1
+	b.advectTendencyOf(b.eta1)
+	b.applyMid(b.eta1, b.xi, b.cfg.Dt2, owned) // (ψ + ζ2)/2
+	b.advectUpdate(b.xi, b.xi, b.eta1)         // ζ3
 
 	b.smooth()
 
@@ -152,11 +163,11 @@ func (b *Baseline) Step() {
 }
 
 // smooth sets ξ ← S̃(ξ) with its own exchange of ξ, overlapped with the
-// interior sweep. S̃ writes η2, which nothing reads after ζ3, and the two
-// buffers swap.
+// interior sweep. S̃ writes the work state, which nothing reads after ζ3,
+// and the two buffers swap.
 func (b *Baseline) smooth() {
-	b.overlapped(b.exSmooth, b.xi, b.eta2, kernSmooth)
-	b.xi, b.eta2 = b.eta2, b.xi
+	b.overlapped(b.exSmooth, b.xi, b.eta1, kernSmooth)
+	b.xi, b.eta1 = b.eta1, b.xi
 	b.n.SmoothingCalls++
 	b.xi.FillLocalBounds(b.tp.Block.Owned())
 }

@@ -214,11 +214,13 @@ func (ca *CommAvoid) expandAsym(yLo, yHi, zLo, zHi int) field.Rect {
 	return r
 }
 
-// Step advances one time step of Algorithm 2. Ghosts follow their writes:
-// each update, mid fill and smoothing stage refreshes the ghosts sourced in
-// what it wrote, and each exchange those sourced in what it received
-// (fillReceived). A step hook or resume writes ξ's owned cells from outside,
-// so the step starts by refreshing the ghosts sourced there, once.
+// Step advances one time step of Algorithm 2. ψ is ξ, and the one work state
+// holds η1, then the midpoint (ψ + η2)/2 (core.applyMid). Ghosts follow
+// their writes: each update, midpoint and smoothing stage refreshes the
+// ghosts sourced in what it wrote, and each exchange those sourced in what
+// it received (fillReceived). A step hook or resume writes ξ's owned cells
+// from outside, so the step starts by refreshing the ghosts sourced there,
+// once.
 func (ca *CommAvoid) Step() {
 	owned := ca.tp.Block.Owned()
 	storage := ca.tp.Block.WithHalo()
@@ -387,24 +389,22 @@ func (ca *CommAvoid) Step() {
 			}
 		}
 
-		// η2 = ψ + Δt1·F̃(Ĉ(η1) + Â(η1))
+		// η2 = ψ + Δt1·F̃(Ĉ(η1) + Â(η1)), consumed only by the midpoint
+		// mid = (ψ + η2)/2, which overwrites η1 on r
 		u++
 		r := ca.region(u)
 		ca.updateSurface(ca.eta1, r)
 		ca.evalC(ca.eta1, ca.cNew, r)
 		ca.adaptTendency(ca.eta1, ca.cNew, r)
 		ca.filterTendency(r)
-		ca.applyUpdate(ca.eta2, ca.xi, ca.cfg.Dt1, r)
-		r2 := r
+		ca.applyMid(ca.eta1, ca.xi, ca.cfg.Dt1, r)
 
-		// η3 = ψ + Δt1·F̃(Ĉ(mid) + Â(mid)), mid = (ψ + η2)/2
+		// η3 = ψ + Δt1·F̃(Ĉ(mid) + Â(mid))
 		u++
 		r = ca.region(u)
-		ca.mid.Mean2Rect(ca.xi, ca.eta2, r2)
-		ca.mid.FillLocalBounds(r2)
-		ca.updateSurface(ca.mid, r)
-		ca.evalC(ca.mid, ca.cNew, r)
-		ca.adaptTendency(ca.mid, ca.cNew, r)
+		ca.updateSurface(ca.eta1, r)
+		ca.evalC(ca.eta1, ca.cNew, r)
+		ca.adaptTendency(ca.eta1, ca.cNew, r)
 		ca.filterTendency(r)
 		ca.applyUpdate(ca.xi, ca.xi, ca.cfg.Dt1, r) // ψ ← η3
 		ca.cLast, ca.cNew = ca.cNew, ca.cLast       // cache Ĉ(mid) for the next η1
@@ -433,18 +433,16 @@ func (ca *CommAvoid) Step() {
 	}
 	ca.applyUpdate(ca.eta1, ca.xi, ca.cfg.Dt2, rz1) // ζ1
 
-	// ζ2
+	// ζ2, consumed only by the midpoint (ψ + ζ2)/2 that overwrites ζ1 on r
 	r := ca.advRegion(1)
 	ca.updateSurface(ca.eta1, r)
 	ca.advectTendency(ca.eta1, ca.cLast, r)
 	ca.filterTendency(r)
-	ca.applyUpdate(ca.eta2, ca.xi, ca.cfg.Dt2, r)
+	ca.applyMid(ca.eta1, ca.xi, ca.cfg.Dt2, r)
 
 	// ζ3
-	ca.mid.Mean2Rect(ca.xi, ca.eta2, r)
-	ca.mid.FillLocalBounds(r)
-	ca.updateSurface(ca.mid, owned)
-	ca.advectTendency(ca.mid, ca.cLast, owned)
+	ca.updateSurface(ca.eta1, owned)
+	ca.advectTendency(ca.eta1, ca.cLast, owned)
 	ca.filterTendency(owned)
 	ca.applyUpdate(ca.xi, ca.xi, ca.cfg.Dt2, owned)
 
@@ -463,17 +461,17 @@ func (ca *CommAvoid) advRegion(depth int) field.Rect {
 }
 
 // plainSmooth applies full smoothing with its own exchange (ablation path
-// and Finalize). The pre-smoothing state is snapshotted into mid first (free
-// between steps) so the exchange can target the snapshot directly: received
-// halo rows then land in the field the smoothing reads, and the interior
-// sweep (which only reads rows the exchange does not touch) overlaps the
-// messages in flight. Finalize may follow a step hook, so the snapshot's
-// ghosts sourced in owned cells are refreshed first.
+// and Finalize). The pre-smoothing state is snapshotted into the work state
+// first (free between steps) so the exchange can target the snapshot
+// directly: received halo rows then land in the field the smoothing reads,
+// and the interior sweep (which only reads rows the exchange does not touch)
+// overlaps the messages in flight. Finalize may follow a step hook, so the
+// snapshot's ghosts sourced in owned cells are refreshed first.
 func (ca *CommAvoid) plainSmooth() {
 	owned := ca.tp.Block.Owned()
-	ca.mid.CopyFrom(ca.xi)
-	ca.mid.FillLocalBounds(owned)
-	ca.overlapped(ca.smEx, ca.mid, ca.xi, kernSmooth)
+	ca.eta1.CopyFrom(ca.xi)
+	ca.eta1.FillLocalBounds(owned)
+	ca.overlapped(ca.smEx, ca.eta1, ca.xi, kernSmooth)
 	ca.n.SmoothingCalls++
 	ca.xi.FillLocalBounds(owned)
 }

@@ -58,9 +58,11 @@ type core struct {
 
 	xi *state.State // current ξ; both integrators iterate on it in place (ψ is ξ)
 
-	// work states of the nonlinear iteration
-	eta1, eta2, mid *state.State
-	tnd             *operators.Tendency
+	// eta1 is the one work state of the nonlinear iteration: η1, then the
+	// midpoint (ψ + η2)/2 written over it (applyMid), and the smoothing's
+	// target or snapshot between iterations.
+	eta1 *state.State
+	tnd  *operators.Tendency
 
 	divp  *field.F3
 	cNew  *operators.CRes
@@ -93,15 +95,13 @@ func newCore(cfg Config, g *grid.Grid, tp *topo.Topology) *core {
 		sur:   operators.NewSurface(b),
 		xi:    state.New(b),
 		eta1:  state.New(b),
-		eta2:  state.New(b),
-		mid:   state.New(b),
 		tnd:   operators.NewTendency(b),
 		divp:  field.NewF3(b),
 		cNew:  operators.NewCRes(b),
 		cLast: operators.NewCRes(b),
 		advSc: operators.NewAdvScratch(b),
 	}
-	for _, st := range []*state.State{c.xi, c.eta1, c.eta2, c.mid} {
+	for _, st := range []*state.State{c.xi, c.eta1} {
 		st.ShiftedPoles = cfg.ShiftedPoleMirror
 		// Allocation writes the whole storage: an odd mirror of its zeros is
 		// −0, so the ghosts of halo cells no exchange has reached yet follow
@@ -141,7 +141,7 @@ func (c *core) localFill(st *state.State) {
 // exchange wrote into st: the slabs of the owned block grown by ex's depths
 // (clamped to the domain in y and z) minus the owned block. Ghosts sourced in
 // owned cells are current already — the write that last changed those cells
-// refreshed them (applyUpdate, a mid fill, or a step's entry refresh after a
+// refreshed them (applyUpdate, applyMid, or a step's entry refresh after a
 // hook or resume) — and the other halo cells are not read before the next
 // exchange writes them. The cached Ĉ rides along in every exchange and keeps
 // its whole-storage fill. The quiesced path (Config.NoOverlap) refills the
@@ -282,6 +282,22 @@ func (c *core) applyUpdate(dst, base *state.State, dt float64, r field.Rect) {
 	field.Lin2Rect(dst.V, 1, base.V, dt, c.tnd.DV, r)
 	field.Lin2Rect(dst.Phi, 1, base.Phi, dt, c.tnd.DPhi, r)
 	field.Lin2Rect2(dst.Psa, 1, base.Psa, dt, c.tnd.DPsa, r)
+	c.w.Compute(float64(4*r.Count()) * costLincomb)
+	dst.FillLocalBounds(r)
+}
+
+// applyMid sets dst ← ½·base + ½·(base + dt·tendency) over rect r: the
+// midpoint state (ψ + η2)/2 of a nonlinear iteration's third update, with η2
+// formed per point and never stored (field.MidRect), then refreshes the
+// boundary cells of dst sourced in r. η2's only consumer is that mean, and
+// the tendency is complete before the sweep writes, so dst may be the state
+// the tendency was evaluated at. It is charged what the η2 update was; the
+// mean never was.
+func (c *core) applyMid(dst, base *state.State, dt float64, r field.Rect) {
+	field.MidRect(dst.U, base.U, dt, c.tnd.DU, r)
+	field.MidRect(dst.V, base.V, dt, c.tnd.DV, r)
+	field.MidRect(dst.Phi, base.Phi, dt, c.tnd.DPhi, r)
+	field.MidRect2(dst.Psa, base.Psa, dt, c.tnd.DPsa, r)
 	c.w.Compute(float64(4*r.Count()) * costLincomb)
 	dst.FillLocalBounds(r)
 }

@@ -81,6 +81,28 @@ func (s Setup) procGrid() (px, py, pz int) {
 	}
 }
 
+// Check reports whether the setup's process grid can split the mesh g:
+// every extent must be at least 1 and no larger than the mesh extent it
+// splits (the condition topo.New panics on). The error names the grid as the
+// setup states it, PA×PB (×PC for AlgBaseline3D).
+func (s Setup) Check(g *grid.Grid) error {
+	px, py, pz := s.procGrid()
+	if min(px, py, pz) >= 1 && px <= g.Nx && py <= g.Ny && pz <= g.Nz {
+		return nil
+	}
+	switch s.Alg {
+	case AlgBaselineXY:
+		return fmt.Errorf("dycore: process grid %dx%d must lie within 1x1 … %dx%d (p_x ≤ nx, p_y ≤ ny)",
+			px, py, g.Nx, g.Ny)
+	case AlgBaseline3D:
+		return fmt.Errorf("dycore: process grid %dx%dx%d must lie within 1x1x1 … %dx%dx%d (p_x ≤ nx, p_y ≤ ny, p_z ≤ nz)",
+			px, py, pz, g.Nx, g.Ny, g.Nz)
+	default:
+		return fmt.Errorf("dycore: process grid %dx%d must lie within 1x1 … %dx%d (p_y ≤ ny, p_z ≤ nz)",
+			py, pz, g.Ny, g.Nz)
+	}
+}
+
 // HaloWidths returns the halo allocation the setup requires. For the
 // comm-avoiding algorithm the depth follows the staged-exchange depth (=
 // Cfg.M unless 0 < StageM < M selects shallower, more frequent exchanges).

@@ -1,6 +1,7 @@
 package field
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -9,53 +10,115 @@ func opsBlock() Block {
 	return Block{Nx: 8, Ny: 6, Nz: 4, I0: 0, I1: 8, J0: 0, J1: 6, K0: 0, K1: 4, Hx: 2, Hy: 2, Hz: 1}
 }
 
-func TestLin3RectMatchesComposition(t *testing.T) {
+// edgyValue draws from ±0, subnormals, large magnitudes and ordinary values,
+// so a fused kernel that rounded differently from its composition (or lost
+// the sign of a zero) shows up bitwise.
+func edgyValue(rng *rand.Rand) float64 {
+	var v float64
+	switch rng.Intn(6) {
+	case 0:
+		v = 0
+	case 1:
+		v = math.SmallestNonzeroFloat64 * float64(1+rng.Intn(1<<20))
+	case 2:
+		v = math.MaxFloat64 / float64(1+rng.Intn(8))
+	case 3:
+		v = 1e300 * rng.NormFloat64()
+	default:
+		v = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(20)-10))
+	}
+	if rng.Intn(2) == 0 {
+		v = -v
+	}
+	return v
+}
+
+// randRect draws a rect inside the storage of b, often empty (a reversed or
+// collapsed extent) or one level thick.
+func randRect(rng *rand.Rand, b Block) Rect {
+	w := b.WithHalo()
+	span := func(lo, hi int) (int, int) {
+		a, c := lo+rng.Intn(hi-lo+1), lo+rng.Intn(hi-lo+1)
+		if a > c && rng.Intn(3) > 0 {
+			a, c = c, a
+		}
+		return a, c
+	}
+	r := Rect{}
+	r.I0, r.I1 = span(w.I0, w.I1)
+	r.J0, r.J1 = span(w.J0, w.J1)
+	r.K0, r.K1 = span(w.K0, w.K1)
+	if rng.Intn(3) == 0 && r.K0 < w.K1 {
+		r.K1 = r.K0 + 1
+	}
+	return r
+}
+
+// TestMidRectMatchesComposition: the fused midpoint sweep writes, bit for
+// bit, what the η2 update followed by the mean wrote — Lin2Rect(e, 1, x, dt,
+// y) then Lin2Rect(d, ½, x, ½, e) — inside r, and nothing outside it.
+func TestMidRectMatchesComposition(t *testing.T) {
 	b := opsBlock()
 	rng := rand.New(rand.NewSource(7))
-	x, y, z := NewF3(b), NewF3(b), NewF3(b)
+	x, y, d0 := NewF3(b), NewF3(b), NewF3(b)
 	for i := range x.Data {
-		x.Data[i], y.Data[i], z.Data[i] = rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()
+		x.Data[i], y.Data[i], d0.Data[i] = edgyValue(rng), edgyValue(rng), edgyValue(rng)
 	}
-	r := Rect{I0: 1, I1: 7, J0: 1, J1: 5, K0: 1, K1: 3}
+	empty, thin := 0, 0
+	for trial := 0; trial < 300; trial++ {
+		r := randRect(rng, b)
+		if r.Empty() {
+			empty++
+		} else if r.K1-r.K0 == 1 {
+			thin++
+		}
+		dt := edgyValue(rng)
 
-	got := NewF3(b)
-	Lin3Rect(got, 2, x, -1.5, y, 0.25, z, r)
-
-	want := NewF3(b)
-	Lin2Rect(want, 2, x, -1.5, y, r)
-	AxpyRect(want, 0.25, z, r)
-
-	for k := r.K0; k < r.K1; k++ {
-		for j := r.J0; j < r.J1; j++ {
-			for i := r.I0; i < r.I1; i++ {
-				if got.At(i, j, k) != want.At(i, j, k) {
-					t.Fatalf("(%d,%d,%d): fused %v vs composed %v", i, j, k, got.At(i, j, k), want.At(i, j, k))
-				}
+		// Lin2Rect assumes a rect inside storage with I0 ≤ I1; an empty
+		// rect writes nothing.
+		want := d0.Clone()
+		if !r.Empty() {
+			e := NewF3(b)
+			Lin2Rect(e, 1, x, dt, y, r)
+			Lin2Rect(want, 0.5, x, 0.5, e, r)
+		}
+		got := d0.Clone()
+		MidRect(got, x, dt, y, r)
+		for n := range got.Data {
+			if math.Float64bits(got.Data[n]) != math.Float64bits(want.Data[n]) {
+				t.Fatalf("rect %v, dt %g, offset %d: fused %v vs composed %v", r, dt, n, got.Data[n], want.Data[n])
 			}
 		}
 	}
-	// Outside the rect both must be untouched (zero).
-	if got.At(0, 0, 0) != 0 || want.At(0, 0, 0) != 0 {
-		t.Error("rect ops wrote outside the rect")
+	if empty == 0 || thin == 0 {
+		t.Fatalf("draws covered %d empty and %d one-level rects, want some of each", empty, thin)
 	}
 }
 
-func TestAxpyRect2(t *testing.T) {
+// TestMidRect2MatchesComposition is TestMidRectMatchesComposition for the
+// 2-D kernel.
+func TestMidRect2MatchesComposition(t *testing.T) {
 	b := opsBlock()
-	d, s := NewF2(b), NewF2(b)
-	for i := range s.Data {
-		s.Data[i] = float64(i)
+	rng := rand.New(rand.NewSource(11))
+	x, y, d0 := NewF2(b), NewF2(b), NewF2(b)
+	for i := range x.Data {
+		x.Data[i], y.Data[i], d0.Data[i] = edgyValue(rng), edgyValue(rng), edgyValue(rng)
 	}
-	r := Rect{I0: 2, I1: 6, J0: 1, J1: 4}
-	AxpyRect2(d, 3, s, r)
-	for j := 0; j < b.Ny; j++ {
-		for i := 0; i < b.Nx; i++ {
-			want := 0.0
-			if i >= r.I0 && i < r.I1 && j >= r.J0 && j < r.J1 {
-				want = 3 * s.At(i, j)
-			}
-			if d.At(i, j) != want {
-				t.Fatalf("(%d,%d): got %v want %v", i, j, d.At(i, j), want)
+	for trial := 0; trial < 300; trial++ {
+		r := randRect(rng, b)
+		dt := edgyValue(rng)
+
+		want := d0.Clone()
+		if !r.Flat2D().Empty() {
+			e := NewF2(b)
+			Lin2Rect2(e, 1, x, dt, y, r)
+			Lin2Rect2(want, 0.5, x, 0.5, e, r)
+		}
+		got := d0.Clone()
+		MidRect2(got, x, dt, y, r)
+		for n := range got.Data {
+			if math.Float64bits(got.Data[n]) != math.Float64bits(want.Data[n]) {
+				t.Fatalf("rect %v, dt %g, offset %d: fused %v vs composed %v", r, dt, n, got.Data[n], want.Data[n])
 			}
 		}
 	}

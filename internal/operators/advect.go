@@ -6,27 +6,28 @@ import (
 	"cadycore/internal/state"
 )
 
-// AdvScratch holds the reusable temporaries of the advection kernel (the
-// unstaggered physical velocities and σ̇ at the three staggered positions).
-// Allocate once per integrator; passing nil to Advection allocates fresh
-// temporaries (convenient in tests, expensive in loops).
+// AdvScratch holds the reusable temporaries of the advection kernel as 2-D
+// planes on the block's horizontal footprint: the unstaggered physical
+// velocities of the level being swept, and σ̇ at the three staggered
+// positions in two interface slots. Level k reads interfaces k and k+1, and
+// interface k lives in slot k&1, so each level after a rect's first stages
+// only its k+1 interface. Allocate once per integrator; passing nil to
+// Advection allocates fresh planes (convenient in tests, wasteful in loops).
 type AdvScratch struct {
-	uPhys *field.F3 // u at U points
-	vPhys *field.F3 // v at V points
-	sdotU *field.F3 // σ̇ at U points, interfaces
-	sdotC *field.F3 // σ̇ at centers, interfaces
-	sdotV *field.F3 // σ̇ at V points, interfaces
+	uPhys *field.F2    // u at U points, level k
+	vPhys *field.F2    // v at V points, level k
+	sdotU [2]*field.F2 // σ̇ at U points, interfaces k and k+1
+	sdotC [2]*field.F2 // σ̇ at centers, interfaces k and k+1
+	sdotV [2]*field.F2 // σ̇ at V points, interfaces k and k+1
 }
 
 // NewAdvScratch allocates scratch for a block.
 func NewAdvScratch(b field.Block) *AdvScratch {
-	return &AdvScratch{
-		uPhys: field.NewF3(b),
-		vPhys: field.NewF3(b),
-		sdotU: field.NewF3(b),
-		sdotC: field.NewF3(b),
-		sdotV: field.NewF3(b),
+	sc := &AdvScratch{uPhys: field.NewF2(b), vPhys: field.NewF2(b)}
+	for s := range sc.sdotU {
+		sc.sdotU[s], sc.sdotC[s], sc.sdotV[s] = field.NewF2(b), field.NewF2(b), field.NewF2(b)
 	}
+	return sc
 }
 
 // Advection evaluates the advection tendency L̃ (paper eq. 3):
@@ -55,7 +56,7 @@ func NewAdvScratch(b field.Block) *AdvScratch {
 // out of the i loop. refAdvection in ref_test.go is the dividing textbook
 // formulation; the two agree to roundoff.
 //
-// Advection (nil scratch) allocates five F3 temporaries per call and exists
+// Advection (nil scratch) allocates its scratch planes per call and exists
 // for tests and one-shot evaluations only; every integrator path must go
 // through AdvectionScratch with persistent scratch.
 func Advection(g *grid.Grid, st *state.State, sur *Surface, cres *CRes, out *Tendency, r field.Rect) int {
@@ -70,12 +71,11 @@ func AdvectionScratch(g *grid.Grid, st *state.State, sur *Surface, cres *CRes, o
 }
 
 // Advection3D evaluates the 3-D components (dU, dV, dΦ) of L̃ over r,
-// leaving dp'_sa untouched. The σ̇ staging covers the k interfaces [K0, K1]
-// of r inclusively, so concurrent k tiles must each bring their OWN scratch —
-// adjacent tiles both write the shared boundary interface (the values agree,
-// but the stores race). All other inputs are read-only and the tendency
-// writes are disjoint per k. Returns points updated (4·|r|, counting the σ̇
-// staging as one component).
+// leaving dp'_sa untouched. It sweeps r one level at a time: the physical
+// velocities of level k and σ̇ at interface k+1 are staged into sc's planes
+// just before the level's flux loops read them. All other inputs are
+// read-only. Returns points updated (4·|r|, counting the σ̇ staging as one
+// component).
 func Advection3D(g *grid.Grid, st *state.State, sur *Surface, cres *CRes, out *Tendency, r field.Rect, sc *AdvScratch) int {
 	if r.Empty() {
 		return 0
@@ -86,16 +86,19 @@ func Advection3D(g *grid.Grid, st *state.State, sur *Surface, cres *CRes, out *T
 	}
 	o0, nx := st.U.XOff(r.I0), r.I1-r.I0 // all fields share the block, hence the offset
 
-	// Physical velocities at their staggered points, over r grown by one
-	// cell in x and y (the widest offset at which the flux loops read
-	// them): u rows J0−1 … J1, v rows J0 … J1 (v at interface j needs P on
-	// row j−1, which row J0−1 may not have).
-	lo, n := o0-1, nx+2
+	invDthe := 1 / m.dthe
+	invDlam := 1 / m.dlam
+	sc.stageSigmaDot(sur, cres, r, r.K0, o0, nx)
 	for k := r.K0; k < r.K1; k++ {
+		// Physical velocities of level k at their staggered points, over r
+		// grown by one cell in x and y (the widest offset at which the flux
+		// loops read them): u rows J0−1 … J1, v rows J0 … J1 (v at interface
+		// j needs P on row j−1, which row J0−1 may not have).
+		lo, n := o0-1, nx+2
 		for j := r.J0 - 1; j < r.J1+1; j++ {
 			uRow := window(st.U.Row(j, k), lo, n)
 			rPU := window(sur.rPU.Row(j), lo, n)
-			uOut := window(sc.uPhys.Row(j, k), lo, n)
+			uOut := window(sc.uPhys.Row(j), lo, n)
 			for i := range uOut {
 				uOut[i] = uRow[i] * rPU[i]
 			}
@@ -104,41 +107,22 @@ func Advection3D(g *grid.Grid, st *state.State, sur *Surface, cres *CRes, out *T
 			}
 			vRow := window(st.V.Row(j, k), lo, n)
 			rPV := window(sur.rPV.Row(j), lo, n)
-			vOut := window(sc.vPhys.Row(j, k), lo, n)
+			vOut := window(sc.vPhys.Row(j), lo, n)
 			for i := range vOut {
 				vOut[i] = vRow[i] * rPV[i]
 			}
 		}
-	}
-	// σ̇ at the interfaces [K0, K1] of the update rect; read only at (i,j,k)
-	// with (i, j) inside r, so PWI is needed on r expanded by one cell. The
-	// windows reach one point west; c is the point, w its west neighbour.
-	lo, n = o0-1, nx+1
-	for k := r.K0; k <= r.K1; k++ {
-		for j := r.J0; j < r.J1; j++ {
-			rP := window(sur.rP.Row(j), lo, n)
-			rPU := window(sur.rPU.Row(j), lo, n)
-			rPV := window(sur.rPV.Row(j), lo, n)
-			pw := window(cres.PWI.Row(j, k), lo, n)
-			pwN := window(cres.PWI.Row(j-1, k), lo, n)
-			sC := window(sc.sdotC.Row(j, k), lo, n)
-			sU := window(sc.sdotU.Row(j, k), lo, n)
-			sV := window(sc.sdotV.Row(j, k), lo, n)
-			for c := 1; c < n; c++ {
-				w := c - 1
-				sC[c] = pw[c] * rP[c]
-				sU[c] = 0.5 * (pw[w] + pw[c]) * rPU[c]
-				sV[c] = 0.5 * (pwN[c] + pw[c]) * rPV[c]
-			}
-		}
-	}
+		// Interface k is in slot k&1 (staged by the previous level, or
+		// above for r's first); stage k+1 into the other slot.
+		sc.stageSigmaDot(sur, cres, r, k+1, o0, nx)
+		sdU0, sdU1 := sc.sdotU[k&1], sc.sdotU[(k+1)&1]
+		sdC0, sdC1 := sc.sdotC[k&1], sc.sdotC[(k+1)&1]
+		sdV0, sdV1 := sc.sdotV[k&1], sc.sdotV[(k+1)&1]
 
-	// The flux loops' windows reach two points each side (the fourth-order
-	// zonal interpolation); ee indexes the second east neighbour.
-	lo, n = o0-2, nx+4
-	invDthe := 1 / m.dthe
-	invDlam := 1 / m.dlam
-	for k := r.K0; k < r.K1; k++ {
+		// The flux loops' windows reach two points each side (the
+		// fourth-order zonal interpolation); ee indexes the second east
+		// neighbour.
+		lo, n = o0-2, nx+4
 		invDs := 1 / g.DSigma[k]
 		for j := r.J0; j < r.J1; j++ {
 			sCen := m.sinC(j)
@@ -155,13 +139,13 @@ func Advection3D(g *grid.Grid, st *state.State, sur *Surface, cres *CRes, out *T
 			pS := window(st.Phi.Row(j+1, k), lo, n)
 			pUp := window(st.Phi.Row(j, k-1), lo, n)
 			pDn := window(st.Phi.Row(j, k+1), lo, n)
-			up0 := window(sc.uPhys.Row(j, k), lo, n)
-			vp0 := window(sc.vPhys.Row(j, k), lo, n)
-			vpS := window(sc.vPhys.Row(j+1, k), lo, n)
-			su0 := window(sc.sdotU.Row(j, k), lo, n)
-			su1 := window(sc.sdotU.Row(j, k+1), lo, n)
-			sc0 := window(sc.sdotC.Row(j, k), lo, n)
-			sc1 := window(sc.sdotC.Row(j, k+1), lo, n)
+			up0 := window(sc.uPhys.Row(j), lo, n)
+			vp0 := window(sc.vPhys.Row(j), lo, n)
+			vpS := window(sc.vPhys.Row(j+1), lo, n)
+			su0 := window(sdU0.Row(j), lo, n)
+			su1 := window(sdU1.Row(j), lo, n)
+			sc0 := window(sdC0.Row(j), lo, n)
+			sc1 := window(sdC1.Row(j), lo, n)
 			dU := window(out.DU.Row(j, k), lo, n)
 			dPhi := window(out.DPhi.Row(j, k), lo, n)
 
@@ -240,9 +224,9 @@ func Advection3D(g *grid.Grid, st *state.State, sur *Surface, cres *CRes, out *T
 			vS := window(st.V.Row(j+1, k), lo, n)
 			vUp := window(st.V.Row(j, k-1), lo, n)
 			vDn := window(st.V.Row(j, k+1), lo, n)
-			upN := window(sc.uPhys.Row(j-1, k), lo, n)
-			sv0 := window(sc.sdotV.Row(j, k), lo, n)
-			sv1 := window(sc.sdotV.Row(j, k+1), lo, n)
+			upN := window(sc.uPhys.Row(j-1), lo, n)
+			sv0 := window(sdV0.Row(j), lo, n)
+			sv1 := window(sdV1.Row(j), lo, n)
 			rPN := window(sur.rP.Row(j-1), lo, n)
 			rP0 := window(sur.rP.Row(j), lo, n)
 			for ee := 4; ee < n; ee++ {
@@ -284,9 +268,33 @@ func Advection3D(g *grid.Grid, st *state.State, sur *Surface, cres *CRes, out *T
 	return 4 * r.Count()
 }
 
+// stageSigmaDot writes σ̇ at interface k into slot k&1 of the three σ̇
+// planes, over r's rows; it is read only at (i, j) inside r, so PWI is
+// needed on r expanded by one cell. The windows reach one point west; c is
+// the point, w its west neighbour.
+func (sc *AdvScratch) stageSigmaDot(sur *Surface, cres *CRes, r field.Rect, k, o0, nx int) {
+	lo, n := o0-1, nx+1
+	sdC, sdU, sdV := sc.sdotC[k&1], sc.sdotU[k&1], sc.sdotV[k&1]
+	for j := r.J0; j < r.J1; j++ {
+		rP := window(sur.rP.Row(j), lo, n)
+		rPU := window(sur.rPU.Row(j), lo, n)
+		rPV := window(sur.rPV.Row(j), lo, n)
+		pw := window(cres.PWI.Row(j, k), lo, n)
+		pwN := window(cres.PWI.Row(j-1, k), lo, n)
+		sC := window(sdC.Row(j), lo, n)
+		sU := window(sdU.Row(j), lo, n)
+		sV := window(sdV.Row(j), lo, n)
+		for c := 1; c < n; c++ {
+			w := c - 1
+			sC[c] = pw[c] * rP[c]
+			sU[c] = 0.5 * (pw[w] + pw[c]) * rPU[c]
+			sV[c] = 0.5 * (pwN[c] + pw[c]) * rPV[c]
+		}
+	}
+}
+
 // AdvectionPsa writes the trivial surface-pressure component of L̃ (zero)
-// over r.Flat2D(). Like AdaptationPsa it runs once per tendency evaluation,
-// outside any k tiling.
+// over r.Flat2D(). Like AdaptationPsa it runs once per tendency evaluation.
 func AdvectionPsa(out *Tendency, r field.Rect) {
 	r2 := r.Flat2D()
 	for j := r2.J0; j < r2.J1; j++ {

@@ -127,7 +127,7 @@ func TestDivPVanishesForRigidZonalFlow(t *testing.T) {
 	sur.Update(st.Psa) // psa = 0 everywhere: uniform P
 	out := field.NewF3(b)
 	DivP(g, st.U, st.V, sur, out, b.Owned())
-	if m := field.MaxAbsOwned(out); m > 1e-18 {
+	if m := maxAbsOwned(out); m > 1e-18 {
 		t.Errorf("D(P) of rigid zonal flow = %v, want 0", m)
 	}
 }
@@ -181,7 +181,7 @@ func TestSmootherKillsNyquistWave(t *testing.T) {
 	smo := NewSmoother(g, 1.0)
 	out := field.NewF3(b)
 	smo.P1Field(u, out, b.Owned())
-	if m := field.MaxAbsOwned(out); m > 1e-12 {
+	if m := maxAbsOwned(out); m > 1e-12 {
 		t.Errorf("β=1 P1 left Nyquist amplitude %v", m)
 	}
 }
@@ -200,10 +200,10 @@ func TestSmootherDampsMonotonically(t *testing.T) {
 				}
 			}
 		}
-		before := field.MaxAbsOwned(u)
+		before := maxAbsOwned(u)
 		out := field.NewF3(b)
 		smo.P1Field(u, out, b.Owned())
-		after := field.MaxAbsOwned(out)
+		after := maxAbsOwned(out)
 		if after > before*(1+1e-12) {
 			t.Errorf("P1 amplified wave m=%d: %v -> %v", m, before, after)
 		}
@@ -221,17 +221,22 @@ func TestSmoothingLinearity(t *testing.T) {
 		x.Data[i] = rng.NormFloat64()
 		y.Data[i] = rng.NormFloat64()
 	}
+	lin2 := func(p float64, x *field.F3, q float64, y *field.F3) *field.F3 {
+		d := field.NewF3(x.B)
+		for i := range d.Data {
+			d.Data[i] = p*x.Data[i] + q*y.Data[i]
+		}
+		return d
+	}
 	smo := NewSmoother(g, 0.8)
-	comb := field.NewF3(b)
-	field.Lin2(comb, 2, x, -3, y)
+	comb := lin2(2, x, -3, y)
 	outComb := field.NewF3(b)
 	smo.P2Former(comb, outComb, b.Owned(), FullAvail)
 	outX := field.NewF3(b)
 	outY := field.NewF3(b)
 	smo.P2Former(x, outX, b.Owned(), FullAvail)
 	smo.P2Former(y, outY, b.Owned(), FullAvail)
-	want := field.NewF3(b)
-	field.Lin2(want, 2, outX, -3, outY)
+	want := lin2(2, outX, -3, outY)
 	if d := field.MaxAbsDiffOwned(outComb, want); d > 1e-10 {
 		t.Errorf("P2 not linear: %v", d)
 	}
@@ -310,7 +315,7 @@ func TestAdvectionOfUniformFieldIsConservative(t *testing.T) {
 	_, cres, _ := prepare(g, smoothState(g, b))
 	out := NewTendency(b)
 	Advection(g, st, sur, cres, out, b.Owned())
-	uniform := field.MaxAbsOwned(out.DPhi)
+	uniform := maxAbsOwned(out.DPhi)
 
 	st2 := smoothState(g, b)
 	// Strongly varying Φ.
@@ -325,7 +330,7 @@ func TestAdvectionOfUniformFieldIsConservative(t *testing.T) {
 	sur2 := NewSurface(b)
 	sur2.Update(st2.Psa)
 	Advection(g, st2, sur2, cres, out2, b.Owned())
-	varying := field.MaxAbsOwned(out2.DPhi)
+	varying := maxAbsOwned(out2.DPhi)
 	if varying < 3*uniform {
 		t.Errorf("advection does not distinguish uniform (%v) from varying (%v) fields", uniform, varying)
 	}

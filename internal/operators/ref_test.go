@@ -34,12 +34,15 @@ func matchesRef(t *testing.T, name string, got, ref *field.F3) {
 		t.Errorf("%s: non-finite values", name)
 		return
 	}
-	d, scale := field.MaxAbsDiffOwned(got, ref), field.MaxAbsOwned(ref)
+	d, scale := field.MaxAbsDiffOwned(got, ref), maxAbsOwned(ref)
 	if d > refTol*scale {
 		t.Errorf("%s differs from reference by %g (%.2g of max|ref| = %g, bound %g)", name, d, d/scale, scale, refTol)
 	}
 	t.Logf("%s: max|Δ| = %.2g of max|ref|", name, d/scale)
 }
+
+// maxAbsOwned returns max |f| over the owned region.
+func maxAbsOwned(f *field.F3) float64 { return field.MaxAbsDiffOwned(f, field.NewF3(f.B)) }
 
 // refAdaptation is Adaptation written with field.At accessors.
 func refAdaptation(g *grid.Grid, cfg AdaptConfig, st *state.State, sur *Surface, cres *CRes, out *Tendency, r field.Rect) {
@@ -436,28 +439,72 @@ func TestSmoothingMatchesReferenceBitwise(t *testing.T) {
 	}
 }
 
+// TestAdvectionScratchReuseBitwise: L̃ reads only scratch it staged in the
+// same call, level by level. Every plane — u, v and both σ̇ slots — is
+// poisoned with NaN before each case, and each case must equal the
+// whole-rect result from fresh scratch bit for bit: one-level rects, rects
+// touching k = 0 and k = N_z, an interior rect, and the owned rect swept as
+// two k halves through the same scratch.
 func TestAdvectionScratchReuseBitwise(t *testing.T) {
-	// Reusing scratch (with stale contents from an unrelated call) must not
-	// change results.
 	g := probeGrid()
 	b := serialBlock(g)
-	st := smoothState(g, b)
+	st := refState(g, b)
 	sur, cres, _ := prepare(g, st)
-	fresh := NewTendency(b)
-	Advection(g, st, sur, cres, fresh, b.Owned())
+	whole := NewTendency(b)
+	Advection(g, st, sur, cres, whole, b.Owned())
 
 	sc := NewAdvScratch(b)
-	// Poison the scratch.
-	for i := range sc.uPhys.Data {
-		sc.uPhys.Data[i] = math.Inf(1)
-	}
-	reused := NewTendency(b)
-	AdvectionScratch(g, st, sur, cres, reused, b.Owned(), sc)
-	for name, pair := range map[string][2]*field.F3{
-		"DU": {fresh.DU, reused.DU}, "DV": {fresh.DV, reused.DV}, "DPhi": {fresh.DPhi, reused.DPhi},
-	} {
-		if d := field.MaxAbsDiffOwned(pair[0], pair[1]); d != 0 {
-			t.Errorf("advection %s changed with reused scratch: %g", name, d)
+	poison := func() {
+		planes := []*field.F2{sc.uPhys, sc.vPhys}
+		for s := range sc.sdotU {
+			planes = append(planes, sc.sdotU[s], sc.sdotC[s], sc.sdotV[s])
+		}
+		for _, p := range planes {
+			for i := range p.Data {
+				p.Data[i] = math.NaN()
+			}
 		}
 	}
+	// same fails t unless got equals whole bitwise on every point of r.
+	same := func(name string, got *Tendency, r field.Rect) {
+		t.Helper()
+		for _, c := range []struct {
+			comp      string
+			got, want *field.F3
+		}{{"DU", got.DU, whole.DU}, {"DV", got.DV, whole.DV}, {"DPhi", got.DPhi, whole.DPhi}} {
+			for k := r.K0; k < r.K1; k++ {
+				for j := r.J0; j < r.J1; j++ {
+					for i := r.I0; i < r.I1; i++ {
+						if a, w := c.got.At(i, j, k), c.want.At(i, j, k); math.Float64bits(a) != math.Float64bits(w) {
+							t.Fatalf("%s: %s at (%d,%d,%d) = %v, whole rect gives %v", name, c.comp, i, j, k, a, w)
+						}
+					}
+				}
+			}
+		}
+	}
+
+	o := b.Owned()
+	level := func(k0, k1 int) field.Rect { r := o; r.K0, r.K1 = k0, k1; return r }
+	cases := map[string]field.Rect{
+		"owned":           o,
+		"top level":       level(0, 1),
+		"middle level":    level(2, 3),
+		"bottom level":    level(g.Nz-1, g.Nz),
+		"touching k = 0":  level(0, 2),
+		"touching k = Nz": level(g.Nz-2, g.Nz),
+		"interior":        refRects(b)[1],
+	}
+	for name, r := range cases {
+		poison()
+		got := NewTendency(b)
+		AdvectionScratch(g, st, sur, cres, got, r, sc)
+		same(name, got, r)
+	}
+
+	poison()
+	got := NewTendency(b)
+	AdvectionScratch(g, st, sur, cres, got, level(0, g.Nz/2), sc)
+	AdvectionScratch(g, st, sur, cres, got, level(g.Nz/2, g.Nz), sc)
+	same("two k halves", got, o)
 }

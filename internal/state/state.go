@@ -1,6 +1,6 @@
 // Package state defines the prognostic vector of the dynamical core,
 // ξ = (U, V, Φ, p'_sa) (paper eq. 1), on one rank's block, together with the
-// linear-combination and boundary-fill helpers the time integration uses.
+// copy, boundary-fill and comparison helpers the time integration uses.
 //
 // U, V and Φ are 3-D (longitude × latitude × σ); p'_sa is the 2-D surface
 // pressure deviation. Under decompositions with p_z > 1 every rank of a z
@@ -32,7 +32,7 @@ type State struct {
 	ShiftedPoles bool
 
 	// Carry, when non-nil, is what the owning integrator carries across a
-	// step boundary besides ξ. The copy and arithmetic helpers ignore it.
+	// step boundary besides ξ. The copy helpers ignore it.
 	Carry *Carry
 }
 
@@ -73,36 +73,6 @@ func (s *State) CopyFrom(o *State) {
 	field.Copy(s.Phi, o.Phi)
 	field.Copy2(s.Psa, o.Psa)
 }
-
-// Axpy sets s ← s + c·o componentwise.
-func (s *State) Axpy(c float64, o *State) {
-	field.Axpy(s.U, c, o.U)
-	field.Axpy(s.V, c, o.V)
-	field.Axpy(s.Phi, c, o.Phi)
-	field.Axpy2(s.Psa, c, o.Psa)
-}
-
-// Lin2 sets s ← a·x + b·y componentwise.
-func (s *State) Lin2(a float64, x *State, b float64, y *State) {
-	field.Lin2(s.U, a, x.U, b, y.U)
-	field.Lin2(s.V, a, x.V, b, y.V)
-	field.Lin2(s.Phi, a, x.Phi, b, y.Phi)
-	field.Lin22(s.Psa, a, x.Psa, b, y.Psa)
-}
-
-// Mean2 sets s ← (x + y)/2, the midpoint state of the third internal update.
-func (s *State) Mean2(x, y *State) { s.Lin2(0.5, x, 0.5, y) }
-
-// Lin2Rect sets s ← a·x + b·y over rect r only.
-func (s *State) Lin2Rect(a float64, x *State, b float64, y *State, r field.Rect) {
-	field.Lin2Rect(s.U, a, x.U, b, y.U, r)
-	field.Lin2Rect(s.V, a, x.V, b, y.V, r)
-	field.Lin2Rect(s.Phi, a, x.Phi, b, y.Phi, r)
-	field.Lin2Rect2(s.Psa, a, x.Psa, b, y.Psa, r)
-}
-
-// Mean2Rect sets s ← (x + y)/2 over rect r only.
-func (s *State) Mean2Rect(x, y *State, r field.Rect) { s.Lin2Rect(0.5, x, 0.5, y, r) }
 
 // F3s returns the 3-D components in canonical order (U, V, Φ) — the order
 // halo-exchange messages use.
