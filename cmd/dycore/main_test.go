@@ -81,10 +81,19 @@ func TestInvalidInputIsUsageError(t *testing.T) {
 			t.Errorf("%s %s: exit %d, stderr %q; want exit 2 and one line containing %q", tc.flag, tc.val, code, se, tc.want)
 		}
 	}
-	// A process grid wider than the mesh extent it splits.
-	_, se, code := runCLI(t, "-steps", "1", "-alg", "yz", "-pa", "30")
-	if want := "process grid 30x2"; code != 2 || strings.Count(se, "\n") != 1 || !strings.Contains(se, want) {
-		t.Errorf("-alg yz -pa 30: exit %d, stderr %q; want exit 2 and one line containing %q", code, se, want)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		// A process grid wider than the mesh extent it splits.
+		{[]string{"-alg", "yz", "-pa", "30"}, "process grid 30x2"},
+		// The exact pole mirror needs full longitude circles per rank.
+		{[]string{"-alg", "xy", "-pa", "2", "-pb", "1", "-shiftpoles"}, "ShiftedPoleMirror requires p_x = 1"},
+	} {
+		_, se, code := runCLI(t, append([]string{"-steps", "1"}, tc.args...)...)
+		if code != 2 || strings.Count(se, "\n") != 1 || !strings.Contains(se, tc.want) || strings.Contains(se, "panic:") {
+			t.Errorf("%v: exit %d, stderr %q; want exit 2 and one line containing %q", tc.args, code, se, tc.want)
+		}
 	}
 }
 

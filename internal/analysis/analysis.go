@@ -5,7 +5,7 @@
 // AllocsPerRun, the simulated-clock tests and VerifyNoLeaks); its five
 // analyzers are:
 //
-//   - commsym: collective operations (comm.Comm's Barrier/Bcast/Allreduce/…
+//   - commsym: collective operations (comm.Comm's Allgather/Alltoall/Split
 //     and topo.Exchanger's Begin/Exchange) must not be control-dependent on
 //     rank-valued expressions. Every rank must execute the same sequence of Ĉ
 //     and F̃ collectives per step (eq. 8); a rank-conditional collective is the

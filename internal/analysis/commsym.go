@@ -10,15 +10,14 @@ import (
 // rank must execute the same sequence of collectives and halo exchanges per
 // step. It flags:
 //
-//   - calls to comm.Comm collectives (Barrier, Bcast, Allreduce, Reduce,
-//     Allgather, Alltoall, Exscan, Split, …) and topo.Exchanger exchanges
-//     (Begin, Exchange) — or to any function that transitively performs one
-//     (tracked via facts across packages) — that are control-dependent on a
-//     rank-valued expression (Comm.Rank(), Topology.Cx/Cy/Cz, and local
-//     variables derived from them). A rank that skips (or doubles) a
-//     collective its peers execute deadlocks the step; at vet time this is
-//     the collective-divergence class that otherwise only surfaces as a hang
-//     on a 1024-rank run.
+//   - calls to comm.Comm collectives (Allgather, Alltoall, Split) and
+//     topo.Exchanger exchanges (Begin, Exchange) — or to any function that
+//     transitively performs one (tracked via facts across packages) — that
+//     are control-dependent on a rank-valued expression (Comm.Rank(),
+//     Topology.Cx/Cy/Cz, and local variables derived from them). A rank
+//     that skips (or doubles) a collective its peers execute deadlocks the
+//     step; at vet time this is the collective-divergence class that
+//     otherwise only surfaces as a hang on a 1024-rank run.
 //   - Exchanger.Begin calls whose *Pending result is discarded or never
 //     completed with Finish in the same function (and does not escape):
 //     an unpaired deep-halo exchange leaves receives undrained, breaking the
@@ -37,10 +36,7 @@ func init() { CommSym.Run = runCommSym }
 // collectiveMethods are the symmetric operations of comm.Comm: every rank of
 // the communicator must enter them in the same program order.
 var collectiveMethods = map[string]bool{
-	"Barrier": true, "Bcast": true,
-	"Allreduce": true, "AllreduceRD": true, "AllreduceRing": true,
-	"AllreduceScalar": true, "Allgather": true, "Alltoall": true,
-	"Exscan": true, "Reduce": true, "Split": true,
+	"Allgather": true, "Alltoall": true, "Split": true,
 }
 
 // exchangerMethods are the symmetric operations of topo.Exchanger (the halo

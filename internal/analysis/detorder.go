@@ -31,10 +31,8 @@ var DetOrder = &Analyzer{
 
 func init() { DetOrder.Run = runDetOrder }
 
-// commMethods: point-to-point operations also order-sensitive across ranks.
-var commP2PMethods = map[string]bool{
-	"Send": true, "Isend": true, "Recv": true, "RecvInto": true, "Irecv": true,
-}
+// commP2PMethods: point-to-point operations also order-sensitive across ranks.
+var commP2PMethods = map[string]bool{"Send": true, "RecvInto": true}
 
 // serializeFuncs: package-level functions whose call inside a map-ordered
 // loop emits bytes in iteration order.

@@ -4,9 +4,6 @@
 // packages are typechecked from source, with no stdlib export data).
 package comm
 
-// Op mirrors the reduction operator signature.
-type Op func(dst, src []float64)
-
 // Comm is the fixture communicator.
 type Comm struct {
 	rank, size int
@@ -16,14 +13,10 @@ func (c *Comm) Rank() int { return c.rank }
 func (c *Comm) Size() int { return c.size }
 
 // Collectives: bodies are empty on purpose — the fixtures test call *sites*.
-func (c *Comm) Barrier()                                 {}
-func (c *Comm) Bcast(buf []float64, root int)            {}
-func (c *Comm) Allreduce(dst, src []float64, op Op)      {}
-func (c *Comm) Reduce(dst, src []float64, root int)      {}
-func (c *Comm) Allgather(dst, src []float64)             {}
-func (c *Comm) AllreduceScalar(v float64, op Op) float64 { return v }
+func (c *Comm) Allgather(send, recv []float64)  {}
+func (c *Comm) Alltoall(send, recv [][]float64) {}
+func (c *Comm) Split(color, key int) *Comm      { return c }
 
 // Point-to-point: rank-addressed by design, not collectives.
-func (c *Comm) Send(dst, tag int, data []float64)    {}
-func (c *Comm) Recv(src, tag int) []float64          { return nil }
-func (c *Comm) RecvInto(src, tag int, buf []float64) {}
+func (c *Comm) Send(dst, tag int, data []float64)        {}
+func (c *Comm) RecvInto(src, tag int, buf []float64) int { return 0 }

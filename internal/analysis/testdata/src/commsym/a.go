@@ -8,33 +8,33 @@ import (
 	"topo"
 )
 
-func leaderOnly(c *comm.Comm) {
+func leaderOnly(c *comm.Comm, buf []float64) {
 	if c.Rank() == 0 {
-		c.Barrier() // want "collective Barrier is control-dependent on a rank-valued condition"
+		c.Allgather(buf, buf) // want "collective Allgather is control-dependent on a rank-valued condition"
 	}
 }
 
-func earlyExit(c *comm.Comm, buf []float64) {
+func earlyExit(c *comm.Comm, bufs [][]float64) {
 	if c.Rank() != 0 {
 		return
 	}
-	c.Bcast(buf, 0) // want "collective Bcast is control-dependent on a rank-valued condition"
+	c.Alltoall(bufs, bufs) // want "collective Alltoall is control-dependent on a rank-valued condition"
 }
 
-func derived(c *comm.Comm) {
+func derived(c *comm.Comm, buf []float64) {
 	leader := c.Rank() == 0
 	if leader {
-		c.Barrier() // want "collective Barrier is control-dependent"
+		c.Allgather(buf, buf) // want "collective Allgather is control-dependent"
 	}
 }
 
-func coordGate(t *topo.Topology, c *comm.Comm) {
+func coordGate(t *topo.Topology, c *comm.Comm, buf []float64) {
 	if t.Cz == 0 {
-		c.Barrier() // want "collective Barrier is control-dependent"
+		c.Allgather(buf, buf) // want "collective Allgather is control-dependent"
 	}
 }
 
-func helper(c *comm.Comm) { c.Barrier() }
+func helper(c *comm.Comm) { c.Split(0, 0) }
 
 func indirect(c *comm.Comm) {
 	if c.Rank() == 0 {
@@ -42,9 +42,9 @@ func indirect(c *comm.Comm) {
 	}
 }
 
-func uniformOK(c *comm.Comm, n int) {
+func uniformOK(c *comm.Comm, n int, buf []float64) {
 	if n > 0 {
-		c.Barrier() // ok: the condition is not rank-derived
+		c.Allgather(buf, buf) // ok: the condition is not rank-derived
 	}
 }
 
@@ -57,16 +57,16 @@ func p2pOK(c *comm.Comm, buf []float64) {
 // Waivers.
 
 //cadyvet:rankuniform the schedule flag is computed identically on every rank
-func waivedFunc(c *comm.Comm) {
+func waivedFunc(c *comm.Comm, buf []float64) {
 	if c.Rank() == 0 {
-		c.Barrier()
+		c.Allgather(buf, buf)
 	}
 }
 
-func waivedCall(c *comm.Comm) {
+func waivedCall(c *comm.Comm, bufs [][]float64) {
 	if c.Size() == 1 || c.Rank() == 0 {
 		//cadyvet:rankuniform single-rank fast path: the branch is uniform when it matters
-		c.Barrier()
+		c.Alltoall(bufs, bufs)
 	}
 }
 

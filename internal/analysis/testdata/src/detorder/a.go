@@ -42,17 +42,23 @@ func commInLoop(c *comm.Comm, m map[int][]float64) {
 	}
 }
 
-func collectiveInLoop(c *comm.Comm, m map[int]bool) {
-	for range m {
-		c.Barrier() // want "communication .Barrier. in map-iteration order"
+func recvInLoop(c *comm.Comm, m map[int][]float64) {
+	for src, buf := range m {
+		c.RecvInto(src, 0, buf) // want "communication .RecvInto. in map-iteration order"
 	}
 }
 
-func bcastAll(c *comm.Comm, buf []float64) { c.Bcast(buf, 0) }
-
-func transitively(c *comm.Comm, m map[int]bool, buf []float64) {
+func collectiveInLoop(c *comm.Comm, m map[int]bool, buf []float64) {
 	for range m {
-		bcastAll(c, buf) // want "communication .bcastAll, transitively. in map-iteration order"
+		c.Allgather(buf, buf) // want "communication .Allgather. in map-iteration order"
+	}
+}
+
+func transposeAll(c *comm.Comm, bufs [][]float64) { c.Alltoall(bufs, bufs) }
+
+func transitively(c *comm.Comm, m map[int]bool, bufs [][]float64) {
+	for range m {
+		transposeAll(c, bufs) // want "communication .transposeAll, transitively. in map-iteration order"
 	}
 }
 

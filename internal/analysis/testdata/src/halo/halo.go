@@ -4,5 +4,6 @@ package halo
 
 import "comm"
 
-// Sync runs a full barrier; callers inherit its collective nature via facts.
-func Sync(c *comm.Comm) { c.Barrier() }
+// Sync gathers one value from every rank, which synchronizes them like a
+// barrier; callers inherit its collective nature via facts.
+func Sync(c *comm.Comm) { c.Allgather(make([]float64, 1), make([]float64, c.Size())) }

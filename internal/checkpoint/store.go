@@ -49,9 +49,6 @@ func NewDirStore(root string) (*DirStore, error) {
 	return &DirStore{root: root}, nil
 }
 
-// Root returns the store directory.
-func (d *DirStore) Root() string { return d.root }
-
 // keyPattern restricts keys to a filename-safe charset; '@' stays reserved
 // as the key/step separator.
 func validKey(key string) error {

@@ -6,8 +6,7 @@ import (
 )
 
 // World owns the mailboxes and statistics of a set of ranks. Create one with
-// NewWorld, then either call Run (which spawns one goroutine per rank) or
-// obtain the per-rank handles with Rank and schedule them yourself.
+// NewWorld, then call Run, which spawns one goroutine per rank.
 type World struct {
 	size   int
 	model  NetModel
@@ -40,12 +39,6 @@ func NewWorld(p int, model NetModel) *World {
 	}
 	return w
 }
-
-// Size returns the number of ranks.
-func (w *World) Size() int { return w.size }
-
-// Rank returns the world communicator handle for rank r.
-func (w *World) Rank(r int) *Comm { return w.comms[r] }
 
 // Run executes fn on every rank concurrently and returns when all ranks have
 // finished. A panic on any rank is re-raised on the caller as a RankPanic
@@ -85,7 +78,7 @@ func (w *World) Run(fn func(c *Comm)) {
 	}
 }
 
-// poison wakes every endpoint with a failure marker so ranks blocked in Recv
+// poison wakes every endpoint with a failure marker so ranks blocked in RecvInto
 // panic instead of deadlocking after a peer died.
 func (w *World) poison() {
 	for _, ep := range w.eps {
@@ -99,12 +92,6 @@ func (w *World) poison() {
 func (w *World) Stats() Aggregate {
 	return aggregate(w.comms)
 }
-
-// RankStats returns a copy of rank r's statistics.
-func (w *World) RankStats(r int) Stats { return w.comms[r].stats.snapshot() }
-
-// Model returns the world's cost model.
-func (w *World) Model() NetModel { return w.model }
 
 // Comm is one rank's handle on a communicator. The world communicator spans
 // all ranks; Split derives sub-communicators. A Comm is confined to its

@@ -6,6 +6,13 @@ import (
 	"testing"
 )
 
+// recv1 receives one value from src with the given tag.
+func recv1(c *Comm, src, tag int) float64 {
+	buf := make([]float64, 1)
+	c.RecvInto(src, tag, buf)
+	return buf[0]
+}
+
 func TestSendRecvBasic(t *testing.T) {
 	w := NewWorld(2, Zero())
 	w.Run(func(c *Comm) {
@@ -13,9 +20,10 @@ func TestSendRecvBasic(t *testing.T) {
 		case 0:
 			c.Send(1, 7, []float64{1, 2, 3})
 		case 1:
-			got := c.Recv(0, 7)
-			if len(got) != 3 || got[0] != 1 || got[2] != 3 {
-				t.Errorf("rank 1 got %v", got)
+			got := make([]float64, 4)
+			n := c.RecvInto(0, 7, got)
+			if n != 3 || got[0] != 1 || got[2] != 3 {
+				t.Errorf("rank 1 got n=%d %v", n, got)
 			}
 		}
 	})
@@ -28,11 +36,8 @@ func TestSendCopiesPayload(t *testing.T) {
 			buf := []float64{42}
 			c.Send(1, 0, buf)
 			buf[0] = -1 // must not affect the message
-		} else {
-			got := c.Recv(0, 0)
-			if got[0] != 42 {
-				t.Errorf("payload aliased sender buffer: got %v", got[0])
-			}
+		} else if got := recv1(c, 0, 0); got != 42 {
+			t.Errorf("payload aliased sender buffer: got %v", got)
 		}
 	})
 }
@@ -45,11 +50,11 @@ func TestTagMatching(t *testing.T) {
 			c.Send(1, 3, []float64{3})
 		} else {
 			// Receive out of send order: tag matching must reorder.
-			if got := c.Recv(0, 3); got[0] != 3 {
-				t.Errorf("tag 3 got %v", got[0])
+			if got := recv1(c, 0, 3); got != 3 {
+				t.Errorf("tag 3 got %v", got)
 			}
-			if got := c.Recv(0, 5); got[0] != 5 {
-				t.Errorf("tag 5 got %v", got[0])
+			if got := recv1(c, 0, 5); got != 5 {
+				t.Errorf("tag 5 got %v", got)
 			}
 		}
 	})
@@ -65,79 +70,10 @@ func TestFIFOPerPair(t *testing.T) {
 			}
 		} else {
 			for i := 0; i < n; i++ {
-				if got := c.Recv(0, 1); got[0] != float64(i) {
-					t.Fatalf("message %d arrived as %v", i, got[0])
+				if got := recv1(c, 0, 1); got != float64(i) {
+					t.Fatalf("message %d arrived as %v", i, got)
 				}
 			}
-		}
-	})
-}
-
-func TestIsendIrecvWait(t *testing.T) {
-	w := NewWorld(2, Zero())
-	w.Run(func(c *Comm) {
-		if c.Rank() == 0 {
-			r := c.Isend(1, 2, []float64{9, 8})
-			r.Wait()
-		} else {
-			buf := make([]float64, 2)
-			r := c.Irecv(0, 2, buf)
-			if n := r.Wait(); n != 2 || buf[1] != 8 {
-				t.Errorf("Irecv got n=%d buf=%v", n, buf)
-			}
-		}
-	})
-}
-
-func TestBarrierAllSizes(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 4, 7, 8} {
-		w := NewWorld(p, Zero())
-		w.Run(func(c *Comm) {
-			for iter := 0; iter < 3; iter++ {
-				c.Barrier()
-			}
-		})
-	}
-}
-
-func TestAllreduceSum(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 4, 5, 8, 13} {
-		for _, n := range []int{1, 2, 3, 7, 64, 100} {
-			w := NewWorld(p, Zero())
-			w.Run(func(c *Comm) {
-				data := make([]float64, n)
-				for i := range data {
-					data[i] = float64(c.Rank()*n + i)
-				}
-				c.Allreduce(data, Sum)
-				for i := range data {
-					want := 0.0
-					for r := 0; r < p; r++ {
-						want += float64(r*n + i)
-					}
-					if math.Abs(data[i]-want) > 1e-9 {
-						t.Errorf("p=%d n=%d rank=%d elem %d: got %v want %v", p, n, c.Rank(), i, data[i], want)
-						return
-					}
-				}
-			})
-		}
-	}
-}
-
-func TestAllreduceMaxMin(t *testing.T) {
-	p := 5
-	w := NewWorld(p, Zero())
-	w.Run(func(c *Comm) {
-		d := []float64{float64(c.Rank()), -float64(c.Rank())}
-		c.Allreduce(d, Max)
-		if d[0] != float64(p-1) || d[1] != 0 {
-			t.Errorf("max got %v", d)
-		}
-		d2 := []float64{float64(c.Rank())}
-		c.Allreduce(d2, Min)
-		if d2[0] != 0 {
-			t.Errorf("min got %v", d2)
 		}
 	})
 }
@@ -154,23 +90,6 @@ func TestAllgather(t *testing.T) {
 					t.Errorf("p=%d rank=%d recv=%v", p, c.Rank(), recv)
 					return
 				}
-			}
-		})
-	}
-}
-
-func TestExscan(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 5, 8} {
-		w := NewWorld(p, Zero())
-		w.Run(func(c *Comm) {
-			d := []float64{float64(c.Rank() + 1)} // 1, 2, 3, ...
-			c.Exscan(d, Sum)
-			want := 0.0
-			for r := 0; r < c.Rank(); r++ {
-				want += float64(r + 1)
-			}
-			if d[0] != want {
-				t.Errorf("p=%d rank=%d exscan got %v want %v", p, c.Rank(), d[0], want)
 			}
 		})
 	}
@@ -197,40 +116,85 @@ func TestAlltoall(t *testing.T) {
 	}
 }
 
-func TestBcast(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 4, 5, 8, 9} {
-		for root := 0; root < p; root++ {
-			w := NewWorld(p, Zero())
-			w.Run(func(c *Comm) {
-				d := make([]float64, 3)
-				if c.Rank() == root {
-					d[0], d[1], d[2] = 1, 2, 3
+// TestCollectivesPropertyRandom: for random rank counts and lengths, Allgather
+// leaves every rank's block in rank order on every rank and Alltoall delivers
+// block (r → s) to rank s's slot r, bit for bit.
+func TestCollectivesPropertyRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(12345))
+	for trial := 0; trial < 25; trial++ {
+		p := 1 + rng.Intn(9)
+		n := 1 + rng.Intn(50)
+		blocks := make([][][]float64, p) // blocks[r][s]: what rank r sends rank s
+		for r := range blocks {
+			blocks[r] = make([][]float64, p)
+			for s := range blocks[r] {
+				blocks[r][s] = make([]float64, n)
+				for i := range blocks[r][s] {
+					blocks[r][s][i] = rng.NormFloat64()
 				}
-				c.Bcast(root, d)
-				if d[0] != 1 || d[2] != 3 {
-					t.Errorf("p=%d root=%d rank=%d got %v", p, root, c.Rank(), d)
-				}
-			})
+			}
 		}
-	}
-}
-
-func TestReduce(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 4, 7} {
 		w := NewWorld(p, Zero())
 		w.Run(func(c *Comm) {
-			d := []float64{1}
-			c.Reduce(0, d, Sum)
-			if c.Rank() == 0 && d[0] != float64(p) {
-				t.Errorf("p=%d reduce got %v", p, d[0])
+			me := c.Rank()
+			gathered := make([]float64, p*n)
+			c.Allgather(blocks[me][0], gathered)
+			recv := make([][]float64, p)
+			for r := range recv {
+				recv[r] = make([]float64, n)
+			}
+			c.Alltoall(blocks[me], recv)
+			for r := 0; r < p; r++ {
+				for i := 0; i < n; i++ {
+					if gathered[r*n+i] != blocks[r][0][i] {
+						t.Errorf("trial %d p=%d n=%d rank=%d: Allgather block %d elem %d wrong", trial, p, n, me, r, i)
+						return
+					}
+					if recv[r][i] != blocks[r][me][i] {
+						t.Errorf("trial %d p=%d n=%d rank=%d: Alltoall block from %d elem %d wrong", trial, p, n, me, r, i)
+						return
+					}
+				}
 			}
 		})
 	}
 }
 
+// TestRingCollectiveVolume pins the traffic of the two collectives: the ring
+// Allgather moves (p−1) blocks of n values per rank (the lower bound of the
+// paper's Theorem 4.2 for the z summation), the pairwise Alltoall p−1 blocks,
+// each in p−1 messages per rank.
+func TestRingCollectiveVolume(t *testing.T) {
+	const p, n = 4, 16
+	run := func(fn func(c *Comm)) Aggregate {
+		w := NewWorld(p, Zero())
+		w.Run(fn)
+		return w.Stats()
+	}
+	ag := run(func(c *Comm) { c.Allgather(make([]float64, n), make([]float64, p*n)) })
+	a2a := run(func(c *Comm) {
+		send, recv := make([][]float64, p), make([][]float64, p)
+		for r := range send {
+			send[r], recv[r] = make([]float64, n), make([]float64, n)
+		}
+		c.Alltoall(send, recv)
+	})
+	for name, a := range map[string]Aggregate{"Allgather": ag, "Alltoall": a2a} {
+		if want := int64(p * (p - 1) * n * 8); a.BytesSent != want {
+			t.Errorf("%s moved %d bytes, want %d", name, a.BytesSent, want)
+		}
+		if want := int64(p * (p - 1)); a.MsgsSent != want {
+			t.Errorf("%s sent %d messages, want %d", name, a.MsgsSent, want)
+		}
+		if a.Collectives != p {
+			t.Errorf("%s counted %d collectives, want %d", name, a.Collectives, p)
+		}
+	}
+}
+
 func TestSplitGrid(t *testing.T) {
-	// 2x3 process grid: split into row and column communicators and do
-	// independent reductions in each.
+	// 2x3 process grid: split into row and column communicators and gather
+	// independently in each.
 	const py, pz = 2, 3
 	w := NewWorld(py*pz, Zero())
 	w.Run(func(c *Comm) {
@@ -244,15 +208,21 @@ func TestSplitGrid(t *testing.T) {
 		if rowComm.Rank() != z || colComm.Rank() != y {
 			t.Errorf("split ranks: row=%d (want %d) col=%d (want %d)", rowComm.Rank(), z, colComm.Rank(), y)
 		}
-		d := []float64{1}
-		rowComm.Allreduce(d, Sum)
-		if d[0] != pz {
-			t.Errorf("row allreduce got %v", d[0])
+		row := make([]float64, pz)
+		rowComm.Allgather([]float64{float64(c.Rank())}, row)
+		for i, v := range row {
+			if v != float64(y*pz+i) {
+				t.Errorf("rank %d: row gather %v", c.Rank(), row)
+				break
+			}
 		}
-		d[0] = 1
-		colComm.Allreduce(d, Sum)
-		if d[0] != py {
-			t.Errorf("col allreduce got %v", d[0])
+		col := make([]float64, py)
+		colComm.Allgather([]float64{float64(c.Rank())}, col)
+		for i, v := range col {
+			if v != float64(i*pz+z) {
+				t.Errorf("rank %d: column gather %v", c.Rank(), col)
+				break
+			}
 		}
 	})
 }
@@ -278,12 +248,11 @@ func TestSplitUndefined(t *testing.T) {
 func TestStatsCounting(t *testing.T) {
 	w := NewWorld(2, TianheLike())
 	w.Run(func(c *Comm) {
+		c.SetCategory(CatStencil)
 		if c.Rank() == 0 {
-			c.SetCategory(CatStencil)
 			c.Send(1, 0, make([]float64, 100))
 		} else {
-			c.SetCategory(CatStencil)
-			c.Recv(0, 0)
+			c.RecvInto(0, 0, make([]float64, 100))
 		}
 	})
 	a := w.Stats()
@@ -302,35 +271,43 @@ func TestStatsCounting(t *testing.T) {
 }
 
 func TestCollectiveKindBreakdown(t *testing.T) {
-	w := NewWorld(4, TianheLike())
+	const p = 4
+	w := NewWorld(p, TianheLike())
 	w.Run(func(c *Comm) {
 		buf := []float64{float64(c.Rank()), 1}
 		c.SetCategory(CatCollectiveZ)
-		c.Allreduce(buf, Sum)
-		c.Allreduce(buf, Sum)
+		gathered := make([]float64, 2*p)
+		c.Allgather(buf, gathered)
+		c.Allgather(buf, gathered)
 		c.SetCategory(CatCollectiveX)
-		recv := make([]float64, 2*c.Size())
-		c.Allgather(buf, recv)
+		send, recv := make([][]float64, p), make([][]float64, p)
+		for r := range send {
+			send[r], recv[r] = buf, make([]float64, 2)
+		}
+		c.Alltoall(send, recv)
 		c.SetCategory(CatStencil)
 		if c.Rank() == 0 {
 			c.Send(1, 7, buf)
 		} else if c.Rank() == 1 {
-			c.Recv(0, 7)
+			c.RecvInto(0, 7, buf)
 		}
 	})
 	a := w.Stats()
-	if got := a.CSumOps(); got != 2*4 {
-		t.Errorf("CSumOps = %d, want %d", got, 2*4)
+	if got := a.CollByCat[CatCollectiveZ]; got != 2*p {
+		t.Errorf("z collectives = %d, want %d", got, 2*p)
 	}
-	if got := a.FilterOps(); got != 1*4 {
-		t.Errorf("FilterOps = %d, want %d", got, 1*4)
+	if got := a.CollByCat[CatCollectiveX]; got != p {
+		t.Errorf("x collectives = %d, want %d", got, p)
 	}
 	if a.CollByCat[CatStencil] != 0 {
 		t.Errorf("stencil collectives = %d, want 0", a.CollByCat[CatStencil])
 	}
-	if a.CSumBytes() <= 0 || a.FilterBytes() <= 0 {
-		t.Errorf("per-kind bytes should be positive: csum=%d filter=%d",
-			a.CSumBytes(), a.FilterBytes())
+	// Each collective moves p−1 two-value messages per rank.
+	if got, want := a.BytesByCat[CatCollectiveZ], int64(2*p*(p-1)*16); got != want {
+		t.Errorf("z bytes = %d, want %d", got, want)
+	}
+	if got, want := a.BytesByCat[CatCollectiveX], int64(p*(p-1)*16); got != want {
+		t.Errorf("x bytes = %d, want %d", got, want)
 	}
 	if got := a.ExchangeMsgs(); got != 1 {
 		t.Errorf("ExchangeMsgs = %d, want 1", got)
@@ -354,7 +331,7 @@ func TestSimulatedClockMessageDelay(t *testing.T) {
 		if c.Rank() == 0 {
 			c.Send(1, 0, []float64{1})
 		} else {
-			c.Recv(0, 0)
+			recv1(c, 0, 0)
 			// Receiver must have stalled at least the latency.
 			if c.Clock() < 1e-3 {
 				t.Errorf("receiver clock %v < latency", c.Clock())
@@ -365,7 +342,7 @@ func TestSimulatedClockMessageDelay(t *testing.T) {
 
 func TestSimulatedOverlapHidesLatency(t *testing.T) {
 	// If the receiver computes past the message availability time before
-	// waiting, the wait costs (almost) nothing: overlap is modeled.
+	// receiving, the receive costs (almost) nothing: overlap is modeled.
 	m := NetModel{Latency: 1e-3, ByteTime: 0, SendOverhead: 0, ComputeRate: 1}
 	run := func(overlapWork float64) (commTime float64) {
 		w := NewWorld(2, m)
@@ -373,15 +350,13 @@ func TestSimulatedOverlapHidesLatency(t *testing.T) {
 			if c.Rank() == 0 {
 				c.Send(1, 0, []float64{1})
 			} else {
-				buf := make([]float64, 1)
-				r := c.Irecv(0, 0, buf)
 				c.Compute(overlapWork)
-				r.Wait()
+				recv1(c, 0, 0)
 			}
 		})
 		return w.Stats().TotalCommTime()
 	}
-	withOverlap := run(1e-2)  // compute 10 ms before waiting
+	withOverlap := run(1e-2) // compute 10 ms before receiving
 	noOverlap := run(0)
 	if withOverlap >= noOverlap {
 		t.Errorf("overlap did not reduce comm time: with=%v without=%v", withOverlap, noOverlap)
@@ -410,133 +385,9 @@ func TestRunPropagatesPanic(t *testing.T) {
 		if c.Rank() == 0 {
 			panic("boom")
 		}
-		// Rank 1 blocks in Recv; poisoning must unblock it.
+		// Rank 1 blocks in RecvInto; poisoning must unblock it.
 		defer func() { recover() }() // swallow the poison panic on rank 1
-		c.Recv(0, 0)
-	})
-}
-
-func TestAllreducePropertyRandom(t *testing.T) {
-	// Property: ring allreduce equals the serial sum for random inputs,
-	// sizes and rank counts.
-	rng := rand.New(rand.NewSource(12345))
-	for trial := 0; trial < 25; trial++ {
-		p := 1 + rng.Intn(9)
-		n := 1 + rng.Intn(50)
-		inputs := make([][]float64, p)
-		want := make([]float64, n)
-		for r := 0; r < p; r++ {
-			inputs[r] = make([]float64, n)
-			for i := range inputs[r] {
-				inputs[r][i] = rng.NormFloat64()
-			}
-		}
-		for i := 0; i < n; i++ {
-			for r := 0; r < p; r++ {
-				want[i] += inputs[r][i]
-			}
-		}
-		w := NewWorld(p, Zero())
-		w.Run(func(c *Comm) {
-			data := append([]float64(nil), inputs[c.Rank()]...)
-			c.Allreduce(data, Sum)
-			for i := range data {
-				if math.Abs(data[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
-					t.Errorf("trial %d p=%d n=%d rank=%d elem %d: got %v want %v",
-						trial, p, n, c.Rank(), i, data[i], want[i])
-					return
-				}
-			}
-		})
-	}
-}
-
-func TestRingAllreduceVolume(t *testing.T) {
-	// Theorem 4.2: ring allreduce moves 2(p-1)·(n/p) values per rank. Check
-	// the total byte count matches p · 2(p-1) · (n/p) · 8 bytes.
-	p, n := 4, 64
-	w := NewWorld(p, Zero())
-	w.Run(func(c *Comm) {
-		data := make([]float64, n)
-		c.AllreduceRing(data, Sum)
-	})
-	a := w.Stats()
-	wantBytes := int64(p * 2 * (p - 1) * (n / p) * 8)
-	if a.BytesSent != wantBytes {
-		t.Errorf("ring allreduce moved %d bytes, want %d", a.BytesSent, wantBytes)
-	}
-}
-
-func TestAllreduceRDMatchesSum(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 13} {
-		for _, n := range []int{1, 3, 17} {
-			results := make([][]float64, p)
-			w := NewWorld(p, Zero())
-			w.Run(func(c *Comm) {
-				data := make([]float64, n)
-				for i := range data {
-					data[i] = float64(c.Rank()+1) * float64(i+1)
-				}
-				c.AllreduceRD(data, Sum)
-				results[c.Rank()] = data
-			})
-			for i := 0; i < n; i++ {
-				want := 0.0
-				for r := 0; r < p; r++ {
-					want += float64(r+1) * float64(i+1)
-				}
-				for r := 0; r < p; r++ {
-					if math.Abs(results[r][i]-want) > 1e-9*(1+math.Abs(want)) {
-						t.Fatalf("p=%d n=%d rank=%d elem=%d: got %v want %v", p, n, r, i, results[r][i], want)
-					}
-				}
-			}
-			// All ranks must hold bitwise-identical results (commutative op).
-			for r := 1; r < p; r++ {
-				for i := 0; i < n; i++ {
-					if results[r][i] != results[0][i] {
-						t.Fatalf("p=%d: ranks disagree bitwise at %d", p, i)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestAllreduceDispatch(t *testing.T) {
-	// Short vectors use recursive doubling (log p rounds of full vectors);
-	// long ones the ring. Distinguish them by the byte volume.
-	const p = 4
-	run := func(n int) int64 {
-		w := NewWorld(p, Zero())
-		w.Run(func(c *Comm) {
-			c.Allreduce(make([]float64, n), Sum)
-		})
-		return w.Stats().BytesSent
-	}
-	shortN := 8
-	gotShort := run(shortN)
-	wantRD := int64(p) * 2 * int64(shortN) * 8 // log2(4)=2 rounds of n values per rank
-	if gotShort != wantRD {
-		t.Errorf("short allreduce moved %d bytes, want %d (recursive doubling)", gotShort, wantRD)
-	}
-	longN := 4096
-	gotLong := run(longN)
-	wantRing := int64(p) * 2 * int64(p-1) * int64(longN/p) * 8
-	if gotLong != wantRing {
-		t.Errorf("long allreduce moved %d bytes, want %d (ring)", gotLong, wantRing)
-	}
-}
-
-func TestAllreduceRDMax(t *testing.T) {
-	const p = 6
-	w := NewWorld(p, Zero())
-	w.Run(func(c *Comm) {
-		d := []float64{float64(c.Rank()), -float64(c.Rank())}
-		c.AllreduceRD(d, Max)
-		if d[0] != float64(p-1) || d[1] != 0 {
-			t.Errorf("rank %d: RD max got %v", c.Rank(), d)
-		}
+		recv1(c, 0, 0)
 	})
 }
 
@@ -554,19 +405,7 @@ func TestPoisonUnblocksCollective(t *testing.T) {
 			panic("node failure")
 		}
 		defer func() { recover() }() // swallow the poison on survivors
-		d := make([]float64, 1024)
-		c.Allreduce(d, Sum)
-	})
-}
-
-func TestExscanEmptyAndSingle(t *testing.T) {
-	w := NewWorld(1, Zero())
-	w.Run(func(c *Comm) {
-		d := []float64{7}
-		c.Exscan(d, Sum)
-		if d[0] != 0 {
-			t.Errorf("single-rank exscan = %v, want 0", d[0])
-		}
+		c.Allgather(make([]float64, 256), make([]float64, 4*256))
 	})
 }
 
@@ -602,13 +441,29 @@ func TestSubCommIsolation(t *testing.T) {
 		peerW := (c.Rank() + 2) % 4
 		c.Send(peerW, 0, []float64{float64(200 + c.Rank())})
 
-		fromSub := sub.Recv(peerSub, 0)
-		fromW := c.Recv(peerW, 0)
-		if fromSub[0] < 100 || fromSub[0] >= 200 {
-			t.Errorf("rank %d: sub-communicator got %v", c.Rank(), fromSub[0])
+		fromSub := recv1(sub, peerSub, 0)
+		fromW := recv1(c, peerW, 0)
+		if fromSub < 100 || fromSub >= 200 {
+			t.Errorf("rank %d: sub-communicator got %v", c.Rank(), fromSub)
 		}
-		if fromW[0] < 200 {
-			t.Errorf("rank %d: world got %v", c.Rank(), fromW[0])
+		if fromW < 200 {
+			t.Errorf("rank %d: world got %v", c.Rank(), fromW)
 		}
 	})
+}
+
+func TestCompImbalance(t *testing.T) {
+	for _, tc := range []struct {
+		comp []float64
+		want float64
+	}{
+		{nil, 0},
+		{[]float64{2, 2}, 1},
+		{[]float64{1, 4, 2}, 4},
+		{[]float64{0, 3}, 0},
+	} {
+		if got := (Aggregate{RankComp: tc.comp}).CompImbalance(); got != tc.want {
+			t.Errorf("CompImbalance(%v) = %v, want %v", tc.comp, got, tc.want)
+		}
+	}
 }

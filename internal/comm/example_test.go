@@ -9,7 +9,7 @@ import (
 )
 
 // Example shows the rank-SPMD programming model: goroutine ranks exchange
-// point-to-point messages and reduce with a collective, exactly like an MPI
+// point-to-point messages and gather with a collective, exactly like an MPI
 // program would.
 func Example() {
 	w := comm.NewWorld(4, comm.Zero())
@@ -20,10 +20,16 @@ func Example() {
 		right := (c.Rank() + 1) % c.Size()
 		left := (c.Rank() - 1 + c.Size()) % c.Size()
 		c.Send(right, 0, []float64{float64(c.Rank())})
-		from := c.Recv(left, 0)
+		from := make([]float64, 1)
+		c.RecvInto(left, 0, from)
 
-		// Global sum of ranks: 0+1+2+3 = 6.
-		total := c.AllreduceScalar(float64(c.Rank()), comm.Sum)
+		// Gather every rank's number, then sum locally: 0+1+2+3 = 6.
+		all := make([]float64, c.Size())
+		c.Allgather([]float64{float64(c.Rank())}, all)
+		total := 0.0
+		for _, v := range all {
+			total += v
+		}
 
 		mu.Lock()
 		lines = append(lines, fmt.Sprintf("rank %d got %v from the left; sum = %v",
@@ -52,7 +58,7 @@ func ExampleWorld_Stats() {
 		if c.Rank() == 0 {
 			c.Send(1, 0, make([]float64, 125)) // 1000 bytes
 		} else {
-			c.Recv(0, 0)
+			c.RecvInto(0, 0, make([]float64, 125))
 		}
 	})
 	a := w.Stats()

@@ -12,10 +12,10 @@ func faultWorkload(c *Comm) {
 	prev := (c.Rank() + c.Size() - 1) % c.Size()
 	for i := 0; i < 5; i++ {
 		c.Send(next, i, []float64{float64(i), 2, 3})
-		c.Recv(prev, i)
+		c.RecvInto(prev, i, make([]float64, 3))
 		c.Compute(300)
 	}
-	c.Allreduce([]float64{float64(c.Rank())}, Sum)
+	c.Allgather([]float64{float64(c.Rank())}, make([]float64, c.Size()))
 }
 
 func runFaultWorkload(t *testing.T, f *Faults) []Stats {
@@ -24,11 +24,11 @@ func runFaultWorkload(t *testing.T, f *Faults) []Stats {
 	if f != nil {
 		w.SetFaults(f)
 	}
-	w.Run(faultWorkload)
-	out := make([]Stats, w.Size())
-	for r := range out {
-		out[r] = w.RankStats(r)
-	}
+	out := make([]Stats, 4)
+	w.Run(func(c *Comm) {
+		faultWorkload(c)
+		out[c.Rank()] = c.Stats()
+	})
 	return out
 }
 
@@ -37,11 +37,14 @@ func runFaultWorkload(t *testing.T, f *Faults) []Stats {
 // and counters bitwise identical to a fault-free run.
 func TestInertFaultsBitwiseIdentical(t *testing.T) {
 	base := runFaultWorkload(t, nil)
-	for name, f := range map[string]*Faults{
-		"inert profile": NewFaults(4, 42),
-		"nil profile":   nil,
+	for _, tc := range []struct {
+		name string
+		f    *Faults
+	}{
+		{"inert profile", NewFaults(4, 42)},
+		{"nil profile", nil},
 	} {
-		got := runFaultWorkload(t, f)
+		name, got := tc.name, runFaultWorkload(t, tc.f)
 		for r := range base {
 			if got[r] != base[r] {
 				t.Errorf("%s: rank %d stats differ:\n got %+v\nwant %+v", name, r, got[r], base[r])
@@ -168,7 +171,7 @@ func TestRunPrefersInjectedPanic(t *testing.T) {
 		}
 		// Peers block on a message the dead rank will never send; the
 		// poison cascade must lose to the injected panic above.
-		c.Recv(1, 0)
+		c.RecvInto(1, 0, make([]float64, 1))
 	})
 	t.Fatal("Run returned without panicking")
 }

@@ -2,12 +2,12 @@
 // runs on: a rank-SPMD runtime in pure Go that replaces MPI (which has no Go
 // ecosystem), as documented in DESIGN.md §2.
 //
-// Ranks are goroutines; point-to-point messages are matched by (source, tag)
-// with FIFO order per pair, like MPI. Nonblocking Isend/Irecv with Wait,
-// Barrier, communicator Split and the collectives the dycore needs
-// (ring Allreduce, ring Allgather, Exscan, pairwise Alltoall, Bcast) are
-// built *on top of* the point-to-point layer, so every byte and message the
-// algorithms move is counted by construction rather than estimated.
+// Ranks are goroutines; point-to-point messages (buffered Send, blocking
+// RecvInto) are matched by (source, tag) with FIFO order per pair, like MPI.
+// Communicator Split and the two collectives the schemes make — the ring
+// Allgather of Ĉ's z-summation and the pairwise Alltoall of F̃'s transposes —
+// are built *on top of* the point-to-point layer, so every byte and message
+// the algorithms move is counted by construction rather than estimated.
 //
 // In addition to functional message passing, the runtime keeps a LogP-style
 // simulated clock per rank: a message sent at sender-time t becomes available

@@ -124,28 +124,11 @@ func (ep *endpoint) poison() {
 // It has buffered semantics: it returns as soon as the payload is enqueued
 // at the destination. The simulated clock is charged the send overhead; the
 // payload becomes available to the receiver α + β·bytes after the send.
+//
+// The copy lands in a buffer from the destination endpoint's free list; the
+// RecvInto that consumes the message puts it back, so a steady exchange
+// pattern stops allocating once every size has been in flight.
 func (c *Comm) Send(dst, tag int, data []float64) {
-	c.sendInternal(dst, tag, data)
-}
-
-// Isend is Send with an explicit request handle; with buffered semantics the
-// request is already complete, so Wait on it is a no-op and every Isend
-// returns the same handle. It exists so the overlapped halo-exchange code
-// reads like its MPI original.
-func (c *Comm) Isend(dst, tag int, data []float64) *Request {
-	c.sendInternal(dst, tag, data)
-	return completed
-}
-
-// completed is the request every buffered send returns; nothing writes it.
-var completed = &Request{done: true}
-
-// sendInternal implements the buffered send. The copy lands in a buffer from
-// the destination endpoint's free list; the transport call that consumes the
-// message (RecvInto, the collectives' internal receives) puts it back, so a
-// steady exchange pattern stops allocating once every size has been in
-// flight. Recv instead hands the buffer to its caller for good.
-func (c *Comm) sendInternal(dst, tag int, data []float64) {
 	if dst == c.rank {
 		panic(fmt.Sprintf("comm: rank %d sending to itself (use local copies)", c.rank))
 	}
@@ -177,18 +160,11 @@ func (c *Comm) sendInternal(dst, tag int, data []float64) {
 	})
 }
 
-// Recv blocks until a message from communicator rank src with the given tag
-// arrives, and returns its payload, which the caller then owns (it is never
-// recycled). The simulated clock stalls to the message's availability time if
-// the rank got here early (that stall is the modeled communication wait).
-func (c *Comm) Recv(src, tag int) []float64 {
-	m := c.world.eps[c.myWorldRank()].take(c.id, src, tag)
-	c.absorb(m)
-	return m.data
-}
-
-// RecvInto is Recv that copies the payload into buf (which must be exactly
-// the message length) and returns the number of values received.
+// RecvInto blocks until a message from communicator rank src with the given
+// tag arrives, copies its payload into buf (which must hold at least the
+// message length) and returns the number of values received. The simulated
+// clock stalls to the message's availability time if the rank got here early
+// (that stall is the modeled communication wait).
 func (c *Comm) RecvInto(src, tag int, buf []float64) int {
 	ep := c.world.eps[c.myWorldRank()]
 	m := ep.take(c.id, src, tag)
@@ -199,14 +175,6 @@ func (c *Comm) RecvInto(src, tag int, buf []float64) int {
 	n := copy(buf, m.data)
 	ep.recycle(m.data)
 	return n
-}
-
-// release hands back a payload obtained from Recv once the caller is done
-// reading it. It is for the collectives in this package, which consume their
-// internal receives on the spot; a payload that escaped to user code is never
-// released.
-func (c *Comm) release(payload []float64) {
-	c.world.eps[c.myWorldRank()].recycle(payload)
 }
 
 // absorb advances the clock for a drained message: stall until availability,
@@ -224,39 +192,4 @@ func (c *Comm) absorb(m message) {
 		c.stats.addHiddenTime(flight - wait)
 	}
 	c.stats.addCommTime(wait + mod.SendOverhead)
-}
-
-// Request is the handle of a nonblocking operation.
-type Request struct {
-	done bool
-	c    *Comm
-	src  int
-	tag  int
-	buf  []float64
-	n    int
-}
-
-// Irecv posts a nonblocking receive of a message from src with the given
-// tag into buf; completion happens in Wait. (Matching is deferred to Wait,
-// which is observationally equivalent for FIFO-per-pair matching.)
-func (c *Comm) Irecv(src, tag int, buf []float64) *Request {
-	return &Request{c: c, src: src, tag: tag, buf: buf}
-}
-
-// Wait blocks until the operation completes and returns the number of values
-// transferred (0 for sends).
-func (r *Request) Wait() int {
-	if r.done {
-		return r.n
-	}
-	r.n = r.c.RecvInto(r.src, r.tag, r.buf)
-	r.done = true
-	return r.n
-}
-
-// WaitAll completes every request.
-func WaitAll(reqs ...*Request) {
-	for _, r := range reqs {
-		r.Wait()
-	}
 }

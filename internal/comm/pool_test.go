@@ -21,23 +21,27 @@ func pooled(w *World) map[*float64]bool {
 }
 
 // pingPong is a steady two-way traffic pattern of fixed-size messages drained
-// with RecvInto, plus a ring allreduce whose internal receives are recycled.
+// with RecvInto, plus an Allgather and an Alltoall whose internal receives are
+// recycled.
 func pingPong(c *Comm, rounds, n int) {
 	peer := 1 - c.Rank()
 	out, in := make([]float64, n), make([]float64, n)
-	red := make([]float64, 2*shortAllreduce)
+	blk := make([]float64, 256)
+	gathered := make([]float64, 2*len(blk))
+	send, recv := [][]float64{blk, blk}, [][]float64{make([]float64, len(blk)), make([]float64, len(blk))}
 	for r := 0; r < rounds; r++ {
 		out[0] = float64(r)
-		c.Isend(peer, 3, out)
+		c.Send(peer, 3, out)
 		c.RecvInto(peer, 3, in)
-		c.Allreduce(red, Sum)
+		c.Allgather(blk, gathered)
+		c.Alltoall(send, recv)
 	}
 }
 
 func TestPayloadsAreRecycled(t *testing.T) {
 	w := NewWorld(2, Zero())
 	w.Run(func(c *Comm) { pingPong(c, 200, 1000) })
-	// 200 rounds × 2 ranks × (1 halo-like message + 2 allreduce chunks): with
+	// 200 rounds × 2 ranks × (1 halo-like message + 1 per collective): with
 	// a fresh make per message that is 1200 buffers; recycled, each endpoint
 	// keeps the handful that were ever in flight at once.
 	if n := len(pooled(w)); n == 0 || n > 12 {
@@ -59,36 +63,6 @@ func TestPayloadsAreRecycled(t *testing.T) {
 	}
 }
 
-// TestRecvTransfersOwnership: a slice returned by Recv belongs to its caller
-// and is never recycled under it, however much same-sized traffic follows.
-func TestRecvTransfersOwnership(t *testing.T) {
-	const n = 1000
-	var held []float64
-	w := NewWorld(2, Zero())
-	w.Run(func(c *Comm) {
-		if c.Rank() == 0 {
-			c.Send(1, 9, make([]float64, n))
-		} else {
-			held = c.Recv(0, 9)
-			for i := range held {
-				held[i] = -7 // sentinel
-			}
-		}
-		pingPong(c, 50, n) // a step's worth of traffic in the same size class
-		if c.Rank() == 1 {
-			for i, v := range held {
-				if v != -7 {
-					t.Errorf("Recv'd slice overwritten at %d: %v", i, v)
-					break
-				}
-			}
-		}
-	})
-	if pooled(w)[bufID(held)] {
-		t.Error("a payload handed out by Recv is on a free list")
-	}
-}
-
 // TestTakeReleasesVacatedSlot: removing a message from the middle of the
 // queue must not leave its payload reachable from the backing array.
 func TestTakeReleasesVacatedSlot(t *testing.T) {
@@ -105,24 +79,6 @@ func TestTakeReleasesVacatedSlot(t *testing.T) {
 	if slot := ep.queue[:3][2]; slot.data != nil {
 		t.Errorf("vacated slot still references payload %v", slot.data)
 	}
-}
-
-// TestIsendSharesCompletedRequest: buffered sends complete at once, so they
-// all return one request and allocate none.
-func TestIsendSharesCompletedRequest(t *testing.T) {
-	w := NewWorld(2, Zero())
-	w.Run(func(c *Comm) {
-		if c.Rank() == 0 {
-			a := c.Isend(1, 0, []float64{1})
-			b := c.Isend(1, 1, []float64{2})
-			if a != b || a.Wait() != 0 {
-				t.Errorf("Isend handles %p %p, Wait %d", a, b, a.Wait())
-			}
-		} else {
-			c.Recv(0, 0)
-			c.Recv(0, 1)
-		}
-	})
 }
 
 // TestFreeListBudget: past poolBudget a consumed payload is dropped, not kept.
@@ -153,8 +109,8 @@ func TestCrashedWorldKeepsItsBuffers(t *testing.T) {
 		next, prev := (c.Rank()+1)%c.Size(), (c.Rank()+c.Size()-1)%c.Size()
 		out, in := make([]float64, 500), make([]float64, 500)
 		for r := 0; r < 20; r++ {
-			c.Isend(next, r, out)
-			c.Isend(prev, 100+r, out)
+			c.Send(next, r, out)
+			c.Send(prev, 100+r, out)
 			if crash && c.Rank() == 2 && r == 10 {
 				panic("injected rank death")
 			}

@@ -1,5 +1,7 @@
 package comm
 
+import "slices"
+
 // Category classifies communication for the paper's per-figure accounting:
 // Figure 6 plots collective time (z summation + x Fourier filtering) and
 // Figure 7 plots the neighbor-exchange time of the stencil computations.
@@ -49,7 +51,8 @@ type Stats struct {
 	Collectives int64
 	// CollByCat breaks Collectives down by category, so a z summation
 	// (CatCollectiveZ), a filter transpose (CatCollectiveX) and an
-	// uncategorized barrier are distinguishable in post-run accounting.
+	// uncategorized communicator split are distinguishable in post-run
+	// accounting.
 	CollByCat [numCategories]int64
 	// CommTime is simulated seconds spent in communication per category
 	// (send/receive overheads plus stall time waiting for messages).
@@ -200,63 +203,23 @@ func (a Aggregate) CollectiveTime() float64 {
 // StencilTime returns the halo-exchange time (Figure 7's quantity).
 func (a Aggregate) StencilTime() float64 { return a.CommTimeMax[CatStencil] }
 
-// Per-kind traffic accessors: the three communication kinds the cost model
-// distinguishes are the vertical summation collective (csum), the Fourier
-// filter collective, and the stencil halo exchange.
-
-// CSumBytes returns bytes sent inside z-summation collectives.
-func (a Aggregate) CSumBytes() int64 { return a.BytesByCat[CatCollectiveZ] }
-
-// FilterBytes returns bytes sent inside filter (distributed-FFT) collectives.
-func (a Aggregate) FilterBytes() int64 { return a.BytesByCat[CatCollectiveX] }
-
 // ExchangeBytes returns bytes sent as stencil halo exchange.
 func (a Aggregate) ExchangeBytes() int64 { return a.BytesByCat[CatStencil] }
-
-// CSumOps returns the number of z-summation collective operations entered.
-func (a Aggregate) CSumOps() int64 { return a.CollByCat[CatCollectiveZ] }
-
-// FilterOps returns the number of filter collective operations entered.
-func (a Aggregate) FilterOps() int64 { return a.CollByCat[CatCollectiveX] }
 
 // ExchangeMsgs returns the number of stencil halo-exchange messages sent.
 func (a Aggregate) ExchangeMsgs() int64 { return a.MsgsByCat[CatStencil] }
 
-// MaxRankComp returns the largest per-rank compute time, 0 when the per-rank
-// telemetry is absent.
-func (a Aggregate) MaxRankComp() float64 {
-	m := 0.0
-	for _, v := range a.RankComp {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// MinRankComp returns the smallest per-rank compute time, 0 when the
-// per-rank telemetry is absent.
-func (a Aggregate) MinRankComp() float64 {
-	if len(a.RankComp) == 0 {
-		return 0
-	}
-	m := a.RankComp[0]
-	for _, v := range a.RankComp[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
 // CompImbalance returns the max/min ratio of per-rank compute time — 1 for a
 // perfectly balanced run, 0 when the telemetry is absent or degenerate.
 func (a Aggregate) CompImbalance() float64 {
-	min := a.MinRankComp()
-	if min <= 0 {
+	if len(a.RankComp) == 0 {
 		return 0
 	}
-	return a.MaxRankComp() / min
+	least := slices.Min(a.RankComp)
+	if least <= 0 {
+		return 0
+	}
+	return slices.Max(a.RankComp) / least
 }
 
 // MergeAggregate folds a later execution segment b into the cumulative a:

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"cadycore/internal/comm"
@@ -377,5 +378,35 @@ func TestCommAvoidTinyBlocksDeepHalo(t *testing.T) {
 	// Still exactly 2 exchange rounds per step.
 	if got := (ca.Count.HaloExchanges - 2) / 2; got != 2 {
 		t.Errorf("tiny-block CA exchanges/step = %d, want 2", got)
+	}
+}
+
+// TestSetupCheck: every process grid a run cannot build is an error from
+// Setup.Check, before any rank starts — including the exact pole mirror on a
+// grid that splits longitude circles, which newCore would otherwise panic on.
+func TestSetupCheck(t *testing.T) {
+	g := grid.New(48, 24, 8)
+	shifted := DefaultConfig()
+	shifted.ShiftedPoleMirror = true
+	for _, tc := range []struct {
+		name string
+		s    Setup
+		want string // "" = valid
+	}{
+		{"yz-2x2", Setup{Alg: AlgBaselineYZ, PA: 2, PB: 2, Cfg: DefaultConfig()}, ""},
+		{"ca-shifted-4x2", Setup{Alg: AlgCommAvoid, PA: 4, PB: 2, Cfg: shifted}, ""},
+		{"xy-shifted-1x2", Setup{Alg: AlgBaselineXY, PA: 1, PB: 2, Cfg: shifted}, ""},
+		{"xy-shifted-2x1", Setup{Alg: AlgBaselineXY, PA: 2, PB: 1, Cfg: shifted}, "ShiftedPoleMirror requires p_x = 1"},
+		{"3d-shifted-2x1x2", Setup{Alg: AlgBaseline3D, PA: 2, PB: 1, PC: 2, Cfg: shifted}, "ShiftedPoleMirror requires p_x = 1"},
+		{"yz-0x2", Setup{Alg: AlgBaselineYZ, PA: 0, PB: 2, Cfg: DefaultConfig()}, "process grid 0x2"},
+		{"yz-30x2", Setup{Alg: AlgBaselineYZ, PA: 30, PB: 2, Cfg: DefaultConfig()}, "process grid 30x2"},
+	} {
+		err := tc.s.Check(g)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: unexpected error %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
 }

@@ -37,7 +37,8 @@ type RunOpts struct {
 	// SnapshotEvery is the cadence of Snapshot in steps; <= 0 means only
 	// stop-triggered snapshots.
 	SnapshotEvery int
-	// Traced enables per-rank event tracing (see RunTraced).
+	// Traced enables per-rank event tracing; RunWithOpts then also returns
+	// the recorder for timeline rendering (internal/trace).
 	Traced bool
 	// Faults, if non-nil, installs a fault-injection profile (stragglers,
 	// message jitter, transient send errors) on the world before the run

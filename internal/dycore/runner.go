@@ -83,11 +83,17 @@ func (s Setup) procGrid() (px, py, pz int) {
 
 // Check reports whether the setup's process grid can split the mesh g:
 // every extent must be at least 1 and no larger than the mesh extent it
-// splits (the condition topo.New panics on). The error names the grid as the
-// setup states it, PA×PB (×PC for AlgBaseline3D).
+// splits (the condition topo.New panics on), and Cfg.ShiftedPoleMirror needs
+// full longitude circles per rank (p_x = 1, the condition newCore panics on).
+// The error names the grid as the setup states it, PA×PB (×PC for
+// AlgBaseline3D).
 func (s Setup) Check(g *grid.Grid) error {
 	px, py, pz := s.procGrid()
 	if min(px, py, pz) >= 1 && px <= g.Nx && py <= g.Ny && pz <= g.Nz {
+		if s.Cfg.ShiftedPoleMirror && px > 1 {
+			return fmt.Errorf("dycore: ShiftedPoleMirror requires p_x = 1 (full longitude circles per rank); process grid %dx%d has p_x = %d",
+				s.PA, s.PB, px)
+		}
 		return nil
 	}
 	switch s.Alg {
@@ -199,12 +205,6 @@ func Run(s Setup, g *grid.Grid, model comm.NetModel, init InitFunc, steps int) R
 func RunWithHook(s Setup, g *grid.Grid, model comm.NetModel, init InitFunc, steps int, hook StepHook) RunResult {
 	res, _ := runOnWorld(s, g, model, init, steps, RunOpts{Hook: hook})
 	return res
-}
-
-// RunTraced is RunWithHook with per-rank event tracing enabled; it also
-// returns the recorder for timeline rendering (internal/trace).
-func RunTraced(s Setup, g *grid.Grid, model comm.NetModel, init InitFunc, steps int, hook StepHook) (RunResult, *comm.Recorder) {
-	return runOnWorld(s, g, model, init, steps, RunOpts{Hook: hook, Traced: true})
 }
 
 // RunWithOpts is the fully controlled entry point: per-step progress,

@@ -53,11 +53,11 @@ func TestWorkingSetPerRank(t *testing.T) {
 				testInit(g, st)
 				ig.(StateSetter).SetState(st)
 				ig.Step()
-				c.Barrier()
+				barrier(c)
 				if c.Rank() == 0 {
 					live = heap() - before
 				}
-				c.Barrier()
+				barrier(c)
 				runtime.KeepAlive(ig)
 			})
 			perRank := float64(live) / float64(tc.s.Procs()) / 1e6

@@ -412,20 +412,6 @@ func (p *Plan) ForwardReal(src []float64, dst []complex128) []complex128 {
 	return dst
 }
 
-// InverseToReal inverts coefficients into dst, discarding the (numerically
-// tiny, for conjugate-symmetric spectra) imaginary parts.
-func (p *Plan) InverseToReal(coef []complex128, dst []float64) {
-	if len(coef) != p.n || len(dst) != p.n {
-		panic("fft: length mismatch in InverseToReal")
-	}
-	tmp := make([]complex128, p.n)
-	copy(tmp, coef)
-	p.Inverse(tmp)
-	for i := range dst {
-		dst[i] = real(tmp[i])
-	}
-}
-
 // NaiveDFT computes the forward DFT directly in O(n²); it exists as the
 // reference for tests.
 func NaiveDFT(x []complex128) []complex128 {

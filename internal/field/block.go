@@ -44,17 +44,6 @@ var boundaryReach = stencil.Union(
 	stencil.RadiusOf(stencil.Smoothing),
 )
 
-// Dims returns the owned extents (I1−I0, J1−J0, K1−K0).
-func (b Block) Dims() (nx, ny, nz int) {
-	return b.I1 - b.I0, b.J1 - b.J0, b.K1 - b.K0
-}
-
-// StorageDims returns the allocated extents including the stored halos.
-func (b Block) StorageDims() (sx, sy, sz int) {
-	w := b.WithHalo()
-	return w.I1 - w.I0, w.J1 - w.J0, w.K1 - w.K0
-}
-
 // OwnsFullX reports whether the block owns every longitude (the Y-Z
 // decomposition case), so x halos can be filled by local periodic copy.
 func (b Block) OwnsFullX() bool { return b.I0 == 0 && b.I1 == b.Nx }
@@ -76,17 +65,6 @@ func (b Block) WithHalo() Rect {
 		J1: minInt(b.J1+b.Hy, b.Ny+boundaryReach.Y),
 		K0: maxInt(b.K0-b.Hz, -boundaryReach.Z),
 		K1: minInt(b.K1+b.Hz, b.Nz+boundaryReach.Z),
-	}
-}
-
-// Shrink returns the owned region shrunk by d cells on every side in the
-// decomposed directions given; it is used to express "inner part" regions for
-// communication/computation overlap. Directions with width 0 are unchanged.
-func (r Rect) Shrink(dx, dy, dz int) Rect {
-	return Rect{
-		I0: r.I0 + dx, I1: r.I1 - dx,
-		J0: r.J0 + dy, J1: r.J1 - dy,
-		K0: r.K0 + dz, K1: r.K1 - dz,
 	}
 }
 

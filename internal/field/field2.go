@@ -62,9 +62,6 @@ func (f *F2) Set(i, j int, v float64) { f.Data[f.Index(i, j)] = v }
 // Add accumulates v at global point (i, j).
 func (f *F2) Add(i, j int, v float64) { f.Data[f.Index(i, j)] += v }
 
-// Strides returns the flat strides (dx, dy).
-func (f *F2) Strides() (dx, dy int) { return 1, f.sx }
-
 // Row returns the storage slice of latitude row j, indexed by local
 // offset: Row(j)[i − (I0 − Hx)] is the value at global (i, j); see F3.Row.
 func (f *F2) Row(j int) []float64 {

@@ -65,10 +65,6 @@ func (f *F3) Set(i, j, k int, v float64) { f.Data[f.Index(i, j, k)] = v }
 // Add accumulates v at global point (i, j, k).
 func (f *F3) Add(i, j, k int, v float64) { f.Data[f.Index(i, j, k)] += v }
 
-// Strides returns the flat strides (dx, dy, dz) such that moving one step in
-// each global direction moves the flat index by that amount.
-func (f *F3) Strides() (dx, dy, dz int) { return 1, f.sx, f.sx * f.sy }
-
 // Row returns the storage slice of the x-row at (j, k), indexed by
 // local offset: Row(j,k)[i − (I0 − Hx)] is the value at global (i, j, k).
 // Kernels use it to read rows with one bounds check instead of one per

@@ -56,15 +56,19 @@ func batchSeg(f3s []*field.F3, f2s []*field.F2, id batchRow, i0, n int) []float6
 	return fld.Data[base : base+n]
 }
 
-// ApplyDistBatch filters several 3-D fields and several 2-D fields in ONE
-// transpose round-trip: the x-segments of all fields' filtered rows are
-// concatenated into the same Alltoall payloads. A production X-Y
-// implementation batches this way — it pays the two Alltoalls once per
-// tendency instead of once per component, reducing the x-collective
-// synchronization count by the number of components.
+// ApplyDistBatch filters the owned region of several 3-D fields and several
+// 2-D fields in ONE transpose round-trip: the rank row (t.RowX) ships the
+// x-segments of all fields' filtered rows in the same Alltoall payloads, so
+// each member holds complete latitude rows, filters them, and a second
+// Alltoall scatters them back. A production X-Y implementation batches this
+// way — it pays the two Alltoalls once per tendency instead of once per
+// component. Only rows poleward of the cutoff enter the transpose.
+// Communication is attributed to comm.CatCollectiveX.
 //
-// Numerically identical to calling ApplyDist per field (the per-row FFTs do
-// not interact). Returns the number of complete rows this rank filtered.
+// The per-row FFTs do not interact, so the result equals Apply/Apply2 on
+// complete rows bit for bit. With p_x = 1 it is Apply/Apply2 on the owned
+// region, with no communication. Returns the number of rows this rank
+// filtered.
 func (f *Filter) ApplyDistBatch(t *topo.Topology, f3s []*field.F3, f2s []*field.F2) int {
 	rx := t.RowX
 	if rx == nil || rx.Size() == 1 {

@@ -9,21 +9,20 @@
 //     (p_x = 1, the Y-Z decomposition): no communication at all. This is the
 //     configuration the communication-avoiding algorithm selects (Section
 //     4.2.1, Theorem 4.1 with η_x = 0).
-//   - Distributed filtering when x is decomposed (the X-Y decomposition):
-//     a transpose (Alltoall on the x communicator) gathers complete rows,
-//     each rank filters its share, and a second transpose scatters them
-//     back. This is the collective whose cost dominates the lower bound
-//     (Theorem 4.1 with η_x = 1) and which the paper's scheme eliminates.
+//   - Distributed filtering when x is decomposed (the X-Y decomposition,
+//     ApplyDistBatch): a transpose (Alltoall on the x communicator) gathers
+//     complete rows, each rank filters its share, and a second transpose
+//     scatters them back. This is the collective whose cost dominates the
+//     lower bound (Theorem 4.1 with η_x = 1) and which the paper's scheme
+//     eliminates.
 package filter
 
 import (
 	"math"
 
-	"cadycore/internal/comm"
 	"cadycore/internal/fft"
 	"cadycore/internal/field"
 	"cadycore/internal/grid"
-	"cadycore/internal/topo"
 )
 
 // Filter holds the per-latitude wavenumber cutoffs and the FFT plan. The
@@ -71,33 +70,6 @@ func New(g *grid.Grid, cutoffLatDeg float64) *Filter {
 		f.mmax[j] = m
 	}
 	return f
-}
-
-// StableDt returns the largest time step (seconds) a signal of the given
-// phase speed (m/s) admits under a unit-Courant zonal CFL condition, with
-// and without this filter. Without filtering the polar rows dominate
-// (Δx = a·sinθ·Δλ shrinks toward the poles); with filtering, a row that
-// keeps only m ≤ m_max behaves like a row with effective spacing
-// Δx·(Nx/2)/m_max, so the cutoff latitude sets the limit — the
-// quantitative version of the paper's "severe CFL restriction … Fourier
-// filtering" discussion (Section 2.2).
-func (f *Filter) StableDt(speed float64) (unfiltered, filtered float64) {
-	g := f.g
-	const a = 6.371e6
-	minDx := a * g.SinC[0] * g.DLambda // smallest zonal spacing (polar row)
-	minEff := 1e30
-	half := float64(g.Nx / 2)
-	for j := 0; j < g.Ny; j++ {
-		dx := a * g.SinC[j] * g.DLambda
-		eff := dx * half / float64(f.mmax[j])
-		if dx < minDx {
-			minDx = dx
-		}
-		if eff < minEff {
-			minEff = eff
-		}
-	}
-	return minDx / speed, minEff / speed
 }
 
 // MMax returns the retained-wavenumber cutoff for (possibly ghost) latitude
@@ -176,175 +148,4 @@ func (f *Filter) Apply2(fld *field.F2, rect field.Rect) int {
 		rows++
 	}
 	return rows
-}
-
-// ApplyDist filters the owned region of fld when x is decomposed: the rank
-// row (t.RowX) transposes x-segments so each member holds complete latitude
-// rows, filters them, and transposes back. Communication is attributed to
-// comm.CatCollectiveX. Returns the number of transformed rows on this rank
-// after the transpose.
-//
-// Only rows that are actually filtered (poleward of the cutoff) enter the
-// transpose, mirroring how a production implementation only communicates
-// filtered latitudes.
-func (f *Filter) ApplyDist(t *topo.Topology, fld *field.F3) int {
-	rx := t.RowX
-	if rx == nil || rx.Size() == 1 {
-		return f.Apply(fld, fld.B.Owned())
-	}
-	prev := t.World.SetCategory(comm.CatCollectiveX)
-	defer t.World.SetCategory(prev)
-
-	b := fld.B
-	nx := f.g.Nx
-	px := rx.Size()
-	nxLoc := b.I1 - b.I0
-
-	// Enumerate the filtered rows of the owned region in (k, j) order; every
-	// member of the x row has the same list because blocks share (J, K).
-	type rowID struct{ j, k int }
-	var rows []rowID
-	for k := b.K0; k < b.K1; k++ {
-		for j := b.J0; j < b.J1; j++ {
-			if f.Active(j) {
-				rows = append(rows, rowID{j, k})
-			}
-		}
-	}
-	nrows := len(rows)
-	if nrows == 0 {
-		return 0
-	}
-
-	// Row q is processed by x-rank owner(q) = q·px/nrows block partition.
-	rowLo := func(r int) int { return r * nrows / px }
-	rowHi := func(r int) int { return (r + 1) * nrows / px }
-
-	// Transpose 1: send my x segment of each row to that row's owner. Peer r
-	// owns x range [r·nx/px, (r+1)·nx/px), whose length can differ from mine
-	// by one when px does not divide nx.
-	xSeg := func(r int) int { return (r+1)*nx/px - r*nx/px }
-	myLo, myHi := rowLo(rx.Rank()), rowHi(rx.Rank())
-	send := make([][]float64, px)
-	recv := make([][]float64, px)
-	for r := 0; r < px; r++ {
-		cnt := rowHi(r) - rowLo(r)
-		send[r] = make([]float64, cnt*nxLoc)
-		for q := rowLo(r); q < rowHi(r); q++ {
-			base := fld.Index(b.I0, rows[q].j, rows[q].k)
-			copy(send[r][(q-rowLo(r))*nxLoc:], fld.Data[base:base+nxLoc])
-		}
-		recv[r] = make([]float64, (myHi-myLo)*xSeg(r))
-	}
-	rx.Alltoall(send, recv)
-
-	// Assemble my complete rows and filter them.
-	full := make([][]float64, myHi-myLo)
-	for q := range full {
-		full[q] = make([]float64, nx)
-	}
-	for r := 0; r < px; r++ {
-		i0 := r * nx / px
-		segLen := xSeg(r)
-		for q := myLo; q < myHi; q++ {
-			copy(full[q-myLo][i0:i0+segLen], recv[r][(q-myLo)*segLen:])
-		}
-	}
-	for q := myLo; q < myHi; q++ {
-		f.FilterRow(full[q-myLo], rows[q].j)
-	}
-
-	// Transpose 2: scatter filtered segments back.
-	for r := 0; r < px; r++ {
-		i0 := r * nx / px
-		segLen := xSeg(r)
-		send[r] = make([]float64, (myHi-myLo)*segLen)
-		for q := myLo; q < myHi; q++ {
-			copy(send[r][(q-myLo)*segLen:], full[q-myLo][i0:i0+segLen])
-		}
-		recv[r] = make([]float64, (rowHi(r)-rowLo(r))*nxLoc)
-	}
-	rx.Alltoall(send, recv)
-	for r := 0; r < px; r++ {
-		for q := rowLo(r); q < rowHi(r); q++ {
-			base := fld.Index(b.I0, rows[q].j, rows[q].k)
-			copy(fld.Data[base:base+nxLoc], recv[r][(q-rowLo(r))*nxLoc:(q-rowLo(r))*nxLoc+nxLoc])
-		}
-	}
-	return myHi - myLo
-}
-
-// ApplyDist2 is ApplyDist for 2-D fields.
-func (f *Filter) ApplyDist2(t *topo.Topology, fld *field.F2) int {
-	rx := t.RowX
-	if rx == nil || rx.Size() == 1 {
-		return f.Apply2(fld, fld.B.Owned())
-	}
-	prev := t.World.SetCategory(comm.CatCollectiveX)
-	defer t.World.SetCategory(prev)
-
-	b := fld.B
-	nx := f.g.Nx
-	px := rx.Size()
-	nxLoc := b.I1 - b.I0
-
-	var rows []int
-	for j := b.J0; j < b.J1; j++ {
-		if f.Active(j) {
-			rows = append(rows, j)
-		}
-	}
-	nrows := len(rows)
-	if nrows == 0 {
-		return 0
-	}
-	rowLo := func(r int) int { return r * nrows / px }
-	rowHi := func(r int) int { return (r + 1) * nrows / px }
-	xSeg := func(r int) int { return (r+1)*nx/px - r*nx/px }
-	myLo, myHi := rowLo(rx.Rank()), rowHi(rx.Rank())
-
-	send := make([][]float64, px)
-	recv := make([][]float64, px)
-	for r := 0; r < px; r++ {
-		cnt := rowHi(r) - rowLo(r)
-		send[r] = make([]float64, cnt*nxLoc)
-		for q := rowLo(r); q < rowHi(r); q++ {
-			base := fld.Index(b.I0, rows[q])
-			copy(send[r][(q-rowLo(r))*nxLoc:], fld.Data[base:base+nxLoc])
-		}
-		recv[r] = make([]float64, (myHi-myLo)*xSeg(r))
-	}
-	rx.Alltoall(send, recv)
-
-	full := make([][]float64, myHi-myLo)
-	for q := range full {
-		full[q] = make([]float64, nx)
-	}
-	for r := 0; r < px; r++ {
-		i0 := r * nx / px
-		segLen := xSeg(r)
-		for q := myLo; q < myHi; q++ {
-			copy(full[q-myLo][i0:i0+segLen], recv[r][(q-myLo)*segLen:])
-		}
-	}
-	for q := myLo; q < myHi; q++ {
-		f.FilterRow(full[q-myLo], rows[q])
-	}
-	for r := 0; r < px; r++ {
-		i0 := r * nx / px
-		segLen := xSeg(r)
-		send[r] = make([]float64, (myHi-myLo)*segLen)
-		for q := myLo; q < myHi; q++ {
-			copy(send[r][(q-myLo)*segLen:], full[q-myLo][i0:i0+segLen])
-		}
-		recv[r] = make([]float64, (rowHi(r)-rowLo(r))*nxLoc)
-	}
-	rx.Alltoall(send, recv)
-	for r := 0; r < px; r++ {
-		for q := rowLo(r); q < rowHi(r); q++ {
-			base := fld.Index(b.I0, rows[q])
-			copy(fld.Data[base:base+nxLoc], recv[r][(q-rowLo(r))*nxLoc:(q-rowLo(r))*nxLoc+nxLoc])
-		}
-	}
-	return myHi - myLo
 }

@@ -186,7 +186,7 @@ func TestDistributedMatchesSerial(t *testing.T) {
 				}
 			}
 			f := New(g, 60)
-			f.ApplyDist(tp, fld)
+			f.ApplyDistBatch(tp, []*field.F3{fld}, nil)
 			for k := b.K0; k < b.K1; k++ {
 				for j := b.J0; j < b.J1; j++ {
 					for i := b.I0; i < b.I1; i++ {
@@ -234,7 +234,7 @@ func TestDistributed2DMatchesSerial(t *testing.T) {
 			}
 		}
 		f := New(g, 60)
-		f.ApplyDist2(tp, fld)
+		f.ApplyDistBatch(tp, nil, []*field.F2{fld})
 		for j := b.J0; j < b.J1; j++ {
 			for i := b.I0; i < b.I1; i++ {
 				if got, want := fld.At(i, j), ser.At(i, j); got != want {
@@ -254,7 +254,7 @@ func TestSerialFilterNoComm(t *testing.T) {
 		tp := topo.New(c, g, 1, 2, 1, 3, 1, 1)
 		fld := field.NewF3(tp.Block)
 		f := New(g, 60)
-		f.ApplyDist(tp, fld) // falls back to the serial path when RowX is trivial
+		f.ApplyDistBatch(tp, []*field.F3{fld}, nil) // the serial path when RowX is trivial
 	})
 	if got := w.Stats().MsgsByCat[comm.CatCollectiveX]; got != 0 {
 		t.Errorf("p_x = 1 filter sent %d messages, want 0", got)
@@ -285,8 +285,9 @@ func TestFilterTruncatesSpectrum(t *testing.T) {
 }
 
 func TestBatchedMatchesPerField(t *testing.T) {
-	// One transpose round-trip for all fields must equal per-field
-	// filtering bitwise, while entering fewer collectives.
+	// One transpose round-trip for all fields must equal serial per-field
+	// filtering of complete rows bitwise, and enter exactly two Alltoalls on
+	// every member of each x-row communicator.
 	g := testGrid()
 	rng := rand.New(rand.NewSource(10))
 	global := make([]float64, 4*g.Nx*g.Ny*g.Nz)
@@ -294,97 +295,71 @@ func TestBatchedMatchesPerField(t *testing.T) {
 		global[i] = rng.NormFloat64()
 	}
 	at := func(f, i, j, k int) float64 { return global[((f*g.Nz+k)*g.Ny+j)*g.Nx+i] }
-
-	const px, py = 4, 2
-	type result struct {
-		data  [][]float64
-		colls int64
-	}
-	runMode := func(batched bool) result {
-		w := comm.NewWorld(px*py, comm.Zero())
-		out := make([][]float64, px*py)
-		w.Run(func(c *comm.Comm) {
-			tp := topo.New(c, g, px, py, 1, 3, 1, 1)
-			b := tp.Block
-			mk := func(fi int) *field.F3 {
-				fld := field.NewF3(b)
-				for k := b.K0; k < b.K1; k++ {
-					for j := b.J0; j < b.J1; j++ {
-						for i := b.I0; i < b.I1; i++ {
-							fld.Set(i, j, k, at(fi, i, j, k))
-						}
-					}
-				}
-				return fld
-			}
-			a, bb, cc := mk(0), mk(1), mk(2)
-			f2 := field.NewF2(b)
+	fill3 := func(fld *field.F3, fi int) {
+		b := fld.B
+		for k := b.K0; k < b.K1; k++ {
 			for j := b.J0; j < b.J1; j++ {
 				for i := b.I0; i < b.I1; i++ {
-					f2.Set(i, j, at(3, i, j, 0))
+					fld.Set(i, j, k, at(fi, i, j, k))
 				}
-			}
-			f := New(g, 60)
-			if batched {
-				f.ApplyDistBatch(tp, []*field.F3{a, bb, cc}, []*field.F2{f2})
-			} else {
-				f.ApplyDist(tp, a)
-				f.ApplyDist(tp, bb)
-				f.ApplyDist(tp, cc)
-				f.ApplyDist2(tp, f2)
-			}
-			var flat []float64
-			for _, fld := range []*field.F3{a, bb, cc} {
-				for k := b.K0; k < b.K1; k++ {
-					for j := b.J0; j < b.J1; j++ {
-						for i := b.I0; i < b.I1; i++ {
-							flat = append(flat, fld.At(i, j, k))
-						}
-					}
-				}
-			}
-			for j := b.J0; j < b.J1; j++ {
-				for i := b.I0; i < b.I1; i++ {
-					flat = append(flat, f2.At(i, j))
-				}
-			}
-			out[c.Rank()] = flat
-		})
-		return result{out, w.Stats().Collectives}
-	}
-	perField := runMode(false)
-	batched := runMode(true)
-	for r := range perField.data {
-		for i := range perField.data[r] {
-			if perField.data[r][i] != batched.data[r][i] {
-				t.Fatalf("rank %d elem %d: batched %v != per-field %v",
-					r, i, batched.data[r][i], perField.data[r][i])
 			}
 		}
 	}
-	if batched.colls*2 > perField.colls {
-		t.Errorf("batched entered %d collectives, per-field %d — batching should cut them ~4x",
-			batched.colls, perField.colls)
+	fill2 := func(fld *field.F2) {
+		b := fld.B
+		for j := b.J0; j < b.J1; j++ {
+			for i := b.I0; i < b.I1; i++ {
+				fld.Set(i, j, at(3, i, j, 0))
+			}
+		}
 	}
-}
 
-func TestStableDtFilterRelaxesCFL(t *testing.T) {
-	g := grid.New(128, 64, 4) // fine mesh: strong polar clustering
-	f := New(g, 60)
-	unf, fil := f.StableDt(100)
-	if unf <= 0 || fil <= 0 {
-		t.Fatalf("degenerate CFL: %v %v", unf, fil)
+	// Serial reference: Apply/Apply2 on full-circle fields.
+	fser := New(g, 60)
+	ser := make([]*field.F3, 3)
+	for fi := range ser {
+		ser[fi] = field.NewF3(fullBlock(g))
+		fill3(ser[fi], fi)
+		fser.Apply(ser[fi], fullBlock(g).Owned())
 	}
-	// Filtering must relax the limit substantially: the polar row keeps
-	// only ~sinθ/sinθc of the wavenumbers.
-	if fil < 3*unf {
-		t.Errorf("filter relaxed CFL only %vx (unfiltered %v s, filtered %v s)", fil/unf, unf, fil)
-	}
-	// The filtered limit is set near the cutoff latitude: effective spacing
-	// ≈ a·sin(30° colat)·Δλ.
-	approx := 6.371e6 * math.Sin(30*math.Pi/180) * g.DLambda / 100
-	if fil < 0.5*approx || fil > 2*approx {
-		t.Errorf("filtered CFL %v s far from the cutoff-latitude estimate %v s", fil, approx)
+	ser2 := field.NewF2(fullBlock(g))
+	fill2(ser2)
+	fser.Apply2(ser2, fullBlock(g).Owned())
+
+	const px, py = 4, 2
+	w := comm.NewWorld(px*py, comm.Zero())
+	w.Run(func(c *comm.Comm) {
+		tp := topo.New(c, g, px, py, 1, 3, 1, 1)
+		b := tp.Block
+		f3s := make([]*field.F3, 3)
+		for fi := range f3s {
+			f3s[fi] = field.NewF3(b)
+			fill3(f3s[fi], fi)
+		}
+		f2 := field.NewF2(b)
+		fill2(f2)
+		New(g, 60).ApplyDistBatch(tp, f3s, []*field.F2{f2})
+		for fi, fld := range f3s {
+			for k := b.K0; k < b.K1; k++ {
+				for j := b.J0; j < b.J1; j++ {
+					for i := b.I0; i < b.I1; i++ {
+						if got, want := fld.At(i, j, k), ser[fi].At(i, j, k); got != want {
+							t.Fatalf("rank %d field %d (%d,%d,%d): batched %v != serial %v", c.Rank(), fi, i, j, k, got, want)
+						}
+					}
+				}
+			}
+		}
+		for j := b.J0; j < b.J1; j++ {
+			for i := b.I0; i < b.I1; i++ {
+				if got, want := f2.At(i, j), ser2.At(i, j); got != want {
+					t.Fatalf("rank %d 2-D (%d,%d): batched %v != serial %v", c.Rank(), i, j, got, want)
+				}
+			}
+		}
+	})
+	if got, want := w.Stats().CollByCat[comm.CatCollectiveX], int64(2*px*py); got != want {
+		t.Errorf("batched filter entered %d x-collectives over %d ranks, want two per rank (%d)", got, px*py, want)
 	}
 }
 
@@ -405,7 +380,10 @@ func TestFilterRowMatchesComplexReference(t *testing.T) {
 		for m := f.MMax(j) + 1; m <= g.Nx-f.MMax(j)-1; m++ {
 			coef[m] = 0
 		}
-		plan.InverseToReal(coef, ref)
+		plan.Inverse(coef)
+		for i, v := range coef {
+			ref[i] = real(v)
+		}
 
 		f.FilterRow(row, j)
 		for i := range row {

@@ -189,15 +189,6 @@ func CheckSigma(sigmaI []float64) error {
 	return nil
 }
 
-// WrapX maps an arbitrary (possibly negative) longitude index into [0, Nx).
-func (g *Grid) WrapX(i int) int {
-	i %= g.Nx
-	if i < 0 {
-		i += g.Nx
-	}
-	return i
-}
-
 // LatitudeDeg returns the geographic latitude in degrees of cell-center row
 // j: +90° at the north pole (θ = 0) to −90° at the south pole (θ = π).
 func (g *Grid) LatitudeDeg(j int) float64 {
@@ -210,19 +201,6 @@ func (g *Grid) CellArea(j int) float64 {
 	const a = earthRadius
 	return a * a * g.SinC[j] * g.DTheta * g.DLambda
 }
-
-// TotalArea returns the total surface area represented by the mesh weights,
-// Σ_{i,j} CellArea(j). It approaches 4πa² as Ny grows.
-func (g *Grid) TotalArea() float64 {
-	sum := 0.0
-	for j := 0; j < g.Ny; j++ {
-		sum += g.CellArea(j)
-	}
-	return sum * float64(g.Nx)
-}
-
-// Points returns the total number of mesh points Nx·Ny·Nz.
-func (g *Grid) Points() int { return g.Nx * g.Ny * g.Nz }
 
 // String implements fmt.Stringer.
 func (g *Grid) String() string {

@@ -28,7 +28,7 @@ func DefaultAdaptConfig() AdaptConfig { return AdaptConfig{KappaStar: 1} }
 //
 // over rect r (dV additionally skips pole interfaces, where V ≡ 0). Inputs:
 // st valid on r expanded by the Table-1 radii, sur recomputed from st.Psa,
-// cres from CSum. The z reads are one-sided (k and k+1 only), which is what
+// cres from CSumWith. The z reads are one-sided (k and k+1 only), which is what
 // licenses the asymmetric deep halo. Returns points updated.
 func Adaptation(g *grid.Grid, cfg AdaptConfig, st *state.State, sur *Surface, cres *CRes, out *Tendency, r field.Rect) int {
 	return Adaptation3D(g, st, sur, cres, out, r) + AdaptationPsa(g, cfg, st, cres, out, r)

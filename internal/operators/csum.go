@@ -84,7 +84,7 @@ func DivP(g *grid.Grid, u, v *field.F3, sur *Surface, out *field.F3, r field.Rec
 	return r.Count()
 }
 
-// CSumScratch holds the work planes of CSum. One instance per integrator
+// CSumScratch holds the work planes of CSumWith. One instance per integrator
 // makes the vertical summation allocation-free in steady state; the slices
 // grow on demand to the largest plane seen.
 type CSumScratch struct {
@@ -100,7 +100,7 @@ func grown(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// CSum executes the collective part of Ĉ: given D(P) on the horizontal rect
+// CSumWith executes the collective part of Ĉ: given D(P) on the horizontal rect
 // hr (for every locally stored vertical level within [loK, hiK)), it reduces
 // the Δσ-weighted vertical sums across the z communicator and assembles
 // DBar and the interface fluxes PWI into res.
@@ -115,19 +115,10 @@ func grown(s []float64, n int) []float64 {
 //
 // loK/hiK bound the vertical range over which divP holds valid data
 // (beyond the owned range for deep-halo execution); they are clamped to the
-// global domain. Returns points updated (for compute accounting).
-func CSum(g *grid.Grid, cz *comm.Comm, world *comm.Comm, divP *field.F3, res *CRes, hr field.Rect, loK, hiK int) int {
-	return CSumWith(g, cz, world, divP, res, hr, loK, hiK, nil)
-}
-
-// CSumWith is CSum with caller-held scratch (nil allocates fresh planes,
-// which is what the convenience wrapper above does — fine for tests,
-// expensive inside a time-step loop).
+// global domain. sc is caller-held scratch, grown on first use and reused
+// afterwards. Returns points updated (for compute accounting).
 func CSumWith(g *grid.Grid, cz *comm.Comm, world *comm.Comm, divP *field.F3, res *CRes, hr field.Rect, loK, hiK int, sc *CSumScratch) int {
 	b := res.B
-	if sc == nil {
-		sc = &CSumScratch{}
-	}
 	if loK < 0 {
 		loK = 0
 	}

@@ -38,7 +38,7 @@ func TestCSumTotalsAndBoundaries(t *testing.T) {
 	divp := field.NewF3(b)
 	DivP(g, st.U, st.V, sur, divp, b.Owned())
 	cres := NewCRes(b)
-	CSum(g, nil, nil, divp, cres, b.Owned(), 0, g.Nz)
+	CSumWith(g, nil, nil, divp, cres, b.Owned(), 0, g.Nz, &CSumScratch{})
 
 	for j := 0; j < g.Ny; j++ {
 		for i := 0; i < g.Nx; i++ {
@@ -70,7 +70,7 @@ func TestCSumParallelMatchesSerial(t *testing.T) {
 	divpSer := field.NewF3(bSer)
 	DivP(g, stSer.U, stSer.V, surSer, divpSer, bSer.Owned())
 	serial := NewCRes(bSer)
-	CSum(g, nil, nil, divpSer, serial, bSer.Owned(), 0, g.Nz)
+	CSumWith(g, nil, nil, divpSer, serial, bSer.Owned(), 0, g.Nz, &CSumScratch{})
 
 	for _, pz := range []int{2, 3} {
 		w := comm.NewWorld(pz, comm.Zero())
@@ -86,7 +86,7 @@ func TestCSumParallelMatchesSerial(t *testing.T) {
 			divp := field.NewF3(tp.Block)
 			DivP(g, st.U, st.V, sur, divp, tp.Block.Owned())
 			cres := NewCRes(tp.Block)
-			CSum(g, tp.ColZ, tp.World, divp, cres, tp.Block.Owned(), tp.Block.K0, tp.Block.K1)
+			CSumWith(g, tp.ColZ, tp.World, divp, cres, tp.Block.Owned(), tp.Block.K0, tp.Block.K1, &CSumScratch{})
 			b := tp.Block
 			for j := 0; j < g.Ny; j++ {
 				for i := 0; i < g.Nx; i++ {
@@ -429,7 +429,7 @@ func TestCSumDeepHaloRegionMatchesSerial(t *testing.T) {
 		divp := field.NewF3(tp.Block)
 		DivP(g, st.U, st.V, sur, divp, r)
 		cres := NewCRes(tp.Block)
-		CSum(g, tp.ColZ, tp.World, divp, cres, r, r.K0, r.K1)
+		CSumWith(g, tp.ColZ, tp.World, divp, cres, r, r.K0, r.K1, &CSumScratch{})
 
 		for j := 0; j < g.Ny; j++ {
 			for i := 0; i < g.Nx; i++ {

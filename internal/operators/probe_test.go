@@ -50,7 +50,7 @@ func prepare(g *grid.Grid, st *state.State) (*Surface, *CRes, *field.F3) {
 	DivP(g, st.U, st.V, sur, divp, owned)
 	field.FillVerticalZ(divp)
 	cres := NewCRes(b)
-	CSum(g, nil, nil, divp, cres, owned, 0, g.Nz)
+	CSumWith(g, nil, nil, divp, cres, owned, 0, g.Nz, &CSumScratch{})
 	cres.PWI.FillXPeriodic()
 	cres.DBar.FillXPeriodic()
 	field.FillPolesY(cres.PWI, field.Even, field.CenterY)

@@ -222,6 +222,11 @@ func refAdvection(g *grid.Grid, st *state.State, sur *Surface, cres *CRes, out *
 	}
 }
 
+// delta4X returns (δ⁴_λ φ) at (i, j, k): φ_{i−2} − 4φ_{i−1} + 6φ_i − 4φ_{i+1} + φ_{i+2}.
+func delta4X(f *field.F3, i, j, k int) float64 {
+	return f.At(i-2, j, k) - 4*f.At(i-1, j, k) + 6*f.At(i, j, k) - 4*f.At(i+1, j, k) + f.At(i+2, j, k)
+}
+
 // refP1 and refP2Former are the smoothing kernels with accessors.
 func refP1(s *Smoother, in, out *field.F3, r field.Rect) {
 	c := s.beta / 16

@@ -53,15 +53,6 @@ func NewSmoother(g *grid.Grid, beta float64) *Smoother {
 // Beta returns the smoothing coefficient.
 func (s *Smoother) Beta() float64 { return s.beta }
 
-// delta4X returns (δ⁴_λ φ) at (i, j, k): φ_{i−2} − 4φ_{i−1} + 6φ_i − 4φ_{i+1} + φ_{i+2}.
-func delta4X(f *field.F3, i, j, k int) float64 {
-	return f.At(i-2, j, k) - 4*f.At(i-1, j, k) + 6*f.At(i, j, k) - 4*f.At(i+1, j, k) + f.At(i+2, j, k)
-}
-
-func delta4X2(f *field.F2, i, j int) float64 {
-	return f.At(i-2, j) - 4*f.At(i-1, j) + 6*f.At(i, j) - 4*f.At(i+1, j) + f.At(i+2, j)
-}
-
 // P1Field applies P1 (x-only smoothing) of in into out over rect r. Inputs
 // must be valid on r expanded by 2 in x.
 func (s *Smoother) P1Field(in, out *field.F3, r field.Rect) int {

@@ -359,7 +359,7 @@ func (e *Exchanger) Begin(f3s []*field.F3, f2s []*field.F2) *Pending {
 				n += f.Pack(rc, buf[n:])
 			}
 			if n > 0 {
-				c.Isend(pr.rank, tagF3Base+fi, buf[:n])
+				c.Send(pr.rank, tagF3Base+fi, buf[:n])
 			}
 		}
 	}
@@ -370,7 +370,7 @@ func (e *Exchanger) Begin(f3s []*field.F3, f2s []*field.F2) *Pending {
 				n += f.Pack(rc, buf[n:])
 			}
 			if n > 0 {
-				c.Isend(pr.rank, tagF2Base+fi, buf[:n])
+				c.Send(pr.rank, tagF2Base+fi, buf[:n])
 			}
 		}
 	}
@@ -439,8 +439,3 @@ const (
 
 // ExchangeDepths returns the exchange depths.
 func (e *Exchanger) ExchangeDepths() Depths { return e.d }
-
-// PeerCount returns the number of ranks this rank exchanges 3-D halos with
-// (the paper's "eight neighbors" in the decomposed plane, for shallow
-// depths).
-func (e *Exchanger) PeerCount() int { return len(e.peers) }

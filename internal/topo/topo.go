@@ -174,11 +174,6 @@ func (t *Topology) BlockOf(rank int) field.Block {
 	}
 }
 
-// CoordsOf returns the process-grid coordinates of a rank.
-func (t *Topology) CoordsOf(rank int) (cx, cy, cz int) {
-	return rank % t.Px, (rank / t.Px) % t.Py, rank / (t.Px * t.Py)
-}
-
 // RankAt returns the rank at process-grid coordinates.
 func (t *Topology) RankAt(cx, cy, cz int) int {
 	return (cz*t.Py+cy)*t.Px + cx

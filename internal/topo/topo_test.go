@@ -2,6 +2,7 @@ package topo
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -20,9 +21,8 @@ func TestTopologyLayout(t *testing.T) {
 		if tp.RankAt(tp.Cx, tp.Cy, tp.Cz) != c.Rank() {
 			t.Errorf("rank %d: coords roundtrip failed", c.Rank())
 		}
-		cx, cy, cz := tp.CoordsOf(c.Rank())
-		if cx != tp.Cx || cy != tp.Cy || cz != tp.Cz {
-			t.Errorf("CoordsOf mismatch")
+		if r := c.Rank(); tp.Cx != r%px || tp.Cy != (r/px)%py || tp.Cz != r/(px*py) {
+			t.Errorf("rank %d: coords (%d,%d,%d) are not x-fastest", r, tp.Cx, tp.Cy, tp.Cz)
 		}
 		// Sub-communicator shapes.
 		if tp.RowX.Size() != px || tp.ColZ.Size() != pz {
@@ -64,7 +64,7 @@ func TestTopologyLayout(t *testing.T) {
 
 // fillGlobal sets f(i,j,k) = encode(i,j,k) over the owned region.
 func encode(g *grid.Grid, i, j, k int) float64 {
-	return float64((k*g.Ny+j)*g.Nx + g.WrapX(i))
+	return float64((k*g.Ny+j)*g.Nx + (i%g.Nx+g.Nx)%g.Nx)
 }
 
 func fillOwned(g *grid.Grid, f *field.F3) {
@@ -150,8 +150,8 @@ func TestDeepExchangeSpansMultipleBlocks(t *testing.T) {
 		f := field.NewF3(tp.Block)
 		fillOwned(g, f)
 		ex := tp.NewExchanger(0, 5, 0)
-		if c.Rank() == 2 && ex.PeerCount() < 4 {
-			t.Errorf("deep halo should span ≥4 peers, got %d", ex.PeerCount())
+		if c.Rank() == 2 && len(ex.peers) < 4 {
+			t.Errorf("deep halo should span ≥4 peers, got %d", len(ex.peers))
 		}
 		ex.Exchange([]*field.F3{f}, nil)
 		checkHalo(t, g, f, 0, 5, 0)
@@ -298,8 +298,8 @@ func TestEightNeighborsInPlane(t *testing.T) {
 		tp := New(c, g, 1, py, pz, 0, 1, 1)
 		ex := tp.NewExchanger(0, 1, 1)
 		interior := tp.Cy > 0 && tp.Cy < py-1 && tp.Cz > 0 && tp.Cz < pz-1
-		if interior && ex.PeerCount() != 8 {
-			t.Errorf("interior rank (%d,%d) has %d peers, want 8", tp.Cy, tp.Cz, ex.PeerCount())
+		if interior && len(ex.peers) != 8 {
+			t.Errorf("interior rank (%d,%d) has %d peers, want 8", tp.Cy, tp.Cz, len(ex.peers))
 		}
 	})
 }
@@ -357,7 +357,9 @@ func TestExchangerGeometryValidatedAgainstStorage(t *testing.T) {
 			t.Errorf("rank %d: NewExchanger(0,%d,%d) refused: %s", c.Rank(), hy, hz, msg)
 			built = 0
 		}
-		if c.AllreduceScalar(built, comm.Min) == 1 { // exchange only if no rank would be left waiting
+		all := make([]float64, c.Size())
+		c.Allgather([]float64{built}, all)
+		if slices.Min(all) == 1 { // exchange only if no rank would be left waiting
 			f := field.NewF3(tp.Block)
 			fillOwned(g, f)
 			ex.Exchange([]*field.F3{f}, nil)

@@ -21,7 +21,7 @@ func TestRenderSyntheticEvents(t *testing.T) {
 			c.Compute(2) // 2 ms of compute
 			c.Send(1, 0, []float64{1})
 		} else {
-			c.Recv(0, 0) // waits ~3 ms
+			c.RecvInto(0, 0, make([]float64, 1)) // waits ~3 ms
 			c.Compute(1)
 		}
 	})
@@ -66,7 +66,7 @@ func TestUtilizationSumsToOne(t *testing.T) {
 	rec := w.EnableTrace()
 	w.Run(func(c *comm.Comm) {
 		c.Compute(float64(1 + c.Rank()))
-		c.Barrier()
+		c.Allgather([]float64{0}, make([]float64, c.Size()))
 	})
 	u := Utilization(rec)
 	sum := u["compute"] + u["comm"] + u["idle"]
@@ -86,8 +86,8 @@ func TestDycoreTimelineShowsAlgorithmStructure(t *testing.T) {
 	cfg.M = 2
 	cfg.Dt1, cfg.Dt2 = 30, 180
 
-	_, rec := dycore.RunTraced(dycore.Setup{Alg: dycore.AlgCommAvoid, PA: 2, PB: 2, Cfg: cfg},
-		g, comm.TianheLike(), heldsuarez.InitialState, 1, nil)
+	_, rec := dycore.RunWithOpts(dycore.Setup{Alg: dycore.AlgCommAvoid, PA: 2, PB: 2, Cfg: cfg},
+		g, comm.TianheLike(), heldsuarez.InitialState, 1, dycore.RunOpts{Traced: true})
 	tl := Render(rec, 120)
 	joined := strings.Join(tl.Rows, "")
 	if !strings.Contains(joined, "z") || !strings.Contains(joined, "s") || !strings.Contains(joined, "#") {
@@ -97,8 +97,8 @@ func TestDycoreTimelineShowsAlgorithmStructure(t *testing.T) {
 		t.Error("CA timeline shows x-collectives (p_x = 1 must make F̃ local)")
 	}
 
-	_, rec2 := dycore.RunTraced(dycore.Setup{Alg: dycore.AlgBaselineXY, PA: 2, PB: 2, Cfg: cfg},
-		g, comm.TianheLike(), heldsuarez.InitialState, 1, nil)
+	_, rec2 := dycore.RunWithOpts(dycore.Setup{Alg: dycore.AlgBaselineXY, PA: 2, PB: 2, Cfg: cfg},
+		g, comm.TianheLike(), heldsuarez.InitialState, 1, dycore.RunOpts{Traced: true})
 	tl2 := Render(rec2, 120)
 	joined2 := strings.Join(tl2.Rows, "")
 	if !strings.Contains(joined2, "x") {

@@ -109,7 +109,6 @@ func colCosts(g *grid.Grid, cfg dycore.Config, prof Profile, c Candidate) (compC
 	rowComp := rowCosts(g, cfg, prof, c)
 	n := countsOf(cfg, c)
 	hy, hz := c.halo()
-	cal := prof.Calib()
 
 	compCols = make([]float64, py)
 	commCols = make([]float64, py)
@@ -126,7 +125,7 @@ func colCosts(g *grid.Grid, cfg dycore.Config, prof Profile, c Candidate) (compC
 		// fieldsPerExchange components.
 		yFace := float64(2*hy*nx*layers) * boolF(py > 1)
 		zFace := float64(hz*nx*rows) * boolF(pz > 1)
-		round := cal.Alpha + cal.Beta*8*fieldsPerExchange*(yFace+zFace)
+		round := prof.Alpha + prof.Beta*8*fieldsPerExchange*(yFace+zFace)
 		if !cfg.NoOverlap {
 			// Overlapped exchange (§5.3 refinement): each Begin/Finish round
 			// hides its flight time behind the interior share of the sweep it
@@ -143,8 +142,8 @@ func colCosts(g *grid.Grid, cfg dycore.Config, prof Profile, c Candidate) (compC
 		// rank's nx·rows plane costs ~2 plane transfers times log pz.
 		if pz > 1 {
 			plane := float64(nx * rows)
-			comm += n.cEvals * (cal.Alpha*math.Ceil(math.Log2(float64(pz))) +
-				cal.Beta*8*2*plane*math.Log2(float64(pz)))
+			comm += n.cEvals * (prof.Alpha*math.Ceil(math.Log2(float64(pz))) +
+				prof.Beta*8*2*plane*math.Log2(float64(pz)))
 		}
 
 		compCols[cy] = comp

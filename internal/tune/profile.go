@@ -19,7 +19,6 @@ import (
 	"fmt"
 
 	"cadycore/internal/comm"
-	"cadycore/internal/costmodel"
 )
 
 // Profile is the machine the planner prices and pilots: the LogP constants
@@ -45,11 +44,6 @@ func (p Profile) NetModel() comm.NetModel {
 		SendOverhead: p.Overhead,
 		ComputeRate:  p.ComputeRate,
 	}
-}
-
-// Calib projects the profile onto the calibrated cost-model constants.
-func (p Profile) Calib() costmodel.Calib {
-	return costmodel.Calib{Alpha: p.Alpha, Beta: p.Beta}
 }
 
 // Hash returns a short stable digest of the profile; it keys the plan cache
