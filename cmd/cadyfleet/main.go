@@ -13,8 +13,8 @@
 //	          [-max-migrations 3]
 //
 // Every backend must run cadyserved with -shared pointing at the same -store
-// directory; it is both the migration substrate (checkpoints dual-written by
-// the backends) and where the coordinator persists its routing state
+// directory; it is both the migration substrate (every fleet job checkpoints
+// there, and only there) and where the coordinator persists its routing state
 // (fleet.json), so a restarted coordinator reconciles rather than restarts.
 //
 // Endpoints (the job API mirrors cadyserved):

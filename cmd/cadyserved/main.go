@@ -15,10 +15,12 @@
 // workers take queued jobs in weighted-fair order over the tenants' classes
 // (high:4, normal:2, low:1; -classes, default normal).
 //
-// With -shared, the daemon attaches a shared checkpoint store (a directory
-// all fleet backends mount): jobs submitted with a shared_key dual-write
-// their checkpoints there and resume from the newest shared snapshot when
-// they arrive with no local state — the cadyfleet migration path.
+// A job's checkpoint lives in one place. With -shared, the daemon attaches a
+// shared checkpoint store (a directory all fleet backends mount): a job
+// submitted with a shared_key checkpoints only there and resumes from the
+// newest snapshot there, whichever backend wrote it — the cadyfleet
+// migration path. Any other job checkpoints to <dir>/<id>/snap.ck with -dir,
+// or in memory until it completes without it.
 //
 // With -chaos, the JSON fault plan (see internal/fault: rank crashes at
 // given steps, stragglers, message jitter, transient send errors) is
@@ -63,8 +65,8 @@ func main() {
 	addr := flag.String("addr", ":8080", "HTTP listen address")
 	workers := flag.Int("workers", 2, "concurrent job executors")
 	queue := flag.Int("queue", 16, "admission queue bound")
-	dir := flag.String("dir", "", "persistence directory for specs and checkpoints (empty = in-memory)")
-	shared := flag.String("shared", "", "shared fleet checkpoint-store directory (empty = none)")
+	dir := flag.String("dir", "", "persistence directory for job specs, metadata and the checkpoints of jobs without a shared_key (empty = in-memory)")
+	shared := flag.String("shared", "", "shared fleet checkpoint-store directory, where shared_key jobs checkpoint (empty = none)")
 	drainTimeout := flag.Duration("drain-timeout", 2*time.Minute, "max wait for jobs to checkpoint on shutdown")
 	chaos := flag.String("chaos", "", "fault-injection plan (JSON) applied to every run job")
 	maxRestarts := flag.Int("max-restarts", 0, "automatic restarts per crashed job (0 = default policy of 3, negative = none)")

@@ -141,12 +141,7 @@ func main() {
 
 	init := dycore.InitFunc(heldsuarez.InitialState)
 	if *loadFile != "" {
-		var snap *checkpoint.Global
-		fh, err := os.Open(*loadFile)
-		if err == nil {
-			snap, err = checkpoint.Read(fh)
-			fh.Close()
-		}
+		snap, err := checkpoint.ReadFile(*loadFile)
 		if err == nil && (snap.Nx != *nx || snap.Ny != *ny || snap.Nz != *nz) {
 			err = fmt.Errorf("%s holds a %dx%dx%d mesh, but -nx/-ny/-nz ask for %dx%dx%d",
 				*loadFile, snap.Nx, snap.Ny, snap.Nz, *nx, *ny, *nz)

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"hash/crc64"
 	"io"
+	"os"
 	"slices"
 
 	"cadycore/internal/field"
@@ -169,6 +170,16 @@ func (gl *Global) Write(w io.Writer) error {
 		return err
 	}
 	return bw.Flush()
+}
+
+// ReadFile reads and verifies the snapshot file at path.
+func ReadFile(path string) (*Global, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return Read(f)
 }
 
 // Read deserializes and verifies a snapshot.

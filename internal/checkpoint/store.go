@@ -4,6 +4,7 @@ package checkpoint
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -104,13 +105,7 @@ func (d *DirStore) Latest(key string) (*Global, int, error) {
 		return nil, 0, err
 	}
 	for i := len(steps) - 1; i >= 0; i-- {
-		f, err := os.Open(d.path(key, steps[i]))
-		if err != nil {
-			continue
-		}
-		gl, err := Read(f)
-		f.Close()
-		if err == nil {
+		if gl, err := ReadFile(d.path(key, steps[i])); err == nil {
 			return gl, steps[i], nil
 		}
 	}
@@ -173,51 +168,41 @@ func parseSnapName(name string) (key string, step int, ok bool) {
 // --- durable write helpers --------------------------------------------------
 //
 // The crash-safety protocol every durable artifact in the module uses:
-// write a temp file in the destination directory, fsync it, rename over the
-// target, fsync the parent directory. A crash at any point leaves either the
-// old or the new file, never a torn or lost one.
+// write a uniquely named temp file in the destination directory, fsync it,
+// rename it over the target, fsync the parent directory. A crash at any
+// point leaves either the old or the new file, never a torn or lost one,
+// and writers racing on one path each rename a whole file of their own.
 
 // WriteAtomic durably writes one snapshot file with the protocol above.
-//
-//cadyvet:blessed the snapshot commit helper: temp file in the destination dir, payload write, then commitTmp
-func WriteAtomic(path string, gl *Global) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := gl.Write(f); err != nil {
-		//cadyvet:volatile error path: the payload write already failed and the tmp file is unlinked; nothing Close reports can rescue it
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	return commitTmp(f, tmp, path)
-}
+func WriteAtomic(path string, gl *Global) error { return commitTmp(path, gl.Write) }
 
 // WriteFileAtomic durably replaces path with b (same protocol).
-//
-//cadyvet:blessed the byte-slice commit helper (fleet.json, meta.json, plan cache)
 func WriteFileAtomic(path string, b []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	return commitTmp(path, func(w io.Writer) error {
+		_, err := w.Write(b)
+		return err
+	})
+}
+
+// commitTmp writes path's new content through write into a fresh
+// "<base>.*.tmp" next to it, then fsyncs, closes, renames it over path and
+// fsyncs the directory. Recovery sweeps a *.tmp a crash strands; nothing
+// reads one.
+//
+//cadyvet:blessed the one commit helper: os.CreateTemp in the destination dir, payload, fsync, close, rename over the target, parent-dir fsync
+func commitTmp(path string, write func(io.Writer) error) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(b); err != nil {
-		//cadyvet:volatile error path: the payload write already failed and the tmp file is unlinked; nothing Close reports can rescue it
-		f.Close()
-		os.Remove(tmp)
-		return err
+	tmp := f.Name()
+	if err = f.Chmod(0o644); err == nil {
+		err = write(f)
 	}
-	return commitTmp(f, tmp, path)
-}
-
-// commitTmp finishes a durable write: fsync, close, rename, dir fsync.
-//
-//cadyvet:blessed the shared commit tail: fsync, close, rename over the target, parent-dir fsync
-func commitTmp(f *os.File, tmp, path string) error {
-	if err := f.Sync(); err != nil {
+	if err == nil {
+		err = f.Sync()
+	}
+	if err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"cadycore/internal/field"
@@ -140,5 +141,37 @@ func TestDirStoreRejectsBadKeys(t *testing.T) {
 		if _, _, err := s.Latest(key); err == nil {
 			t.Fatalf("Latest accepted invalid key %q", key)
 		}
+	}
+}
+
+// TestConcurrentWriteAtomicOnePath: writers racing on one path — a zombie
+// and a migrated copy of a job putting the same <key>@<step>.ck — each
+// commit a whole file: every call succeeds, the file reads back verified,
+// and no temp file is left behind.
+func TestConcurrentWriteAtomicOnePath(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "job@00000001.ck")
+	gls := []*Global{storeSnap(t, 1), storeSnap(t, 2), storeSnap(t, 3), storeSnap(t, 4)}
+	const rounds = 200
+	for r := 0; r < rounds; r++ {
+		errs := make(chan error, len(gls))
+		for _, gl := range gls {
+			go func() { errs <- WriteAtomic(path, gl) }()
+		}
+		for range gls {
+			if err := <-errs; err != nil {
+				t.Fatalf("round %d: WriteAtomic: %v", r, err)
+			}
+		}
+		got, err := ReadFile(path)
+		if err != nil {
+			t.Fatalf("round %d: committed file does not verify: %v", r, err)
+		}
+		if !slices.ContainsFunc(gls, got.Equal) {
+			t.Fatalf("round %d: committed file is none of the writers' snapshots", r)
+		}
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) > 0 {
+		t.Fatalf("temp files left behind: %v", tmps)
 	}
 }

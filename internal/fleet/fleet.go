@@ -6,7 +6,7 @@
 // quotas, priority classes, the bounded queue); the coordinator keeps no
 // queue and passes a backend's 429 + Retry-After through when none accepts.
 // It persists job→backend routing in a shared artifact store
-// (checkpoint.DirStore) next to the checkpoints the backends dual-write, so
+// (checkpoint.DirStore), the one home of every fleet job's checkpoints, so
 // when a backend dies — detected by health probes with exponential backoff —
 // its jobs migrate to a live backend and resume bitwise from the latest
 // shared checkpoint (a snapshot is the whole carried state). On top of

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"net/http"
 	"time"
+
+	"cadycore/internal/server"
 )
 
 // fleetMetrics are the coordinator counters, guarded by the coordinator
@@ -26,12 +28,7 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	p := func(format string, args ...any) { fmt.Fprintf(w, format+"\n", args...) }
-	metric := func(name, typ, help string, v any) {
-		p("# HELP %s %s", name, help)
-		p("# TYPE %s %s", name, typ)
-		p("%s %v", name, v)
-	}
+	e := server.Expo{W: w}
 
 	healthy := 0
 	for _, b := range c.backends {
@@ -39,27 +36,26 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			healthy++
 		}
 	}
-	metric("cady_fleet_backends", "gauge", "Registered backends.", len(c.backends))
-	metric("cady_fleet_backends_healthy", "gauge", "Backends passing health probes.", healthy)
+	e.Metric("cady_fleet_backends", "gauge", "Registered backends.", len(c.backends))
+	e.Metric("cady_fleet_backends_healthy", "gauge", "Backends passing health probes.", healthy)
 
 	states := map[jstate]int{}
 	for _, id := range c.order {
 		states[c.jobs[id].State]++
 	}
-	p("# HELP cady_fleet_jobs Fleet jobs by state.")
-	p("# TYPE cady_fleet_jobs gauge")
+	jobs := e.Family("cady_fleet_jobs", "gauge", "Fleet jobs by state.")
 	for _, st := range []jstate{fQueued, fRunning, fCompleted, fFailed, fCancelled} {
-		p("cady_fleet_jobs{state=%q} %d", string(st), states[st])
+		jobs(states[st], "state", string(st))
 	}
 
-	metric("cady_fleet_dispatches_total", "counter", "Job placements on a backend.", c.met.dispatched)
-	metric("cady_fleet_dispatch_errors_total", "counter", "Placements no backend accepted.", c.met.dispatchErrors)
-	metric("cady_fleet_migrations_total", "counter", "Jobs moved off a dead, draining or cancelled-out-of-band backend.", c.met.migrations)
-	metric("cady_fleet_jobs_completed_total", "counter", "Fleet jobs completed.", c.met.completed)
-	metric("cady_fleet_jobs_failed_total", "counter", "Fleet jobs failed.", c.met.failed)
-	metric("cady_fleet_jobs_cancelled_total", "counter", "Fleet jobs cancelled.", c.met.cancelled)
-	metric("cady_fleet_ensembles_total", "counter", "Ensembles submitted.", c.met.ensembles)
-	metric("cady_fleet_persist_errors_total", "counter", "Failed writes of the fleet routing state.", c.met.persistErrors)
-	metric("cady_fleet_uptime_seconds", "gauge", "Seconds since the coordinator started.",
+	e.Metric("cady_fleet_dispatches_total", "counter", "Job placements on a backend.", c.met.dispatched)
+	e.Metric("cady_fleet_dispatch_errors_total", "counter", "Placements no backend accepted.", c.met.dispatchErrors)
+	e.Metric("cady_fleet_migrations_total", "counter", "Jobs moved off a dead, draining or cancelled-out-of-band backend.", c.met.migrations)
+	e.Metric("cady_fleet_jobs_completed_total", "counter", "Fleet jobs completed.", c.met.completed)
+	e.Metric("cady_fleet_jobs_failed_total", "counter", "Fleet jobs failed.", c.met.failed)
+	e.Metric("cady_fleet_jobs_cancelled_total", "counter", "Fleet jobs cancelled.", c.met.cancelled)
+	e.Metric("cady_fleet_ensembles_total", "counter", "Ensembles submitted.", c.met.ensembles)
+	e.Metric("cady_fleet_persist_errors_total", "counter", "Failed writes of the fleet routing state.", c.met.persistErrors)
+	e.Metric("cady_fleet_uptime_seconds", "gauge", "Seconds since the coordinator started.",
 		fmt.Sprintf("%.3f", time.Since(c.start).Seconds()))
 }

@@ -148,14 +148,13 @@ func recoverFixture(t *testing.T, fixture string) (*Server, *Job) {
 
 // matchesExplicitRun reports whether the job's final checkpoint is bitwise
 // that of an explicit H-S run of set over the job's mesh and steps.
-func matchesExplicitRun(j *Job, set dycore.Setup) bool {
+func matchesExplicitRun(t *testing.T, s *Server, j *Job, set dycore.Setup) bool {
 	spec := j.Spec
 	g := grid.New(spec.Nx, spec.Ny, spec.Nz)
 	hs := heldsuarez.Standard()
 	hook := func(g *grid.Grid, st *state.State, step int) { hs.Apply(g, st, spec.Dt2) }
 	res := dycore.RunWithHook(set, g, comm.TianheLike(), heldsuarez.InitialState, spec.Steps, hook)
-	snap, _ := j.latestSnapshot()
-	return snap.Equal(checkpoint.Gather(g, res.Finals))
+	return homeSnap(t, s, j).Equal(checkpoint.Gather(g, res.Finals))
 }
 
 // TestRecoverHonoursVersion3PlanMeta: job metadata persisted by the release
@@ -180,7 +179,7 @@ func TestRecoverHonoursVersion3PlanMeta(t *testing.T) {
 		t.Fatalf("resumed job finished at %d steps on rows %v, want 4 on %v", fin.StepsDone, fin.Plan.RowStarts, wantRows)
 	}
 	// Bitwise the explicit stencil run of the same layout.
-	if !matchesExplicitRun(j, fin.Plan.Setup(j.Spec.config())) {
+	if !matchesExplicitRun(t, s, j, fin.Plan.Setup(j.Spec.config())) {
 		t.Error("recovered run differs from the explicit stencil run on the planned rows")
 	}
 }
@@ -202,7 +201,7 @@ func TestRecoverResumesXYPlanMeta(t *testing.T) {
 	if fin := waitState(t, s, j.ID, JCompleted); fin.StepsDone != 4 || fin.Plan.Scheme != tune.SchemeXY {
 		t.Fatalf("resumed job finished at %d steps on %v, want 4 on xy 1x4", fin.StepsDone, fin.Plan)
 	}
-	if !matchesExplicitRun(j, dycore.Setup{Alg: dycore.AlgBaselineXY, PA: 1, PB: 4, Cfg: j.Spec.config()}) {
+	if !matchesExplicitRun(t, s, j, dycore.Setup{Alg: dycore.AlgBaselineXY, PA: 1, PB: 4, Cfg: j.Spec.config()}) {
 		t.Error("recovered run differs from the explicit xy 1x4 run")
 	}
 }

@@ -62,6 +62,7 @@ func maxDiffGlobal(a, b *checkpoint.Global) float64 {
 func TestChaosSoakYZ(t *testing.T) {
 	s := newTestServer(t, Config{
 		Workers: 2, QueueCap: 8,
+		Dir:     t.TempDir(),
 		Chaos:   soakPlan(),
 		Restart: fastRestart(),
 	})
@@ -92,11 +93,7 @@ func TestChaosSoakYZ(t *testing.T) {
 		if st.Error != "" {
 			t.Errorf("job %s completed with residual error %q", j.ID, st.Error)
 		}
-		snap, step := j.latestSnapshot()
-		if step != 5 || snap == nil {
-			t.Fatalf("job %s final snapshot at step %d, want 5", j.ID, step)
-		}
-		if !snap.Equal(ref) {
+		if !homeSnap(t, s, j).Equal(ref) {
 			t.Errorf("job %s final state differs from fault-free run (YZ restarts must be bitwise-exact)", j.ID)
 		}
 		// A restarted job re-executes steps, so its counters cover at least
@@ -129,14 +126,20 @@ func TestChaosSoakYZ(t *testing.T) {
 // Its snapshots carry the lagged Ĉ and the pending smoothing, so restarts are
 // bitwise for it too.
 func TestChaosSoakCA(t *testing.T) {
+	store, err := checkpoint.NewDirStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := newTestServer(t, Config{
 		Workers: 1, QueueCap: 4,
+		Shared:  store,
 		Chaos:   soakPlan(),
 		Restart: fastRestart(),
 	})
 	spec := smallSpec(5)
 	spec.Alg = "ca"
 	spec.CheckpointEvery = 1
+	spec.SharedKey = "soak-ca"
 
 	j, err := s.Submit(spec)
 	if err != nil {
@@ -146,8 +149,7 @@ func TestChaosSoakCA(t *testing.T) {
 	if st.Restarts == 0 {
 		t.Errorf("CA job completed without restarting under a crash plan")
 	}
-	snap, _ := j.latestSnapshot()
-	if ref := refFinal(spec); snap == nil || !snap.Equal(ref) {
+	if snap, ref := homeSnap(t, s, j), refFinal(spec); !snap.Equal(ref) {
 		t.Errorf("CA chaos run differs from fault-free run by %g, want bitwise", maxDiffGlobal(snap, ref))
 	}
 }
@@ -298,15 +300,16 @@ func TestRecoverIgnoresStaleTmp(t *testing.T) {
 	}
 
 	// Simulate the crash mid-persist: a half-written checkpoint and meta
-	// temp file that never reached their rename, and an on-disk state
+	// temp file (named as checkpoint's commit helper names them) that never
+	// reached their rename, and an on-disk state
 	// claiming the job was still running when the process died.
 	jdir := filepath.Join(dir, j.ID)
 	//cadyvet:volatile simulates the torn tmp a crash leaves behind; durability is exactly what is under test
-	if err := os.WriteFile(filepath.Join(jdir, "snap.ck.tmp"), []byte("torn checkpoint bytes"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(jdir, "snap.ck.3141592.tmp"), []byte("torn checkpoint bytes"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	//cadyvet:volatile simulates the torn tmp a crash leaves behind; durability is exactly what is under test
-	if err := os.WriteFile(filepath.Join(jdir, "meta.json.tmp"), []byte(`{"state": "torn`), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(jdir, "meta.json.2718281.tmp"), []byte(`{"state": "torn`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	meta, _ := json.Marshal(jobMeta{State: JRunning, StepsDone: 3, CkptStep: 2, Resumable: false, Attempts: 1})
@@ -324,11 +327,11 @@ func TestRecoverIgnoresStaleTmp(t *testing.T) {
 	if rst.State != JInterrupted || !rst.Resumable {
 		t.Fatalf("recovered mid-flight job: %s resumable=%v, want interrupted/resumable", rst.State, rst.Resumable)
 	}
-	snap, step := r.latestSnapshot()
+	snap, step := s2.loadSnap(r)
 	if snap == nil || step != 2 {
 		t.Fatalf("recovered checkpoint at step %d, want the previous valid one at 2", step)
 	}
-	for _, name := range []string{"snap.ck.tmp", "meta.json.tmp"} {
+	for _, name := range []string{"snap.ck.3141592.tmp", "meta.json.2718281.tmp"} {
 		if _, err := os.Stat(filepath.Join(jdir, name)); !os.IsNotExist(err) {
 			t.Errorf("stale %s not swept on startup", name)
 		}
@@ -341,8 +344,7 @@ func TestRecoverIgnoresStaleTmp(t *testing.T) {
 	if fin.StepsDone != 4 {
 		t.Fatalf("resumed job finished at %d steps, want 4", fin.StepsDone)
 	}
-	fsnap, _ := r.latestSnapshot()
-	if !fsnap.Equal(refFinal(spec)) {
+	if !homeSnap(t, s2, r).Equal(refFinal(spec)) {
 		t.Fatalf("recovered run differs from uninterrupted run")
 	}
 }
@@ -379,7 +381,7 @@ func TestRecoverVersion1Snapshot(t *testing.T) {
 		t.Fatal("job with a version-1 snapshot was not recovered")
 	}
 	st := j.Status()
-	if snap, _ := j.latestSnapshot(); st.State != JInterrupted || !st.Resumable || snap != nil || st.CkptStep != 0 {
+	if snap, _ := s.loadSnap(j); st.State != JInterrupted || !st.Resumable || snap != nil || st.CkptStep != 0 {
 		t.Fatalf("recovered %s resumable=%v snapshot loaded=%v checkpoint_step=%d, want interrupted/resumable without a snapshot or a checkpoint step",
 			st.State, st.Resumable, snap != nil, st.CkptStep)
 	}
@@ -387,8 +389,8 @@ func TestRecoverVersion1Snapshot(t *testing.T) {
 		t.Fatalf("Resume: %v", err)
 	}
 	fin := waitState(t, s, j.ID, JCompleted)
-	if snap, _ := j.latestSnapshot(); fin.StepsDone != 4 || !snap.Equal(refFinal(spec)) {
-		t.Fatalf("resumed job finished at %d steps, bitwise the uninterrupted run: %v", fin.StepsDone, snap.Equal(refFinal(spec)))
+	if fin.StepsDone != 4 || !homeSnap(t, s, j).Equal(refFinal(spec)) {
+		t.Fatalf("resumed job finished at %d steps, want 4 and bitwise the uninterrupted run", fin.StepsDone)
 	}
 }
 

@@ -6,7 +6,7 @@
 // the paper's evaluation — a matrix of (algorithm, process count) cells —
 // into schedulable, cancellable, resumable jobs.
 //
-//cadyvet:persistence job specs, progress metadata and checkpoints under Config.Dir are the restart source of truth; durable writes route through checkpoint's blessed helpers
+//cadyvet:persistence job specs, progress metadata and the snap.ck of jobs whose checkpoint home is Config.Dir are the restart source of truth; durable writes route through checkpoint's blessed commit helper
 package server
 
 import (
@@ -95,10 +95,10 @@ type JobSpec struct {
 	Tenant string `json:"tenant,omitempty"`
 
 	// SharedKey keys this job's checkpoints in the shared artifact store
-	// (Config.Shared): every snapshot is dual-written there, and a fresh
-	// execution with no local checkpoint resumes from the newest shared one.
-	// The fleet coordinator sets it to the fleet job ID so a job migrated
-	// off a dead backend resumes on another. Run jobs only.
+	// (Config.Shared): on a server that has one, the store is the job's
+	// checkpoint home, and every execution resumes from the newest snapshot
+	// there. The fleet coordinator sets it to the fleet job ID so a job
+	// migrated off a dead backend resumes on another. Run jobs only.
 	SharedKey string `json:"shared_key,omitempty"`
 
 	// Rebalance, when non-nil, turns on the live load-rebalancing runtime for
@@ -408,7 +408,9 @@ type Job struct {
 	mu    sync.Mutex
 	state JState //cadyvet:guardedby mu
 	// stepsDone counts cumulative completed steps over all segments;
-	// ckptStep is the boundary of the latest snapshot (0 = none).
+	// ckptStep is the boundary of the checkpoint in the job's home (0 =
+	// none), and snap is that checkpoint when the home is memory and the
+	// job can still resume.
 	stepsDone int                //cadyvet:guardedby mu
 	ckptStep  int                //cadyvet:guardedby mu
 	snap      *checkpoint.Global //cadyvet:guardedby mu
@@ -475,7 +477,7 @@ type JobStatus struct {
 	Restarts  int     `json:"restarts,omitempty"`
 	Error     string  `json:"error,omitempty"`
 	// PersistError is the latest failed durable write, if any (the job keeps
-	// running on its in-memory checkpoint, but a process crash would lose it).
+	// running, and resumes from its last durable checkpoint).
 	PersistError string `json:"persist_error,omitempty"`
 
 	SubmittedAt string  `json:"submitted_at"`
@@ -580,22 +582,6 @@ func (j *Job) getPlan() *tune.Plan {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.plan
-}
-
-// setSnapshot records the latest checkpoint (called from the quiesced
-// Snapshot barrier callback).
-func (j *Job) setSnapshot(step int, gl *checkpoint.Global) {
-	j.mu.Lock()
-	j.ckptStep = step
-	j.snap = gl
-	j.mu.Unlock()
-}
-
-// latestSnapshot returns the newest checkpoint and its boundary.
-func (j *Job) latestSnapshot() (*checkpoint.Global, int) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.snap, j.ckptStep
 }
 
 // diagnostics computes the physical health summary of a finished run.

@@ -2,8 +2,11 @@ package server
 
 import (
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,7 +34,7 @@ type metrics struct {
 	restarts      atomic.Int64
 	persistErrors atomic.Int64
 
-	// shared-artifact-store traffic (fleet dual-writes and migrations)
+	// shared-artifact-store traffic (shared-home checkpoints, migrations)
 	sharedPuts    atomic.Int64
 	sharedResumes atomic.Int64
 
@@ -93,6 +96,31 @@ func (m *metrics) observeRun(res dycore.RunResult) {
 	}
 }
 
+// Expo writes the Prometheus text exposition format: each metric is its
+// HELP and TYPE lines followed by its samples. Values print with %v, so
+// integers print as %d and floats as %g.
+type Expo struct{ W io.Writer }
+
+// Metric writes a metric with one unlabelled sample.
+func (e Expo) Metric(name, typ, help string, v any) { e.Family(name, typ, help)(v) }
+
+// Family writes a metric's HELP and TYPE lines and returns its sample
+// writer: sample(v, "k1", "v1", ...) writes name{k1="v1",...} v.
+func (e Expo) Family(name, typ, help string) (sample func(v any, labels ...string)) {
+	fmt.Fprintf(e.W, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+	return func(v any, labels ...string) {
+		var ls []string
+		for i := 0; i+1 < len(labels); i += 2 {
+			ls = append(ls, fmt.Sprintf("%s=%q", labels[i], labels[i+1]))
+		}
+		if len(ls) > 0 {
+			fmt.Fprintf(e.W, "%s{%s} %v\n", name, strings.Join(ls, ","), v)
+		} else {
+			fmt.Fprintf(e.W, "%s %v\n", name, v)
+		}
+	}
+}
+
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	states := map[JState]int{}
 	for _, j := range s.List() {
@@ -101,15 +129,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		j.mu.Unlock()
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	p := func(format string, args ...any) { fmt.Fprintf(w, format+"\n", args...) }
+	e := Expo{w}
 
 	s.mu.Lock()
-	p("# HELP cady_queue_depth Jobs waiting in the admission queue.")
-	p("# TYPE cady_queue_depth gauge")
-	p("cady_queue_depth %d", s.queued)
-	p("# HELP cady_queue_capacity Admission queue bound.")
-	p("# TYPE cady_queue_capacity gauge")
-	p("cady_queue_capacity %d", s.cfg.QueueCap)
+	e.Metric("cady_queue_depth", "gauge", "Jobs waiting in the admission queue.", s.queued)
+	e.Metric("cady_queue_capacity", "gauge", "Admission queue bound.", s.cfg.QueueCap)
 	tenants := make([]*tenantQ, 0, len(s.tenants))
 	//cadyvet:unordered collection only; the emission loops below iterate the sorted slice
 	for _, tq := range s.tenants {
@@ -125,139 +149,86 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"queued", "gauge", "Jobs waiting in the tenant's FIFO.", func(tq *tenantQ) int64 { return int64(len(tq.fifo)) }},
 		{"inflight", "gauge", "Queued, running and retrying jobs per tenant (quota usage).", func(tq *tenantQ) int64 { return tq.inflight.Load() }},
 	} {
-		p("# HELP cady_tenant_%s %s", m.name, m.help)
-		p("# TYPE cady_tenant_%s %s", m.name, m.typ)
+		sample := e.Family("cady_tenant_"+m.name, m.typ, m.help)
 		for _, tq := range tenants {
-			p("cady_tenant_%s{tenant=%q} %d", m.name, tq.name, m.val(tq))
+			sample(m.val(tq), "tenant", tq.name)
 		}
 	}
 	s.mu.Unlock()
-	p("# HELP cady_workers Size of the worker pool.")
-	p("# TYPE cady_workers gauge")
-	p("cady_workers %d", s.cfg.Workers)
-	p("# HELP cady_workers_busy Workers currently executing a job.")
-	p("# TYPE cady_workers_busy gauge")
-	p("cady_workers_busy %d", s.met.busy.Load())
+	e.Metric("cady_workers", "gauge", "Size of the worker pool.", s.cfg.Workers)
+	e.Metric("cady_workers_busy", "gauge", "Workers currently executing a job.", s.met.busy.Load())
 
-	p("# HELP cady_jobs Current jobs by state.")
-	p("# TYPE cady_jobs gauge")
+	jobs := e.Family("cady_jobs", "gauge", "Current jobs by state.")
 	for _, st := range []JState{JQueued, JRunning, JRetrying, JCompleted, JCancelled, JInterrupted, JFailed} {
-		p("cady_jobs{state=%q} %d", string(st), states[st])
+		jobs(states[st], "state", string(st))
 	}
 
-	p("# HELP cady_jobs_submitted_total Jobs admitted since start.")
-	p("# TYPE cady_jobs_submitted_total counter")
-	p("cady_jobs_submitted_total %d", s.met.submitted.Load())
-	p("# HELP cady_jobs_rejected_total Submissions rejected by admission control.")
-	p("# TYPE cady_jobs_rejected_total counter")
-	p("cady_jobs_rejected_total %d", s.met.rejected.Load())
-	p("# HELP cady_jobs_resumed_total Resume requests re-enqueued.")
-	p("# TYPE cady_jobs_resumed_total counter")
-	p("cady_jobs_resumed_total %d", s.met.resumed.Load())
-	p("# HELP cady_jobs_completed_total Jobs that ran all requested steps.")
-	p("# TYPE cady_jobs_completed_total counter")
-	p("cady_jobs_completed_total %d", s.met.completed.Load())
-	p("# HELP cady_jobs_failed_total Jobs that panicked or exceeded a deadline.")
-	p("# TYPE cady_jobs_failed_total counter")
-	p("cady_jobs_failed_total %d", s.met.failed.Load())
-	p("# HELP cady_jobs_cancelled_total Jobs stopped by user request.")
-	p("# TYPE cady_jobs_cancelled_total counter")
-	p("cady_jobs_cancelled_total %d", s.met.cancelled.Load())
-	p("# HELP cady_jobs_interrupted_total Jobs stopped by a server drain.")
-	p("# TYPE cady_jobs_interrupted_total counter")
-	p("cady_jobs_interrupted_total %d", s.met.interrupted.Load())
+	for _, m := range []struct {
+		name, help string
+		v          *atomic.Int64
+	}{
+		{"cady_jobs_submitted_total", "Jobs admitted since start.", &s.met.submitted},
+		{"cady_jobs_rejected_total", "Submissions rejected by admission control.", &s.met.rejected},
+		{"cady_jobs_resumed_total", "Resume requests re-enqueued.", &s.met.resumed},
+		{"cady_jobs_completed_total", "Jobs that ran all requested steps.", &s.met.completed},
+		{"cady_jobs_failed_total", "Jobs that panicked or exceeded a deadline.", &s.met.failed},
+		{"cady_jobs_cancelled_total", "Jobs stopped by user request.", &s.met.cancelled},
+		{"cady_jobs_interrupted_total", "Jobs stopped by a server drain.", &s.met.interrupted},
+		{"cady_rank_failures_total", "Injected rank deaths that aborted a run segment.", &s.met.rankFailures},
+		{"cady_job_restarts_total", "Automatic restarts scheduled after a rank death.", &s.met.restarts},
+		{"cady_persist_errors_total", "Durable writes (spec, meta, checkpoint) that failed.", &s.met.persistErrors},
+		{"cady_shared_snapshots_total", "Checkpoints written to the shared artifact store.", &s.met.sharedPuts},
+		{"cady_shared_resumes_total", "Job segments resumed from a shared-store checkpoint written by another backend.", &s.met.sharedResumes},
+		{"cady_rebalance_decisions_total", "Sustained-imbalance detections that reached the re-planner.", &s.met.rebalanceDecisions},
+		{"cady_rebalance_migrations_total", "In-flight layout migrations executed by the load-rebalancing runtime.", &s.met.rebalanceMigrations},
+		{"cady_rebalance_skipped_total", "Re-plans rejected (no better layout, gain under the migration-cost gate, or budget exhausted).", &s.met.rebalanceSkipped},
+	} {
+		e.Metric(m.name, "counter", m.help, m.v.Load())
+	}
 
-	p("# HELP cady_rank_failures_total Injected rank deaths that aborted a run segment.")
-	p("# TYPE cady_rank_failures_total counter")
-	p("cady_rank_failures_total %d", s.met.rankFailures.Load())
-	p("# HELP cady_job_restarts_total Automatic restarts scheduled after a rank death.")
-	p("# TYPE cady_job_restarts_total counter")
-	p("cady_job_restarts_total %d", s.met.restarts.Load())
-	p("# HELP cady_persist_errors_total Durable writes (spec, meta, checkpoint) that failed.")
-	p("# TYPE cady_persist_errors_total counter")
-	p("cady_persist_errors_total %d", s.met.persistErrors.Load())
-	p("# HELP cady_shared_snapshots_total Checkpoints dual-written to the shared artifact store.")
-	p("# TYPE cady_shared_snapshots_total counter")
-	p("cady_shared_snapshots_total %d", s.met.sharedPuts.Load())
-	p("# HELP cady_shared_resumes_total Job segments resumed from a shared-store checkpoint written by another backend.")
-	p("# TYPE cady_shared_resumes_total counter")
-	p("cady_shared_resumes_total %d", s.met.sharedResumes.Load())
-
-	p("# HELP cady_rebalance_decisions_total Sustained-imbalance detections that reached the re-planner.")
-	p("# TYPE cady_rebalance_decisions_total counter")
-	p("cady_rebalance_decisions_total %d", s.met.rebalanceDecisions.Load())
-	p("# HELP cady_rebalance_migrations_total In-flight layout migrations executed by the load-rebalancing runtime.")
-	p("# TYPE cady_rebalance_migrations_total counter")
-	p("cady_rebalance_migrations_total %d", s.met.rebalanceMigrations.Load())
-	p("# HELP cady_rebalance_skipped_total Re-plans rejected (no better layout, gain under the migration-cost gate, or budget exhausted).")
-	p("# TYPE cady_rebalance_skipped_total counter")
-	p("cady_rebalance_skipped_total %d", s.met.rebalanceSkipped.Load())
-
-	p("# HELP cady_plan_info Current layout of each planned job (auto layout or live-rebalanced), value always 1.")
-	p("# TYPE cady_plan_info gauge")
+	plans := e.Family("cady_plan_info", "gauge", "Current layout of each planned job (auto layout or live-rebalanced), value always 1.")
 	for _, j := range s.List() {
 		if pl := j.getPlan(); pl != nil {
-			p("cady_plan_info{job=%q,plan=%q} 1", j.ID, pl.Candidate().Key())
+			plans(1, "job", j.ID, "plan", pl.Candidate().Key())
 		}
 	}
 
 	s.met.exchMu.Lock()
-	p("# HELP cady_comm_exposed_seconds_total Simulated communication seconds on the critical path, summed over run segments.")
-	p("# TYPE cady_comm_exposed_seconds_total counter")
-	p("cady_comm_exposed_seconds_total %g", s.met.exposedSec)
-	p("# HELP cady_comm_hidden_seconds_total Simulated communication seconds hidden behind interior compute, summed over run segments.")
-	p("# TYPE cady_comm_hidden_seconds_total counter")
-	p("cady_comm_hidden_seconds_total %g", s.met.hiddenSec)
-	p("# HELP cady_comm_overlap_fraction Hidden share of all simulated communication time.")
-	p("# TYPE cady_comm_overlap_fraction gauge")
+	e.Metric("cady_comm_exposed_seconds_total", "counter", "Simulated communication seconds on the critical path, summed over run segments.", s.met.exposedSec)
+	e.Metric("cady_comm_hidden_seconds_total", "counter", "Simulated communication seconds hidden behind interior compute, summed over run segments.", s.met.hiddenSec)
+	overlap := 0.0
 	if tot := s.met.exposedSec + s.met.hiddenSec; tot > 0 {
-		p("cady_comm_overlap_fraction %g", s.met.hiddenSec/tot)
-	} else {
-		p("cady_comm_overlap_fraction 0")
+		overlap = s.met.hiddenSec / tot
 	}
+	e.Metric("cady_comm_overlap_fraction", "gauge", "Hidden share of all simulated communication time.", overlap)
 	labels := make([]string, 0, len(s.met.exch))
 	//cadyvet:unordered key collection only; the emission loop below iterates the sorted slice
 	for l := range s.met.exch {
 		labels = append(labels, l)
 	}
 	sort.Strings(labels)
-	p("# HELP cady_exchanger_begins_total Halo-exchange Begin calls by exchanger.")
-	p("# TYPE cady_exchanger_begins_total counter")
-	for _, l := range labels {
-		p("cady_exchanger_begins_total{exchanger=%q} %d", l, s.met.exch[l].begins)
+	for _, m := range []struct {
+		name, help string
+		val        func(*exchTotals) any
+	}{
+		{"begins_total", "Halo-exchange Begin calls by exchanger.", func(t *exchTotals) any { return t.begins }},
+		{"finishes_total", "Halo-exchange Finish calls by exchanger.", func(t *exchTotals) any { return t.finishes }},
+		{"hidden_seconds_total", "Simulated seconds of exchange flight hidden behind compute, by exchanger.", func(t *exchTotals) any { return t.hiddenSec }},
+		{"exposed_seconds_total", "Simulated seconds of exchange time charged to rank clocks, by exchanger.", func(t *exchTotals) any { return t.exposedSec }},
+	} {
+		sample := e.Family("cady_exchanger_"+m.name, "counter", m.help)
+		for _, l := range labels {
+			sample(m.val(s.met.exch[l]), "exchanger", l)
+		}
 	}
-	p("# HELP cady_exchanger_finishes_total Halo-exchange Finish calls by exchanger.")
-	p("# TYPE cady_exchanger_finishes_total counter")
-	for _, l := range labels {
-		p("cady_exchanger_finishes_total{exchanger=%q} %d", l, s.met.exch[l].finishes)
-	}
-	p("# HELP cady_exchanger_hidden_seconds_total Simulated seconds of exchange flight hidden behind compute, by exchanger.")
-	p("# TYPE cady_exchanger_hidden_seconds_total counter")
-	for _, l := range labels {
-		p("cady_exchanger_hidden_seconds_total{exchanger=%q} %g", l, s.met.exch[l].hiddenSec)
-	}
-	p("# HELP cady_exchanger_exposed_seconds_total Simulated seconds of exchange time charged to rank clocks, by exchanger.")
-	p("# TYPE cady_exchanger_exposed_seconds_total counter")
-	for _, l := range labels {
-		p("cady_exchanger_exposed_seconds_total{exchanger=%q} %g", l, s.met.exch[l].exposedSec)
-	}
-	p("# HELP cady_rank_comp_seconds_total Simulated compute seconds by world rank, summed over run segments.")
-	p("# TYPE cady_rank_comp_seconds_total counter")
+	ranks := e.Family("cady_rank_comp_seconds_total", "counter", "Simulated compute seconds by world rank, summed over run segments.")
 	for r, v := range s.met.rankComp {
-		p("cady_rank_comp_seconds_total{rank=\"%d\"} %g", r, v)
+		ranks(v, "rank", strconv.Itoa(r))
 	}
-	p("# HELP cady_comp_imbalance Latest run segment's max/min per-rank compute ratio (0 = no telemetry yet).")
-	p("# TYPE cady_comp_imbalance gauge")
-	p("cady_comp_imbalance %g", s.met.lastImbalance)
+	e.Metric("cady_comp_imbalance", "gauge", "Latest run segment's max/min per-rank compute ratio (0 = no telemetry yet).", s.met.lastImbalance)
 	s.met.exchMu.Unlock()
 
-	p("# HELP cady_steps_total Dynamical-core steps completed across all jobs.")
-	p("# TYPE cady_steps_total counter")
-	p("cady_steps_total %d", s.met.steps.Load())
-	p("# HELP cady_checkpoints_total Snapshots taken across all jobs.")
-	p("# TYPE cady_checkpoints_total counter")
-	p("cady_checkpoints_total %d", s.met.snapshots.Load())
-	p("# HELP cady_uptime_seconds Seconds since the service started.")
-	p("# TYPE cady_uptime_seconds gauge")
-	p("cady_uptime_seconds %.3f", time.Since(s.start).Seconds())
+	e.Metric("cady_steps_total", "counter", "Dynamical-core steps completed across all jobs.", s.met.steps.Load())
+	e.Metric("cady_checkpoints_total", "counter", "Snapshots taken across all jobs.", s.met.snapshots.Load())
+	e.Metric("cady_uptime_seconds", "gauge", "Seconds since the service started.", fmt.Sprintf("%.3f", time.Since(s.start).Seconds()))
 }

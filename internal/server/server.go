@@ -44,15 +44,16 @@ type Config struct {
 	// or "low". Workers take queued jobs in smooth weighted round robin over
 	// the tenants with class weights 4/2/1.
 	Classes map[string]string
-	// Dir, when non-empty, persists job specs, progress metadata and
-	// checkpoints under Dir/<job-id>/ so jobs survive a process restart
-	// (see New, which recovers them).
+	// Dir, when non-empty, persists job specs and progress metadata under
+	// Dir/<job-id>/ so jobs survive a process restart (see New, which
+	// recovers them). It is the checkpoint home (Dir/<job-id>/snap.ck) of
+	// every job that does not checkpoint into Shared.
 	Dir string
 	// Shared, when non-nil, is a checkpoint store shared with other backends
 	// (typically a checkpoint.DirStore on a directory every fleet member
-	// mounts). Jobs with a non-empty spec shared_key dual-write their
-	// checkpoints there keyed by it, and — when the job has no local
-	// checkpoint — resume from the newest shared snapshot, which is how a
+	// mounts). It is the checkpoint home of every job with a non-empty spec
+	// shared_key: the job checkpoints there under that key and resumes from
+	// the newest snapshot there, whichever backend wrote it — which is how a
 	// coordinator migrates a job from a dead backend to this one.
 	Shared checkpoint.Store
 	// Model is the simulated network cost model (default comm.TianheLike).
@@ -130,8 +131,7 @@ type Server struct {
 	model   comm.NetModel
 	planner *tune.Planner
 	restart RestartPolicy
-	chaos   *fault.Plan      // nil when chaos testing is off
-	shared  checkpoint.Store // nil when no shared artifact store is attached
+	chaos   *fault.Plan // nil when chaos testing is off
 	mux     *http.ServeMux
 	met     metrics
 	start   time.Time
@@ -204,7 +204,6 @@ func New(cfg Config) (*Server, error) {
 		planner: planner,
 		restart: cfg.Restart.normalize(),
 		chaos:   chaos,
-		shared:  cfg.Shared,
 		jobs:    make(map[string]*Job),
 		tenants: make(map[string]*tenantQ),
 		start:   time.Now(),
@@ -325,10 +324,10 @@ func (s *Server) Cancel(id string) error {
 	}
 }
 
-// Resume re-enqueues a stopped job. Execution restarts from the latest
-// checkpoint when one exists (baseline restarts are bitwise-exact; the
-// default comm-avoiding integrator reconverges its lagged Ĉ cache, see
-// DESIGN.md), from the initial condition otherwise.
+// Resume re-enqueues a stopped job. Execution restarts from the checkpoint
+// in the job's home when one exists (bitwise for every scheme: a snapshot
+// carries the comm-avoiding integrator's lagged Ĉ), from the initial
+// condition otherwise.
 func (s *Server) Resume(id string) (*Job, error) {
 	if s.baseCtx.Err() != nil {
 		return nil, ErrDraining
@@ -449,8 +448,8 @@ func (s *Server) worker() {
 // runJob executes one attempt of a job: it describes the run to balance.Run
 // (the one supervised-run driver, shared with cmd/dycore) and translates the
 // outcome into a job state. The service hangs on the driver's callbacks:
-// Snapshot persists and shares each checkpoint, Commit persists a migrated
-// plan, Observe feeds /metrics, ShouldStop is the attempt's context.
+// Snapshot saves each checkpoint to the job's home, Commit persists a
+// migrated plan, Observe feeds /metrics, ShouldStop is the attempt's context.
 func (s *Server) runJob(j *Job) {
 	var ctx context.Context
 	var cancel context.CancelFunc
@@ -467,7 +466,7 @@ func (s *Server) runJob(j *Job) {
 	defer func() {
 		if r := recover(); r != nil {
 			j.mu.Lock()
-			s.finishLocked(j, JFailed, fmt.Sprintf("panic: %v", r), j.snap != nil)
+			s.finishLocked(j, JFailed, fmt.Sprintf("panic: %v", r), j.ckptStep > 0)
 			j.mu.Unlock()
 		}
 	}()
@@ -492,10 +491,8 @@ func (s *Server) runJob(j *Job) {
 		ShouldStop:    func() bool { return ctx.Err() != nil },
 		SnapshotEvery: j.Spec.CheckpointEvery,
 		Snapshot: func(step int, gl *checkpoint.Global) {
-			j.setSnapshot(step, gl)
 			s.met.snapshots.Add(1)
-			s.persistSnap(j, gl)
-			s.shareSnap(j, step, gl)
+			s.saveSnap(j, step, gl)
 		},
 		Observe: s.met.observeRun,
 		Commit: func(plan tune.Plan, mig balance.Migration) {
@@ -538,16 +535,15 @@ func (s *Server) runJob(j *Job) {
 		spec.Faults = j.ensureChaos(s.chaos)
 	}
 
-	snap, start := j.latestSnapshot()
-	if snap == nil {
-		// No local checkpoint: a shared-store snapshot means another backend
-		// ran (part of) this job before it was migrated here — adopt it.
-		if snap, start = s.sharedSnapshot(j); snap != nil {
-			j.mu.Lock()
-			j.ckptStep = start
-			j.snap = snap
-			j.stepsDone = start
-			j.mu.Unlock()
+	snap, start := s.loadSnap(j)
+	if snap != nil {
+		j.mu.Lock()
+		first := j.attempts == 1
+		j.ckptStep, j.stepsDone = start, start
+		j.mu.Unlock()
+		if first && s.homeOf(j) == homeShared {
+			// The first attempt here found a checkpoint: another backend ran
+			// (part of) this job before it was migrated here.
 			s.met.sharedResumes.Add(1)
 		}
 	}
@@ -574,13 +570,11 @@ func (s *Server) runJob(j *Job) {
 	}
 
 	completed := err == nil && out.StepsDone >= spec.Steps
-	if completed {
-		// The final state is the job's last checkpoint, durable and shared
-		// before the job reads as completed.
-		final := checkpoint.Gather(g, out.Finals)
-		j.setSnapshot(out.StepsDone, final)
-		s.persistSnap(j, final)
-		s.shareSnap(j, out.StepsDone, final)
+	if completed && s.homeOf(j) != homeMemory {
+		// The final state is the job's last checkpoint, durable before the
+		// job reads as completed. The memory home keeps none: nothing can
+		// resume a completed job.
+		s.saveSnap(j, out.StepsDone, checkpoint.Gather(g, out.Finals))
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -591,7 +585,7 @@ func (s *Server) runJob(j *Job) {
 	case errors.As(err, &crash):
 		s.handleAbort(j, crash)
 	case err != nil:
-		s.finishLocked(j, JFailed, err.Error(), j.snap != nil)
+		s.finishLocked(j, JFailed, err.Error(), j.ckptStep > 0)
 	case completed:
 		s.finishLocked(j, JCompleted, "", false)
 		j.finished = ended // wall_sec is the run, not the final checkpoint's fsyncs
@@ -608,12 +602,16 @@ func (s *Server) runJob(j *Job) {
 }
 
 // finishLocked ends a job's current attempt in state st, releasing its
-// tenant's in-flight slot.
+// tenant's in-flight slot. A completed job cannot resume, so it drops its
+// memory checkpoint.
 //
 //cadyvet:locked j.mu
 func (s *Server) finishLocked(j *Job, st JState, errMsg string, resumable bool) {
 	if !j.state.terminal() {
 		j.tq.inflight.Add(-1)
+	}
+	if st == JCompleted {
+		j.snap = nil
 	}
 	j.state, j.errMsg, j.resumable = st, errMsg, resumable
 	j.finished = time.Now()
@@ -628,25 +626,6 @@ func (s *Server) finishLocked(j *Job, st JState, errMsg string, resumable bool) 
 	case JInterrupted:
 		s.met.interrupted.Add(1)
 	}
-}
-
-// sharedSnapshot loads the newest shared-store snapshot of a job keyed for
-// dual-write, skipping snapshots whose mesh does not match (a reused key).
-func (s *Server) sharedSnapshot(j *Job) (*checkpoint.Global, int) {
-	if s.shared == nil || j.Spec.SharedKey == "" || j.Spec.Kind != "run" {
-		return nil, 0
-	}
-	gl, step, err := s.shared.Latest(j.Spec.SharedKey)
-	if err != nil || gl == nil {
-		return nil, 0
-	}
-	if gl.Nx != j.Spec.Nx || gl.Ny != j.Spec.Ny || gl.Nz != j.Spec.Nz {
-		return nil, 0
-	}
-	if step > j.Spec.Steps {
-		return nil, 0
-	}
-	return gl, step
 }
 
 // handleAbort translates an injected rank death into the restart policy:
@@ -766,11 +745,12 @@ func validatePlanned(sp JobSpec, p tune.Plan) error {
 
 // --- persistence -----------------------------------------------------------
 //
-// Layout under cfg.Dir: <id>/spec.json, <id>/meta.json, <id>/snap.ck.
-// Writes are temp-file + fsync + rename + parent-dir fsync so a crash at any
-// point leaves either the old or the new file, never a torn or lost one; the
-// checkpoint format's own CRC64 catches anything else. Failures are no
-// longer swallowed: they surface in the job status (persist_error) and the
+// Layout under cfg.Dir: <id>/spec.json, <id>/meta.json and, for a job whose
+// checkpoint home is the job directory, <id>/snap.ck. Writes go through
+// checkpoint's commit helpers (temp file, fsync, rename, parent-dir fsync),
+// so a crash at any point leaves either the old or the new file, never a
+// torn or lost one; the checkpoint format's own CRC64 catches anything else.
+// Failures surface in the job status (persist_error) and the
 // cady_persist_errors_total counter.
 
 type jobMeta struct {
@@ -808,7 +788,7 @@ func (s *Server) persistSpec(j *Job) {
 	err := os.MkdirAll(dir, 0o755)
 	if err == nil {
 		b, _ := json.MarshalIndent(j.Spec, "", "  ")
-		err = writeFileAtomic(filepath.Join(dir, "spec.json"), b)
+		err = checkpoint.WriteFileAtomic(filepath.Join(dir, "spec.json"), b)
 	}
 	if err != nil {
 		j.mu.Lock()
@@ -840,55 +820,95 @@ func (s *Server) persistMetaLocked(j *Job) {
 		Migrations: j.migrations,
 	}
 	b, _ := json.MarshalIndent(m, "", "  ")
-	if err := writeFileAtomic(filepath.Join(s.jobDir(j), "meta.json"), b); err != nil {
+	if err := checkpoint.WriteFileAtomic(filepath.Join(s.jobDir(j), "meta.json"), b); err != nil {
 		s.notePersist(j, err)
 	}
 }
 
-func (s *Server) persistSnap(j *Job, gl *checkpoint.Global) {
-	if s.cfg.Dir == "" {
-		return
+// --- checkpoint home ---------------------------------------------------------
+//
+// A run job's checkpoint lives in exactly one home, chosen from the
+// configuration: the shared store under its shared_key when the server has
+// one, else Dir/<id>/snap.ck with its step in meta.json when the server
+// persists, else Job.snap in memory. j.ckptStep is the step of the home's
+// checkpoint in every case.
+
+type home int
+
+const (
+	homeMemory home = iota
+	homeDir
+	homeShared
+)
+
+// homeOf is the job's checkpoint home.
+func (s *Server) homeOf(j *Job) home {
+	switch {
+	case s.cfg.Shared != nil && j.Spec.SharedKey != "":
+		return homeShared
+	case s.cfg.Dir != "":
+		return homeDir
 	}
-	err := writeSnapFile(filepath.Join(s.jobDir(j), "snap.ck"), gl)
+	return homeMemory
+}
+
+// saveSnap records the checkpoint at step in the job's home. A failed write
+// leaves the job at its last durable checkpoint and surfaces in
+// persist_error.
+func (s *Server) saveSnap(j *Job, step int, gl *checkpoint.Global) {
+	var err error
+	h := s.homeOf(j)
+	switch h {
+	case homeShared:
+		if err = s.cfg.Shared.Put(j.Spec.SharedKey, step, gl); err == nil {
+			s.met.sharedPuts.Add(1)
+		}
+	case homeDir:
+		err = checkpoint.WriteAtomic(filepath.Join(s.jobDir(j), "snap.ck"), gl)
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	s.notePersist(j, err)
-	s.persistMetaLocked(j)
-}
-
-// shareSnap dual-writes a checkpoint into the shared artifact store under
-// the job's shared_key, stamped with its global step boundary.
-func (s *Server) shareSnap(j *Job, step int, gl *checkpoint.Global) {
-	if s.shared == nil || j.Spec.SharedKey == "" {
+	if err != nil {
 		return
 	}
-	err := s.shared.Put(j.Spec.SharedKey, step, gl)
-	j.mu.Lock()
-	s.notePersist(j, err)
-	j.mu.Unlock()
-	if err == nil {
-		s.met.sharedPuts.Add(1)
+	j.ckptStep = step
+	switch h {
+	case homeDir:
+		s.persistMetaLocked(j)
+	case homeMemory:
+		j.snap = gl
 	}
 }
 
-// writeSnapFile durably writes one checkpoint (checkpoint.WriteAtomic: temp
-// file, fsync, rename, parent-dir fsync). The temp file lives in the
-// destination directory (a cross-device rename would not be atomic); a
-// process death between create and rename can strand it, which is why
-// recover() sweeps *.tmp before trusting a job directory.
-func writeSnapFile(path string, gl *checkpoint.Global) error {
-	return checkpoint.WriteAtomic(path, gl)
-}
-
-// writeFileAtomic durably replaces path with b (same protocol).
-func writeFileAtomic(path string, b []byte) error {
-	return checkpoint.WriteFileAtomic(path, b)
+// loadSnap returns the checkpoint in the job's home and its step, or nil
+// when there is none to resume from. A snapshot of another mesh (a reused
+// shared key) or past the job's last step is not the job's.
+func (s *Server) loadSnap(j *Job) (*checkpoint.Global, int) {
+	j.mu.Lock()
+	gl, step := j.snap, j.ckptStep
+	j.mu.Unlock()
+	var err error
+	switch s.homeOf(j) {
+	case homeShared:
+		gl, step, err = s.cfg.Shared.Latest(j.Spec.SharedKey)
+	case homeDir:
+		if step > 0 {
+			gl, err = checkpoint.ReadFile(filepath.Join(s.jobDir(j), "snap.ck"))
+		}
+	}
+	if err != nil || gl == nil || step > j.Spec.Steps ||
+		gl.Nx != j.Spec.Nx || gl.Ny != j.Spec.Ny || gl.Nz != j.Spec.Nz {
+		return nil, 0
+	}
+	return gl, step
 }
 
 // recover re-registers persisted jobs from cfg.Dir. Jobs that were queued,
 // running or interrupted when the previous process died come back as
 // resumable "interrupted" jobs; completed and terminal jobs keep their
-// state. The latest checkpoint, when present and valid, is reloaded.
+// state. Each job's checkpoint is verified in its home, and only its step is
+// kept: a resume loads it again.
 //
 //cadyvet:unshared recovery runs from New before the worker pool or any handler exists; s and every recovered Job are still private to the constructor
 func (s *Server) recover() error {
@@ -911,10 +931,9 @@ func (s *Server) recover() error {
 		// A crash between temp write and rename leaves a stale *.tmp next to
 		// the last complete file. It is never valid state (the rename is the
 		// commit point): remove it so nothing can ever load it.
-		if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) > 0 {
-			for _, t := range tmps {
-				os.Remove(t)
-			}
+		tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp"))
+		for _, t := range tmps {
+			os.Remove(t)
 		}
 		specB, err := os.ReadFile(filepath.Join(dir, "spec.json"))
 		if err != nil {
@@ -939,17 +958,9 @@ func (s *Server) recover() error {
 				j.migrations = m.Migrations
 			}
 		}
-		if f, err := os.Open(filepath.Join(dir, "snap.ck")); err == nil {
-			if gl, err := checkpoint.Read(f); err == nil {
-				j.snap = gl
-			}
-			f.Close()
-		}
-		// meta.json's checkpoint step describes snap.ck; with no snapshot
-		// loaded (missing, or a format Read refuses) there is none to report.
-		if j.snap == nil {
-			j.ckptStep = 0
-		}
+		// A checkpoint that is missing or that Read refuses (an older
+		// format) leaves none to report.
+		_, j.ckptStep = s.loadSnap(j)
 		// A job that was mid-flight (or parked in a restart backoff) when
 		// the process died cannot still be running; surface it as
 		// interrupted and resumable.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -361,18 +362,37 @@ func waitQueueDrained(t *testing.T, s *Server) {
 
 // TestCancelResumeEquivalence is the acceptance test: a job killed mid-run
 // is checkpointed at its stop boundary, and resuming it reaches a final
-// state bitwise identical to an uninterrupted run — for every scheme.
+// state bitwise identical to an uninterrupted run — for every scheme, in
+// every checkpoint home. The checkpoint lives in its home only: a shared-key
+// job on a server with both a directory and a shared store writes no
+// snap.ck, only the memory home puts a Global on the job, and no completed
+// job holds one.
 func TestCancelResumeEquivalence(t *testing.T) {
 	for _, alg := range []string{"yz", "ca"} {
-		t.Run(alg, func(t *testing.T) { testCancelResumeEquivalence(t, alg) })
+		t.Run(alg, func(t *testing.T) {
+			for _, h := range []home{homeMemory, homeDir, homeShared} {
+				t.Run([]string{"memory", "dir", "shared"}[h], func(t *testing.T) { testCancelResumeEquivalence(t, alg, h) })
+			}
+		})
 	}
 }
 
-func testCancelResumeEquivalence(t *testing.T, alg string) {
-	s := newTestServer(t, Config{Workers: 1, QueueCap: 4})
+func testCancelResumeEquivalence(t *testing.T, alg string, h home) {
+	cfg := Config{Workers: 1, QueueCap: 4}
 	spec := smallSpec(4)
 	spec.Alg = alg
 	spec.CheckpointEvery = 1
+	if h != homeMemory {
+		cfg.Dir = t.TempDir()
+	}
+	if h == homeShared {
+		store, err := checkpoint.NewDirStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Shared, spec.SharedKey = store, "cancel-resume"
+	}
+	s := newTestServer(t, cfg)
 	// Cancel exactly at boundary 2 of the first segment, from inside the
 	// quiesced step barrier (deterministic: the stop decision is sampled
 	// right after this hook at the same boundary).
@@ -395,6 +415,21 @@ func testCancelResumeEquivalence(t *testing.T, alg string) {
 	if !st.Resumable {
 		t.Fatalf("cancelled job not resumable")
 	}
+	if s.homeOf(j) != h {
+		t.Fatalf("job's checkpoint home %d, want %d", s.homeOf(j), h)
+	}
+	if snap, step := s.loadSnap(j); step != 2 || snap == nil {
+		t.Fatalf("stop checkpoint at step %d (loaded %v), want 2 in the job's home", step, snap != nil)
+	}
+	if held := holdsGlobal(j); held != (h == homeMemory) {
+		t.Fatalf("cancelled job holds a Global: %v, want only in the memory home", held)
+	}
+	if cfg.Dir != "" {
+		_, err := os.Stat(filepath.Join(cfg.Dir, j.ID, "snap.ck"))
+		if written := err == nil; written != (h == homeDir) {
+			t.Fatalf("snap.ck written: %v, want only in the dir home", written)
+		}
+	}
 
 	if _, err := s.Resume(j.ID); err != nil {
 		t.Fatalf("Resume: %v", err)
@@ -403,18 +438,93 @@ func testCancelResumeEquivalence(t *testing.T, alg string) {
 	if st.StepsDone != 4 || st.Attempts != 2 {
 		t.Fatalf("resumed job finished with steps_done %d attempts %d", st.StepsDone, st.Attempts)
 	}
-
-	snap, step := j.latestSnapshot()
-	if step != 4 || snap == nil {
-		t.Fatalf("final snapshot at step %d, want 4", step)
-	}
-	spec.Steps = 4
-	if !snap.Equal(refFinal(spec)) {
-		t.Fatalf("resumed final state differs from uninterrupted run (restarts must be bitwise-exact)")
-	}
-	// Cumulative counters cover both segments.
+	// Cumulative counters cover both segments: the second started at 2.
 	if st.Counters.Steps != 4 {
 		t.Fatalf("cumulative counter steps = %d, want 4", st.Counters.Steps)
+	}
+	if n := s.met.sharedResumes.Load(); n != 0 {
+		t.Fatalf("cady_shared_resumes_total = %d after a resume on the same server, want 0", n)
+	}
+	if holdsGlobal(j) {
+		t.Fatal("completed job still holds a Global")
+	}
+	if h == homeMemory {
+		// Nothing can resume a completed job, so the memory home keeps no
+		// final state; the diagnostics of the final state stand in for it.
+		g, ref := refRun(spec)
+		if want := diagnostics(g, ref.Finals); !maps.Equal(st.Diagnostics, want) {
+			t.Fatalf("resumed diagnostics %v, uninterrupted %v (restarts must be bitwise-exact)", st.Diagnostics, want)
+		}
+		return
+	}
+	if !homeSnap(t, s, j).Equal(refFinal(spec)) {
+		t.Fatalf("resumed final state differs from uninterrupted run (restarts must be bitwise-exact)")
+	}
+}
+
+// holdsGlobal reports whether the job keeps a snapshot in memory.
+func holdsGlobal(j *Job) bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.snap != nil
+}
+
+// homeSnap is the completed job's final checkpoint, read from its home.
+func homeSnap(t *testing.T, s *Server, j *Job) *checkpoint.Global {
+	t.Helper()
+	snap, step := s.loadSnap(j)
+	if snap == nil || step != j.Spec.Steps {
+		t.Fatalf("job %s: final checkpoint at step %d (loaded %v), want %d", j.ID, step, snap != nil, j.Spec.Steps)
+	}
+	return snap
+}
+
+// TestFailedWriteResumesFromDurableCheckpoint: a checkpoint that does not
+// reach the job directory leaves the job at its last durable checkpoint —
+// checkpoint_step, the resume point and the final state all follow the
+// disk, and persist_error names the failure.
+func TestFailedWriteResumesFromDurableCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestServer(t, Config{Workers: 1, QueueCap: 4, Dir: dir})
+	spec := smallSpec(4)
+	spec.CheckpointEvery = 1
+	// At boundary 2 the job directory goes away (so the step-2 checkpoint
+	// fails; step 1's is on disk) and the job is cancelled.
+	s.testStep = func(j *Job, done int) {
+		j.mu.Lock()
+		attempt := j.attempts
+		j.mu.Unlock()
+		if attempt == 1 && done == 2 {
+			//cadyvet:volatile moves the job directory away to make the next checkpoint write fail
+			if err := os.Rename(filepath.Join(dir, j.ID), filepath.Join(dir, "away")); err != nil {
+				t.Error(err)
+			}
+			s.Cancel(j.ID)
+		}
+	}
+	j, err := s.Submit(spec)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	st := waitState(t, s, j.ID, JCancelled)
+	if st.StepsDone != 2 || st.CkptStep != 1 || st.PersistError == "" {
+		t.Fatalf("after a failed step-2 checkpoint: steps_done %d checkpoint_step %d persist_error %q, want 2, 1 and an error",
+			st.StepsDone, st.CkptStep, st.PersistError)
+	}
+	//cadyvet:volatile puts the job directory back with its durable step-1 checkpoint
+	if err := os.Rename(filepath.Join(dir, "away"), filepath.Join(dir, j.ID)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Resume(j.ID); err != nil {
+		t.Fatalf("Resume: %v", err)
+	}
+	st = waitState(t, s, j.ID, JCompleted)
+	// 2 steps before the cancel, 3 after the resume from step 1.
+	if st.Counters.Steps != 5 || st.PersistError != "" {
+		t.Fatalf("resumed job: counter steps %d persist_error %q, want 5 and none", st.Counters.Steps, st.PersistError)
+	}
+	if !homeSnap(t, s, j).Equal(refFinal(spec)) {
+		t.Fatal("run resumed from the durable checkpoint differs from the uninterrupted run")
 	}
 }
 
@@ -482,7 +592,7 @@ func TestGracefulDrain(t *testing.T) {
 	if rst.State != JInterrupted || !rst.Resumable || rst.StepsDone != st1.StepsDone {
 		t.Fatalf("recovered job: %+v, want interrupted at %d steps", rst, st1.StepsDone)
 	}
-	snap, step := r1.latestSnapshot()
+	snap, step := s2.loadSnap(r1)
 	if snap == nil || step != st1.CkptStep {
 		t.Fatalf("recovered snapshot at %d, want %d", step, st1.CkptStep)
 	}
@@ -506,8 +616,7 @@ func TestGracefulDrain(t *testing.T) {
 	waitState(t, s2, j2.ID, JCompleted)
 
 	// The interrupted-and-recovered run matches an uninterrupted one.
-	fsnap, _ := r1.latestSnapshot()
-	if !fsnap.Equal(refFinal(long)) {
+	if !homeSnap(t, s2, r1).Equal(refFinal(long)) {
 		t.Fatalf("recovered run differs from uninterrupted run")
 	}
 }

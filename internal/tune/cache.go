@@ -1,4 +1,4 @@
-//cadyvet:persistence the plan cache survives restarts; writes go through the blessed writeFileAtomic helper
+//cadyvet:persistence the plan cache survives restarts; writes go through checkpoint.WriteFileAtomic
 package tune
 
 import (
@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"cadycore/internal/checkpoint"
 	"cadycore/internal/dycore"
 	"cadycore/internal/grid"
 	"cadycore/internal/operators"
@@ -60,7 +61,10 @@ func (c *Cache) Put(key string, p Plan) error {
 		return fmt.Errorf("tune: marshal plan: %w", err)
 	}
 	data = append(data, '\n')
-	return writeFileAtomic(c.path(key), data)
+	if err := os.MkdirAll(c.dir, 0o755); err != nil {
+		return err
+	}
+	return checkpoint.WriteFileAtomic(c.path(key), data)
 }
 
 // cacheKey builds the cache key of a planning request from every Planner
@@ -84,49 +88,4 @@ func (pl *Planner) cacheKey(g *grid.Grid, procs int, cfg dycore.Config) string {
 	sum := sha256.Sum256(data)
 	return fmt.Sprintf("plan-%dx%dx%d-p%d-m%d-%s-%s", g.Nx, g.Ny, g.Nz, procs, cfg.M,
 		hex.EncodeToString(sum[:4]), pl.Profile.Hash())
-}
-
-// writeFileAtomic writes data to path via a temp file in the same directory
-// plus fsync + rename + parent-dir fsync, so concurrent readers never
-// observe a partial file and a crash at any point leaves either the old or
-// the new content — never a torn or lost file.
-//
-//cadyvet:blessed the package's one commit helper: CreateTemp in the destination dir, fsync, rename, parent-dir fsync
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
