@@ -73,13 +73,14 @@ func (b *Baseline) ExchStats() []topo.ExchStats {
 	return []topo.ExchStats{b.exStencil.Stats(), b.exSmooth.Stats()}
 }
 
-// SetState overwrites the owned region of ξ (and refreshes boundaries and
-// the initial Ĉ cache — one startup exchange and one startup collective,
-// mirroring the model's initialization phase). The smoothing a comm-avoiding
-// step-boundary snapshot still owes cannot be deferred here: apply it now,
-// after refreshing the ghosts sourced in the restored owned cells.
+// SetState overwrites the owned region of ξ from init, whatever init's
+// storage extent (and refreshes boundaries and the initial Ĉ cache — one
+// startup exchange and one startup collective, mirroring the model's
+// initialization phase). The smoothing a comm-avoiding step-boundary
+// snapshot still owes cannot be deferred here: apply it now, after
+// refreshing the ghosts sourced in the restored owned cells.
 func (b *Baseline) SetState(init *state.State) {
-	b.xi.CopyFrom(init)
+	b.xi.CopyOwned(init)
 	if init.Carry != nil && init.Carry.PendingSmooth {
 		b.xi.FillLocalBounds(b.tp.Block.Owned())
 		b.smooth()

@@ -145,16 +145,17 @@ func (ca *CommAvoid) ExchStats() []topo.ExchStats {
 	return out
 }
 
-// SetState overwrites ξ and bootstraps halos. An initial condition (no
-// Carry) also bootstraps the Ĉ cache (ξ^(−1) = ξ^(0), Algorithm 2 line 1)
-// and owes no smoothing; a comm-avoiding snapshot brings both along (the
-// deep exchange ships Ĉ too, refilling the restored cache's halos), so the
-// next Step is bitwise the uninterrupted run's.
+// SetState overwrites ξ's owned cells and bootstraps halos. An initial
+// condition (no Carry) also bootstraps the Ĉ cache (ξ^(−1) = ξ^(0),
+// Algorithm 2 line 1) and owes no smoothing; a comm-avoiding snapshot brings
+// both along (the deep exchange ships Ĉ too, refilling the restored cache's
+// halos), so the next Step is bitwise the uninterrupted run's. Only owned
+// cells of init and of its Carry are read, so either may have any storage
+// extent (state.OwnedBlock is the smallest).
 func (ca *CommAvoid) SetState(init *state.State) {
-	ca.xi.CopyFrom(init)
+	ca.xi.CopyOwned(init)
 	if c := init.Carry; c != nil {
-		field.Copy(ca.cLast.PWI, c.PWI)
-		field.Copy2(ca.cLast.DBar, c.DBar)
+		ca.xi.Carry.CopyOwned(c) // ξ's Carry names cLast (publishCarry)
 	}
 	ca.localFill(ca.xi)
 	f3, f2 := ca.exchangeFields(ca.xi)
@@ -241,7 +242,7 @@ func (ca *CommAvoid) Step() {
 		ca.xi.U.CopyRect(owned, ca.eta1.U)
 		ca.xi.V.CopyRect(owned, ca.eta1.V)
 		ca.xi.Phi.CopyRect(owned, ca.eta1.Phi)
-		copyRect2(ca.xi.Psa, owned, ca.eta1.Psa)
+		ca.xi.Psa.CopyRect(owned, ca.eta1.Psa)
 		ca.xi.FillLocalBounds(owned)
 		ca.n.SmoothingCalls++
 	}
@@ -482,15 +483,5 @@ func (ca *CommAvoid) Finalize() {
 	if ca.xi.Carry.PendingSmooth {
 		ca.plainSmooth()
 		ca.xi.Carry.PendingSmooth = false
-	}
-}
-
-// copyRect2 copies rect r of src into dst for 2-D fields.
-func copyRect2(dst *field.F2, r field.Rect, src *field.F2) {
-	r = r.Flat2D()
-	for j := r.J0; j < r.J1; j++ {
-		d := dst.Index(r.I0, j)
-		s := src.Index(r.I0, j)
-		copy(dst.Data[d:d+(r.I1-r.I0)], src.Data[s:s+(r.I1-r.I0)])
 	}
 }

@@ -64,7 +64,6 @@ type core struct {
 	eta1 *state.State
 	tnd  *operators.Tendency
 
-	divp  *field.F3
 	cNew  *operators.CRes
 	cLast *operators.CRes
 	advSc *operators.AdvScratch
@@ -96,7 +95,6 @@ func newCore(cfg Config, g *grid.Grid, tp *topo.Topology) *core {
 		xi:    state.New(b),
 		eta1:  state.New(b),
 		tnd:   operators.NewTendency(b),
-		divp:  field.NewF3(b),
 		cNew:  operators.NewCRes(b),
 		cLast: operators.NewCRes(b),
 		advSc: operators.NewAdvScratch(b),
@@ -189,26 +187,29 @@ func (c *core) fillCBounds(cr *operators.CRes) {
 // z-collective summation into dst. The caller must have called
 // c.updateSurface(src, r′) with r′ ⊇ r since the last change of src.Psa.
 func (c *core) evalC(src *state.State, dst *operators.CRes, r field.Rect) {
-	c.evalDivP(src, r)
+	c.evalDivP(src, dst, r)
 	c.sumC(dst, r)
 }
 
 // evalDivP computes the pointwise divergence term D(P) of Ĉ at src over r
-// into c.divp. It is the communication-free half of evalC, split out so the
-// overlap path can run it on the interior rect while halo messages fly and
-// on the boundary slabs afterwards — D(P) is per-point pure, so any disjoint
-// cover of r produces bitwise the monolithic result.
-func (c *core) evalDivP(src *state.State, r field.Rect) {
-	w := operators.DivP(c.g, src.U, src.V, c.sur, c.divp, r)
+// into dst.PWI, the result it feeds: sumC reads each layer there before it
+// writes the interface above it (operators.CSumWith), and every cell written
+// here is an interface sumC then writes. It is the communication-free half
+// of evalC, split out so the overlap path can run it on the interior rect
+// while halo messages fly and on the boundary slabs afterwards — D(P) is
+// per-point pure, so any disjoint cover of r produces bitwise the monolithic
+// result.
+func (c *core) evalDivP(src *state.State, dst *operators.CRes, r field.Rect) {
+	w := operators.DivP(c.g, src.U, src.V, c.sur, dst.PWI, r)
 	c.w.Compute(float64(w) * costDivP)
 }
 
-// sumC completes Ĉ from the precomputed c.divp over r: the z-collective
-// summation into dst. One call = one z-collective round, so the overlap
-// split (which covers r with evalDivP pieces but sums once) keeps the
-// algorithm's collective count identical to the monolithic path.
+// sumC completes Ĉ from the D(P) that evalDivP left in dst.PWI over r: the
+// z-collective summation into dst. One call = one z-collective round, so the
+// overlap split (which covers r with evalDivP pieces but sums once) keeps
+// the algorithm's collective count identical to the monolithic path.
 func (c *core) sumC(dst *operators.CRes, r field.Rect) {
-	w2 := operators.CSumWith(c.g, c.tp.ColZ, c.w, c.divp, dst, r, r.K0, r.K1, &c.csSc)
+	w2 := operators.CSumWith(c.g, c.tp.ColZ, c.w, dst.PWI, dst, r, r.K0, r.K1, &c.csSc)
 	c.w.Compute(float64(w2) * costCSum)
 	c.fillCBounds(dst)
 	c.n.CEvaluations++
@@ -382,17 +383,18 @@ func (c *core) slabs(outer, inner field.Rect) []field.Rect {
 type kernel int
 
 const (
-	kernDivP   kernel = iota // D(P) of Ĉ into c.divp
+	kernDivP   kernel = iota // D(P) of Ĉ into c.cNew, which sumC completes
 	kernAdvect               // L̃ with σ̇ from the most recent Ĉ into c.tnd
 	kernSmooth               // dst ← S̃(src)
 )
 
 // sweep runs kernel k reading src over r and charges its work. Only the
 // smoothing writes a state, dst; D(P) and L̃ write core scratch and take nil.
+// D(P) goes to cNew, not cLast: the exchange in flight ships cLast.
 func (c *core) sweep(k kernel, src, dst *state.State, r field.Rect) {
 	switch k {
 	case kernDivP:
-		c.evalDivP(src, r)
+		c.evalDivP(src, c.cNew, r)
 	case kernAdvect:
 		c.advectTendency(src, c.cLast, r)
 	case kernSmooth:

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"cadycore/internal/comm"
+	"cadycore/internal/field"
 	"cadycore/internal/grid"
 	"cadycore/internal/state"
 	"cadycore/internal/topo"
@@ -265,7 +266,9 @@ func runOnWorld(s Setup, g *grid.Grid, model comm.NetModel, init InitFunc, steps
 			tp, ig := s.Build(c, g)
 			// Deferred so that a rank killed mid-run still reports its work.
 			defer func() { counts[c.Rank()] = ig.Counters() }()
-			st := state.New(tp.Block)
+			// The initial condition holds owned cells only: SetState reads
+			// nothing else, and a checkpoint's Carry follows its block.
+			st := state.New(state.OwnedBlock(tp.Block))
 			init(g, st)
 			ig.(StateSetter).SetState(st)
 			// Setup and bootstrap (communicator splits, the initial exchange
@@ -286,7 +289,7 @@ func runOnWorld(s Setup, g *grid.Grid, model comm.NetModel, init InitFunc, steps
 				}
 			}
 			ig.Finalize()
-			finals[c.Rank()] = ig.Xi()
+			finals[c.Rank()] = final(ig.Xi())
 			if er, ok := ig.(ExchReporter); ok {
 				exch[c.Rank()] = er.ExchStats()
 			}
@@ -303,6 +306,19 @@ func runOnWorld(s Setup, g *grid.Grid, model comm.NetModel, init InitFunc, steps
 	}
 	return RunResult{Setup: s, Agg: w.Stats(), Count: counts[0], Exch: mergeExch(exch),
 		Finals: finals, StepsDone: done[0]}, rec
+}
+
+// final returns a rank's entry of RunResult.Finals: ξ as the integrator left
+// it, halos included, with an owned-size copy of its Carry, so that the
+// result does not keep the integrator's Ĉ cache alive.
+func final(xi *state.State) *state.State {
+	fin := *xi
+	if c := xi.Carry; c != nil {
+		b := state.OwnedBlock(xi.B)
+		fin.Carry = &state.Carry{PWI: field.NewF3(b), DBar: field.NewF2(b), PendingSmooth: c.PendingSmooth}
+		fin.Carry.CopyOwned(c)
+	}
+	return &fin
 }
 
 // mergeExch folds per-rank exchanger statistics into one list: counts are

@@ -36,6 +36,16 @@ func (f *F2) Clone() *F2 {
 	return g
 }
 
+// CopyRect copies the values of src in rect r (its K range ignored) into f.
+// Both fields must cover r in their storage regions; blocks need not match.
+func (f *F2) CopyRect(r Rect, src *F2) {
+	for j := r.J0; j < r.J1; j++ {
+		d := f.Index(r.I0, j)
+		s := src.Index(r.I0, j)
+		copy(f.Data[d:d+(r.I1-r.I0)], src.Data[s:s+(r.I1-r.I0)])
+	}
+}
+
 // Zero sets every stored value (including halos) to zero.
 func (f *F2) Zero() {
 	for i := range f.Data {

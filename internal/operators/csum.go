@@ -22,21 +22,11 @@ type CRes struct {
 	B    field.Block
 	DBar *field.F2
 	PWI  *field.F3
-	// Valid is the horizontal rect over which the result is valid; vertical
-	// validity spans the same halo depth in z.
-	Valid field.Rect
 }
 
 // NewCRes allocates a result container on the block.
 func NewCRes(b field.Block) *CRes {
 	return &CRes{B: b, DBar: field.NewF2(b), PWI: field.NewF3(b)}
-}
-
-// CopyFrom deep-copies o into c.
-func (c *CRes) CopyFrom(o *CRes) {
-	field.Copy2(c.DBar, o.DBar)
-	field.Copy(c.PWI, o.PWI)
-	c.Valid = o.Valid
 }
 
 // DivP computes the mass-flux divergence
@@ -115,8 +105,10 @@ func grown(s []float64, n int) []float64 {
 //
 // loK/hiK bound the vertical range over which divP holds valid data
 // (beyond the owned range for deep-halo execution); they are clamped to the
-// global domain. sc is caller-held scratch, grown on first use and reused
-// afterwards. Returns points updated (for compute accounting).
+// global domain. divP may be res.PWI: every layer k is read before interface
+// k is written, so D(P) can live in the result it feeds. sc is caller-held
+// scratch, grown on first use and reused afterwards. Returns points updated
+// (for compute accounting).
 func CSumWith(g *grid.Grid, cz *comm.Comm, world *comm.Comm, divP *field.F3, res *CRes, hr field.Rect, loK, hiK int, sc *CSumScratch) int {
 	b := res.B
 	if loK < 0 {
@@ -200,27 +192,30 @@ func CSumWith(g *grid.Grid, cz *comm.Comm, world *comm.Comm, divP *field.F3, res
 	sc.prefix = grown(sc.prefix, plane)
 	prefix := sc.prefix
 	copy(prefix, base)
-	// Downward sweep: interfaces K0 … hiK.
+	// Downward sweep: interfaces K0 … hiK, each but the last followed by its
+	// layer.
 	for k := b.K0; k <= hiK; k++ {
-		storePWI(g, res, hr, k, dbar, prefix)
-		if k < hiK {
-			accumulate(divP, hr, k, g.DSigma[k], prefix)
+		layer := divP
+		if k == hiK {
+			layer = nil
 		}
+		storePWI(g, res, layer, hr, k, dbar, prefix)
 	}
 	// Upward sweep: interfaces K0−1 … loK (subtract layers above K0).
 	copy(prefix, base)
 	for k := b.K0 - 1; k >= loK; k-- {
 		accumulate(divP, hr, k, -g.DSigma[k], prefix)
-		storePWI(g, res, hr, k, dbar, prefix)
+		storePWI(g, res, nil, hr, k, dbar, prefix)
 	}
 	work += (hiK - loK + 2) * plane
 
-	res.Valid = hr
 	return work
 }
 
-// storePWI writes PWI at interface k: σ_I[k]·DBar − prefix.
-func storePWI(g *grid.Grid, res *CRes, hr field.Rect, k int, dbar, prefix []float64) {
+// storePWI writes PWI at interface k: σ_I[k]·DBar − prefix. With divP
+// non-nil it also adds Δσ_k·D(P) at layer k into prefix, reading each point
+// before the interface write that may overwrite it (divP may be res.PWI).
+func storePWI(g *grid.Grid, res *CRes, divP *field.F3, hr field.Rect, k int, dbar, prefix []float64) {
 	if w := res.B.WithHalo(); k < w.K0 || k >= w.K1 {
 		return // interface outside storage (cannot happen for Hz ≥ 1)
 	}
@@ -229,8 +224,18 @@ func storePWI(g *grid.Grid, res *CRes, hr field.Rect, k int, dbar, prefix []floa
 	w := 0
 	for j := hr.J0; j < hr.J1; j++ {
 		base := res.PWI.Index(hr.I0, j, k)
+		if divP == nil {
+			for o := 0; o < nxh; o++ {
+				res.PWI.Data[base+o] = sig*dbar[w] - prefix[w]
+				w++
+			}
+			continue
+		}
+		src, ds := divP.Index(hr.I0, j, k), g.DSigma[k]
 		for o := 0; o < nxh; o++ {
+			d := divP.Data[src+o]
 			res.PWI.Data[base+o] = sig*dbar[w] - prefix[w]
+			prefix[w] += ds * d
 			w++
 		}
 	}

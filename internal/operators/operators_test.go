@@ -7,6 +7,7 @@ import (
 
 	"cadycore/internal/comm"
 	"cadycore/internal/field"
+	"cadycore/internal/grid"
 	"cadycore/internal/physics"
 	"cadycore/internal/state"
 	"cadycore/internal/topo"
@@ -59,18 +60,39 @@ func TestCSumTotalsAndBoundaries(t *testing.T) {
 	}
 }
 
+// cSum evaluates Ĉ over r twice, from a separate D(P) array and with D(P)
+// written into the result's own PWI (divP == res.PWI, as the dycore calls
+// it), and reports an error unless the two results hold the same bits in
+// every stored cell. It returns the separate-array result.
+func cSum(t *testing.T, g *grid.Grid, cz, world *comm.Comm, st *state.State, sur *Surface, r field.Rect) *CRes {
+	t.Helper()
+	divp := field.NewF3(st.B)
+	DivP(g, st.U, st.V, sur, divp, r)
+	sep := NewCRes(st.B)
+	CSumWith(g, cz, world, divp, sep, r, r.K0, r.K1, &CSumScratch{})
+	in := NewCRes(st.B)
+	DivP(g, st.U, st.V, sur, in.PWI, r)
+	CSumWith(g, cz, world, in.PWI, in, r, r.K0, r.K1, &CSumScratch{})
+	for _, p := range [][2][]float64{{sep.PWI.Data, in.PWI.Data}, {sep.DBar.Data, in.DBar.Data}} {
+		for n := range p[0] {
+			if math.Float64bits(p[0][n]) != math.Float64bits(p[1][n]) {
+				t.Errorf("Ĉ over %v with divP == res.PWI: cell %d is %v, separate D(P) gives %v", r, n, p[1][n], p[0][n])
+				return sep
+			}
+		}
+	}
+	return sep
+}
+
 func TestCSumParallelMatchesSerial(t *testing.T) {
 	// The z-collective summation must reproduce the serial vertical
-	// integral for any p_z.
+	// integral for any p_z, and D(P) may live in the result's PWI.
 	g := probeGrid()
 	bSer := serialBlock(g)
 	stSer := smoothState(g, bSer)
 	surSer := NewSurface(bSer)
 	surSer.Update(stSer.Psa)
-	divpSer := field.NewF3(bSer)
-	DivP(g, stSer.U, stSer.V, surSer, divpSer, bSer.Owned())
-	serial := NewCRes(bSer)
-	CSumWith(g, nil, nil, divpSer, serial, bSer.Owned(), 0, g.Nz, &CSumScratch{})
+	serial := cSum(t, g, nil, nil, stSer, surSer, bSer.Owned())
 
 	for _, pz := range []int{2, 3} {
 		w := comm.NewWorld(pz, comm.Zero())
@@ -83,10 +105,7 @@ func TestCSumParallelMatchesSerial(t *testing.T) {
 			st.FillLocalBounds(st.B.WithHalo())
 			sur := NewSurface(tp.Block)
 			sur.Update(st.Psa)
-			divp := field.NewF3(tp.Block)
-			DivP(g, st.U, st.V, sur, divp, tp.Block.Owned())
-			cres := NewCRes(tp.Block)
-			CSumWith(g, tp.ColZ, tp.World, divp, cres, tp.Block.Owned(), tp.Block.K0, tp.Block.K1, &CSumScratch{})
+			cres := cSum(t, g, tp.ColZ, tp.World, st, sur, tp.Block.Owned())
 			b := tp.Block
 			for j := 0; j < g.Ny; j++ {
 				for i := 0; i < g.Nx; i++ {
@@ -402,7 +421,7 @@ func TestCSumDeepHaloRegionMatchesSerial(t *testing.T) {
 	// The deep-halo execution evaluates Ĉ on a region extending beyond the
 	// owned block (asymmetrically in z). Its values on that extended region
 	// must equal the serial evaluation — the property that makes the lagged
-	// Ĉ usable in halo areas.
+	// Ĉ usable in halo areas — also with D(P) in the result's PWI.
 	g := probeGrid()
 	bSer := serialBlock(g)
 	stSer := smoothState(g, bSer)
@@ -426,10 +445,7 @@ func TestCSumDeepHaloRegionMatchesSerial(t *testing.T) {
 		if r.K1 < g.Nz {
 			r.K1++
 		}
-		divp := field.NewF3(tp.Block)
-		DivP(g, st.U, st.V, sur, divp, r)
-		cres := NewCRes(tp.Block)
-		CSumWith(g, tp.ColZ, tp.World, divp, cres, r, r.K0, r.K1, &CSumScratch{})
+		cres := cSum(t, g, tp.ColZ, tp.World, st, sur, r)
 
 		for j := 0; j < g.Ny; j++ {
 			for i := 0; i < g.Nx; i++ {

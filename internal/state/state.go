@@ -49,6 +49,32 @@ type Carry struct {
 	PendingSmooth bool
 }
 
+// CopyOwned sets the owned Ĉ values of c from o — D̄ on the owned columns,
+// PWI on the owned interfaces plus, on the lowest block, interface Nz (what a
+// checkpoint reads) — whatever the two storage extents. Both must belong to
+// blocks that own the same cells.
+func (c *Carry) CopyOwned(o *Carry) {
+	r := c.PWI.B.Owned()
+	c.DBar.CopyRect(r, o.DBar)
+	if r.K1 == c.PWI.B.Nz {
+		r.K1++
+	}
+	c.PWI.CopyRect(r, o.PWI)
+}
+
+// OwnedBlock returns b with no halo, except that the lowest block (K1 = Nz)
+// keeps a one-level z halo, whose level past the model bottom holds a
+// Carry's interface Nz (the level above K0 goes unused). It is the storage
+// of a state whose readers read owned cells only, such as an initial
+// condition, a restored snapshot or a run's result Carry.
+func OwnedBlock(b field.Block) field.Block {
+	b.Hx, b.Hy, b.Hz = 0, 0, 0
+	if b.K1 == b.Nz {
+		b.Hz = 1
+	}
+	return b
+}
+
 // New allocates a zero state on the block.
 func New(b field.Block) *State {
 	return &State{
@@ -72,6 +98,17 @@ func (s *State) CopyFrom(o *State) {
 	field.Copy(s.V, o.V)
 	field.Copy(s.Phi, o.Phi)
 	field.Copy2(s.Psa, o.Psa)
+}
+
+// CopyOwned sets the owned cells of s from o, whatever the two storage
+// extents (the blocks must own the same cells); ghosts of s are left as they
+// are.
+func (s *State) CopyOwned(o *State) {
+	r := s.B.Owned()
+	s.U.CopyRect(r, o.U)
+	s.V.CopyRect(r, o.V)
+	s.Phi.CopyRect(r, o.Phi)
+	s.Psa.CopyRect(r, o.Psa)
 }
 
 // F3s returns the 3-D components in canonical order (U, V, Φ) — the order
