@@ -43,7 +43,11 @@ func baselineHalo() (hx, hy, hz int) {
 // NewBaseline builds the baseline integrator for the calling rank. The
 // topology must be built with BaselineTopology (or identical halo widths).
 func NewBaseline(cfg Config, g *grid.Grid, tp *topo.Topology) *Baseline {
-	b := &Baseline{core: newCore(cfg, g, tp)}
+	// Every tendency is computed on the owned block, and L̃ reads its planes
+	// one row past it. The work state swaps with ξ (smooth), so it shares
+	// ξ's block.
+	owned := tp.Block.Owned()
+	b := &Baseline{core: newCore(cfg, g, tp, tp.Block, tp.Block, covering(tp.Block, owned), covering(tp.Block, grow(owned, 1, 0)))}
 	rAd := stencil.Union(stencil.RadiusOf(stencil.Adaptation), stencil.RadiusOf(stencil.Advection))
 	rSm := stencil.RadiusOf(stencil.Smoothing)
 	dx := 0
@@ -99,20 +103,19 @@ func (b *Baseline) bootstrap() {
 	b.localFill(b.xi)
 	owned := b.tp.Block.Owned()
 	b.updateSurface(b.xi, owned)
-	b.evalC(b.xi, b.cLast, owned)
+	b.evalC(b.xi, owned)
 }
 
 // adaptTendencyOf evaluates F̃(Ĉ(src) + Â(src)) into the tendency on the
 // owned region. The halo exchange of src overlaps the interior D(P)
 // evaluation (core.overlapped); one z-collective over the owned block then
-// completes Ĉ, which is remembered for the advection's σ̇.
+// completes Ĉ in the cache, which the advection's σ̇ reads later.
 func (b *Baseline) adaptTendencyOf(src *state.State) {
 	owned := b.tp.Block.Owned()
 	b.overlapped(b.exStencil, src, nil, kernDivP)
-	b.sumC(b.cNew, owned)
-	b.adaptTendency(src, b.cNew, owned)
+	b.sumC(owned)
+	b.adaptTendency(src, owned)
 	b.filterTendency(owned)
-	b.cLast, b.cNew = b.cNew, b.cLast
 }
 
 // adaptUpdate computes dst = base + Δt1·F̃(Ĉ(src) + Â(src)) on the owned

@@ -80,7 +80,7 @@ func NewCommAvoid(cfg Config, g *grid.Grid, tp *topo.Topology) *CommAvoid {
 		panic(fmt.Sprintf("dycore: halo widths (%d,%d) too small for CommAvoid (need %d,%d)",
 			tp.Block.Hy, tp.Block.Hz, hy, hz))
 	}
-	ca := &CommAvoid{core: newCore(cfg, g, tp)}
+	ca := &CommAvoid{}
 	ca.depthY = hy - 2 // smoothing consumes the outermost 2 y rows
 	ca.depthZ = hz
 	if cfg.Staged() {
@@ -97,6 +97,30 @@ func NewCommAvoid(cfg Config, g *grid.Grid, tp *topo.Topology) *CommAvoid {
 		hz = 0
 		dzAdv = 0
 	}
+
+	// Storage follows compute. The deep halo reaches toward higher k only, so
+	// below K0 only the advection exchange writes (dzAdv levels); on a bottom
+	// z-rank, whose deep halo is cut at σ = 1, that is all the z halo there
+	// is. The tendency lives on its compute extent, region(1) ∪ advRegion(2).
+	// The work state, written there too, also stores the row and level past
+	// it that the stencils read, and the two rows past region(2) whose p'_sa
+	// the surface update before the η2 tendency reads (Surface.UpdateFor).
+	// L̃'s planes reach one row past the advection's rect.
+	b := tp.Block
+	stor := b
+	if b.K0 > 0 && b.K1 == b.Nz {
+		stor.Hz = dzAdv
+	}
+	r1 := expandAsym(b, ca.depthY-1, ca.depthY-1, 0, ca.depthZ-1)
+	r2 := expandAsym(b, ca.depthY-2, ca.depthY-2, 0, ca.depthZ-2)
+	rAdv2 := expandAsym(b, 2, 2, 2, 2)
+	work := covering(b, grow(r1, 1, 1), grow(r2, 2, 0), grow(rAdv2, 1, 1))
+	ca.core = newCore(cfg, g, tp, stor, work, covering(b, r1, rAdv2), covering(b, grow(rAdv2, 1, 0)))
+	// S̃2's originals are read on the latter smoothing's rect s2r, grown by
+	// the smoothing's two rows; the smoothing is horizontal, so no level
+	// below K0 or past the domain.
+	s2r := expandAsym(b, ca.depthY, ca.depthY, 0, ca.depthZ)
+	orig := covering(b, grow(s2r, 2, 0))
 	// The adaptation stencils are one-sided in z (Table 1 reads k and k+1
 	// only), so the deep halo extends toward higher k only; this is the
 	// shape of the paper's Figure 4 halo areas.
@@ -119,8 +143,8 @@ func NewCommAvoid(cfg Config, g *grid.Grid, tp *topo.Topology) *CommAvoid {
 		}
 		ca.stageEx = tp.NewExchangerD(topo.Depths{YLo: sy, YHi: sy, ZHi: sz}).SetLabel("ca-stage")
 	}
-	ca.origPhi = field.NewF3(tp.Block)
-	ca.origPsa = field.NewF2(tp.Block)
+	ca.origPhi = field.NewF3(orig)
+	ca.origPsa = field.NewF2(orig)
 	ca.availYFn = ca.availY
 	ca.bandF3[0] = ca.origPhi
 	ca.bandF2[0] = ca.origPsa
@@ -129,11 +153,10 @@ func NewCommAvoid(cfg Config, g *grid.Grid, tp *topo.Topology) *CommAvoid {
 	return ca
 }
 
-// publishCarry re-aims ξ's Carry at the current cLast (the cLast/cNew swaps
-// move it between two buffers) and records whether ξ owes the former
-// smoothing the last Step deferred.
+// publishCarry aims ξ's Carry at the Ĉ cache and records whether ξ owes the
+// former smoothing the last Step deferred.
 func (ca *CommAvoid) publishCarry(pendingSmooth bool) {
-	*ca.xi.Carry = state.Carry{PWI: ca.cLast.PWI, DBar: ca.cLast.DBar, PendingSmooth: pendingSmooth}
+	*ca.xi.Carry = state.Carry{PWI: ca.cache.PWI, DBar: ca.cache.DBar, PendingSmooth: pendingSmooth}
 }
 
 // ExchStats reports per-exchanger overlap accounting.
@@ -155,7 +178,7 @@ func (ca *CommAvoid) ExchStats() []topo.ExchStats {
 func (ca *CommAvoid) SetState(init *state.State) {
 	ca.xi.CopyOwned(init)
 	if c := init.Carry; c != nil {
-		ca.xi.Carry.CopyOwned(c) // ξ's Carry names cLast (publishCarry)
+		ca.xi.Carry.CopyOwned(c) // ξ's Carry names the cache (publishCarry)
 	}
 	ca.localFill(ca.xi)
 	f3, f2 := ca.exchangeFields(ca.xi)
@@ -165,7 +188,7 @@ func (ca *CommAvoid) SetState(init *state.State) {
 	if init.Carry == nil {
 		r1 := ca.region(1)
 		ca.updateSurface(ca.xi, r1)
-		ca.evalC(ca.xi, ca.cLast, r1)
+		ca.evalC(ca.xi, r1)
 	}
 	ca.publishCarry(init.Carry != nil && init.Carry.PendingSmooth)
 }
@@ -188,30 +211,17 @@ func (ca *CommAvoid) availY(j int) (lo, hi int) {
 // halo depth — symmetric in y, high side only in z (the adaptation stencil
 // never reads k−1).
 func (ca *CommAvoid) region(u int) field.Rect {
-	return ca.expandAsym(ca.depthY-u, ca.depthY-u, 0, ca.depthZ-u)
+	return expandAsym(ca.tp.Block, ca.depthY-u, ca.depthY-u, 0, ca.depthZ-u)
 }
 
-// expandAsym grows the owned rect by per-side amounts, clamped to the
-// global domain.
-func (ca *CommAvoid) expandAsym(yLo, yHi, zLo, zHi int) field.Rect {
-	b := ca.tp.Block
+// expandAsym grows b's owned rect by per-side amounts, clamped to the global
+// domain.
+func expandAsym(b field.Block, yLo, yHi, zLo, zHi int) field.Rect {
 	r := b.Owned()
-	r.J0 -= yLo
-	r.J1 += yHi
-	r.K0 -= zLo
-	r.K1 += zHi
-	if r.J0 < 0 {
-		r.J0 = 0
-	}
-	if r.J1 > ca.g.Ny {
-		r.J1 = ca.g.Ny
-	}
-	if r.K0 < 0 {
-		r.K0 = 0
-	}
-	if r.K1 > ca.g.Nz {
-		r.K1 = ca.g.Nz
-	}
+	r.J0 = max(r.J0-yLo, 0)
+	r.J1 = min(r.J1+yHi, b.Ny)
+	r.K0 = max(r.K0-zLo, 0)
+	r.K1 = min(r.K1+zHi, b.Nz)
 	return r
 }
 
@@ -224,7 +234,7 @@ func (ca *CommAvoid) expandAsym(yLo, yHi, zLo, zHi int) field.Rect {
 // once.
 func (ca *CommAvoid) Step() {
 	owned := ca.tp.Block.Owned()
-	storage := ca.tp.Block.WithHalo()
+	storage := ca.xi.B.WithHalo()
 	// The former/later split runs whenever ξ owes a smoothing: every step
 	// but the first after an initial condition or a finalized snapshot.
 	fused := ca.xi.Carry.PendingSmooth
@@ -232,8 +242,8 @@ func (ca *CommAvoid) Step() {
 
 	// ---- Former smoothing S̃1 of ψ⁰ = ξ^(k−1) on the owned block ----
 	if fused {
-		field.Copy(ca.origPhi, ca.xi.Phi)
-		field.Copy2(ca.origPsa, ca.xi.Psa)
+		ca.origPhi.CopyRect(ca.origPhi.B.WithHalo(), ca.xi.Phi)
+		ca.origPsa.CopyRect(ca.origPsa.B.WithHalo(), ca.xi.Psa)
 		w := ca.smo.P1Field(ca.xi.U, ca.eta1.U, owned)
 		w += ca.smo.P1Field(ca.xi.V, ca.eta1.V, owned)
 		w += ca.smo.P2Former(ca.xi.Phi, ca.eta1.Phi, owned, ca.availYFn)
@@ -282,7 +292,7 @@ func (ca *CommAvoid) Step() {
 	}
 	ca.updateSurface(ca.xi, inner)
 	if !inner.Empty() {
-		ca.adaptTendency(ca.xi, ca.cLast, inner)
+		ca.adaptTendency(ca.xi, inner)
 		ca.filterTendency(inner)
 	}
 
@@ -306,7 +316,7 @@ func (ca *CommAvoid) Step() {
 			field.FillPolesY(ca.origPhi, field.Even, field.CenterY)
 			field.FillPolesY2(ca.origPsa, field.Even)
 		}
-		s2r := ca.expandAsym(ca.depthY, ca.depthY, 0, ca.depthZ)
+		s2r := expandAsym(ca.tp.Block, ca.depthY, ca.depthY, 0, ca.depthZ)
 		w := ca.smo.P2Latter(ca.origPhi, ca.xi.Phi, s2r, ca.availYFn)
 		w += ca.smo.P2Latter2(ca.origPsa, ca.xi.Psa, s2r, ca.availYFn)
 		ca.w.Compute(float64(w) * costSmooth)
@@ -318,11 +328,10 @@ func (ca *CommAvoid) Step() {
 	// initial ξ once η1 is formed, so the iteration updates it in place.
 	ca.updateSurface(ca.xi, r1)
 	if ca.cfg.ExactC {
-		ca.evalC(ca.xi, ca.cNew, r1)
-		ca.cLast, ca.cNew = ca.cNew, ca.cLast
+		ca.evalC(ca.xi, r1)
 	}
 	for _, s := range ca.slabs(r1, inner) {
-		ca.adaptTendency(ca.xi, ca.cLast, s)
+		ca.adaptTendency(ca.xi, s)
 		ca.filterTendency(s)
 	}
 	ca.applyUpdate(ca.eta1, ca.xi, ca.cfg.Dt1, r1)
@@ -360,55 +369,52 @@ func (ca *CommAvoid) Step() {
 				}
 				ca.updateSurface(ca.xi, sInner)
 				if !sInner.Empty() {
-					ca.adaptTendency(ca.xi, ca.cLast, sInner)
+					ca.adaptTendency(ca.xi, sInner)
 					ca.filterTendency(sInner)
 				}
 				spend.Finish()
 				ca.fillReceived(ca.stageEx, ca.xi)
 				ca.refreshSurface(ca.xi, r)
-				cr := ca.cLast
 				if ca.cfg.ExactC {
-					ca.evalC(ca.xi, ca.cNew, r)
-					cr = ca.cNew
+					ca.evalC(ca.xi, r)
 				}
 				for _, s := range ca.slabs(r, sInner) {
-					ca.adaptTendency(ca.xi, cr, s)
+					ca.adaptTendency(ca.xi, s)
 					ca.filterTendency(s)
 				}
 				ca.applyUpdate(ca.eta1, ca.xi, ca.cfg.Dt1, r)
 			} else {
 				r := ca.region(u)
 				ca.updateSurface(ca.xi, r)
-				cr := ca.cLast
 				if ca.cfg.ExactC {
-					ca.evalC(ca.xi, ca.cNew, r)
-					cr = ca.cNew
+					ca.evalC(ca.xi, r)
 				}
-				ca.adaptTendency(ca.xi, cr, r)
+				ca.adaptTendency(ca.xi, r)
 				ca.filterTendency(r)
 				ca.applyUpdate(ca.eta1, ca.xi, ca.cfg.Dt1, r)
 			}
 		}
 
 		// η2 = ψ + Δt1·F̃(Ĉ(η1) + Â(η1)), consumed only by the midpoint
-		// mid = (ψ + η2)/2, which overwrites η1 on r
+		// mid = (ψ + η2)/2, which overwrites η1 on r. η1 is formed, so the
+		// lagged Ĉ has no reader left and Ĉ(η1) overwrites it in the cache.
 		u++
 		r := ca.region(u)
 		ca.updateSurface(ca.eta1, r)
-		ca.evalC(ca.eta1, ca.cNew, r)
-		ca.adaptTendency(ca.eta1, ca.cNew, r)
+		ca.evalC(ca.eta1, r)
+		ca.adaptTendency(ca.eta1, r)
 		ca.filterTendency(r)
 		ca.applyMid(ca.eta1, ca.xi, ca.cfg.Dt1, r)
 
-		// η3 = ψ + Δt1·F̃(Ĉ(mid) + Â(mid))
+		// η3 = ψ + Δt1·F̃(Ĉ(mid) + Â(mid)); Ĉ(mid) stays in the cache for
+		// the next η1 and the advection
 		u++
 		r = ca.region(u)
 		ca.updateSurface(ca.eta1, r)
-		ca.evalC(ca.eta1, ca.cNew, r)
-		ca.adaptTendency(ca.eta1, ca.cNew, r)
+		ca.evalC(ca.eta1, r)
+		ca.adaptTendency(ca.eta1, r)
 		ca.filterTendency(r)
 		ca.applyUpdate(ca.xi, ca.xi, ca.cfg.Dt1, r) // ψ ← η3
-		ca.cLast, ca.cNew = ca.cNew, ca.cLast       // cache Ĉ(mid) for the next η1
 	}
 
 	// ---- Advection phase: one exchange, overlap on ζ1 ----
@@ -422,14 +428,14 @@ func (ca *CommAvoid) Step() {
 	}
 	ca.updateSurface(ca.xi, inner)
 	if !inner.Empty() {
-		ca.advectTendency(ca.xi, ca.cLast, inner)
+		ca.advectTendency(ca.xi, inner)
 		ca.filterTendency(inner)
 	}
 	pend.Finish()
 	ca.fillReceived(ca.advEx, ca.xi)
 	ca.updateSurface(ca.xi, rz1)
 	for _, s := range ca.slabs(rz1, inner) {
-		ca.advectTendency(ca.xi, ca.cLast, s)
+		ca.advectTendency(ca.xi, s)
 		ca.filterTendency(s)
 	}
 	ca.applyUpdate(ca.eta1, ca.xi, ca.cfg.Dt2, rz1) // ζ1
@@ -437,13 +443,13 @@ func (ca *CommAvoid) Step() {
 	// ζ2, consumed only by the midpoint (ψ + ζ2)/2 that overwrites ζ1 on r
 	r := ca.advRegion(1)
 	ca.updateSurface(ca.eta1, r)
-	ca.advectTendency(ca.eta1, ca.cLast, r)
+	ca.advectTendency(ca.eta1, r)
 	ca.filterTendency(r)
 	ca.applyMid(ca.eta1, ca.xi, ca.cfg.Dt2, r)
 
 	// ζ3
 	ca.updateSurface(ca.eta1, owned)
-	ca.advectTendency(ca.eta1, ca.cLast, owned)
+	ca.advectTendency(ca.eta1, owned)
 	ca.filterTendency(owned)
 	ca.applyUpdate(ca.xi, ca.xi, ca.cfg.Dt2, owned)
 
@@ -458,7 +464,7 @@ func (ca *CommAvoid) Step() {
 
 // advRegion is region() for the advection phase's shallower halo.
 func (ca *CommAvoid) advRegion(depth int) field.Rect {
-	return ca.expandAsym(depth, depth, depth, depth)
+	return expandAsym(ca.tp.Block, depth, depth, depth, depth)
 }
 
 // plainSmooth applies full smoothing with its own exchange (ablation path
@@ -470,7 +476,7 @@ func (ca *CommAvoid) advRegion(depth int) field.Rect {
 // snapshot's ghosts sourced in owned cells are refreshed first.
 func (ca *CommAvoid) plainSmooth() {
 	owned := ca.tp.Block.Owned()
-	ca.eta1.CopyFrom(ca.xi)
+	ca.eta1.CopyStored(ca.xi)
 	ca.eta1.FillLocalBounds(owned)
 	ca.overlapped(ca.smEx, ca.eta1, ca.xi, kernSmooth)
 	ca.n.SmoothingCalls++

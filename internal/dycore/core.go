@@ -62,10 +62,12 @@ type core struct {
 	// midpoint (ψ + η2)/2 written over it (applyMid), and the smoothing's
 	// target or snapshot between iterations.
 	eta1 *state.State
-	tnd  *operators.Tendency
+	tnd  *operators.Tendency // on the extent the tendency is computed on
 
-	cNew  *operators.CRes
-	cLast *operators.CRes
+	// cache is the one Ĉ of the rank: the one an update's tendency reads, the
+	// lagged Ĉ the comm-avoiding η1 reuses and the one every exchange ships.
+	// An evaluation overwrites it only once nothing reads the old one.
+	cache *operators.CRes
 	advSc *operators.AdvScratch
 
 	// Steady-state scratch: fixed exchange-payload arrays, the vertical-
@@ -79,34 +81,57 @@ type core struct {
 	n Counters
 }
 
-func newCore(cfg Config, g *grid.Grid, tp *topo.Topology) *core {
+// newCore builds the per-rank machinery on the storage blocks the integrator
+// derives from tp.Block (DESIGN §8 "Storage follows compute"): stor for ξ and
+// the Ĉ cache, work for the work state, tnd for the tendency and adv for L̃'s
+// planes, each holding only the cells written or read there. All keep
+// tp.Block's owned box and Hx, so the kernels' x offsets agree across them.
+func newCore(cfg Config, g *grid.Grid, tp *topo.Topology, stor, work, tnd, adv field.Block) *core {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	if cfg.ShiftedPoleMirror && tp.Px != 1 {
 		panic("dycore: ShiftedPoleMirror requires p_x = 1 (full longitude circles per rank)")
 	}
-	b := tp.Block
 	c := &core{
 		cfg: cfg, g: g, tp: tp, w: tp.World,
 		flt:   filter.New(g, cfg.FilterCutoffDeg),
 		smo:   operators.NewSmoother(g, cfg.Beta),
-		sur:   operators.NewSurface(b),
-		xi:    state.New(b),
-		eta1:  state.New(b),
-		tnd:   operators.NewTendency(b),
-		cNew:  operators.NewCRes(b),
-		cLast: operators.NewCRes(b),
-		advSc: operators.NewAdvScratch(b),
+		sur:   operators.NewSurface(tp.Block),
+		xi:    state.New(stor),
+		eta1:  state.New(work),
+		tnd:   operators.NewTendency(tnd),
+		cache: operators.NewCRes(stor),
+		advSc: operators.NewAdvScratch(adv),
 	}
 	for _, st := range []*state.State{c.xi, c.eta1} {
 		st.ShiftedPoles = cfg.ShiftedPoleMirror
 		// Allocation writes the whole storage: an odd mirror of its zeros is
 		// −0, so the ghosts of halo cells no exchange has reached yet follow
 		// their sources bitwise too.
-		st.FillLocalBounds(b.WithHalo())
+		st.FillLocalBounds(st.B.WithHalo())
 	}
 	return c
+}
+
+// covering returns b with the smallest y and z halo widths whose storage
+// holds every rect of rs (storage stops boundaryReach cells past the domain,
+// field.Block.WithHalo); the owned box and Hx stay b's.
+func covering(b field.Block, rs ...field.Rect) field.Block {
+	b.Hy, b.Hz = 0, 0
+	for _, r := range rs {
+		b.Hy = max(b.Hy, b.J0-r.J0, r.J1-b.J1)
+		b.Hz = max(b.Hz, b.K0-r.K0, r.K1-b.K1)
+	}
+	return b
+}
+
+// grow returns r grown by dy rows and dz levels on every side, unclamped:
+// storage cut at the domain (field.Block.WithHalo) keeps the mirror ghosts a
+// stencil over r reads past a boundary.
+func grow(r field.Rect, dy, dz int) field.Rect {
+	r.J0, r.J1, r.K0, r.K1 = r.J0-dy, r.J1+dy, r.K0-dz, r.K1+dz
+	return r
 }
 
 // Xi returns the current state.
@@ -121,8 +146,8 @@ func (c *core) Counters() Counters { return c.n }
 // alias fixed core arrays (reused per call — at most one exchange may be in
 // flight, which holds by construction in both integrators).
 func (c *core) exchangeFields(st *state.State) (f3s []*field.F3, f2s []*field.F2) {
-	c.exF3[0], c.exF3[1], c.exF3[2], c.exF3[3] = st.U, st.V, st.Phi, c.cLast.PWI
-	c.exF2[0], c.exF2[1] = st.Psa, c.cLast.DBar
+	c.exF3[0], c.exF3[1], c.exF3[2], c.exF3[3] = st.U, st.V, st.Phi, c.cache.PWI
+	c.exF2[0], c.exF2[1] = st.Psa, c.cache.DBar
 	return c.exF3[:], c.exF2[:]
 }
 
@@ -132,7 +157,7 @@ func (c *core) exchangeFields(st *state.State) (f3s []*field.F3, f2s []*field.F2
 // currency, and every exchange under Config.NoOverlap (fillReceived).
 func (c *core) localFill(st *state.State) {
 	st.FillLocalBounds(st.B.WithHalo())
-	c.fillCBounds(c.cLast)
+	c.fillCBounds(c.cache)
 }
 
 // fillReceived refreshes, after ex's Finish, the ghosts sourced in what the
@@ -160,7 +185,7 @@ func (c *core) fillReceived(ex *topo.Exchanger, st *state.State) {
 	for _, s := range c.slabs(grown, owned) {
 		st.FillLocalBounds(s)
 	}
-	c.fillCBounds(c.cLast)
+	c.fillCBounds(c.cache)
 }
 
 // fillCBounds refreshes the periodic-x halos and pole mirrors of a Ĉ result
@@ -184,34 +209,36 @@ func (c *core) fillCBounds(cr *operators.CRes) {
 }
 
 // evalC evaluates Ĉ at src over the tendency rect r: D(P) on r, then the
-// z-collective summation into dst. The caller must have called
-// c.updateSurface(src, r′) with r′ ⊇ r since the last change of src.Psa.
-func (c *core) evalC(src *state.State, dst *operators.CRes, r field.Rect) {
-	c.evalDivP(src, dst, r)
-	c.sumC(dst, r)
+// z-collective summation into the cache, which it overwrites. The caller must
+// have called c.updateSurface(src, r′) with r′ ⊇ r since the last change of
+// src.Psa.
+func (c *core) evalC(src *state.State, r field.Rect) {
+	c.evalDivP(src, r)
+	c.sumC(r)
 }
 
 // evalDivP computes the pointwise divergence term D(P) of Ĉ at src over r
-// into dst.PWI, the result it feeds: sumC reads each layer there before it
-// writes the interface above it (operators.CSumWith), and every cell written
-// here is an interface sumC then writes. It is the communication-free half
-// of evalC, split out so the overlap path can run it on the interior rect
-// while halo messages fly and on the boundary slabs afterwards — D(P) is
-// per-point pure, so any disjoint cover of r produces bitwise the monolithic
-// result.
-func (c *core) evalDivP(src *state.State, dst *operators.CRes, r field.Rect) {
-	w := operators.DivP(c.g, src.U, src.V, c.sur, dst.PWI, r)
+// into the cache's PWI, the result it feeds: sumC reads each layer there
+// before it writes the interface above it (operators.CSumWith), and every
+// cell written here is an interface sumC then writes. It is the
+// communication-free half of evalC, split out so the overlap path can run it
+// on the interior rect while halo messages fly and on the boundary slabs
+// afterwards — D(P) is per-point pure, so any disjoint cover of r produces
+// bitwise the monolithic result.
+func (c *core) evalDivP(src *state.State, r field.Rect) {
+	w := operators.DivP(c.g, src.U, src.V, c.sur, c.cache.PWI, r)
 	c.w.Compute(float64(w) * costDivP)
 }
 
-// sumC completes Ĉ from the D(P) that evalDivP left in dst.PWI over r: the
-// z-collective summation into dst. One call = one z-collective round, so the
-// overlap split (which covers r with evalDivP pieces but sums once) keeps
-// the algorithm's collective count identical to the monolithic path.
-func (c *core) sumC(dst *operators.CRes, r field.Rect) {
-	w2 := operators.CSumWith(c.g, c.tp.ColZ, c.w, dst.PWI, dst, r, r.K0, r.K1, &c.csSc)
+// sumC completes Ĉ from the D(P) that evalDivP left in the cache's PWI over
+// r: the z-collective summation into the cache. One call = one z-collective
+// round, so the overlap split (which covers r with evalDivP pieces but sums
+// once) keeps the algorithm's collective count identical to the monolithic
+// path.
+func (c *core) sumC(r field.Rect) {
+	w2 := operators.CSumWith(c.g, c.tp.ColZ, c.w, c.cache.PWI, c.cache, r, r.K0, r.K1, &c.csSc)
 	c.w.Compute(float64(w2) * costCSum)
-	c.fillCBounds(dst)
+	c.fillCBounds(c.cache)
 	c.n.CEvaluations++
 }
 
@@ -238,17 +265,17 @@ func (c *core) refreshSurface(src *state.State, r field.Rect) {
 	c.sur.UpdateFor(src.Psa, r)
 }
 
-// adaptTendency evaluates Â(src) + the Ĉ contributions from cres over r
+// adaptTendency evaluates Â(src) + the Ĉ contributions from the cache over r
 // into c.tnd.
-func (c *core) adaptTendency(src *state.State, cres *operators.CRes, r field.Rect) {
-	w := operators.Adaptation3D(c.g, src, c.sur, cres, c.tnd, r)
-	w += operators.AdaptationPsa(c.g, c.cfg.Adapt, src, cres, c.tnd, r)
+func (c *core) adaptTendency(src *state.State, r field.Rect) {
+	w := operators.Adaptation3D(c.g, src, c.sur, c.cache, c.tnd, r)
+	w += operators.AdaptationPsa(c.g, c.cfg.Adapt, src, c.cache, c.tnd, r)
 	c.w.Compute(float64(w) * costAdapt)
 }
 
-// advectTendency evaluates L̃(src) with σ̇ from cres over r into c.tnd.
-func (c *core) advectTendency(src *state.State, cres *operators.CRes, r field.Rect) {
-	w := operators.Advection3D(c.g, src, c.sur, cres, c.tnd, r, c.advSc)
+// advectTendency evaluates L̃(src) with σ̇ from the cache over r into c.tnd.
+func (c *core) advectTendency(src *state.State, r field.Rect) {
+	w := operators.Advection3D(c.g, src, c.sur, c.cache, c.tnd, r, c.advSc)
 	operators.AdvectionPsa(c.tnd, r)
 	c.w.Compute(float64(w) * costAdvect)
 }
@@ -383,20 +410,22 @@ func (c *core) slabs(outer, inner field.Rect) []field.Rect {
 type kernel int
 
 const (
-	kernDivP   kernel = iota // D(P) of Ĉ into c.cNew, which sumC completes
-	kernAdvect               // L̃ with σ̇ from the most recent Ĉ into c.tnd
+	kernDivP   kernel = iota // D(P) of Ĉ into the cache's PWI, which sumC completes
+	kernAdvect               // L̃ with σ̇ from the cache into c.tnd
 	kernSmooth               // dst ← S̃(src)
 )
 
 // sweep runs kernel k reading src over r and charges its work. Only the
 // smoothing writes a state, dst; D(P) and L̃ write core scratch and take nil.
-// D(P) goes to cNew, not cLast: the exchange in flight ships cLast.
+// D(P) may write the cache the exchange in flight ships: Begin packed and
+// sent its cells already, and Finish writes only halo cells, which D(P) over
+// the owned block never writes.
 func (c *core) sweep(k kernel, src, dst *state.State, r field.Rect) {
 	switch k {
 	case kernDivP:
-		c.evalDivP(src, c.cNew, r)
+		c.evalDivP(src, r)
 	case kernAdvect:
-		c.advectTendency(src, c.cLast, r)
+		c.advectTendency(src, r)
 	case kernSmooth:
 		w := c.smo.SmoothFull(src, dst, r)
 		c.w.Compute(float64(w) * costSmooth)

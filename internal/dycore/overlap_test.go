@@ -24,9 +24,11 @@ import (
 // last of them. Every row also runs under seamHook: the overlapped interior
 // reads the local ghosts of the cells a hook writes before any exchange
 // refills anything, so those ghosts must be refreshed when the step starts,
-// as the quiesced run's whole-storage fills refresh them.
+// as the quiesced run's whole-storage fills refresh them. The ca-2x3 rows
+// (p_z = 3 on 48×24×12) run an untrimmed middle z-rank next to a bottom one
+// that stores only the low levels the advection exchange writes (DESIGN §8
+// "Storage follows compute"), with a fresh Ĉ per update and staged.
 func TestOverlapBitwiseAcrossLayouts(t *testing.T) {
-	g := testGrid() // 16×10×4
 	type clock struct{ sim, comp, hidden float64 }
 	cases := []struct {
 		name       string
@@ -35,40 +37,61 @@ func TestOverlapBitwiseAcrossLayouts(t *testing.T) {
 		rows       []int
 		nofuse     bool
 		ov, qu     clock
+		mesh       *grid.Grid    // nil: testGrid(), 16×10×4
+		mod        func(*Config) // nil: none
 	}{
 		{"serial", AlgBaselineYZ, 1, 1, 0, nil, false,
 			clock{0.0002869109999999996, 0.0002869109999999996, 0},
-			clock{0.0002869109999999996, 0.0002869109999999996, 0}},
+			clock{0.0002869109999999996, 0.0002869109999999996, 0}, nil, nil},
 		{"yz-uniform", AlgBaselineYZ, 2, 2, 0, nil, false,
 			clock{0.011759775999999934, 0.000309762, 0.05942034183333308},
-			clock{0.011775584499999941, 0.00030976199999999983, 0.059404533333333086}},
+			clock{0.011775584499999941, 0.00030976199999999983, 0.059404533333333086}, nil, nil},
 		{"yz-weighted", AlgBaselineYZ, 2, 2, 0, []int{0, 4, 10}, false,
 			clock{0.011768205333333266, 0.0003097620000000004, 0.05945340233333302},
-			clock{0.011784630333333277, 0.0003097620000000002, 0.05943525233333303}},
+			clock{0.011784630333333277, 0.0003097620000000002, 0.05943525233333303}, nil, nil},
 		{"xy-uniform", AlgBaselineXY, 2, 2, 0, nil, false,
 			clock{0.018621075333333324, 0.00028823399999999973, 0.08056968183333349},
-			clock{0.018629107833333335, 0.0002882339999999996, 0.08056164933333348}},
+			clock{0.018629107833333335, 0.0002882339999999996, 0.08056164933333348}, nil, nil},
 		{"xy-weighted", AlgBaselineXY, 2, 2, 0, []int{0, 4, 10}, false,
 			clock{0.018624819999999986, 0.0002882340000000002, 0.08054326133333362},
-			clock{0.018633501999999986, 0.00028823399999999995, 0.08053349033333357}},
+			clock{0.018633501999999986, 0.00028823399999999995, 0.08053349033333357}, nil, nil},
 		{"3d-uniform", AlgBaseline3D, 2, 2, 2, nil, false,
 			clock{0.02775694533333395, 0.0003112200000000001, 0.14687645816666786},
-			clock{0.027757447833333965, 0.00031122, 0.14687680133333464}},
+			clock{0.027757447833333965, 0.00031122, 0.14687680133333464}, nil, nil},
 		{"ca-uniform", AlgCommAvoid, 2, 2, 0, nil, false,
 			clock{0.004182862500000015, 0.0005585100000000003, 0.014189565000000015},
-			clock{0.004187526500000015, 0.0005557260000000003, 0.014178757000000016}},
+			clock{0.004187526500000015, 0.0005557260000000003, 0.014178757000000016}, nil, nil},
 		{"ca-weighted", AlgCommAvoid, 2, 2, 0, []int{0, 4, 10}, false,
 			clock{0.00418112633333335, 0.0005556779999999999, 0.01423393366666667},
-			clock{0.004186182333333349, 0.0005530379999999998, 0.014224773666666668}},
+			clock{0.004186182333333349, 0.0005530379999999998, 0.014224773666666668}, nil, nil},
 		// Plain smoothing every step: CommAvoid.plainSmooth on the same helper.
 		{"ca-nofuse", AlgCommAvoid, 2, 2, 0, nil, true,
 			clock{0.004496467833333348, 0.0005554380000000003, 0.014483234333333345},
-			clock{0.004502779833333348, 0.0005526540000000003, 0.014469818333333342}},
+			clock{0.004502779833333348, 0.0005526540000000003, 0.014469818333333342}, nil, nil},
+		{"ca-2x3", AlgCommAvoid, 2, 3, 0, nil, false,
+			clock{0.007973487360407707, 0.009245452608049853, 0.019148136373302815},
+			clock{0.008080517002608435, 0.00921614720044923, 0.018855676451502844},
+			grid.New(48, 24, 12), nil},
+		{"ca-2x3-exactc", AlgCommAvoid, 2, 3, 0, nil, false,
+			clock{0.010041577080808432, 0.009734812138849643, 0.01883485165770428},
+			clock{0.010087468533408198, 0.009731595200449228, 0.018771346926602178},
+			grid.New(48, 24, 12), func(c *Config) { c.ExactC = true }},
+		{"ca-2x3-stage1", AlgCommAvoid, 2, 3, 0, nil, false,
+			clock{0.008458370076006241, 0.00802288711264476, 0.025253501686103005},
+			clock{0.008623187243107632, 0.00797613323584393, 0.025031539111400974},
+			grid.New(48, 24, 12), func(c *Config) { c.StageM = 1 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			g := tc.mesh
+			if g == nil {
+				g = testGrid()
+			}
 			cfg := testCfg(2)
 			cfg.NoFusedSmoothing = tc.nofuse
+			if tc.mod != nil {
+				tc.mod(&cfg)
+			}
 			quiet := cfg
 			quiet.NoOverlap = true
 			set := Setup{Alg: tc.alg, PA: tc.pa, PB: tc.pb, PC: tc.pc, Cfg: cfg, RowStarts: tc.rows}

@@ -81,12 +81,12 @@ func TestSmoothingSplitMatchesFull(t *testing.T) {
 			ca := NewCommAvoid(cfg, g, tp)
 			st := state.New(tp.Block)
 			fill(st)
-			ca.xi.CopyFrom(st)
+			ca.xi.CopyStored(st)
 
 			owned := tp.Block.Owned()
 			ca.xi.FillLocalBounds(ca.xi.B.WithHalo())
-			field.Copy(ca.origPhi, ca.xi.Phi)
-			field.Copy2(ca.origPsa, ca.xi.Psa)
+			ca.origPhi.CopyRect(ca.origPhi.B.WithHalo(), ca.xi.Phi)
+			ca.origPsa.CopyRect(ca.origPsa.B.WithHalo(), ca.xi.Psa)
 			ca.smo.P2Former(ca.xi.Phi, ca.eta1.Phi, owned, ca.availY)
 			ca.xi.Phi.CopyRect(owned, ca.eta1.Phi)
 			ca.xi.FillLocalBounds(ca.xi.B.WithHalo())
@@ -102,7 +102,7 @@ func TestSmoothingSplitMatchesFull(t *testing.T) {
 			field.FillPolesY(ca.origPhi, field.Even, field.CenterY)
 			field.FillPolesY2(ca.origPsa, field.Even)
 
-			s2r := ca.expandAsym(ca.depthY, ca.depthY, ca.depthZ, ca.depthZ)
+			s2r := expandAsym(ca.tp.Block, ca.depthY, ca.depthY, ca.depthZ, ca.depthZ)
 			ca.smo.P2Latter(ca.origPhi, ca.xi.Phi, s2r, ca.availY)
 
 			got[c.Rank()] = ca.xi.Phi

@@ -8,19 +8,24 @@ import (
 	"cadycore/internal/comm"
 	"cadycore/internal/field"
 	"cadycore/internal/grid"
+	"cadycore/internal/operators"
 	"cadycore/internal/state"
 )
 
 // TestWorkingSetPerRank guards what a rank keeps alive. Each rank allocates ξ
 // plus one work state (the midpoint overwrites η1, DESIGN §8 "Two work
-// states"), L̃'s scratch is 2-D planes, and D(P) lives in the PWI of the Ĉ it
-// feeds (DESIGN §8 "Owned-size run boundaries"), so the live heap a 4×2
-// world adds at 96×48×12, M = 3, after SetState and one Step stays under a
-// budget per rank. It read 10.0 MB (CA) and 3.0 MB (YZ) before the work state
-// and the planes, 6.3 and 1.9 MB while D(P) had its own array; a third state
-// or a 3-D scratch array is back if it fails.
+// states"), L̃'s scratch is 2-D planes, D(P) lives in the PWI of the Ĉ it
+// feeds (DESIGN §8 "Owned-size run boundaries"), and storage follows compute
+// (DESIGN §8 "Storage follows compute"): one Ĉ cache, the tendency and L̃'s
+// planes on the extent they are computed on, and on a bottom CA z-rank only
+// the three low-z levels the advection exchange writes. So the live heap a
+// 4×2 world adds at 96×48×12, M = 3, after SetState and one Step stays under
+// a budget per rank. It read 10.0 MB (CA) and 3.0 MB (YZ) before the work
+// state and the planes, 6.3 and 1.9 MB while D(P) had its own array, and
+// 6.0 and 1.8 MB with two Ĉ caches and deep-halo tendencies; a third state,
+// a second cache or a 3-D scratch array is back if it fails.
 func TestWorkingSetPerRank(t *testing.T) {
-	states, f3s := 0, 0
+	states, f3s, cres := 0, 0, 0
 	ct := reflect.TypeOf(core{})
 	for i := 0; i < ct.NumField(); i++ {
 		switch ct.Field(i).Type {
@@ -28,6 +33,8 @@ func TestWorkingSetPerRank(t *testing.T) {
 			states++
 		case reflect.TypeOf((*field.F3)(nil)):
 			f3s++
+		case reflect.TypeOf((*operators.CRes)(nil)):
+			cres++
 		}
 	}
 	if states != 2 {
@@ -36,6 +43,9 @@ func TestWorkingSetPerRank(t *testing.T) {
 	if f3s != 0 {
 		t.Errorf("core holds %d *field.F3 fields, want none (D(P) is written into the Ĉ it feeds)", f3s)
 	}
+	if cres != 1 {
+		t.Errorf("core holds %d *operators.CRes fields, want 1 (one Ĉ cache)", cres)
+	}
 
 	g := grid.New(96, 48, 12)
 	for _, tc := range []struct {
@@ -43,8 +53,8 @@ func TestWorkingSetPerRank(t *testing.T) {
 		s      Setup
 		budget float64 // MB of live heap per rank
 	}{
-		{"ca-4x2", Setup{Alg: AlgCommAvoid, PA: 4, PB: 2, Cfg: DefaultConfig()}, 6.8},
-		{"yz-4x2", Setup{Alg: AlgBaselineYZ, PA: 4, PB: 2, Cfg: DefaultConfig()}, 2.1},
+		{"ca-4x2", Setup{Alg: AlgCommAvoid, PA: 4, PB: 2, Cfg: DefaultConfig()}, 5.0},
+		{"yz-4x2", Setup{Alg: AlgBaselineYZ, PA: 4, PB: 2, Cfg: DefaultConfig()}, 1.7},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			heap := func() int64 {
@@ -62,6 +72,13 @@ func TestWorkingSetPerRank(t *testing.T) {
 				testInit(g, st)
 				ig.(StateSetter).SetState(st)
 				ig.Step()
+				if b := tp.Block; tc.s.Alg == AlgCommAvoid && b.K0 > 0 && b.K1 == b.Nz {
+					// A bottom z-rank stores the three levels below K0 the
+					// advection exchange writes, not the deep halo's 3M.
+					if _, _, k0 := ig.Xi().U.Origin(); k0 != b.K0-3 {
+						t.Errorf("bottom rank %d: ξ storage starts at level %d, want K0−3 = %d", c.Rank(), k0, b.K0-3)
+					}
+				}
 				barrier(c)
 				if c.Rank() == 0 {
 					live = heap() - before

@@ -1,32 +1,31 @@
 package field
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
-// The linear-combination helpers below come in two forms. The plain ones
-// (Copy, Copy2) operate on the full storage slice, halos included. The Rect
-// ones update exactly one rect: the deep-halo scheme of the
-// communication-avoiding algorithm performs redundant updates in halo areas,
-// and each update writes exactly the still-valid region, which shrinks by a
-// stencil radius per update. FillBounds then refreshes only the ghosts
-// sourced in that region; cells outside it are stale and never read.
-
-// Copy sets dst ← src. Shapes must match.
-func Copy(dst, src *F3) {
-	mustSameShape(dst, src)
-	copy(dst.Data, src.Data)
-}
+// The linear-combination helpers below update exactly one rect: the
+// deep-halo scheme of the communication-avoiding algorithm performs redundant
+// updates in halo areas, and each update writes exactly the still-valid
+// region, which shrinks by a stencil radius per update. FillBounds then
+// refreshes only the ghosts sourced in that region; cells outside it are
+// stale and never read.
 
 // Lin2Rect sets dst ← a·x + b·y over rect r only (global indices within the
 // storage region). The deep-halo algorithm uses it to update exactly the
-// still-valid region, like the production code does.
+// still-valid region, like the production code does. Each operand may be
+// stored on its own block (a work state or a tendency on its compute
+// extent), is indexed by it, and must store r.
 func Lin2Rect(dst *F3, a float64, x *F3, b float64, y *F3, r Rect) {
-	mustSameShape(dst, x)
-	mustSameShape(dst, y)
+	mustStore(dst, r)
+	mustStore(x, r)
+	mustStore(y, r)
 	n := r.I1 - r.I0
 	for k := r.K0; k < r.K1; k++ {
 		for j := r.J0; j < r.J1; j++ {
-			base := dst.Index(r.I0, j, k)
-			d, xv, yv := dst.Data[base:base+n], x.Data[base:base+n], y.Data[base:base+n]
+			db, xb, yb := dst.Index(r.I0, j, k), x.Index(r.I0, j, k), y.Index(r.I0, j, k)
+			d, xv, yv := dst.Data[db:db+n], x.Data[xb:xb+n], y.Data[yb:yb+n]
 			for i := range d {
 				d[i] = a*xv[i] + b*yv[i]
 			}
@@ -36,14 +35,14 @@ func Lin2Rect(dst *F3, a float64, x *F3, b float64, y *F3, r Rect) {
 
 // Lin2Rect2 is Lin2Rect for 2-D fields (the k range of r is ignored).
 func Lin2Rect2(dst *F2, a float64, x *F2, b float64, y *F2, r Rect) {
-	if dst.B != x.B || dst.B != y.B {
-		panic("field: 2-D shape mismatch")
-	}
 	r = r.Flat2D()
+	mustStore2(dst, r)
+	mustStore2(x, r)
+	mustStore2(y, r)
 	n := r.I1 - r.I0
 	for j := r.J0; j < r.J1; j++ {
-		base := dst.Index(r.I0, j)
-		d, xv, yv := dst.Data[base:base+n], x.Data[base:base+n], y.Data[base:base+n]
+		db, xb, yb := dst.Index(r.I0, j), x.Index(r.I0, j), y.Index(r.I0, j)
+		d, xv, yv := dst.Data[db:db+n], x.Data[xb:xb+n], y.Data[yb:yb+n]
 		for i := range d {
 			d[i] = a*xv[i] + b*yv[i]
 		}
@@ -55,18 +54,20 @@ func Lin2Rect2(dst *F2, a float64, x *F2, b float64, y *F2, r Rect) {
 // η2 = ψ + Δt·T for the tendency T = y, formed per point and never stored.
 // The roundings are those of Lin2Rect(e, 1, x, dt, y) followed by
 // Lin2Rect(dst, ½, x, ½, e): the conversion rounds η2 to float64 as a store
-// would. dst may be the state the tendency was evaluated at.
+// would. dst may be the state the tendency was evaluated at. As in Lin2Rect,
+// each operand is indexed by its own block, whose storage must contain r.
 func MidRect(dst, x *F3, dt float64, y *F3, r Rect) {
-	mustSameShape(dst, x)
-	mustSameShape(dst, y)
 	if r.Empty() {
 		return
 	}
+	mustStore(dst, r)
+	mustStore(x, r)
+	mustStore(y, r)
 	n := r.I1 - r.I0
 	for k := r.K0; k < r.K1; k++ {
 		for j := r.J0; j < r.J1; j++ {
-			base := dst.Index(r.I0, j, k)
-			d, xv, yv := dst.Data[base:base+n], x.Data[base:base+n], y.Data[base:base+n]
+			db, xb, yb := dst.Index(r.I0, j, k), x.Index(r.I0, j, k), y.Index(r.I0, j, k)
+			d, xv, yv := dst.Data[db:db+n], x.Data[xb:xb+n], y.Data[yb:yb+n]
 			for i := range d {
 				eta2 := float64(1*xv[i] + dt*yv[i])
 				d[i] = 0.5*xv[i] + 0.5*eta2
@@ -78,30 +79,22 @@ func MidRect(dst, x *F3, dt float64, y *F3, r Rect) {
 // MidRect2 is MidRect for 2-D fields (the k range of r is ignored, as in
 // Lin2Rect2).
 func MidRect2(dst, x *F2, dt float64, y *F2, r Rect) {
-	if dst.B != x.B || dst.B != y.B {
-		panic("field: 2-D shape mismatch")
-	}
 	r = r.Flat2D()
 	if r.Empty() {
 		return
 	}
+	mustStore2(dst, r)
+	mustStore2(x, r)
+	mustStore2(y, r)
 	n := r.I1 - r.I0
 	for j := r.J0; j < r.J1; j++ {
-		base := dst.Index(r.I0, j)
-		d, xv, yv := dst.Data[base:base+n], x.Data[base:base+n], y.Data[base:base+n]
+		db, xb, yb := dst.Index(r.I0, j), x.Index(r.I0, j), y.Index(r.I0, j)
+		d, xv, yv := dst.Data[db:db+n], x.Data[xb:xb+n], y.Data[yb:yb+n]
 		for i := range d {
 			eta2 := float64(1*xv[i] + dt*yv[i])
 			d[i] = 0.5*xv[i] + 0.5*eta2
 		}
 	}
-}
-
-// Copy2 sets dst ← src for 2-D fields.
-func Copy2(dst, src *F2) {
-	if dst.B != src.B {
-		panic("field: 2-D shape mismatch")
-	}
-	copy(dst.Data, src.Data)
 }
 
 // MaxAbsDiffOwned returns max |a − b| over the owned region. Shapes must
@@ -161,5 +154,22 @@ func AllFiniteOwned(f *F3) bool {
 func mustSameShape(a, b *F3) {
 	if !a.SameShape(b) {
 		panic("field: shape mismatch")
+	}
+}
+
+// mustStore panics unless f's storage contains the non-empty rect r. The
+// sweeps check only each row's first point (Index) and then slice the row, so
+// a rect wider than the storage would read into the next stored row.
+func mustStore(f *F3, r Rect) {
+	if !r.Empty() && r.Intersect(f.B.WithHalo()) != r {
+		panic(fmt.Sprintf("field: rect %v outside the storage %v of block %+v", r, f.B.WithHalo(), f.B))
+	}
+}
+
+// mustStore2 is mustStore for 2-D fields (r's k range is ignored).
+func mustStore2(f *F2, r Rect) {
+	r, w := r.Flat2D(), f.B.WithHalo().Flat2D()
+	if !r.Empty() && r.Intersect(w) != r {
+		panic(fmt.Sprintf("field: rect %v outside the 2-D storage %v of block %+v", r, w, f.B))
 	}
 }

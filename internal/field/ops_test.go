@@ -3,6 +3,7 @@ package field
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -121,5 +122,99 @@ func TestMidRect2MatchesComposition(t *testing.T) {
 				t.Fatalf("rect %v, dt %g, offset %d: fused %v vs composed %v", r, dt, n, got.Data[n], want.Data[n])
 			}
 		}
+	}
+}
+
+// narrowOf returns b with no y or z halo: the storage of a tendency computed
+// on the owned block, keeping b's x halo as every tendency does.
+func narrowOf(b Block) Block {
+	b.Hy, b.Hz = 0, 0
+	return b
+}
+
+// TestTendencyOpsNarrowBlock: a tendency stored on a narrower block than the
+// states it updates gives, over a rect its storage contains, bitwise what a
+// same-block tendency holding the same values there gives, and the sweeps
+// write nothing outside the rect.
+func TestTendencyOpsNarrowBlock(t *testing.T) {
+	b := Block{Nx: 8, Ny: 12, Nz: 6, I0: 0, I1: 8, J0: 4, J1: 8, K0: 2, K1: 4, Hx: 2, Hy: 3, Hz: 2}
+	nb := narrowOf(b)
+	rng := rand.New(rand.NewSource(5))
+	x, d0, wide := NewF3(b), NewF3(b), NewF3(b)
+	x2, d02, wide2 := NewF2(b), NewF2(b), NewF2(b)
+	for i := range x.Data {
+		x.Data[i], d0.Data[i], wide.Data[i] = edgyValue(rng), edgyValue(rng), edgyValue(rng)
+	}
+	for i := range x2.Data {
+		x2.Data[i], d02.Data[i], wide2.Data[i] = edgyValue(rng), edgyValue(rng), edgyValue(rng)
+	}
+	narrow, narrow2 := NewF3(nb), NewF2(nb)
+	stored := nb.WithHalo()
+	narrow.CopyRect(stored, wide)
+	narrow2.CopyRect(stored, wide2)
+	dt := 0.37
+	for _, r := range []Rect{stored, b.Owned(), {I0: 1, I1: 6, J0: 5, J1: 7, K0: 3, K1: 4}} {
+		for _, op := range []struct {
+			name string
+			f3   func(dst, y *F3)
+			f2   func(dst, y *F2)
+		}{
+			{"Lin2Rect", func(dst, y *F3) { Lin2Rect(dst, 1, x, dt, y, r) }, func(dst, y *F2) { Lin2Rect2(dst, 1, x2, dt, y, r) }},
+			{"MidRect", func(dst, y *F3) { MidRect(dst, x, dt, y, r) }, func(dst, y *F2) { MidRect2(dst, x2, dt, y, r) }},
+		} {
+			want, got := d0.Clone(), d0.Clone()
+			op.f3(want, wide)
+			op.f3(got, narrow)
+			for n := range got.Data {
+				if math.Float64bits(got.Data[n]) != math.Float64bits(want.Data[n]) {
+					t.Fatalf("%s over %v, offset %d: narrow tendency gives %v, same-block %v", op.name, r, n, got.Data[n], want.Data[n])
+				}
+			}
+			want2, got2 := d02.Clone(), d02.Clone()
+			op.f2(want2, wide2)
+			op.f2(got2, narrow2)
+			for n := range got2.Data {
+				if math.Float64bits(got2.Data[n]) != math.Float64bits(want2.Data[n]) {
+					t.Fatalf("%s2 over %v, offset %d: narrow tendency gives %v, same-block %v", op.name, r, n, got2.Data[n], want2.Data[n])
+				}
+			}
+		}
+	}
+}
+
+// TestTendencyOpsPanicOutsideStorage: a tendency whose storage does not
+// contain the rect must panic with a message naming the rect — indexing it by
+// row would otherwise read another row's cells.
+func TestTendencyOpsPanicOutsideStorage(t *testing.T) {
+	b := Block{Nx: 8, Ny: 12, Nz: 6, I0: 0, I1: 8, J0: 4, J1: 8, K0: 2, K1: 4, Hx: 2, Hy: 3, Hz: 2}
+	nb := narrowOf(b)
+	x, dst, y := NewF3(b), NewF3(b), NewF3(nb)
+	x2, dst2, y2 := NewF2(b), NewF2(b), NewF2(nb)
+	grownY := b.Owned()
+	grownY.J1++
+	grownZ := b.Owned()
+	grownZ.K0--
+	cases := []struct {
+		name string
+		r    Rect
+		f    func(r Rect)
+	}{
+		{"Lin2Rect/y", grownY, func(r Rect) { Lin2Rect(dst, 1, x, 1, y, r) }},
+		{"Lin2Rect/z", grownZ, func(r Rect) { Lin2Rect(dst, 1, x, 1, y, r) }},
+		{"MidRect/y", grownY, func(r Rect) { MidRect(dst, x, 1, y, r) }},
+		{"MidRect/z", grownZ, func(r Rect) { MidRect(dst, x, 1, y, r) }},
+		{"Lin2Rect2", grownY, func(r Rect) { Lin2Rect2(dst2, 1, x2, 1, y2, r) }},
+		{"MidRect2", grownY, func(r Rect) { MidRect2(dst2, x2, 1, y2, r) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "outside the") || !strings.Contains(msg, "storage") {
+					t.Fatalf("got panic %q, want one naming the rect outside the tendency's storage", msg)
+				}
+			}()
+			tc.f(tc.r)
+		})
 	}
 }

@@ -146,6 +146,11 @@ type Coordinator struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
+	// persistMu serialises persist, marshal and write together, so snapshots
+	// of the routing state reach fleet.json in the order they were taken.
+	// Taken before mu, never while holding it.
+	persistMu sync.Mutex
+
 	mu        sync.Mutex
 	backends  []*backend           //cadyvet:guardedby mu
 	jobs      map[string]*job      //cadyvet:guardedby mu
@@ -231,8 +236,19 @@ type persistedState struct {
 
 func (c *Coordinator) stateFile() string { return filepath.Join(c.cfg.StoreDir, "fleet.json") }
 
-// persist durably writes the routing state (fleet.json, atomic).
+// writeState is the durable write of fleet.json; tests wrap it to hold a
+// write back and interleave two persists.
+var writeState = checkpoint.WriteFileAtomic
+
+// persist durably writes the routing state (fleet.json, atomic). The write
+// happens outside mu, so that probes and requests are not held up by an
+// fsync, but inside persistMu: two persists that marshalled in one order
+// land in that order, and an older snapshot never renames over a newer one
+// (which would lose an acknowledged job on restart). A failed marshal or
+// write counts in persistErrors.
 func (c *Coordinator) persist() {
+	c.persistMu.Lock()
+	defer c.persistMu.Unlock()
 	c.mu.Lock()
 	ps := persistedState{Seq: c.seq, ESeq: c.eseq}
 	for _, id := range c.order {
@@ -242,11 +258,13 @@ func (c *Coordinator) persist() {
 		ps.Ensembles = append(ps.Ensembles, c.ensembles[id])
 	}
 	b, err := json.MarshalIndent(ps, "", "  ")
-	c.mu.Unlock()
 	if err != nil {
+		c.met.persistErrors++
+		c.mu.Unlock()
 		return
 	}
-	if err := checkpoint.WriteFileAtomic(c.stateFile(), b); err != nil {
+	c.mu.Unlock()
+	if err := writeState(c.stateFile(), b); err != nil {
 		c.mu.Lock()
 		c.met.persistErrors++
 		c.mu.Unlock()

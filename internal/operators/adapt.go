@@ -43,6 +43,7 @@ func Adaptation3D(g *grid.Grid, st *state.State, sur *Surface, cres *CRes, out *
 	if r.Empty() {
 		return 0
 	}
+	mustShareX(st, out)
 	m := newMetric(g)
 	// Row windows span the rect's x extent plus Table 1's x reach of one
 	// point each side; the loop variable e indexes the east neighbour, c the
@@ -148,10 +149,19 @@ func Adaptation3D(g *grid.Grid, st *state.State, sur *Surface, cres *CRes, out *
 	return 3 * r.Count()
 }
 
+// mustShareX panics unless the tendency's rows start at the same longitude
+// as the state's, which every kernel's row windows assume.
+func mustShareX(st *state.State, out *Tendency) {
+	if out.B.Hx != st.B.Hx {
+		panic("operators: tendency and state must share the x halo")
+	}
+}
+
 // AdaptationPsa evaluates the 2-D surface-pressure component dp'_sa of the
 // adaptation tendency over r.Flat2D(). It must run exactly once per tendency
 // evaluation (never per k tile). Returns points updated.
 func AdaptationPsa(g *grid.Grid, cfg AdaptConfig, st *state.State, cres *CRes, out *Tendency, r field.Rect) int {
+	mustShareX(st, out)
 	m := newMetric(g)
 	xo := st.Psa.XOff(0)
 	r2 := r.Flat2D()

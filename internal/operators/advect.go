@@ -21,7 +21,9 @@ type AdvScratch struct {
 	sdotV [2]*field.F2 // σ̇ at V points, interfaces k and k+1
 }
 
-// NewAdvScratch allocates scratch for a block.
+// NewAdvScratch allocates scratch on b's horizontal footprint. A sweep over r
+// stages rows r.J0−1 … r.J1, so b need store only those, with the state's x
+// halo (the planes' row windows use the state's x offsets).
 func NewAdvScratch(b field.Block) *AdvScratch {
 	sc := &AdvScratch{uPhys: field.NewF2(b), vPhys: field.NewF2(b)}
 	for s := range sc.sdotU {
@@ -81,8 +83,11 @@ func Advection3D(g *grid.Grid, st *state.State, sur *Surface, cres *CRes, out *T
 		return 0
 	}
 	m := newMetric(g)
+	mustShareX(st, out)
 	if sc == nil {
 		sc = NewAdvScratch(st.B)
+	} else if sc.uPhys.B.Hx != st.B.Hx {
+		panic("operators: advection scratch and state must share the x halo")
 	}
 	o0, nx := st.U.XOff(r.I0), r.I1-r.I0 // all fields share the block, hence the offset
 

@@ -3,6 +3,7 @@ package operators
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"cadycore/internal/comm"
@@ -460,4 +461,67 @@ func TestCSumDeepHaloRegionMatchesSerial(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestTendencyOnItsComputeExtent: the kernels write a tendency by its own
+// block, so one stored only on the rect it is computed on (no y or z halo,
+// the state's x halo) holds bitwise what a tendency on the state's block
+// holds there, for Â + Ĉ and for L̃ with planes stored one row past the rect.
+// A tendency or scratch with another x halo is refused.
+func TestTendencyOnItsComputeExtent(t *testing.T) {
+	g := probeGrid()
+	b := serialBlock(g)
+	st := smoothState(g, b)
+	sur, cres, _ := prepare(g, st)
+	r := field.Rect{I0: 0, I1: g.Nx, J0: 2, J1: 7, K0: 1, K1: 4}
+	narrow := b
+	narrow.J0, narrow.J1, narrow.K0, narrow.K1 = r.J0, r.J1, r.K0, r.K1
+	narrow.Hy, narrow.Hz = 0, 0
+	planes := narrow
+	planes.Hy = 1
+	for _, kern := range []struct {
+		name string
+		run  func(out *Tendency, sc *AdvScratch)
+	}{
+		{"adaptation", func(out *Tendency, _ *AdvScratch) { Adaptation(g, DefaultAdaptConfig(), st, sur, cres, out, r) }},
+		{"advection", func(out *Tendency, sc *AdvScratch) { AdvectionScratch(g, st, sur, cres, out, r, sc) }},
+	} {
+		wide, small := NewTendency(b), NewTendency(narrow)
+		kern.run(wide, NewAdvScratch(b))
+		kern.run(small, NewAdvScratch(planes))
+		for c, pair := range [3][2]*field.F3{{wide.DU, small.DU}, {wide.DV, small.DV}, {wide.DPhi, small.DPhi}} {
+			for k := r.K0; k < r.K1; k++ {
+				for j := r.J0; j < r.J1; j++ {
+					for i := r.I0; i < r.I1; i++ {
+						if a, o := pair[0].At(i, j, k), pair[1].At(i, j, k); math.Float64bits(a) != math.Float64bits(o) {
+							t.Fatalf("%s component %d at (%d,%d,%d): %v on its extent, %v on the state's block", kern.name, c, i, j, k, o, a)
+						}
+					}
+				}
+			}
+		}
+		for j := r.J0; j < r.J1; j++ {
+			for i := r.I0; i < r.I1; i++ {
+				if a, o := wide.DPsa.At(i, j), small.DPsa.At(i, j); math.Float64bits(a) != math.Float64bits(o) {
+					t.Fatalf("%s dp'_sa at (%d,%d): %v on its extent, %v on the state's block", kern.name, i, j, o, a)
+				}
+			}
+		}
+	}
+
+	otherX := b
+	otherX.Hx--
+	for name, f := range map[string]func(){
+		"tendency": func() { Adaptation(g, DefaultAdaptConfig(), st, sur, cres, NewTendency(otherX), r) },
+		"scratch":  func() { AdvectionScratch(g, st, sur, cres, NewTendency(b), r, NewAdvScratch(otherX)) },
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "x halo") {
+					t.Errorf("%s with another x halo: got panic %q, want one about the x halo", name, msg)
+				}
+			}()
+			f()
+		}()
+	}
 }

@@ -146,7 +146,10 @@ func (s *Surface) reciprocals(j int, first bool) {
 func window(row []float64, lo, n int) []float64 { return row[lo:][:n] }
 
 // Tendency is ∂ξ/∂t on a block: the output of Â+Ĉ (adaptation) or L̃
-// (advection).
+// (advection). The kernels write it by its own rows and levels, so its block
+// may store less than the state's — only the rects it is computed on — but
+// it shares the state's x halo: a kernel's x offsets come from the state it
+// reads (mustShareX).
 type Tendency struct {
 	B    field.Block
 	DU   *field.F3

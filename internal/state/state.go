@@ -92,12 +92,14 @@ func (s *State) Clone() *State {
 		Psa: s.Psa.Clone(), ShiftedPoles: s.ShiftedPoles}
 }
 
-// CopyFrom sets s ← o.
-func (s *State) CopyFrom(o *State) {
-	field.Copy(s.U, o.U)
-	field.Copy(s.V, o.V)
-	field.Copy(s.Phi, o.Phi)
-	field.Copy2(s.Psa, o.Psa)
+// CopyStored sets every stored cell of s from o, whose storage must contain
+// s's (the blocks must own the same cells).
+func (s *State) CopyStored(o *State) {
+	r := s.B.WithHalo()
+	s.U.CopyRect(r, o.U)
+	s.V.CopyRect(r, o.V)
+	s.Phi.CopyRect(r, o.Phi)
+	s.Psa.CopyRect(r, o.Psa)
 }
 
 // CopyOwned sets the owned cells of s from o, whatever the two storage
