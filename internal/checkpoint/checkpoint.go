@@ -95,7 +95,7 @@ func (gl *Global) move(st *state.State, cp func(row, glob []float64), surface bo
 	rows3(st.V, gl.V, b.K1, cp)
 	rows3(st.Phi, gl.Phi, b.K1, cp)
 	if surface {
-		rows2(st.Psa, gl.Psa, cp)
+		rows3(&st.Psa.F3, gl.Psa, 1, cp)
 	}
 	if gl.PWI == nil {
 		return
@@ -106,12 +106,13 @@ func (gl *Global) move(st *state.State, cp func(row, glob []float64), surface bo
 	}
 	rows3(st.Carry.PWI, gl.PWI, k1, cp)
 	if surface {
-		rows2(st.Carry.DBar, gl.DBar, cp)
+		rows3(&st.Carry.DBar.F3, gl.DBar, 1, cp)
 	}
 }
 
 // rows3 pairs the owned x-rows of levels [K0, k1) of f with their place in
-// the dense (k, j, i)-ordered global array a; rows2 is its 2-D twin.
+// the dense (k, j, i)-ordered global array a; a surface field is its one
+// level, k1 = 1.
 func rows3(f *field.F3, a []float64, k1 int, cp func(row, glob []float64)) {
 	b := f.B
 	for k := b.K0; k < k1; k++ {
@@ -119,14 +120,6 @@ func rows3(f *field.F3, a []float64, k1 int, cp func(row, glob []float64)) {
 			row := f.Row(j, k)[f.XOff(b.I0):f.XOff(b.I1)]
 			cp(row, a[(k*b.Ny+j)*b.Nx+b.I0:][:len(row)])
 		}
-	}
-}
-
-func rows2(f *field.F2, a []float64, cp func(row, glob []float64)) {
-	b := f.B
-	for j := b.J0; j < b.J1; j++ {
-		row := f.Row(j)[f.XOff(b.I0):f.XOff(b.I1)]
-		cp(row, a[j*b.Nx+b.I0:][:len(row)])
 	}
 }
 

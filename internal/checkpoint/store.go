@@ -25,8 +25,6 @@ type Store interface {
 	// Latest returns the newest readable snapshot for key and its step.
 	// A missing key returns ErrNoSnapshot.
 	Latest(key string) (*Global, int, error)
-	// Keys lists the keys with at least one snapshot, sorted.
-	Keys() ([]string, error)
 }
 
 // ErrNoSnapshot is returned by Store.Latest when the key has no snapshot.
@@ -110,25 +108,6 @@ func (d *DirStore) Latest(key string) (*Global, int, error) {
 		}
 	}
 	return nil, 0, fmt.Errorf("%w: %s", ErrNoSnapshot, key)
-}
-
-// Keys lists keys with at least one committed snapshot file.
-func (d *DirStore) Keys() ([]string, error) {
-	ents, err := os.ReadDir(d.root)
-	if err != nil {
-		return nil, err
-	}
-	seen := make(map[string]bool)
-	var keys []string
-	for _, e := range ents {
-		key, _, ok := parseSnapName(e.Name())
-		if ok && !seen[key] {
-			seen[key] = true
-			keys = append(keys, key)
-		}
-	}
-	sort.Strings(keys)
-	return keys, nil
 }
 
 // steps returns the committed step boundaries for key, ascending.

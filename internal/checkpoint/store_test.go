@@ -70,11 +70,6 @@ func TestDirStoreRoundTrip(t *testing.T) {
 	if len(files) != 1 || files[0] != "job-1@00000007.ck" {
 		t.Fatalf("store contents after prune: %v", files)
 	}
-
-	keys, err := s.Keys()
-	if err != nil || len(keys) != 1 || keys[0] != "job-1" {
-		t.Fatalf("Keys: %v (%v)", keys, err)
-	}
 }
 
 func TestDirStoreSkipsCorruptSnapshots(t *testing.T) {

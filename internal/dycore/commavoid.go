@@ -243,16 +243,16 @@ func (ca *CommAvoid) Step() {
 	// ---- Former smoothing S̃1 of ψ⁰ = ξ^(k−1) on the owned block ----
 	if fused {
 		ca.origPhi.CopyRect(ca.origPhi.B.WithHalo(), ca.xi.Phi)
-		ca.origPsa.CopyRect(ca.origPsa.B.WithHalo(), ca.xi.Psa)
+		ca.origPsa.CopyRect(ca.origPsa.B.WithHalo(), &ca.xi.Psa.F3)
 		w := ca.smo.P1Field(ca.xi.U, ca.eta1.U, owned)
 		w += ca.smo.P1Field(ca.xi.V, ca.eta1.V, owned)
 		w += ca.smo.P2Former(ca.xi.Phi, ca.eta1.Phi, owned, ca.availYFn)
-		w += ca.smo.P2Former2(ca.xi.Psa, ca.eta1.Psa, owned, ca.availYFn)
+		w += ca.smo.P2Former(&ca.xi.Psa.F3, &ca.eta1.Psa.F3, owned.Flat2D(), ca.availYFn)
 		ca.w.Compute(float64(w) * costSmooth)
 		ca.xi.U.CopyRect(owned, ca.eta1.U)
 		ca.xi.V.CopyRect(owned, ca.eta1.V)
 		ca.xi.Phi.CopyRect(owned, ca.eta1.Phi)
-		ca.xi.Psa.CopyRect(owned, ca.eta1.Psa)
+		ca.xi.Psa.CopyRect(owned.Flat2D(), &ca.eta1.Psa.F3)
 		ca.xi.FillLocalBounds(owned)
 		ca.n.SmoothingCalls++
 	}
@@ -279,16 +279,7 @@ func (ca *CommAvoid) Step() {
 		}
 		// The adaptation stencil reads k+1 but never k−1, so only the
 		// high-z side shrinks for the pre-exchange inner part.
-		inner = owned
-		if inner.J0 != 0 {
-			inner.J0 += dIn
-		}
-		if inner.J1 != ca.g.Ny {
-			inner.J1 -= dIn
-		}
-		if inner.K1 != ca.g.Nz {
-			inner.K1--
-		}
+		inner = ca.shrinkByDepths(owned, topo.Depths{YLo: dIn, YHi: dIn, ZHi: 1})
 	}
 	ca.updateSurface(ca.xi, inner)
 	if !inner.Empty() {
@@ -307,18 +298,11 @@ func (ca *CommAvoid) Step() {
 	if fused {
 		// The received original rows carry owned columns only; refresh
 		// their periodic x halos before the δ⁴_λ reads.
-		ca.origPhi.FillXPeriodic()
-		ca.origPsa.FillXPeriodic()
-		if ca.cfg.ShiftedPoleMirror {
-			field.FillPolesYShifted(ca.origPhi, field.Even, field.CenterY)
-			field.FillPolesY2Shifted(ca.origPsa, field.Even)
-		} else {
-			field.FillPolesY(ca.origPhi, field.Even, field.CenterY)
-			field.FillPolesY2(ca.origPsa, field.Even)
-		}
+		ca.fillEven(ca.origPhi)
+		ca.fillEven(&ca.origPsa.F3)
 		s2r := expandAsym(ca.tp.Block, ca.depthY, ca.depthY, 0, ca.depthZ)
 		w := ca.smo.P2Latter(ca.origPhi, ca.xi.Phi, s2r, ca.availYFn)
-		w += ca.smo.P2Latter2(ca.origPsa, ca.xi.Psa, s2r, ca.availYFn)
+		w += ca.smo.P2Latter(&ca.origPsa.F3, &ca.xi.Psa.F3, s2r.Flat2D(), ca.availYFn)
 		ca.w.Compute(float64(w) * costSmooth)
 		ca.xi.FillLocalBounds(storage)
 	}
@@ -356,16 +340,7 @@ func (ca *CommAvoid) Step() {
 				ca.n.HaloExchanges++
 				sInner := field.Rect{}
 				if !ca.cfg.NoOverlap && !ca.cfg.ExactC {
-					sInner = owned
-					if sInner.J0 != 0 {
-						sInner.J0++
-					}
-					if sInner.J1 != ca.g.Ny {
-						sInner.J1--
-					}
-					if sInner.K1 != ca.g.Nz {
-						sInner.K1--
-					}
+					sInner = ca.shrinkByDepths(owned, topo.Depths{YLo: 1, YHi: 1, ZHi: 1})
 				}
 				ca.updateSurface(ca.xi, sInner)
 				if !sInner.Empty() {
@@ -424,7 +399,7 @@ func (ca *CommAvoid) Step() {
 	rz1 := ca.advRegion(2)
 	inner = field.Rect{}
 	if !ca.cfg.NoOverlap {
-		inner = ca.shrinkInternal(owned, 1, 1)
+		inner = ca.shrinkByDepths(owned, topo.Sym(0, 1, 1))
 	}
 	ca.updateSurface(ca.xi, inner)
 	if !inner.Empty() {

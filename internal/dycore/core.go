@@ -157,7 +157,7 @@ func (c *core) exchangeFields(st *state.State) (f3s []*field.F3, f2s []*field.F2
 // currency, and every exchange under Config.NoOverlap (fillReceived).
 func (c *core) localFill(st *state.State) {
 	st.FillLocalBounds(st.B.WithHalo())
-	c.fillCBounds(c.cache)
+	c.fillC()
 }
 
 // fillReceived refreshes, after ex's Finish, the ghosts sourced in what the
@@ -185,27 +185,33 @@ func (c *core) fillReceived(ex *topo.Exchanger, st *state.State) {
 	for _, s := range c.slabs(grown, owned) {
 		st.FillLocalBounds(s)
 	}
-	c.fillCBounds(c.cache)
+	c.fillC()
 }
 
-// fillCBounds refreshes the periodic-x halos and pole mirrors of a Ĉ result
-// over the whole storage (vertical ghosts of PWI are never mirrored: σ̇
-// interfaces stay within [0, Nz], and PWI's level Nz is the bottom interface
-// itself). sumC uses it although it writes only its rect, and so does every
-// exchange: later kernels read PWI's ghosts beyond the sum's rect, and level
-// Nz is data, not a mirror ghost.
-func (c *core) fillCBounds(cr *operators.CRes) {
-	if c.tp.Block.OwnsFullX() && c.tp.Block.Hx > 0 {
-		cr.PWI.FillXPeriodic()
-		cr.DBar.FillXPeriodic()
+// fillC refreshes the periodic-x halos and pole mirrors of the Ĉ cache over
+// the whole storage (vertical ghosts of PWI are never mirrored: σ̇ interfaces
+// stay within [0, Nz], and PWI's level Nz is the bottom interface itself).
+// sumC uses it although it writes only its rect, and so does every exchange:
+// later kernels read PWI's ghosts beyond the sum's rect, and level Nz is
+// data, not a mirror ghost.
+func (c *core) fillC() {
+	c.fillEven(c.cache.PWI)
+	c.fillEven(&c.cache.DBar.F3)
+}
+
+// fillEven refreshes f's periodic x halos, when its block owns full
+// longitude circles, and then its even CenterY pole mirror rows — shifted
+// under Config.ShiftedPoleMirror — over the whole storage, leaving its
+// vertical ghosts alone.
+func (c *core) fillEven(f *field.F3) {
+	if f.B.OwnsFullX() {
+		f.FillXPeriodic()
 	}
 	if c.cfg.ShiftedPoleMirror {
-		field.FillPolesYShifted(cr.PWI, field.Even, field.CenterY)
-		field.FillPolesY2Shifted(cr.DBar, field.Even)
+		field.FillPolesYShifted(f, field.Even, field.CenterY)
 		return
 	}
-	field.FillPolesY(cr.PWI, field.Even, field.CenterY)
-	field.FillPolesY2(cr.DBar, field.Even)
+	field.FillPolesY(f, field.Even, field.CenterY)
 }
 
 // evalC evaluates Ĉ at src over the tendency rect r: D(P) on r, then the
@@ -238,7 +244,7 @@ func (c *core) evalDivP(src *state.State, r field.Rect) {
 func (c *core) sumC(r field.Rect) {
 	w2 := operators.CSumWith(c.g, c.tp.ColZ, c.w, c.cache.PWI, c.cache, r, r.K0, r.K1, &c.csSc)
 	c.w.Compute(float64(w2) * costCSum)
-	c.fillCBounds(c.cache)
+	c.fillC()
 	c.n.CEvaluations++
 }
 
@@ -291,13 +297,13 @@ func (c *core) filterTendency(r field.Rect) {
 		rows += c.flt.Apply(c.tnd.DU, r)
 		rows += c.flt.Apply(c.tnd.DV, r)
 		rows += c.flt.Apply(c.tnd.DPhi, r)
-		rows += c.flt.Apply2(c.tnd.DPsa, r)
+		rows += c.flt.Apply(&c.tnd.DPsa.F3, r.Flat2D())
 		c.w.Compute(float64(rows) * float64(c.g.Nx) * logn * costFilterRow)
 		return
 	}
 	// Distributed path: one batched transpose round-trip for all components
 	// of the tendency (like a production X-Y implementation).
-	rows := c.flt.ApplyDistBatch(c.tp, c.tnd.F3s(), c.tnd.F2s())
+	rows := c.flt.ApplyDistBatch(c.tp, c.tnd.Fields())
 	c.w.Compute(float64(rows) * float64(c.g.Nx) * logn * costFilterRow)
 }
 
@@ -309,7 +315,7 @@ func (c *core) applyUpdate(dst, base *state.State, dt float64, r field.Rect) {
 	field.Lin2Rect(dst.U, 1, base.U, dt, c.tnd.DU, r)
 	field.Lin2Rect(dst.V, 1, base.V, dt, c.tnd.DV, r)
 	field.Lin2Rect(dst.Phi, 1, base.Phi, dt, c.tnd.DPhi, r)
-	field.Lin2Rect2(dst.Psa, 1, base.Psa, dt, c.tnd.DPsa, r)
+	field.Lin2Rect(&dst.Psa.F3, 1, &base.Psa.F3, dt, &c.tnd.DPsa.F3, r.Flat2D())
 	c.w.Compute(float64(4*r.Count()) * costLincomb)
 	dst.FillLocalBounds(r)
 }
@@ -325,27 +331,9 @@ func (c *core) applyMid(dst, base *state.State, dt float64, r field.Rect) {
 	field.MidRect(dst.U, base.U, dt, c.tnd.DU, r)
 	field.MidRect(dst.V, base.V, dt, c.tnd.DV, r)
 	field.MidRect(dst.Phi, base.Phi, dt, c.tnd.DPhi, r)
-	field.MidRect2(dst.Psa, base.Psa, dt, c.tnd.DPsa, r)
+	field.MidRect(&dst.Psa.F3, &base.Psa.F3, dt, &c.tnd.DPsa.F3, r.Flat2D())
 	c.w.Compute(float64(4*r.Count()) * costLincomb)
 	dst.FillLocalBounds(r)
-}
-
-// shrinkInternal shrinks r by (dy, dz) on every side that is not a global
-// domain boundary (where mirror refills keep validity).
-func (c *core) shrinkInternal(r field.Rect, dy, dz int) field.Rect {
-	if r.J0 != 0 {
-		r.J0 += dy
-	}
-	if r.J1 != c.g.Ny {
-		r.J1 -= dy
-	}
-	if r.K0 != 0 {
-		r.K0 += dz
-	}
-	if r.K1 != c.g.Nz {
-		r.K1 -= dz
-	}
-	return r
 }
 
 // shrinkByDepths shrinks r by an exchanger's per-side depths on every side

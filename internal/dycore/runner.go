@@ -383,20 +383,14 @@ func flatten(g *grid.Grid, sts []*state.State) []float64 {
 	n2 := g.Nx * g.Ny
 	out := make([]float64, 3*n3+n2)
 	for _, st := range sts {
-		b := st.B
-		for k := b.K0; k < b.K1; k++ {
-			for j := b.J0; j < b.J1; j++ {
-				for i := b.I0; i < b.I1; i++ {
-					base := (k*g.Ny+j)*g.Nx + i
-					out[base] = st.U.At(i, j, k)
-					out[n3+base] = st.V.At(i, j, k)
-					out[2*n3+base] = st.Phi.At(i, j, k)
+		for c, f := range []*field.F3{st.U, st.V, st.Phi, &st.Psa.F3} {
+			b := f.B // p'_sa's is its one level
+			for k := b.K0; k < b.K1; k++ {
+				for j := b.J0; j < b.J1; j++ {
+					for i := b.I0; i < b.I1; i++ {
+						out[c*n3+(k*g.Ny+j)*g.Nx+i] = f.At(i, j, k)
+					}
 				}
-			}
-		}
-		for j := b.J0; j < b.J1; j++ {
-			for i := b.I0; i < b.I1; i++ {
-				out[3*n3+j*g.Nx+i] = st.Psa.At(i, j)
 			}
 		}
 	}

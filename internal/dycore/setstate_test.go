@@ -105,7 +105,7 @@ func TestSetStateReadsOwnedCells(t *testing.T) {
 				if fin.Carry == nil {
 					continue
 				}
-				if ob := state.OwnedBlock(fin.B); fin.Carry.PWI.B != ob || fin.Carry.DBar.B != ob {
+				if ob := state.OwnedBlock(fin.B); fin.Carry.PWI.B != ob || fin.Carry.DBar.B != ob.Flat2D() {
 					t.Errorf("rank %d: result Carry on %+v, want the owned-size %+v", r, fin.Carry.PWI.B, ob)
 				}
 				for _, d := range [][]float64{live[r].PWI.Data, live[r].DBar.Data} {

@@ -86,7 +86,7 @@ func TestSmoothingSplitMatchesFull(t *testing.T) {
 			owned := tp.Block.Owned()
 			ca.xi.FillLocalBounds(ca.xi.B.WithHalo())
 			ca.origPhi.CopyRect(ca.origPhi.B.WithHalo(), ca.xi.Phi)
-			ca.origPsa.CopyRect(ca.origPsa.B.WithHalo(), ca.xi.Psa)
+			ca.origPsa.CopyRect(ca.origPsa.B.WithHalo(), &ca.xi.Psa.F3)
 			ca.smo.P2Former(ca.xi.Phi, ca.eta1.Phi, owned, ca.availY)
 			ca.xi.Phi.CopyRect(owned, ca.eta1.Phi)
 			ca.xi.FillLocalBounds(ca.xi.B.WithHalo())

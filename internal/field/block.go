@@ -61,11 +61,18 @@ func (b Block) Owned() Rect {
 func (b Block) WithHalo() Rect {
 	return Rect{
 		I0: b.I0 - b.Hx, I1: b.I1 + b.Hx,
-		J0: maxInt(b.J0-b.Hy, -boundaryReach.Y),
-		J1: minInt(b.J1+b.Hy, b.Ny+boundaryReach.Y),
-		K0: maxInt(b.K0-b.Hz, -boundaryReach.Z),
-		K1: minInt(b.K1+b.Hz, b.Nz+boundaryReach.Z),
+		J0: max(b.J0-b.Hy, -boundaryReach.Y),
+		J1: min(b.J1+b.Hy, b.Ny+boundaryReach.Y),
+		K0: max(b.K0-b.Hz, -boundaryReach.Z),
+		K1: min(b.K1+b.Hz, b.Nz+boundaryReach.Z),
 	}
+}
+
+// Flat2D returns b's horizontal footprint as a block of a one-level mesh:
+// K = [0, 1), Nz = 1, no z halo. It is the block of a 2-D field (NewF2).
+func (b Block) Flat2D() Block {
+	b.K0, b.K1, b.Nz, b.Hz = 0, 1, 1, 0
+	return b
 }
 
 // Contains reports whether the rect contains the global point (i, j, k).
@@ -117,9 +124,9 @@ func (r Rect) Empty() bool { return r.Count() == 0 }
 // Intersect returns the intersection of two rects (possibly empty).
 func (r Rect) Intersect(o Rect) Rect {
 	return Rect{
-		I0: maxInt(r.I0, o.I0), I1: minInt(r.I1, o.I1),
-		J0: maxInt(r.J0, o.J0), J1: minInt(r.J1, o.J1),
-		K0: maxInt(r.K0, o.K0), K1: minInt(r.K1, o.K1),
+		I0: max(r.I0, o.I0), I1: min(r.I1, o.I1),
+		J0: max(r.J0, o.J0), J1: min(r.J1, o.J1),
+		K0: max(r.K0, o.K0), K1: min(r.K1, o.K1),
 	}
 }
 
@@ -132,18 +139,4 @@ func (r Rect) Flat2D() Rect {
 
 func (r Rect) String() string {
 	return fmt.Sprintf("[%d,%d)x[%d,%d)x[%d,%d)", r.I0, r.I1, r.J0, r.J1, r.K0, r.K1)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

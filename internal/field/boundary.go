@@ -62,15 +62,6 @@ func FillBounds(f *F3, p Parity, st Stagger, shifted bool, r Rect) {
 	mirrorPoles(f, p, st, shifted, r)
 }
 
-// FillBounds2 is FillBounds for 2-D fields (CenterY scalars; r's k range is
-// ignored).
-func FillBounds2(f *F2, p Parity, shifted bool, r Rect) {
-	if f.B.OwnsFullX() {
-		f.wrapX(r)
-	}
-	mirrorPoles2(f, p, shifted, r)
-}
-
 // FillPolesY fills the y halo rows beyond the poles for blocks touching
 // them; interior blocks are untouched. For FaceY fields it also enforces the
 // physical polar condition V = 0 on the pole rows themselves.
@@ -85,9 +76,9 @@ func FillBounds2(f *F2, p Parity, shifted bool, r Rect) {
 // *after* the y/z halo exchange. It covers every stored row and level.
 func FillPolesY(f *F3, p Parity, st Stagger) { mirrorPoles(f, p, st, false, f.B.WithHalo()) }
 
-// FillPolesY2 is FillPolesY for 2-D fields (CenterY scalars only, which is
-// the only 2-D staggering the model uses).
-func FillPolesY2(f *F2, p Parity) { mirrorPoles2(f, p, false, f.B.WithHalo()) }
+// FillPolesY2 is FillPolesY on a 2-D field's level (CenterY scalars only,
+// which is the only 2-D staggering the model uses).
+func FillPolesY2(f *F2, p Parity) { FillPolesY(&f.F3, p, CenterY) }
 
 // FillVerticalZ fills the z halo layers beyond the model top (k < 0) and
 // bottom (k ≥ Nz) with a zero-gradient mirror: f(−1−m) = f(m),
@@ -104,13 +95,10 @@ func FillVerticalZ(f *F3) { mirrorZ(f, f.B.WithHalo()) }
 // components flip sign (their basis vectors reverse across the pole).
 func FillPolesYShifted(f *F3, p Parity, st Stagger) { mirrorPoles(f, p, st, true, f.B.WithHalo()) }
 
-// FillPolesY2Shifted is the 2-D counterpart.
-func FillPolesY2Shifted(f *F2, p Parity) { mirrorPoles2(f, p, true, f.B.WithHalo()) }
-
 // mirrorZ fills the ghost levels whose mirror source lies in r's levels, over
 // r's stored rows (full storage width, x halos included).
 func mirrorZ(f *F3, r Rect) {
-	j0, j1 := maxInt(r.J0, f.oy), minInt(r.J1, f.oy+f.sy)
+	j0, j1 := max(r.J0, f.oy), min(r.J1, f.oy+f.sy)
 	if j0 >= j1 {
 		return
 	}
@@ -196,31 +184,6 @@ func mirrorRow(f *F3, jDst, jSrc int, s float64, shifted bool, r Rect) {
 			scaleRow(dst, f.Row(jSrc, k), s)
 		}
 	}
-}
-
-func mirrorPoles2(f *F2, p Parity, shifted bool, r Rect) {
-	if shifted && !f.B.OwnsFullX() {
-		panic("field: the shifted pole mirror requires full longitude circles per rank")
-	}
-	s := float64(p)
-	ny := f.B.Ny
-	for j := f.oy; j < 0; j++ {
-		mirrorRow2(f, j, -1-j, s, shifted, r)
-	}
-	for j := ny; j < f.oy+f.sy; j++ {
-		mirrorRow2(f, j, 2*ny-1-j, s, shifted, r)
-	}
-}
-
-func mirrorRow2(f *F2, jDst, jSrc int, s float64, shifted bool, r Rect) {
-	if jSrc < r.J0 || jSrc >= r.J1 {
-		return
-	}
-	if shifted {
-		shiftRow(f.Row(jDst), f.Row(jSrc)[f.XOff(0):], f.ox, f.B.Nx, s)
-		return
-	}
-	scaleRow(f.Row(jDst), f.Row(jSrc), s)
 }
 
 // scaleRow sets dst ← s·src.

@@ -110,21 +110,22 @@ func TestFillBoundsCover(t *testing.T) {
 							}
 						}
 					}
+					// A 2-D field is filled as its one level over r's rows.
 					pre := NewF2(b)
 					for n := range pre.Data {
 						pre.Data[n] = rng.NormFloat64()
 					}
 					full, got := pre.Clone(), pre.Clone()
-					FillBounds2(full, p, shifted, storage)
-					FillBounds2(got, p, shifted, r)
+					FillBounds(full, p, CenterY, shifted, storage.Flat2D())
+					FillBounds(got, p, CenterY, shifted, r.Flat2D())
 					for j := storage.J0; j < storage.J1; j++ {
 						for i := storage.I0; i < storage.I1; i++ {
 							sj, _, ghost := ghostSource(b, CenterY, i, j, 0)
 							want := pre.At(i, j)
 							if ghost && sj >= r.J0 && sj < r.J1 {
-								want = full.At(i, j)
+								want = full.At(i, j, 0)
 							}
-							if g := got.At(i, j); math.Float64bits(g) != math.Float64bits(want) {
+							if g := got.At(i, j, 0); math.Float64bits(g) != math.Float64bits(want) {
 								t.Fatalf("%s 2-D: cell (%d,%d) = %v, want %v", name, i, j, g, want)
 							}
 						}

@@ -99,8 +99,8 @@ func (f *F3) wrapX(r Rect) {
 		return
 	}
 	nx := f.B.Nx
-	j0, j1 := maxInt(r.J0, f.oy), minInt(r.J1, f.oy+f.sy)
-	for k := maxInt(r.K0, f.oz); k < minInt(r.K1, f.oz+f.sz); k++ {
+	j0, j1 := max(r.J0, f.oy), min(r.J1, f.oy+f.sy)
+	for k := max(r.K0, f.oz); k < min(r.K1, f.oz+f.sz); k++ {
 		for j := j0; j < j1; j++ {
 			wrapRow(f.Row(j, k), h, nx)
 		}

@@ -1,6 +1,8 @@
 package field
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -374,16 +376,20 @@ func TestF2Basics(t *testing.T) {
 		t.Error("F2 halo access failed")
 	}
 	g := f.Clone()
-	if MaxAbsDiffOwned2(f, g) != 0 {
+	if MaxAbsDiffOwned(&f.F3, g) != 0 {
 		t.Error("clone differs")
 	}
-	r := Rect{I0: 1, I1: 5, J0: 2, J1: 5}
+	r := Rect{I0: 1, I1: 5, J0: 2, J1: 5, K0: 1, K1: 3}
 	buf := make([]float64, r.Flat2D().Count())
-	f.Pack(r, buf)
+	f.Pack(r.Flat2D(), buf)
 	h := NewF2(testBlock())
-	h.Unpack(r, buf)
+	h.Unpack(r.Flat2D(), buf)
 	if h.At(3, 4) != 6 {
 		t.Error("F2 pack/unpack failed")
+	}
+	// A rect of the 3-D block's levels is not flattened: it fails loudly.
+	if !panics(func() { f.Pack(r, make([]float64, r.Count())) }) {
+		t.Error("F2 packed a rect outside its level")
 	}
 }
 
@@ -507,8 +513,8 @@ func TestStoredHaloClampedAtBoundaries(t *testing.T) {
 			if i, j, k := f3.Origin(); i != tc.want.I0 || j != tc.want.J0 || k != tc.want.K0 {
 				t.Errorf("F3 origin (%d,%d,%d), want the low corner of %v", i, j, k, tc.want)
 			}
-			if i, j := f2.Origin(); i != tc.want.I0 || j != tc.want.J0 {
-				t.Errorf("F2 origin (%d,%d), want the low corner of %v", i, j, tc.want)
+			if i, j, k := f2.Origin(); i != tc.want.I0 || j != tc.want.J0 || k != 0 {
+				t.Errorf("F2 origin (%d,%d,%d), want the low corner of %v at level 0", i, j, k, tc.want)
 			}
 			// The corners of storage are addressable; one cell further out
 			// on each of the six sides is not.
@@ -570,6 +576,111 @@ func TestPoleFillCoversClampedStorage(t *testing.T) {
 		}
 		if st == FaceY && f.At(0, 0, 0) != 0 {
 			t.Errorf("FaceY pole row not zeroed: %v", f.At(0, 0, 0))
+		}
+	}
+}
+
+// oneLevelBlocks are the three block shapes of the one-level invariant: a
+// north-pole block whose deep halo crosses the pole, an interior block whose
+// deep halo reaches past both poles, and a south-pole block. Each owns levels
+// other than 0, so a rect of its 3-D levels is not a rect of its 2-D fields.
+func oneLevelBlocks() []Block {
+	mk := func(j0, j1, k0, k1 int) Block {
+		return Block{Nx: 16, Ny: 24, Nz: 6, I0: 0, I1: 16, J0: j0, J1: j1, K0: k0, K1: k1, Hx: 3, Hy: 11, Hz: 3}
+	}
+	return []Block{mk(0, 8, 3, 6), mk(8, 16, 1, 4), mk(16, 24, 2, 5)}
+}
+
+// TestF2IsOneLevelF3 pins the invariant 2-D fields rest on: an F2 is the
+// one-level F3 on its block's footprint (Block.Flat2D). On each shape of
+// oneLevelBlocks, NewF2 lays Data out and Index addresses it as that F3 does,
+// and the kept 2-D entry points — FillPolesY2, the shifted mirror on the
+// level, CopyRect and Pack/Unpack — give bitwise the data and counts of the
+// 3-D routines on a separately built one-level F3 holding the same values.
+// The pole ghosts also match the mirror formulas f(−1−m) = f(m) and
+// f(Ny+m) = f(Ny−1−m), read from the antipodal longitude when shifted.
+func TestF2IsOneLevelF3(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	for _, b := range oneLevelBlocks() {
+		name := fmt.Sprintf("J[%d,%d)", b.J0, b.J1)
+		w := b.WithHalo().Flat2D()
+		f2, f3 := NewF2(b), NewF3(b.Flat2D())
+		if f2.B != f3.B || len(f2.Data) != len(f3.Data) || len(f2.Data) != w.Count() {
+			t.Fatalf("%s: F2 on %+v with %d values, one-level F3 on %+v with %d, storage %v", name, f2.B, len(f2.Data), f3.B, len(f3.Data), w)
+		}
+		for j := w.J0; j < w.J1; j++ {
+			for i := w.I0; i < w.I1; i++ {
+				if f2.Index(i, j) != f3.Index(i, j, 0) {
+					t.Fatalf("%s: Index(%d,%d) = %d, one-level F3 %d", name, i, j, f2.Index(i, j), f3.Index(i, j, 0))
+				}
+			}
+		}
+		for n := range f2.Data {
+			f2.Data[n] = rng.NormFloat64()
+		}
+		same := func(what string) {
+			t.Helper()
+			for n := range f2.Data {
+				if math.Float64bits(f2.Data[n]) != math.Float64bits(f3.Data[n]) {
+					t.Fatalf("%s %s: offset %d: F2 %v, one-level F3 %v", name, what, n, f2.Data[n], f3.Data[n])
+				}
+			}
+		}
+
+		for _, shifted := range []bool{false, true} {
+			copy(f3.Data, f2.Data)
+			pre := f2.Clone()
+			if shifted {
+				FillPolesYShifted(&f2.F3, Even, CenterY)
+				FillPolesYShifted(f3, Even, CenterY)
+			} else {
+				FillPolesY2(f2, Even)
+				FillPolesY(f3, Even, CenterY)
+			}
+			same(fmt.Sprintf("pole mirror (shifted=%v)", shifted))
+			for j := w.J0; j < w.J1; j++ {
+				src := j
+				switch {
+				case j < 0:
+					src = -1 - j
+				case j >= b.Ny:
+					src = 2*b.Ny - 1 - j
+				}
+				for i := w.I0; i < w.I1; i++ {
+					si := i
+					if shifted && src != j {
+						si = ((i+b.Nx/2)%b.Nx + b.Nx) % b.Nx
+					}
+					if want := pre.At(si, src, 0); src != j && f2.At(i, j) != want {
+						t.Fatalf("%s shifted=%v: ghost (%d,%d) = %v, want %v from (%d,%d)", name, shifted, i, j, f2.At(i, j), want, si, src)
+					}
+				}
+			}
+		}
+
+		src2, src3 := NewF2(b), NewF3(b.Flat2D())
+		for n := range src2.Data {
+			src2.Data[n] = rng.NormFloat64()
+		}
+		copy(src3.Data, src2.Data)
+		r := b.Owned()
+		r.J0, r.J1 = max(r.J0-4, w.J0), min(r.J1+4, w.J1)
+		f2.CopyRect(r.Flat2D(), &src2.F3)
+		f3.CopyRect(r.Flat2D(), src3)
+		same("CopyRect")
+
+		buf2, buf3 := make([]float64, r.Flat2D().Count()), make([]float64, r.Flat2D().Count())
+		n2, n3 := f2.Pack(r.Flat2D(), buf2), f3.Pack(r.Flat2D(), buf3)
+		if n2 != n3 || n2 != r.Flat2D().Count() {
+			t.Fatalf("%s: Pack counts F2 %d, one-level F3 %d, rect %d", name, n2, n3, r.Flat2D().Count())
+		}
+		f2, f3 = NewF2(b), NewF3(b.Flat2D())
+		if n2, n3 := f2.Unpack(r.Flat2D(), buf2), f3.Unpack(r.Flat2D(), buf3); n2 != n3 {
+			t.Fatalf("%s: Unpack counts F2 %d, one-level F3 %d", name, n2, n3)
+		}
+		same("Pack/Unpack")
+		if !panics(func() { f2.Pack(r, make([]float64, r.Count())) }) {
+			t.Fatalf("%s: F2 packed a rect of levels [%d,%d)", name, r.K0, r.K1)
 		}
 	}
 }

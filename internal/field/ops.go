@@ -33,22 +33,6 @@ func Lin2Rect(dst *F3, a float64, x *F3, b float64, y *F3, r Rect) {
 	}
 }
 
-// Lin2Rect2 is Lin2Rect for 2-D fields (the k range of r is ignored).
-func Lin2Rect2(dst *F2, a float64, x *F2, b float64, y *F2, r Rect) {
-	r = r.Flat2D()
-	mustStore2(dst, r)
-	mustStore2(x, r)
-	mustStore2(y, r)
-	n := r.I1 - r.I0
-	for j := r.J0; j < r.J1; j++ {
-		db, xb, yb := dst.Index(r.I0, j), x.Index(r.I0, j), y.Index(r.I0, j)
-		d, xv, yv := dst.Data[db:db+n], x.Data[xb:xb+n], y.Data[yb:yb+n]
-		for i := range d {
-			d[i] = a*xv[i] + b*yv[i]
-		}
-	}
-}
-
 // MidRect sets dst ← ½·x + ½·(x + dt·y) over rect r: the midpoint state
 // (ψ + η2)/2 of a nonlinear iteration's third update, with ψ = x and
 // η2 = ψ + Δt·T for the tendency T = y, formed per point and never stored.
@@ -76,27 +60,6 @@ func MidRect(dst, x *F3, dt float64, y *F3, r Rect) {
 	}
 }
 
-// MidRect2 is MidRect for 2-D fields (the k range of r is ignored, as in
-// Lin2Rect2).
-func MidRect2(dst, x *F2, dt float64, y *F2, r Rect) {
-	r = r.Flat2D()
-	if r.Empty() {
-		return
-	}
-	mustStore2(dst, r)
-	mustStore2(x, r)
-	mustStore2(y, r)
-	n := r.I1 - r.I0
-	for j := r.J0; j < r.J1; j++ {
-		db, xb, yb := dst.Index(r.I0, j), x.Index(r.I0, j), y.Index(r.I0, j)
-		d, xv, yv := dst.Data[db:db+n], x.Data[xb:xb+n], y.Data[yb:yb+n]
-		for i := range d {
-			eta2 := float64(1*xv[i] + dt*yv[i])
-			d[i] = 0.5*xv[i] + 0.5*eta2
-		}
-	}
-}
-
 // MaxAbsDiffOwned returns max |a − b| over the owned region. Shapes must
 // match.
 func MaxAbsDiffOwned(a, b *F3) float64 {
@@ -110,24 +73,6 @@ func MaxAbsDiffOwned(a, b *F3) float64 {
 				if d := math.Abs(a.Data[ba+o] - b.Data[ba+o]); d > m {
 					m = d
 				}
-			}
-		}
-	}
-	return m
-}
-
-// MaxAbsDiffOwned2 returns max |a − b| over the owned region for 2-D fields.
-func MaxAbsDiffOwned2(a, b *F2) float64 {
-	if a.B != b.B {
-		panic("field: 2-D shape mismatch")
-	}
-	r := a.B.Owned()
-	m := 0.0
-	for j := r.J0; j < r.J1; j++ {
-		ba := a.Index(r.I0, j)
-		for o := 0; o < r.I1-r.I0; o++ {
-			if d := math.Abs(a.Data[ba+o] - b.Data[ba+o]); d > m {
-				m = d
 			}
 		}
 	}
@@ -163,13 +108,5 @@ func mustSameShape(a, b *F3) {
 func mustStore(f *F3, r Rect) {
 	if !r.Empty() && r.Intersect(f.B.WithHalo()) != r {
 		panic(fmt.Sprintf("field: rect %v outside the storage %v of block %+v", r, f.B.WithHalo(), f.B))
-	}
-}
-
-// mustStore2 is mustStore for 2-D fields (r's k range is ignored).
-func mustStore2(f *F2, r Rect) {
-	r, w := r.Flat2D(), f.B.WithHalo().Flat2D()
-	if !r.Empty() && r.Intersect(w) != r {
-		panic(fmt.Sprintf("field: rect %v outside the 2-D storage %v of block %+v", r, w, f.B))
 	}
 }

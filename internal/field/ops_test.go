@@ -96,27 +96,27 @@ func TestMidRectMatchesComposition(t *testing.T) {
 	}
 }
 
-// TestMidRect2MatchesComposition is TestMidRectMatchesComposition for the
-// 2-D kernel.
+// TestMidRect2MatchesComposition is TestMidRectMatchesComposition on a 2-D
+// field's level, over flattened rects.
 func TestMidRect2MatchesComposition(t *testing.T) {
 	b := opsBlock()
 	rng := rand.New(rand.NewSource(11))
-	x, y, d0 := NewF2(b), NewF2(b), NewF2(b)
+	x, y, d0 := &NewF2(b).F3, &NewF2(b).F3, &NewF2(b).F3
 	for i := range x.Data {
 		x.Data[i], y.Data[i], d0.Data[i] = edgyValue(rng), edgyValue(rng), edgyValue(rng)
 	}
 	for trial := 0; trial < 300; trial++ {
-		r := randRect(rng, b)
+		r := randRect(rng, b).Flat2D()
 		dt := edgyValue(rng)
 
 		want := d0.Clone()
-		if !r.Flat2D().Empty() {
-			e := NewF2(b)
-			Lin2Rect2(e, 1, x, dt, y, r)
-			Lin2Rect2(want, 0.5, x, 0.5, e, r)
+		if !r.Empty() {
+			e := &NewF2(b).F3
+			Lin2Rect(e, 1, x, dt, y, r)
+			Lin2Rect(want, 0.5, x, 0.5, e, r)
 		}
 		got := d0.Clone()
-		MidRect2(got, x, dt, y, r)
+		MidRect(got, x, dt, y, r)
 		for n := range got.Data {
 			if math.Float64bits(got.Data[n]) != math.Float64bits(want.Data[n]) {
 				t.Fatalf("rect %v, dt %g, offset %d: fused %v vs composed %v", r, dt, n, got.Data[n], want.Data[n])
@@ -151,16 +151,17 @@ func TestTendencyOpsNarrowBlock(t *testing.T) {
 	narrow, narrow2 := NewF3(nb), NewF2(nb)
 	stored := nb.WithHalo()
 	narrow.CopyRect(stored, wide)
-	narrow2.CopyRect(stored, wide2)
+	narrow2.CopyRect(stored.Flat2D(), &wide2.F3)
 	dt := 0.37
 	for _, r := range []Rect{stored, b.Owned(), {I0: 1, I1: 6, J0: 5, J1: 7, K0: 3, K1: 4}} {
+		r2 := r.Flat2D()
 		for _, op := range []struct {
 			name string
 			f3   func(dst, y *F3)
-			f2   func(dst, y *F2)
+			f2   func(dst, y *F3)
 		}{
-			{"Lin2Rect", func(dst, y *F3) { Lin2Rect(dst, 1, x, dt, y, r) }, func(dst, y *F2) { Lin2Rect2(dst, 1, x2, dt, y, r) }},
-			{"MidRect", func(dst, y *F3) { MidRect(dst, x, dt, y, r) }, func(dst, y *F2) { MidRect2(dst, x2, dt, y, r) }},
+			{"Lin2Rect", func(dst, y *F3) { Lin2Rect(dst, 1, x, dt, y, r) }, func(dst, y *F3) { Lin2Rect(dst, 1, &x2.F3, dt, y, r2) }},
+			{"MidRect", func(dst, y *F3) { MidRect(dst, x, dt, y, r) }, func(dst, y *F3) { MidRect(dst, &x2.F3, dt, y, r2) }},
 		} {
 			want, got := d0.Clone(), d0.Clone()
 			op.f3(want, wide)
@@ -171,8 +172,8 @@ func TestTendencyOpsNarrowBlock(t *testing.T) {
 				}
 			}
 			want2, got2 := d02.Clone(), d02.Clone()
-			op.f2(want2, wide2)
-			op.f2(got2, narrow2)
+			op.f2(want2, &wide2.F3)
+			op.f2(got2, &narrow2.F3)
 			for n := range got2.Data {
 				if math.Float64bits(got2.Data[n]) != math.Float64bits(want2.Data[n]) {
 					t.Fatalf("%s2 over %v, offset %d: narrow tendency gives %v, same-block %v", op.name, r, n, got2.Data[n], want2.Data[n])
@@ -203,8 +204,10 @@ func TestTendencyOpsPanicOutsideStorage(t *testing.T) {
 		{"Lin2Rect/z", grownZ, func(r Rect) { Lin2Rect(dst, 1, x, 1, y, r) }},
 		{"MidRect/y", grownY, func(r Rect) { MidRect(dst, x, 1, y, r) }},
 		{"MidRect/z", grownZ, func(r Rect) { MidRect(dst, x, 1, y, r) }},
-		{"Lin2Rect2", grownY, func(r Rect) { Lin2Rect2(dst2, 1, x2, 1, y2, r) }},
-		{"MidRect2", grownY, func(r Rect) { MidRect2(dst2, x2, 1, y2, r) }},
+		{"Lin2Rect2", grownY.Flat2D(), func(r Rect) { Lin2Rect(&dst2.F3, 1, &x2.F3, 1, &y2.F3, r) }},
+		{"MidRect2", grownY.Flat2D(), func(r Rect) { MidRect(&dst2.F3, &x2.F3, 1, &y2.F3, r) }},
+		// A 3-D rect on a one-level field (a missed Flat2D) fails loudly.
+		{"Lin2Rect/unflattened", b.Owned(), func(r Rect) { Lin2Rect(&dst2.F3, 1, &x2.F3, 1, &x2.F3, r) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

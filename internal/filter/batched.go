@@ -6,8 +6,8 @@ import (
 	"cadycore/internal/topo"
 )
 
-// batchRow identifies one filtered row across the batched fields: fi indexes
-// f3s, or len(f3s)+index into f2s (with k == 0).
+// batchRow identifies one filtered row across the batched fields: fi
+// indexes the field list.
 type batchRow struct {
 	fi   int
 	j, k int
@@ -45,39 +45,30 @@ func growBuf(s []float64, n int) []float64 {
 }
 
 // batchSeg returns the x-segment [i0, i0+n) of one catalogued row.
-func batchSeg(f3s []*field.F3, f2s []*field.F2, id batchRow, i0, n int) []float64 {
-	if id.fi < len(f3s) {
-		fld := f3s[id.fi]
-		base := fld.Index(i0, id.j, id.k)
-		return fld.Data[base : base+n]
-	}
-	fld := f2s[id.fi-len(f3s)]
-	base := fld.Index(i0, id.j)
+func batchSeg(fs []*field.F3, id batchRow, i0, n int) []float64 {
+	fld := fs[id.fi]
+	base := fld.Index(i0, id.j, id.k)
 	return fld.Data[base : base+n]
 }
 
-// ApplyDistBatch filters the owned region of several 3-D fields and several
-// 2-D fields in ONE transpose round-trip: the rank row (t.RowX) ships the
-// x-segments of all fields' filtered rows in the same Alltoall payloads, so
-// each member holds complete latitude rows, filters them, and a second
-// Alltoall scatters them back. A production X-Y implementation batches this
+// ApplyDistBatch filters the owned region of several fields (a 2-D field
+// passed as its one level) in ONE transpose round-trip: the rank row
+// (t.RowX) ships the x-segments of all fields' filtered rows in the same
+// Alltoall payloads, so each member holds complete latitude rows, filters
+// them, and a second Alltoall scatters them back. A production X-Y implementation batches this
 // way — it pays the two Alltoalls once per tendency instead of once per
 // component. Only rows poleward of the cutoff enter the transpose.
 // Communication is attributed to comm.CatCollectiveX.
 //
-// The per-row FFTs do not interact, so the result equals Apply/Apply2 on
-// complete rows bit for bit. With p_x = 1 it is Apply/Apply2 on the owned
-// region, with no communication. Returns the number of rows this rank
-// filtered.
-func (f *Filter) ApplyDistBatch(t *topo.Topology, f3s []*field.F3, f2s []*field.F2) int {
+// The per-row FFTs do not interact, so the result equals Apply on complete
+// rows bit for bit. With p_x = 1 it is Apply on the owned region, with no
+// communication. Returns the number of rows this rank filtered.
+func (f *Filter) ApplyDistBatch(t *topo.Topology, fs []*field.F3) int {
 	rx := t.RowX
 	if rx == nil || rx.Size() == 1 {
 		rows := 0
-		for _, fld := range f3s {
+		for _, fld := range fs {
 			rows += f.Apply(fld, fld.B.Owned())
-		}
-		for _, fld := range f2s {
-			rows += f.Apply2(fld, fld.B.Owned())
 		}
 		return rows
 	}
@@ -89,23 +80,15 @@ func (f *Filter) ApplyDistBatch(t *topo.Topology, f3s []*field.F3, f2s []*field.
 
 	// Row catalog: every filtered (field, j, k) row across all fields, in a
 	// deterministic order shared by all members of the x communicator
-	// (blocks share J/K ranges along x).
+	// (blocks share J/K ranges along x); a one-level field's rows sit at k = 0.
 	rows := f.batch.rows[:0]
-	for fi, fld := range f3s {
+	for fi, fld := range fs {
 		b := fld.B
 		for k := b.K0; k < b.K1; k++ {
 			for j := b.J0; j < b.J1; j++ {
 				if f.Active(j) {
 					rows = append(rows, batchRow{fi, j, k})
 				}
-			}
-		}
-	}
-	for fi, fld := range f2s {
-		b := fld.B
-		for j := b.J0; j < b.J1; j++ {
-			if f.Active(j) {
-				rows = append(rows, batchRow{len(f3s) + fi, j, 0})
 			}
 		}
 	}
@@ -128,7 +111,7 @@ func (f *Filter) ApplyDistBatch(t *topo.Topology, f3s []*field.F3, f2s []*field.
 		xSeg := (r+1)*nx/px - r*nx/px
 		send[r] = growBuf(send[r], (rHi-rLo)*nxLoc)
 		for q := rLo; q < rHi; q++ {
-			copy(send[r][(q-rLo)*nxLoc:], batchSeg(f3s, f2s, rows[q], b0.I0, nxLoc))
+			copy(send[r][(q-rLo)*nxLoc:], batchSeg(fs, rows[q], b0.I0, nxLoc))
 		}
 		recv[r] = growBuf(recv[r], (myHi-myLo)*xSeg)
 	}
@@ -166,7 +149,7 @@ func (f *Filter) ApplyDistBatch(t *topo.Topology, f3s []*field.F3, f2s []*field.
 	for r := 0; r < px; r++ {
 		rLo, rHi := r*nrows/px, (r+1)*nrows/px
 		for q := rLo; q < rHi; q++ {
-			copy(batchSeg(f3s, f2s, rows[q], b0.I0, nxLoc), recv[r][(q-rLo)*nxLoc:(q-rLo)*nxLoc+nxLoc])
+			copy(batchSeg(fs, rows[q], b0.I0, nxLoc), recv[r][(q-rLo)*nxLoc:(q-rLo)*nxLoc+nxLoc])
 		}
 	}
 	return myHi - myLo

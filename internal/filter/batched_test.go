@@ -48,7 +48,7 @@ func TestApplyDistBatchScratchReuse(t *testing.T) {
 
 		f := New(g, 60)
 		fill()
-		f.ApplyDistBatch(tp, []*field.F3{fld}, []*field.F2{f2})
+		f.ApplyDistBatch(tp, []*field.F3{fld, &f2.F3})
 		first := append([]float64(nil), fld.Data...)
 		first2 := append([]float64(nil), f2.Data...)
 		rowsPtr := &f.batch.rows[0]
@@ -64,7 +64,7 @@ func TestApplyDistBatchScratchReuse(t *testing.T) {
 		}
 
 		fill()
-		f.ApplyDistBatch(tp, []*field.F3{fld}, []*field.F2{f2})
+		f.ApplyDistBatch(tp, []*field.F3{fld, &f2.F3})
 		for i, v := range fld.Data {
 			if v != first[i] {
 				failed[c.Rank()] = "second call is not bitwise identical on the 3-D field"

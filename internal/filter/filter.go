@@ -131,21 +131,5 @@ func (f *Filter) Apply(fld *field.F3, rect field.Rect) int {
 	return rows
 }
 
-// Apply2 filters a 2-D field the same way.
-func (f *Filter) Apply2(fld *field.F2, rect field.Rect) int {
-	if !fld.B.OwnsFullX() {
-		panic("filter: serial Apply2 requires a full longitude circle per rank")
-	}
-	rect = rect.Flat2D()
-	nx := f.g.Nx
-	rows := 0
-	for j := rect.J0; j < rect.J1; j++ {
-		if !f.Active(j) {
-			continue
-		}
-		base := fld.Index(0, j)
-		f.FilterRow(fld.Data[base:base+nx], j)
-		rows++
-	}
-	return rows
-}
+// Apply2 is Apply on a 2-D field's level.
+func (f *Filter) Apply2(fld *field.F2, rect field.Rect) int { return f.Apply(&fld.F3, rect.Flat2D()) }

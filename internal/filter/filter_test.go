@@ -186,7 +186,7 @@ func TestDistributedMatchesSerial(t *testing.T) {
 				}
 			}
 			f := New(g, 60)
-			f.ApplyDistBatch(tp, []*field.F3{fld}, nil)
+			f.ApplyDistBatch(tp, []*field.F3{fld})
 			for k := b.K0; k < b.K1; k++ {
 				for j := b.J0; j < b.J1; j++ {
 					for i := b.I0; i < b.I1; i++ {
@@ -234,7 +234,7 @@ func TestDistributed2DMatchesSerial(t *testing.T) {
 			}
 		}
 		f := New(g, 60)
-		f.ApplyDistBatch(tp, nil, []*field.F2{fld})
+		f.ApplyDistBatch(tp, []*field.F3{&fld.F3})
 		for j := b.J0; j < b.J1; j++ {
 			for i := b.I0; i < b.I1; i++ {
 				if got, want := fld.At(i, j), ser.At(i, j); got != want {
@@ -254,7 +254,7 @@ func TestSerialFilterNoComm(t *testing.T) {
 		tp := topo.New(c, g, 1, 2, 1, 3, 1, 1)
 		fld := field.NewF3(tp.Block)
 		f := New(g, 60)
-		f.ApplyDistBatch(tp, []*field.F3{fld}, nil) // the serial path when RowX is trivial
+		f.ApplyDistBatch(tp, []*field.F3{fld}) // the serial path when RowX is trivial
 	})
 	if got := w.Stats().MsgsByCat[comm.CatCollectiveX]; got != 0 {
 		t.Errorf("p_x = 1 filter sent %d messages, want 0", got)
@@ -338,7 +338,7 @@ func TestBatchedMatchesPerField(t *testing.T) {
 		}
 		f2 := field.NewF2(b)
 		fill2(f2)
-		New(g, 60).ApplyDistBatch(tp, f3s, []*field.F2{f2})
+		New(g, 60).ApplyDistBatch(tp, append(f3s, &f2.F3))
 		for fi, fld := range f3s {
 			for k := b.K0; k < b.K1; k++ {
 				for j := b.J0; j < b.J1; j++ {
@@ -424,5 +424,34 @@ func TestApplyZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Apply allocated %v per op, want 0", allocs)
+	}
+}
+
+// TestApply2IsApplyOnOneLevel: Apply2 filters a 2-D field as Apply filters a
+// one-level F3 holding the same values — bitwise data and row count — over a
+// 3-D rect (flattened by Apply2) on a north-pole block whose deep halo
+// crosses the pole, an interior block and a south-pole block.
+func TestApply2IsApplyOnOneLevel(t *testing.T) {
+	g := testGrid()
+	rng := rand.New(rand.NewSource(40))
+	for _, rows := range [][2]int{{0, 6}, {6, 11}, {11, 16}} {
+		b := field.Block{Nx: g.Nx, Ny: g.Ny, Nz: g.Nz, I0: 0, I1: g.Nx, J0: rows[0], J1: rows[1], K0: 1, K1: 3, Hx: 3, Hy: 8, Hz: 2}
+		f2, f3 := field.NewF2(b), field.NewF3(b.Flat2D())
+		for n := range f2.Data {
+			f2.Data[n] = rng.NormFloat64()
+		}
+		copy(f3.Data, f2.Data)
+		r := b.Owned()
+		r.J0, r.J1 = max(r.J0-3, 0), min(r.J1+3, g.Ny)
+		n2 := New(g, 60).Apply2(f2, r)
+		n3 := New(g, 60).Apply(f3, r.Flat2D())
+		if n2 != n3 || n2 == 0 {
+			t.Fatalf("rows %v: Apply2 filtered %d rows, Apply on one level %d", rows, n2, n3)
+		}
+		for n := range f3.Data {
+			if math.Float64bits(f2.Data[n]) != math.Float64bits(f3.Data[n]) {
+				t.Fatalf("rows %v offset %d: Apply2 %v, Apply on one level %v", rows, n, f2.Data[n], f3.Data[n])
+			}
+		}
 	}
 }

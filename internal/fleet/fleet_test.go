@@ -609,12 +609,18 @@ func TestRecoveredBackendZombieCancelledOnce(t *testing.T) {
 // an absolute http(s) URL; anything else is a 400, and nothing registers.
 func TestBackendEndpointsRejectBadURL(t *testing.T) {
 	h := newFleetHarness(t, 1, 1, 4, nil, nil)
+	bodies := []map[string]any{
+		{"url": ""}, {"url": "localhost:8081"}, {"url": "ftp://h:1"}, {"url": "http://"},
+		// A valid URL beside an unknown field is refused like every other
+		// request body with one (server.DecodeStrict).
+		{"url": "http://127.0.0.1:1", "weight": 3},
+	}
 	for _, path := range []string{"/backends", "/backends/drain"} {
-		for _, u := range []string{"", "localhost:8081", "ftp://h:1", "http://"} {
-			resp := h.postJSON(t, path, map[string]string{"url": u}, "")
+		for _, body := range bodies {
+			resp := h.postJSON(t, path, body, "")
 			resp.Body.Close()
 			if resp.StatusCode != http.StatusBadRequest {
-				t.Errorf("POST %s {url: %q}: %d, want 400", path, u, resp.StatusCode)
+				t.Errorf("POST %s %v: %d, want 400", path, body, resp.StatusCode)
 			}
 		}
 	}

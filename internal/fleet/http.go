@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"encoding/json"
 	"errors"
 	"net/http"
 	"time"
@@ -268,7 +267,7 @@ func decodeBackendURL(w http.ResponseWriter, r *http.Request) (string, bool) {
 	var req struct {
 		URL string `json:"url"`
 	}
-	err := json.NewDecoder(r.Body).Decode(&req)
+	err := server.DecodeStrict(r.Body, &req)
 	if err == nil {
 		err = CheckBackendURL(req.URL)
 	}

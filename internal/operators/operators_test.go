@@ -389,7 +389,7 @@ func TestTendencyFiniteOnRealisticState(t *testing.T) {
 	out := NewTendency(b)
 	Adaptation(g, DefaultAdaptConfig(), st, sur, cres, out, b.Owned())
 	Advection(g, st, sur, cres, out, b.Owned())
-	for _, f := range out.F3s() {
+	for _, f := range out.Fields() {
 		if !field.AllFiniteOwned(f) {
 			t.Fatal("non-finite tendency")
 		}
@@ -398,23 +398,19 @@ func TestTendencyFiniteOnRealisticState(t *testing.T) {
 
 // Sinks that make the accessor results escape, so a per-call slice literal
 // would be a heap allocation rather than a stack temporary.
-var (
-	sinkF3s []*field.F3
-	sinkF2s []*field.F2
-)
+var sinkF3s []*field.F3
 
-// TestTendencyAccessorsZeroAlloc: F3s/F2s feed the distributed filter on
+// TestTendencyAccessorsZeroAlloc: Fields feeds the distributed filter on
 // every X-Y p_x > 1 step, a path the single-rank step tests never reach, so
-// they (and Zero) must hand out the construction-time arrays.
+// it (and Zero) must hand out the construction-time array.
 func TestTendencyAccessorsZeroAlloc(t *testing.T) {
 	out := NewTendency(serialBlock(probeGrid()))
 	allocs := testing.AllocsPerRun(100, func() {
-		sinkF3s = out.F3s()
-		sinkF2s = out.F2s()
+		sinkF3s = out.Fields()
 		out.Zero()
 	})
 	if allocs != 0 {
-		t.Errorf("Tendency F3s/F2s/Zero allocate %v times per call, want 0", allocs)
+		t.Errorf("Tendency Fields/Zero allocate %v times per call, want 0", allocs)
 	}
 }
 

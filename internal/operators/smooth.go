@@ -178,83 +178,13 @@ func (s *Smoother) P2Latter(orig, cur *field.F3, r field.Rect, avail AvailFunc) 
 	return work
 }
 
-// P2Former2 / P2Latter2 are the 2-D (p'_sa) counterparts; like the 3-D
-// versions they walk raw x-row slices over contiguous d ranges, with the
-// accumulation order (and therefore the bits) of the per-point formulation.
-func (s *Smoother) P2Former2(in, out *field.F2, r field.Rect, avail AvailFunc) int {
-	r = r.Flat2D()
-	xo := in.XOff(0)
-	var rows [5][]float64
-	for j := r.J0; j < r.J1; j++ {
-		lo, hi := avail(j)
-		dLo, dHi := clampD(lo-j, hi-1-j)
-		for d := dLo; d <= dHi; d++ {
-			rows[d+2] = in.Row(j + d)
-		}
-		dst := out.Row(j)
-		for i := r.I0; i < r.I1; i++ {
-			o := i + xo
-			acc := 0.0
-			for d := dLo; d <= dHi; d++ {
-				rw := rows[d+2]
-				acc += s.rowC1[d+2]*rw[o] + s.rowC2[d+2]*(rw[o-2]-4*rw[o-1]+6*rw[o]-4*rw[o+1]+rw[o+2])
-			}
-			dst[o] = acc
-		}
-	}
-	return r.Count()
-}
-
-func (s *Smoother) P2Latter2(orig, cur *field.F2, r field.Rect, avail AvailFunc) int {
-	r = r.Flat2D()
-	work := 0
-	xo := orig.XOff(0)
-	var rows [5][]float64
-	for j := r.J0; j < r.J1; j++ {
-		lo, hi := avail(j)
-		if j-2 >= lo && j+2 < hi {
-			continue
-		}
-		aHi := lo - j - 1
-		if aHi > 2 {
-			aHi = 2
-		}
-		bLo := hi - j
-		if bLo < -2 {
-			bLo = -2
-		}
-		for d := -2; d <= aHi; d++ {
-			rows[d+2] = orig.Row(j + d)
-		}
-		for d := bLo; d <= 2; d++ {
-			rows[d+2] = orig.Row(j + d)
-		}
-		dst := cur.Row(j)
-		for i := r.I0; i < r.I1; i++ {
-			o := i + xo
-			acc := 0.0
-			for d := -2; d <= aHi; d++ {
-				rw := rows[d+2]
-				acc += s.rowC1[d+2]*rw[o] + s.rowC2[d+2]*(rw[o-2]-4*rw[o-1]+6*rw[o]-4*rw[o+1]+rw[o+2])
-			}
-			for d := bLo; d <= 2; d++ {
-				rw := rows[d+2]
-				acc += s.rowC1[d+2]*rw[o] + s.rowC2[d+2]*(rw[o-2]-4*rw[o-1]+6*rw[o]-4*rw[o+1]+rw[o+2])
-			}
-			dst[o] += acc
-		}
-		work += r.I1 - r.I0
-	}
-	return work
-}
-
 // SmoothFull applies the complete S̃ of in into out over rect r (the
-// baseline path: P1 on U and V, full P2 on Φ and p'_sa). Inputs must be
-// valid on r expanded by 2 in x and y.
+// baseline path: P1 on U and V, full P2 on Φ and on p'_sa's level). Inputs
+// must be valid on r expanded by 2 in x and y.
 func (s *Smoother) SmoothFull(in *state.State, out *state.State, r field.Rect) int {
 	w := s.P1Field(in.U, out.U, r)
 	w += s.P1Field(in.V, out.V, r)
 	w += s.P2Former(in.Phi, out.Phi, r, FullAvail)
-	w += s.P2Former2(in.Psa, out.Psa, r, FullAvail)
+	w += s.P2Former(&in.Psa.F3, &out.Psa.F3, r.Flat2D(), FullAvail)
 	return w
 }

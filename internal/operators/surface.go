@@ -157,11 +157,10 @@ type Tendency struct {
 	DPhi *field.F3
 	DPsa *field.F2
 
-	// Component lists handed out by F3s/F2s, filled once at construction so
+	// fields lists the components for Fields, filled once at construction so
 	// per-step callers get a slice of a fixed array instead of a fresh
 	// literal.
-	f3s [3]*field.F3
-	f2s [1]*field.F2
+	fields [4]*field.F3
 }
 
 // NewTendency allocates a zero tendency on the block.
@@ -173,23 +172,19 @@ func NewTendency(b field.Block) *Tendency {
 		DPhi: field.NewF3(b),
 		DPsa: field.NewF2(b),
 	}
-	t.f3s = [3]*field.F3{t.DU, t.DV, t.DPhi}
-	t.f2s = [1]*field.F2{t.DPsa}
+	t.fields = [4]*field.F3{t.DU, t.DV, t.DPhi, &t.DPsa.F3}
 	return t
 }
 
-// F3s returns the 3-D components (same order as state.State.F3s).
-func (t *Tendency) F3s() []*field.F3 { return t.f3s[:] }
-
-// F2s returns the 2-D components.
-func (t *Tendency) F2s() []*field.F2 { return t.f2s[:] }
+// Fields returns the components in state order (U, V, Φ, p'_sa), p'_sa as
+// its one level.
+func (t *Tendency) Fields() []*field.F3 { return t.fields[:] }
 
 // Zero clears the tendency (storage included).
 func (t *Tendency) Zero() {
-	t.DU.Zero()
-	t.DV.Zero()
-	t.DPhi.Zero()
-	t.DPsa.Zero()
+	for _, f := range t.fields {
+		f.Zero()
+	}
 }
 
 // metric bundles the grid factors kernels use; splitting them out keeps the

@@ -10,8 +10,6 @@
 package state
 
 import (
-	"math"
-
 	"cadycore/internal/field"
 	"cadycore/internal/grid"
 	"cadycore/internal/physics"
@@ -55,7 +53,7 @@ type Carry struct {
 // blocks that own the same cells.
 func (c *Carry) CopyOwned(o *Carry) {
 	r := c.PWI.B.Owned()
-	c.DBar.CopyRect(r, o.DBar)
+	c.DBar.CopyRect(r.Flat2D(), &o.DBar.F3)
 	if r.K1 == c.PWI.B.Nz {
 		r.K1++
 	}
@@ -89,7 +87,7 @@ func New(b field.Block) *State {
 // Clone returns a deep copy.
 func (s *State) Clone() *State {
 	return &State{B: s.B, U: s.U.Clone(), V: s.V.Clone(), Phi: s.Phi.Clone(),
-		Psa: s.Psa.Clone(), ShiftedPoles: s.ShiftedPoles}
+		Psa: &field.F2{F3: *s.Psa.F3.Clone()}, ShiftedPoles: s.ShiftedPoles}
 }
 
 // CopyStored sets every stored cell of s from o, whose storage must contain
@@ -99,7 +97,7 @@ func (s *State) CopyStored(o *State) {
 	s.U.CopyRect(r, o.U)
 	s.V.CopyRect(r, o.V)
 	s.Phi.CopyRect(r, o.Phi)
-	s.Psa.CopyRect(r, o.Psa)
+	s.Psa.CopyRect(r.Flat2D(), &o.Psa.F3)
 }
 
 // CopyOwned sets the owned cells of s from o, whatever the two storage
@@ -110,7 +108,7 @@ func (s *State) CopyOwned(o *State) {
 	s.U.CopyRect(r, o.U)
 	s.V.CopyRect(r, o.V)
 	s.Phi.CopyRect(r, o.Phi)
-	s.Psa.CopyRect(r, o.Psa)
+	s.Psa.CopyRect(r.Flat2D(), &o.Psa.F3)
 }
 
 // F3s returns the 3-D components in canonical order (U, V, Φ) — the order
@@ -129,7 +127,7 @@ func (s *State) FillLocalBounds(r field.Rect) {
 	field.FillBounds(s.U, field.Odd, field.CenterY, s.ShiftedPoles, r)
 	field.FillBounds(s.V, field.Odd, field.FaceY, s.ShiftedPoles, r)
 	field.FillBounds(s.Phi, field.Even, field.CenterY, s.ShiftedPoles, r)
-	field.FillBounds2(s.Psa, field.Even, s.ShiftedPoles, r)
+	field.FillBounds(&s.Psa.F3, field.Even, field.CenterY, s.ShiftedPoles, r.Flat2D())
 }
 
 // MaxAbsDiff returns the largest componentwise difference over owned points
@@ -142,7 +140,7 @@ func (s *State) MaxAbsDiff(o *State) float64 {
 	if v := field.MaxAbsDiffOwned(s.Phi, o.Phi); v > d {
 		d = v
 	}
-	if v := field.MaxAbsDiffOwned2(s.Psa, o.Psa); v > d {
+	if v := field.MaxAbsDiffOwned(&s.Psa.F3, &o.Psa.F3); v > d {
 		d = v
 	}
 	return d
@@ -151,20 +149,7 @@ func (s *State) MaxAbsDiff(o *State) float64 {
 // AllFinite reports whether every owned value of every component is finite.
 func (s *State) AllFinite() bool {
 	return field.AllFiniteOwned(s.U) && field.AllFiniteOwned(s.V) &&
-		field.AllFiniteOwned(s.Phi) && allFinite2(s.Psa)
-}
-
-func allFinite2(f *field.F2) bool {
-	r := f.B.Owned()
-	for j := r.J0; j < r.J1; j++ {
-		for i := r.I0; i < r.I1; i++ {
-			v := f.At(i, j)
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return false
-			}
-		}
-	}
-	return true
+		field.AllFiniteOwned(s.Phi) && field.AllFiniteOwned(&s.Psa.F3)
 }
 
 // InitFromPhysical fills the owned region (and nothing else — call

@@ -31,6 +31,7 @@ type Exchanger struct {
 	// allocate nothing. At most one exchange may be outstanding per
 	// Exchanger (Begin … Finish); integrators satisfy this by construction.
 	sendBuf, recvBuf []float64
+	levels           []*field.F3 // the 2-D fields' levels of the exchange in flight
 	pend             Pending
 
 	stats ExchStats
@@ -253,9 +254,9 @@ func bandRestrict(owned field.Rect, b field.Block, band int) []field.Rect {
 		return []field.Rect{owned} // bands cover the whole block
 	}
 	lo := owned
-	lo.J1 = minInt2(lo.J1, b.J0+band)
+	lo.J1 = min(lo.J1, b.J0+band)
 	hi := owned
-	hi.J0 = maxInt2(hi.J0, b.J1-band)
+	hi.J0 = max(hi.J0, b.J1-band)
 	out := make([]field.Rect, 0, 2)
 	if !lo.Empty() {
 		out = append(out, lo)
@@ -264,20 +265,6 @@ func bandRestrict(owned field.Rect, b field.Block, band int) []field.Rect {
 		out = append(out, hi)
 	}
 	return out
-}
-
-func minInt2(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt2(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // haloRect returns the halo region of the given per-side depths around b's
@@ -327,7 +314,7 @@ func shiftX(r field.Rect, s int) field.Rect {
 type Pending struct {
 	e   *Exchanger
 	f3s []*field.F3
-	f2s []*field.F2
+	f2s []*field.F3 // the 2-D fields' levels
 }
 
 // SetLabel names the exchanger for per-exchanger overlap accounting and
@@ -342,7 +329,9 @@ func (e *Exchanger) Stats() ExchStats { return e.stats }
 
 // Begin posts all sends of one halo exchange: for every peer, one message
 // per 3-D field (tag = field index) and one per 2-D field. Payloads for
-// multiple rectangles to the same peer are concatenated in rect order.
+// multiple rectangles to the same peer are concatenated in rect order. A 2-D
+// field travels as its one level on the peers2 rects (flattened at
+// construction), since its peers are those of its z plane.
 func (e *Exchanger) Begin(f3s []*field.F3, f2s []*field.F2) *Pending {
 	c := e.t.World
 	prev := c.SetCategory(comm.CatStencil)
@@ -351,33 +340,33 @@ func (e *Exchanger) Begin(f3s []*field.F3, f2s []*field.F2) *Pending {
 	if len(e.sendBuf) < e.maxCount {
 		e.sendBuf = make([]float64, e.maxCount)
 	}
-	buf := e.sendBuf
-	for _, pr := range e.peers {
-		for fi, f := range f3s {
-			n := 0
-			for _, rc := range pr.sendRects {
-				n += f.Pack(rc, buf[n:])
-			}
-			if n > 0 {
-				c.Send(pr.rank, tagF3Base+fi, buf[:n])
-			}
-		}
+	e.levels = e.levels[:0]
+	for _, f := range f2s {
+		e.levels = append(e.levels, &f.F3)
 	}
-	for _, pr := range e.peers2 {
-		for fi, f := range f2s {
-			n := 0
-			for _, rc := range pr.sendRects {
-				n += f.Pack(rc, buf[n:])
-			}
-			if n > 0 {
-				c.Send(pr.rank, tagF2Base+fi, buf[:n])
-			}
-		}
-	}
+	e.post(e.peers, f3s, tagF3Base)
+	e.post(e.peers2, e.levels, tagF2Base)
 	e.stats.Begins++
 	e.stats.ExposedSec += c.Stats().CommTime[comm.CatStencil] - t0
-	e.pend = Pending{e: e, f3s: f3s, f2s: f2s}
+	e.pend = Pending{e: e, f3s: f3s, f2s: e.levels}
 	return &e.pend
+}
+
+// post sends each peer one message per field: the field's values in the
+// peer's send rects, packed in rect order.
+func (e *Exchanger) post(peers []peer, fs []*field.F3, tagBase int) {
+	buf := e.sendBuf
+	for _, pr := range peers {
+		for fi, f := range fs {
+			n := 0
+			for _, rc := range pr.sendRects {
+				n += f.Pack(rc, buf[n:])
+			}
+			if n > 0 {
+				e.t.World.Send(pr.rank, tagBase+fi, buf[:n])
+			}
+		}
+	}
 }
 
 // Finish drains all receives of the exchange and unpacks them into the halo
@@ -392,35 +381,30 @@ func (p *Pending) Finish() {
 	if len(e.recvBuf) < e.maxCount {
 		e.recvBuf = make([]float64, e.maxCount)
 	}
-	buf := e.recvBuf
-	for _, pr := range e.peers {
-		for fi, f := range p.f3s {
-			if pr.recvN == 0 {
-				continue
-			}
-			c.RecvInto(pr.rank, tagF3Base+fi, buf[:pr.recvN])
-			n := 0
-			for _, rc := range pr.recvRects {
-				n += f.Unpack(rc, buf[n:])
-			}
-		}
-	}
-	for _, pr := range e.peers2 {
-		for fi, f := range p.f2s {
-			if pr.recvN == 0 {
-				continue
-			}
-			c.RecvInto(pr.rank, tagF2Base+fi, buf[:pr.recvN])
-			n := 0
-			for _, rc := range pr.recvRects {
-				n += f.Unpack(rc, buf[n:])
-			}
-		}
-	}
+	e.drain(e.peers, p.f3s, tagF3Base)
+	e.drain(e.peers2, p.f2s, tagF2Base)
 	s1 := c.Stats()
 	e.stats.Finishes++
 	e.stats.ExposedSec += s1.CommTime[comm.CatStencil] - t0
 	e.stats.HiddenSec += s1.HiddenTime[comm.CatStencil] - h0
+}
+
+// drain receives each peer's message per field and unpacks it into the
+// peer's recv rects.
+func (e *Exchanger) drain(peers []peer, fs []*field.F3, tagBase int) {
+	buf := e.recvBuf
+	for _, pr := range peers {
+		if pr.recvN == 0 {
+			continue
+		}
+		for fi, f := range fs {
+			e.t.World.RecvInto(pr.rank, tagBase+fi, buf[:pr.recvN])
+			n := 0
+			for _, rc := range pr.recvRects {
+				n += f.Unpack(rc, buf[n:])
+			}
+		}
+	}
 }
 
 // Exchange performs a full blocking halo exchange of the given fields.

@@ -186,6 +186,66 @@ func TestExchangeF2(t *testing.T) {
 	})
 }
 
+// TestExchangeF2MatchesOneLevelMesh: a 2-D field travels as its one level.
+// Carried in an exchange's 2-D slot, it receives bitwise the data a one-level
+// F3 carried in the 3-D slot receives on the same horizontal partition of a
+// one-level mesh, and each z plane sends that mesh's messages and bytes — on
+// a north-pole block whose deep halo crosses the pole, an interior block
+// reaching past both poles and a south-pole block.
+func TestExchangeF2MatchesOneLevelMesh(t *testing.T) {
+	const py, pz, hy = 3, 2, 11
+	g := grid.New(16, 24, 6)
+	g1 := *g // the one-level mesh: the partition reads only the extents
+	g1.Nz = 1
+	fill := func(f *field.F3, b field.Block) {
+		for n := range f.Data {
+			f.Data[n] = -1
+		}
+		for j := b.J0; j < b.J1; j++ {
+			for i := b.I0; i < b.I1; i++ {
+				f.Set(i, j, 0, encode(g, i, j, 0))
+			}
+		}
+	}
+	var got [py * pz]*field.F2
+	w := comm.NewWorld(py*pz, comm.Zero())
+	w.Run(func(c *comm.Comm) {
+		tp := New(c, g, 1, py, pz, 0, hy, 1)
+		f2 := field.NewF2(tp.Block)
+		fill(&f2.F3, tp.Block)
+		ex := tp.NewExchangerD(Depths{YLo: hy, YHi: hy, ZHi: 1})
+		c.ResetStats() // count the exchange, not the topology's splits
+		ex.Exchange(nil, []*field.F2{f2})
+		got[c.Rank()] = f2
+	})
+	var want [py]*field.F3
+	w1 := comm.NewWorld(py, comm.Zero())
+	w1.Run(func(c *comm.Comm) {
+		tp := New(c, &g1, 1, py, 1, 0, hy, 0)
+		f := field.NewF3(tp.Block)
+		fill(f, tp.Block)
+		ex := tp.NewExchanger(0, hy, 0)
+		c.ResetStats()
+		ex.Exchange([]*field.F3{f}, nil)
+		want[c.Rank()] = f
+	})
+	for r, f2 := range got {
+		ref := want[r%py]
+		if f2.B != ref.B {
+			t.Fatalf("rank %d: F2 on %+v, one-level mesh block %+v", r, f2.B, ref.B)
+		}
+		for n := range ref.Data {
+			if f2.Data[n] != ref.Data[n] {
+				t.Fatalf("rank %d offset %d: F2 %v, one-level F3 %v", r, n, f2.Data[n], ref.Data[n])
+			}
+		}
+	}
+	a, a1 := w.Stats(), w1.Stats()
+	if a.MsgsSent != pz*a1.MsgsSent || a.BytesSent != pz*a1.BytesSent || a.MsgsSent == 0 {
+		t.Errorf("F2 exchange sent %d msgs / %d B, want %d × the one-level mesh's %d / %d", a.MsgsSent, a.BytesSent, pz, a1.MsgsSent, a1.BytesSent)
+	}
+}
+
 func TestOverlappedExchangeEquivalent(t *testing.T) {
 	// Begin/Finish must deliver exactly what blocking Exchange does.
 	g := grid.New(16, 12, 6)
