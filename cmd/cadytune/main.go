@@ -133,7 +133,7 @@ func cmdRun(args []string) {
 	checkSteps(*steps)
 	pl, g, cfg, plan := pf.plan()
 	fmt.Printf("plan: %s (predicted %.4g s/step)\n", plan, plan.PredictedStep)
-	sim := pl.MeasureStep(plan.Candidate(), g, cfg, *steps)
+	sim := pl.MeasureStep(plan.Setup(cfg), g, *steps)
 	fmt.Printf("ran %d steps on the simulated machine: %.4g s/step\n", *steps, sim)
 }
 
@@ -184,9 +184,9 @@ func cmdBench(args []string) {
 	entries := make([]benchEntry, len(cands))
 	for i, c := range cands {
 		entries[i] = benchEntry{
-			Key:        c.Key(),
-			PredictedS: tune.Evaluate(g, cfg, pl.Profile, c).Total,
-			MeasuredS:  pl.MeasureStep(c, g, cfg, *steps),
+			Key:        tune.Key(c),
+			PredictedS: tune.Evaluate(g, pl.Profile, c).Total,
+			MeasuredS:  pl.MeasureStep(c, g, *steps),
 		}
 		fmt.Printf("  %-28s predicted %.4g  measured %.4g s/step\n",
 			entries[i].Key, entries[i].PredictedS, entries[i].MeasuredS)
@@ -205,7 +205,7 @@ func cmdBench(args []string) {
 		Worst:       entries[len(entries)-1],
 		Candidates:  entries,
 	}
-	plannedKey := plan.Candidate().Key()
+	plannedKey := tune.Key(plan.Setup(cfg))
 	for _, e := range entries {
 		if e.Key == plannedKey {
 			rep.Planned = e

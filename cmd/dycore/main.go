@@ -11,9 +11,11 @@
 //	dycore -chaos plan.json [-max-restarts N] [-save ck -save-every K] [...]
 //
 // For -alg yz/ca the process grid is p_y × p_z = pa × pb; for -alg xy it is
-// p_x × p_y. With -auto the autotuner (internal/tune) chooses the algorithm,
-// process grid and stage depth for -procs ranks instead, pricing candidates
-// on the same Tianhe-like network model the run simulates.
+// p_x × p_y. -alg 3d names the full 3-D grid, whose third extent no flag
+// sets, so like an unknown name it is a usage error. With -auto the
+// autotuner (internal/tune) chooses the algorithm, process grid and stage
+// depth for -procs ranks instead, pricing candidates on the same Tianhe-like
+// network model the run simulates.
 //
 // With -chaos, the JSON fault plan (internal/fault) is injected into the
 // run: stragglers, jitter and send errors perturb the simulated clock, and
@@ -43,7 +45,7 @@ import (
 )
 
 func main() {
-	alg := flag.String("alg", "ca", "algorithm: ca (communication-avoiding), yz, xy (original)")
+	alg := flag.String("alg", "ca", "algorithm: "+dycore.AlgorithmNames+" (ca is communication-avoiding; 3d is refused: no flag sets its third extent)")
 	nx := flag.Int("nx", 120, "mesh points in longitude")
 	ny := flag.Int("ny", 60, "mesh points in latitude")
 	nz := flag.Int("nz", 16, "mesh levels")
@@ -83,22 +85,7 @@ func main() {
 	cfg.Dt1, cfg.Dt2 = *dt1, *dt2
 	cfg.ExactC, cfg.NoOverlap, cfg.NoFusedSmoothing = *exactC, *noOverlap, *noFuse
 	cfg.ShiftedPoleMirror = *shiftPoles
-	var set dycore.Setup
-	if !*auto {
-		var a dycore.Algorithm
-		switch *alg {
-		case "ca":
-			a = dycore.AlgCommAvoid
-		case "yz":
-			a = dycore.AlgBaselineYZ
-		case "xy":
-			a = dycore.AlgBaselineXY
-		default:
-			fmt.Fprintln(os.Stderr, "unknown -alg:", *alg)
-			os.Exit(2)
-		}
-		set = dycore.Setup{Alg: a, PA: *pa, PB: *pb, Cfg: cfg}
-	}
+	set := dycore.Setup{PA: *pa, PB: *pb, Cfg: cfg}
 	var g *grid.Grid
 	err := grid.Check(*nx, *ny, *nz)
 	if err == nil {
@@ -106,7 +93,9 @@ func main() {
 		err = cfg.Validate()
 	}
 	if err == nil && !*auto {
-		err = set.Check(g)
+		if set.Alg, err = dycore.ParseAlgorithm(*alg); err == nil {
+			err = set.Check(g, 1)
+		}
 	}
 	if err == nil && *steps < 1 {
 		err = fmt.Errorf("steps = %d must be ≥ 1", *steps)
@@ -188,10 +177,8 @@ func main() {
 		}
 	}
 	if *rebalance {
-		cand, err := balance.CandidateOf(set)
-		if err == nil {
-			spec.Controller, err = balance.NewController(balance.Policy{}, g, cfg, prof, *steps, cand)
-		}
+		var err error
+		spec.Controller, err = balance.NewController(balance.Policy{}, g, prof, *steps, set)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "rebalance:", err)
 			os.Exit(1)

@@ -89,6 +89,10 @@ func TestInvalidInputIsUsageError(t *testing.T) {
 		{[]string{"-alg", "yz", "-pa", "30"}, "process grid 30x2"},
 		// The exact pole mirror needs full longitude circles per rank.
 		{[]string{"-alg", "xy", "-pa", "2", "-pb", "1", "-shiftpoles"}, "ShiftedPoleMirror requires p_x = 1"},
+		// A name outside the table, and a 3-D grid whose third extent no
+		// flag sets.
+		{[]string{"-alg", "zz"}, `unknown algorithm "zz" (want ca, yz, xy or 3d)`},
+		{[]string{"-alg", "3d"}, "process grid 2x2x0"},
 	} {
 		_, se, code := runCLI(t, append([]string{"-steps", "1"}, tc.args...)...)
 		if code != 2 || strings.Count(se, "\n") != 1 || !strings.Contains(se, tc.want) || strings.Contains(se, "panic:") {

@@ -60,7 +60,7 @@ func main() {
 		}
 		if err == nil {
 			g = grid.NewWithSigma(*nx, *ny, sigma)
-			err = set.Check(g)
+			err = set.Check(g, 1)
 		}
 	}
 	if err != nil {

@@ -21,8 +21,9 @@
 //     Also: a Lock with no Unlock on some return path, and a guarded field
 //     whose address additionally flows into sync/atomic.
 //   - crashsafe: in packages annotated //cadyvet:persistence, durable-path
-//     mutations (os.Create/Rename/WriteFile/OpenFile) must flow through the
-//     //cadyvet:blessed commit helpers (fsync + rename + dir fsync); temp
+//     mutations (os.Create/Rename/WriteFile/OpenFile/Mkdir/MkdirAll) must
+//     flow through the //cadyvet:blessed commit helpers (fsync + rename +
+//     dir fsync; a created directory's parent fsynced); temp
 //     files must be created in the destination directory; Sync/Close/Rename
 //     errors on write paths must be checked.
 //   - goleak: time.After inside a loop and time.Tick anywhere (timers that

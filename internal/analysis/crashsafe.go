@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
+	"slices"
 )
 
 // CrashSafe enforces the crash-safe persistence protocol in packages marked
@@ -15,9 +16,11 @@ import (
 // friends). In a persistence package it flags:
 //
 //   - raw durable-path mutations — os.Create, os.OpenFile, os.WriteFile,
-//     os.Rename, os.CreateTemp — outside a blessed function: hand-rolled
-//     write paths drift from the protocol (the torn-write class the PR-5
-//     chaos tests only catch probabilistically). Calls to imported functions
+//     os.Rename, os.CreateTemp, os.Mkdir, os.MkdirAll — outside a blessed
+//     function: hand-rolled write paths drift from the protocol (the
+//     torn-write class the chaos tests only catch probabilistically; a new
+//     directory whose parent is never fsynced can vanish after a power loss,
+//     taking every file committed inside it along). Calls to imported functions
 //     that transitively perform such a mutation are flagged too, via the
 //     RawWrite fact.
 //   - os.CreateTemp with dir "" (the system temp dir), anywhere including
@@ -40,12 +43,20 @@ func init() { CrashSafe.Run = runCrashSafe }
 // rawWriteFuncs are the os entry points that mutate a path.
 var rawWriteFuncs = map[string]bool{
 	"Create": true, "OpenFile": true, "WriteFile": true, "Rename": true, "CreateTemp": true,
+	"Mkdir": true, "MkdirAll": true,
 }
+
+// mkdirFuncs are the raw mutations that create a directory. They are reported
+// where a persistence package calls them, but do not make the caller a raw
+// writer for its importers: testing's TempDir and os.MkdirTemp make scratch
+// space, not durable state.
+var mkdirFuncs = map[string]bool{"Mkdir": true, "MkdirAll": true}
 
 // csEvent is one raw durable-path mutation, described for diagnostics.
 type csEvent struct {
-	pos  token.Pos
-	desc string
+	pos   token.Pos
+	desc  string
+	mkdir bool // reported here, but no RawWrite reason for callers
 }
 
 // csCall is one outgoing static call.
@@ -107,7 +118,7 @@ func runCrashSafe(p *Pass) {
 		if cf.blessed == nil {
 			for _, ev := range cf.events {
 				p.report(CrashSafe.Name, ev.pos, dirVolatile,
-					"raw %s bypasses the blessed commit helpers (use checkpoint.WriteAtomic/commitTmp or mark the helper cadyvet:blessed)", ev.desc)
+					"raw %s bypasses the blessed commit helpers (use checkpoint.WriteAtomic/commitTmp/MkdirDurable or mark the helper cadyvet:blessed)", ev.desc)
 			}
 			for _, call := range cf.calls {
 				if _, local := s.decls[call.fn.Origin()]; local {
@@ -157,8 +168,8 @@ func (s *csfState) resolve(fn *types.Func) string {
 	defer delete(s.stack, fn)
 
 	reason := ""
-	if len(cf.events) > 0 {
-		reason = fmt.Sprintf("%s at %s", cf.events[0].desc, s.pos(cf.events[0].pos))
+	if i := slices.IndexFunc(cf.events, func(ev csEvent) bool { return !ev.mkdir }); i >= 0 {
+		reason = fmt.Sprintf("%s at %s", cf.events[i].desc, s.pos(cf.events[i].pos))
 	} else {
 		for _, call := range cf.calls {
 			if r := s.resolve(call.fn); r != "" {
@@ -212,7 +223,7 @@ func (s *csfState) collect(fd funcDecl) *csfFunc {
 				if d := s.p.ann.at(s.p.Fset.Position(call.Pos()), dirVolatile); d != nil {
 					d.used = true
 				} else {
-					cf.events = append(cf.events, csEvent{call.Pos(), "os." + fn.Name()})
+					cf.events = append(cf.events, csEvent{call.Pos(), "os." + fn.Name(), mkdirFuncs[fn.Name()]})
 				}
 				return true
 			}

@@ -72,6 +72,26 @@ func scratch(path string) {
 	os.WriteFile(path, nil, 0)
 }
 
+func rawMkdirAll(dir string) error {
+	return os.MkdirAll(dir, 0o755) // want "raw os.MkdirAll bypasses the blessed commit helpers"
+}
+
+func rawMkdir(dir string) {
+	_ = os.Mkdir(dir, 0o755) // want "raw os.Mkdir bypasses the blessed commit helpers"
+}
+
+// mkdirDurable is this fixture's durable mkdir: create, then fsync the
+// parent (elided in the fixture).
+//
+//cadyvet:blessed creates the directory and fsyncs its parent
+func mkdirDurable(dir string) error {
+	return os.MkdirAll(dir, 0o755)
+}
+
+func viaDurableMkdir(dir string) error {
+	return mkdirDurable(dir)
+}
+
 func readsAreFine(path string) ([]byte, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -13,3 +13,7 @@ func bad(dir string, b []byte) {
 func good(dir string, b []byte) {
 	_ = diskio.Atomic(dir, dir+"/state", b)
 }
+
+func scratch(dir string) {
+	_ = diskio.Scratch(dir + "/tmp")
+}

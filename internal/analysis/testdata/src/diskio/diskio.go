@@ -29,3 +29,9 @@ func Atomic(dir, path string, b []byte) error {
 	}
 	return os.Rename(f.Name(), path)
 }
+
+// Scratch makes a scratch directory, as testing's TempDir does: a mkdir
+// carries no RawWrite fact to its callers.
+func Scratch(dir string) error {
+	return os.MkdirAll(dir, 0o755)
+}

@@ -19,3 +19,5 @@ func Rename(oldpath, newpath string) error                       { return nil }
 func Remove(name string) error                                   { return nil }
 func WriteFile(name string, data []byte, perm uint32) error      { return nil }
 func ReadFile(name string) ([]byte, error)                       { return nil, nil }
+func Mkdir(name string, perm uint32) error                       { return nil }
+func MkdirAll(path string, perm uint32) error                    { return nil }

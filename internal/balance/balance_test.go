@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"cadycore/internal/checkpoint"
@@ -56,11 +57,7 @@ func TestRebalanceUnderStragglerYZ(t *testing.T) {
 		t.Fatalf("straggler did not slow the static run: %g <= %g", static.Agg.SimTime, ref.Agg.SimTime)
 	}
 
-	cand, err := CandidateOf(set)
-	if err != nil {
-		t.Fatalf("CandidateOf: %v", err)
-	}
-	ctl, err := NewController(soakPolicy(), g, cfg, tune.ProfileFromModel(model), steps, cand)
+	ctl, err := NewController(soakPolicy(), g, tune.ProfileFromModel(model), steps, set)
 	if err != nil {
 		t.Fatalf("NewController: %v", err)
 	}
@@ -110,11 +107,7 @@ func TestRebalanceUnderStragglerCA(t *testing.T) {
 
 	ref := dycore.Run(set, g, model, heldsuarez.InitialState, steps)
 
-	cand, err := CandidateOf(set)
-	if err != nil {
-		t.Fatalf("CandidateOf: %v", err)
-	}
-	ctl, err := NewController(soakPolicy(), g, cfg, tune.ProfileFromModel(model), steps, cand)
+	ctl, err := NewController(soakPolicy(), g, tune.ProfileFromModel(model), steps, set)
 	if err != nil {
 		t.Fatalf("NewController: %v", err)
 	}
@@ -151,11 +144,7 @@ func TestNoImbalanceNoMigration(t *testing.T) {
 
 	ref := dycore.Run(set, g, model, heldsuarez.InitialState, steps)
 
-	cand, err := CandidateOf(set)
-	if err != nil {
-		t.Fatalf("CandidateOf: %v", err)
-	}
-	ctl, err := NewController(soakPolicy(), g, cfg, tune.ProfileFromModel(model), steps, cand)
+	ctl, err := NewController(soakPolicy(), g, tune.ProfileFromModel(model), steps, set)
 	if err != nil {
 		t.Fatalf("NewController: %v", err)
 	}
@@ -290,9 +279,9 @@ func TestHysteresis(t *testing.T) {
 	g := grid.New(48, 24, 8)
 	cfg := dycore.DefaultConfig()
 	cfg.M = 2
-	cand := tune.Candidate{Scheme: tune.SchemeYZ, PA: 4, PB: 1, M: 2}
+	set := dycore.Setup{Alg: dycore.AlgBaselineYZ, PA: 4, PB: 1, Cfg: cfg}
 	pol := Policy{Window: 2, Patience: 2, Cooldown: 1}
-	ctl, err := NewController(pol, g, cfg, tune.DefaultProfile(), 100, cand)
+	ctl, err := NewController(pol, g, tune.DefaultProfile(), 100, set)
 	if err != nil {
 		t.Fatalf("NewController: %v", err)
 	}
@@ -330,7 +319,7 @@ func TestHysteresis(t *testing.T) {
 	if mig.Step != 4 || mig.From == mig.To {
 		t.Errorf("bad migration record: %+v", mig)
 	}
-	if got := ctl.Candidate().Key(); got != mig.To {
+	if got := tune.Key(ctl.Setup()); got != mig.To {
 		t.Errorf("controller candidate %q did not switch to plan %q", got, mig.To)
 	}
 }
@@ -375,21 +364,37 @@ func TestEvaluateWithRatesFallback(t *testing.T) {
 	cfg := dycore.DefaultConfig()
 	cfg.M = 2
 	prof := tune.DefaultProfile()
-	c := tune.Candidate{Scheme: tune.SchemeYZ, PA: 4, PB: 1, M: 2}
-	plain := tune.Evaluate(g, cfg, prof, c)
-	if got := tune.EvaluateWithRates(g, cfg, prof, c, nil); got.Total != plain.Total {
+	c := dycore.Setup{Alg: dycore.AlgBaselineYZ, PA: 4, PB: 1, Cfg: cfg}
+	plain := tune.Evaluate(g, prof, c)
+	if got := tune.EvaluateWithRates(g, prof, c, nil); got.Total != plain.Total {
 		t.Errorf("nil rates: %g != %g", got.Total, plain.Total)
 	}
-	if got := tune.EvaluateWithRates(g, cfg, prof, c, []float64{1, 2}); got.Total != plain.Total {
+	if got := tune.EvaluateWithRates(g, prof, c, []float64{1, 2}); got.Total != plain.Total {
 		t.Errorf("short rates: %g != %g", got.Total, plain.Total)
 	}
 	// Uniform rates of 1 must match exactly; a slowdown must increase it.
 	ones := []float64{1, 1, 1, 1}
-	if got := tune.EvaluateWithRates(g, cfg, prof, c, ones); got.Total != plain.Total {
+	if got := tune.EvaluateWithRates(g, prof, c, ones); got.Total != plain.Total {
 		t.Errorf("unit rates: %g != %g", got.Total, plain.Total)
 	}
 	slow := []float64{1, 1, 1, 3}
-	if got := tune.EvaluateWithRates(g, cfg, prof, c, slow); got.Total <= plain.Total {
+	if got := tune.EvaluateWithRates(g, prof, c, slow); got.Total <= plain.Total {
 		t.Errorf("slowdown did not raise the estimate: %g <= %g", got.Total, plain.Total)
+	}
+}
+
+// TestNewControllerRejectsUnplannable: only the planner's schemes can be
+// re-planned; an X-Y or 3-D start is an error, not a controller.
+func TestNewControllerRejectsUnplannable(t *testing.T) {
+	g := grid.New(48, 24, 8)
+	cfg := dycore.DefaultConfig()
+	for _, set := range []dycore.Setup{
+		{Alg: dycore.AlgBaselineXY, PA: 2, PB: 2, Cfg: cfg},
+		{Alg: dycore.AlgBaseline3D, PA: 1, PB: 2, PC: 2, Cfg: cfg},
+	} {
+		if _, err := NewController(Policy{}, g, tune.DefaultProfile(), 8, set); err == nil ||
+			!strings.Contains(err.Error(), "is not rebalanceable") {
+			t.Errorf("%s: error %v, want \"is not rebalanceable\"", set.Alg, err)
+		}
 	}
 }

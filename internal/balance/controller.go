@@ -13,7 +13,7 @@ import (
 type Migration struct {
 	// Step is the global step boundary the run was quiesced at.
 	Step int `json:"step"`
-	// From and To are the candidate keys of the old and new layouts.
+	// From and To are the keys (tune.Key) of the old and new layouts.
 	From string `json:"from"`
 	To   string `json:"to"`
 	// PredictedGain is the modeled saving over the remaining steps that
@@ -41,15 +41,14 @@ type Stats struct {
 type Controller struct {
 	pol   Policy // defaults applied
 	g     *grid.Grid
-	cfg   dycore.Config
 	prof  tune.Profile
 	procs int
 	steps int // total steps of the job
 
-	mu   sync.Mutex
-	cand tune.Candidate //cadyvet:guardedby mu
+	mu  sync.Mutex
+	set dycore.Setup //cadyvet:guardedby mu
 	// modelComp is the §5.3 per-rank compute baseline of the current
-	// candidate; prevComp the cumulative per-rank compute at the previous
+	// layout; prevComp the cumulative per-rank compute at the previous
 	// boundary; ewma the smoothed per-window compute. All preallocated to
 	// the rank count so the observe path never allocates.
 	modelComp  []float64  //cadyvet:guardedby mu
@@ -70,10 +69,12 @@ type Controller struct {
 }
 
 // NewController builds a controller for a job of `steps` total steps that
-// starts in the given layout. The candidate's scheme and M are held fixed
-// across re-plans (changing them mid-run would change the numerics); only
-// the factorization, row partition and stage depth may move.
-func NewController(pol Policy, g *grid.Grid, cfg dycore.Config, prof tune.Profile, steps int, start tune.Candidate) (*Controller, error) {
+// starts in the given layout. Only the planner's schemes are re-plannable:
+// CA and YZ under the Y-Z decomposition, not X-Y or 3-D. The algorithm and
+// the numerics (M among them) are held fixed across re-plans (changing them
+// mid-run would change the trajectory); only the factorization, row
+// partition and stage depth may move.
+func NewController(pol Policy, g *grid.Grid, prof tune.Profile, steps int, start dycore.Setup) (*Controller, error) {
 	if err := pol.Validate(); err != nil {
 		return nil, err
 	}
@@ -81,20 +82,22 @@ func NewController(pol Policy, g *grid.Grid, cfg dycore.Config, prof tune.Profil
 	if steps < 1 {
 		return nil, fmt.Errorf("balance: steps = %d must be >= 1", steps)
 	}
+	if start.Alg != dycore.AlgCommAvoid && start.Alg != dycore.AlgBaselineYZ {
+		return nil, fmt.Errorf("balance: algorithm %s is not rebalanceable", start.Alg)
+	}
 	if start.PA < 1 || start.PB < 1 {
 		return nil, fmt.Errorf("balance: starting candidate has empty process grid %dx%d", start.PA, start.PB)
 	}
-	procs := start.PA * start.PB
+	procs := start.Procs()
 	c := &Controller{
 		pol:   pol,
 		g:     g,
-		cfg:   cfg,
 		prof:  prof,
 		procs: procs,
 		steps: steps,
-		cand:  start,
+		set:   start,
 
-		modelComp: tune.PerRankCompute(g, cfg, prof, start),
+		modelComp: tune.PerRankCompute(g, prof, start),
 		prevComp:  make([]float64, procs),
 		ewma:      make([]float64, procs),
 		slow:      make([]float64, procs),
@@ -102,38 +105,11 @@ func NewController(pol Policy, g *grid.Grid, cfg dycore.Config, prof tune.Profil
 	return c, nil
 }
 
-// CandidateOf translates a dycore Setup into the controller's candidate
-// space. Only the planner's schemes are re-plannable: CA and YZ under the
-// Y-Z decomposition, not X-Y or 3-D.
-func CandidateOf(set dycore.Setup) (tune.Candidate, error) {
-	var sch tune.Scheme
-	switch set.Alg {
-	case dycore.AlgCommAvoid:
-		sch = tune.SchemeCA
-	case dycore.AlgBaselineYZ:
-		sch = tune.SchemeYZ
-	default:
-		return tune.Candidate{}, fmt.Errorf("balance: algorithm %s is not rebalanceable", set.Alg)
-	}
-	c := tune.Candidate{Scheme: sch, PA: set.PA, PB: set.PB, M: set.Cfg.M, RowStarts: set.RowStarts}
-	if sch == tune.SchemeCA {
-		c.Stage = set.Cfg.StageM
-	}
-	return c, nil
-}
-
-// Setup returns the dycore setup of the current layout.
+// Setup returns the current layout.
 func (c *Controller) Setup() dycore.Setup {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.cand.Setup(c.cfg)
-}
-
-// Candidate returns the current layout.
-func (c *Controller) Candidate() tune.Candidate {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cand
+	return c.set
 }
 
 // Snapshot returns the decision counters.
@@ -261,46 +237,46 @@ func (c *Controller) decide(step int) bool {
 	}
 
 	slow := c.slow // local alias: the closure below runs under the same lock
-	cur := tune.EvaluateWithRates(c.g, c.cfg, c.prof, c.cand, slow)
-	best, bestKey := cur, c.cand.Key()
-	consider := func(cd tune.Candidate) {
-		e := tune.EvaluateWithRates(c.g, c.cfg, c.prof, cd, slow)
-		if e.Total < best.Total ||
-			(e.Total == best.Total && e.Candidate.Key() < bestKey) {
-			best, bestKey = e, e.Candidate.Key()
+	cur := tune.EvaluateWithRates(c.g, c.prof, c.set, slow)
+	curKey := tune.Key(c.set)
+	best, bestKey := cur, curKey
+	consider := func(cd dycore.Setup) {
+		e := tune.EvaluateWithRates(c.g, c.prof, cd, slow)
+		if k := tune.Key(cd); e.Total < best.Total || (e.Total == best.Total && k < bestKey) {
+			best, bestKey = e, k
 		}
 	}
-	for _, cd := range tune.Candidates(c.g, c.procs, c.cfg, c.prof, tune.SearchOptions{}) {
-		// The scheme and M are pinned: switching integrators mid-run would
-		// change the trajectory, not just its cost.
-		if cd.Scheme != c.cand.Scheme || cd.M != c.cand.M {
+	// The enumeration keeps the current numerics, M among them (no VaryM),
+	// and the algorithm is pinned: switching integrators mid-run would
+	// change the trajectory, not just its cost.
+	for _, cd := range tune.Candidates(c.g, c.procs, c.set.Cfg, c.prof, tune.SearchOptions{}) {
+		if cd.Alg != c.set.Alg {
 			continue
 		}
 		consider(cd)
-		if rows := tune.RatedRows(c.g, c.cfg, c.prof, cd, slow); rows != nil {
-			cr := cd
-			cr.RowStarts = rows
-			consider(cr)
+		if rows := tune.RatedRows(c.g, c.prof, cd, slow); rows != nil {
+			cd.RowStarts = rows
+			consider(cd)
 		}
 	}
 
 	remaining := float64(c.steps - step)
 	gain := (cur.Total - best.Total) * remaining
 	cost := tune.MigrationCost(c.g, c.procs, c.prof)
-	if bestKey == c.cand.Key() || gain <= c.pol.MinGain*cost {
+	if bestKey == curKey || gain <= c.pol.MinGain*cost {
 		c.skipped++
 		c.cooldown = c.pol.Cooldown
 		return false
 	}
-	plan := tune.PlanOf(c.g, c.procs, best.Candidate, c.prof, best.Total)
+	plan := tune.PlanOf(c.g, c.procs, best.Setup, c.prof, best.Total)
 	c.pending = &plan
-	c.pendingMig = Migration{Step: step, From: c.cand.Key(), To: bestKey,
+	c.pendingMig = Migration{Step: step, From: curKey, To: bestKey,
 		PredictedGain: gain, Cost: cost}
 	return true
 }
 
 // TakePending commits the staged re-plan: the controller switches its
-// current candidate, resets the telemetry (block sizes changed, so window
+// current layout, resets the telemetry (block sizes changed, so window
 // history is stale; the per-rank slowdowns re-emerge within a window) and
 // returns the plan with its migration record. Nil plan when no re-plan is
 // staged — the run stopped for another reason.
@@ -312,8 +288,8 @@ func (c *Controller) TakePending() (*tune.Plan, Migration) {
 	}
 	p := c.pending
 	c.pending = nil
-	c.cand = p.Candidate()
-	c.modelComp = tune.PerRankCompute(c.g, c.cfg, c.prof, c.cand)
+	c.set = p.Setup(c.set.Cfg)
+	c.modelComp = tune.PerRankCompute(c.g, c.prof, c.set)
 	c.haveEwma = false
 	c.over = 0
 	c.cooldown = c.pol.Cooldown

@@ -5,8 +5,9 @@
 // model (internal/tune), and — when the predicted win clears a modeled
 // migration cost — quiesces the run at a step boundary and restarts it in
 // the new layout through the cross-decomposition checkpoint path. The
-// controller is deliberately layout-generic: it reasons in tune.Candidate
-// space, so any scheme the planner can enumerate can be migrated to.
+// controller is deliberately layout-generic: it reasons in the planner's
+// candidate space (dycore.Setup values from tune.Candidates), so any layout
+// the planner can enumerate can be migrated to.
 package balance
 
 import "fmt"

@@ -40,9 +40,9 @@ type DirStore struct {
 	root string
 }
 
-// NewDirStore creates (if needed) and opens a directory store.
+// NewDirStore creates (if needed, durably) and opens a directory store.
 func NewDirStore(root string) (*DirStore, error) {
-	if err := os.MkdirAll(root, 0o755); err != nil {
+	if err := MkdirDurable(root); err != nil {
 		return nil, err
 	}
 	return &DirStore{root: root}, nil
@@ -195,6 +195,30 @@ func commitTmp(path string, write func(io.Writer) error) error {
 		return err
 	}
 	return SyncDir(filepath.Dir(path))
+}
+
+// MkdirDurable creates dir and any missing parents, fsyncing the parent of
+// each level it creates so the new entry survives a power loss; on an
+// existing directory it does nothing.
+//
+//cadyvet:blessed durable mkdir: each created level's parent directory is fsynced
+func MkdirDurable(dir string) error {
+	if fi, err := os.Stat(dir); err == nil && fi.IsDir() {
+		return nil
+	}
+	parent := filepath.Dir(dir)
+	if parent != dir {
+		if err := MkdirDurable(parent); err != nil {
+			return err
+		}
+	}
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		if fi, serr := os.Stat(dir); serr != nil || !fi.IsDir() {
+			return err
+		}
+		// A racing creator made it; its entry is synced below all the same.
+	}
+	return SyncDir(parent)
 }
 
 // SyncDir fsyncs a directory so a just-renamed entry survives a power loss.

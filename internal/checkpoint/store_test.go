@@ -170,3 +170,37 @@ func TestConcurrentWriteAtomicOnePath(t *testing.T) {
 		t.Fatalf("temp files left behind: %v", tmps)
 	}
 }
+
+// TestMkdirDurable: the durable mkdir creates every missing level, is
+// idempotent on an existing directory (also under concurrent callers), and
+// refuses a path that is, or lies under, a regular file.
+func TestMkdirDurable(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "a", "b", "c")
+	for i := 0; i < 2; i++ {
+		if err := MkdirDurable(dir); err != nil {
+			t.Fatalf("call %d: %v", i+1, err)
+		}
+		if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+			t.Fatalf("call %d: %s not a directory (%v)", i+1, dir, err)
+		}
+	}
+	errs := make(chan error, 4)
+	for i := 0; i < cap(errs); i++ {
+		go func() { errs <- MkdirDurable(filepath.Join(root, "x", "y")) }()
+	}
+	for i := 0; i < cap(errs); i++ {
+		if err := <-errs; err != nil {
+			t.Errorf("concurrent create: %v", err)
+		}
+	}
+	file := filepath.Join(root, "f")
+	if err := WriteFileAtomic(file, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{file, filepath.Join(file, "sub")} {
+		if err := MkdirDurable(p); err == nil {
+			t.Errorf("MkdirDurable(%s) over a regular file succeeded", p)
+		}
+	}
+}

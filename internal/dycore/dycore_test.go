@@ -2,6 +2,7 @@ package dycore
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"hash/fnv"
 	"math"
 	"runtime"
@@ -384,6 +385,8 @@ func TestCommAvoidTinyBlocksDeepHalo(t *testing.T) {
 // TestSetupCheck: every process grid a run cannot build is an error from
 // Setup.Check, before any rank starts — including the exact pole mirror on a
 // grid that splits longitude circles, which newCore would otherwise panic on.
+// With MinPerRank it is the service's rule: two mesh points per rank along
+// every decomposed extent.
 func TestSetupCheck(t *testing.T) {
 	g := grid.New(48, 24, 8)
 	shifted := DefaultConfig()
@@ -391,22 +394,53 @@ func TestSetupCheck(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		s    Setup
+		per  int    // minimum points per rank (0 = 1)
 		want string // "" = valid
 	}{
-		{"yz-2x2", Setup{Alg: AlgBaselineYZ, PA: 2, PB: 2, Cfg: DefaultConfig()}, ""},
-		{"ca-shifted-4x2", Setup{Alg: AlgCommAvoid, PA: 4, PB: 2, Cfg: shifted}, ""},
-		{"xy-shifted-1x2", Setup{Alg: AlgBaselineXY, PA: 1, PB: 2, Cfg: shifted}, ""},
-		{"xy-shifted-2x1", Setup{Alg: AlgBaselineXY, PA: 2, PB: 1, Cfg: shifted}, "ShiftedPoleMirror requires p_x = 1"},
-		{"3d-shifted-2x1x2", Setup{Alg: AlgBaseline3D, PA: 2, PB: 1, PC: 2, Cfg: shifted}, "ShiftedPoleMirror requires p_x = 1"},
-		{"yz-0x2", Setup{Alg: AlgBaselineYZ, PA: 0, PB: 2, Cfg: DefaultConfig()}, "process grid 0x2"},
-		{"yz-30x2", Setup{Alg: AlgBaselineYZ, PA: 30, PB: 2, Cfg: DefaultConfig()}, "process grid 30x2"},
+		{"yz-2x2", Setup{Alg: AlgBaselineYZ, PA: 2, PB: 2, Cfg: DefaultConfig()}, 0, ""},
+		{"ca-shifted-4x2", Setup{Alg: AlgCommAvoid, PA: 4, PB: 2, Cfg: shifted}, 0, ""},
+		{"xy-shifted-1x2", Setup{Alg: AlgBaselineXY, PA: 1, PB: 2, Cfg: shifted}, 0, ""},
+		{"xy-shifted-2x1", Setup{Alg: AlgBaselineXY, PA: 2, PB: 1, Cfg: shifted}, 0, "ShiftedPoleMirror requires p_x = 1"},
+		{"3d-shifted-2x1x2", Setup{Alg: AlgBaseline3D, PA: 2, PB: 1, PC: 2, Cfg: shifted}, 0, "ShiftedPoleMirror requires p_x = 1"},
+		{"yz-0x2", Setup{Alg: AlgBaselineYZ, PA: 0, PB: 2, Cfg: DefaultConfig()}, 0, "process grid 0x2"},
+		{"yz-30x2", Setup{Alg: AlgBaselineYZ, PA: 30, PB: 2, Cfg: DefaultConfig()}, 0, "process grid 30x2"},
+		{"ca-12x4-service", Setup{Alg: AlgCommAvoid, PA: 12, PB: 4, Cfg: DefaultConfig()}, MinPerRank, ""},
+		{"ca-13x1-service", Setup{Alg: AlgCommAvoid, PA: 13, PB: 1, Cfg: DefaultConfig()}, MinPerRank, "(p_y ≤ ny/2, p_z ≤ nz/2)"},
+		{"yz-1x5-service", Setup{Alg: AlgBaselineYZ, PA: 1, PB: 5, Cfg: DefaultConfig()}, MinPerRank, "process grid 1x5"},
+		{"xy-25x1-service", Setup{Alg: AlgBaselineXY, PA: 25, PB: 1, Cfg: DefaultConfig()}, MinPerRank, "process grid 25x1"},
+		{"3d-1x1x5-service", Setup{Alg: AlgBaseline3D, PA: 1, PB: 1, PC: 5, Cfg: DefaultConfig()}, MinPerRank, "process grid 1x1x5"},
+		{"3d-2x2x0", Setup{Alg: AlgBaseline3D, PA: 2, PB: 2, Cfg: DefaultConfig()}, 0, "process grid 2x2x0"},
 	} {
-		err := tc.s.Check(g)
+		err := tc.s.Check(g, max(tc.per, 1))
 		switch {
 		case tc.want == "" && err != nil:
 			t.Errorf("%s: unexpected error %v", tc.name, err)
 		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
 			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestAlgorithmNames: the four short names round-trip through encoding/json
+// (the plan's "scheme" field), String keeps the long names, and an unknown
+// name is a decode error that lists the four.
+func TestAlgorithmNames(t *testing.T) {
+	for name, long := range map[string]string{"ca": "comm-avoiding", "yz": "original-YZ", "xy": "original-XY", "3d": "original-3D"} {
+		var a Algorithm
+		if err := json.Unmarshal([]byte(`"`+name+`"`), &a); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		b, err := json.Marshal(a)
+		if err != nil || string(b) != `"`+name+`"` || a.Name() != name || a.String() != long {
+			t.Errorf("%s decodes to %v, encodes to %s (%v), named %s", name, a, b, err, a.Name())
+		}
+	}
+	var a Algorithm
+	err := json.Unmarshal([]byte(`"zz"`), &a)
+	if err == nil || !strings.Contains(err.Error(), `"zz"`) || !strings.Contains(err.Error(), "ca, yz, xy or 3d") {
+		t.Errorf("unknown name: error %v, want one naming it and listing ca, yz, xy or 3d", err)
+	}
+	if _, err := json.Marshal(Algorithm(7)); err == nil {
+		t.Error("Algorithm(7) encoded without error")
 	}
 }

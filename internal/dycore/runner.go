@@ -30,6 +30,45 @@ const (
 	AlgBaseline3D
 )
 
+// algNames is the one table of the algorithms' short names: job specs, plans,
+// candidate keys and the -alg flags all spell an Algorithm this way.
+var algNames = [...]string{AlgBaselineXY: "xy", AlgBaselineYZ: "yz", AlgCommAvoid: "ca", AlgBaseline3D: "3d"}
+
+// AlgorithmNames lists the short names ParseAlgorithm accepts, for messages.
+const AlgorithmNames = "ca, yz, xy or 3d"
+
+// ParseAlgorithm returns the algorithm with the given short name.
+func ParseAlgorithm(name string) (Algorithm, error) {
+	for a, n := range algNames {
+		if n == name {
+			return Algorithm(a), nil
+		}
+	}
+	return 0, fmt.Errorf("dycore: unknown algorithm %q (want %s)", name, AlgorithmNames)
+}
+
+// Name returns the algorithm's short name (ca, yz, xy or 3d).
+func (a Algorithm) Name() string {
+	if a < 0 || int(a) >= len(algNames) {
+		return a.String()
+	}
+	return algNames[a]
+}
+
+// MarshalText encodes the algorithm as its short name.
+func (a Algorithm) MarshalText() ([]byte, error) {
+	if a < 0 || int(a) >= len(algNames) {
+		return nil, fmt.Errorf("dycore: cannot encode %s", a)
+	}
+	return []byte(algNames[a]), nil
+}
+
+// UnmarshalText decodes a short name; any other text is an error.
+func (a *Algorithm) UnmarshalText(text []byte) (err error) {
+	*a, err = ParseAlgorithm(string(text))
+	return err
+}
+
 // String implements fmt.Stringer.
 func (a Algorithm) String() string {
 	switch a {
@@ -82,31 +121,44 @@ func (s Setup) procGrid() (px, py, pz int) {
 	}
 }
 
-// Check reports whether the setup's process grid can split the mesh g:
-// every extent must be at least 1 and no larger than the mesh extent it
-// splits (the condition topo.New panics on), and Cfg.ShiftedPoleMirror needs
-// full longitude circles per rank (p_x = 1, the condition newCore panics on).
-// The error names the grid as the setup states it, PA×PB (×PC for
-// AlgBaseline3D).
-func (s Setup) Check(g *grid.Grid) error {
+// MinPerRank is the service's layout rule: every decomposed extent leaves
+// each rank at least two of the mesh points it splits (p_y ≤ ny/2, …), which
+// the communication-avoiding overlap machinery needs. The job service
+// validates explicit and planned layouts with it, and the planner enumerates
+// and partitions rows within it.
+const MinPerRank = 2
+
+// Check reports whether the setup's process grid can split the mesh g with
+// at least minPerRank mesh points per rank along every extent: each extent
+// must be at least 1 and no larger than the mesh extent it splits divided by
+// minPerRank (with 1, the condition topo.New panics on; with MinPerRank, the
+// service's rule), and Cfg.ShiftedPoleMirror needs full longitude circles
+// per rank (p_x = 1, the condition newCore panics on). The error names the
+// grid as the setup states it, PA×PB (×PC for AlgBaseline3D).
+func (s Setup) Check(g *grid.Grid, minPerRank int) error {
 	px, py, pz := s.procGrid()
-	if min(px, py, pz) >= 1 && px <= g.Nx && py <= g.Ny && pz <= g.Nz {
+	nx, ny, nz := g.Nx/minPerRank, g.Ny/minPerRank, g.Nz/minPerRank
+	if min(px, py, pz) >= 1 && px <= nx && py <= ny && pz <= nz {
 		if s.Cfg.ShiftedPoleMirror && px > 1 {
 			return fmt.Errorf("dycore: ShiftedPoleMirror requires p_x = 1 (full longitude circles per rank); process grid %dx%d has p_x = %d",
 				s.PA, s.PB, px)
 		}
 		return nil
 	}
+	per := ""
+	if minPerRank > 1 {
+		per = fmt.Sprintf("/%d", minPerRank)
+	}
 	switch s.Alg {
 	case AlgBaselineXY:
-		return fmt.Errorf("dycore: process grid %dx%d must lie within 1x1 … %dx%d (p_x ≤ nx, p_y ≤ ny)",
-			px, py, g.Nx, g.Ny)
+		return fmt.Errorf("dycore: process grid %dx%d must lie within 1x1 … %dx%d (p_x ≤ nx%s, p_y ≤ ny%[5]s)",
+			px, py, nx, ny, per)
 	case AlgBaseline3D:
-		return fmt.Errorf("dycore: process grid %dx%dx%d must lie within 1x1x1 … %dx%dx%d (p_x ≤ nx, p_y ≤ ny, p_z ≤ nz)",
-			px, py, pz, g.Nx, g.Ny, g.Nz)
+		return fmt.Errorf("dycore: process grid %dx%dx%d must lie within 1x1x1 … %dx%dx%d (p_x ≤ nx%s, p_y ≤ ny%[7]s, p_z ≤ nz%[7]s)",
+			px, py, pz, nx, ny, nz, per)
 	default:
-		return fmt.Errorf("dycore: process grid %dx%d must lie within 1x1 … %dx%d (p_y ≤ ny, p_z ≤ nz)",
-			py, pz, g.Ny, g.Nz)
+		return fmt.Errorf("dycore: process grid %dx%d must lie within 1x1 … %dx%d (p_y ≤ ny%s, p_z ≤ nz%[5]s)",
+			py, pz, ny, nz, per)
 	}
 }
 

@@ -36,7 +36,7 @@ func (c *Coordinator) SubmitJob(spec server.JobSpec, tenant string) (*job, error
 	if err != nil {
 		return nil, err
 	}
-	j.State, j.Backend, j.BackendID, j.remote = fRunning, url, st.ID, st
+	j.State, j.Backend, j.BackendID, j.remote = server.JRunning, url, st.ID, st
 	c.mu.Lock()
 	c.registerLocked(j)
 	c.mu.Unlock()
@@ -62,7 +62,7 @@ func (c *Coordinator) CancelJob(id string) error {
 		c.mu.Unlock()
 		return fmt.Errorf("fleet: no job %s", id)
 	}
-	if j.State.terminal() {
+	if j.State.Terminal() {
 		st := j.State
 		c.mu.Unlock()
 		return fmt.Errorf("fleet: job %s is %s, not cancellable", id, st)
@@ -70,9 +70,9 @@ func (c *Coordinator) CancelJob(id string) error {
 	j.cancelRequested = true
 	var url, backendID string
 	switch j.State {
-	case fQueued:
-		c.finalizeLocked(j, fCancelled, "")
-	case fRunning:
+	case server.JQueued:
+		c.finalizeLocked(j, server.JCancelled, "")
+	case server.JRunning:
 		url, backendID = j.Backend, j.BackendID
 	}
 	c.mu.Unlock()
@@ -137,7 +137,7 @@ func (c *Coordinator) placePending() {
 	c.mu.Lock()
 	var pending []*job
 	for _, id := range c.order {
-		if j := c.jobs[id]; j.State == fQueued {
+		if j := c.jobs[id]; j.State == server.JQueued {
 			pending = append(pending, j)
 		}
 	}
@@ -148,9 +148,9 @@ func (c *Coordinator) placePending() {
 			break
 		}
 		c.mu.Lock()
-		placed := j.State == fQueued
+		placed := j.State == server.JQueued
 		if placed {
-			j.State, j.Backend, j.BackendID, j.remote = fRunning, url, st.ID, st
+			j.State, j.Backend, j.BackendID, j.remote = server.JRunning, url, st.ID, st
 		}
 		c.mu.Unlock()
 		if !placed { // cancelled meanwhile
@@ -171,7 +171,7 @@ func (c *Coordinator) placePending() {
 //
 //cadyvet:locked c.mu
 func (c *Coordinator) applyRemoteLocked(j *job, st *server.JobStatus) (changed bool) {
-	if j.State != fRunning || st.ID != j.BackendID {
+	if j.State != server.JRunning || st.ID != j.BackendID {
 		// Migrated or finalized while the fetch was in flight: ignore.
 		return false
 	}
@@ -181,12 +181,12 @@ func (c *Coordinator) applyRemoteLocked(j *job, st *server.JobStatus) (changed b
 	}
 	switch st.State {
 	case server.JCompleted:
-		c.finalizeLocked(j, fCompleted, "")
+		c.finalizeLocked(j, server.JCompleted, "")
 	case server.JFailed:
-		c.finalizeLocked(j, fFailed, st.Error)
+		c.finalizeLocked(j, server.JFailed, st.Error)
 	case server.JCancelled, server.JInterrupted:
 		if j.cancelRequested {
-			c.finalizeLocked(j, fCancelled, "")
+			c.finalizeLocked(j, server.JCancelled, "")
 		} else {
 			// The shared checkpoint keeps the work done so far.
 			c.migrateLocked(j, "backend copy "+string(st.State))
@@ -201,7 +201,7 @@ func (c *Coordinator) applyRemoteLocked(j *job, st *server.JobStatus) (changed b
 //
 //cadyvet:locked c.mu
 func (c *Coordinator) leaveLocked(j *job) {
-	if j.State != fRunning {
+	if j.State != server.JRunning {
 		return
 	}
 	if b := c.findBackendLocked(j.Backend); b != nil && b.inflight > 0 {
@@ -212,8 +212,8 @@ func (c *Coordinator) leaveLocked(j *job) {
 // finalizeLocked moves a job to a terminal state.
 //
 //cadyvet:locked c.mu
-func (c *Coordinator) finalizeLocked(j *job, st jstate, errMsg string) {
-	if j.State.terminal() {
+func (c *Coordinator) finalizeLocked(j *job, st server.JState, errMsg string) {
+	if j.State.Terminal() {
 		return
 	}
 	c.leaveLocked(j)
@@ -221,11 +221,11 @@ func (c *Coordinator) finalizeLocked(j *job, st jstate, errMsg string) {
 	j.ErrMsg = errMsg
 	j.finished = time.Now()
 	switch st {
-	case fCompleted:
+	case server.JCompleted:
 		c.met.completed++
-	case fFailed:
+	case server.JFailed:
 		c.met.failed++
-	case fCancelled:
+	case server.JCancelled:
 		c.met.cancelled++
 	}
 }
@@ -237,21 +237,21 @@ func (c *Coordinator) finalizeLocked(j *job, st jstate, errMsg string) {
 //
 //cadyvet:locked c.mu
 func (c *Coordinator) migrateLocked(j *job, reason string) {
-	if j.State.terminal() {
+	if j.State.Terminal() {
 		return
 	}
 	if j.cancelRequested {
-		c.finalizeLocked(j, fCancelled, "")
+		c.finalizeLocked(j, server.JCancelled, "")
 		return
 	}
 	j.Migrations++
 	c.met.migrations++
 	if j.Migrations > c.cfg.MaxMigrations {
-		c.finalizeLocked(j, fFailed, fmt.Sprintf("migration budget %d exhausted (%s)", c.cfg.MaxMigrations, reason))
+		c.finalizeLocked(j, server.JFailed, fmt.Sprintf("migration budget %d exhausted (%s)", c.cfg.MaxMigrations, reason))
 		return
 	}
 	c.leaveLocked(j)
-	j.State, j.Backend, j.BackendID, j.remote = fQueued, "", "", nil
+	j.State, j.Backend, j.BackendID, j.remote = server.JQueued, "", "", nil
 }
 
 // --- prober ----------------------------------------------------------------
@@ -318,7 +318,7 @@ func (c *Coordinator) probeBackend(url string) {
 	if died {
 		b.healthy = false
 		for _, id := range c.order {
-			if j := c.jobs[id]; j.State == fRunning && j.Backend == url {
+			if j := c.jobs[id]; j.State == server.JRunning && j.Backend == url {
 				c.migrateLocked(j, "backend "+url+" unhealthy")
 			}
 		}
@@ -350,7 +350,7 @@ func (c *Coordinator) syncBackend(url string, cancelZombies bool) {
 		j := c.jobs[st.Spec.SharedKey]
 		switch {
 		case j == nil: // not a fleet job, or one still being placed
-		case j.State == fRunning && j.Backend == url && j.BackendID == st.ID:
+		case j.State == server.JRunning && j.Backend == url && j.BackendID == st.ID:
 			changed = c.applyRemoteLocked(j, st) || changed
 		case cancelZombies && !st.State.Terminal():
 			zombies = append(zombies, st.ID)
@@ -384,7 +384,7 @@ func (c *Coordinator) reconcile() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, id := range c.order {
-		if j := c.jobs[id]; j.State == fRunning && j.remote == nil {
+		if j := c.jobs[id]; j.State == server.JRunning && j.remote == nil {
 			c.migrateLocked(j, "backend lost across coordinator restart")
 		}
 	}

@@ -89,7 +89,7 @@ func (c *Coordinator) SubmitEnsemble(es EnsembleSpec, tenant string) (*ensemble,
 			Spec:      es.Job,
 			Ensemble:  e.ID,
 			Member:    m,
-			State:     fRunning,
+			State:     server.JRunning,
 			submitted: e.submitted,
 		}
 		j.Spec.PerturbSeed = memberSeed(es.Seed, m)
@@ -159,7 +159,7 @@ func (c *Coordinator) ensembleStatusLocked(e *ensemble) EnsembleStatus {
 		j := c.jobs[id]
 		st.MemberJobs = append(st.MemberJobs, c.jobInfoLocked(j))
 		switch j.State {
-		case fCompleted:
+		case server.JCompleted:
 			st.Completed++
 			if j.remote == nil {
 				continue
@@ -176,9 +176,9 @@ func (c *Coordinator) ensembleStatusLocked(e *ensemble) EnsembleStatus {
 				a.Min, a.Max, a.Mean, a.Count = math.Min(a.Min, v), math.Max(a.Max, v), a.Mean+v, a.Count+1
 				st.Diagnostics[k] = a
 			}
-		case fFailed:
+		case server.JFailed:
 			st.Failed++
-		case fCancelled:
+		case server.JCancelled:
 			st.Cancelled++
 		}
 	}

@@ -79,23 +79,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// jstate is a fleet job's lifecycle state.
-type jstate string
-
-const (
-	// fQueued: waiting for a backend — a migration no backend has accepted
-	// yet; the prober retries it every tick.
-	fQueued    jstate = "queued"
-	fRunning   jstate = "running" // placed on Backend as BackendID
-	fCompleted jstate = "completed"
-	fFailed    jstate = "failed"
-	fCancelled jstate = "cancelled"
-)
-
-func (st jstate) terminal() bool {
-	return st == fCompleted || st == fFailed || st == fCancelled
-}
-
 // job is one coordinator-tracked job; its exported fields are its durable
 // form in fleet.json. All mutable fields are guarded by the coordinator
 // mutex; ID, Tenant and Spec are immutable.
@@ -107,12 +90,17 @@ type job struct {
 	Ensemble string `json:"ensemble,omitempty"` // owning ensemble ID ("" for plain jobs)
 	Member   int    `json:"member,omitempty"`
 
-	State      jstate `json:"state"`
-	Backend    string `json:"backend,omitempty"`    // owning backend URL once placed
-	BackendID  string `json:"backend_id,omitempty"` // backend-local job ID
-	Migrations int    `json:"migrations,omitempty"`
-	ErrMsg     string `json:"error,omitempty"`
-	StepsDone  int    `json:"steps_done,omitempty"` // high-water mark across backends
+	// State is the job's lifecycle state in the service's vocabulary. A
+	// fleet job is queued (waiting for a backend: a migration no backend has
+	// accepted yet, which the prober retries every tick), running (placed on
+	// Backend as BackendID), or completed, failed or cancelled; never
+	// interrupted or retrying, since a stopped backend copy migrates instead.
+	State      server.JState `json:"state"`
+	Backend    string        `json:"backend,omitempty"`    // owning backend URL once placed
+	BackendID  string        `json:"backend_id,omitempty"` // backend-local job ID
+	Migrations int           `json:"migrations,omitempty"`
+	ErrMsg     string        `json:"error,omitempty"`
+	StepsDone  int           `json:"steps_done,omitempty"` // high-water mark across backends
 
 	cancelRequested bool
 	// remote is the last observed status of the backend copy; nil after a
@@ -291,18 +279,18 @@ func (c *Coordinator) load() error {
 		// Rebuild the outcome counters so /metrics survives a restart, and
 		// the backends' in-flight counts so placement does.
 		switch j.State {
-		case fCompleted:
+		case server.JCompleted:
 			c.met.completed++
-		case fFailed:
+		case server.JFailed:
 			c.met.failed++
-		case fCancelled:
+		case server.JCancelled:
 			c.met.cancelled++
-		case fRunning:
+		case server.JRunning:
 			if b := c.findBackendLocked(j.Backend); b != nil {
 				b.inflight++
 			}
 		default: // queued, or unknown: wait for placement
-			j.State, j.Backend, j.BackendID = fQueued, "", ""
+			j.State, j.Backend, j.BackendID = server.JQueued, "", ""
 		}
 		c.met.migrations += int64(j.Migrations)
 		c.addLocked(j)

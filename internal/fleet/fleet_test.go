@@ -183,7 +183,7 @@ func (h *fleetHarness) waitJob(t *testing.T, id, want string, timeout time.Durat
 		if last.State == want {
 			return last
 		}
-		if last.State == string(fFailed) && want != string(fFailed) {
+		if last.State == string(server.JFailed) && want != string(server.JFailed) {
 			t.Fatalf("job %s failed (%s), want %s", id, last.Error, want)
 		}
 		time.Sleep(5 * time.Millisecond)

@@ -148,7 +148,7 @@ func (c *Coordinator) refresh(js ...*job) {
 	var probes []probe
 	c.mu.Lock()
 	for _, j := range js {
-		if j.State == fRunning {
+		if j.State == server.JRunning {
 			probes = append(probes, probe{j, j.Backend, j.BackendID})
 		}
 	}

@@ -39,12 +39,12 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	e.Metric("cady_fleet_backends", "gauge", "Registered backends.", len(c.backends))
 	e.Metric("cady_fleet_backends_healthy", "gauge", "Backends passing health probes.", healthy)
 
-	states := map[jstate]int{}
+	states := map[server.JState]int{}
 	for _, id := range c.order {
 		states[c.jobs[id].State]++
 	}
 	jobs := e.Family("cady_fleet_jobs", "gauge", "Fleet jobs by state.")
-	for _, st := range []jstate{fQueued, fRunning, fCompleted, fFailed, fCancelled} {
+	for _, st := range []server.JState{server.JQueued, server.JRunning, server.JCompleted, server.JFailed, server.JCancelled} {
 		jobs(states[st], "state", string(st))
 	}
 

@@ -2,11 +2,14 @@ package fleet
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"cadycore/internal/checkpoint"
+	"cadycore/internal/server"
 )
 
 // TestPersistLandsInMarshalOrder: two persists that take their snapshots in
@@ -58,7 +61,7 @@ func TestPersistLandsInMarshalOrder(t *testing.T) {
 	// persist is the one its submit made.
 	c.mu.Lock()
 	c.seq++
-	c.addLocked(&job{ID: "f-1", Tenant: "acme", State: fCompleted})
+	c.addLocked(&job{ID: "f-1", Tenant: "acme", State: server.JCompleted})
 	c.mu.Unlock()
 	c.persist()
 	<-first
@@ -66,5 +69,53 @@ func TestPersistLandsInMarshalOrder(t *testing.T) {
 	// Restart: a coordinator over the same store reloads fleet.json.
 	if _, ok := coord().GetJob("f-1"); !ok {
 		t.Fatal("job f-1 was acknowledged and persisted, but a restarted coordinator does not know it: an older snapshot was written last")
+	}
+}
+
+// TestLoadFleetJSONOfOwnStateType: testdata/fleet-jstate.json is a fleet.json
+// written by the coordinator while it had a state type of its own, with one
+// job in each state a fleet job can hold. It loads into the same states
+// (the running job's backend is gone, so it migrates back to queued), and the
+// state file the coordinator rewrites at start and at shutdown is, byte for
+// byte, the one that coordinator wrote (testdata/fleet-jstate.reloaded.json).
+func TestLoadFleetJSONOfOwnStateType(t *testing.T) {
+	dir := t.TempDir()
+	read := func(name string) []byte {
+		t.Helper()
+		b, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if err := checkpoint.WriteFileAtomic(filepath.Join(dir, "fleet.json"), read(filepath.Join("testdata", "fleet-jstate.json"))); err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(Config{StoreDir: dir})
+	if err != nil {
+		t.Fatalf("fleet.New: %v", err)
+	}
+	for id, want := range map[string]server.JState{
+		"f-000001": server.JQueued, "f-000002": server.JQueued, "f-000003": server.JCompleted,
+		"f-000004": server.JFailed, "f-000005": server.JCancelled,
+	} {
+		j, ok := c.GetJob(id)
+		if !ok {
+			t.Fatalf("job %s not loaded", id)
+		}
+		c.mu.Lock()
+		got := j.State
+		c.mu.Unlock()
+		if got != want {
+			t.Errorf("job %s loaded as %s, want %s", id, got, want)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := c.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := read(filepath.Join(dir, "fleet.json")), read(filepath.Join("testdata", "fleet-jstate.reloaded.json")); string(got) != string(want) {
+		t.Errorf("rewritten fleet.json:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -131,10 +131,11 @@ func YZFactors(p, ny, nz int) (py, pz int, ok bool) {
 }
 
 // YZFactorsM is YZFactors for a given number of nonlinear iterations M
-// (which sets the deep-halo depths 3M+2 in y and 3M in z).
+// (which sets the deep-halo depths, dycore.CommAvoidHalo).
 func YZFactorsM(p, ny, nz, m int) (py, pz int, ok bool) {
-	maxPy, maxPz := ny/2, nz/2
-	haloY, haloZ := float64(3*m+2), float64(3*m)
+	maxPy, maxPz := ny/dycore.MinPerRank, nz/dycore.MinPerRank
+	_, hy, hz := dycore.CommAvoidHalo(m)
+	haloY, haloZ := float64(hy), float64(hz)
 	best := math.Inf(-1)
 	for a := 1; a <= p; a++ {
 		if p%a != 0 {
@@ -157,7 +158,7 @@ func YZFactorsM(p, ny, nz, m int) (py, pz int, ok bool) {
 
 // XYFactors chooses the most balanced feasible (px, py).
 func XYFactors(p, nx, ny int) (px, py int, ok bool) {
-	maxPx, maxPy := nx/2, ny/2
+	maxPx, maxPy := nx/dycore.MinPerRank, ny/dycore.MinPerRank
 	best := -1
 	for a := 1; a <= p; a++ {
 		if p%a != 0 {

@@ -46,7 +46,7 @@ func TestAutoLayoutJobRunsAndSurfacesPlan(t *testing.T) {
 	if got := p.PA * p.PB; got != 4 {
 		t.Errorf("planned grid %dx%d uses %d ranks, want 4", p.PA, p.PB, got)
 	}
-	if p.Scheme != tune.SchemeCA && p.Scheme != tune.SchemeYZ {
+	if p.Scheme != dycore.AlgCommAvoid && p.Scheme != dycore.AlgBaselineYZ {
 		t.Errorf("unknown planned scheme %q", p.Scheme)
 	}
 	if p.ProfileHash == "" || p.PredictedStep <= 0 {
@@ -125,6 +125,7 @@ func recoverFixture(t *testing.T, fixture string) (*Server, *Job) {
 	t.Helper()
 	dir := t.TempDir()
 	jdir := filepath.Join(dir, "j-000001")
+	//cadyvet:volatile a test fixture's job directory, planted for recovery to load; it never needs to survive a power loss
 	if err := os.MkdirAll(jdir, 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -192,16 +193,55 @@ func TestRecoverHonoursVersion3PlanMeta(t *testing.T) {
 func TestRecoverResumesXYPlanMeta(t *testing.T) {
 	s, j := recoverFixture(t, "xy-job")
 	st := j.Status()
-	if st.State != JInterrupted || !st.Resumable || st.Plan == nil || st.Plan.Candidate().Key() != "xy-1x4-m2" {
+	if st.State != JInterrupted || !st.Resumable || st.Plan == nil || tune.Key(st.Plan.Setup(j.Spec.config())) != "xy-1x4-m2" {
 		t.Fatalf("recovered %s resumable=%v plan %v, want interrupted/resumable on xy 1x4", st.State, st.Resumable, st.Plan)
 	}
 	if _, err := s.Resume(j.ID); err != nil {
 		t.Fatalf("Resume: %v", err)
 	}
-	if fin := waitState(t, s, j.ID, JCompleted); fin.StepsDone != 4 || fin.Plan.Scheme != tune.SchemeXY {
+	if fin := waitState(t, s, j.ID, JCompleted); fin.StepsDone != 4 || fin.Plan.Scheme != dycore.AlgBaselineXY {
 		t.Fatalf("resumed job finished at %d steps on %v, want 4 on xy 1x4", fin.StepsDone, fin.Plan)
 	}
 	if !matchesExplicitRun(t, s, j, dycore.Setup{Alg: dycore.AlgBaselineXY, PA: 1, PB: 4, Cfg: j.Spec.config()}) {
 		t.Error("recovered run differs from the explicit xy 1x4 run")
+	}
+}
+
+// TestRecoverSpecOnlyJob: a submit commits spec.json and nothing else, so a
+// crash right after its 202 leaves a job directory holding only spec.json. It
+// recovers as the queued, all-zero job a missing meta.json stands for —
+// surfaced as interrupted and resumable — and, resumed, ends bitwise equal
+// to an uninterrupted run.
+func TestRecoverSpecOnlyJob(t *testing.T) {
+	dir := t.TempDir()
+	jdir := filepath.Join(dir, "j-000001")
+	spec := smallSpec(3)
+	spec.Alg = "ca"
+	if err := spec.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	b, _ := json.MarshalIndent(spec, "", "  ")
+	if err := checkpoint.MkdirDurable(jdir); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkpoint.WriteFileAtomic(filepath.Join(jdir, "spec.json"), b); err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{Workers: 1, QueueCap: 4, Dir: dir})
+	j, ok := s.Get("j-000001")
+	if !ok {
+		t.Fatal("spec-only job was not recovered")
+	}
+	if st := j.Status(); st.State != JInterrupted || !st.Resumable || st.StepsDone != 0 || st.CkptStep != 0 || st.Attempts != 0 {
+		t.Fatalf("recovered %+v, want interrupted, resumable and all zero", st)
+	}
+	if _, err := s.Resume(j.ID); err != nil {
+		t.Fatalf("Resume: %v", err)
+	}
+	if fin := waitState(t, s, j.ID, JCompleted); fin.StepsDone != 3 {
+		t.Fatalf("resumed job finished at step %d, want 3", fin.StepsDone)
+	}
+	if !matchesExplicitRun(t, s, j, j.Spec.setup()) {
+		t.Error("resumed spec-only job differs from the uninterrupted run")
 	}
 }

@@ -357,6 +357,7 @@ func TestRecoverIgnoresStaleTmp(t *testing.T) {
 func TestRecoverVersion1Snapshot(t *testing.T) {
 	dir := t.TempDir()
 	jdir := filepath.Join(dir, "j-000001")
+	//cadyvet:volatile a test fixture's job directory, planted for recovery to load; it never needs to survive a power loss
 	if err := os.MkdirAll(jdir, 0o755); err != nil {
 		t.Fatal(err)
 	}

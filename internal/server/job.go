@@ -233,8 +233,9 @@ func (sp *JobSpec) Normalize() error {
 		sp.Layout = "explicit"
 	case "auto":
 		// The process grid is planned at execution time; the submit-time
-		// gate checks only what planning cannot change. The planned spec is
-		// re-validated through Normalize before the run starts.
+		// gate checks only what planning cannot change. The planned layout
+		// is checked against the same dycore.MinPerRank rule before the run
+		// starts.
 		if sp.Alg != "" {
 			return fmt.Errorf("layout \"auto\" plans the algorithm; leave alg empty (got %q)", sp.Alg)
 		}
@@ -264,49 +265,27 @@ func (sp *JobSpec) Normalize() error {
 	if sp.Alg == "" {
 		sp.Alg = "ca"
 	}
+	alg, err := dycore.ParseAlgorithm(sp.Alg)
+	if err != nil {
+		return err
+	}
 	if sp.PA == 0 {
 		sp.PA = 2
 	}
 	if sp.PB == 0 {
 		sp.PB = 2
 	}
-	if sp.PA < 1 || sp.PB < 1 {
-		return fmt.Errorf("process grid %dx%d must be positive", sp.PA, sp.PB)
+	switch {
+	case alg != dycore.AlgBaseline3D && sp.PC != 0:
+		return fmt.Errorf("pc is only meaningful for -alg 3d")
+	case alg == dycore.AlgBaseline3D && sp.PC == 0:
+		sp.PC = 1
 	}
-	ranks := sp.PA * sp.PB
-	switch sp.Alg {
-	case "ca", "yz":
-		if sp.PC != 0 {
-			return fmt.Errorf("pc is only meaningful for -alg 3d")
-		}
-		if sp.PA > sp.Ny/2 || sp.PB > sp.Nz/2 {
-			return fmt.Errorf("process grid %dx%d infeasible for mesh %dx%dx%d (need p_y <= ny/2, p_z <= nz/2)",
-				sp.PA, sp.PB, sp.Nx, sp.Ny, sp.Nz)
-		}
-	case "xy":
-		if sp.PC != 0 {
-			return fmt.Errorf("pc is only meaningful for -alg 3d")
-		}
-		if sp.PA > sp.Nx/2 || sp.PB > sp.Ny/2 {
-			return fmt.Errorf("process grid %dx%d infeasible for mesh %dx%dx%d (need p_x <= nx/2, p_y <= ny/2)",
-				sp.PA, sp.PB, sp.Nx, sp.Ny, sp.Nz)
-		}
-	case "3d":
-		if sp.PC == 0 {
-			sp.PC = 1
-		}
-		if sp.PC < 1 {
-			return fmt.Errorf("pc = %d must be positive", sp.PC)
-		}
-		ranks *= sp.PC
-		if sp.PA > sp.Nx/2 || sp.PB > sp.Ny/2 || sp.PC > sp.Nz/2 {
-			return fmt.Errorf("process grid %dx%dx%d infeasible for mesh %dx%dx%d",
-				sp.PA, sp.PB, sp.PC, sp.Nx, sp.Ny, sp.Nz)
-		}
-	default:
-		return fmt.Errorf("unknown alg %q (want ca, yz, xy or 3d)", sp.Alg)
+	set := sp.setup()
+	if err := set.Check(grid.New(sp.Nx, sp.Ny, sp.Nz), dycore.MinPerRank); err != nil {
+		return err
 	}
-	if ranks > maxRanks {
+	if ranks := set.Procs(); ranks > maxRanks {
 		return fmt.Errorf("%d ranks exceeds the service cap of %d", ranks, maxRanks)
 	}
 	return nil
@@ -343,19 +322,8 @@ func (sp JobSpec) autoLayout() bool { return sp.Layout == "auto" }
 
 // setup translates a normalized explicit run spec into a dycore Setup.
 func (sp JobSpec) setup() dycore.Setup {
-	cfg := sp.config()
-	var a dycore.Algorithm
-	switch sp.Alg {
-	case "ca":
-		a = dycore.AlgCommAvoid
-	case "yz":
-		a = dycore.AlgBaselineYZ
-	case "xy":
-		a = dycore.AlgBaselineXY
-	case "3d":
-		a = dycore.AlgBaseline3D
-	}
-	return dycore.Setup{Alg: a, PA: sp.PA, PB: sp.PB, PC: sp.PC, Cfg: cfg}
+	a, _ := dycore.ParseAlgorithm(sp.Alg)
+	return dycore.Setup{Alg: a, PA: sp.PA, PB: sp.PB, PC: sp.PC, Cfg: sp.config()}
 }
 
 func (sp JobSpec) heldSuarez() bool { return sp.HeldSuarez == nil || *sp.HeldSuarez }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"cadycore/internal/dycore"
+	"cadycore/internal/tune"
 )
 
 // metrics holds the service counters exported at GET /metrics in the
@@ -189,7 +190,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	plans := e.Family("cady_plan_info", "gauge", "Current layout of each planned job (auto layout or live-rebalanced), value always 1.")
 	for _, j := range s.List() {
 		if pl := j.getPlan(); pl != nil {
-			plans(1, "job", j.ID, "plan", pl.Candidate().Key())
+			plans(1, "job", j.ID, "plan", tune.Key(pl.Setup(j.Spec.config())))
 		}
 	}
 

@@ -10,6 +10,7 @@ import (
 
 	"cadycore/internal/balance"
 	"cadycore/internal/fault"
+	"cadycore/internal/tune"
 )
 
 func TestRebalanceSpecValidation(t *testing.T) {
@@ -93,7 +94,7 @@ func TestRebalanceJobMigrates(t *testing.T) {
 	if final.Plan == nil {
 		t.Fatal("completed rebalanced job has no plan in its status")
 	}
-	if key := final.Plan.Candidate().Key(); key != last.To {
+	if key := tune.Key(final.Plan.Setup(final.Spec.config())); key != last.To {
 		t.Errorf("final plan %q != last migration target %q", key, last.To)
 	}
 	for _, mg := range final.Migrations {

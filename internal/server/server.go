@@ -259,8 +259,9 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	s.order = append(s.order, j.ID)
 	s.mu.Unlock()
 	s.met.submitted.Add(1)
+	// One commit: a job directory without meta.json recovers as the queued,
+	// all-zero job this one is.
 	s.persistSpec(j)
-	s.persistMeta(j)
 	return j, nil
 }
 
@@ -510,8 +511,8 @@ func (s *Server) runJob(j *Job) {
 			// The controller starts from the job's current plan — the
 			// autotuner's choice, or the migrated layout of a resumed job
 			// (Commit records migrations, so checkpoints stay coherent).
-			spec.Controller, err = balance.NewController(*j.Spec.Rebalance, g, j.Spec.config(),
-				s.planner.Profile, j.Spec.Steps, plan.Candidate())
+			spec.Controller, err = balance.NewController(*j.Spec.Rebalance, g,
+				s.planner.Profile, j.Spec.Steps, plan.Setup(j.Spec.config()))
 			if err != nil {
 				err = fmt.Errorf("rebalance: %w", err)
 			}
@@ -706,8 +707,8 @@ func (s *Server) runFigures(j *Job) {
 
 // planJob resolves the layout of an auto job: reuse the plan recorded by an
 // earlier segment (so resumes keep their decomposition and checkpoints stay
-// coherent), otherwise consult the planner and re-validate its choice
-// through the same Normalize gate explicit submissions pass.
+// coherent), otherwise consult the planner and check its choice against the
+// dycore.MinPerRank rule explicit submissions pass.
 func (s *Server) planJob(j *Job, g *grid.Grid) (tune.Plan, error) {
 	if p := j.getPlan(); p != nil {
 		return *p, nil
@@ -716,31 +717,12 @@ func (s *Server) planJob(j *Job, g *grid.Grid) (tune.Plan, error) {
 	if err != nil {
 		return tune.Plan{}, fmt.Errorf("autotune: %w", err)
 	}
-	if err := validatePlanned(j.Spec, plan); err != nil {
+	if err := plan.Setup(j.Spec.config()).Check(g, dycore.MinPerRank); err != nil {
 		return tune.Plan{}, fmt.Errorf("autotune: planned layout %s invalid: %w", plan, err)
 	}
 	j.setPlan(plan)
 	s.persistMeta(j)
 	return plan, nil
-}
-
-// validatePlanned runs the planner's choice through the explicit-layout
-// validation path (the reject-on-infeasible gate).
-func validatePlanned(sp JobSpec, p tune.Plan) error {
-	v := sp
-	v.Layout = "explicit"
-	v.Procs = 0
-	v.Alg = string(p.Scheme)
-	v.PA, v.PB, v.PC = p.PA, p.PB, 0
-	v.M = p.M
-	v.StageM = 0
-	if p.Scheme == tune.SchemeCA {
-		v.StageM = p.Stage
-	}
-	// The explicit-layout gate rejects rebalance (a pinned layout must not
-	// migrate); the planned spec is only borrowing that gate for feasibility.
-	v.Rebalance = nil
-	return v.Normalize()
 }
 
 // --- persistence -----------------------------------------------------------
@@ -785,7 +767,7 @@ func (s *Server) persistSpec(j *Job) {
 		return
 	}
 	dir := s.jobDir(j)
-	err := os.MkdirAll(dir, 0o755)
+	err := checkpoint.MkdirDurable(dir)
 	if err == nil {
 		b, _ := json.MarshalIndent(j.Spec, "", "  ")
 		err = checkpoint.WriteFileAtomic(filepath.Join(dir, "spec.json"), b)
@@ -915,7 +897,7 @@ func (s *Server) recover() error {
 	entries, err := os.ReadDir(s.cfg.Dir)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return os.MkdirAll(s.cfg.Dir, 0o755)
+			return checkpoint.MkdirDurable(s.cfg.Dir)
 		}
 		return err
 	}

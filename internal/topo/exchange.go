@@ -2,7 +2,6 @@ package topo
 
 import (
 	"fmt"
-	"sort"
 
 	"cadycore/internal/comm"
 	"cadycore/internal/field"
@@ -105,81 +104,63 @@ func (t *Topology) NewBandExchangerY(d Depths, band int) *Exchanger {
 }
 
 func (t *Topology) newExchanger(d Depths, bandY int) *Exchanger {
-	b := t.Block
 	e := &Exchanger{t: t, d: d, bandY: bandY}
-
-	myHalo := haloRect(b, d)
-	myOwned := b.Owned()
-	p := t.World.Size()
-	type traffic struct {
-		send, recv []field.Rect
+	e.peers = t.walkPeers(d, bandY, false)
+	for _, pr := range e.peers {
+		e.maxCount = max(e.maxCount, pr.sendN, pr.recvN)
 	}
-	m := make(map[int]*traffic)
-	get := func(r int) *traffic {
-		tr := m[r]
-		if tr == nil {
-			tr = &traffic{}
-			m[r] = tr
-		}
-		return tr
-	}
+	// 2-D fields: horizontal traffic among ranks of the same Cz plane.
+	e.peers2 = t.walkPeers(d, bandY, true)
+	e.mustFitStorage(e.peers, t.Block.WithHalo())
+	e.mustFitStorage(e.peers2, t.Block.WithHalo().Flat2D())
+	return e
+}
 
-	for r := 0; r < p; r++ {
-		if r == t.World.Rank() {
+// walkPeers computes the exchange partners of this rank in ascending rank
+// order: for every x shift of the periodic domain, the owned data (restricted
+// to the y-edge bands in band mode) that lies in the other rank's halo, and
+// the other rank's owned data that lies in this rank's halo. With flat it
+// is the 2-D (surface field) exchange: the same horizontal intersections on
+// flattened rects, among the ranks sharing this rank's Cz (its K range).
+func (t *Topology) walkPeers(d Depths, bandY int, flat bool) []peer {
+	b := t.Block
+	view := func(r field.Rect) field.Rect { return r }
+	if flat {
+		d.ZLo, d.ZHi = 0, 0
+		view = field.Rect.Flat2D
+	}
+	myOwned, myHalo := view(b.Owned()), view(haloRect(b, d))
+	var peers []peer
+	for r := 0; r < t.World.Size(); r++ {
+		rb := t.BlockOf(r)
+		if r == t.World.Rank() || flat && rb.K0 != b.K0 {
 			continue
 		}
-		rb := t.BlockOf(r)
-		rHalo := haloRect(rb, d)
-		rOwned := rb.Owned()
+		rOwned, rHalo := view(rb.Owned()), view(haloRect(rb, d))
+		pr := peer{rank: r}
 		for _, s := range xShifts(t.G.Nx, d.X) {
 			// What I send to r: my owned data that lies in r's halo when my
-			// coordinates are shifted by s (restricted to my y-edge bands in
-			// band mode).
-			for _, mine := range bandRestrict(myOwned, t.Block, bandY) {
+			// coordinates are shifted by s.
+			for _, mine := range bandRestrict(myOwned, b, bandY) {
 				if inter := shiftX(mine, s).Intersect(rHalo); !inter.Empty() {
-					tr := get(r)
-					tr.send = append(tr.send, shiftX(inter, -s)) // back to my real coords
+					pr.sendRects = append(pr.sendRects, shiftX(inter, -s)) // back to my real coords
+					pr.sendN += inter.Count()
 				}
 			}
 			// What I receive from r: r's owned data lying in my halo when
-			// r's coordinates are shifted by s (restricted to r's bands).
+			// r's coordinates are shifted by s.
 			for _, theirs := range bandRestrict(rOwned, rb, bandY) {
 				if inter := shiftX(theirs, s).Intersect(myHalo); !inter.Empty() {
-					tr := get(r)
-					tr.recv = append(tr.recv, inter) // my extended coords
+					pr.recvRects = append(pr.recvRects, inter) // my extended coords
+					pr.recvN += inter.Count()
 				}
 			}
 		}
+		if len(pr.sendRects) > 0 || len(pr.recvRects) > 0 {
+			peers = append(peers, pr)
+		}
 	}
-
-	ranks := make([]int, 0, len(m))
-	for r := range m {
-		ranks = append(ranks, r)
-	}
-	sort.Ints(ranks)
-	for _, r := range ranks {
-		tr := m[r]
-		pr := peer{rank: r, sendRects: tr.send, recvRects: tr.recv}
-		for _, rc := range tr.send {
-			pr.sendN += rc.Count()
-		}
-		for _, rc := range tr.recv {
-			pr.recvN += rc.Count()
-		}
-		if pr.sendN > e.maxCount {
-			e.maxCount = pr.sendN
-		}
-		if pr.recvN > e.maxCount {
-			e.maxCount = pr.recvN
-		}
-		e.peers = append(e.peers, pr)
-	}
-
-	// 2-D fields: horizontal traffic among ranks of the same Cz plane.
-	e.peers2 = e.buildPeers2(d, bandY)
-	e.mustFitStorage(e.peers, b.WithHalo())
-	e.mustFitStorage(e.peers2, b.WithHalo().Flat2D())
-	return e
+	return peers
 }
 
 // mustFitStorage panics unless every rectangle the exchange packs from or
@@ -198,49 +179,6 @@ func (e *Exchanger) mustFitStorage(peers []peer, stored field.Rect) {
 			}
 		}
 	}
-}
-
-// buildPeers2 computes the 2-D (surface field) exchange partners: the same
-// horizontal intersections restricted to ranks sharing this rank's Cz.
-func (e *Exchanger) buildPeers2(d Depths, bandY int) []peer {
-	t := e.t
-	b := t.Block
-	d.ZLo, d.ZHi = 0, 0
-	myOwned := b.Owned().Flat2D()
-	myHalo := haloRect(b, d).Flat2D()
-	var peers []peer
-	for cy := 0; cy < t.Py; cy++ {
-		for cx := 0; cx < t.Px; cx++ {
-			r := t.RankAt(cx, cy, t.Cz)
-			if r == t.World.Rank() {
-				continue
-			}
-			rb := t.BlockOf(r)
-			rOwned := rb.Owned().Flat2D()
-			rHalo := haloRect(rb, d).Flat2D()
-			var pr peer
-			pr.rank = r
-			for _, s := range xShifts(t.G.Nx, d.X) {
-				for _, mine := range bandRestrict(myOwned, b, bandY) {
-					if inter := shiftX(mine, s).Intersect(rHalo); !inter.Empty() {
-						pr.sendRects = append(pr.sendRects, shiftX(inter, -s))
-						pr.sendN += inter.Count()
-					}
-				}
-				for _, theirs := range bandRestrict(rOwned, rb, bandY) {
-					if inter := shiftX(theirs, s).Intersect(myHalo); !inter.Empty() {
-						pr.recvRects = append(pr.recvRects, inter)
-						pr.recvN += inter.Count()
-					}
-				}
-			}
-			if len(pr.sendRects) > 0 || len(pr.recvRects) > 0 {
-				peers = append(peers, pr)
-			}
-		}
-	}
-	sort.Slice(peers, func(a, b int) bool { return peers[a].rank < peers[b].rank })
-	return peers
 }
 
 // bandRestrict returns the owner's rect restricted to its y-edge bands of

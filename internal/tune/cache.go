@@ -35,7 +35,9 @@ func (c *Cache) path(key string) string {
 	return filepath.Join(c.dir, key+".json")
 }
 
-// Get returns the memoized plan for the key, if present and well-formed.
+// Get returns the memoized plan for the key, if present and well-formed: of
+// this PlanVersion, with a scheme that decodes to an algorithm a plan can
+// state (a 3-D grid's third extent has no field).
 func (c *Cache) Get(key string) (Plan, bool) {
 	if c == nil {
 		return Plan{}, false
@@ -45,7 +47,7 @@ func (c *Cache) Get(key string) (Plan, bool) {
 		return Plan{}, false
 	}
 	var p Plan
-	if err := json.Unmarshal(data, &p); err != nil || p.Version != PlanVersion {
+	if err := json.Unmarshal(data, &p); err != nil || p.Version != PlanVersion || p.Scheme == dycore.AlgBaseline3D {
 		return Plan{}, false
 	}
 	return p, true
@@ -61,7 +63,7 @@ func (c *Cache) Put(key string, p Plan) error {
 		return fmt.Errorf("tune: marshal plan: %w", err)
 	}
 	data = append(data, '\n')
-	if err := os.MkdirAll(c.dir, 0o755); err != nil {
+	if err := checkpoint.MkdirDurable(c.dir); err != nil {
 		return err
 	}
 	return checkpoint.WriteFileAtomic(c.path(key), data)

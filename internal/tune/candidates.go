@@ -9,95 +9,40 @@ import (
 	"cadycore/internal/grid"
 )
 
-// Scheme names a decomposition/algorithm family.
-type Scheme string
+// A candidate — one point of the planner's search space — is a dycore.Setup:
+// its algorithm (CA or YZ; a persisted X-Y plan still decodes and runs, but
+// the planner does not search X-Y: its 1×P layout is the YZ P×1 run, and
+// every p_x > 1 layout is slower), its process grid, its Cfg.M and, for CA,
+// its Cfg.StageM, and its y-row partition (nil = uniform; the planner only
+// enumerates uniform partitions, explicit ones come from the rebalancer's
+// measured-rate RatedRows).
 
-const (
-	// SchemeCA is the communication-avoiding algorithm (Y-Z decomposition).
-	SchemeCA Scheme = "ca"
-	// SchemeYZ is the original algorithm under the Y-Z decomposition.
-	SchemeYZ Scheme = "yz"
-	// SchemeXY is the original algorithm under the X-Y decomposition. The
-	// planner does not search it: its 1×P layout is the YZ P×1 run, and every
-	// p_x > 1 layout is slower. A persisted X-Y plan still decodes and runs.
-	SchemeXY Scheme = "xy"
-)
-
-// Alg maps the scheme to its integrator.
-func (s Scheme) Alg() dycore.Algorithm {
-	switch s {
-	case SchemeCA:
-		return dycore.AlgCommAvoid
-	case SchemeXY:
-		return dycore.AlgBaselineXY
-	default:
-		return dycore.AlgBaselineYZ
+// stage is the staged-exchange depth a layout records: Cfg.StageM for CA (0
+// = full depth), 0 for the schemes that ignore it.
+func stage(s dycore.Setup) int {
+	if s.Alg == dycore.AlgCommAvoid {
+		return s.Cfg.StageM
 	}
+	return 0
 }
 
-// Candidate is one point of the planner's search space.
-type Candidate struct {
-	Scheme Scheme
-	// PA, PB follow dycore.Setup: (py, pz) for the searched schemes, (px,
-	// py) for a persisted X-Y plan.
-	PA, PB int
-	// M is the nonlinear iteration count (halo depth follows it for CA).
-	M int
-	// Stage is the staged-exchange halo depth s for SchemeCA: 0 (or M)
-	// sizes the halo for all M iterations at once; 0 < s < M sizes it for s
-	// iterations and refreshes it ⌈M/s⌉ times per step with overlapped
-	// exchanges. Ignored by the baseline schemes.
-	Stage int
-	// RowStarts is the y-row partition (nil = uniform). The planner only
-	// enumerates uniform partitions; explicit ones come from the rebalancer's
-	// measured-rate RatedRows.
-	RowStarts []int
-}
-
-// Key is the candidate's canonical identity: deterministic, order-free, used
-// for tie-breaking and logging.
-func (c Candidate) Key() string {
+// Key is a layout's canonical identity, for example
+// "ca-4x1-m2-s1-rows.0.2.4.22.24": deterministic, used for tie-breaking, the
+// bench report and the rebalancer's migration records.
+func Key(s dycore.Setup) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s-%dx%d-m%d", c.Scheme, c.PA, c.PB, c.M)
-	if c.Stage > 0 {
-		fmt.Fprintf(&sb, "-s%d", c.Stage)
+	fmt.Fprintf(&sb, "%s-%dx%d-m%d", s.Alg.Name(), s.PA, s.PB, s.Cfg.M)
+	if st := stage(s); st > 0 {
+		fmt.Fprintf(&sb, "-s%d", st)
 	}
-	if c.RowStarts != nil {
+	if s.RowStarts != nil {
 		sb.WriteString("-rows")
-		for _, s := range c.RowStarts {
+		for _, r := range s.RowStarts {
 			sb.WriteByte('.')
-			sb.WriteString(strconv.Itoa(s))
+			sb.WriteString(strconv.Itoa(r))
 		}
 	}
 	return sb.String()
-}
-
-// Setup builds the dycore setup of the candidate.
-func (c Candidate) Setup(cfg dycore.Config) dycore.Setup {
-	cfg.M = c.M
-	if c.Scheme == SchemeCA {
-		cfg.StageM = c.Stage
-	}
-	return dycore.Setup{Alg: c.Scheme.Alg(), PA: c.PA, PB: c.PB, Cfg: cfg, RowStarts: c.RowStarts}
-}
-
-// stageDepth is the number of nonlinear iterations one CA halo exchange
-// serves: Stage when staging is active (0 < Stage < M), M otherwise.
-func (c Candidate) stageDepth() int {
-	if c.Stage > 0 && c.Stage < c.M {
-		return c.Stage
-	}
-	return c.M
-}
-
-// halo returns the y and z halo depths the candidate's integrator uses.
-func (c Candidate) halo() (hy, hz int) {
-	if c.Scheme == SchemeCA {
-		_, hy, hz = dycore.CommAvoidHalo(c.stageDepth())
-	} else {
-		_, hy, hz = dycore.BaselineHalo()
-	}
-	return hy, hz
 }
 
 // SearchOptions bounds the candidate enumeration.
@@ -106,23 +51,19 @@ type SearchOptions struct {
 	// iteration count. Off by default: changing M changes the physics
 	// accuracy, so it is opt-in.
 	VaryM bool
-	// NoStaged disables the staged-exchange (Candidate.Stage) variants of
-	// the communication-avoiding scheme.
+	// NoStaged disables the staged-exchange (Cfg.StageM) variants of the
+	// communication-avoiding scheme.
 	NoStaged bool
 }
 
-// minRows is the minimum rows (and layers) per rank: the service's layout
-// validation (py ≤ ny/2, pz ≤ nz/2), which the communication-avoiding
-// overlap machinery also needs.
-const minRows = 2
-
 // Candidates enumerates the search space for running cfg on an nx×ny×nz
-// mesh with exactly procs ranks. The order is deterministic: schemes in
-// {ca, yz} order, factorizations by ascending PA, then M, and full-depth
-// before staged halos (ascending stage depth). Every candidate has the
-// uniform y partition. The enumeration does not read the machine profile;
-// the parameter is part of the signature benchmark/ calls.
-func Candidates(g *grid.Grid, procs int, cfg dycore.Config, _ Profile, opt SearchOptions) []Candidate {
+// mesh with exactly procs ranks, each layout within dycore.MinPerRank. The
+// order is deterministic: schemes in {ca, yz} order, factorizations by
+// ascending PA, then M, and full-depth before staged halos (ascending stage
+// depth). Every candidate has the uniform y partition and cfg's numerics.
+// The enumeration does not read the machine profile; the parameter is part
+// of the signature benchmark/ calls.
+func Candidates(g *grid.Grid, procs int, cfg dycore.Config, _ Profile, opt SearchOptions) []dycore.Setup {
 	ms := []int{cfg.M}
 	if opt.VaryM {
 		if cfg.M > 1 {
@@ -130,29 +71,24 @@ func Candidates(g *grid.Grid, procs int, cfg dycore.Config, _ Profile, opt Searc
 		}
 		ms = append(ms, cfg.M+1)
 	}
-	var out []Candidate
-	for _, scheme := range []Scheme{SchemeCA, SchemeYZ} {
+	var out []dycore.Setup
+	for _, alg := range []dycore.Algorithm{dycore.AlgCommAvoid, dycore.AlgBaselineYZ} {
 		for pa := 1; pa <= procs; pa++ {
-			if procs%pa != 0 {
+			s := dycore.Setup{Alg: alg, PA: pa, PB: procs / pa, Cfg: cfg}
+			if procs%pa != 0 || s.Check(g, dycore.MinPerRank) != nil {
 				continue
 			}
-			pb := procs / pa
-			if pa > g.Ny/minRows || pb > g.Nz/minRows {
+			if alg != dycore.AlgCommAvoid {
+				out = append(out, s) // M sweeps only matter where halo depth follows M
 				continue
 			}
 			for _, m := range ms {
-				if scheme != SchemeCA && m != cfg.M {
-					continue // M sweeps only matter where halo depth follows M
-				}
-				c := Candidate{Scheme: scheme, PA: pa, PB: pb, M: m}
-				out = append(out, c)
-				if scheme == SchemeCA && !opt.NoStaged {
-					// Staged-exchange variants: halo depth s < m with
-					// ⌈m/s⌉ overlapped refreshes per step.
-					for s := 1; s < m; s++ {
-						c.Stage = s
-						out = append(out, c)
-					}
+				s.Cfg.M = m
+				// Full depth, then the staged-exchange variants: halo depth
+				// st < m with ⌈m/st⌉ overlapped refreshes per step.
+				for st := 0; st < m && (st == 0 || !opt.NoStaged); st++ {
+					s.Cfg.StageM = st
+					out = append(out, s)
 				}
 			}
 		}

@@ -8,19 +8,19 @@ import (
 	"cadycore/internal/grid"
 )
 
-// Estimate is the analytic cost prediction of one candidate: seconds per
-// step, split into compute and communication, maximized over ranks — the
-// §5.3 W/S expressions with the profile's constants plus the
-// latitude-weighted filter term the Θ forms drop.
+// Estimate is the analytic cost prediction of one layout: seconds per step,
+// split into compute and communication, maximized over ranks — the §5.3 W/S
+// expressions with the profile's constants plus the latitude-weighted filter
+// term the Θ forms drop.
 type Estimate struct {
-	Candidate Candidate
+	Setup dycore.Setup
 	// Comp and Comm are the busiest rank's per-step compute and
 	// communication seconds; Total = Comp + Comm of that rank.
 	Comp, Comm, Total float64
 }
 
-// stepCounts is what one step of a candidate's integrator does, as counted
-// by dycore.Counters.
+// stepCounts is what one step of a layout's integrator does, as counted by
+// dycore.Counters.
 type stepCounts struct {
 	// exchanges is the neighbor-exchange rounds per step.
 	exchanges float64
@@ -30,19 +30,20 @@ type stepCounts struct {
 	filters float64
 }
 
-// countsOf returns the per-step counts of the candidate under cfg. The
-// original algorithm does 3M+4 exchanges and a fresh Ĉ in each of its 3M
-// adaptation updates. The communication-avoiding one does one deep exchange
-// per ⌈M/s⌉ adaptation iterations plus the advection exchange (plus a
-// smoothing exchange when the smoothing is not fused), and reuses the lagged
-// Ĉ in every η1 update (2M evaluations) unless ExactC.
-func countsOf(cfg dycore.Config, c Candidate) stepCounts {
-	m := float64(c.M)
+// countsOf returns the per-step counts of the layout. The original
+// algorithm does 3M+4 exchanges and a fresh Ĉ in each of its 3M adaptation
+// updates. The communication-avoiding one does one deep exchange per
+// ⌈M/s⌉ adaptation iterations (s = Cfg.StageDepth) plus the advection
+// exchange (plus a smoothing exchange when the smoothing is not fused), and
+// reuses the lagged Ĉ in every η1 update (2M evaluations) unless ExactC.
+func countsOf(s dycore.Setup) stepCounts {
+	cfg := s.Cfg
+	m := float64(cfg.M)
 	n := stepCounts{exchanges: 3*m + 4, cEvals: 3 * m, filters: 3*m + 3}
-	if c.Scheme != SchemeCA {
+	if s.Alg != dycore.AlgCommAvoid {
 		return n
 	}
-	n.exchanges = math.Ceil(m/float64(c.stageDepth())) + 1
+	n.exchanges = math.Ceil(m/float64(cfg.StageDepth())) + 1
 	if cfg.NoFusedSmoothing {
 		n.exchanges++
 	}
@@ -62,14 +63,14 @@ const fieldsPerExchange = 4
 // components per layer on rows poleward of the cutoff, at the profile's
 // ComputeRate. It is the model's one statement of per-point work: colCosts
 // sums it over a column and RatedRows partitions by it.
-func rowCosts(g *grid.Grid, cfg dycore.Config, prof Profile, c Candidate) []float64 {
+func rowCosts(g *grid.Grid, prof Profile, s dycore.Setup) []float64 {
 	aw, dw, sw, cw, fw := dycore.SimCosts()
-	n := countsOf(cfg, c)
-	m := float64(c.M)
-	nx, layers := float64(g.Nx), float64(g.Nz/c.PB)
+	n := countsOf(s)
+	m := float64(s.Cfg.M)
+	nx, layers := float64(g.Nx), float64(g.Nz/s.PB)
 	stencil := nx * layers * (3*m*aw + 3*dw + n.cEvals*cw + sw) / prof.ComputeRate
 	filter := n.filters * 3 * layers * nx * math.Log2(nx) * fw / prof.ComputeRate
-	active := g.PolarRows(cfg.FilterCutoffDeg)
+	active := g.PolarRows(s.Cfg.FilterCutoffDeg)
 	costs := make([]float64, g.Ny)
 	for j := range costs {
 		costs[j] = stencil
@@ -80,12 +81,12 @@ func rowCosts(g *grid.Grid, cfg dycore.Config, prof Profile, c Candidate) []floa
 	return costs
 }
 
-// Evaluate prices one candidate analytically. All terms are per step
-// (K = 1); only relative order matters for planning, but the scale is real
-// seconds so predictions are comparable with pilot measurements.
-func Evaluate(g *grid.Grid, cfg dycore.Config, prof Profile, c Candidate) Estimate {
-	comp, comm := colCosts(g, cfg, prof, c)
-	worst := Estimate{Candidate: c}
+// Evaluate prices one layout analytically. All terms are per step (K = 1);
+// only relative order matters for planning, but the scale is real seconds so
+// predictions are comparable with pilot measurements.
+func Evaluate(g *grid.Grid, prof Profile, s dycore.Setup) Estimate {
+	comp, comm := colCosts(g, prof, s)
+	worst := Estimate{Setup: s}
 	for cy := range comp {
 		if t := comp[cy] + comm[cy]; t > worst.Total {
 			worst.Comp, worst.Comm, worst.Total = comp[cy], comm[cy], t
@@ -94,21 +95,21 @@ func Evaluate(g *grid.Grid, cfg dycore.Config, prof Profile, c Candidate) Estima
 	return worst
 }
 
-// colCosts prices every y column of the candidate's process grid separately,
+// colCosts prices every y column of the layout's process grid separately,
 // returning per-column compute and communication seconds per step (length
 // py). All ranks of one column carry the same modeled cost: the z split is
 // uniform, only the y rows differ. The split form feeds both Evaluate (max
 // over columns) and the rate-aware re-planner, which scales the compute
 // term by measured per-rank slowdowns.
-func colCosts(g *grid.Grid, cfg dycore.Config, prof Profile, c Candidate) (compCols, commCols []float64) {
-	py, pz := c.PA, c.PB
-	starts := c.RowStarts
+func colCosts(g *grid.Grid, prof Profile, s dycore.Setup) (compCols, commCols []float64) {
+	py, pz := s.PA, s.PB
+	starts := s.RowStarts
 	if starts == nil {
 		starts = grid.UniformRowStarts(g.Ny, py)
 	}
-	rowComp := rowCosts(g, cfg, prof, c)
-	n := countsOf(cfg, c)
-	hy, hz := c.halo()
+	rowComp := rowCosts(g, prof, s)
+	n := countsOf(s)
+	_, hy, hz := s.HaloWidths()
 
 	compCols = make([]float64, py)
 	commCols = make([]float64, py)
@@ -126,7 +127,7 @@ func colCosts(g *grid.Grid, cfg dycore.Config, prof Profile, c Candidate) (compC
 		yFace := float64(2*hy*nx*layers) * boolF(py > 1)
 		zFace := float64(hz*nx*rows) * boolF(pz > 1)
 		round := prof.Alpha + prof.Beta*8*fieldsPerExchange*(yFace+zFace)
-		if !cfg.NoOverlap {
+		if !s.Cfg.NoOverlap {
 			// Overlapped exchange (§5.3 refinement): each Begin/Finish round
 			// hides its flight time behind the interior share of the sweep it
 			// overlaps; only the residual wait stays exposed. The window is

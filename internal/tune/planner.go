@@ -23,10 +23,13 @@ type Plan struct {
 	Mesh    [3]int `json:"mesh"`
 	Procs   int    `json:"procs"`
 
-	Scheme Scheme `json:"scheme"`
-	PA     int    `json:"pa"`
-	PB     int    `json:"pb"`
-	M      int    `json:"m"`
+	// Scheme is the algorithm, encoded by its short name (ca or yz; xy in
+	// plans persisted before X-Y left the search). An unknown name does not
+	// decode.
+	Scheme dycore.Algorithm `json:"scheme"`
+	PA     int              `json:"pa"`
+	PB     int              `json:"pb"`
+	M      int              `json:"m"`
 	// Stage is the staged-exchange halo depth for the CA scheme (0 = full
 	// depth M).
 	Stage int `json:"stage,omitempty"`
@@ -47,21 +50,20 @@ type Plan struct {
 	ProfileHash string `json:"profile_hash"`
 }
 
-// Candidate reconstructs the plan's search-space point.
-func (p Plan) Candidate() Candidate {
-	return Candidate{Scheme: p.Scheme, PA: p.PA, PB: p.PB, M: p.M, Stage: p.Stage, RowStarts: p.RowStarts}
-}
-
 // Setup builds the dycore setup that executes the plan. The caller's config
 // supplies the numerics; the plan overrides M (and StageM for CA).
 func (p Plan) Setup(cfg dycore.Config) dycore.Setup {
-	return p.Candidate().Setup(cfg)
+	cfg.M = p.M
+	if p.Scheme == dycore.AlgCommAvoid {
+		cfg.StageM = p.Stage
+	}
+	return dycore.Setup{Alg: p.Scheme, PA: p.PA, PB: p.PB, Cfg: cfg, RowStarts: p.RowStarts}
 }
 
 // String implements fmt.Stringer.
 func (p Plan) String() string {
 	s := fmt.Sprintf("%s %dx%d m=%d halo(y=%d,z=%d)",
-		p.Scheme, p.PA, p.PB, p.M, p.HaloY, p.HaloZ)
+		p.Scheme.Name(), p.PA, p.PB, p.M, p.HaloY, p.HaloZ)
 	if p.Stage > 0 {
 		s += fmt.Sprintf(" stage=%d", p.Stage)
 	}
@@ -141,7 +143,7 @@ func (pl *Planner) Plan(g *grid.Grid, procs int, cfg dycore.Config) (Plan, error
 		model := pl.Profile.NetModel()
 		bestSim, bestIdx := 0.0, -1
 		for i := 0; i < k; i++ {
-			sim := pilotStep(ests[i].Candidate, g, cfg, model, steps)
+			sim := pilotStep(ests[i].Setup, g, model, steps)
 			if bestIdx < 0 || sim < bestSim {
 				bestSim, bestIdx = sim, i
 			}
@@ -158,42 +160,42 @@ func (pl *Planner) Plan(g *grid.Grid, procs int, cfg dycore.Config) (Plan, error
 }
 
 // rank enumerates the candidate space and returns its analytic estimates in
-// deterministic order: by predicted time, candidate key as the tiebreaker.
+// deterministic order: by predicted time, Key as the tiebreaker.
 // The first topK() entries are what the pilot stage re-measures.
 func (pl *Planner) rank(g *grid.Grid, procs int, cfg dycore.Config) []Estimate {
 	cands := Candidates(g, procs, cfg, pl.Profile, pl.Search)
 	ests := make([]Estimate, len(cands))
 	for i, c := range cands {
-		ests[i] = Evaluate(g, cfg, pl.Profile, c)
+		ests[i] = Evaluate(g, pl.Profile, c)
 	}
 	sort.Slice(ests, func(a, b int) bool {
 		if ests[a].Total != ests[b].Total {
 			return ests[a].Total < ests[b].Total
 		}
-		return ests[a].Candidate.Key() < ests[b].Candidate.Key()
+		return Key(ests[a].Setup) < Key(ests[b].Setup)
 	})
 	return ests
 }
 
-// PlanOf builds a Plan directly from a chosen candidate and its predicted
-// step time, bypassing the enumeration — the rebalancing controller's entry
-// point for publishing a mid-run re-plan in the same schema the planner and
-// the job service persist.
-func PlanOf(g *grid.Grid, procs int, c Candidate, prof Profile, predicted float64) Plan {
-	return planFrom(g, procs, Estimate{Candidate: c, Total: predicted}, prof)
+// PlanOf builds a Plan directly from a chosen layout and its predicted step
+// time, bypassing the enumeration — the rebalancing controller's entry point
+// for publishing a mid-run re-plan in the same schema the planner and the job
+// service persist.
+func PlanOf(g *grid.Grid, procs int, s dycore.Setup, prof Profile, predicted float64) Plan {
+	return planFrom(g, procs, Estimate{Setup: s, Total: predicted}, prof)
 }
 
 // planFrom fills a Plan from an estimate.
 func planFrom(g *grid.Grid, procs int, e Estimate, prof Profile) Plan {
-	c := e.Candidate
-	hy, hz := c.halo()
+	s := e.Setup
+	_, hy, hz := s.HaloWidths()
 	return Plan{
 		Version: PlanVersion,
 		Mesh:    [3]int{g.Nx, g.Ny, g.Nz},
 		Procs:   procs,
-		Scheme:  c.Scheme, PA: c.PA, PB: c.PB, M: c.M,
-		Stage:         c.Stage,
-		RowStarts:     c.RowStarts,
+		Scheme:  s.Alg, PA: s.PA, PB: s.PB, M: s.Cfg.M,
+		Stage:         stage(s),
+		RowStarts:     s.RowStarts,
 		HaloY:         hy,
 		HaloZ:         hz,
 		PredictedStep: e.Total,
@@ -201,20 +203,20 @@ func planFrom(g *grid.Grid, procs int, e Estimate, prof Profile) Plan {
 	}
 }
 
-// pilotStep runs the candidate for steps steps on the simulated network and
+// pilotStep runs the layout for steps steps on the simulated network and
 // returns simulated seconds per step. The Held–Suarez initial state gives
 // the pilot realistic filter activity.
-func pilotStep(c Candidate, g *grid.Grid, cfg dycore.Config, model comm.NetModel, steps int) float64 {
-	res := dycore.Run(c.Setup(cfg), g, model, heldsuarez.InitialState, steps)
+func pilotStep(s dycore.Setup, g *grid.Grid, model comm.NetModel, steps int) float64 {
+	res := dycore.Run(s, g, model, heldsuarez.InitialState, steps)
 	return res.Agg.SimTime / float64(steps)
 }
 
-// MeasureStep runs one candidate for the given steps under the profile's
+// MeasureStep runs one layout for the given steps under the profile's
 // network model and returns simulated seconds per step — the quantity the
 // refiner optimizes, exported for exhaustive benchmarking (cadytune bench).
-func (pl *Planner) MeasureStep(c Candidate, g *grid.Grid, cfg dycore.Config, steps int) float64 {
+func (pl *Planner) MeasureStep(s dycore.Setup, g *grid.Grid, steps int) float64 {
 	if steps < 1 {
 		steps = 2
 	}
-	return pilotStep(c, g, cfg, pl.Profile.NetModel(), steps)
+	return pilotStep(s, g, pl.Profile.NetModel(), steps)
 }

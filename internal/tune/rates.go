@@ -15,25 +15,24 @@ import (
 // which biases both the candidate ranking and the weighted row partition
 // toward giving that rank less work.
 
-// rankColumn returns the y-column index of a world rank under the
-// candidate's process grid. Ranks are laid out rank = cz·py + cy (p_x = 1),
-// matching internal/topo.
-func rankColumn(c Candidate, rank int) int {
-	return rank % c.PA
+// rankColumn returns the y-column index of a world rank under the layout's
+// process grid. Ranks are laid out rank = cz·py + cy (p_x = 1), matching
+// internal/topo.
+func rankColumn(s dycore.Setup, rank int) int {
+	return rank % s.PA
 }
 
 // PerRankCompute returns the modeled per-step compute seconds of every rank
-// of the candidate, in rank order. Each rank inherits its y column's compute
+// of the layout, in rank order. Each rank inherits its y column's compute
 // cost (the z split is uniform). The rebalancing controller divides
 // measured per-rank compute by this baseline to isolate slowdowns the model
 // does not already explain — the polar-filter skew is modeled, a straggler
 // is not.
-func PerRankCompute(g *grid.Grid, cfg dycore.Config, prof Profile, c Candidate) []float64 {
-	comp, _ := colCosts(g, cfg, prof, c)
-	procs := c.PA * c.PB
-	out := make([]float64, procs)
+func PerRankCompute(g *grid.Grid, prof Profile, s dycore.Setup) []float64 {
+	comp, _ := colCosts(g, prof, s)
+	out := make([]float64, s.Procs())
 	for r := range out {
-		out[r] = comp[rankColumn(c, r)]
+		out[r] = comp[rankColumn(s, r)]
 	}
 	return out
 }
@@ -42,45 +41,46 @@ func PerRankCompute(g *grid.Grid, cfg dycore.Config, prof Profile, c Candidate) 
 // its measured slowdown factor (slow[r] ≥ 1, fastest rank = 1; nil or
 // mismatched slow falls back to the unrated Evaluate). The estimate is the
 // busiest rank's seconds per step under the measured rates.
-func EvaluateWithRates(g *grid.Grid, cfg dycore.Config, prof Profile, c Candidate, slow []float64) Estimate {
-	if len(slow) != c.PA*c.PB {
-		return Evaluate(g, cfg, prof, c)
+func EvaluateWithRates(g *grid.Grid, prof Profile, s dycore.Setup, slow []float64) Estimate {
+	if len(slow) != s.Procs() {
+		return Evaluate(g, prof, s)
 	}
-	comp, comm := colCosts(g, cfg, prof, c)
-	worst := Estimate{Candidate: c}
-	for r, s := range slow {
-		cy := rankColumn(c, r)
-		if t := comp[cy]*s + comm[cy]; t > worst.Total {
-			worst.Comp, worst.Comm, worst.Total = comp[cy]*s, comm[cy], t
+	comp, comm := colCosts(g, prof, s)
+	worst := Estimate{Setup: s}
+	for r, sl := range slow {
+		cy := rankColumn(s, r)
+		if t := comp[cy]*sl + comm[cy]; t > worst.Total {
+			worst.Comp, worst.Comm, worst.Total = comp[cy]*sl, comm[cy], t
 		}
 	}
 	return worst
 }
 
-// RatedRows builds the slowdown-aware y-row partition for a candidate: row
+// RatedRows builds the slowdown-aware y-row partition for a layout: row
 // weights are the model's rowCosts (stencil work plus the polar-filter
 // surcharge), and each column's weight is additionally multiplied by the
 // largest slowdown among its ranks, so slow columns receive fewer rows. With unit slowdowns it is the purely latitude-weighted
-// partition. Returns nil when py < 2, the partition is infeasible, or the
-// rated partition equals the candidate's existing one.
-func RatedRows(g *grid.Grid, cfg dycore.Config, prof Profile, c Candidate, slow []float64) []int {
-	py := c.PA
-	if py < 2 || len(slow) != c.PA*c.PB || py*minRows > g.Ny {
+// partition. Every chunk keeps dycore.MinPerRank rows. Returns nil when
+// py < 2, the partition is infeasible, or the rated partition equals the
+// layout's existing one.
+func RatedRows(g *grid.Grid, prof Profile, s dycore.Setup, slow []float64) []int {
+	py := s.PA
+	if py < 2 || len(slow) != s.Procs() || py*dycore.MinPerRank > g.Ny {
 		return nil
 	}
 	colSlow := make([]float64, py)
-	for r, s := range slow {
-		if cy := rankColumn(c, r); s > colSlow[cy] {
-			colSlow[cy] = s
+	for r, sl := range slow {
+		if cy := rankColumn(s, r); sl > colSlow[cy] {
+			colSlow[cy] = sl
 		}
 	}
-	for _, s := range colSlow {
-		if s <= 0 {
+	for _, cs := range colSlow {
+		if cs <= 0 {
 			return nil
 		}
 	}
-	rows := RatedRowStarts(rowCosts(g, cfg, prof, c), colSlow, minRows)
-	existing := c.RowStarts
+	rows := RatedRowStarts(rowCosts(g, prof, s), colSlow, dycore.MinPerRank)
+	existing := s.RowStarts
 	if existing == nil {
 		existing = grid.UniformRowStarts(g.Ny, py)
 	}

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"cadycore/internal/dycore"
 	"cadycore/internal/grid"
 )
 
@@ -22,11 +23,11 @@ func TestStagedCandidatesEnumeratedAndRanked(t *testing.T) {
 	cands := Candidates(g, 8, cfg, prof, SearchOptions{})
 	staged := map[int]int{}
 	for _, c := range cands {
-		if c.Scheme == SchemeCA && c.Stage > 0 {
-			if c.Stage >= c.M {
-				t.Fatalf("candidate %s stages at s >= M", c.Key())
+		if c.Alg == dycore.AlgCommAvoid && c.Cfg.StageM > 0 {
+			if c.Cfg.StageM >= c.Cfg.M {
+				t.Fatalf("candidate %s stages at s >= M", Key(c))
 			}
-			staged[c.Stage]++
+			staged[c.Cfg.StageM]++
 		}
 	}
 	for s := 1; s < cfg.M; s++ {
@@ -36,14 +37,14 @@ func TestStagedCandidatesEnumeratedAndRanked(t *testing.T) {
 	}
 
 	type ranked struct {
-		c Candidate
+		c dycore.Setup
 		e Estimate
 	}
 	var rs []ranked
 	for _, c := range cands {
-		e := Evaluate(g, cfg, prof, c)
+		e := Evaluate(g, prof, c)
 		if math.IsNaN(e.Total) || math.IsInf(e.Total, 0) || e.Total <= 0 {
-			t.Fatalf("candidate %s priced at %g", c.Key(), e.Total)
+			t.Fatalf("candidate %s priced at %g", Key(c), e.Total)
 		}
 		rs = append(rs, ranked{c, e})
 	}
@@ -51,19 +52,19 @@ func TestStagedCandidatesEnumeratedAndRanked(t *testing.T) {
 		if rs[i].e.Total != rs[j].e.Total {
 			return rs[i].e.Total < rs[j].e.Total
 		}
-		return rs[i].c.Key() < rs[j].c.Key()
+		return Key(rs[i].c) < Key(rs[j].c)
 	})
 
 	// The staged variants must be genuinely priced (not aliased to the
 	// full-depth estimate): find a CA layout and compare.
 	differs := false
 	for _, r := range rs {
-		if r.c.Scheme != SchemeCA || r.c.Stage == 0 || r.c.RowStarts != nil {
+		if r.c.Alg != dycore.AlgCommAvoid || r.c.Cfg.StageM == 0 || r.c.RowStarts != nil {
 			continue
 		}
 		full := r.c
-		full.Stage = 0
-		fe := Evaluate(g, cfg, prof, full)
+		full.Cfg.StageM = 0
+		fe := Evaluate(g, prof, full)
 		if fe.Total != r.e.Total {
 			differs = true
 			break
@@ -76,13 +77,13 @@ func TestStagedCandidatesEnumeratedAndRanked(t *testing.T) {
 	// A staged candidate appears in the ranking, and plans round-trip its
 	// depth.
 	for _, r := range rs {
-		if r.c.Scheme == SchemeCA && r.c.Stage > 0 {
+		if r.c.Alg == dycore.AlgCommAvoid && r.c.Cfg.StageM > 0 {
 			p := planFrom(g, 8, r.e, prof)
-			if p.Stage != r.c.Stage {
-				t.Errorf("plan lost the stage depth: got %d, want %d", p.Stage, r.c.Stage)
+			if p.Stage != r.c.Cfg.StageM {
+				t.Errorf("plan lost the stage depth: got %d, want %d", p.Stage, r.c.Cfg.StageM)
 			}
-			if got := p.Candidate(); got.Key() != r.c.Key() {
-				t.Errorf("plan round-trip changed the candidate: %s vs %s", got.Key(), r.c.Key())
+			if got := p.Setup(cfg); Key(got) != Key(r.c) {
+				t.Errorf("plan round-trip changed the candidate: %s vs %s", Key(got), Key(r.c))
 			}
 			break
 		}
@@ -90,8 +91,8 @@ func TestStagedCandidatesEnumeratedAndRanked(t *testing.T) {
 
 	// NoStaged prunes the axis completely.
 	for _, c := range Candidates(g, 8, cfg, prof, SearchOptions{NoStaged: true}) {
-		if c.Stage != 0 {
-			t.Fatalf("NoStaged enumeration produced staged candidate %s", c.Key())
+		if stage(c) != 0 {
+			t.Fatalf("NoStaged enumeration produced staged candidate %s", Key(c))
 		}
 	}
 }

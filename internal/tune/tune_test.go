@@ -29,13 +29,13 @@ type sameRun struct {
 	px, py, pz, m, stages int
 }
 
-func runOf(c Candidate) sameRun {
-	r := sameRun{ca: c.Scheme == SchemeCA, px: 1, py: c.PA, pz: c.PB, m: c.M}
-	if c.Scheme == SchemeXY {
+func runOf(c dycore.Setup) sameRun {
+	r := sameRun{ca: c.Alg == dycore.AlgCommAvoid, px: 1, py: c.PA, pz: c.PB, m: c.Cfg.M}
+	if c.Alg == dycore.AlgBaselineXY {
 		r.px, r.py, r.pz = c.PA, c.PB, 1
 	}
 	if r.ca {
-		r.stages = c.stageDepth()
+		r.stages = c.Cfg.StageDepth()
 	}
 	return r
 }
@@ -64,14 +64,14 @@ func TestCandidatesDeterministicAndFeasible(t *testing.T) {
 		seen := map[sameRun]string{}
 		for _, c := range a {
 			if twin, ok := seen[runOf(c)]; ok {
-				t.Errorf("%s: %s is the same run as %s", g, c.Key(), twin)
+				t.Errorf("%s: %s is the same run as %s", g, Key(c), twin)
 			}
-			seen[runOf(c)] = c.Key()
-			if c.Scheme != SchemeCA && c.Scheme != SchemeYZ {
-				t.Errorf("%s: scheme %s enumerated", g, c.Scheme)
+			seen[runOf(c)] = Key(c)
+			if c.Alg != dycore.AlgCommAvoid && c.Alg != dycore.AlgBaselineYZ {
+				t.Errorf("%s: scheme %s enumerated", g, c.Alg)
 			}
 			if c.PA > g.Ny/2 || c.PB > g.Nz/2 {
-				t.Errorf("%s: infeasible candidate %s", g, c.Key())
+				t.Errorf("%s: infeasible candidate %s", g, Key(c))
 			}
 		}
 	}
@@ -88,29 +88,29 @@ func TestStepCountsMatchIntegrators(t *testing.T) {
 	exactC, noFuse := cfg, cfg
 	exactC.ExactC = true
 	noFuse.NoFusedSmoothing = true
-	ca := Candidate{Scheme: SchemeCA, PA: 2, PB: 2, M: 3}
-	s1, s2 := ca, ca
-	s1.Stage, s2.Stage = 1, 2
+	ca := dycore.Setup{Alg: dycore.AlgCommAvoid, PA: 2, PB: 2, Cfg: cfg}
+	s1, s2, caExactC, caNoFuse := ca, ca, ca, ca
+	s1.Cfg.StageM, s2.Cfg.StageM = 1, 2
+	caExactC.Cfg, caNoFuse.Cfg = exactC, noFuse
 	for _, tc := range []struct {
 		name string
-		c    Candidate
-		cfg  dycore.Config
+		c    dycore.Setup
 	}{
-		{"yz", Candidate{Scheme: SchemeYZ, PA: 2, PB: 2, M: 3}, cfg},
-		{"ca", ca, cfg},
-		{"ca-s1", s1, cfg},
-		{"ca-s2", s2, cfg},
-		{"ca-exactc", ca, exactC},
-		{"ca-nofuse", ca, noFuse},
+		{"yz", dycore.Setup{Alg: dycore.AlgBaselineYZ, PA: 2, PB: 2, Cfg: cfg}},
+		{"ca", ca},
+		{"ca-s1", s1},
+		{"ca-s2", s2},
+		{"ca-exactc", caExactC},
+		{"ca-nofuse", caNoFuse},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			one := dycore.Run(tc.c.Setup(tc.cfg), g, comm.Zero(), heldsuarez.InitialState, 1)
-			two := dycore.Run(tc.c.Setup(tc.cfg), g, comm.Zero(), heldsuarez.InitialState, 2)
-			ranks := int64(tc.c.PA * tc.c.PB)
+			one := dycore.Run(tc.c, g, comm.Zero(), heldsuarez.InitialState, 1)
+			two := dycore.Run(tc.c, g, comm.Zero(), heldsuarez.InitialState, 2)
+			ranks := int64(tc.c.Procs())
 			exchanges := two.Count.HaloExchanges - one.Count.HaloExchanges
 			cEvals := two.Count.CEvaluations - one.Count.CEvaluations
 			coll := (two.Agg.CollByCat[comm.CatCollectiveZ] - one.Agg.CollByCat[comm.CatCollectiveZ]) / ranks
-			n := countsOf(tc.cfg, tc.c)
+			n := countsOf(tc.c)
 			if float64(exchanges) != n.exchanges {
 				t.Errorf("model prices %g exchanges per step, the integrator does %d", n.exchanges, exchanges)
 			}
@@ -156,7 +156,7 @@ func TestPlanPrefersCommAvoidingYZ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Scheme != SchemeCA {
+	if p.Scheme != dycore.AlgCommAvoid {
 		t.Errorf("planner chose %s (%s), want the communication-avoiding scheme", p.Scheme, p)
 	}
 	// The planned setup must actually run.
@@ -272,7 +272,7 @@ func TestPlanCacheConcurrent(t *testing.T) {
 	dir := t.TempDir()
 	c := NewCache(dir)
 	plan := Plan{Version: PlanVersion, Mesh: [3]int{16, 12, 4}, Procs: 4,
-		Scheme: SchemeCA, PA: 2, PB: 2, M: 2, ProfileHash: "abc"}
+		Scheme: dycore.AlgCommAvoid, PA: 2, PB: 2, M: 2, ProfileHash: "abc"}
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		i := i
@@ -288,7 +288,7 @@ func TestPlanCacheConcurrent(t *testing.T) {
 					return
 				}
 				if got, ok := c.Get(key); ok {
-					if got.Version != PlanVersion || got.Scheme != SchemeCA {
+					if got.Version != PlanVersion || got.Scheme != dycore.AlgCommAvoid {
 						t.Errorf("torn read: %+v", got)
 						return
 					}
@@ -316,15 +316,15 @@ func TestEvaluateUnbalancedBeatsUniformWhenFilterHeavy(t *testing.T) {
 	g := grid.New(32, 24, 6)
 	prof := DefaultProfile()
 	cfg := planCfg()
-	base := Candidate{Scheme: SchemeCA, PA: 4, PB: 1, M: cfg.M}
-	rows := RatedRows(g, cfg, prof, base, ones(base.PA*base.PB))
+	base := dycore.Setup{Alg: dycore.AlgCommAvoid, PA: 4, PB: 1, Cfg: cfg}
+	rows := RatedRows(g, prof, base, ones(base.PA*base.PB))
 	if rows == nil {
 		t.Fatal("expected a non-uniform weighted partition")
 	}
 	weighted := base
 	weighted.RowStarts = rows
-	eu := Evaluate(g, cfg, prof, base)
-	ew := Evaluate(g, cfg, prof, weighted)
+	eu := Evaluate(g, prof, base)
+	ew := Evaluate(g, prof, weighted)
 	if ew.Total > eu.Total {
 		t.Errorf("weighted partition predicted slower than uniform: %g > %g (rows %v)",
 			ew.Total, eu.Total, rows)
@@ -357,7 +357,7 @@ func TestServiceDefaultPlanIsUniformStencilCA(t *testing.T) {
 	ranked := pl.rank(g, 4, cfg)
 	piloted := false
 	for i, e := range ranked {
-		key := e.Candidate.Key()
+		key := Key(e.Setup)
 		if strings.Contains(key, "-sp") || strings.Contains(key, "-rows") {
 			t.Errorf("retired axis enumerated: %s", key)
 		}
@@ -372,7 +372,7 @@ func TestServiceDefaultPlanIsUniformStencilCA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if key := p.Candidate().Key(); key != "ca-4x1-m2" || p.RowStarts != nil {
+	if key := Key(p.Setup(cfg)); key != "ca-4x1-m2" || p.RowStarts != nil {
 		t.Errorf("planned %s (rows %v), want ca-4x1-m2 on the uniform partition", key, p.RowStarts)
 	}
 }
