@@ -19,8 +19,10 @@
 // shared checkpoint store (a directory all fleet backends mount): a job
 // submitted with a shared_key checkpoints only there and resumes from the
 // newest snapshot there, whichever backend wrote it — the cadyfleet
-// migration path. Any other job checkpoints to <dir>/<id>/snap.ck with -dir,
-// or in memory until it completes without it.
+// migration path. With -dir, any other job checkpoints into its own job
+// directory, one self-committing <dir>/<id>/<id>@<step>.ck per checkpoint
+// (a checkpoint.DirStore keyed by the job ID); without it, in memory until
+// the job completes.
 //
 // With -chaos, the JSON fault plan (see internal/fault: rank crashes at
 // given steps, stragglers, message jitter, transient send errors) is

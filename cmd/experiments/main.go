@@ -88,7 +88,11 @@ func main() {
 		render(harness.FigureAblation(o))
 	case "flow":
 		fmt.Println(opflow.Describe(o.M))
-		a := opflow.Advise(o.Nx, o.Ny, o.Nz, o.Ps[len(o.Ps)-1], o.M)
+		a, err := opflow.Advise(o.Nx, o.Ny, o.Nz, o.Ps[len(o.Ps)-1], o.M)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "experiments:", err)
+			os.Exit(1)
+		}
 		fmt.Println("decomposition advice:", a.Reason)
 	case "theory":
 		fmt.Println(harness.FormatTheory(harness.TheoryTable(o)))

@@ -72,3 +72,13 @@ func TestValidInputRuns(t *testing.T) {
 		t.Fatalf("exit %d, stderr %q, stdout %q; want exit 0 and the operator flow", code, se, so)
 	}
 }
+
+// TestFlowNamesMissingLayout: a rank count that fits no Y-Z layout of the
+// mesh is one stderr line naming it and exit 1, never advice priced on a
+// layout that does not exist.
+func TestFlowNamesMissingLayout(t *testing.T) {
+	so, se, code := runCLI(t, "-fig", "flow", "-ps", "64")
+	if code != 1 || strings.Count(se, "\n") != 1 || !strings.Contains(se, "no Y-Z") || strings.Contains(so, "decomposition advice:") {
+		t.Fatalf("exit %d, stderr %q, stdout %q; want exit 1, one stderr line naming the Y-Z layout and no advice", code, se, so)
+	}
+}

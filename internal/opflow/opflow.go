@@ -190,8 +190,10 @@ type Advice struct {
 // Advise compares the data-movement lower bound of the x collective (Fourier
 // filtering under a balanced X-Y layout) with that of the z collective (the
 // summation under a Y-Z layout) per time step, weighting each by how often
-// the operator word invokes it.
-func Advise(nx, ny, nz, p, m int) Advice {
+// the operator word invokes it. Both layouts keep two cells per rank along
+// each split axis; when p ranks fit no such layout of one kind or both, the
+// error names the missing kind.
+func Advise(nx, ny, nz, p, m int) (Advice, error) {
 	word := StepWord(m)
 	nF, nC := 0, 0
 	for _, op := range word {
@@ -205,6 +207,17 @@ func Advise(nx, ny, nz, p, m int) Advice {
 	// Candidate layouts: balanced X-Y split vs minimal-p_z Y-Z split.
 	px := balancedFactor(p, nx/2, ny/2)
 	pz := smallestCofactor(p, ny/2, nz/2)
+	var missing []string
+	if px == 0 {
+		missing = append(missing, fmt.Sprintf("X-Y (p_x <= %d, p_y <= %d)", nx/2, ny/2))
+	}
+	if pz == 0 {
+		missing = append(missing, fmt.Sprintf("Y-Z (p_y <= %d, p_z <= %d)", ny/2, nz/2))
+	}
+	if len(missing) > 0 {
+		return Advice{}, fmt.Errorf("opflow: no %s layout of %d ranks fits %dx%dx%d",
+			strings.Join(missing, " or "), p, nx, ny, nz)
+	}
 	filter := costmodel.FilterLowerBound(nx, px) * float64(ny*nz) * float64(nF) * 3 // 3 filtered 3-D fields
 	sum := costmodel.SumLowerBound(nx, ny, pz) * float64(nC)
 	a := Advice{FilterBound: filter, SumBound: sum}
@@ -217,11 +230,12 @@ func Advise(nx, ny, nz, p, m int) Advice {
 		a.Reason = fmt.Sprintf(
 			"summation bound %.3g > filtering bound %.3g per step: set p_z = 1 (X-Y)", sum, filter)
 	}
-	return a
+	return a, nil
 }
 
+// balancedFactor is the a ≤ maxA with p/a ≤ maxB closest to √p, 0 if none.
 func balancedFactor(p, maxA, maxB int) int {
-	best := 1
+	best := 0
 	bestBal := 1 << 30
 	for a := 1; a <= p; a++ {
 		if p%a != 0 || a > maxA || p/a > maxB {
@@ -239,13 +253,14 @@ func balancedFactor(p, maxA, maxB int) int {
 	return best
 }
 
+// smallestCofactor is the least b ≤ maxThis with p/b ≤ maxOther, 0 if none.
 func smallestCofactor(p, maxOther, maxThis int) int {
 	for b := 1; b <= maxThis; b++ {
 		if p%b == 0 && p/b <= maxOther {
 			return b
 		}
 	}
-	return maxThis
+	return 0
 }
 
 // Describe renders a full report: the operator word, the per-strategy

@@ -103,7 +103,10 @@ func TestProfileMatchesImplementationCounters(t *testing.T) {
 
 func TestAdviseChoosesYZAtPaperScale(t *testing.T) {
 	// At the paper's mesh, filtering dominates: Y-Z is the right choice.
-	a := Advise(720, 360, 30, 512, 3)
+	a, err := Advise(720, 360, 30, 512, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !a.UseYZ {
 		t.Errorf("advisor chose X-Y at the paper's scale: %s", a.Reason)
 	}
@@ -115,9 +118,26 @@ func TestAdviseChoosesYZAtPaperScale(t *testing.T) {
 func TestAdviseSerialFilterFree(t *testing.T) {
 	// With p small enough to fit entirely along y, the filter bound can be
 	// zero only when p_x = 1 — Advise never recommends X-Y then.
-	a := Advise(128, 64, 16, 4, 3)
+	a, err := Advise(128, 64, 16, 4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !a.UseYZ {
 		t.Errorf("small-p advice should still prefer Y-Z: %s", a.Reason)
+	}
+}
+
+// TestAdviseNamesMissingLayout: Advise prices only layouts that exist. On
+// 48×24×8, 64 ranks fit an X-Y layout (8×8) but no Y-Z one (p_z ≤ 4 needs
+// p_y ≥ 16 > 12), and 100000 ranks fit neither.
+func TestAdviseNamesMissingLayout(t *testing.T) {
+	for p, want := range map[int]string{
+		64:     "opflow: no Y-Z (p_y <= 12, p_z <= 4) layout of 64 ranks fits 48x24x8",
+		100000: "opflow: no X-Y (p_x <= 24, p_y <= 12) or Y-Z (p_y <= 12, p_z <= 4) layout of 100000 ranks fits 48x24x8",
+	} {
+		if a, err := Advise(48, 24, 8, p, 2); err == nil || err.Error() != want {
+			t.Errorf("p = %d: advice %q, error %v, want %q", p, a.Reason, err, want)
+		}
 	}
 }
 

@@ -305,14 +305,14 @@ func TestRecoverIgnoresStaleTmp(t *testing.T) {
 	// claiming the job was still running when the process died.
 	jdir := filepath.Join(dir, j.ID)
 	//cadyvet:volatile simulates the torn tmp a crash leaves behind; durability is exactly what is under test
-	if err := os.WriteFile(filepath.Join(jdir, "snap.ck.3141592.tmp"), []byte("torn checkpoint bytes"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(jdir, j.ID+"@00000004.ck.3141592.tmp"), []byte("torn checkpoint bytes"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	//cadyvet:volatile simulates the torn tmp a crash leaves behind; durability is exactly what is under test
 	if err := os.WriteFile(filepath.Join(jdir, "meta.json.2718281.tmp"), []byte(`{"state": "torn`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	meta, _ := json.Marshal(jobMeta{State: JRunning, StepsDone: 3, CkptStep: 2, Resumable: false, Attempts: 1})
+	meta, _ := json.Marshal(jobMeta{State: JRunning, StepsDone: 3, Resumable: false, Attempts: 1})
 	//cadyvet:volatile forges the pre-crash on-disk state for recovery to chew on; it must not be durably committed
 	if err := os.WriteFile(filepath.Join(jdir, "meta.json"), meta, 0o644); err != nil {
 		t.Fatal(err)
@@ -331,7 +331,7 @@ func TestRecoverIgnoresStaleTmp(t *testing.T) {
 	if snap == nil || step != 2 {
 		t.Fatalf("recovered checkpoint at step %d, want the previous valid one at 2", step)
 	}
-	for _, name := range []string{"snap.ck.3141592.tmp", "meta.json.2718281.tmp"} {
+	for _, name := range []string{j.ID + "@00000004.ck.3141592.tmp", "meta.json.2718281.tmp"} {
 		if _, err := os.Stat(filepath.Join(jdir, name)); !os.IsNotExist(err) {
 			t.Errorf("stale %s not swept on startup", name)
 		}
@@ -349,8 +349,72 @@ func TestRecoverIgnoresStaleTmp(t *testing.T) {
 	}
 }
 
-// TestRecoverVersion1Snapshot: a job directory left by a release that wrote
-// version-1 checkpoints (testdata of internal/checkpoint, verbatim) recovers
+// TestRecoverStepFromCheckpointFile: a checkpoint commits as one file whose
+// name carries its step, and meta.json is rewritten only at other times, so a
+// crash can leave the step-3 checkpoint next to a meta.json that still says
+// running at step 2. Recovery takes the step from the file: the job comes
+// back interrupted with checkpoint_step and steps_done 3, and, resumed, runs
+// the one remaining step to bitwise the uninterrupted 4-step state.
+func TestRecoverStepFromCheckpointFile(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	dir := t.TempDir()
+	s, err := New(Config{Workers: 1, QueueCap: 4, Dir: dir})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	spec := smallSpec(4)
+	spec.Alg = "ca"
+	spec.CheckpointEvery = 1
+	s.testStep = func(j *Job, done int) {
+		if done == 3 {
+			s.Cancel(j.ID)
+		}
+	}
+	j, err := s.Submit(spec)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if st := waitState(t, s, j.ID, JCancelled); st.CkptStep != 3 {
+		t.Fatalf("checkpoint at %d, want 3", st.CkptStep)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	jdir := filepath.Join(dir, j.ID)
+	if files, _ := filepath.Glob(filepath.Join(jdir, "*.ck")); len(files) != 1 || filepath.Base(files[0]) != j.ID+"@00000003.ck" {
+		t.Fatalf("checkpoint files %v, want the one of step 3", files)
+	}
+	meta, _ := json.Marshal(jobMeta{State: JRunning, StepsDone: 2, Attempts: 1})
+	//cadyvet:volatile forges the meta.json the step-2 boundary left before the crash; it must not be durably committed
+	if err := os.WriteFile(filepath.Join(jdir, "meta.json"), meta, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := newTestServer(t, Config{Workers: 1, QueueCap: 4, Dir: dir})
+	r, ok := s2.Get(j.ID)
+	if !ok {
+		t.Fatalf("job %s not recovered", j.ID)
+	}
+	if st := r.Status(); st.State != JInterrupted || !st.Resumable || st.CkptStep != 3 || st.StepsDone != 3 {
+		t.Fatalf("recovered %s resumable=%v checkpoint_step %d steps_done %d, want interrupted/resumable at 3 and 3",
+			st.State, st.Resumable, st.CkptStep, st.StepsDone)
+	}
+	if _, err := s2.Resume(j.ID); err != nil {
+		t.Fatalf("Resume: %v", err)
+	}
+	fin := waitState(t, s2, j.ID, JCompleted)
+	if fin.StepsDone != 4 || fin.Counters.Steps != 1 {
+		t.Fatalf("resumed job finished at %d steps after running %d, want 4 after 1", fin.StepsDone, fin.Counters.Steps)
+	}
+	if !homeSnap(t, s2, r).Equal(refFinal(spec)) {
+		t.Fatal("run resumed from the step-3 file differs from the uninterrupted 4-step run")
+	}
+}
+
+// TestRecoverVersion1Snapshot: a job directory holding a version-1 checkpoint
+// (testdata of internal/checkpoint, verbatim, under the job's store name) recovers
 // without its snapshot — the format cannot say whether ξ owes a smoothing, so
 // nothing is guessed — and the resumed job reruns from step 0, bitwise the
 // uninterrupted run.
@@ -364,12 +428,12 @@ func TestRecoverVersion1Snapshot(t *testing.T) {
 	spec := smallSpec(4)
 	spec.Alg = "ca"
 	specB, _ := json.Marshal(spec)
-	meta, _ := json.Marshal(jobMeta{State: JRunning, StepsDone: 2, CkptStep: 2, Attempts: 1})
+	meta, _ := json.Marshal(jobMeta{State: JRunning, StepsDone: 2, Attempts: 1})
 	v1, err := os.ReadFile(filepath.Join("..", "checkpoint", "testdata", "snap-v1.ck"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, body := range map[string][]byte{"spec.json": specB, "meta.json": meta, "snap.ck": v1} {
+	for name, body := range map[string][]byte{"spec.json": specB, "meta.json": meta, "j-000001@00000002.ck": v1} {
 		//cadyvet:volatile plants an older release's on-disk state for recovery to load; it must not be durably committed
 		if err := os.WriteFile(filepath.Join(jdir, name), body, 0o644); err != nil {
 			t.Fatal(err)
@@ -392,6 +456,63 @@ func TestRecoverVersion1Snapshot(t *testing.T) {
 	fin := waitState(t, s, j.ID, JCompleted)
 	if fin.StepsDone != 4 || !homeSnap(t, s, j).Equal(refFinal(spec)) {
 		t.Fatalf("resumed job finished at %d steps, want 4 and bitwise the uninterrupted run", fin.StepsDone)
+	}
+}
+
+// TestRecoverKeepsUnloadableJobID: a job directory recovery cannot load (its spec
+// names no algorithm) still holds its ID, so the next submit gets a fresh
+// directory rather than the old job's files.
+func TestRecoverKeepsUnloadableJobID(t *testing.T) {
+	dir := t.TempDir()
+	jdir := filepath.Join(dir, "j-000001")
+	if err := checkpoint.MkdirDurable(jdir); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkpoint.WriteFileAtomic(filepath.Join(jdir, "spec.json"), []byte(`{"alg":"zz"}`)); err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{Workers: 1, QueueCap: 4, Dir: dir})
+	if _, ok := s.Get("j-000001"); ok {
+		t.Fatal("job with an unloadable spec was recovered")
+	}
+	j, err := s.Submit(smallSpec(1))
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if j.ID != "j-000002" {
+		t.Fatalf("next job ID %s, want j-000002", j.ID)
+	}
+}
+
+// TestMissingJobDirKeepsDiskHome: a job whose directory cannot be created
+// (a file holds its name) keeps the directory as its checkpoint home. Every
+// checkpoint fails into persist_error; none moves to memory, and nothing
+// replaces the file with a directory.
+func TestMissingJobDirKeepsDiskHome(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestServer(t, Config{Workers: 1, QueueCap: 4, Dir: dir})
+	squat := filepath.Join(dir, "j-000001")
+	if err := checkpoint.WriteFileAtomic(squat, []byte("not a directory")); err != nil {
+		t.Fatal(err)
+	}
+	spec := smallSpec(4)
+	spec.CheckpointEvery = 1
+	s.testStep = func(j *Job, done int) {
+		if done == 2 {
+			s.Cancel(j.ID)
+		}
+	}
+	j, err := s.Submit(spec)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	st := waitState(t, s, j.ID, JCancelled)
+	if st.CkptStep != 0 || st.PersistError == "" || holdsGlobal(j) {
+		t.Fatalf("checkpoint_step %d persist_error %q memory snapshot %v, want 0, an error and none",
+			st.CkptStep, st.PersistError, holdsGlobal(j))
+	}
+	if fi, err := os.Stat(squat); err != nil || fi.IsDir() {
+		t.Fatalf("%s re-created as a directory (%v)", squat, err)
 	}
 }
 

@@ -6,7 +6,7 @@
 // the paper's evaluation — a matrix of (algorithm, process count) cells —
 // into schedulable, cancellable, resumable jobs.
 //
-//cadyvet:persistence job specs, progress metadata and the snap.ck of jobs whose checkpoint home is Config.Dir are the restart source of truth; durable writes route through checkpoint's blessed commit helper
+//cadyvet:persistence job specs, progress metadata and the checkpoint files of jobs whose checkpoint home is Config.Dir are the restart source of truth; durable writes route through checkpoint's blessed commit helper
 package server
 
 import (
@@ -181,8 +181,8 @@ func (sp *JobSpec) Normalize() error {
 	if sp.CheckpointEvery < 0 {
 		return fmt.Errorf("checkpoint_every = %d must be >= 0", sp.CheckpointEvery)
 	}
-	if sp.DeadlineSec < 0 {
-		return fmt.Errorf("deadline_sec = %g must be >= 0", sp.DeadlineSec)
+	if sp.DeadlineSec < 0 || sp.DeadlineSec*float64(time.Second) >= 1<<63 { // runJob's time.Duration
+		return fmt.Errorf("deadline_sec = %g outside [0, %g)", sp.DeadlineSec, time.Duration(1<<63-1).Seconds())
 	}
 	if sp.MaxRestarts != nil && *sp.MaxRestarts < 0 {
 		return fmt.Errorf("max_restarts = %d must be >= 0", *sp.MaxRestarts)
@@ -367,11 +367,14 @@ func (st JState) terminal() bool {
 func (st JState) Terminal() bool { return st.terminal() }
 
 // Job is one tracked job. All mutable fields are guarded by mu; the
-// identity fields (ID, Spec, tq) are immutable after creation.
+// identity fields (ID, Spec, tq, store, key) are set before a worker sees it.
 type Job struct {
 	ID   string
 	Spec JobSpec
 	tq   *tenantQ // the tenant's admission state
+	// store (under key) is the job's disk checkpoint home; nil is memory.
+	store checkpoint.Store
+	key   string
 
 	mu    sync.Mutex
 	state JState //cadyvet:guardedby mu

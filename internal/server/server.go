@@ -46,8 +46,8 @@ type Config struct {
 	Classes map[string]string
 	// Dir, when non-empty, persists job specs and progress metadata under
 	// Dir/<job-id>/ so jobs survive a process restart (see New, which
-	// recovers them). It is the checkpoint home (Dir/<job-id>/snap.ck) of
-	// every job that does not checkpoint into Shared.
+	// recovers them). Each job directory is a checkpoint.DirStore keyed by
+	// the job ID: the checkpoint home of every job not checkpointing into Shared.
 	Dir string
 	// Shared, when non-nil, is a checkpoint store shared with other backends
 	// (typically a checkpoint.DirStore on a directory every fleet member
@@ -257,11 +257,13 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	}
 	s.jobs[j.ID] = j
 	s.order = append(s.order, j.ID)
+	j.mu.Lock() // a worker that takes the job waits until its home is open
 	s.mu.Unlock()
 	s.met.submitted.Add(1)
 	// One commit: a job directory without meta.json recovers as the queued,
 	// all-zero job this one is.
-	s.persistSpec(j)
+	s.persistSpecLocked(j)
+	j.mu.Unlock()
 	return j, nil
 }
 
@@ -542,7 +544,7 @@ func (s *Server) runJob(j *Job) {
 		first := j.attempts == 1
 		j.ckptStep, j.stepsDone = start, start
 		j.mu.Unlock()
-		if first && s.homeOf(j) == homeShared {
+		if first && j.store != nil && j.store == s.cfg.Shared {
 			// The first attempt here found a checkpoint: another backend ran
 			// (part of) this job before it was migrated here.
 			s.met.sharedResumes.Add(1)
@@ -571,7 +573,7 @@ func (s *Server) runJob(j *Job) {
 	}
 
 	completed := err == nil && out.StepsDone >= spec.Steps
-	if completed && s.homeOf(j) != homeMemory {
+	if completed && j.store != nil {
 		// The final state is the job's last checkpoint, durable before the
 		// job reads as completed. The memory home keeps none: nothing can
 		// resume a completed job.
@@ -728,17 +730,17 @@ func (s *Server) planJob(j *Job, g *grid.Grid) (tune.Plan, error) {
 // --- persistence -----------------------------------------------------------
 //
 // Layout under cfg.Dir: <id>/spec.json, <id>/meta.json and, for a job whose
-// checkpoint home is the job directory, <id>/snap.ck. Writes go through
-// checkpoint's commit helpers (temp file, fsync, rename, parent-dir fsync),
-// so a crash at any point leaves either the old or the new file, never a
-// torn or lost one; the checkpoint format's own CRC64 catches anything else.
+// checkpoint home is the job directory, <id>/<id>@<step>.ck. Writes go
+// through checkpoint's commit helpers (temp file, fsync, rename, parent-dir
+// fsync), so a crash at any point leaves either the old or the new file,
+// never a torn or lost one; the checkpoint format's own CRC64 catches
+// anything else.
 // Failures surface in the job status (persist_error) and the
 // cady_persist_errors_total counter.
 
 type jobMeta struct {
 	State      JState              `json:"state"`
 	StepsDone  int                 `json:"steps_done"`
-	CkptStep   int                 `json:"checkpoint_step"`
 	Resumable  bool                `json:"resumable"`
 	Error      string              `json:"error,omitempty"`
 	Attempts   int                 `json:"attempts"`
@@ -762,20 +764,17 @@ func (s *Server) notePersist(j *Job, err error) {
 	}
 }
 
-func (s *Server) persistSpec(j *Job) {
-	if s.cfg.Dir == "" {
-		return
-	}
-	dir := s.jobDir(j)
-	err := checkpoint.MkdirDurable(dir)
-	if err == nil {
+// persistSpecLocked opens the job's checkpoint home and commits spec.json.
+//
+//cadyvet:locked j.mu
+func (s *Server) persistSpecLocked(j *Job) {
+	err := s.openHome(j)
+	if err == nil && s.cfg.Dir != "" {
 		b, _ := json.MarshalIndent(j.Spec, "", "  ")
-		err = checkpoint.WriteFileAtomic(filepath.Join(dir, "spec.json"), b)
+		err = checkpoint.WriteFileAtomic(filepath.Join(s.jobDir(j), "spec.json"), b)
 	}
 	if err != nil {
-		j.mu.Lock()
 		s.notePersist(j, err)
-		j.mu.Unlock()
 	}
 }
 
@@ -793,7 +792,6 @@ func (s *Server) persistMetaLocked(j *Job) {
 	m := jobMeta{
 		State:      j.state,
 		StepsDone:  j.stepsDone,
-		CkptStep:   j.ckptStep,
 		Resumable:  j.resumable,
 		Error:      j.errMsg,
 		Attempts:   j.attempts,
@@ -809,44 +807,43 @@ func (s *Server) persistMetaLocked(j *Job) {
 
 // --- checkpoint home ---------------------------------------------------------
 //
-// A run job's checkpoint lives in exactly one home, chosen from the
-// configuration: the shared store under its shared_key when the server has
-// one, else Dir/<id>/snap.ck with its step in meta.json when the server
-// persists, else Job.snap in memory. j.ckptStep is the step of the home's
-// checkpoint in every case.
+// A run job's checkpoint lives in exactly one home, j.ckptStep its step,
+// chosen once when the job is registered: the shared store under its
+// shared_key when the server has one, else its directory as a DirStore under
+// its ID when the server persists, else Job.snap in memory.
 
-type home int
-
-const (
-	homeMemory home = iota
-	homeDir
-	homeShared
-)
-
-// homeOf is the job's checkpoint home.
-func (s *Server) homeOf(j *Job) home {
+// openHome opens the job's home, creating its directory. A directory that
+// cannot be created stays the home: its every checkpoint fails.
+func (s *Server) openHome(j *Job) error {
+	var dir checkpoint.Store
+	var err error
+	if s.cfg.Dir != "" {
+		if dir, err = checkpoint.NewDirStore(s.jobDir(j)); err != nil {
+			dir = lostDir{err}
+		}
+	}
 	switch {
 	case s.cfg.Shared != nil && j.Spec.SharedKey != "":
-		return homeShared
-	case s.cfg.Dir != "":
-		return homeDir
+		j.store, j.key = s.cfg.Shared, j.Spec.SharedKey
+	case dir != nil:
+		j.store, j.key = dir, j.ID
 	}
-	return homeMemory
+	return err
 }
+
+// lostDir is the home of a job whose directory could not be created.
+type lostDir struct{ err error }
+
+func (d lostDir) Put(string, int, *checkpoint.Global) error      { return d.err }
+func (d lostDir) Latest(string) (*checkpoint.Global, int, error) { return nil, 0, d.err }
 
 // saveSnap records the checkpoint at step in the job's home. A failed write
 // leaves the job at its last durable checkpoint and surfaces in
 // persist_error.
 func (s *Server) saveSnap(j *Job, step int, gl *checkpoint.Global) {
 	var err error
-	h := s.homeOf(j)
-	switch h {
-	case homeShared:
-		if err = s.cfg.Shared.Put(j.Spec.SharedKey, step, gl); err == nil {
-			s.met.sharedPuts.Add(1)
-		}
-	case homeDir:
-		err = checkpoint.WriteAtomic(filepath.Join(s.jobDir(j), "snap.ck"), gl)
+	if j.store != nil {
+		err = j.store.Put(j.key, step, gl)
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -855,11 +852,11 @@ func (s *Server) saveSnap(j *Job, step int, gl *checkpoint.Global) {
 		return
 	}
 	j.ckptStep = step
-	switch h {
-	case homeDir:
-		s.persistMetaLocked(j)
-	case homeMemory:
+	switch j.store {
+	case nil:
 		j.snap = gl
+	case s.cfg.Shared:
+		s.met.sharedPuts.Add(1)
 	}
 }
 
@@ -871,13 +868,8 @@ func (s *Server) loadSnap(j *Job) (*checkpoint.Global, int) {
 	gl, step := j.snap, j.ckptStep
 	j.mu.Unlock()
 	var err error
-	switch s.homeOf(j) {
-	case homeShared:
-		gl, step, err = s.cfg.Shared.Latest(j.Spec.SharedKey)
-	case homeDir:
-		if step > 0 {
-			gl, err = checkpoint.ReadFile(filepath.Join(s.jobDir(j), "snap.ck"))
-		}
+	if j.store != nil {
+		gl, step, err = j.store.Latest(j.key)
 	}
 	if err != nil || gl == nil || step > j.Spec.Steps ||
 		gl.Nx != j.Spec.Nx || gl.Ny != j.Spec.Ny || gl.Nz != j.Spec.Nz {
@@ -890,7 +882,7 @@ func (s *Server) loadSnap(j *Job) (*checkpoint.Global, int) {
 // running or interrupted when the previous process died come back as
 // resumable "interrupted" jobs; completed and terminal jobs keep their
 // state. Each job's checkpoint is verified in its home, and only its step is
-// kept: a resume loads it again.
+// kept: a resume loads it again. No new job reuses any j-* directory's ID.
 //
 //cadyvet:unshared recovery runs from New before the worker pool or any handler exists; s and every recovered Job are still private to the constructor
 func (s *Server) recover() error {
@@ -909,6 +901,9 @@ func (s *Server) recover() error {
 	}
 	sort.Strings(ids)
 	for _, id := range ids {
+		if n, err := strconv.Atoi(strings.TrimPrefix(id, "j-")); err == nil && n > s.seq {
+			s.seq = n
+		}
 		dir := filepath.Join(s.cfg.Dir, id)
 		// A crash between temp write and rename leaves a stale *.tmp next to
 		// the last complete file. It is never valid state (the rename is the
@@ -931,7 +926,6 @@ func (s *Server) recover() error {
 			if json.Unmarshal(metaB, &m) == nil {
 				j.state = m.State
 				j.stepsDone = m.StepsDone
-				j.ckptStep = m.CkptStep
 				j.resumable = m.Resumable
 				j.errMsg = m.Error
 				j.attempts = m.Attempts
@@ -940,18 +934,17 @@ func (s *Server) recover() error {
 				j.migrations = m.Migrations
 			}
 		}
-		// A checkpoint that is missing or that Read refuses (an older
-		// format) leaves none to report.
+		// checkpoint_step is the newest checkpoint the home reads back (none
+		// when missing or refused); meta.json, committed apart, may lag it.
+		s.notePersist(j, s.openHome(j))
 		_, j.ckptStep = s.loadSnap(j)
+		j.stepsDone = max(j.stepsDone, j.ckptStep)
 		// A job that was mid-flight (or parked in a restart backoff) when
 		// the process died cannot still be running; surface it as
 		// interrupted and resumable.
 		if j.state == JQueued || j.state == JRunning || j.state == JRetrying {
 			j.state = JInterrupted
 			j.resumable = true
-		}
-		if n, err := strconv.Atoi(strings.TrimPrefix(id, "j-")); err == nil && n > s.seq {
-			s.seq = n
 		}
 		s.jobs[id] = j
 		s.order = append(s.order, id)

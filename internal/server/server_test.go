@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -209,16 +210,17 @@ func TestSubmitValidation(t *testing.T) {
 	defer ts.Close()
 
 	for name, spec := range map[string]JobSpec{
-		"bad alg":         {Alg: "mpi"},
-		"bad kind":        {Kind: "train"},
-		"infeasible grid": {Alg: "yz", Nx: 48, Ny: 24, Nz: 8, PA: 20, PB: 20},
-		"negative mesh":   {Nx: -4},
-		"mesh too narrow": {Nx: 4, Ny: 24, Nz: 8},
-		"mesh too short":  {Nx: 48, Ny: 4, Nz: 8},
-		"auto tiny mesh":  {Layout: "auto", Nx: 48, Ny: 24, Nz: 1},
-		"negative dt1":    {Dt1: -5},
-		"negative dt2":    {Dt2: -5},
-		"too many ranks":  {Alg: "yz", Nx: 4096, Ny: 2048, Nz: 2, PA: 2048, PB: 1},
+		"bad alg":                            {Alg: "mpi"},
+		"bad kind":                           {Kind: "train"},
+		"infeasible grid":                    {Alg: "yz", Nx: 48, Ny: 24, Nz: 8, PA: 20, PB: 20},
+		"negative mesh":                      {Nx: -4},
+		"mesh too narrow":                    {Nx: 4, Ny: 24, Nz: 8},
+		"mesh too short":                     {Nx: 48, Ny: 4, Nz: 8},
+		"auto tiny mesh":                     {Layout: "auto", Nx: 48, Ny: 24, Nz: 1},
+		"negative dt1":                       {Dt1: -5},
+		"negative dt2":                       {Dt2: -5},
+		"too many ranks":                     {Alg: "yz", Nx: 4096, Ny: 2048, Nz: 2, PA: 2048, PB: 1},
+		"deadline overflows a time.Duration": {DeadlineSec: 1e12},
 	} {
 		resp := postJSON(t, ts, "/jobs", spec)
 		resp.Body.Close()
@@ -365,27 +367,27 @@ func waitQueueDrained(t *testing.T, s *Server) {
 // state bitwise identical to an uninterrupted run — for every scheme, in
 // every checkpoint home. The checkpoint lives in its home only: a shared-key
 // job on a server with both a directory and a shared store writes no
-// snap.ck, only the memory home puts a Global on the job, and no completed
-// job holds one.
+// checkpoint file into its job directory, only the memory home puts a Global
+// on the job, and no completed job holds one.
 func TestCancelResumeEquivalence(t *testing.T) {
 	for _, alg := range []string{"yz", "ca"} {
 		t.Run(alg, func(t *testing.T) {
-			for _, h := range []home{homeMemory, homeDir, homeShared} {
-				t.Run([]string{"memory", "dir", "shared"}[h], func(t *testing.T) { testCancelResumeEquivalence(t, alg, h) })
+			for _, h := range []string{"memory", "dir", "shared"} {
+				t.Run(h, func(t *testing.T) { testCancelResumeEquivalence(t, alg, h) })
 			}
 		})
 	}
 }
 
-func testCancelResumeEquivalence(t *testing.T, alg string, h home) {
+func testCancelResumeEquivalence(t *testing.T, alg, h string) {
 	cfg := Config{Workers: 1, QueueCap: 4}
 	spec := smallSpec(4)
 	spec.Alg = alg
 	spec.CheckpointEvery = 1
-	if h != homeMemory {
+	if h != "memory" {
 		cfg.Dir = t.TempDir()
 	}
-	if h == homeShared {
+	if h == "shared" {
 		store, err := checkpoint.NewDirStore(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
@@ -415,19 +417,20 @@ func testCancelResumeEquivalence(t *testing.T, alg string, h home) {
 	if !st.Resumable {
 		t.Fatalf("cancelled job not resumable")
 	}
-	if s.homeOf(j) != h {
-		t.Fatalf("job's checkpoint home %d, want %d", s.homeOf(j), h)
-	}
 	if snap, step := s.loadSnap(j); step != 2 || snap == nil {
 		t.Fatalf("stop checkpoint at step %d (loaded %v), want 2 in the job's home", step, snap != nil)
 	}
-	if held := holdsGlobal(j); held != (h == homeMemory) {
+	if held := holdsGlobal(j); held != (h == "memory") {
 		t.Fatalf("cancelled job holds a Global: %v, want only in the memory home", held)
 	}
 	if cfg.Dir != "" {
-		_, err := os.Stat(filepath.Join(cfg.Dir, j.ID, "snap.ck"))
-		if written := err == nil; written != (h == homeDir) {
-			t.Fatalf("snap.ck written: %v, want only in the dir home", written)
+		files, _ := filepath.Glob(filepath.Join(cfg.Dir, j.ID, "*.ck"))
+		want := []string{filepath.Join(cfg.Dir, j.ID, j.ID+"@00000002.ck")}
+		if h == "shared" {
+			want = nil
+		}
+		if !slices.Equal(files, want) {
+			t.Fatalf("checkpoint files in the job directory %v, want %v", files, want)
 		}
 	}
 
@@ -448,7 +451,7 @@ func testCancelResumeEquivalence(t *testing.T, alg string, h home) {
 	if holdsGlobal(j) {
 		t.Fatal("completed job still holds a Global")
 	}
-	if h == homeMemory {
+	if h == "memory" {
 		// Nothing can resume a completed job, so the memory home keeps no
 		// final state; the diagnostics of the final state stand in for it.
 		g, ref := refRun(spec)
