@@ -32,7 +32,7 @@ var DetOrder = &Analyzer{
 func init() { DetOrder.Run = runDetOrder }
 
 // commP2PMethods: point-to-point operations also order-sensitive across ranks.
-var commP2PMethods = map[string]bool{"Send": true, "RecvInto": true}
+var commP2PMethods = map[string]bool{"Send": true, "Lend": true, "RecvInto": true, "RecvRuns": true}
 
 // serializeFuncs: package-level functions whose call inside a map-ordered
 // loop emits bytes in iteration order.

@@ -42,6 +42,19 @@ func commInLoop(c *comm.Comm, m map[int][]float64) {
 	}
 }
 
+func lendInLoop(c *comm.Comm, m map[int][]float64, runs []comm.Run, l *comm.Loans) {
+	for dst, buf := range m {
+		c.Lend(dst, 0, buf, runs, l) // want "communication .Lend. in map-iteration order"
+	}
+	l.Wait()
+}
+
+func recvRunsInLoop(c *comm.Comm, m map[int][]float64, runs []comm.Run) {
+	for src, buf := range m {
+		c.RecvRuns(src, 0, buf, runs) // want "communication .RecvRuns. in map-iteration order"
+	}
+}
+
 func recvInLoop(c *comm.Comm, m map[int][]float64) {
 	for src, buf := range m {
 		c.RecvInto(src, 0, buf) // want "communication .RecvInto. in map-iteration order"

@@ -13,7 +13,8 @@ func (c *Comm) nextCollTag() int {
 
 // Allgather concatenates each rank's equal-length send buffer into recv,
 // ordered by rank (recv length must be p·len(send)). Ring algorithm:
-// p−1 steps of len(send) values each.
+// p−1 steps of len(send) values each, every block lent out of recv; it
+// returns once its loans are settled, so recv is the caller's again.
 func (c *Comm) Allgather(send, recv []float64) {
 	c.stats.countColl()
 	tag := c.nextCollTag()
@@ -32,15 +33,18 @@ func (c *Comm) Allgather(send, recv []float64) {
 	// at step s−1 (initially our own).
 	blk := (c.rank) % p
 	for s := 0; s < p-1; s++ {
-		c.Send(right, tag, recv[blk*n:(blk+1)*n])
+		c.Lend(right, tag, recv[blk*n:(blk+1)*n], nil, &c.lent)
 		blk = (blk - 1 + p) % p
 		c.RecvInto(left, tag, recv[blk*n:(blk+1)*n])
 	}
+	c.lent.Wait()
 }
 
 // Alltoall exchanges send[r] (equal lengths) with every rank r; recv[r]
 // receives the block rank r sent to this rank. Pairwise-exchange algorithm,
-// p−1 rounds. send[c.Rank()] is copied locally.
+// p−1 rounds. send[c.Rank()] is copied locally; the other blocks are lent,
+// so no send block may overlap a recv block. It returns once its loans are
+// settled, so the caller may write send again at once.
 func (c *Comm) Alltoall(send, recv [][]float64) {
 	c.stats.countColl()
 	tag := c.nextCollTag()
@@ -52,7 +56,8 @@ func (c *Comm) Alltoall(send, recv [][]float64) {
 	for s := 1; s < p; s++ {
 		dst := (c.rank + s) % p
 		src := (c.rank - s + p) % p
-		c.Send(dst, tag, send[dst])
+		c.Lend(dst, tag, send[dst], nil, &c.lent)
 		c.RecvInto(src, tag, recv[src])
 	}
+	c.lent.Wait()
 }

@@ -34,7 +34,7 @@ func NewWorld(p int, model NetModel) *World {
 			group: nil, // nil group means identity mapping
 			rank:  r,
 			size:  p,
-			stats: newStats(),
+			stats: &Stats{},
 		}
 	}
 	return w
@@ -78,8 +78,8 @@ func (w *World) Run(fn func(c *Comm)) {
 	}
 }
 
-// poison wakes every endpoint with a failure marker so ranks blocked in RecvInto
-// panic instead of deadlocking after a peer died.
+// poison wakes every endpoint with a failure marker so ranks blocked in a
+// receive or a Loans.Wait panic instead of deadlocking after a peer died.
 func (w *World) poison() {
 	for _, ep := range w.eps {
 		ep.poison()
@@ -105,6 +105,7 @@ type Comm struct {
 	stats *Stats
 
 	splitSeq uint64 // per-communicator split counter (same on all members)
+	lent     Loans  // the collectives' loans, settled before each returns
 }
 
 const worldCommID uint64 = 1
@@ -126,14 +127,6 @@ func (c *Comm) worldRank(r int) int {
 	return c.group[r]
 }
 
-// myWorldRank returns this rank's world rank.
-func (c *Comm) myWorldRank() int {
-	if c.group == nil {
-		return c.rank
-	}
-	return c.group[c.rank]
-}
-
 // Compute advances this rank's simulated clock by work/ComputeRate and
 // accounts it as computation time. work is measured in point-updates (one
 // stencil update of one mesh point ≈ 1).
@@ -142,7 +135,7 @@ func (c *Comm) Compute(work float64) {
 	if f := c.world.faults; f != nil {
 		// Straggler injection: scale the rank's effective compute rate.
 		// (Scale 1 is a bitwise no-op, so an inert profile changes nothing.)
-		dt *= f.computeScale(c.myWorldRank())
+		dt *= f.computeScale(c.worldRank(c.rank))
 	}
 	if c.stats.trace != nil {
 		c.stats.trace.record(Event{Rank: c.stats.traceRank, Kind: EvCompute, T0: c.stats.Clock, T1: c.stats.Clock + dt})
@@ -161,7 +154,7 @@ func (c *Comm) Clock() float64 { return c.stats.Clock }
 func (c *Comm) CompTime() float64 { return c.stats.CompTime }
 
 // Stats returns a snapshot of this rank's statistics.
-func (c *Comm) Stats() Stats { return c.stats.snapshot() }
+func (c *Comm) Stats() Stats { return *c.stats }
 
 // ResetStats zeroes this rank's counters and simulated clock (the current
 // accounting category is preserved). Drivers call it after topology setup so

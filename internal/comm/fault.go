@@ -6,7 +6,7 @@ import "fmt"
 // per-rank straggler scaling of the simulated compute rate, seeded message
 // delay jitter, and transient send errors charged to the sender's clock.
 // It is deliberately a concrete type with concrete methods — the hot paths
-// (Compute, sendInternal) carry no interface dispatch or boxing, and a nil
+// (Compute, post) carry no interface dispatch or boxing, and a nil
 // *Faults on the World leaves those paths bitwise
 // identical to a fault-free build.
 //

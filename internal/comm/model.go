@@ -2,8 +2,12 @@
 // runs on: a rank-SPMD runtime in pure Go that replaces MPI (which has no Go
 // ecosystem), as documented in DESIGN.md §2.
 //
-// Ranks are goroutines; point-to-point messages (buffered Send, blocking
-// RecvInto) are matched by (source, tag) with FIFO order per pair, like MPI.
+// Ranks are goroutines; point-to-point messages are matched by (source, tag)
+// with FIFO order per pair, like MPI. Ranks share one address space, so a
+// message is a loan, as in single-copy shared-memory MPI transports: Lend
+// posts runs of memory the sender already holds, the receiver (RecvInto,
+// RecvRuns) copies them straight into its own storage, and the sender waits
+// on its Loans before writing that memory again. Send lends a private copy.
 // Communicator Split and the two collectives the schemes make — the ring
 // Allgather of Ĉ's z-summation and the pairwise Alltoall of F̃'s transposes —
 // are built *on top of* the point-to-point layer, so every byte and message
@@ -36,18 +40,14 @@ type NetModel struct {
 
 // TianheLike returns network parameters shaped like the paper's platform at
 // production scale (Tianhe-2, TH Express-2 with a customized MPICH, ~1000
-// MPI ranks sharing the fabric). The effective per-message cost is far above
-// the wire latency at that scale: the paper's own stencil timings (17 400 s
-// over ≈5·10⁵ steps at 13 exchanges of ~20 messages each) put it in the
-// tens of microseconds, which is what makes "reduce the frequency from 13
-// to 2" worth 3–6x. ComputeRate approximates one Ivy Bridge core on the
-// memory-bound dycore kernels.
-// Calibration note: the paper's own measurements put one halo-exchange
-// round at ≈2.5 ms on 1024 ranks (17 400 s of stencil communication over
-// ≈5·10⁵ steps of 13 rounds), far above the wire latency — at production
-// scale the effective per-message cost is dominated by synchronization
-// noise and software overhead. Latency and SendOverhead below encode that
-// effective cost; ByteTime is the sustained link bandwidth.
+// MPI ranks sharing the fabric). The paper's own stencil timings put one
+// halo-exchange round at ≈2.5 ms on 1024 ranks (17 400 s over ≈5·10⁵ steps
+// of 13 rounds of ~20 messages), far above the wire latency: at that scale
+// the effective per-message cost is synchronization noise and software
+// overhead, tens of microseconds, which is what makes "reduce the frequency
+// from 13 to 2" worth 3–6x. Latency and SendOverhead encode that effective
+// cost; ByteTime is the sustained link bandwidth. ComputeRate approximates
+// one Ivy Bridge core on the memory-bound dycore kernels.
 func TianheLike() NetModel {
 	return NetModel{
 		Latency:      150e-6,

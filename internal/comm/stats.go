@@ -74,10 +74,6 @@ type Stats struct {
 	traceRank int
 }
 
-func newStats() *Stats { return &Stats{} }
-
-func (s *Stats) snapshot() Stats { return *s }
-
 // TotalCommTime returns the sum of CommTime over all categories.
 func (s *Stats) TotalCommTime() float64 {
 	t := 0.0
@@ -95,15 +91,6 @@ func (s *Stats) addCommTime(dt float64) {
 	}
 	s.Clock += dt
 	s.CommTime[s.cat] += dt
-}
-
-// TotalHiddenTime returns the sum of HiddenTime over all categories.
-func (s *Stats) TotalHiddenTime() float64 {
-	t := 0.0
-	for _, v := range s.HiddenTime {
-		t += v
-	}
-	return t
 }
 
 // addHiddenTime credits dt seconds of overlapped (hidden) flight time to the
@@ -168,10 +155,6 @@ func (a Aggregate) TotalCommTime() float64 {
 	}
 	return t
 }
-
-// HiddenTime returns the critical-path hidden (overlapped) communication
-// time for a category.
-func (a Aggregate) HiddenTime(cat Category) float64 { return a.HiddenTimeMax[cat] }
 
 // TotalHiddenTime returns the summed critical-path hidden time over
 // categories.

@@ -40,7 +40,6 @@ func (w *World) EnableTrace() *Recorder {
 	for i, c := range w.comms {
 		c.stats.trace = r
 		c.stats.traceRank = i
-		_ = i
 	}
 	return r
 }

@@ -84,9 +84,9 @@ func TestStepZeroAllocCommAvoid(t *testing.T)  { checkZeroAllocSteps(t, AlgCommA
 // see what the transport allocates. Every rank runs two warm-up steps, all
 // ranks meet at a barrier, and the process-wide runtime.MemStats.TotalAlloc
 // delta over the next ten steps of the whole world must stay within 64 KiB
-// per step: message payloads (halo exchanges and the collectives' internal
-// receives alike) come from the world's free list instead of a fresh make
-// per message.
+// per step: a message (halo exchanges and the collectives' internal ones
+// alike) is a loan the receiver copies out of the sender's memory, so none
+// allocates a payload.
 // barrier returns once every rank of c has entered it: a ring Allgather
 // completes on a rank only after every peer's block has arrived.
 func barrier(c *comm.Comm) { c.Allgather(make([]float64, 1), make([]float64, c.Size())) }

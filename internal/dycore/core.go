@@ -405,9 +405,9 @@ const (
 
 // sweep runs kernel k reading src over r and charges its work. Only the
 // smoothing writes a state, dst; D(P) and L̃ write core scratch and take nil.
-// D(P) may write the cache the exchange in flight ships: Begin packed and
-// sent its cells already, and Finish writes only halo cells, which D(P) over
-// the owned block never writes.
+// D(P) may write the cache the exchange in flight lends: before Finish it
+// writes only the inner rect, which no peer reads, and Finish writes only
+// halo cells, which D(P) over the owned block never writes.
 func (c *core) sweep(k kernel, src, dst *state.State, r field.Rect) {
 	switch k {
 	case kernDivP:

@@ -1,6 +1,6 @@
 // Package field provides the distributed field containers of the dynamical
 // core: 3-D and 2-D blocks of a global latitude–longitude mesh with halo
-// (ghost) cells, plus the pack/unpack, boundary-fill and linear-combination
+// (ghost) cells, plus the rect-copy, boundary-fill and linear-combination
 // primitives the operators and the halo-exchange engine are built on.
 //
 // A Block describes the rectangular sub-box of the global mesh owned by one
@@ -103,7 +103,7 @@ func (b Block) Validate() {
 	}
 }
 
-// Rect is a half-open box of global indices, used to describe pack/unpack and
+// Rect is a half-open box of global indices, used to describe exchanged and
 // computation regions.
 type Rect struct {
 	I0, I1, J0, J1, K0, K1 int

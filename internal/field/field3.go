@@ -80,9 +80,6 @@ func (f *F3) XOff(i int) int { return i - f.ox }
 // Origin returns the global index of Data[0].
 func (f *F3) Origin() (i, j, k int) { return f.ox, f.oy, f.oz }
 
-// SameShape reports whether g has an identical block (and therefore layout).
-func (f *F3) SameShape(g *F3) bool { return f.B == g.B }
-
 // FillXPeriodic fills the x halo cells of every stored row by local periodic
 // copy. It is valid only when the block owns the full longitude circle (Y-Z
 // decomposition); otherwise it panics — x halos must then be filled by
@@ -115,46 +112,6 @@ func wrapRow(row []float64, h, nx int) {
 		row[m] = row[nx+m]     // left halo ← rightmost owned
 		row[h+nx+m] = row[h+m] // right halo ← leftmost owned
 	}
-}
-
-// Pack copies the values in the global rect r (which must lie inside the
-// storage region) into dst in row-major (k, j, i) order and returns the
-// number of values written. dst must have capacity r.Count().
-func (f *F3) Pack(r Rect, dst []float64) int {
-	n := r.Count()
-	if n == 0 {
-		return 0
-	}
-	if len(dst) < n {
-		panic(fmt.Sprintf("field: Pack buffer too small: %d < %d", len(dst), n))
-	}
-	w := 0
-	for k := r.K0; k < r.K1; k++ {
-		for j := r.J0; j < r.J1; j++ {
-			base := f.Index(r.I0, j, k)
-			w += copy(dst[w:], f.Data[base:base+(r.I1-r.I0)])
-		}
-	}
-	return w
-}
-
-// Unpack copies src (packed in the same order as Pack) into the global rect.
-func (f *F3) Unpack(r Rect, src []float64) int {
-	n := r.Count()
-	if n == 0 {
-		return 0
-	}
-	if len(src) < n {
-		panic(fmt.Sprintf("field: Unpack buffer too small: %d < %d", len(src), n))
-	}
-	w := 0
-	for k := r.K0; k < r.K1; k++ {
-		for j := r.J0; j < r.J1; j++ {
-			base := f.Index(r.I0, j, k)
-			w += copy(f.Data[base:base+(r.I1-r.I0)], src[w:])
-		}
-	}
-	return w
 }
 
 // CopyRect copies the values of src in rect r into f. Both fields must cover

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func testBlock() Block {
@@ -90,67 +89,6 @@ func TestF3OutOfBoundsPanics(t *testing.T) {
 		}
 	}()
 	f.At(0, 8, 1) // beyond the y halo (6+2 = 8 exclusive)
-}
-
-func TestF3PackUnpackRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	f := NewF3(testBlock())
-	for i := range f.Data {
-		f.Data[i] = rng.NormFloat64()
-	}
-	r := Rect{I0: 2, I1: 7, J0: 3, J1: 6, K0: 1, K1: 3}
-	buf := make([]float64, r.Count())
-	n := f.Pack(r, buf)
-	if n != r.Count() {
-		t.Fatalf("packed %d, want %d", n, r.Count())
-	}
-	g := NewF3(testBlock())
-	g.Unpack(r, buf)
-	for k := r.K0; k < r.K1; k++ {
-		for j := r.J0; j < r.J1; j++ {
-			for i := r.I0; i < r.I1; i++ {
-				if g.At(i, j, k) != f.At(i, j, k) {
-					t.Fatalf("mismatch at (%d,%d,%d)", i, j, k)
-				}
-			}
-		}
-	}
-}
-
-func TestPackUnpackProperty(t *testing.T) {
-	// Property: Unpack(Pack(rect)) restores exactly the rect, for random
-	// rects inside the storage region.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		b := testBlock()
-		src := NewF3(b)
-		for i := range src.Data {
-			src.Data[i] = rng.NormFloat64()
-		}
-		w := b.WithHalo()
-		i0 := w.I0 + rng.Intn(4)
-		j0 := w.J0 + rng.Intn(3)
-		k0 := w.K0 + rng.Intn(2)
-		r := Rect{I0: i0, I1: i0 + 1 + rng.Intn(w.I1-i0), J0: j0, J1: j0 + 1 + rng.Intn(w.J1-j0),
-			K0: k0, K1: k0 + 1 + rng.Intn(w.K1-k0)}
-		buf := make([]float64, r.Count())
-		src.Pack(r, buf)
-		dst := NewF3(b)
-		dst.Unpack(r, buf)
-		for k := r.K0; k < r.K1; k++ {
-			for j := r.J0; j < r.J1; j++ {
-				for i := r.I0; i < r.I1; i++ {
-					if dst.At(i, j, k) != src.At(i, j, k) {
-						return false
-					}
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
 }
 
 // storageFills runs a test of one of the unbounded fills twice: through the
@@ -380,16 +318,14 @@ func TestF2Basics(t *testing.T) {
 		t.Error("clone differs")
 	}
 	r := Rect{I0: 1, I1: 5, J0: 2, J1: 5, K0: 1, K1: 3}
-	buf := make([]float64, r.Flat2D().Count())
-	f.Pack(r.Flat2D(), buf)
 	h := NewF2(testBlock())
-	h.Unpack(r.Flat2D(), buf)
+	h.CopyRect(r.Flat2D(), &f.F3)
 	if h.At(3, 4) != 6 {
-		t.Error("F2 pack/unpack failed")
+		t.Error("F2 CopyRect failed")
 	}
 	// A rect of the 3-D block's levels is not flattened: it fails loudly.
-	if !panics(func() { f.Pack(r, make([]float64, r.Count())) }) {
-		t.Error("F2 packed a rect outside its level")
+	if !panics(func() { h.CopyRect(r, &f.F3) }) {
+		t.Error("F2 copied a rect outside its level")
 	}
 }
 
@@ -595,7 +531,7 @@ func oneLevelBlocks() []Block {
 // one-level F3 on its block's footprint (Block.Flat2D). On each shape of
 // oneLevelBlocks, NewF2 lays Data out and Index addresses it as that F3 does,
 // and the kept 2-D entry points — FillPolesY2, the shifted mirror on the
-// level, CopyRect and Pack/Unpack — give bitwise the data and counts of the
+// level and CopyRect — give bitwise the data and counts of the
 // 3-D routines on a separately built one-level F3 holding the same values.
 // The pole ghosts also match the mirror formulas f(−1−m) = f(m) and
 // f(Ny+m) = f(Ny−1−m), read from the antipodal longitude when shifted.
@@ -669,18 +605,8 @@ func TestF2IsOneLevelF3(t *testing.T) {
 		f3.CopyRect(r.Flat2D(), src3)
 		same("CopyRect")
 
-		buf2, buf3 := make([]float64, r.Flat2D().Count()), make([]float64, r.Flat2D().Count())
-		n2, n3 := f2.Pack(r.Flat2D(), buf2), f3.Pack(r.Flat2D(), buf3)
-		if n2 != n3 || n2 != r.Flat2D().Count() {
-			t.Fatalf("%s: Pack counts F2 %d, one-level F3 %d, rect %d", name, n2, n3, r.Flat2D().Count())
-		}
-		f2, f3 = NewF2(b), NewF3(b.Flat2D())
-		if n2, n3 := f2.Unpack(r.Flat2D(), buf2), f3.Unpack(r.Flat2D(), buf3); n2 != n3 {
-			t.Fatalf("%s: Unpack counts F2 %d, one-level F3 %d", name, n2, n3)
-		}
-		same("Pack/Unpack")
-		if !panics(func() { f2.Pack(r, make([]float64, r.Count())) }) {
-			t.Fatalf("%s: F2 packed a rect of levels [%d,%d)", name, r.K0, r.K1)
+		if !panics(func() { f2.CopyRect(r, &src2.F3) }) {
+			t.Fatalf("%s: F2 copied a rect of levels [%d,%d)", name, r.K0, r.K1)
 		}
 	}
 }

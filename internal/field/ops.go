@@ -63,7 +63,9 @@ func MidRect(dst, x *F3, dt float64, y *F3, r Rect) {
 // MaxAbsDiffOwned returns max |a − b| over the owned region. Shapes must
 // match.
 func MaxAbsDiffOwned(a, b *F3) float64 {
-	mustSameShape(a, b)
+	if a.B != b.B {
+		panic("field: shape mismatch")
+	}
 	r := a.B.Owned()
 	m := 0.0
 	for k := r.K0; k < r.K1; k++ {
@@ -94,12 +96,6 @@ func AllFiniteOwned(f *F3) bool {
 		}
 	}
 	return true
-}
-
-func mustSameShape(a, b *F3) {
-	if !a.SameShape(b) {
-		panic("field: shape mismatch")
-	}
 }
 
 // mustStore panics unless f's storage contains the non-empty rect r. The

@@ -321,6 +321,34 @@ func TestMigrationResumesAcrossBackends(t *testing.T) {
 // one-backend coordinator, a submission over quota gets the backend's 429 +
 // Retry-After passed through, another tenant is admitted, and an ensemble
 // that does not fit whole is refused with every member it placed cancelled.
+// TestBlownUpJobCompletes: a backend job whose state went non-finite is
+// read by the coordinator like any other — completed, all_finite 0 — and
+// the coordinator's job list still decodes that backend.
+func TestBlownUpJobCompletes(t *testing.T) {
+	h := newFleetHarness(t, 1, 1, 4, nil, nil)
+	spec := server.JobSpec{Alg: "yz", Nx: 48, Ny: 24, Nz: 8, PA: 2, PB: 2, M: 2, Steps: 4, Dt1: 3000, Dt2: 18000}
+	resp := h.postJSON(t, "/jobs", spec, "")
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d", resp.StatusCode)
+	}
+	info := h.waitJob(t, decodeInfo(t, resp).ID, string(server.JCompleted), 60*time.Second)
+	if d := info.Diagnostics; d["all_finite"] != 0 || len(d) == 0 {
+		t.Fatalf("coordinator's diagnostics = %v, want all_finite 0", d)
+	}
+	lresp, err := http.Get(h.cts.URL + "/jobs")
+	if err != nil || lresp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /jobs: %v status %d", err, lresp.StatusCode)
+	}
+	var list struct {
+		Jobs []JobInfo `json:"jobs"`
+	}
+	err = json.NewDecoder(lresp.Body).Decode(&list)
+	lresp.Body.Close()
+	if err != nil || len(list.Jobs) != 1 || list.Jobs[0].State != string(server.JCompleted) {
+		t.Fatalf("coordinator job list: %v %+v", err, list.Jobs)
+	}
+}
+
 func TestTenantQuotaRejects(t *testing.T) {
 	h := newFleetHarness(t, 1, 1, 8, func(cfg *server.Config) {
 		cfg.Quotas = map[string]int{"greedy": 2, "bystander": 3}

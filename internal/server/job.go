@@ -12,6 +12,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -555,13 +556,15 @@ func (j *Job) getPlan() *tune.Plan {
 	return j.plan
 }
 
-// diagnostics computes the physical health summary of a finished run.
+// diagnostics computes the physical health summary of a finished run. JSON
+// has no NaN or ±Inf, so a value a blown-up run leaves non-finite is dropped
+// (all_finite then reads 0) rather than making the job's status unencodable.
 func diagnostics(g *grid.Grid, finals []*state.State) map[string]float64 {
 	finite := 0.0
 	if diag.AllFinite(finals) {
 		finite = 1
 	}
-	return map[string]float64{
+	d := map[string]float64{
 		"all_finite":                finite,
 		"mean_surface_pressure_hpa": diag.MeanSurfacePressure(g, finals) / 100,
 		"global_dry_mass_kg":        diag.GlobalDryMass(g, finals),
@@ -569,4 +572,10 @@ func diagnostics(g *grid.Grid, finals []*state.State) map[string]float64 {
 		"kinetic_energy":            diag.KineticEnergy(g, finals),
 		"available_energy":          diag.AvailableEnergy(g, finals),
 	}
+	for k, v := range d {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			delete(d, k)
+		}
+	}
+	return d
 }

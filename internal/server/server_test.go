@@ -204,6 +204,49 @@ func TestSubmitRunsToCompletion(t *testing.T) {
 	resp.Body.Close()
 }
 
+// blowUpSpec is a job whose state goes non-finite within its few steps: a
+// baseline-YZ run at ten times the default time steps.
+func blowUpSpec() JobSpec {
+	spec := smallSpec(4)
+	spec.Dt1, spec.Dt2 = 3000, 18000
+	return spec
+}
+
+// TestBlownUpJobStatusReadable: a job that completes with a non-finite
+// state reports all_finite 0 and drops the non-finite diagnostics, so its
+// status and every job list holding it still encode (200, not 500).
+func TestBlownUpJobStatusReadable(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, QueueCap: 2})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	st := decodeStatus(t, postJSON(t, ts, "/jobs", blowUpSpec()))
+	waitState(t, s, st.ID, JCompleted)
+
+	resp, err := http.Get(ts.URL + "/jobs/" + st.ID)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET job of a blown-up run: %v status %d", err, resp.StatusCode)
+	}
+	got := decodeStatus(t, resp)
+	if d := got.Diagnostics; d["all_finite"] != 0 || len(d) == 0 {
+		t.Fatalf("diagnostics = %v, want all_finite 0", d)
+	}
+	if _, ok := got.Diagnostics["kinetic_energy"]; ok {
+		t.Errorf("non-finite kinetic_energy reported: %v", got.Diagnostics)
+	}
+	resp, err = http.Get(ts.URL + "/jobs")
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET jobs holding a blown-up run: %v status %d", err, resp.StatusCode)
+	}
+	var list struct {
+		Jobs []JobStatus `json:"jobs"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&list)
+	resp.Body.Close()
+	if err != nil || len(list.Jobs) != 1 || list.Jobs[0].State != JCompleted {
+		t.Fatalf("job list: %v %+v", err, list.Jobs)
+	}
+}
+
 func TestSubmitValidation(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, QueueCap: 2})
 	ts := httptest.NewServer(s)

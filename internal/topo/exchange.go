@@ -19,19 +19,19 @@ import (
 // paper counts ≈20 point-to-point operations per communication because ξ has
 // ten components).
 type Exchanger struct {
-	t        *Topology
-	d        Depths
-	bandY    int    // >0: restrict traffic to the sender's y-edge bands
-	peers    []peer // F3 exchange partners, sorted by rank
-	peers2   []peer // F2 exchange partners (horizontal footprint, same Cz)
-	maxCount int    // largest single-field message length (for buffers)
+	t     *Topology
+	d     Depths
+	bandY int     // >0: restrict traffic to the sender's y-edge bands
+	f3    traffic // F3 exchange partners, sorted by rank
+	f2    traffic // F2 exchange partners (horizontal footprint, same Cz)
 
-	// Persistent pack/unpack buffers and Pending, so steady-state exchanges
-	// allocate nothing. At most one exchange may be outstanding per
-	// Exchanger (Begin … Finish); integrators satisfy this by construction.
-	sendBuf, recvBuf []float64
-	levels           []*field.F3 // the 2-D fields' levels of the exchange in flight
-	pend             Pending
+	// The exchange in flight: at most one per Exchanger (Begin … Finish),
+	// which integrators satisfy by construction and Begin enforces. Its
+	// messages are loans of the fields' own storage, settled in Finish.
+	busy   bool
+	loans  comm.Loans
+	levels []*field.F3 // the 2-D fields' levels
+	pend   Pending
 
 	stats ExchStats
 }
@@ -60,8 +60,58 @@ type peer struct {
 	rank      int
 	sendRects []field.Rect
 	recvRects []field.Rect
-	sendN     int
-	recvN     int
+}
+
+// traffic is the exchange pattern of one field dimension: its peers, and the
+// run lists of every storage layout exchanged so far.
+type traffic struct {
+	peers   []peer
+	layouts []layout
+}
+
+// layout holds, for one storage region (F3.B.WithHalo()), the runs of the
+// field's Data that each peer's rects cover, indexed like the peers: what
+// this rank lends and what it receives into. A rect is walked row by row in
+// (k, j) order, so the run lists of the two sides pair up like the rects.
+type layout struct {
+	stored     field.Rect
+	send, recv [][]comm.Run
+}
+
+// runsOf returns the run lists of f's storage layout, building them on the
+// layout's first exchange.
+func (tr *traffic) runsOf(f *field.F3) *layout {
+	stored := f.B.WithHalo()
+	for i := range tr.layouts {
+		if tr.layouts[i].stored == stored {
+			return &tr.layouts[i]
+		}
+	}
+	l := layout{stored: stored, send: make([][]comm.Run, len(tr.peers)), recv: make([][]comm.Run, len(tr.peers))}
+	for i, pr := range tr.peers {
+		l.send[i], l.recv[i] = rectRuns(f, pr.sendRects), rectRuns(f, pr.recvRects)
+	}
+	tr.layouts = append(tr.layouts, l)
+	return &tr.layouts[len(tr.layouts)-1]
+}
+
+// rectRuns returns the runs of f.Data holding the rects' cells in row-major
+// (k, j, i) order, rect after rect, merging rows that are adjacent in storage.
+func rectRuns(f *field.F3, rects []field.Rect) []comm.Run {
+	var runs []comm.Run
+	for _, rc := range rects {
+		for k := rc.K0; k < rc.K1; k++ {
+			for j := rc.J0; j < rc.J1; j++ {
+				off, n := f.Index(rc.I0, j, k), rc.I1-rc.I0
+				if last := len(runs) - 1; last >= 0 && runs[last].Off+runs[last].Len == off {
+					runs[last].Len += n
+				} else {
+					runs = append(runs, comm.Run{Off: off, Len: n})
+				}
+			}
+		}
+	}
+	return runs
 }
 
 // Depths gives the halo depth per direction and side. Asymmetric depths
@@ -105,14 +155,11 @@ func (t *Topology) NewBandExchangerY(d Depths, band int) *Exchanger {
 
 func (t *Topology) newExchanger(d Depths, bandY int) *Exchanger {
 	e := &Exchanger{t: t, d: d, bandY: bandY}
-	e.peers = t.walkPeers(d, bandY, false)
-	for _, pr := range e.peers {
-		e.maxCount = max(e.maxCount, pr.sendN, pr.recvN)
-	}
+	e.f3.peers = t.walkPeers(d, bandY, false)
 	// 2-D fields: horizontal traffic among ranks of the same Cz plane.
-	e.peers2 = t.walkPeers(d, bandY, true)
-	e.mustFitStorage(e.peers, t.Block.WithHalo())
-	e.mustFitStorage(e.peers2, t.Block.WithHalo().Flat2D())
+	e.f2.peers = t.walkPeers(d, bandY, true)
+	e.mustFitStorage(e.f3.peers, t.Block.WithHalo())
+	e.mustFitStorage(e.f2.peers, t.Block.WithHalo().Flat2D())
 	return e
 }
 
@@ -144,7 +191,6 @@ func (t *Topology) walkPeers(d Depths, bandY int, flat bool) []peer {
 			for _, mine := range bandRestrict(myOwned, b, bandY) {
 				if inter := shiftX(mine, s).Intersect(rHalo); !inter.Empty() {
 					pr.sendRects = append(pr.sendRects, shiftX(inter, -s)) // back to my real coords
-					pr.sendN += inter.Count()
 				}
 			}
 			// What I receive from r: r's owned data lying in my halo when
@@ -152,7 +198,6 @@ func (t *Topology) walkPeers(d Depths, bandY int, flat bool) []peer {
 			for _, theirs := range bandRestrict(rOwned, rb, bandY) {
 				if inter := shiftX(theirs, s).Intersect(myHalo); !inter.Empty() {
 					pr.recvRects = append(pr.recvRects, inter) // my extended coords
-					pr.recvN += inter.Count()
 				}
 			}
 		}
@@ -210,24 +255,11 @@ func bandRestrict(owned field.Rect, b field.Block, band int) []field.Rect {
 // ghost cells are boundary-filled, not communicated) but unclamped in the
 // periodic x direction.
 func haloRect(b field.Block, d Depths) field.Rect {
-	r := field.Rect{
+	return field.Rect{
 		I0: b.I0 - d.X, I1: b.I1 + d.X,
-		J0: b.J0 - d.YLo, J1: b.J1 + d.YHi,
-		K0: b.K0 - d.ZLo, K1: b.K1 + d.ZHi,
+		J0: max(b.J0-d.YLo, 0), J1: min(b.J1+d.YHi, b.Ny),
+		K0: max(b.K0-d.ZLo, 0), K1: min(b.K1+d.ZHi, b.Nz),
 	}
-	if r.J0 < 0 {
-		r.J0 = 0
-	}
-	if r.J1 > b.Ny {
-		r.J1 = b.Ny
-	}
-	if r.K0 < 0 {
-		r.K0 = 0
-	}
-	if r.K1 > b.Nz {
-		r.K1 = b.Nz
-	}
-	return r
 }
 
 // xShifts returns the periodic image shifts to consider. Without x
@@ -266,49 +298,52 @@ func (e *Exchanger) SetLabel(label string) *Exchanger {
 func (e *Exchanger) Stats() ExchStats { return e.stats }
 
 // Begin posts all sends of one halo exchange: for every peer, one message
-// per 3-D field (tag = field index) and one per 2-D field. Payloads for
-// multiple rectangles to the same peer are concatenated in rect order. A 2-D
-// field travels as its one level on the peers2 rects (flattened at
-// construction), since its peers are those of its z plane.
+// per 3-D field (tag = field index) and one per 2-D field, each a loan of the
+// field's cells in the peer's send rects, in rect order. A 2-D field travels
+// as its one level on the f2 rects (flattened at construction), since its
+// peers are those of its z plane.
+//
+// The contract of a loan: between Begin and the return of Finish the rank
+// must not write the owned cells it sends (the edge cells within the
+// exchange depths of its block); peers copy them straight out of its fields.
+// Cells no peer reads — the inner rect an overlapped sweep writes — and the
+// halo cells are free. A second Begin before Finish panics.
 func (e *Exchanger) Begin(f3s []*field.F3, f2s []*field.F2) *Pending {
+	if e.busy {
+		panic(fmt.Sprintf("topo: Begin on exchanger %q with an exchange already in flight", e.stats.Label))
+	}
+	e.busy = true
 	c := e.t.World
 	prev := c.SetCategory(comm.CatStencil)
 	defer c.SetCategory(prev)
 	t0 := c.Stats().CommTime[comm.CatStencil]
-	if len(e.sendBuf) < e.maxCount {
-		e.sendBuf = make([]float64, e.maxCount)
-	}
 	e.levels = e.levels[:0]
 	for _, f := range f2s {
 		e.levels = append(e.levels, &f.F3)
 	}
-	e.post(e.peers, f3s, tagF3Base)
-	e.post(e.peers2, e.levels, tagF2Base)
+	e.lend(&e.f3, f3s, tagF3Base)
+	e.lend(&e.f2, e.levels, tagF2Base)
 	e.stats.Begins++
 	e.stats.ExposedSec += c.Stats().CommTime[comm.CatStencil] - t0
 	e.pend = Pending{e: e, f3s: f3s, f2s: e.levels}
 	return &e.pend
 }
 
-// post sends each peer one message per field: the field's values in the
-// peer's send rects, packed in rect order.
-func (e *Exchanger) post(peers []peer, fs []*field.F3, tagBase int) {
-	buf := e.sendBuf
-	for _, pr := range peers {
+// lend sends each peer one message per field: a loan of the field's cells in
+// the peer's send rects.
+func (e *Exchanger) lend(tr *traffic, fs []*field.F3, tagBase int) {
+	for i, pr := range tr.peers {
 		for fi, f := range fs {
-			n := 0
-			for _, rc := range pr.sendRects {
-				n += f.Pack(rc, buf[n:])
-			}
-			if n > 0 {
-				e.t.World.Send(pr.rank, tagBase+fi, buf[:n])
+			if runs := tr.runsOf(f).send[i]; runs != nil {
+				e.t.World.Lend(pr.rank, tagBase+fi, f.Data, runs, &e.loans)
 			}
 		}
 	}
 }
 
-// Finish drains all receives of the exchange and unpacks them into the halo
-// regions.
+// Finish receives every message of the exchange straight into the halo
+// cells, then waits until the peers have copied out everything this rank
+// lent, so its sent cells are writable again when Finish returns.
 func (p *Pending) Finish() {
 	e := p.e
 	c := e.t.World
@@ -316,30 +351,22 @@ func (p *Pending) Finish() {
 	defer c.SetCategory(prev)
 	s0 := c.Stats()
 	t0, h0 := s0.CommTime[comm.CatStencil], s0.HiddenTime[comm.CatStencil]
-	if len(e.recvBuf) < e.maxCount {
-		e.recvBuf = make([]float64, e.maxCount)
-	}
-	e.drain(e.peers, p.f3s, tagF3Base)
-	e.drain(e.peers2, p.f2s, tagF2Base)
+	e.receive(&e.f3, p.f3s, tagF3Base)
+	e.receive(&e.f2, p.f2s, tagF2Base)
+	e.loans.Wait()
+	e.busy = false
 	s1 := c.Stats()
 	e.stats.Finishes++
 	e.stats.ExposedSec += s1.CommTime[comm.CatStencil] - t0
 	e.stats.HiddenSec += s1.HiddenTime[comm.CatStencil] - h0
 }
 
-// drain receives each peer's message per field and unpacks it into the
-// peer's recv rects.
-func (e *Exchanger) drain(peers []peer, fs []*field.F3, tagBase int) {
-	buf := e.recvBuf
-	for _, pr := range peers {
-		if pr.recvN == 0 {
-			continue
-		}
+// receive copies each peer's message per field into the peer's recv rects.
+func (e *Exchanger) receive(tr *traffic, fs []*field.F3, tagBase int) {
+	for i, pr := range tr.peers {
 		for fi, f := range fs {
-			e.t.World.RecvInto(pr.rank, tagBase+fi, buf[:pr.recvN])
-			n := 0
-			for _, rc := range pr.recvRects {
-				n += f.Unpack(rc, buf[n:])
+			if runs := tr.runsOf(f).recv[i]; runs != nil {
+				e.t.World.RecvRuns(pr.rank, tagBase+fi, f.Data, runs)
 			}
 		}
 	}

@@ -124,13 +124,10 @@ func (t *Topology) yRange(cy int) (j0, j1 int) {
 // it reflects the uniform partition when no explicit one was given.
 func (t *Topology) RowStarts() []int {
 	starts := make([]int, t.Py+1)
-	for cy := 0; cy <= t.Py; cy++ {
-		if cy < t.Py {
-			starts[cy], _ = t.yRange(cy)
-		} else {
-			starts[cy] = t.G.Ny
-		}
+	for cy := 0; cy < t.Py; cy++ {
+		starts[cy], _ = t.yRange(cy)
 	}
+	starts[t.Py] = t.G.Ny
 	return starts
 }
 
@@ -172,11 +169,6 @@ func (t *Topology) BlockOf(rank int) field.Block {
 		K0: cz * g.Nz / t.Pz, K1: (cz + 1) * g.Nz / t.Pz,
 		Hx: t.Block.Hx, Hy: t.Block.Hy, Hz: t.Block.Hz,
 	}
-}
-
-// RankAt returns the rank at process-grid coordinates.
-func (t *Topology) RankAt(cx, cy, cz int) int {
-	return (cz*t.Py+cy)*t.Px + cx
 }
 
 // String implements fmt.Stringer.

@@ -18,7 +18,7 @@ func TestTopologyLayout(t *testing.T) {
 	w.Run(func(c *comm.Comm) {
 		tp := New(c, g, px, py, pz, 1, 1, 1)
 		// Coordinates roundtrip.
-		if tp.RankAt(tp.Cx, tp.Cy, tp.Cz) != c.Rank() {
+		if (tp.Cz*tp.Py+tp.Cy)*tp.Px+tp.Cx != c.Rank() {
 			t.Errorf("rank %d: coords roundtrip failed", c.Rank())
 		}
 		if r := c.Rank(); tp.Cx != r%px || tp.Cy != (r/px)%py || tp.Cz != r/(px*py) {
@@ -150,8 +150,8 @@ func TestDeepExchangeSpansMultipleBlocks(t *testing.T) {
 		f := field.NewF3(tp.Block)
 		fillOwned(g, f)
 		ex := tp.NewExchanger(0, 5, 0)
-		if c.Rank() == 2 && len(ex.peers) < 4 {
-			t.Errorf("deep halo should span ≥4 peers, got %d", len(ex.peers))
+		if c.Rank() == 2 && len(ex.f3.peers) < 4 {
+			t.Errorf("deep halo should span ≥4 peers, got %d", len(ex.f3.peers))
 		}
 		ex.Exchange([]*field.F3{f}, nil)
 		checkHalo(t, g, f, 0, 5, 0)
@@ -247,44 +247,75 @@ func TestExchangeF2MatchesOneLevelMesh(t *testing.T) {
 }
 
 func TestOverlappedExchangeEquivalent(t *testing.T) {
-	// Begin/Finish must deliver exactly what blocking Exchange does.
-	g := grid.New(16, 12, 6)
-	const py, pz = 3, 2
+	// Begin/Finish must deliver exactly what blocking Exchange does while the
+	// rank writes, between the two, the cells no peer reads: its inner rect
+	// (the overlapped sweep's) and its halo. Messages are loans of the owned
+	// edge cells, so those inner writes must neither reach a peer nor be
+	// lost.
+	g := grid.New(16, 24, 12)
+	const py, pz, d = 3, 2, 2 // blocks of 8 rows × 6 levels; 2-deep halos
 	w := comm.NewWorld(py*pz, comm.Zero())
 	w.Run(func(c *comm.Comm) {
-		tp := New(c, g, 1, py, pz, 0, 2, 2)
+		tp := New(c, g, 1, py, pz, 0, d, d)
 		f := field.NewF3(tp.Block)
 		fillOwned(g, f)
-		ex := tp.NewExchanger(0, 2, 2)
+		ex := tp.NewExchanger(0, d, d)
 		pend := ex.Begin([]*field.F3{f}, nil)
-		// Mutate owned data between Begin and Finish: messages must carry
-		// the values from Begin time (buffered-send semantics).
 		b := tp.Block
-		f.Set(b.I0, b.J0, b.K0, -12345)
+		inner := field.Rect{I0: b.I0, I1: b.I1, J0: b.J0 + d, J1: b.J1 - d, K0: b.K0 + d, K1: b.K1 - d}
+		for k := inner.K0; k < inner.K1; k++ {
+			for j := inner.J0; j < inner.J1; j++ {
+				for i := inner.I0; i < inner.I1; i++ {
+					f.Set(i, j, k, -12345)
+				}
+			}
+		}
 		pend.Finish()
-		// Our halo must hold the neighbors' pre-mutation values (the
-		// mutation happened after Begin, and sends are buffered).
-		for k := b.K0 - 2; k < b.K1+2; k++ {
+		for k := b.K0 - d; k < b.K1+d; k++ {
 			if k < 0 || k >= g.Nz {
 				continue
 			}
-			for j := b.J0 - 2; j < b.J1+2; j++ {
+			for j := b.J0 - d; j < b.J1+d; j++ {
 				if j < 0 || j >= g.Ny {
 					continue
 				}
-				if b.Owned().Contains(0, j, k) {
-					continue // skip owned rows (one point was mutated)
-				}
 				for i := 0; i < g.Nx; i++ {
-					if got, want := f.At(i, j, k), encode(g, i, j, k); got != want {
-						t.Fatalf("halo (%d,%d,%d): got %v want %v", i, j, k, got, want)
+					want := encode(g, i, j, k)
+					if inner.Contains(i, j, k) {
+						want = -12345
+					}
+					if got := f.At(i, j, k); got != want {
+						t.Fatalf("(%d,%d,%d): got %v want %v", i, j, k, got, want)
 					}
 				}
 			}
 		}
-		if got := f.At(b.I0, b.J0, b.K0); got != -12345 {
-			t.Errorf("local mutation lost: %v", got)
-		}
+	})
+}
+
+// TestBeginWhileInFlightPanics: an Exchanger runs one exchange at a time; a
+// second Begin before Finish would merge two rounds' loans, so it panics,
+// and the exchanger is usable again once the first round finishes.
+func TestBeginWhileInFlightPanics(t *testing.T) {
+	g := grid.New(16, 12, 6)
+	w := comm.NewWorld(2, comm.Zero())
+	w.Run(func(c *comm.Comm) {
+		tp := New(c, g, 1, 2, 1, 0, 1, 0)
+		f := field.NewF3(tp.Block)
+		fillOwned(g, f)
+		ex := tp.NewExchanger(0, 1, 0).SetLabel("twice")
+		pend := ex.Begin([]*field.F3{f}, nil)
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, `"twice"`) {
+					t.Errorf("second Begin: recovered %q, want a panic naming the exchanger", msg)
+				}
+			}()
+			ex.Exchange([]*field.F3{f}, nil) // its Begin panics
+		}()
+		pend.Finish()
+		ex.Exchange([]*field.F3{f}, nil)
+		checkHalo(t, g, f, 0, 1, 0)
 	})
 }
 
@@ -358,8 +389,8 @@ func TestEightNeighborsInPlane(t *testing.T) {
 		tp := New(c, g, 1, py, pz, 0, 1, 1)
 		ex := tp.NewExchanger(0, 1, 1)
 		interior := tp.Cy > 0 && tp.Cy < py-1 && tp.Cz > 0 && tp.Cz < pz-1
-		if interior && len(ex.peers) != 8 {
-			t.Errorf("interior rank (%d,%d) has %d peers, want 8", tp.Cy, tp.Cz, len(ex.peers))
+		if interior && len(ex.f3.peers) != 8 {
+			t.Errorf("interior rank (%d,%d) has %d peers, want 8", tp.Cy, tp.Cz, len(ex.f3.peers))
 		}
 	})
 }
@@ -445,6 +476,119 @@ func TestExchangerGeometryValidatedAgainstStorage(t *testing.T) {
 		msg = refused(func() { tp.NewExchangerD(Depths{YLo: hy + 1, YHi: hy}) })
 		if north := tp.Cy == 0; north != (msg == "") {
 			t.Errorf("rank %d (cy=%d): YLo=%d refused=%v: %s", c.Rank(), tp.Cy, hy+1, msg != "", msg)
+		}
+	})
+}
+
+// TestRectRunsProperty: the run lists an exchange lends and receives through
+// hold exactly a rect's cells, in row-major (k, j, i) order, rect after rect,
+// with rows that touch in storage merged — for random rects inside the
+// storage region of a deep-halo block.
+func TestRectRunsProperty(t *testing.T) {
+	b := field.Block{Nx: 12, Ny: 10, Nz: 6, I0: 0, I1: 12, J0: 3, J1: 7, K0: 1, K1: 4, Hx: 2, Hy: 3, Hz: 2}
+	f := field.NewF3(b)
+	for n := range f.Data {
+		f.Data[n] = float64(n)
+	}
+	w := b.WithHalo()
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		var rects []field.Rect
+		var want []float64
+		for range 1 + rng.Intn(3) {
+			i0, j0, k0 := w.I0+rng.Intn(w.I1-w.I0), w.J0+rng.Intn(w.J1-w.J0), w.K0+rng.Intn(w.K1-w.K0)
+			r := field.Rect{I0: i0, I1: i0 + 1 + rng.Intn(w.I1-i0), J0: j0, J1: j0 + 1 + rng.Intn(w.J1-j0),
+				K0: k0, K1: k0 + 1 + rng.Intn(w.K1-k0)}
+			if trial%4 == 0 { // whole storage rows, which merge
+				r.I0, r.I1 = w.I0, w.I1
+			}
+			rects = append(rects, r)
+			for k := r.K0; k < r.K1; k++ {
+				for j := r.J0; j < r.J1; j++ {
+					for i := r.I0; i < r.I1; i++ {
+						want = append(want, f.At(i, j, k))
+					}
+				}
+			}
+		}
+		runs := rectRuns(f, rects)
+		var got []float64
+		for n, r := range runs {
+			if n > 0 && runs[n-1].Off+runs[n-1].Len == r.Off {
+				t.Fatalf("trial %d: runs %v and %v touch but were not merged", trial, runs[n-1], r)
+			}
+			got = append(got, f.Data[r.Off:r.Off+r.Len]...)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: rects %v: runs %v carry %v, want %v", trial, rects, runs, got, want)
+		}
+	}
+}
+
+// TestRectRunsRoundTrip: a rect lent through its run lists on one storage
+// layout and received through its run lists on another arrives exactly, and
+// no cell of the receiver outside the rect is written.
+func TestRectRunsRoundTrip(t *testing.T) {
+	sb := field.Block{Nx: 12, Ny: 8, Nz: 4, I0: 0, I1: 12, J0: 2, J1: 6, K0: 1, K1: 3, Hx: 2, Hy: 2, Hz: 1}
+	rb := field.Block{Nx: 12, Ny: 8, Nz: 4, I0: 0, I1: 12, J0: 3, J1: 5, K0: 1, K1: 3, Hx: 2, Hy: 3, Hz: 1}
+	r := field.Rect{I0: 2, I1: 7, J0: 3, J1: 6, K0: 1, K1: 3}
+	rng := rand.New(rand.NewSource(1))
+	f, g := field.NewF3(sb), field.NewF3(rb)
+	for n := range f.Data {
+		f.Data[n] = rng.NormFloat64()
+	}
+	for n := range g.Data {
+		g.Data[n] = -1
+	}
+	comm.NewWorld(2, comm.Zero()).Run(func(c *comm.Comm) {
+		rects := []field.Rect{r}
+		if c.Rank() == 0 {
+			var l comm.Loans
+			c.Lend(1, 0, f.Data, rectRuns(f, rects), &l)
+			l.Wait()
+			return
+		}
+		if n := c.RecvRuns(0, 0, g.Data, rectRuns(g, rects)); n != r.Count() {
+			t.Errorf("received %d values, want %d", n, r.Count())
+		}
+	})
+	w := rb.WithHalo()
+	for k := w.K0; k < w.K1; k++ {
+		for j := w.J0; j < w.J1; j++ {
+			for i := w.I0; i < w.I1; i++ {
+				if got, in := g.At(i, j, k), r.Contains(i, j, k); in && got != f.At(i, j, k) || !in && got != -1 {
+					t.Fatalf("(%d,%d,%d): got %v (in rect %v)", i, j, k, got, in)
+				}
+			}
+		}
+	}
+}
+
+// TestExchangeMixedStorageLayouts: one exchange may carry fields stored on
+// different blocks (the dycore keeps each array on the extent it is written
+// and read on); each field is lent and received through its own layout's
+// run lists.
+func TestExchangeMixedStorageLayouts(t *testing.T) {
+	g := grid.New(16, 12, 6)
+	const py, pz = 3, 2
+	w := comm.NewWorld(py*pz, comm.Zero())
+	w.Run(func(c *comm.Comm) {
+		tp := New(c, g, 1, py, pz, 0, 2, 2)
+		wide := tp.Block
+		wide.Hx, wide.Hy, wide.Hz = 2, 3, 3
+		fs := []*field.F3{field.NewF3(tp.Block), field.NewF3(wide), field.NewF3(tp.Block)}
+		ex := tp.NewExchanger(0, 2, 2)
+		for round := 0; round < 2; round++ {
+			for _, f := range fs {
+				fillOwned(g, f)
+			}
+			ex.Exchange(fs, nil)
+			for _, f := range fs {
+				checkHalo(t, g, f, 0, 2, 2)
+			}
+		}
+		if n := len(ex.f3.layouts); n != 2 {
+			t.Errorf("%d storage layouts cached, want 2", n)
 		}
 	})
 }
