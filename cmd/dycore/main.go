@@ -105,13 +105,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	prof := tune.DefaultProfile()
 	if *auto {
 		budget := *procs
 		if budget == 0 {
 			budget = *pa * *pb
 		}
-		planner := &tune.Planner{Profile: prof}
+		planner := &tune.Planner{Profile: tune.DefaultProfile()}
 		plan, err := planner.Plan(g, budget, cfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "autotune:", err)
@@ -160,11 +159,11 @@ func main() {
 	}
 
 	// Every mode is one supervised run: balance.Run restarts crashed segments
-	// from the latest snapshot and migrates when -rebalance supplies a
-	// controller; -save-every is its snapshot cadence and sink.
+	// from the latest snapshot and, under -rebalance, migrates; -save-every
+	// is its snapshot cadence and sink.
 	spec := balance.RunSpec{
 		Grid: g, Model: comm.TianheLike(), Init: init, Steps: *steps, Hook: hook,
-		Setup: set, Faults: inj, MaxRestarts: *maxRestarts,
+		Setup: set, Rebalance: *rebalance, Faults: inj, MaxRestarts: *maxRestarts,
 		SnapshotEvery: *saveEvery, Traced: *timeline,
 	}
 	if *saveEvery > 0 {
@@ -174,14 +173,6 @@ func main() {
 				os.Exit(1)
 			}
 			fmt.Printf("checkpoint written to %s at step %d\n", *saveFile, step)
-		}
-	}
-	if *rebalance {
-		var err error
-		spec.Controller, err = balance.NewController(balance.Policy{}, g, prof, *steps, set)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rebalance:", err)
-			os.Exit(1)
 		}
 	}
 	out, err := balance.Run(spec)

@@ -16,12 +16,6 @@ import (
 	"cadycore/internal/tune"
 )
 
-// soakPolicy reacts within one window so the soak tests stay fast; the
-// defaults (window 4, patience 2) are tuned for long production runs.
-func soakPolicy() Policy {
-	return Policy{Window: 4, Patience: 1, Cooldown: 1}
-}
-
 func stragglerPlan(scale float64) fault.Plan {
 	return fault.Plan{Seed: 1, Stragglers: []fault.Straggler{{Rank: 3, Scale: scale}}}
 }
@@ -57,12 +51,8 @@ func TestRebalanceUnderStragglerYZ(t *testing.T) {
 		t.Fatalf("straggler did not slow the static run: %g <= %g", static.Agg.SimTime, ref.Agg.SimTime)
 	}
 
-	ctl, err := NewController(soakPolicy(), g, tune.ProfileFromModel(model), steps, set)
-	if err != nil {
-		t.Fatalf("NewController: %v", err)
-	}
 	out, err := Run(RunSpec{Grid: g, Model: model, Init: heldsuarez.InitialState, Steps: steps,
-		Controller: ctl, Faults: fault.New(stragglerPlan(10)), MaxRestarts: 2})
+		Setup: set, Rebalance: true, Faults: fault.New(stragglerPlan(10)), MaxRestarts: 2})
 	if err != nil {
 		t.Fatalf("rebalanced run: %v", err)
 	}
@@ -70,7 +60,7 @@ func TestRebalanceUnderStragglerYZ(t *testing.T) {
 		t.Fatalf("rebalanced run completed %d of %d steps", out.StepsDone, steps)
 	}
 	if len(out.Migrations) == 0 {
-		t.Fatalf("no migration under a 10x straggler (last ratio %.3f)", ctl.Snapshot().LastRatio)
+		t.Fatalf("no migration under a 10x straggler (last ratio %.3f)", out.Rebalance.LastRatio)
 	}
 	for _, m := range out.Migrations {
 		if m.PredictedGain <= m.Cost {
@@ -107,12 +97,8 @@ func TestRebalanceUnderStragglerCA(t *testing.T) {
 
 	ref := dycore.Run(set, g, model, heldsuarez.InitialState, steps)
 
-	ctl, err := NewController(soakPolicy(), g, tune.ProfileFromModel(model), steps, set)
-	if err != nil {
-		t.Fatalf("NewController: %v", err)
-	}
 	out, err := Run(RunSpec{Grid: g, Model: model, Init: heldsuarez.InitialState, Steps: steps,
-		Controller: ctl, Faults: fault.New(stragglerPlan(3)), MaxRestarts: 2})
+		Setup: set, Rebalance: true, Faults: fault.New(stragglerPlan(3)), MaxRestarts: 2})
 	if err != nil {
 		t.Fatalf("rebalanced run: %v", err)
 	}
@@ -120,7 +106,7 @@ func TestRebalanceUnderStragglerCA(t *testing.T) {
 		t.Fatalf("rebalanced run completed %d of %d steps", out.StepsDone, steps)
 	}
 	if len(out.Migrations) == 0 {
-		t.Fatalf("no migration under a 3x straggler (last ratio %.3f)", ctl.Snapshot().LastRatio)
+		t.Fatalf("no migration under a 3x straggler (last ratio %.3f)", out.Rebalance.LastRatio)
 	}
 	scale := 0.0
 	for _, v := range dycore.FlattenState(g, ref.Finals) {
@@ -144,18 +130,14 @@ func TestNoImbalanceNoMigration(t *testing.T) {
 
 	ref := dycore.Run(set, g, model, heldsuarez.InitialState, steps)
 
-	ctl, err := NewController(soakPolicy(), g, tune.ProfileFromModel(model), steps, set)
-	if err != nil {
-		t.Fatalf("NewController: %v", err)
-	}
-	out, err := Run(RunSpec{Grid: g, Model: model, Init: heldsuarez.InitialState, Steps: steps, Controller: ctl})
+	out, err := Run(RunSpec{Grid: g, Model: model, Init: heldsuarez.InitialState, Steps: steps, Setup: set, Rebalance: true})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if len(out.Migrations) != 0 {
-		t.Fatalf("balanced run migrated: %+v (last ratio %.3f)", out.Migrations, ctl.Snapshot().LastRatio)
+		t.Fatalf("balanced run migrated: %+v (last ratio %.3f)", out.Migrations, out.Rebalance.LastRatio)
 	}
-	st := ctl.Snapshot()
+	st := out.Rebalance
 	if st.Decisions != 0 {
 		t.Errorf("balanced run reached the re-planner %d times (last ratio %.3f)", st.Decisions, st.LastRatio)
 	}
@@ -241,85 +223,53 @@ func TestRunWithoutControllerRestartsBitwise(t *testing.T) {
 	}
 }
 
-// TestPolicyValidate is the table of rejected policies.
-func TestPolicyValidate(t *testing.T) {
-	cases := []struct {
-		name string
-		p    Policy
-		ok   bool
-	}{
-		{"zero is default", Policy{}, true},
-		{"full explicit", Policy{Window: 8, Threshold: 2, Patience: 1, Cooldown: 3, Smoothing: 0.3, MinGain: 2, MaxMigrations: 1}, true},
-		{"negative window", Policy{Window: -1}, false},
-		{"threshold below one", Policy{Threshold: 0.9}, false},
-		{"threshold exactly one", Policy{Threshold: 1}, false},
-		{"negative threshold", Policy{Threshold: -2}, false},
-		{"negative patience", Policy{Patience: -1}, false},
-		{"negative cooldown", Policy{Cooldown: -3}, false},
-		{"smoothing above one", Policy{Smoothing: 1.5}, false},
-		{"negative smoothing", Policy{Smoothing: -0.1}, false},
-		{"negative min gain", Policy{MinGain: -1}, false},
-		{"negative max migrations", Policy{MaxMigrations: -1}, false},
-	}
-	for _, tc := range cases {
-		err := tc.p.Validate()
-		if tc.ok && err != nil {
-			t.Errorf("%s: unexpected error %v", tc.name, err)
-		}
-		if !tc.ok && err == nil {
-			t.Errorf("%s: validation passed, want error", tc.name)
-		}
-	}
-}
-
 // TestHysteresis drives the observe path with synthetic telemetry: an
-// imbalanced window must not trigger re-planning until Patience consecutive
+// imbalanced window must not trigger re-planning until patience consecutive
 // windows agree.
 func TestHysteresis(t *testing.T) {
 	g := grid.New(48, 24, 8)
 	cfg := dycore.DefaultConfig()
 	cfg.M = 2
 	set := dycore.Setup{Alg: dycore.AlgBaselineYZ, PA: 4, PB: 1, Cfg: cfg}
-	pol := Policy{Window: 2, Patience: 2, Cooldown: 1}
-	ctl, err := NewController(pol, g, tune.DefaultProfile(), 100, set)
+	ctl, err := newController(g, tune.DefaultProfile(), 100, set)
 	if err != nil {
-		t.Fatalf("NewController: %v", err)
+		t.Fatalf("newController: %v", err)
 	}
-	hook := ctl.Hook(0)
+	observe := ctl.hook(0)
 
 	// Cumulative per-rank compute with rank 3 running 3x slow.
 	comp := make([]float64, 4)
-	clock := make([]float64, 4)
 	feed := func(step int) bool {
 		for i := range comp {
 			comp[i] = float64(step) * 1e-3
 		}
 		comp[3] = float64(step) * 3e-3
-		return hook(step, clock, comp)
+		return observe(step, comp)
 	}
-	for step := 1; step <= 3; step++ {
+	const stop = patience * window
+	for step := 1; step < stop; step++ {
 		if feed(step) {
-			t.Fatalf("stopped at boundary %d, before patience (2 windows) was met", step)
+			t.Fatalf("stopped at boundary %d, before patience (%d windows of %d steps) was met", step, patience, window)
 		}
 	}
-	if d := ctl.Snapshot().Decisions; d != 0 {
-		t.Fatalf("re-planner reached after one imbalanced window (decisions = %d)", d)
+	if d := ctl.stats().Decisions; d != 0 {
+		t.Fatalf("re-planner reached before %d imbalanced windows (decisions = %d)", patience, d)
 	}
-	if !feed(4) {
-		t.Fatalf("no stop at boundary 4 after two imbalanced windows (last ratio %.3f, decisions %d)",
-			ctl.Snapshot().LastRatio, ctl.Snapshot().Decisions)
+	if !feed(stop) {
+		t.Fatalf("no stop at boundary %d after %d imbalanced windows (last ratio %.3f, decisions %d)",
+			stop, patience, ctl.stats().LastRatio, ctl.stats().Decisions)
 	}
-	if d := ctl.Snapshot().Decisions; d != 1 {
+	if d := ctl.stats().Decisions; d != 1 {
 		t.Fatalf("decisions = %d after the stop, want 1", d)
 	}
-	plan, mig := ctl.TakePending()
+	plan, mig := ctl.takePending()
 	if plan == nil {
 		t.Fatalf("no pending plan after a rebalance stop")
 	}
-	if mig.Step != 4 || mig.From == mig.To {
+	if mig.Step != stop || mig.From == mig.To {
 		t.Errorf("bad migration record: %+v", mig)
 	}
-	if got := tune.Key(ctl.Setup()); got != mig.To {
+	if got := tune.Key(ctl.setup()); got != mig.To {
 		t.Errorf("controller candidate %q did not switch to plan %q", got, mig.To)
 	}
 }
@@ -384,7 +334,8 @@ func TestEvaluateWithRatesFallback(t *testing.T) {
 }
 
 // TestNewControllerRejectsUnplannable: only the planner's schemes can be
-// re-planned; an X-Y or 3-D start is an error, not a controller.
+// re-planned; a rebalanced run that starts in X-Y or 3-D is an error before
+// any step runs.
 func TestNewControllerRejectsUnplannable(t *testing.T) {
 	g := grid.New(48, 24, 8)
 	cfg := dycore.DefaultConfig()
@@ -392,9 +343,10 @@ func TestNewControllerRejectsUnplannable(t *testing.T) {
 		{Alg: dycore.AlgBaselineXY, PA: 2, PB: 2, Cfg: cfg},
 		{Alg: dycore.AlgBaseline3D, PA: 1, PB: 2, PC: 2, Cfg: cfg},
 	} {
-		if _, err := NewController(Policy{}, g, tune.DefaultProfile(), 8, set); err == nil ||
-			!strings.Contains(err.Error(), "is not rebalanceable") {
-			t.Errorf("%s: error %v, want \"is not rebalanceable\"", set.Alg, err)
+		out, err := Run(RunSpec{Grid: g, Model: comm.TianheLike(), Init: heldsuarez.InitialState, Steps: 8,
+			Setup: set, Rebalance: true})
+		if err == nil || !strings.Contains(err.Error(), "is not rebalanceable") || out.StepsDone != 0 {
+			t.Errorf("%s: error %v after %d steps, want \"is not rebalanceable\" after 0", set.Alg, err, out.StepsDone)
 		}
 	}
 }

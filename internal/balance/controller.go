@@ -1,3 +1,13 @@
+// Package balance is the live load-rebalancing runtime: it watches per-rank
+// compute telemetry at the step-boundary barrier, detects sustained
+// imbalance (a straggler rank, a drifting partition), re-plans the
+// decomposition by feeding measured per-rank slowdowns into the §5.3 cost
+// model (internal/tune), and — when the predicted win clears a modeled
+// migration cost — quiesces the run at a step boundary and restarts it in
+// the new layout through the cross-decomposition checkpoint path. The
+// controller is deliberately layout-generic: it reasons in the planner's
+// candidate space (dycore.Setup values from tune.Candidates), so any layout
+// the planner can enumerate can be migrated to.
 package balance
 
 import (
@@ -7,6 +17,35 @@ import (
 	"cadycore/internal/dycore"
 	"cadycore/internal/grid"
 	"cadycore/internal/tune"
+)
+
+// The controller's policy. A 10x straggler on a 4-rank run is detected at
+// step 8 and migrated away from (the soak tests); a fault-free run never
+// reaches the re-planner.
+const (
+	// window is the telemetry window in steps: per-rank compute deltas are
+	// accumulated over window steps before each imbalance evaluation.
+	window = 4
+	// threshold is the max/min per-rank compute ratio above which a window
+	// counts as imbalanced. It leaves headroom over the ~1.2 ratio the
+	// polar-filter skew produces on a uniform partition, so only unmodeled
+	// imbalance trips it.
+	threshold = 1.5
+	// patience is how many consecutive imbalanced windows must be observed
+	// before re-planning — the hysteresis that keeps jitter from thrashing.
+	patience = 2
+	// cooldown is how many windows are ignored after a migration or a
+	// rejected re-plan before watching again.
+	cooldown = 2
+	// smoothing is the EWMA coefficient applied to window telemetry (1
+	// would use only the latest window).
+	smoothing = 0.5
+	// minGain scales the migration-cost gate: a re-plan is accepted only
+	// when the predicted saving over the remaining steps exceeds minGain
+	// times the modeled migration cost.
+	minGain = 1
+	// maxMigrations bounds the migrations of one run.
+	maxMigrations = 4
 )
 
 // Migration records one executed layout switch.
@@ -34,12 +73,11 @@ type Stats struct {
 	LastRatio float64 `json:"last_ratio,omitempty"`
 }
 
-// Controller implements the telemetry → detect → re-plan → migrate loop for
-// one job. It is driven from the step-boundary barrier through Hook (zero
-// allocations there), consulted by the run driver through TakePending after
-// a rebalance stop, and safe for concurrent use.
-type Controller struct {
-	pol   Policy // defaults applied
+// controller implements the telemetry → detect → re-plan → migrate loop for
+// one run. Run drives it from the step-boundary barrier through hook (zero
+// allocations there) and consults it through takePending after a rebalance
+// stop; it is safe for concurrent use.
+type controller struct {
 	g     *grid.Grid
 	prof  tune.Profile
 	procs int
@@ -58,7 +96,7 @@ type Controller struct {
 	haveEwma   bool       //cadyvet:guardedby mu
 	boundaries int        //cadyvet:guardedby mu
 	over       int        //cadyvet:guardedby mu
-	cooldown   int        //cadyvet:guardedby mu
+	cooling    int        //cadyvet:guardedby mu
 	pending    *tune.Plan //cadyvet:guardedby mu
 	pendingMig Migration  //cadyvet:guardedby mu
 
@@ -68,17 +106,13 @@ type Controller struct {
 	lastRatio  float64     //cadyvet:guardedby mu
 }
 
-// NewController builds a controller for a job of `steps` total steps that
+// newController builds a controller for a run of `steps` total steps that
 // starts in the given layout. Only the planner's schemes are re-plannable:
 // CA and YZ under the Y-Z decomposition, not X-Y or 3-D. The algorithm and
 // the numerics (M among them) are held fixed across re-plans (changing them
 // mid-run would change the trajectory); only the factorization, row
 // partition and stage depth may move.
-func NewController(pol Policy, g *grid.Grid, prof tune.Profile, steps int, start dycore.Setup) (*Controller, error) {
-	if err := pol.Validate(); err != nil {
-		return nil, err
-	}
-	pol = pol.withDefaults()
+func newController(g *grid.Grid, prof tune.Profile, steps int, start dycore.Setup) (*controller, error) {
 	if steps < 1 {
 		return nil, fmt.Errorf("balance: steps = %d must be >= 1", steps)
 	}
@@ -89,8 +123,7 @@ func NewController(pol Policy, g *grid.Grid, prof tune.Profile, steps int, start
 		return nil, fmt.Errorf("balance: starting candidate has empty process grid %dx%d", start.PA, start.PB)
 	}
 	procs := start.Procs()
-	c := &Controller{
-		pol:   pol,
+	c := &controller{
 		g:     g,
 		prof:  prof,
 		procs: procs,
@@ -105,57 +138,57 @@ func NewController(pol Policy, g *grid.Grid, prof tune.Profile, steps int, start
 	return c, nil
 }
 
-// Setup returns the current layout.
-func (c *Controller) Setup() dycore.Setup {
+// setup returns the current layout.
+func (c *controller) setup() dycore.Setup {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.set
 }
 
-// Snapshot returns the decision counters.
-func (c *Controller) Snapshot() Stats {
+// stats returns the decision counters.
+func (c *controller) stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{Decisions: c.decisions, Skipped: c.skipped, LastRatio: c.lastRatio}
 }
 
-// Hook arms the controller for one run segment whose step counter starts at
-// global step base, returning the dycore.RunOpts.Rebalance callback. Each
-// segment starts its telemetry fresh: the runner resets the comm statistics
-// after bootstrap, so cumulative compute restarts from zero.
-func (c *Controller) Hook(base int) func(done int, clock, comp []float64) bool {
+// hook arms the controller for one run segment whose step counter starts at
+// global step base, returning the observer Run calls at every step boundary
+// with the per-rank cumulative compute (dycore.RunOpts.Boundary's comp).
+// Each segment starts its telemetry fresh: the runner resets the comm
+// statistics after bootstrap, so cumulative compute restarts from zero.
+func (c *controller) hook(base int) func(done int, comp []float64) bool {
 	c.mu.Lock()
 	for i := range c.prevComp {
 		c.prevComp[i] = 0
 	}
 	c.boundaries = 0
 	c.mu.Unlock()
-	return func(done int, clock, comp []float64) bool {
+	return func(done int, comp []float64) bool {
 		return c.observe(base, done, comp)
 	}
 }
 
 // observe ingests one step boundary's cumulative per-rank compute telemetry
 // and returns true when the run should quiesce for a migration (a plan is
-// then waiting in TakePending). It runs under the step barrier with all
+// then waiting in takePending). It runs under the step barrier with all
 // ranks parked, so it must stay cheap and allocation-free; the expensive
 // re-planning only happens on the rare sustained-imbalance path.
-func (c *Controller) observe(base, done int, comp []float64) bool {
+func (c *controller) observe(base, done int, comp []float64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(comp) != c.procs || c.pending != nil {
 		return false
 	}
 	c.boundaries++
-	if c.boundaries%c.pol.Window != 0 {
+	if c.boundaries%window != 0 {
 		return false
 	}
-	s := c.pol.Smoothing
 	for i, v := range comp {
 		win := v - c.prevComp[i]
 		c.prevComp[i] = v
 		if c.haveEwma {
-			c.ewma[i] = (1-s)*c.ewma[i] + s*win
+			c.ewma[i] = (1-smoothing)*c.ewma[i] + smoothing*win
 		} else {
 			c.ewma[i] = win
 		}
@@ -177,16 +210,16 @@ func (c *Controller) observe(base, done int, comp []float64) bool {
 	if base+done >= c.steps {
 		return false // final boundary: nothing left to migrate for
 	}
-	if c.cooldown > 0 {
-		c.cooldown--
+	if c.cooling > 0 {
+		c.cooling--
 		return false
 	}
-	if c.lastRatio < c.pol.Threshold {
+	if c.lastRatio < threshold {
 		c.over = 0
 		return false
 	}
 	c.over++
-	if c.over < c.pol.Patience {
+	if c.over < patience {
 		return false
 	}
 	c.over = 0
@@ -198,24 +231,23 @@ func (c *Controller) observe(base, done int, comp []float64) bool {
 // staged in pending.
 //
 //cadyvet:locked c.mu
-func (c *Controller) decide(step int) bool {
+func (c *controller) decide(step int) bool {
 	c.decisions++
-	if len(c.migrations) >= c.pol.MaxMigrations {
+	if len(c.migrations) >= maxMigrations {
 		c.skipped++
-		c.cooldown = c.pol.Cooldown
+		c.cooling = cooldown
 		return false
 	}
 	// Per-rank slowdowns: measured window compute against the §5.3 baseline,
 	// normalized so the fastest rank is 1 and clamped below at 1. The
 	// normalization removes the model's absolute-scale error; the clamp
 	// keeps a noisy fast rank from reading as "faster than the model".
-	window := float64(c.pol.Window)
 	minRel := -1.0
 	for i := range c.slow {
 		model := c.modelComp[i] * window
 		if model <= 0 {
 			c.skipped++
-			c.cooldown = c.pol.Cooldown
+			c.cooling = cooldown
 			return false
 		}
 		rel := c.ewma[i] / model
@@ -226,7 +258,7 @@ func (c *Controller) decide(step int) bool {
 	}
 	if minRel <= 0 {
 		c.skipped++
-		c.cooldown = c.pol.Cooldown
+		c.cooling = cooldown
 		return false
 	}
 	for i := range c.slow {
@@ -263,9 +295,9 @@ func (c *Controller) decide(step int) bool {
 	remaining := float64(c.steps - step)
 	gain := (cur.Total - best.Total) * remaining
 	cost := tune.MigrationCost(c.g, c.procs, c.prof)
-	if bestKey == curKey || gain <= c.pol.MinGain*cost {
+	if bestKey == curKey || gain <= minGain*cost {
 		c.skipped++
-		c.cooldown = c.pol.Cooldown
+		c.cooling = cooldown
 		return false
 	}
 	plan := tune.PlanOf(c.g, c.procs, best.Setup, c.prof, best.Total)
@@ -275,12 +307,12 @@ func (c *Controller) decide(step int) bool {
 	return true
 }
 
-// TakePending commits the staged re-plan: the controller switches its
+// takePending commits the staged re-plan: the controller switches its
 // current layout, resets the telemetry (block sizes changed, so window
 // history is stale; the per-rank slowdowns re-emerge within a window) and
 // returns the plan with its migration record. Nil plan when no re-plan is
 // staged — the run stopped for another reason.
-func (c *Controller) TakePending() (*tune.Plan, Migration) {
+func (c *controller) takePending() (*tune.Plan, Migration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.pending == nil {
@@ -292,7 +324,7 @@ func (c *Controller) TakePending() (*tune.Plan, Migration) {
 	c.modelComp = tune.PerRankCompute(c.g, c.prof, c.set)
 	c.haveEwma = false
 	c.over = 0
-	c.cooldown = c.pol.Cooldown
+	c.cooling = cooldown
 	c.migrations = append(c.migrations, c.pendingMig)
 	return p, c.pendingMig
 }

@@ -26,8 +26,10 @@ type Outcome struct {
 	// StepsDone is the step the run reached: RunSpec.Steps unless ShouldStop
 	// ended it early or it failed.
 	StepsDone int
-	// Migrations logs every migration the run executed, in order.
+	// Migrations logs every migration the run executed, in order; Rebalance
+	// holds the controller's decision counters (RunSpec.Rebalance).
 	Migrations []Migration
+	Rebalance  Stats
 	// Restarts logs every crash the run recovered from, in order.
 	Restarts []Restart
 	// Trace is the last segment's event recorder (RunSpec.Traced).
@@ -52,10 +54,12 @@ type RunSpec struct {
 	// at Steps, and every step this package reports counts from step 0.
 	Start int
 	Hook  dycore.StepHook
-	// Setup is the layout when Controller is nil (no rebalancing); a
-	// Controller watches the run and migrates it between its own layouts.
-	Setup      dycore.Setup
-	Controller *Controller
+	// Setup is the layout the run starts in. Rebalance has a controller
+	// watch the per-rank compute at every step boundary and migrate the run
+	// between the planner's layouts of Setup's algorithm (ca or yz), priced
+	// by tune.ProfileFromModel(Model).
+	Setup     dycore.Setup
+	Rebalance bool
 	// A segment crashed by Faults restarts from the latest snapshot (the
 	// initial state when there is none), at most MaxRestarts times.
 	Faults      *fault.Injector
@@ -65,8 +69,9 @@ type RunSpec struct {
 	SnapshotEvery int
 	Snapshot      func(step int, gl *checkpoint.Global)
 	Traced        bool // record per-rank events into Outcome.Trace
-	// Progress is called at every step boundary; ShouldStop is sampled there
-	// and, once true, ends the run at that boundary behind a snapshot.
+	// Progress is called at every step boundary; ShouldStop is sampled there,
+	// after Progress, and once true ends the run at that boundary behind a
+	// snapshot.
 	Progress   func(step int)
 	ShouldStop func() bool
 	// Observe sees every segment's result as the segment ends. Commit is
@@ -83,29 +88,44 @@ type RunSpec struct {
 // from the stop snapshot in the re-planned layout). A snapshot is the whole
 // carried state, so the loop carries only (base step, latest snapshot). A
 // crash past the restart budget is an error wrapping the *dycore.RankFailure.
-func Run(spec RunSpec) (Outcome, error) {
-	var out Outcome
-	g, ctl := spec.Grid, spec.Controller
+func Run(spec RunSpec) (out Outcome, err error) {
+	g := spec.Grid
+	var ctl *controller
+	if spec.Rebalance {
+		if ctl, err = newController(g, tune.ProfileFromModel(spec.Model), spec.Steps, spec.Setup); err != nil {
+			return out, err
+		}
+		defer func() { out.Rebalance = ctl.stats() }()
+	}
 	base, init := spec.Start, spec.Init // where the next segment starts
 	var lastSnap *checkpoint.Global
 	var lastStep int
 	for {
 		set := spec.Setup
-		opts := dycore.RunOpts{Hook: spec.Hook, Traced: spec.Traced, ShouldStop: spec.ShouldStop}
-		if spec.Progress != nil {
-			opts.Progress = func(done int) { spec.Progress(base + done) }
-		}
+		opts := dycore.RunOpts{Hook: spec.Hook, Traced: spec.Traced}
+		var observe func(done int, comp []float64) bool
 		if ctl != nil {
-			set = ctl.Setup()
-			opts.Rebalance = ctl.Hook(base)
+			set, observe = ctl.setup(), ctl.hook(base)
 		}
-		if ctl != nil || spec.ShouldStop != nil || spec.SnapshotEvery > 0 {
-			opts.SnapshotEvery = spec.SnapshotEvery
-			opts.Snapshot = func(done int, sts []*state.State) {
-				lastSnap, lastStep = checkpoint.Gather(g, sts), base+done
-				if spec.Snapshot != nil {
-					spec.Snapshot(lastStep, lastSnap)
+		// The one step-boundary contract: Progress, then ShouldStop, then
+		// the controller unless the run already stops; a snapshot at a stop
+		// and at every SnapshotEvery-th boundary of the segment.
+		if spec.Progress != nil || spec.ShouldStop != nil || ctl != nil || spec.SnapshotEvery > 0 {
+			opts.Boundary = func(done int, sts []*state.State, comp []float64) bool {
+				if spec.Progress != nil {
+					spec.Progress(base + done)
 				}
+				stop := spec.ShouldStop != nil && spec.ShouldStop()
+				if !stop && observe != nil {
+					stop = observe(done, comp)
+				}
+				if stop || (spec.SnapshotEvery > 0 && done%spec.SnapshotEvery == 0) {
+					lastSnap, lastStep = checkpoint.Gather(g, sts), base+done
+					if spec.Snapshot != nil {
+						spec.Snapshot(lastStep, lastSnap)
+					}
+				}
+				return stop
 			}
 		}
 		if spec.Faults != nil {
@@ -139,10 +159,10 @@ func Run(spec RunSpec) (Outcome, error) {
 		if out.StepsDone >= spec.Steps || ctl == nil {
 			return out, nil
 		}
-		// Early stop under a controller: ShouldStop's, unless the controller's
-		// hook staged a re-plan — then the stop snapshot must cover exactly
-		// this boundary.
-		plan, mig := ctl.TakePending()
+		// Early stop under a controller: ShouldStop's, unless the controller
+		// staged a re-plan — then the stop snapshot must cover exactly this
+		// boundary.
+		plan, mig := ctl.takePending()
 		if plan == nil {
 			return out, nil
 		}

@@ -56,17 +56,17 @@ func TestCrashAbortsCommAvoiding(t *testing.T) {
 	}
 }
 
-// TestCrashWithSnapshotsKeepsEarlierBoundary: crash mid-run after a snapshot
-// cadence boundary — the pre-crash snapshot exists and no snapshot is taken
-// at the crash boundary itself.
+// TestCrashWithSnapshotsKeepsEarlierBoundary: crash mid-run under a
+// boundary callback — every pre-crash boundary reached it, and the crash
+// boundary itself never does.
 func TestCrashWithSnapshotsKeepsEarlierBoundary(t *testing.T) {
 	set, g, hook := ctlSetup(dycore.AlgBaselineYZ)
 	boundaries := map[int]bool{}
 	res, _ := dycore.RunWithOpts(set, g, comm.TianheLike(), heldsuarez.InitialState, 10, dycore.RunOpts{
-		Hook:          hook,
-		SnapshotEvery: 2,
-		Snapshot: func(done int, sts []*state.State) {
+		Hook: hook,
+		Boundary: func(done int, _ []*state.State, _ []float64) bool {
 			boundaries[done] = true
+			return false
 		},
 		CrashAt: func(rank, done int) bool {
 			return rank == 0 && done == 5
@@ -75,11 +75,11 @@ func TestCrashWithSnapshotsKeepsEarlierBoundary(t *testing.T) {
 	if res.Abort == nil {
 		t.Fatal("expected a typed abort")
 	}
-	if !boundaries[2] || !boundaries[4] {
-		t.Fatalf("pre-crash snapshots missing; got boundaries %v", boundaries)
+	if len(boundaries) != 4 || !boundaries[4] {
+		t.Fatalf("want boundaries 1-4 before the crash after step 5; got %v", boundaries)
 	}
 	if boundaries[5] {
-		t.Fatalf("snapshot taken at the crash boundary (rank died before the barrier)")
+		t.Fatalf("boundary callback ran at the crash boundary (rank died before the barrier)")
 	}
 }
 

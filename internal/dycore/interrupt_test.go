@@ -40,12 +40,21 @@ func (s oracleScheme) setup() (dycore.Setup, *grid.Grid, dycore.StepHook) {
 }
 
 // segment runs up to `steps` steps from init and returns the result plus the
-// snapshots the run's barrier produced, keyed by completed steps.
-func segment(set dycore.Setup, g *grid.Grid, hook dycore.StepHook, init dycore.InitFunc, steps int,
-	opts dycore.RunOpts) (dycore.RunResult, map[int]*checkpoint.Global) {
+// snapshots its barrier took, keyed by completed steps: one every `every`-th
+// boundary (0: none) and, when stop is set, one at the first boundary, which
+// ends the run. crashAt is RunOpts.CrashAt.
+func segment(set dycore.Setup, g *grid.Grid, hook dycore.StepHook, init dycore.InitFunc, steps, every int,
+	stop bool, crashAt func(rank, done int) bool) (dycore.RunResult, map[int]*checkpoint.Global) {
 	snaps := map[int]*checkpoint.Global{}
-	opts.Hook = hook
-	opts.Snapshot = func(done int, sts []*state.State) { snaps[done] = checkpoint.Gather(g, sts) }
+	opts := dycore.RunOpts{Hook: hook, CrashAt: crashAt}
+	if stop || every > 0 {
+		opts.Boundary = func(done int, sts []*state.State, _ []float64) bool {
+			if stop || done%every == 0 {
+				snaps[done] = checkpoint.Gather(g, sts)
+			}
+			return stop
+		}
+	}
 	res, _ := dycore.RunWithOpts(set, g, comm.TianheLike(), init, steps, opts)
 	return res, snaps
 }
@@ -60,9 +69,7 @@ var interruptions = []struct {
 	{"stop-resume-every-boundary", func(t *testing.T, set dycore.Setup, g *grid.Grid, hook dycore.StepHook) []*state.State {
 		init := dycore.InitFunc(heldsuarez.InitialState)
 		for done := 0; ; done++ {
-			res, snaps := segment(set, g, hook, init, oracleSteps-done, dycore.RunOpts{
-				ShouldStop: func() bool { return true },
-			})
+			res, snaps := segment(set, g, hook, init, oracleSteps-done, 0, true, nil)
 			if res.StepsDone != 1 || snaps[1] == nil {
 				t.Fatalf("segment at step %d: StepsDone %d, stop snapshot present %v", done, res.StepsDone, snaps[1] != nil)
 			}
@@ -73,18 +80,16 @@ var interruptions = []struct {
 		}
 	}},
 	{"crash-restart-from-snapshot", func(t *testing.T, set dycore.Setup, g *grid.Grid, hook dycore.StepHook) []*state.State {
-		res, snaps := segment(set, g, hook, heldsuarez.InitialState, oracleSteps, dycore.RunOpts{
-			SnapshotEvery: 2,
-			CrashAt:       func(rank, done int) bool { return rank == 1 && done == 3 },
-		})
+		res, snaps := segment(set, g, hook, heldsuarez.InitialState, oracleSteps, 2, false,
+			func(rank, done int) bool { return rank == 1 && done == 3 })
 		if res.Abort == nil || snaps[2] == nil || snaps[4] != nil {
 			t.Fatalf("want a crash after step 3 with only the step-2 snapshot; abort %v", res.Abort)
 		}
-		res, _ = segment(set, g, hook, snaps[2].InitFunc(), oracleSteps-2, dycore.RunOpts{})
+		res, _ = segment(set, g, hook, snaps[2].InitFunc(), oracleSteps-2, 0, false, nil)
 		return res.Finals
 	}},
 	{"snapshot-write-read-resume", func(t *testing.T, set dycore.Setup, g *grid.Grid, hook dycore.StepHook) []*state.State {
-		_, snaps := segment(set, g, hook, heldsuarez.InitialState, 2, dycore.RunOpts{SnapshotEvery: 2})
+		_, snaps := segment(set, g, hook, heldsuarez.InitialState, 2, 2, false, nil)
 		var buf bytes.Buffer
 		if err := snaps[2].Write(&buf); err != nil {
 			t.Fatal(err)
@@ -96,7 +101,7 @@ var interruptions = []struct {
 		if !back.Equal(snaps[2]) {
 			t.Fatal("serialized snapshot does not read back bitwise")
 		}
-		res, _ := segment(set, g, hook, back.InitFunc(), oracleSteps-2, dycore.RunOpts{})
+		res, _ := segment(set, g, hook, back.InitFunc(), oracleSteps-2, 0, false, nil)
 		return res.Finals
 	}},
 }
@@ -164,7 +169,7 @@ func TestResumeAcrossSnapshotKinds(t *testing.T) {
 	// The reverse hand-over must settle the smoothing a CA barrier snapshot
 	// still owes, which the baseline cannot defer.
 	set, _, hook := ctlSetup(dycore.AlgCommAvoid)
-	_, snaps := segment(set, g, hook, heldsuarez.InitialState, 2, dycore.RunOpts{SnapshotEvery: 2})
+	_, snaps := segment(set, g, hook, heldsuarez.InitialState, 2, 2, false, nil)
 	if !snaps[2].PendingSmooth {
 		t.Fatal("CA barrier snapshot does not record its pending smoothing")
 	}

@@ -1,7 +1,6 @@
 package dycore_test
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"cadycore/internal/checkpoint"
@@ -21,39 +20,48 @@ func ctlSetup(alg dycore.Algorithm) (dycore.Setup, *grid.Grid, dycore.StepHook) 
 	return dycore.Setup{Alg: alg, PA: 2, PB: 2, Cfg: cfg}, g, hook
 }
 
-// TestRunWithOptsProgress checks the boundary callbacks: progress fires once
-// per step in order and StepsDone matches the request when nothing stops
-// the run.
+// TestRunWithOptsProgress checks the boundary callback: it fires once per
+// step in order with every rank's state and a non-decreasing, positive
+// compute clock per rank, and StepsDone matches the request when nothing
+// stops the run.
 func TestRunWithOptsProgress(t *testing.T) {
 	set, g, hook := ctlSetup(dycore.AlgBaselineYZ)
 	var seen []int
+	prev := make([]float64, set.Procs())
 	res, _ := dycore.RunWithOpts(set, g, comm.TianheLike(), heldsuarez.InitialState, 3, dycore.RunOpts{
-		Hook:     hook,
-		Progress: func(done int) { seen = append(seen, done) },
+		Hook: hook,
+		Boundary: func(done int, sts []*state.State, comp []float64) bool {
+			seen = append(seen, done)
+			if len(sts) != set.Procs() || len(comp) != set.Procs() {
+				t.Errorf("boundary %d: %d states, %d compute clocks; want %d of each", done, len(sts), len(comp), set.Procs())
+				return false
+			}
+			for r, c := range comp {
+				if sts[r] == nil || c <= prev[r] {
+					t.Errorf("boundary %d, rank %d: state %v, compute %g after %g", done, r, sts[r] != nil, c, prev[r])
+				}
+				prev[r] = c
+			}
+			return false
+		},
 	})
 	if res.StepsDone != 3 {
 		t.Fatalf("StepsDone = %d, want 3", res.StepsDone)
 	}
 	if len(seen) != 3 || seen[0] != 1 || seen[1] != 2 || seen[2] != 3 {
-		t.Fatalf("progress sequence = %v, want [1 2 3]", seen)
+		t.Fatalf("boundary sequence = %v, want [1 2 3]", seen)
 	}
 }
 
-// TestRunWithOptsCancel checks that a stop request lands on every rank at
-// the same step boundary: the run ends early, all finals are present, and
-// the partial result is bitwise identical to an uninterrupted run of the
-// same length (baseline Y-Z restarts are exact).
+// TestRunWithOptsCancel checks that a stop lands on every rank at the same
+// step boundary: the run ends early, all finals are present, and the partial
+// result is bitwise identical to an uninterrupted run of the same length
+// (baseline Y-Z restarts are exact).
 func TestRunWithOptsCancel(t *testing.T) {
 	set, g, hook := ctlSetup(dycore.AlgBaselineYZ)
-	var stop atomic.Bool
 	res, _ := dycore.RunWithOpts(set, g, comm.TianheLike(), heldsuarez.InitialState, 50, dycore.RunOpts{
-		Hook: hook,
-		Progress: func(done int) {
-			if done == 2 {
-				stop.Store(true)
-			}
-		},
-		ShouldStop: stop.Load,
+		Hook:     hook,
+		Boundary: func(done int, _ []*state.State, _ []float64) bool { return done == 2 },
 	})
 	if res.StepsDone != 2 {
 		t.Fatalf("StepsDone = %d, want 2 (stop requested at boundary 2)", res.StepsDone)
@@ -70,23 +78,25 @@ func TestRunWithOptsCancel(t *testing.T) {
 }
 
 // TestRunWithOptsSnapshotResume pins restart exactness through the quiesced
-// snapshot path: a snapshot taken at the cadence boundary, resumed for the
+// boundary view: a snapshot gathered at a boundary, resumed for the
 // remaining steps, reaches a bitwise-identical final state.
 func TestRunWithOptsSnapshotResume(t *testing.T) {
 	set, g, hook := ctlSetup(dycore.AlgBaselineYZ)
 	snaps := map[int]*checkpoint.Global{}
 	full, _ := dycore.RunWithOpts(set, g, comm.TianheLike(), heldsuarez.InitialState, 4, dycore.RunOpts{
-		Hook:          hook,
-		SnapshotEvery: 2,
-		Snapshot: func(done int, sts []*state.State) {
-			snaps[done] = checkpoint.Gather(g, sts)
+		Hook: hook,
+		Boundary: func(done int, sts []*state.State, _ []float64) bool {
+			if done%2 == 0 {
+				snaps[done] = checkpoint.Gather(g, sts)
+			}
+			return false
 		},
 	})
 	if full.StepsDone != 4 {
 		t.Fatalf("StepsDone = %d, want 4", full.StepsDone)
 	}
 	if snaps[2] == nil || snaps[4] == nil {
-		t.Fatalf("snapshot cadence 2 over 4 steps produced boundaries %v, want 2 and 4", keys(snaps))
+		t.Fatalf("snapshots every 2 of 4 steps produced boundaries %v, want 2 and 4", keys(snaps))
 	}
 	rest := dycore.RunWithHook(set, g, comm.TianheLike(), snaps[2].InitFunc(), 2, hook)
 	if d := dycore.MaxDiffGlobal(g, full.Finals, rest.Finals); d != 0 {
@@ -99,30 +109,26 @@ func TestRunWithOptsSnapshotResume(t *testing.T) {
 	}
 }
 
-// TestRunWithOptsStopSnapshot checks that a stop always leaves a snapshot at
-// the stop boundary even off-cadence.
+// TestRunWithOptsStopSnapshot checks that the boundary that stops a run sees
+// the states it stops in: a snapshot gathered there resumes bitwise.
 func TestRunWithOptsStopSnapshot(t *testing.T) {
 	set, g, hook := ctlSetup(dycore.AlgBaselineYZ)
-	var stop atomic.Bool
-	snaps := map[int]*checkpoint.Global{}
+	var snap *checkpoint.Global
 	res, _ := dycore.RunWithOpts(set, g, comm.TianheLike(), heldsuarez.InitialState, 50, dycore.RunOpts{
 		Hook: hook,
-		Progress: func(done int) {
-			if done == 3 {
-				stop.Store(true)
+		Boundary: func(done int, sts []*state.State, _ []float64) bool {
+			if done != 3 {
+				return false
 			}
-		},
-		ShouldStop:    stop.Load,
-		SnapshotEvery: 10,
-		Snapshot: func(done int, sts []*state.State) {
-			snaps[done] = checkpoint.Gather(g, sts)
+			snap = checkpoint.Gather(g, sts)
+			return true
 		},
 	})
-	if res.StepsDone != 3 {
-		t.Fatalf("StepsDone = %d, want 3", res.StepsDone)
+	if res.StepsDone != 3 || snap == nil {
+		t.Fatalf("StepsDone = %d, stop snapshot present %v; want 3, true", res.StepsDone, snap != nil)
 	}
-	if snaps[3] == nil {
-		t.Fatalf("no stop-boundary snapshot; got boundaries %v", keys(snaps))
+	if !snap.Equal(checkpoint.Gather(g, res.Finals)) {
+		t.Fatalf("stop-boundary snapshot differs from the stopped run's finals")
 	}
 }
 

@@ -212,7 +212,7 @@ type RunResult struct {
 	Exch   []topo.ExchStats
 	Finals []*state.State // per-rank final states (rank order)
 	// StepsDone is the number of steps actually executed: equal to the
-	// requested count unless RunOpts.ShouldStop ended the run early, or —
+	// requested count unless RunOpts.Boundary ended the run early, or —
 	// after an injected crash (Abort non-nil) — the minimum step count any
 	// rank completed.
 	StepsDone int
@@ -260,10 +260,10 @@ func RunWithHook(s Setup, g *grid.Grid, model comm.NetModel, init InitFunc, step
 	return res
 }
 
-// RunWithOpts is the fully controlled entry point: per-step progress,
-// cooperative cancellation and quiesced snapshots (see RunOpts). One segment
-// of a supervised run (balance.Run, which cmd/dycore and the job service
-// drive) is one call.
+// RunWithOpts is the fully controlled entry point: a step-boundary callback
+// with a quiesced view of every rank, tracing and fault injection (see
+// RunOpts). One segment of a supervised run (balance.Run, which cmd/dycore
+// and the job service drive) is one call.
 func RunWithOpts(s Setup, g *grid.Grid, model comm.NetModel, init InitFunc, steps int, opts RunOpts) (RunResult, *comm.Recorder) {
 	return runOnWorld(s, g, model, init, steps, opts)
 }
@@ -279,8 +279,8 @@ func runOnWorld(s Setup, g *grid.Grid, model comm.NetModel, init InitFunc, steps
 		rec = w.EnableTrace()
 	}
 	var ctl *stepCtl
-	if opts.controlled() {
-		ctl = newStepCtl(p, opts)
+	if opts.Boundary != nil {
+		ctl = newStepCtl(p, opts.Boundary)
 	}
 	hook := opts.Hook
 	finals := make([]*state.State, p)
@@ -336,7 +336,7 @@ func runOnWorld(s Setup, g *grid.Grid, model comm.NetModel, init InitFunc, steps
 				if opts.CrashAt != nil && opts.CrashAt(c.Rank(), k+1) {
 					panic(&RankFailure{Rank: c.Rank(), Step: k + 1})
 				}
-				if ctl != nil && ctl.arrive(k+1, c.Rank(), ig.Xi(), c.Clock(), c.CompTime()) {
+				if ctl != nil && ctl.arrive(k+1, c.Rank(), ig.Xi(), c.CompTime()) {
 					break
 				}
 			}
@@ -406,11 +406,9 @@ func mergeExch(perRank [][]topo.ExchStats) []topo.ExchStats {
 	return out
 }
 
-// GatherOwned assembles the owned regions of per-rank fields into a single
-// global check function: it returns max |a − b| over all owned points of two
-// runs' final states (which must use identical mesh and rank blocks or at
-// least cover the domain identically). It compares via global indexing, so
-// different decompositions are comparable.
+// MaxDiffGlobal returns max |a − b| over every owned point of two runs'
+// per-rank states, which must together cover the mesh g. It compares by
+// global index, so runs under different decompositions are comparable.
 func MaxDiffGlobal(g *grid.Grid, a, b []*state.State) float64 {
 	// Build dense global arrays from each run, then compare.
 	fa := flatten(g, a)

@@ -62,8 +62,10 @@ func TestSetStateReadsOwnedCells(t *testing.T) {
 			// (an owned-size Carry) and from a deep Carry with NaN ghosts.
 			var snap *checkpoint.Global
 			RunWithOpts(s, g, comm.Zero(), testInit, steps, RunOpts{
-				ShouldStop: func() bool { return true },
-				Snapshot:   func(_ int, sts []*state.State) { snap = checkpoint.Gather(g, sts) },
+				Boundary: func(_ int, sts []*state.State, _ []float64) bool {
+					snap = checkpoint.Gather(g, sts)
+					return true
+				},
 			})
 			if (snap.PWI != nil) != (s.Alg == AlgCommAvoid) {
 				t.Fatalf("snapshot carries Ĉ: %v", snap.PWI != nil)
@@ -85,10 +87,9 @@ func TestSetStateReadsOwnedCells(t *testing.T) {
 			live := make([]state.Carry, s.Procs())
 			var atEnd *checkpoint.Global
 			res, _ = RunWithOpts(s, g, comm.Zero(), testInit, steps, RunOpts{
-				SnapshotEvery: 1,
-				Snapshot: func(done int, sts []*state.State) {
+				Boundary: func(done int, sts []*state.State, _ []float64) bool {
 					if done != steps {
-						return
+						return false
 					}
 					atEnd = checkpoint.Gather(g, sts)
 					for r, st := range sts {
@@ -96,6 +97,7 @@ func TestSetStateReadsOwnedCells(t *testing.T) {
 							live[r] = *st.Carry
 						}
 					}
+					return false
 				},
 			})
 			want := checkpoint.Gather(g, res.Finals)

@@ -20,7 +20,8 @@ import (
 // planes on the extent they are computed on, and on a bottom CA z-rank only
 // the three low-z levels the advection exchange writes. So the live heap a
 // 4×2 world adds at 96×48×12, M = 3, after SetState and one Step stays under
-// a budget per rank. It read 10.0 MB (CA) and 3.0 MB (YZ) before the work
+// a budget per rank: it reads 3.46 MB (CA) and 1.27 MB (YZ) against 4.0
+// and 1.5. It read 10.0 MB (CA) and 3.0 MB (YZ) before the work
 // state and the planes, 6.3 and 1.9 MB while D(P) had its own array, and
 // 6.0 and 1.8 MB with two Ĉ caches and deep-halo tendencies; a third state,
 // a second cache or a 3-D scratch array is back if it fails.
@@ -53,8 +54,8 @@ func TestWorkingSetPerRank(t *testing.T) {
 		s      Setup
 		budget float64 // MB of live heap per rank
 	}{
-		{"ca-4x2", Setup{Alg: AlgCommAvoid, PA: 4, PB: 2, Cfg: DefaultConfig()}, 5.0},
-		{"yz-4x2", Setup{Alg: AlgBaselineYZ, PA: 4, PB: 2, Cfg: DefaultConfig()}, 1.7},
+		{"ca-4x2", Setup{Alg: AlgCommAvoid, PA: 4, PB: 2, Cfg: DefaultConfig()}, 4.0},
+		{"yz-4x2", Setup{Alg: AlgBaselineYZ, PA: 4, PB: 2, Cfg: DefaultConfig()}, 1.5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			heap := func() int64 {

@@ -317,10 +317,6 @@ func TestMigrationResumesAcrossBackends(t *testing.T) {
 	}
 }
 
-// TestTenantQuotaRejects: the backends' tenant quota is the fleet's. Over a
-// one-backend coordinator, a submission over quota gets the backend's 429 +
-// Retry-After passed through, another tenant is admitted, and an ensemble
-// that does not fit whole is refused with every member it placed cancelled.
 // TestBlownUpJobCompletes: a backend job whose state went non-finite is
 // read by the coordinator like any other — completed, all_finite 0 — and
 // the coordinator's job list still decodes that backend.
@@ -349,6 +345,46 @@ func TestBlownUpJobCompletes(t *testing.T) {
 	}
 }
 
+// TestListStatusFilter: the coordinator's GET /jobs?status= filters by a
+// backend's job states and, like a backend, answers an unknown one with a
+// 400 that names it.
+func TestListStatusFilter(t *testing.T) {
+	h := newFleetHarness(t, 1, 1, 4, nil, nil)
+	spec := server.JobSpec{Alg: "yz", Nx: 48, Ny: 24, Nz: 8, PA: 2, PB: 2, M: 2, Steps: 1}
+	resp := h.postJSON(t, "/jobs", spec, "")
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d", resp.StatusCode)
+	}
+	h.waitJob(t, decodeInfo(t, resp).ID, string(server.JCompleted), 60*time.Second)
+	for filter, want := range map[string]int{"completed": 1, "failed": 0} {
+		lresp, err := http.Get(h.cts.URL + "/jobs?status=" + filter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var page struct {
+			Total int `json:"total"`
+		}
+		err = json.NewDecoder(lresp.Body).Decode(&page)
+		lresp.Body.Close()
+		if err != nil || lresp.StatusCode != http.StatusOK || page.Total != want {
+			t.Errorf("status=%s: %d, total %d (%v); want 200, %d", filter, lresp.StatusCode, page.Total, err, want)
+		}
+	}
+	lresp, err := http.Get(h.cts.URL + "/jobs?status=bogus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(lresp.Body)
+	lresp.Body.Close()
+	if lresp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "bogus") {
+		t.Errorf("status=bogus: %d %s, want 400 naming it", lresp.StatusCode, msg)
+	}
+}
+
+// TestTenantQuotaRejects: the backends' tenant quota is the fleet's. Over a
+// one-backend coordinator, a submission over quota gets the backend's 429 +
+// Retry-After passed through, another tenant is admitted, and an ensemble
+// that does not fit whole is refused with every member it placed cancelled.
 func TestTenantQuotaRejects(t *testing.T) {
 	h := newFleetHarness(t, 1, 1, 8, func(cfg *server.Config) {
 		cfg.Quotas = map[string]int{"greedy": 2, "bystander": 3}

@@ -112,9 +112,17 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleList folds in the current status of every backend that owns a
-// placed job (one listing each), then pages the fleet's own job table.
+// placed job (one listing each), then pages the fleet's own job table,
+// filtered by ?status= like a backend's.
 func (c *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
-	filter := r.URL.Query().Get("status")
+	var filter server.JState
+	if v := r.URL.Query().Get("status"); v != "" {
+		var err error
+		if filter, err = server.ParseJState(v); err != nil {
+			server.WriteError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+	}
 	c.mu.Lock()
 	var owners []string
 	for _, b := range c.backends {
@@ -130,7 +138,7 @@ func (c *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
 	all := make([]JobInfo, 0, len(c.order))
 	for _, id := range c.order {
 		info := c.jobInfoLocked(c.jobs[id])
-		if filter == "" || info.State == filter {
+		if filter == "" || info.State == string(filter) {
 			all = append(all, info)
 		}
 	}

@@ -125,14 +125,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // fleet coordinator its reconciliation primitive: page through a backend's
 // jobs and match them by shared_key.
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
 	var filter JState
-	if v := q.Get("status"); v != "" {
-		switch JState(v) {
-		case JQueued, JRunning, JRetrying, JCompleted, JCancelled, JInterrupted, JFailed:
-			filter = JState(v)
-		default:
-			WriteError(w, http.StatusBadRequest, "unknown status "+strconv.Quote(v))
+	if v := r.URL.Query().Get("status"); v != "" {
+		var err error
+		if filter, err = ParseJState(v); err != nil {
+			WriteError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 	}

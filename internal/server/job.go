@@ -102,14 +102,14 @@ type JobSpec struct {
 	// migrated off a dead backend resumes on another. Run jobs only.
 	SharedKey string `json:"shared_key,omitempty"`
 
-	// Rebalance, when non-nil, turns on the live load-rebalancing runtime for
-	// this job (internal/balance): per-rank compute telemetry is watched at
-	// every step boundary, and a sustained imbalance triggers an in-flight
-	// migration to a re-planned layout. Requires layout "auto" — rebalancing
-	// reasons in the planner's candidate space, and an explicitly pinned
-	// layout is a promise the runtime must not silently break. The zero
-	// policy {} uses the documented defaults.
-	Rebalance *balance.Policy `json:"rebalance,omitempty"`
+	// Rebalance, when present ({}), turns on the live load-rebalancing
+	// runtime for this job (internal/balance): per-rank compute telemetry is
+	// watched at every step boundary, and a sustained imbalance triggers an
+	// in-flight migration to a re-planned layout. Requires layout "auto" —
+	// rebalancing reasons in the planner's candidate space, and an
+	// explicitly pinned layout is a promise the runtime must not silently
+	// break. The object has no fields: the policy is balance's.
+	Rebalance *struct{} `json:"rebalance,omitempty"`
 
 	// PerturbAmp > 0 applies a deterministic multiplicative perturbation of
 	// relative amplitude PerturbAmp to the initial U, V and Φ fields, seeded
@@ -199,11 +199,6 @@ func (sp *JobSpec) Normalize() error {
 	}
 	if sp.Kind != "run" && (sp.SharedKey != "" || sp.PerturbAmp != 0 || sp.PerturbSeed != 0) {
 		return fmt.Errorf("shared_key/perturb_* are only meaningful for run jobs")
-	}
-	if sp.Rebalance != nil {
-		if err := sp.Rebalance.Validate(); err != nil {
-			return fmt.Errorf("rebalance: %w", err)
-		}
 	}
 	if sp.Kind == "figures" {
 		if sp.Rebalance != nil {
@@ -353,6 +348,20 @@ const (
 	// (cancel stops the pending restart).
 	JRetrying JState = "retrying"
 )
+
+// jobStates lists every JState, in lifecycle order.
+var jobStates = []JState{JQueued, JRunning, JRetrying, JCompleted, JCancelled, JInterrupted, JFailed}
+
+// ParseJState returns the job state named v. Both job APIs filter their
+// GET /jobs?status= with it, so an unknown name is a 400 on either.
+func ParseJState(v string) (JState, error) {
+	for _, st := range jobStates {
+		if string(st) == v {
+			return st, nil
+		}
+	}
+	return "", fmt.Errorf("unknown status %q", v)
+}
 
 // terminal reports whether no worker currently owns or will own the job.
 func (st JState) terminal() bool {

@@ -4,27 +4,27 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 
-	"cadycore/internal/balance"
+	"cadycore/internal/checkpoint"
 	"cadycore/internal/fault"
 	"cadycore/internal/tune"
 )
 
 func TestRebalanceSpecValidation(t *testing.T) {
-	auto := func(pol *balance.Policy) JobSpec {
+	auto := func(on *struct{}) JobSpec {
 		return JobSpec{
 			Layout: "auto", Procs: 4,
 			Nx: 32, Ny: 16, Nz: 4, M: 2, Steps: 4,
-			Rebalance: pol,
+			Rebalance: on,
 		}
 	}
 	valid := map[string]JobSpec{
-		"zero policy":     auto(&balance.Policy{}),
-		"explicit policy": auto(&balance.Policy{Window: 4, Threshold: 2, Patience: 1}),
-		"no policy":       auto(nil),
+		"rebalance on":  auto(&struct{}{}),
+		"rebalance off": auto(nil),
 	}
 	for name, spec := range valid {
 		if err := spec.Normalize(); err != nil {
@@ -32,24 +32,23 @@ func TestRebalanceSpecValidation(t *testing.T) {
 		}
 	}
 
-	explicit := smallSpec(4)
-	explicit.Rebalance = &balance.Policy{}
-	figures := JobSpec{Kind: "figures", Rebalance: &balance.Policy{}}
+	// Submissions as the API decodes them: strictly, then Normalize.
 	invalid := map[string]struct {
-		spec JobSpec
+		body string
 		want string
 	}{
-		"explicit layout": {explicit, "layout"},
-		"figures job":     {figures, "run jobs"},
-		"bad threshold":   {auto(&balance.Policy{Threshold: 0.5}), "threshold"},
-		"bad window":      {auto(&balance.Policy{Window: -1}), "window"},
-		"bad patience":    {auto(&balance.Policy{Patience: -1}), "patience"},
-		"bad smoothing":   {auto(&balance.Policy{Smoothing: 2}), "smoothing"},
+		"explicit layout": {`{"alg":"yz","pa":2,"pb":2,"rebalance":{}}`, "layout"},
+		"figures job":     {`{"kind":"figures","rebalance":{}}`, "run jobs"},
+		"retired field":   {`{"layout":"auto","procs":4,"rebalance":{"threshold":2}}`, "threshold"},
 	}
 	for name, tc := range invalid {
-		err := tc.spec.Normalize()
+		var spec JobSpec
+		err := DecodeStrict(strings.NewReader(tc.body), &spec)
 		if err == nil {
-			t.Errorf("%s: Normalize() = nil, want error", name)
+			err = spec.Normalize()
+		}
+		if err == nil {
+			t.Errorf("%s: accepted, want error", name)
 			continue
 		}
 		if !strings.Contains(err.Error(), tc.want) {
@@ -59,8 +58,8 @@ func TestRebalanceSpecValidation(t *testing.T) {
 }
 
 // TestRebalanceJobMigrates is the service-level rebalance soak: a chaos
-// straggler slows one rank 10x, and an auto-layout job with the rebalancing
-// policy enabled must detect it, migrate at least once, surface the
+// straggler slows one rank 10x, and an auto-layout job with rebalancing on
+// must detect it, migrate at least once, surface the
 // migration log and the updated plan in its status, and bump the /metrics
 // rebalance counters.
 func TestRebalanceJobMigrates(t *testing.T) {
@@ -72,7 +71,7 @@ func TestRebalanceJobMigrates(t *testing.T) {
 	spec := JobSpec{
 		Layout: "auto", Procs: 4,
 		Nx: 48, Ny: 24, Nz: 8, M: 2, Steps: 24,
-		Rebalance: &balance.Policy{Window: 4, Patience: 1, Cooldown: 1},
+		Rebalance: &struct{}{},
 	}
 	resp := postJSON(t, ts, "/jobs", spec)
 	if resp.StatusCode != http.StatusAccepted {
@@ -123,8 +122,8 @@ func TestRebalanceJobMigrates(t *testing.T) {
 	}
 }
 
-// TestRebalanceQuietJobDoesNotMigrate: without a straggler the same policy
-// must leave the plan alone.
+// TestRebalanceQuietJobDoesNotMigrate: without a straggler the controller
+// must leave the plan alone over several windows.
 func TestRebalanceQuietJobDoesNotMigrate(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, QueueCap: 4})
 	ts := httptest.NewServer(s)
@@ -132,15 +131,69 @@ func TestRebalanceQuietJobDoesNotMigrate(t *testing.T) {
 
 	spec := JobSpec{
 		Layout: "auto", Procs: 4,
-		Nx: 48, Ny: 24, Nz: 8, M: 2, Steps: 8,
-		Rebalance: &balance.Policy{Window: 4, Patience: 1, Cooldown: 1},
+		Nx: 48, Ny: 24, Nz: 8, M: 2, Steps: 16,
+		Rebalance: &struct{}{},
 	}
 	st := decodeStatus(t, postJSON(t, ts, "/jobs", spec))
 	final := waitState(t, s, st.ID, JCompleted)
 	if len(final.Migrations) != 0 {
 		t.Errorf("quiet job migrated: %+v", final.Migrations)
 	}
-	if final.StepsDone != 8 {
-		t.Errorf("steps done = %d, want 8", final.StepsDone)
+	if final.StepsDone != 16 {
+		t.Errorf("steps done = %d, want 16", final.StepsDone)
+	}
+}
+
+// TestRecoverRetiredRebalancePolicy: a spec.json an older release wrote with
+// policy fields under "rebalance" (a fast-reacting window 4, patience 1,
+// cooldown 1) still recovers, because recovery decodes leniently, and the
+// resumed job rebalances at the fixed policy: under a 10x straggler its first
+// migration is at step 8, where patience 1 would have moved at step 4.
+func TestRecoverRetiredRebalancePolicy(t *testing.T) {
+	dir := t.TempDir()
+	jdir := filepath.Join(dir, "j-000001")
+	if err := checkpoint.MkdirDurable(jdir); err != nil {
+		t.Fatal(err)
+	}
+	old := `{
+  "kind": "run",
+  "layout": "auto",
+  "procs": 4,
+  "nx": 48,
+  "ny": 24,
+  "nz": 8,
+  "m": 3,
+  "steps": 24,
+  "dt1": 30,
+  "dt2": 180,
+  "rebalance": {
+    "window": 4,
+    "patience": 1,
+    "cooldown": 1
+  }
+}`
+	if err := checkpoint.WriteFileAtomic(filepath.Join(jdir, "spec.json"), []byte(old)); err != nil {
+		t.Fatal(err)
+	}
+
+	chaos := &fault.Plan{Seed: 1, Stragglers: []fault.Straggler{{Rank: 3, Scale: 10}}}
+	s := newTestServer(t, Config{Workers: 1, QueueCap: 4, Dir: dir, Chaos: chaos})
+	j, ok := s.Get("j-000001")
+	if !ok {
+		t.Fatal("job with a retired rebalance policy was not recovered")
+	}
+	if st := j.Status(); st.State != JInterrupted || !st.Resumable || st.Spec.Rebalance == nil {
+		t.Fatalf("recovered %s resumable=%v rebalance=%v, want interrupted, resumable, rebalance on",
+			st.State, st.Resumable, st.Spec.Rebalance != nil)
+	}
+	if _, err := s.Resume(j.ID); err != nil {
+		t.Fatalf("Resume: %v", err)
+	}
+	final := waitState(t, s, j.ID, JCompleted)
+	if final.StepsDone != 24 || len(final.Migrations) == 0 {
+		t.Fatalf("resumed job: %d steps, migrations %+v; want 24 and at least one", final.StepsDone, final.Migrations)
+	}
+	if mg := final.Migrations[0]; mg.Step != 8 || mg.To == mg.From {
+		t.Errorf("first migration %+v, want a layout change at step 8", mg)
 	}
 }

@@ -56,12 +56,6 @@ type Config struct {
 	// the newest snapshot there, whichever backend wrote it — which is how a
 	// coordinator migrates a job from a dead backend to this one.
 	Shared checkpoint.Store
-	// Model is the simulated network cost model (default comm.TianheLike).
-	Model comm.NetModel
-	// Planner chooses layouts for "layout": "auto" jobs. Nil builds a
-	// default planner from Model (analytic profile, short pilots) with the
-	// plan cache under Dir/plans when Dir is set.
-	Planner *tune.Planner
 	// Chaos, when non-nil and non-empty, injects the fault plan into every
 	// run job: stragglers, message jitter and transient send errors perturb
 	// the simulated clock, and rank crashes kill jobs mid-run so the restart
@@ -125,10 +119,13 @@ var (
 )
 
 // Server is the job service. Create with New, expose via ServeHTTP (it is
-// an http.Handler), stop with Shutdown.
+// an http.Handler), stop with Shutdown. Every job simulates the
+// comm.TianheLike network.
 type Server struct {
-	cfg     Config
-	model   comm.NetModel
+	cfg Config
+	// planner chooses the layouts of "layout": "auto" jobs: the analytic
+	// profile of the simulated network, short pilots, and the plan cache
+	// under Dir/plans when Dir is set.
 	planner *tune.Planner
 	restart RestartPolicy
 	chaos   *fault.Plan // nil when chaos testing is off
@@ -174,20 +171,13 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.CheckTenancy(); err != nil {
 		return nil, err
 	}
-	model := cfg.Model
-	if model.ComputeRate == 0 {
-		model = comm.TianheLike()
+	planner := &tune.Planner{
+		Profile:    tune.ProfileFromModel(comm.TianheLike()),
+		TopK:       2,
+		PilotSteps: 1,
 	}
-	planner := cfg.Planner
-	if planner == nil {
-		planner = &tune.Planner{
-			Profile:    tune.ProfileFromModel(model),
-			TopK:       2,
-			PilotSteps: 1,
-		}
-		if cfg.Dir != "" {
-			planner.Cache = tune.NewCache(filepath.Join(cfg.Dir, "plans"))
-		}
+	if cfg.Dir != "" {
+		planner.Cache = tune.NewCache(filepath.Join(cfg.Dir, "plans"))
 	}
 	chaos := cfg.Chaos
 	if chaos != nil {
@@ -200,7 +190,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:     cfg,
-		model:   model,
 		planner: planner,
 		restart: cfg.Restart.normalize(),
 		chaos:   chaos,
@@ -481,7 +470,8 @@ func (s *Server) runJob(j *Job) {
 
 	g := grid.New(j.Spec.Nx, j.Spec.Ny, j.Spec.Nz)
 	spec := balance.RunSpec{
-		Grid: g, Model: s.model, Steps: j.Spec.Steps,
+		Grid: g, Model: comm.TianheLike(), Steps: j.Spec.Steps,
+		Rebalance: j.Spec.Rebalance != nil,
 		Progress: func(step int) {
 			j.mu.Lock()
 			j.stepsDone = step
@@ -508,17 +498,10 @@ func (s *Server) runJob(j *Job) {
 		},
 	}
 	if j.Spec.autoLayout() {
+		// The job's current plan: the autotuner's choice, or the migrated
+		// layout of a resumed job (Commit records migrations, so checkpoints
+		// stay coherent). A rebalanced run starts from it.
 		plan, err := s.planJob(j, g)
-		if err == nil && j.Spec.Rebalance != nil {
-			// The controller starts from the job's current plan — the
-			// autotuner's choice, or the migrated layout of a resumed job
-			// (Commit records migrations, so checkpoints stay coherent).
-			spec.Controller, err = balance.NewController(*j.Spec.Rebalance, g,
-				s.planner.Profile, j.Spec.Steps, plan.Setup(j.Spec.config()))
-			if err != nil {
-				err = fmt.Errorf("rebalance: %w", err)
-			}
-		}
 		if err != nil {
 			j.mu.Lock()
 			s.finishLocked(j, JFailed, err.Error(), false)
@@ -566,11 +549,8 @@ func (s *Server) runJob(j *Job) {
 	// the driver gets no restart budget: a crash comes back as the error.
 	out, err := balance.Run(spec)
 	ended := time.Now()
-	if ctl := spec.Controller; ctl != nil {
-		st := ctl.Snapshot()
-		s.met.rebalanceDecisions.Add(st.Decisions)
-		s.met.rebalanceSkipped.Add(st.Skipped)
-	}
+	s.met.rebalanceDecisions.Add(out.Rebalance.Decisions)
+	s.met.rebalanceSkipped.Add(out.Rebalance.Skipped)
 
 	completed := err == nil && out.StepsDone >= spec.Steps
 	if completed && j.store != nil {
@@ -695,7 +675,7 @@ func (s *Server) runFigures(j *Job) {
 	o.Steps = j.Spec.Steps
 	o.Dt1, o.Dt2 = j.Spec.Dt1, j.Spec.Dt2
 	o.Ps = harness.SortedPs(j.Spec.Ps)
-	o.Model = s.model
+	o.Model = comm.TianheLike()
 	figs := harness.AllFigures(o)
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -739,14 +719,15 @@ func (s *Server) planJob(j *Job, g *grid.Grid) (tune.Plan, error) {
 // cady_persist_errors_total counter.
 
 type jobMeta struct {
-	State      JState              `json:"state"`
-	StepsDone  int                 `json:"steps_done"`
-	Resumable  bool                `json:"resumable"`
-	Error      string              `json:"error,omitempty"`
-	Attempts   int                 `json:"attempts"`
-	Restarts   int                 `json:"restarts,omitempty"`
-	Plan       *tune.Plan          `json:"plan,omitempty"`
-	Migrations []balance.Migration `json:"migrations,omitempty"`
+	State       JState              `json:"state"`
+	StepsDone   int                 `json:"steps_done"`
+	Resumable   bool                `json:"resumable"`
+	Error       string              `json:"error,omitempty"`
+	Attempts    int                 `json:"attempts"`
+	Restarts    int                 `json:"restarts,omitempty"`
+	Plan        *tune.Plan          `json:"plan,omitempty"`
+	Migrations  []balance.Migration `json:"migrations,omitempty"`
+	Diagnostics map[string]float64  `json:"diagnostics,omitempty"`
 }
 
 func (s *Server) jobDir(j *Job) string { return filepath.Join(s.cfg.Dir, j.ID) }
@@ -790,14 +771,15 @@ func (s *Server) persistMetaLocked(j *Job) {
 		return
 	}
 	m := jobMeta{
-		State:      j.state,
-		StepsDone:  j.stepsDone,
-		Resumable:  j.resumable,
-		Error:      j.errMsg,
-		Attempts:   j.attempts,
-		Restarts:   j.restarts,
-		Plan:       j.plan,
-		Migrations: j.migrations,
+		State:       j.state,
+		StepsDone:   j.stepsDone,
+		Resumable:   j.resumable,
+		Error:       j.errMsg,
+		Attempts:    j.attempts,
+		Restarts:    j.restarts,
+		Plan:        j.plan,
+		Migrations:  j.migrations,
+		Diagnostics: j.diags,
 	}
 	b, _ := json.MarshalIndent(m, "", "  ")
 	if err := checkpoint.WriteFileAtomic(filepath.Join(s.jobDir(j), "meta.json"), b); err != nil {
@@ -932,6 +914,7 @@ func (s *Server) recover() error {
 				j.restarts = m.Restarts
 				j.plan = m.Plan
 				j.migrations = m.Migrations
+				j.diags = m.Diagnostics
 			}
 		}
 		// checkpoint_step is the newest checkpoint the home reads back (none

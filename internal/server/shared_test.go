@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -128,6 +129,30 @@ func TestFinalSnapshotResumeKeepsDiagnostics(t *testing.T) {
 		if diags[1][k] != v {
 			t.Errorf("diagnostic %s: %v after a final-snapshot resume, %v uninterrupted", k, diags[1][k], v)
 		}
+	}
+}
+
+// TestCompletedDiagnosticsSurviveRestart: a completed job's diagnostics are
+// committed with its meta.json, so a server restarted over the same
+// directory reports them unchanged.
+func TestCompletedDiagnosticsSurviveRestart(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestServer(t, Config{Workers: 1, QueueCap: 4, Dir: dir})
+	j, err := s.Submit(smallSpec(2))
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	before := waitState(t, s, j.ID, JCompleted).Diagnostics
+	cancelShutdown(t, s)
+
+	s2 := newTestServer(t, Config{Workers: 1, QueueCap: 4, Dir: dir})
+	r, ok := s2.Get(j.ID)
+	if !ok {
+		t.Fatalf("job %s not recovered", j.ID)
+	}
+	after := r.Status()
+	if after.State != JCompleted || len(before) == 0 || !maps.Equal(after.Diagnostics, before) {
+		t.Fatalf("recovered %s job with diagnostics %v, want completed with %v", after.State, after.Diagnostics, before)
 	}
 }
 
