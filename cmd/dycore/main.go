@@ -191,6 +191,10 @@ func main() {
 		fmt.Printf("rebalance: step %d migrated %s -> %s (predicted gain %.4g s, cost %.4g s)\n",
 			mg.Step, mg.From, mg.To, mg.PredictedGain, mg.Cost)
 	}
+	if *rebalance {
+		st := out.Rebalance
+		fmt.Printf("rebalance: %d decisions, %d skipped (last ratio %.3g)\n", st.Decisions, st.Skipped, st.LastRatio)
+	}
 
 	if *saveFile != "" {
 		if err := checkpoint.WriteAtomic(*saveFile, checkpoint.Gather(g, out.Finals)); err != nil {

@@ -1,10 +1,11 @@
 // Package balance is the live load-rebalancing runtime: it watches per-rank
 // compute telemetry at the step-boundary barrier, detects sustained
 // imbalance (a straggler rank, a drifting partition), re-plans the
-// decomposition by feeding measured per-rank slowdowns into the §5.3 cost
-// model (internal/tune), and — when the predicted win clears a modeled
-// migration cost — quiesces the run at a step boundary and restarts it in
-// the new layout through the cross-decomposition checkpoint path. The
+// decomposition by piloting layouts on the simulated machine under the
+// measured per-rank slowdowns (tune.PilotStep, the clock the run is charged
+// on), and — when the piloted win clears a modeled migration cost —
+// quiesces the run at a step boundary and restarts it in the new layout
+// through the cross-decomposition checkpoint path. The
 // controller is deliberately layout-generic: it reasons in the planner's
 // candidate space (dycore.Setup values from tune.Candidates), so any layout
 // the planner can enumerate can be migrated to.
@@ -12,6 +13,7 @@ package balance
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"cadycore/internal/dycore"
@@ -20,16 +22,16 @@ import (
 )
 
 // The controller's policy. A 10x straggler on a 4-rank run is detected at
-// step 8 and migrated away from (the soak tests); a fault-free run never
+// step 8 and migrated away from (the soak tests); a fault-free YZ run never
 // reaches the re-planner.
 const (
 	// window is the telemetry window in steps: per-rank compute deltas are
 	// accumulated over window steps before each imbalance evaluation.
 	window = 4
-	// threshold is the max/min per-rank compute ratio above which a window
-	// counts as imbalanced. It leaves headroom over the ~1.2 ratio the
-	// polar-filter skew produces on a uniform partition, so only unmodeled
-	// imbalance trips it.
+	// threshold is the raw max/min per-rank compute ratio above which a
+	// window counts as imbalanced. It leaves headroom over the ~1.2 ratio the
+	// polar-filter skew produces on a uniform YZ partition; what trips it is
+	// then priced by pilots, which may find the layout already the fastest.
 	threshold = 1.5
 	// patience is how many consecutive imbalanced windows must be observed
 	// before re-planning — the hysteresis that keeps jitter from thrashing.
@@ -41,9 +43,14 @@ const (
 	// would use only the latest window).
 	smoothing = 0.5
 	// minGain scales the migration-cost gate: a re-plan is accepted only
-	// when the predicted saving over the remaining steps exceeds minGain
+	// when the piloted saving over the remaining steps exceeds minGain
 	// times the modeled migration cost.
 	minGain = 1
+	// replanTol bounds re-piloting: a decision whose slowdowns are each
+	// within this fraction of the last rejected decision's is rejected
+	// without pilots. Under the same rates the pilots pick the same layout,
+	// and its saving only shrinks with the remaining steps.
+	replanTol = 0.05
 	// maxMigrations bounds the migrations of one run.
 	maxMigrations = 4
 )
@@ -55,7 +62,7 @@ type Migration struct {
 	// From and To are the keys (tune.Key) of the old and new layouts.
 	From string `json:"from"`
 	To   string `json:"to"`
-	// PredictedGain is the modeled saving over the remaining steps that
+	// PredictedGain is the piloted saving over the remaining steps that
 	// justified the switch; Cost is the modeled migration price it cleared.
 	PredictedGain float64 `json:"predicted_gain_s"`
 	Cost          float64 `json:"cost_s"`
@@ -85,15 +92,18 @@ type controller struct {
 
 	mu  sync.Mutex
 	set dycore.Setup //cadyvet:guardedby mu
-	// modelComp is the §5.3 per-rank compute baseline of the current
-	// layout; prevComp the cumulative per-rank compute at the previous
-	// boundary; ewma the smoothed per-window compute. All preallocated to
-	// the rank count so the observe path never allocates.
-	modelComp  []float64  //cadyvet:guardedby mu
-	prevComp   []float64  //cadyvet:guardedby mu
-	ewma       []float64  //cadyvet:guardedby mu
-	slow       []float64  //cadyvet:guardedby mu
-	haveEwma   bool       //cadyvet:guardedby mu
+	// prevComp is the cumulative per-rank compute at the previous boundary;
+	// ewma the smoothed per-window compute. Both preallocated to the rank
+	// count so the observe path never allocates.
+	prevComp []float64 //cadyvet:guardedby mu
+	ewma     []float64 //cadyvet:guardedby mu
+	haveEwma bool      //cadyvet:guardedby mu
+	// expect is the current layout's per-rank compute per step in a
+	// unit-rate pilot, run at the layout's first decision; rejected the
+	// slowdowns of the last decision its pilots turned down. Both are
+	// cleared by a migration.
+	expect     []float64  //cadyvet:guardedby mu
+	rejected   []float64  //cadyvet:guardedby mu
 	boundaries int        //cadyvet:guardedby mu
 	over       int        //cadyvet:guardedby mu
 	cooling    int        //cadyvet:guardedby mu
@@ -110,8 +120,8 @@ type controller struct {
 // starts in the given layout. Only the planner's schemes are re-plannable:
 // CA and YZ under the Y-Z decomposition, not X-Y or 3-D. The algorithm and
 // the numerics (M among them) are held fixed across re-plans (changing them
-// mid-run would change the trajectory); only the factorization, row
-// partition and stage depth may move.
+// mid-run would change the trajectory); only the factorization and the row
+// partition may move.
 func newController(g *grid.Grid, prof tune.Profile, steps int, start dycore.Setup) (*controller, error) {
 	if steps < 1 {
 		return nil, fmt.Errorf("balance: steps = %d must be >= 1", steps)
@@ -130,10 +140,8 @@ func newController(g *grid.Grid, prof tune.Profile, steps int, start dycore.Setu
 		steps: steps,
 		set:   start,
 
-		modelComp: tune.PerRankCompute(g, prof, start),
-		prevComp:  make([]float64, procs),
-		ewma:      make([]float64, procs),
-		slow:      make([]float64, procs),
+		prevComp: make([]float64, procs),
+		ewma:     make([]float64, procs),
 	}
 	return c, nil
 }
@@ -227,62 +235,61 @@ func (c *controller) observe(base, done int, comp []float64) bool {
 }
 
 // decide re-plans under the measured rates; it runs locked, on the rare
-// sustained-imbalance path. Returns true when a migration-worthy plan was
-// staged in pending.
+// sustained-imbalance path. Every layout is priced by a pilot on the
+// simulated machine with each rank's compute scaled by its slowdown — the
+// clock the run itself is charged on. Returns true when a migration-worthy
+// plan was staged in pending.
 //
 //cadyvet:locked c.mu
 func (c *controller) decide(step int) bool {
 	c.decisions++
 	if len(c.migrations) >= maxMigrations {
-		c.skipped++
-		c.cooling = cooldown
-		return false
+		return c.skip()
 	}
-	// Per-rank slowdowns: measured window compute against the §5.3 baseline,
-	// normalized so the fastest rank is 1 and clamped below at 1. The
-	// normalization removes the model's absolute-scale error; the clamp
-	// keeps a noisy fast rank from reading as "faster than the model".
-	minRel := -1.0
-	for i := range c.slow {
-		model := c.modelComp[i] * window
-		if model <= 0 {
-			c.skipped++
-			c.cooling = cooldown
-			return false
-		}
-		rel := c.ewma[i] / model
-		c.slow[i] = rel
-		if minRel < 0 || rel < minRel {
-			minRel = rel
-		}
+	// Per-rank slowdowns: measured window compute against what a unit-rate
+	// pilot of the current layout charges each rank, normalized so the
+	// fastest rank is 1 and clamped below at 1. The pilot accounts for the
+	// layout's own skew (polar filter, ghost rows); the clamp keeps a noisy
+	// fast rank from reading as faster than the machine.
+	if c.expect == nil {
+		_, c.expect = tune.PilotStep(c.g, c.prof, c.set, tune.DefaultPilotSteps, nil)
 	}
-	if minRel <= 0 {
-		c.skipped++
-		c.cooling = cooldown
-		return false
-	}
-	for i := range c.slow {
-		c.slow[i] /= minRel
-		if c.slow[i] < 1 {
-			c.slow[i] = 1
+	slow := make([]float64, c.procs)
+	// observe decides only when every ewma is positive, so minRel > 0.
+	minRel := math.Inf(1)
+	for i, e := range c.expect {
+		if e <= 0 {
+			return c.skip()
 		}
+		slow[i] = c.ewma[i] / (e * window)
+		minRel = min(minRel, slow[i])
+	}
+	for i := range slow {
+		slow[i] = max(slow[i]/minRel, 1)
+	}
+	if nearRates(slow, c.rejected) {
+		return c.skip()
 	}
 
-	slow := c.slow // local alias: the closure below runs under the same lock
-	cur := tune.EvaluateWithRates(c.g, c.prof, c.set, slow)
+	cur, _ := tune.PilotStep(c.g, c.prof, c.set, tune.DefaultPilotSteps, slow)
 	curKey := tune.Key(c.set)
-	best, bestKey := cur, curKey
+	best, bestSet, bestKey := cur, c.set, curKey
 	consider := func(cd dycore.Setup) {
-		e := tune.EvaluateWithRates(c.g, c.prof, cd, slow)
-		if k := tune.Key(cd); e.Total < best.Total || (e.Total == best.Total && k < bestKey) {
-			best, bestKey = e, k
+		k := tune.Key(cd)
+		if k == curKey {
+			return
+		}
+		if t, _ := tune.PilotStep(c.g, c.prof, cd, tune.DefaultPilotSteps, slow); t < best || (t == best && k < bestKey) {
+			best, bestSet, bestKey = t, cd, k
 		}
 	}
 	// The enumeration keeps the current numerics, M among them (no VaryM),
-	// and the algorithm is pinned: switching integrators mid-run would
-	// change the trajectory, not just its cost.
+	// and the algorithm and the stage depth are pinned: switching
+	// integrators mid-run, or the staged exchange's depth (which moves the
+	// trajectory by its approximation error), would change the trajectory,
+	// not just its cost.
 	for _, cd := range tune.Candidates(c.g, c.procs, c.set.Cfg, c.prof, tune.SearchOptions{}) {
-		if cd.Alg != c.set.Alg {
+		if cd.Alg != c.set.Alg || cd.Cfg.StageDepth() != c.set.Cfg.StageDepth() {
 			continue
 		}
 		consider(cd)
@@ -292,18 +299,39 @@ func (c *controller) decide(step int) bool {
 		}
 	}
 
-	remaining := float64(c.steps - step)
-	gain := (cur.Total - best.Total) * remaining
-	cost := tune.MigrationCost(c.g, c.procs, c.prof)
+	gain := (cur - best) * float64(c.steps-step)
+	cost := tune.MigrationCost(c.g, c.set, c.prof)
 	if bestKey == curKey || gain <= minGain*cost {
-		c.skipped++
-		c.cooling = cooldown
-		return false
+		c.rejected = slow
+		return c.skip()
 	}
-	plan := tune.PlanOf(c.g, c.procs, best.Setup, c.prof, best.Total)
+	plan := tune.PlanOf(c.g, c.procs, bestSet, c.prof, best)
 	c.pending = &plan
 	c.pendingMig = Migration{Step: step, From: curKey, To: bestKey,
 		PredictedGain: gain, Cost: cost}
+	return true
+}
+
+// skip records a decision that stages no migration and cools down.
+//
+//cadyvet:locked c.mu
+func (c *controller) skip() bool {
+	c.skipped++
+	c.cooling = cooldown
+	return false
+}
+
+// nearRates reports whether every slowdown in slow is within replanTol of
+// prev's (false when prev is nil).
+func nearRates(slow, prev []float64) bool {
+	if len(prev) != len(slow) {
+		return false
+	}
+	for i, p := range prev {
+		if math.Abs(slow[i]-p) > replanTol*p {
+			return false
+		}
+	}
 	return true
 }
 
@@ -321,7 +349,7 @@ func (c *controller) takePending() (*tune.Plan, Migration) {
 	p := c.pending
 	c.pending = nil
 	c.set = p.Setup(c.set.Cfg)
-	c.modelComp = tune.PerRankCompute(c.g, c.prof, c.set)
+	c.expect, c.rejected = nil, nil
 	c.haveEwma = false
 	c.over = 0
 	c.cooling = cooldown

@@ -21,8 +21,8 @@ func Example() {
 	res := dycore.Run(setup, g, comm.Zero(), heldsuarez.InitialState, 2)
 
 	c := res.Count
-	perStepEx := (c.HaloExchanges - 2) / int64(c.Steps)  // minus bootstrap + finalize
-	perStepC := (c.CEvaluations - 1) / int64(c.Steps)    // minus bootstrap
+	perStepEx := (c.HaloExchanges - 2) / int64(c.Steps) // minus bootstrap + finalize
+	perStepC := (c.CEvaluations - 1) / int64(c.Steps)   // minus bootstrap
 	fmt.Printf("exchange rounds per step: %d\n", perStepEx)
 	fmt.Printf("z-collectives per step: %d (= 2M)\n", perStepC)
 	fmt.Printf("stable: %v\n", res.Finals[0].AllFinite())

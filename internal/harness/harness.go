@@ -427,13 +427,13 @@ func summarizeFig8(f Figure) string {
 // TheoryRow is one line of the Section 5.3 comparison: the Θ-model values
 // and the measured per-rank communication volume and synchronization count.
 type TheoryRow struct {
-	P                      int
-	Alg                    string
-	WModel, SModel         float64
-	BytesMeasured          int64
-	CollectivesMeasured    int64
-	ExchangesMeasured      int64
-	OrderingHolds          bool
+	P                   int
+	Alg                 string
+	WModel, SModel      float64
+	BytesMeasured       int64
+	CollectivesMeasured int64
+	ExchangesMeasured   int64
+	OrderingHolds       bool
 }
 
 // TheoryTable evaluates the Section 5.3 model against measured counters.

@@ -61,7 +61,7 @@ const fieldsPerExchange = 4
 // global y row: the row's nx·(nz/pz) points through every stencil kernel at
 // its dycore.SimCosts weight, plus the filter transforms of ~3 field
 // components per layer on rows poleward of the cutoff, at the profile's
-// ComputeRate. It is the model's one statement of per-point work: colCosts
+// ComputeRate. It is the model's one statement of per-point work: Evaluate
 // sums it over a column and RatedRows partitions by it.
 func rowCosts(g *grid.Grid, prof Profile, s dycore.Setup) []float64 {
 	aw, dw, sw, cw, fw := dycore.SimCosts()
@@ -81,27 +81,13 @@ func rowCosts(g *grid.Grid, prof Profile, s dycore.Setup) []float64 {
 	return costs
 }
 
-// Evaluate prices one layout analytically. All terms are per step (K = 1);
-// only relative order matters for planning, but the scale is real seconds so
-// predictions are comparable with pilot measurements.
+// Evaluate prices one layout analytically: every y column of the process
+// grid separately (all ranks of one column carry the same modeled cost —
+// the z split is uniform, only the y rows differ), the busiest column's
+// compute plus communication being the estimate. All terms are per step
+// (K = 1); only relative order matters for planning, but the scale is real
+// seconds so predictions are comparable with pilot measurements.
 func Evaluate(g *grid.Grid, prof Profile, s dycore.Setup) Estimate {
-	comp, comm := colCosts(g, prof, s)
-	worst := Estimate{Setup: s}
-	for cy := range comp {
-		if t := comp[cy] + comm[cy]; t > worst.Total {
-			worst.Comp, worst.Comm, worst.Total = comp[cy], comm[cy], t
-		}
-	}
-	return worst
-}
-
-// colCosts prices every y column of the layout's process grid separately,
-// returning per-column compute and communication seconds per step (length
-// py). All ranks of one column carry the same modeled cost: the z split is
-// uniform, only the y rows differ. The split form feeds both Evaluate (max
-// over columns) and the rate-aware re-planner, which scales the compute
-// term by measured per-rank slowdowns.
-func colCosts(g *grid.Grid, prof Profile, s dycore.Setup) (compCols, commCols []float64) {
 	py, pz := s.PA, s.PB
 	starts := s.RowStarts
 	if starts == nil {
@@ -111,8 +97,7 @@ func colCosts(g *grid.Grid, prof Profile, s dycore.Setup) (compCols, commCols []
 	n := countsOf(s)
 	_, hy, hz := s.HaloWidths()
 
-	compCols = make([]float64, py)
-	commCols = make([]float64, py)
+	worst := Estimate{Setup: s}
 	nx, layers := g.Nx, g.Nz/pz
 	for cy := 0; cy < py; cy++ {
 		rows := starts[cy+1] - starts[cy]
@@ -147,10 +132,11 @@ func colCosts(g *grid.Grid, prof Profile, s dycore.Setup) (compCols, commCols []
 				prof.Beta*8*2*plane*math.Log2(float64(pz)))
 		}
 
-		compCols[cy] = comp
-		commCols[cy] = comm
+		if t := comp + comm; t > worst.Total {
+			worst.Comp, worst.Comm, worst.Total = comp, comm, t
+		}
 	}
-	return compCols, commCols
+	return worst
 }
 
 func boolF(b bool) float64 {

@@ -39,7 +39,9 @@ type Plan struct {
 	HaloY int `json:"halo_y"`
 	HaloZ int `json:"halo_z"`
 
-	// PredictedStep is the analytic model's busiest-rank seconds per step.
+	// PredictedStep is the analytic model's busiest-rank seconds per step;
+	// for a rebalancer's re-plan it is the piloted step under the measured
+	// per-rank rates.
 	PredictedStep float64 `json:"predicted_step_s"`
 	// PilotStep is the pilot run's simulated seconds per step (0 when the
 	// plan was not refined empirically).
@@ -85,9 +87,14 @@ type Planner struct {
 	// TopK is how many analytic leaders the pilot stage re-measures
 	// (default 4; 0 uses the default, negative disables the refiner).
 	TopK int
-	// PilotSteps is the length of each pilot run (default 2).
+	// PilotSteps is the length of each pilot run (default
+	// DefaultPilotSteps).
 	PilotSteps int
 }
+
+// DefaultPilotSteps is the pilot length when none is given: two steps, since
+// a one-step pilot carries the first step's warm-up, which differs by layout.
+const DefaultPilotSteps = 2
 
 // topK resolves the pilot width.
 func (pl *Planner) topK() int {
@@ -104,7 +111,7 @@ func (pl *Planner) topK() int {
 // pilotSteps resolves the pilot length.
 func (pl *Planner) pilotSteps() int {
 	if pl.PilotSteps < 1 {
-		return 2
+		return DefaultPilotSteps
 	}
 	return pl.PilotSteps
 }
@@ -140,10 +147,9 @@ func (pl *Planner) Plan(g *grid.Grid, procs int, cfg dycore.Config) (Plan, error
 			k = len(ests)
 		}
 		steps := pl.pilotSteps()
-		model := pl.Profile.NetModel()
 		bestSim, bestIdx := 0.0, -1
 		for i := 0; i < k; i++ {
-			sim := pilotStep(ests[i].Setup, g, model, steps)
+			sim, _ := PilotStep(g, pl.Profile, ests[i].Setup, steps, nil)
 			if bestIdx < 0 || sim < bestSim {
 				bestSim, bestIdx = sim, i
 			}
@@ -177,7 +183,7 @@ func (pl *Planner) rank(g *grid.Grid, procs int, cfg dycore.Config) []Estimate {
 	return ests
 }
 
-// PlanOf builds a Plan directly from a chosen layout and its predicted step
+// PlanOf builds a Plan directly from a chosen layout and its piloted step
 // time, bypassing the enumeration — the rebalancing controller's entry point
 // for publishing a mid-run re-plan in the same schema the planner and the job
 // service persist.
@@ -203,12 +209,27 @@ func planFrom(g *grid.Grid, procs int, e Estimate, prof Profile) Plan {
 	}
 }
 
-// pilotStep runs the layout for steps steps on the simulated network and
-// returns simulated seconds per step. The Held–Suarez initial state gives
-// the pilot realistic filter activity.
-func pilotStep(s dycore.Setup, g *grid.Grid, model comm.NetModel, steps int) float64 {
-	res := dycore.Run(s, g, model, heldsuarez.InitialState, steps)
-	return res.Agg.SimTime / float64(steps)
+// PilotStep runs the layout for steps steps on the profile's simulated
+// machine and returns the simulated seconds per step and each rank's
+// compute seconds per step, in rank order. slow, when non-nil, scales rank
+// r's compute by slow[r] (comm.Faults' ComputeScale), so a layout is priced
+// under measured per-rank rates; nil runs at unit rates. The Held–Suarez
+// initial state gives the pilot realistic filter activity. It is the one
+// pilot: the refiner, MeasureStep and the rebalancing controller call it.
+func PilotStep(g *grid.Grid, prof Profile, s dycore.Setup, steps int, slow []float64) (step float64, comp []float64) {
+	var opts dycore.RunOpts
+	if slow != nil {
+		opts.Faults = comm.NewFaults(len(slow), 0)
+		for r, sl := range slow {
+			opts.Faults.Rank(r).ComputeScale = sl
+		}
+	}
+	res, _ := dycore.RunWithOpts(s, g, prof.NetModel(), heldsuarez.InitialState, steps, opts)
+	comp = make([]float64, len(res.Agg.RankComp))
+	for r, c := range res.Agg.RankComp {
+		comp[r] = c / float64(steps)
+	}
+	return res.Agg.SimTime / float64(steps), comp
 }
 
 // MeasureStep runs one layout for the given steps under the profile's
@@ -216,7 +237,8 @@ func pilotStep(s dycore.Setup, g *grid.Grid, model comm.NetModel, steps int) flo
 // refiner optimizes, exported for exhaustive benchmarking (cadytune bench).
 func (pl *Planner) MeasureStep(s dycore.Setup, g *grid.Grid, steps int) float64 {
 	if steps < 1 {
-		steps = 2
+		steps = DefaultPilotSteps
 	}
-	return pilotStep(s, g, pl.Profile.NetModel(), steps)
+	step, _ := PilotStep(g, pl.Profile, s, steps, nil)
+	return step
 }

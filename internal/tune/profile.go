@@ -5,7 +5,9 @@
 // latitude-weighted filter term — over the uniform-partition candidate space
 // scheme ∈ {CA, YZ} × every py×pz factorization × CA stage depth, refines
 // the top analytic candidates with short pilot runs, and memoizes the chosen
-// plan in an on-disk cache.
+// plan in an on-disk cache. The rebalancing controller (internal/balance)
+// prices its mid-run re-plans with the same pilot, under measured per-rank
+// slowdowns.
 //
 // The planner is deterministic: a given (mesh, procs, config, profile)
 // always yields the same plan. Pilot runs measure the simulated LogP clock,

@@ -8,71 +8,27 @@ import (
 	"cadycore/internal/grid"
 )
 
-// This file is the rate-aware side of the §5.3 cost model: the same analytic
-// column costs as Evaluate, but with the compute term scaled by measured
-// per-rank slowdown factors. It is what the live load-rebalancing runtime
-// (internal/balance) re-plans with — a straggler rank shows up as slow > 1,
-// which biases both the candidate ranking and the weighted row partition
-// toward giving that rank less work.
-
-// rankColumn returns the y-column index of a world rank under the layout's
-// process grid. Ranks are laid out rank = cz·py + cy (p_x = 1), matching
-// internal/topo.
-func rankColumn(s dycore.Setup, rank int) int {
-	return rank % s.PA
-}
-
-// PerRankCompute returns the modeled per-step compute seconds of every rank
-// of the layout, in rank order. Each rank inherits its y column's compute
-// cost (the z split is uniform). The rebalancing controller divides
-// measured per-rank compute by this baseline to isolate slowdowns the model
-// does not already explain — the polar-filter skew is modeled, a straggler
-// is not.
-func PerRankCompute(g *grid.Grid, prof Profile, s dycore.Setup) []float64 {
-	comp, _ := colCosts(g, prof, s)
-	out := make([]float64, s.Procs())
-	for r := range out {
-		out[r] = comp[rankColumn(s, r)]
-	}
-	return out
-}
-
-// EvaluateWithRates is Evaluate with the compute term of each rank scaled by
-// its measured slowdown factor (slow[r] ≥ 1, fastest rank = 1; nil or
-// mismatched slow falls back to the unrated Evaluate). The estimate is the
-// busiest rank's seconds per step under the measured rates.
-func EvaluateWithRates(g *grid.Grid, prof Profile, s dycore.Setup, slow []float64) Estimate {
-	if len(slow) != s.Procs() {
-		return Evaluate(g, prof, s)
-	}
-	comp, comm := colCosts(g, prof, s)
-	worst := Estimate{Setup: s}
-	for r, sl := range slow {
-		cy := rankColumn(s, r)
-		if t := comp[cy]*sl + comm[cy]; t > worst.Total {
-			worst.Comp, worst.Comm, worst.Total = comp[cy]*sl, comm[cy], t
-		}
-	}
-	return worst
-}
+// This file is the rebalancer's proposal side: the slowdown-aware row
+// partition it offers as a candidate, and the price of migrating to one.
+// Whether a proposal wins is decided by PilotStep under the measured rates.
 
 // RatedRows builds the slowdown-aware y-row partition for a layout: row
 // weights are the model's rowCosts (stencil work plus the polar-filter
 // surcharge), and each column's weight is additionally multiplied by the
-// largest slowdown among its ranks, so slow columns receive fewer rows. With unit slowdowns it is the purely latitude-weighted
-// partition. Every chunk keeps dycore.MinPerRank rows. Returns nil when
-// py < 2, the partition is infeasible, or the rated partition equals the
-// layout's existing one.
+// largest slowdown among its ranks, so slow columns receive fewer rows.
+// With unit slowdowns it is the purely latitude-weighted partition. Every
+// chunk keeps dycore.MinPerRank rows. Returns nil when py < 2, the
+// partition is infeasible, or the rated partition equals the layout's
+// existing one.
 func RatedRows(g *grid.Grid, prof Profile, s dycore.Setup, slow []float64) []int {
 	py := s.PA
 	if py < 2 || len(slow) != s.Procs() || py*dycore.MinPerRank > g.Ny {
 		return nil
 	}
+	// Ranks are laid out rank = cz·py + cy (p_x = 1), matching internal/topo.
 	colSlow := make([]float64, py)
 	for r, sl := range slow {
-		if cy := rankColumn(s, r); sl > colSlow[cy] {
-			colSlow[cy] = sl
-		}
+		colSlow[r%py] = max(colSlow[r%py], sl)
 	}
 	for _, cs := range colSlow {
 		if cs <= 0 {
@@ -162,11 +118,16 @@ func RatedRowStarts(weights, colSlow []float64, minRows int) []int {
 
 // MigrationCost prices one in-flight layout switch with the profile's
 // network constants: a quiesce barrier plus a full-state gather and
-// re-scatter (three 3-D fields and the surface pressure, 8 bytes each),
-// paid twice for the round trip through the checkpoint. The rebalancing
-// controller only accepts a re-plan whose predicted win over the remaining
-// steps clears this cost.
-func MigrationCost(g *grid.Grid, procs int, prof Profile) float64 {
-	bytes := 8 * float64(3*g.Nx*g.Ny*g.Nz+g.Nx*g.Ny)
-	return 2*float64(procs)*prof.Alpha + 2*prof.Beta*bytes
+// re-scatter of the snapshot the layout's scheme carries (checkpoint.Gather:
+// U, V, Φ and the surface pressure, and for the comm-avoiding scheme the
+// lagged Ĉ's PWI and DBar; 8 bytes a float), paid twice for the round trip
+// through the checkpoint. The rebalancing controller only accepts a re-plan
+// whose piloted win over the remaining steps clears this cost.
+func MigrationCost(g *grid.Grid, s dycore.Setup, prof Profile) float64 {
+	n3, n2 := g.Nx*g.Ny*g.Nz, g.Nx*g.Ny
+	floats := 3*n3 + n2
+	if s.Alg == dycore.AlgCommAvoid {
+		floats += n3 + 2*n2
+	}
+	return 2*float64(s.Procs())*prof.Alpha + 2*prof.Beta*8*float64(floats)
 }

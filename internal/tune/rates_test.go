@@ -6,7 +6,10 @@ import (
 	"reflect"
 	"testing"
 
+	"cadycore/internal/checkpoint"
+	"cadycore/internal/dycore"
 	"cadycore/internal/grid"
+	"cadycore/internal/heldsuarez"
 )
 
 func ones(n int) []float64 {
@@ -138,4 +141,45 @@ func TestRatedRowStartsPanicsOnInfeasible(t *testing.T) {
 		}
 	}()
 	RatedRowStarts(ones(5), ones(3), 2)
+}
+
+// TestMigrationCostPricesTheSnapshot: a migration moves the snapshot
+// checkpoint.Gather takes, so its price is the α/β cost of that snapshot's
+// floats, 8 bytes each — a comm-avoiding snapshot also carries the lagged
+// Ĉ. The YZ soak's price (yz 4x1, 48x24x8) stays 1.3664 ms.
+func TestMigrationCostPricesTheSnapshot(t *testing.T) {
+	g := grid.New(48, 24, 8)
+	prof := DefaultProfile()
+	for _, alg := range []dycore.Algorithm{dycore.AlgCommAvoid, dycore.AlgBaselineYZ} {
+		s := dycore.Setup{Alg: alg, PA: 4, PB: 1, Cfg: planCfg()}
+		gl := checkpoint.Gather(g, dycore.Run(s, g, prof.NetModel(), heldsuarez.InitialState, 1).Finals)
+		floats := len(gl.U) + len(gl.V) + len(gl.Phi) + len(gl.Psa) + len(gl.PWI) + len(gl.DBar)
+		want := 2*float64(s.Procs())*prof.Alpha + 2*prof.Beta*8*float64(floats)
+		if got := MigrationCost(g, s, prof); math.Abs(got-want) > 1e-12*want {
+			t.Errorf("%s: MigrationCost %g, want %g (%d floats)", alg, got, want, floats)
+		}
+		if got := fmt.Sprintf("%.5g", MigrationCost(g, s, prof)); alg == dycore.AlgBaselineYZ && got != "0.0013664" {
+			t.Errorf("yz 4x1 migration cost %s s, want 0.0013664", got)
+		}
+	}
+}
+
+// TestPilotStepUnderSlowdowns: unit slowdowns are the unperturbed pilot,
+// and a slowed rank's compute grows by its factor while the step does not
+// get faster.
+func TestPilotStepUnderSlowdowns(t *testing.T) {
+	g := grid.New(48, 24, 8)
+	prof := DefaultProfile()
+	s := dycore.Setup{Alg: dycore.AlgBaselineYZ, PA: 4, PB: 1, Cfg: planCfg()}
+	step, comp := PilotStep(g, prof, s, 1, nil)
+	if u, uc := PilotStep(g, prof, s, 1, ones(4)); u != step || !reflect.DeepEqual(uc, comp) {
+		t.Errorf("unit slowdowns: step %g comp %v, want %g %v", u, uc, step, comp)
+	}
+	slowStep, slowComp := PilotStep(g, prof, s, 1, []float64{1, 1, 1, 3})
+	if r := slowComp[3] / comp[3]; math.Abs(r-3) > 1e-9 {
+		t.Errorf("rank 3 slowed 3x charged %.6gx the compute", r)
+	}
+	if slowStep <= step {
+		t.Errorf("a 3x straggler did not slow the step: %g <= %g", slowStep, step)
+	}
 }
