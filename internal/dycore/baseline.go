@@ -2,6 +2,7 @@ package dycore
 
 import (
 	"cadycore/internal/grid"
+	"cadycore/internal/operators"
 	"cadycore/internal/state"
 	"cadycore/internal/stencil"
 	"cadycore/internal/topo"
@@ -47,7 +48,8 @@ func NewBaseline(cfg Config, g *grid.Grid, tp *topo.Topology) *Baseline {
 	// one row past it. The work state swaps with ξ (smooth), so it shares
 	// ξ's block.
 	owned := tp.Block.Owned()
-	b := &Baseline{core: newCore(cfg, g, tp, tp.Block, tp.Block, covering(tp.Block, owned), covering(tp.Block, grow(owned, 1, 0)))}
+	b := &Baseline{core: newCore(cfg, g, tp, tp.Block, tp.Block, covering(tp.Block, grow(owned, 1, 0)))}
+	b.tnd = operators.NewTendency(covering(tp.Block, owned))
 	rAd := stencil.Union(stencil.RadiusOf(stencil.Adaptation), stencil.RadiusOf(stencil.Advection))
 	rSm := stencil.RadiusOf(stencil.Smoothing)
 	dx := 0

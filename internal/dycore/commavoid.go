@@ -42,6 +42,9 @@ type CommAvoid struct {
 	bandF3  [1]*field.F3 // prebuilt payload slices for the band exchange
 	bandF2  [1]*field.F2
 
+	// lvl holds two levels of the tendency every update streams (stream).
+	lvl *operators.LevelTendency
+
 	depthY, depthZ int // valid halo depth after the adaptation exchange (= 3·S)
 	stage          int // iterations per exchange round (0 = unstaged: all M)
 
@@ -101,11 +104,13 @@ func NewCommAvoid(cfg Config, g *grid.Grid, tp *topo.Topology) *CommAvoid {
 	// Storage follows compute. The deep halo reaches toward higher k only, so
 	// below K0 only the advection exchange writes (dzAdv levels); on a bottom
 	// z-rank, whose deep halo is cut at σ = 1, that is all the z halo there
-	// is. The tendency lives on its compute extent, region(1) ∪ advRegion(2).
-	// The work state, written there too, also stores the row and level past
-	// it that the stencils read, and the two rows past region(2) whose p'_sa
-	// the surface update before the η2 tendency reads (Surface.UpdateFor).
-	// L̃'s planes reach one row past the advection's rect.
+	// is. An update streams its tendency one level at a time (stream), so
+	// the tendency stores two levels of the footprint of its compute extent,
+	// region(1) ∪ advRegion(2). The work state, written there, also stores
+	// the row and level past it that the stencils read, and the two rows past
+	// region(2) whose p'_sa the surface update before the η2 tendency reads
+	// (Surface.UpdateFor). L̃'s planes reach one row past the advection's
+	// rect.
 	b := tp.Block
 	stor := b
 	if b.K0 > 0 && b.K1 == b.Nz {
@@ -115,7 +120,8 @@ func NewCommAvoid(cfg Config, g *grid.Grid, tp *topo.Topology) *CommAvoid {
 	r2 := expandAsym(b, ca.depthY-2, ca.depthY-2, 0, ca.depthZ-2)
 	rAdv2 := expandAsym(b, 2, 2, 2, 2)
 	work := covering(b, grow(r1, 1, 1), grow(r2, 2, 0), grow(rAdv2, 1, 1))
-	ca.core = newCore(cfg, g, tp, stor, work, covering(b, r1, rAdv2), covering(b, grow(rAdv2, 1, 0)))
+	ca.core = newCore(cfg, g, tp, stor, work, covering(b, grow(rAdv2, 1, 0)))
+	ca.lvl = operators.NewLevelTendency(covering(b, r1, rAdv2))
 	// S̃2's originals are read on the latter smoothing's rect s2r, grown by
 	// the smoothing's two rows; the smoothing is horizontal, so no level
 	// below K0 or past the domain.
@@ -226,12 +232,12 @@ func expandAsym(b field.Block, yLo, yHi, zLo, zHi int) field.Rect {
 }
 
 // Step advances one time step of Algorithm 2. ψ is ξ, and the one work state
-// holds η1, then the midpoint (ψ + η2)/2 (core.applyMid). Ghosts follow
-// their writes: each update, midpoint and smoothing stage refreshes the
-// ghosts sourced in what it wrote, and each exchange those sourced in what
-// it received (fillReceived). A step hook or resume writes ξ's owned cells
-// from outside, so the step starts by refreshing the ghosts sourced there,
-// once.
+// holds η1, then the midpoint (ψ + η2)/2; every update streams its tendency
+// one level at a time (stream). Ghosts follow their writes: each update,
+// midpoint and smoothing stage refreshes the ghosts sourced in what it
+// wrote, and each exchange those sourced in what it received
+// (fillReceived). A step hook or resume writes ξ's owned cells from
+// outside, so the step starts by refreshing the ghosts sourced there, once.
 func (ca *CommAvoid) Step() {
 	owned := ca.tp.Block.Owned()
 	storage := ca.xi.B.WithHalo()
@@ -266,10 +272,13 @@ func (ca *CommAvoid) Step() {
 	}
 	ca.n.HaloExchanges++ // one fused communication round
 
-	// ---- Overlap: η1 tendency on the inner part while messages fly ----
+	// ---- Overlap: η1 on the inner part while messages fly ----
 	// The overlapped inner computation uses the lagged Ĉ of the approximate
 	// nonlinear iteration; under the ExactC ablation η1 must instead use a
-	// fresh post-exchange Ĉ, so the overlap is skipped for that update.
+	// fresh post-exchange Ĉ, so the overlap is skipped for that update. η1
+	// is written on the inner part at once: its ψ cells there are owned,
+	// and the latter smoothing changes only rows within two of the owned
+	// block's comm-fed edges, which the inner part leaves out.
 	r1 := ca.region(1)
 	var inner field.Rect
 	if !ca.cfg.NoOverlap && !ca.cfg.ExactC {
@@ -283,8 +292,7 @@ func (ca *CommAvoid) Step() {
 	}
 	ca.updateSurface(ca.xi, inner)
 	if !inner.Empty() {
-		ca.adaptTendency(ca.xi, inner)
-		ca.filterTendency(inner)
+		ca.stream(kernAdapt, ca.xi, ca.eta1, false, inner)
 	}
 
 	pend.Finish()
@@ -307,7 +315,7 @@ func (ca *CommAvoid) Step() {
 		ca.xi.FillLocalBounds(storage)
 	}
 
-	// ---- η1 completion on the outer region, then the update ----
+	// ---- η1 completion on the outer region ----
 	// ψ is ξ from here to the end of the step: nothing reads the step's
 	// initial ξ once η1 is formed, so the iteration updates it in place.
 	ca.updateSurface(ca.xi, r1)
@@ -315,10 +323,9 @@ func (ca *CommAvoid) Step() {
 		ca.evalC(ca.xi, r1)
 	}
 	for _, s := range ca.slabs(r1, inner) {
-		ca.adaptTendency(ca.xi, s)
-		ca.filterTendency(s)
+		ca.stream(kernAdapt, ca.xi, ca.eta1, false, s)
 	}
-	ca.applyUpdate(ca.eta1, ca.xi, ca.cfg.Dt1, r1)
+	ca.chargeLincomb(r1)
 
 	// ---- Remaining adaptation updates (Algorithm 2 lines 13–22) ----
 	u := 1
@@ -344,8 +351,7 @@ func (ca *CommAvoid) Step() {
 				}
 				ca.updateSurface(ca.xi, sInner)
 				if !sInner.Empty() {
-					ca.adaptTendency(ca.xi, sInner)
-					ca.filterTendency(sInner)
+					ca.stream(kernAdapt, ca.xi, ca.eta1, false, sInner)
 				}
 				spend.Finish()
 				ca.fillReceived(ca.stageEx, ca.xi)
@@ -354,19 +360,16 @@ func (ca *CommAvoid) Step() {
 					ca.evalC(ca.xi, r)
 				}
 				for _, s := range ca.slabs(r, sInner) {
-					ca.adaptTendency(ca.xi, s)
-					ca.filterTendency(s)
+					ca.stream(kernAdapt, ca.xi, ca.eta1, false, s)
 				}
-				ca.applyUpdate(ca.eta1, ca.xi, ca.cfg.Dt1, r)
+				ca.chargeLincomb(r)
 			} else {
 				r := ca.region(u)
 				ca.updateSurface(ca.xi, r)
 				if ca.cfg.ExactC {
 					ca.evalC(ca.xi, r)
 				}
-				ca.adaptTendency(ca.xi, r)
-				ca.filterTendency(r)
-				ca.applyUpdate(ca.eta1, ca.xi, ca.cfg.Dt1, r)
+				ca.update(kernAdapt, ca.xi, ca.eta1, false, r)
 			}
 		}
 
@@ -377,9 +380,7 @@ func (ca *CommAvoid) Step() {
 		r := ca.region(u)
 		ca.updateSurface(ca.eta1, r)
 		ca.evalC(ca.eta1, r)
-		ca.adaptTendency(ca.eta1, r)
-		ca.filterTendency(r)
-		ca.applyMid(ca.eta1, ca.xi, ca.cfg.Dt1, r)
+		ca.update(kernAdapt, ca.eta1, ca.eta1, true, r)
 
 		// η3 = ψ + Δt1·F̃(Ĉ(mid) + Â(mid)); Ĉ(mid) stays in the cache for
 		// the next η1 and the advection
@@ -387,9 +388,7 @@ func (ca *CommAvoid) Step() {
 		r = ca.region(u)
 		ca.updateSurface(ca.eta1, r)
 		ca.evalC(ca.eta1, r)
-		ca.adaptTendency(ca.eta1, r)
-		ca.filterTendency(r)
-		ca.applyUpdate(ca.xi, ca.xi, ca.cfg.Dt1, r) // ψ ← η3
+		ca.update(kernAdapt, ca.eta1, ca.xi, false, r) // ψ ← η3
 	}
 
 	// ---- Advection phase: one exchange, overlap on ζ1 ----
@@ -403,30 +402,24 @@ func (ca *CommAvoid) Step() {
 	}
 	ca.updateSurface(ca.xi, inner)
 	if !inner.Empty() {
-		ca.advectTendency(ca.xi, inner)
-		ca.filterTendency(inner)
+		ca.stream(kernAdvect, ca.xi, ca.eta1, false, inner)
 	}
 	pend.Finish()
 	ca.fillReceived(ca.advEx, ca.xi)
 	ca.updateSurface(ca.xi, rz1)
 	for _, s := range ca.slabs(rz1, inner) {
-		ca.advectTendency(ca.xi, s)
-		ca.filterTendency(s)
+		ca.stream(kernAdvect, ca.xi, ca.eta1, false, s)
 	}
-	ca.applyUpdate(ca.eta1, ca.xi, ca.cfg.Dt2, rz1) // ζ1
+	ca.chargeLincomb(rz1) // ζ1
 
 	// ζ2, consumed only by the midpoint (ψ + ζ2)/2 that overwrites ζ1 on r
 	r := ca.advRegion(1)
 	ca.updateSurface(ca.eta1, r)
-	ca.advectTendency(ca.eta1, r)
-	ca.filterTendency(r)
-	ca.applyMid(ca.eta1, ca.xi, ca.cfg.Dt2, r)
+	ca.update(kernAdvect, ca.eta1, ca.eta1, true, r)
 
 	// ζ3
 	ca.updateSurface(ca.eta1, owned)
-	ca.advectTendency(ca.eta1, owned)
-	ca.filterTendency(owned)
-	ca.applyUpdate(ca.xi, ca.xi, ca.cfg.Dt2, owned)
+	ca.update(kernAdvect, ca.eta1, ca.xi, false, owned)
 
 	// Ablation: plain smoothing at the end of the step (baseline style).
 	if ca.cfg.NoFusedSmoothing {
@@ -435,6 +428,93 @@ func (ca *CommAvoid) Step() {
 
 	ca.n.Steps++
 	ca.publishCarry(!ca.cfg.NoFusedSmoothing)
+}
+
+// update streams one whole update over r (stream) and charges its lincomb.
+func (ca *CommAvoid) update(kern kernel, src, dst *state.State, mid bool, r field.Rect) {
+	ca.stream(kern, src, dst, mid, r)
+	ca.chargeLincomb(r)
+}
+
+// stream runs one update, or one piece of an overlapped one, over r a level
+// at a time (DESIGN §8 "One level of tendency"). At each level k it forms
+// the tendency plane of kern at src — kernAdapt: Â + Ĉ with Δt1, kernAdvect:
+// L̃ with Δt2 — filters its polar rows and writes dst at level k from ψ = ξ:
+// dst ← ψ + Δt·F̃(T), or with mid the midpoint ½ψ + ½(ψ + Δt·F̃(T))
+// (field.MidRect); then it refreshes the ghosts sourced there. dp'_sa, one
+// plane, goes first: the 3-D kernels read the surface diagnostics computed
+// from it beforehand, never p'_sa itself. A piece writes dp'_sa on all of
+// its rows, so a k-slab rewrites the inner piece's rows, with the same
+// values: their p'_sa and D̄ inputs do not change in between.
+//
+// dst may be src (the midpoint overwrites the state its tendency is
+// evaluated at): level k is written only once the tendency of level k+1 is
+// formed, and the tendency of a level reads src at that level and its
+// neighbours only (Â: k and k+1, L̃: k−1 … k+1), so none reads a level
+// already written. Two levels of tendency are therefore alive at a time.
+//
+// The simulated clock sees one whole-rect evaluation: the kernel's and the
+// filter's work, summed over the levels, are charged once each, in that
+// order; the caller charges the lincomb (chargeLincomb), once per update
+// however many pieces stream it.
+func (ca *CommAvoid) stream(kern kernel, src, dst *state.State, mid bool, r field.Rect) {
+	ca.n.FilterCalls++
+	dt, cost := ca.cfg.Dt1, costAdapt
+	if kern == kernAdvect {
+		dt, cost = ca.cfg.Dt2, costAdvect
+	}
+	t := ca.lvl.Level(r.K0)
+	w := 0
+	if kern == kernAdapt {
+		w = operators.AdaptationPsa(ca.g, ca.cfg.Adapt, src, ca.cache, t, r)
+	} else {
+		operators.AdvectionPsa(t, r)
+	}
+	rows := ca.flt.Apply(&t.DPsa.F3, r.Flat2D())
+	lincomb(&dst.Psa.F3, &ca.xi.Psa.F3, dt, &t.DPsa.F3, r.Flat2D(), mid)
+	dst.FillPsaBounds(r)
+	for k := r.K0; k < r.K1; k++ {
+		t := ca.lvl.Level(k)
+		if kern == kernAdapt {
+			w += operators.AdaptationLevel(ca.g, src, ca.sur, ca.cache, t, r, k)
+		} else {
+			w += operators.AdvectionLevel(ca.g, src, ca.sur, ca.cache, t, r, k, ca.advSc)
+		}
+		rk := atLevel(r, k)
+		rows += ca.flt.Apply(t.DU, rk) + ca.flt.Apply(t.DV, rk) + ca.flt.Apply(t.DPhi, rk)
+		if k > r.K0 {
+			ca.writeLevel(dst, dt, mid, r, k-1)
+		}
+	}
+	ca.writeLevel(dst, dt, mid, r, r.K1-1)
+	ca.w.Compute(float64(w) * cost)
+	ca.chargeFilter(rows)
+}
+
+// writeLevel writes dst's U, V and Φ at level k of r from ψ = ξ and that
+// level's streamed tendency, then refreshes the ghosts sourced there.
+func (ca *CommAvoid) writeLevel(dst *state.State, dt float64, mid bool, r field.Rect, k int) {
+	t, rk := ca.lvl.Level(k), atLevel(r, k)
+	lincomb(dst.U, ca.xi.U, dt, t.DU, rk, mid)
+	lincomb(dst.V, ca.xi.V, dt, t.DV, rk, mid)
+	lincomb(dst.Phi, ca.xi.Phi, dt, t.DPhi, rk, mid)
+	dst.Fill3DBounds(rk)
+}
+
+// lincomb sets dst ← psi + dt·t over r, or with mid the midpoint
+// ½·psi + ½·(psi + dt·t).
+func lincomb(dst, psi *field.F3, dt float64, t *field.F3, r field.Rect, mid bool) {
+	if mid {
+		field.MidRect(dst, psi, dt, t, r)
+		return
+	}
+	field.Lin2Rect(dst, 1, psi, dt, t, r)
+}
+
+// atLevel returns level k of r.
+func atLevel(r field.Rect, k int) field.Rect {
+	r.K0, r.K1 = k, k+1
+	return r
 }
 
 // advRegion is region() for the advection phase's shallower halo.

@@ -59,10 +59,14 @@ type core struct {
 	xi *state.State // current ξ; both integrators iterate on it in place (ψ is ξ)
 
 	// eta1 is the one work state of the nonlinear iteration: η1, then the
-	// midpoint (ψ + η2)/2 written over it (applyMid), and the smoothing's
-	// target or snapshot between iterations.
+	// midpoint (ψ + η2)/2 written over it (applyMid, or CommAvoid.stream
+	// level by level), and the smoothing's target or snapshot between
+	// iterations.
 	eta1 *state.State
-	tnd  *operators.Tendency // on the extent the tendency is computed on
+	// tnd is the baseline's whole tendency, on the owned block. CommAvoid
+	// leaves it nil: it streams each update one level at a time through its
+	// own two-level tendency (CommAvoid.stream).
+	tnd *operators.Tendency
 
 	// cache is the one Ĉ of the rank: the one an update's tendency reads, the
 	// lagged Ĉ the comm-avoiding η1 reuses and the one every exchange ships.
@@ -83,10 +87,11 @@ type core struct {
 
 // newCore builds the per-rank machinery on the storage blocks the integrator
 // derives from tp.Block (DESIGN §8 "Storage follows compute"): stor for ξ and
-// the Ĉ cache, work for the work state, tnd for the tendency and adv for L̃'s
-// planes, each holding only the cells written or read there. All keep
-// tp.Block's owned box and Hx, so the kernels' x offsets agree across them.
-func newCore(cfg Config, g *grid.Grid, tp *topo.Topology, stor, work, tnd, adv field.Block) *core {
+// the Ĉ cache, work for the work state and adv for L̃'s planes, each holding
+// only the cells written or read there; the integrator adds its tendency on
+// the same terms. All keep tp.Block's owned box and Hx, so the kernels' x
+// offsets agree across them.
+func newCore(cfg Config, g *grid.Grid, tp *topo.Topology, stor, work, adv field.Block) *core {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -100,7 +105,6 @@ func newCore(cfg Config, g *grid.Grid, tp *topo.Topology, stor, work, tnd, adv f
 		sur:   operators.NewSurface(tp.Block),
 		xi:    state.New(stor),
 		eta1:  state.New(work),
-		tnd:   operators.NewTendency(tnd),
 		cache: operators.NewCRes(stor),
 		advSc: operators.NewAdvScratch(adv),
 	}
@@ -291,20 +295,23 @@ func (c *core) advectTendency(src *state.State, r field.Rect) {
 // the distributed transpose filter over the owned region.
 func (c *core) filterTendency(r field.Rect) {
 	c.n.FilterCalls++
-	logn := math.Log2(float64(c.g.Nx))
 	if c.tp.Block.OwnsFullX() {
 		rows := 0
 		rows += c.flt.Apply(c.tnd.DU, r)
 		rows += c.flt.Apply(c.tnd.DV, r)
 		rows += c.flt.Apply(c.tnd.DPhi, r)
 		rows += c.flt.Apply(&c.tnd.DPsa.F3, r.Flat2D())
-		c.w.Compute(float64(rows) * float64(c.g.Nx) * logn * costFilterRow)
+		c.chargeFilter(rows)
 		return
 	}
 	// Distributed path: one batched transpose round-trip for all components
 	// of the tendency (like a production X-Y implementation).
-	rows := c.flt.ApplyDistBatch(c.tp, c.tnd.Fields())
-	c.w.Compute(float64(rows) * float64(c.g.Nx) * logn * costFilterRow)
+	c.chargeFilter(c.flt.ApplyDistBatch(c.tp, c.tnd.Fields()))
+}
+
+// chargeFilter charges F̃ for transforming rows latitude rows.
+func (c *core) chargeFilter(rows int) {
+	c.w.Compute(float64(rows) * float64(c.g.Nx) * math.Log2(float64(c.g.Nx)) * costFilterRow)
 }
 
 // applyUpdate sets dst ← base + dt·tendency over rect r (the tendency's
@@ -316,7 +323,7 @@ func (c *core) applyUpdate(dst, base *state.State, dt float64, r field.Rect) {
 	field.Lin2Rect(dst.V, 1, base.V, dt, c.tnd.DV, r)
 	field.Lin2Rect(dst.Phi, 1, base.Phi, dt, c.tnd.DPhi, r)
 	field.Lin2Rect(&dst.Psa.F3, 1, &base.Psa.F3, dt, &c.tnd.DPsa.F3, r.Flat2D())
-	c.w.Compute(float64(4*r.Count()) * costLincomb)
+	c.chargeLincomb(r)
 	dst.FillLocalBounds(r)
 }
 
@@ -332,8 +339,14 @@ func (c *core) applyMid(dst, base *state.State, dt float64, r field.Rect) {
 	field.MidRect(dst.V, base.V, dt, c.tnd.DV, r)
 	field.MidRect(dst.Phi, base.Phi, dt, c.tnd.DPhi, r)
 	field.MidRect(&dst.Psa.F3, &base.Psa.F3, dt, &c.tnd.DPsa.F3, r.Flat2D())
-	c.w.Compute(float64(4*r.Count()) * costLincomb)
+	c.chargeLincomb(r)
 	dst.FillLocalBounds(r)
+}
+
+// chargeLincomb charges the writes of an update over r: four components of
+// r's points, whichever piece or level wrote them.
+func (c *core) chargeLincomb(r field.Rect) {
+	c.w.Compute(float64(4*r.Count()) * costLincomb)
 }
 
 // shrinkByDepths shrinks r by an exchanger's per-side depths on every side
@@ -392,15 +405,17 @@ func (c *core) slabs(outer, inner field.Rect) []field.Rect {
 	return c.slabBuf[:n]
 }
 
-// kernel names the per-point-pure sweep of an overlapped update. A switch
+// kernel names a per-point-pure sweep: of an overlapped update (sweep), or
+// the tendency a comm-avoiding update streams (CommAvoid.stream). A switch
 // rather than a func value keeps every call static: no closure is built on
 // the step path.
 type kernel int
 
 const (
 	kernDivP   kernel = iota // D(P) of Ĉ into the cache's PWI, which sumC completes
-	kernAdvect               // L̃ with σ̇ from the cache into c.tnd
+	kernAdvect               // L̃ with σ̇ from the cache into the tendency
 	kernSmooth               // dst ← S̃(src)
+	kernAdapt                // Â + the Ĉ contributions from the cache (streamed only)
 )
 
 // sweep runs kernel k reading src over r and charges its work. Only the

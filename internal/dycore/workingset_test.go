@@ -18,13 +18,16 @@ import (
 // feeds (DESIGN §8 "Owned-size run boundaries"), and storage follows compute
 // (DESIGN §8 "Storage follows compute"): one Ĉ cache, the tendency and L̃'s
 // planes on the extent they are computed on, and on a bottom CA z-rank only
-// the three low-z levels the advection exchange writes. So the live heap a
-// 4×2 world adds at 96×48×12, M = 3, after SetState and one Step stays under
-// a budget per rank: it reads 3.46 MB (CA) and 1.27 MB (YZ) against 4.0
-// and 1.5. It read 10.0 MB (CA) and 3.0 MB (YZ) before the work
-// state and the planes, 6.3 and 1.9 MB while D(P) had its own array, and
-// 6.0 and 1.8 MB with two Ĉ caches and deep-halo tendencies; a third state,
-// a second cache or a 3-D scratch array is back if it fails.
+// the three low-z levels the advection exchange writes. CA streams each
+// update one level at a time (DESIGN §8 "One level of tendency"), so its
+// tendency stores two levels. The live heap a 4×2 world adds at 96×48×12,
+// M = 3, after SetState and one Step stays under a budget per rank: it reads
+// 2.90 MB (CA) and 1.27 MB (YZ) against 3.2 and 1.5. It read 3.46 MB (CA)
+// while CA's tendency covered its whole compute extent, 10.0 MB (CA) and
+// 3.0 MB (YZ) before the work state and the planes, 6.3 and 1.9 MB while
+// D(P) had its own array, and 6.0 and 1.8 MB with two Ĉ caches and deep-halo
+// tendencies; a third state, a second cache, a 3-D scratch array or a deep
+// CA tendency is back if it fails.
 func TestWorkingSetPerRank(t *testing.T) {
 	states, f3s, cres := 0, 0, 0
 	ct := reflect.TypeOf(core{})
@@ -54,7 +57,7 @@ func TestWorkingSetPerRank(t *testing.T) {
 		s      Setup
 		budget float64 // MB of live heap per rank
 	}{
-		{"ca-4x2", Setup{Alg: AlgCommAvoid, PA: 4, PB: 2, Cfg: DefaultConfig()}, 4.0},
+		{"ca-4x2", Setup{Alg: AlgCommAvoid, PA: 4, PB: 2, Cfg: DefaultConfig()}, 3.2},
 		{"yz-4x2", Setup{Alg: AlgBaselineYZ, PA: 4, PB: 2, Cfg: DefaultConfig()}, 1.5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -73,6 +76,11 @@ func TestWorkingSetPerRank(t *testing.T) {
 				testInit(g, st)
 				ig.(StateSetter).SetState(st)
 				ig.Step()
+				if ca, ok := ig.(*CommAvoid); ok {
+					if n := tendencyLevels(ca); n > 2 {
+						t.Errorf("rank %d: CA's tendency stores %d levels, want at most 2", c.Rank(), n)
+					}
+				}
 				if b := tp.Block; tc.s.Alg == AlgCommAvoid && b.K0 > 0 && b.K1 == b.Nz {
 					// A bottom z-rank stores the three levels below K0 the
 					// advection exchange writes, not the deep halo's 3M.
@@ -94,4 +102,23 @@ func TestWorkingSetPerRank(t *testing.T) {
 			}
 		})
 	}
+}
+
+// tendencyLevels returns how many levels of dU, dV and dΦ CA's streamed
+// tendency stores: the stored levels of the distinct arrays its Level hands
+// out over the whole column, per component.
+func tendencyLevels(ca *CommAvoid) int {
+	seen := map[*float64]bool{}
+	levels := 0
+	for k := 0; k < ca.g.Nz; k++ {
+		t := ca.lvl.Level(k)
+		for _, f := range t.Fields()[:3] {
+			if !seen[&f.Data[0]] {
+				seen[&f.Data[0]] = true
+				w := f.B.WithHalo()
+				levels += w.K1 - w.K0
+			}
+		}
+	}
+	return levels / 3
 }

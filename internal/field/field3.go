@@ -74,6 +74,17 @@ func (f *F3) Row(j, k int) []float64 {
 	return f.Data[base : base+f.sx]
 }
 
+// SetLevel re-aims a field that stores one level and no z halo at global
+// level k: its storage then addresses level k, holding whatever it held for
+// the level before. A tendency streamed one level at a time
+// (operators.LevelTendency) reuses such planes for every level of a rect.
+func (f *F3) SetLevel(k int) {
+	if f.sz != 1 || f.B.Hz != 0 {
+		panic(fmt.Sprintf("field: SetLevel on block %+v, which stores more than one level", f.B))
+	}
+	f.B.K0, f.B.K1, f.oz = k, k+1, k
+}
+
 // XOff converts a global longitude index to the offset used with Row.
 func (f *F3) XOff(i int) int { return i - f.ox }
 

@@ -610,3 +610,26 @@ func TestF2IsOneLevelF3(t *testing.T) {
 		}
 	}
 }
+
+// TestSetLevelReaimsOnePlane: a one-level field re-aimed at level k
+// addresses level k in its one stored plane (values kept), and a field that
+// stores more than one level refuses.
+func TestSetLevelReaimsOnePlane(t *testing.T) {
+	b := Block{Nx: 8, Ny: 4, Nz: 5, I0: 0, I1: 8, J0: 0, J1: 4, K0: 0, K1: 1, Hx: 1}
+	f := NewF3(b)
+	f.Set(3, 2, 0, 7)
+	f.SetLevel(4)
+	if got := f.At(3, 2, 4); got != 7 || len(f.Data) != 10*4 {
+		t.Fatalf("after SetLevel(4): At(3,2,4) = %v, %d values stored; want 7, 40", got, len(f.Data))
+	}
+	if w := f.B.WithHalo(); w.K0 != 4 || w.K1 != 5 {
+		t.Errorf("after SetLevel(4) the block stores levels [%d,%d), want [4,5)", w.K0, w.K1)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("SetLevel on a field with a z halo did not panic")
+		}
+	}()
+	b.Hz = 1
+	NewF3(b).SetLevel(2)
+}

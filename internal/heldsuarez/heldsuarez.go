@@ -12,6 +12,7 @@ package heldsuarez
 import (
 	"math"
 
+	"cadycore/internal/field"
 	"cadycore/internal/grid"
 	"cadycore/internal/physics"
 	"cadycore/internal/state"
@@ -97,45 +98,61 @@ func (hs Params) KV(sigma float64) float64 {
 //	T    ← (T + dt·k_T·T_eq) / (1 + dt·k_T)
 //
 // applied directly to the transformed variables: U and V scale like u and v
-// (P is unchanged by the forcing), and Φ maps affinely to T.
+// (P is unchanged by the forcing), and Φ maps affinely to T. It walks owned
+// row windows and takes p_s, P and p_es once per column, without allocating;
+// every point sees the same expressions as a per-point evaluation.
 func (hs Params) Apply(g *grid.Grid, st *state.State, dt float64) {
 	b := st.B
+	nx := b.I1 - b.I0
+	owned := func(f *field.F3, j, k int) []float64 { return f.Row(j, k)[f.XOff(b.I0):][:nx] }
 	// Winds: U at centers' west faces, V at interfaces. The friction factor
 	// depends only on σ.
 	for k := b.K0; k < b.K1; k++ {
-		sig := g.Sigma[k]
-		fv := 1 / (1 + dt*hs.KV(sig))
-		if fv != 1 {
-			for j := b.J0; j < b.J1; j++ {
-				for i := b.I0; i < b.I1; i++ {
-					st.U.Set(i, j, k, st.U.At(i, j, k)*fv)
-					st.V.Set(i, j, k, st.V.At(i, j, k)*fv)
+		fv := 1 / (1 + dt*hs.KV(g.Sigma[k]))
+		if fv == 1 {
+			continue
+		}
+		for j := b.J0; j < b.J1; j++ {
+			for _, row := range [2][]float64{owned(st.U, j, k), owned(st.V, j, k)} {
+				for i := range row {
+					row[i] *= fv
 				}
 			}
 		}
 	}
-	// Temperature relaxation on Φ = P·R·(T−T̃)/b at centers.
-	for k := b.K0; k < b.K1; k++ {
-		sig := g.Sigma[k]
-		tTil := physics.StandardTemperature(sig)
-		for j := b.J0; j < b.J1; j++ {
-			phiLat := math.Pi/2 - g.ThetaC[j] // geographic latitude
-			kT := hs.KT(phiLat, sig)
-			denom := 1 / (1 + dt*kT)
-			sinLat := math.Sin(phiLat)
-			sin2 := sinLat * sinLat
-			cos2 := 1 - sin2
-			for i := b.I0; i < b.I1; i++ {
-				ps := physics.StandardSurfacePressure + st.Psa.At(i, j)
-				p := physics.PFromPs(ps)
-				if p <= 0 {
-					continue
+	// Temperature relaxation on Φ = P·R·(T−T̃)/b at centers. p_s, P and
+	// p_es depend on the column only: they are taken once per column, for up
+	// to colChunk columns of a row at a time, in stack arrays.
+	const colChunk = 256
+	var pCol, pesCol [colChunk]float64
+	for j := b.J0; j < b.J1; j++ {
+		phiLat := math.Pi/2 - g.ThetaC[j] // geographic latitude
+		sinLat := math.Sin(phiLat)
+		sin2 := sinLat * sinLat
+		cos2 := 1 - sin2
+		psa := owned(&st.Psa.F3, j, 0)
+		for i0 := 0; i0 < nx; i0 += colChunk {
+			n := min(colChunk, nx-i0)
+			for i, v := range psa[i0 : i0+n] {
+				ps := physics.StandardSurfacePressure + v
+				pCol[i], pesCol[i] = physics.PFromPs(ps), physics.PesFromPs(ps)
+			}
+			for k := b.K0; k < b.K1; k++ {
+				sig := g.Sigma[k]
+				tTil := physics.StandardTemperature(sig)
+				kT := hs.KT(phiLat, sig)
+				denom := 1 / (1 + dt*kT)
+				phi := owned(st.Phi, j, k)[i0 : i0+n]
+				for i, p := range pCol[:n] {
+					if p <= 0 {
+						continue
+					}
+					pres := sig*pesCol[i] + physics.Pt
+					t := physics.TemperatureFromPhi(phi[i], p, tTil)
+					teq := hs.teqRow(sin2, cos2, pres)
+					tNew := (t + dt*kT*teq) * denom
+					phi[i] = physics.PhiFromTemperature(tNew, p, tTil)
 				}
-				pres := sig*physics.PesFromPs(ps) + physics.Pt
-				t := physics.TemperatureFromPhi(st.Phi.At(i, j, k), p, tTil)
-				teq := hs.teqRow(sin2, cos2, pres)
-				tNew := (t + dt*kT*teq) * denom
-				st.Phi.Set(i, j, k, physics.PhiFromTemperature(tNew, p, tTil))
 			}
 		}
 	}

@@ -190,3 +190,89 @@ func TestInitialStateSane(t *testing.T) {
 		}
 	}
 }
+
+// applyPointwise is Apply as a per-point loop: p_s, P and p_es evaluated at
+// every level, every cell read and written through At/Set. It is the
+// reference TestApplyMatchesPointwise holds Apply to.
+func applyPointwise(hs Params, g *grid.Grid, st *state.State, dt float64) {
+	b := st.B
+	for k := b.K0; k < b.K1; k++ {
+		sig := g.Sigma[k]
+		fv := 1 / (1 + dt*hs.KV(sig))
+		if fv != 1 {
+			for j := b.J0; j < b.J1; j++ {
+				for i := b.I0; i < b.I1; i++ {
+					st.U.Set(i, j, k, st.U.At(i, j, k)*fv)
+					st.V.Set(i, j, k, st.V.At(i, j, k)*fv)
+				}
+			}
+		}
+	}
+	for k := b.K0; k < b.K1; k++ {
+		sig := g.Sigma[k]
+		tTil := physics.StandardTemperature(sig)
+		for j := b.J0; j < b.J1; j++ {
+			phiLat := math.Pi/2 - g.ThetaC[j]
+			kT := hs.KT(phiLat, sig)
+			denom := 1 / (1 + dt*kT)
+			sinLat := math.Sin(phiLat)
+			sin2 := sinLat * sinLat
+			cos2 := 1 - sin2
+			for i := b.I0; i < b.I1; i++ {
+				ps := physics.StandardSurfacePressure + st.Psa.At(i, j)
+				p := physics.PFromPs(ps)
+				if p <= 0 {
+					continue
+				}
+				pres := sig*physics.PesFromPs(ps) + physics.Pt
+				t := physics.TemperatureFromPhi(st.Phi.At(i, j, k), p, tTil)
+				teq := hs.teqRow(sin2, cos2, pres)
+				tNew := (t + dt*kT*teq) * denom
+				st.Phi.Set(i, j, k, physics.PhiFromTemperature(tNew, p, tTil))
+			}
+		}
+	}
+}
+
+// TestApplyMatchesPointwise pins Apply bitwise to the per-point reference on
+// a perturbed 96×48×12 state, over the whole domain and over a block that
+// owns part of each extent (the row windows' offsets), and on a mesh whose
+// rows are wider than Apply's column chunk, each with one column whose
+// surface pressure leaves P = 0 (skipped by both). Every stored cell must
+// agree, so neither may touch a ghost.
+func TestApplyMatchesPointwise(t *testing.T) {
+	g, wide := grid.New(96, 48, 12), grid.New(600, 6, 3)
+	part := field.Block{Nx: g.Nx, Ny: g.Ny, Nz: g.Nz, I0: 8, I1: 56, J0: 10, J1: 34, K0: 3, K1: 12, Hx: 3, Hy: 5, Hz: 2}
+	for _, c := range []struct {
+		g *grid.Grid
+		b field.Block
+	}{{g, testBlock(g)}, {g, part}, {wide, testBlock(wide)}} {
+		g, b := c.g, c.b
+		st := state.New(b)
+		InitialState(g, st)
+		// Deterministic perturbation of every stored cell, ghosts included.
+		for n, f := range []*field.F3{st.U, st.V, st.Phi, &st.Psa.F3} {
+			for o := range f.Data {
+				x := math.Sin(float64(o*(n+3)) * 0.7)
+				switch n {
+				case 3:
+					f.Data[o] += 3000 * x
+				default:
+					f.Data[o] += 15*x + 0.1*float64(n)
+				}
+			}
+		}
+		st.Psa.Set(b.I0+1, b.J0+1, -2*physics.P0)
+		ref := st.Clone()
+		hs := Standard()
+		hs.Apply(g, st, 1800)
+		applyPointwise(hs, g, ref, 1800)
+		for n, pair := range [][2]*field.F3{{st.U, ref.U}, {st.V, ref.V}, {st.Phi, ref.Phi}, {&st.Psa.F3, &ref.Psa.F3}} {
+			for o := range pair[0].Data {
+				if math.Float64bits(pair[0].Data[o]) != math.Float64bits(pair[1].Data[o]) {
+					t.Fatalf("block %+v component %d cell %d: Apply %v, pointwise %v", b, n, o, pair[0].Data[o], pair[1].Data[o])
+				}
+			}
+		}
+	}
+}

@@ -35,12 +35,23 @@ func Adaptation(g *grid.Grid, cfg AdaptConfig, st *state.State, sur *Surface, cr
 }
 
 // Adaptation3D evaluates the three 3-D components (dU, dV, dΦ) of the
-// adaptation tendency over r. Writes are confined to r and all inputs are
-// read-only, so any disjoint cover of r (the overlapped interior/boundary
-// split) produces bitwise the monolithic result. Returns points updated
-// (3·|r|).
+// adaptation tendency over r, one AdaptationLevel per level. Writes are
+// confined to r and all inputs are read-only, so any disjoint cover of r (the
+// overlapped interior/boundary split, or one level at a time) produces
+// bitwise the monolithic result. Returns points updated (3·|r|).
 func Adaptation3D(g *grid.Grid, st *state.State, sur *Surface, cres *CRes, out *Tendency, r field.Rect) int {
-	if r.Empty() {
+	w := 0
+	for k := r.K0; k < r.K1; k++ {
+		w += AdaptationLevel(g, st, sur, cres, out, r, k)
+	}
+	return w
+}
+
+// AdaptationLevel is Adaptation3D on level k of r alone: it reads st at
+// levels k and k+1 only and writes out at level k, so out need store no other
+// level. Returns points updated (3 per point of r's level k).
+func AdaptationLevel(g *grid.Grid, st *state.State, sur *Surface, cres *CRes, out *Tendency, r field.Rect, k int) int {
+	if r.I1 <= r.I0 || r.J1 <= r.J0 {
 		return 0
 	}
 	mustShareX(st, out)
@@ -52,101 +63,99 @@ func Adaptation3D(g *grid.Grid, st *state.State, sur *Surface, cres *CRes, out *
 	bInvADthe := m.b / m.haDthe
 	halfInvADthe := 0.5 / m.haDthe
 
-	for k := r.K0; k < r.K1; k++ {
-		invSig := 1 / g.Sigma[k]
-		for j := r.J0; j < r.J1; j++ {
-			sC := m.sinC(j)
-			cC := m.cosC(j)
-			invASinDlam := 1 / (m.a * sC * m.dlam)
-			bInvASinDlam := m.b * invASinDlam
-			halfInvASinDlam := 0.5 * invASinDlam
-			f0 := 2 * physics.Omega * cC
-			cotA := cC / (m.a * sC)
+	invSig := 1 / g.Sigma[k]
+	for j := r.J0; j < r.J1; j++ {
+		sC := m.sinC(j)
+		cC := m.cosC(j)
+		invASinDlam := 1 / (m.a * sC * m.dlam)
+		bInvASinDlam := m.b * invASinDlam
+		halfInvASinDlam := 0.5 * invASinDlam
+		f0 := 2 * physics.Omega * cC
+		cotA := cC / (m.a * sC)
 
-			phi0 := window(st.Phi.Row(j, k), lo, n)
-			phiDn := window(st.Phi.Row(j, k+1), lo, n)
-			phiN := window(st.Phi.Row(j-1, k), lo, n)
-			phiNDn := window(st.Phi.Row(j-1, k+1), lo, n)
-			u0 := window(st.U.Row(j, k), lo, n)
-			uN := window(st.U.Row(j-1, k), lo, n)
-			v0 := window(st.V.Row(j, k), lo, n)
-			vS := window(st.V.Row(j+1, k), lo, n)
-			pes0 := window(sur.Pes.Row(j), lo, n)
-			pesN := window(sur.Pes.Row(j-1), lo, n)
-			pesS := window(sur.Pes.Row(j+1), lo, n)
-			rP := window(sur.rP.Row(j), lo, n)
-			rPes := window(sur.rPes.Row(j), lo, n)
-			rPU := window(sur.rPU.Row(j), lo, n)
-			rPesU := window(sur.rPesU.Row(j), lo, n)
-			pw0 := window(cres.PWI.Row(j, k), lo, n)
-			pw1 := window(cres.PWI.Row(j, k+1), lo, n)
-			dbar := window(cres.DBar.Row(j), lo, n)
-			dU := window(out.DU.Row(j, k), lo, n)
-			dPhi := window(out.DPhi.Row(j, k), lo, n)
-			dV := window(out.DV.Row(j, k), lo, n)
+		phi0 := window(st.Phi.Row(j, k), lo, n)
+		phiDn := window(st.Phi.Row(j, k+1), lo, n)
+		phiN := window(st.Phi.Row(j-1, k), lo, n)
+		phiNDn := window(st.Phi.Row(j-1, k+1), lo, n)
+		u0 := window(st.U.Row(j, k), lo, n)
+		uN := window(st.U.Row(j-1, k), lo, n)
+		v0 := window(st.V.Row(j, k), lo, n)
+		vS := window(st.V.Row(j+1, k), lo, n)
+		pes0 := window(sur.Pes.Row(j), lo, n)
+		pesN := window(sur.Pes.Row(j-1), lo, n)
+		pesS := window(sur.Pes.Row(j+1), lo, n)
+		rP := window(sur.rP.Row(j), lo, n)
+		rPes := window(sur.rPes.Row(j), lo, n)
+		rPU := window(sur.rPU.Row(j), lo, n)
+		rPesU := window(sur.rPesU.Row(j), lo, n)
+		pw0 := window(cres.PWI.Row(j, k), lo, n)
+		pw1 := window(cres.PWI.Row(j, k+1), lo, n)
+		dbar := window(cres.DBar.Row(j), lo, n)
+		dU := window(out.DU.Row(j, k), lo, n)
+		dPhi := window(out.DPhi.Row(j, k), lo, n)
+		dV := window(out.DV.Row(j, k), lo, n)
 
-			// dV lives at interface j, the north face of row j. The loop
-			// computes it on every row; a pole interface (V ≡ 0) has no
-			// metric, and its row is cleared afterwards.
-			pole := j < 1 || j > g.Ny-1
-			rPV := window(sur.rPV.Row(j), lo, n)
-			rPesV := window(sur.rPesV.Row(j), lo, n)
-			var f0I, cotAI float64
-			if !pole {
-				cI := g.CosI[j]
-				f0I = 2 * physics.Omega * cI
-				cotAI = cI / (m.a * m.sinI(j))
-			}
+		// dV lives at interface j, the north face of row j. The loop
+		// computes it on every row; a pole interface (V ≡ 0) has no
+		// metric, and its row is cleared afterwards.
+		pole := j < 1 || j > g.Ny-1
+		rPV := window(sur.rPV.Row(j), lo, n)
+		rPesV := window(sur.rPesV.Row(j), lo, n)
+		var f0I, cotAI float64
+		if !pole {
+			cI := g.CosI[j]
+			f0I = 2 * physics.Omega * cI
+			cotAI = cI / (m.a * m.sinI(j))
+		}
 
-			for e := 2; e < n; e++ {
-				w, c := e-2, e-1
-				// ---- dU at U point (west face of c) ----
-				// Φ̃ = vertical k,k+1 average (hydrostatic coupling; the
-				// z mirror makes k+1 safe at the bottom).
-				phiT0 := 0.5 * (phi0[w] + phiDn[w])
-				phiT1 := 0.5 * (phi0[c] + phiDn[c])
-				pl1 := bInvASinDlam * (phiT1 - phiT0)
+		for e := 2; e < n; e++ {
+			w, c := e-2, e-1
+			// ---- dU at U point (west face of c) ----
+			// Φ̃ = vertical k,k+1 average (hydrostatic coupling; the
+			// z mirror makes k+1 safe at the bottom).
+			phiT0 := 0.5 * (phi0[w] + phiDn[w])
+			phiT1 := 0.5 * (phi0[c] + phiDn[c])
+			pl1 := bInvASinDlam * (phiT1 - phiT0)
 
-				phiW := 0.5 * (phi0[w] + phi0[c])
-				pl2 := bInvASinDlam * phiW * rPesU[c] * (pes0[c] - pes0[w])
+			phiW := 0.5 * (phi0[w] + phi0[c])
+			pl2 := bInvASinDlam * phiW * rPesU[c] * (pes0[c] - pes0[w])
 
-				uPhys := u0[c] * rPU[c]
-				fstar := f0 + uPhys*cotA
-				v4 := 0.25 * (v0[w] + vS[w] + v0[c] + vS[c])
+			uPhys := u0[c] * rPU[c]
+			fstar := f0 + uPhys*cotA
+			v4 := 0.25 * (v0[w] + vS[w] + v0[c] + vS[c])
 
-				dU[c] = -pl1 - pl2 + fstar*v4
+			dU[c] = -pl1 - pl2 + fstar*v4
 
-				// ---- dΦ at center ----
-				omega1 := (0.5*(pw0[c]+pw1[c])*invSig - dbar[c]) * rP[c]
+			// ---- dΦ at center ----
+			omega1 := (0.5*(pw0[c]+pw1[c])*invSig - dbar[c]) * rP[c]
 
-				vC := 0.5 * (v0[c] + vS[c])
-				dpesDy := (pesS[c] - pesN[c]) * halfInvADthe
-				omegaT2 := vC * rPes[c] * dpesDy
+			vC := 0.5 * (v0[c] + vS[c])
+			dpesDy := (pesS[c] - pesN[c]) * halfInvADthe
+			omegaT2 := vC * rPes[c] * dpesDy
 
-				uC := 0.5 * (u0[c] + u0[e])
-				dpesDx := (pes0[e] - pes0[w]) * halfInvASinDlam
-				omegaL2 := uC * rPes[c] * dpesDx
+			uC := 0.5 * (u0[c] + u0[e])
+			dpesDx := (pes0[e] - pes0[w]) * halfInvASinDlam
+			omegaL2 := uC * rPes[c] * dpesDx
 
-				dPhi[c] = m.b * (omega1 + omegaT2 + omegaL2)
+			dPhi[c] = m.b * (omega1 + omegaT2 + omegaL2)
 
-				// ---- dV at V point (interface j) ----
-				phiTN := 0.5 * (phiN[c] + phiNDn[c])
-				pt1 := bInvADthe * (phiT1 - phiTN)
+			// ---- dV at V point (interface j) ----
+			phiTN := 0.5 * (phiN[c] + phiNDn[c])
+			pt1 := bInvADthe * (phiT1 - phiTN)
 
-				phiV := 0.5 * (phiN[c] + phi0[c])
-				pt2 := bInvADthe * phiV * rPesV[c] * (pes0[c] - pesN[c])
+			phiV := 0.5 * (phiN[c] + phi0[c])
+			pt2 := bInvADthe * phiV * rPesV[c] * (pes0[c] - pesN[c])
 
-				u4 := 0.25 * (uN[c] + uN[e] + u0[c] + u0[e])
-				fstarI := f0I + u4*rPV[c]*cotAI
+			u4 := 0.25 * (uN[c] + uN[e] + u0[c] + u0[e])
+			fstarI := f0I + u4*rPV[c]*cotAI
 
-				dV[c] = -pt1 - pt2 - fstarI*u4
-			}
-			if pole {
-				clear(dV[1 : n-1])
-			}
+			dV[c] = -pt1 - pt2 - fstarI*u4
+		}
+		if pole {
+			clear(dV[1 : n-1])
 		}
 	}
-	return 3 * r.Count()
+	return 3 * (r.I1 - r.I0) * (r.J1 - r.J0)
 }
 
 // mustShareX panics unless the tendency's rows start at the same longitude

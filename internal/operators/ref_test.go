@@ -513,3 +513,81 @@ func TestAdvectionScratchReuseBitwise(t *testing.T) {
 	AdvectionScratch(g, st, sur, cres, got, level(g.Nz/2, g.Nz), sc)
 	same("two k halves", got, o)
 }
+
+// TestLevelTendencyMatchesWholeRect: an update streamed one level at a time
+// sees bitwise the tendency a whole-rect evaluation forms. For Â and for L̃,
+// over the owned rect and over rects touching k = 0, k = N_z and neither,
+// each level is evaluated into a NaN-poisoned two-level LevelTendency stored
+// on the rect's footprint, L̃ through NaN-poisoned scratch that only its
+// first level stages σ̇ into, and compared with the whole-rect tendency
+// before the next level reuses its slot. The points the levels report sum
+// to the whole rect's.
+func TestLevelTendencyMatchesWholeRect(t *testing.T) {
+	g := probeGrid()
+	b := serialBlock(g)
+	st := refState(g, b)
+	sur, cres, _ := prepare(g, st)
+	nan := func(fs ...*field.F3) {
+		for _, f := range fs {
+			for i := range f.Data {
+				f.Data[i] = math.NaN()
+			}
+		}
+	}
+	o := b.Owned()
+	rects := []field.Rect{o, refRects(b)[1]}
+	for _, ks := range [][2]int{{0, 3}, {g.Nz - 3, g.Nz}} {
+		r := o
+		r.J0, r.K0, r.K1 = 1, ks[0], ks[1]
+		rects = append(rects, r)
+	}
+	for _, kern := range []struct {
+		name  string
+		whole func(out *Tendency, r field.Rect) int
+		level func(out *Tendency, r field.Rect, k int, sc *AdvScratch) int
+	}{
+		{"adaptation",
+			func(out *Tendency, r field.Rect) int { return Adaptation3D(g, st, sur, cres, out, r) },
+			func(out *Tendency, r field.Rect, k int, _ *AdvScratch) int {
+				return AdaptationLevel(g, st, sur, cres, out, r, k)
+			}},
+		{"advection",
+			func(out *Tendency, r field.Rect) int { return Advection3D(g, st, sur, cres, out, r, nil) },
+			func(out *Tendency, r field.Rect, k int, sc *AdvScratch) int {
+				return AdvectionLevel(g, st, sur, cres, out, r, k, sc)
+			}},
+	} {
+		for _, r := range rects {
+			whole := NewTendency(b)
+			want := kern.whole(whole, r)
+			foot := b
+			foot.J0, foot.J1, foot.Hy = r.J0, r.J1, 0
+			lt := NewLevelTendency(foot)
+			for k := r.K0; k < r.K0+2; k++ {
+				nan(lt.Level(k).Fields()[:3]...)
+			}
+			sc := NewAdvScratch(b)
+			nan(&sc.uPhys.F3, &sc.vPhys.F3)
+			for s := range sc.sdotU {
+				nan(&sc.sdotU[s].F3, &sc.sdotC[s].F3, &sc.sdotV[s].F3)
+			}
+			got := 0
+			for k := r.K0; k < r.K1; k++ {
+				lv := lt.Level(k)
+				got += kern.level(lv, r, k, sc)
+				for c, pair := range [3][2]*field.F3{{lv.DU, whole.DU}, {lv.DV, whole.DV}, {lv.DPhi, whole.DPhi}} {
+					for j := r.J0; j < r.J1; j++ {
+						for i := r.I0; i < r.I1; i++ {
+							if a, w := pair[0].At(i, j, k), pair[1].At(i, j, k); math.Float64bits(a) != math.Float64bits(w) {
+								t.Fatalf("%s over %v: component %d at (%d,%d,%d) = %v level by level, %v whole", kern.name, r, c, i, j, k, a, w)
+							}
+						}
+					}
+				}
+			}
+			if got != want {
+				t.Errorf("%s over %v: levels report %d points, the whole rect %d", kern.name, r, got, want)
+			}
+		}
+	}
+}

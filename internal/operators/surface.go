@@ -180,6 +180,39 @@ func NewTendency(b field.Block) *Tendency {
 // its one level.
 func (t *Tendency) Fields() []*field.F3 { return t.fields[:] }
 
+// LevelTendency is a tendency streamed one level at a time (DESIGN §8 "One
+// level of tendency"): dU, dV and dΦ of at most two levels, level k in slot
+// k&1, and the one dp'_sa plane. An update that consumes each level as soon
+// as it is formed then never holds the tendency of a whole rect.
+type LevelTendency struct {
+	slots [2]*Tendency // one-level tendencies sharing DPsa
+}
+
+// NewLevelTendency allocates a level tendency on b's horizontal footprint.
+func NewLevelTendency(b field.Block) *LevelTendency {
+	b.K1, b.Hz = b.K0+1, 0
+	dPsa := field.NewF2(b)
+	lt := &LevelTendency{}
+	for s := range lt.slots {
+		t := &Tendency{B: b, DU: field.NewF3(b), DV: field.NewF3(b), DPhi: field.NewF3(b), DPsa: dPsa}
+		t.fields = [4]*field.F3{t.DU, t.DV, t.DPhi, &t.DPsa.F3}
+		lt.slots[s] = t
+	}
+	return lt
+}
+
+// Level returns the one-level tendency of level k, which stores dU, dV and
+// dΦ at level k only and shares the dp'_sa plane. It reuses the storage of
+// level k−2's: the values there are stale until a kernel writes level k.
+func (lt *LevelTendency) Level(k int) *Tendency {
+	t := lt.slots[k&1]
+	t.B.K0, t.B.K1 = k, k+1
+	t.DU.SetLevel(k)
+	t.DV.SetLevel(k)
+	t.DPhi.SetLevel(k)
+	return t
+}
+
 // Zero clears the tendency (storage included).
 func (t *Tendency) Zero() {
 	for _, f := range t.fields {

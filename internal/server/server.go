@@ -718,6 +718,9 @@ func (s *Server) planJob(j *Job, g *grid.Grid) (tune.Plan, error) {
 // Failures surface in the job status (persist_error) and the
 // cady_persist_errors_total counter.
 
+// jobMeta is the part of a job's status that meta.json commits, so that a
+// restarted server reports a finished job as it did before: its run times,
+// whole-job communication and operation counts, and diagnostics.
 type jobMeta struct {
 	State       JState              `json:"state"`
 	StepsDone   int                 `json:"steps_done"`
@@ -727,6 +730,10 @@ type jobMeta struct {
 	Restarts    int                 `json:"restarts,omitempty"`
 	Plan        *tune.Plan          `json:"plan,omitempty"`
 	Migrations  []balance.Migration `json:"migrations,omitempty"`
+	StartedAt   *time.Time          `json:"started_at,omitempty"`
+	FinishedAt  *time.Time          `json:"finished_at,omitempty"`
+	Comm        *comm.Aggregate     `json:"comm,omitempty"`
+	Counters    *dycore.Counters    `json:"counters,omitempty"`
 	Diagnostics map[string]float64  `json:"diagnostics,omitempty"`
 }
 
@@ -780,6 +787,15 @@ func (s *Server) persistMetaLocked(j *Job) {
 		Plan:        j.plan,
 		Migrations:  j.migrations,
 		Diagnostics: j.diags,
+	}
+	if !j.started.IsZero() {
+		m.StartedAt = &j.started
+	}
+	if !j.finished.IsZero() {
+		m.FinishedAt = &j.finished
+	}
+	if j.agg.Ranks > 0 {
+		m.Comm, m.Counters = &j.agg, &j.count
 	}
 	b, _ := json.MarshalIndent(m, "", "  ")
 	if err := checkpoint.WriteFileAtomic(filepath.Join(s.jobDir(j), "meta.json"), b); err != nil {
@@ -915,6 +931,15 @@ func (s *Server) recover() error {
 				j.plan = m.Plan
 				j.migrations = m.Migrations
 				j.diags = m.Diagnostics
+				if m.StartedAt != nil {
+					j.started = *m.StartedAt
+				}
+				if m.FinishedAt != nil {
+					j.finished = *m.FinishedAt
+				}
+				if m.Comm != nil && m.Counters != nil {
+					j.agg, j.count = *m.Comm, *m.Counters
+				}
 			}
 		}
 		// checkpoint_step is the newest checkpoint the home reads back (none

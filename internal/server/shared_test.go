@@ -8,6 +8,7 @@ import (
 	"maps"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -153,6 +154,47 @@ func TestCompletedDiagnosticsSurviveRestart(t *testing.T) {
 	after := r.Status()
 	if after.State != JCompleted || len(before) == 0 || !maps.Equal(after.Diagnostics, before) {
 		t.Fatalf("recovered %s job with diagnostics %v, want completed with %v", after.State, after.Diagnostics, before)
+	}
+}
+
+// TestCompletedStatusSurvivesRestart: a completed job's run times,
+// whole-job communication statistics and operation counts are committed with
+// its meta.json, so GET /jobs/{id} on a server restarted over the same
+// directory reports them as the first server did.
+func TestCompletedStatusSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	get := func(s *Server, id string) JobStatus {
+		t.Helper()
+		ts := httptest.NewServer(s)
+		defer ts.Close()
+		resp, err := http.Get(ts.URL + "/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return decodeStatus(t, resp)
+	}
+	s := newTestServer(t, Config{Workers: 1, QueueCap: 4, Dir: dir})
+	j, err := s.Submit(smallSpec(2))
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	waitState(t, s, j.ID, JCompleted)
+	before := get(s, j.ID)
+	cancelShutdown(t, s)
+	if before.FinishedAt == "" || before.Comm == nil || before.Counters == nil {
+		t.Fatalf("completed job reports finished_at %q, comm %v, counters %v", before.FinishedAt, before.Comm, before.Counters)
+	}
+
+	after := get(newTestServer(t, Config{Workers: 1, QueueCap: 4, Dir: dir}), j.ID)
+	if after.FinishedAt != before.FinishedAt || after.StartedAt != before.StartedAt {
+		t.Errorf("recovered started_at %q, finished_at %q; before the restart %q, %q",
+			after.StartedAt, after.FinishedAt, before.StartedAt, before.FinishedAt)
+	}
+	if !reflect.DeepEqual(after.Comm, before.Comm) {
+		t.Errorf("recovered comm %+v, before the restart %+v", after.Comm, before.Comm)
+	}
+	if !reflect.DeepEqual(after.Counters, before.Counters) {
+		t.Errorf("recovered counters %+v, before the restart %+v", after.Counters, before.Counters)
 	}
 }
 

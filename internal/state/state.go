@@ -124,9 +124,21 @@ func (s *State) F2s() []*field.F2 { return []*field.F2{s.Psa} }
 // the rect it wrote; after a halo exchange, a step hook or a copy of a whole
 // state pass the storage rect s.B.WithHalo().
 func (s *State) FillLocalBounds(r field.Rect) {
+	s.Fill3DBounds(r)
+	s.FillPsaBounds(r)
+}
+
+// Fill3DBounds is FillLocalBounds on U, V and Φ only: an update that writes
+// one level at a time refreshes after each level, and p'_sa, its one level,
+// once (FillPsaBounds).
+func (s *State) Fill3DBounds(r field.Rect) {
 	field.FillBounds(s.U, field.Odd, field.CenterY, s.ShiftedPoles, r)
 	field.FillBounds(s.V, field.Odd, field.FaceY, s.ShiftedPoles, r)
 	field.FillBounds(s.Phi, field.Even, field.CenterY, s.ShiftedPoles, r)
+}
+
+// FillPsaBounds is FillLocalBounds on p'_sa only, over r.Flat2D().
+func (s *State) FillPsaBounds(r field.Rect) {
 	field.FillBounds(&s.Psa.F3, field.Even, field.CenterY, s.ShiftedPoles, r.Flat2D())
 }
 
