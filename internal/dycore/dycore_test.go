@@ -349,16 +349,10 @@ func TestDeepHaloAcrossBoundariesInvisible(t *testing.T) {
 					break
 				}
 			}
-			h := fnv.New64a()
-			for _, v := range flat {
-				var b [8]byte
-				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-				h.Write(b[:])
-			}
 			// Bit patterns are recorded on amd64; an architecture that
 			// contracts a·b+c into FMA legitimately rounds differently.
-			if want := recorded[shifted][lay]; runtime.GOARCH == "amd64" && h.Sum64() != want {
-				t.Errorf("shifted=%v CA %dx%d: state hash %#x, recorded %#x — results moved", shifted, lay[0], lay[1], h.Sum64(), want)
+			if got, want := flatHash(flat), recorded[shifted][lay]; runtime.GOARCH == "amd64" && got != want {
+				t.Errorf("shifted=%v CA %dx%d: state hash %#x, recorded %#x — results moved", shifted, lay[0], lay[1], got, want)
 			}
 		}
 	}
@@ -443,4 +437,16 @@ func TestAlgorithmNames(t *testing.T) {
 	if _, err := json.Marshal(Algorithm(7)); err == nil {
 		t.Error("Algorithm(7) encoded without error")
 	}
+}
+
+// flatHash is FNV-1a over the float bits of a flattened global state
+// (FlattenState): the absolute pin of a final state.
+func flatHash(flat []float64) uint64 {
+	h := fnv.New64a()
+	for _, v := range flat {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	return h.Sum64()
 }

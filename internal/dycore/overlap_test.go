@@ -37,49 +37,59 @@ func TestOverlapBitwiseAcrossLayouts(t *testing.T) {
 		rows       []int
 		nofuse     bool
 		ov, qu     clock
+		hash       [2]uint64     // flatHash of the overlapped and the quiesced final state
 		mesh       *grid.Grid    // nil: testGrid(), 16×10×4
 		mod        func(*Config) // nil: none
 	}{
 		{"serial", AlgBaselineYZ, 1, 1, 0, nil, false,
 			clock{0.0002869109999999996, 0.0002869109999999996, 0},
-			clock{0.0002869109999999996, 0.0002869109999999996, 0}, nil, nil},
+			clock{0.0002869109999999996, 0.0002869109999999996, 0},
+			[2]uint64{0x3f5d77bdc56aed1a, 0x3f5d77bdc56aed1a}, nil, nil},
 		{"yz-uniform", AlgBaselineYZ, 2, 2, 0, nil, false,
 			clock{0.011759775999999934, 0.000309762, 0.05942034183333308},
-			clock{0.011775584499999941, 0.00030976199999999983, 0.059404533333333086}, nil, nil},
+			clock{0.011775584499999941, 0.00030976199999999983, 0.059404533333333086},
+			[2]uint64{0xdb085c108d4ed4e2, 0xdb085c108d4ed4e2}, nil, nil},
 		{"yz-weighted", AlgBaselineYZ, 2, 2, 0, []int{0, 4, 10}, false,
 			clock{0.011768205333333266, 0.0003097620000000004, 0.05945340233333302},
-			clock{0.011784630333333277, 0.0003097620000000002, 0.05943525233333303}, nil, nil},
+			clock{0.011784630333333277, 0.0003097620000000002, 0.05943525233333303},
+			[2]uint64{0xdb085c108d4ed4e2, 0xdb085c108d4ed4e2}, nil, nil},
 		{"xy-uniform", AlgBaselineXY, 2, 2, 0, nil, false,
 			clock{0.018621075333333324, 0.00028823399999999973, 0.08056968183333349},
-			clock{0.018629107833333335, 0.0002882339999999996, 0.08056164933333348}, nil, nil},
+			clock{0.018629107833333335, 0.0002882339999999996, 0.08056164933333348},
+			[2]uint64{0x3f5d77bdc56aed1a, 0x3f5d77bdc56aed1a}, nil, nil},
 		{"xy-weighted", AlgBaselineXY, 2, 2, 0, []int{0, 4, 10}, false,
 			clock{0.018624819999999986, 0.0002882340000000002, 0.08054326133333362},
-			clock{0.018633501999999986, 0.00028823399999999995, 0.08053349033333357}, nil, nil},
+			clock{0.018633501999999986, 0.00028823399999999995, 0.08053349033333357},
+			[2]uint64{0x3f5d77bdc56aed1a, 0x3f5d77bdc56aed1a}, nil, nil},
 		{"3d-uniform", AlgBaseline3D, 2, 2, 2, nil, false,
 			clock{0.02775694533333395, 0.0003112200000000001, 0.14687645816666786},
-			clock{0.027757447833333965, 0.00031122, 0.14687680133333464}, nil, nil},
+			clock{0.027757447833333965, 0.00031122, 0.14687680133333464},
+			[2]uint64{0xdb085c108d4ed4e2, 0xdb085c108d4ed4e2}, nil, nil},
 		{"ca-uniform", AlgCommAvoid, 2, 2, 0, nil, false,
 			clock{0.004182862500000015, 0.0005585100000000003, 0.014189565000000015},
-			clock{0.004187526500000015, 0.0005557260000000003, 0.014178757000000016}, nil, nil},
+			clock{0.004187526500000015, 0.0005557260000000003, 0.014178757000000016},
+			[2]uint64{0x3ac9d63d36c0bb80, 0x3ac9d63d36c0bb80}, nil, nil},
 		{"ca-weighted", AlgCommAvoid, 2, 2, 0, []int{0, 4, 10}, false,
 			clock{0.00418112633333335, 0.0005556779999999999, 0.01423393366666667},
-			clock{0.004186182333333349, 0.0005530379999999998, 0.014224773666666668}, nil, nil},
+			clock{0.004186182333333349, 0.0005530379999999998, 0.014224773666666668},
+			[2]uint64{0x18d80f1328cc23d4, 0x18d80f1328cc23d4}, nil, nil},
 		// Plain smoothing every step: CommAvoid.plainSmooth on the same helper.
 		{"ca-nofuse", AlgCommAvoid, 2, 2, 0, nil, true,
 			clock{0.004496467833333348, 0.0005554380000000003, 0.014483234333333345},
-			clock{0.004502779833333348, 0.0005526540000000003, 0.014469818333333342}, nil, nil},
+			clock{0.004502779833333348, 0.0005526540000000003, 0.014469818333333342},
+			[2]uint64{0xdab0a9e9085a3ae9, 0xdab0a9e9085a3ae9}, nil, nil},
 		{"ca-2x3", AlgCommAvoid, 2, 3, 0, nil, false,
 			clock{0.007973487360407707, 0.009245452608049853, 0.019148136373302815},
 			clock{0.008080517002608435, 0.00921614720044923, 0.018855676451502844},
-			grid.New(48, 24, 12), nil},
+			[2]uint64{0x9ab0efcd8e74f5e4, 0x9ab0efcd8e74f5e4}, grid.New(48, 24, 12), nil},
 		{"ca-2x3-exactc", AlgCommAvoid, 2, 3, 0, nil, false,
 			clock{0.010041577080808432, 0.009734812138849643, 0.01883485165770428},
 			clock{0.010087468533408198, 0.009731595200449228, 0.018771346926602178},
-			grid.New(48, 24, 12), func(c *Config) { c.ExactC = true }},
+			[2]uint64{0x1bac7e4915fb30b4, 0x1bac7e4915fb30b4}, grid.New(48, 24, 12), func(c *Config) { c.ExactC = true }},
 		{"ca-2x3-stage1", AlgCommAvoid, 2, 3, 0, nil, false,
 			clock{0.008458370076006241, 0.00802288711264476, 0.025253501686103005},
 			clock{0.008623187243107632, 0.00797613323584393, 0.025031539111400974},
-			grid.New(48, 24, 12), func(c *Config) { c.StageM = 1 }},
+			[2]uint64{0x9ab0efcd8e74f5e4, 0x9ab0efcd8e74f5e4}, grid.New(48, 24, 12), func(c *Config) { c.StageM = 1 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -127,13 +137,17 @@ func TestOverlapBitwiseAcrossLayouts(t *testing.T) {
 				name string
 				res  RunResult
 				want clock
-			}{{"overlapped", ov, tc.ov}, {"quiesced", qu, tc.qu}} {
+				hash uint64
+			}{{"overlapped", ov, tc.ov, tc.hash[0]}, {"quiesced", qu, tc.qu, tc.hash[1]}} {
 				got := clock{sim: run.res.Agg.SimTime, hidden: run.res.Agg.TotalHiddenTime()}
 				for _, c := range run.res.Agg.RankComp {
 					got.comp += c
 				}
 				if got != run.want {
 					t.Errorf("%s simulated clock %+v, recorded %+v", run.name, got, run.want)
+				}
+				if h := flatHash(FlattenState(g, run.res.Finals)); h != run.hash {
+					t.Errorf("%s final state hash %#x, recorded %#x", run.name, h, run.hash)
 				}
 			}
 		})

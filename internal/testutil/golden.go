@@ -26,3 +26,7 @@ func Golden(t testing.TB, path, got string) {
 		t.Errorf("output differs from %s (rerun with -update after an intended change):\n%s", path, got)
 	}
 }
+
+// Updating reports whether the test binary runs with -update, for a golden
+// test that compares with a tolerance rather than byte for byte.
+func Updating() bool { return *update }
