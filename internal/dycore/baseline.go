@@ -20,7 +20,7 @@ import (
 // the counts of Section 5.2.
 //
 // ψ is ξ, and each iteration needs one work state: η1, overwritten by the
-// midpoint (ψ + η2)/2 once η2's tendency is formed (core.applyMid). The
+// midpoint (ψ + η2)/2 once η2's tendency is formed (apply). The
 // smoothing, which cannot write the state it reads, writes the work state
 // (free once ζ3 is formed) and swaps it with ξ. Xi() therefore names a
 // different buffer after every Step.
@@ -30,9 +30,10 @@ type Baseline struct {
 	exSmooth  *topo.Exchanger // depth-2 exchange before smoothing
 }
 
-// Halo widths for the baseline: the per-update radii of the widest tables
-// (x from Tables 1/2, y from Table 3's smoothing, z from Tables 1/2).
-func baselineHalo() (hx, hy, hz int) {
+// BaselineHalo returns the halo widths the baseline integrator requires: the
+// per-update radii of the widest tables (x from Tables 1/2, y from Table 3's
+// smoothing, z from Tables 1/2).
+func BaselineHalo() (hx, hy, hz int) {
 	r := stencil.Union(
 		stencil.RadiusOf(stencil.Adaptation),
 		stencil.RadiusOf(stencil.Advection),
@@ -114,54 +115,62 @@ func (b *Baseline) bootstrap() {
 // completes Ĉ in the cache, which the advection's σ̇ reads later.
 func (b *Baseline) adaptTendencyOf(src *state.State) {
 	owned := b.tp.Block.Owned()
-	b.overlapped(b.exStencil, src, nil, kernDivP)
+	b.overlapped(b.exStencil, src, nil, kernDivP, owned, b.exStencil.ExchangeDepths())
 	b.sumC(owned)
 	b.adaptTendency(src, owned)
 	b.filterTendency(owned)
 }
 
-// adaptUpdate computes dst = base + Δt1·F̃(Ĉ(src) + Â(src)) on the owned
-// region.
-func (b *Baseline) adaptUpdate(dst, base, src *state.State) {
-	b.adaptTendencyOf(src)
-	b.applyUpdate(dst, base, b.cfg.Dt1, b.tp.Block.Owned())
-}
-
 // advectTendencyOf evaluates F̃(L̃(src)) into the tendency on the owned
 // region, overlapping the halo exchange with the interior advection.
 func (b *Baseline) advectTendencyOf(src *state.State) {
-	b.overlapped(b.exStencil, src, nil, kernAdvect)
-	b.filterTendency(b.tp.Block.Owned())
+	owned := b.tp.Block.Owned()
+	b.overlapped(b.exStencil, src, nil, kernAdvect, owned, b.exStencil.ExchangeDepths())
+	b.filterTendency(owned)
 }
 
-// advectUpdate computes dst = base + Δt2·F̃(L̃(src)) on the owned region.
-func (b *Baseline) advectUpdate(dst, base, src *state.State) {
-	b.advectTendencyOf(src)
-	b.applyUpdate(dst, base, b.cfg.Dt2, b.tp.Block.Owned())
+// apply writes dst over the owned block from ψ = ξ and the tendency:
+// dst ← ψ + dt·T, or with mid the midpoint ½ψ + ½(ψ + dt·T) of an
+// iteration's third update, whose η2 is formed per point and never stored
+// (field.MidRect). The tendency is complete before the sweep writes, so dst
+// may be the state it was evaluated at. The midpoint is charged what the η2
+// update was; the mean never was. Then it refreshes the ghosts of dst
+// sourced in the owned block: the next kernel reads nothing else of dst.
+func (b *Baseline) apply(dst *state.State, dt float64, mid bool) {
+	owned := b.tp.Block.Owned()
+	lincomb(dst.U, b.xi.U, dt, b.tnd.DU, owned, mid)
+	lincomb(dst.V, b.xi.V, dt, b.tnd.DV, owned, mid)
+	lincomb(dst.Phi, b.xi.Phi, dt, b.tnd.DPhi, owned, mid)
+	lincomb(&dst.Psa.F3, &b.xi.Psa.F3, dt, &b.tnd.DPsa.F3, owned.Flat2D(), mid)
+	b.chargeLincomb(owned)
+	dst.FillLocalBounds(owned)
 }
 
 // Step advances one time step of Algorithm 1.
 func (b *Baseline) Step() {
-	owned := b.tp.Block.Owned()
 	// A step hook or resume writes ξ's owned cells from outside the
 	// integrator: refresh the ghosts sourced there once. Every other ghost
-	// follows the write that made it (applyUpdate, applyMid, fillReceived).
-	b.xi.FillLocalBounds(owned)
+	// follows the write that made it (apply, fillReceived).
+	b.xi.FillLocalBounds(b.tp.Block.Owned())
 
 	// Adaptation: M nonlinear iterations of 3 internal updates each, on
 	// ψ = ξ; η1's storage holds the midpoint once η2's tendency is formed.
 	for i := 1; i <= b.cfg.M; i++ {
-		b.adaptUpdate(b.eta1, b.xi, b.xi) // η1
+		b.adaptTendencyOf(b.xi)
+		b.apply(b.eta1, b.cfg.Dt1, false) // η1
 		b.adaptTendencyOf(b.eta1)
-		b.applyMid(b.eta1, b.xi, b.cfg.Dt1, owned) // (ψ + η2)/2
-		b.adaptUpdate(b.xi, b.xi, b.eta1)          // ψ ← η3
+		b.apply(b.eta1, b.cfg.Dt1, true) // (ψ + η2)/2
+		b.adaptTendencyOf(b.eta1)
+		b.apply(b.xi, b.cfg.Dt1, false) // ψ ← η3
 	}
 
 	// Advection: one nonlinear iteration.
-	b.advectUpdate(b.eta1, b.xi, b.xi) // ζ1
+	b.advectTendencyOf(b.xi)
+	b.apply(b.eta1, b.cfg.Dt2, false) // ζ1
 	b.advectTendencyOf(b.eta1)
-	b.applyMid(b.eta1, b.xi, b.cfg.Dt2, owned) // (ψ + ζ2)/2
-	b.advectUpdate(b.xi, b.xi, b.eta1)         // ζ3
+	b.apply(b.eta1, b.cfg.Dt2, true) // (ψ + ζ2)/2
+	b.advectTendencyOf(b.eta1)
+	b.apply(b.xi, b.cfg.Dt2, false) // ζ3
 
 	b.smooth()
 
@@ -172,7 +181,7 @@ func (b *Baseline) Step() {
 // interior sweep. S̃ writes the work state, which nothing reads after ζ3,
 // and the two buffers swap.
 func (b *Baseline) smooth() {
-	b.overlapped(b.exSmooth, b.xi, b.eta1, kernSmooth)
+	b.overlapped(b.exSmooth, b.xi, b.eta1, kernSmooth, b.tp.Block.Owned(), b.exSmooth.ExchangeDepths())
 	b.xi, b.eta1 = b.eta1, b.xi
 	b.n.SmoothingCalls++
 	b.xi.FillLocalBounds(b.tp.Block.Owned())

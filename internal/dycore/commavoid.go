@@ -33,17 +33,12 @@ import (
 type CommAvoid struct {
 	*core
 	deepEx  *topo.Exchanger // adaptation exchange: (0, 3·S+2, 3·S), S = StageDepth
-	bandEx  *topo.Exchanger // original edge rows for S̃2 (the "yellow bar")
+	band    band            // original edge rows for S̃2 (the "yellow bar"), beside deepEx
 	advEx   *topo.Exchanger // advection exchange: (0, 3, 3)
 	smEx    *topo.Exchanger // plain smoothing exchange (ablation/Finalize)
 	stageEx *topo.Exchanger // mid-phase refresh exchange (staged mode only)
 	origPhi *field.F3       // pre-smoothing Φ for the latter smoothing
 	origPsa *field.F2
-	bandF3  [1]*field.F3 // prebuilt payload slices for the band exchange
-	bandF2  [1]*field.F2
-
-	// lvl holds two levels of the tendency every update streams (stream).
-	lvl *operators.LevelTendency
 
 	depthY, depthZ int // valid halo depth after the adaptation exchange (= 3·S)
 	stage          int // iterations per exchange round (0 = unstaged: all M)
@@ -64,10 +59,6 @@ func CommAvoidHalo(m int) (hx, hy, hz int) {
 	rs := stencil.RadiusOf(stencil.Smoothing)
 	return r.X, 3*m*r.Y + rs.Y, 3 * m * r.Z
 }
-
-// BaselineHalo returns the halo widths the baseline integrator requires
-// (the per-update radii of the widest stencils).
-func BaselineHalo() (hx, hy, hz int) { return baselineHalo() }
 
 // NewCommAvoid builds the communication-avoiding integrator. The topology
 // must use p_x = 1 and halo widths from CommAvoidHalo(cfg.StageDepth());
@@ -92,13 +83,12 @@ func NewCommAvoid(cfg Config, g *grid.Grid, tp *topo.Topology) *CommAvoid {
 
 	rAdv := stencil.RadiusOf(stencil.Advection)
 	dyAdv, dzAdv := 3*rAdv.Y, 3*rAdv.Z
+	dys := stencil.RadiusOf(stencil.Smoothing).Y
 	if tp.Py == 1 {
-		hy = 0
-		dyAdv = 0
+		hy, dyAdv, dys = 0, 0, 0
 	}
 	if tp.Pz == 1 {
-		hz = 0
-		dzAdv = 0
+		hz, dzAdv = 0, 0
 	}
 
 	// Storage follows compute. The deep halo reaches toward higher k only, so
@@ -132,28 +122,21 @@ func NewCommAvoid(cfg Config, g *grid.Grid, tp *topo.Topology) *CommAvoid {
 	// shape of the paper's Figure 4 halo areas.
 	deep := topo.Depths{X: 0, YLo: hy, YHi: hy, ZLo: 0, ZHi: hz}
 	ca.deepEx = tp.NewExchangerD(deep).SetLabel("ca-deep")
-	ca.bandEx = tp.NewBandExchangerY(deep, 2).SetLabel("ca-band")
+	ca.band.ex = tp.NewBandExchangerY(deep, 2).SetLabel("ca-band")
 	ca.advEx = tp.NewExchanger(0, dyAdv, dzAdv).SetLabel("ca-adv")
-	dys := stencil.RadiusOf(stencil.Smoothing).Y
-	if tp.Py == 1 {
-		dys = 0
-	}
 	ca.smEx = tp.NewExchanger(0, dys, 0).SetLabel("ca-smooth")
 	if ca.stage > 0 {
 		// The refresh exchange restores the full adaptation depth (3·S per
 		// side in y, one-sided 3·S in z) without the smoothing rows — the
 		// fused smoothing is settled by the first (deep) exchange of the step.
-		sy, sz := hy, hz
-		if sy > 0 {
-			sy -= 2
-		}
-		ca.stageEx = tp.NewExchangerD(topo.Depths{YLo: sy, YHi: sy, ZHi: sz}).SetLabel("ca-stage")
+		sy := max(hy-2, 0)
+		ca.stageEx = tp.NewExchangerD(topo.Depths{YLo: sy, YHi: sy, ZHi: hz}).SetLabel("ca-stage")
 	}
 	ca.origPhi = field.NewF3(orig)
 	ca.origPsa = field.NewF2(orig)
 	ca.availYFn = ca.availY
-	ca.bandF3[0] = ca.origPhi
-	ca.bandF2[0] = ca.origPsa
+	ca.band.f3[0] = ca.origPhi
+	ca.band.f2[0] = ca.origPsa
 	ca.xi.Carry = &state.Carry{} // what a snapshot needs besides ξ
 	ca.publishCarry(false)
 	return ca
@@ -167,7 +150,7 @@ func (ca *CommAvoid) publishCarry(pendingSmooth bool) {
 
 // ExchStats reports per-exchanger overlap accounting.
 func (ca *CommAvoid) ExchStats() []topo.ExchStats {
-	out := []topo.ExchStats{ca.deepEx.Stats(), ca.bandEx.Stats(), ca.advEx.Stats(), ca.smEx.Stats()}
+	out := []topo.ExchStats{ca.deepEx.Stats(), ca.band.ex.Stats(), ca.advEx.Stats(), ca.smEx.Stats()}
 	if ca.stageEx != nil {
 		out = append(out, ca.stageEx.Stats())
 	}
@@ -263,43 +246,22 @@ func (ca *CommAvoid) Step() {
 		ca.n.SmoothingCalls++
 	}
 
-	// ---- One deep exchange for the smoothing + all 3M adaptation updates ----
-	f3, f2 := ca.exchangeFields(ca.xi)
-	pend := ca.deepEx.Begin(f3, f2)
-	var bandPend *topo.Pending
+	// ---- One deep exchange for the smoothing + all 3M adaptation updates,
+	// overlapped with η1 ----
+	// The interior η1 uses the lagged Ĉ of the approximate nonlinear
+	// iteration (under ExactC, Â has no interior pass: core.interiorPass).
+	// It is written at once: its ψ cells are owned, and the latter smoothing
+	// changes only rows within two of the owned block's comm-fed edges, which
+	// the interior leaves out. The adaptation stencil reads k+1 but never
+	// k−1, so only the high-z side shrinks.
+	var fusedBand *band
+	dIn := 1 // one stencil radius inside the owned block
 	if fused {
-		bandPend = ca.bandEx.Begin(ca.bandF3[:], ca.bandF2[:])
+		fusedBand = &ca.band
+		dIn = 3 // plus the two edge rows awaiting latter smoothing
 	}
-	ca.n.HaloExchanges++ // one fused communication round
-
-	// ---- Overlap: η1 on the inner part while messages fly ----
-	// The overlapped inner computation uses the lagged Ĉ of the approximate
-	// nonlinear iteration; under the ExactC ablation η1 must instead use a
-	// fresh post-exchange Ĉ, so the overlap is skipped for that update. η1
-	// is written on the inner part at once: its ψ cells there are owned,
-	// and the latter smoothing changes only rows within two of the owned
-	// block's comm-fed edges, which the inner part leaves out.
 	r1 := ca.region(1)
-	var inner field.Rect
-	if !ca.cfg.NoOverlap && !ca.cfg.ExactC {
-		dIn := 1 // one stencil radius inside the owned block
-		if fused {
-			dIn = 3 // plus the two edge rows awaiting latter smoothing
-		}
-		// The adaptation stencil reads k+1 but never k−1, so only the
-		// high-z side shrinks for the pre-exchange inner part.
-		inner = ca.shrinkByDepths(owned, topo.Depths{YLo: dIn, YHi: dIn, ZHi: 1})
-	}
-	ca.updateSurface(ca.xi, inner)
-	if !inner.Empty() {
-		ca.stream(kernAdapt, ca.xi, ca.eta1, false, inner)
-	}
-
-	pend.Finish()
-	if bandPend != nil {
-		bandPend.Finish()
-	}
-	ca.fillReceived(ca.deepEx, ca.xi)
+	inner := ca.overlapHead(ca.deepEx, fusedBand, ca.xi, ca.eta1, kernAdapt, topo.Depths{YLo: dIn, YHi: dIn, ZHi: 1})
 
 	// ---- Latter smoothing S̃2 on the edge bands of the owned block and of
 	// the received deep halo ----
@@ -318,14 +280,7 @@ func (ca *CommAvoid) Step() {
 	// ---- η1 completion on the outer region ----
 	// ψ is ξ from here to the end of the step: nothing reads the step's
 	// initial ξ once η1 is formed, so the iteration updates it in place.
-	ca.updateSurface(ca.xi, r1)
-	if ca.cfg.ExactC {
-		ca.evalC(ca.xi, r1)
-	}
-	for _, s := range ca.slabs(r1, inner) {
-		ca.stream(kernAdapt, ca.xi, ca.eta1, false, s)
-	}
-	ca.chargeLincomb(r1)
+	ca.overlapTail(ca.xi, ca.eta1, kernAdapt, r1, inner)
 
 	// ---- Remaining adaptation updates (Algorithm 2 lines 13–22) ----
 	u := 1
@@ -338,88 +293,32 @@ func (ca *CommAvoid) Step() {
 				// Staged mode: the shallow halo is exhausted after `stage`
 				// iterations. Refresh it with a ψ exchange (the cached Ĉ
 				// rides along, so the lagged η1 inputs regain full halo
-				// depth too), overlapped with the η1 interior tendency the
-				// same way the step's first exchange overlaps.
+				// depth too), overlapped with η1 like the step's first
+				// exchange.
 				u = 1
-				r := ca.region(u)
-				f3s, f2s := ca.exchangeFields(ca.xi)
-				spend := ca.stageEx.Begin(f3s, f2s)
-				ca.n.HaloExchanges++
-				sInner := field.Rect{}
-				if !ca.cfg.NoOverlap && !ca.cfg.ExactC {
-					sInner = ca.shrinkByDepths(owned, topo.Depths{YLo: 1, YHi: 1, ZHi: 1})
-				}
-				ca.updateSurface(ca.xi, sInner)
-				if !sInner.Empty() {
-					ca.stream(kernAdapt, ca.xi, ca.eta1, false, sInner)
-				}
-				spend.Finish()
-				ca.fillReceived(ca.stageEx, ca.xi)
-				ca.refreshSurface(ca.xi, r)
-				if ca.cfg.ExactC {
-					ca.evalC(ca.xi, r)
-				}
-				for _, s := range ca.slabs(r, sInner) {
-					ca.stream(kernAdapt, ca.xi, ca.eta1, false, s)
-				}
-				ca.chargeLincomb(r)
+				ca.overlapped(ca.stageEx, ca.xi, ca.eta1, kernAdapt, ca.region(u), topo.Depths{YLo: 1, YHi: 1, ZHi: 1})
 			} else {
-				r := ca.region(u)
-				ca.updateSurface(ca.xi, r)
-				if ca.cfg.ExactC {
-					ca.evalC(ca.xi, r)
-				}
-				ca.update(kernAdapt, ca.xi, ca.eta1, false, r)
+				ca.update(kernAdapt, ca.xi, ca.eta1, false, ca.region(u))
 			}
 		}
 
 		// η2 = ψ + Δt1·F̃(Ĉ(η1) + Â(η1)), consumed only by the midpoint
-		// mid = (ψ + η2)/2, which overwrites η1 on r. η1 is formed, so the
-		// lagged Ĉ has no reader left and Ĉ(η1) overwrites it in the cache.
+		// mid = (ψ + η2)/2, which overwrites η1. η1 is formed, so the lagged
+		// Ĉ has no reader left and Ĉ(η1) overwrites it in the cache.
 		u++
-		r := ca.region(u)
-		ca.updateSurface(ca.eta1, r)
-		ca.evalC(ca.eta1, r)
-		ca.update(kernAdapt, ca.eta1, ca.eta1, true, r)
+		ca.update(kernAdapt, ca.eta1, ca.eta1, true, ca.region(u))
 
 		// η3 = ψ + Δt1·F̃(Ĉ(mid) + Â(mid)); Ĉ(mid) stays in the cache for
 		// the next η1 and the advection
 		u++
-		r = ca.region(u)
-		ca.updateSurface(ca.eta1, r)
-		ca.evalC(ca.eta1, r)
-		ca.update(kernAdapt, ca.eta1, ca.xi, false, r) // ψ ← η3
+		ca.update(kernAdapt, ca.eta1, ca.xi, false, ca.region(u)) // ψ ← η3
 	}
 
-	// ---- Advection phase: one exchange, overlap on ζ1 ----
-	f3, f2 = ca.exchangeFields(ca.xi)
-	pend = ca.advEx.Begin(f3, f2)
-	ca.n.HaloExchanges++
-	rz1 := ca.advRegion(2)
-	inner = field.Rect{}
-	if !ca.cfg.NoOverlap {
-		inner = ca.shrinkByDepths(owned, topo.Sym(0, 1, 1))
-	}
-	ca.updateSurface(ca.xi, inner)
-	if !inner.Empty() {
-		ca.stream(kernAdvect, ca.xi, ca.eta1, false, inner)
-	}
-	pend.Finish()
-	ca.fillReceived(ca.advEx, ca.xi)
-	ca.updateSurface(ca.xi, rz1)
-	for _, s := range ca.slabs(rz1, inner) {
-		ca.stream(kernAdvect, ca.xi, ca.eta1, false, s)
-	}
-	ca.chargeLincomb(rz1) // ζ1
-
-	// ζ2, consumed only by the midpoint (ψ + ζ2)/2 that overwrites ζ1 on r
-	r := ca.advRegion(1)
-	ca.updateSurface(ca.eta1, r)
-	ca.update(kernAdvect, ca.eta1, ca.eta1, true, r)
-
-	// ζ3
-	ca.updateSurface(ca.eta1, owned)
-	ca.update(kernAdvect, ca.eta1, ca.xi, false, owned)
+	// ---- Advection phase: one exchange, overlapped with ζ1 ----
+	ca.overlapped(ca.advEx, ca.xi, ca.eta1, kernAdvect, ca.advRegion(2), topo.Sym(0, 1, 1))
+	// ζ2, consumed only by the midpoint (ψ + ζ2)/2 that overwrites ζ1
+	ca.update(kernAdvect, ca.eta1, ca.eta1, true, ca.advRegion(1))
+	ca.update(kernAdvect, ca.eta1, ca.xi, false, owned) // ζ3
 
 	// Ablation: plain smoothing at the end of the step (baseline style).
 	if ca.cfg.NoFusedSmoothing {
@@ -428,93 +327,6 @@ func (ca *CommAvoid) Step() {
 
 	ca.n.Steps++
 	ca.publishCarry(!ca.cfg.NoFusedSmoothing)
-}
-
-// update streams one whole update over r (stream) and charges its lincomb.
-func (ca *CommAvoid) update(kern kernel, src, dst *state.State, mid bool, r field.Rect) {
-	ca.stream(kern, src, dst, mid, r)
-	ca.chargeLincomb(r)
-}
-
-// stream runs one update, or one piece of an overlapped one, over r a level
-// at a time (DESIGN §8 "One level of tendency"). At each level k it forms
-// the tendency plane of kern at src — kernAdapt: Â + Ĉ with Δt1, kernAdvect:
-// L̃ with Δt2 — filters its polar rows and writes dst at level k from ψ = ξ:
-// dst ← ψ + Δt·F̃(T), or with mid the midpoint ½ψ + ½(ψ + Δt·F̃(T))
-// (field.MidRect); then it refreshes the ghosts sourced there. dp'_sa, one
-// plane, goes first: the 3-D kernels read the surface diagnostics computed
-// from it beforehand, never p'_sa itself. A piece writes dp'_sa on all of
-// its rows, so a k-slab rewrites the inner piece's rows, with the same
-// values: their p'_sa and D̄ inputs do not change in between.
-//
-// dst may be src (the midpoint overwrites the state its tendency is
-// evaluated at): level k is written only once the tendency of level k+1 is
-// formed, and the tendency of a level reads src at that level and its
-// neighbours only (Â: k and k+1, L̃: k−1 … k+1), so none reads a level
-// already written. Two levels of tendency are therefore alive at a time.
-//
-// The simulated clock sees one whole-rect evaluation: the kernel's and the
-// filter's work, summed over the levels, are charged once each, in that
-// order; the caller charges the lincomb (chargeLincomb), once per update
-// however many pieces stream it.
-func (ca *CommAvoid) stream(kern kernel, src, dst *state.State, mid bool, r field.Rect) {
-	ca.n.FilterCalls++
-	dt, cost := ca.cfg.Dt1, costAdapt
-	if kern == kernAdvect {
-		dt, cost = ca.cfg.Dt2, costAdvect
-	}
-	t := ca.lvl.Level(r.K0)
-	w := 0
-	if kern == kernAdapt {
-		w = operators.AdaptationPsa(ca.g, ca.cfg.Adapt, src, ca.cache, t, r)
-	} else {
-		operators.AdvectionPsa(t, r)
-	}
-	rows := ca.flt.Apply(&t.DPsa.F3, r.Flat2D())
-	lincomb(&dst.Psa.F3, &ca.xi.Psa.F3, dt, &t.DPsa.F3, r.Flat2D(), mid)
-	dst.FillPsaBounds(r)
-	for k := r.K0; k < r.K1; k++ {
-		t := ca.lvl.Level(k)
-		if kern == kernAdapt {
-			w += operators.AdaptationLevel(ca.g, src, ca.sur, ca.cache, t, r, k)
-		} else {
-			w += operators.AdvectionLevel(ca.g, src, ca.sur, ca.cache, t, r, k, ca.advSc)
-		}
-		rk := atLevel(r, k)
-		rows += ca.flt.Apply(t.DU, rk) + ca.flt.Apply(t.DV, rk) + ca.flt.Apply(t.DPhi, rk)
-		if k > r.K0 {
-			ca.writeLevel(dst, dt, mid, r, k-1)
-		}
-	}
-	ca.writeLevel(dst, dt, mid, r, r.K1-1)
-	ca.w.Compute(float64(w) * cost)
-	ca.chargeFilter(rows)
-}
-
-// writeLevel writes dst's U, V and Φ at level k of r from ψ = ξ and that
-// level's streamed tendency, then refreshes the ghosts sourced there.
-func (ca *CommAvoid) writeLevel(dst *state.State, dt float64, mid bool, r field.Rect, k int) {
-	t, rk := ca.lvl.Level(k), atLevel(r, k)
-	lincomb(dst.U, ca.xi.U, dt, t.DU, rk, mid)
-	lincomb(dst.V, ca.xi.V, dt, t.DV, rk, mid)
-	lincomb(dst.Phi, ca.xi.Phi, dt, t.DPhi, rk, mid)
-	dst.Fill3DBounds(rk)
-}
-
-// lincomb sets dst ← psi + dt·t over r, or with mid the midpoint
-// ½·psi + ½·(psi + dt·t).
-func lincomb(dst, psi *field.F3, dt float64, t *field.F3, r field.Rect, mid bool) {
-	if mid {
-		field.MidRect(dst, psi, dt, t, r)
-		return
-	}
-	field.Lin2Rect(dst, 1, psi, dt, t, r)
-}
-
-// atLevel returns level k of r.
-func atLevel(r field.Rect, k int) field.Rect {
-	r.K0, r.K1 = k, k+1
-	return r
 }
 
 // advRegion is region() for the advection phase's shallower halo.
@@ -533,7 +345,7 @@ func (ca *CommAvoid) plainSmooth() {
 	owned := ca.tp.Block.Owned()
 	ca.eta1.CopyStored(ca.xi)
 	ca.eta1.FillLocalBounds(owned)
-	ca.overlapped(ca.smEx, ca.eta1, ca.xi, kernSmooth)
+	ca.overlapped(ca.smEx, ca.eta1, ca.xi, kernSmooth, owned, ca.smEx.ExchangeDepths())
 	ca.n.SmoothingCalls++
 	ca.xi.FillLocalBounds(owned)
 }

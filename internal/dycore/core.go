@@ -59,14 +59,16 @@ type core struct {
 	xi *state.State // current ξ; both integrators iterate on it in place (ψ is ξ)
 
 	// eta1 is the one work state of the nonlinear iteration: η1, then the
-	// midpoint (ψ + η2)/2 written over it (applyMid, or CommAvoid.stream
+	// midpoint (ψ + η2)/2 written over it (Baseline.apply, or stream
 	// level by level), and the smoothing's target or snapshot between
 	// iterations.
 	eta1 *state.State
-	// tnd is the baseline's whole tendency, on the owned block. CommAvoid
-	// leaves it nil: it streams each update one level at a time through its
-	// own two-level tendency (CommAvoid.stream).
+	// tnd is the baseline's whole tendency, on the owned block; lvl is
+	// CommAvoid's two levels of tendency, through which it streams each
+	// update one level at a time (stream). Each integrator leaves the other
+	// nil.
 	tnd *operators.Tendency
+	lvl *operators.LevelTendency
 
 	// cache is the one Ĉ of the rank: the one an update's tendency reads, the
 	// lagged Ĉ the comm-avoiding η1 reuses and the one every exchange ships.
@@ -168,7 +170,7 @@ func (c *core) localFill(st *state.State) {
 // exchange wrote into st: the slabs of the owned block grown by ex's depths
 // (clamped to the domain in y and z) minus the owned block. Ghosts sourced in
 // owned cells are current already — the write that last changed those cells
-// refreshed them (applyUpdate, applyMid, or a step's entry refresh after a
+// refreshed them (Baseline.apply, stream, or a step's entry refresh after a
 // hook or resume) — and the other halo cells are not read before the next
 // exchange writes them. The cached Ĉ rides along in every exchange and keeps
 // its whole-storage fill. The quiesced path (Config.NoOverlap) refills the
@@ -264,17 +266,6 @@ func (c *core) updateSurface(src *state.State, r field.Rect) {
 	c.w.Compute(float64((b.I1-b.I0+2*b.Hx)*(b.J1-b.J0+2*b.Hy)) * costSurface)
 }
 
-// refreshSurface is updateSurface without the clock charge. The overlap path
-// uses it after Finish: the charged pre-exchange update already priced the
-// pointwise work, but rows it computed from stale halo p'_sa must be
-// recomputed from the received values before any boundary-slab kernel reads
-// them; r is the rect whose surface rows need it. Rows from owned p'_sa
-// recompute to bitwise the same values, so the surface equals the monolithic
-// path's.
-func (c *core) refreshSurface(src *state.State, r field.Rect) {
-	c.sur.UpdateFor(src.Psa, r)
-}
-
 // adaptTendency evaluates Â(src) + the Ĉ contributions from the cache over r
 // into c.tnd.
 func (c *core) adaptTendency(src *state.State, r field.Rect) {
@@ -296,12 +287,8 @@ func (c *core) advectTendency(src *state.State, r field.Rect) {
 func (c *core) filterTendency(r field.Rect) {
 	c.n.FilterCalls++
 	if c.tp.Block.OwnsFullX() {
-		rows := 0
-		rows += c.flt.Apply(c.tnd.DU, r)
-		rows += c.flt.Apply(c.tnd.DV, r)
-		rows += c.flt.Apply(c.tnd.DPhi, r)
-		rows += c.flt.Apply(&c.tnd.DPsa.F3, r.Flat2D())
-		c.chargeFilter(rows)
+		c.chargeFilter(c.flt.Apply(c.tnd.DU, r) + c.flt.Apply(c.tnd.DV, r) +
+			c.flt.Apply(c.tnd.DPhi, r) + c.flt.Apply(&c.tnd.DPsa.F3, r.Flat2D()))
 		return
 	}
 	// Distributed path: one batched transpose round-trip for all components
@@ -312,35 +299,6 @@ func (c *core) filterTendency(r field.Rect) {
 // chargeFilter charges F̃ for transforming rows latitude rows.
 func (c *core) chargeFilter(rows int) {
 	c.w.Compute(float64(rows) * float64(c.g.Nx) * math.Log2(float64(c.g.Nx)) * costFilterRow)
-}
-
-// applyUpdate sets dst ← base + dt·tendency over rect r (the tendency's
-// computed region), then refreshes the boundary cells of dst sourced in r.
-// Everything else in dst is stale and never consumed: the next kernel reads
-// r shrunk by its stencil radius, plus ghosts whose sources lie in r.
-func (c *core) applyUpdate(dst, base *state.State, dt float64, r field.Rect) {
-	field.Lin2Rect(dst.U, 1, base.U, dt, c.tnd.DU, r)
-	field.Lin2Rect(dst.V, 1, base.V, dt, c.tnd.DV, r)
-	field.Lin2Rect(dst.Phi, 1, base.Phi, dt, c.tnd.DPhi, r)
-	field.Lin2Rect(&dst.Psa.F3, 1, &base.Psa.F3, dt, &c.tnd.DPsa.F3, r.Flat2D())
-	c.chargeLincomb(r)
-	dst.FillLocalBounds(r)
-}
-
-// applyMid sets dst ← ½·base + ½·(base + dt·tendency) over rect r: the
-// midpoint state (ψ + η2)/2 of a nonlinear iteration's third update, with η2
-// formed per point and never stored (field.MidRect), then refreshes the
-// boundary cells of dst sourced in r. η2's only consumer is that mean, and
-// the tendency is complete before the sweep writes, so dst may be the state
-// the tendency was evaluated at. It is charged what the η2 update was; the
-// mean never was.
-func (c *core) applyMid(dst, base *state.State, dt float64, r field.Rect) {
-	field.MidRect(dst.U, base.U, dt, c.tnd.DU, r)
-	field.MidRect(dst.V, base.V, dt, c.tnd.DV, r)
-	field.MidRect(dst.Phi, base.Phi, dt, c.tnd.DPhi, r)
-	field.MidRect(&dst.Psa.F3, &base.Psa.F3, dt, &c.tnd.DPsa.F3, r.Flat2D())
-	c.chargeLincomb(r)
-	dst.FillLocalBounds(r)
 }
 
 // chargeLincomb charges the writes of an update over r: four components of
@@ -405,86 +363,239 @@ func (c *core) slabs(outer, inner field.Rect) []field.Rect {
 	return c.slabBuf[:n]
 }
 
-// kernel names a per-point-pure sweep: of an overlapped update (sweep), or
-// the tendency a comm-avoiding update streams (CommAvoid.stream). A switch
+// kernel names a per-point-pure sweep of an overlapped update. A switch
 // rather than a func value keeps every call static: no closure is built on
 // the step path.
 type kernel int
 
 const (
 	kernDivP   kernel = iota // D(P) of Ĉ into the cache's PWI, which sumC completes
-	kernAdvect               // L̃ with σ̇ from the cache into the tendency
+	kernAdvect               // L̃ with σ̇ from the cache: into tnd, or streamed into dst
 	kernSmooth               // dst ← S̃(src)
-	kernAdapt                // Â + the Ĉ contributions from the cache (streamed only)
+	kernAdapt                // Â + the Ĉ contributions from the cache, streamed into dst
 )
 
-// sweep runs kernel k reading src over r and charges its work. Only the
-// smoothing writes a state, dst; D(P) and L̃ write core scratch and take nil.
-// D(P) may write the cache the exchange in flight lends: before Finish it
-// writes only the inner rect, which no peer reads, and Finish writes only
-// halo cells, which D(P) over the owned block never writes.
-func (c *core) sweep(k kernel, src, dst *state.State, r field.Rect) {
-	switch k {
-	case kernDivP:
+// streamed reports whether kernel k writes dst a level at a time (stream):
+// Â always, L̃ under CommAvoid, which keeps no whole tendency.
+func (c *core) streamed(k kernel) bool {
+	return k == kernAdapt || (k == kernAdvect && c.lvl != nil)
+}
+
+// interiorPass reports whether an overlapped update of kernel k sweeps an
+// interior while messages fly: always but under Config.NoOverlap, and never
+// for Â under Config.ExactC, whose fresh Ĉ needs the received halo first.
+func (c *core) interiorPass(k kernel) bool {
+	return !c.cfg.NoOverlap && !(k == kernAdapt && c.cfg.ExactC)
+}
+
+// sweep runs kernel k reading src over r and charges its work. D(P) and the
+// baseline's L̃ write core scratch and take nil dst. A streamed kernel forms
+// dp'_sa on r's rows only with psa. D(P) may write the cache the exchange in
+// flight lends: before Finish it writes only the inner rect, which no peer
+// reads, and Finish writes only halo cells, which D(P) over the owned block
+// never writes.
+func (c *core) sweep(k kernel, src, dst *state.State, r field.Rect, psa bool) {
+	switch {
+	case k == kernDivP:
 		c.evalDivP(src, r)
-	case kernAdvect:
-		c.advectTendency(src, r)
-	case kernSmooth:
+	case k == kernSmooth:
 		w := c.smo.SmoothFull(src, dst, r)
 		c.w.Compute(float64(w) * costSmooth)
+	case c.streamed(k):
+		c.stream(k, src, dst, false, r, psa)
+	default:
+		c.advectTendency(src, r)
 	}
 }
 
-// overlapped runs kernel k over the owned block with the halo exchange of src
-// on ex in flight — the paper's inner/outer partition (§4.3): Begin → kernel
-// on the interior rect (whose stencil reads stay clear of in-flight halo
-// cells) → Finish → kernel on the boundary slabs. Every kernel is per-point
-// pure, so the split cover produces bitwise the monolithic sweep. The interior
-// reads src's local ghosts sourced in owned cells, which the last write of src
-// refreshed (the integrators' Step refreshes ξ's after a hook or resume);
-// Finish is followed by fillReceived. D(P) and L̃ read the surface diagnostics
-// of src: those are charged before Finish, and the rows whose inputs include
-// received p'_sa are recomputed, uncharged, after it. Under Config.NoOverlap
-// the exchange quiesces first and the slab cover degenerates to one owned-rect
-// call, reproducing the original operation sequence exactly.
-func (c *core) overlapped(ex *topo.Exchanger, src, dst *state.State, k kernel) {
-	owned := c.tp.Block.Owned()
-	surface := k != kernSmooth
+// band is an exchange begun and finished right after the one an overlapped
+// update overlaps: CommAvoid's fused deep exchange ships S̃2's original edge
+// rows on it.
+type band struct {
+	ex *topo.Exchanger
+	f3 [1]*field.F3
+	f2 [1]*field.F2
+}
+
+// overlapped runs kernel k over outer with the halo exchange of src on ex in
+// flight — the paper's inner/outer partition (§4.3): Begin → kernel on the
+// interior, the owned block shrunk by dIn on its comm-fed sides, whose
+// stencil reads stay clear of in-flight halo cells → Finish → kernel on the
+// slabs of outer around it. Every kernel is per-point pure, so the split
+// cover produces bitwise the monolithic sweep. Outer is the owned block for
+// the baseline and the smoothings, a comm-avoiding update's rect (reaching
+// into the received deep halo) for CommAvoid, whose fused deep exchange runs
+// S̃2 between the two halves.
+func (c *core) overlapped(ex *topo.Exchanger, src, dst *state.State, k kernel, outer field.Rect, dIn topo.Depths) {
+	c.overlapTail(src, dst, k, outer, c.overlapHead(ex, nil, src, dst, k, dIn))
+}
+
+// overlapHead is overlapped up to Finish and the fill of what was received,
+// with b's exchange beside ex's when b is non-nil. It returns the interior
+// swept, empty when none was. The interior reads src's local ghosts sourced
+// in owned cells, which the last write of src refreshed (the integrators'
+// Step refreshes ξ's after a hook or resume).
+func (c *core) overlapHead(ex *topo.Exchanger, b *band, src, dst *state.State, k kernel, dIn topo.Depths) field.Rect {
 	f3, f2 := c.exchangeFields(src)
 	pend := ex.Begin(f3, f2)
+	var bpend *topo.Pending
+	if b != nil {
+		bpend = b.ex.Begin(b.f3[:], b.f2[:])
+	}
 	c.n.HaloExchanges++
 	var inner field.Rect
-	if !c.cfg.NoOverlap {
-		inner = c.shrinkByDepths(owned, ex.ExchangeDepths())
-		if surface {
+	if c.interiorPass(k) {
+		inner = c.shrinkByDepths(c.tp.Block.Owned(), dIn)
+		if k != kernSmooth {
 			// Interior reads stay within the owned region, where the
 			// pre-exchange p'_sa is current.
 			c.updateSurface(src, inner)
 		}
 		if !inner.Empty() {
-			c.sweep(k, src, dst, inner)
+			c.sweep(k, src, dst, inner, true)
 		}
 	}
 	pend.Finish()
+	if bpend != nil {
+		bpend.Finish()
+	}
 	c.fillReceived(ex, src)
-	if surface {
+	return inner
+}
+
+// overlapTail is overlapped after Finish: the surface diagnostics, Ĉ(src)
+// where Â needs it fresh (freshC), the slabs and a streamed update's lincomb.
+// The surface sweep is charged once, before Finish when there is an interior
+// pass and after it otherwise; after an interior pass only outer's rows
+// outside the interior's J range read received (or S̃2-smoothed) p'_sa, and
+// they are recomputed uncharged. A streamed kernel forms dp'_sa once per row:
+// on the interior's rows in the interior pass, on the rest in the slabs
+// beside the interior (those span its levels; the slabs above and below it
+// span its rows again).
+func (c *core) overlapTail(src, dst *state.State, k kernel, outer, inner field.Rect) {
+	if k != kernSmooth {
 		switch {
-		case c.cfg.NoOverlap:
-			c.updateSurface(src, owned)
+		case !c.interiorPass(k):
+			c.updateSurface(src, outer)
 		case inner.Empty() || c.tp.Px > 1:
 			// Nothing was swept before Finish, or received x-halo p'_sa
 			// feeds every row.
-			c.refreshSurface(src, owned)
+			c.sur.UpdateFor(src.Psa, outer)
 		default:
-			// Only the owned rows outside inner's J range read received
-			// p'_sa (an edge is empty on a side that is not comm-fed).
-			lo, hi := owned, owned
+			lo, hi := outer, outer
 			lo.J1, hi.J0 = inner.J0, inner.J1
-			c.refreshSurface(src, lo)
-			c.refreshSurface(src, hi)
+			c.sur.UpdateFor(src.Psa, lo)
+			c.sur.UpdateFor(src.Psa, hi)
 		}
 	}
-	for _, s := range c.slabs(owned, inner) {
-		c.sweep(k, src, dst, s)
+	if c.freshC(k, src) {
+		c.evalC(src, outer)
 	}
+	for _, s := range c.slabs(outer, inner) {
+		c.sweep(k, src, dst, s, inner.Empty() || s.K0 == inner.K0 && s.K1 == inner.K1)
+	}
+	if c.streamed(k) {
+		c.chargeLincomb(outer)
+	}
+}
+
+// freshC reports whether kernel k at src needs a fresh Ĉ(src) first: Â at
+// any state but ψ = ξ, and at ψ too under Config.ExactC. Â at ψ is an η1,
+// which otherwise reuses the lagged Ĉ of the approximate nonlinear
+// iteration (Section 4.2.2).
+func (c *core) freshC(k kernel, src *state.State) bool {
+	return k == kernAdapt && (src != c.xi || c.cfg.ExactC)
+}
+
+// update runs one whole, unoverlapped update of kern over r: the surface
+// diagnostics of src, Ĉ(src) where Â needs it fresh, the update streamed into
+// dst (stream) and its lincomb charge.
+func (c *core) update(kern kernel, src, dst *state.State, mid bool, r field.Rect) {
+	c.updateSurface(src, r)
+	if c.freshC(kern, src) {
+		c.evalC(src, r)
+	}
+	c.stream(kern, src, dst, mid, r, true)
+	c.chargeLincomb(r)
+}
+
+// stream runs one update, or one piece of an overlapped one, over r a level
+// at a time (DESIGN §8 "One level of tendency"). At each level k it forms
+// the tendency plane of kern at src — kernAdapt: Â + Ĉ with Δt1, kernAdvect:
+// L̃ with Δt2 — filters its polar rows and writes dst at level k from ψ = ξ:
+// dst ← ψ + Δt·F̃(T), or with mid the midpoint ½ψ + ½(ψ + Δt·F̃(T))
+// (field.MidRect); then it refreshes the ghosts sourced there. With psa,
+// dp'_sa, one plane, goes first: the 3-D kernels read the surface
+// diagnostics computed from it beforehand, never p'_sa itself.
+//
+// dst may be src (the midpoint overwrites the state its tendency is
+// evaluated at): level k is written only once the tendency of level k+1 is
+// formed, and the tendency of a level reads src at that level and its
+// neighbours only (Â: k and k+1, L̃: k−1 … k+1), so none reads a level
+// already written. Two levels of tendency are therefore alive at a time.
+//
+// The simulated clock sees one whole-rect evaluation: the kernel's and the
+// filter's work, summed over the levels, are charged once each, in that
+// order; the caller charges the lincomb (chargeLincomb), once per update
+// however many pieces stream it.
+func (c *core) stream(kern kernel, src, dst *state.State, mid bool, r field.Rect, psa bool) {
+	c.n.FilterCalls++
+	dt, cost := c.cfg.Dt1, costAdapt
+	if kern == kernAdvect {
+		dt, cost = c.cfg.Dt2, costAdvect
+	}
+	w, rows := 0, 0
+	if psa {
+		t := c.lvl.Level(r.K0)
+		if kern == kernAdapt {
+			w = operators.AdaptationPsa(c.g, c.cfg.Adapt, src, c.cache, t, r)
+		} else {
+			operators.AdvectionPsa(t, r)
+		}
+		rows = c.flt.Apply(&t.DPsa.F3, r.Flat2D())
+		lincomb(&dst.Psa.F3, &c.xi.Psa.F3, dt, &t.DPsa.F3, r.Flat2D(), mid)
+		dst.FillPsaBounds(r)
+	}
+	for k := r.K0; k < r.K1; k++ {
+		t := c.lvl.Level(k)
+		if kern == kernAdapt {
+			w += operators.AdaptationLevel(c.g, src, c.sur, c.cache, t, r, k)
+		} else {
+			w += operators.AdvectionLevel(c.g, src, c.sur, c.cache, t, r, k, c.advSc)
+		}
+		rk := atLevel(r, k)
+		rows += c.flt.Apply(t.DU, rk) + c.flt.Apply(t.DV, rk) + c.flt.Apply(t.DPhi, rk)
+		if k > r.K0 {
+			c.writeLevel(dst, dt, mid, r, k-1)
+		}
+	}
+	c.writeLevel(dst, dt, mid, r, r.K1-1)
+	c.w.Compute(float64(w) * cost)
+	c.chargeFilter(rows)
+}
+
+// writeLevel writes dst's U, V and Φ at level k of r from ψ = ξ and that
+// level's streamed tendency, then refreshes the ghosts sourced there.
+func (c *core) writeLevel(dst *state.State, dt float64, mid bool, r field.Rect, k int) {
+	t, rk := c.lvl.Level(k), atLevel(r, k)
+	lincomb(dst.U, c.xi.U, dt, t.DU, rk, mid)
+	lincomb(dst.V, c.xi.V, dt, t.DV, rk, mid)
+	lincomb(dst.Phi, c.xi.Phi, dt, t.DPhi, rk, mid)
+	dst.Fill3DBounds(rk)
+}
+
+// lincomb sets dst ← psi + dt·t over r, or with mid the midpoint
+// ½·psi + ½·(psi + dt·t).
+func lincomb(dst, psi *field.F3, dt float64, t *field.F3, r field.Rect, mid bool) {
+	if mid {
+		field.MidRect(dst, psi, dt, t, r)
+		return
+	}
+	field.Lin2Rect(dst, 1, psi, dt, t, r)
+}
+
+// atLevel returns level k of r.
+func atLevel(r field.Rect, k int) field.Rect {
+	r.K0, r.K1 = k, k+1
+	return r
 }

@@ -321,9 +321,9 @@ func TestDeepHaloAcrossBoundariesInvisible(t *testing.T) {
 		bytes, msgs int64
 	}
 	clocks := map[[2]int]clock{
-		{1, 1}: {0.0012069779999999998, 0.0012069779999999998, 0, 0},
-		{4, 1}: {0.002680328000000004, 0.0020118240000000002, 843264, 364},
-		{4, 2}: {0.0064833973333333654, 0.002901584, 1913856, 1308},
+		{1, 1}: {0.0012054599999999998, 0.0012054599999999998, 0, 0},
+		{4, 1}: {0.0026794040000000037, 0.002008128, 843264, 364},
+		{4, 2}: {0.006481641333333367, 0.0028885920000000006, 1913856, 1308},
 	}
 	for _, shifted := range []bool{false, true} {
 		cfg := testCfg(3)

@@ -66,29 +66,29 @@ func TestOverlapBitwiseAcrossLayouts(t *testing.T) {
 			clock{0.027757447833333965, 0.00031122, 0.14687680133333464},
 			[2]uint64{0xdb085c108d4ed4e2, 0xdb085c108d4ed4e2}, nil, nil},
 		{"ca-uniform", AlgCommAvoid, 2, 2, 0, nil, false,
-			clock{0.004182862500000015, 0.0005585100000000003, 0.014189565000000015},
-			clock{0.004187526500000015, 0.0005557260000000003, 0.014178757000000016},
+			clock{0.004180825500000016, 0.0005529540000000004, 0.014186973000000014},
+			clock{0.004187526500000015, 0.0005529540000000002, 0.014178064000000013},
 			[2]uint64{0x3ac9d63d36c0bb80, 0x3ac9d63d36c0bb80}, nil, nil},
 		{"ca-weighted", AlgCommAvoid, 2, 2, 0, []int{0, 4, 10}, false,
-			clock{0.00418112633333335, 0.0005556779999999999, 0.01423393366666667},
-			clock{0.004186182333333349, 0.0005530379999999998, 0.014224773666666668},
+			clock{0.00417923333333335, 0.000550266, 0.014231168666666674},
+			clock{0.004186182333333349, 0.0005502659999999998, 0.014224047666666672},
 			[2]uint64{0x18d80f1328cc23d4, 0x18d80f1328cc23d4}, nil, nil},
 		// Plain smoothing every step: CommAvoid.plainSmooth on the same helper.
 		{"ca-nofuse", AlgCommAvoid, 2, 2, 0, nil, true,
-			clock{0.004496467833333348, 0.0005554380000000003, 0.014483234333333345},
-			clock{0.004502779833333348, 0.0005526540000000003, 0.014469818333333342},
+			clock{0.004494430833333348, 0.0005498820000000003, 0.014480642333333344},
+			clock{0.004502779833333348, 0.0005498820000000002, 0.014469125333333343},
 			[2]uint64{0xdab0a9e9085a3ae9, 0xdab0a9e9085a3ae9}, nil, nil},
 		{"ca-2x3", AlgCommAvoid, 2, 3, 0, nil, false,
-			clock{0.007973487360407707, 0.009245452608049853, 0.019148136373302815},
-			clock{0.008080517002608435, 0.00921614720044923, 0.018855676451502844},
+			clock{0.007963893008507554, 0.00920253920044923, 0.01912843598230264},
+			clock{0.008080517002608435, 0.00920253920044923, 0.018853408451502837},
 			[2]uint64{0x9ab0efcd8e74f5e4, 0x9ab0efcd8e74f5e4}, grid.New(48, 24, 12), nil},
 		{"ca-2x3-exactc", AlgCommAvoid, 2, 3, 0, nil, false,
-			clock{0.010041577080808432, 0.009734812138849643, 0.01883485165770428},
-			clock{0.010087468533408198, 0.009731595200449228, 0.018771346926602178},
+			clock{0.010039638846208326, 0.009717987200449228, 0.018832645344904145},
+			clock{0.010087468533408198, 0.009717987200449228, 0.01876945692660218},
 			[2]uint64{0x1bac7e4915fb30b4, 0x1bac7e4915fb30b4}, grid.New(48, 24, 12), func(c *Config) { c.ExactC = true }},
 		{"ca-2x3-stage1", AlgCommAvoid, 2, 3, 0, nil, false,
-			clock{0.008458370076006241, 0.00802288711264476, 0.025253501686103005},
-			clock{0.008623187243107632, 0.00797613323584393, 0.025031539111400974},
+			clock{0.008450341724106084, 0.007965441235843928, 0.02524053533420284},
+			clock{0.008624078243107632, 0.007965441235843928, 0.02502886611140098},
 			[2]uint64{0x9ab0efcd8e74f5e4, 0x9ab0efcd8e74f5e4}, grid.New(48, 24, 12), func(c *Config) { c.StageM = 1 }},
 	}
 	for _, tc := range cases {

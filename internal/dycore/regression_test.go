@@ -85,10 +85,12 @@ func TestSingleUpdateBitwise(t *testing.T) {
 		apply func(b *Baseline, tp *topo.Topology)
 	}{
 		{"adapt", func(b *Baseline, tp *topo.Topology) {
-			b.adaptUpdate(b.eta1, b.xi, b.xi)
+			b.adaptTendencyOf(b.xi)
+			b.apply(b.eta1, b.cfg.Dt1, false)
 		}},
 		{"advect", func(b *Baseline, tp *topo.Topology) {
-			b.advectUpdate(b.eta1, b.xi, b.xi)
+			b.advectTendencyOf(b.xi)
+			b.apply(b.eta1, b.cfg.Dt2, false)
 		}},
 		{"smooth", func(b *Baseline, tp *topo.Topology) {
 			f3, f2 := b.exchangeFields(b.xi)

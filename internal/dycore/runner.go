@@ -2,6 +2,7 @@ package dycore
 
 import (
 	"fmt"
+	"slices"
 
 	"cadycore/internal/comm"
 	"cadycore/internal/field"
@@ -348,13 +349,7 @@ func runOnWorld(s Setup, g *grid.Grid, model comm.NetModel, init InitFunc, steps
 		})
 	}()
 	if abort != nil {
-		minDone := done[0]
-		for _, d := range done {
-			if d < minDone {
-				minDone = d
-			}
-		}
-		return RunResult{Setup: s, Agg: w.Stats(), Count: counts[0], StepsDone: minDone, Abort: abort}, rec
+		return RunResult{Setup: s, Agg: w.Stats(), Count: counts[0], StepsDone: slices.Min(done), Abort: abort}, rec
 	}
 	return RunResult{Setup: s, Agg: w.Stats(), Count: counts[0], Exch: mergeExch(exch),
 		Finals: finals, StepsDone: done[0]}, rec
@@ -395,12 +390,8 @@ func mergeExch(perRank [][]topo.ExchStats) []topo.ExchStats {
 			}
 			out[i].Begins += es[i].Begins
 			out[i].Finishes += es[i].Finishes
-			if es[i].ExposedSec > out[i].ExposedSec {
-				out[i].ExposedSec = es[i].ExposedSec
-			}
-			if es[i].HiddenSec > out[i].HiddenSec {
-				out[i].HiddenSec = es[i].HiddenSec
-			}
+			out[i].ExposedSec = max(out[i].ExposedSec, es[i].ExposedSec)
+			out[i].HiddenSec = max(out[i].HiddenSec, es[i].HiddenSec)
 		}
 	}
 	return out
@@ -411,8 +402,8 @@ func mergeExch(perRank [][]topo.ExchStats) []topo.ExchStats {
 // global index, so runs under different decompositions are comparable.
 func MaxDiffGlobal(g *grid.Grid, a, b []*state.State) float64 {
 	// Build dense global arrays from each run, then compare.
-	fa := flatten(g, a)
-	fb := flatten(g, b)
+	fa := FlattenState(g, a)
+	fb := FlattenState(g, b)
 	m := 0.0
 	for i := range fa {
 		d := fa[i] - fb[i]
@@ -426,9 +417,9 @@ func MaxDiffGlobal(g *grid.Grid, a, b []*state.State) float64 {
 	return m
 }
 
-// flatten packs the owned regions of all per-rank states into one dense
-// vector ordered (component, k, j, i).
-func flatten(g *grid.Grid, sts []*state.State) []float64 {
+// FlattenState packs the owned regions of all per-rank states into one dense
+// vector ordered (component, k, j, i), for diagnostics and tests.
+func FlattenState(g *grid.Grid, sts []*state.State) []float64 {
 	n3 := g.Nx * g.Ny * g.Nz
 	n2 := g.Nx * g.Ny
 	out := make([]float64, 3*n3+n2)
@@ -446,6 +437,3 @@ func flatten(g *grid.Grid, sts []*state.State) []float64 {
 	}
 	return out
 }
-
-// FlattenState exposes flatten for diagnostics and tests.
-func FlattenState(g *grid.Grid, sts []*state.State) []float64 { return flatten(g, sts) }

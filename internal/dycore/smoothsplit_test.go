@@ -93,7 +93,7 @@ func TestSmoothingSplitMatchesFull(t *testing.T) {
 
 			f3, f2 := ca.exchangeFields(ca.xi)
 			pend := ca.deepEx.Begin(f3, f2)
-			bandPend := ca.bandEx.Begin([]*field.F3{ca.origPhi}, []*field.F2{ca.origPsa})
+			bandPend := ca.band.ex.Begin(ca.band.f3[:], ca.band.f2[:])
 			pend.Finish()
 			bandPend.Finish()
 			ca.localFill(ca.xi)

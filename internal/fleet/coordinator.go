@@ -29,7 +29,7 @@ func (c *Coordinator) SubmitJob(spec server.JobSpec, tenant string) (*job, error
 	}
 	c.mu.Lock()
 	c.seq++
-	j := &job{ID: fmt.Sprintf("f-%06d", c.seq), Tenant: tenant, Spec: spec, submitted: time.Now()}
+	j := &job{ID: fmt.Sprintf("f-%06d", c.seq), Tenant: tenant, Spec: spec, Submitted: wallNow()}
 	c.mu.Unlock()
 	j.Spec.SharedKey = j.ID
 	url, st, err := c.place(j.ID, j.Spec)
@@ -219,7 +219,7 @@ func (c *Coordinator) finalizeLocked(j *job, st server.JState, errMsg string) {
 	c.leaveLocked(j)
 	j.State = st
 	j.ErrMsg = errMsg
-	j.finished = time.Now()
+	j.finished = wallNow()
 	switch st {
 	case server.JCompleted:
 		c.met.completed++

@@ -79,7 +79,7 @@ func (c *Coordinator) SubmitEnsemble(es EnsembleSpec, tenant string) (*ensemble,
 	}
 	c.mu.Lock()
 	c.eseq++
-	e := &ensemble{ID: fmt.Sprintf("e-%06d", c.eseq), Tenant: tenant, Spec: es, submitted: time.Now()}
+	e := &ensemble{ID: fmt.Sprintf("e-%06d", c.eseq), Tenant: tenant, Spec: es, Submitted: wallNow()}
 	c.mu.Unlock()
 	var placed []*job
 	for m := 0; m < es.Members; m++ {
@@ -90,7 +90,7 @@ func (c *Coordinator) SubmitEnsemble(es EnsembleSpec, tenant string) (*ensemble,
 			Ensemble:  e.ID,
 			Member:    m,
 			State:     server.JRunning,
-			submitted: e.submitted,
+			Submitted: e.Submitted,
 		}
 		j.Spec.PerturbSeed = memberSeed(es.Seed, m)
 		j.Spec.PerturbAmp = es.PerturbAmp
@@ -153,7 +153,7 @@ func (c *Coordinator) ensembleStatusLocked(e *ensemble) EnsembleStatus {
 		Members:     len(e.Members),
 		Seed:        e.Spec.Seed,
 		PerturbAmp:  e.Spec.PerturbAmp,
-		SubmittedAt: e.submitted.UTC().Format(time.RFC3339Nano),
+		SubmittedAt: e.Submitted.UTC().Format(time.RFC3339Nano),
 	}
 	for _, id := range e.Members {
 		j := c.jobs[id]

@@ -101,24 +101,23 @@ type job struct {
 	Migrations int           `json:"migrations,omitempty"`
 	ErrMsg     string        `json:"error,omitempty"`
 	StepsDone  int           `json:"steps_done,omitempty"` // high-water mark across backends
+	Submitted  time.Time     `json:"submitted_at"`
 
 	cancelRequested bool
 	// remote is the last observed status of the backend copy; nil after a
 	// restart until the startup reconcile finds the copy.
 	remote *server.JobStatus
 
-	submitted time.Time
-	finished  time.Time
+	finished time.Time
 }
 
 // ensemble is one fan-out of K perturbed members.
 type ensemble struct {
-	ID      string       `json:"id"`
-	Tenant  string       `json:"tenant"`
-	Spec    EnsembleSpec `json:"spec"`
-	Members []string     `json:"members"` // fleet job IDs, member order
-
-	submitted time.Time
+	ID        string       `json:"id"`
+	Tenant    string       `json:"tenant"`
+	Spec      EnsembleSpec `json:"spec"`
+	Members   []string     `json:"members"` // fleet job IDs, member order
+	Submitted time.Time    `json:"submitted_at"`
 }
 
 // Coordinator is the fleet control plane. Create with New, expose with
@@ -215,6 +214,11 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 
 // --- persistence -----------------------------------------------------------
 
+// wallNow is time.Now in UTC, which drops its monotonic reading: a job's
+// times are persisted and read back, and must compare the same after a
+// restart.
+func wallNow() time.Time { return time.Now().UTC() }
+
 type persistedState struct {
 	Seq       int         `json:"seq"`
 	ESeq      int         `json:"eseq"`
@@ -259,7 +263,9 @@ func (c *Coordinator) persist() {
 	}
 }
 
-// load reloads fleet.json (missing file = fresh fleet).
+// load reloads fleet.json (missing file = fresh fleet). A job or ensemble
+// record written before records carried their submission time is dated by
+// the file's modification time.
 func (c *Coordinator) load() error {
 	b, err := os.ReadFile(c.stateFile())
 	if errors.Is(err, os.ErrNotExist) {
@@ -271,11 +277,18 @@ func (c *Coordinator) load() error {
 	if err := json.Unmarshal(b, &ps); err != nil {
 		return fmt.Errorf("fleet: corrupt state file %s: %w", c.stateFile(), err)
 	}
+	fi, err := os.Stat(c.stateFile())
+	if err != nil {
+		return err
+	}
+	written := fi.ModTime().UTC()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.seq, c.eseq = ps.Seq, ps.ESeq
 	for _, j := range ps.Jobs {
-		j.submitted = time.Now()
+		if j.Submitted.IsZero() {
+			j.Submitted = written
+		}
 		// Rebuild the outcome counters so /metrics survives a restart, and
 		// the backends' in-flight counts so placement does.
 		switch j.State {
@@ -296,7 +309,9 @@ func (c *Coordinator) load() error {
 		c.addLocked(j)
 	}
 	for _, e := range ps.Ensembles {
-		e.submitted = time.Now()
+		if e.Submitted.IsZero() {
+			e.Submitted = written
+		}
 		c.ensembles[e.ID] = e
 		c.eorder = append(c.eorder, e.ID)
 	}

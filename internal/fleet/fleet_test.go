@@ -544,30 +544,7 @@ func TestCoordinatorRestartReconciliation(t *testing.T) {
 	linfo := decodeInfo(t, resp)
 	h.waitProgress(t, linfo.ID, 1)
 
-	// Stop the coordinator (NOT the backend: its copy keeps running).
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	h.coord.Shutdown(ctx)
-	cancel()
-	h.cts.Close()
-
-	// A new coordinator over the same store and backends reconciles.
-	cfg := Config{
-		Backends:      []string{h.backends[0].ts.URL},
-		StoreDir:      h.storeDir,
-		ProbeInterval: 20 * time.Millisecond,
-	}
-	coord2, err := New(cfg)
-	if err != nil {
-		t.Fatalf("restart fleet.New: %v", err)
-	}
-	h.coord = coord2
-	h.cts = httptest.NewServer(coord2)
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		coord2.Shutdown(ctx)
-		h.cts.Close()
-	})
+	h.restart(t)
 
 	// The completed job survived as completed.
 	resp2, err := http.Get(h.cts.URL + "/jobs/" + qinfo.ID)
@@ -595,6 +572,63 @@ func TestCoordinatorRestartReconciliation(t *testing.T) {
 	met := h.metricsText(t)
 	if metricValue(t, met, "cady_fleet_jobs_completed_total") < 2 {
 		t.Fatal("completed counter not rebuilt after restart")
+	}
+}
+
+// restart stops the coordinator (not the backends: their copies keep
+// running) and starts a new one over the same store and backends, which
+// reconciles; the harness's cleanup stops the new one.
+func (h *fleetHarness) restart(t *testing.T) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	h.coord.Shutdown(ctx)
+	cancel()
+	h.cts.Close()
+	var urls []string
+	for _, b := range h.backends {
+		urls = append(urls, b.ts.URL)
+	}
+	coord, err := New(Config{Backends: urls, StoreDir: h.storeDir, ProbeInterval: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatalf("restart fleet.New: %v", err)
+	}
+	h.coord = coord
+	h.cts = httptest.NewServer(coord)
+}
+
+// TestSubmittedAtSurvivesCoordinatorRestart: a fleet job's and an
+// ensemble's submission times are committed with their fleet.json records,
+// so a restarted coordinator reports the times the first one did.
+func TestSubmittedAtSurvivesCoordinatorRestart(t *testing.T) {
+	h := newFleetHarness(t, 1, 2, 8, nil, nil)
+	quick := server.JobSpec{Alg: "yz", Nx: 16, Ny: 8, Nz: 4, PA: 1, PB: 1, M: 1, Steps: 1}
+	job := decodeInfo(t, h.postJSON(t, "/jobs", quick, "acme"))
+	resp := h.postJSON(t, "/ensembles", EnsembleSpec{Job: quick, Members: 2}, "acme")
+	var ens EnsembleStatus
+	if err := json.NewDecoder(resp.Body).Decode(&ens); err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit ensemble: %d, %v", resp.StatusCode, err)
+	}
+	resp.Body.Close()
+	ensemble := func() EnsembleStatus {
+		resp, err := http.Get(h.cts.URL + "/ensembles/" + ens.ID)
+		if err != nil {
+			t.Fatalf("GET ensemble: %v", err)
+		}
+		defer resp.Body.Close()
+		var st EnsembleStatus
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatalf("decode ensemble: %v", err)
+		}
+		return st
+	}
+	h.waitJob(t, job.ID, "completed", 30*time.Second)
+	for _, m := range ens.MemberJobs {
+		h.waitJob(t, m.ID, "completed", 30*time.Second)
+	}
+	before := [2]string{h.getJob(t, job.ID).SubmittedAt, ensemble().SubmittedAt}
+	h.restart(t)
+	if after := [2]string{h.getJob(t, job.ID).SubmittedAt, ensemble().SubmittedAt}; after != before {
+		t.Errorf("after a coordinator restart the job and ensemble report submitted_at %q, before it %q", after, before)
 	}
 }
 

@@ -49,7 +49,7 @@ func (c *Coordinator) jobInfoLocked(j *job) JobInfo {
 		Migrations:   j.Migrations,
 		Ensemble:     j.Ensemble,
 		Error:        j.ErrMsg,
-		SubmittedAt:  j.submitted.UTC().Format(time.RFC3339Nano),
+		SubmittedAt:  j.Submitted.UTC().Format(time.RFC3339Nano),
 		Spec:         j.Spec,
 	}
 	if j.Ensemble != "" {

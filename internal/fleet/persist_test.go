@@ -77,7 +77,8 @@ func TestPersistLandsInMarshalOrder(t *testing.T) {
 // job in each state a fleet job can hold. It loads into the same states
 // (the running job's backend is gone, so it migrates back to queued), and the
 // state file the coordinator rewrites at start and at shutdown is, byte for
-// byte, the one that coordinator wrote (testdata/fleet-jstate.reloaded.json).
+// byte, the one that coordinator wrote, each record now dated by the file's
+// modification time (testdata/fleet-jstate.reloaded.json).
 func TestLoadFleetJSONOfOwnStateType(t *testing.T) {
 	dir := t.TempDir()
 	read := func(name string) []byte {
@@ -89,6 +90,12 @@ func TestLoadFleetJSONOfOwnStateType(t *testing.T) {
 		return b
 	}
 	if err := checkpoint.WriteFileAtomic(filepath.Join(dir, "fleet.json"), read(filepath.Join("testdata", "fleet-jstate.json"))); err != nil {
+		t.Fatal(err)
+	}
+	// The fixture's records predate their submitted_at key, so they are dated
+	// by the file's modification time, which the rewrite then records.
+	written := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
+	if err := os.Chtimes(filepath.Join(dir, "fleet.json"), written, written); err != nil {
 		t.Fatal(err)
 	}
 	c, err := New(Config{StoreDir: dir})

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"cadycore/internal/checkpoint"
 	"cadycore/internal/comm"
@@ -211,7 +212,8 @@ func TestRecoverResumesXYPlanMeta(t *testing.T) {
 // crash right after its 202 leaves a job directory holding only spec.json. It
 // recovers as the queued, all-zero job a missing meta.json stands for —
 // surfaced as interrupted and resumable — and, resumed, ends bitwise equal
-// to an uninterrupted run.
+// to an uninterrupted run. This spec.json is an earlier release's, without
+// the submission time, so the job is dated by the file's modification time.
 func TestRecoverSpecOnlyJob(t *testing.T) {
 	dir := t.TempDir()
 	jdir := filepath.Join(dir, "j-000001")
@@ -234,6 +236,13 @@ func TestRecoverSpecOnlyJob(t *testing.T) {
 	}
 	if st := j.Status(); st.State != JInterrupted || !st.Resumable || st.StepsDone != 0 || st.CkptStep != 0 || st.Attempts != 0 {
 		t.Fatalf("recovered %+v, want interrupted, resumable and all zero", st)
+	}
+	fi, err := os.Stat(filepath.Join(jdir, "spec.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := j.Status().SubmittedAt, fi.ModTime().UTC().Format(time.RFC3339Nano); got != want {
+		t.Errorf("recovered submitted_at %s, want spec.json's modification time %s", got, want)
 	}
 	if _, err := s.Resume(j.ID); err != nil {
 		t.Fatalf("Resume: %v", err)

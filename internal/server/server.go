@@ -238,7 +238,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 		Spec:      spec,
 		tq:        s.tenantLocked(spec.Tenant),
 		state:     JQueued,
-		submitted: time.Now(),
+		submitted: wallNow(),
 	}
 	if err := s.admitLocked(j, false); err != nil {
 		s.mu.Unlock()
@@ -427,7 +427,7 @@ func (s *Server) worker() {
 			continue
 		}
 		j.state = JRunning
-		j.started = time.Now()
+		j.started = wallNow()
 		j.attempts++
 		j.mu.Unlock()
 		s.met.busy.Add(1)
@@ -548,7 +548,7 @@ func (s *Server) runJob(j *Job) {
 	// The restart policy is the queue's (retrying state, backoff, requeue), so
 	// the driver gets no restart budget: a crash comes back as the error.
 	out, err := balance.Run(spec)
-	ended := time.Now()
+	ended := wallNow()
 	s.met.rebalanceDecisions.Add(out.Rebalance.Decisions)
 	s.met.rebalanceSkipped.Add(out.Rebalance.Skipped)
 
@@ -597,7 +597,7 @@ func (s *Server) finishLocked(j *Job, st JState, errMsg string, resumable bool) 
 		j.snap = nil
 	}
 	j.state, j.errMsg, j.resumable = st, errMsg, resumable
-	j.finished = time.Now()
+	j.finished = wallNow()
 	j.cancel = nil
 	switch st {
 	case JCompleted:
@@ -718,6 +718,19 @@ func (s *Server) planJob(j *Job, g *grid.Grid) (tune.Plan, error) {
 // Failures surface in the job status (persist_error) and the
 // cady_persist_errors_total counter.
 
+// wallNow is time.Now in UTC, which drops its monotonic reading: a job's
+// times are persisted and read back, and wall_sec, their difference, must
+// not change across a restart.
+func wallNow() time.Time { return time.Now().UTC() }
+
+// specFile is spec.json: the spec as submitted, and beside it the submission
+// time, which the server writes. A spec.json without it (written before the
+// key existed) dates the job by the file's modification time.
+type specFile struct {
+	JobSpec
+	SubmittedAt *time.Time `json:"submitted_at,omitempty"`
+}
+
 // jobMeta is the part of a job's status that meta.json commits, so that a
 // restarted server reports a finished job as it did before: its run times,
 // whole-job communication and operation counts, and diagnostics.
@@ -758,7 +771,7 @@ func (s *Server) notePersist(j *Job, err error) {
 func (s *Server) persistSpecLocked(j *Job) {
 	err := s.openHome(j)
 	if err == nil && s.cfg.Dir != "" {
-		b, _ := json.MarshalIndent(j.Spec, "", "  ")
+		b, _ := json.MarshalIndent(specFile{JobSpec: j.Spec, SubmittedAt: &j.submitted}, "", "  ")
 		err = checkpoint.WriteFileAtomic(filepath.Join(s.jobDir(j), "spec.json"), b)
 	}
 	if err != nil {
@@ -910,15 +923,25 @@ func (s *Server) recover() error {
 		for _, t := range tmps {
 			os.Remove(t)
 		}
-		specB, err := os.ReadFile(filepath.Join(dir, "spec.json"))
+		specPath := filepath.Join(dir, "spec.json")
+		specB, err := os.ReadFile(specPath)
 		if err != nil {
 			continue
 		}
-		var spec JobSpec
-		if json.Unmarshal(specB, &spec) != nil || spec.Normalize() != nil {
+		var sf specFile
+		if json.Unmarshal(specB, &sf) != nil || sf.Normalize() != nil {
 			continue
 		}
-		j := &Job{ID: id, Spec: spec, tq: s.tenantLocked(spec.Tenant), state: JQueued, submitted: time.Now()}
+		if sf.SubmittedAt == nil {
+			fi, err := os.Stat(specPath)
+			if err != nil {
+				continue
+			}
+			t := fi.ModTime().UTC()
+			sf.SubmittedAt = &t
+		}
+		spec := sf.JobSpec
+		j := &Job{ID: id, Spec: spec, tq: s.tenantLocked(spec.Tenant), state: JQueued, submitted: *sf.SubmittedAt}
 		if metaB, err := os.ReadFile(filepath.Join(dir, "meta.json")); err == nil {
 			var m jobMeta
 			if json.Unmarshal(metaB, &m) == nil {

@@ -157,10 +157,11 @@ func TestCompletedDiagnosticsSurviveRestart(t *testing.T) {
 	}
 }
 
-// TestCompletedStatusSurvivesRestart: a completed job's run times,
-// whole-job communication statistics and operation counts are committed with
-// its meta.json, so GET /jobs/{id} on a server restarted over the same
-// directory reports them as the first server did.
+// TestCompletedStatusSurvivesRestart: a completed job's submission time (in
+// spec.json), run times, whole-job communication statistics and operation
+// counts (in meta.json) are committed, so GET /jobs/{id} on a server
+// restarted over the same directory reports them as the first server did,
+// wall_sec included.
 func TestCompletedStatusSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	get := func(s *Server, id string) JobStatus {
@@ -186,9 +187,12 @@ func TestCompletedStatusSurvivesRestart(t *testing.T) {
 	}
 
 	after := get(newTestServer(t, Config{Workers: 1, QueueCap: 4, Dir: dir}), j.ID)
-	if after.FinishedAt != before.FinishedAt || after.StartedAt != before.StartedAt {
-		t.Errorf("recovered started_at %q, finished_at %q; before the restart %q, %q",
-			after.StartedAt, after.FinishedAt, before.StartedAt, before.FinishedAt)
+	if after.SubmittedAt != before.SubmittedAt || after.FinishedAt != before.FinishedAt || after.StartedAt != before.StartedAt {
+		t.Errorf("recovered submitted_at %q, started_at %q, finished_at %q; before the restart %q, %q, %q",
+			after.SubmittedAt, after.StartedAt, after.FinishedAt, before.SubmittedAt, before.StartedAt, before.FinishedAt)
+	}
+	if after.WallSec != before.WallSec {
+		t.Errorf("recovered wall_sec %v, before the restart %v", after.WallSec, before.WallSec)
 	}
 	if !reflect.DeepEqual(after.Comm, before.Comm) {
 		t.Errorf("recovered comm %+v, before the restart %+v", after.Comm, before.Comm)
