@@ -122,3 +122,39 @@ func tendencyLevels(ca *CommAvoid) int {
 	}
 	return levels / 3
 }
+
+// TestFinalsHoldOwnedCells guards what a finished run leaves behind. Each
+// RunResult.Finals entry is the rank's initial state, overwritten with ξ's
+// cells on resultBlock (the owned block plus one kernel application's
+// halo) and an owned-size Carry, so a held result pins none of the
+// integrator's deep storage. A held CA 4×2 result at 96×48×12, M = 3, with
+// its world gone keeps 3.24 MB of live heap (2.6 MB of states, 0.6 MB of
+// Carry) against a 3.5 MB budget; it kept 7.75 MB while Finals were the
+// integrators' ξ.
+func TestFinalsHoldOwnedCells(t *testing.T) {
+	g := grid.New(96, 48, 12)
+	s := Setup{Alg: AlgCommAvoid, PA: 4, PB: 2, Cfg: DefaultConfig()}
+	heap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
+	res := Run(s, g, comm.Zero(), testInit, 1)
+	held := float64(heap()-before) / 1e6
+	hx, hy, hz := BaselineHalo()
+	for r, fin := range res.Finals {
+		if b := fin.B; b.Hx != hx || b.Hy != hy || b.Hz != hz {
+			t.Errorf("rank %d: result halo (%d,%d,%d), want resultBlock's (%d,%d,%d)", r, b.Hx, b.Hy, b.Hz, hx, hy, hz)
+		}
+		if ob := state.OwnedBlock(fin.B); fin.Carry == nil || fin.Carry.PWI.B != ob || fin.Carry.DBar.B != ob.Flat2D() {
+			t.Errorf("rank %d: result Carry is not owned-size", r)
+		}
+	}
+	t.Logf("held CA 4x2 result: %.2f MB live heap", held)
+	if held > 3.5 {
+		t.Errorf("a held result keeps %.2f MB, want ≤ 3.5", held)
+	}
+	runtime.KeepAlive(res)
+}
