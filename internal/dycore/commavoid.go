@@ -112,17 +112,25 @@ func NewCommAvoid(cfg Config, g *grid.Grid, tp *topo.Topology) *CommAvoid {
 	work := covering(b, grow(r1, 1, 1), grow(r2, 2, 0), grow(rAdv2, 1, 1))
 	ca.core = newCore(cfg, g, tp, stor, work, covering(b, grow(rAdv2, 1, 0)))
 	ca.lvl = operators.NewLevelTendency(covering(b, r1, rAdv2))
-	// S̃2's originals are read on the latter smoothing's rect s2r, grown by
-	// the smoothing's two rows; the smoothing is horizontal, so no level
-	// below K0 or past the domain.
-	s2r := expandAsym(b, ca.depthY, ca.depthY, 0, ca.depthZ)
-	orig := covering(b, grow(s2r, 2, 0))
+	// S̃2 reads its originals on the rows within two of a row-window edge
+	// (latterReads); the band ships a peer only those rows, and the
+	// originals store only their span, on S̃2's levels. A rank reads every
+	// row it sends (the reader's row within two of it lies in the sender's
+	// S̃2 rect too), so the band lends from that storage. Without a y split
+	// S̃2 reads nothing, and the originals keep the owned rows.
+	ca.availYFn = ca.availY
+	orig := b
+	s2r := ca.s2Rect(b)
+	orig.K0, orig.K1, orig.Hy, orig.Hz = s2r.K0, s2r.K1, 0, 0
+	if reads := ca.latterReads(b); len(reads) > 0 {
+		orig.J0, orig.J1 = reads[0].J0, reads[len(reads)-1].J1
+	}
 	// The adaptation stencils are one-sided in z (Table 1 reads k and k+1
 	// only), so the deep halo extends toward higher k only; this is the
 	// shape of the paper's Figure 4 halo areas.
 	deep := topo.Depths{X: 0, YLo: hy, YHi: hy, ZLo: 0, ZHi: hz}
 	ca.deepEx = tp.NewExchangerD(deep).SetLabel("ca-deep")
-	ca.band.ex = tp.NewBandExchangerY(deep, 2).SetLabel("ca-band")
+	ca.band.ex = tp.NewReadExchanger(deep, ca.latterReads).SetLabel("ca-band")
 	ca.advEx = tp.NewExchanger(0, dyAdv, dzAdv).SetLabel("ca-adv")
 	ca.smEx = tp.NewExchanger(0, dys, 0).SetLabel("ca-smooth")
 	if ca.stage > 0 {
@@ -134,7 +142,6 @@ func NewCommAvoid(cfg Config, g *grid.Grid, tp *topo.Topology) *CommAvoid {
 	}
 	ca.origPhi = field.NewF3(orig)
 	ca.origPsa = field.NewF2(orig)
-	ca.availYFn = ca.availY
 	ca.band.f3[0] = ca.origPhi
 	ca.band.f2[0] = ca.origPsa
 	ca.xi.Carry = &state.Carry{} // what a snapshot needs besides ξ
@@ -193,6 +200,22 @@ func (ca *CommAvoid) availY(j int) (lo, hi int) {
 		hi = ca.g.Ny + 2
 	}
 	return lo, hi
+}
+
+// s2Rect returns the rect of the latter smoothing S̃2 on block b: b's owned
+// block extended by the full adaptation depth, symmetric in y, high side
+// only in z.
+func (ca *CommAvoid) s2Rect(b field.Block) field.Rect {
+	return expandAsym(b, ca.depthY, ca.depthY, 0, ca.depthZ)
+}
+
+// latterReads is the read set of the fused smoothing's band exchange: the
+// original rows S̃2 reads on block b (operators.LatterReads over s2Rect(b)
+// with the former smoothing's row windows). Every rank evaluates it for its
+// peers' blocks, so a weighted layout's thin window still receives the far
+// edges it reads.
+func (ca *CommAvoid) latterReads(b field.Block) []field.Rect {
+	return operators.LatterReads(ca.s2Rect(b), ca.availYFn)
 }
 
 // region returns the compute rect of the u-th adaptation update (u counts
@@ -270,7 +293,7 @@ func (ca *CommAvoid) Step() {
 		// their periodic x halos before the δ⁴_λ reads.
 		ca.fillEven(ca.origPhi)
 		ca.fillEven(&ca.origPsa.F3)
-		s2r := expandAsym(ca.tp.Block, ca.depthY, ca.depthY, 0, ca.depthZ)
+		s2r := ca.s2Rect(ca.tp.Block)
 		w := ca.smo.P2Latter(ca.origPhi, ca.xi.Phi, s2r, ca.availYFn)
 		w += ca.smo.P2Latter(&ca.origPsa.F3, &ca.xi.Psa.F3, s2r.Flat2D(), ca.availYFn)
 		ca.w.Compute(float64(w) * costSmooth)

@@ -322,8 +322,8 @@ func TestDeepHaloAcrossBoundariesInvisible(t *testing.T) {
 	}
 	clocks := map[[2]int]clock{
 		{1, 1}: {0.0012054599999999998, 0.0012054599999999998, 0, 0},
-		{4, 1}: {0.0026794040000000037, 0.002008128, 843264, 364},
-		{4, 2}: {0.006481641333333367, 0.0028885920000000006, 1913856, 1308},
+		{4, 1}: {0.0026794040000000037, 0.002008128, 828928, 364},
+		{4, 2}: {0.006481641333333367, 0.0028885920000000006, 1888256, 1308},
 	}
 	for _, shifted := range []bool{false, true} {
 		cfg := testCfg(3)

@@ -66,12 +66,12 @@ func TestOverlapBitwiseAcrossLayouts(t *testing.T) {
 			clock{0.027757447833333965, 0.00031122, 0.14687680133333464},
 			[2]uint64{0xdb085c108d4ed4e2, 0xdb085c108d4ed4e2}, nil, nil},
 		{"ca-uniform", AlgCommAvoid, 2, 2, 0, nil, false,
-			clock{0.004180825500000016, 0.0005529540000000004, 0.014186973000000014},
-			clock{0.004187526500000015, 0.0005529540000000002, 0.014178064000000013},
+			clock{0.004180740166666683, 0.0005529540000000004, 0.014186759666666675},
+			clock{0.004187441166666681, 0.0005529540000000002, 0.014177850666666677},
 			[2]uint64{0x3ac9d63d36c0bb80, 0x3ac9d63d36c0bb80}, nil, nil},
 		{"ca-weighted", AlgCommAvoid, 2, 2, 0, []int{0, 4, 10}, false,
-			clock{0.00417923333333335, 0.000550266, 0.014231168666666674},
-			clock{0.004186182333333349, 0.0005502659999999998, 0.014224047666666672},
+			clock{0.004179148000000016, 0.000550266, 0.014230955333333342},
+			clock{0.004186097000000015, 0.0005502659999999998, 0.014223834333333336},
 			[2]uint64{0x18d80f1328cc23d4, 0x18d80f1328cc23d4}, nil, nil},
 		// Plain smoothing every step: CommAvoid.plainSmooth on the same helper.
 		{"ca-nofuse", AlgCommAvoid, 2, 2, 0, nil, true,
@@ -79,16 +79,16 @@ func TestOverlapBitwiseAcrossLayouts(t *testing.T) {
 			clock{0.004502779833333348, 0.0005498820000000002, 0.014469125333333343},
 			[2]uint64{0xdab0a9e9085a3ae9, 0xdab0a9e9085a3ae9}, nil, nil},
 		{"ca-2x3", AlgCommAvoid, 2, 3, 0, nil, false,
-			clock{0.007963893008507554, 0.00920253920044923, 0.01912843598230264},
-			clock{0.008080517002608435, 0.00920253920044923, 0.018853408451502837},
+			clock{0.007963893008507554, 0.00920253920044923, 0.019127667982302643},
+			clock{0.008080517002608435, 0.00920253920044923, 0.01885264045150284},
 			[2]uint64{0x9ab0efcd8e74f5e4, 0x9ab0efcd8e74f5e4}, grid.New(48, 24, 12), nil},
 		{"ca-2x3-exactc", AlgCommAvoid, 2, 3, 0, nil, false,
-			clock{0.010039638846208326, 0.009717987200449228, 0.018832645344904145},
-			clock{0.010087468533408198, 0.009717987200449228, 0.01876945692660218},
+			clock{0.010039638846208326, 0.009717987200449228, 0.018831877344904147},
+			clock{0.010087468533408198, 0.009717987200449228, 0.018768688926602176},
 			[2]uint64{0x1bac7e4915fb30b4, 0x1bac7e4915fb30b4}, grid.New(48, 24, 12), func(c *Config) { c.ExactC = true }},
 		{"ca-2x3-stage1", AlgCommAvoid, 2, 3, 0, nil, false,
-			clock{0.008450341724106084, 0.007965441235843928, 0.02524053533420284},
-			clock{0.008624078243107632, 0.007965441235843928, 0.02502886611140098},
+			clock{0.008450341724106084, 0.007965441235843928, 0.025238999334202837},
+			clock{0.008624078243107632, 0.007965441235843928, 0.025027330111400976},
 			[2]uint64{0x9ab0efcd8e74f5e4, 0x9ab0efcd8e74f5e4}, grid.New(48, 24, 12), func(c *Config) { c.StageM = 1 }},
 	}
 	for _, tc := range cases {

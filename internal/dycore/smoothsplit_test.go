@@ -1,11 +1,15 @@
 package dycore
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cadycore/internal/comm"
 	"cadycore/internal/field"
+	"cadycore/internal/grid"
 	"cadycore/internal/operators"
 	"cadycore/internal/state"
 	"cadycore/internal/topo"
@@ -143,4 +147,86 @@ func TestSmoothingSplitMatchesFull(t *testing.T) {
 func CommAvoidHaloY(m int) int {
 	_, hy, _ := CommAvoidHalo(m)
 	return hy
+}
+
+// TestBandShipsWhatLatterReads pins the read set of the fused smoothing's
+// band exchange (CommAvoid.latterReads). Every rank marks its owned cells of
+// the originals 1 and every other stored cell NaN, runs the band exchange,
+// and probes each stored (j, k) row of the originals by poisoning it before
+// S̃2: the rows whose poison reaches S̃2's output are the rows it reads.
+// Every row S̃2 reads is owned or received, every received row is read,
+// and the originals store no row outside the span S̃2 reads. The weighted
+// layout's 3-row windows make a rank read the far edge of a rank beyond its
+// neighbour.
+func TestBandShipsWhatLatterReads(t *testing.T) {
+	g := grid.New(96, 48, 12)
+	for _, s := range []Setup{
+		{Alg: AlgCommAvoid, PA: 4, PB: 2, Cfg: DefaultConfig()},
+		{Alg: AlgCommAvoid, PA: 4, PB: 2, Cfg: DefaultConfig(), RowStarts: []int{0, 3, 6, 27, 48}},
+	} {
+		t.Run(fmt.Sprintf("rows%v", s.RowStarts), func(t *testing.T) {
+			comm.NewWorld(s.Procs(), comm.Zero()).Run(func(c *comm.Comm) {
+				tp, ig := s.Build(c, g)
+				ca := ig.(*CommAvoid)
+				owned := tp.Block.Owned()
+				s2r := ca.s2Rect(tp.Block)
+				cases := []struct {
+					f        *field.F3
+					r, owned field.Rect
+				}{{ca.origPhi, s2r, owned}, {&ca.origPsa.F3, s2r.Flat2D(), owned.Flat2D()}}
+				for _, tc := range cases {
+					f := tc.f
+					for n := range f.Data {
+						f.Data[n] = math.NaN()
+					}
+					o := tc.owned.Intersect(f.B.WithHalo())
+					for k := o.K0; k < o.K1; k++ {
+						for j := o.J0; j < o.J1; j++ {
+							for i := o.I0; i < o.I1; i++ {
+								f.Set(i, j, k, 1)
+							}
+						}
+					}
+				}
+				ca.band.ex.Exchange(ca.band.f3[:], ca.band.f2[:])
+				for _, tc := range cases {
+					f, w := tc.f, tc.f.B.WithHalo()
+					received := func(j, k int) bool {
+						return j >= 0 && j < g.Ny && !tc.owned.Contains(0, j, k) && !math.IsNaN(f.At(0, j, k))
+					}
+					// latter reports whether S̃2 over the originals stays
+					// finite.
+					latter := func() bool {
+						ca.fillEven(f)
+						cur := field.NewF3(f.B)
+						ca.smo.P2Latter(f, cur, tc.r, ca.availYFn)
+						return !slices.ContainsFunc(cur.Data, math.IsNaN)
+					}
+					if !latter() {
+						t.Errorf("rank %d: S̃2 reads a row that is neither owned nor received", c.Rank())
+					}
+					rowLo, rowHi := w.J1, w.J0
+					for k := w.K0; k < w.K1; k++ {
+						for j := w.J0; j < w.J1; j++ {
+							row := append([]float64(nil), f.Row(j, k)...)
+							for n := range f.Row(j, k) {
+								f.Row(j, k)[n] = math.NaN()
+							}
+							read := !latter()
+							copy(f.Row(j, k), row)
+							if read {
+								rowLo, rowHi = min(rowLo, j), max(rowHi, j+1)
+							}
+							if received(j, k) && !read {
+								t.Errorf("rank %d: row (j %d, k %d) is received but S̃2 never reads it", c.Rank(), j, k)
+							}
+						}
+					}
+					if rowLo < rowHi && (w.J0 != rowLo || w.J1 != rowHi) {
+						t.Errorf("rank %d: the originals store rows [%d, %d), S̃2 reads [%d, %d)", c.Rank(), w.J0, w.J1, rowLo, rowHi)
+					}
+				}
+			})
+		})
+	}
 }

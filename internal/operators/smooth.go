@@ -178,6 +178,36 @@ func (s *Smoother) P2Latter(orig, cur *field.F3, r field.Rect, avail AvailFunc) 
 	return work
 }
 
+// LatterReads returns the cells of orig that P2Latter over r reads outside
+// x halos: for each row j of r, the rows j+d (d = −2…2) outside avail(j),
+// as one rect per maximal run of such rows, ascending, across r's x and z
+// extent. With FullAvail it is empty.
+func LatterReads(r field.Rect, avail AvailFunc) []field.Rect {
+	read := map[int]bool{}
+	for j := r.J0; j < r.J1; j++ {
+		lo, hi := avail(j)
+		for d := -2; d <= 2; d++ {
+			if j+d < lo || j+d >= hi {
+				read[j+d] = true
+			}
+		}
+	}
+	var out []field.Rect
+	for j := r.J0 - 2; j < r.J1+2; j++ {
+		if !read[j] {
+			continue
+		}
+		if n := len(out); n > 0 && out[n-1].J1 == j {
+			out[n-1].J1++
+			continue
+		}
+		run := r
+		run.J0, run.J1 = j, j+1
+		out = append(out, run)
+	}
+	return out
+}
+
 // SmoothFull applies the complete S̃ of in into out over rect r (the
 // baseline path: P1 on U and V, full P2 on Φ and on p'_sa's level). Inputs
 // must be valid on r expanded by 2 in x and y.

@@ -21,7 +21,6 @@ import (
 type Exchanger struct {
 	t     *Topology
 	d     Depths
-	bandY int     // >0: restrict traffic to the sender's y-edge bands
 	f3    traffic // F3 exchange partners, sorted by rank
 	f2    traffic // F2 exchange partners (horizontal footprint, same Cz)
 
@@ -136,40 +135,46 @@ func Sym(dx, dy, dz int) Depths {
 // direction disables communication in that direction (e.g. dx = 0 under the
 // Y-Z decomposition, where x halos are filled by local periodic copy).
 func (t *Topology) NewExchanger(dx, dy, dz int) *Exchanger {
-	return t.newExchanger(Sym(dx, dy, dz), 0)
+	return t.newExchanger(Sym(dx, dy, dz), nil)
 }
 
 // NewExchangerD is NewExchanger with per-side depths.
 func (t *Topology) NewExchangerD(d Depths) *Exchanger {
-	return t.newExchanger(d, 0)
+	return t.newExchanger(d, nil)
 }
 
-// NewBandExchangerY is NewExchanger restricted to the sender's y-edge bands:
-// only rows within `band` of the sending rank's y-block edges are
-// transferred. It implements the "yellow bar" traffic of the fused smoothing
-// (Section 4.3.2): the original (pre-smoothing) edge rows each neighbor
-// needs to complete the later smoothing S̃2, without shipping whole fields.
-func (t *Topology) NewBandExchangerY(d Depths, band int) *Exchanger {
-	return t.newExchanger(d, band)
+// ReadSet returns the cells a rank with block b reads out of its halo, as
+// disjoint rects of b's (periodically extended) coordinates. Every rank
+// evaluates it for its peers' blocks too, so it must depend on b alone.
+type ReadSet func(b field.Block) []field.Rect
+
+// NewReadExchanger is NewExchangerD restricted to the receivers' read sets:
+// a rank ships a peer only the halo cells that lie in reads(peer's block).
+// It implements the "yellow bar" traffic of the fused smoothing (Section
+// 4.3.2): the original (pre-smoothing) edge rows a neighbor reads to
+// complete the latter smoothing S̃2, without shipping whole fields.
+func (t *Topology) NewReadExchanger(d Depths, reads ReadSet) *Exchanger {
+	return t.newExchanger(d, reads)
 }
 
-func (t *Topology) newExchanger(d Depths, bandY int) *Exchanger {
-	e := &Exchanger{t: t, d: d, bandY: bandY}
-	e.f3.peers = t.walkPeers(d, bandY, false)
+func (t *Topology) newExchanger(d Depths, reads ReadSet) *Exchanger {
+	e := &Exchanger{t: t, d: d}
+	e.f3.peers = t.walkPeers(d, reads, false)
 	// 2-D fields: horizontal traffic among ranks of the same Cz plane.
-	e.f2.peers = t.walkPeers(d, bandY, true)
+	e.f2.peers = t.walkPeers(d, reads, true)
 	e.mustFitStorage(e.f3.peers, t.Block.WithHalo())
 	e.mustFitStorage(e.f2.peers, t.Block.WithHalo().Flat2D())
 	return e
 }
 
 // walkPeers computes the exchange partners of this rank in ascending rank
-// order: for every x shift of the periodic domain, the owned data (restricted
-// to the y-edge bands in band mode) that lies in the other rank's halo, and
-// the other rank's owned data that lies in this rank's halo. With flat it
-// is the 2-D (surface field) exchange: the same horizontal intersections on
-// flattened rects, among the ranks sharing this rank's Cz (its K range).
-func (t *Topology) walkPeers(d Depths, bandY int, flat bool) []peer {
+// order: for every x shift of the periodic domain, the owned data that lies
+// in the other rank's halo, and the other rank's owned data that lies in
+// this rank's halo, each restricted to the receiver's read set when there is
+// one. With flat it is the 2-D (surface field) exchange: the same horizontal
+// intersections on flattened rects, among the ranks sharing this rank's Cz
+// (its K range).
+func (t *Topology) walkPeers(d Depths, reads ReadSet, flat bool) []peer {
 	b := t.Block
 	view := func(r field.Rect) field.Rect { return r }
 	if flat {
@@ -177,6 +182,7 @@ func (t *Topology) walkPeers(d Depths, bandY int, flat bool) []peer {
 		view = field.Rect.Flat2D
 	}
 	myOwned, myHalo := view(b.Owned()), view(haloRect(b, d))
+	myReads := readRects(reads, b, myHalo, view)
 	var peers []peer
 	for r := 0; r < t.World.Size(); r++ {
 		rb := t.BlockOf(r)
@@ -184,19 +190,20 @@ func (t *Topology) walkPeers(d Depths, bandY int, flat bool) []peer {
 			continue
 		}
 		rOwned, rHalo := view(rb.Owned()), view(haloRect(rb, d))
+		rReads := readRects(reads, rb, rHalo, view)
 		pr := peer{rank: r}
 		for _, s := range xShifts(t.G.Nx, d.X) {
-			// What I send to r: my owned data that lies in r's halo when my
-			// coordinates are shifted by s.
-			for _, mine := range bandRestrict(myOwned, b, bandY) {
-				if inter := shiftX(mine, s).Intersect(rHalo); !inter.Empty() {
+			// What I send to r: my owned data that lies in what r reads of
+			// its halo when my coordinates are shifted by s.
+			for _, rd := range rReads {
+				if inter := shiftX(myOwned, s).Intersect(rd); !inter.Empty() {
 					pr.sendRects = append(pr.sendRects, shiftX(inter, -s)) // back to my real coords
 				}
 			}
-			// What I receive from r: r's owned data lying in my halo when
-			// r's coordinates are shifted by s.
-			for _, theirs := range bandRestrict(rOwned, rb, bandY) {
-				if inter := shiftX(theirs, s).Intersect(myHalo); !inter.Empty() {
+			// What I receive from r: r's owned data lying in what I read of
+			// my halo when r's coordinates are shifted by s.
+			for _, rd := range myReads {
+				if inter := shiftX(rOwned, s).Intersect(rd); !inter.Empty() {
 					pr.recvRects = append(pr.recvRects, inter) // my extended coords
 				}
 			}
@@ -206,6 +213,21 @@ func (t *Topology) walkPeers(d Depths, bandY int, flat bool) []peer {
 		}
 	}
 	return peers
+}
+
+// readRects returns the parts of a receiver's halo rect it reads: the halo
+// itself without a read set, else each read rect (in view) cut to it.
+func readRects(reads ReadSet, b field.Block, halo field.Rect, view func(field.Rect) field.Rect) []field.Rect {
+	if reads == nil {
+		return []field.Rect{halo}
+	}
+	var out []field.Rect
+	for _, rd := range reads(b) {
+		if inter := view(rd).Intersect(halo); !inter.Empty() {
+			out = append(out, inter)
+		}
+	}
+	return out
 }
 
 // mustFitStorage panics unless every rectangle the exchange packs from or
@@ -224,30 +246,6 @@ func (e *Exchanger) mustFitStorage(peers []peer, stored field.Rect) {
 			}
 		}
 	}
-}
-
-// bandRestrict returns the owner's rect restricted to its y-edge bands of
-// the given width (two sub-rects in fixed low-then-high order), merging them
-// when they overlap; band = 0 means no restriction.
-func bandRestrict(owned field.Rect, b field.Block, band int) []field.Rect {
-	if band <= 0 {
-		return []field.Rect{owned}
-	}
-	if 2*band >= b.J1-b.J0 {
-		return []field.Rect{owned} // bands cover the whole block
-	}
-	lo := owned
-	lo.J1 = min(lo.J1, b.J0+band)
-	hi := owned
-	hi.J0 = max(hi.J0, b.J1-band)
-	out := make([]field.Rect, 0, 2)
-	if !lo.Empty() {
-		out = append(out, lo)
-	}
-	if !hi.Empty() {
-		out = append(out, hi)
-	}
-	return out
 }
 
 // haloRect returns the halo region of the given per-side depths around b's

@@ -319,8 +319,18 @@ func TestBeginWhileInFlightPanics(t *testing.T) {
 	})
 }
 
+// edgeReads is a read set of the two rows on each side of a block's y
+// range, across the whole mesh in x and z.
+func edgeReads(b field.Block) []field.Rect {
+	lo := field.Rect{I0: 0, I1: b.Nx, J0: b.J0 - 2, J1: b.J0, K0: 0, K1: b.Nz}
+	hi := lo
+	hi.J0, hi.J1 = b.J1, b.J1+2
+	return []field.Rect{lo, hi}
+}
+
 func TestBandExchangerY(t *testing.T) {
-	// The band exchanger must deliver exactly the sender's y-edge bands.
+	// A read exchanger delivers exactly the receiver's read set: the rows
+	// it reads are valid, and the deeper halo rows stay untouched.
 	g := grid.New(16, 12, 6)
 	const py = 3 // blocks of 4 rows
 	w := comm.NewWorld(py, comm.Zero())
@@ -328,21 +338,22 @@ func TestBandExchangerY(t *testing.T) {
 		tp := New(c, g, 1, py, 1, 0, 4, 0)
 		f := field.NewF3(tp.Block)
 		fillOwned(g, f)
-		ex := tp.NewBandExchangerY(Sym(0, 4, 0), 2)
+		ex := tp.NewReadExchanger(Sym(0, 4, 0), edgeReads)
 		ex.Exchange([]*field.F3{f}, nil)
 		b := tp.Block
-		// Band rows adjacent to my block edges must be valid.
-		for _, j := range []int{b.J0 - 2, b.J0 - 1, b.J1, b.J1 + 1} {
-			if j < 0 || j >= g.Ny {
+		for j := b.J0 - 4; j < b.J1+4; j++ {
+			if j < 0 || j >= g.Ny || j >= b.J0 && j < b.J1 {
 				continue
 			}
-			// These rows lie within 2 of their owner's block edge (blocks
-			// are 4 rows, so rows at distance ≤2 from my edge are within
-			// the owner's edge bands).
+			read := j >= b.J0-2 && j < b.J1+2
 			for i := 0; i < g.Nx; i++ {
 				for k := b.K0; k < b.K1; k++ {
-					if got, want := f.At(i, j, k), encode(g, i, j, k); got != want {
-						t.Fatalf("band row (%d,%d,%d): got %v want %v", i, j, k, got, want)
+					want := 0.0
+					if read {
+						want = encode(g, i, j, k)
+					}
+					if got := f.At(i, j, k); got != want {
+						t.Fatalf("halo row (%d,%d,%d), read %v: got %v want %v", i, j, k, read, got, want)
 					}
 				}
 			}
@@ -361,7 +372,7 @@ func TestBandVolumeSmallerThanFull(t *testing.T) {
 			fillOwned(g, f)
 			var ex *Exchanger
 			if band {
-				ex = tp.NewBandExchangerY(Sym(0, 6, 0), 2)
+				ex = tp.NewReadExchanger(Sym(0, 6, 0), edgeReads)
 			} else {
 				ex = tp.NewExchanger(0, 6, 0)
 			}
