@@ -219,7 +219,10 @@ func (c *Coordinator) finalizeLocked(j *job, st server.JState, errMsg string) {
 	c.leaveLocked(j)
 	j.State = st
 	j.ErrMsg = errMsg
-	j.finished = wallNow()
+	j.Finished = wallNow()
+	if j.remote != nil {
+		j.Diagnostics = j.remote.Diagnostics
+	}
 	switch st {
 	case server.JCompleted:
 		c.met.completed++

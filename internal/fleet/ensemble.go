@@ -161,14 +161,14 @@ func (c *Coordinator) ensembleStatusLocked(e *ensemble) EnsembleStatus {
 		switch j.State {
 		case server.JCompleted:
 			st.Completed++
-			if j.remote == nil {
+			if j.Diagnostics == nil {
 				continue
 			}
 			if st.Diagnostics == nil {
 				st.Diagnostics = make(map[string]DiagAggregate)
 			}
 			//cadyvet:unordered element-wise accumulation per key; members are summed in member order
-			for k, v := range j.remote.Diagnostics {
+			for k, v := range j.Diagnostics {
 				a, ok := st.Diagnostics[k]
 				if !ok {
 					a = DiagAggregate{Min: math.Inf(1), Max: math.Inf(-1)}

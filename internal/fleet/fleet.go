@@ -102,13 +102,15 @@ type job struct {
 	ErrMsg     string        `json:"error,omitempty"`
 	StepsDone  int           `json:"steps_done,omitempty"` // high-water mark across backends
 	Submitted  time.Time     `json:"submitted_at"`
+	// Finished and Diagnostics are set when the job reaches a terminal
+	// state: its finish time and its backend copy's final diagnostics.
+	Finished    time.Time          `json:"finished_at,omitzero"`
+	Diagnostics map[string]float64 `json:"diagnostics,omitempty"`
 
 	cancelRequested bool
 	// remote is the last observed status of the backend copy; nil after a
 	// restart until the startup reconcile finds the copy.
 	remote *server.JobStatus
-
-	finished time.Time
 }
 
 // ensemble is one fan-out of K perturbed members.

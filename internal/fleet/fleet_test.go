@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -597,8 +598,10 @@ func (h *fleetHarness) restart(t *testing.T) {
 }
 
 // TestSubmittedAtSurvivesCoordinatorRestart: a fleet job's and an
-// ensemble's submission times are committed with their fleet.json records,
-// so a restarted coordinator reports the times the first one did.
+// ensemble's submission times, and a finished job's finish time and final
+// diagnostics, are committed with their fleet.json records, so a restarted
+// coordinator reports what the first one did — for the ensemble's members
+// and its diagnostic aggregate too.
 func TestSubmittedAtSurvivesCoordinatorRestart(t *testing.T) {
 	h := newFleetHarness(t, 1, 2, 8, nil, nil)
 	quick := server.JobSpec{Alg: "yz", Nx: 16, Ny: 8, Nz: 4, PA: 1, PB: 1, M: 1, Steps: 1}
@@ -625,10 +628,35 @@ func TestSubmittedAtSurvivesCoordinatorRestart(t *testing.T) {
 	for _, m := range ens.MemberJobs {
 		h.waitJob(t, m.ID, "completed", 30*time.Second)
 	}
-	before := [2]string{h.getJob(t, job.ID).SubmittedAt, ensemble().SubmittedAt}
+	// record is what a restart must keep: the times and diagnostics of the
+	// job, of the ensemble and of each member.
+	type record struct {
+		Submitted, Finished string
+		Diagnostics         map[string]float64
+	}
+	of := func(j JobInfo) record { return record{j.SubmittedAt, j.FinishedAt, j.Diagnostics} }
+	snapshot := func() ([]record, string, map[string]DiagAggregate) {
+		e := ensemble()
+		recs := []record{of(h.getJob(t, job.ID))}
+		for _, m := range e.MemberJobs {
+			recs = append(recs, of(m))
+		}
+		return recs, e.SubmittedAt, e.Diagnostics
+	}
+	before, ensBefore, aggBefore := snapshot()
+	for _, r := range before {
+		if r.Finished == "" || len(r.Diagnostics) == 0 {
+			t.Fatalf("a completed job reports finished_at %q and %d diagnostics before the restart", r.Finished, len(r.Diagnostics))
+		}
+	}
 	h.restart(t)
-	if after := [2]string{h.getJob(t, job.ID).SubmittedAt, ensemble().SubmittedAt}; after != before {
-		t.Errorf("after a coordinator restart the job and ensemble report submitted_at %q, before it %q", after, before)
+	after, ensAfter, aggAfter := snapshot()
+	if !reflect.DeepEqual(after, before) {
+		t.Errorf("after a coordinator restart the job and members report\n%+v\nbefore it\n%+v", after, before)
+	}
+	if ensAfter != ensBefore || !reflect.DeepEqual(aggAfter, aggBefore) {
+		t.Errorf("after a coordinator restart the ensemble reports submitted_at %q and diagnostics %v, before it %q and %v",
+			ensAfter, aggAfter, ensBefore, aggBefore)
 	}
 }
 

@@ -56,11 +56,11 @@ func (c *Coordinator) jobInfoLocked(j *job) JobInfo {
 		m := j.Member
 		info.Member = &m
 	}
-	if !j.finished.IsZero() {
-		info.FinishedAt = j.finished.UTC().Format(time.RFC3339Nano)
+	if !j.Finished.IsZero() {
+		info.FinishedAt = j.Finished.UTC().Format(time.RFC3339Nano)
 	}
-	if j.remote != nil && len(j.remote.Diagnostics) > 0 {
-		info.Diagnostics = j.remote.Diagnostics
+	if len(j.Diagnostics) > 0 {
+		info.Diagnostics = j.Diagnostics
 	}
 	return info
 }
