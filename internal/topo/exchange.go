@@ -19,10 +19,10 @@ import (
 // paper counts ≈20 point-to-point operations per communication because ξ has
 // ten components).
 type Exchanger struct {
-	t     *Topology
-	d     Depths
-	f3    traffic // F3 exchange partners, sorted by rank
-	f2    traffic // F2 exchange partners (horizontal footprint, same Cz)
+	t  *Topology
+	d  Depths
+	f3 traffic // F3 exchange partners, sorted by rank
+	f2 traffic // F2 exchange partners (horizontal footprint, same Cz)
 
 	// The exchange in flight: at most one per Exchanger (Begin … Finish),
 	// which integrators satisfy by construction and Begin enforces. Its
