@@ -303,14 +303,15 @@ func TestShiftedPoleMirror(t *testing.T) {
 // mirror, (b) the final states are bit for bit the ones the symmetric,
 // unclamped storage produced (FNV-1a over the float bits of the global state,
 // recorded at the commit before the clamp — re-recorded there, with the
-// new kernels dropped into that commit, each time a kernel moved results by
-// roundoff: the staged FFT, then the division-free Â, L̃ and D(P)), and (c)
+// new kernels dropped into that commit, each time a kernel moved results: the
+// staged FFT, then the division-free Â, L̃ and D(P), then the flux-form,
+// mass-conserving δ⁴_θ of S̃), and (c)
 // so is the simulated clock.
 func TestDeepHaloAcrossBoundariesInvisible(t *testing.T) {
 	g := grid.New(16, 24, 6)
 	recorded := map[bool]map[[2]int]uint64{
-		false: {{1, 1}: 0xa2899204421e4675, {4, 1}: 0xb58ab27d304430de, {4, 2}: 0xd67454ef9c9ab2f8},
-		true:  {{1, 1}: 0xc16fcf2b0a387751, {4, 1}: 0x9208d41b19d0bd86, {4, 2}: 0xbbf41d272471bb0b},
+		false: {{1, 1}: 0x861984838d658e7b, {4, 1}: 0xa01ec9cef7c3e26c, {4, 2}: 0xf8f3dfd67d00907f},
+		true:  {{1, 1}: 0x295e87b1a9a5353, {4, 1}: 0x1da05525bf6769f2, {4, 2}: 0xe0a7571894fd3dc6},
 	}
 	// (c) Nothing the simulated clock charges depends on what is stored: the
 	// critical-path time, the compute seconds summed over ranks (every

@@ -11,6 +11,7 @@ import (
 	"cadycore/internal/grid"
 	"cadycore/internal/physics"
 	"cadycore/internal/state"
+	"cadycore/internal/testcases"
 	"cadycore/internal/topo"
 )
 
@@ -519,5 +520,33 @@ func TestTendencyOnItsComputeExtent(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// TestSmoothingConservesMass: one S̃ keeps the area sum of p′_sa (the dry
+// mass) to round-off. δ⁴_θ is in flux form with sin θ face weights that
+// vanish at the poles, so Σ_j sin θ_j·(δ⁴_θ φ)_j telescopes; δ⁴_λ sums to
+// zero around each circle. With the plain (1, −4, 6, −4, 1) weights one S̃
+// of this state moved the sum by 5.0e-5 of Σ area·|Δp′_sa|.
+func TestSmoothingConservesMass(t *testing.T) {
+	g := grid.New(64, 32, 10)
+	b := field.Block{Nx: g.Nx, Ny: g.Ny, Nz: g.Nz, I1: g.Nx, J1: g.Ny, K1: g.Nz, Hx: 3, Hy: 2, Hz: 1}
+	st := state.New(b)
+	testcases.RandomNoise(7, 5, 2, 200)(g, st)
+	st.FillLocalBounds(b.WithHalo())
+	out := state.New(b)
+	NewSmoother(g, 1.0).SmoothFull(st, out, b.Owned())
+	var dm, moved float64
+	for j := 0; j < g.Ny; j++ {
+		for i := 0; i < g.Nx; i++ {
+			d := g.CellArea(j) * (out.Psa.At(i, j) - st.Psa.At(i, j))
+			dm += d
+			moved += math.Abs(d)
+		}
+	}
+	t.Logf("Σ area·Δp′_sa = %.3g against Σ area·|Δp′_sa| = %.3g", dm, moved)
+	if !(moved > 0) || math.Abs(dm) > 1e-13*moved {
+		t.Errorf("one S̃ moves Σ area·p′_sa by %.3g, %.2g of Σ area·|Δp′_sa| = %.3g; want round-off (≤ 1e-13)",
+			dm, math.Abs(dm)/moved, moved)
 	}
 }

@@ -250,7 +250,7 @@ func refP2Former(s *Smoother, in, out *field.F3, r field.Rect, avail AvailFunc) 
 					if jj < lo || jj >= hi {
 						continue
 					}
-					acc += s.rowC1[d+2]*in.At(i, jj, k) + s.rowC2[d+2]*delta4X(in, i, jj, k)
+					acc += s.rows[j][0][d+2]*in.At(i, jj, k) + s.rows[j][1][d+2]*delta4X(in, i, jj, k)
 				}
 				out.Set(i, j, k, acc)
 			}

@@ -12,12 +12,19 @@ import (
 //	P1(φ) = φ − (β/2⁴)·δ⁴_λ φ
 //	P2(φ) = φ − (β/2⁴)(δ⁴_λ φ + δ⁴_θ φ) + (β²/2⁸)·δ⁴_θ δ⁴_λ φ
 //
-// with δ⁴ the fourth centered difference (offsets ±2). P1 couples x only;
-// P2 couples x and y. Under the Y-Z decomposition only P2's y coupling
-// communicates, and the paper splits it by y rows (eq. 14) into a former
-// stage S̃1 (rows available locally) and a latter stage S̃2 (the remaining
-// rows, applied after the fused exchange delivers the neighbors' original
-// edge rows).
+// with δ⁴_λ the fourth centered difference (offsets ±2). δ⁴_θ is the same
+// fourth difference in flux form on the sphere, δ⁴_θ = L∘L with
+//
+//	(Lφ)_j = (sin θ_{j+1/2}·(φ_{j+1} − φ_j) − sin θ_{j−1/2}·(φ_j − φ_{j−1})) / sin θ_j,
+//
+// whose face weights vanish at the poles, so Σ_j sin θ_j·(δ⁴_θ φ)_j
+// telescopes to zero: S̃ keeps the area sum of p'_sa (the dry mass). Where
+// sin θ is the same on both faces it is the plain (1, −4, 6, −4, 1). P1
+// couples x only; P2 couples x and y. Under the Y-Z decomposition only P2's
+// y coupling communicates, and the paper splits it by y rows (eq. 14) into
+// a former stage S̃1 (rows available locally) and a latter stage S̃2 (the
+// remaining rows, applied after the fused exchange delivers the neighbors'
+// original edge rows).
 //
 // P2 is evaluated as a sum of per-row contributions in increasing row-offset
 // order in both the full and the split paths, which makes the identity
@@ -26,27 +33,46 @@ type Smoother struct {
 	g    *grid.Grid
 	beta float64
 
-	// rowC1[d+2], rowC2[d+2]: P2(φ)_{i,j} = Σ_d c1_d·φ_{i,j+d} + c2_d·(δ⁴_λφ)_{i,j+d}.
-	rowC1 [5]float64
-	rowC2 [5]float64
+	// rows[j][0][d+2], rows[j][1][d+2]: P2(φ)_{i,j} =
+	// Σ_d c1_d·φ_{i,j+d} + c2_d·(δ⁴_λφ)_{i,j+d}.
+	rows [][2][5]float64
 }
 
 // NewSmoother builds a smoother with coefficient β ∈ (0, 2) (β = 1 removes
 // the 2Δ wave completely).
 func NewSmoother(g *grid.Grid, beta float64) *Smoother {
-	s := &Smoother{g: g, beta: beta}
-	// δ⁴_θ weights at offsets −2…2.
-	w := [5]float64{1, -4, 6, -4, 1}
+	s := &Smoother{g: g, beta: beta, rows: make([][2][5]float64, g.Ny)}
+	// L's weights toward rows j−1 and j+1; none past a pole.
+	lw := func(j int) (a, b float64) {
+		if j < 0 || j >= g.Ny {
+			return 0, 0
+		}
+		return g.SinI[j] / g.SinC[j], g.SinI[j+1] / g.SinC[j]
+	}
 	b16 := beta / 16
 	b256 := beta * beta / 256
-	for d := -2; d <= 2; d++ {
-		s.rowC1[d+2] = -b16 * w[d+2]
-		s.rowC2[d+2] = b256 * w[d+2]
+	for j := range s.rows {
+		// δ⁴_θ weights at offsets −2…2: L applied to L's rows j−1, j, j+1.
+		a, b := lw(j)
+		am, bm := lw(j - 1)
+		ap, bp := lw(j + 1)
+		w := [5]float64{
+			a * am,
+			-a*(am+bm) - (a+b)*a,
+			a*bm + (a+b)*(a+b) + b*ap,
+			-(a+b)*b - b*(ap+bp),
+			b * bp,
+		}
+		c := &s.rows[j]
+		for d := range w {
+			c[0][d] = -b16 * w[d]
+			c[1][d] = b256 * w[d]
+		}
+		// The d = 0 row additionally carries the identity and the
+		// −(β/16)δ⁴_λ terms of P2.
+		c[0][2] += 1
+		c[1][2] += -b16
 	}
-	// The d = 0 row additionally carries the identity and the −(β/16)δ⁴_λ
-	// terms of P2.
-	s.rowC1[2] += 1
-	s.rowC2[2] += -b16
 	return s
 }
 
@@ -97,6 +123,7 @@ func (s *Smoother) P2Former(in, out *field.F3, r field.Rect, avail AvailFunc) in
 			// accumulation).
 			lo, hi := avail(j)
 			dLo, dHi := clampD(lo-j, hi-1-j)
+			c1, c2 := &s.rows[j][0], &s.rows[j][1]
 			for d := dLo; d <= dHi; d++ {
 				rows[d+2] = in.Row(j+d, k)
 			}
@@ -106,7 +133,7 @@ func (s *Smoother) P2Former(in, out *field.F3, r field.Rect, avail AvailFunc) in
 				acc := 0.0
 				for d := dLo; d <= dHi; d++ {
 					rw := rows[d+2]
-					acc += s.rowC1[d+2]*rw[o] + s.rowC2[d+2]*(rw[o-2]-4*rw[o-1]+6*rw[o]-4*rw[o+1]+rw[o+2])
+					acc += c1[d+2]*rw[o] + c2[d+2]*(rw[o-2]-4*rw[o-1]+6*rw[o]-4*rw[o+1]+rw[o+2])
 				}
 				dst[o] = acc
 			}
@@ -159,16 +186,17 @@ func (s *Smoother) P2Latter(orig, cur *field.F3, r field.Rect, avail AvailFunc) 
 				rows[d+2] = orig.Row(j+d, k)
 			}
 			dst := cur.Row(j, k)
+			c1, c2 := &s.rows[j][0], &s.rows[j][1]
 			for i := r.I0; i < r.I1; i++ {
 				o := i + xo
 				acc := 0.0
 				for d := -2; d <= aHi; d++ {
 					rw := rows[d+2]
-					acc += s.rowC1[d+2]*rw[o] + s.rowC2[d+2]*(rw[o-2]-4*rw[o-1]+6*rw[o]-4*rw[o+1]+rw[o+2])
+					acc += c1[d+2]*rw[o] + c2[d+2]*(rw[o-2]-4*rw[o-1]+6*rw[o]-4*rw[o+1]+rw[o+2])
 				}
 				for d := bLo; d <= 2; d++ {
 					rw := rows[d+2]
-					acc += s.rowC1[d+2]*rw[o] + s.rowC2[d+2]*(rw[o-2]-4*rw[o-1]+6*rw[o]-4*rw[o+1]+rw[o+2])
+					acc += c1[d+2]*rw[o] + c2[d+2]*(rw[o-2]-4*rw[o-1]+6*rw[o]-4*rw[o+1]+rw[o+2])
 				}
 				dst[o] += acc
 			}
