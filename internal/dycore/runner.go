@@ -213,8 +213,7 @@ type RunResult struct {
 	Exch []topo.ExchStats
 	// Finals are the per-rank final states (rank order) on resultBlock:
 	// ξ's owned cells plus the halo one kernel application reads, and an
-	// owned-size Carry. Each is the rank's initial state, reused, so a held
-	// result keeps none of the integrator's storage alive.
+	// owned-size Carry, so a held result keeps no deep storage alive.
 	Finals []*state.State
 	// StepsDone is the number of steps actually executed: equal to the
 	// requested count unless RunOpts.Boundary ended the run early, or —
@@ -323,10 +322,9 @@ func runOnWorld(s Setup, g *grid.Grid, model comm.NetModel, init InitFunc, steps
 			tp, ig := s.Build(c, g)
 			// Deferred so that a rank killed mid-run still reports its work.
 			defer func() { counts[c.Rank()] = ig.Counters() }()
-			// SetState reads the initial condition's owned cells only. The
-			// state is also the rank's result (final), so it is allocated
-			// once, on the result's block, and stays resident for the run.
-			st := state.New(resultBlock(tp.Block))
+			// The initial condition holds owned cells only: SetState reads
+			// nothing else, and a checkpoint's Carry follows its block.
+			st := state.New(state.OwnedBlock(tp.Block))
 			init(g, st)
 			ig.(StateSetter).SetState(st)
 			// Setup and bootstrap (communicator splits, the initial exchange
@@ -347,7 +345,7 @@ func runOnWorld(s Setup, g *grid.Grid, model comm.NetModel, init InitFunc, steps
 				}
 			}
 			ig.Finalize()
-			finals[c.Rank()] = final(st, ig.Xi())
+			finals[c.Rank()] = final(ig.Xi())
 			if er, ok := ig.(ExchReporter); ok {
 				exch[c.Rank()] = er.ExchStats()
 			}
@@ -369,23 +367,24 @@ func resultBlock(b field.Block) field.Block {
 	return b
 }
 
-// final makes fin, a state on resultBlock, a rank's entry of
-// RunResult.Finals: ξ's cells on fin's storage, as the integrator left them,
-// with an owned-size copy of ξ's Carry, so that the result keeps neither ξ's
-// storage nor the integrator's Ĉ cache alive.
-func final(fin, xi *state.State) *state.State {
-	r := fin.B.WithHalo().Intersect(xi.B.WithHalo())
-	fin.U.CopyRect(r, xi.U)
-	fin.V.CopyRect(r, xi.V)
-	fin.Phi.CopyRect(r, xi.Phi)
-	fin.Psa.CopyRect(r.Flat2D(), &xi.Psa.F3)
-	fin.ShiftedPoles, fin.Carry = xi.ShiftedPoles, nil
+// final returns a rank's entry of RunResult.Finals: ξ as the integrator left
+// it when ξ is stored on resultBlock (the baselines), else a copy of ξ's
+// cells on resultBlock (CA's deep halo), with an owned-size copy of its
+// Carry, so that the result keeps neither deep storage nor the integrator's
+// Ĉ cache alive.
+func final(xi *state.State) *state.State {
+	fin := *xi
+	if b := resultBlock(xi.B); b != xi.B {
+		fin = *state.New(b)
+		fin.CopyStored(xi)
+		fin.ShiftedPoles = xi.ShiftedPoles
+	}
 	if c := xi.Carry; c != nil {
-		b := state.OwnedBlock(fin.B)
+		b := state.OwnedBlock(xi.B)
 		fin.Carry = &state.Carry{PWI: field.NewF3(b), DBar: field.NewF2(b), PendingSmooth: c.PendingSmooth}
 		fin.Carry.CopyOwned(c)
 	}
-	return fin
+	return &fin
 }
 
 // mergeExch folds per-rank exchanger statistics into one list: counts are

@@ -22,8 +22,10 @@ import (
 // update one level at a time (DESIGN §8 "One level of tendency"), so its
 // tendency stores two levels. The live heap a 4×2 world adds at 96×48×12,
 // M = 3, after SetState and one Step stays under a budget per rank: it reads
-// 2.90 MB (CA) and 1.27 MB (YZ) against 3.2 and 1.5. It read 3.46 MB (CA)
-// while CA's tendency covered its whole compute extent, 10.0 MB (CA) and
+// 2.73 MB (CA) and 1.28 MB (YZ) against 3.0 and 1.5. It read 2.90 MB (CA)
+// while S̃2's originals stored its whole rect grown by two rows rather than
+// the rows it reads, 3.46 MB (CA) while CA's tendency covered its whole
+// compute extent, 10.0 MB (CA) and
 // 3.0 MB (YZ) before the work state and the planes, 6.3 and 1.9 MB while
 // D(P) had its own array, and 6.0 and 1.8 MB with two Ĉ caches and deep-halo
 // tendencies; a third state, a second cache, a 3-D scratch array or a deep
@@ -57,7 +59,7 @@ func TestWorkingSetPerRank(t *testing.T) {
 		s      Setup
 		budget float64 // MB of live heap per rank
 	}{
-		{"ca-4x2", Setup{Alg: AlgCommAvoid, PA: 4, PB: 2, Cfg: DefaultConfig()}, 3.2},
+		{"ca-4x2", Setup{Alg: AlgCommAvoid, PA: 4, PB: 2, Cfg: DefaultConfig()}, 3.0},
 		{"yz-4x2", Setup{Alg: AlgBaselineYZ, PA: 4, PB: 2, Cfg: DefaultConfig()}, 1.5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -124,10 +126,10 @@ func tendencyLevels(ca *CommAvoid) int {
 }
 
 // TestFinalsHoldOwnedCells guards what a finished run leaves behind. Each
-// RunResult.Finals entry is the rank's initial state, overwritten with ξ's
-// cells on resultBlock (the owned block plus one kernel application's
-// halo) and an owned-size Carry, so a held result pins none of the
-// integrator's deep storage. A held CA 4×2 result at 96×48×12, M = 3, with
+// RunResult.Finals entry stores resultBlock (the owned block plus one kernel
+// application's halo) with an owned-size Carry: CA's results are copies of
+// ξ's cells there, so a held result pins none of the integrator's deep
+// storage. A held CA 4×2 result at 96×48×12, M = 3, with
 // its world gone keeps 3.24 MB of live heap (2.6 MB of states, 0.6 MB of
 // Carry) against a 3.5 MB budget; it kept 7.75 MB while Finals were the
 // integrators' ξ.
