@@ -219,7 +219,7 @@ func (c *Coordinator) finalizeLocked(j *job, st server.JState, errMsg string) {
 	c.leaveLocked(j)
 	j.State = st
 	j.ErrMsg = errMsg
-	j.Finished = wallNow()
+	j.Finished = wallNow().Format(time.RFC3339Nano)
 	if j.remote != nil {
 		j.Diagnostics = j.remote.Diagnostics
 	}

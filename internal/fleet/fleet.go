@@ -102,9 +102,10 @@ type job struct {
 	ErrMsg     string        `json:"error,omitempty"`
 	StepsDone  int           `json:"steps_done,omitempty"` // high-water mark across backends
 	Submitted  time.Time     `json:"submitted_at"`
-	// Finished and Diagnostics are set when the job reaches a terminal
-	// state: its finish time and its backend copy's final diagnostics.
-	Finished    time.Time          `json:"finished_at,omitzero"`
+	// Finished (RFC 3339, UTC) and Diagnostics are set when the job reaches
+	// a terminal state: its finish time and its backend copy's final
+	// diagnostics.
+	Finished    string             `json:"finished_at,omitempty"`
 	Diagnostics map[string]float64 `json:"diagnostics,omitempty"`
 
 	cancelRequested bool

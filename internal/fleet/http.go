@@ -50,14 +50,12 @@ func (c *Coordinator) jobInfoLocked(j *job) JobInfo {
 		Ensemble:     j.Ensemble,
 		Error:        j.ErrMsg,
 		SubmittedAt:  j.Submitted.UTC().Format(time.RFC3339Nano),
+		FinishedAt:   j.Finished,
 		Spec:         j.Spec,
 	}
 	if j.Ensemble != "" {
 		m := j.Member
 		info.Member = &m
-	}
-	if !j.Finished.IsZero() {
-		info.FinishedAt = j.Finished.UTC().Format(time.RFC3339Nano)
 	}
 	if len(j.Diagnostics) > 0 {
 		info.Diagnostics = j.Diagnostics
