@@ -63,13 +63,7 @@ func TestWorkingSetPerRank(t *testing.T) {
 		{"yz-4x2", Setup{Alg: AlgBaselineYZ, PA: 4, PB: 2, Cfg: DefaultConfig()}, 1.5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			heap := func() int64 {
-				var ms runtime.MemStats
-				runtime.GC()
-				runtime.ReadMemStats(&ms)
-				return int64(ms.HeapAlloc)
-			}
-			before := heap()
+			before := liveHeap()
 			var live int64
 			w := comm.NewWorld(tc.s.Procs(), comm.Zero())
 			w.Run(func(c *comm.Comm) {
@@ -92,7 +86,7 @@ func TestWorkingSetPerRank(t *testing.T) {
 				}
 				barrier(c)
 				if c.Rank() == 0 {
-					live = heap() - before
+					live = liveHeap() - before
 				}
 				barrier(c)
 				runtime.KeepAlive(ig)
@@ -127,31 +121,21 @@ func tendencyLevels(ca *CommAvoid) int {
 
 // TestFinalsHoldOwnedCells guards what a finished run leaves behind. Each
 // RunResult.Finals entry stores resultBlock (the owned block plus one kernel
-// application's halo) with an owned-size Carry: CA's results are copies of
-// ξ's cells there, so a held result pins none of the integrator's deep
-// storage. A held CA 4×2 result at 96×48×12, M = 3, with
+// application's halo; TestSetStateReadsOwnedCells checks its owned-size
+// Carry): CA's results are copies of ξ's cells there, so a held result pins
+// none of the integrator's deep storage. A held CA 4×2 result at 96×48×12, M = 3, with
 // its world gone keeps 3.24 MB of live heap (2.6 MB of states, 0.6 MB of
 // Carry) against a 3.5 MB budget; it kept 7.75 MB while Finals were the
 // integrators' ξ.
 func TestFinalsHoldOwnedCells(t *testing.T) {
 	g := grid.New(96, 48, 12)
 	s := Setup{Alg: AlgCommAvoid, PA: 4, PB: 2, Cfg: DefaultConfig()}
-	heap := func() int64 {
-		var ms runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&ms)
-		return int64(ms.HeapAlloc)
-	}
-	before := heap()
+	before := liveHeap()
 	res := Run(s, g, comm.Zero(), testInit, 1)
-	held := float64(heap()-before) / 1e6
-	hx, hy, hz := BaselineHalo()
+	held := float64(liveHeap()-before) / 1e6
 	for r, fin := range res.Finals {
-		if b := fin.B; b.Hx != hx || b.Hy != hy || b.Hz != hz {
-			t.Errorf("rank %d: result halo (%d,%d,%d), want resultBlock's (%d,%d,%d)", r, b.Hx, b.Hy, b.Hz, hx, hy, hz)
-		}
-		if ob := state.OwnedBlock(fin.B); fin.Carry == nil || fin.Carry.PWI.B != ob || fin.Carry.DBar.B != ob.Flat2D() {
-			t.Errorf("rank %d: result Carry is not owned-size", r)
+		if fin.B != resultBlock(fin.B) {
+			t.Errorf("rank %d: result on %+v, want resultBlock's halo", r, fin.B)
 		}
 	}
 	t.Logf("held CA 4x2 result: %.2f MB live heap", held)
@@ -159,4 +143,12 @@ func TestFinalsHoldOwnedCells(t *testing.T) {
 		t.Errorf("a held result keeps %.2f MB, want ≤ 3.5", held)
 	}
 	runtime.KeepAlive(res)
+}
+
+// liveHeap returns the live heap after a collection.
+func liveHeap() int64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }
