@@ -600,8 +600,9 @@ func (h *fleetHarness) restart(t *testing.T) {
 // TestSubmittedAtSurvivesCoordinatorRestart: a fleet job's and an
 // ensemble's submission times, and a finished job's finish time and final
 // diagnostics, are committed with their fleet.json records, so a restarted
-// coordinator reports what the first one did — for the ensemble's members
-// and its diagnostic aggregate too.
+// coordinator reports what the first one did: the whole JobInfo of a
+// completed job, of a cancelled one and of each ensemble member, and the
+// ensemble's submission time and diagnostic aggregate.
 func TestSubmittedAtSurvivesCoordinatorRestart(t *testing.T) {
 	h := newFleetHarness(t, 1, 2, 8, nil, nil)
 	quick := server.JobSpec{Alg: "yz", Nx: 16, Ny: 8, Nz: 4, PA: 1, PB: 1, M: 1, Steps: 1}
@@ -612,6 +613,12 @@ func TestSubmittedAtSurvivesCoordinatorRestart(t *testing.T) {
 		t.Fatalf("submit ensemble: %d, %v", resp.StatusCode, err)
 	}
 	resp.Body.Close()
+	long := quick
+	long.Steps = 100000
+	stopped := h.waitProgress(t, decodeInfo(t, h.postJSON(t, "/jobs", long, "acme")).ID, 1)
+	resp = h.postJSON(t, "/jobs/"+stopped.ID+"/cancel", nil, "")
+	resp.Body.Close()
+	h.waitJob(t, stopped.ID, "cancelled", 30*time.Second)
 	ensemble := func() EnsembleStatus {
 		resp, err := http.Get(h.cts.URL + "/ensembles/" + ens.ID)
 		if err != nil {
@@ -628,31 +635,29 @@ func TestSubmittedAtSurvivesCoordinatorRestart(t *testing.T) {
 	for _, m := range ens.MemberJobs {
 		h.waitJob(t, m.ID, "completed", 30*time.Second)
 	}
-	// record is what a restart must keep: the times and diagnostics of the
-	// job, of the ensemble and of each member.
-	type record struct {
-		Submitted, Finished string
-		Diagnostics         map[string]float64
-	}
-	of := func(j JobInfo) record { return record{j.SubmittedAt, j.FinishedAt, j.Diagnostics} }
-	snapshot := func() ([]record, string, map[string]DiagAggregate) {
+	// What a restart must keep: the completed job, the cancelled one and
+	// each member, whole.
+	snapshot := func() ([]JobInfo, string, map[string]DiagAggregate) {
 		e := ensemble()
-		recs := []record{of(h.getJob(t, job.ID))}
-		for _, m := range e.MemberJobs {
-			recs = append(recs, of(m))
-		}
-		return recs, e.SubmittedAt, e.Diagnostics
+		infos := append([]JobInfo{h.getJob(t, job.ID), h.getJob(t, stopped.ID)}, e.MemberJobs...)
+		return infos, e.SubmittedAt, e.Diagnostics
 	}
 	before, ensBefore, aggBefore := snapshot()
-	for _, r := range before {
-		if r.Finished == "" || len(r.Diagnostics) == 0 {
-			t.Fatalf("a completed job reports finished_at %q and %d diagnostics before the restart", r.Finished, len(r.Diagnostics))
+	for _, info := range before {
+		if info.FinishedAt == "" || (info.State == "completed") != (len(info.Diagnostics) > 0) {
+			t.Fatalf("job %s is %s with finished_at %q and %d diagnostics before the restart",
+				info.ID, info.State, info.FinishedAt, len(info.Diagnostics))
 		}
+	}
+	if before[1].State != "cancelled" || before[1].Backend == "" {
+		t.Fatalf("cancelled job before the restart: %+v", before[1])
 	}
 	h.restart(t)
 	after, ensAfter, aggAfter := snapshot()
-	if !reflect.DeepEqual(after, before) {
-		t.Errorf("after a coordinator restart the job and members report\n%+v\nbefore it\n%+v", after, before)
+	for i := range before {
+		if !reflect.DeepEqual(after[i], before[i]) {
+			t.Errorf("after a coordinator restart job %s reports\n%+v\nbefore it\n%+v", before[i].ID, after[i], before[i])
+		}
 	}
 	if ensAfter != ensBefore || !reflect.DeepEqual(aggAfter, aggBefore) {
 		t.Errorf("after a coordinator restart the ensemble reports submitted_at %q and diagnostics %v, before it %q and %v",

@@ -279,7 +279,7 @@ func TestRecoverIgnoresStaleTmp(t *testing.T) {
 	spec.CheckpointEvery = 2
 	s.testStep = func(j *Job, done int) {
 		j.mu.Lock()
-		attempt := j.attempts
+		attempt := j.rec.Attempts
 		j.mu.Unlock()
 		if attempt == 1 && done == 2 {
 			s.Cancel(j.ID)
@@ -312,7 +312,7 @@ func TestRecoverIgnoresStaleTmp(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(jdir, "meta.json.2718281.tmp"), []byte(`{"state": "torn`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	meta, _ := json.Marshal(jobMeta{State: JRunning, StepsDone: 3, Resumable: false, Attempts: 1})
+	meta, _ := json.Marshal(record{State: JRunning, StepsDone: 3, Resumable: false, Attempts: 1})
 	//cadyvet:volatile forges the pre-crash on-disk state for recovery to chew on; it must not be durably committed
 	if err := os.WriteFile(filepath.Join(jdir, "meta.json"), meta, 0o644); err != nil {
 		t.Fatal(err)
@@ -386,7 +386,7 @@ func TestRecoverStepFromCheckpointFile(t *testing.T) {
 	if files, _ := filepath.Glob(filepath.Join(jdir, "*.ck")); len(files) != 1 || filepath.Base(files[0]) != j.ID+"@00000003.ck" {
 		t.Fatalf("checkpoint files %v, want the one of step 3", files)
 	}
-	meta, _ := json.Marshal(jobMeta{State: JRunning, StepsDone: 2, Attempts: 1})
+	meta, _ := json.Marshal(record{State: JRunning, StepsDone: 2, Attempts: 1})
 	//cadyvet:volatile forges the meta.json the step-2 boundary left before the crash; it must not be durably committed
 	if err := os.WriteFile(filepath.Join(jdir, "meta.json"), meta, 0o644); err != nil {
 		t.Fatal(err)
@@ -428,7 +428,7 @@ func TestRecoverVersion1Snapshot(t *testing.T) {
 	spec := smallSpec(4)
 	spec.Alg = "ca"
 	specB, _ := json.Marshal(spec)
-	meta, _ := json.Marshal(jobMeta{State: JRunning, StepsDone: 2, Attempts: 1})
+	meta, _ := json.Marshal(record{State: JRunning, StepsDone: 2, Attempts: 1})
 	v1, err := os.ReadFile(filepath.Join("..", "checkpoint", "testdata", "snap-v1.ck"))
 	if err != nil {
 		t.Fatal(err)

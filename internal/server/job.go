@@ -386,29 +386,21 @@ type Job struct {
 	store checkpoint.Store
 	key   string
 
-	mu    sync.Mutex
-	state JState //cadyvet:guardedby mu
-	// stepsDone counts cumulative completed steps over all segments;
+	mu  sync.Mutex
+	rec record //cadyvet:guardedby mu
+	// submitted is committed with spec.json, not with the record.
+	submitted time.Time //cadyvet:guardedby mu
+
 	// ckptStep is the boundary of the checkpoint in the job's home (0 =
-	// none), and snap is that checkpoint when the home is memory and the
-	// job can still resume.
-	stepsDone int                //cadyvet:guardedby mu
-	ckptStep  int                //cadyvet:guardedby mu
-	snap      *checkpoint.Global //cadyvet:guardedby mu
-	resumable bool               //cadyvet:guardedby mu
-	errMsg    string             //cadyvet:guardedby mu
+	// none), and snap is that checkpoint when the home is memory and the job
+	// can still resume.
+	ckptStep int                //cadyvet:guardedby mu
+	snap     *checkpoint.Global //cadyvet:guardedby mu
 
 	// cancel is set while running.
 	cancel          context.CancelFunc //cadyvet:guardedby mu
 	cancelRequested bool               //cadyvet:guardedby mu
-
-	submitted time.Time //cadyvet:guardedby mu
-	started   time.Time //cadyvet:guardedby mu
-	finished  time.Time //cadyvet:guardedby mu
-	attempts  int       //cadyvet:guardedby mu
-	// restarts counts automatic restarts consumed (fault recovery);
 	// retryTimer is the pending backoff timer while JRetrying.
-	restarts   int         //cadyvet:guardedby mu
 	retryTimer *time.Timer //cadyvet:guardedby mu
 
 	// persistErr surfaces the latest persistence failure in the job status
@@ -416,20 +408,51 @@ type Job struct {
 	// successful write.
 	persistErr string //cadyvet:guardedby mu
 
-	agg     comm.Aggregate     //cadyvet:guardedby mu
-	count   dycore.Counters    //cadyvet:guardedby mu
-	diags   map[string]float64 //cadyvet:guardedby mu
-	figures []string           //cadyvet:guardedby mu
-
-	// plan is the autotuner's decision for auto-layout jobs (set when the
-	// first execution segment plans, reused by resumes). A live rebalance
-	// replaces it with the migrated layout so resumes restart there.
-	plan *tune.Plan //cadyvet:guardedby mu
-	// migrations is the live-rebalancing migration log.
-	migrations []balance.Migration //cadyvet:guardedby mu
 	// chaos is the job's fault injector, built lazily from the server's
 	// chaos plan so crash budgets span automatic restarts.
 	chaos *fault.Injector //cadyvet:guardedby mu
+}
+
+// record is a job's changing status, declared once: meta.json commits it
+// whole, recover reads it back whole and JobStatus embeds it, so a field
+// added here survives a restart and is served by GET /jobs/{id}. A Status
+// snapshot shares its maps, slices and pointees, so they are replaced or
+// appended to, never written in place.
+type record struct {
+	State JState `json:"state"`
+	// StepsDone counts cumulative completed steps over all segments.
+	StepsDone int    `json:"steps_done"`
+	Resumable bool   `json:"resumable"`
+	Error     string `json:"error,omitempty"`
+	Attempts  int    `json:"attempts"`
+	// Restarts counts automatic restarts consumed (fault recovery).
+	Restarts int `json:"restarts,omitempty"`
+	// Plan is the autotuner's decision for auto-layout jobs (set when the
+	// first execution segment plans, reused by resumes). A live rebalance
+	// replaces it with the migrated layout so resumes restart there.
+	Plan *tune.Plan `json:"plan,omitempty"`
+	// Migrations is the live-rebalancing migration log.
+	Migrations []balance.Migration `json:"migrations,omitempty"`
+	StartedAt  *time.Time          `json:"started_at,omitempty"`
+	FinishedAt *time.Time          `json:"finished_at,omitempty"`
+	// Comm and Counters are the whole job's communication statistics and
+	// operation counts over all segments, set once a segment ran ranks.
+	Comm        *comm.Aggregate    `json:"comm,omitempty"`
+	Counters    *dycore.Counters   `json:"counters,omitempty"`
+	Diagnostics map[string]float64 `json:"diagnostics,omitempty"`
+	Figures     []string           `json:"figures,omitempty"`
+}
+
+// addRun folds one execution segment's communication statistics and
+// operation counts into the whole job's.
+func (r *record) addRun(agg comm.Aggregate, count dycore.Counters) {
+	if r.Comm != nil {
+		agg = comm.MergeAggregate(*r.Comm, agg)
+		count.Add(*r.Counters)
+	}
+	if agg.Ranks > 0 {
+		r.Comm, r.Counters = &agg, &count
+	}
 }
 
 // ensureChaos returns the job's fault injector, building it from plan on
@@ -444,38 +467,25 @@ func (j *Job) ensureChaos(plan *fault.Plan) *fault.Injector {
 	return j.chaos
 }
 
-// JobStatus is the JSON view of a job returned by GET /jobs/{id}.
+// JobStatus is the JSON view of a job returned by GET /jobs/{id}: its record
+// plus what is derived from it or local to this process.
 type JobStatus struct {
-	ID        string  `json:"id"`
-	Kind      string  `json:"kind"`
-	State     JState  `json:"state"`
-	StepsDone int     `json:"steps_done"`
+	ID   string `json:"id"`
+	Kind string `json:"kind"`
+	record
 	StepsWant int     `json:"steps_total"`
 	Progress  float64 `json:"progress"`
-	Resumable bool    `json:"resumable"`
 	CkptStep  int     `json:"checkpoint_step,omitempty"`
-	Attempts  int     `json:"attempts"`
-	Restarts  int     `json:"restarts,omitempty"`
-	Error     string  `json:"error,omitempty"`
 	// PersistError is the latest failed durable write, if any (the job keeps
 	// running, and resumes from its last durable checkpoint).
 	PersistError string `json:"persist_error,omitempty"`
 
-	SubmittedAt string  `json:"submitted_at"`
-	StartedAt   string  `json:"started_at,omitempty"`
-	FinishedAt  string  `json:"finished_at,omitempty"`
-	WallSec     float64 `json:"wall_sec,omitempty"`
+	SubmittedAt string `json:"submitted_at"`
+	// WallSec is finished_at − started_at, present once the job has both.
+	WallSec float64 `json:"wall_sec,omitempty"`
 
-	Comm        *CommStats         `json:"comm,omitempty"`
-	Counters    *dycore.Counters   `json:"counters,omitempty"`
-	Diagnostics map[string]float64 `json:"diagnostics,omitempty"`
-	Figures     []string           `json:"figures,omitempty"`
-
-	// Plan is the autotuner's chosen layout for auto-layout jobs (the
-	// current layout after any live rebalancing).
-	Plan *tune.Plan `json:"plan,omitempty"`
-	// Migrations is the live-rebalancing migration log of the job.
-	Migrations []balance.Migration `json:"migrations,omitempty"`
+	// Comm is the view of the record's aggregate, which it shadows.
+	Comm *CommStats `json:"comm,omitempty"`
 
 	Spec JobSpec `json:"spec"`
 }
@@ -495,58 +505,33 @@ type CommStats struct {
 func (j *Job) Status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	r := j.rec
 	st := JobStatus{
 		ID:           j.ID,
 		Kind:         j.Spec.Kind,
-		State:        j.state,
-		StepsDone:    j.stepsDone,
+		record:       r,
 		StepsWant:    j.Spec.Steps,
-		Resumable:    j.resumable,
 		CkptStep:     j.ckptStep,
-		Attempts:     j.attempts,
-		Restarts:     j.restarts,
-		Error:        j.errMsg,
 		PersistError: j.persistErr,
 		SubmittedAt:  j.submitted.UTC().Format(time.RFC3339Nano),
 		Spec:         j.Spec,
 	}
 	if j.Spec.Steps > 0 {
-		st.Progress = float64(j.stepsDone) / float64(j.Spec.Steps)
+		st.Progress = float64(r.StepsDone) / float64(j.Spec.Steps)
 	}
-	if !j.started.IsZero() {
-		st.StartedAt = j.started.UTC().Format(time.RFC3339Nano)
+	if r.StartedAt != nil && r.FinishedAt != nil {
+		st.WallSec = r.FinishedAt.Sub(*r.StartedAt).Seconds()
 	}
-	if !j.finished.IsZero() {
-		st.FinishedAt = j.finished.UTC().Format(time.RFC3339Nano)
-		st.WallSec = j.finished.Sub(j.started).Seconds()
-	}
-	if j.agg.Ranks > 0 {
+	if a := r.Comm; a != nil {
 		st.Comm = &CommStats{
-			MsgsSent:       j.agg.MsgsSent,
-			BytesSent:      j.agg.BytesSent,
-			Collectives:    j.agg.Collectives,
-			SimTimeS:       j.agg.SimTime,
-			CompTimeS:      j.agg.CompTimeMax,
-			StencilTimeS:   j.agg.StencilTime(),
-			CollectiveTime: j.agg.CollectiveTime(),
+			MsgsSent:       a.MsgsSent,
+			BytesSent:      a.BytesSent,
+			Collectives:    a.Collectives,
+			SimTimeS:       a.SimTime,
+			CompTimeS:      a.CompTimeMax,
+			StencilTimeS:   a.StencilTime(),
+			CollectiveTime: a.CollectiveTime(),
 		}
-		c := j.count
-		st.Counters = &c
-	}
-	if len(j.diags) > 0 {
-		st.Diagnostics = make(map[string]float64, len(j.diags))
-		for k, v := range j.diags {
-			st.Diagnostics[k] = v
-		}
-	}
-	st.Figures = j.figures
-	if j.plan != nil {
-		p := *j.plan
-		st.Plan = &p
-	}
-	if len(j.migrations) > 0 {
-		st.Migrations = make([]balance.Migration, len(j.migrations))
-		copy(st.Migrations, j.migrations)
 	}
 	return st
 }
@@ -554,7 +539,7 @@ func (j *Job) Status() JobStatus {
 // setPlan records the autotuner's decision.
 func (j *Job) setPlan(p tune.Plan) {
 	j.mu.Lock()
-	j.plan = &p
+	j.rec.Plan = &p
 	j.mu.Unlock()
 }
 
@@ -562,7 +547,7 @@ func (j *Job) setPlan(p tune.Plan) {
 func (j *Job) getPlan() *tune.Plan {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.plan
+	return j.rec.Plan
 }
 
 // diagnostics computes the physical health summary of a finished run. JSON

@@ -126,7 +126,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	states := map[JState]int{}
 	for _, j := range s.List() {
 		j.mu.Lock()
-		states[j.state]++
+		states[j.rec.State]++
 		j.mu.Unlock()
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

@@ -237,7 +237,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 		ID:        fmt.Sprintf("j-%06d", s.seq),
 		Spec:      spec,
 		tq:        s.tenantLocked(spec.Tenant),
-		state:     JQueued,
+		rec:       record{State: JQueued},
 		submitted: wallNow(),
 	}
 	if err := s.admitLocked(j, false); err != nil {
@@ -287,13 +287,13 @@ func (s *Server) Cancel(id string) error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state == JQueued {
+	if j.rec.State == JQueued {
 		s.dropLocked(j)
 	}
 	s.mu.Unlock()
-	switch j.state {
+	switch j.rec.State {
 	case JQueued:
-		s.finishLocked(j, JCancelled, j.errMsg, true)
+		s.finishLocked(j, JCancelled, j.rec.Error, true)
 		s.persistMetaLocked(j)
 		return nil
 	case JRunning:
@@ -308,11 +308,11 @@ func (s *Server) Cancel(id string) error {
 			j.retryTimer.Stop()
 			j.retryTimer = nil
 		}
-		s.finishLocked(j, JCancelled, j.errMsg, true)
+		s.finishLocked(j, JCancelled, j.rec.Error, true)
 		s.persistMetaLocked(j)
 		return nil
 	default:
-		return fmt.Errorf("server: job %s is %s, not cancellable", id, j.state)
+		return fmt.Errorf("server: job %s is %s, not cancellable", id, j.rec.State)
 	}
 }
 
@@ -336,9 +336,9 @@ func (s *Server) Resume(id string) (*Job, error) {
 	switch {
 	case s.closed:
 		err = ErrDraining
-	case !j.state.terminal():
-		err = fmt.Errorf("server: job %s is %s, not resumable", id, j.state)
-	case j.state == JCompleted:
+	case !j.rec.State.terminal():
+		err = fmt.Errorf("server: job %s is %s, not resumable", id, j.rec.State)
+	case j.rec.State == JCompleted:
 		err = fmt.Errorf("server: job %s already completed", id)
 	case j.Spec.Kind != "run":
 		err = fmt.Errorf("server: %s jobs are not resumable", j.Spec.Kind)
@@ -349,10 +349,8 @@ func (s *Server) Resume(id string) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	j.state = JQueued
-	j.errMsg = ""
+	j.rec.State, j.rec.Error, j.rec.FinishedAt = JQueued, "", nil
 	j.cancelRequested = false
-	j.finished = time.Time{}
 	s.met.resumed.Add(1)
 	s.persistMetaLocked(j)
 	return j, nil
@@ -383,12 +381,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// stopped. Then persist the final metadata of everything still queued.
 	for _, j := range s.List() {
 		j.mu.Lock()
-		if j.state == JRetrying {
+		if j.rec.State == JRetrying {
 			if j.retryTimer != nil {
 				j.retryTimer.Stop()
 				j.retryTimer = nil
 			}
-			s.finishLocked(j, JInterrupted, j.errMsg, true)
+			s.finishLocked(j, JInterrupted, j.rec.Error, true)
 		}
 		j.mu.Unlock()
 		s.persistMeta(j)
@@ -421,14 +419,14 @@ func (s *Server) worker() {
 			<-s.testHold
 		}
 		j.mu.Lock()
-		if j.state != JQueued || s.baseCtx.Err() != nil {
+		if j.rec.State != JQueued || s.baseCtx.Err() != nil {
 			// Cancelled after a worker took it, or draining.
 			j.mu.Unlock()
 			continue
 		}
-		j.state = JRunning
-		j.started = wallNow()
-		j.attempts++
+		started := wallNow()
+		j.rec.State, j.rec.StartedAt = JRunning, &started
+		j.rec.Attempts++
 		j.mu.Unlock()
 		s.met.busy.Add(1)
 		s.runJob(j)
@@ -474,7 +472,7 @@ func (s *Server) runJob(j *Job) {
 		Rebalance: j.Spec.Rebalance != nil,
 		Progress: func(step int) {
 			j.mu.Lock()
-			j.stepsDone = step
+			j.rec.StepsDone = step
 			j.mu.Unlock()
 			s.met.steps.Add(1)
 			if s.testStep != nil {
@@ -490,8 +488,8 @@ func (s *Server) runJob(j *Job) {
 		Observe: s.met.observeRun,
 		Commit: func(plan tune.Plan, mig balance.Migration) {
 			j.mu.Lock()
-			j.plan = &plan
-			j.migrations = append(j.migrations, mig)
+			j.rec.Plan = &plan
+			j.rec.Migrations = append(j.rec.Migrations, mig)
 			s.persistMetaLocked(j)
 			j.mu.Unlock()
 			s.met.rebalanceMigrations.Add(1)
@@ -524,8 +522,8 @@ func (s *Server) runJob(j *Job) {
 	snap, start := s.loadSnap(j)
 	if snap != nil {
 		j.mu.Lock()
-		first := j.attempts == 1
-		j.ckptStep, j.stepsDone = start, start
+		first := j.rec.Attempts == 1
+		j.ckptStep, j.rec.StepsDone = start, start
 		j.mu.Unlock()
 		if first && j.store != nil && j.store == s.cfg.Shared {
 			// The first attempt here found a checkpoint: another backend ran
@@ -561,8 +559,7 @@ func (s *Server) runJob(j *Job) {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.agg = comm.MergeAggregate(j.agg, out.Agg)
-	j.count.Add(out.Count)
+	j.rec.addRun(out.Agg, out.Count)
 	var crash *dycore.RankFailure
 	switch {
 	case errors.As(err, &crash):
@@ -571,10 +568,10 @@ func (s *Server) runJob(j *Job) {
 		s.finishLocked(j, JFailed, err.Error(), j.ckptStep > 0)
 	case completed:
 		s.finishLocked(j, JCompleted, "", false)
-		j.finished = ended // wall_sec is the run, not the final checkpoint's fsyncs
-		j.diags = diagnostics(g, out.Finals)
+		j.rec.FinishedAt = &ended // wall_sec is the run, not the final checkpoint's fsyncs
+		j.rec.Diagnostics = diagnostics(g, out.Finals)
 	// Otherwise it stopped at a boundary, and the stop-triggered Snapshot
-	// already recorded the checkpoint at exactly j.stepsDone.
+	// already recorded the checkpoint at exactly j.rec.StepsDone.
 	case j.cancelRequested:
 		s.finishLocked(j, JCancelled, "", true)
 	case errors.Is(ctx.Err(), context.DeadlineExceeded):
@@ -590,14 +587,14 @@ func (s *Server) runJob(j *Job) {
 //
 //cadyvet:locked j.mu
 func (s *Server) finishLocked(j *Job, st JState, errMsg string, resumable bool) {
-	if !j.state.terminal() {
+	if !j.rec.State.terminal() {
 		j.tq.inflight.Add(-1)
 	}
 	if st == JCompleted {
 		j.snap = nil
 	}
-	j.state, j.errMsg, j.resumable = st, errMsg, resumable
-	j.finished = wallNow()
+	finished := wallNow()
+	j.rec.State, j.rec.Error, j.rec.Resumable, j.rec.FinishedAt = st, errMsg, resumable, &finished
 	j.cancel = nil
 	switch st {
 	case JCompleted:
@@ -630,13 +627,13 @@ func (s *Server) handleAbort(j *Job, crash *dycore.RankFailure) {
 		// Draining: no restart timer can run to completion; leave the job
 		// resumable for the next service instance.
 		s.finishLocked(j, JInterrupted, crash.Error(), true)
-	case j.restarts >= limit:
+	case j.rec.Restarts >= limit:
 		s.finishLocked(j, JFailed, fmt.Sprintf("%s (restart budget %d exhausted)", crash.Error(), limit), true)
 	default:
-		j.restarts++
-		j.state, j.errMsg, j.resumable = JRetrying, crash.Error(), true
+		j.rec.Restarts++
+		j.rec.State, j.rec.Error, j.rec.Resumable = JRetrying, crash.Error(), true
 		j.cancel = nil
-		j.retryTimer = time.AfterFunc(s.restart.delay(j.restarts), func() { s.requeueRetry(j) })
+		j.retryTimer = time.AfterFunc(s.restart.delay(j.rec.Restarts), func() { s.requeueRetry(j) })
 		s.met.restarts.Add(1)
 	}
 	s.persistMetaLocked(j)
@@ -650,19 +647,19 @@ func (s *Server) requeueRetry(j *Job) {
 	defer s.mu.Unlock()
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != JRetrying {
+	if j.rec.State != JRetrying {
 		// Cancelled while backing off.
 		return
 	}
 	j.retryTimer = nil
 	switch {
 	case s.closed || s.baseCtx.Err() != nil:
-		s.finishLocked(j, JInterrupted, j.errMsg, true)
+		s.finishLocked(j, JInterrupted, j.rec.Error, true)
 		s.persistMetaLocked(j)
 	case s.admitLocked(j, true) != nil:
 		j.retryTimer = time.AfterFunc(s.restart.Backoff, func() { s.requeueRetry(j) })
 	default:
-		j.state = JQueued
+		j.rec.State = JQueued
 	}
 }
 
@@ -676,14 +673,13 @@ func (s *Server) runFigures(j *Job) {
 	o.Dt1, o.Dt2 = j.Spec.Dt1, j.Spec.Dt2
 	o.Ps = harness.SortedPs(j.Spec.Ps)
 	o.Model = comm.TianheLike()
-	figs := harness.AllFigures(o)
+	var figures []string
+	for _, f := range harness.AllFigures(o) {
+		figures = append(figures, f.Format())
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.figures = make([]string, 0, len(figs))
-	for _, f := range figs {
-		j.figures = append(j.figures, f.Format())
-	}
-	j.stepsDone = j.Spec.Steps
+	j.rec.Figures, j.rec.StepsDone = figures, j.Spec.Steps
 	s.finishLocked(j, JCompleted, "", false)
 }
 
@@ -731,25 +727,6 @@ type specFile struct {
 	SubmittedAt *time.Time `json:"submitted_at,omitempty"`
 }
 
-// jobMeta is the part of a job's status that meta.json commits, so that a
-// restarted server reports a finished job as it did before: its run times,
-// whole-job communication and operation counts, and diagnostics.
-type jobMeta struct {
-	State       JState              `json:"state"`
-	StepsDone   int                 `json:"steps_done"`
-	Resumable   bool                `json:"resumable"`
-	Error       string              `json:"error,omitempty"`
-	Attempts    int                 `json:"attempts"`
-	Restarts    int                 `json:"restarts,omitempty"`
-	Plan        *tune.Plan          `json:"plan,omitempty"`
-	Migrations  []balance.Migration `json:"migrations,omitempty"`
-	StartedAt   *time.Time          `json:"started_at,omitempty"`
-	FinishedAt  *time.Time          `json:"finished_at,omitempty"`
-	Comm        *comm.Aggregate     `json:"comm,omitempty"`
-	Counters    *dycore.Counters    `json:"counters,omitempty"`
-	Diagnostics map[string]float64  `json:"diagnostics,omitempty"`
-}
-
 func (s *Server) jobDir(j *Job) string { return filepath.Join(s.cfg.Dir, j.ID) }
 
 // notePersist records the outcome of a durable write on the job (which must
@@ -790,27 +767,7 @@ func (s *Server) persistMetaLocked(j *Job) {
 	if s.cfg.Dir == "" {
 		return
 	}
-	m := jobMeta{
-		State:       j.state,
-		StepsDone:   j.stepsDone,
-		Resumable:   j.resumable,
-		Error:       j.errMsg,
-		Attempts:    j.attempts,
-		Restarts:    j.restarts,
-		Plan:        j.plan,
-		Migrations:  j.migrations,
-		Diagnostics: j.diags,
-	}
-	if !j.started.IsZero() {
-		m.StartedAt = &j.started
-	}
-	if !j.finished.IsZero() {
-		m.FinishedAt = &j.finished
-	}
-	if j.agg.Ranks > 0 {
-		m.Comm, m.Counters = &j.agg, &j.count
-	}
-	b, _ := json.MarshalIndent(m, "", "  ")
+	b, _ := json.MarshalIndent(j.rec, "", "  ")
 	if err := checkpoint.WriteFileAtomic(filepath.Join(s.jobDir(j), "meta.json"), b); err != nil {
 		s.notePersist(j, err)
 	}
@@ -941,41 +898,23 @@ func (s *Server) recover() error {
 			sf.SubmittedAt = &t
 		}
 		spec := sf.JobSpec
-		j := &Job{ID: id, Spec: spec, tq: s.tenantLocked(spec.Tenant), state: JQueued, submitted: *sf.SubmittedAt}
+		j := &Job{ID: id, Spec: spec, tq: s.tenantLocked(spec.Tenant), rec: record{State: JQueued}, submitted: *sf.SubmittedAt}
 		if metaB, err := os.ReadFile(filepath.Join(dir, "meta.json")); err == nil {
-			var m jobMeta
-			if json.Unmarshal(metaB, &m) == nil {
-				j.state = m.State
-				j.stepsDone = m.StepsDone
-				j.resumable = m.Resumable
-				j.errMsg = m.Error
-				j.attempts = m.Attempts
-				j.restarts = m.Restarts
-				j.plan = m.Plan
-				j.migrations = m.Migrations
-				j.diags = m.Diagnostics
-				if m.StartedAt != nil {
-					j.started = *m.StartedAt
-				}
-				if m.FinishedAt != nil {
-					j.finished = *m.FinishedAt
-				}
-				if m.Comm != nil && m.Counters != nil {
-					j.agg, j.count = *m.Comm, *m.Counters
-				}
+			var rec record // a torn decode leaves the job as it was
+			if json.Unmarshal(metaB, &rec) == nil {
+				j.rec = rec
 			}
 		}
 		// checkpoint_step is the newest checkpoint the home reads back (none
 		// when missing or refused); meta.json, committed apart, may lag it.
 		s.notePersist(j, s.openHome(j))
 		_, j.ckptStep = s.loadSnap(j)
-		j.stepsDone = max(j.stepsDone, j.ckptStep)
+		j.rec.StepsDone = max(j.rec.StepsDone, j.ckptStep)
 		// A job that was mid-flight (or parked in a restart backoff) when
 		// the process died cannot still be running; surface it as
 		// interrupted and resumable.
-		if j.state == JQueued || j.state == JRunning || j.state == JRetrying {
-			j.state = JInterrupted
-			j.resumable = true
+		if st := j.rec.State; st == JQueued || st == JRunning || st == JRetrying {
+			j.rec.State, j.rec.Resumable = JInterrupted, true
 		}
 		s.jobs[id] = j
 		s.order = append(s.order, id)

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -443,7 +444,7 @@ func testCancelResumeEquivalence(t *testing.T, alg, h string) {
 	// right after this hook at the same boundary).
 	s.testStep = func(j *Job, done int) {
 		j.mu.Lock()
-		attempt := j.attempts
+		attempt := j.rec.Attempts
 		j.mu.Unlock()
 		if attempt == 1 && done == 2 {
 			s.Cancel(j.ID)
@@ -538,7 +539,7 @@ func TestFailedWriteResumesFromDurableCheckpoint(t *testing.T) {
 	// fails; step 1's is on disk) and the job is cancelled.
 	s.testStep = func(j *Job, done int) {
 		j.mu.Lock()
-		attempt := j.attempts
+		attempt := j.rec.Attempts
 		j.mu.Unlock()
 		if attempt == 1 && done == 2 {
 			//cadyvet:volatile moves the job directory away to make the next checkpoint write fail
@@ -741,11 +742,165 @@ func TestCancelQueuedJob(t *testing.T) {
 	close(hold)
 	waitState(t, s, blocker.ID, JCompleted)
 	waitState(t, s, late.ID, JCompleted)
-	if st := queued[1].Status(); st.State != JCancelled || st.StepsDone != 0 {
-		t.Fatalf("queued-cancelled job: %s steps %d", st.State, st.StepsDone)
+	// It never started, so it reports no start and no run time.
+	if st := queued[1].Status(); st.State != JCancelled || st.StepsDone != 0 || st.StartedAt != nil || st.WallSec != 0 {
+		t.Fatalf("queued-cancelled job: %s steps %d started_at %v wall_sec %v, want cancelled, 0, none, none",
+			st.State, st.StepsDone, st.StartedAt, st.WallSec)
 	}
 	if fs := waitState(t, s, queued[0].ID, JCompleted); fs.StepsDone != 1 || fs.Attempts != 1 {
 		t.Fatalf("resumed-from-scratch job steps_done %d attempts %d, want 1 and 1", fs.StepsDone, fs.Attempts)
+	}
+}
+
+// getStatus decodes GET /jobs/{id} as generic JSON, so that a comparison
+// sees every key the server sends.
+func getStatus(t *testing.T, s *Server, id string) map[string]any {
+	t.Helper()
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/jobs/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /jobs/%s: %d, %v", id, resp.StatusCode, err)
+	}
+	return st
+}
+
+// sortedKeys lists the keys of m in order.
+func sortedKeys(m map[string]any) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// TestRestartRoundTrip: GET /jobs/{id} on a server restarted over the same
+// directory reads as it did before the restart, whole, for a job of each
+// terminal shape. Each row also names keys its status must carry (has) or
+// must not (lacks) before the restart, so a key lost on both sides cannot
+// pass unseen.
+func TestRestartRoundTrip(t *testing.T) {
+	deadline := smallSpec(100000)
+	deadline.DeadlineSec = 0.05
+	rows := []struct {
+		name       string
+		spec       JobSpec
+		want       JState
+		has, lacks []string
+	}{
+		{"completed explicit run", smallSpec(2), JCompleted,
+			[]string{"submitted_at", "started_at", "finished_at", "wall_sec", "comm", "counters", "diagnostics", "checkpoint_step"},
+			[]string{"error", "plan", "figures"}},
+		{"cancelled while queued", smallSpec(2), JCancelled,
+			[]string{"submitted_at", "finished_at"},
+			[]string{"started_at", "wall_sec", "comm", "counters", "checkpoint_step"}},
+		{"completed auto job", autoSpec(2), JCompleted,
+			[]string{"plan", "wall_sec", "comm", "counters", "diagnostics"}, nil},
+		{"completed figures job", JobSpec{Kind: "figures", Nx: 48, Ny: 24, Nz: 8, M: 2, Steps: 1, Ps: []int{4, 8}}, JCompleted,
+			[]string{"figures", "wall_sec"}, []string{"comm", "checkpoint_step"}},
+		{"deadline-failed checkpointed job", deadline, JFailed,
+			[]string{"error", "checkpoint_step", "wall_sec", "comm", "counters"}, []string{"diagnostics"}},
+	}
+	dir := t.TempDir()
+	s := newTestServer(t, Config{Workers: 1, QueueCap: len(rows), Dir: dir})
+	// The worker holds the first job until every row is queued, so the
+	// second is cancelled while queued.
+	hold := make(chan struct{})
+	s.testHold = hold
+	ids := make([]string, len(rows))
+	for i, row := range rows {
+		j, err := s.Submit(row.spec)
+		if err != nil {
+			t.Fatalf("%s: Submit: %v", row.name, err)
+		}
+		ids[i] = j.ID
+		if row.want == JCancelled {
+			if err := s.Cancel(j.ID); err != nil {
+				t.Fatalf("%s: Cancel: %v", row.name, err)
+			}
+		}
+	}
+	close(hold)
+	before := make([]map[string]any, len(rows))
+	for i, row := range rows {
+		waitState(t, s, ids[i], row.want)
+		before[i] = getStatus(t, s, ids[i])
+		for _, k := range row.has {
+			if _, ok := before[i][k]; !ok {
+				t.Errorf("%s: status has no %q: %v", row.name, k, sortedKeys(before[i]))
+			}
+		}
+		for _, k := range row.lacks {
+			if v, ok := before[i][k]; ok {
+				t.Errorf("%s: status has %q: %v", row.name, k, v)
+			}
+		}
+	}
+	cancelShutdown(t, s)
+
+	s2 := newTestServer(t, Config{Workers: 1, QueueCap: len(rows), Dir: dir})
+	for i, row := range rows {
+		after := getStatus(t, s2, ids[i])
+		for _, k := range sortedKeys(before[i]) {
+			if !reflect.DeepEqual(after[k], before[i][k]) {
+				t.Errorf("%s: %q is %v after a restart, %v before it", row.name, k, after[k], before[i][k])
+			}
+		}
+		for _, k := range sortedKeys(after) {
+			if _, ok := before[i][k]; !ok {
+				t.Errorf("%s: %q appears after a restart: %v", row.name, k, after[k])
+			}
+		}
+	}
+}
+
+// TestRecoverJobMetaFormat: job directories written before the job record
+// keep loading. testdata/jobmeta-job holds a meta.json in that release's
+// format with every key it wrote (no one job carries them all: the file puts
+// a failed job's error and restarts beside a completed auto job's values), and
+// GET /jobs/{id} on the recovered job serves each key as written, the comm
+// view derived from the aggregate.
+func TestRecoverJobMetaFormat(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "jobmeta-job", "meta.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta map[string]any
+	if err := json.Unmarshal(raw, &meta); err != nil {
+		t.Fatal(err)
+	}
+	keys := []string{"attempts", "comm", "counters", "diagnostics", "error", "finished_at", "migrations",
+		"plan", "restarts", "resumable", "started_at", "state", "steps_done"}
+	if got := sortedKeys(meta); !slices.Equal(got, keys) {
+		t.Fatalf("fixture keys %v, want %v", got, keys)
+	}
+	s, j := recoverFixture(t, "jobmeta-job")
+	st := getStatus(t, s, j.ID)
+	for _, k := range keys {
+		if k != "comm" && !reflect.DeepEqual(st[k], meta[k]) {
+			t.Errorf("recovered %s = %v, meta.json has %v", k, st[k], meta[k])
+		}
+	}
+	var file struct {
+		Comm comm.Aggregate `json:"comm"`
+	}
+	if err := json.Unmarshal(raw, &file); err != nil {
+		t.Fatal(err)
+	}
+	a := file.Comm
+	want := CommStats{
+		MsgsSent: a.MsgsSent, BytesSent: a.BytesSent, Collectives: a.Collectives,
+		SimTimeS: a.SimTime, CompTimeS: a.CompTimeMax,
+		StencilTimeS: a.StencilTime(), CollectiveTime: a.CollectiveTime(),
+	}
+	if got := j.Status().Comm; got == nil || *got != want || a.MsgsSent == 0 {
+		t.Errorf("recovered comm %+v, want %+v", got, want)
 	}
 }
 
@@ -778,17 +933,19 @@ func TestWeightedFairDequeue(t *testing.T) {
 		jobs = append(jobs, j)
 	}
 	close(hold)
-	started := map[string]string{}
-	var times []string
+	type start struct {
+		at     time.Time
+		tenant string
+	}
+	var starts []start
 	for _, j := range jobs {
 		st := waitState(t, s, j.ID, JCompleted)
-		started[st.StartedAt] = j.Spec.Tenant
-		times = append(times, st.StartedAt)
+		starts = append(starts, start{*st.StartedAt, j.Spec.Tenant})
 	}
-	sort.Strings(times) // RFC 3339 UTC with nanoseconds: lexical is chronological
+	sort.SliceStable(starts, func(a, b int) bool { return starts[a].at.Before(starts[b].at) })
 	var order []string
-	for _, ts := range times {
-		order = append(order, started[ts])
+	for _, st := range starts {
+		order = append(order, st.tenant)
 	}
 	want := []string{"blocker", "vip", "vip", "batch"}
 	if len(order) != len(jobs) || strings.Join(order[:4], ",") != strings.Join(want, ",") {
