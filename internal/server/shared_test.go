@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -128,6 +130,77 @@ func TestFinalSnapshotResumeKeepsDiagnostics(t *testing.T) {
 		if diags[1][k] != v {
 			t.Errorf("diagnostic %s: %v after a final-snapshot resume, %v uninterrupted", k, diags[1][k], v)
 		}
+	}
+}
+
+// TestCompletedDiagnosticsSurviveRestart: a completed job's diagnostics are
+// committed with its meta.json, so a server restarted over the same
+// directory reports them unchanged.
+func TestCompletedDiagnosticsSurviveRestart(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestServer(t, Config{Workers: 1, QueueCap: 4, Dir: dir})
+	j, err := s.Submit(smallSpec(2))
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	before := waitState(t, s, j.ID, JCompleted).Diagnostics
+	cancelShutdown(t, s)
+
+	s2 := newTestServer(t, Config{Workers: 1, QueueCap: 4, Dir: dir})
+	r, ok := s2.Get(j.ID)
+	if !ok {
+		t.Fatalf("job %s not recovered", j.ID)
+	}
+	after := r.Status()
+	if after.State != JCompleted || len(before) == 0 || !maps.Equal(after.Diagnostics, before) {
+		t.Fatalf("recovered %s job with diagnostics %v, want completed with %v", after.State, after.Diagnostics, before)
+	}
+}
+
+// TestCompletedStatusSurvivesRestart: a completed job's submission time (in
+// spec.json), run times, whole-job communication statistics and operation
+// counts (in meta.json) are committed, so GET /jobs/{id} on a server
+// restarted over the same directory reports them as the first server did,
+// wall_sec included.
+func TestCompletedStatusSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	get := func(s *Server, id string) JobStatus {
+		t.Helper()
+		ts := httptest.NewServer(s)
+		defer ts.Close()
+		resp, err := http.Get(ts.URL + "/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return decodeStatus(t, resp)
+	}
+	s := newTestServer(t, Config{Workers: 1, QueueCap: 4, Dir: dir})
+	j, err := s.Submit(smallSpec(2))
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	waitState(t, s, j.ID, JCompleted)
+	before := get(s, j.ID)
+	cancelShutdown(t, s)
+	if before.StartedAt == nil || before.FinishedAt == nil || before.Comm == nil || before.Counters == nil {
+		t.Fatalf("completed job reports started_at %v, finished_at %v, comm %v, counters %v",
+			before.StartedAt, before.FinishedAt, before.Comm, before.Counters)
+	}
+
+	after := get(newTestServer(t, Config{Workers: 1, QueueCap: 4, Dir: dir}), j.ID)
+	if after.SubmittedAt != before.SubmittedAt || after.StartedAt == nil || after.FinishedAt == nil ||
+		!after.StartedAt.Equal(*before.StartedAt) || !after.FinishedAt.Equal(*before.FinishedAt) {
+		t.Errorf("recovered submitted_at %q, started_at %v, finished_at %v; before the restart %q, %v, %v",
+			after.SubmittedAt, after.StartedAt, after.FinishedAt, before.SubmittedAt, before.StartedAt, before.FinishedAt)
+	}
+	if after.WallSec != before.WallSec {
+		t.Errorf("recovered wall_sec %v, before the restart %v", after.WallSec, before.WallSec)
+	}
+	if !reflect.DeepEqual(after.Comm, before.Comm) {
+		t.Errorf("recovered comm %+v, before the restart %+v", after.Comm, before.Comm)
+	}
+	if !reflect.DeepEqual(after.Counters, before.Counters) {
+		t.Errorf("recovered counters %+v, before the restart %+v", after.Counters, before.Counters)
 	}
 }
 
