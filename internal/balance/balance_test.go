@@ -168,8 +168,8 @@ func TestRebalanceMildStragglerYZ(t *testing.T) {
 
 // TestRebalanceUnderStragglerCA runs the same soak on the comm-avoiding
 // scheme. A CA snapshot restores bitwise in its own layout, but a migration
-// changes the rows each rank owns, and with them availY — the window the
-// former smoothing may read before the exchange, hence where the
+// changes the rows each rank owns, and with them the row windows the
+// former smoothing may read before the exchange (cover.avail), hence where the
 // former/latter split falls. The split is exact algebra in a different
 // association, so layouts agree to rounding, as uninterrupted CA runs in
 // different layouts already do; that is why this bound is not ==.

@@ -4,7 +4,6 @@ import (
 	"cadycore/internal/grid"
 	"cadycore/internal/operators"
 	"cadycore/internal/state"
-	"cadycore/internal/stencil"
 	"cadycore/internal/topo"
 )
 
@@ -27,51 +26,17 @@ import (
 type Baseline struct {
 	*core
 	exStencil *topo.Exchanger // per-update exchange at the stencil radii
-	exSmooth  *topo.Exchanger // depth-2 exchange before smoothing
+	exSmooth  *topo.Exchanger // exchange before smoothing
 }
 
-// BaselineHalo returns the halo widths the baseline integrator requires: the
-// per-update radii of the widest tables (x from Tables 1/2, y from Table 3's
-// smoothing, z from Tables 1/2).
-func BaselineHalo() (hx, hy, hz int) {
-	r := stencil.Union(
-		stencil.RadiusOf(stencil.Adaptation),
-		stencil.RadiusOf(stencil.Advection),
-		stencil.RadiusOf(stencil.Smoothing),
-	)
-	return r.X, r.Y, r.Z
-}
-
-// NewBaseline builds the baseline integrator for the calling rank. The
-// topology must be built with BaselineTopology (or identical halo widths).
+// NewBaseline builds the baseline integrator for the calling rank, on a
+// topology with the halo widths Setup.HaloWidths returns, with the
+// exchangers and storage blocks of the rank's cover (planCover).
 func NewBaseline(cfg Config, g *grid.Grid, tp *topo.Topology) *Baseline {
-	// Every tendency is computed on the owned block, and L̃ reads its planes
-	// one row past it. The work state swaps with ξ (smooth), so it shares
-	// ξ's block.
-	owned := tp.Block.Owned()
-	b := &Baseline{core: newCore(cfg, g, tp, tp.Block, tp.Block, covering(tp.Block, grow(owned, 1, 0)))}
-	b.tnd = operators.NewTendency(covering(tp.Block, owned))
-	rAd := stencil.Union(stencil.RadiusOf(stencil.Adaptation), stencil.RadiusOf(stencil.Advection))
-	rSm := stencil.RadiusOf(stencil.Smoothing)
-	dx := 0
-	dxs := 0
-	if tp.Px > 1 {
-		dx = rAd.X
-		dxs = rSm.X
-	}
-	dy, dz := rAd.Y, rAd.Z
-	if tp.Py == 1 {
-		dy = 0
-	}
-	if tp.Pz == 1 {
-		dz = 0
-	}
-	dys := rSm.Y
-	if tp.Py == 1 {
-		dys = 0
-	}
-	b.exStencil = tp.NewExchanger(dx, dy, dz).SetLabel("baseline-stencil")
-	b.exSmooth = tp.NewExchanger(dxs, dys, 0).SetLabel("baseline-smooth")
+	b := &Baseline{core: newCore(cfg, g, tp, planCover(Setup{Alg: AlgBaselineYZ, Cfg: cfg}, tp.Block, nil))}
+	b.tnd = operators.NewTendency(b.cv.tend)
+	b.exStencil = tp.NewExchangerD(b.cv.stencil.depths).SetLabel("baseline-stencil")
+	b.exSmooth = tp.NewExchangerD(b.cv.smooth.depths).SetLabel("baseline-smooth")
 	return b
 }
 
@@ -81,30 +46,20 @@ func (b *Baseline) ExchStats() []topo.ExchStats {
 }
 
 // SetState overwrites the owned region of ξ from init, whatever init's
-// storage extent (and refreshes boundaries and the initial Ĉ cache — one
-// startup exchange and one startup collective, mirroring the model's
-// initialization phase). The smoothing a comm-avoiding step-boundary
-// snapshot still owes cannot be deferred here: apply it now, after
-// refreshing the ghosts sourced in the restored owned cells.
+// storage extent, refreshes its halos and evaluates the initial Ĉ(ξ⁰) so
+// the advection's σ̇ is defined from the first step (Algorithm 2 line 1:
+// ξ^(−1) = ξ^(0)) — one startup exchange and one startup collective,
+// mirroring the model's initialization phase. The smoothing a comm-avoiding
+// step-boundary snapshot still owes cannot be deferred here: apply it
+// first, after refreshing the ghosts sourced in the restored owned cells.
 func (b *Baseline) SetState(init *state.State) {
 	b.xi.CopyOwned(init)
+	owned := b.tp.Block.Owned()
 	if init.Carry != nil && init.Carry.PendingSmooth {
-		b.xi.FillLocalBounds(b.tp.Block.Owned())
+		b.xi.FillLocalBounds(owned)
 		b.smooth()
 	}
-	b.bootstrap()
-}
-
-// bootstrap fills halos and evaluates the initial Ĉ(ξ⁰) so the advection's
-// σ̇ is defined from the first step (Algorithm 2 line 1: ξ^(−1) = ξ^(0)).
-// sumC fills the new Ĉ's boundaries itself.
-func (b *Baseline) bootstrap() {
-	b.localFill(b.xi)
-	f3, f2 := b.exchangeFields(b.xi)
-	b.exStencil.Exchange(f3, f2)
-	b.n.HaloExchanges++
-	b.localFill(b.xi)
-	owned := b.tp.Block.Owned()
+	b.bootstrap(b.exStencil, b.xi)
 	b.updateSurface(b.xi, owned)
 	b.evalC(b.xi, owned)
 }
@@ -115,7 +70,7 @@ func (b *Baseline) bootstrap() {
 // completes Ĉ in the cache, which the advection's σ̇ reads later.
 func (b *Baseline) adaptTendencyOf(src *state.State) {
 	owned := b.tp.Block.Owned()
-	b.overlapped(b.exStencil, src, nil, kernDivP, owned, b.exStencil.ExchangeDepths())
+	b.overlapped(b.exStencil, src, nil, kernDivP, owned, b.cv.stencil.inner)
 	b.sumC(owned)
 	b.adaptTendency(src, owned)
 	b.filterTendency(owned)
@@ -125,7 +80,7 @@ func (b *Baseline) adaptTendencyOf(src *state.State) {
 // region, overlapping the halo exchange with the interior advection.
 func (b *Baseline) advectTendencyOf(src *state.State) {
 	owned := b.tp.Block.Owned()
-	b.overlapped(b.exStencil, src, nil, kernAdvect, owned, b.exStencil.ExchangeDepths())
+	b.overlapped(b.exStencil, src, nil, kernAdvect, owned, b.cv.stencil.inner)
 	b.filterTendency(owned)
 }
 
@@ -181,7 +136,7 @@ func (b *Baseline) Step() {
 // interior sweep. S̃ writes the work state, which nothing reads after ζ3,
 // and the two buffers swap.
 func (b *Baseline) smooth() {
-	b.overlapped(b.exSmooth, b.xi, b.eta1, kernSmooth, b.tp.Block.Owned(), b.exSmooth.ExchangeDepths())
+	b.overlapped(b.exSmooth, b.xi, b.eta1, kernSmooth, b.tp.Block.Owned(), b.cv.smooth.inner)
 	b.xi, b.eta1 = b.eta1, b.xi
 	b.n.SmoothingCalls++
 	b.xi.FillLocalBounds(b.tp.Block.Owned())

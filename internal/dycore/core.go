@@ -51,6 +51,7 @@ type core struct {
 	g   *grid.Grid
 	tp  *topo.Topology
 	w   *comm.Comm
+	cv  cover // every depth, rect and storage block of the rank's step
 
 	flt *filter.Filter
 	smo *operators.Smoother
@@ -87,13 +88,11 @@ type core struct {
 	n Counters
 }
 
-// newCore builds the per-rank machinery on the storage blocks the integrator
-// derives from tp.Block (DESIGN §8 "Storage follows compute"): stor for ξ and
-// the Ĉ cache, work for the work state and adv for L̃'s planes, each holding
-// only the cells written or read there; the integrator adds its tendency on
-// the same terms. All keep tp.Block's owned box and Hx, so the kernels' x
-// offsets agree across them.
-func newCore(cfg Config, g *grid.Grid, tp *topo.Topology, stor, work, adv field.Block) *core {
+// newCore builds the per-rank machinery on the storage blocks of the rank's
+// cover (planCover, DESIGN §8 "The cover"), each holding only the cells
+// written or read there; the integrator adds its tendency. All keep
+// tp.Block's owned box and Hx, so the kernels' x offsets agree across them.
+func newCore(cfg Config, g *grid.Grid, tp *topo.Topology, cv cover) *core {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -101,14 +100,14 @@ func newCore(cfg Config, g *grid.Grid, tp *topo.Topology, stor, work, adv field.
 		panic("dycore: ShiftedPoleMirror requires p_x = 1 (full longitude circles per rank)")
 	}
 	c := &core{
-		cfg: cfg, g: g, tp: tp, w: tp.World,
+		cfg: cfg, g: g, tp: tp, w: tp.World, cv: cv,
 		flt:   filter.New(g, cfg.FilterCutoffDeg),
 		smo:   operators.NewSmoother(g, cfg.Beta),
 		sur:   operators.NewSurface(tp.Block),
-		xi:    state.New(stor),
-		eta1:  state.New(work),
-		cache: operators.NewCRes(stor),
-		advSc: operators.NewAdvScratch(adv),
+		xi:    state.New(cv.xi),
+		eta1:  state.New(cv.work),
+		cache: operators.NewCRes(cv.xi),
+		advSc: operators.NewAdvScratch(cv.planes),
 	}
 	for _, st := range []*state.State{c.xi, c.eta1} {
 		st.ShiftedPoles = cfg.ShiftedPoleMirror
@@ -118,26 +117,6 @@ func newCore(cfg Config, g *grid.Grid, tp *topo.Topology, stor, work, adv field.
 		st.FillLocalBounds(st.B.WithHalo())
 	}
 	return c
-}
-
-// covering returns b with the smallest y and z halo widths whose storage
-// holds every rect of rs (storage stops boundaryReach cells past the domain,
-// field.Block.WithHalo); the owned box and Hx stay b's.
-func covering(b field.Block, rs ...field.Rect) field.Block {
-	b.Hy, b.Hz = 0, 0
-	for _, r := range rs {
-		b.Hy = max(b.Hy, b.J0-r.J0, r.J1-b.J1)
-		b.Hz = max(b.Hz, b.K0-r.K0, r.K1-b.K1)
-	}
-	return b
-}
-
-// grow returns r grown by dy rows and dz levels on every side, unclamped:
-// storage cut at the domain (field.Block.WithHalo) keeps the mirror ghosts a
-// stencil over r reads past a boundary.
-func grow(r field.Rect, dy, dz int) field.Rect {
-	r.J0, r.J1, r.K0, r.K1 = r.J0-dy, r.J1+dy, r.K0-dz, r.K1+dz
-	return r
 }
 
 // Xi returns the current state.
@@ -155,6 +134,17 @@ func (c *core) exchangeFields(st *state.State) (f3s []*field.F3, f2s []*field.F2
 	c.exF3[0], c.exF3[1], c.exF3[2], c.exF3[3] = st.U, st.V, st.Phi, c.cache.PWI
 	c.exF2[0], c.exF2[1] = st.Psa, c.cache.DBar
 	return c.exF3[:], c.exF2[:]
+}
+
+// bootstrap exchanges st's halos on ex, blocking, between two refreshes of
+// every ghost: the start-up exchange of SetState, whose state may carry
+// ghosts of any currency.
+func (c *core) bootstrap(ex *topo.Exchanger, st *state.State) {
+	c.localFill(st)
+	f3, f2 := c.exchangeFields(st)
+	ex.Exchange(f3, f2)
+	c.n.HaloExchanges++
+	c.localFill(st)
 }
 
 // localFill refreshes all locally computable boundary values of st and of
@@ -181,14 +171,10 @@ func (c *core) fillReceived(ex *topo.Exchanger, st *state.State) {
 		c.localFill(st)
 		return
 	}
-	owned := c.tp.Block.Owned()
 	d := ex.ExchangeDepths()
-	grown := field.Rect{
-		I0: owned.I0 - d.X, I1: owned.I1 + d.X,
-		J0: max(owned.J0-d.YLo, 0), J1: min(owned.J1+d.YHi, c.g.Ny),
-		K0: max(owned.K0-d.ZLo, 0), K1: min(owned.K1+d.ZHi, c.g.Nz),
-	}
-	for _, s := range c.slabs(grown, owned) {
+	grown := around(c.tp.Block, d)
+	grown.I0, grown.I1 = grown.I0-d.X, grown.I1+d.X
+	for _, s := range c.slabs(grown, c.tp.Block.Owned()) {
 		st.FillLocalBounds(s)
 	}
 	c.fillC()
@@ -269,15 +255,13 @@ func (c *core) updateSurface(src *state.State, r field.Rect) {
 // adaptTendency evaluates Â(src) + the Ĉ contributions from the cache over r
 // into c.tnd.
 func (c *core) adaptTendency(src *state.State, r field.Rect) {
-	w := operators.Adaptation3D(c.g, src, c.sur, c.cache, c.tnd, r)
-	w += operators.AdaptationPsa(c.g, c.cfg.Adapt, src, c.cache, c.tnd, r)
+	w := operators.Adaptation(c.g, c.cfg.Adapt, src, c.sur, c.cache, c.tnd, r)
 	c.w.Compute(float64(w) * costAdapt)
 }
 
 // advectTendency evaluates L̃(src) with σ̇ from the cache over r into c.tnd.
 func (c *core) advectTendency(src *state.State, r field.Rect) {
-	w := operators.Advection3D(c.g, src, c.sur, c.cache, c.tnd, r, c.advSc)
-	operators.AdvectionPsa(c.tnd, r)
+	w := operators.AdvectionScratch(c.g, src, c.sur, c.cache, c.tnd, r, c.advSc)
 	c.w.Compute(float64(w) * costAdvect)
 }
 
@@ -305,32 +289,6 @@ func (c *core) chargeFilter(rows int) {
 // r's points, whichever piece or level wrote them.
 func (c *core) chargeLincomb(r field.Rect) {
 	c.w.Compute(float64(4*r.Count()) * costLincomb)
-}
-
-// shrinkByDepths shrinks r by an exchanger's per-side depths on every side
-// that is fed by communication: both x sides whenever the exchanger carries
-// x traffic (longitude is periodic, so both sides are remote), and the y/z
-// sides that are not global domain boundaries (those are mirror-filled
-// locally and stay valid while messages fly). The result is the interior
-// rect whose stencil reads cannot touch in-flight halo cells.
-func (c *core) shrinkByDepths(r field.Rect, d topo.Depths) field.Rect {
-	if d.X > 0 {
-		r.I0 += d.X
-		r.I1 -= d.X
-	}
-	if r.J0 != 0 {
-		r.J0 += d.YLo
-	}
-	if r.J1 != c.g.Ny {
-		r.J1 -= d.YHi
-	}
-	if r.K0 != 0 {
-		r.K0 += d.ZLo
-	}
-	if r.K1 != c.g.Nz {
-		r.K1 -= d.ZHi
-	}
-	return r
 }
 
 // slabs returns outer \ inner as a list of disjoint rects (inner must be
@@ -419,15 +377,15 @@ type band struct {
 
 // overlapped runs kernel k over outer with the halo exchange of src on ex in
 // flight — the paper's inner/outer partition (§4.3): Begin → kernel on the
-// interior, the owned block shrunk by dIn on its comm-fed sides, whose
-// stencil reads stay clear of in-flight halo cells → Finish → kernel on the
+// interior in, the owned block shrunk on its comm-fed sides so that its
+// stencil reads stay clear of in-flight halo cells (shrink) → Finish → kernel on the
 // slabs of outer around it. Every kernel is per-point pure, so the split
 // cover produces bitwise the monolithic sweep. Outer is the owned block for
 // the baseline and the smoothings, a comm-avoiding update's rect (reaching
 // into the received deep halo) for CommAvoid, whose fused deep exchange runs
 // S̃2 between the two halves.
-func (c *core) overlapped(ex *topo.Exchanger, src, dst *state.State, k kernel, outer field.Rect, dIn topo.Depths) {
-	c.overlapTail(src, dst, k, outer, c.overlapHead(ex, nil, src, dst, k, dIn))
+func (c *core) overlapped(ex *topo.Exchanger, src, dst *state.State, k kernel, outer, in field.Rect) {
+	c.overlapTail(src, dst, k, outer, c.overlapHead(ex, nil, src, dst, k, in))
 }
 
 // overlapHead is overlapped up to Finish and the fill of what was received,
@@ -435,7 +393,7 @@ func (c *core) overlapped(ex *topo.Exchanger, src, dst *state.State, k kernel, o
 // swept, empty when none was. The interior reads src's local ghosts sourced
 // in owned cells, which the last write of src refreshed (the integrators'
 // Step refreshes ξ's after a hook or resume).
-func (c *core) overlapHead(ex *topo.Exchanger, b *band, src, dst *state.State, k kernel, dIn topo.Depths) field.Rect {
+func (c *core) overlapHead(ex *topo.Exchanger, b *band, src, dst *state.State, k kernel, in field.Rect) field.Rect {
 	f3, f2 := c.exchangeFields(src)
 	pend := ex.Begin(f3, f2)
 	var bpend *topo.Pending
@@ -445,7 +403,7 @@ func (c *core) overlapHead(ex *topo.Exchanger, b *band, src, dst *state.State, k
 	c.n.HaloExchanges++
 	var inner field.Rect
 	if c.interiorPass(k) {
-		inner = c.shrinkByDepths(c.tp.Block.Owned(), dIn)
+		inner = in
 		if k != kernSmooth {
 			// Interior reads stay within the owned region, where the
 			// pre-exchange p'_sa is current.

@@ -82,68 +82,66 @@ func TestCoversGolden(t *testing.T) {
 	testutil.Golden(t, filepath.Join("testdata", "covers.golden"), out.String())
 }
 
-// coverLines renders one rank's cover as the integrator built it.
+// coverLines renders one rank's cover: its depths, interiors, rects and read
+// sets as the integrator holds them, and its storage as the integrator
+// allocated it.
 func coverLines(tp *topo.Topology, ig Integrator) string {
 	var b strings.Builder
 	line := func(format string, args ...any) { fmt.Fprintf(&b, format+"\n", args...) }
 	owned := tp.Block.Owned()
 	line("halo %d %d %d", tp.Block.Hx, tp.Block.Hy, tp.Block.Hz)
-	var c *core
-	inner := func(label string, d topo.Depths) {
-		line("inner %s %v", label, c.shrinkByDepths(owned, d))
+	stores := func(c *core) {
+		line("store xi %v", c.xi.B.WithHalo())
+		line("store cache %v %v", c.cache.PWI.B.WithHalo(), c.cache.DBar.B.WithHalo())
+		line("store work %v", c.eta1.B.WithHalo())
+		line("store planes %v", advScratchStored(c.advSc))
 	}
 	switch x := ig.(type) {
 	case *CommAvoid:
-		c = x.core
+		c, cv := x.core, &x.cv
 		for _, ex := range []*topo.Exchanger{x.deepEx, x.band.ex, x.advEx, x.smEx, x.stageEx} {
 			if ex != nil {
 				line("ex %s %+v", ex.Stats().Label, ex.ExchangeDepths())
 			}
 		}
-		inner("ca-deep", topo.Depths{YLo: 1, YHi: 1, ZHi: 1})
-		inner("ca-deep-fused", topo.Depths{YLo: 3, YHi: 3, ZHi: 1})
+		inner := func(label string, r field.Rect) { line("inner %s %v", label, r) }
+		inner("ca-deep", cv.deep.inner)
+		inner("ca-deep-fused", cv.fusedInner)
 		if x.stageEx != nil {
-			inner("ca-stage", topo.Depths{YLo: 1, YHi: 1, ZHi: 1})
+			inner("ca-stage", cv.stage.inner)
 		}
-		inner("ca-adv", topo.Sym(0, 1, 1))
-		inner("ca-smooth", x.smEx.ExchangeDepths())
+		inner("ca-adv", cv.adv.inner)
+		inner("ca-smooth", cv.smooth.inner)
 		line("rect s1 %v", owned)
-		line("rect s2 %v", x.s2Rect(tp.Block))
-		u := 0
-		for i := 1; i <= x.cfg.M; i++ {
-			if i > 1 && x.stage > 0 && (i-1)%x.stage == 0 {
-				u = 0
-			}
-			for n := 1; n <= 3; n++ {
-				u++
-				line("rect eta%d.%d %v", i, n, x.region(u))
+		line("rect s2 %v", cv.s2)
+		for i, eta := range cv.eta {
+			for n, r := range eta {
+				line("rect eta%d.%d %v", i+1, n+1, r)
 			}
 		}
-		line("rect zeta1 %v", x.advRegion(2))
-		line("rect zeta2 %v", x.advRegion(1))
-		line("rect zeta3 %v", owned)
+		for n, r := range cv.zeta {
+			line("rect zeta%d %v", n+1, r)
+		}
 		line("rect smooth %v", owned)
 		line("store orig %v %v", x.origPhi.B.WithHalo(), x.origPsa.B.WithHalo())
 		line("store lvl %v", x.lvl.Level(tp.Block.K0).DU.B.WithHalo())
 		if tp.World.Rank() == 0 {
 			for r := 0; r < tp.World.Size(); r++ {
-				line("band %d %v", r, x.latterReads(tp.BlockOf(r)))
+				line("band %d %v", r, cv.latterReads(tp.BlockOf(r)))
 			}
 		}
+		stores(c)
 	case *Baseline:
-		c = x.core
+		c := x.core
 		for _, ex := range []*topo.Exchanger{x.exStencil, x.exSmooth} {
 			line("ex %s %+v", ex.Stats().Label, ex.ExchangeDepths())
 		}
-		inner("baseline-stencil", x.exStencil.ExchangeDepths())
-		inner("baseline-smooth", x.exSmooth.ExchangeDepths())
+		line("inner baseline-stencil %v", x.cv.stencil.inner)
+		line("inner baseline-smooth %v", x.cv.smooth.inner)
 		line("rect every %v", owned)
 		line("store tnd %v", x.tnd.B.WithHalo())
+		stores(c)
 	}
-	line("store xi %v", c.xi.B.WithHalo())
-	line("store cache %v %v", c.cache.PWI.B.WithHalo(), c.cache.DBar.B.WithHalo())
-	line("store work %v", c.eta1.B.WithHalo())
-	line("store planes %v", advScratchStored(c.advSc))
 	return b.String()
 }
 

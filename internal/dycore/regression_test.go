@@ -68,7 +68,7 @@ func TestSingleUpdateBitwise(t *testing.T) {
 		w := comm.NewWorld(py, comm.Zero())
 		finals := make([]*state.State, py)
 		w.Run(func(c *comm.Comm) {
-			hx, hy, hz := BaselineHalo()
+			hx, hy, hz := Setup{Alg: AlgBaselineYZ}.HaloWidths()
 			tp := topo.New(c, g, 1, py, 1, hx, hy, hz)
 			b := NewBaseline(cfg, g, tp)
 			st := state.New(tp.Block)

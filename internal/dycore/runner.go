@@ -70,20 +70,15 @@ func (a *Algorithm) UnmarshalText(text []byte) (err error) {
 	return err
 }
 
+// algLabels are the algorithms' long names, for reports.
+var algLabels = [...]string{AlgBaselineXY: "original-XY", AlgBaselineYZ: "original-YZ", AlgCommAvoid: "comm-avoiding", AlgBaseline3D: "original-3D"}
+
 // String implements fmt.Stringer.
 func (a Algorithm) String() string {
-	switch a {
-	case AlgBaselineXY:
-		return "original-XY"
-	case AlgBaselineYZ:
-		return "original-YZ"
-	case AlgCommAvoid:
-		return "comm-avoiding"
-	case AlgBaseline3D:
-		return "original-3D"
-	default:
+	if a < 0 || int(a) >= len(algLabels) {
 		return fmt.Sprintf("Algorithm(%d)", int(a))
 	}
+	return algLabels[a]
 }
 
 // Setup describes one parallel run configuration: the algorithm, the
@@ -163,14 +158,13 @@ func (s Setup) Check(g *grid.Grid, minPerRank int) error {
 	}
 }
 
-// HaloWidths returns the halo allocation the setup requires. For the
-// comm-avoiding algorithm the depth follows the staged-exchange depth (=
-// Cfg.M unless 0 < StageM < M selects shallower, more frequent exchanges).
+// HaloWidths returns the halo allocation the setup requires: the deepest
+// exchange of its cover per direction, the same on every rank (planCover).
+// For the comm-avoiding algorithm it follows the staged-exchange depth
+// (= Cfg.M unless 0 < StageM < M selects shallower, more frequent exchanges).
 func (s Setup) HaloWidths() (hx, hy, hz int) {
-	if s.Alg == AlgCommAvoid {
-		return CommAvoidHalo(s.Cfg.StageDepth())
-	}
-	return BaselineHalo()
+	cv := planCover(s, field.Block{}, nil)
+	return cv.hx, cv.hy, cv.hz
 }
 
 // Build constructs the topology and integrator for the calling rank.
@@ -359,11 +353,11 @@ func runOnWorld(s Setup, g *grid.Grid, model comm.NetModel, init InitFunc, steps
 }
 
 // resultBlock is the block of a RunResult.Finals entry: b's owned cells plus
-// the halo one application of any kernel reads (BaselineHalo), whatever
-// halo the integrator runs on, so that a caller can evaluate an operator on
-// a result without keeping the integrator's deep storage alive.
+// the halo one application of any kernel reads (the baselines' halo),
+// whatever halo the integrator runs on, so that a caller can evaluate an
+// operator on a result without keeping the integrator's deep storage alive.
 func resultBlock(b field.Block) field.Block {
-	b.Hx, b.Hy, b.Hz = BaselineHalo()
+	b.Hx, b.Hy, b.Hz = Setup{Alg: AlgBaselineYZ}.HaloWidths()
 	return b
 }
 

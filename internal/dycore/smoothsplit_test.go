@@ -63,7 +63,7 @@ func TestSmoothingSplitMatchesFull(t *testing.T) {
 		w := comm.NewWorld(1, comm.Zero())
 		var out *field.F3
 		w.Run(func(c *comm.Comm) {
-			hx, hy, hz := CommAvoidHalo(cfg.M)
+			hx, hy, hz := Setup{Alg: AlgCommAvoid, Cfg: cfg}.HaloWidths()
 			tp := topo.New(c, g, 1, 1, 1, hx, hy, hz)
 			st := state.New(tp.Block)
 			fill(st)
@@ -79,8 +79,9 @@ func TestSmoothingSplitMatchesFull(t *testing.T) {
 	for _, py := range []int{2, 3, 5} {
 		w := comm.NewWorld(py, comm.Zero())
 		got := make([]*field.F3, py)
+		s2Rows := make([]field.Rect, py)
 		w.Run(func(c *comm.Comm) {
-			hx, hy, hz := CommAvoidHalo(cfg.M)
+			hx, hy, hz := Setup{Alg: AlgCommAvoid, Cfg: cfg}.HaloWidths()
 			tp := topo.New(c, g, 1, py, 1, hx, hy, hz)
 			ca := NewCommAvoid(cfg, g, tp)
 			st := state.New(tp.Block)
@@ -91,7 +92,7 @@ func TestSmoothingSplitMatchesFull(t *testing.T) {
 			ca.xi.FillLocalBounds(ca.xi.B.WithHalo())
 			ca.origPhi.CopyRect(ca.origPhi.B.WithHalo(), ca.xi.Phi)
 			ca.origPsa.CopyRect(ca.origPsa.B.WithHalo(), &ca.xi.Psa.F3)
-			ca.smo.P2Former(ca.xi.Phi, ca.eta1.Phi, owned, ca.availY)
+			ca.smo.P2Former(ca.xi.Phi, ca.eta1.Phi, owned, ca.cv.avail)
 			ca.xi.Phi.CopyRect(owned, ca.eta1.Phi)
 			ca.xi.FillLocalBounds(ca.xi.B.WithHalo())
 
@@ -106,25 +107,16 @@ func TestSmoothingSplitMatchesFull(t *testing.T) {
 			field.FillPolesY(ca.origPhi, field.Even, field.CenterY)
 			field.FillPolesY2(ca.origPsa, field.Even)
 
-			s2r := expandAsym(ca.tp.Block, ca.depthY, ca.depthY, ca.depthZ, ca.depthZ)
-			ca.smo.P2Latter(ca.origPhi, ca.xi.Phi, s2r, ca.availY)
+			ca.smo.P2Latter(ca.origPhi, ca.xi.Phi, ca.cv.s2, ca.cv.avail)
 
 			got[c.Rank()] = ca.xi.Phi
+			s2Rows[c.Rank()] = ca.cv.s2
 		})
-		// Compare on the smoothed-valid region of each rank: owned plus
-		// depthY/depthZ halo.
+		// Compare on the smoothed-valid region of each rank: S̃2's rows.
 		for r, phi := range got {
-			b := phi.B
-			lo := b.J0 - (CommAvoidHaloY(cfg.M) - 2)
-			hi := b.J1 + (CommAvoidHaloY(cfg.M) - 2)
-			if lo < 0 {
-				lo = 0
-			}
-			if hi > g.Ny {
-				hi = g.Ny
-			}
+			b, s2 := phi.B, s2Rows[r]
 			for k := b.K0; k < b.K1; k++ {
-				for j := lo; j < hi; j++ {
+				for j := s2.J0; j < s2.J1; j++ {
 					for i := 0; i < g.Nx; i++ {
 						gotV := phi.At(i, j, k)
 						wantV := wantPhi.At(i, j, k)
@@ -141,12 +133,6 @@ func TestSmoothingSplitMatchesFull(t *testing.T) {
 			}
 		}
 	}
-}
-
-// CommAvoidHaloY exposes the y halo width for the test above.
-func CommAvoidHaloY(m int) int {
-	_, hy, _ := CommAvoidHalo(m)
-	return hy
 }
 
 // TestBandShipsWhatLatterReads pins the read set of the fused smoothing's
@@ -169,7 +155,7 @@ func TestBandShipsWhatLatterReads(t *testing.T) {
 				tp, ig := s.Build(c, g)
 				ca := ig.(*CommAvoid)
 				owned := tp.Block.Owned()
-				s2r := ca.s2Rect(tp.Block)
+				s2r := ca.cv.s2
 				cases := []struct {
 					f        *field.F3
 					r, owned field.Rect
@@ -199,7 +185,7 @@ func TestBandShipsWhatLatterReads(t *testing.T) {
 					latter := func() bool {
 						ca.fillEven(f)
 						cur := field.NewF3(f.B)
-						ca.smo.P2Latter(f, cur, tc.r, ca.availYFn)
+						ca.smo.P2Latter(f, cur, tc.r, ca.cv.avail)
 						return !slices.ContainsFunc(cur.Data, math.IsNaN)
 					}
 					if !latter() {

@@ -59,13 +59,20 @@ func (b Block) Owned() Rect {
 // is the one storage rule: field layouts, the boundary fills and the halo
 // exchange's addressability check all read it.
 func (b Block) WithHalo() Rect {
-	return Rect{
+	return b.Cut(Rect{
 		I0: b.I0 - b.Hx, I1: b.I1 + b.Hx,
-		J0: max(b.J0-b.Hy, -boundaryReach.Y),
-		J1: min(b.J1+b.Hy, b.Ny+boundaryReach.Y),
-		K0: max(b.K0-b.Hz, -boundaryReach.Z),
-		K1: min(b.K1+b.Hz, b.Nz+boundaryReach.Z),
-	}
+		J0: b.J0 - b.Hy, J1: b.J1 + b.Hy,
+		K0: b.K0 - b.Hz, K1: b.K1 + b.Hz,
+	})
+}
+
+// Cut returns what storage on b's mesh can hold of r: r cut boundaryReach
+// cells past the poles and past the model top/bottom. x is periodic and
+// stays as it is.
+func (b Block) Cut(r Rect) Rect {
+	r.J0, r.J1 = max(r.J0, -boundaryReach.Y), min(r.J1, b.Ny+boundaryReach.Y)
+	r.K0, r.K1 = max(r.K0, -boundaryReach.Z), min(r.K1, b.Nz+boundaryReach.Z)
+	return r
 }
 
 // Flat2D returns b's horizontal footprint as a block of a one-level mesh:

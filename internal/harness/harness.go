@@ -131,10 +131,10 @@ func YZFactors(p, ny, nz int) (py, pz int, ok bool) {
 }
 
 // YZFactorsM is YZFactors for a given number of nonlinear iterations M
-// (which sets the deep-halo depths, dycore.CommAvoidHalo).
+// (which sets the deep-halo depths, dycore.Setup.HaloWidths).
 func YZFactorsM(p, ny, nz, m int) (py, pz int, ok bool) {
 	maxPy, maxPz := ny/dycore.MinPerRank, nz/dycore.MinPerRank
-	_, hy, hz := dycore.CommAvoidHalo(m)
+	_, hy, hz := dycore.Setup{Alg: dycore.AlgCommAvoid, Cfg: dycore.Config{M: m}}.HaloWidths()
 	haloY, haloZ := float64(hy), float64(hz)
 	best := math.Inf(-1)
 	for a := 1; a <= p; a++ {

@@ -12,7 +12,8 @@ import (
 // positions in two interface slots. Level k reads interfaces k and k+1, and
 // interface k lives in slot k&1, so each level after a rect's first stages
 // only its k+1 interface. Allocate once per integrator; passing nil to
-// Advection allocates fresh planes (convenient in tests, wasteful in loops).
+// AdvectionScratch allocates fresh planes (convenient in tests, wasteful in
+// loops).
 type AdvScratch struct {
 	uPhys *field.F2    // u at U points, level k
 	vPhys *field.F2    // v at V points, level k
@@ -32,7 +33,7 @@ func NewAdvScratch(b field.Block) *AdvScratch {
 	return sc
 }
 
-// Advection evaluates the advection tendency L̃ (paper eq. 3):
+// AdvectionScratch evaluates the advection tendency L̃ (paper eq. 3):
 //
 //	dF = −L1(F) − L2(F) − L3(F),   F ∈ {U, V, Φ},   dp'_sa = 0,
 //
@@ -58,14 +59,8 @@ func NewAdvScratch(b field.Block) *AdvScratch {
 // out of the i loop. refAdvection in ref_test.go is the dividing textbook
 // formulation; the two agree to roundoff.
 //
-// Advection (nil scratch) allocates its scratch planes per call and exists
-// for tests and one-shot evaluations only; every integrator path must go
-// through AdvectionScratch with persistent scratch.
-func Advection(g *grid.Grid, st *state.State, sur *Surface, cres *CRes, out *Tendency, r field.Rect) int {
-	return AdvectionScratch(g, st, sur, cres, out, r, nil)
-}
-
-// AdvectionScratch is Advection with caller-provided scratch.
+// A nil sc allocates the scratch planes per call, for tests and one-shot
+// evaluations only; every integrator path passes persistent scratch.
 func AdvectionScratch(g *grid.Grid, st *state.State, sur *Surface, cres *CRes, out *Tendency, r field.Rect, sc *AdvScratch) int {
 	w := Advection3D(g, st, sur, cres, out, r, sc)
 	AdvectionPsa(out, r)

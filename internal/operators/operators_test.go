@@ -335,7 +335,7 @@ func TestAdvectionOfUniformFieldIsConservative(t *testing.T) {
 	sur.Update(st.Psa)
 	_, cres, _ := prepare(g, smoothState(g, b))
 	out := NewTendency(b)
-	Advection(g, st, sur, cres, out, b.Owned())
+	AdvectionScratch(g, st, sur, cres, out, b.Owned(), nil)
 	uniform := maxAbsOwned(out.DPhi)
 
 	st2 := smoothState(g, b)
@@ -350,7 +350,7 @@ func TestAdvectionOfUniformFieldIsConservative(t *testing.T) {
 	out2 := NewTendency(b)
 	sur2 := NewSurface(b)
 	sur2.Update(st2.Psa)
-	Advection(g, st2, sur2, cres, out2, b.Owned())
+	AdvectionScratch(g, st2, sur2, cres, out2, b.Owned(), nil)
 	varying := maxAbsOwned(out2.DPhi)
 	if varying < 3*uniform {
 		t.Errorf("advection does not distinguish uniform (%v) from varying (%v) fields", uniform, varying)
@@ -372,7 +372,7 @@ func TestVTendencyZeroAtPoles(t *testing.T) {
 		}
 	}
 	out2 := NewTendency(b)
-	Advection(g, st, sur, cres, out2, b.Owned())
+	AdvectionScratch(g, st, sur, cres, out2, b.Owned(), nil)
 	for k := 0; k < g.Nz; k++ {
 		for i := 0; i < g.Nx; i++ {
 			if out2.DV.At(i, 0, k) != 0 {
@@ -389,7 +389,7 @@ func TestTendencyFiniteOnRealisticState(t *testing.T) {
 	sur, cres, _ := prepare(g, st)
 	out := NewTendency(b)
 	Adaptation(g, DefaultAdaptConfig(), st, sur, cres, out, b.Owned())
-	Advection(g, st, sur, cres, out, b.Owned())
+	AdvectionScratch(g, st, sur, cres, out, b.Owned(), nil)
 	for _, f := range out.Fields() {
 		if !field.AllFiniteOwned(f) {
 			t.Fatal("non-finite tendency")

@@ -186,7 +186,7 @@ func TestAdvectionFootprintWithinTable2(t *testing.T) {
 		sur.Update(st.Psa)
 		ref := smoothState(g, b)
 		_, cres, _ := prepare(g, ref) // σ̇ fixed: L̃ uses the last Ĉ result
-		Advection(g, st, sur, cres, out, b.Owned())
+		AdvectionScratch(g, st, sur, cres, out, b.Owned(), nil)
 	}
 	for _, comp := range []string{"U", "V", "Phi", "Psa"} {
 		for _, pt := range [][3]int{{8, 5, 3}, {1, 4, 2}, {14, 5, 3}} {

@@ -312,7 +312,7 @@ func TestAdvectionMatchesReference(t *testing.T) {
 	for _, r := range refRects(b) {
 		fast := NewTendency(b)
 		ref := NewTendency(b)
-		Advection(g, st, sur, cres, fast, r)
+		AdvectionScratch(g, st, sur, cres, fast, r, nil)
 		refAdvection(g, st, sur, cres, ref, r)
 		matchesRef(t, "DU on "+r.String(), fast.DU, ref.DU)
 		matchesRef(t, "DV on "+r.String(), fast.DV, ref.DV)
@@ -456,7 +456,7 @@ func TestAdvectionScratchReuseBitwise(t *testing.T) {
 	st := refState(g, b)
 	sur, cres, _ := prepare(g, st)
 	whole := NewTendency(b)
-	Advection(g, st, sur, cres, whole, b.Owned())
+	AdvectionScratch(g, st, sur, cres, whole, b.Owned(), nil)
 
 	sc := NewAdvScratch(b)
 	poison := func() {

@@ -76,9 +76,6 @@ func NewSmoother(g *grid.Grid, beta float64) *Smoother {
 	return s
 }
 
-// Beta returns the smoothing coefficient.
-func (s *Smoother) Beta() float64 { return s.beta }
-
 // P1Field applies P1 (x-only smoothing) of in into out over rect r. Inputs
 // must be valid on r expanded by 2 in x.
 func (s *Smoother) P1Field(in, out *field.F3, r field.Rect) int {

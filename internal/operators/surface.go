@@ -64,6 +64,11 @@ func NewSurface(b field.Block) *Surface {
 // 1/P at the west faces of row J0 − 1 and at the north interfaces of row J1.
 const surfaceReach = 1
 
+// PsaReach is how many rows past a kernel's rect, on either side, UpdateFor
+// reads p'_sa: surfaceReach, plus the row whose p_es and P the first swept
+// row's north-interface reciprocals average with.
+const PsaReach = surfaceReach + 1
+
 // Update recomputes p_es, P and their reciprocal planes from p'_sa over the
 // entire storage region (owned + halos) and returns the number of points
 // updated.

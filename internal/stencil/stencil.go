@@ -77,6 +77,30 @@ func RadiusOf(terms []Term) Radius {
 	return r
 }
 
+// Reach is a table's footprint per side: Lo holds, per direction, how far
+// below the updated point its terms read (the largest −offset), Hi how far
+// above it (the largest +offset). The adaptation reads k and k+1 only, so its
+// Lo.Z is 0 while its radius in z is 1.
+type Reach struct {
+	Lo, Hi Radius
+}
+
+// ReachOf computes the per-side reach of a table.
+func ReachOf(terms []Term) Reach {
+	var r Reach
+	side := func(lo, hi *int, offs []int) {
+		for _, o := range offs {
+			*lo, *hi = max(*lo, -o), max(*hi, o)
+		}
+	}
+	for _, t := range terms {
+		side(&r.Lo.X, &r.Hi.X, t.X)
+		side(&r.Lo.Y, &r.Hi.Y, t.Y)
+		side(&r.Lo.Z, &r.Hi.Z, t.Z)
+	}
+	return r
+}
+
 // Union returns the pointwise maximum of radii.
 func Union(rs ...Radius) Radius {
 	var u Radius

@@ -15,6 +15,20 @@ func TestTableRadii(t *testing.T) {
 	}
 }
 
+func TestTableReach(t *testing.T) {
+	// The adaptation reads k and k+1 only, which licenses the deep halo's
+	// one-sided z extent; every reach's per-side maximum is the radius.
+	if r := ReachOf(Adaptation); r != (Reach{Lo: Radius{X: 3, Y: 1, Z: 0}, Hi: Radius{X: 3, Y: 1, Z: 1}}) {
+		t.Errorf("adaptation reach = %+v, want lo {3 1 0} hi {3 1 1}", r)
+	}
+	for _, tbl := range [][]Term{Adaptation, Advection, Smoothing} {
+		r := ReachOf(tbl)
+		if got := (Radius{X: max(r.Lo.X, r.Hi.X), Y: max(r.Lo.Y, r.Hi.Y), Z: max(r.Lo.Z, r.Hi.Z)}); got != RadiusOf(tbl) {
+			t.Errorf("reach %+v has per-side maximum %+v, radius %+v", r, got, RadiusOf(tbl))
+		}
+	}
+}
+
 func TestTableShapes(t *testing.T) {
 	if len(Adaptation) != 11 {
 		t.Errorf("Table 1 has %d terms, want 11", len(Adaptation))

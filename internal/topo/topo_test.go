@@ -438,7 +438,7 @@ func TestExchangeRandomizedProperty(t *testing.T) {
 func TestExchangerGeometryValidatedAgainstStorage(t *testing.T) {
 	g := grid.New(96, 48, 12)
 	const py, pz = 4, 2
-	const hx, hy, hz = 3, 11, 9 // dycore.CommAvoidHalo(3)
+	const hx, hy, hz = 3, 11, 9 // comm-avoiding halo widths at M = 3 (dycore.Setup.HaloWidths)
 	refused := func(build func()) (msg string) {
 		defer func() {
 			if p := recover(); p != nil {
