@@ -21,12 +21,14 @@ func DefaultAdaptConfig() AdaptConfig { return AdaptConfig{KappaStar: 1} }
 // the Ĉ-derived contributions (taken from cres, which may be a lagged
 // evaluation under the approximate nonlinear iteration):
 //
-//	dU   = −P_λ⁽¹⁾ − P_λ⁽²⁾ + f*·V                  (at U points)
-//	dV   = −P_θ⁽¹⁾ − P_θ⁽²⁾ − f*·U                  (at V points)
+//	dU   = −P_λ⁽¹⁾ − P_λ⁽²⁾ − f*·V                  (at U points)
+//	dV   = −P_θ⁽¹⁾ − P_θ⁽²⁾ + f*·U                  (at V points)
 //	dΦ   = b·(Ω⁽¹⁾ + Ω_θ⁽²⁾ + Ω_λ⁽²⁾)               (at centers)
 //	dp'_sa = κ*·k_sa·∇²p'_sa − p0·D̄                  (2-D)
 //
-// over rect r (dV additionally skips pole interfaces, where V ≡ 0). Inputs:
+// over rect r (dV additionally skips pole interfaces, where V ≡ 0). θ is
+// colatitude and V points south, so the Coriolis pair is (−f*·V, +f*·U): a
+// westerly is turned toward the equator (TestRotationSense). Inputs:
 // st valid on r expanded by the Table-1 radii, sur recomputed from st.Psa,
 // cres from CSumWith. The z reads are one-sided (k and k+1 only), which is what
 // licenses the asymmetric deep halo. Returns points updated.
@@ -124,7 +126,7 @@ func AdaptationLevel(g *grid.Grid, st *state.State, sur *Surface, cres *CRes, ou
 			fstar := f0 + uPhys*cotA
 			v4 := 0.25 * (v0[w] + vS[w] + v0[c] + vS[c])
 
-			dU[c] = -pl1 - pl2 + fstar*v4
+			dU[c] = -pl1 - pl2 - fstar*v4
 
 			// ---- dΦ at center ----
 			omega1 := (0.5*(pw0[c]+pw1[c])*invSig - dbar[c]) * rP[c]
@@ -149,7 +151,7 @@ func AdaptationLevel(g *grid.Grid, st *state.State, sur *Surface, cres *CRes, ou
 			u4 := 0.25 * (uN[c] + uN[e] + u0[c] + u0[e])
 			fstarI := f0I + u4*rPV[c]*cotAI
 
-			dV[c] = -pt1 - pt2 - fstarI*u4
+			dV[c] = -pt1 - pt2 + fstarI*u4
 		}
 		if pole {
 			clear(dV[1 : n-1])

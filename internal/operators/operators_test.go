@@ -550,3 +550,72 @@ func TestSmoothingConservesMass(t *testing.T) {
 			dm, math.Abs(dm)/moved, moved)
 	}
 }
+
+// TestRotationSense guards the sign of the Coriolis pair for the model's
+// southward-positive V: dU = … − f*·V and dV = … + f*·U. A northern-hemisphere
+// westerly jet in gradient-wind balance, ∂Φ/∂θ = (a/b)·f*·U with θ the
+// colatitude, has Φ rising toward the equator, and the adaptation's V
+// tendency vanishes on it up to truncation. Φ is integrated here from the
+// analytic balance by quadrature, independently of testcases.BalancedZonalJet
+// and of the kernel's discrete form; with the pair's signs flipped, DV
+// reads twice the Coriolis force instead of nothing.
+func TestRotationSense(t *testing.T) {
+	g := grid.New(32, 48, 4)
+	b := field.Block{Nx: g.Nx, Ny: g.Ny, Nz: g.Nz, I1: g.Nx, J1: g.Ny, K1: g.Nz, Hx: 3, Hy: 2, Hz: 1}
+	p := physics.PFromPs(physics.StandardSurfacePressure) // p'_sa = 0
+	// A westerly in the northern hemisphere only.
+	wind := func(th float64) float64 {
+		if th >= math.Pi/2 {
+			return 0
+		}
+		return 20 * math.Pow(math.Sin(2*th), 2)
+	}
+	fu := func(th float64) float64 { // f*·U, which vanishes with the wind
+		if u := wind(th); u != 0 {
+			return physics.CoriolisFStar(th, u) * p * u
+		}
+		return 0
+	}
+	phi := make([]float64, g.Ny)
+	for j, th := range g.ThetaC { // composite Simpson from the north pole
+		const n = 2000
+		h, sum := th/n, fu(0)+fu(th)
+		for i := 1; i < n; i++ {
+			sum += float64(2+2*(i%2)) * fu(float64(i)*h)
+		}
+		phi[j] = physics.EarthRadius / physics.B * sum * h / 3
+	}
+	st := state.New(b)
+	w := b.WithHalo()
+	for k := w.K0; k < w.K1; k++ {
+		for j := 0; j < g.Ny; j++ {
+			for i := w.I0; i < w.I1; i++ {
+				st.U.Set(i, j, k, p*wind(g.ThetaC[j]))
+				st.Phi.Set(i, j, k, phi[j])
+			}
+		}
+	}
+	st.FillLocalBounds(w)
+	for j := 1; j < g.Ny/2; j++ {
+		if phi[j] <= phi[j-1] {
+			t.Fatalf("Φ falls equatorward between rows %d and %d under a northern westerly", j-1, j)
+		}
+	}
+	sur := NewSurface(b)
+	sur.Update(st.Psa)
+	out := NewTendency(b)
+	Adaptation(g, DefaultAdaptConfig(), st, sur, NewCRes(b), out, b.Owned())
+	scale, worst := 0.0, 0.0
+	for j := 2; j < g.Ny-1; j++ {
+		scale = max(scale, math.Abs(fu(0.5*(g.ThetaC[j-1]+g.ThetaC[j])))) // at interface j
+		for k := 0; k < g.Nz; k++ {
+			for i := 0; i < g.Nx; i++ {
+				worst = max(worst, math.Abs(out.DV.At(i, j, k)))
+			}
+		}
+	}
+	t.Logf("max |DV| = %.3g on interior rows, max |f*·U| = %.3g", worst, scale)
+	if worst > 0.05*scale {
+		t.Errorf("max |DV| = %.3g on a balanced westerly, want ≤ 5%% of max |f*·U| = %.3g", worst, scale)
+	}
+}

@@ -67,7 +67,7 @@ func refAdaptation(g *grid.Grid, cfg AdaptConfig, st *state.State, sur *Surface,
 				fstar := 2*physics.Omega*cC + uPhys*cC/(m.a*sC)
 				v4 := 0.25 * (st.V.At(i-1, j, k) + st.V.At(i-1, j+1, k) +
 					st.V.At(i, j, k) + st.V.At(i, j+1, k))
-				out.DU.Set(i, j, k, -pl1-pl2+fstar*v4)
+				out.DU.Set(i, j, k, -pl1-pl2-fstar*v4)
 
 				pC := sur.P.At(i, j)
 				pesC := sur.Pes.At(i, j)
@@ -96,7 +96,7 @@ func refAdaptation(g *grid.Grid, cfg AdaptConfig, st *state.State, sur *Surface,
 					pV := 0.5 * (sur.P.At(i, j-1) + sur.P.At(i, j))
 					uPhys := u4 / pV
 					fstar := 2*physics.Omega*cI + uPhys*cI/(m.a*sI)
-					out.DV.Set(i, j, k, -pt1-pt2-fstar*u4)
+					out.DV.Set(i, j, k, -pt1-pt2+fstar*u4)
 				}
 			} else {
 				for i := r.I0; i < r.I1; i++ {

@@ -141,18 +141,19 @@ func RandomNoise(seed int64, windAmp, tempAmp, psAmp float64) InitFunc {
 	}
 }
 
-// BalancedZonalJet builds a zonally symmetric jet u(θ) in *discrete*
-// gradient-wind balance: Φ is integrated in latitude so that the model's own
-// V-equation tendency vanishes identically (−P_θ⁽¹⁾ − f*·U = 0 on the C
-// grid, with uniform surface pressure making the remaining adaptation terms
-// zero). The state is therefore an exact fixed point of the adaptation AND
+// BalancedZonalJet builds a zonally symmetric jet u(θ) in gradient-wind
+// balance, ∂Φ/∂θ = (a/b)·f*·U with θ the colatitude and V southward: Φ rises
+// toward the equator under a northern-hemisphere westerly. Φ integrates the
+// balance in latitude on the C grid, so that the model's own V-equation
+// tendency vanishes identically (−P_θ⁽¹⁾ + f*·U = 0, with uniform surface
+// pressure making the remaining adaptation terms zero). The state is therefore an exact fixed point of the adaptation AND
 // advection processes; only the meridional smoothing of Φ perturbs it, at
 // O(β·δ⁴_θΦ) per step. uFn gives the physical wind at colatitude θ.
 func BalancedZonalJet(uFn func(theta float64) float64) InitFunc {
 	return func(g *grid.Grid, st *state.State) {
 		p := physics.PFromPs(physics.P0) // uniform surface pressure
 		// Column profile of Φ by integrating the discrete balance
-		// Φ[j] = Φ[j−1] − (aΔθ/b)·f*_j·U4_j from the north.
+		// Φ[j] = Φ[j−1] + (aΔθ/b)·f*_j·U4_j from the north.
 		phi := make([]float64, g.Ny)
 		phi[0] = 0
 		uC := make([]float64, g.Ny)
@@ -164,7 +165,7 @@ func BalancedZonalJet(uFn func(theta float64) float64) InitFunc {
 			sI := g.SinI[j]
 			cI := g.CosI[j]
 			fstar := 2*physics.Omega*cI + (u4/p)*cI/(physics.EarthRadius*sI)
-			phi[j] = phi[j-1] - physics.EarthRadius*g.DTheta/physics.B*fstar*u4
+			phi[j] = phi[j-1] + physics.EarthRadius*g.DTheta/physics.B*fstar*u4
 		}
 		b := st.B
 		for k := b.K0; k < b.K1; k++ {
