@@ -11,6 +11,7 @@ import (
 
 	"cadycore/internal/dycore"
 	"cadycore/internal/grid"
+	"cadycore/internal/testutil"
 )
 
 // goldenCase is one planning request of testdata/golden_plans.json: the
@@ -35,9 +36,11 @@ type goldenCase struct {
 // 192×96×24, P ∈ {4, 8}, M ∈ {2, 3}, default, no-staged and vary-m search,
 // the enumeration order, every analytic total and the Plan JSON at TopK 2, 4
 // and −1 (one pilot step) must match the recorded bytes. Under -race only
-// the analytic plans run (raceEnabled).
+// the analytic plans run (raceEnabled). -update (without -race) rewrites
+// the file with what the planner now returns for the recorded requests.
 func TestGoldenPlans(t *testing.T) {
-	b, err := os.ReadFile(filepath.Join("testdata", "golden_plans.json"))
+	path := filepath.Join("testdata", "golden_plans.json")
+	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +53,9 @@ func TestGoldenPlans(t *testing.T) {
 	}
 	search := map[string]SearchOptions{"default": {}, "no-staged": {NoStaged: true}, "vary-m": {VaryM: true}}
 	prof := DefaultProfile()
-	for _, gc := range cases {
+	update := testutil.Updating()
+	for i := range cases {
+		gc := &cases[i]
 		name := strings.Join([]string{strconv.Itoa(gc.Mesh[0]), strconv.Itoa(gc.Procs), strconv.Itoa(gc.M), gc.Search}, "/")
 		t.Run(name, func(t *testing.T) {
 			g := grid.New(gc.Mesh[0], gc.Mesh[1], gc.Mesh[2])
@@ -65,13 +70,17 @@ func TestGoldenPlans(t *testing.T) {
 				keys = append(keys, Key(c))
 				totals = append(totals, strconv.FormatFloat(Evaluate(g, prof, c).Total, 'g', -1, 64))
 			}
+			if update {
+				gc.Keys, gc.Totals = keys, totals
+			}
 			if strings.Join(keys, " ") != strings.Join(gc.Keys, " ") {
 				t.Errorf("candidates %v, want %v", keys, gc.Keys)
 			}
 			if strings.Join(totals, " ") != strings.Join(gc.Totals, " ") {
 				t.Errorf("totals %v, want %v", totals, gc.Totals)
 			}
-			for _, gp := range gc.Plans {
+			for j := range gc.Plans {
+				gp := &gc.Plans[j]
 				if gp.TopK > 0 && raceEnabled {
 					continue
 				}
@@ -81,11 +90,21 @@ func TestGoldenPlans(t *testing.T) {
 					t.Fatal(err)
 				}
 				got, _ := json.MarshalIndent(p, "", "  ")
+				if update {
+					gp.Plan = string(got)
+				}
 				if string(got) != gp.Plan {
 					t.Errorf("topk %d: plan\n%s\nwant\n%s", gp.TopK, got, gp.Plan)
 				}
 			}
 		})
+	}
+	if update {
+		out, err := json.MarshalIndent(cases, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		testutil.Golden(t, path, string(out)+"\n")
 	}
 }
 
