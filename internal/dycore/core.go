@@ -157,8 +157,8 @@ func (c *core) localFill(st *state.State) {
 }
 
 // fillReceived refreshes, after ex's Finish, the ghosts sourced in what the
-// exchange wrote into st: the slabs of the owned block grown by ex's depths
-// (clamped to the domain in y and z) minus the owned block. Ghosts sourced in
+// exchange wrote into st: the slabs of its halo (topo.Exchanger.Halo) minus
+// the owned block. Ghosts sourced in
 // owned cells are current already — the write that last changed those cells
 // refreshed them (Baseline.apply, stream, or a step's entry refresh after a
 // hook or resume) — and the other halo cells are not read before the next
@@ -171,10 +171,7 @@ func (c *core) fillReceived(ex *topo.Exchanger, st *state.State) {
 		c.localFill(st)
 		return
 	}
-	d := ex.ExchangeDepths()
-	grown := around(c.tp.Block, d)
-	grown.I0, grown.I1 = grown.I0-d.X, grown.I1+d.X
-	for _, s := range c.slabs(grown, c.tp.Block.Owned()) {
+	for _, s := range c.slabs(ex.Halo(), c.tp.Block.Owned()) {
 		st.FillLocalBounds(s)
 	}
 	c.fillC()

@@ -384,5 +384,9 @@ const (
 	tagF2Base = 1 << 21
 )
 
+// Halo returns the halo the exchange fills around the rank's owned block:
+// clamped to the domain in y and z, periodic in x.
+func (e *Exchanger) Halo() field.Rect { return haloRect(e.t.Block, e.d) }
+
 // ExchangeDepths returns the exchange depths.
 func (e *Exchanger) ExchangeDepths() Depths { return e.d }
