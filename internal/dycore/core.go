@@ -158,11 +158,10 @@ func (c *core) localFill(st *state.State) {
 
 // fillReceived refreshes, after ex's Finish, the ghosts sourced in what the
 // exchange wrote into st: the slabs of its halo (topo.Exchanger.Halo) minus
-// the owned block. Ghosts sourced in
-// owned cells are current already — the write that last changed those cells
-// refreshed them (Baseline.apply, stream, or a step's entry refresh after a
-// hook or resume) — and the other halo cells are not read before the next
-// exchange writes them. The cached Ĉ rides along in every exchange and keeps
+// the owned block. Ghosts sourced in owned cells are current already — the
+// write that last changed those cells refreshed them (Baseline.apply,
+// stream, or a step's entry refresh after a hook or resume) — and the other
+// halo cells are not read before the next exchange writes them. The cached Ĉ rides along in every exchange and keeps
 // its whole-storage fill. The quiesced path (Config.NoOverlap) refills the
 // whole storage: it is the reference TestOverlapBitwiseAcrossLayouts holds
 // the trimmed fills to.

@@ -84,7 +84,7 @@ func planCover(s Setup, b field.Block, rows func(j int) (lo, hi int)) cover {
 		xi = []term{{fp: tables}, {fp: psa}, {fp: smooth}, {reach: tables, halo: true}, {reach: smooth, halo: true}}
 		work, pl, tend = xi, []term{{fp: planes}}, []term{{}}
 	} else {
-		cv.avail = func(j int) (lo, hi int) {
+		cv.avail = func(j int) (lo, hi int) { // the owner's window, past a pole the mirror rows
 			if lo, hi = rows(j); lo == 0 {
 				lo = -smooth.YLo
 			}
