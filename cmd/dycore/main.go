@@ -167,7 +167,7 @@ func main() {
 		SnapshotEvery: *saveEvery, Traced: *timeline,
 	}
 	if *saveEvery > 0 {
-		spec.Snapshot = func(step int, snap *checkpoint.Global) {
+		spec.Snapshot = func(step int, snap *checkpoint.Global, _ comm.Aggregate, _ dycore.Counters) {
 			if err := checkpoint.WriteAtomic(*saveFile, snap); err != nil {
 				fmt.Fprintln(os.Stderr, "save-every:", err)
 				os.Exit(1)

@@ -255,7 +255,7 @@ func TestRunWithoutControllerRestartsBitwise(t *testing.T) {
 			Grid: g, Model: model, Init: heldsuarez.InitialState, Steps: steps, Setup: set,
 			Faults:      fault.New(fault.Plan{Seed: 1, Crashes: []fault.Crash{{Rank: 1, Step: 3}}}),
 			MaxRestarts: 1, SnapshotEvery: 2,
-			Snapshot: func(step int, gl *checkpoint.Global) { sunk = append(sunk, step) },
+			Snapshot: func(step int, _ *checkpoint.Global, _ comm.Aggregate, _ dycore.Counters) { sunk = append(sunk, step) },
 		})
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
@@ -272,21 +272,30 @@ func TestRunWithoutControllerRestartsBitwise(t *testing.T) {
 		}
 
 		// Stop at step k: a nil error, the outcome so far and a snapshot at
-		// exactly k; a second Run that starts there finishes bitwise, and
-		// Progress reports every absolute step once across the two.
+		// exactly k, which carries the counts up to k; a second Run that
+		// starts there finishes bitwise, and Progress reports every absolute
+		// step once across the two.
 		const k = 3
 		var seen []int
 		var snap *checkpoint.Global
+		var snapCount dycore.Counters
 		snapStep := -1
 		stopped := RunSpec{
 			Grid: g, Model: model, Init: heldsuarez.InitialState, Steps: steps, Setup: set,
 			Progress:   func(step int) { seen = append(seen, step) },
 			ShouldStop: func() bool { return len(seen) == k },
-			Snapshot:   func(step int, gl *checkpoint.Global) { snapStep, snap = step, gl },
+			Snapshot: func(step int, gl *checkpoint.Global, _ comm.Aggregate, count dycore.Counters) {
+				snapStep, snap, snapCount = step, gl, count
+			},
 		}
 		out, err = Run(stopped)
 		if err != nil || out.StepsDone != k || snapStep != k {
 			t.Fatalf("%v: stopped run: err %v, StepsDone %d, snapshot at %d; want nil, %d, %d", alg, err, out.StepsDone, snapStep, k, k)
+		}
+		// A comm-avoiding stop also finalizes its states (the pending
+		// smoothing), which the snapshot leaves to the resumed run.
+		if snapCount.Steps != k || alg == dycore.AlgBaselineYZ && snapCount != out.Count {
+			t.Errorf("%v: snapshot at step %d carries counts %+v, the stopped run %+v", alg, k, snapCount, out.Count)
 		}
 		resumed := stopped
 		resumed.Init, resumed.Start, resumed.ShouldStop = snap.InitFunc(), k, nil

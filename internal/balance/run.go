@@ -65,9 +65,10 @@ type RunSpec struct {
 	Faults      *fault.Injector
 	MaxRestarts int
 	// Snapshot receives every snapshot the run takes — each SnapshotEvery
-	// steps, at a migration quiesce and at a ShouldStop stop — with its step.
+	// steps, at a migration quiesce and at a ShouldStop stop — with its step
+	// and the run's statistics up to it (dycore.Tally).
 	SnapshotEvery int
-	Snapshot      func(step int, gl *checkpoint.Global)
+	Snapshot      func(step int, gl *checkpoint.Global, agg comm.Aggregate, count dycore.Counters)
 	Traced        bool // record per-rank events into Outcome.Trace
 	// Progress is called at every step boundary; ShouldStop is sampled there,
 	// after Progress, and once true ends the run at that boundary behind a
@@ -111,7 +112,7 @@ func Run(spec RunSpec) (out Outcome, err error) {
 		// the controller unless the run already stops; a snapshot at a stop
 		// and at every SnapshotEvery-th boundary of the segment.
 		if spec.Progress != nil || spec.ShouldStop != nil || ctl != nil || spec.SnapshotEvery > 0 {
-			opts.Boundary = func(done int, sts []*state.State, comp []float64) bool {
+			opts.Boundary = func(done int, sts []*state.State, comp []float64, tally dycore.Tally) bool {
 				if spec.Progress != nil {
 					spec.Progress(base + done)
 				}
@@ -122,7 +123,9 @@ func Run(spec RunSpec) (out Outcome, err error) {
 				if stop || (spec.SnapshotEvery > 0 && done%spec.SnapshotEvery == 0) {
 					lastSnap, lastStep = checkpoint.Gather(g, sts), base+done
 					if spec.Snapshot != nil {
-						spec.Snapshot(lastStep, lastSnap)
+						agg, count := tally()
+						count.Add(out.Count)
+						spec.Snapshot(lastStep, lastSnap, comm.MergeAggregate(out.Agg, agg), count)
 					}
 				}
 				return stop

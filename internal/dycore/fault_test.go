@@ -64,7 +64,7 @@ func TestCrashWithSnapshotsKeepsEarlierBoundary(t *testing.T) {
 	boundaries := map[int]bool{}
 	res, _ := dycore.RunWithOpts(set, g, comm.TianheLike(), heldsuarez.InitialState, 10, dycore.RunOpts{
 		Hook: hook,
-		Boundary: func(done int, _ []*state.State, _ []float64) bool {
+		Boundary: func(done int, _ []*state.State, _ []float64, _ dycore.Tally) bool {
 			boundaries[done] = true
 			return false
 		},

@@ -48,7 +48,7 @@ func segment(set dycore.Setup, g *grid.Grid, hook dycore.StepHook, init dycore.I
 	snaps := map[int]*checkpoint.Global{}
 	opts := dycore.RunOpts{Hook: hook, CrashAt: crashAt}
 	if stop || every > 0 {
-		opts.Boundary = func(done int, sts []*state.State, _ []float64) bool {
+		opts.Boundary = func(done int, sts []*state.State, _ []float64, _ dycore.Tally) bool {
 			if stop || done%every == 0 {
 				snaps[done] = checkpoint.Gather(g, sts)
 			}

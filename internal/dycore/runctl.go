@@ -23,8 +23,9 @@ type RunOpts struct {
 	// boundaries, so Boundary copies what it keeps. Returning true stops
 	// every rank at that boundary (Finalize still runs, so Finals are
 	// well-formed): each rank gets the same decision, so none runs ahead
-	// into a collective its peers abandoned.
-	Boundary func(done int, sts []*state.State, comp []float64) (stop bool)
+	// into a collective its peers abandoned. tally reads the segment's
+	// statistics up to this boundary.
+	Boundary func(done int, sts []*state.State, comp []float64, tally Tally) (stop bool)
 	// Traced enables per-rank event tracing; RunWithOpts then also returns
 	// the recorder for timeline rendering (internal/trace).
 	Traced bool
@@ -42,6 +43,13 @@ type RunOpts struct {
 	// real mid-step rank death.
 	CrashAt func(rank, done int) bool
 }
+
+// Tally returns a run's statistics up to the current step boundary: what
+// RunResult.Agg and Count would read had the run ended there, less the work
+// of finalizing the states (a comm-avoiding rank's pending smoothing), which
+// a run resumed from this boundary does. It is valid only inside
+// RunOpts.Boundary, while every rank is parked.
+type Tally func() (comm.Aggregate, Counters)
 
 // stepCtl is the step-boundary barrier. Ranks call arrive after each step;
 // the last rank to arrive becomes the leader, calls Boundary under the lock

@@ -1,6 +1,7 @@
 package dycore_test
 
 import (
+	"reflect"
 	"testing"
 
 	"cadycore/internal/checkpoint"
@@ -30,7 +31,7 @@ func TestRunWithOptsProgress(t *testing.T) {
 	prev := make([]float64, set.Procs())
 	res, _ := dycore.RunWithOpts(set, g, comm.TianheLike(), heldsuarez.InitialState, 3, dycore.RunOpts{
 		Hook: hook,
-		Boundary: func(done int, sts []*state.State, comp []float64) bool {
+		Boundary: func(done int, sts []*state.State, comp []float64, _ dycore.Tally) bool {
 			seen = append(seen, done)
 			if len(sts) != set.Procs() || len(comp) != set.Procs() {
 				t.Errorf("boundary %d: %d states, %d compute clocks; want %d of each", done, len(sts), len(comp), set.Procs())
@@ -56,15 +57,24 @@ func TestRunWithOptsProgress(t *testing.T) {
 // TestRunWithOptsCancel checks that a stop lands on every rank at the same
 // step boundary: the run ends early, all finals are present, and the partial
 // result is bitwise identical to an uninterrupted run of the same length
-// (baseline Y-Z restarts are exact).
+// (baseline Y-Z restarts are exact), and the tally read at the stop boundary
+// is the result's statistics.
 func TestRunWithOptsCancel(t *testing.T) {
 	set, g, hook := ctlSetup(dycore.AlgBaselineYZ)
+	var agg comm.Aggregate
+	var count dycore.Counters
 	res, _ := dycore.RunWithOpts(set, g, comm.TianheLike(), heldsuarez.InitialState, 50, dycore.RunOpts{
-		Hook:     hook,
-		Boundary: func(done int, _ []*state.State, _ []float64) bool { return done == 2 },
+		Hook: hook,
+		Boundary: func(done int, _ []*state.State, _ []float64, tally dycore.Tally) bool {
+			agg, count = tally()
+			return done == 2
+		},
 	})
 	if res.StepsDone != 2 {
 		t.Fatalf("StepsDone = %d, want 2 (stop requested at boundary 2)", res.StepsDone)
+	}
+	if !reflect.DeepEqual(agg, res.Agg) || count != res.Count {
+		t.Fatalf("tally at the stop boundary %+v %+v, result %+v %+v", agg, count, res.Agg, res.Count)
 	}
 	for r, st := range res.Finals {
 		if st == nil {
@@ -85,7 +95,7 @@ func TestRunWithOptsSnapshotResume(t *testing.T) {
 	snaps := map[int]*checkpoint.Global{}
 	full, _ := dycore.RunWithOpts(set, g, comm.TianheLike(), heldsuarez.InitialState, 4, dycore.RunOpts{
 		Hook: hook,
-		Boundary: func(done int, sts []*state.State, _ []float64) bool {
+		Boundary: func(done int, sts []*state.State, _ []float64, _ dycore.Tally) bool {
 			if done%2 == 0 {
 				snaps[done] = checkpoint.Gather(g, sts)
 			}
@@ -116,7 +126,7 @@ func TestRunWithOptsStopSnapshot(t *testing.T) {
 	var snap *checkpoint.Global
 	res, _ := dycore.RunWithOpts(set, g, comm.TianheLike(), heldsuarez.InitialState, 50, dycore.RunOpts{
 		Hook: hook,
-		Boundary: func(done int, sts []*state.State, _ []float64) bool {
+		Boundary: func(done int, sts []*state.State, _ []float64, _ dycore.Tally) bool {
 			if done != 3 {
 				return false
 			}

@@ -277,8 +277,12 @@ func runOnWorld(s Setup, g *grid.Grid, model comm.NetModel, init InitFunc, steps
 		rec = w.EnableTrace()
 	}
 	var ctl *stepCtl
+	var ig0 Integrator // rank 0's, whose counters a run reports
 	if opts.Boundary != nil {
-		ctl = newStepCtl(p, opts.Boundary)
+		tally := Tally(func() (comm.Aggregate, Counters) { return w.Stats(), ig0.Counters() })
+		ctl = newStepCtl(p, func(done int, sts []*state.State, comp []float64) bool {
+			return opts.Boundary(done, sts, comp, tally)
+		})
 	}
 	hook := opts.Hook
 	finals := make([]*state.State, p)
@@ -314,6 +318,9 @@ func runOnWorld(s Setup, g *grid.Grid, model comm.NetModel, init InitFunc, steps
 				}()
 			}
 			tp, ig := s.Build(c, g)
+			if c.Rank() == 0 {
+				ig0 = ig
+			}
 			// Deferred so that a rank killed mid-run still reports its work.
 			defer func() { counts[c.Rank()] = ig.Counters() }()
 			// The initial condition holds owned cells only: SetState reads

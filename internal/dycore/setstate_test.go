@@ -62,7 +62,7 @@ func TestSetStateReadsOwnedCells(t *testing.T) {
 			// (an owned-size Carry) and from a deep Carry with NaN ghosts.
 			var snap *checkpoint.Global
 			RunWithOpts(s, g, comm.Zero(), testInit, steps, RunOpts{
-				Boundary: func(_ int, sts []*state.State, _ []float64) bool {
+				Boundary: func(_ int, sts []*state.State, _ []float64, _ Tally) bool {
 					snap = checkpoint.Gather(g, sts)
 					return true
 				},
@@ -87,7 +87,7 @@ func TestSetStateReadsOwnedCells(t *testing.T) {
 			live := make([]state.Carry, s.Procs())
 			var atEnd *checkpoint.Global
 			res, _ = RunWithOpts(s, g, comm.Zero(), testInit, steps, RunOpts{
-				Boundary: func(done int, sts []*state.State, _ []float64) bool {
+				Boundary: func(done int, sts []*state.State, _ []float64, _ Tally) bool {
 					if done != steps {
 						return false
 					}

@@ -427,6 +427,7 @@ func (s *Server) worker() {
 		started := wallNow()
 		j.rec.State, j.rec.StartedAt = JRunning, &started
 		j.rec.Attempts++
+		s.persistMetaLocked(j) // a daemon killed mid-segment still counts the attempt
 		j.mu.Unlock()
 		s.met.busy.Add(1)
 		s.runJob(j)
@@ -438,8 +439,9 @@ func (s *Server) worker() {
 // runJob executes one attempt of a job: it describes the run to balance.Run
 // (the one supervised-run driver, shared with cmd/dycore) and translates the
 // outcome into a job state. The service hangs on the driver's callbacks:
-// Snapshot saves each checkpoint to the job's home, Commit persists a
-// migrated plan, Observe feeds /metrics, ShouldStop is the attempt's context.
+// Snapshot saves each checkpoint to the job's home behind the fold of the
+// job's statistics up to it, Commit persists a migrated plan, Observe feeds
+// /metrics, ShouldStop is the attempt's context.
 func (s *Server) runJob(j *Job) {
 	var ctx context.Context
 	var cancel context.CancelFunc
@@ -451,7 +453,14 @@ func (s *Server) runJob(j *Job) {
 	defer cancel()
 	j.mu.Lock()
 	j.cancel = cancel
+	prior := record{Comm: j.rec.Comm, Counters: j.rec.Counters} // the earlier segments'
 	j.mu.Unlock()
+	// foldAt adds this segment's statistics up to step to the earlier ones'.
+	foldAt := func(step int, agg comm.Aggregate, count dycore.Counters) *fold {
+		r := prior
+		r.addRun(agg, count)
+		return &fold{Step: step, Comm: r.Comm, Counters: r.Counters}
+	}
 
 	defer func() {
 		if r := recover(); r != nil {
@@ -481,9 +490,16 @@ func (s *Server) runJob(j *Job) {
 		},
 		ShouldStop:    func() bool { return ctx.Err() != nil },
 		SnapshotEvery: j.Spec.CheckpointEvery,
-		Snapshot: func(step int, gl *checkpoint.Global) {
+		Snapshot: func(step int, gl *checkpoint.Global, agg comm.Aggregate, count dycore.Counters) {
 			s.met.snapshots.Add(1)
-			s.saveSnap(j, step, gl)
+			if step == j.Spec.Steps {
+				return // the run completes, and its final state is saved below
+			}
+			f := foldAt(step, agg, count)
+			j.mu.Lock()
+			s.commitMetaLocked(j, f)
+			j.mu.Unlock()
+			s.saveSnap(j, step, gl, f)
 		},
 		Observe: s.met.observeRun,
 		Commit: func(plan tune.Plan, mig balance.Migration) {
@@ -555,11 +571,12 @@ func (s *Server) runJob(j *Job) {
 		// The final state is the job's last checkpoint, durable before the
 		// job reads as completed. The memory home keeps none: nothing can
 		// resume a completed job.
-		s.saveSnap(j, out.StepsDone, checkpoint.Gather(g, out.Finals))
+		s.saveSnap(j, out.StepsDone, checkpoint.Gather(g, out.Finals), nil)
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.rec.addRun(out.Agg, out.Count)
+	f := foldAt(out.StepsDone, out.Agg, out.Count)
+	j.rec.Comm, j.rec.Counters = f.Comm, f.Counters
 	var crash *dycore.RankFailure
 	switch {
 	case errors.As(err, &crash):
@@ -727,6 +744,23 @@ type specFile struct {
 	SubmittedAt *time.Time `json:"submitted_at,omitempty"`
 }
 
+// metaFile is meta.json: the record and, while a checkpoint is being written,
+// its fold. The fold is committed before the checkpoint, and recovery takes it
+// once that checkpoint reads back, so the statistics a recovered job reports
+// cover exactly the steps its checkpoint holds, wherever a crash fell.
+type metaFile struct {
+	record
+	Next *fold `json:"next_fold,omitempty"`
+}
+
+// fold is a job's statistics over all segments up to a checkpoint's Step: what
+// its record's Comm and Counters read once that checkpoint is durable.
+type fold struct {
+	Step     int              `json:"step"`
+	Comm     *comm.Aggregate  `json:"comm,omitempty"`
+	Counters *dycore.Counters `json:"counters,omitempty"`
+}
+
 func (s *Server) jobDir(j *Job) string { return filepath.Join(s.cfg.Dir, j.ID) }
 
 // notePersist records the outcome of a durable write on the job (which must
@@ -763,11 +797,17 @@ func (s *Server) persistMeta(j *Job) {
 }
 
 //cadyvet:locked j.mu
-func (s *Server) persistMetaLocked(j *Job) {
+func (s *Server) persistMetaLocked(j *Job) { s.commitMetaLocked(j, nil) }
+
+// commitMetaLocked commits meta.json: the record and, ahead of a checkpoint,
+// that checkpoint's fold.
+//
+//cadyvet:locked j.mu
+func (s *Server) commitMetaLocked(j *Job, next *fold) {
 	if s.cfg.Dir == "" {
 		return
 	}
-	b, _ := json.MarshalIndent(j.rec, "", "  ")
+	b, _ := json.MarshalIndent(metaFile{j.rec, next}, "", "  ")
 	if err := checkpoint.WriteFileAtomic(filepath.Join(s.jobDir(j), "meta.json"), b); err != nil {
 		s.notePersist(j, err)
 	}
@@ -805,10 +845,11 @@ type lostDir struct{ err error }
 func (d lostDir) Put(string, int, *checkpoint.Global) error      { return d.err }
 func (d lostDir) Latest(string) (*checkpoint.Global, int, error) { return nil, 0, d.err }
 
-// saveSnap records the checkpoint at step in the job's home. A failed write
-// leaves the job at its last durable checkpoint and surfaces in
+// saveSnap records the checkpoint at step in the job's home and, once it is
+// durable, the record takes f, the statistics up to it (nil: unchanged). A
+// failed write leaves the job at its last durable checkpoint and surfaces in
 // persist_error.
-func (s *Server) saveSnap(j *Job, step int, gl *checkpoint.Global) {
+func (s *Server) saveSnap(j *Job, step int, gl *checkpoint.Global, f *fold) {
 	var err error
 	if j.store != nil {
 		err = j.store.Put(j.key, step, gl)
@@ -820,6 +861,9 @@ func (s *Server) saveSnap(j *Job, step int, gl *checkpoint.Global) {
 		return
 	}
 	j.ckptStep = step
+	if f != nil {
+		j.rec.Comm, j.rec.Counters = f.Comm, f.Counters
+	}
 	switch j.store {
 	case nil:
 		j.snap = gl
@@ -899,16 +943,20 @@ func (s *Server) recover() error {
 		}
 		spec := sf.JobSpec
 		j := &Job{ID: id, Spec: spec, tq: s.tenantLocked(spec.Tenant), rec: record{State: JQueued}, submitted: *sf.SubmittedAt}
+		var next *fold
 		if metaB, err := os.ReadFile(filepath.Join(dir, "meta.json")); err == nil {
-			var rec record // a torn decode leaves the job as it was
-			if json.Unmarshal(metaB, &rec) == nil {
-				j.rec = rec
+			var mf metaFile // a torn decode leaves the job as it was
+			if json.Unmarshal(metaB, &mf) == nil {
+				j.rec, next = mf.record, mf.Next
 			}
 		}
 		// checkpoint_step is the newest checkpoint the home reads back (none
 		// when missing or refused); meta.json, committed apart, may lag it.
 		s.notePersist(j, s.openHome(j))
 		_, j.ckptStep = s.loadSnap(j)
+		if next != nil && j.ckptStep >= next.Step {
+			j.rec.Comm, j.rec.Counters = next.Comm, next.Counters
+		}
 		j.rec.StepsDone = max(j.rec.StepsDone, j.ckptStep)
 		// A job that was mid-flight (or parked in a restart backoff) when
 		// the process died cannot still be running; surface it as

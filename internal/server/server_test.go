@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"maps"
 	"net/http"
@@ -1042,4 +1043,89 @@ func TestMetricsEndpointShape(t *testing.T) {
 	if lines < 10 {
 		t.Fatalf("only %d metric samples, want >= 10", lines)
 	}
+}
+
+// TestKilledSegmentKeepsItsStatistics: a worker commits the job's record when
+// a segment starts, and ahead of each checkpoint the job's statistics up to
+// it, which recovery takes only once that checkpoint reads back. A daemon
+// killed after the checkpoint at step 4 landed, or between that fold's commit
+// and the checkpoint's, recovers the attempt and the statistics of exactly
+// the steps its newest checkpoint holds; resumed, the job ends with every step
+// counted once.
+func TestKilledSegmentKeepsItsStatistics(t *testing.T) {
+	dir, snaps := t.TempDir(), t.TempDir()
+	s := newTestServer(t, Config{Workers: 1, QueueCap: 4, Dir: dir})
+	// The job directory as a kill at step 3 or 5 would leave it: the
+	// checkpoint at step 2 or 4 and the fold committed ahead of it.
+	s.testStep = func(j *Job, done int) {
+		if done == 3 || done == 5 {
+			if err := copyDir(filepath.Join(snaps, fmt.Sprint(done)), s.jobDir(j)); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	spec := smallSpec(6)
+	spec.CheckpointEvery = 2
+	j, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, j.ID, JCompleted)
+
+	for _, tc := range []struct {
+		name     string
+		ck, meta string // the snapshots the checkpoint and meta.json come from
+		steps    int    // statistics the recovered job holds
+	}{
+		{"after the checkpoint at step 4", "5", "5", 4},
+		{"between the fold of step 4 and its checkpoint", "3", "5", 2},
+	} {
+		root := t.TempDir()
+		jdir := filepath.Join(root, j.ID)
+		if err := copyDir(jdir, filepath.Join(snaps, tc.ck)); err != nil {
+			t.Fatal(err)
+		}
+		meta, err := os.ReadFile(filepath.Join(snaps, tc.meta, "meta.json"))
+		if err == nil {
+			err = checkpoint.WriteFileAtomic(filepath.Join(jdir, "meta.json"), meta)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := newTestServer(t, Config{Workers: 1, QueueCap: 4, Dir: root})
+		rj, ok := r.Get(j.ID)
+		if !ok {
+			t.Fatalf("%s: job not recovered", tc.name)
+		}
+		st := rj.Status()
+		if st.CkptStep != tc.steps || st.Attempts != 1 || st.Counters == nil || st.Counters.Steps != tc.steps {
+			t.Errorf("%s: recovered checkpoint_step %d, attempts %d, counters %+v; want %d, 1 and %d steps",
+				tc.name, st.CkptStep, st.Attempts, st.Counters, tc.steps, tc.steps)
+		}
+		if _, err := r.Resume(j.ID); err != nil {
+			t.Fatalf("%s: Resume: %v", tc.name, err)
+		}
+		if fin := waitState(t, r, j.ID, JCompleted); fin.Attempts != 2 || fin.Counters.Steps != spec.Steps {
+			t.Errorf("%s: resumed job ends with attempts %d and counters %+v, want 2 and %d steps",
+				tc.name, fin.Attempts, fin.Counters, spec.Steps)
+		}
+	}
+}
+
+// copyDir copies the files of directory src into dst, creating dst.
+func copyDir(dst, src string) error {
+	ents, err := os.ReadDir(src)
+	if err == nil {
+		err = checkpoint.MkdirDurable(dst)
+	}
+	for _, e := range ents {
+		var b []byte
+		if b, err = os.ReadFile(filepath.Join(src, e.Name())); err == nil {
+			err = checkpoint.WriteFileAtomic(filepath.Join(dst, e.Name()), b)
+		}
+		if err != nil {
+			break
+		}
+	}
+	return err
 }
