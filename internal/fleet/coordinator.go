@@ -40,7 +40,7 @@ func (c *Coordinator) SubmitJob(spec server.JobSpec, tenant string) (*job, error
 	c.mu.Lock()
 	c.registerLocked(j)
 	c.mu.Unlock()
-	c.persist()
+	c.persist(j)
 	return j, nil
 }
 
@@ -76,7 +76,7 @@ func (c *Coordinator) CancelJob(id string) error {
 		url, backendID = j.Backend, j.BackendID
 	}
 	c.mu.Unlock()
-	c.persist()
+	c.persist(j)
 	if url != "" {
 		// Best-effort: a dead backend's copy dies with it.
 		return c.cancelBackendJob(url, backendID)
@@ -153,12 +153,11 @@ func (c *Coordinator) placePending() {
 			j.State, j.Backend, j.BackendID, j.remote = server.JRunning, url, st.ID, st
 		}
 		c.mu.Unlock()
-		if !placed { // cancelled meanwhile
+		if placed {
+			c.persist(j)
+		} else { // cancelled meanwhile
 			c.unplace(url, st.ID)
 		}
-	}
-	if len(pending) > 0 {
-		c.persist()
 	}
 }
 
@@ -220,8 +219,8 @@ func (c *Coordinator) finalizeLocked(j *job, st server.JState, errMsg string) {
 	j.State = st
 	j.ErrMsg = errMsg
 	j.Finished = wallNow().Format(time.RFC3339Nano)
-	if j.remote != nil {
-		j.Diagnostics = j.remote.Diagnostics
+	if j.remote != nil { // nothing reads a finished job's backend status but these
+		j.Diagnostics, j.remote = j.remote.Diagnostics, nil
 	}
 	switch st {
 	case server.JCompleted:
@@ -317,19 +316,18 @@ func (c *Coordinator) probeBackend(url string) {
 	b.fails++
 	b.backoff = min(max(2*b.backoff, c.cfg.ProbeInterval), probeBackoffMax)
 	b.nextProbe = now.Add(b.backoff)
-	died := b.healthy && b.fails >= c.cfg.FailThreshold
-	if died {
+	var moved []stored
+	if b.healthy && b.fails >= c.cfg.FailThreshold {
 		b.healthy = false
 		for _, id := range c.order {
 			if j := c.jobs[id]; j.State == server.JRunning && j.Backend == url {
 				c.migrateLocked(j, "backend "+url+" unhealthy")
+				moved = append(moved, j)
 			}
 		}
 	}
 	c.mu.Unlock()
-	if died {
-		c.persist()
-	}
+	c.persist(moved...)
 }
 
 // --- reconciliation against a backend's job list ---------------------------
@@ -346,7 +344,7 @@ func (c *Coordinator) syncBackend(url string, cancelZombies bool) {
 		return
 	}
 	var zombies []string
-	changed := false
+	var changed []stored
 	c.mu.Lock()
 	for i := range list {
 		st := &list[i]
@@ -354,7 +352,9 @@ func (c *Coordinator) syncBackend(url string, cancelZombies bool) {
 		switch {
 		case j == nil: // not a fleet job, or one still being placed
 		case j.State == server.JRunning && j.Backend == url && j.BackendID == st.ID:
-			changed = c.applyRemoteLocked(j, st) || changed
+			if c.applyRemoteLocked(j, st) {
+				changed = append(changed, j)
+			}
 		case cancelZombies && !st.State.Terminal():
 			zombies = append(zombies, st.ID)
 		}
@@ -363,9 +363,7 @@ func (c *Coordinator) syncBackend(url string, cancelZombies bool) {
 	for _, id := range zombies {
 		c.cancelBackendJob(url, id)
 	}
-	if changed {
-		c.persist()
-	}
+	c.persist(changed...)
 }
 
 // reconcile adopts recovered state after a coordinator restart. Probing
@@ -384,11 +382,14 @@ func (c *Coordinator) reconcile() {
 	for _, url := range urls {
 		c.probeBackend(url)
 	}
+	var moved []stored
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	for _, id := range c.order {
 		if j := c.jobs[id]; j.State == server.JRunning && j.remote == nil {
 			c.migrateLocked(j, "backend lost across coordinator restart")
+			moved = append(moved, j)
 		}
 	}
+	c.mu.Unlock()
+	c.persist(moved...)
 }

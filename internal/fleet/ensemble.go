@@ -82,6 +82,7 @@ func (c *Coordinator) SubmitEnsemble(es EnsembleSpec, tenant string) (*ensemble,
 	e := &ensemble{ID: fmt.Sprintf("e-%06d", c.eseq), Tenant: tenant, Spec: es, Submitted: wallNow()}
 	c.mu.Unlock()
 	var placed []*job
+	var recs []stored // the members, then the ensemble: it lands behind them
 	for m := 0; m < es.Members; m++ {
 		j := &job{
 			ID:        fmt.Sprintf("%s-m%02d", e.ID, m),
@@ -103,7 +104,7 @@ func (c *Coordinator) SubmitEnsemble(es EnsembleSpec, tenant string) (*ensemble,
 			return nil, err
 		}
 		j.Backend, j.BackendID, j.remote = url, st.ID, st
-		placed = append(placed, j)
+		placed, recs = append(placed, j), append(recs, j)
 		e.Members = append(e.Members, j.ID)
 	}
 	c.mu.Lock()
@@ -112,7 +113,7 @@ func (c *Coordinator) SubmitEnsemble(es EnsembleSpec, tenant string) (*ensemble,
 	c.eorder = append(c.eorder, e.ID)
 	c.met.ensembles++
 	c.mu.Unlock()
-	c.persist()
+	c.persist(append(recs, e)...)
 	return e, nil
 }
 

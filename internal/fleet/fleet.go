@@ -5,18 +5,19 @@
 // ID breaking ties. Admission is the backends' own (internal/server: tenant
 // quotas, priority classes, the bounded queue); the coordinator keeps no
 // queue and passes a backend's 429 + Retry-After through when none accepts.
-// It persists job→backend routing in a shared artifact store
-// (checkpoint.DirStore), the one home of every fleet job's checkpoints, so
+// It persists job→backend routing, one record per job, in a shared artifact
+// store (checkpoint.DirStore), the one home of every fleet job's checkpoints, so
 // when a backend dies — detected by health probes with exponential backoff —
 // its jobs migrate to a live backend and resume bitwise from the latest
 // shared checkpoint (a snapshot is the whole carried state). On top of
 // routing it fans one JobSpec into K perturbed ensemble members and
 // aggregates their diagnostics.
 //
-//cadyvet:persistence fleet.json routing state survives coordinator restarts; durable writes route through checkpoint.WriteFileAtomic
+//cadyvet:persistence per-job and per-ensemble records under StoreDir/fleet survive coordinator restarts; durable writes route through checkpoint.WriteFileAtomic and MkdirDurable
 package fleet
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -39,7 +40,7 @@ type Config struct {
 	Backends []string
 	// StoreDir is the shared artifact store directory: every backend must
 	// run with -shared pointing at the same path. The coordinator keeps its
-	// own routing state in StoreDir/fleet.json.
+	// own routing state under StoreDir/fleet.
 	StoreDir string
 
 	// ProbeInterval is the health-probe cadence (default 500ms). A backend
@@ -80,7 +81,7 @@ func (c Config) withDefaults() Config {
 }
 
 // job is one coordinator-tracked job; its exported fields are its durable
-// form in fleet.json. All mutable fields are guarded by the coordinator
+// record. All mutable fields are guarded by the coordinator
 // mutex; ID, Tenant and Spec are immutable.
 type job struct {
 	ID     string         `json:"id"`
@@ -127,7 +128,6 @@ type ensemble struct {
 // ServeHTTP, stop with Shutdown.
 type Coordinator struct {
 	cfg    Config
-	store  *checkpoint.DirStore
 	client *http.Client
 	mux    *http.ServeMux
 	start  time.Time
@@ -136,9 +136,9 @@ type Coordinator struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	// persistMu serialises persist, marshal and write together, so snapshots
-	// of the routing state reach fleet.json in the order they were taken.
-	// Taken before mu, never while holding it.
+	// persistMu serialises persist, marshal and write together, so records
+	// reach the disk in the order they were marshalled. Taken before mu,
+	// never while holding it.
 	persistMu sync.Mutex
 
 	mu        sync.Mutex
@@ -151,7 +151,7 @@ type Coordinator struct {
 	met       fleetMetrics         //cadyvet:guardedby mu
 }
 
-// New builds the coordinator: opens the shared store, reloads fleet.json,
+// New builds the coordinator: opens the shared store, reloads its records,
 // probes every backend once, reconciles recovered jobs against what the
 // backends report, and starts the one background goroutine, the prober.
 //
@@ -166,13 +166,8 @@ func New(cfg Config) (*Coordinator, error) {
 			return nil, err
 		}
 	}
-	store, err := checkpoint.NewDirStore(cfg.StoreDir)
-	if err != nil {
-		return nil, err
-	}
 	c := &Coordinator{
 		cfg:       cfg,
-		store:     store,
 		client:    cfg.Client,
 		jobs:      make(map[string]*job),
 		ensembles: make(map[string]*ensemble),
@@ -188,7 +183,6 @@ func New(cfg Config) (*Coordinator, error) {
 		return nil, err
 	}
 	c.reconcile()
-	c.persist()
 	c.wg.Add(1)
 	go c.prober()
 	return c, nil
@@ -197,8 +191,8 @@ func New(cfg Config) (*Coordinator, error) {
 // ServeHTTP implements http.Handler.
 func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) { c.mux.ServeHTTP(w, r) }
 
-// Shutdown stops the prober and persists routing state. Backends and their
-// jobs are left untouched: a restarted coordinator reconciles.
+// Shutdown stops the prober; every change is already durable. Backends and
+// their jobs are left untouched: a restarted coordinator reconciles.
 func (c *Coordinator) Shutdown(ctx context.Context) error {
 	c.cancel()
 	done := make(chan struct{})
@@ -211,7 +205,6 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-	c.persist()
 	return nil
 }
 
@@ -222,78 +215,66 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 // restart.
 func wallNow() time.Time { return time.Now().UTC() }
 
-type persistedState struct {
-	Seq       int         `json:"seq"`
-	ESeq      int         `json:"eseq"`
-	Jobs      []*job      `json:"jobs"`
-	Ensembles []*ensemble `json:"ensembles"`
-}
+// stored is a record with a file of its own under StoreDir/fleet.
+type stored interface{ recordName() string }
 
-func (c *Coordinator) stateFile() string { return filepath.Join(c.cfg.StoreDir, "fleet.json") }
+func (j *job) recordName() string      { return "job-" + j.ID }
+func (e *ensemble) recordName() string { return "ensemble-" + e.ID }
 
-// writeState is the durable write of fleet.json; tests wrap it to hold a
-// write back and interleave two persists.
+func (c *Coordinator) recordDir() string { return filepath.Join(c.cfg.StoreDir, "fleet") }
+
+// writeState is the durable write of one record; tests wrap it to hold a
+// write back and interleave two persists, or to count what an event writes.
 var writeState = checkpoint.WriteFileAtomic
 
-// persist durably writes the routing state (fleet.json, atomic). The write
-// happens outside mu, so that probes and requests are not held up by an
-// fsync, but inside persistMu: two persists that marshalled in one order
-// land in that order, and an older snapshot never renames over a newer one
-// (which would lose an acknowledged job on restart). A failed marshal or
-// write counts in persistErrors.
-func (c *Coordinator) persist() {
+// persist durably writes the records an event changed, so an event costs the
+// same however many jobs the fleet holds. They are marshalled under mu and
+// written outside it, but inside persistMu, so an older record of a job never
+// renames over a newer one. They land in argument order until one fails (an
+// ensemble behind its members); a failure counts in persistErrors.
+func (c *Coordinator) persist(recs ...stored) (err error) {
+	if len(recs) == 0 {
+		return nil
+	}
 	c.persistMu.Lock()
 	defer c.persistMu.Unlock()
+	files := make([][]byte, len(recs))
 	c.mu.Lock()
-	ps := persistedState{Seq: c.seq, ESeq: c.eseq}
-	for _, id := range c.order {
-		ps.Jobs = append(ps.Jobs, c.jobs[id])
-	}
-	for _, id := range c.eorder {
-		ps.Ensembles = append(ps.Ensembles, c.ensembles[id])
-	}
-	b, err := json.MarshalIndent(ps, "", "  ")
-	if err != nil {
-		c.met.persistErrors++
-		c.mu.Unlock()
-		return
+	for i := 0; err == nil && i < len(recs); i++ {
+		files[i], err = json.MarshalIndent(recs[i], "", "  ")
 	}
 	c.mu.Unlock()
-	if err := writeState(c.stateFile(), b); err != nil {
+	for i := 0; err == nil && i < len(recs); i++ {
+		err = writeState(filepath.Join(c.recordDir(), recs[i].recordName()+".json"), files[i])
+	}
+	if err != nil {
 		c.mu.Lock()
 		c.met.persistErrors++
 		c.mu.Unlock()
 	}
+	return err
 }
 
-// load reloads fleet.json (missing file = fresh fleet). A job or ensemble
-// record written before records carried their submission time is dated by
-// the file's modification time.
+// load rebuilds the fleet from its records (none: a fresh fleet) in ID order,
+// which orders each kind of ID by submission. It rebuilds the outcome
+// counters so /metrics survives a restart, the backends' in-flight counts so
+// placement does, and the ID counters past every record, so no ID is reused.
 func (c *Coordinator) load() error {
-	b, err := os.ReadFile(c.stateFile())
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	} else if err != nil {
-		return err
+	err := checkpoint.MkdirDurable(c.recordDir())
+	if err == nil {
+		err = c.migrateLegacy()
 	}
-	var ps persistedState
-	if err := json.Unmarshal(b, &ps); err != nil {
-		return fmt.Errorf("fleet: corrupt state file %s: %w", c.stateFile(), err)
+	var js []*job
+	var es []*ensemble
+	if err == nil {
+		js, err = readRecords[job](c.recordDir(), "job-*.json")
 	}
-	fi, err := os.Stat(c.stateFile())
-	if err != nil {
-		return err
+	if err == nil {
+		es, err = readRecords[ensemble](c.recordDir(), "ensemble-*.json")
 	}
-	written := fi.ModTime().UTC()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.seq, c.eseq = ps.Seq, ps.ESeq
-	for _, j := range ps.Jobs {
-		if j.Submitted.IsZero() {
-			j.Submitted = written
-		}
-		// Rebuild the outcome counters so /metrics survives a restart, and
-		// the backends' in-flight counts so placement does.
+	for _, j := range js {
 		switch j.State {
 		case server.JCompleted:
 			c.met.completed++
@@ -309,16 +290,72 @@ func (c *Coordinator) load() error {
 			j.State, j.Backend, j.BackendID = server.JQueued, "", ""
 		}
 		c.met.migrations += int64(j.Migrations)
+		var n, en int // an ID not of the form leaves its count at 0: no error to handle
+		fmt.Sscanf(j.ID, "f-%d", &n)
+		fmt.Sscanf(j.Ensemble, "e-%d", &en)
+		c.seq, c.eseq = max(c.seq, n), max(c.eseq, en)
 		c.addLocked(j)
 	}
-	for _, e := range ps.Ensembles {
-		if e.Submitted.IsZero() {
-			e.Submitted = written
-		}
+	for _, e := range es {
 		c.ensembles[e.ID] = e
 		c.eorder = append(c.eorder, e.ID)
 	}
-	return nil
+	return err
+}
+
+// readRecords decodes the record files in dir matching pattern, in name order.
+func readRecords[T any](dir, pattern string) (recs []*T, err error) {
+	names, err := filepath.Glob(filepath.Join(dir, pattern))
+	for _, name := range names {
+		rec := new(T)
+		b, err := os.ReadFile(name)
+		if err = cmp.Or(err, json.Unmarshal(b, rec)); err != nil {
+			return nil, fmt.Errorf("fleet: record %s: %w", name, err)
+		}
+		recs = append(recs, rec)
+	}
+	return recs, err
+}
+
+// migrateLegacy splits a fleet.json (the whole-state file older coordinators
+// rewrote on every event) into records once and removes it; a record written
+// before records carried their submission time is dated by the file's mtime.
+func (c *Coordinator) migrateLegacy() error {
+	path := filepath.Join(c.cfg.StoreDir, "fleet.json")
+	fi, err := os.Stat(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
+	var b []byte
+	var st struct {
+		Jobs      []*job
+		Ensembles []*ensemble
+	}
+	if err == nil {
+		b, err = os.ReadFile(path)
+	}
+	if err == nil {
+		err = json.Unmarshal(b, &st)
+	}
+	var recs []stored
+	for _, j := range st.Jobs {
+		j.Submitted = cmp.Or(j.Submitted, fi.ModTime().UTC())
+		recs = append(recs, j)
+	}
+	for _, e := range st.Ensembles {
+		e.Submitted = cmp.Or(e.Submitted, fi.ModTime().UTC())
+		recs = append(recs, e)
+	}
+	if err == nil {
+		err = c.persist(recs...)
+	}
+	if err == nil {
+		err = os.Remove(path)
+	}
+	if err == nil {
+		return checkpoint.SyncDir(c.cfg.StoreDir)
+	}
+	return fmt.Errorf("fleet: migrating %s: %w", path, err)
 }
 
 // addLocked registers a job.

@@ -159,17 +159,17 @@ func (c *Coordinator) refresh(js ...*job) {
 		}
 	}
 	c.mu.Unlock()
-	changed := false
+	var changed []stored
 	for _, p := range probes {
 		if st, err := c.fetchJob(p.url, p.backendID); err == nil {
 			c.mu.Lock()
-			changed = c.applyRemoteLocked(p.j, st) || changed
+			if c.applyRemoteLocked(p.j, st) {
+				changed = append(changed, p.j)
+			}
 			c.mu.Unlock()
 		}
 	}
-	if changed {
-		c.persist()
-	}
+	c.persist(changed...)
 }
 
 func (c *Coordinator) handleGet(w http.ResponseWriter, r *http.Request) {

@@ -1,9 +1,19 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"regexp"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,12 +22,12 @@ import (
 	"cadycore/internal/server"
 )
 
-// TestPersistLandsInMarshalOrder: two persists that take their snapshots in
-// one order must reach fleet.json in that order. The first write is held back
+// TestPersistLandsInMarshalOrder: two persists of one job's record that
+// marshal in one order must land in that order. The first write is held back
 // until the second persist has written — or, once persists are serialised
 // and the second cannot write first, for 300 ms — so an unserialised persist
-// renames the older snapshot over the newer one, and the job only the newer
-// snapshot holds is gone after a restart (GET would be a 404).
+// renames the older record over the newer one, and a restarted coordinator
+// reads back a state the job had already left.
 func TestPersistLandsInMarshalOrder(t *testing.T) {
 	dir := t.TempDir()
 	coord := func() *Coordinator {
@@ -33,6 +43,11 @@ func TestPersistLandsInMarshalOrder(t *testing.T) {
 		return c
 	}
 	c := coord()
+	j := &job{ID: "f-000001", Tenant: "acme", State: server.JQueued}
+	c.mu.Lock()
+	c.seq++
+	c.addLocked(j)
+	c.mu.Unlock()
 
 	var calls atomic.Int32
 	entered, written := make(chan struct{}), make(chan struct{})
@@ -53,51 +68,62 @@ func TestPersistLandsInMarshalOrder(t *testing.T) {
 
 	first := make(chan struct{})
 	go func() {
-		c.persist() // snapshot without the job
+		c.persist(j) // the record of the queued job
 		close(first)
 	}()
 	<-entered
-	// The job is acknowledged after the first snapshot was taken; the second
-	// persist is the one its submit made.
+	// The job is cancelled after the first record was marshalled; the second
+	// persist is the one its cancel made.
 	c.mu.Lock()
-	c.seq++
-	c.addLocked(&job{ID: "f-1", Tenant: "acme", State: server.JCompleted})
+	c.finalizeLocked(j, server.JCancelled, "")
 	c.mu.Unlock()
-	c.persist()
+	c.persist(j)
 	<-first
 
-	// Restart: a coordinator over the same store reloads fleet.json.
-	if _, ok := coord().GetJob("f-1"); !ok {
-		t.Fatal("job f-1 was acknowledged and persisted, but a restarted coordinator does not know it: an older snapshot was written last")
+	// Restart: a coordinator over the same store reloads the records.
+	got, ok := coord().GetJob(j.ID)
+	if !ok || got.State != server.JCancelled {
+		t.Fatalf("job %s was cancelled and persisted, but a restarted coordinator reads %+v: an older record was written last", j.ID, got)
 	}
 }
 
-// TestLoadFleetJSONOfOwnStateType: testdata/fleet-jstate.json is a fleet.json
-// written by the coordinator while it had a state type of its own, with one
-// job in each state a fleet job can hold. It loads into the same states
-// (the running job's backend is gone, so it migrates back to queued), and the
-// state file the coordinator rewrites at start and at shutdown is, byte for
-// byte, the one that coordinator wrote, each record now dated by the file's
-// modification time (testdata/fleet-jstate.reloaded.json).
-func TestLoadFleetJSONOfOwnStateType(t *testing.T) {
+// read returns a file's bytes or fails the test.
+func read(t *testing.T, name string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// legacyStore returns a store holding only testdata/fleet-jstate.json as its
+// fleet.json: a whole-state file written by the coordinator while it had a
+// state type of its own, with one job in each state a fleet job can hold.
+// Its records predate their submitted_at key, so they are dated by the
+// file's modification time, 2026-01-02T03:04:05Z.
+func legacyStore(t *testing.T) string {
+	t.Helper()
 	dir := t.TempDir()
-	read := func(name string) []byte {
-		t.Helper()
-		b, err := os.ReadFile(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	if err := checkpoint.WriteFileAtomic(filepath.Join(dir, "fleet.json"), read(filepath.Join("testdata", "fleet-jstate.json"))); err != nil {
+	path := filepath.Join(dir, "fleet.json")
+	if err := checkpoint.WriteFileAtomic(path, read(t, filepath.Join("testdata", "fleet-jstate.json"))); err != nil {
 		t.Fatal(err)
 	}
-	// The fixture's records predate their submitted_at key, so they are dated
-	// by the file's modification time, which the rewrite then records.
 	written := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
-	if err := os.Chtimes(filepath.Join(dir, "fleet.json"), written, written); err != nil {
+	if err := os.Chtimes(path, written, written); err != nil {
 		t.Fatal(err)
 	}
+	return dir
+}
+
+// TestLoadFleetJSONOfOwnStateType: a legacy fleet.json loads into the same
+// states (the running job's backend is gone, so it migrates back to queued),
+// and is migrated into one record per job, each, field for field, the job
+// that coordinator rewrote at start and at shutdown
+// (testdata/fleet-jstate.reloaded.json); the ID counters carry over and the
+// file is gone.
+func TestLoadFleetJSONOfOwnStateType(t *testing.T) {
+	dir := legacyStore(t)
 	c, err := New(Config{StoreDir: dir})
 	if err != nil {
 		t.Fatalf("fleet.New: %v", err)
@@ -122,7 +148,208 @@ func TestLoadFleetJSONOfOwnStateType(t *testing.T) {
 	if err := c.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := read(filepath.Join(dir, "fleet.json")), read(filepath.Join("testdata", "fleet-jstate.reloaded.json")); string(got) != string(want) {
-		t.Errorf("rewritten fleet.json:\n%s\nwant:\n%s", got, want)
+
+	var want struct {
+		Seq, ESeq       int
+		Jobs, Ensembles []json.RawMessage
+	}
+	if err := json.Unmarshal(read(t, filepath.Join("testdata", "fleet-jstate.reloaded.json")), &want); err != nil {
+		t.Fatal(err)
+	}
+	compact := func(b []byte) string {
+		var out bytes.Buffer
+		if err := json.Compact(&out, b); err != nil {
+			t.Fatal(err)
+		}
+		return out.String()
+	}
+	var names []string
+	for _, raw := range want.Jobs {
+		var rec struct{ ID string }
+		if err := json.Unmarshal(raw, &rec); err != nil {
+			t.Fatal(err)
+		}
+		names = append(names, "job-"+rec.ID+".json")
+		if got := read(t, filepath.Join(dir, "fleet", names[len(names)-1])); compact(got) != compact(raw) {
+			t.Errorf("migrated record of %s:\n%s\nwant:\n%s", rec.ID, got, raw)
+		}
+	}
+	ents, err := os.ReadDir(filepath.Join(dir, "fleet"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range ents {
+		got = append(got, e.Name())
+	}
+	if len(want.Ensembles) != 0 || !reflect.DeepEqual(got, names) {
+		t.Errorf("migrated records %v, want %v", got, names)
+	}
+	c.mu.Lock()
+	seq, eseq := c.seq, c.eseq
+	c.mu.Unlock()
+	if seq != want.Seq || eseq != want.ESeq {
+		t.Errorf("ID counters %d, %d after the migration, want %d, %d", seq, eseq, want.Seq, want.ESeq)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "fleet.json")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("fleet.json still there after the migration: %v", err)
+	}
+}
+
+// TestLegacyStoreRoundTrip: over a legacy fleet.json the coordinator serves
+// every job's JobInfo as the coordinator that wrote such files served it
+// after a reload (testdata/fleet-jstate.jobinfo.json); a second restart, over
+// the migrated records, serves the same again; and neither would mint an ID
+// the store already holds.
+func TestLegacyStoreRoundTrip(t *testing.T) {
+	dir := legacyStore(t)
+	var want []JobInfo
+	if err := json.Unmarshal(read(t, filepath.Join("testdata", "fleet-jstate.jobinfo.json")), &want); err != nil {
+		t.Fatal(err)
+	}
+	for _, over := range []string{"the legacy fleet.json", "the migrated records"} {
+		c, err := New(Config{StoreDir: dir})
+		if err != nil {
+			t.Fatalf("fleet.New over %s: %v", over, err)
+		}
+		for _, w := range want {
+			rec := httptest.NewRecorder()
+			c.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/jobs/"+w.ID, nil))
+			var got JobInfo
+			if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil || rec.Code != http.StatusOK {
+				t.Fatalf("over %s GET %s: %d %s", over, w.ID, rec.Code, rec.Body.Bytes())
+			}
+			if !reflect.DeepEqual(got, w) {
+				t.Errorf("over %s job %s reads\n%+v\nwant\n%+v", over, w.ID, got, w)
+			}
+		}
+		c.mu.Lock()
+		next := c.seq + 1
+		c.mu.Unlock()
+		if last := want[len(want)-1].ID; fmt.Sprintf("f-%06d", next) <= last {
+			t.Errorf("over %s the next job would be f-%06d, but %s exists", over, next, last)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		c.Shutdown(ctx)
+		cancel()
+	}
+}
+
+// fakeBackend stands in for cadyserved where only the coordinator is under
+// test: it runs nothing, admits every job as running and reports each in the
+// state the test sets.
+type fakeBackend struct {
+	mu   sync.Mutex
+	jobs map[string]server.JState // backend job ID → state
+}
+
+func (f *fakeBackend) set(id string, st server.JState) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.jobs[id] = st
+}
+
+func (f *fakeBackend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	status := func(id string) map[string]any {
+		st := map[string]any{"id": id, "state": f.jobs[id]}
+		if f.jobs[id] == server.JCompleted {
+			st["steps_done"], st["diagnostics"] = 4, map[string]float64{"ke": 1.5}
+		}
+		return st
+	}
+	switch id := strings.TrimPrefix(r.URL.Path, "/jobs/"); {
+	case r.URL.Path == "/healthz":
+		w.Write([]byte("ok\n"))
+	case r.Method == http.MethodPost && r.URL.Path == "/jobs":
+		id = fmt.Sprintf("j-%06d", len(f.jobs)+1)
+		f.jobs[id] = server.JRunning
+		server.WriteJSON(w, http.StatusAccepted, status(id))
+	case r.URL.Path == "/jobs":
+		server.WriteJSON(w, http.StatusOK, map[string]any{"jobs": []any{}, "total": 0})
+	case f.jobs[id] != "":
+		server.WriteJSON(w, http.StatusOK, status(id))
+	default:
+		http.NotFound(w, r)
+	}
+}
+
+// TestPersistCostFlatInJobCount: what the coordinator writes for one submit
+// and for one completion does not grow with the jobs it holds — the bytes
+// after 40 finished jobs and after 400 are the same but for their digits
+// (IDs, times, ports) — and a finished job keeps no backend status.
+func TestPersistCostFlatInJobCount(t *testing.T) {
+	spec := server.JobSpec{Alg: "yz", Nx: 16, Ny: 8, Nz: 4, PA: 1, PB: 1, M: 1, Steps: 4}
+	if err := spec.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var written bytes.Buffer
+	writeState = func(path string, b []byte) error {
+		mu.Lock()
+		written.Write(b)
+		mu.Unlock()
+		return checkpoint.WriteFileAtomic(path, b)
+	}
+	t.Cleanup(func() { writeState = checkpoint.WriteFileAtomic })
+	digits := regexp.MustCompile(`[0-9]+`)
+	take := func() string {
+		mu.Lock()
+		defer mu.Unlock()
+		s := digits.ReplaceAllString(written.String(), "0")
+		written.Reset()
+		return s
+	}
+
+	// perEvent returns what one submit and one completion write after n
+	// finished jobs.
+	perEvent := func(n int) (submit, complete string) {
+		fb := &fakeBackend{jobs: map[string]server.JState{}}
+		ts := httptest.NewServer(fb)
+		defer ts.Close()
+		c, err := New(Config{Backends: []string{ts.URL}, StoreDir: t.TempDir()})
+		if err != nil {
+			t.Fatalf("fleet.New: %v", err)
+		}
+		defer func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			c.Shutdown(ctx)
+		}()
+		c.mu.Lock()
+		for range n {
+			c.seq++
+			c.addLocked(&job{ID: fmt.Sprintf("f-%06d", c.seq), Tenant: "acme", Spec: spec,
+				State: server.JCompleted, Submitted: wallNow(), Diagnostics: map[string]float64{"ke": 1.5}})
+		}
+		c.mu.Unlock()
+		take()
+		j, err := c.SubmitJob(spec, "acme")
+		if err != nil {
+			t.Fatalf("submit after %d jobs: %v", n, err)
+		}
+		submit = take()
+		fb.set(j.BackendID, server.JCompleted)
+		c.refresh(j)
+		complete = take()
+		c.mu.Lock()
+		state, remote := j.State, j.remote
+		c.mu.Unlock()
+		if state != server.JCompleted || remote != nil {
+			t.Errorf("after %d jobs the finished job is %s and keeps its backend status: %t", n, state, remote != nil)
+		}
+		return submit, complete
+	}
+	s40, c40 := perEvent(40)
+	s400, c400 := perEvent(400)
+	if s40 == "" || c40 == "" {
+		t.Fatalf("a submit wrote %d bytes and a completion %d: nothing persisted", len(s40), len(c40))
+	}
+	if s400 != s40 {
+		t.Errorf("a submit writes %d bytes after 400 jobs, %d after 40", len(s400), len(s40))
+	}
+	if c400 != c40 {
+		t.Errorf("a completion writes %d bytes after 400 jobs, %d after 40", len(c400), len(c40))
 	}
 }
