@@ -15,8 +15,9 @@
 // Every backend must run cadyserved with -shared pointing at the same -store
 // directory; it is both the migration substrate (every fleet job checkpoints
 // there, and only there) and where the coordinator persists its routing state
-// (fleet/, one record per job and per ensemble, each written when it
-// changes), so a restarted coordinator reconciles rather than restarts.
+// (fleet/, one record per job and per ensemble and one of the ID counters,
+// each written when it changes), so a restarted coordinator reconciles
+// rather than restarts.
 //
 // Endpoints (the job API mirrors cadyserved):
 //

@@ -28,9 +28,11 @@ func (c *Coordinator) SubmitJob(spec server.JobSpec, tenant string) (*job, error
 		return nil, err
 	}
 	c.mu.Lock()
-	c.seq++
-	j := &job{ID: fmt.Sprintf("f-%06d", c.seq), Tenant: tenant, Spec: spec, Submitted: wallNow()}
+	c.ids.Seq++
+	j := &job{ID: fmt.Sprintf("f-%06d", c.ids.Seq), Tenant: tenant, Spec: spec, Submitted: wallNow()}
+	ids := &c.ids
 	c.mu.Unlock()
+	c.persist(ids) // the ID is durable before a backend sees it
 	j.Spec.SharedKey = j.ID
 	url, st, err := c.place(j.ID, j.Spec)
 	if err != nil {

@@ -78,9 +78,11 @@ func (c *Coordinator) SubmitEnsemble(es EnsembleSpec, tenant string) (*ensemble,
 		return nil, err
 	}
 	c.mu.Lock()
-	c.eseq++
-	e := &ensemble{ID: fmt.Sprintf("e-%06d", c.eseq), Tenant: tenant, Spec: es, Submitted: wallNow()}
+	c.ids.ESeq++
+	e := &ensemble{ID: fmt.Sprintf("e-%06d", c.ids.ESeq), Tenant: tenant, Spec: es, Submitted: wallNow()}
+	ids := &c.ids
 	c.mu.Unlock()
+	c.persist(ids) // the ID is durable before a backend sees it
 	var placed []*job
 	var recs []stored // the members, then the ensemble: it lands behind them
 	for m := 0; m < es.Members; m++ {

@@ -13,7 +13,7 @@
 // routing it fans one JobSpec into K perturbed ensemble members and
 // aggregates their diagnostics.
 //
-//cadyvet:persistence per-job and per-ensemble records under StoreDir/fleet survive coordinator restarts; durable writes route through checkpoint.WriteFileAtomic and MkdirDurable
+//cadyvet:persistence per-job, per-ensemble and ID-counter records under StoreDir/fleet survive coordinator restarts; durable writes route through checkpoint.WriteFileAtomic and MkdirDurable
 package fleet
 
 import (
@@ -25,6 +25,8 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -147,7 +149,7 @@ type Coordinator struct {
 	order     []string             //cadyvet:guardedby mu
 	ensembles map[string]*ensemble //cadyvet:guardedby mu
 	eorder    []string             //cadyvet:guardedby mu
-	seq, eseq int                  //cadyvet:guardedby mu
+	ids       counters             //cadyvet:guardedby mu
 	met       fleetMetrics         //cadyvet:guardedby mu
 }
 
@@ -191,8 +193,10 @@ func New(cfg Config) (*Coordinator, error) {
 // ServeHTTP implements http.Handler.
 func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) { c.mux.ServeHTTP(w, r) }
 
-// Shutdown stops the prober; every change is already durable. Backends and
-// their jobs are left untouched: a restarted coordinator reconciles.
+// Shutdown stops the prober and writes the running jobs' records, whose
+// progress (steps_done) no event writes; every other change is already
+// durable. Backends and their jobs are left untouched: a restarted
+// coordinator reconciles.
 func (c *Coordinator) Shutdown(ctx context.Context) error {
 	c.cancel()
 	done := make(chan struct{})
@@ -205,7 +209,15 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-	return nil
+	var running []stored
+	c.mu.Lock()
+	for _, id := range c.order {
+		if j := c.jobs[id]; j.State == server.JRunning {
+			running = append(running, j)
+		}
+	}
+	c.mu.Unlock()
+	return c.persist(running...)
 }
 
 // --- persistence -----------------------------------------------------------
@@ -220,6 +232,15 @@ type stored interface{ recordName() string }
 
 func (j *job) recordName() string      { return "job-" + j.ID }
 func (e *ensemble) recordName() string { return "ensemble-" + e.ID }
+func (*counters) recordName() string   { return "ids" }
+
+// counters are the last job and ensemble IDs handed out, written before a
+// backend sees the new ID: a failed submit's withdrawn copies may have
+// checkpointed under it, and a restart must not hand those to another job.
+type counters struct {
+	Seq  int `json:"seq"`
+	ESeq int `json:"eseq"`
+}
 
 func (c *Coordinator) recordDir() string { return filepath.Join(c.cfg.StoreDir, "fleet") }
 
@@ -255,25 +276,35 @@ func (c *Coordinator) persist(recs ...stored) (err error) {
 	return err
 }
 
-// load rebuilds the fleet from its records (none: a fresh fleet) in ID order,
-// which orders each kind of ID by submission. It rebuilds the outcome
-// counters so /metrics survives a restart, the backends' in-flight counts so
-// placement does, and the ID counters past every record, so no ID is reused.
+// load rebuilds the fleet from its records (none: a fresh fleet) in
+// submission order. It rebuilds the outcome counters so /metrics survives a
+// restart and the backends' in-flight counts so placement does; the ID
+// counters are a record of their own, written ahead of every record of an ID.
 func (c *Coordinator) load() error {
 	err := checkpoint.MkdirDurable(c.recordDir())
 	if err == nil {
 		err = c.migrateLegacy()
 	}
+	var ids []*counters
 	var js []*job
 	var es []*ensemble
+	if err == nil {
+		ids, err = readRecords[counters](c.recordDir(), "ids.json")
+	}
 	if err == nil {
 		js, err = readRecords[job](c.recordDir(), "job-*.json")
 	}
 	if err == nil {
 		es, err = readRecords[ensemble](c.recordDir(), "ensemble-*.json")
 	}
+	// Submission order: by time, then ID (an ensemble's members share its time).
+	slices.SortFunc(js, func(a, b *job) int { return cmp.Or(a.Submitted.Compare(b.Submitted), strings.Compare(a.ID, b.ID)) })
+	slices.SortFunc(es, func(a, b *ensemble) int { return cmp.Or(a.Submitted.Compare(b.Submitted), strings.Compare(a.ID, b.ID)) })
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if len(ids) == 1 {
+		c.ids = *ids[0]
+	}
 	for _, j := range js {
 		switch j.State {
 		case server.JCompleted:
@@ -290,10 +321,6 @@ func (c *Coordinator) load() error {
 			j.State, j.Backend, j.BackendID = server.JQueued, "", ""
 		}
 		c.met.migrations += int64(j.Migrations)
-		var n, en int // an ID not of the form leaves its count at 0: no error to handle
-		fmt.Sscanf(j.ID, "f-%d", &n)
-		fmt.Sscanf(j.Ensemble, "e-%d", &en)
-		c.seq, c.eseq = max(c.seq, n), max(c.eseq, en)
 		c.addLocked(j)
 	}
 	for _, e := range es {
@@ -328,6 +355,7 @@ func (c *Coordinator) migrateLegacy() error {
 	}
 	var b []byte
 	var st struct {
+		counters
 		Jobs      []*job
 		Ensembles []*ensemble
 	}
@@ -337,7 +365,7 @@ func (c *Coordinator) migrateLegacy() error {
 	if err == nil {
 		err = json.Unmarshal(b, &st)
 	}
-	var recs []stored
+	recs := []stored{&st.counters}
 	for _, j := range st.Jobs {
 		j.Submitted = cmp.Or(j.Submitted, fi.ModTime().UTC())
 		recs = append(recs, j)

@@ -45,7 +45,7 @@ func TestPersistLandsInMarshalOrder(t *testing.T) {
 	c := coord()
 	j := &job{ID: "f-000001", Tenant: "acme", State: server.JQueued}
 	c.mu.Lock()
-	c.seq++
+	c.ids.Seq++
 	c.addLocked(j)
 	c.mu.Unlock()
 
@@ -120,8 +120,8 @@ func legacyStore(t *testing.T) string {
 // states (the running job's backend is gone, so it migrates back to queued),
 // and is migrated into one record per job, each, field for field, the job
 // that coordinator rewrote at start and at shutdown
-// (testdata/fleet-jstate.reloaded.json); the ID counters carry over and the
-// file is gone.
+// (testdata/fleet-jstate.reloaded.json); the ID counters carry over into
+// their own record and the file is gone.
 func TestLoadFleetJSONOfOwnStateType(t *testing.T) {
 	dir := legacyStore(t)
 	c, err := New(Config{StoreDir: dir})
@@ -174,6 +174,11 @@ func TestLoadFleetJSONOfOwnStateType(t *testing.T) {
 			t.Errorf("migrated record of %s:\n%s\nwant:\n%s", rec.ID, got, raw)
 		}
 	}
+	ids := fmt.Sprintf(`{"seq":%d,"eseq":%d}`, want.Seq, want.ESeq)
+	if got := read(t, filepath.Join(dir, "fleet", "ids.json")); compact(got) != ids {
+		t.Errorf("migrated ID counters %s, want %s", got, ids)
+	}
+	names = append([]string{"ids.json"}, names...)
 	ents, err := os.ReadDir(filepath.Join(dir, "fleet"))
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +191,7 @@ func TestLoadFleetJSONOfOwnStateType(t *testing.T) {
 		t.Errorf("migrated records %v, want %v", got, names)
 	}
 	c.mu.Lock()
-	seq, eseq := c.seq, c.eseq
+	seq, eseq := c.ids.Seq, c.ids.ESeq
 	c.mu.Unlock()
 	if seq != want.Seq || eseq != want.ESeq {
 		t.Errorf("ID counters %d, %d after the migration, want %d, %d", seq, eseq, want.Seq, want.ESeq)
@@ -224,7 +229,7 @@ func TestLegacyStoreRoundTrip(t *testing.T) {
 			}
 		}
 		c.mu.Lock()
-		next := c.seq + 1
+		next := c.ids.Seq + 1
 		c.mu.Unlock()
 		if last := want[len(want)-1].ID; fmt.Sprintf("f-%06d", next) <= last {
 			t.Errorf("over %s the next job would be f-%06d, but %s exists", over, next, last)
@@ -236,11 +241,13 @@ func TestLegacyStoreRoundTrip(t *testing.T) {
 }
 
 // fakeBackend stands in for cadyserved where only the coordinator is under
-// test: it runs nothing, admits every job as running and reports each in the
-// state the test sets.
+// test: it runs nothing, admits every job as running (up to limit jobs in
+// all, when limit is set) two steps in, and reports each in the state the
+// test sets.
 type fakeBackend struct {
-	mu   sync.Mutex
-	jobs map[string]server.JState // backend job ID → state
+	mu    sync.Mutex
+	jobs  map[string]server.JState // backend job ID → state
+	limit int
 }
 
 func (f *fakeBackend) set(id string, st server.JState) {
@@ -254,14 +261,20 @@ func (f *fakeBackend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	defer f.mu.Unlock()
 	status := func(id string) map[string]any {
 		st := map[string]any{"id": id, "state": f.jobs[id]}
-		if f.jobs[id] == server.JCompleted {
+		switch f.jobs[id] {
+		case server.JCompleted:
 			st["steps_done"], st["diagnostics"] = 4, map[string]float64{"ke": 1.5}
+		case server.JRunning:
+			st["steps_done"] = 2
 		}
 		return st
 	}
 	switch id := strings.TrimPrefix(r.URL.Path, "/jobs/"); {
 	case r.URL.Path == "/healthz":
 		w.Write([]byte("ok\n"))
+	case r.Method == http.MethodPost && r.URL.Path == "/jobs" && f.limit > 0 && len(f.jobs) >= f.limit:
+		w.Header().Set("Retry-After", "1")
+		server.WriteError(w, http.StatusTooManyRequests, "full")
 	case r.Method == http.MethodPost && r.URL.Path == "/jobs":
 		id = fmt.Sprintf("j-%06d", len(f.jobs)+1)
 		f.jobs[id] = server.JRunning
@@ -319,8 +332,8 @@ func TestPersistCostFlatInJobCount(t *testing.T) {
 		}()
 		c.mu.Lock()
 		for range n {
-			c.seq++
-			c.addLocked(&job{ID: fmt.Sprintf("f-%06d", c.seq), Tenant: "acme", Spec: spec,
+			c.ids.Seq++
+			c.addLocked(&job{ID: fmt.Sprintf("f-%06d", c.ids.Seq), Tenant: "acme", Spec: spec,
 				State: server.JCompleted, Submitted: wallNow(), Diagnostics: map[string]float64{"ke": 1.5}})
 		}
 		c.mu.Unlock()
@@ -351,5 +364,143 @@ func TestPersistCostFlatInJobCount(t *testing.T) {
 	}
 	if c400 != c40 {
 		t.Errorf("a completion writes %d bytes after 400 jobs, %d after 40", len(c400), len(c40))
+	}
+}
+
+// fakeFleet starts a fake backend and returns it with a function that boots
+// a coordinator over it and store, shut down when the test ends.
+func fakeFleet(t *testing.T, store string) (*fakeBackend, *httptest.Server, func() *Coordinator) {
+	fb := &fakeBackend{jobs: map[string]server.JState{}}
+	ts := httptest.NewServer(fb)
+	t.Cleanup(ts.Close)
+	return fb, ts, func() *Coordinator {
+		c, err := New(Config{Backends: []string{ts.URL}, StoreDir: store})
+		if err != nil {
+			t.Fatalf("fleet.New: %v", err)
+		}
+		t.Cleanup(func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			c.Shutdown(ctx)
+		})
+		return c
+	}
+}
+
+// testSpec is a small run job, normalized.
+func testSpec(t *testing.T) server.JobSpec {
+	spec := server.JobSpec{Alg: "yz", Nx: 16, Ny: 8, Nz: 4, PA: 1, PB: 1, M: 1, Steps: 4}
+	if err := spec.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	return spec
+}
+
+// TestFailedSubmitsBurnTheirIDs: an ensemble rejected after its first member
+// was placed (and withdrawn: that copy may have checkpointed under its key)
+// and a rejected job keep their IDs across a restart that follows them at
+// once — the coordinator's last act was the failed submit — so the next
+// ensemble and job get fresh ones.
+func TestFailedSubmitsBurnTheirIDs(t *testing.T) {
+	store := t.TempDir()
+	fb, _, boot := fakeFleet(t, store)
+	fb.limit = 1
+	c := boot()
+	if _, err := c.SubmitEnsemble(EnsembleSpec{Job: testSpec(t), Members: 2}, "acme"); err == nil {
+		t.Fatal("an ensemble of 2 was placed on a backend admitting 1 job")
+	}
+	fb.mu.Lock()
+	placed := len(fb.jobs)
+	fb.mu.Unlock()
+	if placed != 1 {
+		t.Fatalf("backend saw %d member copies before the rejection, want 1", placed)
+	}
+	if _, err := c.SubmitJob(testSpec(t), "acme"); err == nil {
+		t.Fatal("a job was placed on a full backend")
+	}
+	c.Shutdown(context.Background())
+
+	fb.mu.Lock()
+	fb.limit = 0
+	fb.mu.Unlock()
+	c = boot()
+	e, err := c.SubmitEnsemble(EnsembleSpec{Job: testSpec(t), Members: 2}, "acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := c.SubmitJob(testSpec(t), "acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.ID != "e-000002" || j.ID != "f-000002" {
+		t.Errorf("after a restart the next ensemble is %s and job %s, want e-000002 and f-000002: an ID of a failed submit was handed out again", e.ID, j.ID)
+	}
+}
+
+// TestRestartKeepsSubmissionOrder: jobs and ensemble members submitted in
+// turn list in that order, and still do after a restart, when records load
+// in whatever order the store names them.
+func TestRestartKeepsSubmissionOrder(t *testing.T) {
+	store := t.TempDir()
+	_, _, boot := fakeFleet(t, store)
+	c := boot()
+	for _, submit := range []func() error{
+		func() error { _, err := c.SubmitJob(testSpec(t), "acme"); return err },
+		func() error {
+			_, err := c.SubmitEnsemble(EnsembleSpec{Job: testSpec(t), Members: 2}, "acme")
+			return err
+		},
+		func() error { _, err := c.SubmitJob(testSpec(t), "acme"); return err },
+	} {
+		if err := submit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	list := func(c *Coordinator) (ids []string) {
+		rec := httptest.NewRecorder()
+		c.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/jobs", nil))
+		var page struct{ Jobs []JobInfo }
+		if err := json.Unmarshal(rec.Body.Bytes(), &page); err != nil {
+			t.Fatalf("GET /jobs: %d %s", rec.Code, rec.Body.Bytes())
+		}
+		for _, info := range page.Jobs {
+			ids = append(ids, info.ID)
+		}
+		return ids
+	}
+	want := []string{"f-000001", "e-000001-m00", "e-000001-m01", "f-000002"}
+	if got := list(c); !reflect.DeepEqual(got, want) {
+		t.Fatalf("GET /jobs lists %v, want %v", got, want)
+	}
+	c.Shutdown(context.Background())
+	if got := list(boot()); !reflect.DeepEqual(got, want) {
+		t.Errorf("after a restart GET /jobs lists %v, want %v", got, want)
+	}
+}
+
+// TestRunningProgressSurvivesRestart: the progress a running job's backend
+// copy reported is written at shutdown, so a coordinator restarted after that
+// backend is gone still reports it.
+func TestRunningProgressSurvivesRestart(t *testing.T) {
+	store := t.TempDir()
+	_, ts, boot := fakeFleet(t, store)
+	c := boot()
+	j, err := c.SubmitJob(testSpec(t), "acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.refresh(j)
+	c.Shutdown(context.Background())
+	ts.Close()
+	c = boot()
+	got, ok := c.GetJob(j.ID)
+	if !ok {
+		t.Fatalf("job %s lost across the restart", j.ID)
+	}
+	c.mu.Lock()
+	steps := got.StepsDone
+	c.mu.Unlock()
+	if steps != 2 {
+		t.Errorf("after a restart without its backend %s reads steps_done %d, want 2", j.ID, steps)
 	}
 }

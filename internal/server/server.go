@@ -492,9 +492,6 @@ func (s *Server) runJob(j *Job) {
 		SnapshotEvery: j.Spec.CheckpointEvery,
 		Snapshot: func(step int, gl *checkpoint.Global, agg comm.Aggregate, count dycore.Counters) {
 			s.met.snapshots.Add(1)
-			if step == j.Spec.Steps {
-				return // the run completes, and its final state is saved below
-			}
 			f := foldAt(step, agg, count)
 			j.mu.Lock()
 			s.commitMetaLocked(j, f)
