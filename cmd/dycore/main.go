@@ -201,7 +201,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "save:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("checkpoint written to %s\n", *saveFile)
+		fmt.Printf("checkpoint written to %s at step %d\n", *saveFile, out.StepsDone)
 	}
 	report(g, out)
 }

@@ -318,6 +318,37 @@ func TestRunWithoutControllerRestartsBitwise(t *testing.T) {
 	}
 }
 
+// TestNoSnapshotWhereTheRunCompletes: the periodic cadence skips the
+// boundary where the run completes, whose state the caller saves from
+// Outcome.Finals, while a stop there still snapshots it.
+func TestNoSnapshotWhereTheRunCompletes(t *testing.T) {
+	g := grid.New(48, 24, 8)
+	cfg := dycore.DefaultConfig()
+	cfg.M = 2
+	const steps = 4
+	for _, stopAtEnd := range []bool{false, true} {
+		var sunk []int
+		spec := RunSpec{
+			Grid: g, Model: comm.TianheLike(), Init: heldsuarez.InitialState, Steps: steps,
+			Setup:         dycore.Setup{Alg: dycore.AlgBaselineYZ, PA: 2, PB: 2, Cfg: cfg},
+			SnapshotEvery: 2,
+			Snapshot:      func(step int, _ *checkpoint.Global, _ comm.Aggregate, _ dycore.Counters) { sunk = append(sunk, step) },
+		}
+		want := []int{2}
+		if stopAtEnd {
+			done := 0
+			spec.Progress = func(step int) { done = step }
+			spec.ShouldStop = func() bool { return done == steps }
+			want = []int{2, steps}
+		}
+		out, err := Run(spec)
+		if err != nil || out.StepsDone != steps || !reflect.DeepEqual(sunk, want) {
+			t.Errorf("stop at the end %v: err %v, %d steps, snapshots at %v; want nil, %d, %v",
+				stopAtEnd, err, out.StepsDone, sunk, steps, want)
+		}
+	}
+}
+
 // TestHysteresis drives the observe path with synthetic telemetry: an
 // imbalanced window must not trigger re-planning until patience consecutive
 // windows agree. The straggler is 10x, so the piloted re-plan clears the

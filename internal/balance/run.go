@@ -65,8 +65,10 @@ type RunSpec struct {
 	Faults      *fault.Injector
 	MaxRestarts int
 	// Snapshot receives every snapshot the run takes — each SnapshotEvery
-	// steps, at a migration quiesce and at a ShouldStop stop — with its step
-	// and the run's statistics up to it (dycore.Tally).
+	// steps short of Steps, at a migration quiesce and at a ShouldStop stop —
+	// with its step and the run's statistics up to it (dycore.Tally). The
+	// boundary where the run completes takes none unless it stops or
+	// migrates there: the final state is Outcome.Finals.
 	SnapshotEvery int
 	Snapshot      func(step int, gl *checkpoint.Global, agg comm.Aggregate, count dycore.Counters)
 	Traced        bool // record per-rank events into Outcome.Trace
@@ -110,7 +112,8 @@ func Run(spec RunSpec) (out Outcome, err error) {
 		}
 		// The one step-boundary contract: Progress, then ShouldStop, then
 		// the controller unless the run already stops; a snapshot at a stop
-		// and at every SnapshotEvery-th boundary of the segment.
+		// and at every SnapshotEvery-th boundary of the segment but the one
+		// where the run completes (its caller saves the final state).
 		if spec.Progress != nil || spec.ShouldStop != nil || ctl != nil || spec.SnapshotEvery > 0 {
 			opts.Boundary = func(done int, sts []*state.State, comp []float64, tally dycore.Tally) bool {
 				if spec.Progress != nil {
@@ -120,7 +123,7 @@ func Run(spec RunSpec) (out Outcome, err error) {
 				if !stop && observe != nil {
 					stop = observe(done, comp)
 				}
-				if stop || (spec.SnapshotEvery > 0 && done%spec.SnapshotEvery == 0) {
+				if stop || (spec.SnapshotEvery > 0 && done%spec.SnapshotEvery == 0 && base+done < spec.Steps) {
 					lastSnap, lastStep = checkpoint.Gather(g, sts), base+done
 					if spec.Snapshot != nil {
 						agg, count := tally()

@@ -1,17 +1,16 @@
 package dycore
 
 import (
-	"encoding/binary"
 	"encoding/json"
-	"hash/fnv"
+	"fmt"
 	"math"
-	"runtime"
 	"strings"
 	"testing"
 
 	"cadycore/internal/comm"
 	"cadycore/internal/grid"
 	"cadycore/internal/state"
+	"cadycore/internal/testutil"
 )
 
 // testInit is a smooth, zonally asymmetric initial condition: a westerly jet
@@ -301,49 +300,32 @@ func TestShiftedPoleMirror(t *testing.T) {
 // Nothing read them, so (a) every layout still agrees with the 1×1 run at the
 // tolerance TestShiftedPoleMirror uses, for the plain and the shifted pole
 // mirror, (b) the final states are bit for bit the ones the symmetric,
-// unclamped storage produced (FNV-1a over the float bits of the global state,
-// recorded at the commit before the clamp — re-recorded there, with the
-// new kernels dropped into that commit, each time a kernel moved results: the
-// staged FFT, then the division-free Â, L̃ and D(P), then the flux-form,
-// mass-conserving δ⁴_θ of S̃; the Coriolis pair's sign was re-recorded on
-// the working tree, whose storage TestCoversGolden pins, since that commit's
-// field package no longer builds the current kernels), and (c)
-// so is the simulated clock.
+// unclamped storage produced (row "deephalo/ca-<layout>" of the pin table,
+// the shifted mirror's hash suffixed "_shifted": FNV-1a over the float bits
+// of the global state, recorded at the commit before the clamp — re-recorded
+// there, with the new kernels dropped into that commit, each time a kernel
+// moved results: the staged FFT, then the division-free Â, L̃ and D(P), then
+// the flux-form, mass-conserving δ⁴_θ of S̃; the Coriolis pair's sign was
+// re-recorded on the working tree, whose storage TestCoversGolden pins,
+// since that commit's field package no longer builds the current kernels),
+// and (c) nothing the simulated clock charges depends on what is stored: the
+// clock, the messages, bytes and collectives are the recorded ones too, the
+// same for both mirrors.
 func TestDeepHaloAcrossBoundariesInvisible(t *testing.T) {
 	g := grid.New(16, 24, 6)
-	recorded := map[bool]map[[2]int]uint64{
-		false: {{1, 1}: 0xcd7d6a60e627cd8b, {4, 1}: 0xc768e64ae7194694, {4, 2}: 0x13ee8efba8f6f85c},
-		true:  {{1, 1}: 0xb6ca29d44065e81a, {4, 1}: 0x99e9e27aa7c99b51, {4, 2}: 0xd5894f28698c3aba},
-	}
-	// (c) Nothing the simulated clock charges depends on what is stored: the
-	// critical-path time, the compute seconds summed over ranks (every
-	// rank's charges, not just the slowest's), bytes and messages are the
-	// recorded ones too, the same for both mirrors.
-	type clock struct {
-		sim, comp   float64
-		bytes, msgs int64
-	}
-	clocks := map[[2]int]clock{
-		{1, 1}: {0.0012054599999999998, 0.0012054599999999998, 0, 0},
-		{4, 1}: {0.0026794040000000037, 0.002008128, 828928, 364},
-		{4, 2}: {0.006481641333333367, 0.0028885920000000006, 1888256, 1308},
-	}
 	for _, shifted := range []bool{false, true} {
 		cfg := testCfg(3)
 		cfg.ShiftedPoleMirror = shifted
+		suffix := ""
+		if shifted {
+			suffix = "_shifted"
+		}
 		var serial []float64
 		for _, lay := range [][2]int{{1, 1}, {4, 1}, {4, 2}} {
 			res := Run(Setup{Alg: AlgCommAvoid, PA: lay[0], PB: lay[1], Cfg: cfg}, g, comm.TianheLike(), testInit, 3)
 			flat := FlattenState(g, res.Finals)
 			if serial == nil {
 				serial = flat
-			}
-			got := clock{sim: res.Agg.SimTime, bytes: res.Agg.BytesSent, msgs: res.Agg.MsgsSent}
-			for _, c := range res.Agg.RankComp {
-				got.comp += c
-			}
-			if want := clocks[lay]; runtime.GOARCH == "amd64" && got != want {
-				t.Errorf("shifted=%v CA %dx%d: simulated clock %+v, recorded %+v", shifted, lay[0], lay[1], got, want)
 			}
 			scale := maxAbsVec(serial)
 			for i, v := range flat {
@@ -352,11 +334,7 @@ func TestDeepHaloAcrossBoundariesInvisible(t *testing.T) {
 					break
 				}
 			}
-			// Bit patterns are recorded on amd64; an architecture that
-			// contracts a·b+c into FMA legitimately rounds differently.
-			if got, want := flatHash(flat), recorded[shifted][lay]; runtime.GOARCH == "amd64" && got != want {
-				t.Errorf("shifted=%v CA %dx%d: state hash %#x, recorded %#x — results moved", shifted, lay[0], lay[1], got, want)
-			}
+			testutil.Pin(t, pinsPath, fmt.Sprintf("deephalo/ca-%dx%d", lay[0], lay[1]), runPins(g, res, suffix, "hash"))
 		}
 	}
 }
@@ -440,16 +418,4 @@ func TestAlgorithmNames(t *testing.T) {
 	if _, err := json.Marshal(Algorithm(7)); err == nil {
 		t.Error("Algorithm(7) encoded without error")
 	}
-}
-
-// flatHash is FNV-1a over the float bits of a flattened global state
-// (FlattenState): the absolute pin of a final state.
-func flatHash(flat []float64) uint64 {
-	h := fnv.New64a()
-	for _, v := range flat {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-		h.Write(b[:])
-	}
-	return h.Sum64()
 }

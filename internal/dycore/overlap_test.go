@@ -2,7 +2,6 @@ package dycore
 
 import (
 	"math"
-	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -11,85 +10,50 @@ import (
 	"cadycore/internal/grid"
 	"cadycore/internal/heldsuarez"
 	"cadycore/internal/state"
+	"cadycore/internal/testutil"
 )
 
 // TestOverlapBitwiseAcrossLayouts is the tentpole equivalence property: the
 // overlapped Begin/interior/Finish/shell split must be bitwise identical to
 // the quiesced (NoOverlap) reference on every algorithm, decomposition and
 // row partition — the split only reorders bookkeeping, never the per-point
-// operation sequence. Both runs' simulated clocks are pinned too: the
-// critical-path time, the compute seconds summed over ranks and the hidden
-// flight time, recorded before the four overlapped updates became one helper
-// (core.overlapped). A charge moved across a Finish moves the first or the
-// last of them. Every row also runs under seamHook: the overlapped interior
-// reads the local ghosts of the cells a hook writes before any exchange
-// refills anything, so those ghosts must be refreshed when the step starts,
-// as the quiesced run's whole-storage fills refresh them. The ca-2x3 rows
-// (p_z = 3 on 48×24×12) run an untrimmed middle z-rank next to a bottom one
-// that stores only the low levels the advection exchange writes (DESIGN §8
-// "Storage follows compute"), with a fresh Ĉ per update and staged.
+// operation sequence. Both runs' simulated clocks are pinned too (row
+// "overlap/<case>" of the pin table, the quiesced run's fields suffixed
+// "_quiesced"): the critical-path time, the compute seconds summed over
+// ranks and the hidden flight time, recorded before the four overlapped
+// updates became one helper (core.overlapped). A charge moved across a
+// Finish moves the first or the last of them. Both runs must send the
+// recorded messages, bytes and collectives. Every row also runs under
+// seamHook: the overlapped interior reads the local ghosts of the cells a
+// hook writes before any exchange refills anything, so those ghosts must be
+// refreshed when the step starts, as the quiesced run's whole-storage fills
+// refresh them. The ca-2x3 rows (p_z = 3 on 48×24×12) run an untrimmed middle
+// z-rank next to a bottom one that stores only the low levels the advection
+// exchange writes (DESIGN §8 "Storage follows compute"), with a fresh Ĉ per
+// update and staged.
 func TestOverlapBitwiseAcrossLayouts(t *testing.T) {
-	type clock struct{ sim, comp, hidden float64 }
 	cases := []struct {
 		name       string
 		alg        Algorithm
 		pa, pb, pc int
 		rows       []int
 		nofuse     bool
-		ov, qu     clock
-		hash       [2]uint64     // flatHash of the overlapped and the quiesced final state
 		mesh       *grid.Grid    // nil: testGrid(), 16×10×4
 		mod        func(*Config) // nil: none
 	}{
-		{"serial", AlgBaselineYZ, 1, 1, 0, nil, false,
-			clock{0.0002869109999999996, 0.0002869109999999996, 0},
-			clock{0.0002869109999999996, 0.0002869109999999996, 0},
-			[2]uint64{0x9a0b3e75ed613131, 0x9a0b3e75ed613131}, nil, nil},
-		{"yz-uniform", AlgBaselineYZ, 2, 2, 0, nil, false,
-			clock{0.011759775999999934, 0.000309762, 0.05942034183333308},
-			clock{0.011775584499999941, 0.00030976199999999983, 0.059404533333333086},
-			[2]uint64{0xb0f0c61dce2c9fb7, 0xb0f0c61dce2c9fb7}, nil, nil},
-		{"yz-weighted", AlgBaselineYZ, 2, 2, 0, []int{0, 4, 10}, false,
-			clock{0.011768205333333266, 0.0003097620000000004, 0.05945340233333302},
-			clock{0.011784630333333277, 0.0003097620000000002, 0.05943525233333303},
-			[2]uint64{0xb0f0c61dce2c9fb7, 0xb0f0c61dce2c9fb7}, nil, nil},
-		{"xy-uniform", AlgBaselineXY, 2, 2, 0, nil, false,
-			clock{0.018621075333333324, 0.00028823399999999973, 0.08056968183333349},
-			clock{0.018629107833333335, 0.0002882339999999996, 0.08056164933333348},
-			[2]uint64{0x9a0b3e75ed613131, 0x9a0b3e75ed613131}, nil, nil},
-		{"xy-weighted", AlgBaselineXY, 2, 2, 0, []int{0, 4, 10}, false,
-			clock{0.018624819999999986, 0.0002882340000000002, 0.08054326133333362},
-			clock{0.018633501999999986, 0.00028823399999999995, 0.08053349033333357},
-			[2]uint64{0x9a0b3e75ed613131, 0x9a0b3e75ed613131}, nil, nil},
-		{"3d-uniform", AlgBaseline3D, 2, 2, 2, nil, false,
-			clock{0.02775694533333395, 0.0003112200000000001, 0.14687645816666786},
-			clock{0.027757447833333965, 0.00031122, 0.14687680133333464},
-			[2]uint64{0xb0f0c61dce2c9fb7, 0xb0f0c61dce2c9fb7}, nil, nil},
-		{"ca-uniform", AlgCommAvoid, 2, 2, 0, nil, false,
-			clock{0.004180740166666683, 0.0005529540000000004, 0.014186759666666675},
-			clock{0.004187441166666681, 0.0005529540000000002, 0.014177850666666677},
-			[2]uint64{0x7782edac79652bfe, 0x7782edac79652bfe}, nil, nil},
-		{"ca-weighted", AlgCommAvoid, 2, 2, 0, []int{0, 4, 10}, false,
-			clock{0.004179148000000016, 0.000550266, 0.014230955333333342},
-			clock{0.004186097000000015, 0.0005502659999999998, 0.014223834333333336},
-			[2]uint64{0x4c497852954ab593, 0x4c497852954ab593}, nil, nil},
+		{"serial", AlgBaselineYZ, 1, 1, 0, nil, false, nil, nil},
+		{"yz-uniform", AlgBaselineYZ, 2, 2, 0, nil, false, nil, nil},
+		{"yz-weighted", AlgBaselineYZ, 2, 2, 0, []int{0, 4, 10}, false, nil, nil},
+		{"xy-uniform", AlgBaselineXY, 2, 2, 0, nil, false, nil, nil},
+		{"xy-weighted", AlgBaselineXY, 2, 2, 0, []int{0, 4, 10}, false, nil, nil},
+		{"3d-uniform", AlgBaseline3D, 2, 2, 2, nil, false, nil, nil},
+		{"ca-uniform", AlgCommAvoid, 2, 2, 0, nil, false, nil, nil},
+		{"ca-weighted", AlgCommAvoid, 2, 2, 0, []int{0, 4, 10}, false, nil, nil},
 		// Plain smoothing every step: CommAvoid.plainSmooth on the same helper.
-		{"ca-nofuse", AlgCommAvoid, 2, 2, 0, nil, true,
-			clock{0.004494430833333348, 0.0005498820000000003, 0.014480642333333344},
-			clock{0.004502779833333348, 0.0005498820000000002, 0.014469125333333343},
-			[2]uint64{0xc1d76519b6a02c52, 0xc1d76519b6a02c52}, nil, nil},
-		{"ca-2x3", AlgCommAvoid, 2, 3, 0, nil, false,
-			clock{0.007963893008507554, 0.00920253920044923, 0.019127667982302643},
-			clock{0.008080517002608435, 0.00920253920044923, 0.01885264045150284},
-			[2]uint64{0x8de4441381897efa, 0x8de4441381897efa}, grid.New(48, 24, 12), nil},
-		{"ca-2x3-exactc", AlgCommAvoid, 2, 3, 0, nil, false,
-			clock{0.010039638846208326, 0.009717987200449228, 0.018831877344904147},
-			clock{0.010087468533408198, 0.009717987200449228, 0.018768688926602176},
-			[2]uint64{0xd5aea9390a261f8, 0xd5aea9390a261f8}, grid.New(48, 24, 12), func(c *Config) { c.ExactC = true }},
-		{"ca-2x3-stage1", AlgCommAvoid, 2, 3, 0, nil, false,
-			clock{0.008450341724106084, 0.007965441235843928, 0.025238999334202837},
-			clock{0.008624078243107632, 0.007965441235843928, 0.025027330111400976},
-			[2]uint64{0x8de4441381897efa, 0x8de4441381897efa}, grid.New(48, 24, 12), func(c *Config) { c.StageM = 1 }},
+		{"ca-nofuse", AlgCommAvoid, 2, 2, 0, nil, true, nil, nil},
+		{"ca-2x3", AlgCommAvoid, 2, 3, 0, nil, false, grid.New(48, 24, 12), nil},
+		{"ca-2x3-exactc", AlgCommAvoid, 2, 3, 0, nil, false, grid.New(48, 24, 12), func(c *Config) { c.ExactC = true }},
+		{"ca-2x3-stage1", AlgCommAvoid, 2, 3, 0, nil, false, grid.New(48, 24, 12), func(c *Config) { c.StageM = 1 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -128,28 +92,9 @@ func TestOverlapBitwiseAcrossLayouts(t *testing.T) {
 						ov.Agg.SimTime, qu.Agg.SimTime)
 				}
 			}
-			// Charges are summed in program order, so the recorded bits hold
-			// on amd64 (an FMA-contracting architecture rounds differently).
-			if runtime.GOARCH != "amd64" {
-				return
-			}
-			for _, run := range []struct {
-				name string
-				res  RunResult
-				want clock
-				hash uint64
-			}{{"overlapped", ov, tc.ov, tc.hash[0]}, {"quiesced", qu, tc.qu, tc.hash[1]}} {
-				got := clock{sim: run.res.Agg.SimTime, hidden: run.res.Agg.TotalHiddenTime()}
-				for _, c := range run.res.Agg.RankComp {
-					got.comp += c
-				}
-				if got != run.want {
-					t.Errorf("%s simulated clock %+v, recorded %+v", run.name, got, run.want)
-				}
-				if h := flatHash(FlattenState(g, run.res.Finals)); h != run.hash {
-					t.Errorf("%s final state hash %#x, recorded %#x", run.name, h, run.hash)
-				}
-			}
+			row := "overlap/" + tc.name
+			testutil.Pin(t, pinsPath, row, runPins(g, ov, ""))
+			testutil.Pin(t, pinsPath, row, runPins(g, qu, "_quiesced", "hash", "sim_s", "comp_s", "hidden_s"))
 		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cadycore/internal/dycore"
+	"cadycore/internal/filter"
 )
 
 func TestYZFactorsFeasibility(t *testing.T) {
@@ -160,6 +161,59 @@ func TestTheoryTableConsistency(t *testing.T) {
 	}
 	if s := FormatTheory(rows); !strings.Contains(s, "section-5.3") {
 		t.Error("FormatTheory header missing")
+	}
+}
+
+// TestSyncCountsMatchModel: the synchronization counts of the §5.3 model are
+// what the schemes do. On every rank that enters a scheme's collectives,
+// neighbor-exchange rounds plus collectives per step equal costmodel's closed
+// forms, (9M+10) for X-Y, (6M+4) for Y-Z and (2M+2) for CA, and CA enters 2/3
+// of Y-Z's collectives. Some ranks enter none, though the model counts them
+// (EXPERIMENTS.md "Synchronization counts"): every rank of a Y-Z
+// decomposition with p_z = 1, whose z sums run on a one-rank communicator,
+// and the X-Y ranks that own no latitude row the polar filter touches.
+func TestSyncCountsMatchModel(t *testing.T) {
+	o := Quick()
+	o.Prime()
+	flt := filter.New(o.grid(), o.config().FilterCutoffDeg)
+	colls := map[int]map[string]int64{}
+	for _, r := range TheoryTable(o) {
+		entering := 0 // ranks that enter the scheme's collectives
+		if r.Alg == dycore.AlgBaselineXY.String() {
+			px, py, _ := XYFactors(r.P, o.Nx, o.Ny)
+			for cy := 0; cy < py && px > 1; cy++ {
+				for j := cy * o.Ny / py; j < (cy+1)*o.Ny/py; j++ {
+					if flt.Active(j) {
+						entering += px
+						break
+					}
+				}
+			}
+		} else if _, pz, _ := YZFactors(r.P, o.Ny, o.Nz); pz > 1 {
+			entering = r.P
+		}
+		if colls[r.P] == nil {
+			colls[r.P] = map[string]int64{}
+		}
+		colls[r.P][r.Alg] = r.CollectivesMeasured
+		if entering == 0 {
+			if r.CollectivesMeasured != 0 {
+				t.Errorf("p=%d %s: %d collectives, want none (no rank enters one)", r.P, r.Alg, r.CollectivesMeasured)
+			}
+			continue
+		}
+		steps := int64(o.Steps)
+		exch := (r.ExchangesMeasured - expectedBootstrapExchanges(r.Alg)) / steps
+		perRank := r.CollectivesMeasured / (int64(entering) * steps)
+		if perRank*int64(entering)*steps != r.CollectivesMeasured || float64((exch+perRank)*steps) != r.SModel {
+			t.Errorf("p=%d %s: %d exchanges + %d collectives over %d ranks per step, want S = %g",
+				r.P, r.Alg, exch, r.CollectivesMeasured, entering, r.SModel/float64(steps))
+		}
+	}
+	for p, c := range colls {
+		if ca, yz := c[dycore.AlgCommAvoid.String()], c[dycore.AlgBaselineYZ.String()]; 3*ca != 2*yz {
+			t.Errorf("p=%d: CA enters %d collectives, Y-Z %d, want 2/3 of them", p, ca, yz)
+		}
 	}
 }
 

@@ -26,9 +26,11 @@ import (
 // remaining rows, applied after the fused exchange delivers the neighbors'
 // original edge rows).
 //
-// P2 is evaluated as a sum of per-row contributions in increasing row-offset
-// order in both the full and the split paths, which makes the identity
-// S̃ = S̃2∘S̃1 hold bitwise — the property TestSmoothingSplitExact asserts.
+// S̃ = S̃2∘S̃1 holds to roundoff, not bitwise: the full P2 sums a row's
+// offsets in ascending order, while at a window edge P2Former sums the
+// in-window offsets and P2Latter adds the out-of-window ones as a separate
+// sum, which associates the terms differently. TestSmoothingSplitMatchesFull
+// (internal/dycore) asserts the identity at 1e-12.
 type Smoother struct {
 	g    *grid.Grid
 	beta float64

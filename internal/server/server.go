@@ -157,6 +157,11 @@ type Server struct {
 	// run job — lets tests cancel or drain at an exact boundary. Set it
 	// before the first Submit (the queue's lock orders it for workers).
 	testStep func(j *Job, done int)
+	// testSaved, when non-nil, is called as each checkpoint of a job lands
+	// in its home, and testSeen as a worker leaves a job whose attempt has
+	// ended — each the moment a kill could strike.
+	testSaved func(j *Job, step int)
+	testSeen  func(j *Job)
 }
 
 // New builds the service, recovers any persisted jobs from cfg.Dir and
@@ -388,8 +393,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			}
 			s.finishLocked(j, JInterrupted, j.rec.Error, true)
 		}
+		s.persistMetaLocked(j)
 		j.mu.Unlock()
-		s.persistMeta(j)
 	}
 	return nil
 }
@@ -432,16 +437,20 @@ func (s *Server) worker() {
 		s.met.busy.Add(1)
 		s.runJob(j)
 		s.met.busy.Add(-1)
-		s.persistMeta(j)
+		if s.testSeen != nil {
+			s.testSeen(j)
+		}
 	}
 }
 
 // runJob executes one attempt of a job: it describes the run to balance.Run
 // (the one supervised-run driver, shared with cmd/dycore) and translates the
-// outcome into a job state. The service hangs on the driver's callbacks:
-// Snapshot saves each checkpoint to the job's home behind the fold of the
-// job's statistics up to it, Commit persists a migrated plan, Observe feeds
-// /metrics, ShouldStop is the attempt's context.
+// outcome into a job state, committed to meta.json before j.mu is released,
+// so a state a client has seen is the state a restart recovers. The service
+// hangs on balance.Run's callbacks: Snapshot saves each checkpoint to the
+// job's home behind the fold of the job's statistics up to it, Commit
+// persists a migrated plan, Observe feeds /metrics, ShouldStop is the
+// attempt's context.
 func (s *Server) runJob(j *Job) {
 	var ctx context.Context
 	var cancel context.CancelFunc
@@ -466,6 +475,7 @@ func (s *Server) runJob(j *Job) {
 		if r := recover(); r != nil {
 			j.mu.Lock()
 			s.finishLocked(j, JFailed, fmt.Sprintf("panic: %v", r), j.ckptStep > 0)
+			s.persistMetaLocked(j)
 			j.mu.Unlock()
 		}
 	}()
@@ -516,6 +526,7 @@ func (s *Server) runJob(j *Job) {
 		if err != nil {
 			j.mu.Lock()
 			s.finishLocked(j, JFailed, err.Error(), false)
+			s.persistMetaLocked(j)
 			j.mu.Unlock()
 			return
 		}
@@ -567,8 +578,18 @@ func (s *Server) runJob(j *Job) {
 	if completed && j.store != nil {
 		// The final state is the job's last checkpoint, durable before the
 		// job reads as completed. The memory home keeps none: nothing can
-		// resume a completed job.
-		s.saveSnap(j, out.StepsDone, checkpoint.Gather(g, out.Finals), nil)
+		// resume a completed job. balance.Run takes no snapshot where the run
+		// completes, so a job that checkpoints commits this checkpoint's fold
+		// ahead of it, as a snapshot does: a kill between the two recovers
+		// the statistics of every step.
+		var f *fold
+		if j.Spec.CheckpointEvery > 0 {
+			f = foldAt(out.StepsDone, out.Agg, out.Count)
+			j.mu.Lock()
+			s.commitMetaLocked(j, f)
+			j.mu.Unlock()
+		}
+		s.saveSnap(j, out.StepsDone, checkpoint.Gather(g, out.Finals), f)
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -593,6 +614,7 @@ func (s *Server) runJob(j *Job) {
 	default:
 		s.finishLocked(j, JInterrupted, "", true)
 	}
+	s.persistMetaLocked(j)
 }
 
 // finishLocked ends a job's current attempt in state st, releasing its
@@ -650,7 +672,6 @@ func (s *Server) handleAbort(j *Job, crash *dycore.RankFailure) {
 		j.retryTimer = time.AfterFunc(s.restart.delay(j.rec.Restarts), func() { s.requeueRetry(j) })
 		s.met.restarts.Add(1)
 	}
-	s.persistMetaLocked(j)
 }
 
 // requeueRetry moves a retrying job back into the admission queue when its
@@ -695,6 +716,7 @@ func (s *Server) runFigures(j *Job) {
 	defer j.mu.Unlock()
 	j.rec.Figures, j.rec.StepsDone = figures, j.Spec.Steps
 	s.finishLocked(j, JCompleted, "", false)
+	s.persistMetaLocked(j)
 }
 
 // planJob resolves the layout of an auto job: reuse the plan recorded by an
@@ -850,6 +872,9 @@ func (s *Server) saveSnap(j *Job, step int, gl *checkpoint.Global, f *fold) {
 	var err error
 	if j.store != nil {
 		err = j.store.Put(j.key, step, gl)
+	}
+	if err == nil && s.testSaved != nil {
+		s.testSaved(j, step)
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()

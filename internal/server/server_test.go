@@ -1048,10 +1048,11 @@ func TestMetricsEndpointShape(t *testing.T) {
 // TestKilledSegmentKeepsItsStatistics: a worker commits the job's record when
 // a segment starts, and ahead of each checkpoint the job's statistics up to
 // it, which recovery takes only once that checkpoint reads back. A daemon
-// killed after the checkpoint at step 4 landed, or between that fold's commit
-// and the checkpoint's, recovers the attempt and the statistics of exactly
-// the steps its newest checkpoint holds; resumed, the job ends with every step
-// counted once.
+// killed after the checkpoint at step 4 landed, between that fold's commit
+// and the checkpoint's, or after the final checkpoint (the completed path's,
+// behind its own fold) but before the job read as completed, recovers the
+// attempt and the statistics of exactly the steps its newest checkpoint
+// holds; resumed, the job ends with every step counted once.
 func TestKilledSegmentKeepsItsStatistics(t *testing.T) {
 	dir, snaps := t.TempDir(), t.TempDir()
 	s := newTestServer(t, Config{Workers: 1, QueueCap: 4, Dir: dir})
@@ -1060,6 +1061,13 @@ func TestKilledSegmentKeepsItsStatistics(t *testing.T) {
 	s.testStep = func(j *Job, done int) {
 		if done == 3 || done == 5 {
 			if err := copyDir(filepath.Join(snaps, fmt.Sprint(done)), s.jobDir(j)); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	s.testSaved = func(j *Job, step int) {
+		if step == 6 {
+			if err := copyDir(filepath.Join(snaps, "final"), s.jobDir(j)); err != nil {
 				t.Error(err)
 			}
 		}
@@ -1079,6 +1087,7 @@ func TestKilledSegmentKeepsItsStatistics(t *testing.T) {
 	}{
 		{"after the checkpoint at step 4", "5", "5", 4},
 		{"between the fold of step 4 and its checkpoint", "3", "5", 2},
+		{"after the final checkpoint", "final", "final", 6},
 	} {
 		root := t.TempDir()
 		jdir := filepath.Join(root, j.ID)
@@ -1109,6 +1118,44 @@ func TestKilledSegmentKeepsItsStatistics(t *testing.T) {
 			t.Errorf("%s: resumed job ends with attempts %d and counters %+v, want 2 and %d steps",
 				tc.name, fin.Attempts, fin.Counters, spec.Steps)
 		}
+	}
+}
+
+// TestTerminalStateDurableBeforeVisible: a job's outcome is committed to
+// meta.json before any client can read it, so a daemon killed the moment a
+// worker leaves the job recovers it as it was seen — completed, with the
+// statistics of every step — not as an interrupted job.
+func TestTerminalStateDurableBeforeVisible(t *testing.T) {
+	dir, kill := t.TempDir(), t.TempDir()
+	s := newTestServer(t, Config{Workers: 1, QueueCap: 4, Dir: dir})
+	var seen JobStatus
+	left := make(chan struct{})
+	s.testSeen = func(j *Job) {
+		seen = j.Status()
+		if err := copyDir(filepath.Join(kill, j.ID), s.jobDir(j)); err != nil {
+			t.Error(err)
+		}
+		close(left)
+	}
+	spec := smallSpec(4)
+	spec.CheckpointEvery = 2
+	j, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-left:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the worker never left the job")
+	}
+	r := newTestServer(t, Config{Workers: 1, QueueCap: 4, Dir: kill})
+	rj, ok := r.Get(j.ID)
+	if !ok {
+		t.Fatal("job not recovered")
+	}
+	if st := rj.Status(); st.State != seen.State || st.State != JCompleted || st.Counters == nil || st.Counters.Steps != spec.Steps {
+		t.Errorf("recovered state %s with counters %+v; seen %s, want completed with %d steps",
+			st.State, st.Counters, seen.State, spec.Steps)
 	}
 }
 
