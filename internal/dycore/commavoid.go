@@ -50,19 +50,22 @@ func NewCommAvoid(cfg Config, g *grid.Grid, tp *topo.Topology) *CommAvoid {
 	cv := &ca.cv
 	ca.lvl = operators.NewLevelTendency(cv.tend)
 	ca.deepEx = tp.NewExchangerD(cv.deep.depths).SetLabel("ca-deep")
-	// The band ships a peer only the original rows its S̃2 reads. A rank
-	// reads every row it sends (the reader's row within two of it lies in the
-	// sender's S̃2 rect too), so the band lends from the originals' storage.
-	ca.band.ex = tp.NewReadExchanger(cv.deep.depths, cv.latterReads).SetLabel("ca-band")
 	ca.advEx = tp.NewExchangerD(cv.adv.depths).SetLabel("ca-adv")
 	ca.smEx = tp.NewExchangerD(cv.smooth.depths).SetLabel("ca-smooth")
 	if cfg.Staged() {
 		ca.stageEx = tp.NewExchangerD(cv.stage.depths).SetLabel("ca-stage")
 	}
-	ca.origPhi = field.NewF3(cv.orig)
-	ca.origPsa = field.NewF2(cv.orig)
-	ca.band.f3[0] = ca.origPhi
-	ca.band.f2[0] = ca.origPsa
+	if !cfg.NoFusedSmoothing {
+		// The band ships a peer the original rows its S̃2 reads that the
+		// sender's S̃1 smoothed. A rank reads every row it sends (the reader's
+		// row within two of it lies in the sender's S̃2 rect too), so the band
+		// lends from the originals' storage.
+		ca.band.ex = tp.NewReadExchanger(cv.deep.depths, cv.bandReads).SetLabel("ca-band")
+		ca.origPhi = field.NewF3(cv.orig)
+		ca.origPsa = field.NewF2(cv.orig)
+		ca.band.f3[0] = ca.origPhi
+		ca.band.f2[0] = ca.origPsa
+	}
 	ca.xi.Carry = &state.Carry{} // what a snapshot needs besides ξ
 	ca.publishCarry(false)
 	return ca
@@ -76,9 +79,11 @@ func (ca *CommAvoid) publishCarry(pendingSmooth bool) {
 
 // ExchStats reports per-exchanger overlap accounting.
 func (ca *CommAvoid) ExchStats() []topo.ExchStats {
-	out := []topo.ExchStats{ca.deepEx.Stats(), ca.band.ex.Stats(), ca.advEx.Stats(), ca.smEx.Stats()}
-	if ca.stageEx != nil {
-		out = append(out, ca.stageEx.Stats())
+	out := []topo.ExchStats{ca.deepEx.Stats()}
+	for _, ex := range []*topo.Exchanger{ca.band.ex, ca.advEx, ca.smEx, ca.stageEx} {
+		if ex != nil {
+			out = append(out, ex.Stats())
+		}
 	}
 	return out
 }
@@ -114,25 +119,17 @@ func (ca *CommAvoid) Step() {
 	owned := ca.tp.Block.Owned()
 	storage := ca.xi.B.WithHalo()
 	// The former/later split runs whenever ξ owes a smoothing: every step
-	// but the first after an initial condition or a finalized snapshot.
+	// but the first after an initial condition or a finalized snapshot. The
+	// no-fuse ablation pays a restored debt with its plain smoothing, which
+	// is bitwise the split.
 	fused := ca.xi.Carry.PendingSmooth
 	ca.xi.FillLocalBounds(owned)
-
-	// ---- Former smoothing S̃1 of ψ⁰ = ξ^(k−1) on the owned block ----
-	if fused {
-		ca.origPhi.CopyRect(ca.origPhi.B.WithHalo(), ca.xi.Phi)
-		ca.origPsa.CopyRect(ca.origPsa.B.WithHalo(), &ca.xi.Psa.F3)
-		w := ca.smo.P1Field(ca.xi.U, ca.eta1.U, owned)
-		w += ca.smo.P1Field(ca.xi.V, ca.eta1.V, owned)
-		w += ca.smo.P2Former(ca.xi.Phi, ca.eta1.Phi, owned, ca.cv.avail)
-		w += ca.smo.P2Former(&ca.xi.Psa.F3, &ca.eta1.Psa.F3, owned.Flat2D(), ca.cv.avail)
-		ca.w.Compute(float64(w) * costSmooth)
-		ca.xi.U.CopyRect(owned, ca.eta1.U)
-		ca.xi.V.CopyRect(owned, ca.eta1.V)
-		ca.xi.Phi.CopyRect(owned, ca.eta1.Phi)
-		ca.xi.Psa.CopyRect(owned.Flat2D(), &ca.eta1.Psa.F3)
-		ca.xi.FillLocalBounds(owned)
-		ca.n.SmoothingCalls++
+	switch {
+	case fused && ca.cfg.NoFusedSmoothing:
+		ca.plainSmooth()
+		fused = false
+	case fused:
+		ca.formerSmooth()
 	}
 
 	// ---- One deep exchange for the smoothing + all 3M adaptation updates,
@@ -149,16 +146,10 @@ func (ca *CommAvoid) Step() {
 	}
 	inner := ca.overlapHead(ca.deepEx, fusedBand, ca.xi, ca.eta1, kernAdapt, in)
 
-	// ---- Latter smoothing S̃2 on the edge bands of the owned block and of
-	// the received deep halo ----
+	// ---- Latter smoothing S̃2: P2 on the rows of the owned block and of
+	// the received deep halo that their owner's S̃1 left unsmoothed ----
 	if fused {
-		// The received original rows carry owned columns only; refresh
-		// their periodic x halos before the δ⁴_λ reads.
-		ca.fillEven(ca.origPhi)
-		ca.fillEven(&ca.origPsa.F3)
-		w := ca.smo.P2Latter(ca.origPhi, ca.xi.Phi, ca.cv.s2, ca.cv.avail)
-		w += ca.smo.P2Latter(&ca.origPsa.F3, &ca.xi.Psa.F3, ca.cv.s2.Flat2D(), ca.cv.avail)
-		ca.w.Compute(float64(w) * costSmooth)
+		ca.latterSmooth()
 		ca.xi.FillLocalBounds(storage)
 	}
 
@@ -207,6 +198,45 @@ func (ca *CommAvoid) Step() {
 
 	ca.n.Steps++
 	ca.publishCarry(!ca.cfg.NoFusedSmoothing)
+}
+
+// formerSmooth is S̃1 of ψ⁰ = ξ^(k−1): P1 on the owned block and P2 on the
+// owned rows whose window is local (cover.s1), after the originals are kept
+// for S̃2.
+func (ca *CommAvoid) formerSmooth() {
+	owned, s1 := ca.tp.Block.Owned(), ca.cv.s1
+	ca.origPhi.CopyRect(ca.origPhi.B.WithHalo(), ca.xi.Phi)
+	ca.origPsa.CopyRect(ca.origPsa.B.WithHalo(), &ca.xi.Psa.F3)
+	w := ca.smo.P1Field(ca.xi.U, ca.eta1.U, owned)
+	w += ca.smo.P1Field(ca.xi.V, ca.eta1.V, owned)
+	w += ca.smo.P2(ca.xi.Phi, ca.eta1.Phi, s1)
+	w += ca.smo.P2(&ca.xi.Psa.F3, &ca.eta1.Psa.F3, s1.Flat2D())
+	ca.w.Compute(float64(w) * costSmooth)
+	ca.xi.U.CopyRect(owned, ca.eta1.U)
+	ca.xi.V.CopyRect(owned, ca.eta1.V)
+	ca.xi.Phi.CopyRect(s1, ca.eta1.Phi)
+	ca.xi.Psa.CopyRect(s1.Flat2D(), &ca.eta1.Psa.F3)
+	ca.xi.FillLocalBounds(owned)
+	ca.n.SmoothingCalls++
+}
+
+// latterSmooth is S̃2: P2 from the originals on the rows S̃1 left
+// unsmoothed. Those arrive unsmoothed in ξ and join the originals the band
+// delivered and this rank kept; the received rows carry owned columns only,
+// so the originals' periodic x halos are refreshed before the δ⁴_λ reads.
+func (ca *CommAvoid) latterSmooth() {
+	for _, r := range ca.cv.raw {
+		ca.origPhi.CopyRect(r, ca.xi.Phi)
+		ca.origPsa.CopyRect(r.Flat2D(), &ca.xi.Psa.F3)
+	}
+	ca.fillEven(ca.origPhi)
+	ca.fillEven(&ca.origPsa.F3)
+	w := 0
+	for _, r := range ca.cv.s2 {
+		w += ca.smo.P2(ca.origPhi, ca.xi.Phi, r)
+		w += ca.smo.P2(&ca.origPsa.F3, &ca.xi.Psa.F3, r.Flat2D())
+	}
+	ca.w.Compute(float64(w) * costSmooth)
 }
 
 // plainSmooth applies full smoothing with its own exchange (ablation path

@@ -23,7 +23,9 @@ type cover struct {
 	deep, stage, adv, smooth, stencil exchange
 	fusedInner                        field.Rect
 
-	s2   field.Rect      // the latter smoothing S̃2
+	s1   field.Rect      // the rows the former smoothing S̃1 applies P2 to
+	s2   []field.Rect    // the rows the latter smoothing S̃2 applies P2 to, one rect per run
+	raw  []field.Rect    // the unsmoothed rows S̃2 reads, which it takes from ξ
 	eta  [][3]field.Rect // η1…η3 of each adaptation iteration
 	zeta [3]field.Rect   // ζ1…ζ3
 
@@ -32,10 +34,9 @@ type cover struct {
 	xi, work, planes, tend, orig field.Block
 
 	s2Reach topo.Depths // S̃2's reach past any block
-	// avail is the former smoothing's row windows: the owning rank's, and
-	// across a pole the mirror ghosts too. A field, so the step builds no
-	// closure.
-	avail operators.AvailFunc
+	// smoothed reports whether S̃1 smooths row j: its owner holds the row's
+	// five-row window, past a pole the mirror rows too.
+	smoothed func(j int) bool
 }
 
 // exchange is one exchanger of a cover: the depths it ships, zero in a
@@ -64,8 +65,8 @@ type term struct {
 // direction b spans (no peer lies there) and each array stores its terms
 // within the topology's halo. The halo widths do not depend on b. rows is
 // the topology's row partition (topo.Topology.RowWindow), which sets the
-// former smoothing's windows and with them S̃2's read set; the baselines
-// take nil.
+// rows S̃1 smooths and with them S̃2's rows and read set; the baselines take
+// nil.
 func planCover(s Setup, b field.Block, rows func(j int) (lo, hi int)) cover {
 	adapt, advect, smooth := footprint(stencil.Adaptation), footprint(stencil.Advection), footprint(stencil.Smoothing)
 	// L̃ stages its planes on its rect's rows and one past each side, and
@@ -84,14 +85,9 @@ func planCover(s Setup, b field.Block, rows func(j int) (lo, hi int)) cover {
 		xi = []term{{fp: tables}, {fp: psa}, {fp: smooth}, {reach: tables, halo: true}, {reach: smooth, halo: true}}
 		work, pl, tend = xi, []term{{fp: planes}}, []term{{}}
 	} else {
-		cv.avail = func(j int) (lo, hi int) { // the owner's window, past a pole the mirror rows
-			if lo, hi = rows(j); lo == 0 {
-				lo = -smooth.YLo
-			}
-			if hi == b.Ny {
-				hi = b.Ny + smooth.YHi
-			}
-			return lo, hi
+		cv.smoothed = func(j int) bool {
+			lo, hi := rows(j)
+			return (lo == 0 || j-smooth.YLo >= lo) && (hi == b.Ny || j+smooth.YHi < hi)
 		}
 		// Adaptation: one stage of S iterations, back from its last η3, which
 		// writes the owned block for the exchange that follows. Every stage
@@ -102,12 +98,17 @@ func planCover(s Setup, b field.Block, rows func(j int) (lo, hi int)) cover {
 		for u := 3 * S; u > 0; u-- {
 			stage[u-1], r = r, plus(r, adapt)
 		}
-		// r is what the stage's first η1 reads of ψ: S̃2 rewrites it after the
-		// deep exchange, which adds what S̃2 reads, and a refresh ships it.
-		// The fused interior also keeps clear of the rows S̃2 rewrites, those
-		// within its footprint of a comm-fed edge.
-		cv.s2Reach, cv.s2 = r, around(b, r)
+		// r is what the stage's first η1 reads of ψ: S̃2 completes it after
+		// the deep exchange, which adds what S̃2 reads unless the smoothing is
+		// not fused, and a refresh ships it. S̃1 smooths the owned rows whose
+		// window is local; the fused interior keeps clear of the others,
+		// which S̃2 rewrites.
+		cv.s2Reach = r
+		cv.s1, cv.s2 = shrink(b, smooth), cv.latter(b)
 		cv.deep, cv.fusedInner = exchange{plus(r, smooth), shrink(b, adapt)}, shrink(b, plus(adapt, smooth))
+		if s.Cfg.NoFusedSmoothing {
+			cv.deep.depths = r
+		}
 		if s.Cfg.Staged() {
 			cv.stage = exchange{r, shrink(b, adapt)}
 		}
@@ -142,13 +143,16 @@ func planCover(s Setup, b field.Block, rows func(j int) (lo, hi int)) cover {
 			cv.zeta[i] = around(b, z)
 			tend, pl = append(tend, term{reach: z}), append(pl, term{reach: z, fp: planes})
 		}
-		// S̃2's originals store the rows the band delivers, on S̃2's levels;
-		// without a y split S̃2 reads none and they keep the owned rows.
+		// S̃2's originals store the rows S̃2 reads, on its levels; without a
+		// y split S̃2 reads none and they keep the owned rows.
+		s2 := around(b, r)
 		cv.orig = b
-		cv.orig.K0, cv.orig.K1, cv.orig.Hy, cv.orig.Hz = cv.s2.K0, cv.s2.K1, 0, 0
-		if reads := cv.latterReads(b); len(reads) > 0 {
-			cv.orig.J0, cv.orig.J1 = reads[0].J0, reads[len(reads)-1].J1
+		cv.orig.K0, cv.orig.K1, cv.orig.Hy, cv.orig.Hz = s2.K0, s2.K1, 0, 0
+		if n := len(cv.s2); n > 0 {
+			cv.orig.J0, cv.orig.J1 = max(cv.s2[0].J0-smooth.YLo, 0), min(cv.s2[n-1].J1+smooth.YHi, b.Ny)
 		}
+		o := cv.orig.Owned()
+		cv.raw = runs(o, o.J0, o.J1, func(j int) bool { return !cv.smoothed(j) })
 	}
 
 	for _, e := range []*exchange{&cv.deep, &cv.stage, &cv.adv, &cv.smooth, &cv.stencil} {
@@ -182,12 +186,42 @@ func planCover(s Setup, b field.Block, rows func(j int) (lo, hi int)) cover {
 	return cv
 }
 
-// latterReads is the read set of the fused smoothing's band exchange: the
-// original rows S̃2 reads on block b (operators.LatterReads over S̃2's rect
-// on b). Every rank evaluates it for its peers' blocks, so a weighted
-// layout's thin window still receives the far edges it reads.
-func (cv *cover) latterReads(b field.Block) []field.Rect {
-	return operators.LatterReads(around(b, cv.s2Reach), cv.avail)
+// latter returns the rows of S̃2's rect on block b that their owner's S̃1
+// leaves unsmoothed, which S̃2 smooths: one rect per maximal run, ascending,
+// across the rect's x and z extent.
+func (cv *cover) latter(b field.Block) []field.Rect {
+	r := around(b, cv.s2Reach)
+	return runs(r, r.J0, r.J1, func(j int) bool { return !cv.smoothed(j) })
+}
+
+// bandReads is the read set of the fused smoothing's band exchange: the rows
+// S̃2 reads on block b that their owner's S̃1 smoothed, whose originals only
+// the owner holds. The other rows S̃2 reads are unsmoothed, and arrive in
+// the deep exchange. Every rank evaluates it for its peers' blocks, so a
+// weighted layout's thin window still receives the far rows it reads.
+func (cv *cover) bandReads(b field.Block) []field.Rect {
+	sm, s2 := footprint(stencil.Smoothing), cv.latter(b)
+	return runs(around(b, cv.s2Reach), 0, b.Ny, func(j int) bool {
+		return cv.smoothed(j) && slices.ContainsFunc(s2, func(r field.Rect) bool { return r.J0-sm.YHi <= j && j < r.J1+sm.YLo })
+	})
+}
+
+// runs returns the rows j in [lo, hi) with keep(j) as one rect per maximal
+// run, ascending, across r's x and z extent.
+func runs(r field.Rect, lo, hi int, keep func(j int) bool) []field.Rect {
+	var out []field.Rect
+	for j := lo; j < hi; j++ {
+		switch n := len(out); {
+		case !keep(j):
+		case n > 0 && out[n-1].J1 == j:
+			out[n-1].J1++
+		default:
+			run := r
+			run.J0, run.J1 = j, j+1
+			out = append(out, run)
+		}
+	}
+	return out
 }
 
 // footprint returns a stencil table's read footprint as per-side depths; x

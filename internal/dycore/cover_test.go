@@ -112,7 +112,7 @@ func coverLines(tp *topo.Topology, ig Integrator) string {
 		}
 		inner("ca-adv", cv.adv.inner)
 		inner("ca-smooth", cv.smooth.inner)
-		line("rect s1 %v", owned)
+		line("rect s1 %v", cv.s1)
 		line("rect s2 %v", cv.s2)
 		for i, eta := range cv.eta {
 			for n, r := range eta {
@@ -123,11 +123,13 @@ func coverLines(tp *topo.Topology, ig Integrator) string {
 			line("rect zeta%d %v", n+1, r)
 		}
 		line("rect smooth %v", owned)
-		line("store orig %v %v", x.origPhi.B.WithHalo(), x.origPsa.B.WithHalo())
+		if x.origPhi != nil {
+			line("store orig %v %v", x.origPhi.B.WithHalo(), x.origPsa.B.WithHalo())
+		}
 		line("store lvl %v", x.lvl.Level(tp.Block.K0).DU.B.WithHalo())
-		if tp.World.Rank() == 0 {
+		if x.band.ex != nil && tp.World.Rank() == 0 {
 			for r := 0; r < tp.World.Size(); r++ {
-				line("band %d %v", r, cv.latterReads(tp.BlockOf(r)))
+				line("band %d %v", r, cv.bandReads(tp.BlockOf(r)))
 			}
 		}
 		stores(c)

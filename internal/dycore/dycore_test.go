@@ -68,15 +68,10 @@ func TestBaselineYZMatchesSerial(t *testing.T) {
 
 	for _, pp := range [][2]int{{2, 1}, {1, 2}, {2, 2}, {5, 2}} {
 		par := Run(Setup{Alg: AlgBaselineYZ, PA: pp[0], PB: pp[1], Cfg: cfg}, g, comm.Zero(), testInit, 2)
-		d := MaxDiffGlobal(g, serial.Finals, par.Finals)
-		// With p_z > 1 the vertical reduction order differs: allow
-		// round-off-scale deviation; with p_z = 1 the match is bitwise.
-		tol := 0.0
-		if pp[1] > 1 {
-			tol = 1e-7
-		}
-		if d > tol {
-			t.Errorf("Y-Z %dx%d deviates from serial by %g (tol %g)", pp[0], pp[1], d, tol)
+		// Ĉ sums the levels by one tree under every p_z, so the match is
+		// bitwise.
+		if d := MaxDiffGlobal(g, serial.Finals, par.Finals); d != 0 {
+			t.Errorf("Y-Z %dx%d deviates from serial by %g (want bitwise match)", pp[0], pp[1], d)
 		}
 	}
 }
@@ -200,7 +195,8 @@ func TestAblationSwitchesRun(t *testing.T) {
 
 func TestNoFusedSmoothingMatchesFused(t *testing.T) {
 	// Fusing the smoothing into the adaptation exchange must not change the
-	// result beyond round-off (the split is exact in exact arithmetic).
+	// result: S̃1 and S̃2 apply the full P2 to whole rows, so the split is
+	// bitwise the plain smoothing.
 	g := testGrid()
 	cfg := testCfg(2)
 	cfg.ExactC = true
@@ -208,10 +204,8 @@ func TestNoFusedSmoothingMatchesFused(t *testing.T) {
 	plain.NoFusedSmoothing = true
 	a := Run(Setup{Alg: AlgCommAvoid, PA: 2, PB: 2, Cfg: cfg}, g, comm.Zero(), testInit, 3)
 	b := Run(Setup{Alg: AlgCommAvoid, PA: 2, PB: 2, Cfg: plain}, g, comm.Zero(), testInit, 3)
-	d := MaxDiffGlobal(g, a.Finals, b.Finals)
-	scale := maxAbsVec(FlattenState(g, a.Finals))
-	if d > 1e-10*(1+scale) {
-		t.Errorf("fused vs plain smoothing differ by %g (scale %g)", d, scale)
+	if d := MaxDiffGlobal(g, a.Finals, b.Finals); d != 0 {
+		t.Errorf("fused vs plain smoothing differ by %g (want bitwise match)", d)
 	}
 }
 
@@ -244,8 +238,8 @@ func TestBaseline3DMatchesSerial(t *testing.T) {
 	// Full 3-D process grid: pays both the distributed filter and the
 	// z-collective, but must agree numerically.
 	par := Run(Setup{Alg: AlgBaseline3D, PA: 2, PB: 2, PC: 2, Cfg: cfg}, g, comm.Zero(), testInit, 2)
-	if d := MaxDiffGlobal(g, serial.Finals, par.Finals); d > 1e-7 {
-		t.Errorf("3-D 2x2x2 deviates from serial by %g", d)
+	if d := MaxDiffGlobal(g, serial.Finals, par.Finals); d != 0 {
+		t.Errorf("3-D 2x2x2 deviates from serial by %g (want bitwise match)", d)
 	}
 	// It must have actually used both collective categories.
 	if par.Agg.CommTimeMax[comm.CatCollectiveX] == 0 && par.Agg.MsgsByCat[comm.CatCollectiveX] == 0 {
@@ -268,11 +262,8 @@ func TestShiftedPoleMirror(t *testing.T) {
 	if !a.Finals[0].AllFinite() {
 		t.Fatal("shifted-mirror run unstable")
 	}
-	// Round-off-scale tolerance: the fused smoothing split regroups the
-	// row sums at partition edges (DESIGN.md §6.2).
-	scale0 := maxAbsVec(FlattenState(g, a.Finals))
-	if d := MaxDiffGlobal(g, a.Finals, b.Finals); d > 1e-12*(1+scale0) {
-		t.Errorf("shifted mirror not decomposition-invariant: %g", d)
+	if d := MaxDiffGlobal(g, a.Finals, b.Finals); d != 0 {
+		t.Errorf("shifted mirror not decomposition-invariant: %g (want bitwise)", d)
 	}
 
 	// It is a genuinely different boundary condition.
@@ -297,9 +288,8 @@ func TestShiftedPoleMirror(t *testing.T) {
 // halo (11 rows, 9 levels) of the *non-pole* process rows of a 4-row grid
 // crosses the pole by 5 rows, and under p_z = 2 both z blocks reach past the
 // model top and bottom — exactly the ghost cells that are no longer stored.
-// Nothing read them, so (a) every layout still agrees with the 1×1 run at the
-// tolerance TestShiftedPoleMirror uses, for the plain and the shifted pole
-// mirror, (b) the final states are bit for bit the ones the symmetric,
+// Nothing read them, so (a) every layout ends bitwise where the 1×1 run
+// ends, for the plain and the shifted pole mirror, (b) the final states are bit for bit the ones the symmetric,
 // unclamped storage produced (row "deephalo/ca-<layout>" of the pin table,
 // the shifted mirror's hash suffixed "_shifted": FNV-1a over the float bits
 // of the global state, recorded at the commit before the clamp — re-recorded
@@ -327,10 +317,9 @@ func TestDeepHaloAcrossBoundariesInvisible(t *testing.T) {
 			if serial == nil {
 				serial = flat
 			}
-			scale := maxAbsVec(serial)
 			for i, v := range flat {
-				if d := math.Abs(v - serial[i]); !(d <= 1e-12*(1+scale)) {
-					t.Errorf("shifted=%v CA %dx%d deviates from 1x1 by %g at %d", shifted, lay[0], lay[1], d, i)
+				if math.Float64bits(v) != math.Float64bits(serial[i]) {
+					t.Errorf("shifted=%v CA %dx%d deviates from 1x1 by %g at %d", shifted, lay[0], lay[1], v-serial[i], i)
 					break
 				}
 			}

@@ -106,10 +106,26 @@ var interruptions = []struct {
 	}},
 }
 
+// layoutChanges are the re-partitions a snapshot taken at a boundary in one
+// layout is resumed under: the oracle's 2×2 changes p_y, p_z (both ways) or
+// its row partition.
+var layoutChanges = []struct {
+	name     string
+	from, to func(*dycore.Setup)
+}{
+	{"py-2-to-4", func(*dycore.Setup) {}, func(s *dycore.Setup) { s.PA = 4 }},
+	{"pz-2-to-1", func(*dycore.Setup) {}, func(s *dycore.Setup) { s.PB = 1 }},
+	{"pz-1-to-2", func(s *dycore.Setup) { s.PB = 1 }, func(*dycore.Setup) {}},
+	{"uniform-to-weighted-rows", func(*dycore.Setup) {}, func(s *dycore.Setup) { s.RowStarts = []int{0, 9, 24} }},
+}
+
 // TestInterruptionOracle is the one statement of restart exactness: for
 // every scheme variant and every interruption schedule, the interrupted run
 // ends bitwise where the uninterrupted one does — ξ and the carried Ĉ alike.
-// No caller passes a "this is a resume" hint; the snapshot says it all.
+// No caller passes a "this is a resume" hint; the snapshot says it all. A
+// snapshot resumed in another layout (layoutChanges) ends bitwise where the
+// uninterrupted 1×1 run does: a checkpoint is global-indexed, and every
+// layout is bitwise the 1×1 one.
 func TestInterruptionOracle(t *testing.T) {
 	for _, sc := range oracleSchemes {
 		set, g, hook := sc.setup()
@@ -121,6 +137,22 @@ func TestInterruptionOracle(t *testing.T) {
 				if !checkpoint.Gather(g, got).Equal(want) {
 					t.Errorf("interrupted run differs from the uninterrupted one: max|Δξ| = %g, want bitwise",
 						dycore.MaxDiffGlobal(g, full.Finals, got))
+				}
+			})
+		}
+		serial := set
+		serial.PA, serial.PB = 1, 1
+		want1 := checkpoint.Gather(g, dycore.RunWithHook(serial, g, comm.TianheLike(), heldsuarez.InitialState, oracleSteps, hook).Finals)
+		for _, lc := range layoutChanges {
+			t.Run(sc.name+"/cross-layout-"+lc.name, func(t *testing.T) {
+				from, to := set, set
+				lc.from(&from)
+				lc.to(&to)
+				_, snaps := segment(from, g, hook, heldsuarez.InitialState, 2, 2, false, nil)
+				got, _ := segment(to, g, hook, snaps[2].InitFunc(), oracleSteps-2, 0, false, nil)
+				if !checkpoint.Gather(g, got.Finals).Equal(want1) {
+					t.Errorf("resumed in another layout, the run differs from the uninterrupted 1x1 run: max|Δξ| = %g, want bitwise",
+						dycore.MaxDiffGlobal(g, full.Finals, got.Finals))
 				}
 			})
 		}
@@ -143,10 +175,9 @@ func TestResumeAcrossSnapshotKinds(t *testing.T) {
 	}
 
 	// A finalized checkpoint (what `dycore -save` and a completed job write)
-	// is already smoothed. The baseline continues it bitwise; CA continues it
-	// to rounding — its uninterrupted run would have applied that smoothing
-	// as the former/latter split, which differs from the full sweep in
-	// association only.
+	// is already smoothed. Both schemes continue it bitwise: CA's
+	// uninterrupted run applies that smoothing as the former/latter split,
+	// which is bitwise the full sweep Finalize applied.
 	yzHalf := checkpoint.Gather(g, run(dycore.AlgBaselineYZ, heldsuarez.InitialState, 2).Finals)
 	if d := dycore.MaxDiffGlobal(g, yzFull.Finals, run(dycore.AlgBaselineYZ, yzHalf.InitFunc(), oracleSteps-2).Finals); d != 0 {
 		t.Errorf("yz continued from a finalized checkpoint: max|Δξ| = %g, want bitwise", d)
@@ -155,8 +186,8 @@ func TestResumeAcrossSnapshotKinds(t *testing.T) {
 	if caHalf.PendingSmooth || caHalf.PWI == nil {
 		t.Fatalf("finalized CA checkpoint: pending %v, Ĉ carried %v; want false, true", caHalf.PendingSmooth, caHalf.PWI != nil)
 	}
-	if d := dycore.MaxDiffGlobal(g, caFull.Finals, run(dycore.AlgCommAvoid, caHalf.InitFunc(), oracleSteps-2).Finals); d > 1e-12*(1+scale) {
-		t.Errorf("ca continued from a finalized checkpoint: max|Δξ| = %g, want <= %g", d, 1e-12*(1+scale))
+	if d := dycore.MaxDiffGlobal(g, caFull.Finals, run(dycore.AlgCommAvoid, caHalf.InitFunc(), oracleSteps-2).Finals); d != 0 {
+		t.Errorf("ca continued from a finalized checkpoint: max|Δξ| = %g, want bitwise", d)
 	}
 
 	// Crossing schemes changes the algorithm, not the trajectory's phase:

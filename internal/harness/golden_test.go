@@ -49,7 +49,8 @@ func goldenOf(figs []Figure, theory []TheoryRow) figuresGolden {
 	return out
 }
 
-// TestFiguresGolden holds the reproduced figures to testdata/figures.golden.json:
+// TestFiguresGolden holds the reproduced figures to testdata/figures.golden.json
+// (the ablation figure over two steps):
 // names, process counts and counts exactly, simulated seconds and shares to
 // 1e-12 relative, infeasible cells as null. A change that moves the
 // simulated clock or a count fails here naming the cell; `go test
@@ -60,7 +61,11 @@ func TestFiguresGolden(t *testing.T) {
 	}
 	o := Quick()
 	o.Prime()
-	figs := append(AllFigures(o), FigureAblation(o))
+	// The fusion acts only across a step boundary, so the ablation runs two
+	// steps: at one its "no fused smoothing" row is "full CA" to the bit.
+	ab := Quick()
+	ab.Steps = 2
+	figs := append(AllFigures(o), FigureAblation(ab))
 	got := goldenOf(figs, TheoryTable(o))
 	path := filepath.Join("testdata", "figures.golden.json")
 	if testutil.Updating() {

@@ -1,6 +1,9 @@
 package operators
 
 import (
+	"math/bits"
+	"slices"
+
 	"cadycore/internal/comm"
 	"cadycore/internal/field"
 	"cadycore/internal/grid"
@@ -74,182 +77,226 @@ func DivP(g *grid.Grid, u, v *field.F3, sur *Surface, out *field.F3, r field.Rec
 	return r.Count()
 }
 
-// CSumScratch holds the work planes of CSumWith. One instance per integrator
-// makes the vertical summation allocation-free in steady state; the slices
-// grow on demand to the largest plane seen.
-type CSumScratch struct {
-	local, all, dbar, base, prefix []float64
+// Ĉ sums its leaves Δσ_k·D(P)_k by one fixed binary tree over the Nz
+// levels: node [lo, hi) is the sum of its halves [lo, m) and [m, hi),
+// m = ⌊(lo+hi)/2⌋. That is the z partition's own floor rule (topo), so a
+// z-rank's block under any 2^d-way split of Nz is one node. DBar is the root
+// and prefix(k), the sum above interface k, is the left-to-right sum of the
+// maximal nodes that tile [0, k). Every node is a pure function of its
+// leaves, so every layout, the serial one included, gets the same bits.
+
+// span is the level range [lo, hi) of a tree node.
+type span struct{ lo, hi int }
+
+// maxNode returns the end of the largest node that starts at level lo and
+// ends by hi.
+func maxNode(lo, hi, nz int) int {
+	l, h := 0, nz
+	for l != lo || h > hi {
+		if m := (l + h) / 2; lo < m {
+			h = m
+		} else {
+			l = m
+		}
+	}
+	return h
 }
 
-// grown resizes a scratch slice to n, reallocating only when the capacity is
-// exceeded; contents are unspecified (callers zero what they accumulate).
-func grown(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
+// CSumScratch holds the work planes of CSumWith: the gathered node planes
+// and the march's open nodes, at most two per tree level. One instance per
+// integrator makes the vertical summation allocation-free in steady state;
+// the slices grow on demand to the most the marches hold.
+type CSumScratch struct {
+	all, open []float64
+	spans     []span
+}
+
+// push opens the plane of node s on top of the march for the caller to fill.
+func (sc *CSumScratch) push(s span, plane int) []float64 {
+	i := len(sc.spans)
+	sc.spans = append(sc.spans, s)
+	return sc.open[i*plane : (i+1)*plane]
+}
+
+// merge adds the top node into its left neighbour while the two are the
+// halves of one node: together a node, split where they meet.
+func (sc *CSumScratch) merge(nz, plane int) int {
+	work := 0
+	for n := len(sc.spans); n > 1; n-- {
+		if l, r := sc.spans[n-2], sc.spans[n-1]; maxNode(l.lo, r.hi, nz) != r.hi || (l.lo+r.hi)/2 != l.hi {
+			break
+		}
+		a, b := sc.open[(n-2)*plane:(n-1)*plane], sc.open[(n-1)*plane:n*plane]
+		for i, v := range b {
+			a[i] += v
+		}
+		sc.spans[n-2].hi = sc.spans[n-1].hi
+		sc.spans = sc.spans[:n-1]
+		work += plane
 	}
-	return s[:n]
+	return work
 }
 
 // CSumWith executes the collective part of Ĉ: given D(P) on the horizontal rect
 // hr (for every locally stored vertical level within [loK, hiK)), it reduces
 // the Δσ-weighted vertical sums across the z communicator and assembles
-// DBar and the interface fluxes PWI into res.
+// DBar and the interface fluxes PWI into res, by the summation tree above.
 //
-// The collective is a ring Allgather of each z-rank's partial-sum plane
-// (category comm.CatCollectiveZ) — one collective operation per Ĉ
-// evaluation, matching the paper's communication counting. When the z
+// The collective is an Allgather of each z-rank's maximal nodes, padded to
+// the most any z-rank has (category comm.CatCollectiveZ) — one collective
+// operation per Ĉ evaluation, matching the paper's communication counting,
+// and one plane per rank when every block is a node. When the z
 // communicator has size 1 no communication happens.
 //
 // The interface flux satisfies PW = σ·D̄ − ∫₀^σ D(P) dσ', which vanishes at
 // σ = 0 and σ = 1, so W and σ̇ have the correct boundary behaviour.
 //
-// loK/hiK bound the vertical range over which divP holds valid data
-// (beyond the owned range for deep-halo execution); they are clamped to the
-// global domain. divP may be res.PWI: every layer k is read before interface
-// k is written, so D(P) can live in the result it feeds. sc is caller-held
-// scratch, grown on first use and reused afterwards. Returns points updated
-// (for compute accounting).
+// loK must be the owned K0 (Â reads no level above its own), which is 0
+// without a z collective; hiK may reach past the owned K1 into the deep
+// halo, and is clamped to the global domain. PWI is written on the
+// interfaces [K0, hiK], which it must store. divP may be res.PWI: every
+// layer k is read before interface k is written, so D(P) can live in the
+// result it feeds. sc is caller-held scratch, grown on first use and
+// reused afterwards. Returns points updated (for compute accounting).
 func CSumWith(g *grid.Grid, cz *comm.Comm, world *comm.Comm, divP *field.F3, res *CRes, hr field.Rect, loK, hiK int, sc *CSumScratch) int {
 	b := res.B
-	if loK < 0 {
-		loK = 0
+	if loK != b.K0 || hiK < b.K1 || b.K0 > 0 && (cz == nil || cz.Size() == 1) {
+		panic("operators: CSumWith assembles the interfaces from the owned K0 to at least K1, from 0 alone")
 	}
-	if hiK > g.Nz {
-		hiK = g.Nz
-	}
+	nz := g.Nz
+	hiK = min(hiK, nz)
 	hr = hr.Flat2D()
 	nxh := hr.I1 - hr.I0
-	nyh := hr.J1 - hr.J0
-	plane := nxh * nyh
+	plane := nxh * (hr.J1 - hr.J0)
 	work := 0
 
-	// Local Δσ-weighted sum over the owned levels.
-	sc.local = grown(sc.local, plane)
-	local := sc.local
-	for i := range local {
-		local[i] = 0
+	// row is row j of f over hr at level k.
+	row := func(f *field.F3, j, k int) []float64 {
+		d := f.Index(hr.I0, j, k)
+		return f.Data[d : d+nxh]
 	}
-	for k := b.K0; k < b.K1; k++ {
-		ds := g.DSigma[k]
-		w := 0
+	// leaf opens the plane of level k as Δσ_k·D(P)_k.
+	leaf := func(k int) {
+		dst, ds := sc.push(span{k, k + 1}, plane), g.DSigma[k]
 		for j := hr.J0; j < hr.J1; j++ {
-			base := divP.Index(hr.I0, j, k)
-			for o := 0; o < nxh; o++ {
-				local[w] += ds * divP.Data[base+o]
-				w++
+			for o, v := range row(divP, j, k) {
+				dst[(j-hr.J0)*nxh+o] = ds * v
 			}
 		}
+		work += plane
 	}
-	work += (b.K1 - b.K0) * plane
+	// setDBar stores the left-to-right sum of the node planes in open.
+	setDBar := func(open []float64) {
+		for j := hr.J0; j < hr.J1; j++ {
+			fold(row(&res.DBar.F3, j, 0), open, plane, (j-hr.J0)*nxh)
+		}
+	}
 
-	// The z collective: gather every z-rank's partial plane.
-	var all []float64
 	pz := 1
-	myCz := 0
 	if cz != nil {
 		pz = cz.Size()
-		myCz = cz.Rank()
 	}
-	if pz > 1 {
-		prev := world.SetCategory(comm.CatCollectiveZ)
-		sc.all = grown(sc.all, pz*plane)
-		all = sc.all
-		cz.Allgather(local, all)
-		world.SetCategory(prev)
-	} else {
-		all = local
+	// block is topo's z partition; width, the most maximal nodes a block
+	// holds.
+	block := func(r int) (lo, hi int) { return r * nz / pz, (r + 1) * nz / pz }
+	width := 0
+	for r := range pz {
+		n := 0
+		for lo, hi := block(r); lo < hi; n++ {
+			lo = maxNode(lo, hi, nz)
+		}
+		width = max(width, n)
+	}
+	// A march from level 0 holds at most one node per tree level and one it
+	// opened; one from a block's first level, the block's complete nodes too.
+	if most := width + bits.Len(uint(nz-1)); len(sc.open) < most*plane || cap(sc.spans) < most {
+		sc.open, sc.spans = slices.Grow(sc.open[:0], most*plane)[:most*plane], make([]span, 0, most)
+	}
+	// march stores prefix(k) at every interface k of [lo, hi), each after
+	// pushing level k (but hiK), which it reads before that interface is
+	// written; without a z collective DBar is the sum at K1 (of [0, K1)).
+	march := func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			open := sc.open[:len(sc.spans)*plane]
+			if k < hiK {
+				leaf(k)
+			}
+			if pz == 1 && k == b.K1 {
+				setDBar(open)
+			}
+			for j := hr.J0; j < hr.J1; j++ {
+				fold(row(res.PWI, j, k), open, plane, (j-hr.J0)*nxh)
+			}
+			work += plane + sc.merge(nz, plane)
+		}
 	}
 
-	// DBar = total; base = partial sum of the z-ranks above (lower k).
-	sc.dbar = grown(sc.dbar, plane)
-	sc.base = grown(sc.base, plane)
-	dbar, base := sc.dbar, sc.base
-	for i := range dbar {
-		dbar[i], base[i] = 0, 0
+	sc.spans = sc.spans[:0]
+	from := b.K0
+	if pz > 1 {
+		// The z collective ships the owned block's maximal nodes, padded to
+		// width. The top block's march stores its prefixes on the way, as no
+		// node above it is needed; the others march again after the gather.
+		if b.K0 == 0 {
+			march(0, b.K1)
+			from = b.K1
+		}
+		for k := from; k < b.K1; k++ {
+			leaf(k)
+			work += sc.merge(nz, plane)
+		}
+		send := sc.open[:width*plane]
+		clear(send[len(sc.spans)*plane:])
+		sc.all = slices.Grow(sc.all[:0], pz*width*plane)[:pz*width*plane]
+		prev := world.SetCategory(comm.CatCollectiveZ)
+		cz.Allgather(send, sc.all)
+		world.SetCategory(prev)
+
+		// gathered marches the nodes of the z-ranks whose blocks end by level
+		// to, in rank order, from an empty march.
+		gathered := func(to int) {
+			sc.spans = sc.spans[:0]
+			for r := 0; r < pz && (r+1)*nz/pz <= to; r++ {
+				seg := sc.all[r*width*plane:]
+				for lo, hi := block(r); lo < hi; seg = seg[plane:] {
+					s := span{lo, maxNode(lo, hi, nz)}
+					copy(sc.push(s, plane), seg[:plane])
+					work += plane + sc.merge(nz, plane)
+					lo = s.hi
+				}
+			}
+		}
+		// DBar is the root; the march goes on from the nodes that tile
+		// [0, from).
+		gathered(nz)
+		setDBar(sc.open[:len(sc.spans)*plane])
+		gathered(from)
 	}
-	for r := 0; r < pz; r++ {
-		seg := all[r*plane : (r+1)*plane]
-		for i, v := range seg {
-			dbar[i] += v
-			if r < myCz {
-				base[i] += v
+	march(from, hiK+1)
+	// PWI(k) = σ_I[k]·DBar − prefix(k).
+	for j := hr.J0; j < hr.J1; j++ {
+		dbar := row(&res.DBar.F3, j, 0)
+		for k := b.K0; k <= hiK; k++ {
+			pwi, sig := row(res.PWI, j, k), g.SigmaI[k]
+			for o, d := range dbar {
+				pwi[o] = sig*d - pwi[o]
 			}
 		}
 	}
-	work += pz * plane
-
-	// Store DBar.
-	w := 0
-	for j := hr.J0; j < hr.J1; j++ {
-		d := res.DBar.Index(hr.I0, j)
-		copy(res.DBar.Data[d:d+nxh], dbar[w:w+nxh])
-		w += nxh
-	}
-
-	// Assemble PWI on [loK, hiK]: march the prefix up and down from the
-	// owned range using the locally stored D(P) halo levels.
-	// prefix(k) = Σ_{k'<k} Δσ_{k'} D(P)_{k'}; PWI(k) = σ_I[k]·DBar − prefix(k).
-	sc.prefix = grown(sc.prefix, plane)
-	prefix := sc.prefix
-	copy(prefix, base)
-	// Downward sweep: interfaces K0 … hiK, each but the last followed by its
-	// layer.
-	for k := b.K0; k <= hiK; k++ {
-		layer := divP
-		if k == hiK {
-			layer = nil
-		}
-		storePWI(g, res, layer, hr, k, dbar, prefix)
-	}
-	// Upward sweep: interfaces K0−1 … loK (subtract layers above K0).
-	copy(prefix, base)
-	for k := b.K0 - 1; k >= loK; k-- {
-		accumulate(divP, hr, k, -g.DSigma[k], prefix)
-		storePWI(g, res, nil, hr, k, dbar, prefix)
-	}
-	work += (hiK - loK + 2) * plane
-
 	return work
 }
 
-// storePWI writes PWI at interface k: σ_I[k]·DBar − prefix. With divP
-// non-nil it also adds Δσ_k·D(P) at layer k into prefix, reading each point
-// before the interface write that may overwrite it (divP may be res.PWI).
-func storePWI(g *grid.Grid, res *CRes, divP *field.F3, hr field.Rect, k int, dbar, prefix []float64) {
-	if w := res.B.WithHalo(); k < w.K0 || k >= w.K1 {
-		return // interface outside storage (cannot happen for Hz ≥ 1)
+// fold sets dst to the left-to-right sum over the node planes in open of
+// their points w0, w0+1, …: zero when open is empty.
+func fold(dst, open []float64, plane, w0 int) {
+	if len(open) == 0 {
+		clear(dst)
+		return
 	}
-	sig := g.SigmaI[k]
-	nxh := hr.I1 - hr.I0
-	w := 0
-	for j := hr.J0; j < hr.J1; j++ {
-		base := res.PWI.Index(hr.I0, j, k)
-		if divP == nil {
-			for o := 0; o < nxh; o++ {
-				res.PWI.Data[base+o] = sig*dbar[w] - prefix[w]
-				w++
-			}
-			continue
-		}
-		src, ds := divP.Index(hr.I0, j, k), g.DSigma[k]
-		for o := 0; o < nxh; o++ {
-			d := divP.Data[src+o]
-			res.PWI.Data[base+o] = sig*dbar[w] - prefix[w]
-			prefix[w] += ds * d
-			w++
-		}
-	}
-}
-
-// accumulate adds ds·D(P) at level k into prefix.
-func accumulate(divP *field.F3, hr field.Rect, k int, ds float64, prefix []float64) {
-	nxh := hr.I1 - hr.I0
-	w := 0
-	for j := hr.J0; j < hr.J1; j++ {
-		base := divP.Index(hr.I0, j, k)
-		for o := 0; o < nxh; o++ {
-			prefix[w] += ds * divP.Data[base+o]
-			w++
+	copy(dst, open[w0:])
+	for e := plane + w0; e < len(open); e += plane {
+		for o, v := range open[e : e+len(dst)] {
+			dst[o] += v
 		}
 	}
 }

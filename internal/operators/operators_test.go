@@ -86,38 +86,46 @@ func cSum(t *testing.T, g *grid.Grid, cz, world *comm.Comm, st *state.State, sur
 	return sep
 }
 
-func TestCSumParallelMatchesSerial(t *testing.T) {
-	// The z-collective summation must reproduce the serial vertical
-	// integral for any p_z, and D(P) may live in the result's PWI.
+func TestCSumParallelMatchesSerial(t *testing.T) { checkCSumLayouts(t, false) }
+
+// checkCSumLayouts evaluates Ĉ on a σ-sheared state under p_z = 2, 3 and 4
+// — 2 and 4 split Nz = 6 into nodes of the summation tree, 3 does not —
+// and requires the serial bits in DBar and in PWI on every interface of the
+// rect: the owned block, or with deep one level past it toward high k, as
+// the deep-halo execution evaluates Ĉ. D(P) may live in the result's PWI
+// (cSum).
+func checkCSumLayouts(t *testing.T, deep bool) {
 	g := probeGrid()
 	bSer := serialBlock(g)
-	stSer := smoothState(g, bSer)
+	stSer := refState(g, bSer)
 	surSer := NewSurface(bSer)
 	surSer.Update(stSer.Psa)
 	serial := cSum(t, g, nil, nil, stSer, surSer, bSer.Owned())
 
-	for _, pz := range []int{2, 3} {
+	for _, pz := range []int{2, 3, 4} {
 		w := comm.NewWorld(pz, comm.Zero())
 		w.Run(func(c *comm.Comm) {
 			tp := topo.New(c, g, 1, 1, pz, 3, 2, 2)
-			st := smoothState(g, tp.Block) // InitFromPhysical fills owned only
-			st.FillLocalBounds(st.B.WithHalo())
+			st := refState(g, tp.Block)
 			ex := tp.NewExchanger(0, 0, 2)
 			ex.Exchange(st.F3s(), st.F2s())
 			st.FillLocalBounds(st.B.WithHalo())
 			sur := NewSurface(tp.Block)
 			sur.Update(st.Psa)
-			cres := cSum(t, g, tp.ColZ, tp.World, st, sur, tp.Block.Owned())
-			b := tp.Block
+			r := tp.Block.Owned()
+			if deep {
+				r.K1 = min(r.K1+1, g.Nz)
+			}
+			cres := cSum(t, g, tp.ColZ, tp.World, st, sur, r)
 			for j := 0; j < g.Ny; j++ {
 				for i := 0; i < g.Nx; i++ {
-					if got, want := cres.DBar.At(i, j), serial.DBar.At(i, j); math.Abs(got-want) > 1e-12*(1+math.Abs(want)) {
-						t.Errorf("pz=%d DBar(%d,%d): got %v want %v", pz, i, j, got, want)
+					if got, want := cres.DBar.At(i, j), serial.DBar.At(i, j); math.Float64bits(got) != math.Float64bits(want) {
+						t.Errorf("pz=%d DBar(%d,%d): got %v, serial %v", pz, i, j, got, want)
 						return
 					}
-					for k := b.K0; k <= b.K1 && k <= g.Nz; k++ {
-						if got, want := cres.PWI.At(i, j, k), serial.PWI.At(i, j, k); math.Abs(got-want) > 1e-12*(1+math.Abs(want)) {
-							t.Errorf("pz=%d PWI(%d,%d,%d): got %v want %v", pz, i, j, k, got, want)
+					for k := r.K0; k <= r.K1; k++ {
+						if got, want := cres.PWI.At(i, j, k), serial.PWI.At(i, j, k); math.Float64bits(got) != math.Float64bits(want) {
+							t.Errorf("pz=%d rank %d PWI(%d,%d,%d): got %v, serial %v", pz, c.Rank(), i, j, k, got, want)
 							return
 						}
 					}
@@ -252,20 +260,25 @@ func TestSmoothingLinearity(t *testing.T) {
 	smo := NewSmoother(g, 0.8)
 	comb := lin2(2, x, -3, y)
 	outComb := field.NewF3(b)
-	smo.P2Former(comb, outComb, b.Owned(), FullAvail)
+	smo.P2(comb, outComb, b.Owned())
 	outX := field.NewF3(b)
 	outY := field.NewF3(b)
-	smo.P2Former(x, outX, b.Owned(), FullAvail)
-	smo.P2Former(y, outY, b.Owned(), FullAvail)
+	smo.P2(x, outX, b.Owned())
+	smo.P2(y, outY, b.Owned())
 	want := lin2(2, outX, -3, outY)
 	if d := field.MaxAbsDiffOwned(outComb, want); d > 1e-10 {
 		t.Errorf("P2 not linear: %v", d)
 	}
 }
 
+// TestP2FormerPlusLatterEqualsFull checks the splitting identity (paper eq.
+// 14) on a single block with artificial windows of 1 to 5 rows, mid-domain
+// and at each pole: S̃1 applies P2 to the window's rows whose five-row window
+// lies inside it (past a pole the mirror rows count), S̃2 applies it to the
+// rest from the originals, and the window's rows hold the full P2's bits.
+// The split reads a shifted pole mirror, the full P2 the plain one: no row
+// past a pole carries weight.
 func TestP2FormerPlusLatterEqualsFull(t *testing.T) {
-	// The splitting identity (paper eq. 14) on a single block with an
-	// artificial window: S̃2(S̃1(φ)) == S̃(φ) to round-off.
 	g := probeGrid()
 	b := serialBlock(g)
 	rng := rand.New(rand.NewSource(12))
@@ -273,18 +286,42 @@ func TestP2FormerPlusLatterEqualsFull(t *testing.T) {
 	for i := range in.Data {
 		in.Data[i] = rng.NormFloat64()
 	}
+	in.FillXPeriodic()
+	field.FillPolesY(in, field.Even, field.CenterY)
+	shifted := in.Clone()
+	field.FillPolesYShifted(shifted, field.Even, field.CenterY)
 	smo := NewSmoother(g, 1.0)
-
 	full := field.NewF3(b)
-	smo.P2Former(in, full, b.Owned(), FullAvail)
+	smo.P2(in, full, b.Owned())
 
-	window := func(j int) (int, int) { return 4, 7 } // artificial mid-domain split
-	split := field.NewF3(b)
-	smo.P2Former(in, split, b.Owned(), window)
-	smo.P2Latter(in, split, b.Owned(), window)
-
-	if d := field.MaxAbsDiffOwned(full, split); d > 1e-13 {
-		t.Errorf("S̃2∘S̃1 differs from S̃ by %v", d)
+	for n := 1; n <= 5; n++ {
+		for _, lo := range []int{0, 3, g.Ny - n} {
+			hi := lo + n
+			split := field.NewF3(b)
+			for j := lo; j < hi; j++ {
+				r := b.Owned()
+				r.J0, r.J1 = j, j+1
+				if (lo == 0 || j-2 >= lo) && (hi == g.Ny || j+2 < hi) {
+					smo.P2(shifted, split, r) // S̃1
+				}
+			}
+			for j := lo; j < hi; j++ {
+				r := b.Owned()
+				r.J0, r.J1 = j, j+1
+				if !((lo == 0 || j-2 >= lo) && (hi == g.Ny || j+2 < hi)) {
+					smo.P2(shifted, split, r) // S̃2, from the originals
+				}
+			}
+			for k := 0; k < g.Nz; k++ {
+				for j := lo; j < hi; j++ {
+					for i := 0; i < g.Nx; i++ {
+						if got, want := split.At(i, j, k), full.At(i, j, k); math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("window [%d, %d) (%d,%d,%d): S̃2∘S̃1 gives %v, S̃ %v", lo, hi, i, j, k, got, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -415,50 +452,7 @@ func TestTendencyAccessorsZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestCSumDeepHaloRegionMatchesSerial(t *testing.T) {
-	// The deep-halo execution evaluates Ĉ on a region extending beyond the
-	// owned block (asymmetrically in z). Its values on that extended region
-	// must equal the serial evaluation — the property that makes the lagged
-	// Ĉ usable in halo areas — also with D(P) in the result's PWI.
-	g := probeGrid()
-	bSer := serialBlock(g)
-	stSer := smoothState(g, bSer)
-	_, serial, _ := prepare(g, stSer)
-
-	const pz = 2
-	w := comm.NewWorld(pz, comm.Zero())
-	w.Run(func(c *comm.Comm) {
-		tp := topo.New(c, g, 1, 1, pz, 3, 2, 2)
-		st := smoothState(g, tp.Block)
-		st.FillLocalBounds(st.B.WithHalo())
-		ex := tp.NewExchanger(0, 0, 2)
-		ex.Exchange(st.F3s(), st.F2s())
-		st.FillLocalBounds(st.B.WithHalo())
-		sur := NewSurface(tp.Block)
-		sur.Update(st.Psa)
-
-		// Extended region: one layer beyond the owned block toward high k.
-		b := tp.Block
-		r := b.Owned()
-		if r.K1 < g.Nz {
-			r.K1++
-		}
-		cres := cSum(t, g, tp.ColZ, tp.World, st, sur, r)
-
-		for j := 0; j < g.Ny; j++ {
-			for i := 0; i < g.Nx; i++ {
-				for k := r.K0; k <= r.K1; k++ {
-					got := cres.PWI.At(i, j, k)
-					want := serial.PWI.At(i, j, k)
-					if math.Abs(got-want) > 1e-12*(1+math.Abs(want)) {
-						t.Errorf("pz rank %d: PWI(%d,%d,%d) = %v, want %v", c.Rank(), i, j, k, got, want)
-						return
-					}
-				}
-			}
-		}
-	})
-}
+func TestCSumDeepHaloRegionMatchesSerial(t *testing.T) { checkCSumLayouts(t, true) }
 
 // TestTendencyOnItsComputeExtent: the kernels write a tendency by its own
 // block, so one stored only on the rect it is computed on (no y or z halo,

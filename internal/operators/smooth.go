@@ -18,19 +18,16 @@ import (
 //	(Lφ)_j = (sin θ_{j+1/2}·(φ_{j+1} − φ_j) − sin θ_{j−1/2}·(φ_j − φ_{j−1})) / sin θ_j,
 //
 // whose face weights vanish at the poles, so Σ_j sin θ_j·(δ⁴_θ φ)_j
-// telescopes to zero: S̃ keeps the area sum of p'_sa (the dry mass). Where
-// sin θ is the same on both faces it is the plain (1, −4, 6, −4, 1). P1
-// couples x only; P2 couples x and y. Under the Y-Z decomposition only P2's
-// y coupling communicates, and the paper splits it by y rows (eq. 14) into
-// a former stage S̃1 (rows available locally) and a latter stage S̃2 (the
-// remaining rows, applied after the fused exchange delivers the neighbors'
-// original edge rows).
-//
-// S̃ = S̃2∘S̃1 holds to roundoff, not bitwise: the full P2 sums a row's
-// offsets in ascending order, while at a window edge P2Former sums the
-// in-window offsets and P2Latter adds the out-of-window ones as a separate
-// sum, which associates the terms differently. TestSmoothingSplitMatchesFull
-// (internal/dycore) asserts the identity at 1e-12.
+// telescopes to zero: S̃ keeps the area sum of p'_sa (the dry mass), and no
+// row past a pole carries weight. Where sin θ is the same on both faces it
+// is the plain (1, −4, 6, −4, 1). P1 couples x only; P2 couples x and y.
+// Under the Y-Z decomposition only P2's y coupling communicates, and the
+// paper splits it by y rows (eq. 14) into a former stage S̃1 (rows whose
+// five-row window is available locally) and a latter stage S̃2 (the rest,
+// applied after the fused exchange delivers the neighbors' original rows).
+// Both stages apply the one kernel P2 to whole rows, from the originals and
+// in the same ascending order, so S̃ = S̃2∘S̃1 holds bitwise
+// (TestSmoothingSplitMatchesFull, internal/dycore).
 type Smoother struct {
 	g    *grid.Grid
 	beta float64
@@ -96,32 +93,17 @@ func (s *Smoother) P1Field(in, out *field.F3, r field.Rect) int {
 	return r.Count()
 }
 
-// AvailFunc reports, for a global latitude row j, the half-open row window
-// [lo, hi) that was locally available to the rank that executed former
-// smoothing for row j. Rows outside the window are the latter-smoothing
-// contributions. A window covering [j−2, j+2] for every j means full
-// smoothing in one pass.
-type AvailFunc func(j int) (lo, hi int)
-
-// FullAvail is the AvailFunc of the unsplit smoothing.
-func FullAvail(j int) (lo, hi int) { return j - 2, j + 3 }
-
-// P2Former applies the former-smoothing part of P2 of in into out over r:
-// for each row j, the contributions of rows j+d (d = −2…2) that fall inside
-// avail(j), accumulated in increasing d. With avail = FullAvail this is the
-// complete P2. Inputs must be valid on r expanded by 2 in x and on the
-// in-window rows in y.
-func (s *Smoother) P2Former(in, out *field.F3, r field.Rect, avail AvailFunc) int {
+// P2 applies P2 of in into out over r, each row's offsets summed in
+// ascending order. Rows past a pole carry zero weight, so it reads only the
+// rows of r within 2 in y, cut at the poles, each expanded by 2 in x.
+func (s *Smoother) P2(in, out *field.F3, r field.Rect) int {
 	xo := in.XOff(0)
 	var rows [5][]float64
 	for k := r.K0; k < r.K1; k++ {
 		for j := r.J0; j < r.J1; j++ {
-			// The avail window is contiguous, so the retained offsets form one
-			// contiguous d range — the inner loop then runs without per-row
-			// nil checks, in the same ascending-d order (bitwise-identical
-			// accumulation).
-			lo, hi := avail(j)
-			dLo, dHi := clampD(lo-j, hi-1-j)
+			// The in-domain offsets form one contiguous d range, so the inner
+			// loop runs without per-row checks.
+			dLo, dHi := max(-2, -j), min(2, s.g.Ny-1-j)
 			c1, c2 := &s.rows[j][0], &s.rows[j][1]
 			for d := dLo; d <= dHi; d++ {
 				rows[d+2] = in.Row(j+d, k)
@@ -141,107 +123,13 @@ func (s *Smoother) P2Former(in, out *field.F3, r field.Rect, avail AvailFunc) in
 	return r.Count()
 }
 
-// clampD clips an inclusive offset range to the stencil offsets [−2, 2].
-func clampD(lo, hi int) (int, int) {
-	if lo < -2 {
-		lo = -2
-	}
-	if hi > 2 {
-		hi = 2
-	}
-	return lo, hi
-}
-
-// P2Latter adds the latter-smoothing contributions to cur over r: for each
-// row j, the rows j+d outside avail(j), read from orig (the pre-smoothing
-// values, which the fused exchange provides for neighbor rows). Accumulated
-// in increasing d, completing P2Former to the exact full P2.
-func (s *Smoother) P2Latter(orig, cur *field.F3, r field.Rect, avail AvailFunc) int {
-	work := 0
-	xo := orig.XOff(0)
-	var rows [5][]float64
-	for k := r.K0; k < r.K1; k++ {
-		for j := r.J0; j < r.J1; j++ {
-			lo, hi := avail(j)
-			if j-2 >= lo && j+2 < hi {
-				continue // fully smoothed in the former stage
-			}
-			// The out-of-window offsets are the complement of one contiguous
-			// window: at most two contiguous d ranges, processed in ascending
-			// d (range a below the window, then range b above it) — the same
-			// accumulation order as the per-offset nil-check loop.
-			aHi := lo - j - 1 // last offset below the window
-			if aHi > 2 {
-				aHi = 2
-			}
-			bLo := hi - j // first offset above the window
-			if bLo < -2 {
-				bLo = -2
-			}
-			for d := -2; d <= aHi; d++ {
-				rows[d+2] = orig.Row(j+d, k)
-			}
-			for d := bLo; d <= 2; d++ {
-				rows[d+2] = orig.Row(j+d, k)
-			}
-			dst := cur.Row(j, k)
-			c1, c2 := &s.rows[j][0], &s.rows[j][1]
-			for i := r.I0; i < r.I1; i++ {
-				o := i + xo
-				acc := 0.0
-				for d := -2; d <= aHi; d++ {
-					rw := rows[d+2]
-					acc += c1[d+2]*rw[o] + c2[d+2]*(rw[o-2]-4*rw[o-1]+6*rw[o]-4*rw[o+1]+rw[o+2])
-				}
-				for d := bLo; d <= 2; d++ {
-					rw := rows[d+2]
-					acc += c1[d+2]*rw[o] + c2[d+2]*(rw[o-2]-4*rw[o-1]+6*rw[o]-4*rw[o+1]+rw[o+2])
-				}
-				dst[o] += acc
-			}
-			work += r.I1 - r.I0
-		}
-	}
-	return work
-}
-
-// LatterReads returns the cells of orig that P2Latter over r reads outside
-// x halos: for each row j of r, the rows j+d (d = −2…2) outside avail(j),
-// as one rect per maximal run of such rows, ascending, across r's x and z
-// extent. With FullAvail it is empty.
-func LatterReads(r field.Rect, avail AvailFunc) []field.Rect {
-	read := map[int]bool{}
-	for j := r.J0; j < r.J1; j++ {
-		lo, hi := avail(j)
-		for d := -2; d <= 2; d++ {
-			if j+d < lo || j+d >= hi {
-				read[j+d] = true
-			}
-		}
-	}
-	var out []field.Rect
-	for j := r.J0 - 2; j < r.J1+2; j++ {
-		if !read[j] {
-			continue
-		}
-		if n := len(out); n > 0 && out[n-1].J1 == j {
-			out[n-1].J1++
-			continue
-		}
-		run := r
-		run.J0, run.J1 = j, j+1
-		out = append(out, run)
-	}
-	return out
-}
-
 // SmoothFull applies the complete S̃ of in into out over rect r (the
 // baseline path: P1 on U and V, full P2 on Φ and on p'_sa's level). Inputs
 // must be valid on r expanded by 2 in x and y.
 func (s *Smoother) SmoothFull(in *state.State, out *state.State, r field.Rect) int {
 	w := s.P1Field(in.U, out.U, r)
 	w += s.P1Field(in.V, out.V, r)
-	w += s.P2Former(in.Phi, out.Phi, r, FullAvail)
-	w += s.P2Former(&in.Psa.F3, &out.Psa.F3, r.Flat2D(), FullAvail)
+	w += s.P2(in.Phi, out.Phi, r)
+	w += s.P2(&in.Psa.F3, &out.Psa.F3, r.Flat2D())
 	return w
 }

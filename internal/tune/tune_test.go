@@ -206,10 +206,10 @@ func TestPlanCacheHitAndMiss(t *testing.T) {
 	// Every other input that changes the answer must miss too: each row
 	// changes one input of a planner that shares the cache with the base
 	// request, and the cache must serve exactly what the same planner plans
-	// uncached. On 48×24×8 with 8 ranks and M = 3 the base pick is staged
+	// uncached. On 48×24×12 with 8 ranks and M = 3 the base pick is staged
 	// (ca-8x1-m3-s1, piloted over 2 steps), so every miss row moves the
 	// answer. Time steps only scale values, so that row must hit.
-	g8 := grid.New(48, 24, 8)
+	g8 := grid.New(48, 24, 12)
 	cfg3 := planCfg()
 	cfg3.M = 3
 	base := Planner{Profile: prof, TopK: 4, PilotSteps: 2}
