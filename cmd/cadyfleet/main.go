@@ -1,7 +1,8 @@
 // Command cadyfleet is the fleet coordinator daemon: it fronts N cadyserved
 // backends behind the same HTTP/JSON job API, placing each job on a backend
-// as it is submitted, migrating jobs off dead backends (resuming from the
-// shared checkpoint store) and fanning ensembles into perturbed members.
+// as it is submitted and migrating jobs off dead backends (resuming from the
+// shared checkpoint store). An ensemble ("kind": "ensemble") is one job: its
+// backend runs the members, and a migrated ensemble resumes member by member.
 // Tenant quotas and priority classes are the backends' (cadyserved -quota,
 // -quotas, -classes): a backend's 429 + Retry-After passes through when no
 // backend admits a job.
@@ -15,18 +16,17 @@
 // Every backend must run cadyserved with -shared pointing at the same -store
 // directory; it is both the migration substrate (every fleet job checkpoints
 // there, and only there) and where the coordinator persists its routing state
-// (fleet/, one record per job and per ensemble and one of the ID counters,
-// each written when it changes), so a restarted coordinator reconciles
-// rather than restarts.
+// (fleet/, one record per job, which is also the job's API view, and one of
+// the ID counter, each written when it changes), so a restarted coordinator
+// reconciles rather than restarts.
 //
 // Endpoints (the job API mirrors cadyserved):
 //
-//	POST /jobs               submit (X-Tenant header); placed before the 202
+//	POST /jobs               submit a run, figures or ensemble job (X-Tenant
+//	                         header); placed before the 202
 //	GET  /jobs               list, ?status= filter, ?offset=/&limit= pagination
 //	GET  /jobs/{id}          live status (proxied from the owning backend)
 //	POST /jobs/{id}/cancel   cancel wherever the job is
-//	POST /ensembles          fan one run spec into K perturbed members
-//	GET  /ensembles/{id}     member states + min/max/mean diagnostics
 //	GET  /backends           backend health; POST /backends registers one
 //	POST /backends/drain     {"url": ...} forwards the backend drain hook
 //	GET  /metrics            backend health and routing counters

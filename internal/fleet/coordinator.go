@@ -38,7 +38,8 @@ func (c *Coordinator) SubmitJob(spec server.JobSpec, tenant string) (*job, error
 	if err != nil {
 		return nil, err
 	}
-	j.State, j.Backend, j.BackendID, j.remote = server.JRunning, url, st.ID, st
+	j.State, j.Backend, j.BackendJobID, j.remote = server.JRunning, url, st.ID, st
+	j.StepsTotal = st.StepsWant
 	c.mu.Lock()
 	c.registerLocked(j)
 	c.mu.Unlock()
@@ -75,7 +76,7 @@ func (c *Coordinator) CancelJob(id string) error {
 	case server.JQueued:
 		c.finalizeLocked(j, server.JCancelled, "")
 	case server.JRunning:
-		url, backendID = j.Backend, j.BackendID
+		url, backendID = j.Backend, j.BackendJobID
 	}
 	c.mu.Unlock()
 	c.persist(j)
@@ -122,8 +123,8 @@ func (c *Coordinator) place(id string, spec server.JobSpec) (string, *server.Job
 	return "", nil, rej
 }
 
-// unplace withdraws a copy the fleet will not track (a partly placed
-// ensemble, a migration cancelled while it was being placed).
+// unplace withdraws a copy the fleet will not track (a migration cancelled
+// while it was being placed).
 func (c *Coordinator) unplace(url, backendID string) {
 	c.cancelBackendJob(url, backendID)
 	c.mu.Lock()
@@ -152,7 +153,7 @@ func (c *Coordinator) placePending() {
 		c.mu.Lock()
 		placed := j.State == server.JQueued
 		if placed {
-			j.State, j.Backend, j.BackendID, j.remote = server.JRunning, url, st.ID, st
+			j.State, j.Backend, j.BackendJobID, j.remote = server.JRunning, url, st.ID, st
 		}
 		c.mu.Unlock()
 		if placed {
@@ -172,7 +173,7 @@ func (c *Coordinator) placePending() {
 //
 //cadyvet:locked c.mu
 func (c *Coordinator) applyRemoteLocked(j *job, st *server.JobStatus) (changed bool) {
-	if j.State != server.JRunning || st.ID != j.BackendID {
+	if j.State != server.JRunning || st.ID != j.BackendJobID {
 		// Migrated or finalized while the fetch was in flight: ignore.
 		return false
 	}
@@ -219,7 +220,7 @@ func (c *Coordinator) finalizeLocked(j *job, st server.JState, errMsg string) {
 	}
 	c.leaveLocked(j)
 	j.State = st
-	j.ErrMsg = errMsg
+	j.Error = errMsg
 	j.Finished = wallNow().Format(time.RFC3339Nano)
 	if j.remote != nil { // nothing reads a finished job's backend status but these
 		j.Diagnostics, j.remote = j.remote.Diagnostics, nil
@@ -255,7 +256,7 @@ func (c *Coordinator) migrateLocked(j *job, reason string) {
 		return
 	}
 	c.leaveLocked(j)
-	j.State, j.Backend, j.BackendID, j.remote = server.JQueued, "", "", nil
+	j.State, j.Backend, j.BackendJobID, j.remote = server.JQueued, "", "", nil
 }
 
 // --- prober ----------------------------------------------------------------
@@ -353,7 +354,7 @@ func (c *Coordinator) syncBackend(url string, cancelZombies bool) {
 		j := c.jobs[st.Spec.SharedKey]
 		switch {
 		case j == nil: // not a fleet job, or one still being placed
-		case j.State == server.JRunning && j.Backend == url && j.BackendID == st.ID:
+		case j.State == server.JRunning && j.Backend == url && j.BackendJobID == st.ID:
 			if c.applyRemoteLocked(j, st) {
 				changed = append(changed, j)
 			}

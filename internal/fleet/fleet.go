@@ -9,11 +9,12 @@
 // store (checkpoint.DirStore), the one home of every fleet job's checkpoints, so
 // when a backend dies — detected by health probes with exponential backoff —
 // its jobs migrate to a live backend and resume bitwise from the latest
-// shared checkpoint (a snapshot is the whole carried state). On top of
-// routing it fans one JobSpec into K perturbed ensemble members and
-// aggregates their diagnostics.
+// shared checkpoint (a snapshot is the whole carried state). An ensemble
+// ("kind": "ensemble") is one job here like any other: its backend runs the
+// members, each checkpointing under "<fleet id>-mNN", so a migrated ensemble
+// resumes member by member.
 //
-//cadyvet:persistence per-job, per-ensemble and ID-counter records under StoreDir/fleet survive coordinator restarts; durable writes route through checkpoint.WriteFileAtomic and MkdirDurable
+//cadyvet:persistence per-job and ID-counter records under StoreDir/fleet survive coordinator restarts; durable writes route through checkpoint.WriteFileAtomic and MkdirDurable
 package fleet
 
 import (
@@ -82,34 +83,37 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// job is one coordinator-tracked job; its exported fields are its durable
-// record. All mutable fields are guarded by the coordinator
-// mutex; ID, Tenant and Spec are immutable.
+// job is one coordinator-tracked job. Its exported fields are both its
+// durable record and its API view: the backend status vocabulary (id,
+// state, steps_done, diagnostics, spec) plus the fleet routing fields, so
+// any cadyserved client works against the coordinator unchanged. All
+// mutable fields are guarded by the coordinator mutex; ID, Tenant and Spec
+// are immutable.
 type job struct {
-	ID     string         `json:"id"`
-	Tenant string         `json:"tenant"`
-	Spec   server.JobSpec `json:"spec"` // normalized; SharedKey = ID, Tenant set
-
-	Ensemble string `json:"ensemble,omitempty"` // owning ensemble ID ("" for plain jobs)
-	Member   int    `json:"member,omitempty"`
-
+	ID     string `json:"id"`
+	Tenant string `json:"tenant"`
 	// State is the job's lifecycle state in the service's vocabulary. A
 	// fleet job is queued (waiting for a backend: a migration no backend has
 	// accepted yet, which the prober retries every tick), running (placed on
-	// Backend as BackendID), or completed, failed or cancelled; never
+	// Backend as BackendJobID), or completed, failed or cancelled; never
 	// interrupted or retrying, since a stopped backend copy migrates instead.
 	State      server.JState `json:"state"`
-	Backend    string        `json:"backend,omitempty"`    // owning backend URL once placed
-	BackendID  string        `json:"backend_id,omitempty"` // backend-local job ID
-	Migrations int           `json:"migrations,omitempty"`
-	ErrMsg     string        `json:"error,omitempty"`
-	StepsDone  int           `json:"steps_done,omitempty"` // high-water mark across backends
-	Submitted  time.Time     `json:"submitted_at"`
+	StepsDone  int           `json:"steps_done"` // high-water mark across backends
+	StepsTotal int           `json:"steps_total"`
+
+	Backend      string `json:"backend,omitempty"`        // owning backend URL once placed
+	BackendJobID string `json:"backend_job_id,omitempty"` // backend-local job ID
+	Migrations   int    `json:"migrations,omitempty"`
+	Error        string `json:"error,omitempty"`
+
+	Submitted time.Time `json:"submitted_at"`
 	// Finished (RFC 3339, UTC) and Diagnostics are set when the job reaches
 	// a terminal state: its finish time and its backend copy's final
 	// diagnostics.
 	Finished    string             `json:"finished_at,omitempty"`
 	Diagnostics map[string]float64 `json:"diagnostics,omitempty"`
+
+	Spec server.JobSpec `json:"spec"` // normalized; SharedKey = ID, Tenant set
 
 	cancelRequested bool
 	// remote is the last observed status of the backend copy; nil after a
@@ -117,13 +121,21 @@ type job struct {
 	remote *server.JobStatus
 }
 
-// ensemble is one fan-out of K perturbed members.
-type ensemble struct {
-	ID        string       `json:"id"`
-	Tenant    string       `json:"tenant"`
-	Spec      EnsembleSpec `json:"spec"`
-	Members   []string     `json:"members"` // fleet job IDs, member order
-	Submitted time.Time    `json:"submitted_at"`
+// UnmarshalJSON reads a job record, also one written before the record was
+// the API view, whose backend-local ID is keyed backend_id and which has no
+// steps_total.
+func (j *job) UnmarshalJSON(b []byte) error {
+	type plain job
+	rec := struct {
+		*plain
+		BackendID string `json:"backend_id"`
+	}{plain: (*plain)(j)}
+	if err := json.Unmarshal(b, &rec); err != nil {
+		return err
+	}
+	j.BackendJobID = cmp.Or(j.BackendJobID, rec.BackendID)
+	j.StepsTotal = cmp.Or(j.StepsTotal, j.Spec.Steps)
+	return nil
 }
 
 // Coordinator is the fleet control plane. Create with New, expose with
@@ -143,14 +155,12 @@ type Coordinator struct {
 	// never while holding it.
 	persistMu sync.Mutex
 
-	mu        sync.Mutex
-	backends  []*backend           //cadyvet:guardedby mu
-	jobs      map[string]*job      //cadyvet:guardedby mu
-	order     []string             //cadyvet:guardedby mu
-	ensembles map[string]*ensemble //cadyvet:guardedby mu
-	eorder    []string             //cadyvet:guardedby mu
-	ids       counters             //cadyvet:guardedby mu
-	met       fleetMetrics         //cadyvet:guardedby mu
+	mu       sync.Mutex
+	backends []*backend      //cadyvet:guardedby mu
+	jobs     map[string]*job //cadyvet:guardedby mu
+	order    []string        //cadyvet:guardedby mu
+	ids      counters        //cadyvet:guardedby mu
+	met      fleetMetrics    //cadyvet:guardedby mu
 }
 
 // New builds the coordinator: opens the shared store, reloads its records,
@@ -169,11 +179,10 @@ func New(cfg Config) (*Coordinator, error) {
 		}
 	}
 	c := &Coordinator{
-		cfg:       cfg,
-		client:    cfg.Client,
-		jobs:      make(map[string]*job),
-		ensembles: make(map[string]*ensemble),
-		start:     time.Now(),
+		cfg:    cfg,
+		client: cfg.Client,
+		jobs:   make(map[string]*job),
+		start:  time.Now(),
 	}
 	c.ctx, c.cancel = context.WithCancel(context.Background())
 	for _, u := range cfg.Backends {
@@ -230,16 +239,14 @@ func wallNow() time.Time { return time.Now().UTC() }
 // stored is a record with a file of its own under StoreDir/fleet.
 type stored interface{ recordName() string }
 
-func (j *job) recordName() string      { return "job-" + j.ID }
-func (e *ensemble) recordName() string { return "ensemble-" + e.ID }
-func (*counters) recordName() string   { return "ids" }
+func (j *job) recordName() string    { return "job-" + j.ID }
+func (*counters) recordName() string { return "ids" }
 
-// counters are the last job and ensemble IDs handed out, written before a
-// backend sees the new ID: a failed submit's withdrawn copies may have
-// checkpointed under it, and a restart must not hand those to another job.
+// counters hold the last job ID handed out, written before a backend sees
+// the new ID: a failed submit's copies may have checkpointed under it, and a
+// restart must not hand those to another job.
 type counters struct {
-	Seq  int `json:"seq"`
-	ESeq int `json:"eseq"`
+	Seq int `json:"seq"`
 }
 
 func (c *Coordinator) recordDir() string { return filepath.Join(c.cfg.StoreDir, "fleet") }
@@ -251,8 +258,8 @@ var writeState = checkpoint.WriteFileAtomic
 // persist durably writes the records an event changed, so an event costs the
 // same however many jobs the fleet holds. They are marshalled under mu and
 // written outside it, but inside persistMu, so an older record of a job never
-// renames over a newer one. They land in argument order until one fails (an
-// ensemble behind its members); a failure counts in persistErrors.
+// renames over a newer one. They land in argument order until one fails; a
+// failure counts in persistErrors.
 func (c *Coordinator) persist(recs ...stored) (err error) {
 	if len(recs) == 0 {
 		return nil
@@ -280,6 +287,8 @@ func (c *Coordinator) persist(recs ...stored) (err error) {
 // submission order. It rebuilds the outcome counters so /metrics survives a
 // restart and the backends' in-flight counts so placement does; the ID
 // counters are a record of their own, written ahead of every record of an ID.
+// The ensemble-*.json records of older coordinators are not read: their
+// members' job records load as plain jobs.
 func (c *Coordinator) load() error {
 	err := checkpoint.MkdirDurable(c.recordDir())
 	if err == nil {
@@ -287,19 +296,14 @@ func (c *Coordinator) load() error {
 	}
 	var ids []*counters
 	var js []*job
-	var es []*ensemble
 	if err == nil {
 		ids, err = readRecords[counters](c.recordDir(), "ids.json")
 	}
 	if err == nil {
 		js, err = readRecords[job](c.recordDir(), "job-*.json")
 	}
-	if err == nil {
-		es, err = readRecords[ensemble](c.recordDir(), "ensemble-*.json")
-	}
-	// Submission order: by time, then ID (an ensemble's members share its time).
+	// Submission order: by time, then ID (an old ensemble's members share a time).
 	slices.SortFunc(js, func(a, b *job) int { return cmp.Or(a.Submitted.Compare(b.Submitted), strings.Compare(a.ID, b.ID)) })
-	slices.SortFunc(es, func(a, b *ensemble) int { return cmp.Or(a.Submitted.Compare(b.Submitted), strings.Compare(a.ID, b.ID)) })
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(ids) == 1 {
@@ -318,14 +322,10 @@ func (c *Coordinator) load() error {
 				b.inflight++
 			}
 		default: // queued, or unknown: wait for placement
-			j.State, j.Backend, j.BackendID = server.JQueued, "", ""
+			j.State, j.Backend, j.BackendJobID = server.JQueued, "", ""
 		}
 		c.met.migrations += int64(j.Migrations)
 		c.addLocked(j)
-	}
-	for _, e := range es {
-		c.ensembles[e.ID] = e
-		c.eorder = append(c.eorder, e.ID)
 	}
 	return err
 }
@@ -356,8 +356,7 @@ func (c *Coordinator) migrateLegacy() error {
 	var b []byte
 	var st struct {
 		counters
-		Jobs      []*job
-		Ensembles []*ensemble
+		Jobs []*job
 	}
 	if err == nil {
 		b, err = os.ReadFile(path)
@@ -369,10 +368,6 @@ func (c *Coordinator) migrateLegacy() error {
 	for _, j := range st.Jobs {
 		j.Submitted = cmp.Or(j.Submitted, fi.ModTime().UTC())
 		recs = append(recs, j)
-	}
-	for _, e := range st.Ensembles {
-		e.Submitted = cmp.Or(e.Submitted, fi.ModTime().UTC())
-		recs = append(recs, e)
 	}
 	if err == nil {
 		err = c.persist(recs...)

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -134,10 +135,10 @@ func (h *fleetHarness) postJSON(t *testing.T, path string, body any, tenant stri
 	return resp
 }
 
-func decodeInfo(t *testing.T, resp *http.Response) JobInfo {
+func decodeInfo(t *testing.T, resp *http.Response) job {
 	t.Helper()
 	defer resp.Body.Close()
-	var info JobInfo
+	var info job
 	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
 		t.Fatalf("decoding job info: %v", err)
 	}
@@ -146,7 +147,7 @@ func decodeInfo(t *testing.T, resp *http.Response) JobInfo {
 
 // getJob is one GET /jobs/{id}: the coordinator folds in the owning
 // backend's live status.
-func (h *fleetHarness) getJob(t *testing.T, id string) JobInfo {
+func (h *fleetHarness) getJob(t *testing.T, id string) job {
 	t.Helper()
 	resp, err := http.Get(h.cts.URL + "/jobs/" + id)
 	if err != nil {
@@ -157,7 +158,7 @@ func (h *fleetHarness) getJob(t *testing.T, id string) JobInfo {
 
 // waitProgress polls until the job runs on a backend with at least steps
 // steps done, and returns its view.
-func (h *fleetHarness) waitProgress(t *testing.T, id string, steps int) JobInfo {
+func (h *fleetHarness) waitProgress(t *testing.T, id string, steps int) job {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
@@ -171,26 +172,26 @@ func (h *fleetHarness) waitProgress(t *testing.T, id string, steps int) JobInfo 
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("job %s never reached step %d", id, steps)
-	return JobInfo{}
+	return job{}
 }
 
 // waitJob polls GET /jobs/{id} until the public state matches.
-func (h *fleetHarness) waitJob(t *testing.T, id, want string, timeout time.Duration) JobInfo {
+func (h *fleetHarness) waitJob(t *testing.T, id, want string, timeout time.Duration) job {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
-	var last JobInfo
+	var last job
 	for time.Now().Before(deadline) {
 		last = h.getJob(t, id)
-		if last.State == want {
+		if string(last.State) == want {
 			return last
 		}
-		if last.State == string(server.JFailed) && want != string(server.JFailed) {
+		if last.State == server.JFailed && want != string(server.JFailed) {
 			t.Fatalf("job %s failed (%s), want %s", id, last.Error, want)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("timeout waiting for job %s to reach %s (last %s)", id, want, last.State)
-	return JobInfo{}
+	return job{}
 }
 
 func (h *fleetHarness) metricsText(t *testing.T) string {
@@ -318,6 +319,66 @@ func TestMigrationResumesAcrossBackends(t *testing.T) {
 	}
 }
 
+// TestEnsembleMigratesAcrossBackends: an ensemble is one fleet job. Killed
+// mid-run with its backend, it completes on the survivor, each member
+// resuming from its shared checkpoint under "<fleet id>-mNN", bitwise the
+// members of the same ensemble run by one server without a fleet.
+func TestEnsembleMigratesAcrossBackends(t *testing.T) {
+	h := newFleetHarness(t, 2, 2, 4, nil, nil)
+	spec := server.JobSpec{
+		Kind: "ensemble", Members: 2, PerturbSeed: 7,
+		Alg: "ca", Nx: 48, Ny: 24, Nz: 8, PA: 2, PB: 2, M: 2, Steps: 100, CheckpointEvery: 1,
+	}
+	resp := h.postJSON(t, "/jobs", spec, "acme")
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d", resp.StatusCode)
+	}
+	info := decodeInfo(t, resp)
+	if info.StepsTotal != 200 {
+		t.Fatalf("ensemble steps_total %d, want 200", info.StepsTotal)
+	}
+	owner := h.waitProgress(t, info.ID, 4).Backend
+	for _, b := range h.backends {
+		if b.ts.URL == owner {
+			b.kill()
+		}
+	}
+	final := h.waitJob(t, info.ID, "completed", 60*time.Second)
+	if final.Migrations < 1 || final.Backend == owner || final.StepsDone != 200 {
+		t.Fatalf("completed ensemble: %d migrations, on %s (killed %s), %d steps", final.Migrations, final.Backend, owner, final.StepsDone)
+	}
+	if _, ok := final.Diagnostics["kinetic_energy.mean"]; !ok {
+		t.Fatalf("completed ensemble has no member aggregate: %v", final.Diagnostics)
+	}
+
+	ref, err := server.New(server.Config{Workers: 2, QueueCap: 4, Shared: h.store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ref.Shutdown(context.Background()) })
+	spec.SharedKey = "ref"
+	e, err := ref.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for st := e.Status(); st.State != server.JCompleted; st = e.Status() {
+		if st.State.Terminal() {
+			t.Fatalf("reference ensemble %s: %s", st.State, st.Error)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	for m := 0; m < spec.Members; m++ {
+		got, step, err := h.store.Latest(fmt.Sprintf("%s-m%02d", info.ID, m))
+		want, _, werr := h.store.Latest(fmt.Sprintf("ref-m%02d", m))
+		if err != nil || werr != nil || step != spec.Steps {
+			t.Fatalf("member %d: final at step %d (%v, %v)", m, step, err, werr)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("migrated member %d differs from the single-server ensemble (max diff %g)", m, maxDiff(got, want))
+		}
+	}
+}
+
 // TestBlownUpJobCompletes: a backend job whose state went non-finite is
 // read by the coordinator like any other — completed, all_finite 0 — and
 // the coordinator's job list still decodes that backend.
@@ -337,11 +398,11 @@ func TestBlownUpJobCompletes(t *testing.T) {
 		t.Fatalf("GET /jobs: %v status %d", err, lresp.StatusCode)
 	}
 	var list struct {
-		Jobs []JobInfo `json:"jobs"`
+		Jobs []job `json:"jobs"`
 	}
 	err = json.NewDecoder(lresp.Body).Decode(&list)
 	lresp.Body.Close()
-	if err != nil || len(list.Jobs) != 1 || list.Jobs[0].State != string(server.JCompleted) {
+	if err != nil || len(list.Jobs) != 1 || list.Jobs[0].State != server.JCompleted {
 		t.Fatalf("coordinator job list: %v %+v", err, list.Jobs)
 	}
 }
@@ -385,7 +446,7 @@ func TestListStatusFilter(t *testing.T) {
 // TestTenantQuotaRejects: the backends' tenant quota is the fleet's. Over a
 // one-backend coordinator, a submission over quota gets the backend's 429 +
 // Retry-After passed through, another tenant is admitted, and an ensemble
-// that does not fit whole is refused with every member it placed cancelled.
+// that does not fit whole is refused with none of its members admitted.
 func TestTenantQuotaRejects(t *testing.T) {
 	h := newFleetHarness(t, 1, 1, 8, func(cfg *server.Config) {
 		cfg.Quotas = map[string]int{"greedy": 2, "bystander": 3}
@@ -411,8 +472,9 @@ func TestTenantQuotaRejects(t *testing.T) {
 		t.Fatalf("bystander submit: %d", resp.StatusCode)
 	}
 	ids = append(ids, decodeInfo(t, resp).ID)
-	es := EnsembleSpec{Job: spec, Members: 3, Seed: 7}
-	resp = h.postJSON(t, "/ensembles", es, "bystander")
+	es := spec
+	es.Kind, es.Members, es.PerturbSeed = "ensemble", 3, 7
+	resp = h.postJSON(t, "/jobs", es, "bystander")
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("ensemble over the bystander's quota room: %d, want 429", resp.StatusCode)
@@ -427,7 +489,7 @@ func TestTenantQuotaRejects(t *testing.T) {
 		`cady_tenant_rejected_total{tenant="greedy"} 1`,
 		`cady_tenant_inflight{tenant="greedy"} 2`,
 		`cady_tenant_rejected_total{tenant="bystander"} 1`,
-		`cady_tenant_inflight{tenant="bystander"} 1`, // the two placed members were cancelled
+		`cady_tenant_inflight{tenant="bystander"} 1`, // no member was admitted
 	} {
 		if !strings.Contains(string(b), want) {
 			t.Errorf("backend metrics missing %q", want)
@@ -436,96 +498,6 @@ func TestTenantQuotaRejects(t *testing.T) {
 	for _, id := range ids {
 		resp := h.postJSON(t, "/jobs/"+id+"/cancel", nil, "")
 		resp.Body.Close()
-	}
-}
-
-// TestEnsembleDeterminism: the same seeded ensemble fans into the same
-// member set — member finals are bitwise-reproducible across submissions
-// and mutually distinct within one ensemble.
-func TestEnsembleDeterminism(t *testing.T) {
-	h := newFleetHarness(t, 1, 2, 16, nil, nil)
-	es := EnsembleSpec{
-		Job:     server.JobSpec{Alg: "yz", Nx: 16, Ny: 8, Nz: 4, PA: 1, PB: 1, M: 1, Steps: 2},
-		Members: 3,
-		Seed:    7,
-	}
-	waitEnsemble := func(id string) EnsembleStatus {
-		deadline := time.Now().Add(60 * time.Second)
-		for {
-			resp, err := http.Get(h.cts.URL + "/ensembles/" + id)
-			if err != nil {
-				t.Fatalf("GET ensemble: %v", err)
-			}
-			var st EnsembleStatus
-			if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-				t.Fatalf("decode ensemble: %v", err)
-			}
-			resp.Body.Close()
-			if st.State == "completed" {
-				return st
-			}
-			if st.State == "failed" || time.Now().After(deadline) {
-				t.Fatalf("ensemble %s state %s (completed %d, failed %d)", id, st.State, st.Completed, st.Failed)
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
-
-	resp := h.postJSON(t, "/ensembles", es, "acme")
-	if resp.StatusCode != http.StatusAccepted {
-		b, _ := io.ReadAll(resp.Body)
-		t.Fatalf("submit ensemble: %d: %s", resp.StatusCode, b)
-	}
-	var first EnsembleStatus
-	json.NewDecoder(resp.Body).Decode(&first)
-	resp.Body.Close()
-	st1 := waitEnsemble(first.ID)
-
-	// Aggregated diagnostics cover all members and are internally coherent.
-	if len(st1.Diagnostics) == 0 {
-		t.Fatal("completed ensemble has no aggregated diagnostics")
-	}
-	ke, ok := st1.Diagnostics["kinetic_energy"]
-	if !ok || ke.Count != 3 {
-		t.Fatalf("kinetic_energy aggregate missing or wrong count: %+v", ke)
-	}
-	if !(ke.Min <= ke.Mean && ke.Mean <= ke.Max) {
-		t.Fatalf("aggregate not ordered: %+v", ke)
-	}
-	if ke.Min == ke.Max {
-		t.Fatal("perturbed members produced identical kinetic energy (no spread)")
-	}
-
-	finals1 := make([]*checkpoint.Global, 3)
-	for m := 0; m < 3; m++ {
-		gl, step, err := h.store.Latest(fmt.Sprintf("%s-m%02d", first.ID, m))
-		if err != nil || step != es.Job.Steps {
-			t.Fatalf("member %d final: step %d err %v", m, step, err)
-		}
-		finals1[m] = gl
-	}
-	for a := 0; a < 3; a++ {
-		for b := a + 1; b < 3; b++ {
-			if finals1[a].Equal(finals1[b]) {
-				t.Fatalf("members %d and %d are bitwise identical — perturbation did not differentiate them", a, b)
-			}
-		}
-	}
-
-	// Resubmit the identical ensemble: same member set, bitwise.
-	resp = h.postJSON(t, "/ensembles", es, "acme")
-	var second EnsembleStatus
-	json.NewDecoder(resp.Body).Decode(&second)
-	resp.Body.Close()
-	waitEnsemble(second.ID)
-	for m := 0; m < 3; m++ {
-		gl, _, err := h.store.Latest(fmt.Sprintf("%s-m%02d", second.ID, m))
-		if err != nil {
-			t.Fatalf("second ensemble member %d: %v", m, err)
-		}
-		if !gl.Equal(finals1[m]) {
-			t.Fatalf("member %d differs across identically-seeded ensembles", m)
-		}
 	}
 }
 
@@ -597,71 +569,48 @@ func (h *fleetHarness) restart(t *testing.T) {
 	h.cts = httptest.NewServer(coord)
 }
 
-// TestSubmittedAtSurvivesCoordinatorRestart: a fleet job's and an
-// ensemble's submission times, and a finished job's finish time and final
-// diagnostics, are committed with their fleet.json records, so a restarted
-// coordinator reports what the first one did: the whole JobInfo of a
-// completed job, of a cancelled one and of each ensemble member, and the
-// ensemble's submission time and diagnostic aggregate.
+// TestSubmittedAtSurvivesCoordinatorRestart: a fleet job's submission time,
+// and a finished job's finish time and final diagnostics, are committed with
+// its record, so a restarted coordinator reports what the first one did: the
+// whole record of a completed job, of a cancelled one and of an ensemble,
+// its member aggregate included.
 func TestSubmittedAtSurvivesCoordinatorRestart(t *testing.T) {
 	h := newFleetHarness(t, 1, 2, 8, nil, nil)
 	quick := server.JobSpec{Alg: "yz", Nx: 16, Ny: 8, Nz: 4, PA: 1, PB: 1, M: 1, Steps: 1}
-	job := decodeInfo(t, h.postJSON(t, "/jobs", quick, "acme"))
-	resp := h.postJSON(t, "/ensembles", EnsembleSpec{Job: quick, Members: 2}, "acme")
-	var ens EnsembleStatus
-	if err := json.NewDecoder(resp.Body).Decode(&ens); err != nil || resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit ensemble: %d, %v", resp.StatusCode, err)
-	}
-	resp.Body.Close()
+	done := decodeInfo(t, h.postJSON(t, "/jobs", quick, "acme"))
+	es := quick
+	es.Kind, es.Members = "ensemble", 2
+	ens := decodeInfo(t, h.postJSON(t, "/jobs", es, "acme"))
 	long := quick
 	long.Steps = 100000
 	stopped := h.waitProgress(t, decodeInfo(t, h.postJSON(t, "/jobs", long, "acme")).ID, 1)
-	resp = h.postJSON(t, "/jobs/"+stopped.ID+"/cancel", nil, "")
+	resp := h.postJSON(t, "/jobs/"+stopped.ID+"/cancel", nil, "")
 	resp.Body.Close()
 	h.waitJob(t, stopped.ID, "cancelled", 30*time.Second)
-	ensemble := func() EnsembleStatus {
-		resp, err := http.Get(h.cts.URL + "/ensembles/" + ens.ID)
-		if err != nil {
-			t.Fatalf("GET ensemble: %v", err)
-		}
-		defer resp.Body.Close()
-		var st EnsembleStatus
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			t.Fatalf("decode ensemble: %v", err)
-		}
-		return st
-	}
-	h.waitJob(t, job.ID, "completed", 30*time.Second)
-	for _, m := range ens.MemberJobs {
-		h.waitJob(t, m.ID, "completed", 30*time.Second)
+	h.waitJob(t, done.ID, "completed", 30*time.Second)
+	if e := h.waitJob(t, ens.ID, "completed", 30*time.Second); e.StepsTotal != 2 || e.Diagnostics["kinetic_energy.mean"] == 0 {
+		t.Fatalf("completed ensemble: steps_total %d, diagnostics %v", e.StepsTotal, e.Diagnostics)
 	}
 	// What a restart must keep: the completed job, the cancelled one and
-	// each member, whole.
-	snapshot := func() ([]JobInfo, string, map[string]DiagAggregate) {
-		e := ensemble()
-		infos := append([]JobInfo{h.getJob(t, job.ID), h.getJob(t, stopped.ID)}, e.MemberJobs...)
-		return infos, e.SubmittedAt, e.Diagnostics
-	}
-	before, ensBefore, aggBefore := snapshot()
-	for _, info := range before {
-		if info.FinishedAt == "" || (info.State == "completed") != (len(info.Diagnostics) > 0) {
+	// the ensemble, whole.
+	ids := []string{done.ID, stopped.ID, ens.ID}
+	var before []job
+	for _, id := range ids {
+		info := h.getJob(t, id)
+		if info.Finished == "" || (info.State == "completed") != (len(info.Diagnostics) > 0) {
 			t.Fatalf("job %s is %s with finished_at %q and %d diagnostics before the restart",
-				info.ID, info.State, info.FinishedAt, len(info.Diagnostics))
+				info.ID, info.State, info.Finished, len(info.Diagnostics))
 		}
+		before = append(before, info)
 	}
 	if before[1].State != "cancelled" || before[1].Backend == "" {
 		t.Fatalf("cancelled job before the restart: %+v", before[1])
 	}
 	h.restart(t)
-	after, ensAfter, aggAfter := snapshot()
-	for i := range before {
-		if !reflect.DeepEqual(after[i], before[i]) {
-			t.Errorf("after a coordinator restart job %s reports\n%+v\nbefore it\n%+v", before[i].ID, after[i], before[i])
+	for i, id := range ids {
+		if after := h.getJob(t, id); !reflect.DeepEqual(after, before[i]) {
+			t.Errorf("after a coordinator restart job %s reports\n%+v\nbefore it\n%+v", id, after, before[i])
 		}
-	}
-	if ensAfter != ensBefore || !reflect.DeepEqual(aggAfter, aggBefore) {
-		t.Errorf("after a coordinator restart the ensemble reports submitted_at %q and diagnostics %v, before it %q and %v",
-			ensAfter, aggAfter, ensBefore, aggBefore)
 	}
 }
 
@@ -689,11 +638,20 @@ func (p *partitionTransport) RoundTrip(req *http.Request) (*http.Response, error
 
 // TestRecoveredBackendZombieCancelledOnce: a backend cut off long enough to
 // be declared dead keeps running its copy of a job that migrated away; when
-// it comes back, that zombie copy is cancelled exactly once.
+// it comes back, that zombie copy is cancelled exactly once, an ensemble's
+// whole (every member, by one cancel of the ensemble).
 func TestRecoveredBackendZombieCancelledOnce(t *testing.T) {
+	spec := server.JobSpec{Alg: "yz", Nx: 16, Ny: 8, Nz: 4, PA: 1, PB: 1, M: 1, Steps: 100000, CheckpointEvery: 10}
+	ens := spec
+	ens.Kind, ens.Members = "ensemble", 2
+	for _, spec := range []server.JobSpec{spec, ens} {
+		t.Run(cmp.Or(spec.Kind, "run"), func(t *testing.T) { zombieCancelledOnce(t, spec) })
+	}
+}
+
+func zombieCancelledOnce(t *testing.T, spec server.JobSpec) {
 	part := &partitionTransport{}
 	h := newFleetHarness(t, 2, 1, 4, nil, &http.Client{Transport: part})
-	spec := server.JobSpec{Alg: "yz", Nx: 16, Ny: 8, Nz: 4, PA: 1, PB: 1, M: 1, Steps: 100000, CheckpointEvery: 10}
 	first := h.waitProgress(t, decodeInfo(t, h.postJSON(t, "/jobs", spec, "acme")).ID, 1)
 	part.host.Store(strings.TrimPrefix(first.Backend, "http://"))
 	part.down.Store(true)
@@ -726,8 +684,8 @@ func TestRecoveredBackendZombieCancelledOnce(t *testing.T) {
 	if n := part.cancels.Load(); n != 1 {
 		t.Errorf("recovered backend got %d cancels, want exactly 1", n)
 	}
-	if st := zombie(); st.State != server.JCancelled {
-		t.Errorf("zombie copy is %s, want cancelled", st.State)
+	if st := zombie(); st.State != server.JCancelled || len(st.Members) != spec.Members {
+		t.Errorf("zombie copy is %s with members %v, want cancelled with %d", st.State, st.Members, spec.Members)
 	}
 	if info := h.getJob(t, first.ID); info.State != "running" || info.Migrations != 1 {
 		t.Errorf("migrated job: %s after %d migrations, want running after 1", info.State, info.Migrations)

@@ -3,79 +3,27 @@ package fleet
 import (
 	"errors"
 	"net/http"
-	"time"
 
 	"cadycore/internal/server"
 )
-
-// JobInfo is the JSON view of a fleet job: the backend status vocabulary
-// (id, state, steps_done, diagnostics, spec) plus the fleet routing fields,
-// so clients written against cadyserved (any cadyserved client) work
-// against the coordinator unchanged.
-type JobInfo struct {
-	ID        string `json:"id"`
-	Tenant    string `json:"tenant"`
-	State     string `json:"state"`
-	StepsDone int    `json:"steps_done"`
-	StepsWant int    `json:"steps_total"`
-
-	Backend      string `json:"backend,omitempty"`
-	BackendJobID string `json:"backend_job_id,omitempty"`
-	Migrations   int    `json:"migrations,omitempty"`
-	Ensemble     string `json:"ensemble,omitempty"`
-	Member       *int   `json:"member,omitempty"`
-	Error        string `json:"error,omitempty"`
-
-	SubmittedAt string `json:"submitted_at"`
-	FinishedAt  string `json:"finished_at,omitempty"`
-
-	Diagnostics map[string]float64 `json:"diagnostics,omitempty"`
-
-	Spec server.JobSpec `json:"spec"`
-}
-
-// jobInfoLocked snapshots one job.
-//
-//cadyvet:locked c.mu
-func (c *Coordinator) jobInfoLocked(j *job) JobInfo {
-	info := JobInfo{
-		ID:           j.ID,
-		Tenant:       j.Tenant,
-		State:        string(j.State),
-		StepsDone:    j.StepsDone,
-		StepsWant:    j.Spec.Steps,
-		Backend:      j.Backend,
-		BackendJobID: j.BackendID,
-		Migrations:   j.Migrations,
-		Ensemble:     j.Ensemble,
-		Error:        j.ErrMsg,
-		SubmittedAt:  j.Submitted.UTC().Format(time.RFC3339Nano),
-		FinishedAt:   j.Finished,
-		Spec:         j.Spec,
-	}
-	if j.Ensemble != "" {
-		m := j.Member
-		info.Member = &m
-	}
-	if len(j.Diagnostics) > 0 {
-		info.Diagnostics = j.Diagnostics
-	}
-	return info
-}
 
 func (c *Coordinator) routes() {
 	c.mux.HandleFunc("POST /jobs", c.handleSubmit)
 	c.mux.HandleFunc("GET /jobs", c.handleList)
 	c.mux.HandleFunc("GET /jobs/{id}", c.handleGet)
 	c.mux.HandleFunc("POST /jobs/{id}/cancel", c.handleCancel)
-	c.mux.HandleFunc("POST /ensembles", c.handleSubmitEnsemble)
-	c.mux.HandleFunc("GET /ensembles", c.handleListEnsembles)
-	c.mux.HandleFunc("GET /ensembles/{id}", c.handleGetEnsemble)
 	c.mux.HandleFunc("GET /backends", c.handleBackends)
 	c.mux.HandleFunc("POST /backends", c.handleRegisterBackend)
 	c.mux.HandleFunc("POST /backends/drain", c.handleDrainBackend)
 	c.mux.HandleFunc("GET /metrics", c.handleMetrics)
 	c.mux.HandleFunc("GET /healthz", c.handleHealthz)
+}
+
+// view snapshots a job's record, which is its API view.
+func (c *Coordinator) view(j *job) job {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return *j
 }
 
 // submitError passes a backend's refusal through with its status and
@@ -103,10 +51,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		submitError(w, err)
 		return
 	}
-	c.mu.Lock()
-	info := c.jobInfoLocked(j)
-	c.mu.Unlock()
-	server.WriteJSON(w, http.StatusAccepted, info)
+	server.WriteJSON(w, http.StatusAccepted, c.view(j))
 }
 
 // handleList folds in the current status of every backend that owns a
@@ -133,11 +78,10 @@ func (c *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
 		c.syncBackend(url, false)
 	}
 	c.mu.Lock()
-	all := make([]JobInfo, 0, len(c.order))
+	all := make([]job, 0, len(c.order))
 	for _, id := range c.order {
-		info := c.jobInfoLocked(c.jobs[id])
-		if filter == "" || info.State == string(filter) {
-			all = append(all, info)
+		if j := c.jobs[id]; filter == "" || j.State == filter {
+			all = append(all, *j)
 		}
 	}
 	c.mu.Unlock()
@@ -155,7 +99,7 @@ func (c *Coordinator) refresh(js ...*job) {
 	c.mu.Lock()
 	for _, j := range js {
 		if j.State == server.JRunning {
-			probes = append(probes, probe{j, j.Backend, j.BackendID})
+			probes = append(probes, probe{j, j.Backend, j.BackendJobID})
 		}
 	}
 	c.mu.Unlock()
@@ -179,10 +123,7 @@ func (c *Coordinator) handleGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.refresh(j)
-	c.mu.Lock()
-	info := c.jobInfoLocked(j)
-	c.mu.Unlock()
-	server.WriteJSON(w, http.StatusOK, info)
+	server.WriteJSON(w, http.StatusOK, c.view(j))
 }
 
 func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -196,58 +137,7 @@ func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j, _ := c.GetJob(id)
-	c.mu.Lock()
-	info := c.jobInfoLocked(j)
-	c.mu.Unlock()
-	server.WriteJSON(w, http.StatusOK, info)
-}
-
-func (c *Coordinator) handleSubmitEnsemble(w http.ResponseWriter, r *http.Request) {
-	var es EnsembleSpec
-	if err := server.DecodeStrict(r.Body, &es); err != nil {
-		server.WriteError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
-		return
-	}
-	e, err := c.SubmitEnsemble(es, r.Header.Get("X-Tenant"))
-	if err != nil {
-		submitError(w, err)
-		return
-	}
-	c.mu.Lock()
-	st := c.ensembleStatusLocked(e)
-	c.mu.Unlock()
-	server.WriteJSON(w, http.StatusAccepted, st)
-}
-
-func (c *Coordinator) handleListEnsembles(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	out := make([]EnsembleStatus, 0, len(c.eorder))
-	for _, id := range c.eorder {
-		out = append(out, c.ensembleStatusLocked(c.ensembles[id]))
-	}
-	c.mu.Unlock()
-	server.WriteJSON(w, http.StatusOK, map[string]any{"ensembles": out})
-}
-
-func (c *Coordinator) handleGetEnsemble(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	e := c.ensembles[r.PathValue("id")]
-	var members []*job
-	if e != nil {
-		for _, id := range e.Members {
-			members = append(members, c.jobs[id])
-		}
-	}
-	c.mu.Unlock()
-	if e == nil {
-		server.WriteError(w, http.StatusNotFound, "no such ensemble")
-		return
-	}
-	c.refresh(members...)
-	c.mu.Lock()
-	st := c.ensembleStatusLocked(e)
-	c.mu.Unlock()
-	server.WriteJSON(w, http.StatusOK, st)
+	server.WriteJSON(w, http.StatusOK, c.view(j))
 }
 
 // backendInfo is the JSON view of one backend's health.

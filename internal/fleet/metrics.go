@@ -17,7 +17,6 @@ type fleetMetrics struct {
 	completed      int64
 	failed         int64
 	cancelled      int64
-	ensembles      int64
 	persistErrors  int64
 }
 
@@ -54,7 +53,6 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	e.Metric("cady_fleet_jobs_completed_total", "counter", "Fleet jobs completed.", c.met.completed)
 	e.Metric("cady_fleet_jobs_failed_total", "counter", "Fleet jobs failed.", c.met.failed)
 	e.Metric("cady_fleet_jobs_cancelled_total", "counter", "Fleet jobs cancelled.", c.met.cancelled)
-	e.Metric("cady_fleet_ensembles_total", "counter", "Ensembles submitted.", c.met.ensembles)
 	e.Metric("cady_fleet_persist_errors_total", "counter", "Failed writes of the fleet routing state.", c.met.persistErrors)
 	e.Metric("cady_fleet_uptime_seconds", "gauge", "Seconds since the coordinator started.",
 		fmt.Sprintf("%.3f", time.Since(c.start).Seconds()))

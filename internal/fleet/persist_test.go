@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -12,6 +13,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -150,8 +152,8 @@ func TestLoadFleetJSONOfOwnStateType(t *testing.T) {
 	}
 
 	var want struct {
-		Seq, ESeq       int
-		Jobs, Ensembles []json.RawMessage
+		Seq  int
+		Jobs []json.RawMessage
 	}
 	if err := json.Unmarshal(read(t, filepath.Join("testdata", "fleet-jstate.reloaded.json")), &want); err != nil {
 		t.Fatal(err)
@@ -174,7 +176,7 @@ func TestLoadFleetJSONOfOwnStateType(t *testing.T) {
 			t.Errorf("migrated record of %s:\n%s\nwant:\n%s", rec.ID, got, raw)
 		}
 	}
-	ids := fmt.Sprintf(`{"seq":%d,"eseq":%d}`, want.Seq, want.ESeq)
+	ids := fmt.Sprintf(`{"seq":%d}`, want.Seq)
 	if got := read(t, filepath.Join(dir, "fleet", "ids.json")); compact(got) != ids {
 		t.Errorf("migrated ID counters %s, want %s", got, ids)
 	}
@@ -187,14 +189,14 @@ func TestLoadFleetJSONOfOwnStateType(t *testing.T) {
 	for _, e := range ents {
 		got = append(got, e.Name())
 	}
-	if len(want.Ensembles) != 0 || !reflect.DeepEqual(got, names) {
+	if !reflect.DeepEqual(got, names) {
 		t.Errorf("migrated records %v, want %v", got, names)
 	}
 	c.mu.Lock()
-	seq, eseq := c.ids.Seq, c.ids.ESeq
+	seq := c.ids.Seq
 	c.mu.Unlock()
-	if seq != want.Seq || eseq != want.ESeq {
-		t.Errorf("ID counters %d, %d after the migration, want %d, %d", seq, eseq, want.Seq, want.ESeq)
+	if seq != want.Seq {
+		t.Errorf("ID counter %d after the migration, want %d", seq, want.Seq)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "fleet.json")); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("fleet.json still there after the migration: %v", err)
@@ -202,13 +204,14 @@ func TestLoadFleetJSONOfOwnStateType(t *testing.T) {
 }
 
 // TestLegacyStoreRoundTrip: over a legacy fleet.json the coordinator serves
-// every job's JobInfo as the coordinator that wrote such files served it
-// after a reload (testdata/fleet-jstate.jobinfo.json); a second restart, over
-// the migrated records, serves the same again; and neither would mint an ID
-// the store already holds.
+// every job byte for byte as the coordinator that wrote such files served it
+// after a reload (testdata/fleet-jstate.jobinfo.json, the view it declared
+// apart from the record); a second restart, over the migrated records,
+// serves the same again; and neither would mint an ID the store already
+// holds.
 func TestLegacyStoreRoundTrip(t *testing.T) {
 	dir := legacyStore(t)
-	var want []JobInfo
+	var want []json.RawMessage
 	if err := json.Unmarshal(read(t, filepath.Join("testdata", "fleet-jstate.jobinfo.json")), &want); err != nil {
 		t.Fatal(err)
 	}
@@ -217,21 +220,27 @@ func TestLegacyStoreRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("fleet.New over %s: %v", over, err)
 		}
+		var last string
 		for _, w := range want {
-			rec := httptest.NewRecorder()
-			c.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/jobs/"+w.ID, nil))
-			var got JobInfo
-			if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil || rec.Code != http.StatusOK {
-				t.Fatalf("over %s GET %s: %d %s", over, w.ID, rec.Code, rec.Body.Bytes())
+			var rec struct{ ID string }
+			if err := json.Unmarshal(w, &rec); err != nil {
+				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, w) {
-				t.Errorf("over %s job %s reads\n%+v\nwant\n%+v", over, w.ID, got, w)
+			last = rec.ID
+			rr := httptest.NewRecorder()
+			c.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/jobs/"+rec.ID, nil))
+			var got, exp bytes.Buffer
+			if err := cmp.Or(json.Compact(&got, rr.Body.Bytes()), json.Compact(&exp, w)); err != nil || rr.Code != http.StatusOK {
+				t.Fatalf("over %s GET %s: %d %s (%v)", over, rec.ID, rr.Code, rr.Body.Bytes(), err)
+			}
+			if got.String() != exp.String() {
+				t.Errorf("over %s job %s reads\n%s\nwant\n%s", over, rec.ID, got.String(), exp.String())
 			}
 		}
 		c.mu.Lock()
 		next := c.ids.Seq + 1
 		c.mu.Unlock()
-		if last := want[len(want)-1].ID; fmt.Sprintf("f-%06d", next) <= last {
+		if fmt.Sprintf("f-%06d", next) <= last {
 			t.Errorf("over %s the next job would be f-%06d, but %s exists", over, next, last)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -240,13 +249,67 @@ func TestLegacyStoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOldRecordsLoad: records of a coordinator that ran ensembles itself
+// load into this one — a job record keyed backend_id is adopted on its
+// backend under that ID, not migrated, an ensemble-*.json record is not
+// read, and its member's job record finishes as a plain job.
+func TestOldRecordsLoad(t *testing.T) {
+	var j job
+	if err := json.Unmarshal([]byte(`{"id":"f-000001","backend_id":"j-000009","spec":{"steps":3}}`), &j); err != nil ||
+		j.BackendJobID != "j-000009" || j.StepsTotal != 3 {
+		t.Fatalf("an old record reads backend_job_id %q and steps_total %d (%v), want j-000009 and 3", j.BackendJobID, j.StepsTotal, err)
+	}
+	store := t.TempDir()
+	fb, ts, boot := fakeFleet(t, store)
+	fb.set("j-000001", server.JRunning)
+	fb.keys["j-000001"] = "e-000001-m00"
+	dir := filepath.Join(store, "fleet")
+	if err := checkpoint.MkdirDurable(dir); err != nil {
+		t.Fatal(err)
+	}
+	for name, rec := range map[string]string{
+		"job-e-000001-m00.json": `{"id":"e-000001-m00","tenant":"acme","spec":{"kind":"run","steps":4,"shared_key":"e-000001-m00","perturb_amp":0.0001,"perturb_seed":5},` +
+			`"ensemble":"e-000001","state":"running","backend":"` + ts.URL + `","backend_id":"j-000001","submitted_at":"2026-01-02T03:04:05Z"}`,
+		"ensemble-e-000001.json": `{"id":"e-000001","tenant":"acme","spec":{"job":{"steps":4},"members":1},"members":["e-000001-m00"],"submitted_at":"2026-01-02T03:04:05Z"}`,
+		"ids.json":               `{"seq":0,"eseq":1}`,
+	} {
+		if err := checkpoint.WriteFileAtomic(filepath.Join(dir, name), []byte(rec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := boot()
+	get := func(path string) (int, job) {
+		rr := httptest.NewRecorder()
+		c.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, path, nil))
+		var j job
+		json.Unmarshal(rr.Body.Bytes(), &j)
+		return rr.Code, j
+	}
+	if code, j := get("/jobs/e-000001-m00"); code != http.StatusOK || j.State != server.JRunning || j.BackendJobID != "j-000001" || j.Migrations != 0 {
+		t.Fatalf("old member record reads %d %+v, want running on j-000001 without a migration", code, j)
+	}
+	fb.set("j-000001", server.JCompleted)
+	if _, j := get("/jobs/e-000001-m00"); j.State != server.JCompleted || j.Diagnostics["ke"] != 1.5 {
+		t.Fatalf("old member finishes as %+v, want completed with its diagnostics", j)
+	}
+	if code, _ := get("/ensembles/e-000001"); code != http.StatusNotFound {
+		t.Errorf("GET /ensembles/e-000001: %d, want 404", code)
+	}
+	rr := httptest.NewRecorder()
+	c.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/jobs", nil))
+	if !strings.Contains(rr.Body.String(), `"total": 1`) {
+		t.Errorf("GET /jobs lists %s, want the member alone", rr.Body.String())
+	}
+}
+
 // fakeBackend stands in for cadyserved where only the coordinator is under
 // test: it runs nothing, admits every job as running (up to limit jobs in
-// all, when limit is set) two steps in, and reports each in the state the
-// test sets.
+// all, when limit is set) two steps in, reports each in the state the test
+// sets, and lists them under their shared keys.
 type fakeBackend struct {
 	mu    sync.Mutex
 	jobs  map[string]server.JState // backend job ID → state
+	keys  map[string]string        // backend job ID → shared_key
 	limit int
 }
 
@@ -260,7 +323,7 @@ func (f *fakeBackend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	status := func(id string) map[string]any {
-		st := map[string]any{"id": id, "state": f.jobs[id]}
+		st := map[string]any{"id": id, "state": f.jobs[id], "spec": map[string]string{"shared_key": f.keys[id]}}
 		switch f.jobs[id] {
 		case server.JCompleted:
 			st["steps_done"], st["diagnostics"] = 4, map[string]float64{"ke": 1.5}
@@ -276,11 +339,22 @@ func (f *fakeBackend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "1")
 		server.WriteError(w, http.StatusTooManyRequests, "full")
 	case r.Method == http.MethodPost && r.URL.Path == "/jobs":
+		var spec server.JobSpec
+		json.NewDecoder(r.Body).Decode(&spec)
 		id = fmt.Sprintf("j-%06d", len(f.jobs)+1)
-		f.jobs[id] = server.JRunning
+		f.jobs[id], f.keys[id] = server.JRunning, spec.SharedKey
 		server.WriteJSON(w, http.StatusAccepted, status(id))
 	case r.URL.Path == "/jobs":
-		server.WriteJSON(w, http.StatusOK, map[string]any{"jobs": []any{}, "total": 0})
+		var list []any
+		var ids []string
+		for id := range f.jobs {
+			ids = append(ids, id)
+		}
+		slices.Sort(ids)
+		for _, id := range ids {
+			list = append(list, status(id))
+		}
+		server.WriteJSON(w, http.StatusOK, map[string]any{"jobs": list, "total": len(list)})
 	case f.jobs[id] != "":
 		server.WriteJSON(w, http.StatusOK, status(id))
 	default:
@@ -318,7 +392,7 @@ func TestPersistCostFlatInJobCount(t *testing.T) {
 	// perEvent returns what one submit and one completion write after n
 	// finished jobs.
 	perEvent := func(n int) (submit, complete string) {
-		fb := &fakeBackend{jobs: map[string]server.JState{}}
+		fb := &fakeBackend{jobs: map[string]server.JState{}, keys: map[string]string{}}
 		ts := httptest.NewServer(fb)
 		defer ts.Close()
 		c, err := New(Config{Backends: []string{ts.URL}, StoreDir: t.TempDir()})
@@ -343,7 +417,7 @@ func TestPersistCostFlatInJobCount(t *testing.T) {
 			t.Fatalf("submit after %d jobs: %v", n, err)
 		}
 		submit = take()
-		fb.set(j.BackendID, server.JCompleted)
+		fb.set(j.BackendJobID, server.JCompleted)
 		c.refresh(j)
 		complete = take()
 		c.mu.Lock()
@@ -370,7 +444,7 @@ func TestPersistCostFlatInJobCount(t *testing.T) {
 // fakeFleet starts a fake backend and returns it with a function that boots
 // a coordinator over it and store, shut down when the test ends.
 func fakeFleet(t *testing.T, store string) (*fakeBackend, *httptest.Server, func() *Coordinator) {
-	fb := &fakeBackend{jobs: map[string]server.JState{}}
+	fb := &fakeBackend{jobs: map[string]server.JState{}, keys: map[string]string{}}
 	ts := httptest.NewServer(fb)
 	t.Cleanup(ts.Close)
 	return fb, ts, func() *Coordinator {
@@ -396,24 +470,17 @@ func testSpec(t *testing.T) server.JobSpec {
 	return spec
 }
 
-// TestFailedSubmitsBurnTheirIDs: an ensemble rejected after its first member
-// was placed (and withdrawn: that copy may have checkpointed under its key)
-// and a rejected job keep their IDs across a restart that follows them at
-// once — the coordinator's last act was the failed submit — so the next
-// ensemble and job get fresh ones.
+// TestFailedSubmitsBurnTheirIDs: a rejected job keeps its ID across a
+// restart that follows it at once — the coordinator's last act was the
+// failed submit, and a copy may have checkpointed under the ID — so the
+// next job gets a fresh one.
 func TestFailedSubmitsBurnTheirIDs(t *testing.T) {
 	store := t.TempDir()
 	fb, _, boot := fakeFleet(t, store)
 	fb.limit = 1
 	c := boot()
-	if _, err := c.SubmitEnsemble(EnsembleSpec{Job: testSpec(t), Members: 2}, "acme"); err == nil {
-		t.Fatal("an ensemble of 2 was placed on a backend admitting 1 job")
-	}
-	fb.mu.Lock()
-	placed := len(fb.jobs)
-	fb.mu.Unlock()
-	if placed != 1 {
-		t.Fatalf("backend saw %d member copies before the rejection, want 1", placed)
+	if _, err := c.SubmitJob(testSpec(t), "acme"); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := c.SubmitJob(testSpec(t), "acme"); err == nil {
 		t.Fatal("a job was placed on a full backend")
@@ -424,42 +491,33 @@ func TestFailedSubmitsBurnTheirIDs(t *testing.T) {
 	fb.limit = 0
 	fb.mu.Unlock()
 	c = boot()
-	e, err := c.SubmitEnsemble(EnsembleSpec{Job: testSpec(t), Members: 2}, "acme")
-	if err != nil {
-		t.Fatal(err)
-	}
 	j, err := c.SubmitJob(testSpec(t), "acme")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.ID != "e-000002" || j.ID != "f-000002" {
-		t.Errorf("after a restart the next ensemble is %s and job %s, want e-000002 and f-000002: an ID of a failed submit was handed out again", e.ID, j.ID)
+	if j.ID != "f-000003" {
+		t.Errorf("after a restart the next job is %s, want f-000003: the ID of a failed submit was handed out again", j.ID)
 	}
 }
 
-// TestRestartKeepsSubmissionOrder: jobs and ensemble members submitted in
-// turn list in that order, and still do after a restart, when records load
-// in whatever order the store names them.
+// TestRestartKeepsSubmissionOrder: jobs and ensembles submitted in turn list
+// in that order, and still do after a restart, when records load in
+// whatever order the store names them.
 func TestRestartKeepsSubmissionOrder(t *testing.T) {
 	store := t.TempDir()
 	_, _, boot := fakeFleet(t, store)
 	c := boot()
-	for _, submit := range []func() error{
-		func() error { _, err := c.SubmitJob(testSpec(t), "acme"); return err },
-		func() error {
-			_, err := c.SubmitEnsemble(EnsembleSpec{Job: testSpec(t), Members: 2}, "acme")
-			return err
-		},
-		func() error { _, err := c.SubmitJob(testSpec(t), "acme"); return err },
-	} {
-		if err := submit(); err != nil {
+	ens := testSpec(t)
+	ens.Kind, ens.Members = "ensemble", 2
+	for _, spec := range []server.JobSpec{testSpec(t), ens, testSpec(t)} {
+		if _, err := c.SubmitJob(spec, "acme"); err != nil {
 			t.Fatal(err)
 		}
 	}
 	list := func(c *Coordinator) (ids []string) {
 		rec := httptest.NewRecorder()
 		c.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/jobs", nil))
-		var page struct{ Jobs []JobInfo }
+		var page struct{ Jobs []job }
 		if err := json.Unmarshal(rec.Body.Bytes(), &page); err != nil {
 			t.Fatalf("GET /jobs: %d %s", rec.Code, rec.Body.Bytes())
 		}
@@ -468,7 +526,7 @@ func TestRestartKeepsSubmissionOrder(t *testing.T) {
 		}
 		return ids
 	}
-	want := []string{"f-000001", "e-000001-m00", "e-000001-m01", "f-000002"}
+	want := []string{"f-000001", "f-000002", "f-000003"}
 	if got := list(c); !reflect.DeepEqual(got, want) {
 		t.Fatalf("GET /jobs lists %v, want %v", got, want)
 	}

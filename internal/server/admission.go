@@ -79,19 +79,20 @@ func (s *Server) tenantLocked(name string) *tenantQ {
 }
 
 // admitLocked is the one admission check; Submit, Resume and the restart
-// requeue all pass it. A full queue rejects with ErrQueueFull and a tenant
-// at its quota with ErrQuotaExceeded — except for a restart, whose job still
-// holds its in-flight slot. An admitted job joins the tail of its tenant's
-// FIFO and wakes a worker.
+// requeue all pass it. It admits js, the jobs of one tenant (one job, or an
+// ensemble's members), all or none. A full queue rejects with ErrQueueFull
+// and a tenant at its quota with ErrQuotaExceeded — except for a restart,
+// whose job still holds its in-flight slot. Admitted jobs join the tail of
+// their tenant's FIFO and wake a worker each.
 //
 //cadyvet:locked s.mu
-func (s *Server) admitLocked(j *Job, restart bool) error {
-	tq := j.tq
+func (s *Server) admitLocked(restart bool, js ...*Job) error {
+	tq, n := js[0].tq, len(js)
 	var err error
 	switch {
-	case s.queued >= s.cfg.QueueCap:
+	case s.queued+n > s.cfg.QueueCap:
 		err = ErrQueueFull
-	case !restart && tq.quota > 0 && tq.inflight.Load() >= int64(tq.quota):
+	case !restart && tq.quota > 0 && tq.inflight.Load()+int64(n) > int64(tq.quota):
 		err = fmt.Errorf("%w: tenant %s has %d jobs in flight, quota %d",
 			ErrQuotaExceeded, tq.name, tq.inflight.Load(), tq.quota)
 	}
@@ -102,13 +103,15 @@ func (s *Server) admitLocked(j *Job, restart bool) error {
 		}
 		return err
 	}
-	if !restart {
-		tq.inflight.Add(1)
-		tq.admitted++
+	for _, j := range js {
+		if !restart {
+			tq.inflight.Add(1)
+			tq.admitted++
+		}
+		tq.fifo = append(tq.fifo, j)
+		s.queued++
+		s.wake.Signal()
 	}
-	tq.fifo = append(tq.fifo, j)
-	s.queued++
-	s.wake.Signal()
 	return nil
 }
 

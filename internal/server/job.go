@@ -32,8 +32,11 @@ import (
 type JobSpec struct {
 	// Kind selects the workload: "run" (default) is one dynamical-core
 	// configuration; "figures" reproduces the paper's figure sweep
-	// (internal/harness) over Ps.
+	// (internal/harness) over Ps; "ensemble" runs Members perturbed copies
+	// of the run the other fields describe, each a run job of its own.
 	Kind string `json:"kind,omitempty"`
+	// Members is an ensemble's member count (2–64); ensembles only.
+	Members int `json:"members,omitempty"`
 	// Alg is the integrator for run jobs: ca, yz, xy or 3d. Must be empty
 	// for auto-layout jobs (the planner chooses it).
 	Alg string `json:"alg,omitempty"`
@@ -117,6 +120,8 @@ type JobSpec struct {
 	// point depends only on (seed, global index, component), so any process
 	// layout produces the same global initial state; Psa is untouched so the
 	// surface-pressure and dry-mass diagnostics stay those of the base state.
+	// Of an ensemble they are the amplitude (default 1e-4, in (0, 0.1]) and
+	// the ensemble seed (default 1) its members' seeds derive from.
 	PerturbAmp  float64 `json:"perturb_amp,omitempty"`
 	PerturbSeed int64   `json:"perturb_seed,omitempty"`
 }
@@ -134,8 +139,13 @@ func (sp *JobSpec) Normalize() error {
 	case "":
 		sp.Kind = "run"
 	case "run", "figures":
+	case "ensemble":
+		return sp.normalizeEnsemble()
 	default:
-		return fmt.Errorf("unknown kind %q (want run or figures)", sp.Kind)
+		return fmt.Errorf("unknown kind %q (want run, figures or ensemble)", sp.Kind)
+	}
+	if sp.Members != 0 {
+		return fmt.Errorf("members is only meaningful for kind \"ensemble\"")
 	}
 	if sp.Nx == 0 {
 		sp.Nx = 48
@@ -377,11 +387,14 @@ func (st JState) terminal() bool {
 func (st JState) Terminal() bool { return st.terminal() }
 
 // Job is one tracked job. All mutable fields are guarded by mu; the
-// identity fields (ID, Spec, tq, store, key) are set before a worker sees it.
+// identity fields (ID, Spec, tq, store, key, members) are set before a
+// worker sees it.
 type Job struct {
 	ID   string
 	Spec JobSpec
 	tq   *tenantQ // the tenant's admission state
+	// members are an ensemble's run jobs, in member order (nil otherwise).
+	members []*Job
 	// store (under key) is the job's disk checkpoint home; nil is memory.
 	store checkpoint.Store
 	key   string
@@ -472,6 +485,8 @@ func (j *Job) ensureChaos(plan *fault.Plan) *fault.Injector {
 type JobStatus struct {
 	ID   string `json:"id"`
 	Kind string `json:"kind"`
+	// Members are an ensemble's member job IDs.
+	Members []string `json:"members,omitempty"`
 	record
 	StepsWant int     `json:"steps_total"`
 	Progress  float64 `json:"progress"`
@@ -501,8 +516,12 @@ type CommStats struct {
 	CollectiveTime float64 `json:"collective_time_s"`
 }
 
-// Status snapshots the job under its lock.
+// Status snapshots the job under its lock; an ensemble's is derived from
+// its members'.
 func (j *Job) Status() JobStatus {
+	if j.members != nil {
+		return j.ensembleStatus()
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	r := j.rec

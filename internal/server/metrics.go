@@ -125,6 +125,9 @@ func (e Expo) Family(name, typ, help string) (sample func(v any, labels ...strin
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	states := map[JState]int{}
 	for _, j := range s.List() {
+		if j.members != nil {
+			continue // an ensemble's members count for it
+		}
 		j.mu.Lock()
 		states[j.rec.State]++
 		j.mu.Unlock()

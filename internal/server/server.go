@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -221,10 +222,10 @@ func New(cfg Config) (*Server, error) {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Submit validates, registers and enqueues a job. The queue is the
-// admission control: a full queue (ErrQueueFull) or a tenant at its quota
-// (ErrQuotaExceeded) rejects the submission outright rather than keeping an
-// unbounded backlog.
+// Submit validates, registers and enqueues a job, or an ensemble's members
+// all or none. The queue is the admission control: a full queue
+// (ErrQueueFull) or a tenant at its quota (ErrQuotaExceeded) rejects the
+// submission outright rather than keeping an unbounded backlog.
 func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	if s.baseCtx.Err() != nil {
 		return nil, ErrDraining
@@ -232,32 +233,38 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	if err := spec.Normalize(); err != nil {
 		return nil, err
 	}
+	if spec.Members > s.cfg.QueueCap {
+		return nil, fmt.Errorf("members = %d exceeds the queue capacity of %d", spec.Members, s.cfg.QueueCap)
+	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return nil, ErrDraining
 	}
 	s.seq++
-	j := &Job{
-		ID:        fmt.Sprintf("j-%06d", s.seq),
-		Spec:      spec,
-		tq:        s.tenantLocked(spec.Tenant),
-		rec:       record{State: JQueued},
-		submitted: wallNow(),
+	tq, now := s.tenantLocked(spec.Tenant), wallNow()
+	j := &Job{ID: fmt.Sprintf("j-%06d", s.seq), Spec: spec, tq: tq, rec: record{State: JQueued}, submitted: now}
+	for m := range spec.Members {
+		j.members = append(j.members, &Job{ID: memberID(j.ID, m), Spec: spec.member(m), tq: tq, rec: record{State: JQueued}, submitted: now})
 	}
-	if err := s.admitLocked(j, false); err != nil {
+	if err := s.admitLocked(false, j.runs()...); err != nil {
 		s.mu.Unlock()
 		return nil, err
 	}
-	s.jobs[j.ID] = j
-	s.order = append(s.order, j.ID)
-	j.mu.Lock() // a worker that takes the job waits until its home is open
+	for _, r := range slices.Concat([]*Job{j}, j.members) {
+		s.jobs[r.ID] = r
+		s.order = append(s.order, r.ID)
+		r.mu.Lock() // a worker that takes the job waits until its home is open
+	}
 	s.mu.Unlock()
-	s.met.submitted.Add(1)
-	// One commit: a job directory without meta.json recovers as the queued,
-	// all-zero job this one is.
-	s.persistSpecLocked(j)
-	j.mu.Unlock()
+	s.met.submitted.Add(int64(len(j.runs())))
+	// One commit each: a job directory without meta.json recovers as the
+	// queued, all-zero job this one is. An ensemble's lands behind its
+	// members', so recovery finds it only with all of them.
+	for _, r := range slices.Concat(j.members, []*Job{j}) {
+		s.persistSpecLocked(r)
+		r.mu.Unlock()
+	}
 	return j, nil
 }
 
@@ -280,16 +287,30 @@ func (s *Server) List() []*Job {
 	return out
 }
 
-// Cancel requests a job stop. A queued job leaves the queue and is cancelled
+// Cancel requests a job stop, or the stop of every member of an ensemble
+// that is not yet terminal. A queued job leaves the queue and is cancelled
 // in place; a running job is stopped cooperatively at its next step boundary
 // (where it is checkpointed). Terminal jobs return an error.
 func (s *Server) Cancel(id string) error {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
+	j, ok := s.Get(id)
 	if !ok {
-		s.mu.Unlock()
 		return fmt.Errorf("server: no job %s", id)
 	}
+	if j.members == nil {
+		return s.cancel(j)
+	}
+	err := fmt.Errorf("server: ensemble %s has no member to cancel", id)
+	for _, m := range j.members {
+		if s.cancel(m) == nil {
+			err = nil
+		}
+	}
+	return err
+}
+
+// cancel stops one run or figures job.
+func (s *Server) cancel(j *Job) error {
+	s.mu.Lock()
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.rec.State == JQueued {
@@ -317,14 +338,15 @@ func (s *Server) Cancel(id string) error {
 		s.persistMetaLocked(j)
 		return nil
 	default:
-		return fmt.Errorf("server: job %s is %s, not cancellable", id, j.rec.State)
+		return fmt.Errorf("server: job %s is %s, not cancellable", j.ID, j.rec.State)
 	}
 }
 
-// Resume re-enqueues a stopped job. Execution restarts from the checkpoint
-// in the job's home when one exists (bitwise for every scheme: a snapshot
-// carries the comm-avoiding integrator's lagged Ĉ), from the initial
-// condition otherwise.
+// Resume re-enqueues a stopped job, or every stopped member of an ensemble,
+// all or none. Execution restarts from the checkpoint in the job's home when
+// one exists (bitwise for every scheme: a snapshot carries the
+// comm-avoiding integrator's lagged Ĉ), from the initial condition
+// otherwise.
 func (s *Server) Resume(id string) (*Job, error) {
 	if s.baseCtx.Err() != nil {
 		return nil, ErrDraining
@@ -335,30 +357,66 @@ func (s *Server) Resume(id string) (*Job, error) {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("server: no job %s", id)
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	var err error
+	// A terminal job leaves its state only here, under s.mu, so what is
+	// checked stays true until it is admitted.
+	// A plain job fails with its own reason, an ensemble only when no
+	// member can resume.
+	var stopped []*Job
+	err := fmt.Errorf("server: ensemble %s has no resumable member", id)
+	for _, r := range j.runs() {
+		e := r.resumeErr()
+		if e == nil {
+			stopped = append(stopped, r)
+		}
+		if e == nil || j.members == nil {
+			err = e
+		}
+	}
 	switch {
 	case s.closed:
 		err = ErrDraining
-	case !j.rec.State.terminal():
-		err = fmt.Errorf("server: job %s is %s, not resumable", id, j.rec.State)
-	case j.rec.State == JCompleted:
-		err = fmt.Errorf("server: job %s already completed", id)
-	case j.Spec.Kind != "run":
-		err = fmt.Errorf("server: %s jobs are not resumable", j.Spec.Kind)
-	default:
-		err = s.admitLocked(j, false)
+	case err == nil:
+		err = s.admitLocked(false, stopped...)
 	}
-	s.mu.Unlock()
 	if err != nil {
+		s.mu.Unlock()
 		return nil, err
 	}
-	j.rec.State, j.rec.Error, j.rec.FinishedAt = JQueued, "", nil
-	j.cancelRequested = false
-	s.met.resumed.Add(1)
-	s.persistMetaLocked(j)
+	for _, r := range stopped {
+		r.mu.Lock()
+		r.rec.State, r.rec.Error, r.rec.FinishedAt = JQueued, "", nil
+		r.cancelRequested = false
+		r.mu.Unlock()
+	}
+	s.mu.Unlock()
+	s.met.resumed.Add(int64(len(stopped)))
+	for _, r := range stopped {
+		s.persistMeta(r)
+	}
 	return j, nil
+}
+
+// runs are the jobs that execute for j: its members, or j itself.
+func (j *Job) runs() []*Job {
+	if j.members != nil {
+		return j.members
+	}
+	return []*Job{j}
+}
+
+// resumeErr reports why a job cannot resume; nil means it can.
+func (j *Job) resumeErr() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	switch {
+	case !j.rec.State.terminal():
+		return fmt.Errorf("server: job %s is %s, not resumable", j.ID, j.rec.State)
+	case j.rec.State == JCompleted:
+		return fmt.Errorf("server: job %s already completed", j.ID)
+	case j.Spec.Kind != "run":
+		return fmt.Errorf("server: %s jobs are not resumable", j.Spec.Kind)
+	}
+	return nil
 }
 
 // Shutdown drains the service: no new submissions are accepted, running
@@ -385,6 +443,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// surface them as interrupted (resumable), like running jobs that were
 	// stopped. Then persist the final metadata of everything still queued.
 	for _, j := range s.List() {
+		if j.members != nil {
+			continue // an ensemble has no record of its own
+		}
 		j.mu.Lock()
 		if j.rec.State == JRetrying {
 			if j.retryTimer != nil {
@@ -691,7 +752,7 @@ func (s *Server) requeueRetry(j *Job) {
 	case s.closed || s.baseCtx.Err() != nil:
 		s.finishLocked(j, JInterrupted, j.rec.Error, true)
 		s.persistMetaLocked(j)
-	case s.admitLocked(j, true) != nil:
+	case s.admitLocked(true, j) != nil:
 		j.retryTimer = time.AfterFunc(s.restart.Backoff, func() { s.requeueRetry(j) })
 	default:
 		j.rec.State = JQueued
@@ -935,7 +996,8 @@ func (s *Server) recover() error {
 	}
 	sort.Strings(ids)
 	for _, id := range ids {
-		if n, err := strconv.Atoi(strings.TrimPrefix(id, "j-")); err == nil && n > s.seq {
+		seq, _, _ := strings.Cut(strings.TrimPrefix(id, "j-"), "-") // a member's is its ensemble's
+		if n, err := strconv.Atoi(seq); err == nil && n > s.seq {
 			s.seq = n
 		}
 		dir := filepath.Join(s.cfg.Dir, id)
@@ -965,6 +1027,11 @@ func (s *Server) recover() error {
 		}
 		spec := sf.JobSpec
 		j := &Job{ID: id, Spec: spec, tq: s.tenantLocked(spec.Tenant), rec: record{State: JQueued}, submitted: *sf.SubmittedAt}
+		if spec.Kind == "ensemble" {
+			s.jobs[id] = j
+			s.order = append(s.order, id)
+			continue
+		}
 		var next *fold
 		if metaB, err := os.ReadFile(filepath.Join(dir, "meta.json")); err == nil {
 			var mf metaFile // a torn decode leaves the job as it was
@@ -989,5 +1056,19 @@ func (s *Server) recover() error {
 		s.jobs[id] = j
 		s.order = append(s.order, id)
 	}
+	// Link each ensemble to its members by ID. One missing a member (its
+	// submit did not finish) is dropped, and its members stay plain jobs.
+	s.order = slices.DeleteFunc(s.order, func(id string) bool {
+		e := s.jobs[id]
+		for m := range e.Spec.Members {
+			r := s.jobs[memberID(id, m)]
+			if r == nil {
+				delete(s.jobs, id)
+				return true
+			}
+			e.members = append(e.members, r)
+		}
+		return false
+	})
 	return nil
 }
