@@ -1,10 +1,13 @@
 // Command experiments regenerates the paper's evaluation: Figures 1, 6, 7
-// and 8 and the Section 5.3 theory table, printed as text tables.
+// and 8 and the Section 5.3 theory table, printed as text tables, and the
+// extensions: 2-D vs 3-D layouts, weak scaling, Algorithm 2's ablations and
+// the §4.1 operator flow (eq. 8's word and the exchanges and collectives one
+// step of each scheme measured).
 //
 // Usage:
 //
-//	experiments [-fig all|1|6|7|8|theory] [-nx N -ny N -nz N] [-m M]
-//	            [-steps K] [-ps 16,32,64,128]
+//	experiments [-fig all|1|6|7|8|theory|3d|weak|flow|ablation] [-csv]
+//	            [-nx N -ny N -nz N] [-m M] [-steps K] [-ps 16,32,64,128]
 //
 // The default mesh is a scaled version of the paper's 720×360×30 that runs
 // in minutes on one machine; pass -nx 720 -ny 360 -nz 30 for the full 50 km
@@ -16,7 +19,9 @@
 // -ps 128 and above is still a tens-of-GB run.
 //
 // A mesh, iteration count or step count the model cannot run is a one-line
-// error and exit status 2.
+// error and exit status 2. `-fig flow` measures z-collectives, so when no
+// -ps value lays out Y-Z with p_z > 1 it is a one-line error and exit
+// status 1.
 package main
 
 import (
@@ -27,7 +32,6 @@ import (
 	"strings"
 
 	"cadycore/internal/harness"
-	"cadycore/internal/opflow"
 )
 
 func main() {
@@ -87,13 +91,12 @@ func main() {
 	case "ablation":
 		render(harness.FigureAblation(o))
 	case "flow":
-		fmt.Println(opflow.Describe(o.M))
-		a, err := opflow.Advise(o.Nx, o.Ny, o.Nz, o.Ps[len(o.Ps)-1], o.M)
+		s, err := harness.Flow(o)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			os.Exit(1)
 		}
-		fmt.Println("decomposition advice:", a.Reason)
+		fmt.Println(s)
 	case "theory":
 		fmt.Println(harness.FormatTheory(harness.TheoryTable(o)))
 	default:

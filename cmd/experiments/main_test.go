@@ -64,21 +64,26 @@ func TestInvalidInputIsUsageError(t *testing.T) {
 	}
 }
 
-// TestValidInputRuns: the validation lets a runnable sweep through (the
-// operator-flow figure, which needs no simulation).
+// TestValidInputRuns: the validation lets a runnable sweep through. The
+// operator flow at M = 2 on 8 ranks (Y-Z 4×2) prints the counts its runs
+// measured: 3M+4 = 10 exchange rounds -> 2, and 3M = 6 z-collectives -> 2M = 4.
 func TestValidInputRuns(t *testing.T) {
-	so, se, code := runCLI(t, "-fig", "flow")
-	if code != 0 || !strings.Contains(so, "decomposition advice:") {
-		t.Fatalf("exit %d, stderr %q, stdout %q; want exit 0 and the operator flow", code, se, so)
+	so, se, code := runCLI(t, "-fig", "flow", "-ps", "8")
+	if code != 0 || !strings.Contains(so, "exchange rounds: 10 -> 2; z-collectives: 6 -> 4") {
+		t.Fatalf("exit %d, stderr %q, stdout %q; want exit 0 and the measured 10 -> 2 and 6 -> 4", code, se, so)
 	}
 }
 
-// TestFlowNamesMissingLayout: a rank count that fits no Y-Z layout of the
-// mesh is one stderr line naming it and exit 1, never advice priced on a
-// layout that does not exist.
+// TestFlowNamesMissingLayout: a rank count that gives no Y-Z layout with
+// p_z > 1 (4 ranks lay out 4×1 on 48×24×8, and 64 not at all) is one stderr
+// line naming it and exit 1, never a goroutine dump or a partial table.
 func TestFlowNamesMissingLayout(t *testing.T) {
-	so, se, code := runCLI(t, "-fig", "flow", "-ps", "64")
-	if code != 1 || strings.Count(se, "\n") != 1 || !strings.Contains(se, "no Y-Z") || strings.Contains(so, "decomposition advice:") {
-		t.Fatalf("exit %d, stderr %q, stdout %q; want exit 1, one stderr line naming the Y-Z layout and no advice", code, se, so)
+	for _, ps := range []string{"4", "64"} {
+		so, se, code := runCLI(t, "-fig", "flow", "-ps", ps)
+		if code != 1 || strings.Count(se, "\n") != 1 || !strings.Contains(se, "lays out Y-Z with p_z > 1") ||
+			strings.Contains(so, "exchanges") || strings.Contains(so, "->") {
+			t.Errorf("-ps %s: exit %d, stderr %q, stdout %q; want exit 1, one stderr line naming the Y-Z layout and no table",
+				ps, code, se, so)
+		}
 	}
 }

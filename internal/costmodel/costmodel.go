@@ -3,7 +3,8 @@
 // synchronization–communication–computation trade-off framework): the
 // per-processor data movement W and synchronization count S of the three
 // algorithms, plus the lower bounds of Theorems 4.1 and 4.2 used to justify
-// the Y-Z decomposition.
+// the Y-Z decomposition. harness.TheoryTable sets all of them beside the
+// runs' measured counters; the bounds fill its W(bound) column.
 package costmodel
 
 import "math"
@@ -16,8 +17,8 @@ type Problem struct {
 	Px, Py, Pz int // process grid (only the relevant two are used per scheme)
 }
 
-// log2p returns log2(p) guarded for p ≤ 1 (a single rank moves no data, but
-// Θ expressions keep a unit factor so ratios stay meaningful).
+// log2p returns log2(p), and 0 for p ≤ 1: a collective over one rank moves
+// no data, so a W whose split axis is unsplit is 0.
 func log2p(p int) float64 {
 	if p <= 1 {
 		return 0
@@ -96,13 +97,4 @@ func FilterLowerBound(nx, px int) float64 {
 // W = Ω(2(p_z−1)·n_x·n_y) in total data movement.
 func SumLowerBound(nx, ny, pz int) float64 {
 	return 2 * float64(pz-1) * float64(nx) * float64(ny)
-}
-
-// Ordering verifies the paper's qualitative conclusion
-// W_XY ≫ W_YZ > W_CA and S_XY > S_YZ > S_CA for a given problem; it returns
-// false if any inequality fails (used by tests and the theory table).
-func Ordering(p Problem) bool {
-	wca, wyz, wxy := WCommAvoid(p), WOriginalYZ(p), WOriginalXY(p)
-	sca, syz, sxy := SCommAvoid(p), SOriginalYZ(p), SOriginalXY(p)
-	return wxy > wyz && wyz > wca && sxy > syz && syz > sca
 }

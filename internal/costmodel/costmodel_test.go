@@ -41,10 +41,19 @@ func TestPaperOrdering(t *testing.T) {
 	// regime the paper's "n_x ≫ n_z" argument addresses.
 	for _, pp := range [][3]int{{8, 64, 8}, {16, 128, 8}, {4, 90, 15}} {
 		p := paperProblem(pp[0], pp[1], pp[2])
-		if !Ordering(p) {
-			t.Errorf("ordering fails for layout %v: W = %v/%v/%v, S = %v/%v/%v", pp,
-				WOriginalXY(p), WOriginalYZ(p), WCommAvoid(p),
-				SOriginalXY(p), SOriginalYZ(p), SCommAvoid(p))
+		wca, wyz, wxy := WCommAvoid(p), WOriginalYZ(p), WOriginalXY(p)
+		sca, syz, sxy := SCommAvoid(p), SOriginalYZ(p), SOriginalXY(p)
+		for _, c := range []struct {
+			name string
+			ok   bool
+		}{
+			{"W_XY > W_YZ", wxy > wyz}, {"W_YZ > W_CA", wyz > wca}, {"W_XY > W_CA", wxy > wca},
+			{"S_XY > S_YZ", sxy > syz}, {"S_YZ > S_CA", syz > sca}, {"S_XY > S_CA", sxy > sca},
+		} {
+			if !c.ok {
+				t.Errorf("%s fails for layout %v: W = %v/%v/%v, S = %v/%v/%v", c.name, pp,
+					wxy, wyz, wca, sxy, syz, sca)
+			}
 		}
 	}
 }

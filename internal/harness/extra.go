@@ -3,12 +3,10 @@ package harness
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"cadycore/internal/dycore"
-	"cadycore/internal/grid"
-	"cadycore/internal/heldsuarez"
-	"cadycore/internal/state"
 )
 
 // Figure3D is an extension experiment for the paper's Section 4.2 assertion
@@ -30,17 +28,9 @@ func Figure3D(o Options) Figure {
 	comparisons := 0
 	for _, p := range o.Ps {
 		res2, ok2 := o.run(dycore.AlgBaselineYZ, p)
-		if ok2 {
-			twoD.Values = append(twoD.Values, res2.Agg.SimTime)
-		} else {
-			twoD.Values = append(twoD.Values, nanF())
-		}
+		twoD.Values = append(twoD.Values, orNaN(ok2, res2.Agg.SimTime))
 		res3, ok3 := o.run3D(p)
-		if ok3 {
-			threeD.Values = append(threeD.Values, res3.Agg.SimTime)
-		} else {
-			threeD.Values = append(threeD.Values, nanF())
-		}
+		threeD.Values = append(threeD.Values, orNaN(ok3, res3.Agg.SimTime))
 		if ok2 && ok3 {
 			comparisons++
 			if res2.Agg.SimTime <= res3.Agg.SimTime {
@@ -65,12 +55,7 @@ func (o Options) run3D(p int) (dycore.RunResult, bool) {
 	if !ok {
 		return dycore.RunResult{}, false
 	}
-	g := o.grid()
-	cfg := o.config()
-	set := dycore.Setup{Alg: dycore.AlgBaseline3D, PA: 2, PB: py, PC: pz, Cfg: cfg}
-	hs := heldsuarez.Standard()
-	hook := func(g *grid.Grid, st *state.State, step int) { hs.Apply(g, st, cfg.Dt2) }
-	return dycore.RunWithHook(set, g, o.Model, heldsuarez.InitialState, o.Steps, hook), true
+	return o.runHS(dycore.Setup{Alg: dycore.AlgBaseline3D, PA: 2, PB: py, PC: pz, Cfg: o.config()}), true
 }
 
 // FigureWeak is a weak-scaling extension experiment (the paper evaluates
@@ -87,12 +72,7 @@ func FigureWeak(o Options) Figure {
 		Ps:     o.Ps,
 	}
 	// Per-rank target: the p = min(Ps) configuration of the base mesh.
-	baseP := o.Ps[0]
-	for _, p := range o.Ps[1:] {
-		if p < baseP {
-			baseP = p
-		}
-	}
+	baseP := slices.Min(o.Ps)
 	series := make([]Series, len(figureAlgs))
 	for ai, alg := range figureAlgs {
 		series[ai].Name = alg.String()
@@ -108,11 +88,7 @@ func FigureWeak(o Options) Figure {
 		oo.Ny = evenize(int(float64(o.Ny) * math.Sqrt(scale)))
 		for ai, alg := range figureAlgs {
 			res, ok := oo.run(alg, p)
-			if !ok {
-				series[ai].Values = append(series[ai].Values, nanF())
-				continue
-			}
-			series[ai].Values = append(series[ai].Values, res.Agg.SimTime)
+			series[ai].Values = append(series[ai].Values, orNaN(ok, res.Agg.SimTime))
 		}
 	}
 	f.Series = series
@@ -158,11 +134,7 @@ func FigureAblation(o Options) Figure {
 				alg = dycore.AlgBaselineYZ
 			}
 			res, ok := o.runVariant(alg, p, v.name, v.mut)
-			if !ok {
-				ser.Values = append(ser.Values, nanF())
-				continue
-			}
-			ser.Values = append(ser.Values, res.Agg.SimTime)
+			ser.Values = append(ser.Values, orNaN(ok, res.Agg.SimTime))
 		}
 		f.Series = append(f.Series, ser)
 	}

@@ -127,14 +127,8 @@ func (o Options) config() dycore.Config {
 // are run on the same layout, like the paper compares algorithms per p.
 // ok = false when p cannot be laid out.
 func YZFactors(p, ny, nz int) (py, pz int, ok bool) {
-	return YZFactorsM(p, ny, nz, 3)
-}
-
-// YZFactorsM is YZFactors for a given number of nonlinear iterations M
-// (which sets the deep-halo depths, dycore.Setup.HaloWidths).
-func YZFactorsM(p, ny, nz, m int) (py, pz int, ok bool) {
 	maxPy, maxPz := ny/dycore.MinPerRank, nz/dycore.MinPerRank
-	_, hy, hz := dycore.Setup{Alg: dycore.AlgCommAvoid, Cfg: dycore.Config{M: m}}.HaloWidths()
+	_, hy, hz := dycore.Setup{Alg: dycore.AlgCommAvoid, Cfg: dycore.Config{M: 3}}.HaloWidths()
 	haloY, haloZ := float64(hy), float64(hz)
 	best := math.Inf(-1)
 	for a := 1; a <= p; a++ {
@@ -212,7 +206,6 @@ func (o Options) runVariant(alg dycore.Algorithm, p int, variant string, mut fun
 }
 
 func (o Options) runUncached(alg dycore.Algorithm, p int, mut func(*dycore.Config)) (dycore.RunResult, bool) {
-	g := o.grid()
 	cfg := o.config()
 	if mut != nil {
 		mut(&cfg)
@@ -232,12 +225,16 @@ func (o Options) runUncached(alg dycore.Algorithm, p int, mut func(*dycore.Confi
 		}
 		set = dycore.Setup{Alg: alg, PA: py, PB: pz, Cfg: cfg}
 	}
+	return o.runHS(set), true
+}
+
+// runHS runs set for o.Steps steps of the Held–Suarez workload.
+func (o Options) runHS(set dycore.Setup) dycore.RunResult {
 	hs := heldsuarez.Standard()
 	hook := func(g *grid.Grid, st *state.State, step int) {
-		hs.Apply(g, st, cfg.Dt2)
+		hs.Apply(g, st, set.Cfg.Dt2)
 	}
-	res := dycore.RunWithHook(set, g, o.Model, heldsuarez.InitialState, o.Steps, hook)
-	return res, true
+	return dycore.RunWithHook(set, o.grid(), o.Model, heldsuarez.InitialState, o.Steps, hook)
 }
 
 // Series is one named line of a figure.
@@ -286,13 +283,6 @@ func (f Figure) Format() string {
 	return sb.String()
 }
 
-const nan = "NaN"
-
-func nanF() float64 {
-	var v float64
-	return v / v // quiet NaN without importing math for one call
-}
-
 // Figure1 reproduces Figure 1: the fraction of dynamical-core time spent in
 // communication vs computation for the original algorithm (best
 // decomposition per p).
@@ -318,8 +308,8 @@ func Figure1(o Options) Figure {
 			}
 		}
 		if !found {
-			commS.Values = append(commS.Values, nanF())
-			compS.Values = append(compS.Values, nanF())
+			commS.Values = append(commS.Values, math.NaN())
+			compS.Values = append(compS.Values, math.NaN())
 			continue
 		}
 		ct := best.Agg.TotalCommTime()
@@ -340,14 +330,18 @@ func sweep(o Options, extract func(dycore.RunResult) float64) []Series {
 		out[ai].Name = alg.String()
 		for _, p := range o.Ps {
 			res, ok := o.run(alg, p)
-			if !ok {
-				out[ai].Values = append(out[ai].Values, nanF())
-				continue
-			}
-			out[ai].Values = append(out[ai].Values, extract(res))
+			out[ai].Values = append(out[ai].Values, orNaN(ok, extract(res)))
 		}
 	}
 	return out
+}
+
+// orNaN is a cell's value v, or NaN where its layout is infeasible.
+func orNaN(ok bool, v float64) float64 {
+	if !ok {
+		return math.NaN()
+	}
+	return v
 }
 
 // Figure6 reproduces Figure 6: time for collective communication (the
@@ -424,8 +418,9 @@ func summarizeFig8(f Figure) string {
 		100*maxRed, sum/float64(cnt))
 }
 
-// TheoryRow is one line of the Section 5.3 comparison: the Θ-model values
-// and the measured per-rank communication volume and synchronization count.
+// TheoryRow is one line of the Section 5.3 comparison: the Θ-model values,
+// the Theorem 4.1/4.2 lower bound of the row's non-local collective, and the
+// measured communication volume and synchronization count.
 type TheoryRow struct {
 	P                   int
 	Alg                 string
@@ -433,7 +428,14 @@ type TheoryRow struct {
 	BytesMeasured       int64
 	CollectivesMeasured int64
 	ExchangesMeasured   int64
-	OrderingHolds       bool
+	// WBound is the lower bound on the words one step's non-local
+	// collectives move: Theorem 4.1's (costmodel.FilterLowerBound, one
+	// n_x-point line with the row's p_x) times the filterings a filtering
+	// X-Y rank ran per step, a forward and a back transpose each, or
+	// Theorem 4.2's (costmodel.SumLowerBound with the row's p_z) times the
+	// z sums a Y-Z or CA rank ran per step. It is 0 where the layout keeps
+	// the collective local (p_x = 1 or p_z = 1).
+	WBound float64
 }
 
 // TheoryTable evaluates the Section 5.3 model against measured counters.
@@ -469,14 +471,20 @@ func TheoryTable(o Options) []TheoryRow {
 			if !ok {
 				continue
 			}
-			rows = append(rows, TheoryRow{
+			row := TheoryRow{
 				P: p, Alg: alg.String(),
 				WModel: wm, SModel: sm,
 				BytesMeasured:       res.Agg.BytesSent,
 				CollectivesMeasured: res.Agg.Collectives,
 				ExchangesMeasured:   res.Count.HaloExchanges,
-				OrderingHolds:       costmodel.Ordering(prob),
-			})
+			}
+			applied := float64(o.perStep(row).collectives)
+			if alg == dycore.AlgBaselineXY {
+				row.WBound = costmodel.FilterLowerBound(o.Nx, prob.Px) * applied / 2
+			} else {
+				row.WBound = costmodel.SumLowerBound(o.Nx, o.Ny, prob.Pz) * applied
+			}
+			rows = append(rows, row)
 		}
 	}
 	return rows
@@ -486,11 +494,11 @@ func TheoryTable(o Options) []TheoryRow {
 func FormatTheory(rows []TheoryRow) string {
 	var sb strings.Builder
 	sb.WriteString("== section-5.3: theoretical model vs measured counters ==\n")
-	fmt.Fprintf(&sb, "%-8s%-16s%14s%10s%16s%14s%12s\n",
-		"p", "algorithm", "W(model)", "S(model)", "bytes(meas)", "colls(meas)", "exch(meas)")
+	fmt.Fprintf(&sb, "%-8s%-16s%14s%10s%14s%16s%14s%12s\n",
+		"p", "algorithm", "W(model)", "S(model)", "W(bound)", "bytes(meas)", "colls(meas)", "exch(meas)")
 	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-8d%-16s%14.4g%10.4g%16d%14d%12d\n",
-			r.P, r.Alg, r.WModel, r.SModel, r.BytesMeasured, r.CollectivesMeasured, r.ExchangesMeasured)
+		fmt.Fprintf(&sb, "%-8d%-16s%14.4g%10.4g%14.4g%16d%14d%12d\n",
+			r.P, r.Alg, r.WModel, r.SModel, r.WBound, r.BytesMeasured, r.CollectivesMeasured, r.ExchangesMeasured)
 	}
 	return sb.String()
 }

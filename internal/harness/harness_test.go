@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"cadycore/internal/dycore"
-	"cadycore/internal/filter"
 )
 
 func TestYZFactorsFeasibility(t *testing.T) {
@@ -147,7 +146,7 @@ func TestTheoryTableConsistency(t *testing.T) {
 	// Group by p and verify the measured per-step exchange counts match
 	// the algorithms' structure (3M+4 vs 2 per step).
 	for _, r := range rows {
-		perStep := float64(r.ExchangesMeasured-expectedBootstrapExchanges(r.Alg)) / float64(o.Steps)
+		perStep := float64(o.perStep(r).exchanges)
 		switch r.Alg {
 		case dycore.AlgCommAvoid.String():
 			if perStep != 2 {
@@ -175,23 +174,10 @@ func TestTheoryTableConsistency(t *testing.T) {
 func TestSyncCountsMatchModel(t *testing.T) {
 	o := Quick()
 	o.Prime()
-	flt := filter.New(o.grid(), o.config().FilterCutoffDeg)
 	colls := map[int]map[string]int64{}
 	for _, r := range TheoryTable(o) {
-		entering := 0 // ranks that enter the scheme's collectives
-		if r.Alg == dycore.AlgBaselineXY.String() {
-			px, py, _ := XYFactors(r.P, o.Nx, o.Ny)
-			for cy := 0; cy < py && px > 1; cy++ {
-				for j := cy * o.Ny / py; j < (cy+1)*o.Ny/py; j++ {
-					if flt.Active(j) {
-						entering += px
-						break
-					}
-				}
-			}
-		} else if _, pz, _ := YZFactors(r.P, o.Ny, o.Nz); pz > 1 {
-			entering = r.P
-		}
+		c := o.perStep(r)
+		entering := c.entering
 		if colls[r.P] == nil {
 			colls[r.P] = map[string]int64{}
 		}
@@ -203,8 +189,7 @@ func TestSyncCountsMatchModel(t *testing.T) {
 			continue
 		}
 		steps := int64(o.Steps)
-		exch := (r.ExchangesMeasured - expectedBootstrapExchanges(r.Alg)) / steps
-		perRank := r.CollectivesMeasured / (int64(entering) * steps)
+		exch, perRank := c.exchanges, c.collectives
 		if perRank*int64(entering)*steps != r.CollectivesMeasured || float64((exch+perRank)*steps) != r.SModel {
 			t.Errorf("p=%d %s: %d exchanges + %d collectives over %d ranks per step, want S = %g",
 				r.P, r.Alg, exch, r.CollectivesMeasured, entering, r.SModel/float64(steps))
@@ -215,16 +200,6 @@ func TestSyncCountsMatchModel(t *testing.T) {
 			t.Errorf("p=%d: CA enters %d collectives, Y-Z %d, want 2/3 of them", p, ca, yz)
 		}
 	}
-}
-
-// expectedBootstrapExchanges returns the init exchanges included in the
-// counter: 1 bootstrap for all algorithms, plus the final Finalize
-// smoothing exchange for CA.
-func expectedBootstrapExchanges(alg string) int64 {
-	if alg == dycore.AlgCommAvoid.String() {
-		return 2
-	}
-	return 1
 }
 
 func TestCacheSharing(t *testing.T) {
