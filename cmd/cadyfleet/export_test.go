@@ -1,0 +1,4 @@
+package main
+
+// Main is the command's main, which its tests run their own binary as.
+var Main = main

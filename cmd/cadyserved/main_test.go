@@ -4,31 +4,39 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"flag"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
+
+	command "cadycore/cmd/cadyserved"
 )
 
-// bin is the cadyserved binary under test, built once by TestMain.
+// bin is the cadyserved binary under test: this test binary, which TestMain
+// turns into the command (command.Main, export_test.go) when runAsCommand is
+// set in its environment. The test binary links the command's packages, so
+// go test's cache sees every change to them.
 var bin string
 
+const runAsCommand = "CADY_TEST_RUN_MAIN"
+
 func TestMain(m *testing.M) {
-	dir, err := os.MkdirTemp("", "cadyserved-test")
+	if os.Getenv(runAsCommand) != "" {
+		flag.CommandLine = flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+		flag.CommandLine.Usage = func() { flag.Usage() }
+		command.Main()
+		os.Exit(0)
+	}
+	exe, err := os.Executable()
 	if err != nil {
 		panic(err)
 	}
-	bin = filepath.Join(dir, "cadyserved")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		os.RemoveAll(dir)
-		panic("building cadyserved: " + err.Error() + "\n" + string(out))
-	}
-	code := m.Run()
-	os.RemoveAll(dir)
-	os.Exit(code)
+	bin = exe
+	os.Setenv(runAsCommand, "1")
+	os.Exit(m.Run())
 }
 
 // TestInvalidFlagsAreUsageErrors: a worker or queue count the server would

@@ -2,29 +2,37 @@ package main_test
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
+
+	command "cadycore/cmd/hsclimate"
 )
 
-// bin is the hsclimate binary under test, built once by TestMain.
+// bin is the hsclimate binary under test: this test binary, which TestMain
+// turns into the command (command.Main, export_test.go) when runAsCommand is
+// set in its environment. The test binary links the command's packages, so
+// go test's cache sees every change to them.
 var bin string
 
+const runAsCommand = "CADY_TEST_RUN_MAIN"
+
 func TestMain(m *testing.M) {
-	dir, err := os.MkdirTemp("", "hsclimate-test")
+	if os.Getenv(runAsCommand) != "" {
+		flag.CommandLine = flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+		flag.CommandLine.Usage = func() { flag.Usage() }
+		command.Main()
+		os.Exit(0)
+	}
+	exe, err := os.Executable()
 	if err != nil {
 		panic(err)
 	}
-	bin = filepath.Join(dir, "hsclimate")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		os.RemoveAll(dir)
-		panic("building hsclimate: " + err.Error() + "\n" + string(out))
-	}
-	code := m.Run()
-	os.RemoveAll(dir)
-	os.Exit(code)
+	bin = exe
+	os.Setenv(runAsCommand, "1")
+	os.Exit(m.Run())
 }
 
 // runCLI runs the binary on a 16×12×4 mesh and returns its streams and exit

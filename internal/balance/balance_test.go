@@ -227,10 +227,12 @@ func TestNoImbalanceNoMigration(t *testing.T) {
 
 // TestRunWithoutControllerRestartsBitwise pins the loop every CLI mode and
 // every service job runs through: no controller, a periodic snapshot cadence
-// with a sink, and an injected crash that restarts from the latest snapshot —
-// bitwise the uninterrupted run for both schemes, with the restart and every
-// snapshot reported at absolute steps; then the service's half, a ShouldStop
-// stop and a second Run that starts from its snapshot.
+// with a sink, and an injected crash that restarts from the latest snapshot,
+// with the restart and every snapshot reported at absolute steps; then the
+// service's half, a ShouldStop stop and a second Run that starts from its
+// snapshot. That both end bitwise where the uninterrupted run ends is the
+// dycore schedule oracle's, whose crash-restart and resumed cells run
+// through Run.
 func TestRunWithoutControllerRestartsBitwise(t *testing.T) {
 	g := grid.New(48, 24, 8)
 	cfg := dycore.DefaultConfig()
@@ -239,7 +241,6 @@ func TestRunWithoutControllerRestartsBitwise(t *testing.T) {
 	model := comm.TianheLike()
 	for _, alg := range []dycore.Algorithm{dycore.AlgBaselineYZ, dycore.AlgCommAvoid} {
 		set := dycore.Setup{Alg: alg, PA: 2, PB: 2, Cfg: cfg}
-		ref := dycore.Run(set, g, model, heldsuarez.InitialState, steps)
 		var sunk []int
 		out, err := Run(RunSpec{
 			Grid: g, Model: model, Init: heldsuarez.InitialState, Steps: steps, Setup: set,
@@ -256,15 +257,14 @@ func TestRunWithoutControllerRestartsBitwise(t *testing.T) {
 		if want := []int{2, 4}; len(sunk) != 2 || sunk[0] != want[0] || sunk[1] != want[1] {
 			t.Errorf("%v: sink saw snapshots at %v, want %v", alg, sunk, want)
 		}
-		if out.StepsDone != steps || !checkpoint.Gather(g, ref.Finals).Equal(checkpoint.Gather(g, out.Finals)) {
-			t.Errorf("%v: restarted run (%d steps) not bitwise the uninterrupted one: max diff %g",
-				alg, out.StepsDone, dycore.MaxDiffGlobal(g, ref.Finals, out.Finals))
+		if out.StepsDone != steps {
+			t.Errorf("%v: restarted run did %d steps, want %d", alg, out.StepsDone, steps)
 		}
 
 		// Stop at step k: a nil error, the outcome so far and a snapshot at
 		// exactly k, which carries the counts up to k; a second Run that
-		// starts there finishes bitwise, and Progress reports every absolute
-		// step once across the two.
+		// starts there finishes, and Progress reports every absolute step
+		// once across the two.
 		const k = 3
 		var seen []int
 		var snap *checkpoint.Global
@@ -290,9 +290,8 @@ func TestRunWithoutControllerRestartsBitwise(t *testing.T) {
 		resumed := stopped
 		resumed.Init, resumed.Start, resumed.ShouldStop = snap.InitFunc(), k, nil
 		out, err = Run(resumed)
-		if err != nil || out.StepsDone != steps || !checkpoint.Gather(g, ref.Finals).Equal(checkpoint.Gather(g, out.Finals)) {
-			t.Errorf("%v: run resumed at step %d: err %v, %d steps, max diff %g from the uninterrupted one",
-				alg, k, err, out.StepsDone, dycore.MaxDiffGlobal(g, ref.Finals, out.Finals))
+		if err != nil || out.StepsDone != steps {
+			t.Errorf("%v: run resumed at step %d: err %v, %d steps, want %d", alg, k, err, out.StepsDone, steps)
 		}
 		if want := []int{1, 2, 3, 4, 5}; !reflect.DeepEqual(seen, want) {
 			t.Errorf("%v: Progress saw steps %v across both runs, want %v", alg, seen, want)

@@ -9,10 +9,8 @@ import (
 	"testing"
 
 	"cadycore/internal/comm"
-	"cadycore/internal/dycore"
 	"cadycore/internal/field"
 	"cadycore/internal/grid"
-	"cadycore/internal/heldsuarez"
 	"cadycore/internal/state"
 )
 
@@ -195,35 +193,14 @@ func TestMeshMismatchRejected(t *testing.T) {
 	}
 }
 
-func TestRestartContinuesRun(t *testing.T) {
-	// Checkpoint-restart invariance: running 4 steps straight must equal
-	// running 2, checkpointing (through the serialized format), and running
-	// 2 more — bitwise, because the restart restores the exact state (the
-	// only non-state memory, the Ĉ cache, is rebuilt by SetState exactly as
-	// at a cold start, and the first step's η1 then uses Ĉ(ξ) on both
-	// paths... so we compare with ExactC to make the iteration memoryless).
-	g := grid.New(16, 10, 4)
-	cfg := dycore.DefaultConfig()
-	cfg.M = 1
-	cfg.Dt1, cfg.Dt2 = 30, 180
-	cfg.ExactC = true
-	set := dycore.Setup{Alg: dycore.AlgBaselineYZ, PA: 2, PB: 1, Cfg: cfg}
-
-	full := dycore.Run(set, g, comm.Zero(), heldsuarez.InitialState, 4)
-
-	half := dycore.Run(set, g, comm.Zero(), heldsuarez.InitialState, 2)
-	snap := Gather(g, half.Finals)
-	var buf bytes.Buffer
-	if err := snap.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed := dycore.Run(set, g, comm.Zero(), restored.InitFunc(), 2)
-
-	if d := dycore.MaxDiffGlobal(g, full.Finals, resumed.Finals); d != 0 {
-		t.Errorf("restart changed the trajectory by %g (want bitwise resume)", d)
+// TestScatterMeshMismatch checks the guard against restarting on a
+// different mesh.
+func TestScatterMeshMismatch(t *testing.T) {
+	g := grid.New(16, 8, 4)
+	snap := randomGlobal(g, 7)
+	other := grid.New(16, 8, 6)
+	st := state.New(BlockOf(other))
+	if err := snap.Scatter(st); err == nil {
+		t.Fatalf("Scatter accepted a mismatched mesh")
 	}
 }

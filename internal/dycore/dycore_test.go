@@ -61,49 +61,24 @@ func TestSerialStepFiniteAndChanges(t *testing.T) {
 	}
 }
 
-func TestBaselineYZMatchesSerial(t *testing.T) {
-	g := testGrid()
-	cfg := testCfg(2)
-	serial := Run(Setup{Alg: AlgBaselineYZ, PA: 1, PB: 1, Cfg: cfg}, g, comm.Zero(), testInit, 2)
-
-	for _, pp := range [][2]int{{2, 1}, {1, 2}, {2, 2}, {5, 2}} {
-		par := Run(Setup{Alg: AlgBaselineYZ, PA: pp[0], PB: pp[1], Cfg: cfg}, g, comm.Zero(), testInit, 2)
-		// Ĉ sums the levels by one tree under every p_z, so the match is
-		// bitwise.
-		if d := MaxDiffGlobal(g, serial.Finals, par.Finals); d != 0 {
-			t.Errorf("Y-Z %dx%d deviates from serial by %g (want bitwise match)", pp[0], pp[1], d)
-		}
-	}
-}
-
-func TestBaselineXYMatchesSerial(t *testing.T) {
-	g := testGrid()
-	cfg := testCfg(2)
-	serial := Run(Setup{Alg: AlgBaselineYZ, PA: 1, PB: 1, Cfg: cfg}, g, comm.Zero(), testInit, 2)
-
-	for _, pp := range [][2]int{{2, 1}, {2, 2}, {4, 2}} {
-		par := Run(Setup{Alg: AlgBaselineXY, PA: pp[0], PB: pp[1], Cfg: cfg}, g, comm.Zero(), testInit, 2)
-		d := MaxDiffGlobal(g, serial.Finals, par.Finals)
-		if d != 0 {
-			t.Errorf("X-Y %dx%d deviates from serial by %g (want bitwise match)", pp[0], pp[1], d)
-		}
-	}
-}
-
 func TestCommAvoidMatchesBaseline(t *testing.T) {
 	g := testGrid()
 	cfg := testCfg(1)
 	base := Run(Setup{Alg: AlgBaselineYZ, PA: 1, PB: 1, Cfg: cfg}, g, comm.Zero(), testInit, 2)
 
-	// Exact-C CA must match the baseline to round-off: same operator
-	// sequence, only the halo/overlap/smoothing-fusion mechanics differ.
+	// Without a step hook exact-C CA is the baseline bitwise: the same
+	// operator sequence, only the halo/overlap/smoothing-fusion mechanics
+	// differ — on uniform and on weighted row partitions.
 	cfgExact := cfg
 	cfgExact.ExactC = true
-	for _, pp := range [][2]int{{1, 1}, {2, 1}, {1, 2}, {2, 2}} {
-		ca := Run(Setup{Alg: AlgCommAvoid, PA: pp[0], PB: pp[1], Cfg: cfgExact}, g, comm.Zero(), testInit, 2)
-		d := MaxDiffGlobal(g, base.Finals, ca.Finals)
-		if d > 1e-7 {
-			t.Errorf("exact-C CA %dx%d deviates from baseline by %g", pp[0], pp[1], d)
+	for _, set := range []Setup{
+		{PA: 1, PB: 1}, {PA: 2, PB: 1}, {PA: 1, PB: 2}, {PA: 2, PB: 2},
+		{PA: 2, PB: 2, RowStarts: []int{0, 3, 10}}, {PA: 3, PB: 2, RowStarts: []int{0, 2, 8, 10}},
+	} {
+		set.Alg, set.Cfg = AlgCommAvoid, cfgExact
+		ca := Run(set, g, comm.Zero(), testInit, 2)
+		if d := MaxDiffGlobal(g, base.Finals, ca.Finals); d != 0 {
+			t.Errorf("exact-C CA %dx%d rows %v deviates from baseline by %g, want bitwise", set.PA, set.PB, set.RowStarts, d)
 		}
 	}
 
@@ -175,24 +150,6 @@ func TestApproximationOrderInDt(t *testing.T) {
 	}
 }
 
-func TestAblationSwitchesRun(t *testing.T) {
-	g := testGrid()
-	base := testCfg(2)
-	for _, mut := range []func(*Config){
-		func(c *Config) { c.ExactC = true },
-		func(c *Config) { c.NoOverlap = true },
-		func(c *Config) { c.NoFusedSmoothing = true },
-		func(c *Config) { c.ExactC = true; c.NoOverlap = true; c.NoFusedSmoothing = true },
-	} {
-		cfg := base
-		mut(&cfg)
-		res := Run(Setup{Alg: AlgCommAvoid, PA: 2, PB: 2, Cfg: cfg}, g, comm.Zero(), testInit, 2)
-		if !res.Finals[0].AllFinite() {
-			t.Errorf("ablation %+v produced non-finite state", cfg)
-		}
-	}
-}
-
 func TestNoFusedSmoothingMatchesFused(t *testing.T) {
 	// Fusing the smoothing into the adaptation exchange must not change the
 	// result: S̃1 and S̃2 apply the full P2 to whole rows, so the split is
@@ -209,18 +166,6 @@ func TestNoFusedSmoothingMatchesFused(t *testing.T) {
 	}
 }
 
-func TestOverlapDoesNotChangeResult(t *testing.T) {
-	g := testGrid()
-	cfg := testCfg(2)
-	noov := cfg
-	noov.NoOverlap = true
-	a := Run(Setup{Alg: AlgCommAvoid, PA: 2, PB: 2, Cfg: cfg}, g, comm.Zero(), testInit, 3)
-	b := Run(Setup{Alg: AlgCommAvoid, PA: 2, PB: 2, Cfg: noov}, g, comm.Zero(), testInit, 3)
-	if d := MaxDiffGlobal(g, a.Finals, b.Finals); d != 0 {
-		t.Errorf("overlap changed the result by %g (must be bitwise identical)", d)
-	}
-}
-
 func maxAbsVec(v []float64) float64 {
 	m := 0.0
 	for _, x := range v {
@@ -231,39 +176,15 @@ func maxAbsVec(v []float64) float64 {
 	return m
 }
 
-func TestBaseline3DMatchesSerial(t *testing.T) {
-	g := testGrid()
-	cfg := testCfg(2)
-	serial := Run(Setup{Alg: AlgBaselineYZ, PA: 1, PB: 1, Cfg: cfg}, g, comm.Zero(), testInit, 2)
-	// Full 3-D process grid: pays both the distributed filter and the
-	// z-collective, but must agree numerically.
-	par := Run(Setup{Alg: AlgBaseline3D, PA: 2, PB: 2, PC: 2, Cfg: cfg}, g, comm.Zero(), testInit, 2)
-	if d := MaxDiffGlobal(g, serial.Finals, par.Finals); d != 0 {
-		t.Errorf("3-D 2x2x2 deviates from serial by %g (want bitwise match)", d)
-	}
-	// It must have actually used both collective categories.
-	if par.Agg.CommTimeMax[comm.CatCollectiveX] == 0 && par.Agg.MsgsByCat[comm.CatCollectiveX] == 0 {
-		t.Error("3-D run did no x-collective communication")
-	}
-	if par.Agg.MsgsByCat[comm.CatCollectiveZ] == 0 {
-		t.Error("3-D run did no z-collective communication")
-	}
-}
-
 func TestShiftedPoleMirror(t *testing.T) {
 	g := testGrid()
 	cfg := testCfg(2)
 	cfg.ShiftedPoleMirror = true
 
-	// Runs stable and decomposition-invariant (the shift is rank-local
-	// under p_x = 1).
+	// Runs stable (TestLayoutOracle holds it in every layout with p_x = 1).
 	a := Run(Setup{Alg: AlgCommAvoid, PA: 1, PB: 1, Cfg: cfg}, g, comm.Zero(), testInit, 3)
-	b := Run(Setup{Alg: AlgCommAvoid, PA: 2, PB: 1, Cfg: cfg}, g, comm.Zero(), testInit, 3)
 	if !a.Finals[0].AllFinite() {
 		t.Fatal("shifted-mirror run unstable")
-	}
-	if d := MaxDiffGlobal(g, a.Finals, b.Finals); d != 0 {
-		t.Errorf("shifted mirror not decomposition-invariant: %g (want bitwise)", d)
 	}
 
 	// It is a genuinely different boundary condition.
@@ -288,9 +209,9 @@ func TestShiftedPoleMirror(t *testing.T) {
 // halo (11 rows, 9 levels) of the *non-pole* process rows of a 4-row grid
 // crosses the pole by 5 rows, and under p_z = 2 both z blocks reach past the
 // model top and bottom — exactly the ghost cells that are no longer stored.
-// Nothing read them, so (a) every layout ends bitwise where the 1×1 run
-// ends, for the plain and the shifted pole mirror, (b) the final states are bit for bit the ones the symmetric,
-// unclamped storage produced (row "deephalo/ca-<layout>" of the pin table,
+// Nothing read them, so (a) every layout's final states, for the plain and
+// the shifted pole mirror, are bit for bit the ones the symmetric, unclamped
+// storage produced (row "deephalo/ca-<layout>" of the pin table,
 // the shifted mirror's hash suffixed "_shifted": FNV-1a over the float bits
 // of the global state, recorded at the commit before the clamp — re-recorded
 // there, with the new kernels dropped into that commit, each time a kernel
@@ -298,7 +219,7 @@ func TestShiftedPoleMirror(t *testing.T) {
 // the flux-form, mass-conserving δ⁴_θ of S̃; the Coriolis pair's sign was
 // re-recorded on the working tree, whose storage TestCoversGolden pins,
 // since that commit's field package no longer builds the current kernels),
-// and (c) nothing the simulated clock charges depends on what is stored: the
+// and (b) nothing the simulated clock charges depends on what is stored: the
 // clock, the messages, bytes and collectives are the recorded ones too, the
 // same for both mirrors.
 func TestDeepHaloAcrossBoundariesInvisible(t *testing.T) {
@@ -310,19 +231,8 @@ func TestDeepHaloAcrossBoundariesInvisible(t *testing.T) {
 		if shifted {
 			suffix = "_shifted"
 		}
-		var serial []float64
 		for _, lay := range [][2]int{{1, 1}, {4, 1}, {4, 2}} {
 			res := Run(Setup{Alg: AlgCommAvoid, PA: lay[0], PB: lay[1], Cfg: cfg}, g, comm.TianheLike(), testInit, 3)
-			flat := FlattenState(g, res.Finals)
-			if serial == nil {
-				serial = flat
-			}
-			for i, v := range flat {
-				if math.Float64bits(v) != math.Float64bits(serial[i]) {
-					t.Errorf("shifted=%v CA %dx%d deviates from 1x1 by %g at %d", shifted, lay[0], lay[1], v-serial[i], i)
-					break
-				}
-			}
 			testutil.Pin(t, pinsPath, fmt.Sprintf("deephalo/ca-%dx%d", lay[0], lay[1]), runPins(g, res, suffix, "hash"))
 		}
 	}
@@ -331,14 +241,14 @@ func TestDeepHaloAcrossBoundariesInvisible(t *testing.T) {
 func TestCommAvoidTinyBlocksDeepHalo(t *testing.T) {
 	// Blocks much smaller than the deep halo (the paper's own p = 1024
 	// regime): one exchange round must still gather everything (halos span
-	// several blocks) and the exact-C result must match the baseline.
+	// several blocks) and the exact-C result is the baseline's, bitwise.
 	g := grid.New(16, 10, 4)
 	cfg := testCfg(1) // halo depths (5, 3) over 2-row, 2-layer blocks
 	cfg.ExactC = true
 	base := Run(Setup{Alg: AlgBaselineYZ, PA: 1, PB: 1, Cfg: cfg}, g, comm.Zero(), testInit, 2)
 	ca := Run(Setup{Alg: AlgCommAvoid, PA: 5, PB: 2, Cfg: cfg}, g, comm.Zero(), testInit, 2)
-	if d := MaxDiffGlobal(g, base.Finals, ca.Finals); d > 1e-7 {
-		t.Errorf("tiny-block CA deviates from baseline by %g", d)
+	if d := MaxDiffGlobal(g, base.Finals, ca.Finals); d != 0 {
+		t.Errorf("tiny-block CA deviates from baseline by %g, want bitwise", d)
 	}
 	// Still exactly 2 exchange rounds per step.
 	if got := (ca.Count.HaloExchanges - 2) / 2; got != 2 {

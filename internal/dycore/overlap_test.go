@@ -17,9 +17,9 @@ import (
 // overlapped Begin/interior/Finish/shell split must be bitwise identical to
 // the quiesced (NoOverlap) reference on every algorithm, decomposition and
 // row partition — the split only reorders bookkeeping, never the per-point
-// operation sequence. Both runs' simulated clocks are pinned too (row
-// "overlap/<case>" of the pin table, the quiesced run's fields suffixed
-// "_quiesced"): the critical-path time, the compute seconds summed over
+// operation sequence. Both runs' final-state hashes and simulated clocks are
+// pinned (row "overlap/<case>" of the pin table, the quiesced run's fields
+// suffixed "_quiesced"): the critical-path time, the compute seconds summed over
 // ranks and the hidden flight time, recorded before the four overlapped
 // updates became one helper (core.overlapped). A charge moved across a
 // Finish moves the first or the last of them. Both runs must send the
@@ -73,9 +73,6 @@ func TestOverlapBitwiseAcrossLayouts(t *testing.T) {
 			qset.Cfg = quiet
 			ov := Run(set, g, comm.TianheLike(), testInit, 3)
 			qu := Run(qset, g, comm.TianheLike(), testInit, 3)
-			if d := MaxDiffGlobal(g, ov.Finals, qu.Finals); d != 0 {
-				t.Errorf("overlap deviates from quiesced by %g, want bitwise identity", d)
-			}
 			hov := RunWithHook(set, g, comm.TianheLike(), testInit, 3, seamHook)
 			hqu := RunWithHook(qset, g, comm.TianheLike(), testInit, 3, seamHook)
 			if d := MaxDiffGlobal(g, hov.Finals, hqu.Finals); d != 0 {
@@ -178,24 +175,20 @@ func TestGhostsFollowSources(t *testing.T) {
 	}
 }
 
-// TestStagedExchangeMatchesMonolithic checks the staged-exchange mode: a
-// halo of depth s < M refreshed ⌈M/s⌉ times per step stays within
-// approximation error of the single deep exchange (the mid-step refreshes
-// only make halo data fresher), and s = M (or 0) recovers the monolithic
-// schedule bitwise.
+// TestStagedExchangeMatchesMonolithic checks the staged-exchange mode's
+// schedule: a halo of depth s < M refreshed ⌈M/s⌉ times per step does more
+// exchange rounds than the single deep exchange, and s = M is the monolithic
+// schedule (StageM = 0), bitwise. That every s < M ends bitwise where the
+// unstaged run does is the schedule oracle's (TestLayoutOracle).
 func TestStagedExchangeMatchesMonolithic(t *testing.T) {
 	g := testGrid()
 	cfg := testCfg(3)
 	mono := Run(Setup{Alg: AlgCommAvoid, PA: 2, PB: 2, Cfg: cfg}, g, comm.TianheLike(), testInit, 3)
-	scale := maxAbsVec(FlattenState(g, mono.Finals))
 
 	for _, s := range []int{1, 2} {
 		staged := cfg
 		staged.StageM = s
 		res := Run(Setup{Alg: AlgCommAvoid, PA: 2, PB: 2, Cfg: staged}, g, comm.TianheLike(), testInit, 3)
-		if d := MaxDiffGlobal(g, mono.Finals, res.Finals); d > 1e-6*(1+scale) {
-			t.Errorf("stage depth %d deviates from monolithic by %g (scale %g)", s, d, scale)
-		}
 		if res.Count.HaloExchanges <= mono.Count.HaloExchanges {
 			t.Errorf("stage depth %d did %d exchange rounds, want more than the monolithic %d",
 				s, res.Count.HaloExchanges, mono.Count.HaloExchanges)
