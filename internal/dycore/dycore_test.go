@@ -68,17 +68,13 @@ func TestCommAvoidMatchesBaseline(t *testing.T) {
 
 	// Without a step hook exact-C CA is the baseline bitwise: the same
 	// operator sequence, only the halo/overlap/smoothing-fusion mechanics
-	// differ — on uniform and on weighted row partitions.
+	// differ.
 	cfgExact := cfg
 	cfgExact.ExactC = true
-	for _, set := range []Setup{
-		{PA: 1, PB: 1}, {PA: 2, PB: 1}, {PA: 1, PB: 2}, {PA: 2, PB: 2},
-		{PA: 2, PB: 2, RowStarts: []int{0, 3, 10}}, {PA: 3, PB: 2, RowStarts: []int{0, 2, 8, 10}},
-	} {
-		set.Alg, set.Cfg = AlgCommAvoid, cfgExact
-		ca := Run(set, g, comm.Zero(), testInit, 2)
+	for _, pp := range [][2]int{{1, 1}, {2, 1}, {1, 2}, {2, 2}} {
+		ca := Run(Setup{Alg: AlgCommAvoid, PA: pp[0], PB: pp[1], Cfg: cfgExact}, g, comm.Zero(), testInit, 2)
 		if d := MaxDiffGlobal(g, base.Finals, ca.Finals); d != 0 {
-			t.Errorf("exact-C CA %dx%d rows %v deviates from baseline by %g, want bitwise", set.PA, set.PB, set.RowStarts, d)
+			t.Errorf("exact-C CA %dx%d deviates from baseline by %g, want bitwise", pp[0], pp[1], d)
 		}
 	}
 
@@ -91,6 +87,31 @@ func TestCommAvoidMatchesBaseline(t *testing.T) {
 	}
 	if !ca.Finals[0].AllFinite() {
 		t.Error("CA run produced non-finite values")
+	}
+}
+
+// TestUnbalancedCommAvoidMatchesBaseline: exact-C CA on weighted row
+// partitions is the baseline bitwise, as it is on uniform ones.
+func TestUnbalancedCommAvoidMatchesBaseline(t *testing.T) {
+	g := testGrid()
+	cfg := testCfg(1)
+	base := Run(Setup{Alg: AlgBaselineYZ, PA: 1, PB: 1, Cfg: cfg}, g, comm.Zero(), testInit, 2)
+	cfgExact := cfg
+	cfgExact.ExactC = true
+	for _, starts := range [][]int{
+		{0, 3, 10},
+		{0, 2, 8, 10},
+	} {
+		py := len(starts) - 1
+		ca := Run(Setup{
+			Alg: AlgCommAvoid, PA: py, PB: 2, Cfg: cfgExact, RowStarts: starts,
+		}, g, comm.Zero(), testInit, 2)
+		if d := MaxDiffGlobal(g, base.Finals, ca.Finals); d != 0 {
+			t.Errorf("exact-C CA rows %v deviates from baseline by %g, want bitwise", starts, d)
+		}
+		if !ca.Finals[0].AllFinite() {
+			t.Errorf("CA rows %v produced non-finite values", starts)
+		}
 	}
 }
 
